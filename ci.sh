@@ -11,8 +11,10 @@ echo "== cargo clippy"
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== tier-1: cargo build --release && cargo test -q"
+# --no-fail-fast: without it the first red package hides every test
+# binary that sorts after it.
 cargo build --release
-cargo test -q
+cargo test -q --no-fail-fast
 
 echo "== fault-injection suite (seeded FaultPlan matrix)"
 # The device fault paths and the engine's graceful-degradation
@@ -41,13 +43,20 @@ echo "== dispatch equivalence (pool/fusion/graph matrix, 25 fault seeds)"
 # fault ordinals preserved under seeded schedules.
 cargo test -q --release -p odrc --test dispatch_equivalence
 
-echo "== perf gate (kernel-wait + host scaling vs committed baseline)"
-# Re-measures the aes parallel configurations against the committed
-# BENCH_pipeline.json: fails on a kernel-wait regression beyond 25%
-# (+10ms grace) or 2-thread host scaling below 0.95x of serial.
+echo "== perf gate (kernel-wait, sweepline + host scaling vs committed baseline)"
+# Re-measures the aes configurations against the committed
+# BENCH_pipeline.json: fails on a regression beyond 25% (+10ms grace)
+# of parallel kernel-wait or sequential sweepline, or on 2-thread host
+# scaling below 0.95x of serial.
 # min-of-5 repeats: the gate compares minima, and 3 repeats has been
 # observed to let a single noisy scheduling window trip the limit.
 cargo run -q --release -p odrc-bench --bin pipeline -- --gate BENCH_pipeline.json --repeat 5
+
+echo "== repo benchmark smoke run (benchmark/run.sh --quick)"
+# Every workload of BENCHMARK.json on tiny inputs, one repetition: the
+# harness checks each report against its known answers and exits
+# nonzero on any failed output check.
+./benchmark/run.sh --quick >/dev/null
 
 echo "== pipeline bench smoke run"
 # The planner benchmark on the small uart design: asserts all four

@@ -7,12 +7,12 @@
 //! (1/2/4/max, deduplicated) over the sequential planned engine and
 //! writes `BENCH_host.json` — the host-parallelism scaling table.
 //!
-//! `--gate <baseline.json>` re-measures the aes parallel configurations
-//! against a committed `BENCH_pipeline.json` and exits nonzero on a
-//! kernel-wait regression (>25% + 10ms grace), 2-thread host scaling
-//! below 0.95x, or a peak-RSS regression beyond 1.5x the committed
-//! per-design high-water mark (+64 MiB grace) — the CI perf/memory
-//! gate.
+//! `--gate <baseline.json>` re-measures the aes configurations against
+//! a committed `BENCH_pipeline.json` and exits nonzero on a regression
+//! (>25% + 10ms grace) of the parallel mode's kernel-wait phase or the
+//! sequential mode's sweepline phase, 2-thread host scaling below
+//! 0.95x, or a peak-RSS regression beyond 1.5x the committed per-design
+//! high-water mark (+64 MiB grace) — the CI perf/memory gate.
 //!
 //! ```text
 //! cargo run -p odrc-bench --release --bin pipeline -- \
@@ -260,16 +260,26 @@ fn write_json(
     Ok(())
 }
 
+/// The profiler phase the gate holds each engine mode to: the device
+/// wait of the parallel mode, the candidate sweeps of the sequential.
+fn gated_phase(mode: &str) -> &'static str {
+    if mode == "parallel" {
+        "kernel-wait"
+    } else {
+        "sweepline"
+    }
+}
+
 /// A baseline measurement scraped from a committed `BENCH_pipeline.json`:
-/// one engine configuration of one design, with its kernel-wait phase.
+/// one engine configuration of one design, with its gated phase.
 struct BaselineRun {
     design: String,
     mode: String,
     planner: bool,
-    kernel_wait_ms: Option<f64>,
+    gated_ms: Option<f64>,
 }
 
-/// Scrapes `(design, mode, planner, kernel-wait)` tuples out of a
+/// Scrapes `(design, mode, planner, gated phase)` tuples out of a
 /// committed `BENCH_pipeline.json`. The file is written by this binary
 /// with one key per line, so a line-oriented scan is exact — no JSON
 /// dependency needed (the workspace dependency list is fixed).
@@ -295,15 +305,15 @@ fn scan_baseline(path: &str) -> (Vec<BaselineRun>, std::collections::HashMap<Str
                 design: design.clone(),
                 mode: v,
                 planner: false,
-                kernel_wait_ms: None,
+                gated_ms: None,
             });
         } else if let Some(v) = field(line, "planner") {
             if let Some(last) = out.last_mut() {
                 last.planner = v == "true";
             }
-        } else if let Some(v) = field(line, "kernel-wait") {
-            if let Some(last) = out.last_mut() {
-                last.kernel_wait_ms = v.parse().ok();
+        } else if let Some(last) = out.last_mut() {
+            if let Some(v) = field(line, gated_phase(&last.mode)) {
+                last.gated_ms = v.parse().ok();
             }
         }
     }
@@ -321,12 +331,12 @@ fn phase_ms(report: &CheckReport, phase: &str) -> Option<f64> {
 }
 
 /// The CI perf gate (`--gate <baseline.json>`): re-measures the aes
-/// parallel configurations and fails (exit 1) if kernel-wait regressed
-/// more than 25% past the committed baseline, or if running the
-/// sequential planned engine with two host threads costs more than 5%
-/// over one thread (adaptive granularity must keep small hosts at
-/// parity). A 10ms absolute grace keeps sub-noise baselines from
-/// tripping the ratio.
+/// configurations and fails (exit 1) if a mode's gated phase (parallel
+/// kernel-wait, sequential sweepline) regressed more than 25% past the
+/// committed baseline, or if running the sequential planned engine
+/// with two host threads costs more than 5% over one thread (adaptive
+/// granularity must keep small hosts at parity). A 10ms absolute grace
+/// keeps sub-noise baselines from tripping the ratio.
 fn run_gate(baseline_path: &str, deck: &RuleDeck, repeat: usize) -> bool {
     let (baseline, baseline_peaks) = scan_baseline(baseline_path);
     let design = load_designs(Some("aes"))
@@ -336,25 +346,32 @@ fn run_gate(baseline_path: &str, deck: &RuleDeck, repeat: usize) -> bool {
     let mut ok = true;
 
     println!("=== Perf gate vs {baseline_path} ===");
-    let configs = [(Mode::Parallel, false), (Mode::Parallel, true)];
+    let configs = [
+        (Mode::Sequential, false),
+        (Mode::Sequential, true),
+        (Mode::Parallel, false),
+        (Mode::Parallel, true),
+    ];
     odrc_infra::reset_peak_rss();
     let runs = run_configs(&design, deck, &configs, repeat, None);
     let fresh_peak = odrc_infra::peak_rss_bytes();
     for r in &runs {
+        let phase = gated_phase(r.mode);
         let base = baseline
             .iter()
-            .find(|b| b.design == "aes" && b.mode == "parallel" && b.planner == r.planner)
-            .and_then(|b| b.kernel_wait_ms);
-        let fresh = phase_ms(r.report(), "kernel-wait").unwrap_or(0.0);
-        let label = format!("aes parallel{}", if r.planner { "+plan" } else { "" });
+            .find(|b| b.design == "aes" && b.mode == r.mode && b.planner == r.planner)
+            .and_then(|b| b.gated_ms);
+        let fresh = phase_ms(r.report(), phase).unwrap_or(0.0);
+        let label = format!("aes {}{}", r.mode, if r.planner { "+plan" } else { "" });
         match base {
             Some(base) => {
                 let limit = base * 1.25 + 10.0;
                 let pass = fresh <= limit;
                 ok &= pass;
                 println!(
-                    "{}: kernel-wait {:.1}ms vs baseline {:.1}ms (limit {:.1}ms) .. {}",
+                    "{}: {} {:.1}ms vs baseline {:.1}ms (limit {:.1}ms) .. {}",
                     label,
+                    phase,
                     fresh,
                     base,
                     limit,
@@ -363,7 +380,7 @@ fn run_gate(baseline_path: &str, deck: &RuleDeck, repeat: usize) -> bool {
             }
             None => {
                 ok = false;
-                println!("{label}: baseline has no kernel-wait entry .. FAIL");
+                println!("{label}: baseline has no {phase} entry .. FAIL");
             }
         }
     }

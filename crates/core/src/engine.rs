@@ -214,8 +214,10 @@ pub struct EngineStats {
     /// Bytes actually moved host→device through the planner's shared
     /// upload path (shallow sizes at the upload call sites).
     pub bytes_uploaded: u64,
-    /// Tasks executed by the host executor (zero when it ran serially —
-    /// the single-threaded code paths never fan out).
+    /// Tasks handed to the host executor. A function of the input and
+    /// the options only: a one-thread executor runs its tasks inline
+    /// (and most phases keep a single-threaded path that bypasses it),
+    /// but how many workers shared them never changes the count.
     pub host_tasks: u64,
     /// Successful work steals between host-executor workers.
     pub host_steals: u64,

@@ -1171,8 +1171,13 @@ fn issue_pairs(
         ViolationKind::Enclosure => min,
         _ => 0,
     };
+    let (inner_scene, outer_scene) = crate::sequential::enclosure_scenes(ctx, inner, outer, window);
     let work: Arc<Vec<(Polygon, Vec<Polygon>)>> = Arc::new(crate::sequential::enclosure_work(
-        ctx, inner, outer, gather, window,
+        ctx,
+        &inner_scene,
+        &outer_scene,
+        gather,
+        window,
     ));
     let rects: Vec<Rect> = work.iter().map(|(p, _)| p.mbr()).collect();
     let pending = if work.is_empty() {

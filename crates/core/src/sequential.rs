@@ -22,7 +22,7 @@ use odrc_db::{CellId, Layer, Layout};
 use odrc_geometry::{Coord, Rect};
 use odrc_infra::host::HostExecutor;
 use odrc_infra::partition::{partition_rows, partition_rows_on, Row, RowPartition};
-use odrc_infra::sweep::sweep_overlaps;
+use odrc_infra::sweep::{sweep_join_on, sweep_overlaps};
 use odrc_infra::Profiler;
 
 use crate::cache::CacheHandle;
@@ -52,8 +52,8 @@ pub(crate) struct RunContext<'a> {
     /// polygon lists). Consulted only when `options.planner` is set.
     pub plan: PlanCache,
     /// The shared work-stealing host executor every hot host phase fans
-    /// out on. Sized by `options.host_threads`; serial (one thread)
-    /// executors never fan out, keeping the single-threaded code paths.
+    /// out on. Sized by `options.host_threads`; a one-thread executor
+    /// runs its tasks inline on the caller.
     pub host: Arc<HostExecutor>,
     /// Device work units that failed and were deferred so healthy rules
     /// keep draining; retried (with backoff deadlines) after all rules
@@ -794,27 +794,19 @@ pub(crate) fn cross_space(
     }
 }
 
-/// Gathers the enclosure work list: every flat inner shape's MBR paired
-/// with its candidate outer polygons.
-///
-/// Candidate discovery is hierarchical and output-sensitive: a single
-/// sweepline runs over the inner MBRs (inflated by the rule margin) and
-/// the *object-level* layer MBRs of the outer scene; only objects whose
-/// layer MBR overlaps an inner shape get their geometry instantiated,
-/// and only the polygons inside the inner shape's window.
-pub(crate) fn enclosure_work(
+/// The `(inner, outer)` scene pair of an in-core enclosure / overlap
+/// rule. Under a delta window only the inner objects near the dirt are
+/// kept; the outer scene stays complete so every retained inner shape
+/// sees its full candidate set and measures its exact margin. Full
+/// (window-less) scenes come from the run's memo; windowed scenes are
+/// rule-specific and built fresh.
+pub(crate) fn enclosure_scenes(
     ctx: &mut RunContext<'_>,
     inner: Layer,
     outer: Layer,
-    min: i64,
     window: Option<DirtyWindow<'_>>,
-) -> Vec<(odrc_geometry::Polygon, Vec<odrc_geometry::Polygon>)> {
+) -> (Arc<LayerScene>, Arc<LayerScene>) {
     let layout = ctx.layout;
-    // Under a delta window only the inner shapes near the dirt are
-    // re-measured; the outer scene stays complete so every retained
-    // inner shape sees its full candidate set and measures its exact
-    // margin. Full (window-less) scenes come from the run's memo;
-    // windowed scenes are rule-specific and built fresh.
     let inner_scene = match window {
         None => ctx.layer_scene(inner),
         Some(w) => Arc::new(
@@ -822,7 +814,29 @@ pub(crate) fn enclosure_work(
                 .time("scene", || LayerScene::build_near(layout, inner, Some(w))),
         ),
     };
-    let outer_scene = ctx.layer_scene(outer);
+    (inner_scene, ctx.layer_scene(outer))
+}
+
+/// Gathers the enclosure work list: every flat inner shape (of those
+/// hitting `window`, when given) paired with its candidate outer
+/// polygons. This is the one candidate-discovery path of enclosure and
+/// overlap-area rules — in-core (both modes), delta windows and
+/// out-of-core shards differ only in the scenes they pass.
+///
+/// Candidate discovery is hierarchical and output-sensitive: the
+/// bipartite sweepline join pairs the inner MBRs (inflated by the rule
+/// margin) with the *object-level* layer MBRs of the outer scene; only
+/// objects whose layer MBR overlaps an inner shape get their geometry
+/// instantiated, and only the polygons inside the inner shape's window.
+/// Each shape's objects are visited in ascending scene order, so the
+/// candidate lists do not depend on the thread count.
+pub(crate) fn enclosure_work(
+    ctx: &mut RunContext<'_>,
+    inner_scene: &LayerScene,
+    outer_scene: &LayerScene,
+    min: i64,
+    window: Option<DirtyWindow<'_>>,
+) -> Vec<(odrc_geometry::Polygon, Vec<odrc_geometry::Polygon>)> {
     let m = min as Coord;
     let mut inner_polys: Vec<odrc_geometry::Polygon> = Vec::new();
     for obj in &inner_scene.objects {
@@ -831,53 +845,23 @@ pub(crate) fn enclosure_work(
     if let Some(w) = window {
         inner_polys.retain(|p| w.hits(p.mbr()));
     }
-    let n_inner = inner_polys.len();
-    // Combined array: inflated inner MBRs, then outer object MBRs.
-    let mut rects: Vec<Rect> = inner_polys.iter().map(|p| p.mbr().inflate(m)).collect();
-    rects.extend(outer_scene.objects.iter().map(|o| o.mbr));
-    let mut object_hits: Vec<Vec<usize>> = vec![Vec::new(); n_inner];
-    ctx.profiler.time("sweepline", || {
-        sweep_overlaps(&rects, |a, b| {
-            let (lo, hi) = (a.min(b), a.max(b));
-            if lo < n_inner && hi >= n_inner {
-                object_hits[lo].push(hi - n_inner);
-            }
-        });
+    let windows: Vec<Rect> = inner_polys.iter().map(|p| p.mbr().inflate(m)).collect();
+    let outer_mbrs: Vec<Rect> = outer_scene.objects.iter().map(|o| o.mbr).collect();
+    let host = Arc::clone(&ctx.host);
+    let (object_hits, swept) = sweep_join_on(&windows, &outer_mbrs, &host);
+    ctx.profiler.add("sweepline", swept);
+    let candidates = host.run("enclosure-gather", inner_polys.len(), |i| {
+        let mut candidates = Vec::new();
+        for &oi in &object_hits[i] {
+            outer_scene.object_polygons_in_into(
+                &outer_scene.objects[oi],
+                windows[i],
+                &mut candidates,
+            );
+        }
+        candidates
     });
-    if ctx.host.is_serial() {
-        inner_polys
-            .into_iter()
-            .zip(object_hits)
-            .map(|(poly, objs)| {
-                let window = poly.mbr().inflate(m);
-                let mut candidates = Vec::new();
-                for oi in objs {
-                    outer_scene.object_polygons_in_into(
-                        &outer_scene.objects[oi],
-                        window,
-                        &mut candidates,
-                    );
-                }
-                (poly, candidates)
-            })
-            .collect()
-    } else {
-        // Candidate gathering is independent per inner shape: fan it
-        // out by index and zip back in order.
-        let host = Arc::clone(&ctx.host);
-        let inner_ref = &inner_polys;
-        let hits_ref = &object_hits;
-        let outer_ref: &LayerScene = &outer_scene;
-        let candidates = host.run("enclosure-gather", inner_polys.len(), |i| {
-            let window = inner_ref[i].mbr().inflate(m);
-            let mut candidates = Vec::new();
-            for &oi in &hits_ref[i] {
-                outer_ref.object_polygons_in_into(&outer_ref.objects[oi], window, &mut candidates);
-            }
-            candidates
-        });
-        inner_polys.into_iter().zip(candidates).collect()
-    }
+    inner_polys.into_iter().zip(candidates).collect()
 }
 
 /// Runs an enclosure rule sequentially: every flat inner shape must be
@@ -891,7 +875,22 @@ pub(crate) fn check_enclosure_rule(
     window: Option<DirtyWindow<'_>>,
     out: &mut Vec<Violation>,
 ) {
-    let work = enclosure_work(ctx, inner, outer, min, window);
+    let (inner_scene, outer_scene) = enclosure_scenes(ctx, inner, outer, window);
+    check_enclosure_scenes(ctx, rule_name, &inner_scene, &outer_scene, min, window, out);
+}
+
+/// The enclosure pipeline over already-built scenes (the run memo's, a
+/// delta window's, or an out-of-core shard's): gather, then measure.
+pub(crate) fn check_enclosure_scenes(
+    ctx: &mut RunContext<'_>,
+    rule_name: &str,
+    inner_scene: &LayerScene,
+    outer_scene: &LayerScene,
+    min: i64,
+    window: Option<DirtyWindow<'_>>,
+    out: &mut Vec<Violation>,
+) {
+    let work = enclosure_work(ctx, inner_scene, outer_scene, min, window);
     ctx.stats.checks_computed += work.len();
     let mut results = Vec::new();
     if ctx.host.is_serial() {
@@ -942,8 +941,31 @@ pub(crate) fn check_overlap_rule(
     window: Option<DirtyWindow<'_>>,
     out: &mut Vec<Violation>,
 ) {
+    let (inner_scene, outer_scene) = enclosure_scenes(ctx, inner, outer, window);
+    check_overlap_scenes(
+        ctx,
+        rule_name,
+        &inner_scene,
+        &outer_scene,
+        min_area,
+        window,
+        out,
+    );
+}
+
+/// The overlap-area pipeline over already-built scenes; see
+/// [`check_enclosure_scenes`].
+pub(crate) fn check_overlap_scenes(
+    ctx: &mut RunContext<'_>,
+    rule_name: &str,
+    inner_scene: &LayerScene,
+    outer_scene: &LayerScene,
+    min_area: i64,
+    window: Option<DirtyWindow<'_>>,
+    out: &mut Vec<Violation>,
+) {
     use odrc_infra::Region;
-    let work = enclosure_work(ctx, inner, outer, 0, window);
+    let work = enclosure_work(ctx, inner_scene, outer_scene, 0, window);
     ctx.stats.checks_computed += work.len();
     let mut results = Vec::new();
     if ctx.host.is_serial() {

@@ -31,7 +31,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use odrc_db::{CellId, Layer};
-use odrc_geometry::{Coord, Polygon, Rect};
+use odrc_geometry::{Coord, Rect};
 use odrc_infra::partition::{partition_rows, partition_rows_on, Row, RowPartition};
 use odrc_infra::sweep::sweep_overlaps;
 use odrc_infra::CancelToken;
@@ -40,12 +40,14 @@ use odrc_xpu::Device;
 use crate::cache::rule_signature;
 use crate::checkpoint::CheckpointJournal;
 use crate::checks::poly::{notch_space_violations, LocalViolation};
-use crate::checks::{enclosure_margin, SpaceSpec};
+use crate::checks::SpaceSpec;
 use crate::engine::{EngineOptions, EngineStats, PairIndex};
 use crate::rules::{Rule, RuleKind};
 use crate::scene::{layer_object_mbrs, LayerScene, SceneSource};
-use crate::sequential::{cell_internal_space, cross_space, RunContext};
-use crate::violation::{canonicalize, Violation, ViolationKind};
+use crate::sequential::{
+    cell_internal_space, check_enclosure_scenes, check_overlap_scenes, cross_space, RunContext,
+};
+use crate::violation::{canonicalize, Violation};
 
 /// Target shard count when [`EngineOptions::shard_rows`] is unset: the
 /// partition's rows are grouped into at most this many shards.
@@ -369,52 +371,34 @@ fn run_shards(
                     pool, device, ctx.stats, &host, layout, plan, shard, shard_id, *inner, *outer,
                     *min,
                 );
-                let work = enclosure_work_scenes(ctx, &inner_scene, &outer_scene, *min);
-                ctx.stats.checks_computed += work.len();
-                let min = *min;
-                ctx.profiler.time("enclosure-check", || {
-                    for (poly, candidates) in &work {
-                        let refs: Vec<&Polygon> = candidates.iter().collect();
-                        let margin = enclosure_margin(poly.mbr(), &refs, min);
-                        if margin < min {
-                            buf.push(Violation {
-                                rule: rule.name.clone(),
-                                kind: ViolationKind::Enclosure,
-                                location: poly.mbr(),
-                                measured: margin,
-                            });
-                        }
-                    }
-                });
+                check_enclosure_scenes(
+                    ctx,
+                    &rule.name,
+                    &inner_scene,
+                    &outer_scene,
+                    *min,
+                    None,
+                    &mut buf,
+                );
             }
             RuleKind::OverlapArea {
                 inner,
                 outer,
                 min_area,
             } => {
-                use odrc_infra::Region;
                 let (inner_scene, outer_scene) = shard_scene_pair(
                     pool, device, ctx.stats, &host, layout, plan, shard, shard_id, *inner, *outer,
                     0,
                 );
-                let work = enclosure_work_scenes(ctx, &inner_scene, &outer_scene, 0);
-                ctx.stats.checks_computed += work.len();
-                let min_area = *min_area;
-                ctx.profiler.time("overlap-check", || {
-                    for (poly, candidates) in &work {
-                        let inner_region = Region::from_polygons([poly]);
-                        let outer_region = Region::from_polygons(candidates.iter());
-                        let shared = inner_region.intersection(&outer_region).area();
-                        if shared < min_area {
-                            buf.push(Violation {
-                                rule: rule.name.clone(),
-                                kind: ViolationKind::OverlapArea,
-                                location: poly.mbr(),
-                                measured: shared,
-                            });
-                        }
-                    }
-                });
+                check_overlap_scenes(
+                    ctx,
+                    &rule.name,
+                    &inner_scene,
+                    &outer_scene,
+                    *min_area,
+                    None,
+                    &mut buf,
+                );
             }
             _ => unreachable!("only inter-object rules shard"),
         }
@@ -588,51 +572,4 @@ fn check_space_shard(
             }
         });
     }
-}
-
-/// The enclosure work list over provided scenes — the serial gather of
-/// [`crate::sequential::enclosure_work`] with the shard's subset inner
-/// scene and windowed outer scene supplied instead of pulled from the
-/// run memo. The per-poly candidate predicate (MBR overlap with the
-/// margin-inflated inner extent) is identical, so candidate sets match
-/// the in-core gather exactly.
-fn enclosure_work_scenes(
-    ctx: &mut RunContext<'_>,
-    inner_scene: &LayerScene,
-    outer_scene: &LayerScene,
-    min: i64,
-) -> Vec<(Polygon, Vec<Polygon>)> {
-    let m = min as Coord;
-    let mut inner_polys: Vec<Polygon> = Vec::new();
-    for obj in &inner_scene.objects {
-        inner_scene.object_polygons_into(obj, &mut inner_polys);
-    }
-    let n_inner = inner_polys.len();
-    let mut rects: Vec<Rect> = inner_polys.iter().map(|p| p.mbr().inflate(m)).collect();
-    rects.extend(outer_scene.objects.iter().map(|o| o.mbr));
-    let mut object_hits: Vec<Vec<usize>> = vec![Vec::new(); n_inner];
-    ctx.profiler.time("sweepline", || {
-        sweep_overlaps(&rects, |a, b| {
-            let (lo, hi) = (a.min(b), a.max(b));
-            if lo < n_inner && hi >= n_inner {
-                object_hits[lo].push(hi - n_inner);
-            }
-        });
-    });
-    inner_polys
-        .into_iter()
-        .zip(object_hits)
-        .map(|(poly, objs)| {
-            let window = poly.mbr().inflate(m);
-            let mut candidates = Vec::new();
-            for oi in objs {
-                outer_scene.object_polygons_in_into(
-                    &outer_scene.objects[oi],
-                    window,
-                    &mut candidates,
-                );
-            }
-            (poly, candidates)
-        })
-        .collect()
 }

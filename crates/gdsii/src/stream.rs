@@ -6,7 +6,7 @@
 //! [`Library`](crate::Library)). This module splits the load into two
 //! passes that never hold both:
 //!
-//! 1. [`index_file`] scans record *headers* only, seeking over
+//! 1. [`index_file`] decodes record *headers* only, skipping over
 //!    payloads, and produces a [`StreamIndex`]: library name, units,
 //!    and one [`StructureEntry`] (name + byte span) per structure. The
 //!    index is a few dozen bytes per structure regardless of how much
@@ -17,8 +17,8 @@
 //!    peak footprint is one structure, not the library.
 //!
 //! Feeding each parsed structure straight into
-//! `odrc_db::LayoutBuilder` yields the out-of-core load path used by
-//! `odrc check --out-of-core`.
+//! `odrc_db::LayoutBuilder` yields the out-of-core load path `odrc`
+//! takes under `--memory-budget` / `--out-of-core`.
 
 use std::fs::File;
 use std::io::{BufReader, Read, Seek, SeekFrom};
@@ -63,11 +63,13 @@ impl StreamIndex {
 
 /// Minimal record-header scanner over a seekable stream.
 ///
-/// Reads the 4-byte header of each record and *seeks* over payloads it
-/// does not need, so indexing cost is proportional to record count,
-/// not stream size.
+/// Decodes the 4-byte header of each record and skips the payloads it
+/// does not need. The reader is buffered and skips stay *inside* the
+/// buffer whenever they can: GDSII records are tens of bytes, so a real
+/// seek per record (which also throws the buffer away) costs a syscall
+/// and a refill per record — far more than reading the stream once.
 struct Scanner<R> {
-    inner: R,
+    inner: BufReader<R>,
     offset: u64,
 }
 
@@ -108,9 +110,10 @@ impl<R: Read + Seek> Scanner<R> {
         Ok(buf)
     }
 
-    /// Seeks past a payload without reading it.
+    /// Skips a payload without decoding it (a real seek only when the
+    /// payload ends beyond the buffered bytes).
     fn skip(&mut self, len: u64) -> Result<(), ReadError> {
-        self.inner.seek(SeekFrom::Current(len as i64))?;
+        self.inner.seek_relative(len as i64)?;
         self.offset += len;
         Ok(())
     }
@@ -137,7 +140,10 @@ fn decode_string(payload: &[u8], offset: u64) -> Result<String, ReadError> {
 /// detected here — they surface when the structure is parsed by
 /// [`read_structure`].
 fn index_reader<R: Read + Seek>(inner: R) -> Result<StreamIndex, ReadError> {
-    let mut s = Scanner { inner, offset: 0 };
+    let mut s = Scanner {
+        inner: BufReader::new(inner),
+        offset: 0,
+    };
 
     let (off, rtype, len) = s.next_header()?;
     if rtype != RecordType::Header {
@@ -240,11 +246,10 @@ fn index_reader<R: Read + Seek>(inner: R) -> Result<StreamIndex, ReadError> {
 /// # Ok::<(), odrc_gdsii::ReadError>(())
 /// ```
 pub fn index_file(path: impl AsRef<Path>) -> Result<StreamIndex, ReadError> {
-    index_reader(BufReader::new(File::open(path)?))
+    index_reader(File::open(path)?)
 }
 
-/// Indexes an in-memory GDSII stream (the bytes are scanned, never
-/// copied).
+/// Indexes an in-memory GDSII stream.
 ///
 /// # Errors
 ///
@@ -366,6 +371,63 @@ mod tests {
             assert_eq!(&read_structure(&mut f, entry).unwrap(), expected);
         }
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// Counts what the scanner's buffered reader pulls from (and how
+    /// often it repositions) the underlying stream.
+    struct Counting<R> {
+        inner: R,
+        bytes: u64,
+        seeks: u64,
+    }
+
+    impl<R: Read> Read for Counting<R> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let n = self.inner.read(buf)?;
+            self.bytes += n as u64;
+            Ok(n)
+        }
+    }
+
+    impl<R: Seek> Seek for Counting<R> {
+        fn seek(&mut self, pos: SeekFrom) -> std::io::Result<u64> {
+            self.seeks += 1;
+            self.inner.seek(pos)
+        }
+    }
+
+    #[test]
+    fn indexing_reads_the_stream_about_once() {
+        // Many small records: a seek per skipped payload would refill
+        // the whole buffer for each of them.
+        let mut lib = sample();
+        for s in &mut lib.structures {
+            let elements = s.elements.clone();
+            for _ in 0..200 {
+                s.elements.extend(elements.iter().cloned());
+            }
+        }
+        let bytes = write(&lib).unwrap();
+        assert!(bytes.len() > 64 * 1024, "stream spans many buffers");
+        let mut source = Counting {
+            inner: std::io::Cursor::new(&bytes[..]),
+            bytes: 0,
+            seeks: 0,
+        };
+        let idx = index_reader(&mut source).unwrap();
+        assert_eq!(idx, index(&bytes).unwrap());
+        assert!(
+            source.bytes <= 2 * bytes.len() as u64,
+            "pulled {} bytes from a {}-byte stream",
+            source.bytes,
+            bytes.len()
+        );
+        assert!(
+            source.seeks <= 1 + bytes.len() as u64 / 4096,
+            "{} seeks on a {}-byte stream",
+            source.seeks,
+            bytes.len()
+        );
     }
 
     #[test]

@@ -21,15 +21,32 @@ struct Entry<T> {
     payload: T,
 }
 
-#[derive(Debug, Clone)]
-struct Node<T> {
+/// "No child" marker in [`Link`].
+const NIL: u32 = u32::MAX;
+
+/// The search half of a node: everything a descent reads. Kept apart
+/// from the interval lists so walking the tree touches 16 bytes per
+/// level instead of a node's whole list headers — on chip-scale sweeps
+/// the tree outgrows the cache and descents are what the time goes to.
+#[derive(Debug, Clone, Copy)]
+struct Link {
     key: Coord,
-    /// Entries containing `key`, sorted ascending by `interval.lo()`.
+    left: u32,
+    right: u32,
+    /// Intervals stored anywhere in this node's subtree (its own lists
+    /// included): queries skip a subtree that holds nothing, so their
+    /// cost follows the number of *active* intervals, not the size of
+    /// the domain.
+    live: u32,
+}
+
+/// The storage half of a node.
+#[derive(Debug, Clone)]
+struct Lists<T> {
+    /// Entries containing the node's key, ascending by `interval.lo()`.
     by_lo: Vec<Entry<T>>,
-    /// Entries containing `key`, sorted ascending by `interval.hi()`.
+    /// Entries containing the node's key, ascending by `interval.hi()`.
     by_hi: Vec<Entry<T>>,
-    left: Option<usize>,
-    right: Option<usize>,
 }
 
 /// An interval tree over a fixed key domain supporting dynamic insertion,
@@ -54,8 +71,10 @@ struct Node<T> {
 /// ```
 #[derive(Debug, Clone)]
 pub struct IntervalTree<T> {
-    nodes: Vec<Node<T>>,
-    root: Option<usize>,
+    /// Parallel arrays indexed by node.
+    links: Vec<Link>,
+    lists: Vec<Lists<T>>,
+    root: u32,
     len: usize,
 }
 
@@ -65,33 +84,48 @@ impl<T: Clone + PartialEq> IntervalTree<T> {
     /// Keys are deduplicated and sorted; every interval later inserted
     /// must have both endpoints in the domain (this is naturally true
     /// for the sweepline, which collects all MBR x-coordinates first).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the domain holds `u32::MAX` or more distinct keys.
     pub fn with_domain(mut keys: Vec<Coord>) -> Self {
         keys.sort_unstable();
         keys.dedup();
-        let mut nodes = Vec::with_capacity(keys.len());
-        let root = Self::build(&keys, &mut nodes);
+        assert!(
+            keys.len() < NIL as usize,
+            "interval tree domain exceeds u32 node indices"
+        );
+        let mut links = Vec::with_capacity(keys.len());
+        let root = Self::build(&keys, &mut links);
+        let lists = vec![
+            Lists {
+                by_lo: Vec::new(),
+                by_hi: Vec::new(),
+            };
+            links.len()
+        ];
         IntervalTree {
-            nodes,
+            links,
+            lists,
             root,
             len: 0,
         }
     }
 
-    fn build(keys: &[Coord], nodes: &mut Vec<Node<T>>) -> Option<usize> {
+    fn build(keys: &[Coord], links: &mut Vec<Link>) -> u32 {
         if keys.is_empty() {
-            return None;
+            return NIL;
         }
         let mid = keys.len() / 2;
-        let left = Self::build(&keys[..mid], nodes);
-        let right = Self::build(&keys[mid + 1..], nodes);
-        nodes.push(Node {
+        let left = Self::build(&keys[..mid], links);
+        let right = Self::build(&keys[mid + 1..], links);
+        links.push(Link {
             key: keys[mid],
-            by_lo: Vec::new(),
-            by_hi: Vec::new(),
             left,
             right,
+            live: 0,
         });
-        Some(nodes.len() - 1)
+        (links.len() - 1) as u32
     }
 
     /// Number of intervals currently stored.
@@ -106,6 +140,40 @@ impl<T: Clone + PartialEq> IntervalTree<T> {
         self.len == 0
     }
 
+    /// The highest node whose key lies inside `interval`, if any.
+    fn home(&self, interval: Interval) -> Option<usize> {
+        let mut cur = self.root;
+        while cur != NIL {
+            let link = &self.links[cur as usize];
+            if interval.hi() < link.key {
+                cur = link.left;
+            } else if interval.lo() > link.key {
+                cur = link.right;
+            } else {
+                return Some(cur as usize);
+            }
+        }
+        None
+    }
+
+    /// Adds `delta` to the subtree counts on the path from the root to
+    /// `home` (inclusive).
+    fn count_path(&mut self, interval: Interval, home: usize, delta: i32) {
+        let mut cur = self.root as usize;
+        loop {
+            let link = &mut self.links[cur];
+            link.live = link.live.wrapping_add_signed(delta);
+            if cur == home {
+                return;
+            }
+            cur = if interval.hi() < link.key {
+                link.left
+            } else {
+                link.right
+            } as usize;
+        }
+    }
+
     /// Inserts `interval` with an identifying `payload`.
     ///
     /// # Panics
@@ -114,51 +182,38 @@ impl<T: Clone + PartialEq> IntervalTree<T> {
     /// on its search path (i.e. its endpoints were not part of the
     /// domain the tree was built with).
     pub fn insert(&mut self, interval: Interval, payload: T) {
-        let mut cur = self.root;
-        while let Some(i) = cur {
-            let node = &mut self.nodes[i];
-            if interval.hi() < node.key {
-                cur = node.left;
-            } else if interval.lo() > node.key {
-                cur = node.right;
-            } else {
-                let entry = Entry { interval, payload };
-                let lo_pos = node
-                    .by_lo
-                    .partition_point(|e| e.interval.lo() <= interval.lo());
-                node.by_lo.insert(lo_pos, entry.clone());
-                let hi_pos = node
-                    .by_hi
-                    .partition_point(|e| e.interval.hi() <= interval.hi());
-                node.by_hi.insert(hi_pos, entry);
-                self.len += 1;
-                return;
-            }
-        }
-        panic!("interval {interval} has no containing key in the tree domain");
+        let Some(home) = self.home(interval) else {
+            panic!("interval {interval} has no containing key in the tree domain");
+        };
+        let node = &mut self.lists[home];
+        let entry = Entry { interval, payload };
+        let lo_pos = node
+            .by_lo
+            .partition_point(|e| e.interval.lo() <= interval.lo());
+        node.by_lo.insert(lo_pos, entry.clone());
+        let hi_pos = node
+            .by_hi
+            .partition_point(|e| e.interval.hi() <= interval.hi());
+        node.by_hi.insert(hi_pos, entry);
+        self.count_path(interval, home, 1);
+        self.len += 1;
     }
 
     /// Removes one stored copy of `interval` with the given payload.
     ///
     /// Returns `true` if a matching entry was found and removed.
     pub fn remove(&mut self, interval: Interval, payload: &T) -> bool {
-        let mut cur = self.root;
-        while let Some(i) = cur {
-            let node = &mut self.nodes[i];
-            if interval.hi() < node.key {
-                cur = node.left;
-            } else if interval.lo() > node.key {
-                cur = node.right;
-            } else {
-                let found = remove_entry(&mut node.by_lo, interval, payload);
-                if found {
-                    remove_entry(&mut node.by_hi, interval, payload);
-                    self.len -= 1;
-                }
-                return found;
-            }
+        let Some(home) = self.home(interval) else {
+            return false;
+        };
+        let node = &mut self.lists[home];
+        if !remove_entry(&mut node.by_lo, interval, payload) {
+            return false;
         }
-        false
+        remove_entry(&mut node.by_hi, interval, payload);
+        self.count_path(interval, home, -1);
+        self.len -= 1;
+        true
     }
 
     /// Collects the payloads of all stored intervals overlapping `q`
@@ -176,36 +231,41 @@ impl<T: Clone + PartialEq> IntervalTree<T> {
         self.query_node(self.root, q, visit);
     }
 
-    fn query_node(&self, cur: Option<usize>, q: Interval, visit: &mut dyn FnMut(&T)) {
-        let Some(i) = cur else { return };
-        let node = &self.nodes[i];
-        if q.hi() < node.key {
-            // Stored intervals contain node.key > q.hi, so they overlap q
+    fn query_node(&self, cur: u32, q: Interval, visit: &mut dyn FnMut(&T)) {
+        if cur == NIL {
+            return;
+        }
+        let link = self.links[cur as usize];
+        if link.live == 0 {
+            return;
+        }
+        if q.hi() < link.key {
+            // Stored intervals contain link.key > q.hi, so they overlap q
             // iff their lo <= q.hi; by_lo is sorted ascending by lo.
-            for e in &node.by_lo {
+            for e in &self.lists[cur as usize].by_lo {
                 if e.interval.lo() > q.hi() {
                     break;
                 }
                 visit(&e.payload);
             }
-            self.query_node(node.left, q, visit);
-        } else if q.lo() > node.key {
-            // Stored intervals contain node.key < q.lo, so they overlap q
+            self.query_node(link.left, q, visit);
+        } else if q.lo() > link.key {
+            // Stored intervals contain link.key < q.lo, so they overlap q
             // iff their hi >= q.lo; walk by_hi from the largest hi down.
-            for e in node.by_hi.iter().rev() {
+            for e in self.lists[cur as usize].by_hi.iter().rev() {
                 if e.interval.hi() < q.lo() {
                     break;
                 }
                 visit(&e.payload);
             }
-            self.query_node(node.right, q, visit);
+            self.query_node(link.right, q, visit);
         } else {
             // q contains the key: every stored interval overlaps q.
-            for e in &node.by_lo {
+            for e in &self.lists[cur as usize].by_lo {
                 visit(&e.payload);
             }
-            self.query_node(node.left, q, visit);
-            self.query_node(node.right, q, visit);
+            self.query_node(link.left, q, visit);
+            self.query_node(link.right, q, visit);
         }
     }
 }

@@ -8,7 +8,8 @@
 //!   whose nodes keep their intervals in two sorted lists (by left and by
 //!   right endpoint) to answer overlap queries output-sensitively.
 //! * [`sweep::sweep_overlaps`] — the top-to-bottom sweepline that reports
-//!   all pairs of overlapping MBRs (§IV-D, Fig. 3).
+//!   all pairs of overlapping MBRs (§IV-D, Fig. 3) — and its bipartite
+//!   form [`sweep::sweep_join`] for inter-layer rules.
 //! * [`merge`] — Algorithm 1's pigeonhole interval merging in
 //!   `Θ(k + N)`, plus the `Ω(k log k)` sort-based alternative the paper
 //!   contrasts it with (§IV-B).
@@ -65,4 +66,4 @@ pub use quadtree::QuadTree;
 pub use region::{BoolOp, Region};
 pub use rss::{peak_rss_bytes, reset_peak_rss};
 pub use rtree::RTree;
-pub use sweep::sweep_overlaps;
+pub use sweep::{sweep_join, sweep_join_on, sweep_overlaps};

@@ -1,6 +1,6 @@
 //! Determinism and stability guarantees across the whole stack.
 
-use odrc::{rule, Engine, RuleDeck};
+use odrc::{rule, Engine, EngineStats, RuleDeck};
 use odrc_db::Layout;
 use odrc_layoutgen::{generate, tech, DesignSpec};
 use odrc_xpu::Device;
@@ -45,7 +45,18 @@ fn repeated_checks_are_identical() {
     for _ in 0..3 {
         let again = Engine::sequential().check(&layout, &deck());
         assert_eq!(first.violations, again.violations);
-        assert_eq!(first.stats, again.stats);
+        assert_eq!(work_stats(&first.stats), work_stats(&again.stats));
+    }
+}
+
+/// The stats with scheduling telemetry masked: which worker stole from
+/// which, and how often a device worker woke, are race outcomes of one
+/// run, not results of the check.
+fn work_stats(stats: &EngineStats) -> EngineStats {
+    EngineStats {
+        host_steals: 0,
+        worker_wakeups: 0,
+        ..*stats
     }
 }
 
