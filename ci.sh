@@ -10,6 +10,17 @@ cargo fmt --all -- --check
 echo "== cargo clippy"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== one host path (no is_serial() fork, one spacing row loop in crates/core/src)"
+# A 1-thread executor runs the same code inline, so the engine keeps no
+# separate single-threaded branch; and in-core, delta and sharded
+# spacing all go through the one row loop that calls cross_space.
+if grep -rn 'is_serial()' crates/core/src; then
+    echo "crates/core/src must not fork on HostExecutor::is_serial()"
+    exit 1
+fi
+calls=$(grep -rn 'cross_space(' crates/core/src | grep -vc 'fn cross_space(')
+[ "$calls" -eq 1 ] || { echo "expected one cross_space( call site in crates/core/src, found $calls"; exit 1; }
+
 echo "== tier-1: cargo build --release && cargo test -q"
 # --no-fail-fast: without it the first red package hides every test
 # binary that sorts after it.
@@ -35,6 +46,17 @@ echo "== host executor equivalence (thread-count matrix)"
 # for every host_threads count, in both modes, planner on and off,
 # and under seeded fault schedules.
 cargo test -q --release -p odrc --test host_parallel_equivalence
+
+echo "== core-count matrix (thread-count suites pinned to one core, then unrestricted)"
+# The suites that sweep host_threads must hold whatever the host gives
+# them: one core (every fan-out degrades to inline) and all of them.
+cargo test -q --release -p odrc --test out_of_core
+if command -v taskset >/dev/null 2>&1; then
+    taskset -c 0 cargo test -q --release -p odrc --test host_parallel_equivalence
+    taskset -c 0 cargo test -q --release -p odrc --test out_of_core
+else
+    echo "taskset not found: skipping the one-core leg"
+fi
 
 echo "== dispatch equivalence (pool/fusion/graph matrix, 25 fault seeds)"
 # The persistent-pool dispatch layer: pooled vs scoped workers, fused

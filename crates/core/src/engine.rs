@@ -78,8 +78,8 @@ pub struct EngineOptions {
     /// row-parallel sequential checks, and violation canonicalization.
     /// `None` (the default) sizes it to the host's available
     /// parallelism. The budget is shared with — not additive to — the
-    /// device's kernel dispatch, and `Some(1)` runs the exact
-    /// single-threaded code paths.
+    /// device's kernel dispatch. `Some(1)` is not a separate code path:
+    /// a one-thread executor runs the same tasks inline on the caller.
     pub host_threads: Option<usize>,
     /// An *external* extra-thread budget shared across engine runs —
     /// the multi-tenant generalization of the sizing handshake. A
@@ -215,9 +215,10 @@ pub struct EngineStats {
     /// upload path (shallow sizes at the upload call sites).
     pub bytes_uploaded: u64,
     /// Tasks handed to the host executor. A function of the input and
-    /// the options only: a one-thread executor runs its tasks inline
-    /// (and most phases keep a single-threaded path that bypasses it),
-    /// but how many workers shared them never changes the count.
+    /// the options only: this crate's host phases go through the
+    /// executor at every thread count (a one-thread executor runs its
+    /// tasks inline), and how many workers shared them never changes
+    /// the count.
     pub host_tasks: u64,
     /// Successful work steals between host-executor workers.
     pub host_steals: u64,

@@ -289,7 +289,7 @@ pub(crate) fn issue_rule(ctx: &mut RunContext<'_>, stream: Stream, rule: &Rule) 
                 min: *min,
                 min_projection: *min_projection,
             };
-            let rows = ctx.row_set(stream.device(), *layer, *min);
+            let rows = ctx.row_set(*layer, *min);
             let graph = ctx.launch_graph(*layer, *min, &rows);
             InFlightKind::Space(issue_space(ctx, &stream, &rule.name, &rows, &graph, spec))
         }
@@ -362,7 +362,7 @@ pub(crate) fn check_space_scene_parallel(
     spec: SpaceSpec,
     out: &mut Vec<Violation>,
 ) {
-    let rows = RowSet::build(ctx, stream.device(), scene, spec.min);
+    let rows = RowSet::build(ctx, scene, spec.min);
     let graph = LaunchGraph::record(&rows.rows, ctx.options.sweep_threshold);
     let issue = issue_space(ctx, stream, rule_name, &rows, &graph, spec);
     collect_space(ctx, stream, issue, out);
@@ -1109,7 +1109,10 @@ fn emit_intra(
     out: &mut Vec<Violation>,
 ) {
     ctx.stats.checks_computed += data.polys.host.len();
-    let instances = ctx.instances().clone();
+    let layout = ctx.layout;
+    let instances = ctx
+        .instances
+        .get_or_insert_with(|| crate::scene::instance_transforms(layout));
     let targets = Arc::clone(&data.targets);
     ctx.profiler.time("convert", || {
         for (idx, (cell, _)) in targets.iter().enumerate() {

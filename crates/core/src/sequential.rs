@@ -19,9 +19,9 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use odrc_db::{CellId, Layer, Layout};
-use odrc_geometry::{Coord, Rect};
+use odrc_geometry::{Coord, Polygon, Rect};
 use odrc_infra::host::HostExecutor;
-use odrc_infra::partition::{partition_rows, partition_rows_on, Row, RowPartition};
+use odrc_infra::partition::{partition_rows_on, Row, RowPartition};
 use odrc_infra::sweep::{sweep_join_on, sweep_overlaps};
 use odrc_infra::Profiler;
 
@@ -105,13 +105,6 @@ impl<'a> RunContext<'a> {
         self
     }
 
-    pub fn instances(&mut self) -> &HashMap<CellId, Vec<odrc_geometry::Transform>> {
-        if self.instances.is_none() {
-            self.instances = Some(instance_transforms(self.layout));
-        }
-        self.instances.as_ref().expect("just computed")
-    }
-
     /// The full scene of `layer`, memoized across the rules of the run
     /// when the planner is on. Windowed (delta) scenes never go through
     /// this memo — they are rule-specific.
@@ -137,7 +130,7 @@ impl<'a> RunContext<'a> {
 
     /// The packed, sorted row set of `layer` for a rule distance of
     /// `min`, memoized by [`RowSetKey`] when the planner is on.
-    pub fn row_set(&mut self, device: &odrc_xpu::Device, layer: Layer, min: i64) -> Arc<RowSet> {
+    pub fn row_set(&mut self, layer: Layer, min: i64) -> Arc<RowSet> {
         let key = RowSetKey::new(layer, min, self.options.partition);
         if self.options.planner {
             if let Some(rows) = self.plan.rows.get(&key) {
@@ -145,7 +138,7 @@ impl<'a> RunContext<'a> {
             }
         }
         let scene = self.layer_scene(layer);
-        let rows = Arc::new(RowSet::build(self, device, &scene, min));
+        let rows = Arc::new(RowSet::build(self, &scene, min));
         if self.options.planner {
             self.plan.rows.insert(key, Arc::clone(&rows));
         }
@@ -163,7 +156,7 @@ impl<'a> RunContext<'a> {
         let layout = self.layout;
         let data = self.profiler.time("pack", || {
             let targets: Vec<(CellId, usize)> = layout.layer_polygons(layer).to_vec();
-            let polys: Vec<odrc_geometry::Polygon> = targets
+            let polys: Vec<Polygon> = targets
                 .iter()
                 .map(|&(c, pi)| layout.cell(c).polygons()[pi].polygon.clone())
                 .collect();
@@ -281,94 +274,57 @@ pub(crate) fn check_intra_rule(ctx: &mut RunContext<'_>, rule: &Rule, out: &mut 
     };
 
     // Compute local violations per cell (once, under pruning), serving
-    // them from the persistent cache when the content is known.
-    let mut per_cell: Vec<(CellId, Arc<Vec<LocalViolation>>, bool)> = Vec::new();
-    if ctx.host.is_serial() {
-        ctx.profiler.time("edge-check", || {
-            for (cell, polys) in &targets {
-                if let (Some(sig), Some(handle)) = (sig, ctx.cache.as_mut()) {
-                    let key = handle.keys.local[cell.index()];
-                    if let Some(hit) = handle.cache.get(sig, key) {
-                        per_cell.push((*cell, hit, true));
-                        continue;
-                    }
-                }
-                let c = layout.cell(*cell);
-                let mut local = Vec::new();
-                for &pi in polys {
-                    polygon_violations(&c.polygons()[pi], &spec, &mut local);
-                }
-                let arc = Arc::new(local);
-                if let (Some(sig), Some(handle)) = (sig, ctx.cache.as_mut()) {
-                    let key = handle.keys.local[cell.index()];
-                    handle.cache.insert(sig, key, Arc::clone(&arc));
-                }
-                per_cell.push((*cell, arc, false));
-            }
-        });
-    } else {
-        // Cache consults stay serial (the handle is exclusive); the
-        // actual polygon checks of the misses fan out, and `per_cell`
-        // is assembled back in target order so downstream instantiation
-        // is order-identical to the serial loop.
-        let host = Arc::clone(&ctx.host);
-        let start = std::time::Instant::now();
-        let mut slots: Vec<Option<Arc<Vec<LocalViolation>>>> = vec![None; targets.len()];
-        let mut missing: Vec<usize> = Vec::new();
-        for (ti, (cell, _)) in targets.iter().enumerate() {
-            if let (Some(sig), Some(handle)) = (sig, ctx.cache.as_mut()) {
-                let key = handle.keys.local[cell.index()];
-                if let Some(hit) = handle.cache.get(sig, key) {
-                    slots[ti] = Some(hit);
-                    continue;
-                }
-            }
-            missing.push(ti);
-        }
-        let targets_ref = &targets;
-        let missing_ref = &missing;
-        let spec_ref = &spec;
-        let computed = host.run("edge-check", missing.len(), |i| {
-            let (cell, polys) = &targets_ref[missing_ref[i]];
+    // them from the persistent cache when the content is known. Cache
+    // consults stay on the calling thread (the handle is exclusive);
+    // the polygon checks of the misses fan out and come back in target
+    // order, so instantiation below never depends on the thread count.
+    let start = std::time::Instant::now();
+    let cached: Vec<Option<Arc<Vec<LocalViolation>>>> = targets
+        .iter()
+        .map(|(cell, _)| {
+            let (sig, handle) = (sig?, ctx.cache.as_mut()?);
+            handle.cache.get(sig, handle.keys.local[cell.index()])
+        })
+        .collect();
+    let missing: Vec<usize> = (0..targets.len())
+        .filter(|&ti| cached[ti].is_none())
+        .collect();
+    let mut fresh = ctx
+        .host
+        .run("edge-check", missing.len(), |i| {
+            let (cell, polys) = &targets[missing[i]];
             let c = layout.cell(*cell);
             let mut local = Vec::new();
             for &pi in polys {
-                polygon_violations(&c.polygons()[pi], spec_ref, &mut local);
+                polygon_violations(&c.polygons()[pi], &spec, &mut local);
             }
             Arc::new(local)
-        });
-        let mut is_miss = vec![false; targets.len()];
-        for (&ti, arc) in missing.iter().zip(computed) {
-            is_miss[ti] = true;
-            let (cell, _) = &targets[ti];
+        })
+        .into_iter();
+    ctx.profiler.add("edge-check", start.elapsed());
+
+    // Instantiate through every placement of the cell.
+    let instances = ctx
+        .instances
+        .get_or_insert_with(|| instance_transforms(layout));
+    let mut computed = 0usize;
+    let mut reused = 0usize;
+    for ((cell, polys), hit) in targets.iter().zip(cached) {
+        let from_cache = hit.is_some();
+        let local = hit.unwrap_or_else(|| {
+            let arc = fresh.next().expect("one result per cache miss");
             if let (Some(sig), Some(handle)) = (sig, ctx.cache.as_mut()) {
                 let key = handle.keys.local[cell.index()];
                 handle.cache.insert(sig, key, Arc::clone(&arc));
             }
-            slots[ti] = Some(arc);
-        }
-        for (ti, (cell, _)) in targets.iter().enumerate() {
-            let arc = slots[ti].take().expect("every target resolved");
-            per_cell.push((*cell, arc, !is_miss[ti]));
-        }
-        ctx.profiler.add("edge-check", start.elapsed());
-    }
-
-    // Instantiate through every placement of the cell.
-    let instances = ctx.instances().clone();
-    let mut computed = 0usize;
-    let mut reused = 0usize;
-    for (cell, local, from_cache) in &per_cell {
+            arc
+        });
         let Some(transforms) = instances.get(cell) else {
             continue; // defined but never instantiated
         };
-        let polys = targets
-            .iter()
-            .find(|(c, _)| c == cell)
-            .map(|(_, p)| p.len())
-            .unwrap_or(0);
+        let polys = polys.len();
         if pruning {
-            if *from_cache {
+            if from_cache {
                 reused += polys;
             } else {
                 computed += polys;
@@ -408,39 +364,40 @@ pub(crate) fn check_intra_rule(ctx: &mut RunContext<'_>, rule: &Rule, out: &mut 
     ctx.stats.checks_reused += reused;
 }
 
-/// Builds the row partition over a scene's objects.
+/// The row partition of a set of object MBRs for a rule distance of
+/// `min` (extents inflated by half of it, so rows cannot interact) —
+/// or, with the partition ablated, one row holding everything.
+pub(crate) fn partition_mbrs(
+    mbrs: &[Rect],
+    min: i64,
+    enabled: bool,
+    profiler: &mut Profiler,
+    host: &HostExecutor,
+) -> RowPartition {
+    let half = ((min + 1) / 2) as Coord;
+    profiler.time("partition", || {
+        if enabled {
+            return partition_rows_on(mbrs, half, host);
+        }
+        let rows = mbrs.iter().copied().reduce(Rect::hull).map(|all| Row {
+            y: all.y_range(),
+            members: (0..mbrs.len()).collect(),
+        });
+        RowPartition::from_rows(rows.into_iter().collect())
+    })
+}
+
+/// [`partition_mbrs`] over a scene's objects: row members are indices
+/// into `scene.objects`.
 pub(crate) fn partition_scene(
     scene: &LayerScene,
     min: i64,
     enabled: bool,
     profiler: &mut Profiler,
     host: &HostExecutor,
-) -> (Vec<Rect>, RowPartition) {
+) -> RowPartition {
     let mbrs: Vec<Rect> = scene.objects.iter().map(|o| o.mbr).collect();
-    let half = ((min + 1) / 2) as Coord;
-    let partition = profiler.time("partition", || {
-        if enabled {
-            partition_rows_on(&mbrs, half, host)
-        } else {
-            // Ablation: a single row holding everything.
-            let members: Vec<usize> = (0..mbrs.len()).collect();
-            if members.is_empty() {
-                partition_rows(&[], half)
-            } else {
-                let all = mbrs
-                    .iter()
-                    .copied()
-                    .reduce(|a, b| a.hull(b))
-                    .expect("non-empty");
-                let row = Row {
-                    y: all.y_range(),
-                    members,
-                };
-                RowPartition::from_rows(vec![row])
-            }
-        }
-    });
-    (mbrs, partition)
+    partition_mbrs(&mbrs, min, enabled, profiler, host)
 }
 
 /// Runs a same-layer spacing rule sequentially.
@@ -457,7 +414,7 @@ pub(crate) fn check_space_rule(
 }
 
 /// The spacing pipeline over an already-built (possibly windowed)
-/// scene: partition, sweepline, memoized per-cell checks, pair checks.
+/// scene: partition, then the row pipeline.
 pub(crate) fn check_space_scene(
     ctx: &mut RunContext<'_>,
     rule_name: &str,
@@ -466,133 +423,37 @@ pub(crate) fn check_space_scene(
     sig: Option<u64>,
     out: &mut Vec<Violation>,
 ) {
-    let min = spec.min;
-    let host = Arc::clone(&ctx.host);
-    let (mbrs, partition) = partition_scene(scene, min, ctx.options.partition, ctx.profiler, &host);
+    let partition = partition_scene(
+        scene,
+        spec.min,
+        ctx.options.partition,
+        ctx.profiler,
+        &ctx.host,
+    );
     ctx.stats.rows += partition.len();
-
-    let half = ((min + 1) / 2) as Coord;
-    if !host.is_serial() {
-        check_space_scene_rows(
-            ctx, &host, rule_name, scene, spec, sig, &mbrs, &partition, out,
-        );
-        return;
-    }
-    let mut memo: HashMap<CellId, Arc<Vec<LocalViolation>>> = HashMap::new();
-    let mut local_hits: Vec<LocalViolation> = Vec::new();
-    let (mut buf_a, mut buf_b) = (Vec::new(), Vec::new());
-
-    for row in &partition {
-        // Sweepline over the row's inflated object MBRs.
-        let members = &row.members;
-        let inflated: Vec<Rect> = members.iter().map(|&m| mbrs[m].inflate(half)).collect();
-        let mut pairs: Vec<(usize, usize)> = Vec::new();
-        match ctx.options.pair_index {
-            crate::engine::PairIndex::Sweepline => ctx.profiler.time("sweepline", || {
-                sweep_overlaps(&inflated, |a, b| pairs.push((members[a], members[b])));
-            }),
-            crate::engine::PairIndex::RTree => ctx.profiler.time("sweepline", || {
-                let tree = odrc_infra::RTree::bulk_load(&inflated);
-                for (a, &ra) in inflated.iter().enumerate() {
-                    tree.query_into(ra, &mut |b| {
-                        if a < b {
-                            pairs.push((members[a], members[b]));
-                        }
-                    });
-                }
-            }),
-        }
-        ctx.stats.candidate_pairs += pairs.len();
-
-        // Intra-object checks, memoized per cell definition.
-        ctx.profiler.time("edge-check", || {
-            for &m in members {
-                let obj = &scene.objects[m];
-                match obj.source {
-                    SceneSource::Cell { cell, transform } => {
-                        let arc = if ctx.options.pruning {
-                            if let Some(hit) = memo.get(&cell) {
-                                ctx.stats.checks_reused += 1;
-                                Arc::clone(hit)
-                            } else {
-                                // Cross-run reuse: the flattened-subtree
-                                // verdict is keyed by the subtree hash.
-                                let mut hit = None;
-                                if let (Some(sig), Some(handle)) = (sig, ctx.cache.as_mut()) {
-                                    let key = handle.keys.subtree[cell.index()];
-                                    hit = handle.cache.get(sig, key);
-                                }
-                                let arc = match hit {
-                                    Some(arc) => {
-                                        ctx.stats.checks_reused += 1;
-                                        arc
-                                    }
-                                    None => {
-                                        ctx.stats.checks_computed += 1;
-                                        let arc =
-                                            Arc::new(cell_internal_space(scene, cell, spec, half));
-                                        if let (Some(sig), Some(handle)) = (sig, ctx.cache.as_mut())
-                                        {
-                                            let key = handle.keys.subtree[cell.index()];
-                                            handle.cache.insert(sig, key, Arc::clone(&arc));
-                                        }
-                                        arc
-                                    }
-                                };
-                                memo.insert(cell, Arc::clone(&arc));
-                                arc
-                            }
-                        } else {
-                            ctx.stats.checks_computed += 1;
-                            Arc::new(cell_internal_space(scene, cell, spec, half))
-                        };
-                        local_hits.extend(arc.iter().map(|v| v.instantiate(&transform)));
-                    }
-                    SceneSource::TopPolygon { index } => {
-                        notch_space_violations(scene.top_polygon(index), spec, &mut local_hits);
-                    }
-                }
-            }
-
-            // Cross-object checks over candidate pairs.
-            for &(a, b) in &pairs {
-                cross_space(
-                    scene,
-                    &scene.objects[a],
-                    &scene.objects[b],
-                    spec,
-                    &mut buf_a,
-                    &mut buf_b,
-                    &mut local_hits,
-                );
-            }
-        });
-    }
-
-    out.extend(local_hits.into_iter().map(|v| Violation {
-        rule: rule_name.to_owned(),
-        kind: v.kind,
-        location: v.location,
-        measured: v.measured,
-    }));
+    let rows: Vec<&[usize]> = partition.iter().map(|r| r.members.as_slice()).collect();
+    check_space_scene_rows(ctx, rule_name, scene, &rows, spec, sig, out);
 }
 
-/// The row-parallel spacing pipeline: the per-cell memo is precomputed
-/// on the calling thread (so §IV-C bookkeeping — cache consults, reuse
-/// counters — stays deterministic and identical to the serial order),
-/// then independent partition rows fan out on the executor and merge in
-/// partition order. The violation list is byte-identical to the serial
-/// loop for any thread count.
-#[allow(clippy::too_many_arguments)]
-fn check_space_scene_rows(
+/// The spacing row pipeline — the one row loop of the host path, shared
+/// by in-core rules, delta windows and out-of-core shards. `rows` are
+/// lists of indices into `scene.objects`; rows must not interact (a
+/// partition inflated by half the rule distance guarantees it).
+///
+/// The per-cell memo (§IV-C) is resolved first on the calling thread,
+/// so its bookkeeping — persistent-cache consults under `sig`, reuse
+/// counters — follows first-occurrence order; then the rows run as
+/// executor tasks (sweepline over inflated object MBRs, memoized
+/// intra-object hits, windowed pair checks) and merge in row order. A
+/// one-thread executor runs the same tasks inline, so the violation
+/// list and every counter are identical for any thread count.
+pub(crate) fn check_space_scene_rows(
     ctx: &mut RunContext<'_>,
-    host: &HostExecutor,
     rule_name: &str,
     scene: &LayerScene,
+    rows: &[&[usize]],
     spec: SpaceSpec,
     sig: Option<u64>,
-    mbrs: &[Rect],
-    partition: &RowPartition,
     out: &mut Vec<Violation>,
 ) {
     let half = ((spec.min + 1) / 2) as Coord;
@@ -600,19 +461,17 @@ fn check_space_scene_rows(
 
     // Phase 1: resolve every unique cell once — memo hits for repeat
     // placements, persistent-cache consults in first-occurrence order,
-    // and a parallel fan-out over the actual misses.
+    // and a fan-out over the actual misses.
     let mut memo: HashMap<CellId, Arc<Vec<LocalViolation>>> = HashMap::new();
     if pruning {
         let mut order: Vec<CellId> = Vec::new();
         let mut seen: std::collections::HashSet<CellId> = Default::default();
         let mut occurrences = 0usize;
-        for row in partition {
-            for &m in &row.members {
-                if let SceneSource::Cell { cell, .. } = scene.objects[m].source {
-                    occurrences += 1;
-                    if seen.insert(cell) {
-                        order.push(cell);
-                    }
+        for &m in rows.iter().copied().flatten() {
+            if let SceneSource::Cell { cell, .. } = scene.objects[m].source {
+                occurrences += 1;
+                if seen.insert(cell) {
+                    order.push(cell);
                 }
             }
         }
@@ -632,10 +491,11 @@ fn check_space_scene_rows(
                 None => missing.push(cell),
             }
         }
-        let missing_ref = &missing;
-        let computed = host.run("edge-check", missing.len(), |i| {
-            Arc::new(cell_internal_space(scene, missing_ref[i], spec, half))
+        let start = std::time::Instant::now();
+        let computed = ctx.host.run("edge-check", missing.len(), |i| {
+            Arc::new(cell_internal_space(scene, missing[i], spec, half))
         });
+        ctx.profiler.add("edge-check", start.elapsed());
         for (&cell, arc) in missing.iter().zip(computed) {
             ctx.stats.checks_computed += 1;
             if let (Some(sig), Some(handle)) = (sig, ctx.cache.as_mut()) {
@@ -656,12 +516,12 @@ fn check_space_scene_rows(
         check: std::time::Duration,
     }
     let pair_index = ctx.options.pair_index;
-    let rows: Vec<&Row> = partition.iter().collect();
-    let rows_ref = &rows;
-    let memo_ref = &memo;
-    let results: Vec<RowOutput> = host.run("edge-check", rows.len(), |ri| {
-        let members = &rows_ref[ri].members;
-        let inflated: Vec<Rect> = members.iter().map(|&m| mbrs[m].inflate(half)).collect();
+    let results: Vec<RowOutput> = ctx.host.run("edge-check", rows.len(), |ri| {
+        let members = rows[ri];
+        let inflated: Vec<Rect> = members
+            .iter()
+            .map(|&m| scene.objects[m].mbr.inflate(half))
+            .collect();
         let mut pairs: Vec<(usize, usize)> = Vec::new();
         let sweep_start = std::time::Instant::now();
         match pair_index {
@@ -685,11 +545,10 @@ fn check_space_scene_rows(
         let mut hits: Vec<LocalViolation> = Vec::new();
         let mut computed = 0usize;
         for &m in members {
-            let obj = &scene.objects[m];
-            match obj.source {
+            match scene.objects[m].source {
                 SceneSource::Cell { cell, transform } => {
                     if pruning {
-                        let arc = memo_ref.get(&cell).expect("memo covers every placed cell");
+                        let arc = memo.get(&cell).expect("memo covers every placed cell");
                         hits.extend(arc.iter().map(|v| v.instantiate(&transform)));
                     } else {
                         computed += 1;
@@ -723,7 +582,7 @@ fn check_space_scene_rows(
         }
     });
 
-    // Phase 3: deterministic merge in partition order.
+    // Phase 3: deterministic merge in row order.
     for r in results {
         ctx.stats.candidate_pairs += r.pairs;
         ctx.stats.checks_computed += r.computed;
@@ -740,7 +599,7 @@ fn check_space_scene_rows(
 
 /// Spacing violations inside one cell's flattened subtree, in local
 /// coordinates (this is the per-cell result §IV-C reuses).
-pub(crate) fn cell_internal_space(
+fn cell_internal_space(
     scene: &LayerScene,
     cell: CellId,
     spec: SpaceSpec,
@@ -765,13 +624,13 @@ pub(crate) fn cell_internal_space(
 /// `buf_a` / `buf_b` are caller-owned scratch buffers reused across
 /// pairs (this runs once per candidate pair in every row — a fresh
 /// `Vec<Polygon>` per call used to dominate the allocator here).
-pub(crate) fn cross_space(
+fn cross_space(
     scene: &LayerScene,
     a: &SceneObject,
     b: &SceneObject,
     spec: SpaceSpec,
-    buf_a: &mut Vec<odrc_geometry::Polygon>,
-    buf_b: &mut Vec<odrc_geometry::Polygon>,
+    buf_a: &mut Vec<Polygon>,
+    buf_b: &mut Vec<Polygon>,
     out: &mut Vec<LocalViolation>,
 ) {
     let m = spec.min as Coord;
@@ -836,9 +695,9 @@ pub(crate) fn enclosure_work(
     outer_scene: &LayerScene,
     min: i64,
     window: Option<DirtyWindow<'_>>,
-) -> Vec<(odrc_geometry::Polygon, Vec<odrc_geometry::Polygon>)> {
+) -> Vec<(Polygon, Vec<Polygon>)> {
     let m = min as Coord;
-    let mut inner_polys: Vec<odrc_geometry::Polygon> = Vec::new();
+    let mut inner_polys: Vec<Polygon> = Vec::new();
     for obj in &inner_scene.objects {
         inner_scene.object_polygons_into(obj, &mut inner_polys);
     }
@@ -879,6 +738,35 @@ pub(crate) fn check_enclosure_rule(
     check_enclosure_scenes(ctx, rule_name, &inner_scene, &outer_scene, min, window, out);
 }
 
+/// The measure half of enclosure and overlap-area rules: every
+/// `(inner shape, candidates)` unit of `work` is measured as an
+/// executor task, and the shapes measuring below `min` are returned as
+/// violations at their MBR, in work order.
+fn measure(
+    ctx: &mut RunContext<'_>,
+    rule_name: &str,
+    kind: ViolationKind,
+    phase: &str,
+    work: &[(Polygon, Vec<Polygon>)],
+    min: i64,
+    value: impl Fn(&Polygon, &[Polygon]) -> i64 + Sync,
+) -> Vec<Violation> {
+    ctx.stats.checks_computed += work.len();
+    let start = std::time::Instant::now();
+    let measured = ctx.host.run(phase, work.len(), |i| {
+        let (poly, candidates) = &work[i];
+        let measured = value(poly, candidates);
+        (measured < min).then(|| Violation {
+            rule: rule_name.to_owned(),
+            kind,
+            location: poly.mbr(),
+            measured,
+        })
+    });
+    ctx.profiler.add(phase, start.elapsed());
+    measured.into_iter().flatten().collect()
+}
+
 /// The enclosure pipeline over already-built scenes (the run memo's, a
 /// delta window's, or an out-of-core shard's): gather, then measure.
 pub(crate) fn check_enclosure_scenes(
@@ -891,42 +779,19 @@ pub(crate) fn check_enclosure_scenes(
     out: &mut Vec<Violation>,
 ) {
     let work = enclosure_work(ctx, inner_scene, outer_scene, min, window);
-    ctx.stats.checks_computed += work.len();
-    let mut results = Vec::new();
-    if ctx.host.is_serial() {
-        ctx.profiler.time("enclosure-check", || {
-            for (poly, candidates) in &work {
-                let refs: Vec<&odrc_geometry::Polygon> = candidates.iter().collect();
-                let margin = enclosure_margin(poly.mbr(), &refs, min);
-                if margin < min {
-                    results.push(Violation {
-                        rule: rule_name.to_owned(),
-                        kind: ViolationKind::Enclosure,
-                        location: poly.mbr(),
-                        measured: margin,
-                    });
-                }
-            }
-        });
-    } else {
-        let host = Arc::clone(&ctx.host);
-        let start = std::time::Instant::now();
-        let work_ref = &work;
-        let measured = host.run("enclosure-check", work.len(), |i| {
-            let (poly, candidates) = &work_ref[i];
-            let refs: Vec<&odrc_geometry::Polygon> = candidates.iter().collect();
-            let margin = enclosure_margin(poly.mbr(), &refs, min);
-            (margin < min).then(|| Violation {
-                rule: rule_name.to_owned(),
-                kind: ViolationKind::Enclosure,
-                location: poly.mbr(),
-                measured: margin,
-            })
-        });
-        results.extend(measured.into_iter().flatten());
-        ctx.profiler.add("enclosure-check", start.elapsed());
-    }
-    out.extend(results);
+    let margin = |poly: &Polygon, candidates: &[Polygon]| {
+        let refs: Vec<&Polygon> = candidates.iter().collect();
+        enclosure_margin(poly.mbr(), &refs, min)
+    };
+    out.extend(measure(
+        ctx,
+        rule_name,
+        ViolationKind::Enclosure,
+        "enclosure-check",
+        &work,
+        min,
+        margin,
+    ));
 }
 
 /// Runs a minimum-overlap-area rule sequentially: the boolean AND of
@@ -966,42 +831,18 @@ pub(crate) fn check_overlap_scenes(
 ) {
     use odrc_infra::Region;
     let work = enclosure_work(ctx, inner_scene, outer_scene, 0, window);
-    ctx.stats.checks_computed += work.len();
-    let mut results = Vec::new();
-    if ctx.host.is_serial() {
-        ctx.profiler.time("overlap-check", || {
-            for (poly, candidates) in &work {
-                let inner_region = Region::from_polygons([poly]);
-                let outer_region = Region::from_polygons(candidates.iter());
-                let shared = inner_region.intersection(&outer_region).area();
-                if shared < min_area {
-                    results.push(Violation {
-                        rule: rule_name.to_owned(),
-                        kind: ViolationKind::OverlapArea,
-                        location: poly.mbr(),
-                        measured: shared,
-                    });
-                }
-            }
-        });
-    } else {
-        let host = Arc::clone(&ctx.host);
-        let start = std::time::Instant::now();
-        let work_ref = &work;
-        let measured = host.run("overlap-check", work.len(), |i| {
-            let (poly, candidates) = &work_ref[i];
-            let inner_region = Region::from_polygons([poly]);
-            let outer_region = Region::from_polygons(candidates.iter());
-            let shared = inner_region.intersection(&outer_region).area();
-            (shared < min_area).then(|| Violation {
-                rule: rule_name.to_owned(),
-                kind: ViolationKind::OverlapArea,
-                location: poly.mbr(),
-                measured: shared,
-            })
-        });
-        results.extend(measured.into_iter().flatten());
-        ctx.profiler.add("overlap-check", start.elapsed());
-    }
-    out.extend(results);
+    let shared = |poly: &Polygon, candidates: &[Polygon]| {
+        let inner_region = Region::from_polygons([poly]);
+        let outer_region = Region::from_polygons(candidates.iter());
+        inner_region.intersection(&outer_region).area()
+    };
+    out.extend(measure(
+        ctx,
+        rule_name,
+        ViolationKind::OverlapArea,
+        "overlap-check",
+        &work,
+        min_area,
+        shared,
+    ));
 }

@@ -9,9 +9,11 @@
 //! * the existing adaptive row partition (§IV-B) is the **shard key** —
 //!   rows inflated by half the rule distance cannot interact, so a
 //!   *shard* (a contiguous group of partition rows) can be checked
-//!   against a scene holding only its member objects, and the union of
-//!   per-shard violation sets canonicalizes to exactly the in-core
-//!   result;
+//!   against a scene holding only its member objects — by the in-core
+//!   pipelines themselves (`check_space_scene_rows`,
+//!   `check_enclosure_scenes`, `check_overlap_scenes`), handed the
+//!   shard's scene and rows — and the union of per-shard violation sets
+//!   canonicalizes to exactly the in-core result;
 //! * shard scenes are built lazily behind a [`ShardPool`] with a hard
 //!   byte budget and LRU eviction — evicted shards rebuild on demand,
 //!   an oversized shard (or a seeded [`Fault::AllocFail`]) degrades to
@@ -30,22 +32,20 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use odrc_db::{CellId, Layer};
+use odrc_db::Layer;
 use odrc_geometry::{Coord, Rect};
-use odrc_infra::partition::{partition_rows, partition_rows_on, Row, RowPartition};
-use odrc_infra::sweep::sweep_overlaps;
 use odrc_infra::CancelToken;
 use odrc_xpu::Device;
 
 use crate::cache::rule_signature;
 use crate::checkpoint::CheckpointJournal;
-use crate::checks::poly::{notch_space_violations, LocalViolation};
 use crate::checks::SpaceSpec;
-use crate::engine::{EngineOptions, EngineStats, PairIndex};
+use crate::engine::{EngineOptions, EngineStats};
 use crate::rules::{Rule, RuleKind};
-use crate::scene::{layer_object_mbrs, LayerScene, SceneSource};
+use crate::scene::{layer_object_mbrs, LayerScene};
 use crate::sequential::{
-    cell_internal_space, check_enclosure_scenes, check_overlap_scenes, cross_space, RunContext,
+    check_enclosure_scenes, check_overlap_scenes, check_space_scene_rows, partition_mbrs,
+    RunContext,
 };
 use crate::violation::{canonicalize, Violation};
 
@@ -106,11 +106,14 @@ pub(crate) struct ShardPlan {
 
 /// One shard: a contiguous group of partition rows.
 pub(crate) struct ShardSpec {
-    /// The member lists of the shard's rows (global object indices).
-    pub rows: Vec<Vec<usize>>,
-    /// Sorted union of the row members. Rows partition the object set,
-    /// so shard member lists are disjoint across shards.
+    /// Sorted union of the row members (global object indices). Rows
+    /// partition the object set, so shard member lists are disjoint
+    /// across shards.
     pub members: Vec<usize>,
+    /// The member lists of the shard's rows, as positions in `members`
+    /// — which are the object indices of the shard's member-subset
+    /// scene ([`LayerScene::build_members_on`] keeps member order).
+    pub rows: Vec<Vec<usize>>,
 }
 
 /// Builds the shard plan for `(layer, min)`. The plan is a pure
@@ -120,30 +123,7 @@ pub(crate) struct ShardSpec {
 /// records portable across crashes and workers.
 pub(crate) fn plan_shards(ctx: &mut RunContext<'_>, layer: Layer, min: i64) -> ShardPlan {
     let mbrs = layer_object_mbrs(ctx.layout, layer);
-    let half = ((min + 1) / 2) as Coord;
-    let host = Arc::clone(&ctx.host);
-    let enabled = ctx.options.partition;
-    let partition = ctx.profiler.time("partition", || {
-        if enabled {
-            partition_rows_on(&mbrs, half, &host)
-        } else {
-            // Ablation: a single row holding everything (one shard).
-            let members: Vec<usize> = (0..mbrs.len()).collect();
-            if members.is_empty() {
-                partition_rows(&[], half)
-            } else {
-                let all = mbrs
-                    .iter()
-                    .copied()
-                    .reduce(|a, b| a.hull(b))
-                    .expect("non-empty");
-                RowPartition::from_rows(vec![Row {
-                    y: all.y_range(),
-                    members,
-                }])
-            }
-        }
-    });
+    let partition = partition_mbrs(&mbrs, min, ctx.options.partition, ctx.profiler, &ctx.host);
     ctx.stats.rows += partition.len();
     let rows = partition.rows();
     let per_shard = ctx
@@ -154,10 +134,14 @@ pub(crate) fn plan_shards(ctx: &mut RunContext<'_>, layer: Layer, min: i64) -> S
     let shards = rows
         .chunks(per_shard)
         .map(|chunk| {
-            let rows: Vec<Vec<usize>> = chunk.iter().map(|r| r.members.clone()).collect();
-            let mut members: Vec<usize> = rows.iter().flatten().copied().collect();
+            let mut members: Vec<usize> = chunk.iter().flat_map(|r| &r.members).copied().collect();
             members.sort_unstable();
-            ShardSpec { rows, members }
+            let subset = |g: &usize| members.binary_search(g).expect("row member");
+            let rows = chunk
+                .iter()
+                .map(|r| r.members.iter().map(subset).collect())
+                .collect();
+            ShardSpec { members, rows }
         })
         .collect();
     ShardPlan { mbrs, shards }
@@ -349,22 +333,10 @@ fn run_shards(
                 let scene = pool.get(key, device, ctx.stats, || {
                     LayerScene::build_members_on(layout, layer, members, &host)
                 });
-                let mut hits: Vec<LocalViolation> = Vec::new();
-                check_space_shard(
-                    ctx,
-                    &scene,
-                    members,
-                    &shard.rows,
-                    &plan.mbrs,
-                    spec,
-                    &mut hits,
-                );
-                buf.extend(hits.into_iter().map(|v| Violation {
-                    rule: rule.name.clone(),
-                    kind: v.kind,
-                    location: v.location,
-                    measured: v.measured,
-                }));
+                // The in-core row pipeline over the shard's rows; shard
+                // units consult no persistent cache (no signature).
+                let rows: Vec<&[usize]> = shard.rows.iter().map(Vec::as_slice).collect();
+                check_space_scene_rows(ctx, &rule.name, &scene, &rows, spec, None, &mut buf);
             }
             RuleKind::Enclosure { inner, outer, min } => {
                 let (inner_scene, outer_scene) = shard_scene_pair(
@@ -487,89 +459,4 @@ fn shard_scene_pair(
         },
     );
     (inner_scene, outer_scene)
-}
-
-/// The serial spacing pipeline over one shard: the shard's global rows
-/// replayed against its member-subset scene. Geometry, sweepline pairs,
-/// and edge checks are exactly the in-core serial loop's — only the
-/// object indices are translated from global (proto) to subset order —
-/// so the shard's violation multiset equals the in-core multiset of the
-/// same rows.
-fn check_space_shard(
-    ctx: &mut RunContext<'_>,
-    scene: &LayerScene,
-    members: &[usize],
-    rows: &[Vec<usize>],
-    mbrs: &[Rect],
-    spec: SpaceSpec,
-    out: &mut Vec<LocalViolation>,
-) {
-    let half = ((spec.min + 1) / 2) as Coord;
-    let pruning = ctx.options.pruning;
-    let pair_index = ctx.options.pair_index;
-    let mut memo: HashMap<CellId, Arc<Vec<LocalViolation>>> = HashMap::new();
-    let (mut buf_a, mut buf_b) = (Vec::new(), Vec::new());
-    let subset = |g: usize| {
-        members
-            .binary_search(&g)
-            .expect("row member is a shard member")
-    };
-    for row in rows {
-        let inflated: Vec<Rect> = row.iter().map(|&m| mbrs[m].inflate(half)).collect();
-        let mut pairs: Vec<(usize, usize)> = Vec::new();
-        match pair_index {
-            PairIndex::Sweepline => ctx.profiler.time("sweepline", || {
-                sweep_overlaps(&inflated, |a, b| pairs.push((row[a], row[b])));
-            }),
-            PairIndex::RTree => ctx.profiler.time("sweepline", || {
-                let tree = odrc_infra::RTree::bulk_load(&inflated);
-                for (a, &ra) in inflated.iter().enumerate() {
-                    tree.query_into(ra, &mut |b| {
-                        if a < b {
-                            pairs.push((row[a], row[b]));
-                        }
-                    });
-                }
-            }),
-        }
-        ctx.stats.candidate_pairs += pairs.len();
-        ctx.profiler.time("edge-check", || {
-            for &g in row {
-                let obj = &scene.objects[subset(g)];
-                match obj.source {
-                    SceneSource::Cell { cell, transform } => {
-                        let arc = if pruning {
-                            if let Some(hit) = memo.get(&cell) {
-                                ctx.stats.checks_reused += 1;
-                                Arc::clone(hit)
-                            } else {
-                                ctx.stats.checks_computed += 1;
-                                let arc = Arc::new(cell_internal_space(scene, cell, spec, half));
-                                memo.insert(cell, Arc::clone(&arc));
-                                arc
-                            }
-                        } else {
-                            ctx.stats.checks_computed += 1;
-                            Arc::new(cell_internal_space(scene, cell, spec, half))
-                        };
-                        out.extend(arc.iter().map(|v| v.instantiate(&transform)));
-                    }
-                    SceneSource::TopPolygon { index } => {
-                        notch_space_violations(scene.top_polygon(index), spec, out);
-                    }
-                }
-            }
-            for &(a, b) in &pairs {
-                cross_space(
-                    scene,
-                    &scene.objects[subset(a)],
-                    &scene.objects[subset(b)],
-                    spec,
-                    &mut buf_a,
-                    &mut buf_b,
-                    out,
-                );
-            }
-        });
-    }
 }

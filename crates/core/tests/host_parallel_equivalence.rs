@@ -5,9 +5,10 @@
 //! checking, edge packing, canonicalization fan out across worker
 //! threads — but must never change *what* is reported. Every test here
 //! pits multi-threaded runs against the single-threaded baseline
-//! (`host_threads = 1`, which takes the literal pre-executor code
-//! paths) and demands byte-identical canonical violation sets, across
-//! modes, planner settings, and injected device faults.
+//! (`host_threads = 1`: the same code, with the executor running every
+//! task inline on the caller) and demands byte-identical canonical
+//! violation sets and identical work counters, across modes, planner
+//! settings, and injected device faults.
 
 use odrc::{rule, Engine, EngineOptions, Mode, RuleDeck, Violation};
 use odrc_layoutgen::{generate_layout, tech, DesignSpec};
@@ -69,6 +70,17 @@ fn engine(mode: Mode, planner: bool, host_threads: usize) -> Engine {
     })
 }
 
+/// The work counters that are a function of the input and the options
+/// only — never of how many workers shared the work.
+fn work(stats: &odrc::EngineStats) -> [usize; 4] {
+    [
+        stats.checks_computed,
+        stats.checks_reused,
+        stats.candidate_pairs,
+        stats.rows,
+    ]
+}
+
 fn check(
     layout: &odrc_db::Layout,
     mode: Mode,
@@ -105,21 +117,30 @@ fn repeated_runs_are_deterministic() {
     }
 }
 
-/// `host_threads = 1` runs every task inline, so nothing is ever stolen,
-/// and only the phases without a separate single-threaded path (the
-/// enclosure candidate join and gather) go through the executor at all;
-/// a larger pool routes every host phase through it.
+/// There is no separate single-threaded code path: a one-thread run
+/// hands its tasks to the same executor (which runs them inline, so
+/// nothing is ever stolen) and reports the same violations and the same
+/// work counters as any larger pool.
 #[test]
-fn task_accounting_tracks_thread_count() {
+fn one_thread_runs_the_same_pipeline() {
     let layout = generate_layout(&DesignSpec::tiny(78));
-    let serial = check(&layout, Mode::Sequential, true, 1);
-    assert_eq!(serial.stats.host_steals, 0);
-    let fanned = check(&layout, Mode::Sequential, true, 2);
-    assert!(
-        fanned.stats.host_tasks > serial.stats.host_tasks,
-        "a two-thread pool must route host phases through the executor"
-    );
-    assert_eq!(fanned.violations, serial.violations);
+    for mode in [Mode::Sequential, Mode::Parallel] {
+        let serial = check(&layout, mode, true, 1);
+        assert!(
+            serial.stats.host_tasks > 0,
+            "{mode:?}: a one-thread run must still go through the executor"
+        );
+        assert_eq!(serial.stats.host_steals, 0);
+        for threads in [2, 8] {
+            let fanned = check(&layout, mode, true, threads);
+            assert_eq!(fanned.violations, serial.violations);
+            assert_eq!(
+                work(&fanned.stats),
+                work(&serial.stats),
+                "{mode:?}: work counters moved with host_threads {threads}"
+            );
+        }
+    }
 }
 
 proptest! {
@@ -127,18 +148,25 @@ proptest! {
 
     /// On generated designs, every host-thread count reports violations
     /// byte-identical to the single-threaded run, in both modes, with
-    /// the planner on and off.
+    /// the planner on and off — and, within one (mode, planner)
+    /// configuration, the same work counters.
     #[test]
     fn prop_host_threads_match_serial(design_seed in 0u64..1_000) {
         let layout = generate_layout(&DesignSpec::tiny(design_seed));
         let baseline = check(&layout, Mode::Sequential, false, 1).violations;
         for mode in [Mode::Sequential, Mode::Parallel] {
             for planner in [false, true] {
+                let mut serial_work = None;
                 for threads in THREADS {
-                    let got = check(&layout, mode, planner, threads).violations;
+                    let got = check(&layout, mode, planner, threads);
                     prop_assert_eq!(
-                        &got, &baseline,
+                        &got.violations, &baseline,
                         "mode {:?} planner {} host_threads {} diverged on design seed {}",
+                        mode, planner, threads, design_seed
+                    );
+                    prop_assert_eq!(
+                        *serial_work.get_or_insert(work(&got.stats)), work(&got.stats),
+                        "mode {:?} planner {} host_threads {} moved the work counters on design seed {}",
                         mode, planner, threads, design_seed
                     );
                 }

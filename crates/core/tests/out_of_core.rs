@@ -107,9 +107,22 @@ fn per_rule_shards(layout: &odrc_db::Layout, deck: &RuleDeck, shard_rows: usize)
         .collect()
 }
 
+/// The sharded spacing rules of [`deck`] on their own: their counters
+/// are comparable with an in-core sequential run of the same deck.
+fn spacing_deck() -> RuleDeck {
+    RuleDeck::new(
+        deck()
+            .rules()
+            .iter()
+            .filter(|r| r.name.contains(".S."))
+            .cloned()
+            .collect(),
+    )
+}
+
 /// Byte-identity of a budgeted sharded run against the in-core run,
-/// for any (budget, shard size, mode, pruning) combination — with the
-/// shard units actually exercised.
+/// for any (budget, shard size, mode, pruning) combination and any
+/// host thread count — with the shard units actually exercised.
 fn equivalence_case(
     seed: u64,
     budget: Option<u64>,
@@ -119,22 +132,75 @@ fn equivalence_case(
 ) -> Result<(), String> {
     let layout = generate_layout(&DesignSpec::tiny(seed));
     let base = baseline(mode, &layout);
-    let mut options = out_of_core_options(budget, shard_rows);
-    options.pruning = pruning;
-    let report = engine(mode, options).check(&layout, &deck());
-    if report.violations != base {
-        return Err(format!(
-            "sharded run diverged: {} vs {} violations (seed {seed}, budget {budget:?}, \
-             shard_rows {shard_rows}, mode {mode:?}, pruning {pruning})",
-            report.violations.len(),
-            base.len()
-        ));
+    let case = format!(
+        "seed {seed}, budget {budget:?}, shard_rows {shard_rows}, mode {mode:?}, pruning {pruning}"
+    );
+    let options = |host_threads: usize| EngineOptions {
+        pruning,
+        host_threads: Some(host_threads),
+        ..out_of_core_options(budget, shard_rows)
+    };
+    for host_threads in [1, 2, 4] {
+        let report = engine(mode, options(host_threads)).check(&layout, &deck());
+        if report.violations != base {
+            return Err(format!(
+                "sharded run diverged: {} vs {} violations ({case}, host_threads {host_threads})",
+                report.violations.len(),
+                base.len()
+            ));
+        }
+        if report.stats.shards_checked == 0 {
+            return Err("sharded run checked no shards".into());
+        }
+        if budget.is_none() && report.stats.shards_evicted + report.stats.shards_degraded != 0 {
+            return Err("unlimited budget must never evict or degrade".into());
+        }
     }
-    if report.stats.shards_checked == 0 {
-        return Err("sharded run checked no shards".into());
-    }
-    if budget.is_none() && report.stats.shards_evicted + report.stats.shards_degraded != 0 {
-        return Err("unlimited budget must never evict or degrade".into());
+
+    // Shards run the in-core row pipeline, so on the spacing rules the
+    // work counters are the in-core sequential run's — for any thread
+    // count. Under pruning the §IV-C memo lives per shard: a cell placed
+    // in several shards is computed once in each, so only the sum of
+    // computed and reused units is comparable with the one-memo run.
+    let spacing = spacing_deck();
+    let in_core = Engine::sequential()
+        .with_options(EngineOptions {
+            pruning,
+            retry_backoff_ms: 0,
+            ..EngineOptions::default()
+        })
+        .check(&layout, &spacing);
+    let counters = |s: &odrc::EngineStats| {
+        [
+            s.candidate_pairs,
+            s.checks_computed,
+            s.checks_reused,
+            s.shards_checked,
+        ]
+    };
+    let mut first = None;
+    for host_threads in [1, 2, 4] {
+        let report = engine(mode, options(host_threads)).check(&layout, &spacing);
+        let stats = &report.stats;
+        if report.violations != in_core.violations
+            || stats.candidate_pairs != in_core.stats.candidate_pairs
+            || stats.checks_computed + stats.checks_reused
+                != in_core.stats.checks_computed + in_core.stats.checks_reused
+            || (!pruning && stats.checks_computed != in_core.stats.checks_computed)
+        {
+            return Err(format!(
+                "sharded spacing run left the in-core run's report or counters ({case}, \
+                 host_threads {host_threads}): {stats:?} vs {:?}",
+                in_core.stats
+            ));
+        }
+        let first = *first.get_or_insert(counters(stats));
+        if counters(stats) != first {
+            return Err(format!(
+                "host_threads {host_threads} moved the sharded counters ({case}): {:?} vs {first:?}",
+                counters(stats)
+            ));
+        }
     }
     Ok(())
 }
