@@ -1,10 +1,9 @@
-//! Benchmarks the cross-rule execution planner on a multi-rule deck:
-//! both engine modes, planner on versus off (the per-rule-loop
-//! baseline), per design. With `--json`, writes the machine-readable
+//! Benchmarks the engine pipeline on a multi-rule deck: both engine
+//! modes, per design. With `--json`, writes the machine-readable
 //! `BENCH_pipeline.json` so the perf trajectory is tracked across PRs.
 //!
 //! `--scaling` instead sweeps the host executor's thread count
-//! (1/2/4/max, deduplicated) over the sequential planned engine and
+//! (1/2/4/max, deduplicated) over the sequential engine and
 //! writes `BENCH_host.json` — the host-parallelism scaling table.
 //!
 //! `--gate <baseline.json>` re-measures the aes configurations against
@@ -28,9 +27,11 @@ use std::time::Instant;
 use odrc::{CheckReport, Engine, EngineOptions, Mode, RuleDeck};
 use odrc_bench::{load_designs, pipeline_deck, BenchDesign};
 
+/// The measured configurations, in table order.
+const MODES: [Mode; 2] = [Mode::Sequential, Mode::Parallel];
+
 struct RunResult {
     mode: &'static str,
-    planner: bool,
     wall_ms: f64,
     report: Option<CheckReport>,
 }
@@ -41,19 +42,18 @@ impl RunResult {
     }
 }
 
-fn engine(mode: Mode, planner: bool, host_threads: Option<usize>) -> Engine {
+fn engine(mode: Mode, host_threads: Option<usize>) -> Engine {
     let base = match mode {
         Mode::Sequential => Engine::sequential(),
         Mode::Parallel => Engine::parallel(),
     };
     base.with_options(EngineOptions {
-        planner,
         host_threads,
         ..EngineOptions::default()
     })
 }
 
-/// Runs every configuration `repeat` times in round-robin order —
+/// Runs both [`MODES`] `repeat` times in round-robin order —
 /// interleaving cancels drift (thermal, allocator growth) that would
 /// otherwise systematically penalize later configurations — and keeps
 /// each configuration's minimum wall time, the noise-robust statistic
@@ -68,25 +68,23 @@ fn engine(mode: Mode, planner: bool, host_threads: Option<usize>) -> Engine {
 fn run_configs(
     design: &BenchDesign,
     deck: &RuleDeck,
-    configs: &[(Mode, bool)],
     repeat: usize,
     host_threads: Option<usize>,
 ) -> Vec<RunResult> {
-    let mut results: Vec<RunResult> = configs
+    let mut results: Vec<RunResult> = MODES
         .iter()
-        .map(|&(mode, planner)| RunResult {
+        .map(|&mode| RunResult {
             mode: match mode {
                 Mode::Sequential => "sequential",
                 Mode::Parallel => "parallel",
             },
-            planner,
             wall_ms: f64::INFINITY,
             report: None,
         })
         .collect();
     for _ in 0..repeat.max(1) {
-        for (slot, &(mode, planner)) in results.iter_mut().zip(configs) {
-            let e = engine(mode, planner, host_threads);
+        for (slot, mode) in results.iter_mut().zip(MODES) {
+            let e = engine(mode, host_threads);
             let start = Instant::now();
             let r = e.check(&design.layout, deck);
             let wall_ms = start.elapsed().as_secs_f64() * 1e3;
@@ -125,7 +123,7 @@ fn scaling_ladder() -> Vec<usize> {
     rungs
 }
 
-/// Sweeps the sequential planned engine over the thread ladder,
+/// Sweeps the sequential engine over the thread ladder,
 /// interleaved min-of-N like [`run_configs`].
 fn run_scaling(
     design: &BenchDesign,
@@ -143,7 +141,7 @@ fn run_scaling(
         .collect();
     for _ in 0..repeat.max(1) {
         for slot in results.iter_mut() {
-            let e = engine(Mode::Sequential, true, Some(slot.threads));
+            let e = engine(Mode::Sequential, Some(slot.threads));
             let start = Instant::now();
             let r = e.check(&design.layout, deck);
             let wall_ms = start.elapsed().as_secs_f64() * 1e3;
@@ -216,7 +214,6 @@ fn write_json(
             let s = &r.report().stats;
             writeln!(f, "        {{")?;
             writeln!(f, "          \"mode\": \"{}\",", r.mode)?;
-            writeln!(f, "          \"planner\": {},", r.planner)?;
             writeln!(f, "          \"wall_ms\": {:.3},", r.wall_ms)?;
             writeln!(
                 f,
@@ -231,7 +228,6 @@ fn write_json(
             writeln!(f, "          \"uploads_elided\": {},", s.uploads_elided)?;
             writeln!(f, "          \"bytes_uploaded\": {},", s.bytes_uploaded)?;
             writeln!(f, "          \"launches_fused\": {},", s.launches_fused)?;
-            writeln!(f, "          \"graph_replays\": {},", s.graph_replays)?;
             writeln!(f, "          \"worker_wakeups\": {},", s.worker_wakeups)?;
             writeln!(f, "          \"degraded\": {},", s.degraded())?;
             writeln!(f, "          \"phases_ms\": {{")?;
@@ -271,15 +267,14 @@ fn gated_phase(mode: &str) -> &'static str {
 }
 
 /// A baseline measurement scraped from a committed `BENCH_pipeline.json`:
-/// one engine configuration of one design, with its gated phase.
+/// one engine mode of one design, with its gated phase.
 struct BaselineRun {
     design: String,
     mode: String,
-    planner: bool,
     gated_ms: Option<f64>,
 }
 
-/// Scrapes `(design, mode, planner, gated phase)` tuples out of a
+/// Scrapes `(design, mode, gated phase)` tuples out of a
 /// committed `BENCH_pipeline.json`. The file is written by this binary
 /// with one key per line, so a line-oriented scan is exact — no JSON
 /// dependency needed (the workspace dependency list is fixed).
@@ -304,13 +299,8 @@ fn scan_baseline(path: &str) -> (Vec<BaselineRun>, std::collections::HashMap<Str
             out.push(BaselineRun {
                 design: design.clone(),
                 mode: v,
-                planner: false,
                 gated_ms: None,
             });
-        } else if let Some(v) = field(line, "planner") {
-            if let Some(last) = out.last_mut() {
-                last.planner = v == "true";
-            }
         } else if let Some(last) = out.last_mut() {
             if let Some(v) = field(line, gated_phase(&last.mode)) {
                 last.gated_ms = v.parse().ok();
@@ -330,11 +320,11 @@ fn phase_ms(report: &CheckReport, phase: &str) -> Option<f64> {
         .map(|(_, d)| d.as_secs_f64() * 1e3)
 }
 
-/// The CI perf gate (`--gate <baseline.json>`): re-measures the aes
-/// configurations and fails (exit 1) if a mode's gated phase (parallel
+/// The CI perf gate (`--gate <baseline.json>`): re-measures aes in both
+/// modes and fails (exit 1) if a mode's gated phase (parallel
 /// kernel-wait, sequential sweepline) regressed more than 25% past the
-/// committed baseline, or if running the sequential planned engine
-/// with two host threads costs more than 5% over one thread (adaptive
+/// committed baseline, or if running the sequential engine with two
+/// host threads costs more than 5% over one thread (adaptive
 /// granularity must keep small hosts at parity). A 10ms absolute grace
 /// keeps sub-noise baselines from tripping the ratio.
 fn run_gate(baseline_path: &str, deck: &RuleDeck, repeat: usize) -> bool {
@@ -346,23 +336,17 @@ fn run_gate(baseline_path: &str, deck: &RuleDeck, repeat: usize) -> bool {
     let mut ok = true;
 
     println!("=== Perf gate vs {baseline_path} ===");
-    let configs = [
-        (Mode::Sequential, false),
-        (Mode::Sequential, true),
-        (Mode::Parallel, false),
-        (Mode::Parallel, true),
-    ];
     odrc_infra::reset_peak_rss();
-    let runs = run_configs(&design, deck, &configs, repeat, None);
+    let runs = run_configs(&design, deck, repeat, None);
     let fresh_peak = odrc_infra::peak_rss_bytes();
     for r in &runs {
         let phase = gated_phase(r.mode);
         let base = baseline
             .iter()
-            .find(|b| b.design == "aes" && b.mode == r.mode && b.planner == r.planner)
+            .find(|b| b.design == "aes" && b.mode == r.mode)
             .and_then(|b| b.gated_ms);
         let fresh = phase_ms(r.report(), phase).unwrap_or(0.0);
-        let label = format!("aes {}{}", r.mode, if r.planner { "+plan" } else { "" });
+        let label = format!("aes {}", r.mode);
         match base {
             Some(base) => {
                 let limit = base * 1.25 + 10.0;
@@ -412,7 +396,7 @@ fn run_gate(baseline_path: &str, deck: &RuleDeck, repeat: usize) -> bool {
     let pass = ratio >= 0.95;
     ok &= pass;
     println!(
-        "aes seq+plan host scaling 1t {:.1}ms / 2t {:.1}ms = {:.2}x .. {}",
+        "aes sequential host scaling 1t {:.1}ms / 2t {:.1}ms = {:.2}x .. {}",
         scale[0].wall_ms,
         scale[1].wall_ms,
         ratio,
@@ -519,29 +503,14 @@ fn main() {
         }
         return;
     }
-    let configs = [
-        (Mode::Sequential, false),
-        (Mode::Sequential, true),
-        (Mode::Parallel, false),
-        (Mode::Parallel, true),
-    ];
 
     println!(
-        "\n=== Execution planner: {}-rule deck, planner off vs on ===",
+        "\n=== Pipeline: {}-rule deck, both engine modes ===",
         deck.rules().len()
     );
     println!(
-        "{:<10} {:<12} {:>8} {:>10} {:>7} {:>7} {:>7} {:>7} {:>12} {:>7}",
-        "design",
-        "config",
-        "wall_ms",
-        "#viol",
-        "scn+",
-        "scn=",
-        "rows",
-        "elide",
-        "bytes_up",
-        "speedup"
+        "{:<10} {:<12} {:>8} {:>10} {:>7} {:>7} {:>7} {:>7} {:>12}",
+        "design", "mode", "wall_ms", "#viol", "scn+", "scn=", "rows", "elide", "bytes_up"
     );
 
     let mut results: Vec<(String, Option<u64>, Vec<RunResult>)> = Vec::new();
@@ -551,32 +520,22 @@ fn main() {
         // the recorded peak covers this design's checks, not whatever
         // the process touched earlier.
         odrc_infra::reset_peak_rss();
-        let runs = run_configs(&design, &deck, &configs, repeat, host_threads);
+        let runs = run_configs(&design, &deck, repeat, host_threads);
         let peak_rss = odrc_infra::peak_rss_bytes();
-        let mut baseline: std::collections::HashMap<&'static str, f64> = Default::default();
         for r in &runs {
-            // All four configurations must agree exactly.
+            // Both modes must agree exactly.
             assert_eq!(
                 runs[0].report().violations,
                 r.report().violations,
-                "planner changed the violation set on {}",
+                "{} mode changed the violation set on {}",
+                r.mode,
                 design.name
             );
-            let speedup = if r.planner {
-                baseline.get(r.mode).map(|b| b / r.wall_ms)
-            } else {
-                baseline.insert(r.mode, r.wall_ms);
-                None
-            };
             let s = &r.report().stats;
             println!(
-                "{:<10} {:<12} {:>8.1} {:>10} {:>7} {:>7} {:>7} {:>7} {:>12} {:>7}",
+                "{:<10} {:<12} {:>8.1} {:>10} {:>7} {:>7} {:>7} {:>7} {:>12}",
                 design.name,
-                format!(
-                    "{}{}",
-                    if r.mode == "sequential" { "seq" } else { "par" },
-                    if r.planner { "+plan" } else { "" }
-                ),
+                r.mode,
                 r.wall_ms,
                 r.report().violations.len(),
                 s.scenes_built,
@@ -584,9 +543,6 @@ fn main() {
                 s.rows,
                 s.uploads_elided,
                 s.bytes_uploaded,
-                speedup
-                    .map(|s| format!("{s:.2}x"))
-                    .unwrap_or_else(|| "-".to_owned()),
             );
         }
         if let Some(bytes) = peak_rss {

@@ -21,8 +21,7 @@
 //! runs can checkpoint mid-rule: a sharded checker records each
 //! `(rule, shard)` unit as it finishes, and a whole-rule record (the
 //! sentinel shard id [`WHOLE_RULE_SHARD`]) supersedes them when the
-//! rule completes. A v2 file is healed on open to whole-rule v3
-//! records, so old checkpoints still resume at rule granularity.
+//! rule completes.
 //!
 //! The file format is append-oriented so a kill at any byte offset is
 //! survivable: the framing (magic header, per-record checksum, lenient
@@ -52,13 +51,9 @@ pub const JOURNAL_FILE: &str = "odrc-journal.bin";
 /// checksum per record; v2 frames payloads through [`RecordLog`]; v3
 /// inserts a `(shard id, shard count)` pair after the rule signature
 /// so out-of-core runs checkpoint per `(rule, shard)`. A leftover v1
-/// file fails the magic check and heals to an empty journal; a v2
-/// file is converted in place to whole-rule v3 records on open.
+/// or v2 file fails the magic check and heals to an empty journal (its
+/// rules re-run).
 const MAGIC: &[u8; 8] = b"ODRCJNL3";
-
-/// The previous format's magic, recognised by [`CheckpointJournal::open_dir`]
-/// for in-place conversion.
-const V2_MAGIC: &[u8; 8] = b"ODRCJNL2";
 
 /// Sentinel shard id of a whole-rule record. A record carrying this id
 /// (with shard count 0) means the rule's *complete* canonical set was
@@ -134,21 +129,9 @@ impl CheckpointJournal {
     /// leniently ([`RecordLog`] drops and heals a torn or corrupt
     /// tail), so one bad tail never poisons future appends. Valid
     /// records from *other* runs are preserved on disk but not loaded.
-    /// A v2-format file is converted in place: every v2 record becomes
-    /// a whole-rule v3 record, so pre-v3 checkpoints keep resuming at
-    /// rule granularity.
     pub fn open_dir(dir: &Path, run: RunKey) -> io::Result<CheckpointJournal> {
         std::fs::create_dir_all(dir)?;
-        let path = dir.join(JOURNAL_FILE);
-        let (log, records) = match read_magic(&path)?.as_deref() {
-            Some(v2) if v2 == V2_MAGIC => {
-                let (mut log, old) = RecordLog::open(&path, V2_MAGIC)?;
-                let upgraded: Vec<Vec<u8>> = old.iter().filter_map(|r| upgrade_v2(r)).collect();
-                log.rewrite(MAGIC, upgraded.iter().map(Vec::as_slice))?;
-                (log, upgraded)
-            }
-            _ => RecordLog::open(&path, MAGIC)?,
-        };
+        let (log, records) = RecordLog::open(&dir.join(JOURNAL_FILE), MAGIC)?;
         let mut entries = HashMap::new();
         let mut shards = HashMap::new();
         for rec in &records {
@@ -347,50 +330,6 @@ impl CheckpointJournal {
     }
 }
 
-/// The first 8 bytes of `path`, or `None` if the file is missing or
-/// shorter than a magic.
-fn read_magic(path: &Path) -> io::Result<Option<Vec<u8>>> {
-    match std::fs::File::open(path) {
-        Ok(mut f) => {
-            let mut magic = [0u8; 8];
-            match io::Read::read_exact(&mut f, &mut magic) {
-                Ok(()) => Ok(Some(magic.to_vec())),
-                Err(_) => Ok(None),
-            }
-        }
-        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
-        Err(e) => Err(e),
-    }
-}
-
-/// Converts one v2 record payload to a whole-rule v3 payload by
-/// splicing the `(shard id, shard count)` pair in after the rule
-/// signature. Undecodable payloads convert to `None` and are dropped —
-/// same leniency as the parse path.
-fn upgrade_v2(payload: &[u8]) -> Option<Vec<u8>> {
-    // v2 layout: deck u64 | layout u64 | rule_sig u64 | name_len u32 |
-    // name | count u32 | entries. Validate the shape before splicing.
-    let mut r = ByteReader {
-        buf: payload,
-        pos: 0,
-    };
-    for _ in 0..3 {
-        r.u64().ok()?;
-    }
-    let name_len = r.u32().ok()? as usize;
-    std::str::from_utf8(r.take(name_len).ok()?).ok()?;
-    let count = r.u32().ok()? as usize;
-    if r.remaining() != count.checked_mul(ENTRY_BYTES)? {
-        return None;
-    }
-    let mut rec = Vec::with_capacity(payload.len() + 8);
-    rec.extend_from_slice(&payload[..24]);
-    rec.extend_from_slice(&WHOLE_RULE_SHARD.to_le_bytes());
-    rec.extend_from_slice(&0u32.to_le_bytes());
-    rec.extend_from_slice(&payload[24..]);
-    Some(rec)
-}
-
 /// One decoded journal record.
 struct ParsedRecord {
     key: RunKey,
@@ -565,19 +504,29 @@ mod tests {
 
     #[test]
     fn garbage_file_heals_to_empty_journal() {
-        let dir = tempdir("jnl-garbage");
-        let path = dir.join(JOURNAL_FILE);
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        std::fs::write(&path, b"not a journal at all").expect("write garbage");
-        let key = run_key(3, 4);
-        {
-            let mut j = CheckpointJournal::open_dir(&dir, key).expect("open");
-            assert!(j.is_empty());
-            j.record("A", 1, &[]).expect("record after heal");
+        // A well-framed file of the previous format is as foreign as
+        // plain garbage: the magic mismatches, nothing is restored.
+        let mut v2 = b"ODRCJNL2".to_vec();
+        v2.extend_from_slice(&odrc_infra::RecordLog::frame(b"old-format-record"));
+        for (tag, bytes) in [
+            ("jnl-garbage", b"not a journal at all".to_vec()),
+            ("jnl-v2", v2),
+        ] {
+            let dir = tempdir(tag);
+            let path = dir.join(JOURNAL_FILE);
+            std::fs::create_dir_all(&dir).expect("mkdir");
+            std::fs::write(&path, &bytes).expect("write foreign file");
+            let key = run_key(3, 4);
+            {
+                let mut j = CheckpointJournal::open_dir(&dir, key).expect("open");
+                assert!(j.is_empty(), "{tag}");
+                j.record("A", 1, &[]).expect("record after heal");
+            }
+            assert_eq!(&std::fs::read(&path).expect("read")[..8], MAGIC, "{tag}");
+            let j = CheckpointJournal::open_dir(&dir, key).expect("reopen");
+            assert_eq!(j.len(), 1, "{tag}");
+            cleanup(&dir);
         }
-        let j = CheckpointJournal::open_dir(&dir, key).expect("reopen");
-        assert_eq!(j.len(), 1);
-        cleanup(&dir);
     }
 
     #[test]
@@ -667,67 +616,6 @@ mod tests {
             j.completed(1).expect("whole rule").as_slice(),
             &[violation("A", 1), violation("A", 5)]
         );
-        cleanup(&dir);
-    }
-
-    #[test]
-    fn v2_journal_heals_to_whole_rule_v3_records() {
-        let dir = tempdir("jnl-v2heal");
-        let key = run_key(21, 22);
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        let path = dir.join(JOURNAL_FILE);
-        // Hand-write a v2 file: magic + one framed v2 record.
-        let mut payload = Vec::new();
-        payload.extend_from_slice(&key.deck_sig.to_le_bytes());
-        payload.extend_from_slice(&key.layout_hash.to_le_bytes());
-        payload.extend_from_slice(&77u64.to_le_bytes());
-        payload.extend_from_slice(&(3u32).to_le_bytes());
-        payload.extend_from_slice(b"OLD");
-        payload.extend_from_slice(&1u32.to_le_bytes());
-        let v = violation("OLD", 4);
-        payload.push(super::kind_to_u8(v.kind));
-        for c in [
-            v.location.lo().x,
-            v.location.lo().y,
-            v.location.hi().x,
-            v.location.hi().y,
-        ] {
-            payload.extend_from_slice(&c.to_le_bytes());
-        }
-        payload.extend_from_slice(&v.measured.to_le_bytes());
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(V2_MAGIC);
-        bytes.extend_from_slice(&odrc_infra::RecordLog::frame(&payload));
-        std::fs::write(&path, &bytes).expect("write v2");
-
-        let mut j = CheckpointJournal::open_dir(&dir, key).expect("open heals v2");
-        assert_eq!(
-            j.completed(77).expect("v2 record restored").as_slice(),
-            &[violation("OLD", 4)]
-        );
-        // The file is now v3 on disk and accepts v3 appends.
-        assert_eq!(&std::fs::read(&path).expect("read")[..8], MAGIC);
-        j.record_shard("NEW", 88, 2, 1, &[]).expect("v3 append");
-        drop(j);
-        let j = CheckpointJournal::open_dir(&dir, key).expect("reopen");
-        assert!(j.completed(77).is_some());
-        assert!(j.completed_shard(88, 2, 1).is_some());
-        cleanup(&dir);
-    }
-
-    #[test]
-    fn v2_heal_drops_undecodable_records() {
-        let dir = tempdir("jnl-v2garbled");
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        let path = dir.join(JOURNAL_FILE);
-        // A v2 file whose record has a valid frame checksum but an
-        // undecodable payload: converted to nothing, not an error.
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(V2_MAGIC);
-        bytes.extend_from_slice(&odrc_infra::RecordLog::frame(b"short"));
-        std::fs::write(&path, &bytes).expect("write");
-        let j = CheckpointJournal::open_dir(&dir, run_key(1, 1)).expect("open");
-        assert!(j.is_empty());
         cleanup(&dir);
     }
 

@@ -54,25 +54,6 @@ pub struct EngineOptions {
     /// Base delay of the capped exponential backoff between device
     /// retries, in milliseconds.
     pub retry_backoff_ms: u64,
-    /// Enable the cross-rule execution planner: one scene per layer
-    /// per run, device-resident row buffers shared across rules, and
-    /// concurrent multi-stream rule scheduling with deferred
-    /// synchronization. Disabling it reproduces the strict per-rule
-    /// loop (fresh scene and uploads per rule, synchronize between
-    /// rules) — the planner ablation and the equivalence baseline.
-    pub planner: bool,
-    /// Fuse each rule's per-row uploads and kernel launches into a
-    /// single batched stream dispatch (one worker wake per phase
-    /// instead of one per command). Results and fault-injection
-    /// ordinals are byte-identical either way; disabling it is the
-    /// fusion ablation ([`EngineStats::launches_fused`]).
-    pub fusion: bool,
-    /// Replay the recorded per-row launch schedule of the first rule on
-    /// a `(layer, partition)` for later rules sharing it, instead of
-    /// re-deriving executor choices and launch geometry per rule.
-    /// Effective only with the planner on; disabling it is the replay
-    /// ablation ([`EngineStats::graph_replays`]).
-    pub launch_graph: bool,
     /// Worker threads for the shared work-stealing host executor that
     /// fans out scene builds, partition assignment, row packing, the
     /// row-parallel sequential checks, and violation canonicalization.
@@ -134,9 +115,6 @@ impl Default for EngineOptions {
             pair_index: PairIndex::default(),
             max_device_retries: 2,
             retry_backoff_ms: 1,
-            planner: true,
-            fusion: true,
-            launch_graph: true,
             host_threads: None,
             shared_gate: None,
             memory_budget: None,
@@ -206,12 +184,12 @@ pub struct EngineStats {
     /// Full layer scenes built this run (windowed delta scenes are not
     /// counted — they are rule-specific by construction).
     pub scenes_built: usize,
-    /// Scene requests answered by the planner's per-run memo.
+    /// Scene requests answered by the per-run memo ([`crate::plan`]).
     pub scenes_reused: usize,
     /// Host→device uploads skipped because the data was already
-    /// device-resident (the planner's buffer cache).
+    /// device-resident (the per-run buffer cache).
     pub uploads_elided: usize,
-    /// Bytes actually moved host→device through the planner's shared
+    /// Bytes actually moved host→device through the shared
     /// upload path (shallow sizes at the upload call sites).
     pub bytes_uploaded: u64,
     /// Tasks handed to the host executor. A function of the input and
@@ -231,9 +209,6 @@ pub struct EngineStats {
     /// Stream commands that rode a fused batch dispatch instead of an
     /// individual submit (device-counter delta over this run).
     pub launches_fused: u64,
-    /// Spacing rules that replayed another rule's recorded launch
-    /// graph instead of re-deriving their row schedule.
-    pub graph_replays: usize,
     /// Times a persistent pool worker woke to take dispatch chunks
     /// (device-counter delta over this run).
     pub worker_wakeups: u64,
@@ -619,63 +594,40 @@ impl Engine {
                     // One stream per rule: stream errors are sticky, so
                     // a fault during one rule must not poison the rest
                     // of the deck (failed work is recovered per row
-                    // inside each rule).
-                    if self.options.planner {
-                        // Planned: issue rules ahead of collection so
-                        // independent device work overlaps across
-                        // streams, with synchronization deferred to
-                        // each rule's collect (§IV-E, §V-C). In-flight
-                        // rules are bounded by the host's parallelism:
-                        // past that point extra live streams only add
-                        // contention (on a single-core host the window
-                        // degrades to issue-ahead-by-one, keeping the
-                        // scene/buffer sharing wins without
-                        // oversubscription).
-                        let plan = ctx
-                            .profiler
-                            .time("plan", || crate::plan::ExecutionPlan::build(deck));
-                        let window = ctx.host.threads().clamp(2, 8);
-                        let mut inflight: std::collections::VecDeque<(
-                            usize,
-                            parallel::InFlightRule,
-                        )> = std::collections::VecDeque::with_capacity(window);
-                        for &ri in &plan.order {
-                            // Resumed, or already completed host-side by
-                            // the out-of-core pre-pass.
-                            if status[ri] != RuleStatus::Interrupted
-                                || crate::shard::sharded_rule(&self.options, &rules[ri])
-                                || !crate::shard::whole_rule_assigned(&self.options, ri)
-                            {
-                                continue;
-                            }
-                            // Cancellation stops *issuing*; whatever is
-                            // already in flight is still collected below
-                            // (drain, don't abandon, device work).
-                            poll_cancel(&self.cancel, &mut interrupted);
-                            if interrupted.is_some() {
-                                continue;
-                            }
-                            if inflight.len() >= window {
-                                let (ci, fl) = inflight.pop_front().expect("window is non-empty");
-                                parallel::collect_rule(&mut ctx, fl, &mut per_rule[ci]);
-                                collected[ci] = true;
-                                maybe_finalize(
-                                    &mut ctx,
-                                    &mut journal,
-                                    &self.progress,
-                                    rules,
-                                    ci,
-                                    &mut per_rule,
-                                    &mut status,
-                                );
-                            }
-                            let stream = self.device.stream();
-                            inflight.push_back((
-                                ri,
-                                parallel::issue_rule(&mut ctx, stream, &rules[ri]),
-                            ));
+                    // inside each rule). Rules are issued ahead of
+                    // collection so independent device work overlaps
+                    // across streams, with synchronization deferred to
+                    // each rule's collect (§IV-E, §V-C). In-flight
+                    // rules are bounded by the host's parallelism:
+                    // past that point extra live streams only add
+                    // contention (on a single-core host the window
+                    // degrades to issue-ahead-by-one, keeping the
+                    // scene/buffer sharing wins without
+                    // oversubscription).
+                    let plan = ctx
+                        .profiler
+                        .time("plan", || crate::plan::ExecutionPlan::build(deck));
+                    let window = ctx.host.threads().clamp(2, 8);
+                    let mut inflight: std::collections::VecDeque<(usize, parallel::InFlightRule)> =
+                        std::collections::VecDeque::with_capacity(window);
+                    for &ri in &plan.order {
+                        // Resumed, or already completed host-side by
+                        // the out-of-core pre-pass.
+                        if status[ri] != RuleStatus::Interrupted
+                            || crate::shard::sharded_rule(&self.options, &rules[ri])
+                            || !crate::shard::whole_rule_assigned(&self.options, ri)
+                        {
+                            continue;
                         }
-                        for (ci, fl) in inflight {
+                        // Cancellation stops *issuing*; whatever is
+                        // already in flight is still collected below
+                        // (drain, don't abandon, device work).
+                        poll_cancel(&self.cancel, &mut interrupted);
+                        if interrupted.is_some() {
+                            continue;
+                        }
+                        if inflight.len() >= window {
+                            let (ci, fl) = inflight.pop_front().expect("window is non-empty");
                             parallel::collect_rule(&mut ctx, fl, &mut per_rule[ci]);
                             collected[ci] = true;
                             maybe_finalize(
@@ -688,35 +640,22 @@ impl Engine {
                                 &mut status,
                             );
                         }
-                    } else {
-                        // Ablation / equivalence baseline: the strict
-                        // per-rule loop with a synchronize between
-                        // rules.
-                        for (ri, rule) in rules.iter().enumerate() {
-                            if status[ri] != RuleStatus::Interrupted
-                                || crate::shard::sharded_rule(&self.options, rule)
-                                || !crate::shard::whole_rule_assigned(&self.options, ri)
-                            {
-                                continue;
-                            }
-                            poll_cancel(&self.cancel, &mut interrupted);
-                            if interrupted.is_some() {
-                                continue;
-                            }
-                            let stream = self.device.stream();
-                            let fl = parallel::issue_rule(&mut ctx, stream, rule);
-                            parallel::collect_rule(&mut ctx, fl, &mut per_rule[ri]);
-                            collected[ri] = true;
-                            maybe_finalize(
-                                &mut ctx,
-                                &mut journal,
-                                &self.progress,
-                                rules,
-                                ri,
-                                &mut per_rule,
-                                &mut status,
-                            );
-                        }
+                        let stream = self.device.stream();
+                        inflight
+                            .push_back((ri, parallel::issue_rule(&mut ctx, stream, &rules[ri])));
+                    }
+                    for (ci, fl) in inflight {
+                        parallel::collect_rule(&mut ctx, fl, &mut per_rule[ci]);
+                        collected[ci] = true;
+                        maybe_finalize(
+                            &mut ctx,
+                            &mut journal,
+                            &self.progress,
+                            rules,
+                            ci,
+                            &mut per_rule,
+                            &mut status,
+                        );
                     }
                     // Failed work units were deferred so healthy rules
                     // could keep draining; retry them (with backoff

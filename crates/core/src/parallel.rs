@@ -60,10 +60,7 @@ use odrc_xpu::{
 use crate::checks::edge::{space_pair_spec, SpaceSpec};
 use crate::checks::enclosure_margin;
 use crate::checks::poly::LocalViolation;
-use crate::plan::{
-    build_runs, pack, span_lo, GraphNode, IntraData, LaunchGraph, PackedEdge, PlannedRow, RowSet,
-    RunInfo,
-};
+use crate::plan::{build_runs, pack, span_lo, IntraData, PackedEdge, PlannedRow, RowSet, RunInfo};
 use crate::rules::{Rule, RuleKind};
 use crate::scene::{DirtyWindow, LayerScene};
 use crate::sequential::RunContext;
@@ -290,8 +287,7 @@ pub(crate) fn issue_rule(ctx: &mut RunContext<'_>, stream: Stream, rule: &Rule) 
                 min_projection: *min_projection,
             };
             let rows = ctx.row_set(*layer, *min);
-            let graph = ctx.launch_graph(*layer, *min, &rows);
-            InFlightKind::Space(issue_space(ctx, &stream, &rule.name, &rows, &graph, spec))
+            InFlightKind::Space(issue_space(ctx, &stream, &rule.name, &rows, spec))
         }
         RuleKind::Enclosure { inner, outer, min } => InFlightKind::Pairs(issue_pairs(
             ctx,
@@ -363,34 +359,32 @@ pub(crate) fn check_space_scene_parallel(
     out: &mut Vec<Violation>,
 ) {
     let rows = RowSet::build(ctx, scene, spec.min);
-    let graph = LaunchGraph::record(&rows.rows, ctx.options.sweep_threshold);
-    let issue = issue_space(ctx, stream, rule_name, &rows, &graph, spec);
+    let issue = issue_space(ctx, stream, rule_name, &rows, spec);
     collect_space(ctx, stream, issue, out);
     let device = stream.device().clone();
     drain_recovery(ctx, &device, out);
 }
 
-/// Issue half of the spacing pipeline: walk the (recorded or replayed)
-/// launch graph, acquiring each row's device-resident buffers and
-/// enqueuing its first kernel phase. The whole phase goes through one
-/// [`LaunchBatch`], so under fusion every row's uploads and kernels
-/// ride a single stream dispatch (one worker wake per rule).
+/// Issue half of the spacing pipeline: walk the row set, acquiring
+/// each row's device-resident buffers and enqueuing its first kernel
+/// phase. The whole phase goes through one fused [`LaunchBatch`], so
+/// every row's uploads and kernels ride a single stream dispatch (one
+/// worker wake per rule).
 fn issue_space(
     ctx: &mut RunContext<'_>,
     stream: &Stream,
     rule_name: &str,
     rows: &RowSet,
-    graph: &LaunchGraph,
     spec: SpaceSpec,
 ) -> SpaceIssue {
     ctx.stats.rows += rows.partition_rows;
-    let mut jobs = Vec::with_capacity(graph.nodes.len());
+    let mut jobs = Vec::with_capacity(rows.rows.len());
     let mut failed = Vec::new();
-    let mut batch = stream.batch(ctx.options.fusion);
-    for node in &graph.nodes {
-        match enqueue_row_phase1(ctx, &mut batch, node, spec) {
+    let mut batch = stream.batch(true);
+    for row in &rows.rows {
+        match enqueue_row_phase1(ctx, &mut batch, row, spec) {
             Ok(job) => jobs.push(job),
-            Err(_) => failed.push(Arc::clone(&node.row)),
+            Err(_) => failed.push(Arc::clone(row)),
         }
     }
     batch.commit();
@@ -500,22 +494,23 @@ fn collect_space(
 fn enqueue_row_phase1(
     ctx: &mut RunContext<'_>,
     batch: &mut LaunchBatch<'_>,
-    node: &GraphNode,
+    row: &Arc<PlannedRow>,
     spec: SpaceSpec,
 ) -> XpuResult<RowJob> {
-    let row = &node.row;
     let n = row.edges.host.len();
+    // One thread per edge.
+    let cfg = LaunchConfig::for_threads(n);
     let (dev_edges, elided) = row.edges.acquire_in(batch)?;
     ctx.note_upload(elided, row.edges.bytes());
     let (dev_runs, elided) = row.runs.acquire_in(batch)?;
     ctx.note_upload(elided, row.runs.bytes());
-    if node.brute {
+    if n <= ctx.options.sweep_threshold {
         // Brute-force executor: one tile launch, plain for loops.
         let out_buf = batch.try_alloc::<Vec<(u32, i64)>>(n)?;
-        batch.try_launch_tiles(node.cfg, &out_buf, brute_kernel(dev_edges, dev_runs, spec))?;
+        batch.try_launch_tiles(cfg, &out_buf, brute_kernel(dev_edges, dev_runs, spec))?;
         Ok(RowJob {
             row: Arc::clone(row),
-            cfg: node.cfg,
+            cfg,
             brute: Some(batch.try_download(&out_buf)?),
             counts: None,
         })
@@ -523,14 +518,10 @@ fn enqueue_row_phase1(
         // Sweepline executor, kernel 1: per-edge check range and
         // violation count.
         let counts_buf = batch.try_alloc::<usize>(n)?;
-        batch.try_launch_tiles(
-            node.cfg,
-            &counts_buf,
-            count_kernel(dev_edges, dev_runs, spec),
-        )?;
+        batch.try_launch_tiles(cfg, &counts_buf, count_kernel(dev_edges, dev_runs, spec))?;
         Ok(RowJob {
             row: Arc::clone(row),
-            cfg: node.cfg,
+            cfg,
             brute: None,
             counts: Some(batch.try_download(&counts_buf)?),
         })
@@ -550,7 +541,7 @@ fn enqueue_row_emit(
     spec: SpaceSpec,
 ) -> XpuResult<Pending<Vec<PairRecord>>> {
     let total = *offsets.last().expect("scan returns n+1 entries");
-    let mut batch = stream.batch(ctx.options.fusion);
+    let mut batch = stream.batch(true);
     let (dev_edges, elided) = row.edges.acquire_in(&mut batch)?;
     ctx.note_upload(elided, row.edges.bytes());
     let (dev_runs, elided) = row.runs.acquire_in(&mut batch)?;
@@ -1026,7 +1017,7 @@ fn enqueue_intra(
     min: i64,
 ) -> XpuResult<Pending<Vec<Vec<LocalViolation>>>> {
     let n = data.polys.host.len();
-    let mut batch = stream.batch(ctx.options.fusion);
+    let mut batch = stream.batch(true);
     let (dev_polys, elided) = data.polys.acquire_in(&mut batch)?;
     ctx.note_upload(elided, data.polys.bytes());
     let out_buf = batch.try_alloc::<Vec<LocalViolation>>(n)?;
@@ -1228,7 +1219,7 @@ fn enqueue_pairs(
 ) -> XpuResult<Pending<Vec<i64>>> {
     let n = work.len();
     let bytes = (n * std::mem::size_of::<(Polygon, Vec<Polygon>)>()) as u64;
-    let mut batch = stream.batch(ctx.options.fusion);
+    let mut batch = stream.batch(true);
     let dev_work = batch.try_upload_shared(Arc::clone(work))?;
     ctx.note_upload(false, bytes);
     let measures = batch.try_alloc::<i64>(n)?;

@@ -2,11 +2,12 @@
 //!
 //! A rule deck usually reads far fewer layers than it has rules: every
 //! metal layer carries width, spacing and area constraints, and via
-//! layers are read by several enclosure rules. Before this planner, the
-//! engine rebuilt the [`LayerScene`] and re-uploaded the packed edge
-//! arrays once *per rule*; the paper's pipeline instead keeps layer
-//! data device-resident and overlaps transfers with kernels across
-//! concurrent streams (§IV-E, §V-C).
+//! layers are read by several enclosure rules. Rebuilding the
+//! [`LayerScene`] and re-uploading the packed edge arrays once *per
+//! rule* would repeat that work; the paper's pipeline instead keeps
+//! layer data device-resident and overlaps transfers with kernels
+//! across concurrent streams (§IV-E, §V-C). Every run goes through
+//! this module — there is no unplanned path.
 //!
 //! The planner contributes three pieces:
 //!
@@ -47,7 +48,7 @@ use std::sync::Arc;
 
 use odrc_db::{CellId, Layer};
 use odrc_geometry::{Coord, Edge, Point, Polygon};
-use odrc_xpu::{DeviceBuffer, Event, LaunchBatch, LaunchConfig, Stream, XpuResult};
+use odrc_xpu::{DeviceBuffer, Event, LaunchBatch, Stream, XpuResult};
 use parking_lot::Mutex;
 
 use crate::rules::RuleDeck;
@@ -303,63 +304,14 @@ pub(crate) struct IntraData {
     pub polys: SharedDeviceData<Polygon>,
 }
 
-/// One recorded launch of a [`LaunchGraph`]: the row it reads, the
-/// executor choice made for it, and the launch geometry. Everything a
-/// later rule needs to re-issue the row's kernels without re-deriving
-/// the schedule.
-pub(crate) struct GraphNode {
-    pub row: Arc<PlannedRow>,
-    /// `true` → brute (all-candidate emit in one kernel); `false` →
-    /// two-phase sweepline (count, scan, emit).
-    pub brute: bool,
-    /// Launch geometry of the row's kernels (one thread per edge).
-    pub cfg: LaunchConfig,
-}
-
-/// A recorded launch schedule for one row set: the per-row
-/// `(buffer, executor, launch config)` sequence captured when the
-/// first rule on a `(layer, partition)` executes, then *replayed* by
-/// later rules sharing the key — skipping per-row schedule derivation
-/// and keeping the issue loop a straight array walk
-/// ([`EngineStats::graph_replays`]).
-///
-/// [`EngineStats::graph_replays`]: crate::EngineStats::graph_replays
-pub(crate) struct LaunchGraph {
-    pub nodes: Vec<GraphNode>,
-}
-
-impl LaunchGraph {
-    /// Records the launch schedule for `rows` under the given sweep
-    /// `threshold` (rows at or below it run the brute executor).
-    pub fn record(rows: &[Arc<PlannedRow>], threshold: usize) -> LaunchGraph {
-        let nodes = rows
-            .iter()
-            .map(|row| {
-                let n = row.edges.host.len();
-                GraphNode {
-                    row: Arc::clone(row),
-                    brute: n <= threshold,
-                    cfg: LaunchConfig::for_threads(n),
-                }
-            })
-            .collect();
-        LaunchGraph { nodes }
-    }
-}
-
-/// The per-run cache behind the planner: scenes, row sets, intra
-/// polygon lists and recorded launch graphs, all keyed so that N rules
-/// reading one layer build and upload once. Lives on the
-/// [`RunContext`]; bypassed entirely when [`EngineOptions::planner`]
-/// is off.
-///
-/// [`EngineOptions::planner`]: crate::EngineOptions::planner
+/// The per-run cache behind the planner: scenes, row sets and intra
+/// polygon lists, all keyed so that N rules reading one layer build
+/// and upload once. Lives on the [`RunContext`].
 #[derive(Default)]
 pub(crate) struct PlanCache {
     pub scenes: HashMap<Layer, Arc<LayerScene>>,
     pub rows: HashMap<RowSetKey, Arc<RowSet>>,
     pub intra: HashMap<Layer, Arc<IntraData>>,
-    pub graphs: HashMap<RowSetKey, Arc<LaunchGraph>>,
 }
 
 /// The deck's rules in issue order: grouped by the first layer each

@@ -32,7 +32,7 @@ use crate::checks::poly::{
 };
 use crate::checks::{enclosure_margin, SpaceSpec};
 use crate::engine::{EngineOptions, EngineStats};
-use crate::plan::{IntraData, LaunchGraph, PlanCache, RowSet, RowSetKey, SharedDeviceData};
+use crate::plan::{IntraData, PlanCache, RowSet, RowSetKey, SharedDeviceData};
 use crate::rules::{Rule, RuleKind};
 use crate::scene::{instance_transforms, DirtyWindow, LayerScene, SceneObject, SceneSource};
 use crate::violation::{Violation, ViolationKind};
@@ -48,8 +48,7 @@ pub(crate) struct RunContext<'a> {
     /// Persistent result cache plus the layout's content keys, when the
     /// caller opted into cross-run reuse.
     pub cache: Option<CacheHandle<'a>>,
-    /// The execution planner's per-run caches (scenes, row sets, intra
-    /// polygon lists). Consulted only when `options.planner` is set.
+    /// The per-run caches (scenes, row sets, intra polygon lists).
     pub plan: PlanCache,
     /// The shared work-stealing host executor every hot host phase fans
     /// out on. Sized by `options.host_threads`; a one-thread executor
@@ -105,15 +104,13 @@ impl<'a> RunContext<'a> {
         self
     }
 
-    /// The full scene of `layer`, memoized across the rules of the run
-    /// when the planner is on. Windowed (delta) scenes never go through
-    /// this memo — they are rule-specific.
+    /// The full scene of `layer`, memoized across the rules of the run.
+    /// Windowed (delta) scenes never go through this memo — they are
+    /// rule-specific.
     pub fn layer_scene(&mut self, layer: Layer) -> Arc<LayerScene> {
-        if self.options.planner {
-            if let Some(scene) = self.plan.scenes.get(&layer) {
-                self.stats.scenes_reused += 1;
-                return Arc::clone(scene);
-            }
+        if let Some(scene) = self.plan.scenes.get(&layer) {
+            self.stats.scenes_reused += 1;
+            return Arc::clone(scene);
         }
         let layout = self.layout;
         let host = Arc::clone(&self.host);
@@ -122,36 +119,28 @@ impl<'a> RunContext<'a> {
                 .time("scene", || LayerScene::build_on(layout, layer, None, &host)),
         );
         self.stats.scenes_built += 1;
-        if self.options.planner {
-            self.plan.scenes.insert(layer, Arc::clone(&scene));
-        }
+        self.plan.scenes.insert(layer, Arc::clone(&scene));
         scene
     }
 
     /// The packed, sorted row set of `layer` for a rule distance of
-    /// `min`, memoized by [`RowSetKey`] when the planner is on.
+    /// `min`, memoized by [`RowSetKey`].
     pub fn row_set(&mut self, layer: Layer, min: i64) -> Arc<RowSet> {
         let key = RowSetKey::new(layer, min, self.options.partition);
-        if self.options.planner {
-            if let Some(rows) = self.plan.rows.get(&key) {
-                return Arc::clone(rows);
-            }
+        if let Some(rows) = self.plan.rows.get(&key) {
+            return Arc::clone(rows);
         }
         let scene = self.layer_scene(layer);
         let rows = Arc::new(RowSet::build(self, &scene, min));
-        if self.options.planner {
-            self.plan.rows.insert(key, Arc::clone(&rows));
-        }
+        self.plan.rows.insert(key, Arc::clone(&rows));
         rows
     }
 
     /// The packed unique-polygon list of `layer` for device-side intra
-    /// rules (width, area), memoized per layer when the planner is on.
+    /// rules (width, area), memoized per layer.
     pub fn intra_data(&mut self, layer: Layer) -> Arc<IntraData> {
-        if self.options.planner {
-            if let Some(data) = self.plan.intra.get(&layer) {
-                return Arc::clone(data);
-            }
+        if let Some(data) = self.plan.intra.get(&layer) {
+            return Arc::clone(data);
         }
         let layout = self.layout;
         let data = self.profiler.time("pack", || {
@@ -165,36 +154,8 @@ impl<'a> RunContext<'a> {
                 polys: SharedDeviceData::new(Arc::new(polys)),
             })
         });
-        if self.options.planner {
-            self.plan.intra.insert(layer, Arc::clone(&data));
-        }
+        self.plan.intra.insert(layer, Arc::clone(&data));
         data
-    }
-
-    /// The recorded launch graph of `(layer, min)`'s row set: replayed
-    /// from the plan cache when a previous rule on the same key already
-    /// recorded one ([`EngineStats::graph_replays`]), recorded fresh
-    /// otherwise. Gated on both the planner and `options.launch_graph`
-    /// (the replay ablation switch).
-    ///
-    /// [`EngineStats::graph_replays`]: crate::EngineStats::graph_replays
-    pub fn launch_graph(&mut self, layer: Layer, min: i64, rows: &RowSet) -> Arc<LaunchGraph> {
-        let cache = self.options.planner && self.options.launch_graph;
-        let key = RowSetKey::new(layer, min, self.options.partition);
-        if cache {
-            if let Some(graph) = self.plan.graphs.get(&key) {
-                self.stats.graph_replays += 1;
-                return Arc::clone(graph);
-            }
-        }
-        let graph = Arc::new(LaunchGraph::record(
-            &rows.rows,
-            self.options.sweep_threshold,
-        ));
-        if cache {
-            self.plan.graphs.insert(key, Arc::clone(&graph));
-        }
-        graph
     }
 
     /// Times a blocking device wait: charges the cumulative

@@ -7,8 +7,8 @@
 //! pits multi-threaded runs against the single-threaded baseline
 //! (`host_threads = 1`: the same code, with the executor running every
 //! task inline on the caller) and demands byte-identical canonical
-//! violation sets and identical work counters, across modes, planner
-//! settings, and injected device faults.
+//! violation sets and identical work counters, across modes and
+//! injected device faults.
 
 use odrc::{rule, Engine, EngineOptions, Mode, RuleDeck, Violation};
 use odrc_layoutgen::{generate_layout, tech, DesignSpec};
@@ -57,13 +57,12 @@ fn deck() -> RuleDeck {
     ])
 }
 
-fn engine(mode: Mode, planner: bool, host_threads: usize) -> Engine {
+fn engine(mode: Mode, host_threads: usize) -> Engine {
     let base = match mode {
         Mode::Sequential => Engine::sequential(),
         Mode::Parallel => Engine::parallel_on(Device::new(3)),
     };
     base.with_options(EngineOptions {
-        planner,
         retry_backoff_ms: 0,
         host_threads: Some(host_threads),
         ..EngineOptions::default()
@@ -81,13 +80,8 @@ fn work(stats: &odrc::EngineStats) -> [usize; 4] {
     ]
 }
 
-fn check(
-    layout: &odrc_db::Layout,
-    mode: Mode,
-    planner: bool,
-    host_threads: usize,
-) -> odrc::CheckReport {
-    engine(mode, planner, host_threads).check(layout, &deck())
+fn check(layout: &odrc_db::Layout, mode: Mode, host_threads: usize) -> odrc::CheckReport {
+    engine(mode, host_threads).check(layout, &deck())
 }
 
 /// Running the exact same configuration repeatedly must reproduce the
@@ -97,9 +91,9 @@ fn check(
 fn repeated_runs_are_deterministic() {
     let layout = generate_layout(&DesignSpec::tiny(77));
     for (mode, threads) in [(Mode::Sequential, 8), (Mode::Parallel, 8)] {
-        let first = check(&layout, mode, true, threads);
+        let first = check(&layout, mode, threads);
         for _ in 0..4 {
-            let again = check(&layout, mode, true, threads);
+            let again = check(&layout, mode, threads);
             assert_eq!(
                 again.violations, first.violations,
                 "mode {mode:?} with {threads} host threads is not deterministic"
@@ -125,14 +119,14 @@ fn repeated_runs_are_deterministic() {
 fn one_thread_runs_the_same_pipeline() {
     let layout = generate_layout(&DesignSpec::tiny(78));
     for mode in [Mode::Sequential, Mode::Parallel] {
-        let serial = check(&layout, mode, true, 1);
+        let serial = check(&layout, mode, 1);
         assert!(
             serial.stats.host_tasks > 0,
             "{mode:?}: a one-thread run must still go through the executor"
         );
         assert_eq!(serial.stats.host_steals, 0);
         for threads in [2, 8] {
-            let fanned = check(&layout, mode, true, threads);
+            let fanned = check(&layout, mode, threads);
             assert_eq!(fanned.violations, serial.violations);
             assert_eq!(
                 work(&fanned.stats),
@@ -147,29 +141,26 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// On generated designs, every host-thread count reports violations
-    /// byte-identical to the single-threaded run, in both modes, with
-    /// the planner on and off — and, within one (mode, planner)
-    /// configuration, the same work counters.
+    /// byte-identical to the single-threaded run, in both modes — and,
+    /// within one mode, the same work counters.
     #[test]
     fn prop_host_threads_match_serial(design_seed in 0u64..1_000) {
         let layout = generate_layout(&DesignSpec::tiny(design_seed));
-        let baseline = check(&layout, Mode::Sequential, false, 1).violations;
+        let baseline = check(&layout, Mode::Sequential, 1).violations;
         for mode in [Mode::Sequential, Mode::Parallel] {
-            for planner in [false, true] {
-                let mut serial_work = None;
-                for threads in THREADS {
-                    let got = check(&layout, mode, planner, threads);
-                    prop_assert_eq!(
-                        &got.violations, &baseline,
-                        "mode {:?} planner {} host_threads {} diverged on design seed {}",
-                        mode, planner, threads, design_seed
-                    );
-                    prop_assert_eq!(
-                        *serial_work.get_or_insert(work(&got.stats)), work(&got.stats),
-                        "mode {:?} planner {} host_threads {} moved the work counters on design seed {}",
-                        mode, planner, threads, design_seed
-                    );
-                }
+            let mut serial_work = None;
+            for threads in THREADS {
+                let got = check(&layout, mode, threads);
+                prop_assert_eq!(
+                    &got.violations, &baseline,
+                    "mode {:?} host_threads {} diverged on design seed {}",
+                    mode, threads, design_seed
+                );
+                prop_assert_eq!(
+                    *serial_work.get_or_insert(work(&got.stats)), work(&got.stats),
+                    "mode {:?} host_threads {} moved the work counters on design seed {}",
+                    mode, threads, design_seed
+                );
             }
         }
     }
@@ -184,13 +175,12 @@ proptest! {
     ) {
         let layout = generate_layout(&DesignSpec::tiny(design_seed));
         let baseline: Vec<Violation> =
-            check(&layout, Mode::Sequential, false, 1).violations;
+            check(&layout, Mode::Sequential, 1).violations;
         for threads in THREADS {
             let device = Device::new(3);
             device.set_fault_plan(Some(FaultPlan::from_seed(fault_seed, 6)));
             let report = Engine::parallel_on(device.clone())
                 .with_options(EngineOptions {
-                    planner: true,
                     retry_backoff_ms: 0,
                     host_threads: Some(threads),
                     ..EngineOptions::default()

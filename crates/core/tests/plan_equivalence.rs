@@ -1,12 +1,12 @@
 //! Execution-planner equivalence and accounting tests.
 //!
-//! The planner changes *when* work happens — one scene per layer, one
-//! upload per row set, all rules issued before any is collected — but
-//! must never change *what* is reported. Every test here pits the
-//! planned engine against the strict per-rule loop
-//! (`EngineOptions { planner: false, .. }`) and demands byte-identical
-//! canonical violation sets, in both modes, with and without injected
-//! device faults.
+//! The planner decides *when* work happens — one scene per layer, one
+//! upload per row set, rules issued ahead of collection — but must
+//! never change *what* is reported. The sequential mode (one rule at a
+//! time, no device) is the baseline: the parallel mode must report the
+//! byte-identical canonical violation set, with and without injected
+//! device faults, and the sharing counters must show the planner at
+//! work.
 
 use odrc::{rule, Engine, EngineOptions, Mode, RuleDeck, Violation};
 use odrc_layoutgen::{generate_layout, tech, DesignSpec};
@@ -53,27 +53,26 @@ fn shared_deck() -> RuleDeck {
     ])
 }
 
-fn engine(mode: Mode, planner: bool) -> Engine {
+fn engine(mode: Mode) -> Engine {
     let base = match mode {
         Mode::Sequential => Engine::sequential(),
         Mode::Parallel => Engine::parallel_on(Device::new(3)),
     };
     base.with_options(EngineOptions {
-        planner,
         retry_backoff_ms: 0,
         ..EngineOptions::default()
     })
 }
 
-fn check(layout: &odrc_db::Layout, mode: Mode, planner: bool) -> odrc::CheckReport {
-    engine(mode, planner).check(layout, &shared_deck())
+fn check(layout: &odrc_db::Layout, mode: Mode) -> odrc::CheckReport {
+    engine(mode).check(layout, &shared_deck())
 }
 
 #[test]
 fn sequential_scene_memo_builds_each_layer_once() {
     let layout = generate_layout(&DesignSpec::tiny(31));
-    // Two spacing rules on M1 and the enclosure reading M2: with the
-    // planner, each layer's scene is built exactly once per run.
+    // Two spacing rules on M1 and the enclosure reading M2: each
+    // layer's scene is built exactly once per run.
     let deck = RuleDeck::new(vec![
         rule()
             .layer(tech::M1)
@@ -103,93 +102,69 @@ fn sequential_scene_memo_builds_each_layer_once() {
     // memo hits.
     assert_eq!(report.stats.scenes_built, 3, "one build per layer");
     assert_eq!(report.stats.scenes_reused, 2, "every re-read is a memo hit");
-
-    // The per-rule loop rebuilds instead: one build per read.
-    let off = engine(Mode::Sequential, false).check(&layout, &deck);
-    assert_eq!(off.stats.scenes_built, 5);
-    assert_eq!(off.stats.scenes_reused, 0);
-    assert_eq!(off.violations, report.violations);
 }
 
 #[test]
 fn planner_shares_row_uploads_across_rules() {
     let layout = generate_layout(&DesignSpec::tiny(32));
-    let on = check(&layout, Mode::Parallel, true);
-    let off = check(&layout, Mode::Parallel, false);
-    assert_eq!(on.violations, off.violations);
-    assert!(on.stats.scenes_reused > 0, "scene memo must hit");
-    assert!(on.stats.uploads_elided > 0, "row buffers must be shared");
+    let par = check(&layout, Mode::Parallel);
+    let seq = check(&layout, Mode::Sequential);
+    assert_eq!(par.violations, seq.violations);
+    assert!(par.stats.scenes_reused > 0, "scene memo must hit");
+    assert!(par.stats.uploads_elided > 0, "row buffers must be shared");
+    // The dispatch layer's counter surfaces through `EngineStats`:
+    // every rule's uploads and kernels ride fused batch dispatches.
     assert!(
-        on.stats.uploads_elided > off.stats.uploads_elided,
-        "cross-rule sharing must elide uploads beyond the within-rule \
-         emit-phase reuse ({} vs {})",
-        on.stats.uploads_elided,
-        off.stats.uploads_elided
+        par.stats.launches_fused > 0,
+        "a parallel run must count fused launches"
     );
-    assert!(
-        on.stats.bytes_uploaded < off.stats.bytes_uploaded,
-        "shared buffers must shrink the transferred volume ({} vs {})",
-        on.stats.bytes_uploaded,
-        off.stats.bytes_uploaded
-    );
+    assert_eq!(seq.stats.launches_fused, 0, "no device work in sequential");
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// On generated designs, the planned engine and the per-rule loop
-    /// report byte-identical canonical violations in both modes.
+    /// On generated designs, the planned concurrent engine reports the
+    /// byte-identical canonical violations of the sequential
+    /// one-rule-at-a-time loop.
     #[test]
     fn prop_planner_matches_per_rule_loop(design_seed in 0u64..1_000) {
         let layout = generate_layout(&DesignSpec::tiny(design_seed));
-        let baseline = check(&layout, Mode::Sequential, false).violations;
-        for (mode, planner) in [
-            (Mode::Sequential, true),
-            (Mode::Parallel, false),
-            (Mode::Parallel, true),
-        ] {
-            let got = check(&layout, mode, planner).violations;
-            prop_assert_eq!(
-                &got, &baseline,
-                "mode {:?} planner {} diverged on design seed {}",
-                mode, planner, design_seed
-            );
-        }
+        let baseline = check(&layout, Mode::Sequential).violations;
+        let got = check(&layout, Mode::Parallel).violations;
+        prop_assert_eq!(
+            &got, &baseline,
+            "parallel mode diverged on design seed {}",
+            design_seed
+        );
     }
 
     /// Under seeded fault schedules, the planned concurrent engine
-    /// still reports exactly the fault-free baseline (faults land on
-    /// different ordinals with the planner on, so the comparison is
-    /// against the clean run, not the faulted per-rule run).
+    /// still reports exactly the clean sequential baseline.
     #[test]
     fn prop_planner_survives_fault_injection(
         design_seed in 0u64..100,
         fault_seed in 0u64..200,
     ) {
         let layout = generate_layout(&DesignSpec::tiny(design_seed));
-        let baseline: Vec<Violation> =
-            check(&layout, Mode::Parallel, false).violations;
-        for planner in [false, true] {
-            let device = Device::new(3);
-            device.set_fault_plan(Some(FaultPlan::from_seed(fault_seed, 6)));
-            let report = Engine::parallel_on(device.clone())
-                .with_options(EngineOptions {
-                    planner,
-                    retry_backoff_ms: 0,
-                    ..EngineOptions::default()
-                })
-                .check(&layout, &shared_deck());
-            prop_assert_eq!(
-                &report.violations, &baseline,
-                "planner {} fault seed {} changed the results on design {}",
-                planner, fault_seed, design_seed
-            );
-            prop_assert_eq!(
-                report.stats.degraded(),
-                device.faults_injected() > 0,
-                "planner {}: degradation must be reported iff faults fired",
-                planner
-            );
-        }
+        let baseline: Vec<Violation> = check(&layout, Mode::Sequential).violations;
+        let device = Device::new(3);
+        device.set_fault_plan(Some(FaultPlan::from_seed(fault_seed, 6)));
+        let report = Engine::parallel_on(device.clone())
+            .with_options(EngineOptions {
+                retry_backoff_ms: 0,
+                ..EngineOptions::default()
+            })
+            .check(&layout, &shared_deck());
+        prop_assert_eq!(
+            &report.violations, &baseline,
+            "fault seed {} changed the results on design {}",
+            fault_seed, design_seed
+        );
+        prop_assert_eq!(
+            report.stats.degraded(),
+            device.faults_injected() > 0,
+            "degradation must be reported iff faults fired"
+        );
     }
 }

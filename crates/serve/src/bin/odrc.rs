@@ -5,16 +5,12 @@
 //!      [--cache <dir>] [--stats-json <file>] [--report out.csv]
 //!      [--markers out.gds] [--device-budget BYTES] [--fault-seed N]
 //!      [--host-threads N] [--deadline SECS] [--checkpoint-dir <dir>]
-//!      [--resume <dir>] [--watchdog-ms N] [--no-fusion] [--no-launch-graph]
+//!      [--resume <dir>] [--watchdog-ms N] [--out-of-core]
+//!      [--memory-budget BYTES] [--shard-rows N] [--shard-workers N]
 //! odrc diff <old.gds> <new.gds> --rules <deck.rules> [--parallel]
 //!      [--cache <dir>] [--max-print N] [--host-threads N]
-//! odrc serve [--addr HOST:PORT] [--workers N] [--host-threads N]
-//!      [--max-queue N] [--cache <dir>] [--device-budget BYTES]
-//!      [--port-file <path>]
-//! odrc client <layout.gds> --rules <deck.rules> --addr HOST:PORT
-//!      [--parallel] [--priority N] [--deadline-ms N] [--edits ops.jsonl]
-//!      [--report out.csv] [--stats-json out.json] [--max-print N]
-//!      [--shutdown]
+//! odrc serve --help
+//! odrc client --help
 //! ```
 //!
 //! The default mode reads a GDSII layout and a plain-text rule deck
@@ -112,8 +108,6 @@ struct Args {
     checkpoint_dir: Option<String>,
     resume: bool,
     watchdog_ms: Option<u64>,
-    no_fusion: bool,
-    no_launch_graph: bool,
     memory_budget: Option<u64>,
     shard_rows: Option<usize>,
     out_of_core: bool,
@@ -138,15 +132,11 @@ fn usage() -> ! {
          [--cache dir] [--stats-json out.json] [--report out.csv] [--markers out.gds] \
          [--device-budget BYTES] [--fault-seed N] [--host-threads N] [--deadline SECS] \
          [--checkpoint-dir dir] [--resume dir] [--watchdog-ms N] \
-         [--no-fusion] [--no-launch-graph] \
          [--out-of-core] [--memory-budget BYTES] [--shard-rows N] [--shard-workers N]\n\
          \u{20}      odrc diff <old.gds> <new.gds> --rules <deck.rules> [--parallel] \
          [--cache dir] [--max-print N] [--host-threads N]\n\
-         \u{20}      odrc serve [--addr HOST:PORT] [--workers N] [--host-threads N] \
-         [--max-queue N] [--cache dir] [--device-budget BYTES] [--port-file path]\n\
-         \u{20}      odrc client <layout.gds> --rules <deck.rules> --addr HOST:PORT \
-         [--parallel] [--priority N] [--deadline-ms N] [--edits ops.jsonl] \
-         [--report out.csv] [--stats-json out.json] [--max-print N] [--shutdown]\n\
+         \u{20}      odrc serve --help   (the check daemon's flags)\n\
+         \u{20}      odrc client --help  (the daemon's command-line front end)\n\
          exit codes: 0 clean, 1 violations found, 2 hard error, 3 degraded but clean, \
          4 interrupted (signal or deadline; checkpoint saved if --checkpoint-dir)"
     );
@@ -169,8 +159,6 @@ fn parse_args() -> Args {
     let mut checkpoint_dir = None;
     let mut resume = false;
     let mut watchdog_ms = None;
-    let mut no_fusion = false;
-    let mut no_launch_graph = false;
     let mut memory_budget = None;
     let mut shard_rows = None;
     let mut out_of_core = false;
@@ -227,14 +215,6 @@ fn parse_args() -> Args {
                 }
                 max_print = argv[i + 1].parse().unwrap_or_else(|_| usage());
                 i += 2;
-            }
-            "--no-fusion" => {
-                no_fusion = true;
-                i += 1;
-            }
-            "--no-launch-graph" => {
-                no_launch_graph = true;
-                i += 1;
             }
             "--fault-seed" => {
                 if i + 1 >= argv.len() {
@@ -387,8 +367,6 @@ fn parse_args() -> Args {
         checkpoint_dir,
         resume,
         watchdog_ms,
-        no_fusion,
-        no_launch_graph,
         memory_budget,
         shard_rows,
         out_of_core,
@@ -419,122 +397,49 @@ fn write_report(path: &str, violations: &[odrc::Violation]) -> std::io::Result<(
     Ok(())
 }
 
-/// Writes the run summary as JSON (hand-rolled — the image has no
-/// serde; phase names come from our own profiler, so they never need
-/// escaping beyond what `escape_json` covers). The file is written
-/// atomically (temp + rename), so an interrupted run — the case where
-/// the stats matter most — never leaves a torn JSON behind.
+/// Writes the run summary as JSON: the engine counters of
+/// [`odrc_serve::wire::stats_to_json`] (the list a served job reports) plus
+/// the run-level keys. The file is written atomically (temp + rename),
+/// so an interrupted run — the case where the stats matter most —
+/// never leaves a torn JSON behind.
 fn write_stats_json(path: &str, report: &CheckReport) -> std::io::Result<()> {
-    use std::fmt::Write;
-    let mut f = String::new();
-    let w = &mut f;
-    let _ = writeln!(w, "{{");
-    let _ = writeln!(w, "  \"violations\": {},", report.violations.len());
-    let _ = writeln!(
-        w,
-        "  \"checks_computed\": {},",
-        report.stats.checks_computed
-    );
-    let _ = writeln!(w, "  \"checks_reused\": {},", report.stats.checks_reused);
-    let _ = writeln!(
-        w,
-        "  \"candidate_pairs\": {},",
-        report.stats.candidate_pairs
-    );
-    let _ = writeln!(w, "  \"rows\": {},", report.stats.rows);
-    let _ = writeln!(w, "  \"device_retries\": {},", report.stats.device_retries);
-    let _ = writeln!(
-        w,
-        "  \"device_fallbacks\": {},",
-        report.stats.device_fallbacks
-    );
-    let _ = writeln!(w, "  \"degraded\": {},", report.stats.degraded());
-    let _ = writeln!(w, "  \"scenes_built\": {},", report.stats.scenes_built);
-    let _ = writeln!(w, "  \"scenes_reused\": {},", report.stats.scenes_reused);
-    let _ = writeln!(w, "  \"host_tasks\": {},", report.stats.host_tasks);
-    let _ = writeln!(w, "  \"host_steals\": {},", report.stats.host_steals);
-    let _ = writeln!(w, "  \"uploads_elided\": {},", report.stats.uploads_elided);
-    let _ = writeln!(w, "  \"bytes_uploaded\": {},", report.stats.bytes_uploaded);
-    let _ = writeln!(w, "  \"launches_fused\": {},", report.stats.launches_fused);
-    let _ = writeln!(w, "  \"graph_replays\": {},", report.stats.graph_replays);
-    let _ = writeln!(w, "  \"worker_wakeups\": {},", report.stats.worker_wakeups);
-    let _ = writeln!(w, "  \"shards_checked\": {},", report.stats.shards_checked);
-    let _ = writeln!(w, "  \"shards_built\": {},", report.stats.shards_built);
-    let _ = writeln!(w, "  \"shards_evicted\": {},", report.stats.shards_evicted);
-    let _ = writeln!(w, "  \"shards_resumed\": {},", report.stats.shards_resumed);
-    let _ = writeln!(
-        w,
-        "  \"shards_degraded\": {},",
-        report.stats.shards_degraded
-    );
-    let _ = match odrc_infra::peak_rss_bytes() {
-        Some(bytes) => writeln!(w, "  \"peak_rss_bytes\": {bytes},"),
-        None => writeln!(w, "  \"peak_rss_bytes\": null,"),
+    use odrc_serve::json::Value;
+    let ms = |d: Duration| Value::Float(d.as_secs_f64() * 1e3);
+    let mut doc = match odrc_serve::wire::stats_to_json(&report.stats) {
+        Value::Object(pairs) => pairs,
+        _ => unreachable!("stats_to_json returns an object"),
     };
-    let _ = match &report.interrupted {
-        Some(reason) => writeln!(
-            w,
-            "  \"interrupted\": \"{}\",",
-            escape_json(&reason.to_string())
-        ),
-        None => writeln!(w, "  \"interrupted\": null,"),
-    };
-    let _ = writeln!(
-        w,
-        "  \"rules_completed\": {},",
-        report.stats.rules_completed
+    let rule_status = report
+        .rule_status
+        .iter()
+        .map(|(name, st)| (name.clone(), Value::from(st.to_string())))
+        .collect();
+    let phases_ms = report
+        .profile
+        .phases()
+        .iter()
+        .map(|(name, d)| (name.clone(), ms(*d)))
+        .collect();
+    doc.extend(
+        [
+            ("violations", Value::from(report.violations.len())),
+            (
+                "peak_rss_bytes",
+                odrc_infra::peak_rss_bytes().map_or(Value::Null, Value::from),
+            ),
+            (
+                "interrupted",
+                report
+                    .interrupted
+                    .map_or(Value::Null, |reason| Value::from(reason.to_string())),
+            ),
+            ("rule_status", Value::Object(rule_status)),
+            ("total_ms", ms(report.profile.total())),
+            ("phases_ms", Value::Object(phases_ms)),
+        ]
+        .map(|(k, v)| (k.to_string(), v)),
     );
-    let _ = writeln!(w, "  \"rules_resumed\": {},", report.stats.rules_resumed);
-    let _ = writeln!(
-        w,
-        "  \"rules_interrupted\": {},",
-        report.stats.rules_interrupted
-    );
-    let _ = writeln!(w, "  \"rule_status\": {{");
-    for (i, (name, st)) in report.rule_status.iter().enumerate() {
-        let _ = writeln!(
-            w,
-            "    \"{}\": \"{}\"{}",
-            escape_json(name),
-            st,
-            if i + 1 < report.rule_status.len() {
-                ","
-            } else {
-                ""
-            }
-        );
-    }
-    let _ = writeln!(w, "  }},");
-    let _ = writeln!(
-        w,
-        "  \"total_ms\": {:.3},",
-        report.profile.total().as_secs_f64() * 1e3
-    );
-    let _ = writeln!(w, "  \"phases_ms\": {{");
-    let phases = report.profile.phases();
-    for (i, (name, d)) in phases.iter().enumerate() {
-        let _ = writeln!(
-            w,
-            "    \"{}\": {:.3}{}",
-            escape_json(name),
-            d.as_secs_f64() * 1e3,
-            if i + 1 < phases.len() { "," } else { "" }
-        );
-    }
-    let _ = writeln!(w, "  }}");
-    let _ = writeln!(w, "}}");
-    odrc_infra::write_atomic(Path::new(path), f.as_bytes())
-}
-
-fn escape_json(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => "\\\"".chars().collect::<Vec<_>>(),
-            '\\' => "\\\\".chars().collect(),
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
+    odrc_infra::write_atomic(Path::new(path), Value::Object(doc).to_json().as_bytes())
 }
 
 fn load_layout(path: &str) -> Result<Layout, Box<dyn std::error::Error>> {
@@ -621,10 +526,10 @@ fn print_stats(stats: &odrc::EngineStats) {
             stats.host_tasks, stats.host_steals
         );
     }
-    if stats.launches_fused > 0 || stats.graph_replays > 0 || stats.worker_wakeups > 0 {
+    if stats.launches_fused > 0 || stats.worker_wakeups > 0 {
         eprintln!(
-            "dispatch: {} launch(es) fused, {} graph replay(s), {} worker wakeup(s)",
-            stats.launches_fused, stats.graph_replays, stats.worker_wakeups
+            "dispatch: {} launch(es) fused, {} worker wakeup(s)",
+            stats.launches_fused, stats.worker_wakeups
         );
     }
     if stats.degraded() {
@@ -954,8 +859,6 @@ fn run(args: &Args) -> Result<Outcome, Box<dyn std::error::Error>> {
 
     let options = odrc::EngineOptions {
         host_threads: args.host_threads,
-        fusion: !args.no_fusion,
-        launch_graph: !args.no_launch_graph,
         memory_budget: args.memory_budget,
         out_of_core: args.out_of_core,
         shard_rows: args.shard_rows,

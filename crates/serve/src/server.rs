@@ -203,7 +203,6 @@ struct ServerShared {
 #[derive(Default)]
 struct DispatchTotals {
     launches_fused: AtomicU64,
-    graph_replays: AtomicU64,
     worker_wakeups: AtomicU64,
 }
 
@@ -211,8 +210,6 @@ impl DispatchTotals {
     fn add(&self, stats: &odrc::EngineStats) {
         self.launches_fused
             .fetch_add(stats.launches_fused, Ordering::Relaxed);
-        self.graph_replays
-            .fetch_add(stats.graph_replays as u64, Ordering::Relaxed);
         self.worker_wakeups
             .fetch_add(stats.worker_wakeups, Ordering::Relaxed);
     }
@@ -1407,10 +1404,6 @@ fn server_stats(shared: &ServerShared) -> Value {
                     .launches_fused
                     .load(Ordering::Relaxed),
             ),
-        ),
-        (
-            "graph_replays",
-            Value::from(shared.dispatch_totals.graph_replays.load(Ordering::Relaxed)),
         ),
         (
             "worker_wakeups",

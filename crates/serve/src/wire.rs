@@ -70,8 +70,9 @@ impl WireViolation {
     }
 }
 
-/// Serializes engine stats. Only the counters the protocol documents;
-/// extending is backward-compatible (clients ignore unknown keys).
+/// Serializes engine stats — the one list behind both a served job's
+/// `stats` object and the one-shot CLI's `--stats-json` file.
+/// Extending is backward-compatible (clients ignore unknown keys).
 pub fn stats_to_json(stats: &EngineStats) -> Value {
     obj([
         ("checks_computed", Value::from(stats.checks_computed)),
@@ -80,6 +81,7 @@ pub fn stats_to_json(stats: &EngineStats) -> Value {
         ("rows", Value::from(stats.rows)),
         ("device_retries", Value::from(stats.device_retries)),
         ("device_fallbacks", Value::from(stats.device_fallbacks)),
+        ("degraded", Value::Bool(stats.degraded())),
         ("scenes_built", Value::from(stats.scenes_built)),
         ("scenes_reused", Value::from(stats.scenes_reused)),
         ("uploads_elided", Value::from(stats.uploads_elided)),
@@ -87,11 +89,15 @@ pub fn stats_to_json(stats: &EngineStats) -> Value {
         ("host_tasks", Value::from(stats.host_tasks)),
         ("host_steals", Value::from(stats.host_steals)),
         ("launches_fused", Value::from(stats.launches_fused)),
-        ("graph_replays", Value::from(stats.graph_replays as u64)),
         ("worker_wakeups", Value::from(stats.worker_wakeups)),
         ("rules_completed", Value::from(stats.rules_completed)),
         ("rules_resumed", Value::from(stats.rules_resumed)),
         ("rules_interrupted", Value::from(stats.rules_interrupted)),
+        ("shards_checked", Value::from(stats.shards_checked)),
+        ("shards_built", Value::from(stats.shards_built)),
+        ("shards_evicted", Value::from(stats.shards_evicted)),
+        ("shards_resumed", Value::from(stats.shards_resumed)),
+        ("shards_degraded", Value::from(stats.shards_degraded)),
     ])
 }
 

@@ -189,21 +189,6 @@ pub(crate) struct DeviceInner {
     pool: Mutex<Option<Arc<PoolShared>>>,
     /// Join handles of the pool workers (lock order: `pool` first).
     pool_handles: Mutex<Vec<std::thread::JoinHandle<()>>>,
-    /// [`DispatchMode`] discriminant (0 = pooled, 1 = scoped).
-    dispatch_mode: AtomicU64,
-}
-
-/// How `dispatch_slices` distributes chunks over extra threads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DispatchMode {
-    /// Hand chunks to the persistent worker pool (the default): workers
-    /// are spawned once, park on a condvar between launches, and claim
-    /// pre-sliced chunks from a shared mailbox.
-    #[default]
-    Pooled,
-    /// Reference mode: spawn scoped threads per launch, the pre-pool
-    /// behavior. Kept for A/B equivalence testing.
-    Scoped,
 }
 
 /// State shared between dispatching threads and pool workers.
@@ -260,7 +245,7 @@ struct ChunkSet<'a, T, F> {
     chunks: Vec<RawChunk<T>>,
     body: &'a F,
     /// First panic payload from any chunk; re-thrown by the dispatcher
-    /// after the job completes (parity with scoped-spawn propagation).
+    /// after the job completes.
     panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
 }
 
@@ -335,30 +320,6 @@ fn pool_worker(pool: Arc<PoolShared>) {
         header.participants.fetch_sub(1, Ordering::Relaxed);
         pool.done_cv.notify_all();
     }
-}
-
-/// Reference dispatch: scoped threads per launch (the pre-pool path).
-fn scoped_dispatch<T, F>(work: &mut [T], chunk_size: usize, body: &F)
-where
-    T: Send,
-    F: Fn(std::ops::Range<usize>, &mut [T]) + Send + Sync,
-{
-    let mut parts: Vec<(std::ops::Range<usize>, &mut [T])> = Vec::new();
-    let mut start = 0usize;
-    for chunk in work.chunks_mut(chunk_size) {
-        let range = start..start + chunk.len();
-        start += chunk.len();
-        parts.push((range, chunk));
-    }
-    let own = parts.pop();
-    std::thread::scope(|scope| {
-        for (range, chunk) in parts {
-            scope.spawn(move || body(range, chunk));
-        }
-        if let Some((range, chunk)) = own {
-            body(range, chunk);
-        }
-    });
 }
 
 impl Drop for DeviceInner {
@@ -491,7 +452,6 @@ impl Device {
                 cancel: Mutex::new(None),
                 pool: Mutex::new(None),
                 pool_handles: Mutex::new(Vec::new()),
-                dispatch_mode: AtomicU64::new(0),
             }),
         }
     }
@@ -1025,24 +985,6 @@ impl Device {
         finish_launch(launch_id, panicked)
     }
 
-    /// Selects how parallel dispatch hands chunks to extra threads; the
-    /// default is [`DispatchMode::Pooled`]. [`DispatchMode::Scoped`] is
-    /// the pre-pool spawn-per-launch reference, kept for equivalence
-    /// testing.
-    pub fn set_dispatch_mode(&self, mode: DispatchMode) {
-        self.inner
-            .dispatch_mode
-            .store(mode as u64, Ordering::Relaxed);
-    }
-
-    /// The active [`DispatchMode`].
-    pub fn dispatch_mode(&self) -> DispatchMode {
-        match self.inner.dispatch_mode.load(Ordering::Relaxed) {
-            0 => DispatchMode::Pooled,
-            _ => DispatchMode::Scoped,
-        }
-    }
-
     /// Returns the persistent pool, starting its workers on first use.
     fn pool(&self) -> Arc<PoolShared> {
         let mut guard = self.inner.pool.lock();
@@ -1171,10 +1113,7 @@ impl Device {
             return;
         }
         let chunk_size = n.div_ceil(extra + 1);
-        match self.dispatch_mode() {
-            DispatchMode::Pooled => self.pool_dispatch(work, chunk_size, extra, &body),
-            DispatchMode::Scoped => scoped_dispatch(work, chunk_size, &body),
-        }
+        self.pool_dispatch(work, chunk_size, extra, &body);
         if let Some(g) = &gate {
             g.release(extra);
         }

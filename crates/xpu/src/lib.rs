@@ -57,7 +57,7 @@ pub mod sort;
 pub mod stream;
 
 pub use buffer::{BufferReadGuard, DeviceBuffer, Pending};
-pub use device::{Device, DeviceStats, DispatchMode, LaunchConfig, ThreadCtx};
+pub use device::{Device, DeviceStats, LaunchConfig, ThreadCtx};
 pub use error::{TransferDirection, XpuError, XpuResult};
 pub use fault::{Fault, FaultPlan};
 pub use policy::{ExecutionPolicy, SequencedPolicy, StreamPolicy};
