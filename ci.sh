@@ -10,7 +10,7 @@ cargo fmt --all -- --check
 echo "== cargo clippy"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "== one host path (no is_serial() fork, one spacing row loop in crates/core/src)"
+echo "== one host path, one classifier (no is_serial() fork, one spacing row loop, one dispatcher per mode)"
 # A 1-thread executor runs the same code inline, so the engine keeps no
 # separate single-threaded branch; and in-core, delta and sharded
 # spacing all go through the one row loop that calls cross_space.
@@ -24,6 +24,21 @@ calls=$(grep -rn 'cross_space(' crates/core/src | grep -vc 'fn cross_space(')
 # persistent pool are the only paths, and the journal reads one format.
 if grep -rnE 'options\.(planner|fusion|launch_graph)|LaunchGraph|GraphNode|graph_replays|DispatchMode|scoped_dispatch|V2_MAGIC|upgrade_v2' crates/*/src; then
     echo "removed A/B switches (planner/fusion/launch graph/scoped dispatch/journal v2) are back in crates/*/src"
+    exit 1
+fi
+# A rule is classified once (Rule::family in rules.rs) and dispatched
+# once per mode: no synchronous *_parallel twins, no per-kind sequential
+# entry points, one overlap-area closure, and no driver re-destructuring
+# the pair rule kinds. The chaos kill is a Fault, not an engine option.
+if grep -rnE 'check_(space_scene|intra_rule|enclosure_rule|overlap_rule)_parallel|fn run_sequential|check_(enclosure|overlap)_(rule|scenes)|chaos_kill_at_shard: ' crates/core/src; then
+    echo "a deleted per-kind / per-mode check entry point is back in crates/core/src"
+    exit 1
+fi
+regions=$(cat crates/core/src/*.rs | grep -c 'Region::from_polygons(\[')
+[ "$regions" -eq 1 ] || { echo "expected one overlap-area closure in crates/core/src, found $regions"; exit 1; }
+if grep -lE 'RuleKind::(Enclosure|OverlapArea)' crates/core/src/engine.rs crates/core/src/delta.rs \
+    crates/core/src/shard.rs crates/core/src/parallel.rs crates/core/src/sequential.rs; then
+    echo "only the classifier (rules.rs) may destructure the pair rule kinds"
     exit 1
 fi
 

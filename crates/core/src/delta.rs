@@ -30,6 +30,15 @@
 //! user predicates) are instead recomputed whole — they are cheap per
 //! unique cell through the §IV-C memo and the persistent cache — and
 //! replace that rule's old violations entirely.
+//!
+//! The windowed re-run is the engine's own pipeline: the rule family's
+//! [`interaction`](crate::rules::RuleFamily::interaction) distance is
+//! the halo, and the mode's one dispatcher (`sequential::check_rule`,
+//! or `parallel::issue_rule` → `collect_rule` → `drain_recovery`) takes
+//! the window as an argument. A delta run opens and closes with the
+//! same `begin_run` / `finish_run` pair as a full check, so it honours
+//! the cancel token on the device and reports the same dispatch
+//! counters and `device-wait-wall` phase.
 
 use std::collections::HashMap;
 
@@ -40,8 +49,8 @@ use odrc_infra::Profiler;
 use crate::cache::{CacheHandle, CacheKeys, ResultCache};
 use crate::engine::{CheckReport, Engine, EngineStats, Mode};
 use crate::parallel;
-use crate::rules::{Rule, RuleDeck, RuleKind};
-use crate::scene::{DirtyWindow, LayerScene};
+use crate::rules::{Rule, RuleDeck};
+use crate::scene::DirtyWindow;
 use crate::sequential::{self, RunContext};
 use crate::violation::{canonicalize, Violation};
 
@@ -429,14 +438,7 @@ impl Engine {
                     keys: new_keys,
                 });
             }
-            // Share the host-thread budget with the device worker pool
-            // (see `infra::host`): host fan-outs and kernel slices draw
-            // from one gate, so the run never oversubscribes.
-            self.device.set_host_gate(ctx.host.gate());
-            let stream = match self.mode {
-                Mode::Sequential => None,
-                Mode::Parallel => Some(self.device.stream()),
-            };
+            let scope = self.begin_run(&ctx);
             for rule in deck.rules() {
                 // A cancelled delta run stops at the rule boundary, like
                 // the full pipeline; its partial set is flagged below.
@@ -447,25 +449,12 @@ impl Engine {
                     }
                 }
                 let olds = by_rule.remove(rule.name.as_str()).unwrap_or_default();
-                self.run_delta_rule(
-                    &mut ctx,
-                    stream.as_ref(),
-                    rule,
-                    &dirty,
-                    olds,
-                    &mut violations,
-                );
+                self.run_delta_rule(&mut ctx, rule, &dirty, olds, &mut violations);
                 if let Some(cb) = &self.progress {
                     cb(&rule.name, crate::engine::RuleStatus::Completed);
                 }
             }
-            if let Some(stream) = &stream {
-                stream.synchronize();
-            }
-            ctx.stats.host_tasks += ctx.host.tasks();
-            ctx.stats.host_steals += ctx.host.steals();
-            ctx.host.drain_utilization_into(ctx.profiler);
-            self.device.set_host_gate(None);
+            self.finish_run(&mut ctx, scope);
         }
 
         let violations = canonicalize(violations);
@@ -480,141 +469,43 @@ impl Engine {
         }
     }
 
+    /// Re-runs one rule inside its halo around the dirt and splices the
+    /// result into the rule's old violations.
     fn run_delta_rule(
         &self,
         ctx: &mut RunContext<'_>,
-        stream: Option<&odrc_xpu::Stream>,
         rule: &Rule,
         dirty: &[Rect],
         old_rule_viols: Vec<Violation>,
         out: &mut Vec<Violation>,
     ) {
-        let splice = |w: DirtyWindow<'_>, fresh: Vec<Violation>, out: &mut Vec<Violation>| {
+        // Overlap area only changes when geometry actually intersects
+        // the dirt, so its halo is zero. Intra-polygon rules get no
+        // window: the per-cell memo plus the persistent cache already
+        // make a full pass cheap.
+        let window = rule.family().interaction().map(|(_, reach)| DirtyWindow {
+            rects: dirty,
+            margin: clamp_margin(reach),
+        });
+        let mut fresh = Vec::new();
+        match self.mode {
+            Mode::Sequential => sequential::check_rule(ctx, rule, window, &mut fresh),
+            Mode::Parallel => {
+                let issued = parallel::issue_rule(ctx, self.device.stream(), rule, window);
+                parallel::collect_rule(ctx, issued, &mut fresh);
+                parallel::drain_recovery(ctx, &self.device, &mut fresh);
+            }
+        }
+        match window {
             // One predicate on both sides makes the splice exact: old
             // violations outside the influence window survive verbatim,
             // fresh windowed results replace everything inside it.
-            out.extend(
-                old_rule_viols
-                    .iter()
-                    .filter(|v| !w.hits(v.location))
-                    .cloned(),
-            );
-            out.extend(fresh.into_iter().filter(|v| w.hits(v.location)));
-        };
-        match &rule.kind {
-            RuleKind::Space {
-                layer,
-                min,
-                min_projection,
-            } => {
-                let spec = crate::checks::SpaceSpec {
-                    min: *min,
-                    min_projection: *min_projection,
-                };
-                let w = DirtyWindow {
-                    rects: dirty,
-                    margin: clamp_margin(*min),
-                };
-                let layout = ctx.layout;
-                let scene = ctx
-                    .profiler
-                    .time("scene", || LayerScene::build_near(layout, *layer, Some(w)));
-                let mut fresh = Vec::new();
-                match self.mode {
-                    Mode::Sequential => {
-                        let sig = crate::cache::rule_signature(rule);
-                        sequential::check_space_scene(
-                            ctx, &rule.name, &scene, spec, sig, &mut fresh,
-                        );
-                    }
-                    Mode::Parallel => {
-                        let stream = stream.expect("parallel mode carries a stream");
-                        parallel::check_space_scene_parallel(
-                            ctx, stream, &rule.name, &scene, spec, &mut fresh,
-                        );
-                    }
-                }
-                splice(w, fresh, out);
+            Some(w) => {
+                out.extend(old_rule_viols.into_iter().filter(|v| !w.hits(v.location)));
+                out.extend(fresh.into_iter().filter(|v| w.hits(v.location)));
             }
-            RuleKind::Enclosure { inner, outer, min } => {
-                let w = DirtyWindow {
-                    rects: dirty,
-                    margin: clamp_margin(*min),
-                };
-                let mut fresh = Vec::new();
-                match self.mode {
-                    Mode::Sequential => sequential::check_enclosure_rule(
-                        ctx,
-                        &rule.name,
-                        *inner,
-                        *outer,
-                        *min,
-                        Some(w),
-                        &mut fresh,
-                    ),
-                    Mode::Parallel => parallel::check_enclosure_rule_parallel(
-                        ctx,
-                        stream.expect("parallel mode carries a stream"),
-                        &rule.name,
-                        *inner,
-                        *outer,
-                        *min,
-                        Some(w),
-                        &mut fresh,
-                    ),
-                }
-                splice(w, fresh, out);
-            }
-            RuleKind::OverlapArea {
-                inner,
-                outer,
-                min_area,
-            } => {
-                // Overlap area only changes when geometry actually
-                // intersects the dirt, so the halo is zero.
-                let w = DirtyWindow {
-                    rects: dirty,
-                    margin: 0,
-                };
-                let mut fresh = Vec::new();
-                match self.mode {
-                    Mode::Sequential => sequential::check_overlap_rule(
-                        ctx,
-                        &rule.name,
-                        *inner,
-                        *outer,
-                        *min_area,
-                        Some(w),
-                        &mut fresh,
-                    ),
-                    Mode::Parallel => parallel::check_overlap_rule_parallel(
-                        ctx,
-                        stream.expect("parallel mode carries a stream"),
-                        &rule.name,
-                        *inner,
-                        *outer,
-                        *min_area,
-                        Some(w),
-                        &mut fresh,
-                    ),
-                }
-                splice(w, fresh, out);
-            }
-            _ => {
-                // Intra-polygon rules: the per-cell memo plus the
-                // persistent cache already make a full pass cheap, and
-                // the fresh set simply replaces the rule's old one.
-                drop(old_rule_viols);
-                match self.mode {
-                    Mode::Sequential => sequential::check_intra_rule(ctx, rule, out),
-                    Mode::Parallel => parallel::check_intra_rule_parallel(
-                        ctx,
-                        stream.expect("parallel mode carries a stream"),
-                        rule,
-                        out,
-                    ),
-                }
-            }
+            // The fresh set simply replaces the rule's old one.
+            None => out.extend(fresh),
         }
     }
 }
@@ -686,6 +577,13 @@ mod tests {
             assert_eq!(report.violations, full.violations);
             assert!(!report.delta.added.is_empty());
             assert!(report.delta.removed.is_empty());
+            // A delta run is a run: the edit dirties a spacing row, so a
+            // device-mode delta reports its dispatch work like a full
+            // check does.
+            if engine.mode() == Mode::Parallel {
+                assert!(report.stats.launches_fused > 0);
+                assert!(report.profile.phase("device-wait-wall").is_some());
+            }
 
             // Fixing the edit removes exactly what it added.
             let back = engine.check_delta(&tight, &report.violations, &clean, &deck);

@@ -7,8 +7,9 @@ use odrc_xpu::Device;
 use crate::cache::{rule_signature, CacheHandle, CacheKeys, ResultCache};
 use crate::checkpoint::CheckpointJournal;
 use crate::parallel;
-use crate::rules::{Rule, RuleDeck, RuleKind};
+use crate::rules::{Rule, RuleDeck};
 use crate::sequential::{self, RunContext};
+use crate::shard::{self, ShardRun};
 use crate::violation::{canonicalize, Violation};
 
 /// Execution mode of the engine.
@@ -77,8 +78,10 @@ pub struct EngineOptions {
     /// sharded host pipeline: per-shard scenes are built lazily behind
     /// an LRU pool charged against this budget, evicted scenes rebuild
     /// on demand, and a scene that alone exceeds the budget degrades to
-    /// build-check-drop processing instead of aborting. `None` (the
-    /// default) keeps the in-core pipeline.
+    /// build-check-drop processing instead of aborting. Only scenes are
+    /// per shard: the §IV-C memo stays per rule, so the work counters
+    /// equal the in-core run's. `None` (the default) keeps the in-core
+    /// pipeline.
     pub memory_budget: Option<u64>,
     /// Force out-of-core sharded checking even without a memory budget
     /// or explicit shard geometry (the `--out-of-core` CLI flag).
@@ -100,10 +103,6 @@ pub struct EngineOptions {
     /// journals and restores everything, so a worker's own report is
     /// scaffolding, not a result.
     pub shard_slice: Option<(usize, usize)>,
-    /// Deterministic chaos switch: abort the process (as if SIGKILLed)
-    /// right after the Nth shard of the run is journaled. Drives the
-    /// kill/resume coverage of the out-of-core path.
-    pub chaos_kill_at_shard: Option<u64>,
 }
 
 impl Default for EngineOptions {
@@ -121,7 +120,6 @@ impl Default for EngineOptions {
             out_of_core: false,
             shard_rows: None,
             shard_slice: None,
-            chaos_kill_at_shard: None,
         }
     }
 }
@@ -207,7 +205,8 @@ pub struct EngineStats {
     /// Rules the run was cancelled out of (they contributed nothing).
     pub rules_interrupted: usize,
     /// Stream commands that rode a fused batch dispatch instead of an
-    /// individual submit (device-counter delta over this run).
+    /// individual submit (device-counter delta over this run — full
+    /// check or delta re-check).
     pub launches_fused: u64,
     /// Times a persistent pool worker woke to take dispatch chunks
     /// (device-counter delta over this run).
@@ -476,10 +475,6 @@ impl Engine {
         // for finalization once their deferred recovery units drain.
         let mut collected = vec![false; rules.len()];
         let mut interrupted: Option<CancelReason> = None;
-        // Device counters are process-cumulative; deltas over the run
-        // are what the report attributes to it.
-        let fused_before = self.device.stats().launches_fused();
-        let wakeups_before = self.device.stats().worker_wakeups();
         let violations;
         {
             let mut ctx = RunContext::new(layout, &self.options, &mut profiler, &mut stats);
@@ -500,59 +495,40 @@ impl Engine {
                     }
                 }
             }
-            // The pool-sizing handshake: while this run is live, kernel
-            // dispatch draws its spawned threads from the host
-            // executor's gate (None when the executor is serial, which
-            // restores the ungated pre-existing pool).
-            self.device.set_host_gate(ctx.host.gate());
-            // The cancellation handshake: the device births poisoned
-            // streams after the token trips (so stale retries fail
-            // fast) and the host executor stops work-stealing (every
-            // queued task still runs exactly once, keeping merges
-            // deterministic).
-            self.device.set_cancel(self.cancel.clone());
-            ctx.host.set_cancel(self.cancel.clone());
+            let scope = self.begin_run(&ctx);
             match self.mode {
                 Mode::Sequential => {
                     for (ri, rule) in rules.iter().enumerate() {
                         if status[ri] == RuleStatus::Resumed {
                             continue;
                         }
-                        let sharded = crate::shard::sharded_rule(&self.options, rule);
-                        if !sharded && !crate::shard::whole_rule_assigned(&self.options, ri) {
-                            // Another worker's rule: leave Interrupted.
-                            continue;
-                        }
-                        poll_cancel(&self.cancel, &mut interrupted);
-                        if interrupted.is_some() {
-                            continue;
-                        }
-                        let run = if sharded {
-                            crate::shard::check_rule_sharded(
-                                &mut ctx,
-                                &self.device,
-                                rule,
-                                &mut journal,
-                                self.cancel.as_ref(),
-                                &mut per_rule[ri],
-                            )
-                        } else {
-                            self.run_sequential(&mut ctx, rule, &mut per_rule[ri]);
-                            crate::shard::ShardRun::Done
-                        };
-                        if run == crate::shard::ShardRun::Done {
-                            finalize_rule(
+                        if shard::sharded_rule(&self.options, rule) {
+                            self.check_sharded(
                                 &mut ctx,
                                 &mut journal,
-                                &self.progress,
+                                &mut interrupted,
                                 rule,
                                 &mut per_rule[ri],
                                 &mut status[ri],
                             );
+                            continue;
                         }
-                        // Partial (worker slice, or cancelled mid-rule):
-                        // the rule stays Interrupted; its completed
-                        // shards live in the journal, not the report.
+                        if !shard::whole_rule_assigned(&self.options, ri) {
+                            // Another worker's rule: leave Interrupted.
+                            continue;
+                        }
+                        if poll_cancel(&self.cancel, &mut interrupted) {
+                            continue;
+                        }
+                        sequential::check_rule(&mut ctx, rule, None, &mut per_rule[ri]);
+                        finalize_rule(
+                            &mut ctx,
+                            &mut journal,
+                            &self.progress,
+                            rule,
+                            &mut per_rule[ri],
+                            &mut status[ri],
+                        );
                     }
                 }
                 Mode::Parallel => {
@@ -560,35 +536,18 @@ impl Engine {
                     // pipeline in this mode too — the device row path
                     // assumes whole-layer resident scenes, which is the
                     // working set the budget exists to bound.
-                    if crate::shard::out_of_core(&self.options) {
-                        for (ri, rule) in rules.iter().enumerate() {
-                            if status[ri] == RuleStatus::Resumed
-                                || !crate::shard::sharded_rule(&self.options, rule)
-                            {
-                                continue;
-                            }
-                            poll_cancel(&self.cancel, &mut interrupted);
-                            if interrupted.is_some() {
-                                continue;
-                            }
-                            let run = crate::shard::check_rule_sharded(
+                    for (ri, rule) in rules.iter().enumerate() {
+                        if status[ri] != RuleStatus::Resumed
+                            && shard::sharded_rule(&self.options, rule)
+                        {
+                            self.check_sharded(
                                 &mut ctx,
-                                &self.device,
-                                rule,
                                 &mut journal,
-                                self.cancel.as_ref(),
+                                &mut interrupted,
+                                rule,
                                 &mut per_rule[ri],
+                                &mut status[ri],
                             );
-                            if run == crate::shard::ShardRun::Done {
-                                finalize_rule(
-                                    &mut ctx,
-                                    &mut journal,
-                                    &self.progress,
-                                    rule,
-                                    &mut per_rule[ri],
-                                    &mut status[ri],
-                                );
-                            }
                         }
                     }
                     // One stream per rule: stream errors are sticky, so
@@ -614,16 +573,15 @@ impl Engine {
                         // Resumed, or already completed host-side by
                         // the out-of-core pre-pass.
                         if status[ri] != RuleStatus::Interrupted
-                            || crate::shard::sharded_rule(&self.options, &rules[ri])
-                            || !crate::shard::whole_rule_assigned(&self.options, ri)
+                            || shard::sharded_rule(&self.options, &rules[ri])
+                            || !shard::whole_rule_assigned(&self.options, ri)
                         {
                             continue;
                         }
                         // Cancellation stops *issuing*; whatever is
                         // already in flight is still collected below
                         // (drain, don't abandon, device work).
-                        poll_cancel(&self.cancel, &mut interrupted);
-                        if interrupted.is_some() {
+                        if poll_cancel(&self.cancel, &mut interrupted) {
                             continue;
                         }
                         if inflight.len() >= window {
@@ -641,8 +599,8 @@ impl Engine {
                             );
                         }
                         let stream = self.device.stream();
-                        inflight
-                            .push_back((ri, parallel::issue_rule(&mut ctx, stream, &rules[ri])));
+                        let fl = parallel::issue_rule(&mut ctx, stream, &rules[ri], None);
+                        inflight.push_back((ri, fl));
                     }
                     for (ci, fl) in inflight {
                         parallel::collect_rule(&mut ctx, fl, &mut per_rule[ci]);
@@ -717,27 +675,7 @@ impl Engine {
                 let host = std::sync::Arc::clone(&ctx.host);
                 crate::violation::canonicalize_on(&host, all)
             };
-            ctx.stats.host_tasks += ctx.host.tasks();
-            ctx.stats.host_steals += ctx.host.steals();
-            ctx.stats.launches_fused += self
-                .device
-                .stats()
-                .launches_fused()
-                .saturating_sub(fused_before);
-            ctx.stats.worker_wakeups += self
-                .device
-                .stats()
-                .worker_wakeups()
-                .saturating_sub(wakeups_before);
-            // Wall-clock-attributed device wait: cumulative kernel-wait
-            // sums pipelined waits that cover the same physical seconds
-            // (and can exceed wall time); the interval union cannot.
-            let wall = interval_union(std::mem::take(&mut ctx.wait_spans));
-            ctx.profiler.add("device-wait-wall", wall);
-            ctx.host.drain_utilization_into(ctx.profiler);
-            self.device.set_host_gate(None);
-            self.device.set_cancel(None);
-            ctx.host.set_cancel(None);
+            self.finish_run(&mut ctx, scope);
         }
         // Safety net: an abandoned drain can interrupt rules even when
         // every boundary poll passed beforehand; report it faithfully.
@@ -755,35 +693,76 @@ impl Engine {
         }
     }
 
-    fn run_sequential(&self, ctx: &mut RunContext<'_>, rule: &Rule, out: &mut Vec<Violation>) {
-        match &rule.kind {
-            RuleKind::Space {
-                layer,
-                min,
-                min_projection,
-            } => {
-                let spec = crate::checks::SpaceSpec {
-                    min: *min,
-                    min_projection: *min_projection,
-                };
-                let sig = crate::cache::rule_signature(rule);
-                sequential::check_space_rule(ctx, &rule.name, *layer, spec, sig, out);
-            }
-            RuleKind::Enclosure { inner, outer, min } => {
-                sequential::check_enclosure_rule(ctx, &rule.name, *inner, *outer, *min, None, out);
-            }
-            RuleKind::OverlapArea {
-                inner,
-                outer,
-                min_area,
-            } => {
-                sequential::check_overlap_rule(
-                    ctx, &rule.name, *inner, *outer, *min_area, None, out,
-                );
-            }
-            _ => sequential::check_intra_rule(ctx, rule, out),
+    /// Opens a run on this engine's device and `ctx`'s host executor —
+    /// shared by full and delta checks; [`Engine::finish_run`] closes it.
+    pub(crate) fn begin_run(&self, ctx: &RunContext<'_>) -> RunScope {
+        // The pool-sizing handshake: while this run is live, kernel
+        // dispatch draws its spawned threads from the host executor's
+        // gate (None when the executor is serial, which restores the
+        // ungated pre-existing pool).
+        self.device.set_host_gate(ctx.host.gate());
+        // The cancellation handshake: the device births poisoned
+        // streams after the token trips (so stale retries fail fast)
+        // and the host executor stops work-stealing (every queued task
+        // still runs exactly once, keeping merges deterministic).
+        self.device.set_cancel(self.cancel.clone());
+        ctx.host.set_cancel(self.cancel.clone());
+        RunScope {
+            fused_before: self.device.stats().launches_fused(),
+            wakeups_before: self.device.stats().worker_wakeups(),
         }
     }
+
+    /// Closes a run: attributes the executor's and the device's
+    /// counters to `ctx.stats`, records the run-level profile phases,
+    /// and releases the device handshakes.
+    pub(crate) fn finish_run(&self, ctx: &mut RunContext<'_>, scope: RunScope) {
+        ctx.stats.host_tasks += ctx.host.tasks();
+        ctx.stats.host_steals += ctx.host.steals();
+        let device = self.device.stats();
+        ctx.stats.launches_fused += device.launches_fused().saturating_sub(scope.fused_before);
+        ctx.stats.worker_wakeups += device.worker_wakeups().saturating_sub(scope.wakeups_before);
+        // Wall-clock-attributed device wait: cumulative kernel-wait
+        // sums pipelined waits that cover the same physical seconds
+        // (and can exceed wall time); the interval union cannot.
+        let wall = interval_union(std::mem::take(&mut ctx.wait_spans));
+        ctx.profiler.add("device-wait-wall", wall);
+        ctx.host.drain_utilization_into(ctx.profiler);
+        self.device.set_host_gate(None);
+        self.device.set_cancel(None);
+        ctx.host.set_cancel(None);
+    }
+
+    /// One out-of-core rule, in either mode: poll, check it shard by
+    /// shard on the host, and finalize it if every shard is accounted
+    /// for. A partial rule (worker slice, or cancelled mid-rule) stays
+    /// Interrupted; its completed shards live in the journal, not the
+    /// report.
+    fn check_sharded(
+        &self,
+        ctx: &mut RunContext<'_>,
+        journal: &mut Option<&mut CheckpointJournal>,
+        interrupted: &mut Option<CancelReason>,
+        rule: &Rule,
+        buf: &mut Vec<Violation>,
+        status: &mut RuleStatus,
+    ) {
+        if poll_cancel(&self.cancel, interrupted) {
+            return;
+        }
+        let run =
+            shard::check_rule_sharded(ctx, &self.device, rule, journal, self.cancel.as_ref(), buf);
+        if run == ShardRun::Done {
+            finalize_rule(ctx, journal, &self.progress, rule, buf, status);
+        }
+    }
+}
+
+/// The device's process-cumulative counters at [`Engine::begin_run`];
+/// the deltas over the run are what its report attributes to it.
+pub(crate) struct RunScope {
+    fused_before: u64,
+    wakeups_before: u64,
 }
 
 /// Total covered duration of a set of (possibly overlapping) spans:
@@ -813,16 +792,17 @@ fn interval_union(mut spans: Vec<(std::time::Instant, std::time::Instant)>) -> s
     total
 }
 
-/// Latches the first cancellation reason observed at a rule boundary.
-/// Polling stops once a reason is recorded, so a token's deterministic
-/// poll budget (used by the kill/resume tests) is consumed only while
-/// the run is still live.
-fn poll_cancel(cancel: &Option<CancelToken>, interrupted: &mut Option<CancelReason>) {
+/// Latches the first cancellation reason observed at a rule boundary
+/// and reports whether the run is cancelled. Polling stops once a
+/// reason is recorded, so a token's deterministic poll budget (used by
+/// the kill/resume tests) is consumed only while the run is still live.
+fn poll_cancel(cancel: &Option<CancelToken>, interrupted: &mut Option<CancelReason>) -> bool {
     if interrupted.is_none() {
         if let Some(tok) = cancel {
             *interrupted = tok.cancelled();
         }
     }
+    interrupted.is_some()
 }
 
 /// Marks one rule completed: canonicalizes its buffer in place, tallies

@@ -50,7 +50,6 @@ pub mod checks;
 pub mod deck_parser;
 pub mod delta;
 pub mod engine;
-pub mod exec;
 pub mod markers;
 pub mod parallel;
 pub mod plan;

@@ -21,11 +21,15 @@
 //! gather, shared zero-copy uploads, kernel launches — all enqueued on
 //! the rule's own stream, returning in-flight handles immediately) and
 //! a **collect** half (result waits, the scan+emit second phase,
-//! recovery). The engine issues the whole deck before collecting
-//! anything, so uploads and kernels of independent rules overlap
-//! across streams with one deferred synchronization per stream
+//! recovery). [`issue_rule`] is the mode's one dispatcher: it matches
+//! on [`Rule::family`] and takes the same optional [`DirtyWindow`] as
+//! the sequential dispatcher. The engine issues the whole deck before
+//! collecting anything, so uploads and kernels of independent rules
+//! overlap across streams with one deferred synchronization per stream
 //! (§V-C); the [planner](crate::plan) additionally keeps packed row
-//! buffers device-resident so N rules on one layer upload once.
+//! buffers device-resident so N rules on one layer upload once. The
+//! delta checker runs the same three calls per rule — [`issue_rule`]
+//! with the edit's window, [`collect_rule`], [`drain_recovery`].
 //!
 //! # Graceful degradation
 //!
@@ -58,12 +62,11 @@ use odrc_xpu::{
 };
 
 use crate::checks::edge::{space_pair_spec, SpaceSpec};
-use crate::checks::enclosure_margin;
 use crate::checks::poly::LocalViolation;
 use crate::plan::{build_runs, pack, span_lo, IntraData, PackedEdge, PlannedRow, RowSet, RunInfo};
-use crate::rules::{Rule, RuleKind};
-use crate::scene::{DirtyWindow, LayerScene};
-use crate::sequential::RunContext;
+use crate::rules::{PairsRule, Rule, RuleFamily, RuleKind};
+use crate::scene::DirtyWindow;
+use crate::sequential::{enclosure_scenes, enclosure_work, pairs_measure, RunContext};
 use crate::violation::{Violation, ViolationKind};
 
 pub(crate) use crate::plan::unpack;
@@ -266,66 +269,51 @@ struct IntraIssue {
 
 struct PairsIssue {
     rule_name: String,
-    kind: ViolationKind,
-    min: i64,
+    pairs: PairsRule,
     work: Arc<Vec<(Polygon, Vec<Polygon>)>>,
     rects: Vec<Rect>,
     pending: Option<Pending<Vec<i64>>>,
 }
 
 /// Issues one rule's device pipeline on `stream` (taking ownership of
-/// the stream) and returns without waiting for any device result.
-pub(crate) fn issue_rule(ctx: &mut RunContext<'_>, stream: Stream, rule: &Rule) -> InFlightRule {
-    let kind = match &rule.kind {
-        RuleKind::Space {
-            layer,
-            min,
-            min_projection,
-        } => {
-            let spec = SpaceSpec {
-                min: *min,
-                min_projection: *min_projection,
+/// the stream) and returns without waiting for any device result. A
+/// delta `window` restricts the rule to an edit's halo; windowed row
+/// sets are rule-specific, so they bypass the planner's cache.
+pub(crate) fn issue_rule(
+    ctx: &mut RunContext<'_>,
+    stream: Stream,
+    rule: &Rule,
+    window: Option<DirtyWindow<'_>>,
+) -> InFlightRule {
+    let kind = match rule.family() {
+        RuleFamily::Space { layer, spec } => {
+            let rows = match window {
+                None => ctx.row_set(layer, spec.min),
+                Some(_) => {
+                    let scene = ctx.scene_for(layer, window);
+                    Arc::new(RowSet::build(ctx, &scene, spec.min))
+                }
             };
-            let rows = ctx.row_set(*layer, *min);
             InFlightKind::Space(issue_space(ctx, &stream, &rule.name, &rows, spec))
         }
-        RuleKind::Enclosure { inner, outer, min } => InFlightKind::Pairs(issue_pairs(
-            ctx,
-            &stream,
-            &rule.name,
-            ViolationKind::Enclosure,
-            *inner,
-            *outer,
-            *min,
-            None,
-        )),
-        RuleKind::OverlapArea {
-            inner,
-            outer,
-            min_area,
-        } => InFlightKind::Pairs(issue_pairs(
-            ctx,
-            &stream,
-            &rule.name,
-            ViolationKind::OverlapArea,
-            *inner,
-            *outer,
-            *min_area,
-            None,
-        )),
-        RuleKind::Width { layer, min } => {
-            InFlightKind::Intra(issue_intra(ctx, &stream, &rule.name, *layer, true, *min))
+        RuleFamily::Pairs(pairs) => {
+            InFlightKind::Pairs(issue_pairs(ctx, &stream, &rule.name, pairs, window))
         }
-        RuleKind::Area { layer, min } => {
-            InFlightKind::Intra(issue_intra(ctx, &stream, &rule.name, *layer, false, *min))
-        }
-        _ => {
-            // Rectilinear / user predicates run on the host in both
-            // modes (user closures are host code).
-            let mut host = Vec::new();
-            crate::sequential::check_intra_rule(ctx, rule, &mut host);
-            InFlightKind::Host(host)
-        }
+        RuleFamily::Intra => match rule.kind {
+            RuleKind::Width { layer, min } => {
+                InFlightKind::Intra(issue_intra(ctx, &stream, &rule.name, layer, true, min))
+            }
+            RuleKind::Area { layer, min } => {
+                InFlightKind::Intra(issue_intra(ctx, &stream, &rule.name, layer, false, min))
+            }
+            _ => {
+                // Rectilinear / user predicates run on the host in both
+                // modes (user closures are host code).
+                let mut host = Vec::new();
+                crate::sequential::check_intra_rule(ctx, rule, &mut host);
+                InFlightKind::Host(host)
+            }
+        },
     };
     InFlightRule { stream, kind }
 }
@@ -344,25 +332,6 @@ pub(crate) fn collect_rule(ctx: &mut RunContext<'_>, fl: InFlightRule, out: &mut
     // Errors were already handled per work unit; drain the stream
     // without re-raising them.
     let _ = stream.try_synchronize();
-}
-
-/// Device-mode spacing over an already-built (possibly windowed)
-/// scene, synchronously on the caller's stream — the delta checker's
-/// entry point. Windowed row sets are rule-specific, so they bypass
-/// the planner's cache.
-pub(crate) fn check_space_scene_parallel(
-    ctx: &mut RunContext<'_>,
-    stream: &Stream,
-    rule_name: &str,
-    scene: &LayerScene,
-    spec: SpaceSpec,
-    out: &mut Vec<Violation>,
-) {
-    let rows = RowSet::build(ctx, scene, spec.min);
-    let issue = issue_space(ctx, stream, rule_name, &rows, spec);
-    collect_space(ctx, stream, issue, out);
-    let device = stream.device().clone();
-    drain_recovery(ctx, &device, out);
 }
 
 /// Issue half of the spacing pipeline: walk the row set, acquiring
@@ -676,8 +645,7 @@ enum RecoveryWork {
     /// per-shape report rectangles.
     Pairs {
         rule_name: String,
-        kind: ViolationKind,
-        min: i64,
+        pairs: PairsRule,
         work: Arc<Vec<(Polygon, Vec<Polygon>)>>,
         rects: Vec<Rect>,
     },
@@ -740,11 +708,9 @@ fn recovery_attempt(work: &RecoveryWork, stream: &Stream) -> XpuResult<Recovered
                 .result()
                 .map(Recovered::Intra)
         }
-        RecoveryWork::Pairs {
-            kind, min, work, ..
-        } => {
+        RecoveryWork::Pairs { pairs, work, .. } => {
             let n = work.len();
-            let measure = pairs_measure(*kind, *min);
+            let measure = pairs_measure(*pairs);
             let dev_work = stream.try_upload_shared(Arc::clone(work))?;
             let measures = stream.try_alloc::<i64>(n)?;
             stream.try_launch_map(
@@ -790,10 +756,8 @@ fn recovery_fallback(work: &RecoveryWork) -> Recovered {
                     .collect(),
             )
         }
-        RecoveryWork::Pairs {
-            kind, min, work, ..
-        } => {
-            let measure = pairs_measure(*kind, *min);
+        RecoveryWork::Pairs { pairs, work, .. } => {
+            let measure = pairs_measure(*pairs);
             Recovered::Pairs(
                 work.iter()
                     .map(|(poly, cands)| measure(poly, cands))
@@ -834,26 +798,12 @@ fn emit_recovered(
         (
             RecoveryWork::Pairs {
                 rule_name,
-                kind,
-                min,
+                pairs,
                 rects,
                 ..
             },
             Recovered::Pairs(measures),
-        ) => {
-            ctx.profiler.time("convert", || {
-                for (rect, measured) in rects.iter().zip(measures) {
-                    if measured < *min {
-                        out.push(Violation {
-                            rule: rule_name.clone(),
-                            kind: *kind,
-                            location: *rect,
-                            measured,
-                        });
-                    }
-                }
-            });
-        }
+        ) => emit_pairs(ctx, rule_name, *pairs, rects, measures, out),
         _ => unreachable!("recovery payload matches its work variant"),
     }
 }
@@ -1126,51 +1076,22 @@ fn emit_intra(
     });
 }
 
-/// Runs an intra-polygon width or area rule with its per-polygon work
-/// executed by a device kernel, synchronously — used by tests that
-/// drive a single rule.
-pub(crate) fn check_intra_rule_parallel(
-    ctx: &mut RunContext<'_>,
-    stream: &Stream,
-    rule: &Rule,
-    out: &mut Vec<Violation>,
-) {
-    let issue = match rule.kind {
-        RuleKind::Width { layer, min } => issue_intra(ctx, stream, &rule.name, layer, true, min),
-        RuleKind::Area { layer, min } => issue_intra(ctx, stream, &rule.name, layer, false, min),
-        _ => return crate::sequential::check_intra_rule(ctx, rule, out),
-    };
-    collect_intra(ctx, issue, out);
-    let device = stream.device().clone();
-    drain_recovery(ctx, &device, out);
-}
-
 /// Issue half of an enclosure / overlap-area rule: gather the work
 /// list on the host (through the memoized scenes), upload it without a
 /// staging copy, and launch the per-shape kernel.
-#[allow(clippy::too_many_arguments)]
 fn issue_pairs(
     ctx: &mut RunContext<'_>,
     stream: &Stream,
     rule_name: &str,
-    kind: ViolationKind,
-    inner: Layer,
-    outer: Layer,
-    min: i64,
+    pairs: PairsRule,
     window: Option<DirtyWindow<'_>>,
-    // The enclosure margin-gather distance: the rule min for
-    // enclosure, zero for overlap (any touching outer shape counts).
 ) -> PairsIssue {
-    let gather = match kind {
-        ViolationKind::Enclosure => min,
-        _ => 0,
-    };
-    let (inner_scene, outer_scene) = crate::sequential::enclosure_scenes(ctx, inner, outer, window);
-    let work: Arc<Vec<(Polygon, Vec<Polygon>)>> = Arc::new(crate::sequential::enclosure_work(
+    let (inner_scene, outer_scene) = enclosure_scenes(ctx, pairs, window);
+    let work: Arc<Vec<(Polygon, Vec<Polygon>)>> = Arc::new(enclosure_work(
         ctx,
         &inner_scene,
         &outer_scene,
-        gather,
+        pairs.gather(),
         window,
     ));
     let rects: Vec<Rect> = work.iter().map(|(p, _)| p.mbr()).collect();
@@ -1178,44 +1099,22 @@ fn issue_pairs(
         None
     } else {
         // Issue-time failure: collect goes straight to recovery.
-        enqueue_pairs(ctx, stream, kind, &work, min).ok()
+        enqueue_pairs(ctx, stream, pairs, &work).ok()
     };
     PairsIssue {
         rule_name: rule_name.to_owned(),
-        kind,
-        min,
+        pairs,
         work,
         rects,
         pending,
     }
 }
 
-/// The per-shape measurement kernel body: enclosure margin, or shared
-/// (boolean AND) area.
-fn pairs_measure(
-    kind: ViolationKind,
-    min: i64,
-) -> impl Fn(&Polygon, &[Polygon]) -> i64 + Send + Sync + Clone + 'static {
-    move |poly, candidates| match kind {
-        ViolationKind::Enclosure => {
-            let refs: Vec<&Polygon> = candidates.iter().collect();
-            enclosure_margin(poly.mbr(), &refs, min)
-        }
-        _ => {
-            use odrc_infra::Region;
-            let inner_region = Region::from_polygons([poly]);
-            let outer_region = Region::from_polygons(candidates.iter());
-            inner_region.intersection(&outer_region).area()
-        }
-    }
-}
-
 fn enqueue_pairs(
     ctx: &mut RunContext<'_>,
     stream: &Stream,
-    kind: ViolationKind,
+    pairs: PairsRule,
     work: &Arc<Vec<(Polygon, Vec<Polygon>)>>,
-    min: i64,
 ) -> XpuResult<Pending<Vec<i64>>> {
     let n = work.len();
     let bytes = (n * std::mem::size_of::<(Polygon, Vec<Polygon>)>()) as u64;
@@ -1223,7 +1122,7 @@ fn enqueue_pairs(
     let dev_work = batch.try_upload_shared(Arc::clone(work))?;
     ctx.note_upload(false, bytes);
     let measures = batch.try_alloc::<i64>(n)?;
-    let measure = pairs_measure(kind, min);
+    let measure = pairs_measure(pairs);
     batch.try_launch_map(
         LaunchConfig::for_threads(n),
         &measures,
@@ -1243,8 +1142,7 @@ fn enqueue_pairs(
 fn collect_pairs(ctx: &mut RunContext<'_>, issue: PairsIssue, out: &mut Vec<Violation>) {
     let PairsIssue {
         rule_name,
-        kind,
-        min,
+        pairs,
         work,
         rects,
         pending,
@@ -1258,91 +1156,44 @@ fn collect_pairs(ctx: &mut RunContext<'_>, issue: PairsIssue, out: &mut Vec<Viol
         Some(pending) => ctx.device_wait(|| pending.result()),
         None => Err(odrc_xpu::XpuError::StreamTimeout { op: "issue" }),
     };
-    let measures = match waited {
-        Ok(measures) => measures,
-        Err(_) => {
-            // Defer the whole rule; [`drain_recovery`] re-attempts it
-            // on a fresh stream and falls back to the host. The checks
-            // are already tallied above — recovery recomputes, it does
-            // not re-count.
-            ctx.recovery.push(RecoveryUnit::new(RecoveryWork::Pairs {
-                rule_name,
-                kind,
-                min,
-                work,
-                rects,
-            }));
-            return;
-        }
-    };
+    match waited {
+        Ok(measures) => emit_pairs(ctx, &rule_name, pairs, &rects, measures, out),
+        // Defer the whole rule; [`drain_recovery`] re-attempts it on a
+        // fresh stream and falls back to the host. The checks are
+        // already tallied above — recovery recomputes, it does not
+        // re-count.
+        Err(_) => ctx.recovery.push(RecoveryUnit::new(RecoveryWork::Pairs {
+            rule_name,
+            pairs,
+            work,
+            rects,
+        })),
+    }
+}
+
+/// Thresholds a pair rule's per-shape measures into violations at the
+/// shapes' report rectangles. Shared by the fault-free path and
+/// deferred recovery.
+fn emit_pairs(
+    ctx: &mut RunContext<'_>,
+    rule_name: &str,
+    pairs: PairsRule,
+    rects: &[Rect],
+    measures: Vec<i64>,
+    out: &mut Vec<Violation>,
+) {
     ctx.profiler.time("convert", || {
-        for (rect, measured) in rects.into_iter().zip(measures) {
-            if measured < min {
+        for (rect, measured) in rects.iter().zip(measures) {
+            if measured < pairs.min {
                 out.push(Violation {
-                    rule: rule_name.clone(),
-                    kind,
-                    location: rect,
+                    rule: rule_name.to_owned(),
+                    kind: pairs.kind,
+                    location: *rect,
                     measured,
                 });
             }
         }
     });
-}
-
-/// Runs an enclosure rule with per-via margin computation on the
-/// device, synchronously — the delta checker's entry point.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn check_enclosure_rule_parallel(
-    ctx: &mut RunContext<'_>,
-    stream: &Stream,
-    rule_name: &str,
-    inner: Layer,
-    outer: Layer,
-    min: i64,
-    window: Option<DirtyWindow<'_>>,
-    out: &mut Vec<Violation>,
-) {
-    let issue = issue_pairs(
-        ctx,
-        stream,
-        rule_name,
-        ViolationKind::Enclosure,
-        inner,
-        outer,
-        min,
-        window,
-    );
-    collect_pairs(ctx, issue, out);
-    let device = stream.device().clone();
-    drain_recovery(ctx, &device, out);
-}
-
-/// Runs a minimum-overlap-area rule with the boolean work on the
-/// device, synchronously — the delta checker's entry point.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn check_overlap_rule_parallel(
-    ctx: &mut RunContext<'_>,
-    stream: &Stream,
-    rule_name: &str,
-    inner: Layer,
-    outer: Layer,
-    min_area: i64,
-    window: Option<DirtyWindow<'_>>,
-    out: &mut Vec<Violation>,
-) {
-    let issue = issue_pairs(
-        ctx,
-        stream,
-        rule_name,
-        ViolationKind::OverlapArea,
-        inner,
-        outer,
-        min_area,
-        window,
-    );
-    collect_pairs(ctx, issue, out);
-    let device = stream.device().clone();
-    drain_recovery(ctx, &device, out);
 }
 
 /// All-pairs spacing kernel over an *unsorted* flat edge list: one

@@ -30,6 +30,9 @@ use std::sync::Arc;
 use odrc_db::{Layer, LayerPolygon};
 use odrc_geometry::Polygon;
 
+use crate::checks::SpaceSpec;
+use crate::violation::ViolationKind;
+
 /// Information about a polygon handed to user predicates.
 #[derive(Debug, Clone, Copy)]
 pub struct PolygonInfo<'a> {
@@ -189,22 +192,98 @@ impl Rule {
     /// a time (width, area, rectilinear, ensures) — the "intra-polygon"
     /// checks of §IV-C, which memoize aggressively.
     pub fn is_intra_polygon(&self) -> bool {
-        matches!(
-            self.kind,
-            RuleKind::Width { .. }
-                | RuleKind::Area { .. }
-                | RuleKind::Rectilinear { .. }
-                | RuleKind::Ensures { .. }
-        )
+        matches!(self.family(), RuleFamily::Intra)
     }
 
     /// The interaction distance of the rule: how far apart two objects
     /// can be and still violate it together. Zero for per-polygon rules.
     pub fn interaction_distance(&self) -> i64 {
+        self.family().interaction().map_or(0, |(_, reach)| reach)
+    }
+
+    /// Classifies the rule into its check pipeline.
+    pub(crate) fn family(&self) -> RuleFamily {
         match self.kind {
-            RuleKind::Space { min, .. } => min,
-            RuleKind::Enclosure { min, .. } => min,
+            RuleKind::Space {
+                layer,
+                min,
+                min_projection,
+            } => RuleFamily::Space {
+                layer,
+                spec: SpaceSpec {
+                    min,
+                    min_projection,
+                },
+            },
+            RuleKind::Enclosure { inner, outer, min } => RuleFamily::Pairs(PairsRule {
+                kind: ViolationKind::Enclosure,
+                inner,
+                outer,
+                min,
+            }),
+            RuleKind::OverlapArea {
+                inner,
+                outer,
+                min_area,
+            } => RuleFamily::Pairs(PairsRule {
+                kind: ViolationKind::OverlapArea,
+                inner,
+                outer,
+                min: min_area,
+            }),
+            _ => RuleFamily::Intra,
+        }
+    }
+}
+
+/// The check pipeline a rule runs (§IV-B/D/E): same-layer spacing,
+/// an inner/outer layer pair (enclosure, overlap area), or one polygon
+/// at a time. [`Rule::family`] is the one classifier; the sequential,
+/// parallel and out-of-core dispatchers each match on its result once.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum RuleFamily {
+    /// Partition → sweepline → edge check over one layer's objects.
+    Space { layer: Layer, spec: SpaceSpec },
+    /// Candidate gather → per-shape measure over two layers.
+    Pairs(PairsRule),
+    /// Width, area, rectilinear, user predicates (§IV-C memo).
+    Intra,
+}
+
+/// An enclosure or overlap-area rule: every shape of `inner` is
+/// measured against its candidate polygons of `outer` and must reach
+/// `min` (a margin in dbu, or a shared area in dbu²).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PairsRule {
+    /// [`ViolationKind::Enclosure`] or [`ViolationKind::OverlapArea`].
+    pub kind: ViolationKind,
+    pub inner: Layer,
+    pub outer: Layer,
+    pub min: i64,
+}
+
+impl PairsRule {
+    /// How far from an inner shape a candidate outer polygon can lie:
+    /// the margin for enclosure, zero for overlap area (only geometry
+    /// that actually intersects the shape shares area with it).
+    pub fn gather(&self) -> i64 {
+        match self.kind {
+            ViolationKind::Enclosure => self.min,
             _ => 0,
+        }
+    }
+}
+
+impl RuleFamily {
+    /// The layer whose objects the rule partitions and the distance
+    /// within which two objects can interact — the out-of-core shard
+    /// key and the delta halo. `None` for intra-polygon rules, which
+    /// neither shard nor window.
+    pub fn interaction(&self) -> Option<(Layer, i64)> {
+        match self {
+            RuleFamily::Space { layer, spec } => Some((*layer, spec.min)),
+            RuleFamily::Pairs(pairs) => Some((pairs.inner, pairs.gather())),
+            RuleFamily::Intra => None,
         }
     }
 }

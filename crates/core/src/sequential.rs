@@ -4,7 +4,15 @@
 //! between objects by querying overlapping MBRs of polygons or cells,
 //! and then performs edge-based checks among those object pairs."
 //!
-//! The pipeline per inter-polygon rule:
+//! [`check_rule`] is the mode's one dispatcher: it matches on
+//! [`Rule::family`](crate::rules::Rule::family) and runs the family's
+//! pipeline over the run's memoized scenes — or, given a
+//! [`DirtyWindow`], over scenes restricted to an edit's halo (the delta
+//! checker). Out-of-core shards call the same per-family pipelines
+//! ([`check_space_scene_rows`], [`check_pairs_scenes`]) with shard
+//! scenes.
+//!
+//! The spacing pipeline:
 //!
 //! 1. **partition** — adaptive row partition of the layer's objects
 //!    (§IV-B), with extents inflated by half the rule distance so rows
@@ -14,6 +22,11 @@
 //! 3. **edge-check** — intra-object violations come from the per-cell
 //!    memo (computed once per cell definition, §IV-C) and candidate
 //!    pairs get windowed edge-to-edge checks.
+//!
+//! The pair pipeline (enclosure, overlap area) gathers each inner
+//! shape's candidate outer polygons through a bipartite sweepline join
+//! ([`enclosure_work`]) and measures them with [`pairs_measure`] — the
+//! same closure the device kernels run.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -33,7 +46,7 @@ use crate::checks::poly::{
 use crate::checks::{enclosure_margin, SpaceSpec};
 use crate::engine::{EngineOptions, EngineStats};
 use crate::plan::{IntraData, PlanCache, RowSet, RowSetKey, SharedDeviceData};
-use crate::rules::{Rule, RuleKind};
+use crate::rules::{PairsRule, Rule, RuleFamily, RuleKind};
 use crate::scene::{instance_transforms, DirtyWindow, LayerScene, SceneObject, SceneSource};
 use crate::violation::{Violation, ViolationKind};
 
@@ -123,6 +136,20 @@ impl<'a> RunContext<'a> {
         scene
     }
 
+    /// The scene of `layer` a rule checks: the memoized full scene, or
+    /// under a delta `window` a fresh one restricted to the objects near
+    /// the dirt (windowed scenes are rule-specific).
+    pub fn scene_for(&mut self, layer: Layer, window: Option<DirtyWindow<'_>>) -> Arc<LayerScene> {
+        let Some(w) = window else {
+            return self.layer_scene(layer);
+        };
+        let layout = self.layout;
+        Arc::new(
+            self.profiler
+                .time("scene", || LayerScene::build_near(layout, layer, Some(w))),
+        )
+    }
+
     /// The packed, sorted row set of `layer` for a rule distance of
     /// `min`, memoized by [`RowSetKey`].
     pub fn row_set(&mut self, layer: Layer, min: i64) -> Arc<RowSet> {
@@ -180,13 +207,16 @@ impl<'a> RunContext<'a> {
     }
 }
 
-/// Builds the poly-rule spec for an intra-polygon rule.
-fn poly_spec(rule: &Rule) -> PolyRuleSpec {
+/// The selected layer (`None` = every layer) and the poly-rule spec of
+/// an intra-polygon rule.
+fn intra_spec(rule: &Rule) -> (Option<Layer>, PolyRuleSpec) {
     match &rule.kind {
-        RuleKind::Width { min, .. } => PolyRuleSpec::Width(*min),
-        RuleKind::Area { min, .. } => PolyRuleSpec::Area(*min),
-        RuleKind::Rectilinear { .. } => PolyRuleSpec::Rectilinear,
-        RuleKind::Ensures { predicate, .. } => PolyRuleSpec::Ensures(predicate.clone()),
+        RuleKind::Width { layer, min } => (Some(*layer), PolyRuleSpec::Width(*min)),
+        RuleKind::Area { layer, min } => (Some(*layer), PolyRuleSpec::Area(*min)),
+        RuleKind::Rectilinear { layer } => (*layer, PolyRuleSpec::Rectilinear),
+        RuleKind::Ensures {
+            layer, predicate, ..
+        } => (*layer, PolyRuleSpec::Ensures(predicate.clone())),
         _ => unreachable!("not an intra-polygon rule"),
     }
 }
@@ -217,12 +247,7 @@ fn intra_targets(layout: &Layout, layer: Option<Layer>) -> Vec<(CellId, Vec<usiz
 /// Runs an intra-polygon rule (width, area, rectilinear, ensures) with
 /// per-cell memoization (§IV-C).
 pub(crate) fn check_intra_rule(ctx: &mut RunContext<'_>, rule: &Rule, out: &mut Vec<Violation>) {
-    let layer = match rule.kind {
-        RuleKind::Width { layer, .. } | RuleKind::Area { layer, .. } => Some(layer),
-        RuleKind::Rectilinear { layer } | RuleKind::Ensures { layer, .. } => layer,
-        _ => unreachable!("not an intra-polygon rule"),
-    };
-    let spec = poly_spec(rule);
+    let (layer, spec) = intra_spec(rule);
     let targets = intra_targets(ctx.layout, layer);
     let layout = ctx.layout;
     let pruning = ctx.options.pruning;
@@ -325,6 +350,10 @@ pub(crate) fn check_intra_rule(ctx: &mut RunContext<'_>, rule: &Rule, out: &mut 
     ctx.stats.checks_reused += reused;
 }
 
+/// The §IV-C memo of one spacing rule: each placed cell's internal
+/// violations, in cell-local coordinates.
+pub(crate) type CellMemo = HashMap<CellId, Arc<Vec<LocalViolation>>>;
+
 /// The row partition of a set of object MBRs for a rule distance of
 /// `min` (extents inflated by half of it, so rows cannot interact) —
 /// or, with the partition ablated, one row holding everything.
@@ -361,39 +390,39 @@ pub(crate) fn partition_scene(
     partition_mbrs(&mbrs, min, enabled, profiler, host)
 }
 
-/// Runs a same-layer spacing rule sequentially.
-pub(crate) fn check_space_rule(
+/// Runs one rule on the host — the sequential mode's dispatcher, for
+/// full checks (`window` = `None`) and delta re-checks alike.
+pub(crate) fn check_rule(
     ctx: &mut RunContext<'_>,
-    rule_name: &str,
-    layer: Layer,
-    spec: SpaceSpec,
-    sig: Option<u64>,
+    rule: &Rule,
+    window: Option<DirtyWindow<'_>>,
     out: &mut Vec<Violation>,
 ) {
-    let scene = ctx.layer_scene(layer);
-    check_space_scene(ctx, rule_name, &scene, spec, sig, out);
-}
-
-/// The spacing pipeline over an already-built (possibly windowed)
-/// scene: partition, then the row pipeline.
-pub(crate) fn check_space_scene(
-    ctx: &mut RunContext<'_>,
-    rule_name: &str,
-    scene: &LayerScene,
-    spec: SpaceSpec,
-    sig: Option<u64>,
-    out: &mut Vec<Violation>,
-) {
-    let partition = partition_scene(
-        scene,
-        spec.min,
-        ctx.options.partition,
-        ctx.profiler,
-        &ctx.host,
-    );
-    ctx.stats.rows += partition.len();
-    let rows: Vec<&[usize]> = partition.iter().map(|r| r.members.as_slice()).collect();
-    check_space_scene_rows(ctx, rule_name, scene, &rows, spec, sig, out);
+    match rule.family() {
+        RuleFamily::Space { layer, spec } => {
+            let scene = ctx.scene_for(layer, window);
+            let enabled = ctx.options.partition;
+            let partition = partition_scene(&scene, spec.min, enabled, ctx.profiler, &ctx.host);
+            ctx.stats.rows += partition.len();
+            let rows: Vec<&[usize]> = partition.iter().map(|r| r.members.as_slice()).collect();
+            let sig = crate::cache::rule_signature(rule);
+            let mut memo = CellMemo::new();
+            check_space_scene_rows(ctx, &rule.name, &scene, &rows, spec, sig, &mut memo, out);
+        }
+        RuleFamily::Pairs(pairs) => {
+            let (inner_scene, outer_scene) = enclosure_scenes(ctx, pairs, window);
+            check_pairs_scenes(
+                ctx,
+                &rule.name,
+                pairs,
+                &inner_scene,
+                &outer_scene,
+                window,
+                out,
+            );
+        }
+        RuleFamily::Intra => check_intra_rule(ctx, rule, out),
+    }
 }
 
 /// The spacing row pipeline — the one row loop of the host path, shared
@@ -408,6 +437,12 @@ pub(crate) fn check_space_scene(
 /// intra-object hits, windowed pair checks) and merge in row order. A
 /// one-thread executor runs the same tasks inline, so the violation
 /// list and every counter are identical for any thread count.
+///
+/// `memo` belongs to the *rule*: a per-cell result is in cell-local
+/// coordinates, so a cell resolved by an earlier call (an earlier shard
+/// of the same rule) is reused, not recomputed. Callers that check the
+/// rule in one call pass an empty map.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn check_space_scene_rows(
     ctx: &mut RunContext<'_>,
     rule_name: &str,
@@ -415,6 +450,7 @@ pub(crate) fn check_space_scene_rows(
     rows: &[&[usize]],
     spec: SpaceSpec,
     sig: Option<u64>,
+    memo: &mut CellMemo,
     out: &mut Vec<Violation>,
 ) {
     let half = ((spec.min + 1) / 2) as Coord;
@@ -423,7 +459,6 @@ pub(crate) fn check_space_scene_rows(
     // Phase 1: resolve every unique cell once — memo hits for repeat
     // placements, persistent-cache consults in first-occurrence order,
     // and a fan-out over the actual misses.
-    let mut memo: HashMap<CellId, Arc<Vec<LocalViolation>>> = HashMap::new();
     if pruning {
         let mut order: Vec<CellId> = Vec::new();
         let mut seen: std::collections::HashSet<CellId> = Default::default();
@@ -439,6 +474,10 @@ pub(crate) fn check_space_scene_rows(
         ctx.stats.checks_reused += occurrences - order.len();
         let mut missing: Vec<CellId> = Vec::new();
         for &cell in &order {
+            if memo.contains_key(&cell) {
+                ctx.stats.checks_reused += 1;
+                continue;
+            }
             let mut hit = None;
             if let (Some(sig), Some(handle)) = (sig, ctx.cache.as_mut()) {
                 let key = handle.keys.subtree[cell.index()];
@@ -477,6 +516,7 @@ pub(crate) fn check_space_scene_rows(
         check: std::time::Duration,
     }
     let pair_index = ctx.options.pair_index;
+    let memo = &*memo;
     let results: Vec<RowOutput> = ctx.host.run("edge-check", rows.len(), |ri| {
         let members = rows[ri];
         let inflated: Vec<Rect> = members
@@ -617,24 +657,14 @@ fn cross_space(
 /// The `(inner, outer)` scene pair of an in-core enclosure / overlap
 /// rule. Under a delta window only the inner objects near the dirt are
 /// kept; the outer scene stays complete so every retained inner shape
-/// sees its full candidate set and measures its exact margin. Full
-/// (window-less) scenes come from the run's memo; windowed scenes are
-/// rule-specific and built fresh.
+/// sees its full candidate set and measures its exact margin.
 pub(crate) fn enclosure_scenes(
     ctx: &mut RunContext<'_>,
-    inner: Layer,
-    outer: Layer,
+    pairs: PairsRule,
     window: Option<DirtyWindow<'_>>,
 ) -> (Arc<LayerScene>, Arc<LayerScene>) {
-    let layout = ctx.layout;
-    let inner_scene = match window {
-        None => ctx.layer_scene(inner),
-        Some(w) => Arc::new(
-            ctx.profiler
-                .time("scene", || LayerScene::build_near(layout, inner, Some(w))),
-        ),
-    };
-    (inner_scene, ctx.layer_scene(outer))
+    let inner_scene = ctx.scene_for(pairs.inner, window);
+    (inner_scene, ctx.layer_scene(pairs.outer))
 }
 
 /// Gathers the enclosure work list: every flat inner shape (of those
@@ -684,126 +714,59 @@ pub(crate) fn enclosure_work(
     inner_polys.into_iter().zip(candidates).collect()
 }
 
-/// Runs an enclosure rule sequentially: every flat inner shape must be
-/// enclosed by some outer-layer polygon with the minimum margin.
-pub(crate) fn check_enclosure_rule(
+/// The per-shape measurement of a pair rule, shared by the host
+/// pipeline, the device kernel and its recovery paths: the enclosure
+/// margin, or the shared (boolean AND) area with the candidates ("minimum
+/// overlapping area constraints", §II).
+pub(crate) fn pairs_measure(
+    pairs: PairsRule,
+) -> impl Fn(&Polygon, &[Polygon]) -> i64 + Send + Sync + Clone + 'static {
+    move |poly, candidates| match pairs.kind {
+        ViolationKind::Enclosure => {
+            let refs: Vec<&Polygon> = candidates.iter().collect();
+            enclosure_margin(poly.mbr(), &refs, pairs.min)
+        }
+        _ => {
+            use odrc_infra::Region;
+            let inner_region = Region::from_polygons([poly]);
+            let outer_region = Region::from_polygons(candidates.iter());
+            inner_region.intersection(&outer_region).area()
+        }
+    }
+}
+
+/// The pair pipeline over already-built scenes (the run memo's, a
+/// delta window's, or an out-of-core shard's): gather each inner
+/// shape's candidates, measure every `(shape, candidates)` unit as an
+/// executor task, and report the shapes measuring below the rule's
+/// minimum at their MBR, in work order.
+pub(crate) fn check_pairs_scenes(
     ctx: &mut RunContext<'_>,
     rule_name: &str,
-    inner: Layer,
-    outer: Layer,
-    min: i64,
+    pairs: PairsRule,
+    inner_scene: &LayerScene,
+    outer_scene: &LayerScene,
     window: Option<DirtyWindow<'_>>,
     out: &mut Vec<Violation>,
 ) {
-    let (inner_scene, outer_scene) = enclosure_scenes(ctx, inner, outer, window);
-    check_enclosure_scenes(ctx, rule_name, &inner_scene, &outer_scene, min, window, out);
-}
-
-/// The measure half of enclosure and overlap-area rules: every
-/// `(inner shape, candidates)` unit of `work` is measured as an
-/// executor task, and the shapes measuring below `min` are returned as
-/// violations at their MBR, in work order.
-fn measure(
-    ctx: &mut RunContext<'_>,
-    rule_name: &str,
-    kind: ViolationKind,
-    phase: &str,
-    work: &[(Polygon, Vec<Polygon>)],
-    min: i64,
-    value: impl Fn(&Polygon, &[Polygon]) -> i64 + Sync,
-) -> Vec<Violation> {
+    let work = enclosure_work(ctx, inner_scene, outer_scene, pairs.gather(), window);
+    let phase = match pairs.kind {
+        ViolationKind::Enclosure => "enclosure-check",
+        _ => "overlap-check",
+    };
+    let value = pairs_measure(pairs);
     ctx.stats.checks_computed += work.len();
     let start = std::time::Instant::now();
     let measured = ctx.host.run(phase, work.len(), |i| {
         let (poly, candidates) = &work[i];
         let measured = value(poly, candidates);
-        (measured < min).then(|| Violation {
+        (measured < pairs.min).then(|| Violation {
             rule: rule_name.to_owned(),
-            kind,
+            kind: pairs.kind,
             location: poly.mbr(),
             measured,
         })
     });
     ctx.profiler.add(phase, start.elapsed());
-    measured.into_iter().flatten().collect()
-}
-
-/// The enclosure pipeline over already-built scenes (the run memo's, a
-/// delta window's, or an out-of-core shard's): gather, then measure.
-pub(crate) fn check_enclosure_scenes(
-    ctx: &mut RunContext<'_>,
-    rule_name: &str,
-    inner_scene: &LayerScene,
-    outer_scene: &LayerScene,
-    min: i64,
-    window: Option<DirtyWindow<'_>>,
-    out: &mut Vec<Violation>,
-) {
-    let work = enclosure_work(ctx, inner_scene, outer_scene, min, window);
-    let margin = |poly: &Polygon, candidates: &[Polygon]| {
-        let refs: Vec<&Polygon> = candidates.iter().collect();
-        enclosure_margin(poly.mbr(), &refs, min)
-    };
-    out.extend(measure(
-        ctx,
-        rule_name,
-        ViolationKind::Enclosure,
-        "enclosure-check",
-        &work,
-        min,
-        margin,
-    ));
-}
-
-/// Runs a minimum-overlap-area rule sequentially: the boolean AND of
-/// every inner shape with the outer layer's geometry must reach the
-/// minimum area ("minimum overlapping area constraints", §II).
-pub(crate) fn check_overlap_rule(
-    ctx: &mut RunContext<'_>,
-    rule_name: &str,
-    inner: Layer,
-    outer: Layer,
-    min_area: i64,
-    window: Option<DirtyWindow<'_>>,
-    out: &mut Vec<Violation>,
-) {
-    let (inner_scene, outer_scene) = enclosure_scenes(ctx, inner, outer, window);
-    check_overlap_scenes(
-        ctx,
-        rule_name,
-        &inner_scene,
-        &outer_scene,
-        min_area,
-        window,
-        out,
-    );
-}
-
-/// The overlap-area pipeline over already-built scenes; see
-/// [`check_enclosure_scenes`].
-pub(crate) fn check_overlap_scenes(
-    ctx: &mut RunContext<'_>,
-    rule_name: &str,
-    inner_scene: &LayerScene,
-    outer_scene: &LayerScene,
-    min_area: i64,
-    window: Option<DirtyWindow<'_>>,
-    out: &mut Vec<Violation>,
-) {
-    use odrc_infra::Region;
-    let work = enclosure_work(ctx, inner_scene, outer_scene, 0, window);
-    let shared = |poly: &Polygon, candidates: &[Polygon]| {
-        let inner_region = Region::from_polygons([poly]);
-        let outer_region = Region::from_polygons(candidates.iter());
-        inner_region.intersection(&outer_region).area()
-    };
-    out.extend(measure(
-        ctx,
-        rule_name,
-        ViolationKind::OverlapArea,
-        "overlap-check",
-        &work,
-        min_area,
-        shared,
-    ));
+    out.extend(measured.into_iter().flatten());
 }

@@ -11,9 +11,12 @@
 //!   *shard* (a contiguous group of partition rows) can be checked
 //!   against a scene holding only its member objects — by the in-core
 //!   pipelines themselves (`check_space_scene_rows`,
-//!   `check_enclosure_scenes`, `check_overlap_scenes`), handed the
-//!   shard's scene and rows — and the union of per-shard violation sets
-//!   canonicalizes to exactly the in-core result;
+//!   `check_pairs_scenes`), handed the shard's scene and rows — and the
+//!   union of per-shard violation sets canonicalizes to exactly the
+//!   in-core result; the shard key is the rule family's
+//!   [`interaction`](crate::rules::RuleFamily::interaction) `(layer,
+//!   distance)`, and the §IV-C memo is owned by the rule, so a cell
+//!   placed in several shards is computed once;
 //! * shard scenes are built lazily behind a [`ShardPool`] with a hard
 //!   byte budget and LRU eviction — evicted shards rebuild on demand,
 //!   an oversized shard (or a seeded [`Fault::AllocFail`]) degrades to
@@ -39,13 +42,11 @@ use odrc_xpu::Device;
 
 use crate::cache::rule_signature;
 use crate::checkpoint::CheckpointJournal;
-use crate::checks::SpaceSpec;
 use crate::engine::{EngineOptions, EngineStats};
-use crate::rules::{Rule, RuleKind};
+use crate::rules::{PairsRule, Rule, RuleFamily};
 use crate::scene::{layer_object_mbrs, LayerScene};
 use crate::sequential::{
-    check_enclosure_scenes, check_overlap_scenes, check_space_scene_rows, partition_mbrs,
-    RunContext,
+    check_pairs_scenes, check_space_scene_rows, partition_mbrs, CellMemo, RunContext,
 };
 use crate::violation::{canonicalize, Violation};
 
@@ -66,11 +67,7 @@ pub(crate) fn out_of_core(options: &EngineOptions) -> bool {
 /// (width, area, rectilinear, ensures) are per-cell already and run
 /// whole, journaled at rule granularity.
 pub(crate) fn sharded_rule(options: &EngineOptions, rule: &Rule) -> bool {
-    out_of_core(options)
-        && matches!(
-            rule.kind,
-            RuleKind::Space { .. } | RuleKind::Enclosure { .. } | RuleKind::OverlapArea { .. }
-        )
+    out_of_core(options) && rule.family().interaction().is_some()
 }
 
 /// Whether whole (non-sharded) rule `ri` belongs to this process under
@@ -259,38 +256,18 @@ pub(crate) fn check_rule_sharded(
     cancel: Option<&CancelToken>,
     out: &mut Vec<Violation>,
 ) -> ShardRun {
-    let (layer, plan_min) = match &rule.kind {
-        RuleKind::Space { layer, min, .. } => (*layer, *min),
-        RuleKind::Enclosure { inner, min, .. } => (*inner, *min),
-        RuleKind::OverlapArea { inner, .. } => (*inner, 0),
-        _ => unreachable!("only inter-object rules shard"),
-    };
-    let plan = plan_shards(ctx, layer, plan_min);
-    if plan.shards.is_empty() {
-        return ShardRun::Done;
-    }
-    let mut pool = std::mem::take(&mut ctx.shard_pool);
-    let run = run_shards(ctx, &mut pool, device, rule, &plan, journal, cancel, out);
-    ctx.shard_pool = pool;
-    run
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_shards(
-    ctx: &mut RunContext<'_>,
-    pool: &mut ShardPool,
-    device: &Device,
-    rule: &Rule,
-    plan: &ShardPlan,
-    journal: &mut Option<&mut CheckpointJournal>,
-    cancel: Option<&CancelToken>,
-    out: &mut Vec<Violation>,
-) -> ShardRun {
+    let family = rule.family();
+    let (layer, min) = family.interaction().expect("only inter-object rules shard");
+    let plan = plan_shards(ctx, layer, min);
     let shard_count = plan.shards.len() as u32;
     let sig = rule_signature(rule);
     let layout = ctx.layout;
     let host = Arc::clone(&ctx.host);
     let mut partial = false;
+    // One §IV-C memo for the whole rule. Shards restored from the
+    // journal never fill it; their cells are computed if a later shard
+    // places them.
+    let mut memo = CellMemo::new();
     for (sid, shard) in plan.shards.iter().enumerate() {
         let shard_id = sid as u32;
         if let Some((worker, of)) = ctx.options.shard_slice {
@@ -314,65 +291,37 @@ fn run_shards(
             }
         }
         let mut buf: Vec<Violation> = Vec::new();
-        match &rule.kind {
-            RuleKind::Space {
-                layer,
-                min,
-                min_projection,
-            } => {
-                let spec = SpaceSpec {
-                    min: *min,
-                    min_projection: *min_projection,
-                };
+        match family {
+            RuleFamily::Space { layer, spec } => {
                 let key = SceneKey::Subset {
-                    layer: *layer,
-                    min: *min,
+                    layer,
+                    min: spec.min,
                     shard: shard_id,
                 };
-                let (layer, members) = (*layer, &shard.members);
-                let scene = pool.get(key, device, ctx.stats, || {
-                    LayerScene::build_members_on(layout, layer, members, &host)
+                let scene = ctx.shard_pool.get(key, device, ctx.stats, || {
+                    LayerScene::build_members_on(layout, layer, &shard.members, &host)
                 });
                 // The in-core row pipeline over the shard's rows; shard
                 // units consult no persistent cache (no signature).
                 let rows: Vec<&[usize]> = shard.rows.iter().map(Vec::as_slice).collect();
-                check_space_scene_rows(ctx, &rule.name, &scene, &rows, spec, None, &mut buf);
-            }
-            RuleKind::Enclosure { inner, outer, min } => {
-                let (inner_scene, outer_scene) = shard_scene_pair(
-                    pool, device, ctx.stats, &host, layout, plan, shard, shard_id, *inner, *outer,
-                    *min,
+                check_space_scene_rows(
+                    ctx, &rule.name, &scene, &rows, spec, None, &mut memo, &mut buf,
                 );
-                check_enclosure_scenes(
+            }
+            RuleFamily::Pairs(pairs) => {
+                let (inner_scene, outer_scene) =
+                    shard_scene_pair(ctx, device, &plan, shard, shard_id, pairs);
+                check_pairs_scenes(
                     ctx,
                     &rule.name,
+                    pairs,
                     &inner_scene,
                     &outer_scene,
-                    *min,
                     None,
                     &mut buf,
                 );
             }
-            RuleKind::OverlapArea {
-                inner,
-                outer,
-                min_area,
-            } => {
-                let (inner_scene, outer_scene) = shard_scene_pair(
-                    pool, device, ctx.stats, &host, layout, plan, shard, shard_id, *inner, *outer,
-                    0,
-                );
-                check_overlap_scenes(
-                    ctx,
-                    &rule.name,
-                    &inner_scene,
-                    &outer_scene,
-                    *min_area,
-                    None,
-                    &mut buf,
-                );
-            }
-            _ => unreachable!("only inter-object rules shard"),
+            RuleFamily::Intra => unreachable!("only inter-object rules shard"),
         }
         // Canonicalize per shard so the journaled record (and therefore
         // a resumed run) is byte-stable; the rule-level finalize
@@ -387,13 +336,12 @@ fn run_shards(
                 *journal = None;
             }
         }
-        // Deterministic chaos: die *after* the record hits the journal,
-        // exactly like a SIGKILL between shards — the resume path must
-        // pick up every shard completed so far and nothing else.
-        if let Some(n) = ctx.options.chaos_kill_at_shard {
-            if ctx.stats.shards_checked as u64 >= n {
-                std::process::abort();
-            }
+        // Deterministic chaos ([`odrc_xpu::Fault::ShardKill`]): die
+        // *after* the record hits the journal, exactly like a SIGKILL
+        // between shards — the resume path must pick up every shard
+        // completed so far and nothing else.
+        if device.fault_shard_done() {
+            std::process::abort();
         }
         out.extend(vs);
     }
@@ -404,31 +352,27 @@ fn run_shards(
     }
 }
 
-/// The (inner subset, outer windowed) scene pair of an enclosure-style
-/// shard, both through the pool.
-#[allow(clippy::too_many_arguments)]
+/// The (inner subset, outer windowed) scene pair of a pair-rule shard,
+/// both through the pool.
 fn shard_scene_pair(
-    pool: &mut ShardPool,
+    ctx: &mut RunContext<'_>,
     device: &Device,
-    stats: &mut EngineStats,
-    host: &Arc<odrc_infra::HostExecutor>,
-    layout: &odrc_db::Layout,
     plan: &ShardPlan,
     shard: &ShardSpec,
     shard_id: u32,
-    inner: Layer,
-    outer: Layer,
-    min: i64,
+    pairs: PairsRule,
 ) -> (Arc<LayerScene>, Arc<LayerScene>) {
-    let inner_scene = pool.get(
+    let (inner, outer, min) = (pairs.inner, pairs.outer, pairs.gather());
+    let (layout, host) = (ctx.layout, Arc::clone(&ctx.host));
+    let inner_scene = ctx.shard_pool.get(
         SceneKey::Subset {
             layer: inner,
             min,
             shard: shard_id,
         },
         device,
-        stats,
-        || LayerScene::build_members_on(layout, inner, &shard.members, host),
+        ctx.stats,
+        || LayerScene::build_members_on(layout, inner, &shard.members, &host),
     );
     // The outer side is windowed to the shard's row band plus the rule
     // margin. Members are a contiguous row group, so one hull rect
@@ -441,7 +385,7 @@ fn shard_scene_pair(
         .iter()
         .map(|&g| plan.mbrs[g])
         .reduce(Rect::hull);
-    let outer_scene = pool.get(
+    let outer_scene = ctx.shard_pool.get(
         SceneKey::Window {
             inner,
             outer,
@@ -449,13 +393,13 @@ fn shard_scene_pair(
             shard: shard_id,
         },
         device,
-        stats,
+        ctx.stats,
         || match band {
             Some(b) => {
                 let window = b.inflate((min as Coord).saturating_add(1));
-                LayerScene::build_window_on(layout, outer, window, host)
+                LayerScene::build_window_on(layout, outer, window, &host)
             }
-            None => LayerScene::build_members_on(layout, outer, &[], host),
+            None => LayerScene::build_members_on(layout, outer, &[], &host),
         },
     );
     (inner_scene, outer_scene)

@@ -157,11 +157,9 @@ fn equivalence_case(
         }
     }
 
-    // Shards run the in-core row pipeline, so on the spacing rules the
-    // work counters are the in-core sequential run's — for any thread
-    // count. Under pruning the §IV-C memo lives per shard: a cell placed
-    // in several shards is computed once in each, so only the sum of
-    // computed and reused units is comparable with the one-memo run.
+    // Shards run the in-core row pipeline under one §IV-C memo per
+    // rule, so on the spacing rules every work counter is the in-core
+    // sequential run's — pruning on or off, for any thread count.
     let spacing = spacing_deck();
     let in_core = Engine::sequential()
         .with_options(EngineOptions {
@@ -184,9 +182,8 @@ fn equivalence_case(
         let stats = &report.stats;
         if report.violations != in_core.violations
             || stats.candidate_pairs != in_core.stats.candidate_pairs
-            || stats.checks_computed + stats.checks_reused
-                != in_core.stats.checks_computed + in_core.stats.checks_reused
-            || (!pruning && stats.checks_computed != in_core.stats.checks_computed)
+            || stats.checks_computed != in_core.stats.checks_computed
+            || stats.checks_reused != in_core.stats.checks_reused
         {
             return Err(format!(
                 "sharded spacing run left the in-core run's report or counters ({case}, \

@@ -1,14 +1,17 @@
 //! The incremental correctness anchor: for ANY edit sequence,
 //! `Session::check` must report exactly the violations a from-scratch
 //! `Engine::check` reports on the edited layout — in both modes, with
-//! pruning on and off. 100 randomized cases per mode.
+//! pruning on and off. 100 randomized cases per mode. A device-mode
+//! delta runs the engine's own issue/collect/recovery calls, so it is
+//! also held to the fault contract: under any seeded fault schedule it
+//! reports what a clean sequential delta reports.
 
 use odrc::{rules::rule, Engine, EngineOptions, RuleDeck};
 use odrc_db::{CellId, CellRef, LayerPolygon, Layout};
 use odrc_gdsii::{Element, Library, Structure};
 use odrc_geometry::{Point, Polygon, Rect, Rotation, Transform};
 use odrc_incremental::{EditOp, Session};
-use odrc_xpu::Device;
+use odrc_xpu::{Device, FaultPlan};
 use proptest::prelude::*;
 
 /// A randomized edit over the live layout. Raw targets are reduced
@@ -399,6 +402,69 @@ proptest! {
         pruning in proptest::bool::ANY,
     ) {
         if let Err(msg) = run_case(&|| Engine::parallel_on(Device::new(2)), pruning, &ops) {
+            prop_assert!(false, "{}", msg);
+        }
+    }
+}
+
+/// Device-mode deltas under a seeded fault schedule against clean
+/// sequential deltas over the same edits: same violations, same delta,
+/// and degradation reported exactly when a fault fired.
+fn faulted_case(fault_seed: u64, ops: &[Op]) -> Result<(), String> {
+    let options = EngineOptions {
+        retry_backoff_ms: 0,
+        ..EngineOptions::default()
+    };
+    let device = Device::new(2);
+    let mut clean = Session::new(
+        base_layout(),
+        Engine::sequential().with_options(options.clone()),
+        deck(),
+    );
+    let mut faulted = Session::new(
+        base_layout(),
+        Engine::parallel_on(device.clone()).with_options(options),
+        deck(),
+    );
+    clean.check();
+    faulted.check();
+    // Only the deltas run under faults; the ordinals are device-wide,
+    // so the schedule spreads over the session's checks.
+    device.set_fault_plan(Some(FaultPlan::from_seed(fault_seed, 6)));
+    let mut degraded = false;
+    for op in ops {
+        if let Some(edit) = map_op(clean.layout(), op) {
+            let _ = clean.apply(edit.clone());
+            let _ = faulted.apply(edit);
+        }
+        let want = clean.check();
+        let got = faulted.check();
+        if got.violations != want.violations || got.delta != want.delta {
+            return Err(format!(
+                "fault seed {fault_seed} changed the delta after {op:?}: {} vs {} violations",
+                got.violations.len(),
+                want.violations.len()
+            ));
+        }
+        degraded |= got.stats.degraded();
+    }
+    if degraded != (device.faults_injected() > 0) {
+        return Err(format!(
+            "fault seed {fault_seed}: degraded {degraded} with {} fault(s) injected",
+            device.faults_injected()
+        ));
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(100))]
+    #[test]
+    fn parallel_delta_survives_fault_injection(
+        ops in proptest::collection::vec(arb_op(), 1..8),
+        fault_seed in 0u64..200,
+    ) {
+        if let Err(msg) = faulted_case(fault_seed, &ops) {
             prop_assert!(false, "{}", msg);
         }
     }

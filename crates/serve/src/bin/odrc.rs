@@ -85,7 +85,7 @@ use odrc::{
 };
 use odrc_db::Layout;
 use odrc_infra::{install_signal_handlers, CancelToken};
-use odrc_xpu::{Device, FaultPlan};
+use odrc_xpu::{Device, Fault, FaultPlan};
 
 /// Faults drawn from `--fault-seed` (kept fixed so a seed alone
 /// reproduces the schedule).
@@ -325,7 +325,8 @@ fn parse_args() -> Args {
                 worker_slice = Some((w, n));
                 i += 2;
             }
-            // Hidden chaos switch (testing): abort after the Nth shard.
+            // Hidden chaos switch (testing): abort right after the Kth
+            // shard of the run is journaled.
             "--chaos-kill-at-shard" => {
                 if i + 1 >= argv.len() {
                     usage();
@@ -863,9 +864,20 @@ fn run(args: &Args) -> Result<Outcome, Box<dyn std::error::Error>> {
         out_of_core: args.out_of_core,
         shard_rows: args.shard_rows,
         shard_slice: args.worker_slice,
-        chaos_kill_at_shard: args.chaos_kill_at_shard,
         ..odrc::EngineOptions::default()
     };
+    // One fault schedule per run: the seeded device faults (--parallel
+    // only) plus the chaos kill, a one-shot fault like any other.
+    let mut faults = FaultPlan::new();
+    if let (true, Some(seed)) = (args.parallel, args.fault_seed) {
+        faults = FaultPlan::from_seed(seed, FAULTS_PER_SEED);
+        eprintln!("fault injection on: seed {seed}, {FAULTS_PER_SEED} scheduled faults");
+    }
+    if let Some(k) = args.chaos_kill_at_shard {
+        faults = faults.with(Fault::ShardKill {
+            nth: k.saturating_sub(1),
+        });
+    }
     let mut engine = if args.parallel {
         let workers = std::thread::available_parallelism()
             .map(|n| n.get())
@@ -874,10 +886,6 @@ fn run(args: &Args) -> Result<Outcome, Box<dyn std::error::Error>> {
             Some(bytes) => Device::with_budget(workers, bytes),
             None => Device::new(workers),
         };
-        if let Some(seed) = args.fault_seed {
-            device.set_fault_plan(Some(FaultPlan::from_seed(seed, FAULTS_PER_SEED)));
-            eprintln!("fault injection on: seed {seed}, {FAULTS_PER_SEED} scheduled faults");
-        }
         if let Some(ms) = args.watchdog_ms {
             device.set_watchdog(Some(Duration::from_millis(ms)));
             eprintln!("stream watchdog armed: {ms} ms per operation");
@@ -891,6 +899,9 @@ fn run(args: &Args) -> Result<Outcome, Box<dyn std::error::Error>> {
         }
         Engine::sequential().with_options(options)
     };
+    if !faults.is_empty() {
+        engine.device().set_fault_plan(Some(faults));
+    }
     if args.old_layout.is_some() {
         if args.deadline_secs.is_some() || args.checkpoint_dir.is_some() {
             eprintln!("note: --deadline/--checkpoint-dir/--resume only apply to check runs");

@@ -164,6 +164,7 @@ pub(crate) struct DeviceInner {
     launch_ordinal: AtomicU64,
     stream_op_ordinal: AtomicU64,
     shard_load_ordinal: AtomicU64,
+    shard_done_ordinal: AtomicU64,
     /// Installed fault schedule; `None` (the default) injects nothing.
     faults: Mutex<Option<FaultState>>,
     /// Fast-path flag mirroring `faults.is_some()` so the common
@@ -445,6 +446,7 @@ impl Device {
                 launch_ordinal: AtomicU64::new(0),
                 stream_op_ordinal: AtomicU64::new(0),
                 shard_load_ordinal: AtomicU64::new(0),
+                shard_done_ordinal: AtomicU64::new(0),
                 faults: Mutex::new(None),
                 faults_enabled: AtomicU64::new(0),
                 host_gate: Mutex::new(None),
@@ -609,6 +611,25 @@ impl Device {
             .lock()
             .as_mut()
             .is_some_and(|s| s.take_shard_load(n))
+    }
+
+    /// Ticks the shard-completion ordinal and reports whether the plan
+    /// schedules a [`Fault::ShardKill`](crate::Fault::ShardKill) here.
+    /// The out-of-core checker calls this after journaling each
+    /// `(rule, shard)` unit and aborts the process on `true`.
+    pub fn fault_shard_done(&self) -> bool {
+        let n = self
+            .inner
+            .shard_done_ordinal
+            .fetch_add(1, Ordering::Relaxed);
+        if !self.faults_on() {
+            return false;
+        }
+        self.inner
+            .faults
+            .lock()
+            .as_mut()
+            .is_some_and(|s| s.take_shard_done(n))
     }
 
     /// Ticks the transfer ordinal and reports an injected transfer

@@ -61,6 +61,21 @@ pub enum Fault {
         /// Which shard load to fail.
         nth: u64,
     },
+    /// Report the `nth` *shard completion* (0-based, device-wide) as the
+    /// point where the process dies. Shard completions are the journaled
+    /// `(rule, shard)` units of the out-of-core checker, consulted via
+    /// [`Device::fault_shard_done`] right after the journal record; the
+    /// checker aborts the process when it fires — a deterministic
+    /// SIGKILL between shards, driving the kill/resume coverage (the
+    /// hidden `odrc --chaos-kill-at-shard K` flag). Not part of
+    /// [`FaultPlan::from_seed`] schedules: a seeded sweep must survive
+    /// its own faults.
+    ///
+    /// [`Device::fault_shard_done`]: crate::Device::fault_shard_done
+    ShardKill {
+        /// Which shard completion to die after.
+        nth: u64,
+    },
     /// Genuinely hang the `nth` stream data operation (0-based,
     /// device-wide) for `millis` of real wall-clock time before letting
     /// it proceed. Unlike [`Fault::StreamStall`] — which *reports* a
@@ -220,6 +235,11 @@ impl FaultState {
         self.take(|f| matches!(f, Fault::AllocFail { nth } if *nth == n))
     }
 
+    /// Consumes a matching shard-kill fault for completion ordinal `n`.
+    pub(crate) fn take_shard_done(&mut self, n: u64) -> bool {
+        self.take(|f| matches!(f, Fault::ShardKill { nth } if *nth == n))
+    }
+
     /// Consumes a matching stream-hang fault for op ordinal `n`,
     /// returning the hang duration in milliseconds.
     pub(crate) fn take_stream_hang(&mut self, n: u64) -> Option<u64> {
@@ -348,6 +368,12 @@ mod tests {
         // Shard loads and device allocations use separate matchers.
         let mut state = FaultState::new(FaultPlan::new().with(Fault::AllocOom { nth: 0 }));
         assert!(!state.take_shard_load(0));
+        // Shard completions are a third ordinal with its own matcher.
+        let mut state = FaultState::new(FaultPlan::new().with(Fault::ShardKill { nth: 2 }));
+        assert!(!state.take_shard_load(2));
+        assert!(!state.take_shard_done(1));
+        assert!(state.take_shard_done(2));
+        assert!(!state.take_shard_done(2), "consumed, never refires");
     }
 
     #[test]
