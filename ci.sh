@@ -14,8 +14,17 @@ echo "== one host path, one classifier (no is_serial() fork, one spacing row loo
 # A 1-thread executor runs the same code inline, so the engine keeps no
 # separate single-threaded branch; and in-core, delta and sharded
 # spacing all go through the one row loop that calls cross_space.
-if grep -rn 'is_serial()' crates/core/src; then
-    echo "crates/core/src must not fork on HostExecutor::is_serial()"
+if grep -rn 'is_serial()' crates/*/src; then
+    echo "crates/*/src must not fork on HostExecutor::is_serial()"
+    exit 1
+fi
+# One fan-out shape: the executor uses the threads it was given (no
+# learned or calibrated worker count), and row pair discovery has one
+# structure, not an option. (The device keeps its own
+# physical_parallelism() for sizing its persistent pool.)
+if grep -rnE 'set_adaptive|cost_model|plan_workers|fanout_cost|PairIndex|pair_index' crates/*/src \
+    || grep -rn 'physical_parallelism' crates/infra/src crates/core/src; then
+    echo "the adaptive granularity model or the PairIndex option is back in crates/*/src"
     exit 1
 fi
 calls=$(grep -rn 'cross_space(' crates/core/src | grep -vc 'fn cross_space(')
@@ -48,6 +57,11 @@ echo "== tier-1: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q --no-fail-fast
 
+echo "== infra unit tests, optimized (executor steal/panic/gate timing)"
+# The executor's concurrency tests are the timing-sensitive ones; run
+# them at the optimization level the product ships at as well.
+cargo test -q --release -p odrc-infra --lib
+
 echo "== fault-injection suite (seeded FaultPlan matrix)"
 # The device fault paths and the engine's graceful-degradation
 # machinery, including the 100-seed schedule matrix over the paper's
@@ -71,7 +85,8 @@ cargo test -q --release -p odrc --test host_parallel_equivalence
 
 echo "== core-count matrix (thread-count suites pinned to one core, then unrestricted)"
 # The suites that sweep host_threads must hold whatever the host gives
-# them: one core (every fan-out degrades to inline) and all of them.
+# them: one core (host_threads 8 really runs 8 workers time-sliced on
+# it — the executor uses what it was asked for) and all of them.
 cargo test -q --release -p odrc --test out_of_core
 if command -v taskset >/dev/null 2>&1; then
     taskset -c 0 cargo test -q --release -p odrc --test host_parallel_equivalence

@@ -7,7 +7,8 @@
 //! (c) adaptive row partition on/off (§IV-B),
 //! (d) brute-force vs sweepline parallel executor threshold (§IV-E),
 //! (e) interval-tree sweepline vs quadratic overlap enumeration
-//!     (§IV-D).
+//!     (§IV-D),
+//! (h) interval-tree sweepline vs R-tree for row pair discovery.
 
 use std::time::Instant;
 
@@ -140,28 +141,51 @@ fn main() {
         }
     }
 
-    // (h) Pair-discovery structure inside the sequential engine.
+    // (h) Row pair discovery: §IV-D's interval-tree sweepline vs the
+    // R-tree, over each M1 partition row's rule-inflated object MBRs —
+    // exactly the rectangle sets the sequential engine's spacing rows
+    // hand to pair discovery.
     {
-        println!("\n=== Ablation (h): sequential pair discovery, sweepline vs R-tree ===");
+        use odrc::scene::LayerScene;
+        use odrc_infra::partition::partition_rows;
+        use odrc_infra::rtree::rtree_overlaps;
+        use odrc_infra::sweep::sweep_overlaps;
+        use odrc_layoutgen::tech;
         println!(
-            "{:<10} {:<10} {:>14} {:>12}",
-            "design", "rule", "sweepline(s)", "rtree(s)"
+            "\n=== Ablation (h): M1 row pair discovery, sweepline vs R-tree (the engine uses the R-tree) ==="
         );
-        let designs = odrc_bench::load_designs(Some("ibex,aes"));
-        for d in &designs {
-            for r in &space_rules() {
-                let (t_sw, a) = time(|| Engine::sequential().check(&d.layout, &r.deck));
-                let (t_rt, b) = time(|| {
-                    Engine::sequential()
-                        .with_options(EngineOptions {
-                            pair_index: odrc::PairIndex::RTree,
-                            ..EngineOptions::default()
-                        })
-                        .check(&d.layout, &r.deck)
-                });
-                assert_eq!(a.violations, b.violations);
-                println!("{:<10} {:<10} {t_sw:>14.4} {t_rt:>12.4}", d.name, r.name);
-            }
+        println!(
+            "{:<10} {:>8} {:>10} {:>14} {:>12}",
+            "design", "rows", "pairs", "sweepline(s)", "rtree(s)"
+        );
+        let half = ((tech::M1_SPACE + 1) / 2) as odrc_geometry::Coord;
+        for d in &load_designs(Some("ibex,aes")) {
+            let scene = LayerScene::build_near(&d.layout, tech::M1, None);
+            let mbrs: Vec<Rect> = scene.objects.iter().map(|o| o.mbr).collect();
+            let rows: Vec<Vec<Rect>> = partition_rows(&mbrs, half)
+                .iter()
+                .map(|row| row.members.iter().map(|&m| mbrs[m].inflate(half)).collect())
+                .collect();
+            let (t_sw, p_sw) = time(|| {
+                let mut pairs = 0usize;
+                for row in &rows {
+                    sweep_overlaps(row, |_, _| pairs += 1);
+                }
+                pairs
+            });
+            let (t_rt, p_rt) = time(|| {
+                let mut pairs = 0usize;
+                for row in &rows {
+                    rtree_overlaps(row, |_, _| pairs += 1);
+                }
+                pairs
+            });
+            assert_eq!(p_sw, p_rt, "pair-discovery structures disagree");
+            println!(
+                "{:<10} {:>8} {p_sw:>10} {t_sw:>14.4} {t_rt:>12.4}",
+                d.name,
+                rows.len()
+            );
         }
     }
 

@@ -159,7 +159,7 @@ fn write_scaling_json(path: &str, results: &[(String, Vec<ScaleRun>)]) -> std::i
     let mut f = std::io::BufWriter::new(std::fs::File::create(path)?);
     writeln!(f, "{{")?;
     writeln!(f, "  \"bench\": \"host-scaling\",")?;
-    writeln!(f, "  \"mode\": \"sequential+planner\",")?;
+    writeln!(f, "  \"mode\": \"sequential\",")?;
     writeln!(f, "  \"designs\": [")?;
     for (di, (name, runs)) in results.iter().enumerate() {
         writeln!(f, "    {{")?;
@@ -324,9 +324,9 @@ fn phase_ms(report: &CheckReport, phase: &str) -> Option<f64> {
 /// modes and fails (exit 1) if a mode's gated phase (parallel
 /// kernel-wait, sequential sweepline) regressed more than 25% past the
 /// committed baseline, or if running the sequential engine with two
-/// host threads costs more than 5% over one thread (adaptive
-/// granularity must keep small hosts at parity). A 10ms absolute grace
-/// keeps sub-noise baselines from tripping the ratio.
+/// host threads costs more than 5% over one thread (a second worker
+/// must at least pay for its own spawns). A 10ms absolute grace keeps
+/// sub-noise baselines from tripping the ratio.
 fn run_gate(baseline_path: &str, deck: &RuleDeck, repeat: usize) -> bool {
     let (baseline, baseline_peaks) = scan_baseline(baseline_path);
     let design = load_designs(Some("aes"))
@@ -463,7 +463,7 @@ fn main() {
     if scaling {
         let ladder = scaling_ladder();
         println!(
-            "\n=== Host executor scaling: sequential+planner, {}-rule deck ===",
+            "\n=== Host executor scaling: sequential, {}-rule deck ===",
             deck.rules().len()
         );
         println!(

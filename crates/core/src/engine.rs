@@ -21,19 +21,6 @@ pub enum Mode {
     Parallel,
 }
 
-/// Which structure discovers candidate object pairs in the sequential
-/// mode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PairIndex {
-    /// The top-down sweepline with an interval tree (§IV-D) — the
-    /// paper's choice and the default.
-    #[default]
-    Sweepline,
-    /// An STR-packed R-tree queried per object — the bounding-volume
-    /// alternative the paper cites (§I), kept for the ablation.
-    RTree,
-}
-
 /// Tuning knobs, including the ablation switches DESIGN.md calls out.
 #[derive(Debug, Clone)]
 pub struct EngineOptions {
@@ -46,8 +33,6 @@ pub struct EngineOptions {
     /// Row edge count at or below which the parallel mode uses the
     /// brute-force executor instead of the sweepline executor (§IV-E).
     pub sweep_threshold: usize,
-    /// Candidate-pair discovery structure for the sequential mode.
-    pub pair_index: PairIndex,
     /// Device attempts per failed work unit (row or rule) before the
     /// engine gives up on the device and recomputes on the host. Zero
     /// falls back immediately.
@@ -59,7 +44,8 @@ pub struct EngineOptions {
     /// fans out scene builds, partition assignment, row packing, the
     /// row-parallel sequential checks, and violation canonicalization.
     /// `None` (the default) sizes it to the host's available
-    /// parallelism. The budget is shared with — not additive to — the
+    /// parallelism; an explicit count is used as given, even above the
+    /// core count. The budget is shared with — not additive to — the
     /// device's kernel dispatch. `Some(1)` is not a separate code path:
     /// a one-thread executor runs the same tasks inline on the caller.
     pub host_threads: Option<usize>,
@@ -111,7 +97,6 @@ impl Default for EngineOptions {
             pruning: true,
             partition: true,
             sweep_threshold: 512,
-            pair_index: PairIndex::default(),
             max_device_retries: 2,
             retry_backoff_ms: 1,
             host_threads: None,
@@ -190,11 +175,12 @@ pub struct EngineStats {
     /// Bytes actually moved host→device through the shared
     /// upload path (shallow sizes at the upload call sites).
     pub bytes_uploaded: u64,
-    /// Tasks handed to the host executor. A function of the input and
-    /// the options only: this crate's host phases go through the
+    /// Task indices handed to the host executor. A function of the
+    /// input and the options only: every host phase goes through the
     /// executor at every thread count (a one-thread executor runs its
-    /// tasks inline), and how many workers shared them never changes
-    /// the count.
+    /// tasks inline), no fan-out sizes itself by the thread count, and
+    /// how many workers shared the tasks — or in what blocks they
+    /// claimed them — never changes the count.
     pub host_tasks: u64,
     /// Successful work steals between host-executor workers.
     pub host_steals: u64,

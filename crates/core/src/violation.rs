@@ -89,21 +89,24 @@ pub fn canonicalize(mut violations: Vec<Violation>) -> Vec<Violation> {
 }
 
 /// [`canonicalize`] with the sort fanned out on the host executor:
-/// per-worker chunks sort in parallel, then a serial k-way merge and
-/// dedup produce the canonical order. `Violation`'s order is total
+/// chunks sort in parallel, then a serial chain of pairwise merges and
+/// a dedup produce the canonical order. `Violation`'s order is total
 /// (every field participates), so equal elements are indistinguishable
 /// and the result is byte-identical to the serial sort for any thread
-/// count.
+/// count. The chunk count depends on the input size only, never on the
+/// executor, and is capped because every chunk is one more pass of the
+/// merge chain.
 pub fn canonicalize_on(
     host: &odrc_infra::HostExecutor,
     violations: Vec<Violation>,
 ) -> Vec<Violation> {
     const CHUNK: usize = 4096;
+    const MAX_CHUNKS: usize = 4;
     if violations.len() <= CHUNK {
         return canonicalize(violations);
     }
     let n = violations.len();
-    let chunks = host.threads().min(n.div_ceil(CHUNK));
+    let chunks = n.div_ceil(CHUNK).min(MAX_CHUNKS);
     let per = n.div_ceil(chunks);
     let mut parts: Vec<Vec<Violation>> = Vec::with_capacity(chunks);
     let mut rest = violations;

@@ -406,20 +406,6 @@ fn overlap_area_on_generated_vias() {
 }
 
 #[test]
-fn rtree_pair_index_agrees_with_sweepline() {
-    let layout = generate_layout(&DesignSpec::tiny(77));
-    let deck = full_deck();
-    let sweep = Engine::sequential().check(&layout, &deck);
-    let rtree = Engine::sequential()
-        .with_options(EngineOptions {
-            pair_index: odrc::PairIndex::RTree,
-            ..EngineOptions::default()
-        })
-        .check(&layout, &deck);
-    assert_eq!(sweep.violations, rtree.violations);
-}
-
-#[test]
 fn report_filters_by_rule() {
     let layout = generate_layout(&DesignSpec::tiny(14));
     let deck = full_deck();

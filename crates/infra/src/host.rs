@@ -5,11 +5,19 @@
 //! edge checks ~40-50%), and the row partition of §IV-B makes those
 //! phases embarrassingly row-parallel. [`HostExecutor`] turns an index
 //! range `0..n` of independent tasks into per-worker work-stealing
-//! deques: each worker pops from the front of its own deque and, when
-//! empty, steals the rear half of a victim's deque — the classic
-//! Chase-Lev split between cheap owner pops and contended steals,
-//! implemented here on a packed `AtomicU64` range (no external deque
-//! crate; the workspace dependency list is fixed).
+//! deques: each worker claims a *block* of indices from the front of
+//! its own deque and, when empty, steals the rear half of a victim's
+//! deque — the classic Chase-Lev split between cheap owner pops and
+//! contended steals, implemented here on a packed `AtomicU64` range (no
+//! external deque crate; the workspace dependency list is fixed).
+//!
+//! The block is the unit of scheduling: one CAS and one busy-time stamp
+//! cover `max(1, n / (workers × 16))` indices, so a fan-out of a
+//! million sub-microsecond tasks pays for sixteen claims per worker,
+//! not a million, while a fan-out of a few heavy tasks still balances
+//! index by index. The grain depends on `n` and the number of workers
+//! the gate granted, nothing else: the executor uses the threads it was
+//! given and guesses nothing about what a task costs.
 //!
 //! Determinism is the design constraint: `run` returns results in task
 //! index order no matter which worker executed what, so callers merge
@@ -28,27 +36,11 @@
 //! one pool-sized allowance instead of adding up, and nested fan-outs
 //! (a task that launches a device sort) degrade to inline execution
 //! instead of oversubscribing the machine.
-//!
-//! # Adaptive granularity
-//!
-//! Requesting N threads does not mean every fan-out should use N. On a
-//! host with fewer physical cores than configured threads, or for a
-//! phase whose total work is smaller than the cost of standing up the
-//! workers, spawning only adds overhead — the pathology that made
-//! `--host-threads 2` *slower* than serial on small hosts. Each
-//! executor therefore keeps a per-phase cost model (an EWMA of
-//! nanoseconds per task, learned from its own measured busy time) and
-//! plans each fan-out as `workers = min(requested, physical cores,
-//! total_estimated_ns / fanout_cost_ns)`, where the fan-out cost is
-//! calibrated once per process by timing a no-op scoped spawn. Phases
-//! the model has never seen run optimistically and are measured; the
-//! planner only ever changes *how many* workers execute, never what
-//! they produce, so results stay byte-identical either way.
 
-use std::collections::HashMap;
+use std::ops::Range;
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::cancel::CancelToken;
@@ -152,10 +144,10 @@ impl ThreadGate {
 
 /// One worker's deque: a half-open index range packed into an
 /// `AtomicU64` (`lo` in the high word, `hi` in the low word). The owner
-/// claims single indices from the front; thieves claim the rear half in
-/// one CAS. Every transition only shrinks the current range (or
-/// installs a freshly stolen one into an empty deque), so each index is
-/// claimed exactly once.
+/// claims a block of indices from the front; thieves claim the rear
+/// half; either is one CAS. Every transition only shrinks the current
+/// range (or installs a freshly stolen one into an empty deque), so
+/// each index is claimed exactly once.
 struct RangeDeque(AtomicU64);
 
 #[inline]
@@ -173,28 +165,29 @@ impl RangeDeque {
         RangeDeque(AtomicU64::new(pack_range(lo as u32, hi as u32)))
     }
 
-    /// Owner side: claim the front index.
-    fn pop_front(&self) -> Option<usize> {
+    /// Owner side: claim the front `min(grain, remaining)` indices.
+    fn pop_front(&self, grain: usize) -> Option<Range<usize>> {
         let mut cur = self.0.load(Ordering::Acquire);
         loop {
             let (lo, hi) = unpack_range(cur);
             if lo >= hi {
                 return None;
             }
+            let end = lo + ((hi - lo) as usize).min(grain) as u32;
             match self.0.compare_exchange_weak(
                 cur,
-                pack_range(lo + 1, hi),
+                pack_range(end, hi),
                 Ordering::AcqRel,
                 Ordering::Acquire,
             ) {
-                Ok(_) => return Some(lo as usize),
+                Ok(_) => return Some(lo as usize..end as usize),
                 Err(now) => cur = now,
             }
         }
     }
 
     /// Thief side: claim the rear half (at least one index).
-    fn steal_back(&self) -> Option<std::ops::Range<usize>> {
+    fn steal_back(&self) -> Option<Range<usize>> {
         let mut cur = self.0.load(Ordering::Acquire);
         loop {
             let (lo, hi) = unpack_range(cur);
@@ -215,7 +208,7 @@ impl RangeDeque {
     }
 
     /// Owner side: install a stolen range into this (empty) deque.
-    fn install(&self, r: std::ops::Range<usize>) {
+    fn install(&self, r: Range<usize>) {
         self.0
             .store(pack_range(r.start as u32, r.end as u32), Ordering::Release);
     }
@@ -234,30 +227,6 @@ struct UtilSample {
     phase: String,
     wall: Duration,
     busy: Vec<Duration>,
-}
-
-/// Measured cost of standing up one extra scoped worker (spawn + join),
-/// calibrated once per process. Floored at 20µs so a suspiciously fast
-/// calibration run can't convince the planner that threads are free.
-fn fanout_cost() -> Duration {
-    static COST: OnceLock<Duration> = OnceLock::new();
-    *COST.get_or_init(|| {
-        let mut best = Duration::MAX;
-        for _ in 0..4 {
-            let t0 = Instant::now();
-            std::thread::scope(|s| {
-                s.spawn(|| {});
-            });
-            best = best.min(t0.elapsed());
-        }
-        best.max(Duration::from_micros(20))
-    })
-}
-
-/// Physical parallelism of this host, cached once per process.
-fn physical_parallelism() -> usize {
-    static PHYS: OnceLock<usize> = OnceLock::new();
-    *PHYS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 /// The shared work-stealing host executor (see the [module docs](self)).
@@ -279,12 +248,6 @@ pub struct HostExecutor {
     tasks: AtomicU64,
     steals: AtomicU64,
     util: Mutex<Vec<UtilSample>>,
-    /// Adaptive granularity switch (see the module docs). On by
-    /// default; tests that must exercise the multi-worker path on a
-    /// single-core host switch it off.
-    adaptive: AtomicBool,
-    /// EWMA of per-task nanoseconds, keyed by phase label.
-    cost_model: Mutex<HashMap<String, f64>>,
 }
 
 impl std::fmt::Debug for HostExecutor {
@@ -301,17 +264,8 @@ impl HostExecutor {
     /// An executor sized to `threads` (clamped to at least 1). One
     /// thread means strictly inline execution — no gate, no spawns.
     pub fn new(threads: usize) -> Self {
-        let threads = threads.max(1);
-        HostExecutor {
-            threads,
-            gate: (threads > 1).then(|| Arc::new(ThreadGate::new(threads - 1))),
-            cancel: Mutex::new(None),
-            tasks: AtomicU64::new(0),
-            steals: AtomicU64::new(0),
-            util: Mutex::new(Vec::new()),
-            adaptive: AtomicBool::new(true),
-            cost_model: Mutex::new(HashMap::new()),
-        }
+        let gate = Arc::new(ThreadGate::new(threads.saturating_sub(1)));
+        HostExecutor::with_shared_gate(threads, gate)
     }
 
     /// An executor that draws its extra workers from an *external*
@@ -336,8 +290,6 @@ impl HostExecutor {
             tasks: AtomicU64::new(0),
             steals: AtomicU64::new(0),
             util: Mutex::new(Vec::new()),
-            adaptive: AtomicBool::new(true),
-            cost_model: Mutex::new(HashMap::new()),
         }
     }
 
@@ -356,12 +308,6 @@ impl HostExecutor {
         self.threads
     }
 
-    /// `true` when this executor never spawns (one thread): callers can
-    /// keep their exact single-threaded code path.
-    pub fn is_serial(&self) -> bool {
-        self.threads <= 1
-    }
-
     /// The extra-thread gate, for sharing the budget with other
     /// components (the device's kernel dispatch). `None` when serial.
     pub fn gate(&self) -> Option<Arc<ThreadGate>> {
@@ -376,60 +322,6 @@ impl HostExecutor {
     /// Successful steals so far.
     pub fn steals(&self) -> u64 {
         self.steals.load(Ordering::Relaxed)
-    }
-
-    /// Enables or disables the adaptive granularity planner (on by
-    /// default). With it off, every fan-out uses the full configured
-    /// thread count — the pre-cost-model behavior, kept for tests that
-    /// must exercise the multi-worker path regardless of host shape.
-    pub fn set_adaptive(&self, on: bool) {
-        self.adaptive.store(on, Ordering::Relaxed);
-    }
-
-    /// Decides how many workers a fan-out of `n` tasks in `phase`
-    /// should use, given that the caller wants `want`. Only ever
-    /// shrinks: never above the physical core count, and never so many
-    /// that the calibrated fan-out cost exceeds the phase's estimated
-    /// total work. Unknown phases run optimistically and get measured.
-    fn plan_workers(&self, phase: &str, want: usize, n: usize) -> usize {
-        if want <= 1 || !self.adaptive.load(Ordering::Relaxed) {
-            return want;
-        }
-        let phys = physical_parallelism();
-        if phys <= 1 {
-            return 1;
-        }
-        let want = want.min(phys);
-        let est = {
-            let model = self.cost_model.lock().expect("cost model lock");
-            model.get(phase).copied()
-        };
-        match est {
-            None => want,
-            Some(ns_per_task) => {
-                let total_ns = ns_per_task * n as f64;
-                let spawn_ns = fanout_cost().as_nanos() as f64;
-                let by_work = (total_ns / spawn_ns) as usize;
-                want.min(by_work.max(1))
-            }
-        }
-    }
-
-    /// Feeds a measured fan-out back into the per-phase cost model.
-    /// `busy` is the summed worker busy time, so the estimate tracks
-    /// work per task independent of how many workers ran it.
-    fn observe(&self, phase: &str, n: usize, busy: Duration) {
-        if n == 0 {
-            return;
-        }
-        let sample = busy.as_nanos() as f64 / n as f64;
-        let mut model = self.cost_model.lock().expect("cost model lock");
-        match model.get_mut(phase) {
-            Some(est) => *est = 0.7 * *est + 0.3 * sample,
-            None => {
-                model.insert(phase.to_owned(), sample);
-            }
-        }
     }
 
     /// Runs tasks `0..n` of `f`, returning the results in index order.
@@ -459,10 +351,10 @@ impl HostExecutor {
     /// [`HostExecutor::drain_utilization_into`].
     ///
     /// Each task body runs under `catch_unwind`; on a panic the
-    /// affected worker stops claiming work, the other workers drain
-    /// normally, the gate permits are released, and the error reports
-    /// the lowest-indexed panicking task (deterministic regardless of
-    /// scheduling).
+    /// affected worker abandons the rest of its block and stops
+    /// claiming work, the other workers drain normally, the gate
+    /// permits are released, and the error reports the lowest-indexed
+    /// panicking task (deterministic regardless of scheduling).
     pub fn try_run<T, F>(&self, phase: &str, n: usize, f: F) -> Result<Vec<T>, HostPanic>
     where
         T: Send,
@@ -472,10 +364,10 @@ impl HostExecutor {
         if n == 0 {
             return Ok(Vec::new());
         }
-        let want = self.plan_workers(phase, self.threads.min(n), n);
-        let extra = match (&self.gate, want) {
-            (Some(gate), w) if w > 1 => gate.try_acquire(w - 1),
-            _ => 0,
+        let want = self.threads.min(n);
+        let extra = match &self.gate {
+            Some(gate) => gate.try_acquire(want - 1),
+            None => 0,
         };
         if extra == 0 {
             let start = Instant::now();
@@ -493,11 +385,14 @@ impl HostExecutor {
                     }
                 }
             }
-            self.observe(phase, n, start.elapsed());
             self.note_util(phase, start.elapsed(), vec![start.elapsed()]);
             return Ok(out);
         }
         let workers = extra + 1;
+        // Indices per owner claim: sixteen blocks per worker leave
+        // thieves something to balance with, and one CAS plus one busy
+        // stamp per block is what makes sub-microsecond tasks cheap.
+        let grain = (n / (workers * 16)).max(1);
 
         // Seed per-worker deques with contiguous slices of the range.
         let chunk = n.div_ceil(workers);
@@ -510,23 +405,29 @@ impl HostExecutor {
         let cancel = self.cancel.lock().expect("cancel lock").clone();
         let cancel = &cancel;
         let worker_loop = move |w: usize| -> WorkerResult<T> {
-            let mut local: Vec<(usize, T)> = Vec::new();
-            let mut busy = Duration::ZERO;
+            let mut out = WorkerResult {
+                results: Vec::new(),
+                busy: Duration::ZERO,
+                panic: None,
+            };
             loop {
-                while let Some(i) = deques[w].pop_front() {
+                while let Some(block) = deques[w].pop_front(grain) {
                     let t0 = Instant::now();
-                    match std::panic::catch_unwind(AssertUnwindSafe(|| f(i))) {
-                        Ok(v) => local.push((i, v)),
-                        Err(payload) => {
-                            busy += t0.elapsed();
-                            return WorkerResult {
-                                results: local,
-                                busy,
-                                panic: Some((i, panic_message(payload))),
-                            };
+                    for i in block {
+                        // Caught per task, so a panic names its own
+                        // index; the rest of its block never runs.
+                        match std::panic::catch_unwind(AssertUnwindSafe(|| f(i))) {
+                            Ok(v) => out.results.push((i, v)),
+                            Err(payload) => {
+                                out.panic = Some((i, panic_message(payload)));
+                                break;
+                            }
                         }
                     }
-                    busy += t0.elapsed();
+                    out.busy += t0.elapsed();
+                    if out.panic.is_some() {
+                        return out;
+                    }
                 }
                 // A cancelled run stops load balancing: every seeded
                 // task still runs exactly once (owners drain their own
@@ -545,11 +446,7 @@ impl HostExecutor {
                     }
                 }
                 if !refilled {
-                    return WorkerResult {
-                        results: local,
-                        busy,
-                        panic: None,
-                    };
+                    return out;
                 }
             }
         };
@@ -580,7 +477,6 @@ impl HostExecutor {
         }
 
         let busy: Vec<Duration> = per_worker.iter().map(|r| r.busy).collect();
-        self.observe(phase, n, busy.iter().sum());
         self.note_util(phase, wall, busy);
 
         // Deterministic failure: report the lowest-indexed panic no
@@ -644,11 +540,11 @@ impl HostExecutor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicBool;
 
     #[test]
     fn serial_executor_runs_inline() {
         let host = HostExecutor::new(1);
-        assert!(host.is_serial());
         assert!(host.gate().is_none());
         let out = host.run("t", 10, |i| i + 1);
         assert_eq!(out, (1..=10).collect::<Vec<_>>());
@@ -660,9 +556,10 @@ mod tests {
     fn results_in_index_order_any_thread_count() {
         for threads in [1, 2, 3, 8] {
             let host = HostExecutor::new(threads);
-            host.set_adaptive(false);
             let out = host.run("t", 1000, |i| i * 3);
             assert_eq!(out, (0..1000).map(|i| i * 3).collect::<Vec<_>>());
+            // `tasks` counts indices, not blocks or workers.
+            assert_eq!(host.tasks(), 1000, "threads={threads}");
         }
     }
 
@@ -676,7 +573,6 @@ mod tests {
     #[test]
     fn uneven_tasks_balance_via_stealing() {
         let host = HostExecutor::new(4);
-        host.set_adaptive(false);
         // A few heavy tasks at the front force front-loaded deques to be
         // drained by thieves on multicore hosts; on any host the result
         // must still come back in order.
@@ -711,7 +607,6 @@ mod tests {
     #[test]
     fn executor_shares_gate_budget() {
         let host = HostExecutor::new(4);
-        host.set_adaptive(false);
         let gate = host.gate().expect("parallel executor has a gate");
         assert_eq!(gate.available(), 3);
         // Drain the gate: the next run degrades to inline but completes.
@@ -753,7 +648,6 @@ mod tests {
     fn shared_gate_serial_executor_ignores_gate() {
         let gate = Arc::new(ThreadGate::new(2));
         let host = HostExecutor::with_shared_gate(1, Arc::clone(&gate));
-        assert!(host.is_serial());
         assert!(host.gate().is_none());
         assert_eq!(host.run("t", 5, |i| i), vec![0, 1, 2, 3, 4]);
         assert_eq!(gate.available(), 2);
@@ -762,7 +656,6 @@ mod tests {
     #[test]
     fn utilization_accumulates_per_phase() {
         let host = HostExecutor::new(2);
-        host.set_adaptive(false);
         host.run("alpha", 50, |i| i);
         host.run("alpha", 50, |i| i);
         host.run("beta", 10, |i| i);
@@ -780,26 +673,42 @@ mod tests {
 
     #[test]
     fn panicking_task_fails_with_typed_error_and_keeps_pool() {
-        let host = HostExecutor::new(4);
-        host.set_adaptive(false);
-        let gate = host.gate().expect("parallel executor has a gate");
-        let err = host
-            .try_run("t", 64, |i| {
-                if i == 17 {
-                    panic!("task {i} exploded");
-                }
-                i
-            })
-            .expect_err("task 17 panics");
-        assert_eq!(err.task, 17);
-        assert_eq!(err.phase, "t");
-        assert!(err.message.contains("exploded"), "got: {}", err.message);
-        // Regression: the fan-out used to unwind through the thread
-        // scope, skipping the gate release and degrading every later
-        // run to inline execution. The permits must all be back.
-        assert_eq!(gate.available(), 3);
-        let out = host.run("t", 100, |i| i);
-        assert_eq!(out, (0..100).collect::<Vec<_>>());
+        // (n, panicking task): one index per claim, then 100-index
+        // blocks with the panic in the middle of worker 1's first one.
+        for (n, bad) in [(64, 17), (6400, 1617)] {
+            let host = HostExecutor::new(4);
+            let gate = host.gate().expect("parallel executor has a gate");
+            // No stealing, so block boundaries depend on `n` alone.
+            let token = CancelToken::new();
+            token.cancel(crate::cancel::CancelReason::Interrupt);
+            host.set_cancel(Some(token));
+            let ran: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(false)).collect();
+            let err = host
+                .try_run("t", n, |i| {
+                    if i == bad {
+                        panic!("task {i} exploded");
+                    }
+                    ran[i].store(true, Ordering::Relaxed);
+                    i
+                })
+                .expect_err("one task panics");
+            assert_eq!(err.task, bad);
+            assert_eq!(err.phase, "t");
+            assert!(err.message.contains("exploded"), "got: {}", err.message);
+            // The block ran up to the panic and not one index past it.
+            let grain = n / (4 * 16);
+            let block_start = bad - bad % grain;
+            let ran = |i: usize| ran[i].load(Ordering::Relaxed);
+            assert!((block_start..bad).all(ran), "n={n}");
+            assert!(!(bad..block_start + grain).any(ran), "n={n}");
+            // Regression: the fan-out used to unwind through the thread
+            // scope, skipping the gate release and degrading every later
+            // run to inline execution. The permits must all be back.
+            assert_eq!(gate.available(), 3);
+            host.set_cancel(None);
+            let out = host.run("t", 100, |i| i);
+            assert_eq!(out, (0..100).collect::<Vec<_>>());
+        }
     }
 
     #[test]
@@ -820,7 +729,6 @@ mod tests {
     #[test]
     fn run_repanics_after_releasing_gate() {
         let host = HostExecutor::new(4);
-        host.set_adaptive(false);
         let gate = host.gate().expect("gate");
         let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
             host.run("t", 16, |i| {
@@ -837,26 +745,27 @@ mod tests {
     #[test]
     fn lowest_indexed_panic_wins() {
         // Several tasks panic; the reported task index must be the
-        // minimum regardless of worker scheduling.
-        for _ in 0..8 {
-            let host = HostExecutor::new(4);
-            host.set_adaptive(false);
-            let err = host
-                .try_run("t", 64, |i| {
-                    if i % 9 == 4 {
-                        panic!("p{i}");
-                    }
-                    i
-                })
-                .expect_err("several tasks panic");
-            assert_eq!(err.task, 4);
+        // minimum regardless of worker scheduling — with one index per
+        // claim (n = 64) and with task 4 inside a 100-index block.
+        for n in [64, 6400] {
+            for _ in 0..8 {
+                let host = HostExecutor::new(4);
+                let err = host
+                    .try_run("t", n, |i| {
+                        if i % 9 == 4 {
+                            panic!("p{i}");
+                        }
+                        i
+                    })
+                    .expect_err("several tasks panic");
+                assert_eq!(err.task, 4, "n={n}");
+            }
         }
     }
 
     #[test]
     fn cancelled_token_still_runs_every_task() {
         let host = HostExecutor::new(4);
-        host.set_adaptive(false);
         let token = CancelToken::new();
         token.cancel(crate::cancel::CancelReason::Interrupt);
         host.set_cancel(Some(token));
@@ -868,81 +777,49 @@ mod tests {
     }
 
     #[test]
-    fn planner_never_exceeds_physical_cores() {
-        let host = HostExecutor::new(64);
-        let planned = host.plan_workers("t", 64, 10_000);
-        assert!(planned <= physical_parallelism());
-        assert!(planned >= 1);
-    }
-
-    #[test]
-    fn planner_shrinks_cheap_phases_to_inline() {
-        let host = HostExecutor::new(4);
-        // Teach the model that "cheap" tasks are ~40ns each: total work
-        // for a small fan-out is far below the calibrated spawn cost,
-        // so the planner must refuse to spawn.
-        host.observe("cheap", 1000, Duration::from_nanos(40_000));
-        assert_eq!(host.plan_workers("cheap", 4, 8), 1);
-        // An expensive phase keeps its workers (modulo physical cores).
-        host.observe("heavy", 10, Duration::from_millis(400));
-        let planned = host.plan_workers("heavy", 4, 10);
-        assert_eq!(planned, 4.min(physical_parallelism()));
-    }
-
-    #[test]
-    fn planner_is_optimistic_for_unknown_phases() {
-        let host = HostExecutor::new(4);
-        let expect = 4.min(physical_parallelism());
-        assert_eq!(host.plan_workers("never-seen", 4, 100), expect);
-    }
-
-    #[test]
-    fn disabling_adaptive_restores_full_fanout() {
-        let host = HostExecutor::new(4);
-        host.set_adaptive(false);
-        host.observe("cheap", 1000, Duration::from_nanos(40_000));
-        assert_eq!(host.plan_workers("cheap", 4, 8), 4);
-    }
-
-    #[test]
-    fn cost_model_learns_from_runs() {
-        let host = HostExecutor::new(2);
-        host.run("spin", 32, |i| {
-            let mut acc = 0u64;
-            for k in 0..50_000u64 {
-                acc = acc.wrapping_add(k ^ i as u64);
-            }
-            acc
-        });
-        let model = host.cost_model.lock().unwrap();
-        let est = model.get("spin").copied().expect("phase was measured");
-        assert!(est > 0.0);
-    }
-
-    #[test]
-    fn adaptive_results_match_full_fanout() {
-        // The planner changes worker counts, never results.
-        let adaptive = HostExecutor::new(8);
-        let pinned = HostExecutor::new(8);
-        pinned.set_adaptive(false);
-        for _ in 0..3 {
-            let a = adaptive.run("t", 777, |i| i * 31 + 7);
-            let b = pinned.run("t", 777, |i| i * 31 + 7);
-            assert_eq!(a, b);
-        }
-    }
-
-    #[test]
     fn range_deque_claims_each_index_once() {
         let d = RangeDeque::new(0, 10);
         let stolen = d.steal_back().expect("non-empty");
         assert_eq!(stolen, 5..10);
-        let mut fronts = Vec::new();
-        while let Some(i) = d.pop_front() {
-            fronts.push(i);
-        }
-        assert_eq!(fronts, vec![0, 1, 2, 3, 4]);
+        assert_eq!(d.pop_front(1), Some(0..1));
+        assert_eq!(d.pop_front(3), Some(1..4));
+        assert_eq!(d.pop_front(3), Some(4..5));
         assert!(d.steal_back().is_none());
-        assert!(d.pop_front().is_none());
+        assert!(d.pop_front(1).is_none());
+    }
+
+    #[test]
+    fn range_deque_claims_each_index_once_under_concurrent_steals() {
+        const LEN: usize = 10_000;
+        for grain in [1, 3, LEN, LEN + 7] {
+            let deque = RangeDeque::new(0, LEN);
+            let claims: Vec<AtomicUsize> = (0..LEN).map(|_| AtomicUsize::new(0)).collect();
+            let claim = |r: Range<usize>| {
+                for i in r {
+                    claims[i].fetch_add(1, Ordering::Relaxed);
+                }
+            };
+            // Owner and both thieves start on the same barrier.
+            let start = std::sync::Barrier::new(3);
+            std::thread::scope(|s| {
+                for _ in 0..2 {
+                    s.spawn(|| {
+                        start.wait();
+                        while let Some(r) = deque.steal_back() {
+                            claim(r);
+                        }
+                    });
+                }
+                start.wait();
+                while let Some(r) = deque.pop_front(grain) {
+                    assert!(r.len() <= grain);
+                    claim(r);
+                }
+            });
+            assert!(
+                claims.iter().all(|c| c.load(Ordering::Relaxed) == 1),
+                "grain={grain}"
+            );
+        }
     }
 }

@@ -97,18 +97,16 @@ impl<'a> IntoIterator for &'a RowPartition {
 /// assert_eq!(part.rows()[1].members, vec![2]);
 /// ```
 pub fn partition_rows(mbrs: &[Rect], expand: Coord) -> RowPartition {
-    let extents: Vec<Interval> = mbrs.iter().map(|m| m.y_range().inflate(expand)).collect();
-    let rows = partition_intervals(&extents, None);
-    RowPartition { rows }
+    partition_rows_on(mbrs, expand, &HostExecutor::new(1))
 }
 
 /// [`partition_rows`] with the per-extent row assignment fanned out on
-/// a host executor. The output is identical: assignment positions are
-/// computed in parallel (a pure binary search per extent) and the
-/// member lists are then filled serially in ascending index order.
+/// the caller's host executor. The output is identical: assignment
+/// positions are a pure binary search per extent, and the member lists
+/// are then filled serially in ascending index order.
 pub fn partition_rows_on(mbrs: &[Rect], expand: Coord, host: &HostExecutor) -> RowPartition {
     let extents: Vec<Interval> = mbrs.iter().map(|m| m.y_range().inflate(expand)).collect();
-    let rows = partition_intervals(&extents, Some(host));
+    let rows = partition_intervals(&extents, host);
     RowPartition { rows }
 }
 
@@ -122,7 +120,7 @@ pub fn partition_clips(mbrs: &[Rect], members: &[usize], expand: Coord) -> Vec<V
         .iter()
         .map(|&i| mbrs[i].x_range().inflate(expand))
         .collect();
-    partition_intervals(&extents, None)
+    partition_intervals(&extents, &HostExecutor::new(1))
         .into_iter()
         .map(|row| {
             row.members
@@ -135,7 +133,7 @@ pub fn partition_clips(mbrs: &[Rect], members: &[usize], expand: Coord) -> Vec<V
 
 /// Shared 1-D machinery: merge the (already inflated) extents and assign
 /// each input to its merged interval.
-fn partition_intervals(extents: &[Interval], host: Option<&HostExecutor>) -> Vec<Row> {
+fn partition_intervals(extents: &[Interval], host: &HostExecutor) -> Vec<Row> {
     if extents.is_empty() {
         return Vec::new();
     }
@@ -167,38 +165,21 @@ fn partition_intervals(extents: &[Interval], host: Option<&HostExecutor>) -> Vec
         .collect();
 
     // Assign each extent to the unique merged interval containing it,
-    // found by binary search on row start. With a (parallel) executor,
-    // the searches fan out and only the member fill stays serial, which
-    // keeps member lists in ascending index order either way.
-    match host {
-        Some(host) if !host.is_serial() && extents.len() > 1 => {
-            let positions = host.run("partition", extents.len(), |i| {
-                rows.partition_point(|row| row.y.lo() <= extents[i].lo())
-            });
-            for (i, (pos, e)) in positions.into_iter().zip(extents).enumerate() {
-                debug_assert!(pos > 0, "extent {e} precedes every row");
-                let row = &mut rows[pos - 1];
-                debug_assert!(
-                    row.y.contains(e.lo()) && row.y.contains(e.hi()),
-                    "extent {e} not contained in its row {}",
-                    row.y
-                );
-                row.members.push(i);
-            }
-        }
-        _ => {
-            for (i, e) in extents.iter().enumerate() {
-                let pos = rows.partition_point(|row| row.y.lo() <= e.lo());
-                debug_assert!(pos > 0, "extent {e} precedes every row");
-                let row = &mut rows[pos - 1];
-                debug_assert!(
-                    row.y.contains(e.lo()) && row.y.contains(e.hi()),
-                    "extent {e} not contained in its row {}",
-                    row.y
-                );
-                row.members.push(i);
-            }
-        }
+    // found by binary search on row start. The searches fan out; the
+    // member fill stays serial, which keeps member lists in ascending
+    // index order on any executor.
+    let positions = host.run("partition", extents.len(), |i| {
+        rows.partition_point(|row| row.y.lo() <= extents[i].lo())
+    });
+    for (i, (pos, e)) in positions.into_iter().zip(extents).enumerate() {
+        debug_assert!(pos > 0, "extent {e} precedes every row");
+        let row = &mut rows[pos - 1];
+        debug_assert!(
+            row.y.contains(e.lo()) && row.y.contains(e.hi()),
+            "extent {e} not contained in its row {}",
+            row.y
+        );
+        row.members.push(i);
     }
     rows
 }

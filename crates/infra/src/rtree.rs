@@ -8,9 +8,12 @@
 //! nodes of fixed fan-out, recursively.
 //!
 //! The engine's object scenes use the layout's own hierarchy as their
-//! BVH; the R-tree serves as the general-purpose spatial index for
-//! unstructured rectangle sets and as an ablation point against the
-//! sweepline (see the ablation bench).
+//! BVH; the R-tree is the general-purpose spatial index for
+//! unstructured rectangle sets, and [`rtree_overlaps`] is how the
+//! sequential mode discovers the candidate object pairs of a row — a
+//! recorded deviation from §IV-D's interval-tree sweepline
+//! ([`crate::sweep::sweep_overlaps`]), which measured slower there and
+//! is the reference this module's pair enumeration is tested against.
 
 use odrc_geometry::Rect;
 
@@ -120,6 +123,38 @@ impl RTree {
     }
 }
 
+/// Reports every unordered pair of overlapping rectangles via `report`,
+/// with the first index smaller than the second: the contract of
+/// [`crate::sweep::sweep_overlaps`] (closed rectangles, touching
+/// counts), answered by bulk-loading the set and querying the tree
+/// with each rectangle.
+///
+/// # Examples
+///
+/// ```
+/// use odrc_geometry::Rect;
+/// use odrc_infra::rtree::rtree_overlaps;
+///
+/// let rects = [
+///     Rect::from_coords(0, 0, 10, 10),
+///     Rect::from_coords(10, 10, 20, 20), // corner touch counts
+///     Rect::from_coords(100, 100, 110, 110),
+/// ];
+/// let mut pairs = Vec::new();
+/// rtree_overlaps(&rects, |a, b| pairs.push((a, b)));
+/// assert_eq!(pairs, vec![(0, 1)]);
+/// ```
+pub fn rtree_overlaps<F: FnMut(usize, usize)>(rects: &[Rect], mut report: F) {
+    let tree = RTree::bulk_load(rects);
+    for (a, &ra) in rects.iter().enumerate() {
+        tree.query_into(ra, &mut |b| {
+            if a < b {
+                report(a, b);
+            }
+        });
+    }
+}
+
 fn build_leaves(entries: &mut [(Rect, usize)]) -> Vec<Node> {
     let n = entries.len();
     let leaf_count = n.div_ceil(FANOUT);
@@ -195,6 +230,7 @@ fn query_node_fn(node: &Node, window: Rect, visit: &mut impl FnMut(usize)) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::{brute_force_overlap_pairs, sweep_overlap_pairs};
     use proptest::prelude::*;
 
     fn r(x0: i32, y0: i32, x1: i32, y1: i32) -> Rect {
@@ -262,6 +298,22 @@ mod tests {
                 .map(|(i, _)| i)
                 .collect();
             prop_assert_eq!(t.query(window), brute);
+        }
+
+        #[test]
+        fn overlaps_match_sweepline_and_brute_force(
+            // A coarse grid: many zero-width/height and touching rects.
+            specs in proptest::collection::vec(
+                (-20i32..20, -20i32..20, 0i32..8, 0i32..8), 0..120),
+        ) {
+            let rects: Vec<Rect> = specs.iter()
+                .map(|&(x, y, w, h)| r(x, y, x + w, y + h))
+                .collect();
+            let mut pairs = Vec::new();
+            rtree_overlaps(&rects, |a, b| pairs.push((a, b)));
+            pairs.sort_unstable();
+            prop_assert_eq!(&pairs, &sweep_overlap_pairs(&rects));
+            prop_assert_eq!(pairs, brute_force_overlap_pairs(&rects));
         }
 
         #[test]

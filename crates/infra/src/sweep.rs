@@ -427,7 +427,6 @@ mod tests {
         for bands in [1, 2, 3, 11, 40] {
             for threads in [1, 3] {
                 let host = HostExecutor::new(threads);
-                host.set_adaptive(false);
                 let (hits, _) = join_banded(&inner, &outer, bands, &host);
                 assert_eq!(
                     hit_pairs(&hits),
@@ -457,7 +456,6 @@ mod tests {
             .collect();
         let serial = HostExecutor::new(1);
         let wide = HostExecutor::new(4);
-        wide.set_adaptive(false);
         let (a, _) = sweep_join_on(&inner, &outer, &serial);
         let (b, _) = sweep_join_on(&inner, &outer, &wide);
         assert_eq!(a, b);
@@ -485,7 +483,6 @@ mod tests {
             let expected = brute_force_join(&inner, &outer);
             prop_assert_eq!(&join_pairs(&inner, &outer), &expected);
             let host = HostExecutor::new(threads);
-            host.set_adaptive(false);
             let (hits, _) = join_banded(&inner, &outer, bands, &host);
             prop_assert_eq!(hit_pairs(&hits), expected);
         }
