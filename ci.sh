@@ -10,7 +10,7 @@ cargo fmt --all -- --check
 echo "== cargo clippy"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "== one host path, one classifier (no is_serial() fork, one spacing row loop, one dispatcher per mode)"
+echo "== one host path, one classifier, one ingest path (no is_serial() fork, one spacing row loop, one dispatcher per mode, one GDSII loader)"
 # A 1-thread executor runs the same code inline, so the engine keeps no
 # separate single-threaded branch; and in-core, delta and sharded
 # spacing all go through the one row loop that calls cross_space.
@@ -50,6 +50,20 @@ if grep -lE 'RuleKind::(Enclosure|OverlapArea)' crates/core/src/engine.rs crates
     echo "only the classifier (rules.rs) may destructure the pair rule kinds"
     exit 1
 fi
+# One ingest path: GDSII records stream straight into LayoutBuilder.
+# No second loader or record decoder, the daemon and the CLI ingest
+# only through Layout::from_gds, and the library header is walked in
+# one place (Reader::new).
+if grep -rnE 'load_layout_streamed|out_of_core_run|struct Scanner|fn structure_at|fn decode_string' crates/*/src; then
+    echo "a deleted second GDSII loader / record decoder is back in crates/*/src"
+    exit 1
+fi
+if grep -rnE 'gdsii::read(_file)?\(|from_library\(' crates/serve/src; then
+    echo "crates/serve/src must ingest GDSII through Layout::from_gds only"
+    exit 1
+fi
+walks=$(grep -n 'RecordType::LibName' crates/gdsii/src/read.rs crates/gdsii/src/stream.rs | wc -l)
+[ "$walks" -eq 1 ] || { echo "expected one library-header walk in crates/gdsii/src, found $walks"; exit 1; }
 
 echo "== tier-1: cargo build --release && cargo test -q"
 # --no-fail-fast: without it the first red package hides every test

@@ -27,10 +27,10 @@
 //! ```
 //! use odrc::{rules::rule, Engine, RuleDeck};
 //!
-//! // let db = odrc_gdsii::read_file("path-to-gdsii")?;
+//! // let gds = std::fs::File::open("path-to-gdsii")?;
 //! # let design = odrc_layoutgen::generate(&odrc_layoutgen::DesignSpec::tiny(42));
-//! # let db = design.library;
-//! let layout = odrc_db::Layout::from_library(&db)?;
+//! # let gds = &odrc_gdsii::write(&design.library)?[..];
+//! let layout = odrc_db::Layout::from_gds(gds)?;
 //!
 //! let mut deck = RuleDeck::default();
 //! deck.add_rules([

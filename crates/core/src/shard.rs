@@ -37,7 +37,7 @@ use std::sync::Arc;
 
 use odrc_db::Layer;
 use odrc_geometry::{Coord, Rect};
-use odrc_infra::CancelToken;
+use odrc_infra::{CancelToken, Profiler};
 use odrc_xpu::Device;
 
 use crate::cache::rule_signature;
@@ -119,7 +119,10 @@ pub(crate) struct ShardSpec {
 /// shard identities, which is what makes `(rule, shard)` journal
 /// records portable across crashes and workers.
 pub(crate) fn plan_shards(ctx: &mut RunContext<'_>, layer: Layer, min: i64) -> ShardPlan {
-    let mbrs = layer_object_mbrs(ctx.layout, layer);
+    let layout = ctx.layout;
+    let mbrs = ctx
+        .profiler
+        .time("scene", || layer_object_mbrs(layout, layer));
     let partition = partition_mbrs(&mbrs, min, ctx.options.partition, ctx.profiler, &ctx.host);
     ctx.stats.rows += partition.len();
     let rows = partition.rows();
@@ -193,12 +196,14 @@ impl ShardPool {
     }
 
     /// The scene for `key`: resident (LRU-touched), or built via
-    /// `build` and cached if it fits the budget.
+    /// `build` (charged to the `scene` phase, like an in-core scene
+    /// build) and cached if it fits the budget.
     pub fn get(
         &mut self,
         key: SceneKey,
         device: &Device,
         stats: &mut EngineStats,
+        profiler: &mut Profiler,
         build: impl FnOnce() -> LayerScene,
     ) -> Arc<LayerScene> {
         self.clock += 1;
@@ -210,7 +215,7 @@ impl ShardPool {
         // allocation-failure schedule; a hit degrades this load to
         // build-check-drop instead of failing it.
         let alloc_failed = device.fault_shard_load();
-        let scene = Arc::new(build());
+        let scene = Arc::new(profiler.time("scene", build));
         stats.shards_built += 1;
         let cost = scene.approx_bytes();
         let oversized = self.budget.is_some_and(|b| cost > b);
@@ -298,9 +303,11 @@ pub(crate) fn check_rule_sharded(
                     min: spec.min,
                     shard: shard_id,
                 };
-                let scene = ctx.shard_pool.get(key, device, ctx.stats, || {
-                    LayerScene::build_members_on(layout, layer, &shard.members, &host)
-                });
+                let scene = ctx
+                    .shard_pool
+                    .get(key, device, ctx.stats, ctx.profiler, || {
+                        LayerScene::build_members_on(layout, layer, &shard.members, &host)
+                    });
                 // The in-core row pipeline over the shard's rows; shard
                 // units consult no persistent cache (no signature).
                 let rows: Vec<&[usize]> = shard.rows.iter().map(Vec::as_slice).collect();
@@ -372,6 +379,7 @@ fn shard_scene_pair(
         },
         device,
         ctx.stats,
+        ctx.profiler,
         || LayerScene::build_members_on(layout, inner, &shard.members, &host),
     );
     // The outer side is windowed to the shard's row band plus the rule
@@ -394,6 +402,7 @@ fn shard_scene_pair(
         },
         device,
         ctx.stats,
+        ctx.profiler,
         || match band {
             Some(b) => {
                 let window = b.inflate((min as Coord).saturating_add(1));

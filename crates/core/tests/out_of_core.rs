@@ -372,6 +372,9 @@ fn zero_budget_degrades_every_load_and_stays_correct() {
     assert!(report.stats.shards_built > 0);
     assert_eq!(report.stats.shards_degraded, report.stats.shards_built);
     assert_eq!(report.stats.shards_evicted, 0);
+    // Shard scene builds are charged to the phase in-core ones are.
+    let scene = report.profile.phase("scene");
+    assert!(scene.is_some_and(|d| !d.is_zero()), "scene: {scene:?}");
 }
 
 /// A small (but non-zero) budget must evict under pressure and still

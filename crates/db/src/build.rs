@@ -2,11 +2,14 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
+use std::io::Read;
 
-use odrc_gdsii::{Element, Library, PathElement, Structure, TransformError};
+use odrc_gdsii::{
+    Element, Item, Library, PathElement, ReadError, Reader, Structure, TransformError,
+};
 #[cfg(test)]
 use odrc_geometry::Point;
-use odrc_geometry::{Polygon, PolygonError, Rect, Transform};
+use odrc_geometry::{Polygon, PolygonError, Rect};
 
 use crate::{Cell, CellId, CellRef, Layer, LayerPolygon, Layout};
 
@@ -58,6 +61,8 @@ pub enum DbError {
     },
     /// The library has no top structure (everything is referenced).
     NoTopStructure,
+    /// The GDSII stream itself is unreadable or malformed.
+    Read(ReadError),
 }
 
 impl fmt::Display for DbError {
@@ -88,6 +93,7 @@ impl fmt::Display for DbError {
                 write!(f, "unsupported path in '{cell}' element {index}")
             }
             DbError::NoTopStructure => write!(f, "library has no unreferenced top structure"),
+            DbError::Read(e) => write!(f, "{e}"),
         }
     }
 }
@@ -102,29 +108,58 @@ impl std::error::Error for DbError {
     }
 }
 
+impl From<ReadError> for DbError {
+    fn from(e: ReadError) -> Self {
+        DbError::Read(e)
+    }
+}
+
 impl Layout {
-    /// Imports a GDSII library.
+    /// Loads a GDSII stream.
+    ///
+    /// Each element goes to a [`LayoutBuilder`] as it is decoded, so
+    /// the load never holds the element model ([`Library`],
+    /// [`Structure`]) — only the growing layout and one element.
     ///
     /// The hierarchy is preserved — references become [`CellRef`]s
     /// holding cell ids, not copies (§IV-A). Array references are
     /// expanded into their individual instance transforms. Paths are
     /// converted to per-segment rectangle polygons. Text elements carry
-    /// no mask geometry and are skipped. When the library has several
-    /// top-level structures, the first in stream order becomes the root.
+    /// no mask geometry and are skipped. Among the unreferenced
+    /// structures, the one with the largest expanded subtree becomes
+    /// the root; ties go to stream order.
     ///
     /// After loading, per-layer subtree MBRs and the layer indices are
     /// computed bottom-up.
     ///
     /// # Errors
     ///
-    /// Returns [`DbError`] for structural problems: duplicate or missing
-    /// structure names, reference cycles, invalid polygons, transforms
-    /// the integer engine cannot represent (non-quarter-turn rotations,
-    /// fractional magnification), or unsupported path styles.
-    pub fn from_library(lib: &Library) -> Result<Layout, DbError> {
-        if lib.structures.is_empty() {
-            return Err(DbError::EmptyLibrary);
+    /// Returns [`DbError::Read`] for an unreadable or malformed stream,
+    /// and the other [`DbError`]s for structural problems: duplicate or
+    /// missing structure names, reference cycles, invalid polygons,
+    /// transforms the integer engine cannot represent
+    /// (non-quarter-turn rotations, fractional magnification), or
+    /// unsupported path styles.
+    pub fn from_gds(src: impl Read) -> Result<Layout, DbError> {
+        let mut reader = Reader::new(src)?;
+        let mut builder = LayoutBuilder::new();
+        while let Some(item) = reader.next()? {
+            match item {
+                Item::Structure(name) => builder.begin_structure(name)?,
+                Item::Element(element) => builder.add_element(element)?,
+            }
         }
+        builder.finish()
+    }
+
+    /// Imports an in-memory GDSII library — the conversion of
+    /// [`Layout::from_gds`], for callers that hold the element model
+    /// (generators, [`crate::edit`], the benchmark's layer rows).
+    ///
+    /// # Errors
+    ///
+    /// The structural [`DbError`]s of [`Layout::from_gds`].
+    pub fn from_library(lib: &Library) -> Result<Layout, DbError> {
         let mut builder = LayoutBuilder::new();
         for s in &lib.structures {
             builder.add_structure(s)?;
@@ -150,27 +185,25 @@ impl Layout {
     }
 }
 
-/// Incremental [`Layout`] construction for streaming import.
+/// Incremental [`Layout`] construction.
 ///
-/// Unlike [`Layout::from_library`], which needs the whole
-/// [`Library`] in memory, the builder accepts one [`Structure`] at a
-/// time — each is converted to a [`Cell`] immediately and can be
-/// dropped by the caller — so the peak footprint of an out-of-core
-/// load is one structure plus the growing layout, never the full
-/// element model. References are recorded by name and resolved in
-/// [`LayoutBuilder::finish`], so forward references work in any feed
-/// order.
+/// The builder takes a structure name, then that structure's elements
+/// one at a time; each element is converted into the open [`Cell`] on
+/// the spot and consumed, so a load holds the growing layout and
+/// nothing else. A reference is recorded as an interned name and
+/// resolved in [`LayoutBuilder::finish`], so forward references work
+/// in any feed order.
 ///
 /// # Examples
 ///
 /// ```
-/// use odrc_db::{Layout, LayoutBuilder};
-/// use odrc_gdsii::{Element, Structure};
+/// use odrc_db::LayoutBuilder;
+/// use odrc_gdsii::Element;
 /// use odrc_geometry::Point;
 ///
 /// let mut b = LayoutBuilder::new();
-/// let mut s = Structure::new("TOP");
-/// s.elements.push(Element::boundary(
+/// b.begin_structure("TOP".to_owned())?;
+/// b.add_element(Element::boundary(
 ///     1,
 ///     vec![
 ///         Point::new(0, 0),
@@ -178,19 +211,24 @@ impl Layout {
 ///         Point::new(4, 4),
 ///         Point::new(4, 0),
 ///     ],
-/// ));
-/// b.add_structure(&s)?;
-/// drop(s); // the structure is no longer needed
+/// ))?;
 /// let layout = b.finish()?;
 /// assert_eq!(layout.cell(layout.top()).name(), "TOP");
 /// # Ok::<(), odrc_db::DbError>(())
 /// ```
 #[derive(Default)]
 pub struct LayoutBuilder {
-    ids: HashMap<String, CellId>,
+    /// Every structure name defined or referenced so far, interned.
+    names: HashMap<String, u32>,
+    /// Per interned name, the cell that defines it (if any yet).
+    defined: Vec<Option<CellId>>,
+    /// Until [`LayoutBuilder::finish`] resolves them, `refs` hold the
+    /// interned *name* of their target in `CellRef::cell`: one flat
+    /// entry per instance, and no second copy to build the final one
+    /// from.
     cells: Vec<Cell>,
-    /// Per-cell references awaiting name resolution, in element order.
-    pending: Vec<Vec<(String, Vec<Transform>)>>,
+    /// Elements fed to the open structure so far.
+    elements: usize,
 }
 
 impl LayoutBuilder {
@@ -199,93 +237,129 @@ impl LayoutBuilder {
         LayoutBuilder::default()
     }
 
-    /// Converts one structure into a cell.
+    fn intern(&mut self, name: String) -> u32 {
+        let next = self.defined.len() as u32;
+        let id = *self.names.entry(name).or_insert(next);
+        if id == next {
+            self.defined.push(None);
+        }
+        id
+    }
+
+    /// Opens a new structure; the elements that follow are its.
     ///
     /// # Errors
     ///
-    /// Returns [`DbError`] for a duplicate structure name, an invalid
-    /// polygon, an unsupported transform, or an unsupported path —
-    /// the same element-level validations as [`Layout::from_library`].
-    pub fn add_structure(&mut self, s: &Structure) -> Result<(), DbError> {
-        if self.ids.contains_key(&s.name) {
-            return Err(DbError::DuplicateStructure {
-                name: s.name.clone(),
-            });
+    /// Returns [`DbError::DuplicateStructure`] for a name already
+    /// begun.
+    pub fn begin_structure(&mut self, name: String) -> Result<(), DbError> {
+        let id = self.intern(name.clone()) as usize;
+        if self.defined[id].is_some() {
+            return Err(DbError::DuplicateStructure { name });
         }
-        let mut polygons = Vec::new();
-        let mut pending: Vec<(String, Vec<Transform>)> = Vec::new();
-        for (ei, e) in s.elements.iter().enumerate() {
-            match e {
-                Element::Boundary(b) => {
-                    let polygon = Polygon::new(b.points.clone()).map_err(|source| {
-                        DbError::InvalidPolygon {
-                            cell: s.name.clone(),
-                            index: ei,
-                            source,
-                        }
-                    })?;
-                    let name = b
-                        .properties
-                        .iter()
-                        .find(|(attr, _)| *attr == 1)
-                        .map(|(_, v)| v.clone());
-                    polygons.push(LayerPolygon {
-                        layer: b.layer,
-                        datatype: b.datatype,
-                        polygon,
-                        name,
-                    });
-                }
-                Element::Path(p) => {
-                    for polygon in path_to_polygons(p).ok_or(DbError::UnsupportedPath {
-                        cell: s.name.clone(),
-                        index: ei,
-                    })? {
-                        polygons.push(LayerPolygon {
-                            layer: p.layer,
-                            datatype: p.datatype,
-                            polygon,
-                            name: None,
-                        });
-                    }
-                }
-                Element::Text(_) => {}
-                Element::Ref(r) => {
-                    let transforms = r.instance_transforms().map_err(|source| {
-                        DbError::UnsupportedTransform {
-                            cell: s.name.clone(),
-                            source,
-                        }
-                    })?;
-                    // Magnification breaks the isometry invariant that
-                    // hierarchical check-result reuse (§IV-C) depends
-                    // on: a cell's cached verdicts are only valid for
-                    // distance- and area-preserving placements.
-                    // Standard-cell layouts never magnify; reject
-                    // rather than silently mis-check.
-                    if let Some(t) = transforms.iter().find(|t| !t.is_isometry()) {
-                        return Err(DbError::UnsupportedTransform {
-                            cell: s.name.clone(),
-                            source: odrc_gdsii::TransformError::UnsupportedMag {
-                                mag: f64::from(t.mag()),
-                            },
-                        });
-                    }
-                    pending.push((r.sname.clone(), transforms));
-                }
-            }
-        }
-        self.ids
-            .insert(s.name.clone(), CellId(self.cells.len() as u32));
-        self.pending.push(pending);
+        self.defined[id] = Some(CellId(self.cells.len() as u32));
+        self.elements = 0;
         self.cells.push(Cell {
-            name: s.name.clone(),
-            polygons,
+            name,
+            polygons: Vec::new(),
             refs: Vec::new(),
             layer_mbr: BTreeMap::new(),
             mbr: None,
         });
         Ok(())
+    }
+
+    /// Converts one element into the open structure's cell.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DbError`] for an invalid polygon, an unsupported
+    /// transform, or an unsupported path.
+    ///
+    /// # Panics
+    ///
+    /// Panics when no structure was begun.
+    pub fn add_element(&mut self, element: Element) -> Result<(), DbError> {
+        let index = self.elements;
+        self.elements += 1;
+        let cell = self.cells.last_mut().expect("begin_structure comes first");
+        match element {
+            Element::Boundary(b) => {
+                let polygon = Polygon::new(b.points).map_err(|source| DbError::InvalidPolygon {
+                    cell: cell.name.clone(),
+                    index,
+                    source,
+                })?;
+                let name = b
+                    .properties
+                    .into_iter()
+                    .find(|(attr, _)| *attr == 1)
+                    .map(|(_, v)| v);
+                cell.polygons.push(LayerPolygon {
+                    layer: b.layer,
+                    datatype: b.datatype,
+                    polygon,
+                    name,
+                });
+            }
+            Element::Path(p) => {
+                let polygons = path_to_polygons(&p).ok_or(DbError::UnsupportedPath {
+                    cell: cell.name.clone(),
+                    index,
+                })?;
+                cell.polygons
+                    .extend(polygons.into_iter().map(|polygon| LayerPolygon {
+                        layer: p.layer,
+                        datatype: p.datatype,
+                        polygon,
+                        name: None,
+                    }));
+            }
+            Element::Text(_) => {}
+            Element::Ref(r) => {
+                let transforms =
+                    r.instance_transforms()
+                        .map_err(|source| DbError::UnsupportedTransform {
+                            cell: cell.name.clone(),
+                            source,
+                        })?;
+                // Magnification breaks the isometry invariant that
+                // hierarchical check-result reuse (§IV-C) depends
+                // on: a cell's cached verdicts are only valid for
+                // distance- and area-preserving placements.
+                // Standard-cell layouts never magnify; reject
+                // rather than silently mis-check.
+                if let Some(t) = transforms.iter().find(|t| !t.is_isometry()) {
+                    return Err(DbError::UnsupportedTransform {
+                        cell: cell.name.clone(),
+                        source: TransformError::UnsupportedMag {
+                            mag: f64::from(t.mag()),
+                        },
+                    });
+                }
+                let target = CellId(self.intern(r.sname));
+                let cell = self.cells.last_mut().expect("begin_structure comes first");
+                cell.refs
+                    .extend(transforms.into_iter().map(|transform| CellRef {
+                        cell: target,
+                        transform,
+                    }));
+            }
+        }
+        Ok(())
+    }
+
+    /// Converts one whole structure into a cell.
+    ///
+    /// # Errors
+    ///
+    /// Those of [`LayoutBuilder::begin_structure`] and
+    /// [`LayoutBuilder::add_element`].
+    pub fn add_structure(&mut self, s: &Structure) -> Result<(), DbError> {
+        self.begin_structure(s.name.clone())?;
+        s.elements
+            .iter()
+            .try_for_each(|e| self.add_element(e.clone()))
     }
 
     /// Resolves references and finishes the layout: topological order,
@@ -297,28 +371,22 @@ impl LayoutBuilder {
     /// names an unknown structure, the reference graph has a cycle, or
     /// no structure is unreferenced.
     pub fn finish(self) -> Result<Layout, DbError> {
-        let LayoutBuilder {
-            ids,
-            mut cells,
-            pending,
-        } = self;
+        let mut cells = self.cells;
         if cells.is_empty() {
             return Err(DbError::EmptyLibrary);
         }
-        for (ci, refs_by_name) in pending.into_iter().enumerate() {
-            let mut refs = Vec::new();
-            for (name, transforms) in refs_by_name {
-                let cell = *ids.get(&name).ok_or_else(|| DbError::UnknownStructure {
-                    referrer: cells[ci].name.clone(),
-                    name,
+        for cell in &mut cells {
+            for r in &mut cell.refs {
+                let name = r.cell.0;
+                r.cell = self.defined[name as usize].ok_or_else(|| DbError::UnknownStructure {
+                    referrer: cell.name.clone(),
+                    name: self
+                        .names
+                        .iter()
+                        .find_map(|(n, &id)| (id == name).then(|| n.clone()))
+                        .expect("every id was interned from a name"),
                 })?;
-                refs.extend(
-                    transforms
-                        .into_iter()
-                        .map(|transform| CellRef { cell, transform }),
-                );
             }
-            cells[ci].refs = refs;
         }
         finish_cells(cells)
     }

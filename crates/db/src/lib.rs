@@ -1,11 +1,12 @@
 //! Hierarchical layout database for OpenDRC.
 //!
 //! OpenDRC "does not flatten the layout, but preserves the layout
-//! hierarchy instead" (§IV-A of the paper). This crate turns a parsed
-//! GDSII [`Library`] into a [`Layout`]: a DAG of [`Cell`]s whose
-//! references store pointers (cell ids) to shared definitions, augmented
-//! with per-layer minimum bounding rectangles ("layer-wise bounding
-//! volume hierarchy") so that layer range queries prune whole subtrees.
+//! hierarchy instead" (§IV-A of the paper). This crate turns a GDSII
+//! stream (or a parsed [`Library`]) into a [`Layout`]: a DAG of
+//! [`Cell`]s whose references store pointers (cell ids) to shared
+//! definitions, augmented with per-layer minimum bounding rectangles
+//! ("layer-wise bounding volume hierarchy") so that layer range queries
+//! prune whole subtrees.
 //!
 //! The crate also builds the space-for-speed secondary indices described
 //! in the paper: per-layer hierarchy membership (which cells contain a
@@ -33,10 +34,11 @@
 //! top.elements.push(Element::sref("UNIT", Point::new(100, 0)));
 //! lib.structures.push(top);
 //!
-//! let layout = Layout::from_library(&lib)?;
+//! // A GDSII stream (a `File`, a byte slice, ...) loads in one pass.
+//! let layout = Layout::from_gds(&odrc_gdsii::write(&lib)?[..])?;
 //! assert_eq!(layout.cell(layout.top()).name(), "TOP");
 //! assert_eq!(layout.flatten_layer(1).len(), 2);
-//! # Ok::<(), odrc_db::DbError>(())
+//! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
 mod build;
@@ -225,8 +227,8 @@ impl std::fmt::Display for LayoutStats {
 
 /// The hierarchical layout database.
 ///
-/// Constructed from a GDSII library via [`Layout::from_library`]; see
-/// the [crate-level example](crate).
+/// Loaded from a GDSII stream via [`Layout::from_gds`]; see the
+/// [crate-level example](crate).
 #[derive(Debug, Clone)]
 pub struct Layout {
     cells: Vec<Cell>,

@@ -1,7 +1,8 @@
 //! Cross-query consistency of the layout database.
 
 use odrc_db::Layout;
-use odrc_gdsii::{Element, Library, RefElement, Structure};
+use odrc_gdsii::model::ArrayParams;
+use odrc_gdsii::{Element, Library, PathElement, RefElement, Structure, TextElement};
 use odrc_geometry::{Point, Rect};
 use proptest::prelude::*;
 
@@ -53,8 +54,104 @@ fn arb_library() -> impl Strategy<Value = Library> {
         })
 }
 
+/// [`arb_library`] rearranged and grown to cover what a stream can
+/// hold beyond rectangles and SREFs: TOP comes first (so every
+/// reference is a forward one), B places A through an AREF, A carries a
+/// path and a text, and an unreferenced SPARE cell competes for top.
+fn arb_stream_library() -> impl Strategy<Value = Library> {
+    (arb_library(), 1u16..4, 1u16..4, 1i32..6).prop_map(|(base, cols, rows, half)| {
+        let [mut a, mut b, top]: [Structure; 3] = base.structures.try_into().expect("A, B, TOP");
+        a.elements.push(Element::Path(PathElement {
+            layer: 2,
+            datatype: 0,
+            path_type: 2,
+            width: 2 * half,
+            points: vec![Point::new(0, 0), Point::new(50, 0), Point::new(50, -30)],
+            properties: vec![],
+        }));
+        a.elements.push(Element::Text(TextElement {
+            layer: 63,
+            texttype: 0,
+            position: Point::new(1, 1),
+            string: "pin".to_owned(),
+        }));
+        let mut array = RefElement::sref("A", Point::new(-300, 40));
+        array.mirror_x = true;
+        array.array = Some(ArrayParams {
+            cols,
+            rows,
+            col_step: Point::new(90, 0),
+            row_step: Point::new(0, 70),
+        });
+        b.elements.push(Element::Ref(array));
+        let mut spare = Structure::new("SPARE");
+        spare.elements.push(rect_el(3, 0, 0, 5, 5));
+        let mut lib = Library::new("stream");
+        lib.structures = vec![top, b, spare, a];
+        lib
+    })
+}
+
+/// A small fixed stream with one of everything, for exhaustive
+/// corruption.
+fn small_stream() -> Vec<u8> {
+    let mut lib = Library::new("small");
+    let mut top = Structure::new("TOP");
+    let mut array = RefElement::sref("LEAF", Point::new(10, 10));
+    array.array = Some(ArrayParams {
+        cols: 2,
+        rows: 3,
+        col_step: Point::new(40, 0),
+        row_step: Point::new(0, 40),
+    });
+    top.elements.push(Element::Ref(array));
+    top.elements.push(Element::Path(PathElement {
+        layer: 2,
+        datatype: 0,
+        path_type: 0,
+        width: 4,
+        points: vec![Point::new(0, 0), Point::new(20, 0)],
+        properties: vec![(1, "net".to_owned())],
+    }));
+    lib.structures.push(top);
+    let mut leaf = Structure::new("LEAF");
+    leaf.elements.push(rect_el(1, 0, 0, 10, 10));
+    lib.structures.push(leaf);
+    odrc_gdsii::write(&lib).expect("serialize")
+}
+
+#[test]
+fn every_truncation_and_bit_flip_loads_or_errors() {
+    // Ok or Err, never a panic. The one allocation sized by a number
+    // read from the stream is an AREF's instance list, and the exact
+    // pitch check rejects an inflated COLROW before it is expanded.
+    let bytes = small_stream();
+    assert!(Layout::from_gds(&bytes[..]).is_ok());
+    for cut in 0..bytes.len() {
+        assert!(Layout::from_gds(&bytes[..cut]).is_err(), "cut {cut}");
+    }
+    for bit in 0..bytes.len() * 8 {
+        let mut flipped = bytes.clone();
+        flipped[bit / 8] ^= 1 << (bit % 8);
+        let _ = Layout::from_gds(&flipped[..]);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+    #[test]
+    fn streamed_load_equals_library_import(lib in arb_stream_library()) {
+        let bytes = odrc_gdsii::write(&lib).expect("serialize");
+        let streamed = Layout::from_gds(&bytes[..]).expect("valid stream");
+        let imported = Layout::from_library(&lib).expect("valid library");
+        prop_assert_eq!(streamed.subtree_hashes(), imported.subtree_hashes());
+        prop_assert_eq!(streamed.top(), imported.top());
+        prop_assert_eq!(
+            odrc_gdsii::write(&streamed.to_library("x")).expect("serialize"),
+            odrc_gdsii::write(&imported.to_library("x")).expect("serialize")
+        );
+    }
+
     #[test]
     fn instance_count_matches_flatten(lib in arb_library()) {
         let layout = Layout::from_library(&lib).expect("valid library");

@@ -11,15 +11,18 @@
 //!
 //! * [`Library`], [`Structure`], [`Element`] — a faithful in-memory
 //!   model of the stream contents,
-//! * [`read()`] / [`read_file`] — a binary stream parser with
-//!   offset-carrying errors,
+//! * [`Reader`] — the binary stream parser, with offset-carrying
+//!   errors: it pulls one structure name or element at a time from any
+//!   `std::io::Read` (`odrc_db::Layout::from_gds` loads layouts from it),
+//! * [`read()`] / [`read_file`] — the same reader, collected into a
+//!   [`Library`],
 //! * [`write()`] / [`write_file`] — a binary stream writer, the exact
 //!   inverse of the parser,
 //! * [`record`] — the low-level record codec (types, lengths, and the
 //!   excess-64 base-16 8-byte real number format),
-//! * [`stream`] — a two-pass out-of-core loader: a header-level
-//!   structure index (no geometry materialized) plus per-structure
-//!   lazy parsing for memory-budgeted runs.
+//! * [`stream`] — a structure span index (no geometry materialized)
+//!   plus per-structure parsing, on the same reader; kept for the
+//!   benchmark's layer rows, not a load path of `odrc`.
 //!
 //! # Examples
 //!
@@ -56,5 +59,5 @@ pub use model::{
     BoundaryElement, Element, Library, PathElement, RefElement, Structure, TextElement,
     TransformError, Units,
 };
-pub use read::{read, read_file, ReadError};
+pub use read::{read, read_file, Item, ReadError, Reader};
 pub use write::{write, write_file, WriteError};

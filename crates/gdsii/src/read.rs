@@ -1,6 +1,7 @@
 //! GDSII stream parser.
 
 use std::fmt;
+use std::io::Read;
 use std::path::Path;
 
 use odrc_geometry::Point;
@@ -59,7 +60,8 @@ pub enum ReadError {
         /// What the parser was expecting.
         context: &'static str,
     },
-    /// An `AREF` lattice vector does not divide evenly by its count.
+    /// An `AREF` lattice vector does not divide evenly by its count (or
+    /// the quotient is not a coordinate).
     NonIntegerArrayPitch {
         /// Offset of the `XY` record.
         offset: usize,
@@ -141,52 +143,43 @@ impl From<std::io::Error> for ReadError {
 
 /// One raw record: offset, type, payload.
 #[derive(Debug, Clone, Copy)]
-struct RawRecord<'a> {
+pub(crate) struct RawRecord<'a> {
     offset: usize,
-    rtype: RecordType,
+    pub(crate) rtype: RecordType,
     data: &'a [u8],
 }
 
 impl<'a> RawRecord<'a> {
-    fn i16s(&self) -> Result<Vec<i16>, ReadError> {
-        if !self.data.len().is_multiple_of(2) {
+    /// The payload as a sequence of `N`-byte big-endian values.
+    fn values<const N: usize, T>(
+        &self,
+        decode: impl Fn([u8; N]) -> T,
+    ) -> Result<Vec<T>, ReadError> {
+        if !self.data.len().is_multiple_of(N) {
             return Err(self.bad_len());
         }
         Ok(self
             .data
-            .chunks_exact(2)
-            .map(|c| i16::from_be_bytes([c[0], c[1]]))
+            .chunks_exact(N)
+            .map(|c| decode(c.try_into().expect("chunk of N")))
             .collect())
+    }
+
+    /// The payload as exactly one `N`-byte value.
+    fn single<const N: usize>(&self) -> Result<[u8; N], ReadError> {
+        self.data.try_into().map_err(|_| self.bad_len())
     }
 
     fn single_i16(&self) -> Result<i16, ReadError> {
-        if self.data.len() != 2 {
-            return Err(self.bad_len());
-        }
-        Ok(i16::from_be_bytes([self.data[0], self.data[1]]))
+        self.single().map(i16::from_be_bytes)
     }
 
     fn single_i32(&self) -> Result<i32, ReadError> {
-        if self.data.len() != 4 {
-            return Err(self.bad_len());
-        }
-        Ok(i32::from_be_bytes([
-            self.data[0],
-            self.data[1],
-            self.data[2],
-            self.data[3],
-        ]))
+        self.single().map(i32::from_be_bytes)
     }
 
     fn reals(&self) -> Result<Vec<f64>, ReadError> {
-        if !self.data.len().is_multiple_of(8) {
-            return Err(self.bad_len());
-        }
-        Ok(self
-            .data
-            .chunks_exact(8)
-            .map(|c| real8_to_f64(c.try_into().expect("chunk of 8")))
-            .collect())
+        self.values(real8_to_f64)
     }
 
     fn string(&self) -> Result<String, ReadError> {
@@ -200,19 +193,12 @@ impl<'a> RawRecord<'a> {
     }
 
     fn points(&self) -> Result<Vec<Point>, ReadError> {
-        if !self.data.len().is_multiple_of(8) {
-            return Err(self.bad_len());
-        }
-        Ok(self
-            .data
-            .chunks_exact(8)
-            .map(|c| {
-                Point::new(
-                    i32::from_be_bytes([c[0], c[1], c[2], c[3]]),
-                    i32::from_be_bytes([c[4], c[5], c[6], c[7]]),
-                )
-            })
-            .collect())
+        self.values(|c: [u8; 8]| {
+            Point::new(
+                i32::from_be_bytes([c[0], c[1], c[2], c[3]]),
+                i32::from_be_bytes([c[4], c[5], c[6], c[7]]),
+            )
+        })
     }
 
     fn bad_len(&self) -> ReadError {
@@ -223,7 +209,7 @@ impl<'a> RawRecord<'a> {
         }
     }
 
-    fn unexpected(&self, context: &'static str) -> ReadError {
+    pub(crate) fn unexpected(&self, context: &'static str) -> ReadError {
         ReadError::UnexpectedRecord {
             offset: self.offset,
             record: self.rtype,
@@ -232,68 +218,128 @@ impl<'a> RawRecord<'a> {
     }
 }
 
-pub(crate) struct Parser<'a> {
-    bytes: &'a [u8],
-    offset: usize,
-    peeked: Option<RawRecord<'a>>,
+/// Refill window of [`Parser`]. A record is at most 65 534 bytes, so
+/// after compaction the window always has room for a whole one.
+const WINDOW: usize = 128 * 1024;
+
+/// The record decoder: pulls from any byte source through a fixed
+/// refill window and exposes one whole record at a time.
+pub(crate) struct Parser<R> {
+    src: R,
+    buf: Vec<u8>,
+    /// `buf[pos..end]` is read but not yet consumed.
+    pos: usize,
+    end: usize,
+    /// Stream offset of `buf[0]`.
+    base: usize,
+    /// The current record: header offset, type, payload start in `buf`
+    /// (the payload runs up to `pos`).
+    record: (usize, RecordType, usize),
 }
 
-impl<'a> Parser<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
+impl<R: Read> Parser<R> {
+    pub(crate) fn new(src: R) -> Self {
         Parser {
-            bytes,
-            offset: 0,
-            peeked: None,
+            src,
+            buf: vec![0; WINDOW],
+            pos: 0,
+            end: 0,
+            base: 0,
+            record: (0, RecordType::Header, 0),
         }
     }
 
-    /// A parser positioned mid-stream, for re-parsing an indexed span
-    /// (see [`crate::stream`]). Error offsets are relative to `bytes`.
-    pub(crate) fn at(bytes: &'a [u8], offset: usize) -> Self {
-        Parser {
-            bytes,
-            offset,
-            peeked: None,
+    /// Stream offset of the next unconsumed byte.
+    pub(crate) fn offset(&self) -> usize {
+        self.base + self.pos
+    }
+
+    /// Buffers `need` unconsumed bytes; `false` when the source ends
+    /// first.
+    fn fill(&mut self, need: usize) -> Result<bool, ReadError> {
+        while self.end - self.pos < need {
+            if self.pos + need > self.buf.len() {
+                self.buf.copy_within(self.pos..self.end, 0);
+                self.base += self.pos;
+                self.end -= self.pos;
+                self.pos = 0;
+            }
+            match self.src.read(&mut self.buf[self.end..]) {
+                Ok(0) => return Ok(false),
+                Ok(n) => self.end += n,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e.into()),
+            }
+        }
+        Ok(true)
+    }
+
+    /// Whether everything up to the end of the stream is zero
+    /// (consuming it): trailing NUL padding after ENDLIB (tape blocks)
+    /// is tolerated, anything else there is not.
+    fn rest_is_zero(&mut self) -> Result<bool, ReadError> {
+        loop {
+            if self.buf[self.pos..self.end].iter().any(|&b| b != 0) {
+                return Ok(false);
+            }
+            self.pos = self.end;
+            if !self.fill(1)? {
+                return Ok(true);
+            }
         }
     }
 
-    /// Reads the next raw record, or `None` at a clean end of stream.
-    fn next(&mut self) -> Result<Option<RawRecord<'a>>, ReadError> {
-        if let Some(r) = self.peeked.take() {
-            return Ok(Some(r));
+    /// Decodes the next record header and buffers its payload; `None`
+    /// at a clean end of stream.
+    fn advance(&mut self) -> Result<Option<RecordType>, ReadError> {
+        let start = self.offset();
+        if !self.fill(4)? {
+            if self.rest_is_zero()? {
+                return Ok(None);
+            }
+            return Err(ReadError::UnexpectedEof { offset: start });
         }
-        // Tolerate trailing NUL padding after ENDLIB (tape blocks).
-        if self.bytes[self.offset..].iter().all(|&b| b == 0) {
+        let len = u16::from_be_bytes([self.buf[self.pos], self.buf[self.pos + 1]]);
+        // A zero length word is padding iff nothing but zeros follows.
+        if len == 0 && self.rest_is_zero()? {
             return Ok(None);
         }
-        if self.offset + 4 > self.bytes.len() {
-            return Err(ReadError::UnexpectedEof {
-                offset: self.offset,
-            });
-        }
-        let start = self.offset;
-        let len = u16::from_be_bytes([self.bytes[start], self.bytes[start + 1]]);
         if len < 4 || !len.is_multiple_of(2) {
             return Err(ReadError::BadRecordLength { offset: start, len });
         }
-        let end = start + usize::from(len);
-        if end > self.bytes.len() {
+        if !self.fill(usize::from(len))? {
             return Err(ReadError::UnexpectedEof { offset: start });
         }
-        let code = self.bytes[start + 2];
+        let code = self.buf[self.pos + 2];
         let rtype = RecordType::from_code(code).ok_or(ReadError::UnknownRecordType {
             offset: start,
             code,
         })?;
-        self.offset = end;
-        Ok(Some(RawRecord {
-            offset: start,
-            rtype,
-            data: &self.bytes[start + 4..end],
-        }))
+        self.record = (start, rtype, self.pos + 4);
+        self.pos += usize::from(len);
+        Ok(Some(rtype))
     }
 
-    fn next_required(&mut self, context: &'static str) -> Result<RawRecord<'a>, ReadError> {
+    /// The record [`Parser::advance`] stopped at. It borrows the
+    /// window, so it cannot be held across the next `advance`.
+    fn current(&self) -> RawRecord<'_> {
+        let (offset, rtype, data) = self.record;
+        RawRecord {
+            offset,
+            rtype,
+            data: &self.buf[data..self.pos],
+        }
+    }
+
+    /// Reads the next raw record, or `None` at a clean end of stream.
+    pub(crate) fn next(&mut self) -> Result<Option<RawRecord<'_>>, ReadError> {
+        Ok(self.advance()?.map(|_| self.current()))
+    }
+
+    pub(crate) fn next_required(
+        &mut self,
+        context: &'static str,
+    ) -> Result<RawRecord<'_>, ReadError> {
         self.next()?.ok_or(ReadError::MissingRecord { context })
     }
 
@@ -301,12 +347,122 @@ impl<'a> Parser<'a> {
         &mut self,
         rtype: RecordType,
         context: &'static str,
-    ) -> Result<RawRecord<'a>, ReadError> {
+    ) -> Result<RawRecord<'_>, ReadError> {
         let rec = self.next_required(context)?;
         if rec.rtype != rtype {
             return Err(rec.unexpected(context));
         }
         Ok(rec)
+    }
+
+    /// The next library-level record: `BGNSTR` opens a structure
+    /// (`Some`, see [`Parser::structure_name`]), `ENDLIB` ends the
+    /// stream (`None`).
+    pub(crate) fn next_structure(&mut self) -> Result<Option<(String, usize)>, ReadError> {
+        let rec = self.next_required("reading structures")?;
+        match rec.rtype {
+            RecordType::BgnStr => self.structure_name().map(Some),
+            RecordType::EndLib => Ok(None),
+            _ => Err(rec.unexpected("reading structures")),
+        }
+    }
+
+    /// `STRNAME`: the open structure's name and the record's offset,
+    /// where a [`crate::stream::StructureEntry`] span starts.
+    pub(crate) fn structure_name(&mut self) -> Result<(String, usize), ReadError> {
+        let rec = self.expect(RecordType::StrName, "reading structure name")?;
+        Ok((rec.string()?, rec.offset))
+    }
+
+    /// The next element of the open structure, or `None` at `ENDSTR`.
+    pub(crate) fn next_element(&mut self) -> Result<Option<Element>, ReadError> {
+        let rec = self.next_required("reading structure elements")?;
+        let offset = rec.offset;
+        Ok(Some(match rec.rtype {
+            RecordType::EndStr => return Ok(None),
+            RecordType::Boundary => parse_boundary(self)?,
+            RecordType::Path => parse_path(self)?,
+            RecordType::Sref => parse_ref(self, false, offset)?,
+            RecordType::Aref => parse_ref(self, true, offset)?,
+            RecordType::Text => parse_text(self)?,
+            _ => return Err(rec.unexpected("reading structure elements")),
+        }))
+    }
+}
+
+/// One item of a GDSII stream, as [`Reader::next`] yields them.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Item {
+    /// A structure begins; the elements up to the next `Structure` (or
+    /// the end of the stream) are its.
+    Structure(String),
+    /// One element of the open structure.
+    Element(Element),
+}
+
+/// Pull reader over a GDSII stream: the library header up front, then
+/// one [`Item`] per call — no [`Structure`] or [`Library`] is built.
+///
+/// This is the one stream walk: [`read()`] collects its items into a
+/// [`Library`], `odrc_db::Layout::from_gds` feeds them to the layout
+/// builder as they are decoded.
+pub struct Reader<R> {
+    /// Library name.
+    pub name: String,
+    /// Database units.
+    pub units: Units,
+    pub(crate) parser: Parser<R>,
+    in_structure: bool,
+}
+
+impl<R: Read> Reader<R> {
+    /// Reads the library header (`HEADER BGNLIB LIBNAME UNITS`).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ReadError`] for I/O failures and a malformed header.
+    pub fn new(src: R) -> Result<Self, ReadError> {
+        let mut p = Parser::new(src);
+        p.expect(RecordType::Header, "reading stream header")?;
+        p.expect(RecordType::BgnLib, "reading library begin")?;
+        let name = p
+            .expect(RecordType::LibName, "reading library name")?
+            .string()?;
+        let units_rec = p.expect(RecordType::Units, "reading units")?;
+        let reals = units_rec.reals()?;
+        if reals.len() != 2 {
+            return Err(units_rec.bad_len());
+        }
+        Ok(Reader {
+            name,
+            units: Units {
+                user_per_dbu: reals[0],
+                meters_per_dbu: reals[1],
+            },
+            parser: p,
+            in_structure: false,
+        })
+    }
+
+    /// The next item, or `None` at `ENDLIB`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ReadError`] with the byte offset of the first
+    /// malformed record for truncated, corrupted, or grammatically
+    /// invalid streams.
+    // Not `Iterator`: a pull can fail, and `Option<Result<_>>` would
+    // make every caller transpose before it can use `?`.
+    #[allow(clippy::should_implement_trait)]
+    pub fn next(&mut self) -> Result<Option<Item>, ReadError> {
+        if self.in_structure {
+            if let Some(element) = self.parser.next_element()? {
+                return Ok(Some(Item::Element(element)));
+            }
+        }
+        let opened = self.parser.next_structure()?;
+        self.in_structure = opened.is_some();
+        Ok(opened.map(|(name, _)| Item::Structure(name)))
     }
 }
 
@@ -327,40 +483,27 @@ impl<'a> Parser<'a> {
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn read(bytes: &[u8]) -> Result<Library, ReadError> {
-    let mut p = Parser::new(bytes);
-    p.expect(RecordType::Header, "reading stream header")?;
-    p.expect(RecordType::BgnLib, "reading library begin")?;
-    let name = p
-        .expect(RecordType::LibName, "reading library name")?
-        .string()?;
-    let units_rec = p.expect(RecordType::Units, "reading units")?;
-    let reals = units_rec.reals()?;
-    if reals.len() != 2 {
-        return Err(units_rec.bad_len());
-    }
-    let mut lib = Library {
-        name,
-        units: Units {
-            user_per_dbu: reals[0],
-            meters_per_dbu: reals[1],
-        },
-        structures: Vec::new(),
-    };
-
-    loop {
-        let rec = p.next_required("reading structures")?;
-        match rec.rtype {
-            RecordType::BgnStr => {
-                lib.structures.push(parse_structure(&mut p)?);
-            }
-            RecordType::EndLib => break,
-            _ => return Err(rec.unexpected("reading structures")),
+    let mut reader = Reader::new(bytes)?;
+    let mut structures: Vec<Structure> = Vec::new();
+    while let Some(item) = reader.next()? {
+        match item {
+            Item::Structure(name) => structures.push(Structure::new(name)),
+            Item::Element(e) => structures
+                .last_mut()
+                .expect("an element follows its structure")
+                .elements
+                .push(e),
         }
     }
-    Ok(lib)
+    Ok(Library {
+        name: reader.name,
+        units: reader.units,
+        structures,
+    })
 }
 
-/// Parses a GDSII file from disk.
+/// Parses a GDSII file from disk into the element model. (To load a
+/// layout, stream the file through `odrc_db::Layout::from_gds`.)
 ///
 /// # Errors
 ///
@@ -370,40 +513,31 @@ pub fn read_file(path: impl AsRef<Path>) -> Result<Library, ReadError> {
     read(&bytes)
 }
 
-pub(crate) fn parse_structure(p: &mut Parser<'_>) -> Result<Structure, ReadError> {
-    let name = p
-        .expect(RecordType::StrName, "reading structure name")?
-        .string()?;
-    let mut st = Structure::new(name);
+/// The first record of an element body, which must be `rtype` — after
+/// the optional `ELFLAGS` / `PLEX` records, which this engine ignores.
+fn expect_body<'p, R: Read>(
+    p: &'p mut Parser<R>,
+    rtype: RecordType,
+    context: &'static str,
+) -> Result<RawRecord<'p>, ReadError> {
+    // `advance`, not `next_required`: a record returned from inside
+    // the loop would keep `p` borrowed on the iterations that continue.
     loop {
-        let rec = p.next_required("reading structure elements")?;
-        match rec.rtype {
-            RecordType::EndStr => break,
-            RecordType::Boundary => st.elements.push(parse_boundary(p)?),
-            RecordType::Path => st.elements.push(parse_path(p)?),
-            RecordType::Sref => st.elements.push(parse_ref(p, false, rec.offset)?),
-            RecordType::Aref => st.elements.push(parse_ref(p, true, rec.offset)?),
-            RecordType::Text => st.elements.push(parse_text(p)?),
-            _ => return Err(rec.unexpected("reading structure elements")),
-        }
-    }
-    Ok(st)
-}
-
-/// Consumes optional `ELFLAGS` / `PLEX` records, which this engine
-/// ignores.
-fn skip_optional_flags<'a>(p: &mut Parser<'a>) -> Result<RawRecord<'a>, ReadError> {
-    loop {
-        let rec = p.next_required("reading element body")?;
-        match rec.rtype {
-            RecordType::ElFlags | RecordType::Plex => continue,
-            _ => return Ok(rec),
+        match p.advance()? {
+            None => {
+                return Err(ReadError::MissingRecord {
+                    context: "reading element body",
+                })
+            }
+            Some(RecordType::ElFlags | RecordType::Plex) => {}
+            Some(found) if found == rtype => return Ok(p.current()),
+            Some(_) => return Err(p.current().unexpected(context)),
         }
     }
 }
 
 /// Parses trailing `PROPATTR`/`PROPVALUE` pairs up to `ENDEL`.
-fn parse_properties(p: &mut Parser<'_>) -> Result<Vec<(i16, String)>, ReadError> {
+fn parse_properties<R: Read>(p: &mut Parser<R>) -> Result<Vec<(i16, String)>, ReadError> {
     let mut props = Vec::new();
     loop {
         let rec = p.next_required("reading element properties")?;
@@ -421,12 +555,8 @@ fn parse_properties(p: &mut Parser<'_>) -> Result<Vec<(i16, String)>, ReadError>
     }
 }
 
-fn parse_boundary(p: &mut Parser<'_>) -> Result<Element, ReadError> {
-    let rec = skip_optional_flags(p)?;
-    if rec.rtype != RecordType::Layer {
-        return Err(rec.unexpected("reading boundary layer"));
-    }
-    let layer = rec.single_i16()?;
+fn parse_boundary<R: Read>(p: &mut Parser<R>) -> Result<Element, ReadError> {
+    let layer = expect_body(p, RecordType::Layer, "reading boundary layer")?.single_i16()?;
     let datatype = p
         .expect(RecordType::Datatype, "reading boundary datatype")?
         .single_i16()?;
@@ -448,12 +578,8 @@ fn parse_boundary(p: &mut Parser<'_>) -> Result<Element, ReadError> {
     }))
 }
 
-fn parse_path(p: &mut Parser<'_>) -> Result<Element, ReadError> {
-    let rec = skip_optional_flags(p)?;
-    if rec.rtype != RecordType::Layer {
-        return Err(rec.unexpected("reading path layer"));
-    }
-    let layer = rec.single_i16()?;
+fn parse_path<R: Read>(p: &mut Parser<R>) -> Result<Element, ReadError> {
+    let layer = expect_body(p, RecordType::Layer, "reading path layer")?.single_i16()?;
     let datatype = p
         .expect(RecordType::Datatype, "reading path datatype")?
         .single_i16()?;
@@ -483,12 +609,8 @@ fn parse_path(p: &mut Parser<'_>) -> Result<Element, ReadError> {
     }))
 }
 
-fn parse_text(p: &mut Parser<'_>) -> Result<Element, ReadError> {
-    let rec = skip_optional_flags(p)?;
-    if rec.rtype != RecordType::Layer {
-        return Err(rec.unexpected("reading text layer"));
-    }
-    let layer = rec.single_i16()?;
+fn parse_text<R: Read>(p: &mut Parser<R>) -> Result<Element, ReadError> {
+    let layer = expect_body(p, RecordType::Layer, "reading text layer")?.single_i16()?;
     let texttype = p
         .expect(RecordType::TextType, "reading text type")?
         .single_i16()?;
@@ -519,16 +641,12 @@ fn parse_text(p: &mut Parser<'_>) -> Result<Element, ReadError> {
     }))
 }
 
-fn parse_ref(
-    p: &mut Parser<'_>,
+fn parse_ref<R: Read>(
+    p: &mut Parser<R>,
     is_array: bool,
     start_offset: usize,
 ) -> Result<Element, ReadError> {
-    let rec = skip_optional_flags(p)?;
-    if rec.rtype != RecordType::Sname {
-        return Err(rec.unexpected("reading reference name"));
-    }
-    let sname = rec.string()?;
+    let sname = expect_body(p, RecordType::Sname, "reading reference name")?.string()?;
     let mut mirror_x = false;
     let mut mag = 1.0f64;
     let mut angle_deg = 0.0f64;
@@ -540,26 +658,11 @@ fn parse_ref(
                 let flags = rec.single_i16()? as u16;
                 mirror_x = flags & 0x8000 != 0;
             }
-            RecordType::Mag => {
-                let reals = rec.reals()?;
-                if reals.len() != 1 {
-                    return Err(rec.bad_len());
-                }
-                mag = reals[0];
-            }
-            RecordType::Angle => {
-                let reals = rec.reals()?;
-                if reals.len() != 1 {
-                    return Err(rec.bad_len());
-                }
-                angle_deg = reals[0];
-            }
+            RecordType::Mag => mag = rec.single().map(real8_to_f64)?,
+            RecordType::Angle => angle_deg = rec.single().map(real8_to_f64)?,
             RecordType::Colrow => {
-                let v = rec.i16s()?;
-                if v.len() != 2 {
-                    return Err(rec.bad_len());
-                }
-                colrow = Some((v[0], v[1]));
+                let [c0, c1, r0, r1] = rec.single()?;
+                colrow = Some((i16::from_be_bytes([c0, c1]), i16::from_be_bytes([r0, r1])));
             }
             RecordType::Xy => break rec,
             _ => return Err(rec.unexpected("reading reference body")),
@@ -581,19 +684,26 @@ fn parse_ref(
             return Err(xy.bad_len());
         }
         let origin = points[0];
-        let col_span = points[1] - origin;
-        let row_span = points[2] - origin;
-        let div = |v: Point, n: i32| -> Result<Point, ReadError> {
-            if v.x % n != 0 || v.y % n != 0 {
-                return Err(ReadError::NonIntegerArrayPitch { offset: xy.offset });
-            }
-            Ok(Point::new(v.x / n, v.y / n))
+        // In i64: a corrupt corner can lie a full coordinate range
+        // away from the origin.
+        let pitch = |corner: i32, origin: i32, n: i16| -> Result<i32, ReadError> {
+            let span = i64::from(corner) - i64::from(origin);
+            i32::try_from(span / i64::from(n))
+                .ok()
+                .filter(|_| span % i64::from(n) == 0)
+                .ok_or(ReadError::NonIntegerArrayPitch { offset: xy.offset })
+        };
+        let step = |corner: Point, n: i16| -> Result<Point, ReadError> {
+            Ok(Point::new(
+                pitch(corner.x, origin.x, n)?,
+                pitch(corner.y, origin.y, n)?,
+            ))
         };
         Some(ArrayParams {
             cols: cols as u16,
             rows: rows as u16,
-            col_step: div(col_span, i32::from(cols))?,
-            row_step: div(row_span, i32::from(rows))?,
+            col_step: step(points[1], cols)?,
+            row_step: step(points[2], rows)?,
         })
     } else {
         if points.len() != 1 {
@@ -739,6 +849,97 @@ mod tests {
         let mut bytes = write(&sample_library()).unwrap();
         bytes.extend_from_slice(&[0u8; 64]);
         assert!(read(&bytes).is_ok());
+    }
+
+    /// Hands out at most `chunks[call % len]` bytes per `read()`.
+    struct Dribble<'a> {
+        bytes: &'a [u8],
+        chunks: &'a [usize],
+        calls: usize,
+    }
+
+    impl Read for Dribble<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let chunk = self.chunks[self.calls % self.chunks.len()];
+            self.calls += 1;
+            let n = chunk.min(buf.len()).min(self.bytes.len());
+            buf[..n].copy_from_slice(&self.bytes[..n]);
+            self.bytes = &self.bytes[n..];
+            Ok(n)
+        }
+    }
+
+    /// Over 1 MiB, most of it in records at the format's 65 534-byte
+    /// limit, their lengths staggered so record boundaries fall all
+    /// over the refill window.
+    fn big_library() -> Library {
+        let mut lib = sample_library();
+        for i in 0..17 {
+            let mut s = Structure::new(format!("BIG{i}"));
+            s.elements.push(Element::Text(TextElement {
+                layer: 63,
+                texttype: 0,
+                position: p2(0, 0),
+                string: "x".repeat(65_530 - 2 * 97 * i),
+            }));
+            if i == 9 {
+                s.elements.push(Element::Path(PathElement {
+                    layer: 2,
+                    datatype: 0,
+                    path_type: 0,
+                    width: 2,
+                    points: (0..8190).map(|k| p2(k, k % 2)).collect(),
+                    properties: vec![],
+                }));
+            }
+            s.elements
+                .extend((0..40).map(|k| Element::sref("INV", p2(k, i as i32))));
+            lib.structures.push(s);
+        }
+        lib
+    }
+
+    fn items(src: impl Read) -> Result<Vec<Item>, ReadError> {
+        let mut reader = Reader::new(src)?;
+        let mut items = Vec::new();
+        while let Some(item) = reader.next()? {
+            items.push(item);
+        }
+        Ok(items)
+    }
+
+    #[test]
+    fn any_read_granularity_parses_like_the_slice() {
+        let lib = big_library();
+        let bytes = write(&lib).unwrap();
+        assert!(bytes.len() > 1 << 20);
+        assert_eq!(read(&bytes).unwrap(), lib);
+        let expected = items(&bytes[..]).unwrap();
+        for chunk in [1, 3, 7, 4096, 70_000, 200_000] {
+            let source = Dribble {
+                bytes: &bytes,
+                chunks: &[chunk],
+                calls: 0,
+            };
+            assert_eq!(items(source).unwrap(), expected, "chunk {chunk}");
+        }
+    }
+
+    #[test]
+    fn truncation_errors_do_not_depend_on_read_granularity() {
+        let bytes = write(&big_library()).unwrap();
+        for cut in (0..bytes.len()).step_by(257) {
+            let source = Dribble {
+                bytes: &bytes[..cut],
+                chunks: &[1, 3, 7, 4096, 70_000, 200_000],
+                calls: cut,
+            };
+            assert_eq!(
+                items(source).unwrap_err().to_string(),
+                read(&bytes[..cut]).unwrap_err().to_string(),
+                "cut {cut}"
+            );
+        }
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //! mismatches, and non-text string payloads.
 
 use odrc_gdsii::record::RecordType;
-use odrc_gdsii::{read_file, write, Element, Library, ReadError, Structure};
+use odrc_gdsii::stream::index_file;
+use odrc_gdsii::{read, read_file, write, Element, Library, ReadError, Structure};
 use odrc_geometry::Point;
 
 fn sample_library() -> Library {
@@ -58,16 +59,22 @@ fn find_record(bytes: &[u8], rtype: RecordType) -> (usize, usize) {
         .unwrap_or_else(|| panic!("sample stream has no {rtype} record"))
 }
 
-/// Writes corpus bytes to a uniquely named file and parses it back,
-/// exercising the same path the CLI takes.
-fn read_corpus_file(name: &str, bytes: &[u8]) -> Result<Library, ReadError> {
+/// Writes corpus bytes to a uniquely named file and hands its path to
+/// `parse`.
+fn with_corpus_file<T>(name: &str, bytes: &[u8], parse: impl FnOnce(&std::path::Path) -> T) -> T {
     let dir = std::env::temp_dir().join("odrc-gdsii-malformed");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join(name);
     std::fs::write(&path, bytes).unwrap();
-    let result = read_file(&path);
+    let result = parse(&path);
     std::fs::remove_file(&path).unwrap();
     result
+}
+
+/// Parses corpus bytes back from disk, through the same record decoder
+/// and stream walk the CLI's loader runs on.
+fn read_corpus_file(name: &str, bytes: &[u8]) -> Result<Library, ReadError> {
+    with_corpus_file(name, bytes, |path| read_file(path))
 }
 
 #[test]
@@ -182,6 +189,47 @@ fn non_text_string_payload() {
     match read_corpus_file("non-text-string.gds", &bytes).unwrap_err() {
         ReadError::BadString { offset } => assert_eq!(offset, off),
         other => panic!("unexpected error {other:?}"),
+    }
+}
+
+#[test]
+fn malformed_library_headers_fail_alike_everywhere() {
+    let bytes = write(&sample_library()).unwrap();
+    let (libname, libname_len) = find_record(&bytes, RecordType::LibName);
+    let (units, units_len) = find_record(&bytes, RecordType::Units);
+    assert_eq!(units_len, 20, "UNITS is two 8-byte reals");
+    let resized_units = |payload: usize| {
+        let mut b = bytes.clone();
+        b[units + 1] = (4 + payload) as u8;
+        b.splice(units + 4..units + units_len, vec![0x41; payload]);
+        b
+    };
+    let mut cases = vec![
+        ("wrong-first-record", {
+            let mut b = bytes.clone();
+            b[2] = RecordType::BgnLib.code();
+            b
+        }),
+        ("missing-libname", {
+            let mut b = bytes.clone();
+            b.drain(libname..libname + libname_len);
+            b
+        }),
+        ("units-8", resized_units(8)),
+        ("units-24", resized_units(24)),
+    ];
+    // EOF inside, and at the end of, each of the four header records.
+    for (off, len, _) in records(&bytes).into_iter().take(4) {
+        cases.push(("eof-inside", bytes[..off + len / 2].to_vec()));
+        cases.push(("eof-after", bytes[..off + len].to_vec()));
+    }
+    for (i, (name, corrupt)) in cases.iter().enumerate() {
+        let expected = read(corrupt).unwrap_err().to_string();
+        let file = format!("header-{i}-{name}.gds");
+        let indexed = with_corpus_file(&file, corrupt, |path| index_file(path));
+        assert_eq!(indexed.unwrap_err().to_string(), expected, "{name}");
+        let from_file = read_corpus_file(&file, corrupt);
+        assert_eq!(from_file.unwrap_err().to_string(), expected, "{name}");
     }
 }
 

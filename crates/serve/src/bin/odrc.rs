@@ -13,9 +13,11 @@
 //! odrc client --help
 //! ```
 //!
-//! The default mode reads a GDSII layout and a plain-text rule deck
-//! (see [`odrc::parse_deck`] for the format), runs the checks, prints
-//! the violations and the phase breakdown, and exits non-zero when
+//! The default mode streams a GDSII layout into the layout database
+//! (one loader for every mode; the `loaded ...` line reports its wall
+//! time and the peak RSS after it), reads a plain-text rule deck (see
+//! [`odrc::parse_deck`] for the format), runs the checks, prints the
+//! violations and the phase breakdown, and exits non-zero when
 //! violations were found. `--cache <dir>` keeps the per-cell result
 //! memo in `<dir>/odrc-cache.bin` across runs, so a warm invocation
 //! skips every cell whose content did not change.
@@ -78,7 +80,7 @@
 
 use std::path::Path;
 use std::process::ExitCode;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use odrc::{
     parse_deck, CheckReport, CheckpointJournal, Engine, ResultCache, RuleDeck, RunKey, CACHE_FILE,
@@ -443,42 +445,23 @@ fn write_stats_json(path: &str, report: &CheckReport) -> std::io::Result<()> {
     odrc_infra::write_atomic(Path::new(path), Value::Object(doc).to_json().as_bytes())
 }
 
+/// The one way a GDSII file becomes a [`Layout`] here (check, both
+/// sides of `diff`, shard-worker parent and children, in-core or
+/// out-of-core alike): records stream from the file into the layout
+/// database, and the line reports what that cost.
 fn load_layout(path: &str) -> Result<Layout, Box<dyn std::error::Error>> {
-    let lib = odrc_gdsii::read_file(path)?;
-    let layout = Layout::from_library(&lib)?;
-    eprintln!("loaded '{}' from {path}:\n{}", lib.name, layout.stats());
-    Ok(layout)
-}
-
-/// Out-of-core load: index the stream, then parse and convert one
-/// structure at a time, so the full GDSII element model is never
-/// resident — peak load footprint is one structure plus the growing
-/// layout.
-fn load_layout_streamed(path: &str) -> Result<Layout, Box<dyn std::error::Error>> {
-    let index = odrc_gdsii::stream::index_file(path)?;
-    let mut file = std::fs::File::open(path)?;
-    let mut builder = odrc_db::LayoutBuilder::new();
-    for entry in &index.entries {
-        builder.add_structure(&odrc_gdsii::stream::read_structure(&mut file, entry)?)?;
-    }
-    let layout = builder.finish()?;
+    let started = Instant::now();
+    let file = std::fs::File::open(path).map_err(odrc_gdsii::ReadError::Io)?;
+    let layout = Layout::from_gds(file)?;
+    let peak = odrc_infra::peak_rss_bytes().map_or_else(String::new, |b| {
+        format!(", peak RSS {:.1} MB", b as f64 / 1e6)
+    });
     eprintln!(
-        "streamed '{}' from {path} ({} structures indexed):\n{}",
-        index.name,
-        index.entries.len(),
+        "loaded layout from {path} in {:.0} ms{peak}:\n{}",
+        started.elapsed().as_secs_f64() * 1e3,
         layout.stats()
     );
     Ok(layout)
-}
-
-/// Whether this run takes the out-of-core path (and hence the
-/// streaming loader).
-fn out_of_core_run(args: &Args) -> bool {
-    args.out_of_core
-        || args.memory_budget.is_some()
-        || args.shard_rows.is_some()
-        || args.worker_slice.is_some()
-        || args.shard_workers.is_some()
 }
 
 fn load_cache(dir: &str) -> ResultCache {
@@ -589,11 +572,7 @@ fn run_check(
     engine: &Engine,
     deck: &RuleDeck,
 ) -> Result<Outcome, Box<dyn std::error::Error>> {
-    let layout = if out_of_core_run(args) {
-        load_layout_streamed(&args.layout)?
-    } else {
-        load_layout(&args.layout)?
-    };
+    let layout = load_layout(&args.layout)?;
     if let Some(workers) = args.shard_workers {
         if workers > 1 && args.worker_slice.is_none() {
             return run_shard_workers(args, engine, deck, &layout, workers);

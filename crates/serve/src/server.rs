@@ -577,21 +577,21 @@ fn open_session(
     conn: &mut ConnState,
 ) -> Result<Dispatch, ServeError> {
     // Layout: inline base64 GDSII, or a server-side path.
-    let library = match (opt_str(frame, "gds_b64")?, opt_str(frame, "path")?) {
+    let layout = match (opt_str(frame, "gds_b64")?, opt_str(frame, "path")?) {
         (Some(b64), _) => {
             let bytes = base64::decode(b64).map_err(ServeError::Layout)?;
-            odrc_gdsii::read(&bytes).map_err(|e| ServeError::Layout(e.to_string()))?
+            Layout::from_gds(&bytes[..])
         }
-        (None, Some(path)) => {
-            odrc_gdsii::read_file(path).map_err(|e| ServeError::Layout(e.to_string()))?
-        }
+        (None, Some(path)) => std::fs::File::open(path)
+            .map_err(|e| odrc_gdsii::ReadError::Io(e).into())
+            .and_then(Layout::from_gds),
         (None, None) => {
             return Err(ServeError::Protocol(
                 "open needs \"gds_b64\" or \"path\"".to_string(),
             ))
         }
-    };
-    let layout = Layout::from_library(&library).map_err(|e| ServeError::Layout(e.to_string()))?;
+    }
+    .map_err(|e| ServeError::Layout(e.to_string()))?;
     let rules_text = req_str(frame, "rules")?.to_string();
     let deck = parse_deck(&rules_text).map_err(|e| ServeError::Rules(e.to_string()))?;
     let mode = opt_str(frame, "mode")?.unwrap_or("sequential");
@@ -1011,8 +1011,7 @@ fn execute_durable(
                 panic!("chaos: worker panic at job start");
             }
         }
-        let library = odrc_gdsii::read(&spec.gds).map_err(|e| e.to_string())?;
-        let layout = Layout::from_library(&library).map_err(|e| e.to_string())?;
+        let layout = Layout::from_gds(&spec.gds[..]).map_err(|e| e.to_string())?;
         let deck = parse_deck(&spec.rules).map_err(|e| e.to_string())?;
         let mut engine = build_engine(shared, &spec.mode).map_err(|e| e.to_string())?;
         engine.set_cancel(Some(token.clone()));

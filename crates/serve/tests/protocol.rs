@@ -159,6 +159,63 @@ fn bad_rule_decks_and_bad_layouts_are_typed_errors() {
     server.shutdown();
 }
 
+/// `open` has two layout sources and one loader: the same file by
+/// server-side `path` and inline as `gds_b64` opens to the same cells
+/// and checks to the same bytes.
+#[test]
+fn open_by_path_and_by_bytes_load_the_same_layout() {
+    let server = TestServer::start();
+    let gds = tiny_gds(5);
+    let path = std::env::temp_dir().join(format!("odrc-protocol-open-{}.gds", std::process::id()));
+    std::fs::write(&path, &gds).expect("write gds");
+
+    let mut stream = TcpStream::connect(server.addr).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let rules = Value::from(RULES).to_json();
+    let sources = [
+        format!(
+            "\"path\":{}",
+            Value::from(path.to_str().expect("utf-8 path")).to_json()
+        ),
+        format!("\"gds_b64\":\"{}\"", json::base64::encode(&gds)),
+    ];
+    let mut client = Client::connect(server.addr).expect("connect client");
+    let opened = sources.map(|source| {
+        send_line(
+            &mut stream,
+            &format!("{{\"verb\":\"open\",{source},\"rules\":{rules}}}"),
+        );
+        let response = read_response(&mut reader);
+        assert_eq!(
+            response.get("ok").and_then(Value::as_bool),
+            Some(true),
+            "{response:?}"
+        );
+        let cells = response
+            .get("cells")
+            .and_then(Value::as_i64)
+            .expect("cells");
+        let session = response
+            .get("session")
+            .and_then(Value::as_i64)
+            .expect("session");
+        let outcome = client.check_wait(session as u64, 0, None).expect("check");
+        (cells, outcome.exit, outcome.report_csv())
+    });
+    assert!(opened[0].0 > 0);
+    assert_eq!(opened[0], opened[1]);
+
+    // A path that does not open is a layout error, like bad bytes.
+    send_line(
+        &mut stream,
+        &format!("{{\"verb\":\"open\",\"path\":\"/nonexistent/odrc.gds\",\"rules\":{rules}}}"),
+    );
+    assert_eq!(error_code(&read_response(&mut reader)), 107);
+
+    let _ = std::fs::remove_file(&path);
+    server.shutdown();
+}
+
 #[test]
 fn oversized_frame_is_reported_and_fatal_but_server_lives_on() {
     let server = TestServer::start();

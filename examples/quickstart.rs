@@ -12,20 +12,13 @@ use odrc_db::Layout;
 use odrc_layoutgen::{generate, tech, DesignSpec};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // In a real flow this would be `odrc_gdsii::read_file("chip.gds")?`.
-    // Here we synthesize a small benchmark design and round-trip it
-    // through the GDSII stream format to exercise the same interface.
+    // In a real flow the source would be `std::fs::File::open("chip.gds")?`.
+    // Here we synthesize a small benchmark design and load it back from
+    // its GDSII stream bytes to exercise the same interface.
     let design = generate(&DesignSpec::tiny(2024));
     let bytes = odrc_gdsii::write(&design.library)?;
-    let db = odrc_gdsii::read(&bytes)?;
-    println!(
-        "read '{}': {} structures, {} elements",
-        db.name,
-        db.structures.len(),
-        db.element_count()
-    );
-
-    let layout = Layout::from_library(&db)?;
+    let layout = Layout::from_gds(&bytes[..])?;
+    println!("loaded {} bytes of GDSII:\n{}", bytes.len(), layout.stats());
 
     // The rule deck, mirroring Listing 1 of the paper:
     //   db.polygons().is_rectilinear()
