@@ -10,7 +10,7 @@ cargo fmt --all -- --check
 echo "== cargo clippy"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "== one host path, one classifier, one ingest path (no is_serial() fork, one spacing row loop, one dispatcher per mode, one GDSII loader)"
+echo "== one host path, one classifier, one ingest path, one scene pass 1 (no is_serial() fork, one spacing row loop, one dispatcher per mode, one GDSII loader, O(members) scenes)"
 # A 1-thread executor runs the same code inline, so the engine keeps no
 # separate single-threaded branch; and in-core, delta and sharded
 # spacing all go through the one row loop that calls cross_space.
@@ -64,6 +64,17 @@ if grep -rnE 'gdsii::read(_file)?\(|from_library\(' crates/serve/src; then
 fi
 walks=$(grep -n 'RecordType::LibName' crates/gdsii/src/read.rs crates/gdsii/src/stream.rs | wc -l)
 [ "$walks" -eq 1 ] || { echo "expected one library-header walk in crates/gdsii/src, found $walks"; exit 1; }
+# O(members) scenes: pass 1 of a scene build is a LayerObjects value,
+# walked once per rule and layer — no per-build enumeration, no copy of
+# the top cell's references, and the sharded driver enumerates in
+# exactly two places (the plan, the lazy outer side of a pair rule).
+if grep -rnE 'fn enumerate_protos|fn layer_object_mbrs|struct Placement' crates/*/src \
+    || grep -rn 'top_placements()' crates/core/src; then
+    echo "a per-build layer enumeration or the top-placement copy is back"
+    exit 1
+fi
+walks=$(grep -c 'LayerObjects::enumerate' crates/core/src/shard.rs)
+[ "$walks" -eq 2 ] || { echo "expected two LayerObjects::enumerate sites in shard.rs, found $walks"; exit 1; }
 
 echo "== tier-1: cargo build --release && cargo test -q"
 # --no-fail-fast: without it the first red package hides every test
@@ -109,11 +120,14 @@ else
     echo "taskset not found: skipping the one-core leg"
 fi
 
-echo "== perf gate (kernel-wait, sweepline + host scaling vs committed baseline)"
+echo "== perf gate (kernel-wait, sweepline, sharded scene + host scaling vs committed baseline)"
 # Re-measures the aes configurations against the committed
 # BENCH_pipeline.json: fails on a regression beyond 25% (+10ms grace)
-# of parallel kernel-wait or sequential sweepline, or on 2-thread host
-# scaling below 0.95x of serial.
+# of parallel kernel-wait or sequential sweepline, on 2-thread host
+# scaling below 0.95x of serial, or on a sharded (sequential+ooc) run
+# whose scene phase exceeds 4x the in-core one (+5ms), whose
+# scene_objects_scanned left the committed count, or whose violations
+# differ from the in-core run's.
 # min-of-5 repeats: the gate compares minima, and 3 repeats has been
 # observed to let a single noisy scheduling window trip the limit.
 cargo run -q --release -p odrc-bench --bin pipeline -- --gate BENCH_pipeline.json --repeat 5
@@ -332,6 +346,16 @@ if grep -q '"shards_evicted": *0[,}]' target/ci-ooc/budgeted.json; then
 fi
 cmp target/ci-ooc/incore.csv target/ci-ooc/budgeted.csv \
     || { echo "budgeted report differs from the in-core run"; exit 1; }
+# Shards are assembled from member lists: the budgeted run walks the top
+# cell once per plan and outer layer (7 on this deck, against 4 in-core
+# scenes), not once per shard build.
+scanned() { sed -n 's/.*"scene_objects_scanned": *\([0-9][0-9]*\).*/\1/p' "$1"; }
+incore_scanned=$(scanned target/ci-ooc/incore.json)
+budgeted_scanned=$(scanned target/ci-ooc/budgeted.json)
+[ -n "$incore_scanned" ] && [ -n "$budgeted_scanned" ] \
+    || { echo "a run recorded no scene_objects_scanned"; exit 1; }
+[ "$budgeted_scanned" -le $((2 * incore_scanned)) ] \
+    || { echo "budgeted run scanned $budgeted_scanned top-cell children, in-core $incore_scanned: shard builds re-walk the layer"; exit 1; }
 status=0
 ./target/release/odrc target/ci-ooc/chip.gds --rules target/ci-ooc/ooc.rules \
     --memory-budget "$budget" --shard-workers 2 --chaos-kill-at-shard 5 \

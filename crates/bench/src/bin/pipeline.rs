@@ -1,6 +1,7 @@
 //! Benchmarks the engine pipeline on a multi-rule deck: both engine
-//! modes, per design. With `--json`, writes the machine-readable
-//! `BENCH_pipeline.json` so the perf trajectory is tracked across PRs.
+//! modes plus the sharded (out-of-core) sequential engine, per design.
+//! With `--json`, writes the machine-readable `BENCH_pipeline.json` so
+//! the perf trajectory is tracked across PRs.
 //!
 //! `--scaling` instead sweeps the host executor's thread count
 //! (1/2/4/max, deduplicated) over the sequential engine and
@@ -10,8 +11,11 @@
 //! a committed `BENCH_pipeline.json` and exits nonzero on a regression
 //! (>25% + 10ms grace) of the parallel mode's kernel-wait phase or the
 //! sequential mode's sweepline phase, 2-thread host scaling below
-//! 0.95x, or a peak-RSS regression beyond 1.5x the committed per-design
-//! high-water mark (+64 MiB grace) — the CI perf/memory gate.
+//! 0.95x, a peak-RSS regression beyond 1.5x the committed per-design
+//! high-water mark (+64 MiB grace), or a `sequential+ooc` run whose
+//! `scene` phase exceeds 4x the in-core one (+5ms), whose
+//! `scene_objects_scanned` left the committed count or whose violations
+//! differ from the in-core run's — the CI perf/memory gate.
 //!
 //! ```text
 //! cargo run -p odrc-bench --release --bin pipeline -- \
@@ -27,8 +31,28 @@ use std::time::Instant;
 use odrc::{CheckReport, Engine, EngineOptions, Mode, RuleDeck};
 use odrc_bench::{load_designs, pipeline_deck, BenchDesign};
 
-/// The measured configurations, in table order.
-const MODES: [Mode; 2] = [Mode::Sequential, Mode::Parallel];
+/// The sharded configuration's label.
+const OOC: &str = "sequential+ooc";
+
+/// One measured configuration: its label, the engine mode, whether the
+/// engine shards (`out_of_core`; no budget, no journal) and the host
+/// thread count (`None` = the engine's default).
+type Config = (&'static str, Mode, bool, Option<usize>);
+
+/// The pipeline table's configurations, in order (the sharded one last).
+fn table_configs(host_threads: Option<usize>) -> [Config; 3] {
+    [
+        ("sequential", Mode::Sequential, false, host_threads),
+        ("parallel", Mode::Parallel, false, host_threads),
+        (OOC, Mode::Sequential, true, host_threads),
+    ]
+}
+
+/// The `--scaling` configurations: the sequential engine at each rung.
+fn ladder_configs(ladder: &[usize]) -> Vec<Config> {
+    let rung = |&threads| ("sequential", Mode::Sequential, false, Some(threads));
+    ladder.iter().map(rung).collect()
+}
 
 struct RunResult {
     mode: &'static str,
@@ -42,18 +66,19 @@ impl RunResult {
     }
 }
 
-fn engine(mode: Mode, host_threads: Option<usize>) -> Engine {
+fn engine((_, mode, out_of_core, host_threads): Config) -> Engine {
     let base = match mode {
         Mode::Sequential => Engine::sequential(),
         Mode::Parallel => Engine::parallel(),
     };
     base.with_options(EngineOptions {
         host_threads,
+        out_of_core,
         ..EngineOptions::default()
     })
 }
 
-/// Runs both [`MODES`] `repeat` times in round-robin order —
+/// Runs every configuration `repeat` times in round-robin order —
 /// interleaving cancels drift (thermal, allocator growth) that would
 /// otherwise systematically penalize later configurations — and keeps
 /// each configuration's minimum wall time, the noise-robust statistic
@@ -69,22 +94,19 @@ fn run_configs(
     design: &BenchDesign,
     deck: &RuleDeck,
     repeat: usize,
-    host_threads: Option<usize>,
+    configs: &[Config],
 ) -> Vec<RunResult> {
-    let mut results: Vec<RunResult> = MODES
+    let mut results: Vec<RunResult> = configs
         .iter()
-        .map(|&mode| RunResult {
-            mode: match mode {
-                Mode::Sequential => "sequential",
-                Mode::Parallel => "parallel",
-            },
+        .map(|&(mode, ..)| RunResult {
+            mode,
             wall_ms: f64::INFINITY,
             report: None,
         })
         .collect();
     for _ in 0..repeat.max(1) {
-        for (slot, mode) in results.iter_mut().zip(MODES) {
-            let e = engine(mode, host_threads);
+        for (slot, &config) in results.iter_mut().zip(configs) {
+            let e = engine(config);
             let start = Instant::now();
             let r = e.check(&design.layout, deck);
             let wall_ms = start.elapsed().as_secs_f64() * 1e3;
@@ -95,19 +117,6 @@ fn run_configs(
         }
     }
     results
-}
-
-/// One host-thread-count measurement in the `--scaling` sweep.
-struct ScaleRun {
-    threads: usize,
-    wall_ms: f64,
-    report: Option<CheckReport>,
-}
-
-impl ScaleRun {
-    fn report(&self) -> &CheckReport {
-        self.report.as_ref().expect("configuration was run")
-    }
 }
 
 /// The `--scaling` thread ladder: 1, 2, 4, and every core, deduplicated
@@ -123,38 +132,11 @@ fn scaling_ladder() -> Vec<usize> {
     rungs
 }
 
-/// Sweeps the sequential engine over the thread ladder,
-/// interleaved min-of-N like [`run_configs`].
-fn run_scaling(
-    design: &BenchDesign,
-    deck: &RuleDeck,
+fn write_scaling_json(
+    path: &str,
     ladder: &[usize],
-    repeat: usize,
-) -> Vec<ScaleRun> {
-    let mut results: Vec<ScaleRun> = ladder
-        .iter()
-        .map(|&threads| ScaleRun {
-            threads,
-            wall_ms: f64::INFINITY,
-            report: None,
-        })
-        .collect();
-    for _ in 0..repeat.max(1) {
-        for slot in results.iter_mut() {
-            let e = engine(Mode::Sequential, Some(slot.threads));
-            let start = Instant::now();
-            let r = e.check(&design.layout, deck);
-            let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-            if wall_ms < slot.wall_ms {
-                slot.wall_ms = wall_ms;
-                slot.report = Some(r);
-            }
-        }
-    }
-    results
-}
-
-fn write_scaling_json(path: &str, results: &[(String, Vec<ScaleRun>)]) -> std::io::Result<()> {
+    results: &[(String, Vec<RunResult>)],
+) -> std::io::Result<()> {
     use std::io::Write;
     let mut f = std::io::BufWriter::new(std::fs::File::create(path)?);
     writeln!(f, "{{")?;
@@ -166,10 +148,10 @@ fn write_scaling_json(path: &str, results: &[(String, Vec<ScaleRun>)]) -> std::i
         writeln!(f, "      \"name\": \"{name}\",")?;
         writeln!(f, "      \"runs\": [")?;
         let base = runs.first().map(|r| r.wall_ms).unwrap_or(f64::NAN);
-        for (ri, r) in runs.iter().enumerate() {
+        for (ri, (r, threads)) in runs.iter().zip(ladder).enumerate() {
             let s = &r.report().stats;
             writeln!(f, "        {{")?;
-            writeln!(f, "          \"host_threads\": {},", r.threads)?;
+            writeln!(f, "          \"host_threads\": {threads},")?;
             writeln!(f, "          \"wall_ms\": {:.3},", r.wall_ms)?;
             writeln!(
                 f,
@@ -225,6 +207,11 @@ fn write_json(
             writeln!(f, "          \"rows\": {},", s.rows)?;
             writeln!(f, "          \"scenes_built\": {},", s.scenes_built)?;
             writeln!(f, "          \"scenes_reused\": {},", s.scenes_reused)?;
+            let scanned = s.scene_objects_scanned;
+            writeln!(f, "          \"scene_objects_scanned\": {scanned},")?;
+            writeln!(f, "          \"shards_checked\": {},", s.shards_checked)?;
+            writeln!(f, "          \"shards_built\": {},", s.shards_built)?;
+            writeln!(f, "          \"shards_evicted\": {},", s.shards_evicted)?;
             writeln!(f, "          \"uploads_elided\": {},", s.uploads_elided)?;
             writeln!(f, "          \"bytes_uploaded\": {},", s.bytes_uploaded)?;
             writeln!(f, "          \"launches_fused\": {},", s.launches_fused)?;
@@ -267,11 +254,13 @@ fn gated_phase(mode: &str) -> &'static str {
 }
 
 /// A baseline measurement scraped from a committed `BENCH_pipeline.json`:
-/// one engine mode of one design, with its gated phase.
+/// one configuration of one design, with its gated phase and its
+/// `scene_objects_scanned` (absent before the sharded row existed).
 struct BaselineRun {
     design: String,
     mode: String,
     gated_ms: Option<f64>,
+    scanned: Option<u64>,
 }
 
 /// Scrapes `(design, mode, gated phase)` tuples out of a
@@ -300,10 +289,13 @@ fn scan_baseline(path: &str) -> (Vec<BaselineRun>, std::collections::HashMap<Str
                 design: design.clone(),
                 mode: v,
                 gated_ms: None,
+                scanned: None,
             });
         } else if let Some(last) = out.last_mut() {
             if let Some(v) = field(line, gated_phase(&last.mode)) {
                 last.gated_ms = v.parse().ok();
+            } else if let Some(v) = field(line, "scene_objects_scanned") {
+                last.scanned = v.parse().ok();
             }
         }
     }
@@ -320,13 +312,14 @@ fn phase_ms(report: &CheckReport, phase: &str) -> Option<f64> {
         .map(|(_, d)| d.as_secs_f64() * 1e3)
 }
 
-/// The CI perf gate (`--gate <baseline.json>`): re-measures aes in both
-/// modes and fails (exit 1) if a mode's gated phase (parallel
-/// kernel-wait, sequential sweepline) regressed more than 25% past the
-/// committed baseline, or if running the sequential engine with two
-/// host threads costs more than 5% over one thread (a second worker
-/// must at least pay for its own spawns). A 10ms absolute grace keeps
-/// sub-noise baselines from tripping the ratio.
+/// The CI perf gate (`--gate <baseline.json>`): re-measures aes in
+/// every configuration and fails (exit 1) if a mode's gated phase
+/// (parallel kernel-wait, sequential sweepline) regressed more than 25%
+/// past the committed baseline, if the sharded run fails its checks
+/// (below), or if running the sequential engine with two host threads
+/// costs more than 5% over one thread (a second worker must at least
+/// pay for its own spawns). A 10ms absolute grace keeps sub-noise
+/// baselines from tripping the ratio.
 fn run_gate(baseline_path: &str, deck: &RuleDeck, repeat: usize) -> bool {
     let (baseline, baseline_peaks) = scan_baseline(baseline_path);
     let design = load_designs(Some("aes"))
@@ -337,14 +330,17 @@ fn run_gate(baseline_path: &str, deck: &RuleDeck, repeat: usize) -> bool {
 
     println!("=== Perf gate vs {baseline_path} ===");
     odrc_infra::reset_peak_rss();
-    let runs = run_configs(&design, deck, repeat, None);
+    let runs = run_configs(&design, deck, repeat, &table_configs(None));
     let fresh_peak = odrc_infra::peak_rss_bytes();
-    for r in &runs {
-        let phase = gated_phase(r.mode);
-        let base = baseline
+    let committed = |mode: &str| {
+        baseline
             .iter()
-            .find(|b| b.design == "aes" && b.mode == r.mode)
-            .and_then(|b| b.gated_ms);
+            .find(|b| b.design == "aes" && b.mode == mode)
+    };
+    let (ooc, in_core) = runs.split_last().expect("the sharded configuration");
+    for r in in_core {
+        let phase = gated_phase(r.mode);
+        let base = committed(r.mode).and_then(|b| b.gated_ms);
         let fresh = phase_ms(r.report(), phase).unwrap_or(0.0);
         let label = format!("aes {}", r.mode);
         match base {
@@ -369,6 +365,27 @@ fn run_gate(baseline_path: &str, deck: &RuleDeck, repeat: usize) -> bool {
         }
     }
 
+    // The sharded run is the in-core run plus shard planning: its scene
+    // phase stays within 4x (+5ms) of the in-core one measured beside
+    // it, it walks the top cell exactly as often as committed (a
+    // baseline from before the row existed has no count: skipped), and
+    // it reports the same violations.
+    let scene = |r: &RunResult| phase_ms(r.report(), "scene").unwrap_or(0.0);
+    let (seq, limit) = (&runs[0], scene(&runs[0]) * 4.0 + 5.0);
+    let scanned = ooc.report().stats.scene_objects_scanned;
+    let base = committed(OOC).and_then(|b| b.scanned);
+    let same = ooc.report().violations == seq.report().violations;
+    let pass = scene(ooc) <= limit && base.is_none_or(|b| b == scanned) && same;
+    ok &= pass;
+    println!(
+        "aes {OOC}: scene {:.1}ms vs in-core {:.1}ms (limit {limit:.1}ms), {scanned} objects \
+         scanned (baseline {base:?}), violations {} .. {}",
+        scene(ooc),
+        scene(seq),
+        if same { "equal" } else { "DIFFER" },
+        if pass { "ok" } else { "FAIL" }
+    );
+
     // Memory gate: the checking phase's high-water mark (HWM reset just
     // before the runs) must stay within 1.5x of the committed aes peak,
     // with a 64 MiB absolute grace so allocator jitter on small designs
@@ -391,7 +408,7 @@ fn run_gate(baseline_path: &str, deck: &RuleDeck, repeat: usize) -> bool {
         (_, None) => println!("aes peak-RSS: platform exposes no HWM .. skipped"),
     }
 
-    let scale = run_scaling(&design, deck, &[1, 2], repeat);
+    let scale = run_configs(&design, deck, repeat, &ladder_configs(&[1, 2]));
     let ratio = scale[0].wall_ms / scale[1].wall_ms;
     let pass = ratio >= 0.95;
     ok &= pass;
@@ -470,23 +487,22 @@ fn main() {
             "{:<10} {:>7} {:>8} {:>10} {:>10} {:>8} {:>9}",
             "design", "threads", "wall_ms", "#viol", "tasks", "steals", "speedup"
         );
-        let mut results: Vec<(String, Vec<ScaleRun>)> = Vec::new();
+        let mut results: Vec<(String, Vec<RunResult>)> = Vec::new();
         for design in load_designs(Some(&designs)) {
-            let runs = run_scaling(&design, &deck, &ladder, repeat);
-            for r in &runs {
+            let runs = run_configs(&design, &deck, repeat, &ladder_configs(&ladder));
+            for (r, threads) in runs.iter().zip(&ladder) {
                 // Every thread count must agree exactly with threads=1.
                 assert_eq!(
                     runs[0].report().violations,
                     r.report().violations,
-                    "host_threads={} changed the violation set on {}",
-                    r.threads,
+                    "host_threads={threads} changed the violation set on {}",
                     design.name
                 );
                 let s = &r.report().stats;
                 println!(
                     "{:<10} {:>7} {:>8.1} {:>10} {:>10} {:>8} {:>8.2}x",
                     design.name,
-                    r.threads,
+                    threads,
                     r.wall_ms,
                     r.report().violations.len(),
                     s.host_tasks,
@@ -498,18 +514,18 @@ fn main() {
         }
         if json {
             let path = "BENCH_host.json";
-            write_scaling_json(path, &results).expect("write BENCH_host.json");
+            write_scaling_json(path, &ladder, &results).expect("write BENCH_host.json");
             println!("\nwrote {path}");
         }
         return;
     }
 
     println!(
-        "\n=== Pipeline: {}-rule deck, both engine modes ===",
+        "\n=== Pipeline: {}-rule deck, both engine modes + sharded ===",
         deck.rules().len()
     );
     println!(
-        "{:<10} {:<12} {:>8} {:>10} {:>7} {:>7} {:>7} {:>7} {:>12}",
+        "{:<10} {:<14} {:>8} {:>10} {:>7} {:>7} {:>7} {:>7} {:>12}",
         "design", "mode", "wall_ms", "#viol", "scn+", "scn=", "rows", "elide", "bytes_up"
     );
 
@@ -520,10 +536,10 @@ fn main() {
         // the recorded peak covers this design's checks, not whatever
         // the process touched earlier.
         odrc_infra::reset_peak_rss();
-        let runs = run_configs(&design, &deck, repeat, host_threads);
+        let runs = run_configs(&design, &deck, repeat, &table_configs(host_threads));
         let peak_rss = odrc_infra::peak_rss_bytes();
         for r in &runs {
-            // Both modes must agree exactly.
+            // Every configuration must agree exactly.
             assert_eq!(
                 runs[0].report().violations,
                 r.report().violations,
@@ -533,7 +549,7 @@ fn main() {
             );
             let s = &r.report().stats;
             println!(
-                "{:<10} {:<12} {:>8.1} {:>10} {:>7} {:>7} {:>7} {:>7} {:>12}",
+                "{:<10} {:<14} {:>8.1} {:>10} {:>7} {:>7} {:>7} {:>7} {:>12}",
                 design.name,
                 r.mode,
                 r.wall_ms,

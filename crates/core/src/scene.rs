@@ -7,10 +7,17 @@
 //! subtree polygons in cell-local coordinates — computed once per cell
 //! definition no matter how many times the cell is placed, which is the
 //! database half of the hierarchical reuse of §IV-C.
+//!
+//! A build has two passes. Pass 1 walks the top cell once and is kept as
+//! a value, [`LayerObjects`]: the layer's objects in *proto order* with
+//! their MBRs and their positions in the top cell. Pass 2 (`assemble`)
+//! turns a sorted list of proto indices — the *members* — into a scene
+//! in O(members). In-core, delta-window and shard scenes all go through
+//! it, so a rule that builds many scenes of a layer walks it once.
 
 use std::collections::HashMap;
 
-use odrc_db::{CellId, Layer, Layout};
+use odrc_db::{CellId, CellRef, Layer, Layout};
 use odrc_geometry::{Coord, Polygon, Rect, Transform};
 
 /// What a scene object refers to.
@@ -119,67 +126,78 @@ impl LayerScene {
         window: Option<DirtyWindow<'_>>,
         host: &odrc_infra::HostExecutor,
     ) -> LayerScene {
-        let protos = enumerate_protos(layout, layer);
-        let keep: Vec<bool> = match window {
-            None => vec![true; protos.len()],
+        LayerScene::build_counted(layout, layer, window, host, &mut 0)
+    }
+
+    /// [`LayerScene::build_on`] for the engine: one pass 1 (added to
+    /// `scanned`), the member list — every object, or the two-ring
+    /// [`DirtyWindow`] filter over the proto MBRs — then pass 2.
+    pub(crate) fn build_counted(
+        layout: &Layout,
+        layer: Layer,
+        window: Option<DirtyWindow<'_>>,
+        host: &odrc_infra::HostExecutor,
+        scanned: &mut u64,
+    ) -> LayerScene {
+        let objects = LayerObjects::enumerate(layout, layer, scanned);
+        let mbrs = &objects.mbrs;
+        let members: Vec<usize> = match window {
+            None => (0..mbrs.len()).collect(),
             Some(w) => {
                 let seed_margin = w.margin.saturating_mul(2).saturating_add(2);
                 let seeded: Vec<Rect> = w.rects.iter().map(|d| d.inflate(seed_margin)).collect();
-                let seeds: Vec<bool> = protos
+                let seeds: Vec<bool> = mbrs
                     .iter()
-                    .map(|o| seeded.iter().any(|s| s.overlaps(o.mbr)))
+                    .map(|m| seeded.iter().any(|s| s.overlaps(*m)))
                     .collect();
-                let rings: Vec<Rect> = protos
+                let rings: Vec<Rect> = mbrs
                     .iter()
                     .zip(&seeds)
                     .filter(|(_, s)| **s)
-                    .map(|(o, _)| o.mbr.inflate(w.margin.saturating_add(1)))
+                    .map(|(m, _)| m.inflate(w.margin.saturating_add(1)))
                     .collect();
-                protos
-                    .iter()
-                    .zip(&seeds)
-                    .map(|(o, s)| *s || rings.iter().any(|r| r.overlaps(o.mbr)))
+                (0..mbrs.len())
+                    .filter(|&i| seeds[i] || rings.iter().any(|r| r.overlaps(mbrs[i])))
                     .collect()
             }
         };
-        assemble(layout, layer, protos, keep, host)
+        assemble(layout, layer, &objects, &members, host)
     }
 
     /// Builds the scene restricted to an explicit *member subset* of the
-    /// layer's objects: `members` holds sorted indices into the pass-1
-    /// proto order ([`layer_object_mbrs`] enumerates the same order).
-    /// Only the member objects survive, only their cells are flattened,
-    /// and only their top polygons are copied — this is the residency
-    /// unit of the out-of-core [`ShardPool`](crate::shard::ShardPool).
+    /// layer's objects: `members` holds sorted indices into the proto
+    /// order of `objects`. Only the member objects survive, only their
+    /// cells are flattened, and only their top polygons are copied —
+    /// this is the residency unit of the out-of-core
+    /// [`ShardPool`](crate::shard::ShardPool), and nothing in it walks
+    /// the layer: a rebuild after eviction costs O(members) too.
     pub(crate) fn build_members_on(
         layout: &Layout,
         layer: Layer,
+        objects: &LayerObjects,
         members: &[usize],
         host: &odrc_infra::HostExecutor,
     ) -> LayerScene {
-        let protos = enumerate_protos(layout, layer);
-        let mut keep = vec![false; protos.len()];
-        for &m in members {
-            keep[m] = true;
-        }
-        assemble(layout, layer, protos, keep, host)
+        assemble(layout, layer, objects, members, host)
     }
 
     /// Builds the scene restricted to the objects overlapping one
     /// window rectangle — the outer side of an out-of-core enclosure
-    /// shard, whose members all live in a contiguous row band. A single
-    /// rect test per object keeps the filter linear in the layer
+    /// shard, whose members all live in a contiguous row band. One rect
+    /// test per cached proto MBR keeps the filter linear in the layer
     /// population (the two-ring [`DirtyWindow`] filter is quadratic in
     /// dense scenes and only needed for scattered diff rects).
     pub(crate) fn build_window_on(
         layout: &Layout,
         layer: Layer,
+        objects: &LayerObjects,
         window: Rect,
         host: &odrc_infra::HostExecutor,
     ) -> LayerScene {
-        let protos = enumerate_protos(layout, layer);
-        let keep: Vec<bool> = protos.iter().map(|o| window.overlaps(o.mbr)).collect();
-        assemble(layout, layer, protos, keep, host)
+        let members: Vec<usize> = (0..objects.mbrs.len())
+            .filter(|&i| window.overlaps(objects.mbrs[i]))
+            .collect();
+        assemble(layout, layer, objects, &members, host)
     }
 
     /// The flattened local polygons of a placed cell.
@@ -288,69 +306,78 @@ impl LayerScene {
     }
 }
 
-/// Pass 1 of a scene build: every object of `layer` (the direct
-/// placements under the top cell, then the top cell's own polygons)
-/// with its layer MBR in top coordinates — no flattening. This order is
-/// the *proto order* every keep filter and shard member list indexes.
-fn enumerate_protos(layout: &Layout, layer: Layer) -> Vec<SceneObject> {
-    let mut protos: Vec<SceneObject> = Vec::new();
-    for placement in layout.top_placements() {
-        let cell = layout.cell(placement.cell);
-        let Some(local_mbr) = cell.layer_mbr(layer) else {
-            continue;
-        };
-        protos.push(SceneObject {
-            mbr: placement.transform.apply_rect(local_mbr),
-            source: SceneSource::Cell {
-                cell: placement.cell,
-                transform: placement.transform,
-            },
-        });
-    }
-    let top_cell = layout.cell(layout.top());
-    for p in top_cell.polygons_on(layer) {
-        protos.push(SceneObject {
-            mbr: p.polygon.mbr(),
-            source: SceneSource::TopPolygon { index: 0 }, // assigned in assemble
-        });
-    }
-    protos
+/// Pass 1 of a scene build, kept as a value: every object of `layer`
+/// with its layer MBR in top coordinates — no flattening. The order is
+/// the *proto order*: the top cell's references whose cell has `layer`,
+/// then the top cell's polygons on `layer`, each group in top-cell
+/// order. Object `i` of an unwindowed [`LayerScene::build_on`] is proto
+/// `i`; member lists, `plan_shards`' partition and the shard hull all
+/// index by it.
+#[derive(Default)]
+pub(crate) struct LayerObjects {
+    /// Layer MBR of each object, proto order.
+    pub mbrs: Vec<Rect>,
+    /// `top.refs()` index of each reference object (protos `..refs.len()`).
+    refs: Vec<u32>,
+    /// `top.polygons()` index of each top-polygon object (the rest).
+    polys: Vec<u32>,
 }
 
-/// The object MBRs of `layer` in proto order — the shard planner's
-/// cheap (flattening-free) view of the scene. Index `i` here is object
-/// `i` of an unwindowed [`LayerScene::build_on`] and the member index
-/// [`LayerScene::build_members_on`] selects by.
-pub(crate) fn layer_object_mbrs(layout: &Layout, layer: Layer) -> Vec<Rect> {
-    enumerate_protos(layout, layer)
-        .into_iter()
-        .map(|o| o.mbr)
-        .collect()
+impl LayerObjects {
+    /// Walks the top cell's children once; `scanned` grows by their
+    /// count ([`EngineStats::scene_objects_scanned`](crate::EngineStats)).
+    pub(crate) fn enumerate(layout: &Layout, layer: Layer, scanned: &mut u64) -> LayerObjects {
+        let top = layout.cell(layout.top());
+        *scanned += (top.refs().len() + top.polygons().len()) as u64;
+        // One MBR lookup per cell definition, not per placement.
+        let cell_mbrs: Vec<Option<Rect>> =
+            layout.cells().iter().map(|c| c.layer_mbr(layer)).collect();
+        let index = |i: usize| u32::try_from(i).expect("top-cell child index fits u32");
+        let mut objects = LayerObjects::default();
+        for (i, r) in top.refs().iter().enumerate() {
+            if let Some(local_mbr) = cell_mbrs[r.cell.index()] {
+                objects.mbrs.push(r.transform.apply_rect(local_mbr));
+                objects.refs.push(index(i));
+            }
+        }
+        for (k, p) in top.polygons().iter().enumerate() {
+            if p.layer == layer {
+                objects.mbrs.push(p.polygon.mbr());
+                objects.polys.push(index(k));
+            }
+        }
+        objects
+    }
 }
 
-/// Pass 2 of a scene build: flatten the kept objects. Top polygons
-/// stream straight from the cell again (pass 1 enumerated them in the
-/// same order), so only the kept ones are ever copied.
+/// Pass 2 of a scene build: derive the member objects (sorted proto
+/// indices) from the top cell by index and flatten what they place.
 ///
-/// The expensive step — flattening each unique kept cell's subtree —
-/// fans out on the executor first (first-occurrence order); the serial
-/// assembly below then finds every cell pre-flattened.
+/// The expensive step — flattening each unique member cell's subtree —
+/// fans out on the executor (first-occurrence order); the rest is
+/// serial and O(members).
 fn assemble(
     layout: &Layout,
     layer: Layer,
-    protos: Vec<SceneObject>,
-    keep: Vec<bool>,
+    protos: &LayerObjects,
+    members: &[usize],
     host: &odrc_infra::HostExecutor,
 ) -> LayerScene {
+    debug_assert!(members.windows(2).all(|w| w[0] < w[1]), "sorted members");
     let top_cell = layout.cell(layout.top());
+    // Sorted members: the references come first, as in proto order.
+    let (placed, drawn) = members.split_at(members.partition_point(|&m| m < protos.refs.len()));
+    let mut objects = Vec::with_capacity(members.len());
     let mut uniq: Vec<CellId> = Vec::new();
     let mut seen: std::collections::HashSet<CellId> = std::collections::HashSet::new();
-    for (proto, kept) in protos.iter().zip(&keep) {
-        if let SceneSource::Cell { cell, .. } = proto.source {
-            if *kept && seen.insert(cell) {
-                uniq.push(cell);
-            }
+    for &m in placed {
+        let CellRef { cell, transform } = top_cell.refs()[protos.refs[m] as usize];
+        if seen.insert(cell) {
+            uniq.push(cell);
         }
+        let source = SceneSource::Cell { cell, transform };
+        let mbr = protos.mbrs[m];
+        objects.push(SceneObject { mbr, source });
     }
     let flats = host.run("scene", uniq.len(), |i| {
         let mut flat = Vec::new();
@@ -358,30 +385,14 @@ fn assemble(
         flat.into_iter().map(|f| f.polygon).collect::<Vec<_>>()
     });
     let local: HashMap<CellId, Vec<Polygon>> = uniq.into_iter().zip(flats).collect();
-    let mut objects = Vec::new();
-    let mut top_polys = Vec::new();
-    let mut top_iter = top_cell.polygons_on(layer);
-    for (proto, kept) in protos.into_iter().zip(keep) {
-        match proto.source {
-            SceneSource::Cell { .. } => {
-                if kept {
-                    objects.push(proto);
-                }
-            }
-            SceneSource::TopPolygon { .. } => {
-                let poly = top_iter.next().expect("pass 1 and 2 agree on top polygons");
-                if !kept {
-                    continue;
-                }
-                objects.push(SceneObject {
-                    mbr: proto.mbr,
-                    source: SceneSource::TopPolygon {
-                        index: top_polys.len(),
-                    },
-                });
-                top_polys.push(poly.polygon.clone());
-            }
-        }
+    let mut top_polys = Vec::with_capacity(drawn.len());
+    for &m in drawn {
+        let index = top_polys.len();
+        let source = SceneSource::TopPolygon { index };
+        let mbr = protos.mbrs[m];
+        objects.push(SceneObject { mbr, source });
+        let k = protos.polys[m - protos.refs.len()] as usize;
+        top_polys.push(top_cell.polygons()[k].polygon.clone());
     }
     LayerScene {
         layer,
@@ -413,6 +424,9 @@ mod tests {
     use super::*;
     use odrc_gdsii::{Element, Library, Structure};
     use odrc_geometry::Point;
+    use odrc_layoutgen::{generate_layout, DesignSpec};
+    use proptest::prelude::*;
+    use std::collections::BTreeSet;
 
     fn p(x: i32, y: i32) -> Point {
         Point::new(x, y)
@@ -509,6 +523,97 @@ mod tests {
                 for obj in &serial.objects {
                     assert_eq!(par.object_polygons(obj), serial.object_polygons(obj));
                 }
+            }
+        }
+    }
+
+    /// What `approx_bytes` charges for one cached polygon.
+    fn poly_bytes(p: &Polygon) -> u64 {
+        48 + std::mem::size_of_val(p.vertices()) as u64
+    }
+
+    /// `scene` must be `full` (the unwindowed scene of the same layer)
+    /// filtered to the proto indices `members`: same objects in member
+    /// order with top polygons renumbered densely, same geometry per
+    /// object, exactly the members' cells flattened, and the residency
+    /// cost the pool would have charged for that content.
+    fn assert_is_subset(full: &LayerScene, members: &[usize], scene: &LayerScene) {
+        assert_eq!(scene.layer, full.layer);
+        assert_eq!(scene.objects.len(), members.len());
+        let mut cells = BTreeSet::new();
+        let mut bytes = (members.len() * std::mem::size_of::<SceneObject>()) as u64;
+        let mut drawn = 0;
+        for (obj, &m) in scene.objects.iter().zip(members) {
+            let want = &full.objects[m];
+            assert_eq!(obj.mbr, want.mbr);
+            match want.source {
+                SceneSource::Cell { cell, .. } => {
+                    assert_eq!(obj.source, want.source);
+                    cells.insert(cell);
+                }
+                SceneSource::TopPolygon { index } => {
+                    assert_eq!(obj.source, SceneSource::TopPolygon { index: drawn });
+                    drawn += 1;
+                    bytes += poly_bytes(full.top_polygon(index));
+                }
+            }
+            assert_eq!(scene.object_polygons(obj), full.object_polygons(want));
+        }
+        assert_eq!(scene.placed_cells().collect::<BTreeSet<_>>(), cells);
+        for &cell in &cells {
+            bytes += full
+                .local_polygons(cell)
+                .iter()
+                .map(poly_bytes)
+                .sum::<u64>();
+        }
+        assert_eq!(scene.approx_bytes(), bytes);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+        /// The equivalence every shard scene rests on: a scene assembled
+        /// from a member list is the full scene filtered to it, and a
+        /// window build is the member build of the overlapping protos.
+        #[test]
+        fn member_and_window_builds_equal_the_filtered_full_scene(
+            seed in 0u64..8,
+            mask in proptest::collection::vec(proptest::bool::ANY, 1..48),
+            corners in (0usize..1 << 16, 0usize..1 << 16),
+        ) {
+            let layout = generate_layout(&DesignSpec::tiny(seed));
+            let top = layout.cell(layout.top());
+            let host = odrc_infra::HostExecutor::new(2);
+            for layer in layout.layers() {
+                let mut scanned = 0;
+                let objects = LayerObjects::enumerate(&layout, layer, &mut scanned);
+                prop_assert_eq!(scanned as usize, top.refs().len() + top.polygons().len());
+                // The proto-order contract `plan_shards` indexes by.
+                let full = LayerScene::build_on(&layout, layer, None, &host);
+                let mbrs: Vec<Rect> = full.objects.iter().map(|o| o.mbr).collect();
+                prop_assert_eq!(&objects.mbrs, &mbrs);
+                let all: Vec<usize> = (0..mbrs.len()).collect();
+                assert_is_subset(&full, &all, &full);
+
+                let members: Vec<usize> =
+                    all.iter().copied().filter(|i| mask[i % mask.len()]).collect();
+                let subset =
+                    LayerScene::build_members_on(&layout, layer, &objects, &members, &host);
+                assert_is_subset(&full, &members, &subset);
+
+                let empty = LayerScene::build_members_on(&layout, layer, &objects, &[], &host);
+                prop_assert!(empty.objects.is_empty() && empty.placed_cells().next().is_none());
+                prop_assert_eq!(empty.approx_bytes(), 0);
+
+                if mbrs.is_empty() {
+                    continue;
+                }
+                let window = mbrs[corners.0 % mbrs.len()].hull(mbrs[corners.1 % mbrs.len()]);
+                let inside: Vec<usize> =
+                    all.iter().copied().filter(|&i| window.overlaps(mbrs[i])).collect();
+                let windowed =
+                    LayerScene::build_window_on(&layout, layer, &objects, window, &host);
+                assert_is_subset(&full, &inside, &windowed);
             }
         }
     }

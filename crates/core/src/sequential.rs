@@ -129,12 +129,11 @@ impl<'a> RunContext<'a> {
             self.stats.scenes_reused += 1;
             return Arc::clone(scene);
         }
-        let layout = self.layout;
-        let host = Arc::clone(&self.host);
-        let scene = Arc::new(
-            self.profiler
-                .time("scene", || LayerScene::build_on(layout, layer, None, &host)),
-        );
+        let (layout, host) = (self.layout, Arc::clone(&self.host));
+        let scanned = &mut self.stats.scene_objects_scanned;
+        let scene = Arc::new(self.profiler.time("scene", || {
+            LayerScene::build_counted(layout, layer, None, &host, scanned)
+        }));
         self.stats.scenes_built += 1;
         self.plan.scenes.insert(layer, Arc::clone(&scene));
         scene
@@ -147,11 +146,11 @@ impl<'a> RunContext<'a> {
         let Some(w) = window else {
             return self.layer_scene(layer);
         };
-        let layout = self.layout;
-        Arc::new(
-            self.profiler
-                .time("scene", || LayerScene::build_near(layout, layer, Some(w))),
-        )
+        let (layout, host) = (self.layout, HostExecutor::new(1));
+        let scanned = &mut self.stats.scene_objects_scanned;
+        Arc::new(self.profiler.time("scene", || {
+            LayerScene::build_counted(layout, layer, Some(w), &host, scanned)
+        }))
     }
 
     /// The packed, sorted row set of `layer` for a rule distance of

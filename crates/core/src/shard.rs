@@ -44,7 +44,7 @@ use crate::cache::rule_signature;
 use crate::checkpoint::CheckpointJournal;
 use crate::engine::{EngineOptions, EngineStats};
 use crate::rules::{PairsRule, Rule, RuleFamily};
-use crate::scene::{layer_object_mbrs, LayerScene};
+use crate::scene::{LayerObjects, LayerScene};
 use crate::sequential::{
     check_pairs_scenes, check_space_scene_rows, partition_mbrs, CellMemo, RunContext,
 };
@@ -92,11 +92,13 @@ pub(crate) enum ShardRun {
     Partial,
 }
 
-/// The deterministic shard decomposition of one rule: the global object
-/// MBRs (proto order) and the contiguous row groups.
+/// The deterministic shard decomposition of one rule: the primary
+/// layer's objects (proto order) and the contiguous row groups.
 pub(crate) struct ShardPlan {
-    /// Object MBRs of the rule's primary layer, in proto order.
-    pub mbrs: Vec<Rect>,
+    /// Pass 1 of the rule's primary layer — the one enumeration every
+    /// subset scene of the rule (first build or rebuild after eviction)
+    /// is assembled from. Lives and dies with the rule's plan.
+    pub objects: LayerObjects,
     /// The shards, in row order.
     pub shards: Vec<ShardSpec>,
 }
@@ -120,10 +122,12 @@ pub(crate) struct ShardSpec {
 /// records portable across crashes and workers.
 pub(crate) fn plan_shards(ctx: &mut RunContext<'_>, layer: Layer, min: i64) -> ShardPlan {
     let layout = ctx.layout;
-    let mbrs = ctx
+    let scanned = &mut ctx.stats.scene_objects_scanned;
+    let objects = ctx
         .profiler
-        .time("scene", || layer_object_mbrs(layout, layer));
-    let partition = partition_mbrs(&mbrs, min, ctx.options.partition, ctx.profiler, &ctx.host);
+        .time("scene", || LayerObjects::enumerate(layout, layer, scanned));
+    let mbrs = &objects.mbrs;
+    let partition = partition_mbrs(mbrs, min, ctx.options.partition, ctx.profiler, &ctx.host);
     ctx.stats.rows += partition.len();
     let rows = partition.rows();
     let per_shard = ctx
@@ -144,7 +148,7 @@ pub(crate) fn plan_shards(ctx: &mut RunContext<'_>, layer: Layer, min: i64) -> S
             ShardSpec { members, rows }
         })
         .collect();
-    ShardPlan { mbrs, shards }
+    ShardPlan { objects, shards }
 }
 
 /// Identity of one cached shard scene. The member set behind a key is a
@@ -263,8 +267,8 @@ pub(crate) fn check_rule_sharded(
 ) -> ShardRun {
     let family = rule.family();
     let (layer, min) = family.interaction().expect("only inter-object rules shard");
-    let plan = plan_shards(ctx, layer, min);
-    let shard_count = plan.shards.len() as u32;
+    let ShardPlan { objects, shards } = plan_shards(ctx, layer, min);
+    let shard_count = shards.len() as u32;
     let sig = rule_signature(rule);
     let layout = ctx.layout;
     let host = Arc::clone(&ctx.host);
@@ -273,7 +277,10 @@ pub(crate) fn check_rule_sharded(
     // journal never fill it; their cells are computed if a later shard
     // places them.
     let mut memo = CellMemo::new();
-    for (sid, shard) in plan.shards.iter().enumerate() {
+    // A pair rule's outer layer, enumerated on the first shard the
+    // journal does not restore — a fully restored rule never pays it.
+    let mut outer_objects: Option<LayerObjects> = None;
+    for (sid, shard) in shards.iter().enumerate() {
         let shard_id = sid as u32;
         if let Some((worker, of)) = ctx.options.shard_slice {
             if of > 0 && sid % of != worker {
@@ -306,7 +313,7 @@ pub(crate) fn check_rule_sharded(
                 let scene = ctx
                     .shard_pool
                     .get(key, device, ctx.stats, ctx.profiler, || {
-                        LayerScene::build_members_on(layout, layer, &shard.members, &host)
+                        LayerScene::build_members_on(layout, layer, &objects, &shard.members, &host)
                     });
                 // The in-core row pipeline over the shard's rows; shard
                 // units consult no persistent cache (no signature).
@@ -316,8 +323,14 @@ pub(crate) fn check_rule_sharded(
                 );
             }
             RuleFamily::Pairs(pairs) => {
+                let outer = outer_objects.get_or_insert_with(|| {
+                    let scanned = &mut ctx.stats.scene_objects_scanned;
+                    ctx.profiler.time("scene", || {
+                        LayerObjects::enumerate(layout, pairs.outer, scanned)
+                    })
+                });
                 let (inner_scene, outer_scene) =
-                    shard_scene_pair(ctx, device, &plan, shard, shard_id, pairs);
+                    shard_scene_pair(ctx, device, &objects, outer, shard, shard_id, pairs);
                 check_pairs_scenes(
                     ctx,
                     &rule.name,
@@ -364,7 +377,8 @@ pub(crate) fn check_rule_sharded(
 fn shard_scene_pair(
     ctx: &mut RunContext<'_>,
     device: &Device,
-    plan: &ShardPlan,
+    inner_objects: &LayerObjects,
+    outer_objects: &LayerObjects,
     shard: &ShardSpec,
     shard_id: u32,
     pairs: PairsRule,
@@ -380,7 +394,7 @@ fn shard_scene_pair(
         device,
         ctx.stats,
         ctx.profiler,
-        || LayerScene::build_members_on(layout, inner, &shard.members, &host),
+        || LayerScene::build_members_on(layout, inner, inner_objects, &shard.members, &host),
     );
     // The outer side is windowed to the shard's row band plus the rule
     // margin. Members are a contiguous row group, so one hull rect
@@ -391,7 +405,7 @@ fn shard_scene_pair(
     let band = shard
         .members
         .iter()
-        .map(|&g| plan.mbrs[g])
+        .map(|&g| inner_objects.mbrs[g])
         .reduce(Rect::hull);
     let outer_scene = ctx.shard_pool.get(
         SceneKey::Window {
@@ -406,9 +420,9 @@ fn shard_scene_pair(
         || match band {
             Some(b) => {
                 let window = b.inflate((min as Coord).saturating_add(1));
-                LayerScene::build_window_on(layout, outer, window, &host)
+                LayerScene::build_window_on(layout, outer, outer_objects, window, &host)
             }
-            None => LayerScene::build_members_on(layout, outer, &[], &host),
+            None => LayerScene::build_members_on(layout, outer, outer_objects, &[], &host),
         },
     );
     (inner_scene, outer_scene)

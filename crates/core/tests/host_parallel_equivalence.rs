@@ -71,13 +71,14 @@ fn engine(mode: Mode, host_threads: usize) -> Engine {
 
 /// The work counters that are a function of the input and the options
 /// only — never of how many workers shared the work.
-fn work(stats: &odrc::EngineStats) -> [usize; 5] {
+fn work(stats: &odrc::EngineStats) -> [usize; 6] {
     [
         stats.checks_computed,
         stats.checks_reused,
         stats.candidate_pairs,
         stats.rows,
         stats.host_tasks as usize,
+        stats.scene_objects_scanned as usize,
     ]
 }
 

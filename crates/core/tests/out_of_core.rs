@@ -319,6 +319,12 @@ fn kill_resume_case(
             again.stats.shards_checked, again.stats.shards_resumed
         ));
     }
+    if again.stats.scene_objects_scanned != 0 {
+        return Err(format!(
+            "double resume planned nothing, yet walked {} top-cell children",
+            again.stats.scene_objects_scanned
+        ));
+    }
     let _ = std::fs::remove_dir_all(&dir);
     Ok(())
 }
@@ -392,6 +398,84 @@ fn tight_budget_evicts_and_stays_correct() {
         report.stats.shards_built,
         report.stats.shards_degraded
     );
+}
+
+/// The top cell's child count: what one layer enumeration scans.
+fn top_children(layout: &odrc_db::Layout) -> u64 {
+    let top = layout.cell(layout.top());
+    (top.refs().len() + top.polygons().len()) as u64
+}
+
+/// A sharded rule walks the top cell once for its plan and a pair rule
+/// once more for its outer layer — however many shards the plan has,
+/// however often the budget forces a rebuild or degrades a load, and
+/// whatever the mode or thread count.
+#[test]
+fn scene_objects_scanned_counts_enumerations_not_shards() {
+    let layout = generate_layout(&DesignSpec::tiny(5));
+    let deck = deck();
+    let sharded = deck.rules().iter().filter(|r| !r.is_intra_polygon());
+    let pairs = sharded.clone().filter(|r| !r.name.contains(".S."));
+    let expected = (sharded.count() + pairs.count()) as u64 * top_children(&layout);
+    assert_eq!(expected, 6 * top_children(&layout));
+    let mut rebuilt = false;
+    for shard_rows in [1, 2, 8] {
+        for budget in [None, Some(0), Some(24 << 10)] {
+            for (mode, host_threads) in [(Mode::Sequential, 1), (Mode::Parallel, 4)] {
+                let options = EngineOptions {
+                    host_threads: Some(host_threads),
+                    ..out_of_core_options(budget, shard_rows)
+                };
+                let stats = engine(mode, options).check(&layout, &deck).stats;
+                assert_eq!(
+                    stats.scene_objects_scanned, expected,
+                    "shard_rows {shard_rows}, budget {budget:?}, {mode:?}: {stats:?}"
+                );
+                rebuilt |= stats.shards_evicted > 0 && stats.shards_built > stats.shards_checked;
+            }
+        }
+    }
+    assert!(rebuilt, "no configuration rebuilt a scene after eviction");
+}
+
+/// The outer layer of a pair rule is enumerated by the first shard the
+/// journal does not restore: when two workers' journals cover every
+/// shard, the merged run plans each sharded rule and walks nothing else.
+#[test]
+fn fully_restored_rules_enumerate_their_plan_only() {
+    let layout = generate_layout(&DesignSpec::tiny(9));
+    let deck = deck();
+    let run_key = RunKey::compute(&layout, &deck);
+    let dir = fresh_dir("lazy-outer");
+    let mut merged = CheckpointJournal::open_dir(&dir, run_key).unwrap();
+    for w in 0..2 {
+        let worker_dir = dir.join(format!("worker-{w}"));
+        let mut journal = CheckpointJournal::open_dir(&worker_dir, run_key).unwrap();
+        let mut options = out_of_core_options(None, 2);
+        options.shard_slice = Some((w, 2));
+        engine(Mode::Sequential, options).check_resumable(&layout, &deck, None, Some(&mut journal));
+        drop(journal);
+        merged.absorb_dir(&worker_dir).unwrap();
+    }
+    let report = engine(Mode::Sequential, out_of_core_options(None, 2)).check_resumable(
+        &layout,
+        &deck,
+        None,
+        Some(&mut merged),
+    );
+    drop(merged);
+    assert_eq!(report.violations, baseline(Mode::Sequential, &layout));
+    assert_eq!(report.stats.shards_checked, 0);
+    let sharded = deck
+        .rules()
+        .iter()
+        .filter(|r| !r.is_intra_polygon())
+        .count();
+    assert_eq!(
+        report.stats.scene_objects_scanned,
+        sharded as u64 * top_children(&layout)
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Worker slices cover the shard space exactly: every worker journals

@@ -175,16 +175,6 @@ pub struct FlatPolygon {
     pub polygon: Polygon,
 }
 
-/// A direct placement under the top cell, the unit of the adaptive
-/// row-based partition (§IV-B).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Placement {
-    /// The placed cell.
-    pub cell: CellId,
-    /// Its transform into top-level coordinates.
-    pub transform: Transform,
-}
-
 /// Per-layer polygon counts.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LayerStats {
@@ -320,16 +310,10 @@ impl Layout {
         }
     }
 
-    /// Direct placements under the top cell (the partition unit).
-    pub fn top_placements(&self) -> Vec<Placement> {
-        self.cell(self.top)
-            .refs()
-            .iter()
-            .map(|r| Placement {
-                cell: r.cell,
-                transform: r.transform,
-            })
-            .collect()
+    /// Direct placements under the top cell, the unit of the adaptive
+    /// row-based partition (§IV-B).
+    pub fn top_placements(&self) -> &[CellRef] {
+        self.cell(self.top).refs()
     }
 }
 

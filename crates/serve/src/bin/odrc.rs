@@ -500,8 +500,10 @@ fn print_stats(stats: &odrc::EngineStats) {
         "checks computed: {}, reused: {}, candidate pairs: {}, rows: {}",
         stats.checks_computed, stats.checks_reused, stats.candidate_pairs, stats.rows
     );
+    let scanned = stats.scene_objects_scanned;
     eprintln!(
-        "scenes built: {}, reused: {}; uploads elided: {}, bytes uploaded: {}",
+        "scenes built: {}, reused: {}; uploads elided: {}, bytes uploaded: {}; \
+         scene objects scanned: {scanned}",
         stats.scenes_built, stats.scenes_reused, stats.uploads_elided, stats.bytes_uploaded
     );
     if stats.host_tasks > 0 {

@@ -84,6 +84,10 @@ pub fn stats_to_json(stats: &EngineStats) -> Value {
         ("degraded", Value::Bool(stats.degraded())),
         ("scenes_built", Value::from(stats.scenes_built)),
         ("scenes_reused", Value::from(stats.scenes_reused)),
+        (
+            "scene_objects_scanned",
+            Value::from(stats.scene_objects_scanned),
+        ),
         ("uploads_elided", Value::from(stats.uploads_elided)),
         ("bytes_uploaded", Value::from(stats.bytes_uploaded)),
         ("host_tasks", Value::from(stats.host_tasks)),
