@@ -76,6 +76,17 @@ fi
 walks=$(grep -c 'LayerObjects::enumerate' crates/core/src/shard.rs)
 [ "$walks" -eq 2 ] || { echo "expected two LayerObjects::enumerate sites in shard.rs, found $walks"; exit 1; }
 
+# One candidate discovery and one window formula, shared by both modes:
+# the sequential row loop and the parallel pack (RowSet::build) both call
+# row_candidate_pairs / pair_window, and the pack's only whole-object
+# instantiation is its keep-everything arm (top polygons, pruning off).
+sites=$(grep -rn 'rtree_overlaps(' crates/core/src | wc -l)
+[ "$sites" -eq 1 ] || { echo "expected one rtree_overlaps( call site in crates/core/src, found $sites"; exit 1; }
+sites=$(grep -rn 'pair_window(' crates/core/src | grep -vc 'fn pair_window(')
+[ "$sites" -eq 2 ] || { echo "expected two pair_window( call sites in crates/core/src, found $sites"; exit 1; }
+sites=$(grep -c 'object_polygons_into' crates/core/src/plan.rs)
+[ "$sites" -eq 1 ] || { echo "expected one object_polygons_into in plan.rs (the keep-everything arm), found $sites"; exit 1; }
+
 echo "== tier-1: cargo build --release && cargo test -q"
 # --no-fail-fast: without it the first red package hides every test
 # binary that sorts after it.
@@ -120,11 +131,15 @@ else
     echo "taskset not found: skipping the one-core leg"
 fi
 
-echo "== perf gate (kernel-wait, sweepline, sharded scene + host scaling vs committed baseline)"
+echo "== perf gate (kernel-wait, sweepline, parallel vs sequential, sharded scene + host scaling vs committed baseline)"
 # Re-measures the aes configurations against the committed
 # BENCH_pipeline.json: fails on a regression beyond 25% (+10ms grace)
-# of parallel kernel-wait or sequential sweepline, on 2-thread host
-# scaling below 0.95x of serial, or on a sharded (sequential+ooc) run
+# of parallel kernel-wait or sequential sweepline, on a parallel run
+# slower than 1.25x the sequential one beside it (+10ms), packing a
+# different edges_packed than committed or uploading more bytes, on
+# 2-thread host scaling below 0.95x of serial (noisy on a shared
+# 2-core host — ROADMAP item 5; re-run if that leg alone fails), or on
+# a sharded (sequential+ooc) run
 # whose scene phase exceeds 4x the in-core one (+5ms), whose
 # scene_objects_scanned left the committed count, or whose violations
 # differ from the in-core run's.
@@ -192,6 +207,34 @@ if grep -q '"rules_resumed": *0[,}]' target/ci-resume/second.json; then
 fi
 cmp target/ci-resume/first.csv target/ci-resume/second.csv \
     || { echo "resumed reports differ"; exit 1; }
+
+echo "== parallel row-pack smoke (two rules on one row set: report == sequential, edges_packed below the flat pack)"
+# The hierarchical pack at the CLI level: two M1 spacing rules whose
+# distances round to one row-set key share a single pack, the parallel
+# report is byte-identical to the default mode's, and edges_packed is
+# non-zero and below 4 x the layer's instantiated polygon count (a
+# rectangle has 4 edges, so that product is the floor of a flat pack).
+cat > target/ci-resume/m1space.rules <<'EOF'
+space layer=19 min=18 name=M1.S.18
+space layer=19 min=17 name=M1.S.17
+EOF
+status=0
+./target/release/odrc target/ci-resume/aes.gds --rules target/ci-resume/m1space.rules \
+    --report target/ci-resume/seq.csv --max-print 0 >/dev/null 2>&1 || status=$?
+[ "$status" -le 1 ] || { echo "expected exit 0 or 1 from the sequential run, got $status"; exit 1; }
+par_status=0
+./target/release/odrc target/ci-resume/aes.gds --rules target/ci-resume/m1space.rules --parallel \
+    --report target/ci-resume/par.csv --stats-json target/ci-resume/par.json \
+    --max-print 0 >/dev/null 2>target/ci-resume/par.log || par_status=$?
+[ "$par_status" -eq "$status" ] || { echo "parallel run exited $par_status, sequential $status"; exit 1; }
+cmp target/ci-resume/seq.csv target/ci-resume/par.csv \
+    || { echo "parallel report differs from the sequential one"; exit 1; }
+packed=$(sed -n 's/.*"edges_packed": *\([0-9][0-9]*\).*/\1/p' target/ci-resume/par.json)
+instantiated=$(sed -n 's/.*layer  *19: .* \([0-9][0-9]*\) instantiated.*/\1/p' target/ci-resume/par.log)
+[ -n "$packed" ] && [ -n "$instantiated" ] \
+    || { echo "no edges_packed in par.json or no layer-19 instantiated count on stderr"; exit 1; }
+[ "$packed" -gt 0 ] && [ "$packed" -lt $((4 * instantiated)) ] \
+    || { echo "edges_packed $packed is not in (0, 4 x $instantiated): the pack is flat again, or built once per rule"; exit 1; }
 
 echo "== serve smoke (daemon, concurrent clients, shared cache tier, SIGTERM drain)"
 # The multi-tenant service end to end at the CLI level: a daemon on an

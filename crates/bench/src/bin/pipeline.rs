@@ -10,10 +10,12 @@
 //! `--gate <baseline.json>` re-measures the aes configurations against
 //! a committed `BENCH_pipeline.json` and exits nonzero on a regression
 //! (>25% + 10ms grace) of the parallel mode's kernel-wait phase or the
-//! sequential mode's sweepline phase, 2-thread host scaling below
-//! 0.95x, a peak-RSS regression beyond 1.5x the committed per-design
-//! high-water mark (+64 MiB grace), or a `sequential+ooc` run whose
-//! `scene` phase exceeds 4x the in-core one (+5ms), whose
+//! sequential mode's sweepline phase, a parallel run slower than 1.25x
+//! the sequential one beside it (+10ms), whose `edges_packed` left the
+//! committed count or whose `bytes_uploaded` exceeds it, 2-thread host
+//! scaling below 0.95x, a peak-RSS regression beyond 1.5x the committed
+//! per-design high-water mark (+64 MiB grace), or a `sequential+ooc`
+//! run whose `scene` phase exceeds 4x the in-core one (+5ms), whose
 //! `scene_objects_scanned` left the committed count or whose violations
 //! differ from the in-core run's — the CI perf/memory gate.
 //!
@@ -214,6 +216,7 @@ fn write_json(
             writeln!(f, "          \"shards_evicted\": {},", s.shards_evicted)?;
             writeln!(f, "          \"uploads_elided\": {},", s.uploads_elided)?;
             writeln!(f, "          \"bytes_uploaded\": {},", s.bytes_uploaded)?;
+            writeln!(f, "          \"edges_packed\": {},", s.edges_packed)?;
             writeln!(f, "          \"launches_fused\": {},", s.launches_fused)?;
             writeln!(f, "          \"worker_wakeups\": {},", s.worker_wakeups)?;
             writeln!(f, "          \"degraded\": {},", s.degraded())?;
@@ -254,13 +257,16 @@ fn gated_phase(mode: &str) -> &'static str {
 }
 
 /// A baseline measurement scraped from a committed `BENCH_pipeline.json`:
-/// one configuration of one design, with its gated phase and its
-/// `scene_objects_scanned` (absent before the sharded row existed).
+/// one configuration of one design, with its gated phase and its exact
+/// counters (`scene_objects_scanned` and `edges_packed` are absent from
+/// baselines older than the counter).
 struct BaselineRun {
     design: String,
     mode: String,
     gated_ms: Option<f64>,
     scanned: Option<u64>,
+    edges_packed: Option<u64>,
+    bytes_uploaded: Option<u64>,
 }
 
 /// Scrapes `(design, mode, gated phase)` tuples out of a
@@ -290,12 +296,18 @@ fn scan_baseline(path: &str) -> (Vec<BaselineRun>, std::collections::HashMap<Str
                 mode: v,
                 gated_ms: None,
                 scanned: None,
+                edges_packed: None,
+                bytes_uploaded: None,
             });
         } else if let Some(last) = out.last_mut() {
             if let Some(v) = field(line, gated_phase(&last.mode)) {
                 last.gated_ms = v.parse().ok();
             } else if let Some(v) = field(line, "scene_objects_scanned") {
                 last.scanned = v.parse().ok();
+            } else if let Some(v) = field(line, "edges_packed") {
+                last.edges_packed = v.parse().ok();
+            } else if let Some(v) = field(line, "bytes_uploaded") {
+                last.bytes_uploaded = v.parse().ok();
             }
         }
     }
@@ -315,11 +327,13 @@ fn phase_ms(report: &CheckReport, phase: &str) -> Option<f64> {
 /// The CI perf gate (`--gate <baseline.json>`): re-measures aes in
 /// every configuration and fails (exit 1) if a mode's gated phase
 /// (parallel kernel-wait, sequential sweepline) regressed more than 25%
-/// past the committed baseline, if the sharded run fails its checks
-/// (below), or if running the sequential engine with two host threads
-/// costs more than 5% over one thread (a second worker must at least
-/// pay for its own spawns). A 10ms absolute grace keeps sub-noise
-/// baselines from tripping the ratio.
+/// past the committed baseline, if the parallel run loses to the
+/// sequential one or packs / uploads more than committed, if the
+/// sharded run fails its checks (both below), or if running the
+/// sequential engine with two host threads costs more than 5% over one
+/// thread (a second worker must at least pay for its own spawns). A
+/// 10ms absolute grace keeps sub-noise baselines from tripping the
+/// ratio.
 fn run_gate(baseline_path: &str, deck: &RuleDeck, repeat: usize) -> bool {
     let (baseline, baseline_peaks) = scan_baseline(baseline_path);
     let design = load_designs(Some("aes"))
@@ -364,6 +378,29 @@ fn run_gate(baseline_path: &str, deck: &RuleDeck, repeat: usize) -> bool {
             }
         }
     }
+
+    // The parallel mode must not lose to the sequential run measured
+    // beside it (1.25x + 10ms), must pack exactly the committed edge
+    // count (an exact work counter; a baseline older than it has none:
+    // skipped) and upload no more than the committed bytes.
+    let (seq, par) = (&in_core[0], &in_core[1]);
+    let limit = seq.wall_ms * 1.25 + 10.0;
+    let stats = par.report().stats;
+    let (packed, uploaded) = (stats.edges_packed, stats.bytes_uploaded);
+    let base_packed = committed(par.mode).and_then(|b| b.edges_packed);
+    let base_uploaded = committed(par.mode).and_then(|b| b.bytes_uploaded);
+    let pass = par.wall_ms <= limit
+        && base_packed.is_none_or(|b| b == packed)
+        && base_uploaded.is_none_or(|b| uploaded <= b);
+    ok &= pass;
+    println!(
+        "aes parallel: wall {:.1}ms vs sequential {:.1}ms (limit {limit:.1}ms), {packed} edges \
+         packed (baseline {base_packed:?}), {uploaded} bytes uploaded (baseline \
+         {base_uploaded:?}) .. {}",
+        par.wall_ms,
+        seq.wall_ms,
+        if pass { "ok" } else { "FAIL" }
+    );
 
     // The sharded run is the in-core run plus shard planning: its scene
     // phase stays within 4x (+5ms) of the in-core one measured beside
@@ -525,8 +562,17 @@ fn main() {
         deck.rules().len()
     );
     println!(
-        "{:<10} {:<14} {:>8} {:>10} {:>7} {:>7} {:>7} {:>7} {:>12}",
-        "design", "mode", "wall_ms", "#viol", "scn+", "scn=", "rows", "elide", "bytes_up"
+        "{:<10} {:<14} {:>8} {:>10} {:>7} {:>7} {:>7} {:>7} {:>12} {:>10}",
+        "design",
+        "mode",
+        "wall_ms",
+        "#viol",
+        "scn+",
+        "scn=",
+        "rows",
+        "elide",
+        "bytes_up",
+        "edges_pk"
     );
 
     let mut results: Vec<(String, Option<u64>, Vec<RunResult>)> = Vec::new();
@@ -549,7 +595,7 @@ fn main() {
             );
             let s = &r.report().stats;
             println!(
-                "{:<10} {:<14} {:>8.1} {:>10} {:>7} {:>7} {:>7} {:>7} {:>12}",
+                "{:<10} {:<14} {:>8.1} {:>10} {:>7} {:>7} {:>7} {:>7} {:>12} {:>10}",
                 design.name,
                 r.mode,
                 r.wall_ms,
@@ -559,6 +605,7 @@ fn main() {
                 s.rows,
                 s.uploads_elided,
                 s.bytes_uploaded,
+                s.edges_packed,
             );
         }
         if let Some(bytes) = peak_rss {

@@ -180,6 +180,11 @@ pub struct EngineStats {
     /// Bytes actually moved host→device through the shared
     /// upload path (shallow sizes at the upload call sites).
     pub bytes_uploaded: u64,
+    /// Edges the parallel mode's row pack placed in cell templates and
+    /// partition rows, summed over row-set builds; 0 in sequential mode.
+    /// A function of layout, deck, `pruning` and `partition` only —
+    /// never of `host_threads`, the device or a fault seed.
+    pub edges_packed: u64,
     /// Task indices handed to the host executor. A function of the
     /// input and the options only: every host phase goes through the
     /// executor at every thread count (a one-thread executor runs its

@@ -8,6 +8,12 @@
 //! the complexity of each polygon or polygon pair, OpenDRC selects
 //! either a brute-force executor or a sweepline executor."
 //!
+//! "Relevant" is decided by the hierarchy ([`RowSet`]): each placed cell
+//! definition is packed once as a cell-local *template* — to the
+//! executors just a small row, whose records [`replay_record`] replays
+//! through the cell's placements — and the partition rows hold only the
+//! polygons inside candidate-pair windows.
+//!
 //! Small rows run the **brute-force executor**: one kernel, one thread
 //! per edge, plain `for` loops over the remaining edges. Large rows run
 //! the **sweepline executor**: edges are sorted by track; a first
@@ -351,6 +357,11 @@ fn issue_space(
     let mut failed = Vec::new();
     let mut batch = stream.batch(true);
     for row in &rows.rows {
+        // A template answers all but one of its placements from the
+        // one check (the sequential memo's occurrences − definitions).
+        if let Some(placements) = &row.instances {
+            ctx.stats.checks_reused += placements.len() - 1;
+        }
         match enqueue_row_phase1(ctx, &mut batch, row, spec) {
             Ok(job) => jobs.push(job),
             Err(_) => failed.push(Arc::clone(row)),
@@ -383,6 +394,8 @@ fn collect_space(
     let device = stream.device().clone();
     let mut emits: Vec<RowEmit> = Vec::new();
     let mut hits: Vec<Violation> = Vec::new();
+    // Device records, not the violations a template replays them into.
+    let mut records = 0usize;
 
     // Phase 2: for sweepline rows, scan the counts on the device and
     // enqueue the emit kernel; brute rows resolve directly.
@@ -397,8 +410,9 @@ fn collect_space(
             match ctx.device_wait(|| pending.result()) {
                 Ok(per_edge) => ctx.profiler.time("convert", || {
                     for (i, pairs) in per_edge.iter().enumerate() {
+                        records += pairs.len();
                         for &(j, d2) in pairs {
-                            hits.push(make_violation(&rule_name, &row.edges.host, i as u32, j, d2));
+                            replay_record(&rule_name, &row, (i as u32, j, d2), &mut hits);
                         }
                     }
                 }),
@@ -425,15 +439,10 @@ fn collect_space(
     // Phase 3: collect emit results.
     for emit in emits {
         match ctx.device_wait(|| emit.records.result()) {
-            Ok(records) => ctx.profiler.time("convert", || {
-                for r in records {
-                    hits.push(make_violation(
-                        &rule_name,
-                        &emit.row.edges.host,
-                        r.a,
-                        r.b,
-                        r.d2,
-                    ));
+            Ok(emitted) => ctx.profiler.time("convert", || {
+                records += emitted.len();
+                for r in emitted {
+                    replay_record(&rule_name, &emit.row, (r.a, r.b, r.d2), &mut hits);
                 }
             }),
             Err(_) => failed.push(emit.row),
@@ -447,13 +456,13 @@ fn collect_space(
     for row in failed {
         ctx.recovery.push(RecoveryUnit::new(RecoveryWork::SpaceRow {
             rule_name: rule_name.clone(),
-            edges: Arc::clone(&row.edges.host),
+            row,
             threshold,
             spec,
         }));
     }
 
-    ctx.stats.checks_computed += hits.len();
+    ctx.stats.checks_computed += records;
     out.extend(hits);
 }
 
@@ -584,7 +593,7 @@ fn row_device_records(
 /// as the device kernels, run inline — guaranteeing an identical
 /// record set (the executor choice does not change the records, so no
 /// threshold is needed here).
-fn row_host_records(edges: &[PackedEdge], spec: SpaceSpec) -> Vec<(u32, u32, i64)> {
+pub(crate) fn row_host_records(edges: &[PackedEdge], spec: SpaceSpec) -> Vec<(u32, u32, i64)> {
     let runs = build_runs(edges);
     let mut recs = Vec::new();
     let mut r = 0usize;
@@ -626,10 +635,11 @@ impl RecoveryUnit {
 
 /// The rule-specific payload of a [`RecoveryUnit`].
 enum RecoveryWork {
-    /// One spacing row: packed edges plus the executor-choice inputs.
+    /// One spacing row or template (edges, plus a template's
+    /// placements to replay through) and the executor-choice inputs.
     SpaceRow {
         rule_name: String,
-        edges: Arc<Vec<PackedEdge>>,
+        row: Arc<PlannedRow>,
         threshold: usize,
         spec: SpaceSpec,
     },
@@ -685,11 +695,11 @@ enum Recovered {
 fn recovery_attempt(work: &RecoveryWork, stream: &Stream) -> XpuResult<Recovered> {
     match work {
         RecoveryWork::SpaceRow {
-            edges,
+            row,
             threshold,
             spec,
             ..
-        } => row_device_records(stream, edges, *threshold, *spec).map(Recovered::Space),
+        } => row_device_records(stream, &row.edges.host, *threshold, *spec).map(Recovered::Space),
         RecoveryWork::Intra {
             is_width,
             min,
@@ -734,8 +744,8 @@ fn recovery_attempt(work: &RecoveryWork, stream: &Stream) -> XpuResult<Recovered
 /// choice and check predicates as the device kernels, run inline.
 fn recovery_fallback(work: &RecoveryWork) -> Recovered {
     match work {
-        RecoveryWork::SpaceRow { edges, spec, .. } => {
-            Recovered::Space(row_host_records(edges, *spec))
+        RecoveryWork::SpaceRow { row, spec, .. } => {
+            Recovered::Space(row_host_records(&row.edges.host, *spec))
         }
         RecoveryWork::Intra {
             is_width,
@@ -776,15 +786,10 @@ fn emit_recovered(
     out: &mut Vec<Violation>,
 ) {
     match (work, recovered) {
-        (
-            RecoveryWork::SpaceRow {
-                rule_name, edges, ..
-            },
-            Recovered::Space(recs),
-        ) => {
+        (RecoveryWork::SpaceRow { rule_name, row, .. }, Recovered::Space(recs)) => {
             ctx.stats.checks_computed += recs.len();
-            for (a, b, d2) in recs {
-                out.push(make_violation(rule_name, edges, a, b, d2));
+            for rec in recs {
+                replay_record(rule_name, row, rec, out);
             }
         }
         (
@@ -918,6 +923,28 @@ pub(crate) fn drain_recovery_routed(
     abandoned.sort_unstable();
     abandoned.dedup();
     abandoned
+}
+
+/// Turns one executor record `(a, b, d2)` of `row` into violations: one
+/// for a partition row (top coordinates). A template's edges are
+/// cell-local, and a violating pair inside a placement is the template's
+/// pair under that placement's isometry — same `d2`, location
+/// transformed — so the record is replayed through every placement, as
+/// [`LocalViolation::instantiate`] does for the sequential memo.
+pub(crate) fn replay_record(
+    rule: &str,
+    row: &PlannedRow,
+    (a, b, d2): (u32, u32, i64),
+    out: &mut Vec<Violation>,
+) {
+    let local = make_violation(rule, &row.edges.host, a, b, d2);
+    match &row.instances {
+        None => out.push(local),
+        Some(placements) => out.extend(placements.iter().map(|t| Violation {
+            location: t.apply_rect(local.location),
+            ..local.clone()
+        })),
+    }
 }
 
 fn make_violation(rule: &str, edges: &[PackedEdge], a: u32, b: u32, d2: i64) -> Violation {

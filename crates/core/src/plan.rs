@@ -25,6 +25,35 @@
 //!   they read, issued on independent streams and collected once at
 //!   the end (deferred synchronization).
 //!
+//! # What a row set packs
+//!
+//! The hierarchy decides what is packed and how often a result is
+//! replayed (§IV-C pruning, §IV-E "the edges of *relevant* polygons"):
+//!
+//! * one **template** per placed cell definition — its flattened
+//!   polygons' edges in cell-local coordinates, checked once by the
+//!   ordinary row executors, every record replayed through the cell's
+//!   placements ([`PlannedRow::instances`]) as the sequential mode
+//!   instantiates its per-cell memo;
+//! * the **partition rows**, holding only what can take part in an
+//!   *inter*-object violation: each candidate object pair of a row
+//!   ([`row_candidate_pairs`], the sequential mode's own discovery)
+//!   contributes a window ([`pair_window`]) and a placed cell keeps the
+//!   polygons whose MBR overlaps one of its windows. Top-level polygons
+//!   keep every edge (their notch pairs have no template); a row that
+//!   keeps nothing is not materialized.
+//!
+//! Windows reach `2 · half` of the [`RowSetKey`], never the building
+//! rule's own distance: the set is shared by every rule that rounds to
+//! the same `half`, and `2 · half ≥ min` for all of them. A pair `e ∈ A`,
+//! `f ∈ B` closer than `min` has a point of `e`'s polygon inside both
+//! MBRs inflated by the reach, i.e. inside the window, so both polygons
+//! are kept. An intra-object pair a row re-finds among kept polygons is
+//! the same [`Violation`] value as the template's replay;
+//! canonicalization drops it. With `pruning` off there are no templates
+//! and the same loop keeps every polygon: the flat pack
+//! ([`EngineStats::edges_packed`] counts the edges either way).
+//!
 //! # Interaction with the failure model
 //!
 //! Sharing device buffers across streams must not widen the blast
@@ -38,22 +67,24 @@
 //! the event's error and repair the cache entry with a fresh upload.
 //! Either way the result set is byte-identical to a fault-free run.
 //!
+//! [`EngineStats::edges_packed`]: crate::EngineStats::edges_packed
 //! [`EngineStats::scenes_built`]: crate::EngineStats::scenes_built
 //! [`EngineStats::scenes_reused`]: crate::EngineStats::scenes_reused
 //! [`EngineStats::uploads_elided`]: crate::EngineStats::uploads_elided
 //! [`RunContext::layer_scene`]: crate::sequential::RunContext::layer_scene
+//! [`Violation`]: crate::Violation
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use odrc_db::{CellId, Layer};
-use odrc_geometry::{Coord, Edge, Point, Polygon};
+use odrc_geometry::{Coord, Edge, Point, Polygon, Rect, Transform};
 use odrc_xpu::{DeviceBuffer, Event, LaunchBatch, Stream, XpuResult};
 use parking_lot::Mutex;
 
 use crate::rules::RuleDeck;
-use crate::scene::LayerScene;
-use crate::sequential::{partition_scene, RunContext};
+use crate::scene::{LayerScene, SceneSource};
+use crate::sequential::{pair_window, partition_scene, row_candidate_pairs, RunContext};
 
 /// A packed edge: `[x0, y0, x1, y1]`, the device-side representation.
 pub(crate) type PackedEdge = [i32; 4];
@@ -210,18 +241,26 @@ impl<T: Send + Sync + 'static> SharedDeviceData<T> {
     }
 }
 
-/// One partition row, packed and sorted once, shared by every rule
-/// that reads the `(layer, partition config)` it came from.
+/// One packed, sorted edge array — a partition row or a cell template —
+/// shared by every rule that reads the `(layer, partition config)` it
+/// came from. [`RowSet::build`] is the only constructor.
 pub(crate) struct PlannedRow {
-    /// Packed edges of the row, sorted by [`edge_sort_key`].
+    /// Packed edges, sorted by [`edge_sort_key`].
     pub edges: SharedDeviceData<PackedEdge>,
     /// Run table over the sorted edges ([`build_runs`]); both the
     /// brute and sweepline executors window their candidate scans
     /// through it.
     pub runs: SharedDeviceData<RunInfo>,
+    /// `Some` marks a cell *template*: the edges are cell-local and
+    /// every record found in them is replayed through these placements
+    /// (the cell's scene objects, in object order). `None` is a
+    /// partition row, in top coordinates.
+    pub instances: Option<Vec<Transform>>,
 }
 
-/// The packed rows of one layer under one partition configuration.
+/// The packed edges of one layer under one partition configuration:
+/// the cell templates first (first-occurrence cell order over the
+/// scene's objects), then the partition rows that kept any edge.
 pub(crate) struct RowSet {
     pub rows: Vec<Arc<PlannedRow>>,
     /// Row count of the partition (including rows that packed zero
@@ -232,41 +271,105 @@ pub(crate) struct RowSet {
 }
 
 impl RowSet {
-    /// Packs and sorts every partition row of `scene`. `min` is the
-    /// rule distance driving the partition inflation; two rules whose
-    /// distances round to the same half-width share the same set.
+    /// Packs and sorts the templates and partition rows of `scene`
+    /// (see the [module docs](self)). `min` is the rule distance
+    /// driving the partition inflation; two rules whose distances round
+    /// to the same half-width share the same set.
     pub fn build(ctx: &mut RunContext<'_>, scene: &LayerScene, min: i64) -> RowSet {
         let partition = partition_scene(scene, min, ctx.options.partition, ctx.profiler, &ctx.host);
-        // Each task packs and sorts its row on the host. Every executor
-        // windows through the run table, so rows sort unconditionally;
+        let pruning = ctx.options.pruning;
+        let half = RowSetKey::new(scene.layer, min, ctx.options.partition).half;
+        let reach = half.saturating_mul(2);
+        let start = std::time::Instant::now();
+        let mut templates: Vec<(CellId, Vec<Transform>)> = Vec::new();
+        if pruning {
+            let mut slots: HashMap<CellId, usize> = HashMap::new();
+            for obj in &scene.objects {
+                if let SceneSource::Cell { cell, transform } = obj.source {
+                    let slot = *slots.entry(cell).or_insert(templates.len());
+                    if slot == templates.len() {
+                        templates.push((cell, Vec::new()));
+                    }
+                    templates[slot].1.push(transform);
+                }
+            }
+        }
+        // Each task packs and sorts one template or one row on the
+        // host (pair discovery included: it is charged to `pack` with
+        // the rest of the fan-out's wall). Every executor windows
+        // through the run table, so they sort unconditionally;
         // [`edge_sort_key`] is a total order on the packed values, so
         // the array is the same whoever sorts it — and keeping the
         // device out of the packing path means fault ordinals are never
         // consumed by pack-time sorts.
-        let start = std::time::Instant::now();
-        let packed = ctx.host.run("pack", partition.len(), |ri| {
-            let mut polys = Vec::new();
+        let pack_task = |i: usize| {
             let mut edges: Vec<PackedEdge> = Vec::new();
-            for &m in &partition.rows()[ri].members {
-                polys.clear();
-                scene.object_polygons_into(&scene.objects[m], &mut polys);
-                for poly in &polys {
-                    edges.extend(poly.edges().map(pack));
+            let mut keep = |poly: &Polygon| edges.extend(poly.edges().map(pack));
+            if let Some(&(cell, _)) = templates.get(i) {
+                scene.local_polygons(cell).iter().for_each(&mut keep);
+            } else {
+                let members = &partition.rows()[i - templates.len()].members;
+                let mut windows: Vec<Vec<Rect>> = vec![Vec::new(); members.len()];
+                if pruning {
+                    for (a, b) in row_candidate_pairs(scene, members, half) {
+                        let (oa, ob) = (&scene.objects[members[a]], &scene.objects[members[b]]);
+                        if let Some(window) = pair_window(oa, ob, reach) {
+                            windows[a].push(window);
+                            windows[b].push(window);
+                        }
+                    }
+                }
+                let mut polys = Vec::new();
+                for (&m, windows) in members.iter().zip(&windows) {
+                    let obj = &scene.objects[m];
+                    match obj.source {
+                        // A placed cell's own pairs are the template's:
+                        // the row needs only the polygons some candidate
+                        // partner can reach — most placements have none.
+                        SceneSource::Cell { .. } if pruning && windows.is_empty() => {}
+                        SceneSource::Cell { cell, transform } if pruning => {
+                            let near = |poly: &&Polygon| {
+                                let mbr = transform.apply_rect(poly.mbr());
+                                windows.iter().any(|w| w.overlaps(mbr))
+                            };
+                            for poly in scene.local_polygons(cell).iter().filter(near) {
+                                keep(&transform.apply_polygon(poly));
+                            }
+                        }
+                        // A top polygon's notch pairs live in the row,
+                        // and without pruning so does everything else.
+                        _ => {
+                            polys.clear();
+                            scene.object_polygons_into(obj, &mut polys);
+                            polys.iter().for_each(&mut keep);
+                        }
+                    }
                 }
             }
             edges.sort_unstable_by_key(|&e| edge_sort_key(e));
-            if edges.is_empty() {
-                return None;
-            }
-            let runs = SharedDeviceData::new(Arc::new(build_runs(&edges)));
-            Some(Arc::new(PlannedRow {
-                edges: SharedDeviceData::new(Arc::new(edges)),
-                runs,
-            }))
-        });
+            let runs = build_runs(&edges);
+            (edges, runs)
+        };
+        let tasks = templates.len() + partition.len();
+        let packed = ctx.host.run("pack", tasks, pack_task);
         ctx.profiler.add("pack", start.elapsed());
+        // The first `templates.len()` arrays are the templates'.
+        let mut placements = templates.into_iter().map(|(_, placements)| placements);
+        let mut rows = Vec::new();
+        for (edges, runs) in packed {
+            let instances = placements.next();
+            if edges.is_empty() {
+                continue;
+            }
+            ctx.stats.edges_packed += edges.len() as u64;
+            rows.push(Arc::new(PlannedRow {
+                edges: SharedDeviceData::new(Arc::new(edges)),
+                runs: SharedDeviceData::new(Arc::new(runs)),
+                instances,
+            }));
+        }
         RowSet {
-            rows: packed.into_iter().flatten().collect(),
+            rows,
             partition_rows: partition.len(),
         }
     }
@@ -382,6 +485,78 @@ mod tests {
         a.synchronize();
         // One simulated transfer, not two.
         assert_eq!(device.stats().bytes_h2d(), 12);
+    }
+
+    /// A host-only spacing check of `layer` through its row set: every
+    /// template and row runs `row_host_records` and replays its records.
+    /// Returns the canonical violations and `edges_packed`.
+    fn host_space(
+        layout: &odrc_db::Layout,
+        layer: Layer,
+        min: i64,
+        pruning: bool,
+    ) -> (Vec<crate::Violation>, u64) {
+        let options = crate::EngineOptions {
+            pruning,
+            host_threads: Some(1),
+            ..Default::default()
+        };
+        let mut profiler = odrc_infra::Profiler::new();
+        let mut stats = crate::EngineStats::default();
+        let mut out = Vec::new();
+        {
+            let mut ctx = RunContext::new(layout, &options, &mut profiler, &mut stats);
+            let spec = crate::checks::SpaceSpec::simple(min);
+            for row in &ctx.row_set(layer, min).rows {
+                assert!(pruning || row.instances.is_none(), "no flat templates");
+                for record in crate::parallel::row_host_records(&row.edges.host, spec) {
+                    crate::parallel::replay_record("S", row, record, &mut out);
+                }
+            }
+        }
+        (crate::canonicalize(out), stats.edges_packed)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(12))]
+
+        /// The equivalence the hierarchical pack rests on: templates
+        /// replayed through their placements plus the windowed rows
+        /// report exactly what the flat pack (`pruning: false`, every
+        /// polygon of every instance) reports — from fewer edges.
+        #[test]
+        fn hierarchical_row_set_equals_the_flat_one(seed in 0u64..64) {
+            use odrc_layoutgen::{generate_layout, DesignSpec};
+            let layout = generate_layout(&DesignSpec::tiny(seed));
+            for layer in layout.layers() {
+                let places_cells = LayerScene::build(&layout, layer).placed_cells().next().is_some();
+                for min in [17, 18, 20, 24] {
+                    let (pruned, pruned_edges) = host_space(&layout, layer, min, true);
+                    let (flat, flat_edges) = host_space(&layout, layer, min, false);
+                    proptest::prop_assert_eq!(
+                        &pruned, &flat,
+                        "seed {} layer {} min {}", seed, layer, min
+                    );
+                    proptest::prop_assert!(pruned_edges <= flat_edges);
+                    if !places_cells {
+                        proptest::prop_assert_eq!(pruned_edges, flat_edges);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn hierarchical_pack_is_smaller_where_cells_are_placed() {
+        use odrc_layoutgen::{generate_layout, tech, DesignSpec};
+        // Not vacuous: M1 lives in the standard cells, and at this
+        // distance the tiny design has cell-internal violations.
+        let layout = generate_layout(&DesignSpec::tiny(1));
+        let (pruned, pruned_edges) = host_space(&layout, tech::M1, 24, true);
+        let (flat, flat_edges) = host_space(&layout, tech::M1, 24, false);
+        assert!(!pruned.is_empty());
+        assert_eq!(pruned, flat);
+        assert!(0 < pruned_edges && pruned_edges < flat_edges);
     }
 
     #[test]

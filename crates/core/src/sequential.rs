@@ -21,7 +21,9 @@
 //!    overlapping inflated object MBRs. §IV-D (Fig. 3) finds them with
 //!    the top-down interval-tree sweepline; this engine bulk-loads an
 //!    R-tree per row instead (`rtree_overlaps`: same pairs, measured
-//!    faster) and keeps the phase name the profiles are read by;
+//!    faster) and keeps the phase name the profiles are read by
+//!    ([`row_candidate_pairs`]; the parallel mode's row pack calls it
+//!    too, inside its fan-out, where its time is part of `pack`);
 //! 3. **edge-check** — intra-object violations come from the per-cell
 //!    memo (computed once per cell definition, §IV-C) and candidate
 //!    pairs get windowed edge-to-edge checks.
@@ -521,13 +523,8 @@ pub(crate) fn check_space_scene_rows(
     let memo = &*memo;
     let results: Vec<RowOutput> = ctx.host.run("edge-check", rows.len(), |ri| {
         let members = rows[ri];
-        let inflated: Vec<Rect> = members
-            .iter()
-            .map(|&m| scene.objects[m].mbr.inflate(half))
-            .collect();
-        let mut pairs: Vec<(usize, usize)> = Vec::new();
         let sweep_start = std::time::Instant::now();
-        rtree_overlaps(&inflated, |a, b| pairs.push((members[a], members[b])));
+        let pairs = row_candidate_pairs(scene, members, half);
         let sweep = sweep_start.elapsed();
 
         let check_start = std::time::Instant::now();
@@ -554,8 +551,8 @@ pub(crate) fn check_space_scene_rows(
         for &(a, b) in &pairs {
             cross_space(
                 scene,
-                &scene.objects[a],
-                &scene.objects[b],
+                &scene.objects[members[a]],
+                &scene.objects[members[b]],
                 spec,
                 &mut buf_a,
                 &mut buf_b,
@@ -584,6 +581,32 @@ pub(crate) fn check_space_scene_rows(
             measured: v.measured,
         }));
     }
+}
+
+/// The candidate object pairs of one row, as positions `(a, b)` into
+/// `members`, `a < b`: the members whose MBRs inflated by `half`
+/// overlap. Both modes' meaning of "candidate" — the sequential row loop
+/// edge-checks these pairs, [`RowSet::build`] packs inside their windows.
+pub(crate) fn row_candidate_pairs(
+    scene: &LayerScene,
+    members: &[usize],
+    half: Coord,
+) -> Vec<(usize, usize)> {
+    let inflated: Vec<Rect> = members
+        .iter()
+        .map(|&m| scene.objects[m].mbr.inflate(half))
+        .collect();
+    let mut pairs = Vec::new();
+    rtree_overlaps(&inflated, |a, b| pairs.push((a, b)));
+    pairs
+}
+
+/// Where two objects can violate a distance rule of at most `reach`
+/// against each other: the intersection of their inflated MBRs. A point
+/// of `a` within `reach` of `b` lies in it (and vice versa), so only
+/// polygons overlapping the window take part in a cross-object violation.
+pub(crate) fn pair_window(a: &SceneObject, b: &SceneObject, reach: Coord) -> Option<Rect> {
+    a.mbr.inflate(reach).intersection(b.mbr.inflate(reach))
 }
 
 /// Spacing violations inside one cell's flattened subtree, in local
@@ -622,8 +645,7 @@ fn cross_space(
     buf_b: &mut Vec<Polygon>,
     out: &mut Vec<LocalViolation>,
 ) {
-    let m = spec.min as Coord;
-    let Some(window) = a.mbr.inflate(m).intersection(b.mbr.inflate(m)) else {
+    let Some(window) = pair_window(a, b, spec.min as Coord) else {
         return;
     };
     buf_a.clear();

@@ -71,7 +71,7 @@ fn engine(mode: Mode, host_threads: usize) -> Engine {
 
 /// The work counters that are a function of the input and the options
 /// only — never of how many workers shared the work.
-fn work(stats: &odrc::EngineStats) -> [usize; 6] {
+fn work(stats: &odrc::EngineStats) -> [usize; 7] {
     [
         stats.checks_computed,
         stats.checks_reused,
@@ -79,6 +79,7 @@ fn work(stats: &odrc::EngineStats) -> [usize; 6] {
         stats.rows,
         stats.host_tasks as usize,
         stats.scene_objects_scanned as usize,
+        stats.edges_packed as usize,
     ]
 }
 

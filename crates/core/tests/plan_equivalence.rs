@@ -168,3 +168,105 @@ proptest! {
         );
     }
 }
+
+/// Two M1 spacing rules whose distances (17, 18) round to one
+/// `RowSetKey` half: they share a single row set, built by whichever is
+/// issued first with windows sized from the key — never from that
+/// rule's own distance.
+fn shared_half_deck(first: i64, second: i64) -> RuleDeck {
+    let space = |min: i64| {
+        rule()
+            .layer(tech::M1)
+            .space()
+            .greater_than(min)
+            .named(format!("M1.S.{min}"))
+    };
+    RuleDeck::new(vec![space(first), space(second)])
+}
+
+/// One bar cell placed four times in a row at gaps 16, 17 and 18.
+fn bars_at_16_17_18() -> odrc_db::Layout {
+    use odrc_gdsii::{Element, Library, Structure};
+    use odrc_geometry::Point;
+    let mut lib = Library::new("bars");
+    let mut bar = Structure::new("BAR");
+    let corners = [(0, 0), (0, 100), (20, 100), (20, 0)];
+    bar.elements.push(Element::boundary(
+        tech::M1,
+        corners.iter().map(|&(x, y)| Point::new(x, y)).collect(),
+    ));
+    lib.structures.push(bar);
+    let mut top = Structure::new("TOP");
+    for x in [0, 36, 73, 111] {
+        top.elements.push(Element::sref("BAR", Point::new(x, 0)));
+    }
+    lib.structures.push(top);
+    odrc_db::Layout::from_library(&lib).expect("valid library")
+}
+
+#[test]
+fn rules_sharing_one_row_set_agree_in_either_issue_order() {
+    let mut layouts = vec![bars_at_16_17_18()];
+    layouts.extend((40..44).map(|seed| generate_layout(&DesignSpec::tiny(seed))));
+    for (li, layout) in layouts.iter().enumerate() {
+        for (first, second) in [(17, 18), (18, 17)] {
+            let deck = shared_half_deck(first, second);
+            let seq = engine(Mode::Sequential).check(layout, &deck);
+            let par = engine(Mode::Parallel).check(layout, &deck);
+            assert_eq!(
+                par.violations, seq.violations,
+                "layout {li}: rules issued {first} then {second}"
+            );
+            if li == 0 {
+                // Gap 16 violates both rules, gap 17 only the wider.
+                assert_eq!(seq.violations_of("M1.S.17").count(), 1);
+                assert_eq!(seq.violations_of("M1.S.18").count(), 2);
+            }
+        }
+    }
+}
+
+#[test]
+fn edges_packed_depends_on_the_input_only() {
+    let layout = generate_layout(&DesignSpec::tiny(33));
+    let run = |host_threads: usize, fault_seed: Option<u64>| {
+        let device = Device::new(3);
+        device.set_fault_plan(fault_seed.map(|seed| FaultPlan::from_seed(seed, 6)));
+        Engine::parallel_on(device)
+            .with_options(EngineOptions {
+                retry_backoff_ms: 0,
+                host_threads: Some(host_threads),
+                ..EngineOptions::default()
+            })
+            .check(&layout, &shared_deck())
+            .stats
+            .edges_packed
+    };
+    let reference = run(1, None);
+    assert!(reference > 0, "a parallel run packs edges");
+    assert_eq!(check(&layout, Mode::Sequential).stats.edges_packed, 0);
+    for host_threads in [2, 8] {
+        assert_eq!(run(host_threads, None), reference, "{host_threads} threads");
+    }
+    for fault_seed in 0..10 {
+        assert_eq!(
+            run(2, Some(fault_seed)),
+            reference,
+            "fault seed {fault_seed}"
+        );
+    }
+}
+
+#[test]
+fn parallel_mode_counts_reuse_like_the_sequential_memo() {
+    for design_seed in 50..62 {
+        let layout = generate_layout(&DesignSpec::tiny(design_seed));
+        let seq = check(&layout, Mode::Sequential);
+        let par = check(&layout, Mode::Parallel);
+        assert!(seq.stats.checks_reused > 0);
+        assert_eq!(
+            par.stats.checks_reused, seq.stats.checks_reused,
+            "design seed {design_seed}"
+        );
+    }
+}

@@ -9,8 +9,8 @@
 //!
 //! The engine's object scenes use the layout's own hierarchy as their
 //! BVH; the R-tree is the general-purpose spatial index for
-//! unstructured rectangle sets, and [`rtree_overlaps`] is how the
-//! sequential mode discovers the candidate object pairs of a row — a
+//! unstructured rectangle sets, and [`rtree_overlaps`] is how both
+//! engine modes discover the candidate object pairs of a row — a
 //! recorded deviation from §IV-D's interval-tree sweepline
 //! ([`crate::sweep::sweep_overlaps`]), which measured slower there and
 //! is the reference this module's pair enumeration is tested against.
@@ -184,16 +184,16 @@ fn build_upward(mut level: Vec<Node>) -> Node {
         // Pack by x then y of child MBRs (STR again on the node level).
         level.sort_unstable_by_key(|n| (n.mbr().lo().x, n.mbr().lo().y));
         let mut next = Vec::with_capacity(level.len().div_ceil(FANOUT));
-        for group in level.chunks(FANOUT) {
-            let mbr = group
+        // The children move into their parent: no subtree is cloned.
+        let mut rest = level.into_iter().peekable();
+        while rest.peek().is_some() {
+            let children: Vec<Node> = rest.by_ref().take(FANOUT).collect();
+            let mbr = children
                 .iter()
                 .map(|n| n.mbr())
                 .reduce(|a, b| a.hull(b))
                 .expect("non-empty group");
-            next.push(Node::Inner {
-                mbr,
-                children: group.to_vec(),
-            });
+            next.push(Node::Inner { mbr, children });
         }
         level = next;
     }

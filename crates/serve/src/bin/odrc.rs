@@ -501,9 +501,10 @@ fn print_stats(stats: &odrc::EngineStats) {
         stats.checks_computed, stats.checks_reused, stats.candidate_pairs, stats.rows
     );
     let scanned = stats.scene_objects_scanned;
+    let packed = stats.edges_packed;
     eprintln!(
         "scenes built: {}, reused: {}; uploads elided: {}, bytes uploaded: {}; \
-         scene objects scanned: {scanned}",
+         scene objects scanned: {scanned}; edges packed: {packed}",
         stats.scenes_built, stats.scenes_reused, stats.uploads_elided, stats.bytes_uploaded
     );
     if stats.host_tasks > 0 {
