@@ -20,13 +20,34 @@ if grep -rn 'is_serial()' crates/*/src; then
 fi
 # One fan-out shape: the executor uses the threads it was given (no
 # learned or calibrated worker count), and row pair discovery has one
-# structure, not an option. (The device keeps its own
-# physical_parallelism() for sizing its persistent pool.)
-if grep -rnE 'set_adaptive|cost_model|plan_workers|fanout_cost|PairIndex|pair_index' crates/*/src \
-    || grep -rn 'physical_parallelism' crates/infra/src crates/core/src; then
+# structure, not an option.
+if grep -rnE 'set_adaptive|cost_model|plan_workers|fanout_cost|PairIndex|pair_index' crates/*/src; then
     echo "the adaptive granularity model or the PairIndex option is back in crates/*/src"
     exit 1
 fi
+# One worker pool: host fan-outs and kernel launches publish onto
+# infra::Pool. No work-stealing deques, no permit gate, no second pool
+# or private width source; the host width is queried in one place.
+if grep -rnE 'ThreadGate|RangeDeque|steal_back|set_host_gate|with_shared_gate|physical_parallelism' crates/*/src; then
+    echo "a deleted second thread mechanism (gate, deques, private width) is back in crates/*/src"
+    exit 1
+fi
+sites=$(grep -rn 'available_parallelism' crates/*/src | wc -l)
+[ "$sites" -eq 1 ] || { echo "expected one available_parallelism call in crates/*/src, found $sites"; exit 1; }
+sites=$(grep -rn 'fn pool_worker' crates/*/src | wc -l)
+[ "$sites" -eq 1 ] || { echo "expected one persistent pool (fn pool_worker) in crates/*/src, found $sites"; exit 1; }
+sites=$(grep -rnE 'thread::(Builder::new|spawn)' crates/xpu/src | wc -l)
+[ "$sites" -eq 1 ] || { echo "expected one spawn site (the Stream worker) in crates/xpu/src, found $sites"; exit 1; }
+# All unsafe code sits in infra's pool and signal hook; every other
+# library root forbids it.
+if grep -rnE 'unsafe *(\{|fn|impl)' crates/*/src | grep -vE '^crates/infra/src/(host|cancel)\.rs:'; then
+    echo "unsafe code outside crates/infra/src/{host,cancel}.rs"
+    exit 1
+fi
+for root in crates/*/src/lib.rs; do
+    [ "$root" = crates/infra/src/lib.rs ] && continue
+    grep -q '^#!\[forbid(unsafe_code)\]' "$root" || { echo "$root does not forbid unsafe_code"; exit 1; }
+done
 calls=$(grep -rn 'cross_space(' crates/core/src | grep -vc 'fn cross_space(')
 [ "$calls" -eq 1 ] || { echo "expected one cross_space( call site in crates/core/src, found $calls"; exit 1; }
 # Ablations are not engine options: the planner, fused dispatch and the
@@ -93,9 +114,10 @@ echo "== tier-1: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q --no-fail-fast
 
-echo "== infra unit tests, optimized (executor steal/panic/gate timing)"
-# The executor's concurrency tests are the timing-sensitive ones; run
-# them at the optimization level the product ships at as well.
+echo "== infra unit tests, optimized (pool claim/panic/exhaustion timing)"
+# The pool's and the executor's concurrency tests are the timing-
+# sensitive ones; run them at the optimization level the product ships
+# at as well.
 cargo test -q --release -p odrc-infra --lib
 
 echo "== fault-injection suite (seeded FaultPlan matrix)"
@@ -114,7 +136,7 @@ echo "== parallel == sequential on a shared-layer deck (fixed fault seeds)"
 cargo test -q --release -p odrc --test plan_equivalence
 
 echo "== host executor equivalence (thread-count matrix)"
-# The work-stealing host executor must report byte-identical violations
+# The pool-backed host executor must report byte-identical violations
 # for every host_threads count, in both modes, and under seeded fault
 # schedules.
 cargo test -q --release -p odrc --test host_parallel_equivalence
@@ -122,11 +144,14 @@ cargo test -q --release -p odrc --test host_parallel_equivalence
 echo "== core-count matrix (thread-count suites pinned to one core, then unrestricted)"
 # The suites that sweep host_threads must hold whatever the host gives
 # them: one core (host_threads 8 really runs 8 workers time-sliced on
-# it — the executor uses what it was asked for) and all of them.
+# it — the executor uses what it was asked for) and all of them. Host
+# tasks that launch kernels on the executor's own pool must not
+# deadlock on one core either.
 cargo test -q --release -p odrc --test out_of_core
 if command -v taskset >/dev/null 2>&1; then
     taskset -c 0 cargo test -q --release -p odrc --test host_parallel_equivalence
     taskset -c 0 cargo test -q --release -p odrc --test out_of_core
+    taskset -c 0 cargo test -q --release -p odrc-xpu --lib host_tasks_launch_kernels_on_the_shared_pool
 else
     echo "taskset not found: skipping the one-core leg"
 fi

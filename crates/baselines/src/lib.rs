@@ -42,6 +42,8 @@
 //! assert!(report.skipped.is_empty());
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod common;
 mod flat;
 mod tile;

@@ -63,10 +63,7 @@ fn main() {
         // Host-executor utilization: re-run the same deck with the
         // host fan-out enabled and print per-phase busy/idle shares
         // per worker (the `host[...]` profiler lines).
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .max(2);
+        let threads = odrc_infra::available_threads().max(2);
         let fanned = Engine::sequential()
             .with_options(odrc::EngineOptions {
                 host_threads: Some(threads),
@@ -74,7 +71,7 @@ fn main() {
             })
             .check(&d.layout, &combined);
         println!(
-            "host executor on {} ({} threads): {} task(s), {} steal(s)",
+            "host executor on {} ({} threads): {} task(s), {} pool join(s)",
             d.name, threads, fanned.stats.host_tasks, fanned.stats.host_steals
         );
         for u in fanned.profile.host_util() {

@@ -125,10 +125,7 @@ fn run_configs(
 /// (on small hosts the rungs collapse; the table is recorded anyway so
 /// the scaling trajectory is comparable across machines).
 fn scaling_ladder() -> Vec<usize> {
-    let max = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let mut rungs = vec![1, 2, 4, max];
+    let mut rungs = vec![1, 2, 4, odrc_infra::available_threads()];
     rungs.sort_unstable();
     rungs.dedup();
     rungs
@@ -522,7 +519,7 @@ fn main() {
         );
         println!(
             "{:<10} {:>7} {:>8} {:>10} {:>10} {:>8} {:>9}",
-            "design", "threads", "wall_ms", "#viol", "tasks", "steals", "speedup"
+            "design", "threads", "wall_ms", "#viol", "tasks", "joins", "speedup"
         );
         let mut results: Vec<(String, Vec<RunResult>)> = Vec::new();
         for design in load_designs(Some(&designs)) {

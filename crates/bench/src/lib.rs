@@ -16,6 +16,8 @@
 //! `--repeat N` to average over `N` timed runs (default 1 after one
 //! warm-up for the smallest design only, to bound total runtime).
 
+#![forbid(unsafe_code)]
+
 use std::time::{Duration, Instant};
 
 use odrc::{rule, Engine, EngineOptions, RuleDeck};

@@ -40,25 +40,25 @@ pub struct EngineOptions {
     /// Base delay of the capped exponential backoff between device
     /// retries, in milliseconds.
     pub retry_backoff_ms: u64,
-    /// Worker threads for the shared work-stealing host executor that
-    /// fans out scene builds, partition assignment, row packing, the
-    /// row-parallel sequential checks, and violation canonicalization.
+    /// Worker threads for the shared host executor that fans out scene
+    /// builds, partition assignment, row packing, the row-parallel
+    /// sequential checks, and violation canonicalization.
     /// `None` (the default) sizes it to the host's available
     /// parallelism; an explicit count is used as given, even above the
-    /// core count. The budget is shared with — not additive to — the
-    /// device's kernel dispatch. `Some(1)` is not a separate code path:
-    /// a one-thread executor runs the same tasks inline on the caller.
+    /// core count. The executor's pool also runs the device's kernel
+    /// launches, so the two share — not add up to — one thread budget.
+    /// `Some(1)` is not a separate code path: a one-thread executor
+    /// runs the same tasks inline on the caller.
     pub host_threads: Option<usize>,
-    /// An *external* extra-thread budget shared across engine runs —
-    /// the multi-tenant generalization of the sizing handshake. A
-    /// check server installs one process-wide [`ThreadGate`] here so
-    /// every concurrent job's host fan-outs and device dispatches draw
-    /// from a single permit pool instead of each run assuming it owns
-    /// the machine. `None` (the default, and the single-run CLI case)
-    /// keeps the per-run gate owned by the run's own executor.
+    /// An *external* worker pool shared across engine runs. A check
+    /// server installs one process-wide [`Pool`] here so every
+    /// concurrent job's host fan-outs and kernel launches publish onto
+    /// one set of workers instead of each run assuming it owns the
+    /// machine. `None` (the default, and the single-run CLI case) gives
+    /// each run a pool of its own `host_threads - 1` workers.
     ///
-    /// [`ThreadGate`]: odrc_infra::ThreadGate
-    pub shared_gate: Option<std::sync::Arc<odrc_infra::ThreadGate>>,
+    /// [`Pool`]: odrc_infra::Pool
+    pub shared_pool: Option<std::sync::Arc<odrc_infra::Pool>>,
     /// Hard byte budget for out-of-core shard residency. `Some` routes
     /// inter-object rules (space, enclosure, overlap) through the
     /// sharded host pipeline: per-shard scenes are built lazily behind
@@ -100,7 +100,7 @@ impl Default for EngineOptions {
             max_device_retries: 2,
             retry_backoff_ms: 1,
             host_threads: None,
-            shared_gate: None,
+            shared_pool: None,
             memory_budget: None,
             out_of_core: false,
             shard_rows: None,
@@ -114,11 +114,7 @@ impl EngineOptions {
     /// or the host's available parallelism.
     pub fn resolved_host_threads(&self) -> usize {
         self.host_threads
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
-            })
+            .unwrap_or_else(odrc_infra::available_threads)
             .max(1)
     }
 }
@@ -192,7 +188,9 @@ pub struct EngineStats {
     /// how many workers shared the tasks — or in what blocks they
     /// claimed them — never changes the count.
     pub host_tasks: u64,
-    /// Successful work steals between host-executor workers.
+    /// Pool workers that joined the host executor's fan-outs
+    /// (scheduling telemetry: it varies with how busy the pool was;
+    /// the name predates the pool).
     pub host_steals: u64,
     /// Rules that ran to completion this run.
     pub rules_completed: usize,
@@ -204,8 +202,8 @@ pub struct EngineStats {
     /// individual submit (device-counter delta over this run — full
     /// check or delta re-check).
     pub launches_fused: u64,
-    /// Times a persistent pool worker woke to take dispatch chunks
-    /// (device-counter delta over this run).
+    /// Pool workers that joined this run's kernel launches
+    /// (device-counter delta over this run; scheduling telemetry).
     pub worker_wakeups: u64,
     /// `(rule, shard)` units checked by the out-of-core path this run.
     pub shards_checked: usize,
@@ -692,17 +690,13 @@ impl Engine {
     /// Opens a run on this engine's device and `ctx`'s host executor —
     /// shared by full and delta checks; [`Engine::finish_run`] closes it.
     pub(crate) fn begin_run(&self, ctx: &RunContext<'_>) -> RunScope {
-        // The pool-sizing handshake: while this run is live, kernel
-        // dispatch draws its spawned threads from the host executor's
-        // gate (None when the executor is serial, which restores the
-        // ungated pre-existing pool).
-        self.device.set_host_gate(ctx.host.gate());
+        // One set of workers: while this run is live, kernel launches
+        // publish onto the host executor's pool (None when the executor
+        // is serial, which keeps the device's own pool and width).
+        self.device.set_host_pool(ctx.host.pool());
         // The cancellation handshake: the device births poisoned
-        // streams after the token trips (so stale retries fail fast)
-        // and the host executor stops work-stealing (every queued task
-        // still runs exactly once, keeping merges deterministic).
+        // streams after the token trips, so stale retries fail fast.
         self.device.set_cancel(self.cancel.clone());
-        ctx.host.set_cancel(self.cancel.clone());
         RunScope {
             fused_before: self.device.stats().launches_fused(),
             wakeups_before: self.device.stats().worker_wakeups(),
@@ -714,7 +708,7 @@ impl Engine {
     /// and releases the device handshakes.
     pub(crate) fn finish_run(&self, ctx: &mut RunContext<'_>, scope: RunScope) {
         ctx.stats.host_tasks += ctx.host.tasks();
-        ctx.stats.host_steals += ctx.host.steals();
+        ctx.stats.host_steals += ctx.host.joins();
         let device = self.device.stats();
         ctx.stats.launches_fused += device.launches_fused().saturating_sub(scope.fused_before);
         ctx.stats.worker_wakeups += device.worker_wakeups().saturating_sub(scope.wakeups_before);
@@ -724,9 +718,8 @@ impl Engine {
         let wall = interval_union(std::mem::take(&mut ctx.wait_spans));
         ctx.profiler.add("device-wait-wall", wall);
         ctx.host.drain_utilization_into(ctx.profiler);
-        self.device.set_host_gate(None);
+        self.device.set_host_pool(None);
         self.device.set_cancel(None);
-        ctx.host.set_cancel(None);
     }
 
     /// One out-of-core rule, in either mode: poll, check it shard by

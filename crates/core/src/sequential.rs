@@ -69,9 +69,9 @@ pub(crate) struct RunContext<'a> {
     pub cache: Option<CacheHandle<'a>>,
     /// The per-run caches (scenes, row sets, intra polygon lists).
     pub plan: PlanCache,
-    /// The shared work-stealing host executor every hot host phase fans
-    /// out on. Sized by `options.host_threads`; a one-thread executor
-    /// runs its tasks inline on the caller.
+    /// The shared host executor every hot host phase fans out on. Sized
+    /// by `options.host_threads`; a one-thread executor runs its tasks
+    /// inline on the caller.
     pub host: Arc<HostExecutor>,
     /// Device work units that failed and were deferred so healthy rules
     /// keep draining; retried (with backoff deadlines) after all rules
@@ -104,10 +104,10 @@ impl<'a> RunContext<'a> {
             instances: None,
             cache: None,
             plan: PlanCache::default(),
-            host: Arc::new(match &options.shared_gate {
-                Some(gate) => HostExecutor::with_shared_gate(
+            host: Arc::new(match &options.shared_pool {
+                Some(pool) => HostExecutor::with_shared_pool(
                     options.resolved_host_threads(),
-                    Arc::clone(gate),
+                    Arc::clone(pool),
                 ),
                 None => HostExecutor::new(options.resolved_host_threads()),
             }),

@@ -458,27 +458,25 @@ fn progress_callback_reports_every_rule() {
     }
 }
 
-/// A shared gate installed via `EngineOptions` is drawn on (and fully
-/// released by) an engine run, so a server-wide permit pool can span
-/// concurrent jobs.
+/// A shared pool installed via `EngineOptions` carries an engine run's
+/// fan-outs (in both modes) and outlives it, so a server-wide pool can
+/// span concurrent jobs.
 #[test]
-fn shared_gate_is_used_and_released() {
-    let gate = std::sync::Arc::new(odrc_infra::ThreadGate::new(3));
+fn shared_pool_is_used() {
+    use std::sync::Arc;
+    let pool = Arc::new(odrc_infra::Pool::new(3));
     let layout = generate_layout(&DesignSpec::tiny(9));
     let deck = full_deck();
     let options = EngineOptions {
         host_threads: Some(4),
-        shared_gate: Some(std::sync::Arc::clone(&gate)),
+        shared_pool: Some(Arc::clone(&pool)),
         ..EngineOptions::default()
     };
     let baseline = Engine::sequential().check(&layout, &deck);
-    let shared = Engine::sequential()
-        .with_options(options)
-        .check(&layout, &deck);
-    assert_eq!(baseline.violations, shared.violations);
-    assert_eq!(
-        gate.available(),
-        3,
-        "all shared permits returned after the run"
-    );
+    for engine in [Engine::sequential(), Engine::parallel_on(Device::new(2))] {
+        let shared = engine.with_options(options.clone()).check(&layout, &deck);
+        assert_eq!(baseline.violations, shared.violations);
+    }
+    assert!(pool.started(), "the runs published onto the shared pool");
+    assert_eq!(Arc::strong_count(&pool), 2, "no run kept the pool");
 }

@@ -41,6 +41,8 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod build;
 mod edit;
 mod export;

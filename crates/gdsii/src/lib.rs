@@ -49,6 +49,8 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod model;
 pub mod read;
 pub mod record;

@@ -29,6 +29,8 @@
 //! assert_eq!(poly.mbr(), Rect::new(Point::new(0, 0), Point::new(40, 20)));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod edge;
 pub mod interval;
 pub mod point;

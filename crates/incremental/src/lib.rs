@@ -41,6 +41,8 @@
 //! # Ok::<(), odrc_db::EditError>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 use std::io;
 use std::path::{Path, PathBuf};
 

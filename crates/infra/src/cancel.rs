@@ -3,8 +3,8 @@
 //! Full-chip decks run for minutes; the dominant run-level failure mode
 //! is not a bad kernel (the device layer handles those) but a killed or
 //! over-budget *process*. [`CancelToken`] is the one signal threaded
-//! through the engine's issue/collect window, the host executor, the
-//! recovery drain loop, and the device layer: anything that observes
+//! through the engine's issue/collect window, the recovery drain loop,
+//! and the device layer: anything that observes
 //! `cancelled()` stops starting new work, drains what is already in
 //! flight, and returns partial-but-valid results.
 //!
@@ -172,7 +172,7 @@ impl CancelToken {
     ///
     /// Unlike [`cancelled`](Self::cancelled) this never decrements the
     /// [`after_polls`](Self::after_polls) budget, so concurrent workers
-    /// (host executor, streams) can check freely without perturbing the
+    /// (recovery drain, streams) can check freely without perturbing the
     /// deterministic cancellation point chosen by the control loop.
     pub fn is_cancelled(&self) -> bool {
         if self.inner.state.load(Ordering::Acquire) != STATE_LIVE {

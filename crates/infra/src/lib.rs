@@ -17,11 +17,13 @@
 //!   interval merging (§IV-B), including the secondary x-axis clip
 //!   partition within each row.
 //! * [`profile`] — phase timers backing the runtime breakdown of Fig. 4.
-//! * [`host`] — the shared work-stealing host executor that fans the
-//!   row/cell-parallel phases above out over `--host-threads` workers
-//!   with deterministic index-ordered merges.
+//! * [`host`] — the one persistent worker [`Pool`] and the shared host
+//!   executor that fans the row/cell-parallel phases above out over it
+//!   with deterministic index-ordered merges; the simulated device
+//!   publishes its kernel launches onto the same pool. With
+//!   [`cancel`]'s signal hook it holds all of the workspace's `unsafe`.
 //! * [`cancel`] — the cooperative [`CancelToken`] threaded through the
-//!   engine, host executor, and device layer so SIGINT/SIGTERM and
+//!   engine and the device layer so SIGINT/SIGTERM and
 //!   wall-clock deadlines wind a run down at rule boundaries.
 //! * [`atomic_io`] — crash-safe write-temp-then-rename sidecar writes
 //!   (result cache, checkpoint journal, stats JSON).
@@ -57,7 +59,7 @@ pub mod sweep;
 
 pub use atomic_io::{fsync_dir, write_atomic, FileLock};
 pub use cancel::{install_signal_handlers, CancelReason, CancelToken};
-pub use host::{HostExecutor, HostPanic, ThreadGate};
+pub use host::{available_threads, panic_message, HostExecutor, HostPanic, Pool};
 pub use interval_tree::IntervalTree;
 pub use journal::{fnv1a64, RecordLog};
 pub use partition::{partition_rows, Row, RowPartition};

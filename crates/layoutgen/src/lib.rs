@@ -19,6 +19,8 @@
 //! assert!(layout.layers().contains(&tech::M2));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod cells;
 mod generate;
 pub mod tech;

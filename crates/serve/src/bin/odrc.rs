@@ -509,13 +509,13 @@ fn print_stats(stats: &odrc::EngineStats) {
     );
     if stats.host_tasks > 0 {
         eprintln!(
-            "host executor: {} task(s) fanned out, {} steal(s)",
+            "host executor: {} task(s) fanned out, {} pool join(s)",
             stats.host_tasks, stats.host_steals
         );
     }
     if stats.launches_fused > 0 || stats.worker_wakeups > 0 {
         eprintln!(
-            "dispatch: {} launch(es) fused, {} worker wakeup(s)",
+            "dispatch: {} launch(es) fused, {} pool join(s)",
             stats.launches_fused, stats.worker_wakeups
         );
     }
@@ -861,9 +861,7 @@ fn run(args: &Args) -> Result<Outcome, Box<dyn std::error::Error>> {
         });
     }
     let mut engine = if args.parallel {
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
+        let workers = odrc_infra::available_threads();
         let device = match args.device_budget {
             Some(bytes) => Device::with_budget(workers, bytes),
             None => Device::new(workers),

@@ -22,6 +22,8 @@
 //! same layout and deck — same violations, same CSV report, same exit
 //! code — no matter how many tenants share the process.
 
+#![forbid(unsafe_code)]
+
 pub mod cache_tier;
 pub mod chaos;
 pub mod client;

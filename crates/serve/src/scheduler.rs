@@ -1,17 +1,17 @@
 //! The admission and scheduling layer: a bounded priority queue in
 //! front of a fixed worker pool.
 //!
-//! This is the multi-tenant generalization of the engine's sizing
-//! handshake. A single run assumes it owns the machine: its
-//! `HostExecutor` sizes itself to `host_threads` and hands its
-//! [`ThreadGate`] to the device so kernel dispatch and host fan-outs
-//! draw from one budget. With many concurrent jobs that assumption
-//! breaks — so the server owns one process-wide gate, every job's
-//! engine is pointed at it via `EngineOptions::shared_gate`, and this
-//! scheduler bounds how many jobs run at once. Worker count caps
-//! *runs*; the gate caps *extra threads across all runs*; the two
-//! together keep a fleet of jobs from oversubscribing the host the
-//! same way one job never oversubscribes it.
+//! This is the multi-tenant generalization of the engine's one pool. A
+//! single run assumes it owns the machine: its `HostExecutor` owns a
+//! [`Pool`] of `host_threads - 1` workers and installs it on the device
+//! so kernel launches and host fan-outs share one set of threads. With
+//! many concurrent jobs that assumption breaks — so the server owns one
+//! process-wide pool, every job's engine is pointed at it via
+//! `EngineOptions::shared_pool`, and this scheduler bounds how many
+//! jobs run at once. Worker count caps *runs*; the pool caps *extra
+//! threads across all runs*; the two together keep a fleet of jobs
+//! from oversubscribing the host the same way one job never
+//! oversubscribes it.
 //!
 //! Eligibility: jobs carry an optional exclusion key (the session id
 //! — an edit session's layout and baseline are single-writer), and at
@@ -27,7 +27,7 @@
 //! (the pool survives), reported as a job error, and never wedges the
 //! queue.
 //!
-//! [`ThreadGate`]: odrc_infra::ThreadGate
+//! [`Pool`]: odrc_infra::Pool
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};

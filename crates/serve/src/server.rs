@@ -11,19 +11,20 @@
 //!
 //! Resource sharing across tenants:
 //!
-//! * **threads** — one process-wide [`ThreadGate`] sized to
-//!   `host_threads - 1` extra permits; every job's engine run and
-//!   device dispatch draws from it (`EngineOptions::shared_gate`), so
-//!   N concurrent jobs share one machine budget instead of assuming N
-//!   machines.
+//! * **threads** — one process-wide [`Pool`] of `host_threads - 1`
+//!   workers; every job's host fan-outs and kernel launches publish
+//!   onto it (`EngineOptions::shared_pool`), so N concurrent jobs share
+//!   one set of threads instead of assuming N machines — a job that
+//!   finds the pool busy runs its fan-outs inline.
 //! * **results** — one [`SharedCacheTier`]; each job checks out a
 //!   snapshot and merges back what it computed, so a layout one
 //!   client already checked warms every other client's jobs.
 //! * **devices** — per *session*, never shared: `Device` knobs
-//!   (`set_cancel`, `set_host_gate`) are device-global, so concurrent
+//!   (`set_cancel`, `set_host_pool`) are device-global, so concurrent
 //!   jobs on one device would trample each other. Devices are cheap
-//!   (no persistent pool), and the session exclusion key guarantees
-//!   one job per session at a time.
+//!   (their own pool never starts while the shared one is installed),
+//!   and the session exclusion key guarantees one job per session at a
+//!   time.
 //!
 //! Crash safety: with a `checkpoint_dir`, a `check` submitted with an
 //! idempotency `key` is **durable** — the [`JobJournal`] records its
@@ -50,7 +51,7 @@
 //! in-flight jobs finish and deliver their results, the cache tier is
 //! persisted, and `run` returns.
 //!
-//! [`ThreadGate`]: odrc_infra::ThreadGate
+//! [`Pool`]: odrc_infra::Pool
 //! [`CheckpointJournal`]: odrc::CheckpointJournal
 
 use std::collections::HashMap;
@@ -64,7 +65,7 @@ use std::time::{Duration, Instant};
 use odrc::{parse_deck, CheckpointJournal, Engine, EngineOptions, ProgressFn, ResultCache, RunKey};
 use odrc_db::Layout;
 use odrc_incremental::Session;
-use odrc_infra::{fnv1a64, CancelReason, CancelToken, ThreadGate};
+use odrc_infra::{fnv1a64, CancelReason, CancelToken, Pool};
 use odrc_xpu::Device;
 use parking_lot::Mutex;
 
@@ -125,9 +126,7 @@ pub struct ServerConfig {
 
 impl Default for ServerConfig {
     fn default() -> Self {
-        let par = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
+        let par = odrc_infra::available_threads();
         ServerConfig {
             addr: "127.0.0.1:0".to_string(),
             workers: par.clamp(1, 4),
@@ -182,7 +181,7 @@ struct ServerShared {
     config: ServerConfig,
     scheduler: Scheduler,
     tier: SharedCacheTier,
-    gate: Arc<ThreadGate>,
+    pool: Arc<Pool>,
     sessions: Mutex<HashMap<u64, Arc<SessionSlot>>>,
     next_session: AtomicU64,
     drain: CancelToken,
@@ -272,9 +271,9 @@ impl Server {
             Some(dir) => SharedCacheTier::with_dir(dir),
             None => SharedCacheTier::new(),
         };
-        // The multi-tenant sizing handshake: `host_threads` total, one
-        // implicit thread per running job, the rest as shared permits.
-        let gate = Arc::new(ThreadGate::new(config.host_threads.saturating_sub(1)));
+        // `host_threads` total: each running job's own thread plus one
+        // pool shared by every job.
+        let pool = Arc::new(Pool::new(config.host_threads.saturating_sub(1)));
         let (journal, replayed) = match &config.checkpoint_dir {
             Some(dir) => {
                 let (journal, replayed) = JobJournal::open_dir(dir)?;
@@ -286,7 +285,7 @@ impl Server {
         let shared = Arc::new(ServerShared {
             scheduler: Scheduler::new(config.workers, config.max_queue),
             tier,
-            gate,
+            pool,
             sessions: Mutex::new(HashMap::new()),
             next_session: AtomicU64::new(1),
             // Linked to the signal flag so the daemon drains on
@@ -646,11 +645,11 @@ fn open_session(
     ])))
 }
 
-/// Builds a job engine wired to the shared gate and thread budget.
+/// Builds a job engine wired to the shared pool and thread budget.
 fn build_engine(shared: &ServerShared, mode: &str) -> Result<Engine, ServeError> {
     let options = EngineOptions {
         host_threads: Some(shared.config.host_threads),
-        shared_gate: Some(Arc::clone(&shared.gate)),
+        shared_pool: Some(Arc::clone(&shared.pool)),
         ..EngineOptions::default()
     };
     match mode {
@@ -1394,7 +1393,6 @@ fn server_stats(shared: &ServerShared) -> Value {
         ),
         ("sessions", Value::from(shared.sessions.lock().len())),
         ("host_threads", Value::from(shared.config.host_threads)),
-        ("gate_available", Value::from(shared.gate.available())),
         (
             "launches_fused",
             Value::from(

@@ -4,7 +4,8 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use parking_lot::{Condvar, Mutex};
+use odrc_infra::{panic_message, Pool};
+use parking_lot::Mutex;
 
 use crate::buffer::DeviceBuffer;
 use crate::error::{TransferDirection, XpuError, XpuResult};
@@ -91,9 +92,7 @@ pub struct DeviceStats {
     bytes_h2d: AtomicU64,
     bytes_d2h: AtomicU64,
     launches_fused: AtomicU64,
-    /// Shared with the persistent pool workers (which must not keep the
-    /// device alive), hence the `Arc`.
-    worker_wakeups: Arc<AtomicU64>,
+    worker_wakeups: AtomicU64,
 }
 
 impl DeviceStats {
@@ -123,17 +122,14 @@ impl DeviceStats {
         self.launches_fused.load(Ordering::Relaxed)
     }
 
-    /// Times a persistent pool worker woke up and joined a dispatch.
+    /// Pool workers that joined this device's launches (scheduling
+    /// telemetry: it varies with how busy the pool was).
     pub fn worker_wakeups(&self) -> u64 {
         self.worker_wakeups.load(Ordering::Relaxed)
     }
 
     pub(crate) fn record_fused(&self, launches: u64) {
         self.launches_fused.fetch_add(launches, Ordering::Relaxed);
-    }
-
-    pub(crate) fn wakeups_handle(&self) -> Arc<AtomicU64> {
-        Arc::clone(&self.worker_wakeups)
     }
 
     pub(crate) fn record_launch(&self, threads: usize) {
@@ -170,12 +166,10 @@ pub(crate) struct DeviceInner {
     /// Fast-path flag mirroring `faults.is_some()` so the common
     /// fault-free case pays one relaxed load, not a mutex.
     faults_enabled: AtomicU64,
-    /// Extra-thread budget shared with the host executor. When
-    /// installed, kernel dispatch draws its worker threads from this
-    /// gate so host fan-outs and device launches never add up past the
-    /// configured host parallelism; `None` (the default) reproduces the
-    /// ungated pool exactly.
-    host_gate: Mutex<Option<Arc<odrc_infra::ThreadGate>>>,
+    /// The host executor's pool, installed for an engine run so kernel
+    /// launches and host fan-outs share one set of workers; `None` (the
+    /// default) launches on the device's own pool.
+    host_pool: Mutex<Option<Arc<Pool>>>,
     /// Stream watchdog limit in nanoseconds; 0 means no watchdog. Waits
     /// on streams of this device poll the in-flight operation and
     /// surface ops stalled past the limit as
@@ -185,154 +179,9 @@ pub(crate) struct DeviceInner {
     /// born poisoned with [`XpuError::Cancelled`](crate::XpuError::Cancelled),
     /// so retry/recovery loops fail fast during shutdown.
     cancel: Mutex<Option<odrc_infra::CancelToken>>,
-    /// Persistent worker pool, started lazily at the first parallel
-    /// dispatch. `None` until then; shut down and joined on drop.
-    pool: Mutex<Option<Arc<PoolShared>>>,
-    /// Join handles of the pool workers (lock order: `pool` first).
-    pool_handles: Mutex<Vec<std::thread::JoinHandle<()>>>,
-}
-
-/// State shared between dispatching threads and pool workers.
-struct PoolShared {
-    state: Mutex<PoolState>,
-    /// Workers park here; signalled when a job is published or on
-    /// shutdown.
-    work_cv: Condvar,
-    /// Dispatchers park here while draining a retracted job's last
-    /// participants.
-    done_cv: Condvar,
-    wakeups: Arc<AtomicU64>,
-}
-
-struct PoolState {
-    /// Published jobs with unclaimed chunks. A job is retracted by its
-    /// dispatcher (under this lock) before the dispatcher returns, so a
-    /// handle in this list always points at a live header.
-    jobs: Vec<JobHandle>,
-    shutdown: bool,
-}
-
-/// Type-erased pointer to a dispatcher-owned [`JobHeader`]; only valid
-/// while the job is published or the holder is a registered
-/// participant.
-#[derive(Clone, Copy, PartialEq, Eq)]
-struct JobHandle(*const JobHeader);
-
-// SAFETY: the pointee is shared across threads only under the
-// publication/participation protocol documented on `PoolState::jobs`,
-// and `JobHeader` itself is `Sync` (atomics + immutable fields).
-unsafe impl Send for JobHandle {}
-unsafe impl Sync for JobHandle {}
-
-/// One launch's chunk mailbox, living on the dispatcher's stack.
-struct JobHeader {
-    /// Next unclaimed chunk index; claimed with `fetch_add`.
-    next: AtomicUsize,
-    n_chunks: usize,
-    /// Pool workers currently executing chunks of this job. Mutated
-    /// only while holding the pool state lock; the dispatcher waits for
-    /// zero (under the same lock) before freeing the header.
-    participants: AtomicUsize,
-    /// Cap on pool workers that may join (the gate handshake size).
-    max_workers: usize,
-    /// Points at the dispatcher's [`ChunkSet`].
-    data: *const (),
-    /// Monomorphized chunk runner for `data`.
-    run: unsafe fn(*const (), usize),
-}
-
-/// The typed side of a job: raw chunk descriptors plus the kernel body.
-struct ChunkSet<'a, T, F> {
-    chunks: Vec<RawChunk<T>>,
-    body: &'a F,
-    /// First panic payload from any chunk; re-thrown by the dispatcher
-    /// after the job completes.
-    panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
-}
-
-/// A disjoint sub-slice of the launch's work, sendable by raw pointer.
-struct RawChunk<T> {
-    start: usize,
-    ptr: *mut T,
-    len: usize,
-}
-
-/// Runs chunk `idx` of the [`ChunkSet`] behind `data`.
-///
-/// # Safety
-///
-/// `data` must point at a live `ChunkSet<'_, T, F>` whose chunks are
-/// disjoint, and no two callers may pass the same `idx`.
-unsafe fn run_chunk<T, F>(data: *const (), idx: usize)
-where
-    T: Send,
-    F: Fn(std::ops::Range<usize>, &mut [T]) + Send + Sync,
-{
-    let set = &*(data as *const ChunkSet<'_, T, F>);
-    let c = &set.chunks[idx];
-    let chunk = std::slice::from_raw_parts_mut(c.ptr, c.len);
-    let range = c.start..c.start + c.len;
-    let result =
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| (set.body)(range, chunk)));
-    if let Err(payload) = result {
-        let mut slot = set.panic.lock();
-        if slot.is_none() {
-            *slot = Some(payload);
-        }
-    }
-}
-
-/// Body of a persistent pool worker: park until a job is published,
-/// register as a participant, drain chunks, deregister, repeat.
-fn pool_worker(pool: Arc<PoolShared>) {
-    let mut state = pool.state.lock();
-    loop {
-        if state.shutdown {
-            return;
-        }
-        let found = state.jobs.iter().copied().find(|j| {
-            // SAFETY: published handles point at live headers (see
-            // `PoolState::jobs`); we hold the state lock.
-            let h = unsafe { &*j.0 };
-            h.participants.load(Ordering::Relaxed) < h.max_workers
-                && h.next.load(Ordering::Relaxed) < h.n_chunks
-        });
-        let Some(job) = found else {
-            pool.work_cv.wait(&mut state);
-            continue;
-        };
-        // SAFETY: registering under the lock keeps the header alive
-        // past the unlock — the dispatcher retracts the job and then
-        // waits (under this lock) for participants to reach zero
-        // before its stack frame unwinds.
-        let header = unsafe { &*job.0 };
-        header.participants.fetch_add(1, Ordering::Relaxed);
-        drop(state);
-        pool.wakeups.fetch_add(1, Ordering::Relaxed);
-        loop {
-            let idx = header.next.fetch_add(1, Ordering::Relaxed);
-            if idx >= header.n_chunks {
-                break;
-            }
-            // SAFETY: `fetch_add` hands out each index exactly once.
-            unsafe { (header.run)(header.data, idx) };
-        }
-        state = pool.state.lock();
-        header.participants.fetch_sub(1, Ordering::Relaxed);
-        pool.done_cv.notify_all();
-    }
-}
-
-impl Drop for DeviceInner {
-    fn drop(&mut self) {
-        if let Some(pool) = self.pool.get_mut().take() {
-            pool.state.lock().shutdown = true;
-            pool.work_cv.notify_all();
-            for handle in self.pool_handles.get_mut().drain(..) {
-                let _ = handle.join();
-            }
-        }
-    }
+    /// The device's own `workers - 1` pool, used when no host pool is
+    /// installed; its threads start at its first parallel launch.
+    pool: Pool,
 }
 
 /// A device-memory reservation held by a [`DeviceBuffer`]; releases its
@@ -396,14 +245,8 @@ impl fmt::Debug for Device {
 impl Default for Device {
     /// A device sized to the host's available parallelism.
     fn default() -> Self {
-        Device::new(physical_parallelism())
+        Device::new(odrc_infra::available_threads())
     }
-}
-
-/// Physical parallelism of this host, cached once per process.
-fn physical_parallelism() -> usize {
-    static PHYS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *PHYS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 impl Device {
@@ -449,11 +292,10 @@ impl Device {
                 shard_done_ordinal: AtomicU64::new(0),
                 faults: Mutex::new(None),
                 faults_enabled: AtomicU64::new(0),
-                host_gate: Mutex::new(None),
+                host_pool: Mutex::new(None),
                 watchdog_nanos: AtomicU64::new(0),
                 cancel: Mutex::new(None),
-                pool: Mutex::new(None),
-                pool_handles: Mutex::new(Vec::new()),
+                pool: Pool::new(workers - 1),
             }),
         }
     }
@@ -478,16 +320,14 @@ impl Device {
         self.inner.mem_in_use.load(Ordering::Relaxed)
     }
 
-    /// Installs (or with `None` removes) the extra-thread gate shared
-    /// with the host executor — the pool-sizing handshake. While a gate
-    /// is installed, kernel dispatch acquires its spawned threads from
-    /// the gate (the dispatching thread always proceeds inline, so an
-    /// exhausted gate degrades to sequential execution rather than
-    /// deadlocking) and releases them when the launch completes.
-    /// Without a gate the pre-existing ungated worker pool is used,
-    /// bit-for-bit.
-    pub fn set_host_gate(&self, gate: Option<Arc<odrc_infra::ThreadGate>>) {
-        *self.inner.host_gate.lock() = gate;
+    /// Installs (or with `None` removes) the host executor's pool: while
+    /// one is installed, kernel launches publish onto it instead of the
+    /// device's own pool, so host fan-outs and device kernels share one
+    /// set of workers. The launching thread always works its own
+    /// launch, so a pool busy with host work degrades a launch to
+    /// inline execution rather than a wait.
+    pub fn set_host_pool(&self, pool: Option<Arc<Pool>>) {
+        *self.inner.host_pool.lock() = pool;
     }
 
     /// Arms (or with `None` disarms) the stream watchdog: waits on this
@@ -1006,138 +846,36 @@ impl Device {
         finish_launch(launch_id, panicked)
     }
 
-    /// Returns the persistent pool, starting its workers on first use.
-    fn pool(&self) -> Arc<PoolShared> {
-        let mut guard = self.inner.pool.lock();
-        if let Some(pool) = guard.as_ref() {
-            return Arc::clone(pool);
-        }
-        let pool = Arc::new(PoolShared {
-            state: Mutex::new(PoolState {
-                jobs: Vec::new(),
-                shutdown: false,
-            }),
-            work_cv: Condvar::new(),
-            done_cv: Condvar::new(),
-            wakeups: self.inner.stats.wakeups_handle(),
-        });
-        let mut handles = self.inner.pool_handles.lock();
-        for i in 0..self.inner.workers.saturating_sub(1) {
-            let worker_pool = Arc::clone(&pool);
-            let handle = std::thread::Builder::new()
-                .name(format!("xpu-pool-{i}"))
-                .spawn(move || pool_worker(worker_pool))
-                .expect("failed to spawn xpu pool worker");
-            handles.push(handle);
-        }
-        *guard = Some(Arc::clone(&pool));
-        pool
-    }
-
-    /// Publishes one launch's chunks to the pool mailbox, drains chunks
-    /// on the dispatching thread, then retracts the job and waits for
-    /// any participating workers before returning.
-    fn pool_dispatch<T, F>(&self, work: &mut [T], chunk_size: usize, max_workers: usize, body: &F)
-    where
-        T: Send,
-        F: Fn(std::ops::Range<usize>, &mut [T]) + Send + Sync,
-    {
-        let mut chunks = Vec::new();
-        let mut start = 0usize;
-        for chunk in work.chunks_mut(chunk_size) {
-            chunks.push(RawChunk {
-                start,
-                ptr: chunk.as_mut_ptr(),
-                len: chunk.len(),
-            });
-            start += chunk.len();
-        }
-        let n_chunks = chunks.len();
-        let set = ChunkSet {
-            chunks,
-            body,
-            panic: Mutex::new(None),
-        };
-        let header = JobHeader {
-            next: AtomicUsize::new(0),
-            n_chunks,
-            participants: AtomicUsize::new(0),
-            max_workers,
-            data: &set as *const ChunkSet<'_, T, F> as *const (),
-            run: run_chunk::<T, F>,
-        };
-        let pool = self.pool();
-        let handle = JobHandle(&header as *const JobHeader);
-        pool.state.lock().jobs.push(handle);
-        pool.work_cv.notify_all();
-        // The dispatcher is participant zero: it drains chunks inline
-        // rather than parking, so a launch never blocks on a wake.
-        loop {
-            let idx = header.next.fetch_add(1, Ordering::Relaxed);
-            if idx >= n_chunks {
-                break;
-            }
-            // SAFETY: each index is claimed exactly once via fetch_add.
-            unsafe { (header.run)(header.data, idx) };
-        }
-        {
-            let mut state = pool.state.lock();
-            state.jobs.retain(|j| *j != handle);
-            // Workers register/deregister under this lock, so once the
-            // count reads zero with the job retracted, no worker can
-            // touch the header or chunks again.
-            while header.participants.load(Ordering::Relaxed) != 0 {
-                pool.done_cv.wait(&mut state);
-            }
-        }
-        if let Some(payload) = set.panic.into_inner() {
-            std::panic::resume_unwind(payload);
-        }
-    }
-
-    /// Runs `body(range, chunk)` for contiguous chunks of `work`
-    /// distributed over the device's workers.
+    /// Runs `body(range, chunk)` for contiguous chunks of `work` on the
+    /// installed host pool, else on the device's own pool.
     ///
-    /// Gated and ungated launches share one code path: an installed
-    /// host gate caps the extra threads by the shared budget, while the
-    /// absence of a gate grants the full pool width. Either way the
-    /// dispatching thread works chunks itself, so a launch uses at most
-    /// `1 + extra` threads and degrades to inline execution when no
-    /// extra thread is available.
+    /// The launch publishes `min(workers, n)` chunks — fewer when the
+    /// pool is narrower — so chunk boundaries derive from the device
+    /// and pool widths, never from how many workers actually joined:
+    /// a launch whose pool is busy runs the same chunks inline on the
+    /// launching thread.
     pub(crate) fn dispatch_slices<T, F>(&self, work: &mut [T], body: F)
     where
         T: Send,
-        F: Fn(std::ops::Range<usize>, &mut [T]) + Send + Sync,
+        F: Fn(std::ops::Range<usize>, &mut [T]) + Sync,
     {
         let n = work.len();
         if n == 0 {
             return;
         }
-        let workers = self.inner.workers.min(n);
-        if workers == 1 {
-            body(0..n, work);
-            return;
-        }
-        let gate = self.inner.host_gate.lock().clone();
-        let extra = match &gate {
-            // The sizing handshake exists to keep the engine from
-            // oversubscribing the machine, so a gated launch is also
-            // clamped to the cores that physically exist — waking pool
-            // workers past that count only adds switch latency (an
-            // ungated device keeps its configured width so unit tests
-            // exercise the pool regardless of host shape).
-            Some(g) => g.try_acquire((workers - 1).min(physical_parallelism() - 1)),
-            None => workers - 1,
-        };
-        if extra == 0 {
-            body(0..n, work);
-            return;
-        }
-        let chunk_size = n.div_ceil(extra + 1);
-        self.pool_dispatch(work, chunk_size, extra, &body);
-        if let Some(g) = &gate {
-            g.release(extra);
-        }
+        let host_pool = self.inner.host_pool.lock().clone();
+        let pool = host_pool.as_deref().unwrap_or(&self.inner.pool);
+        let joiners = (self.inner.workers.min(n) - 1).min(pool.width());
+        let joins = pool.dispatch(
+            work,
+            n.div_ceil(joiners + 1),
+            joiners,
+            &|_, range, chunk| body(range, chunk),
+        );
+        self.inner
+            .stats
+            .worker_wakeups
+            .fetch_add(joins as u64, Ordering::Relaxed);
     }
 }
 
@@ -1237,18 +975,6 @@ fn finish_launch(launch_id: u64, panicked: Mutex<Option<(usize, String)>>) -> Xp
             global_id,
             message,
         }),
-    }
-}
-
-/// Stringifies a panic payload (`&str` and `String` payloads cover
-/// `panic!` and runtime panics; anything else gets a placeholder).
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_owned()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_owned()
     }
 }
 
@@ -1402,6 +1128,75 @@ mod tests {
         assert!(d
             .try_launch_map_blocking(LaunchConfig::for_threads(16), &buf, |_, _| {})
             .is_ok());
+    }
+
+    /// Chunk boundaries derive from the device and pool widths, never
+    /// from how many workers joined: a tile panic names the same first
+    /// id whether the pool's only worker is idle or held in another job.
+    #[test]
+    fn tile_panic_id_ignores_pool_availability() {
+        use std::sync::atomic::AtomicBool;
+        let pool = Arc::new(Pool::new(1));
+        let d = Device::new(2);
+        d.set_host_pool(Some(Arc::clone(&pool)));
+        let buf = DeviceBuffer::from_vec(vec![0u32; 1000]);
+        let launch = || {
+            let result = d.try_launch_tiles_blocking(
+                LaunchConfig::for_threads(1000),
+                &buf,
+                |range, _: &mut [u32]| {
+                    if range.contains(&700) {
+                        panic!("tile {range:?}");
+                    }
+                },
+            );
+            match result {
+                Err(XpuError::KernelPanic { global_id, .. }) => global_id,
+                other => panic!("expected KernelPanic, got {other:?}"),
+            }
+        };
+        let idle = launch();
+        let (entered, release) = (AtomicUsize::new(0), AtomicBool::new(false));
+        let busy = std::thread::scope(|s| {
+            s.spawn(|| {
+                let mut work = [0u8; 2];
+                pool.dispatch(&mut work, 1, 1, &|_, _, _: &mut [u8]| {
+                    entered.fetch_add(1, Ordering::SeqCst);
+                    while !release.load(Ordering::SeqCst) {
+                        std::thread::yield_now();
+                    }
+                });
+            });
+            while entered.load(Ordering::SeqCst) < 2 {
+                std::thread::yield_now();
+            }
+            let id = std::panic::catch_unwind(std::panic::AssertUnwindSafe(launch));
+            release.store(true, Ordering::SeqCst);
+            id.unwrap_or_else(|p| std::panic::resume_unwind(p))
+        });
+        assert_eq!(idle, 500);
+        assert_eq!(busy, idle);
+    }
+
+    /// Host tasks that each launch a kernel on a device sharing the
+    /// executor's pool: nested dispatches on one pool never deadlock,
+    /// and every launch computes its exact sum.
+    #[test]
+    fn host_tasks_launch_kernels_on_the_shared_pool() {
+        for threads in [2, 4, 8] {
+            let host = odrc_infra::HostExecutor::new(threads);
+            let d = Device::new(threads);
+            d.set_host_pool(host.pool());
+            let sums = host.run("launch", 32, |task| {
+                let buf = DeviceBuffer::from_vec(vec![0u64; 1000]);
+                d.launch_map_blocking(LaunchConfig::for_threads(1000), &buf, |ctx, out| {
+                    *out = (ctx.global_id() * task) as u64;
+                });
+                buf.to_vec().iter().sum::<u64>()
+            });
+            let expected: Vec<u64> = (0..32).map(|t| (t * 999 * 1000 / 2) as u64).collect();
+            assert_eq!(sums, expected, "threads={threads}");
+        }
     }
 
     #[test]

@@ -47,6 +47,8 @@
 //! assert_eq!(result[7], 49);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod buffer;
 pub mod device;
 pub mod error;
