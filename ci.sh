@@ -38,6 +38,23 @@ sites=$(grep -rn 'fn pool_worker' crates/*/src | wc -l)
 [ "$sites" -eq 1 ] || { echo "expected one persistent pool (fn pool_worker) in crates/*/src, found $sites"; exit 1; }
 sites=$(grep -rnE 'thread::(Builder::new|spawn)' crates/xpu/src | wc -l)
 [ "$sites" -eq 1 ] || { echo "expected one spawn site (the Stream worker) in crates/xpu/src, found $sites"; exit 1; }
+# One launch protocol and one fallible API in xpu: map, tiles and
+# scatter tiles call one launch core (the one dispatch_slices call in
+# device.rs); the blocking and per-element scatter launches, the
+# execution-policy module and the dead all-pairs helper stay deleted;
+# and no crate but xpu calls a panicking stream op or Pending::wait
+# (those wrappers are kept for benchmark/src/layers.rs only).
+if grep -rnE 'launch_map_blocking|launch_scatter_blocking|try_launch_scatter\b|fn upload_shared|fn launch_scatter\b|try_wait|ExecutionPolicy|SequencedPolicy|StreamPolicy|flat_space_brute|run_spmd_thread|run_tile_guarded|finish_launch' crates/*/src; then
+    echo "a deleted xpu launch shape, panicking twin or policy type is back in crates/*/src"
+    exit 1
+fi
+calls=$(grep -c 'self\.dispatch_slices(' crates/xpu/src/device.rs)
+[ "$calls" -eq 1 ] || { echo "expected one self.dispatch_slices( call (the launch core) in device.rs, found $calls"; exit 1; }
+if grep -rnE --include='*.rs' '\.(alloc|upload|download|launch_map|synchronize)(::<[^>]*>)?\(|(\)\??|pending)\.wait\(\)' crates tests examples \
+    | grep -v '^crates/xpu/'; then
+    echo "a crate outside crates/xpu calls a panicking stream op or Pending::wait; use the try_* form"
+    exit 1
+fi
 # All unsafe code sits in infra's pool and signal hook; every other
 # library root forbids it.
 if grep -rnE 'unsafe *(\{|fn|impl)' crates/*/src | grep -vE '^crates/infra/src/(host|cancel)\.rs:'; then

@@ -17,7 +17,7 @@ use odrc_db::Layout;
 use odrc_geometry::{Edge, Point, Polygon, Rect};
 use odrc_infra::sweep::sweep_overlaps;
 use odrc_infra::Profiler;
-use odrc_xpu::{scan::exclusive_scan, Device, LaunchConfig, Stream};
+use odrc_xpu::{scan::exclusive_scan, Device, LaunchConfig, Stream, XpuResult};
 
 use crate::{BaselineReport, Checker};
 
@@ -53,6 +53,11 @@ fn track_run_ends(edges: &[PackedEdge]) -> Vec<u32> {
     run_end
 }
 
+/// Why [`XCheck::check`] may `expect` its device results: the checker
+/// never installs a fault plan or a memory budget on its device, so no
+/// device operation can fail.
+const NO_FAULTS: &str = "x-check installs no fault plan or budget";
+
 /// The X-Check baseline.
 #[derive(Debug)]
 pub struct XCheck {
@@ -83,95 +88,81 @@ impl XCheck {
         edges: Vec<PackedEdge>,
         min: i64,
         spec: SpaceSpec,
-    ) -> Vec<Violation> {
+    ) -> XpuResult<Vec<Violation>> {
         if edges.is_empty() {
-            return Vec::new();
+            return Ok(Vec::new());
         }
         let n = edges.len();
         let is_width = kind == ViolationKind::Width;
-        let dev_edges = profile.time("transfer", || stream.upload(edges.clone()));
+        let dev_edges = profile.time("transfer", || stream.try_upload(edges.clone()))?;
         let run_ends = track_run_ends(&edges);
-        let dev_runs = profile.time("transfer", || stream.upload(run_ends));
+        let dev_runs = profile.time("transfer", || stream.try_upload(run_ends))?;
+        // Every hit of edge `i` in sorted-track order: the one scan both
+        // kernels walk, so each emit range is filled exactly.
+        let for_each_hit =
+            move |edges: &[PackedEdge], runs: &[u32], i: usize, hit: &mut dyn FnMut(usize, i64)| {
+                let ei = unpack(edges[i]);
+                for j in runs[i] as usize..edges.len() {
+                    let ej = unpack(edges[j]);
+                    if i64::from(ej.track()) - i64::from(ei.track()) > min {
+                        break;
+                    }
+                    let d2 = if is_width {
+                        if edges[i].1 == edges[j].1 {
+                            width_pair(ei, ej, min)
+                        } else {
+                            None
+                        }
+                    } else {
+                        space_pair_spec(ei, ej, spec)
+                    };
+                    if let Some(d2) = d2 {
+                        hit(j, d2);
+                    }
+                }
+            };
 
         // Kernel 1: per-edge check range (sorted tracks) and count.
-        let counts_buf = stream.alloc::<usize>(n);
-        let k1_edges = dev_edges.clone();
-        let k1_runs = dev_runs.clone();
-        stream.launch_map(
+        let counts_buf = stream.try_alloc::<usize>(n)?;
+        let (k1_edges, k1_runs) = (dev_edges.clone(), dev_runs.clone());
+        stream.try_launch_map(
             LaunchConfig::for_threads(n),
             &counts_buf,
             move |ctx, slot| {
-                let edges = k1_edges.read();
-                let runs = k1_runs.read();
-                let i = ctx.global_id();
-                let ei = unpack(edges[i]);
                 let mut count = 0;
-                let mut j = runs[i] as usize;
-                while j < edges.len() {
-                    let ej = unpack(edges[j]);
-                    if i64::from(ej.track()) - i64::from(ei.track()) > min {
-                        break;
-                    }
-                    let hit = if is_width {
-                        if edges[i].1 == edges[j].1 {
-                            width_pair(ei, ej, min)
-                        } else {
-                            None
-                        }
-                    } else {
-                        space_pair_spec(ei, ej, spec)
-                    };
-                    if hit.is_some() {
-                        count += 1;
-                    }
-                    j += 1;
-                }
+                for_each_hit(
+                    &k1_edges.read(),
+                    &k1_runs.read(),
+                    ctx.global_id(),
+                    &mut |_, _| count += 1,
+                );
                 *slot = count;
             },
-        );
-        let counts = profile.time("kernel", || stream.download(&counts_buf).wait());
+        )?;
+        let counts = profile.time("kernel", || stream.try_download(&counts_buf)?.result())?;
         let offsets = profile.time("scan", || exclusive_scan(&self.device, &counts));
         let total = *offsets.last().expect("scan output");
 
-        // Kernel 2: emit.
-        let out_buf = stream.alloc::<(u32, u32, i64)>(total);
-        let k2_edges = dev_edges.clone();
-        let k2_runs = dev_runs.clone();
-        stream.launch_scatter(
+        // Kernel 2: emit each edge's hits into its scanned range, one
+        // tile of edges per call.
+        let out_buf = stream.try_alloc::<(u32, u32, i64)>(total)?;
+        stream.try_launch_scatter_tiles(
             LaunchConfig::for_threads(n),
             &out_buf,
             offsets,
-            move |ctx, slice| {
-                let edges = k2_edges.read();
-                let runs = k2_runs.read();
-                let i = ctx.global_id();
-                let ei = unpack(edges[i]);
-                let mut k = 0;
-                let mut j = runs[i] as usize;
-                while j < edges.len() {
-                    let ej = unpack(edges[j]);
-                    if i64::from(ej.track()) - i64::from(ei.track()) > min {
-                        break;
-                    }
-                    let hit = if is_width {
-                        if edges[i].1 == edges[j].1 {
-                            width_pair(ei, ej, min)
-                        } else {
-                            None
-                        }
-                    } else {
-                        space_pair_spec(ei, ej, spec)
-                    };
-                    if let Some(d2) = hit {
+            move |range, slices| {
+                let (edges, runs) = (dev_edges.read(), dev_runs.read());
+                for (i, slice) in range.zip(slices.iter_mut()) {
+                    let mut k = 0;
+                    for_each_hit(&edges, &runs, i, &mut |j, d2| {
                         slice[k] = (i as u32, j as u32, d2);
                         k += 1;
-                    }
-                    j += 1;
+                    });
                 }
             },
-        );
-        let records = profile.time("kernel", || stream.download(&out_buf).wait());
-        records
+        )?;
+        let records = profile.time("kernel", || stream.try_download(&out_buf)?.result())?;
+        Ok(records
             .into_iter()
             .map(|(a, b, d2)| {
                 let ea = unpack(edges[a as usize]);
@@ -183,7 +174,27 @@ impl XCheck {
                     measured: d2,
                 }
             })
-            .collect()
+            .collect())
+    }
+
+    /// Enclosure margins: one device thread per inner shape, measuring
+    /// it against its candidate outer shapes.
+    fn enclosure_margins(
+        stream: &Stream,
+        profile: &mut Profiler,
+        work: Vec<(Rect, Vec<Polygon>)>,
+        min: i64,
+    ) -> XpuResult<Vec<i64>> {
+        let n = work.len();
+        let dev_work = profile.time("transfer", || stream.try_upload(work))?;
+        let margins = stream.try_alloc::<i64>(n)?;
+        stream.try_launch_map(LaunchConfig::for_threads(n), &margins, move |ctx, slot| {
+            let work = dev_work.read();
+            let (rect, cands) = &work[ctx.global_id()];
+            let refs: Vec<&Polygon> = cands.iter().collect();
+            *slot = enclosure_margin(*rect, &refs, min);
+        })?;
+        profile.time("kernel", || stream.try_download(&margins)?.result())
     }
 }
 
@@ -215,15 +226,18 @@ impl Checker for XCheck {
                 RuleKind::Width { layer, min } => {
                     let polys = profile.time("flatten", || layout.flatten_layer_polygons(*layer));
                     let edges = profile.time("pack", || pack_edges(&self.device, &polys));
-                    violations.extend(self.edge_sweep(
-                        &stream,
-                        &mut profile,
-                        &rule.name,
-                        ViolationKind::Width,
-                        edges,
-                        *min,
-                        SpaceSpec::simple(*min),
-                    ));
+                    violations.extend(
+                        self.edge_sweep(
+                            &stream,
+                            &mut profile,
+                            &rule.name,
+                            ViolationKind::Width,
+                            edges,
+                            *min,
+                            SpaceSpec::simple(*min),
+                        )
+                        .expect(NO_FAULTS),
+                    );
                 }
                 RuleKind::Space {
                     layer,
@@ -232,18 +246,21 @@ impl Checker for XCheck {
                 } => {
                     let polys = profile.time("flatten", || layout.flatten_layer_polygons(*layer));
                     let edges = profile.time("pack", || pack_edges(&self.device, &polys));
-                    violations.extend(self.edge_sweep(
-                        &stream,
-                        &mut profile,
-                        &rule.name,
-                        ViolationKind::Space,
-                        edges,
-                        *min,
-                        SpaceSpec {
-                            min: *min,
-                            min_projection: *min_projection,
-                        },
-                    ));
+                    violations.extend(
+                        self.edge_sweep(
+                            &stream,
+                            &mut profile,
+                            &rule.name,
+                            ViolationKind::Space,
+                            edges,
+                            *min,
+                            SpaceSpec {
+                                min: *min,
+                                min_projection: *min_projection,
+                            },
+                        )
+                        .expect(NO_FAULTS),
+                    );
                 }
                 RuleKind::Enclosure { inner, outer, min } => {
                     let pi = profile.time("flatten", || layout.flatten_layer_polygons(*inner));
@@ -271,19 +288,9 @@ impl Checker for XCheck {
                     if work.is_empty() {
                         continue;
                     }
-                    let n = work.len();
                     let rects: Vec<Rect> = work.iter().map(|(r, _)| *r).collect();
-                    let dev_work = profile.time("transfer", || stream.upload(work));
-                    let margins = stream.alloc::<i64>(n);
-                    let min_v = *min;
-                    let kernel_work = dev_work.clone();
-                    stream.launch_map(LaunchConfig::for_threads(n), &margins, move |ctx, slot| {
-                        let work = kernel_work.read();
-                        let (rect, cands) = &work[ctx.global_id()];
-                        let refs: Vec<&Polygon> = cands.iter().collect();
-                        *slot = enclosure_margin(*rect, &refs, min_v);
-                    });
-                    let margins = profile.time("kernel", || stream.download(&margins).wait());
+                    let margins = XCheck::enclosure_margins(&stream, &mut profile, work, *min)
+                        .expect(NO_FAULTS);
                     for (rect, margin) in rects.into_iter().zip(margins) {
                         if margin < *min {
                             violations.push(Violation {

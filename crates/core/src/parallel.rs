@@ -61,15 +61,15 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use odrc_db::Layer;
-use odrc_geometry::{Edge, Polygon, Rect};
+use odrc_geometry::{Polygon, Rect};
 use odrc_xpu::{
     scan::exclusive_scan, Device, DeviceBuffer, LaunchBatch, LaunchConfig, Pending, Stream,
-    ThreadCtx, XpuResult,
+    XpuResult,
 };
 
 use crate::checks::edge::{space_pair_spec, SpaceSpec};
 use crate::checks::poly::LocalViolation;
-use crate::plan::{build_runs, pack, span_lo, IntraData, PackedEdge, PlannedRow, RowSet, RunInfo};
+use crate::plan::{build_runs, span_lo, IntraData, PackedEdge, PlannedRow, RowSet, RunInfo};
 use crate::rules::{PairsRule, Rule, RuleFamily, RuleKind};
 use crate::scene::DirtyWindow;
 use crate::sequential::{enclosure_scenes, enclosure_work, pairs_measure, RunContext};
@@ -1221,58 +1221,4 @@ fn emit_pairs(
             }
         }
     });
-}
-
-/// All-pairs spacing kernel over an *unsorted* flat edge list: one
-/// thread per edge, plain `for` loops over the remaining edges. Only
-/// [`flat_space_brute`] uses it — the engine executors window through
-/// the sorted run table instead.
-fn allpairs_kernel(
-    edges: DeviceBuffer<PackedEdge>,
-    spec: SpaceSpec,
-) -> impl Fn(ThreadCtx, &mut Vec<(u32, i64)>) + Send + Sync + 'static {
-    move |tctx, slot| {
-        let edges = edges.read();
-        let i = tctx.global_id();
-        let ei = unpack(edges[i]);
-        for (j, &pe) in edges.iter().enumerate().skip(i + 1) {
-            if let Some(d2) = space_pair_spec(ei, unpack(pe), spec) {
-                slot.push((j as u32, d2));
-            }
-        }
-    }
-}
-
-/// Device-accelerated helper used by tests and benches: all-pairs
-/// spacing over a flat edge list (no hierarchy, no partition), brute
-/// force. Returns canonical violations. Panics on device faults (it is
-/// a bench/test harness, not an engine path).
-pub fn flat_space_brute(
-    device: &Device,
-    edges: &[Edge],
-    rule_name: &str,
-    min: i64,
-) -> Vec<Violation> {
-    let stream = device.stream();
-    let packed: Vec<PackedEdge> = edges.iter().map(|&e| pack(e)).collect();
-    let n = packed.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let packed = Arc::new(packed);
-    let dev = stream.upload_shared(Arc::clone(&packed));
-    let out_buf = stream.alloc::<Vec<(u32, i64)>>(n);
-    stream.launch_map(
-        LaunchConfig::for_threads(n),
-        &out_buf,
-        allpairs_kernel(dev, SpaceSpec::simple(min)),
-    );
-    let per_edge = stream.download(&out_buf).wait();
-    let mut out = Vec::new();
-    for (i, pairs) in per_edge.iter().enumerate() {
-        for &(j, d2) in pairs {
-            out.push(make_violation(rule_name, &packed, i as u32, j, d2));
-        }
-    }
-    crate::violation::canonicalize(out)
 }

@@ -479,10 +479,10 @@ mod tests {
         let (buf_b, elided_b) = data.acquire(&b).unwrap();
         assert!(!elided_a);
         assert!(elided_b);
-        b.synchronize();
+        b.try_synchronize().unwrap();
         assert_eq!(buf_a.to_vec(), vec![1, 2, 3]);
         assert_eq!(buf_b.to_vec(), vec![1, 2, 3]);
-        a.synchronize();
+        a.try_synchronize().unwrap();
         // One simulated transfer, not two.
         assert_eq!(device.stats().bytes_h2d(), 12);
     }

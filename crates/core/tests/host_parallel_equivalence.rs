@@ -1,6 +1,6 @@
 //! Host-executor equivalence tests.
 //!
-//! The work-stealing host executor (`infra::host`) changes *where* the
+//! The pool-backed host executor (`infra::host`) changes *where* the
 //! hot host phases run — scene flattening, row partitioning, row
 //! checking, edge packing, canonicalization fan out across worker
 //! threads — but must never change *what* is reported. Every test here
@@ -88,7 +88,7 @@ fn check(layout: &odrc_db::Layout, mode: Mode, host_threads: usize) -> odrc::Che
 }
 
 /// Running the exact same configuration repeatedly must reproduce the
-/// exact same violations — work stealing shifts tasks between workers
+/// exact same violations — which pool worker claims a chunk changes
 /// from run to run, but the ordered merge erases every trace of it.
 #[test]
 fn repeated_runs_are_deterministic() {

@@ -79,25 +79,23 @@ impl<T> DerefMut for BufferWriteGuard<'_, T> {
 /// A device-resident buffer of `T`.
 ///
 /// Like CUDA device memory, a `DeviceBuffer` lives on the device and is
-/// populated through explicit copies ([`Stream::upload`],
-/// [`Stream::download`]) or by kernels. The handle is cheap to clone;
-/// all clones alias the same memory.
+/// populated through explicit copies ([`Stream::try_upload`],
+/// [`Stream::try_download`]) or by kernels. The handle is cheap to
+/// clone; all clones alias the same memory.
 ///
 /// Reads from kernels use [`DeviceBuffer::read`]; writes happen through
-/// the structured launch primitives on [`Device`], which hand each SPMD
-/// thread a disjoint slot or range — this is what makes the simulated
-/// kernels data-race-free by construction.
+/// a stream's kernel launches, which hand each SPMD thread a disjoint
+/// slot or range — this is what makes the simulated kernels
+/// data-race-free by construction.
 ///
 /// Buffers obtained from a budgeted device's stream
 /// ([`Stream::try_alloc`] / [`Stream::try_upload`]) carry a memory
 /// reservation that is released when the last handle drops, mirroring
 /// the stream-ordered allocator's accounting.
 ///
-/// [`Stream::upload`]: crate::Stream::upload
-/// [`Stream::download`]: crate::Stream::download
+/// [`Stream::try_download`]: crate::Stream::try_download
 /// [`Stream::try_alloc`]: crate::Stream::try_alloc
 /// [`Stream::try_upload`]: crate::Stream::try_upload
-/// [`Device`]: crate::Device
 pub struct DeviceBuffer<T> {
     data: Arc<RwLock<Repr<T>>>,
     /// Budget accounting for stream-ordered allocations; `None` for
@@ -202,8 +200,7 @@ impl<T> DeviceBuffer<T> {
 ///
 /// If the producing stream fails before reaching the operation (a
 /// sticky stream error, see [`Stream`]), [`Pending::result`] returns
-/// that error instead of blocking forever; [`Pending::wait`] panics
-/// with it.
+/// that error instead of blocking forever.
 ///
 /// [`Stream`]: crate::Stream
 ///
@@ -214,9 +211,9 @@ impl<T> DeviceBuffer<T> {
 ///
 /// let device = Device::new(2);
 /// let stream = device.stream();
-/// let buf = stream.upload(vec![1u32, 2, 3]);
-/// let pending = stream.download(&buf);
-/// assert_eq!(pending.wait(), vec![1, 2, 3]);
+/// let buf = stream.try_upload(vec![1u32, 2, 3]).unwrap();
+/// let pending = stream.try_download(&buf).unwrap();
+/// assert_eq!(pending.result(), Ok(vec![1, 2, 3]));
 /// ```
 #[derive(Debug)]
 pub struct Pending<T> {
@@ -344,13 +341,7 @@ impl<T> Pending<T> {
     /// executing the operation. Use [`Pending::result`] to recover
     /// instead.
     pub fn wait(self) -> T {
-        self.result()
-            .unwrap_or_else(|e| panic!("device operation failed: {e}"))
-    }
-
-    /// Non-blocking poll; returns the value if it is ready.
-    pub fn try_wait(&self) -> Option<T> {
-        self.rx.try_recv().ok()
+        self.result().expect("device operation failed")
     }
 }
 

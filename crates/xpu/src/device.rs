@@ -1,6 +1,7 @@
 //! The simulated SPMD device.
 
 use std::fmt;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -210,20 +211,17 @@ impl Drop for MemReservation {
 /// A `Device` is cheap to clone (it is a handle). Kernels launched on it
 /// execute their threads in parallel across `workers` OS threads, in
 /// SPMD style: every thread runs the same closure with its own
-/// [`ThreadCtx`].
+/// [`ThreadCtx`]. Kernels launch only on a [`Stream`].
 ///
 /// # Failure model
 ///
-/// The fallible entry points (`try_*` on [`Stream`], and
-/// [`Device::try_launch_map_blocking`] /
-/// [`Device::try_launch_scatter_blocking`] here) return
-/// [`XpuResult`]s; kernel panics are caught per SPMD thread, so one bad
-/// thread fails the *launch*, never the worker pool. A configurable
-/// memory budget ([`Device::with_budget`]) bounds stream-ordered
-/// allocations, and a deterministic [`FaultPlan`]
-/// ([`Device::set_fault_plan`]) injects seeded OOM / panic / stall /
-/// transfer faults for testing recovery paths. The legacy infallible
-/// methods remain and panic on device errors.
+/// The stream's `try_*` methods return [`XpuResult`]s; kernel panics are
+/// caught inside the launch, so one bad thread fails the *launch*,
+/// never the worker pool. A configurable memory budget
+/// ([`Device::with_budget`]) bounds stream-ordered allocations, and a
+/// deterministic [`FaultPlan`] ([`Device::set_fault_plan`]) injects
+/// seeded OOM / panic / stall / transfer faults for testing recovery
+/// paths.
 ///
 /// # Examples
 ///
@@ -559,22 +557,12 @@ impl Device {
         Stream::new(self.clone())
     }
 
-    /// Fallible synchronous kernel launch where thread `i` receives
-    /// exclusive access to `out[i]`.
-    ///
-    /// A panic in any SPMD thread — a genuine kernel bug or an injected
-    /// [`Fault::KernelPanic`] — is caught per thread and surfaces as
-    /// [`XpuError::KernelPanic`] carrying the launch ordinal and the
-    /// first panicking global thread id. The worker pool survives; the
-    /// device remains usable.
-    ///
-    /// [`Fault::KernelPanic`]: crate::Fault::KernelPanic
-    ///
-    /// # Panics
-    ///
-    /// Panics if the config provides fewer threads than `out.len()`
-    /// (a programmer error, not a device fault).
-    pub fn try_launch_map_blocking<T, F>(
+    /// Runs a map launch: thread `i` receives exclusive access to
+    /// `out[i]`. Surplus threads in the config (block-size round-up)
+    /// are masked out, like the `if (tid < n) return;` guard of CUDA
+    /// kernels. Each thread runs behind its own panic boundary
+    /// ([`Launch::thread`]), so a panic names its exact global id.
+    pub(crate) fn try_launch_threads_blocking<T, F>(
         &self,
         cfg: LaunchConfig,
         out: &DeviceBuffer<T>,
@@ -584,75 +572,49 @@ impl Device {
         T: Send + Sync,
         F: Fn(ThreadCtx, &mut T) + Send + Sync,
     {
-        let mut guard = out.write();
-        let slots: &mut [T] = &mut guard;
-        assert!(
-            cfg.total_threads() >= slots.len(),
-            "launch config provides {} threads for {} outputs",
-            cfg.total_threads(),
-            slots.len()
-        );
-        let (launch_id, panic_thread) = self.next_launch(slots.len());
-        self.inner.stats.record_launch(slots.len());
-        let block_dim = cfg.block_dim;
-        let grid_dim = cfg.grid_dim;
-        let kernel = &kernel;
-        let panicked: Mutex<Option<(usize, String)>> = Mutex::new(None);
-        self.dispatch_slices(slots, |range, chunk: &mut [T]| {
-            for (offset, slot) in range.zip(chunk.iter_mut()) {
+        self.launch(cfg, &mut out.write(), |launch, range, chunk| {
+            for (global_id, slot) in range.zip(chunk.iter_mut()) {
                 let ctx = ThreadCtx {
-                    block_idx: offset / block_dim,
-                    thread_idx: offset % block_dim,
-                    block_dim,
-                    grid_dim,
+                    block_idx: global_id / cfg.block_dim,
+                    thread_idx: global_id % cfg.block_dim,
+                    block_dim: cfg.block_dim,
+                    grid_dim: cfg.grid_dim,
                 };
-                run_spmd_thread(
-                    offset,
-                    panic_thread,
-                    launch_id,
-                    &panicked,
-                    std::panic::AssertUnwindSafe(|| kernel(ctx, slot)),
-                );
+                launch.thread(global_id, || kernel(ctx, slot));
             }
-        });
-        finish_launch(launch_id, panicked)
+        })
     }
 
-    /// Synchronously launches a kernel where thread `i` receives
-    /// exclusive access to `out[i]`.
-    ///
-    /// The number of useful threads is `out.len()`; surplus threads in
-    /// the launch config (block-size round-up) are masked out, exactly
-    /// like the `if (tid < n) return;` guard of CUDA kernels.
-    ///
-    /// Most callers go through [`Stream::launch_map`], which enqueues
-    /// the launch asynchronously.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the config provides fewer threads than `out.len()`, if
-    /// the kernel reads its own output buffer (lock recursion), or if
-    /// any kernel thread panics (see
-    /// [`Device::try_launch_map_blocking`] for the recoverable form).
-    pub fn launch_map_blocking<T, F>(&self, cfg: LaunchConfig, out: &DeviceBuffer<T>, kernel: F)
+    /// Runs a tile launch: the kernel is handed whole contiguous ranges
+    /// of `out` (one call per dispatch chunk) instead of one call per
+    /// element, so the per-element panic boundary and context
+    /// construction are paid once per tile ([`Launch::tile`]).
+    pub(crate) fn try_launch_tiles_blocking<T, F>(
+        &self,
+        cfg: LaunchConfig,
+        out: &DeviceBuffer<T>,
+        kernel: F,
+    ) -> XpuResult<()>
     where
         T: Send + Sync,
-        F: Fn(ThreadCtx, &mut T) + Send + Sync,
+        F: Fn(Range<usize>, &mut [T]) + Send + Sync,
     {
-        if let Err(e) = self.try_launch_map_blocking(cfg, out, kernel) {
-            panic!("device launch failed: {e}");
-        }
+        self.launch(cfg, &mut out.write(), |launch, range, chunk| {
+            launch.tile(range, chunk, &kernel)
+        })
     }
 
-    /// Fallible synchronous *scatter* launch where thread `i` receives
-    /// exclusive access to the slice `out[offsets[i]..offsets[i + 1]]`.
-    /// See [`Device::try_launch_map_blocking`] for the failure model.
+    /// Runs a scatter tile launch: thread `i` owns the slice
+    /// `out[offsets[i]..offsets[i + 1]]`, and the kernel receives a tile
+    /// of those slices per call. This is the emit step of the parallel
+    /// sweepline (§IV-E): a prefix sum of per-thread counts gives each
+    /// thread its private output range.
     ///
     /// # Panics
     ///
-    /// Panics on malformed `offsets` or an undersized launch config
-    /// (programmer errors, not device faults).
-    pub fn try_launch_scatter_blocking<T, F>(
+    /// Panics if `offsets` decrease or end past `out` (programmer
+    /// errors, not device faults).
+    pub(crate) fn try_launch_scatter_tiles_blocking<T, F>(
         &self,
         cfg: LaunchConfig,
         out: &DeviceBuffer<T>,
@@ -661,189 +623,70 @@ impl Device {
     ) -> XpuResult<()>
     where
         T: Send + Sync,
-        F: Fn(ThreadCtx, &mut [T]) + Send + Sync,
+        F: Fn(Range<usize>, &mut [&mut [T]]) + Send + Sync,
     {
-        let n_threads = offsets.len().saturating_sub(1);
-        assert!(
-            cfg.total_threads() >= n_threads,
-            "launch config provides {} threads for {} ranges",
-            cfg.total_threads(),
-            n_threads
-        );
         let mut guard = out.write();
         let mut rest: &mut [T] = &mut guard;
-        let total = rest.len();
         assert!(
-            offsets.last().copied().unwrap_or(0) <= total,
+            offsets.last().copied().unwrap_or(0) <= rest.len(),
             "offsets end past the output buffer"
         );
         // Slice the output into per-thread disjoint ranges up front; the
         // split is sequential but O(n_threads) and cheap.
-        let mut slices: Vec<&mut [T]> = Vec::with_capacity(n_threads);
+        let mut slices: Vec<&mut [T]> = Vec::with_capacity(offsets.len().saturating_sub(1));
         let mut consumed = 0usize;
         for w in offsets.windows(2) {
             let (lo, hi) = (w[0], w[1]);
             assert!(lo <= hi, "offsets must be non-decreasing");
-            let (skip, tail) = rest.split_at_mut(lo - consumed);
-            debug_assert!(skip.is_empty() || lo > consumed);
+            let (_, tail) = rest.split_at_mut(lo - consumed);
             let (mine, tail) = tail.split_at_mut(hi - lo);
             slices.push(mine);
             rest = tail;
             consumed = hi;
         }
-        let (launch_id, panic_thread) = self.next_launch(n_threads);
-        self.inner.stats.record_launch(n_threads);
-        let block_dim = cfg.block_dim;
-        let grid_dim = cfg.grid_dim;
-        let kernel = &kernel;
-        let panicked: Mutex<Option<(usize, String)>> = Mutex::new(None);
-        self.dispatch_slices(&mut slices, |range, chunk: &mut [&mut [T]]| {
-            for (offset, slice) in range.zip(chunk.iter_mut()) {
-                let ctx = ThreadCtx {
-                    block_idx: offset / block_dim,
-                    thread_idx: offset % block_dim,
-                    block_dim,
-                    grid_dim,
-                };
-                run_spmd_thread(
-                    offset,
-                    panic_thread,
-                    launch_id,
-                    &panicked,
-                    std::panic::AssertUnwindSafe(|| kernel(ctx, slice)),
-                );
-            }
-        });
-        finish_launch(launch_id, panicked)
+        self.launch(cfg, &mut slices, |launch, range, chunk| {
+            launch.tile(range, chunk, &kernel)
+        })
     }
 
-    /// Synchronously launches a *scatter* kernel where thread `i`
-    /// receives exclusive access to the slice
-    /// `out[offsets[i]..offsets[i + 1]]`.
-    ///
-    /// This is the output pattern of the second phase of the parallel
-    /// sweepline (§IV-E): a prefix-sum of per-thread counts determines
-    /// each thread's private output range.
+    /// The one launch protocol behind every kernel shape: checks that
+    /// the config covers `work`, ticks the launch ordinal (where the
+    /// fault plan may schedule a panic), runs `body` over contiguous
+    /// chunks of `work`, and turns the first caught panic into
+    /// [`XpuError::KernelPanic`]. The pool survives a panic; the device
+    /// stays usable.
     ///
     /// # Panics
     ///
-    /// Panics if `offsets` is not monotonically non-decreasing, if its
-    /// last entry exceeds `out.len()`, if the config provides fewer
-    /// threads than `offsets.len() - 1`, or if any kernel thread
-    /// panics (see [`Device::try_launch_scatter_blocking`]).
-    pub fn launch_scatter_blocking<T, F>(
-        &self,
-        cfg: LaunchConfig,
-        out: &DeviceBuffer<T>,
-        offsets: &[usize],
-        kernel: F,
-    ) where
-        T: Send + Sync,
-        F: Fn(ThreadCtx, &mut [T]) + Send + Sync,
-    {
-        if let Err(e) = self.try_launch_scatter_blocking(cfg, out, offsets, kernel) {
-            panic!("device launch failed: {e}");
-        }
-    }
-
-    /// Fallible synchronous *tile* launch: the kernel is handed whole
-    /// contiguous ranges of `out` (one call per dispatch chunk) instead
-    /// of one call per element, so per-element framework overhead —
-    /// panic boundary, context construction, buffer-lock traffic — is
-    /// paid once per tile. Semantically identical to
-    /// [`Device::try_launch_map_blocking`] with a kernel that loops
-    /// over its tile: ordinals tick once per launch, injected
-    /// per-thread faults still fire for exactly their thread (the tile
-    /// is split around the faulted element), and a genuine tile panic
-    /// surfaces as [`XpuError::KernelPanic`] carrying the tile's first
-    /// global id.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the config provides fewer threads than `out.len()`.
-    pub fn try_launch_tiles_blocking<T, F>(
-        &self,
-        cfg: LaunchConfig,
-        out: &DeviceBuffer<T>,
-        kernel: F,
-    ) -> XpuResult<()>
+    /// Panics if the config provides fewer threads than `work.len()`
+    /// (a programmer error, not a device fault).
+    fn launch<E, F>(&self, cfg: LaunchConfig, work: &mut [E], body: F) -> XpuResult<()>
     where
-        T: Send + Sync,
-        F: Fn(std::ops::Range<usize>, &mut [T]) + Send + Sync,
+        E: Send,
+        F: Fn(&Launch, Range<usize>, &mut [E]) + Sync,
     {
-        let mut guard = out.write();
-        let slots: &mut [T] = &mut guard;
+        let n = work.len();
         assert!(
-            cfg.total_threads() >= slots.len(),
-            "launch config provides {} threads for {} outputs",
-            cfg.total_threads(),
-            slots.len()
+            cfg.total_threads() >= n,
+            "launch config provides {} threads for {n} work items",
+            cfg.total_threads()
         );
-        let (launch_id, panic_thread) = self.next_launch(slots.len());
-        self.inner.stats.record_launch(slots.len());
-        let kernel = &kernel;
-        let panicked: Mutex<Option<(usize, String)>> = Mutex::new(None);
-        self.dispatch_slices(slots, |range, chunk: &mut [T]| {
-            run_spmd_tile(range, chunk, panic_thread, launch_id, &panicked, kernel);
-        });
-        finish_launch(launch_id, panicked)
-    }
-
-    /// Fallible synchronous *scatter tile* launch: like
-    /// [`Device::try_launch_scatter_blocking`], but the kernel receives
-    /// a contiguous tile of per-thread output slices
-    /// (`out[offsets[i]..offsets[i + 1]]` for each `i` in the tile's
-    /// range) per call. See [`Device::try_launch_tiles_blocking`] for
-    /// the tile semantics and failure model.
-    ///
-    /// # Panics
-    ///
-    /// Panics on malformed `offsets` or an undersized launch config.
-    pub fn try_launch_scatter_tiles_blocking<T, F>(
-        &self,
-        cfg: LaunchConfig,
-        out: &DeviceBuffer<T>,
-        offsets: &[usize],
-        kernel: F,
-    ) -> XpuResult<()>
-    where
-        T: Send + Sync,
-        F: Fn(std::ops::Range<usize>, &mut [&mut [T]]) + Send + Sync,
-    {
-        let n_threads = offsets.len().saturating_sub(1);
-        assert!(
-            cfg.total_threads() >= n_threads,
-            "launch config provides {} threads for {} ranges",
-            cfg.total_threads(),
-            n_threads
-        );
-        let mut guard = out.write();
-        let mut rest: &mut [T] = &mut guard;
-        let total = rest.len();
-        assert!(
-            offsets.last().copied().unwrap_or(0) <= total,
-            "offsets end past the output buffer"
-        );
-        let mut slices: Vec<&mut [T]> = Vec::with_capacity(n_threads);
-        let mut consumed = 0usize;
-        for w in offsets.windows(2) {
-            let (lo, hi) = (w[0], w[1]);
-            assert!(lo <= hi, "offsets must be non-decreasing");
-            let (skip, tail) = rest.split_at_mut(lo - consumed);
-            debug_assert!(skip.is_empty() || lo > consumed);
-            let (mine, tail) = tail.split_at_mut(hi - lo);
-            slices.push(mine);
-            rest = tail;
-            consumed = hi;
+        let (id, injected) = self.next_launch(n);
+        self.inner.stats.record_launch(n);
+        let launch = Launch {
+            id,
+            injected,
+            panicked: Mutex::new(None),
+        };
+        self.dispatch_slices(work, |range, chunk| body(&launch, range, chunk));
+        match launch.panicked.into_inner() {
+            None => Ok(()),
+            Some((global_id, message)) => Err(XpuError::KernelPanic {
+                kernel: id,
+                global_id,
+                message,
+            }),
         }
-        let (launch_id, panic_thread) = self.next_launch(n_threads);
-        self.inner.stats.record_launch(n_threads);
-        let kernel = &kernel;
-        let panicked: Mutex<Option<(usize, String)>> = Mutex::new(None);
-        self.dispatch_slices(&mut slices, |range, chunk: &mut [&mut [T]]| {
-            run_spmd_tile(range, chunk, panic_thread, launch_id, &panicked, kernel);
-        });
-        finish_launch(launch_id, panicked)
     }
 
     /// Runs `body(range, chunk)` for contiguous chunks of `work` on the
@@ -857,7 +700,7 @@ impl Device {
     pub(crate) fn dispatch_slices<T, F>(&self, work: &mut [T], body: F)
     where
         T: Send,
-        F: Fn(std::ops::Range<usize>, &mut [T]) + Sync,
+        F: Fn(Range<usize>, &mut [T]) + Sync,
     {
         let n = work.len();
         if n == 0 {
@@ -879,102 +722,69 @@ impl Device {
     }
 }
 
-/// Executes one SPMD thread with a per-thread panic boundary: a panic
-/// (genuine or injected) is recorded in `panicked` instead of
-/// propagating into the worker pool. Only the first panic is kept.
-fn run_spmd_thread<F: FnOnce()>(
-    global_id: usize,
-    injected_panic_thread: Option<usize>,
-    launch_id: u64,
-    panicked: &Mutex<Option<(usize, String)>>,
-    body: std::panic::AssertUnwindSafe<F>,
-) {
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        if injected_panic_thread == Some(global_id) {
-            panic!("injected fault: kernel #{launch_id} thread {global_id}");
-        }
-        let std::panic::AssertUnwindSafe(f) = body;
-        f();
-    }));
-    if let Err(payload) = result {
-        let message = panic_message(payload.as_ref());
-        let mut slot = panicked.lock();
-        if slot.is_none() {
-            *slot = Some((global_id, message));
-        }
-    }
+/// One launch's panic boundaries: a panic (genuine or injected) is
+/// recorded here instead of propagating into the worker pool, and only
+/// the first is kept.
+struct Launch {
+    /// The launch ordinal.
+    id: u64,
+    /// The thread an injected [`Fault::KernelPanic`] fires in.
+    ///
+    /// [`Fault::KernelPanic`]: crate::Fault::KernelPanic
+    injected: Option<usize>,
+    /// The first panic's global thread id and message.
+    panicked: Mutex<Option<(usize, String)>>,
 }
 
-/// Executes one tile of SPMD threads with a single panic boundary. An
-/// injected per-thread fault splits the tile around the faulted thread
-/// so its neighbours still execute — preserving the per-thread fault
-/// semantics of the element-granular dispatch. A genuine panic inside
-/// the tile records the tile's first global id (the per-element path
-/// records the exact id; multi-worker recording was already
-/// first-wins-racy, and errors only feed recovery, which re-runs).
-fn run_spmd_tile<E, F>(
-    range: std::ops::Range<usize>,
-    chunk: &mut [E],
-    injected_panic_thread: Option<usize>,
-    launch_id: u64,
-    panicked: &Mutex<Option<(usize, String)>>,
-    kernel: &F,
-) where
-    F: Fn(std::ops::Range<usize>, &mut [E]),
-{
-    if let Some(p) = injected_panic_thread {
-        if range.contains(&p) {
-            let split = p - range.start;
-            let (lo, rest) = chunk.split_at_mut(split);
-            let (_faulted, hi) = rest.split_at_mut(1);
-            run_tile_guarded(range.start..p, lo, panicked, kernel);
-            run_spmd_thread(
-                p,
-                Some(p),
-                launch_id,
-                panicked,
-                std::panic::AssertUnwindSafe(|| {}),
-            );
-            run_tile_guarded(p + 1..range.end, hi, panicked, kernel);
-            return;
+impl Launch {
+    /// Runs SPMD thread `global_id` behind its own panic boundary; the
+    /// injected fault fires instead of the body when it names this
+    /// thread.
+    fn thread(&self, global_id: usize, body: impl FnOnce()) {
+        self.guard(global_id, || {
+            if self.injected == Some(global_id) {
+                panic!("injected fault: kernel #{} thread {global_id}", self.id);
+            }
+            body();
+        });
+    }
+
+    /// Runs one tile of SPMD threads behind a single panic boundary. An
+    /// injected fault splits the tile around the faulted thread, so its
+    /// neighbours still execute and the error names exactly that
+    /// thread. A genuine panic names the (sub-)tile's first global id:
+    /// errors only feed recovery, which re-runs the whole unit.
+    fn tile<E>(
+        &self,
+        range: Range<usize>,
+        chunk: &mut [E],
+        kernel: &impl Fn(Range<usize>, &mut [E]),
+    ) {
+        let run = |range: Range<usize>, chunk: &mut [E]| {
+            if !range.is_empty() {
+                self.guard(range.start, || kernel(range, chunk));
+            }
+        };
+        match self.injected.filter(|p| range.contains(p)) {
+            Some(p) => {
+                let (lo, rest) = chunk.split_at_mut(p - range.start);
+                run(range.start..p, lo);
+                self.thread(p, || {});
+                run(p + 1..range.end, &mut rest[1..]);
+            }
+            None => run(range, chunk),
         }
     }
-    run_tile_guarded(range, chunk, panicked, kernel);
-}
 
-/// Runs a (sub-)tile behind one `catch_unwind`, recording the first
-/// panic against the tile's first global id.
-fn run_tile_guarded<E, F>(
-    range: std::ops::Range<usize>,
-    chunk: &mut [E],
-    panicked: &Mutex<Option<(usize, String)>>,
-    kernel: &F,
-) where
-    F: Fn(std::ops::Range<usize>, &mut [E]),
-{
-    if range.is_empty() {
-        return;
-    }
-    let first = range.start;
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| kernel(range, chunk)));
-    if let Err(payload) = result {
-        let message = panic_message(payload.as_ref());
-        let mut slot = panicked.lock();
-        if slot.is_none() {
-            *slot = Some((first, message));
+    /// Runs `f` behind a panic boundary, recording a panic against
+    /// `global_id` unless an earlier one was already recorded.
+    fn guard(&self, global_id: usize, f: impl FnOnce()) {
+        if let Err(payload) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)) {
+            let mut slot = self.panicked.lock();
+            if slot.is_none() {
+                *slot = Some((global_id, panic_message(payload.as_ref())));
+            }
         }
-    }
-}
-
-/// Converts the first recorded SPMD-thread panic into the launch error.
-fn finish_launch(launch_id: u64, panicked: Mutex<Option<(usize, String)>>) -> XpuResult<()> {
-    match panicked.into_inner() {
-        None => Ok(()),
-        Some((global_id, message)) => Err(XpuError::KernelPanic {
-            kernel: launch_id,
-            global_id,
-            message,
-        }),
     }
 }
 
@@ -1026,7 +836,7 @@ mod tests {
             block_dim: 4, // 4 threads for 10 outputs
         };
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            d.launch_map_blocking(cfg, &buf, |_, _| {});
+            let _ = d.try_launch_threads_blocking(cfg, &buf, |_, _| {});
         }));
         assert!(result.is_err(), "undersized launch must panic");
     }
@@ -1035,16 +845,14 @@ mod tests {
     fn launch_scatter_validates_offsets() {
         let d = Device::new(2);
         let buf = crate::buffer::DeviceBuffer::from_vec(vec![0u8; 4]);
-        // Non-monotonic offsets.
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            d.launch_scatter_blocking(LaunchConfig::for_threads(2), &buf, &[0, 3, 1], |_, _| {});
-        }));
-        assert!(result.is_err());
-        // Offsets past the buffer end.
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            d.launch_scatter_blocking(LaunchConfig::for_threads(2), &buf, &[0, 2, 9], |_, _| {});
-        }));
-        assert!(result.is_err());
+        let launch = |offsets: &[usize]| {
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let cfg = LaunchConfig::for_threads(2);
+                let _ = d.try_launch_scatter_tiles_blocking(cfg, &buf, offsets, |_, _| {});
+            }))
+        };
+        assert!(launch(&[0, 3, 1]).is_err(), "non-monotonic offsets");
+        assert!(launch(&[0, 2, 9]).is_err(), "offsets past the buffer end");
     }
 
     #[test]
@@ -1052,16 +860,17 @@ mod tests {
         let d = Device::new(2);
         let buf = crate::buffer::DeviceBuffer::from_vec(vec![0u32; 3]);
         // Threads 0 and 2 own nothing; thread 1 owns everything.
-        d.launch_scatter_blocking(
+        d.try_launch_scatter_tiles_blocking(
             LaunchConfig::for_threads(3),
             &buf,
             &[0, 0, 3, 3],
-            |ctx, slice| {
-                for s in slice.iter_mut() {
-                    *s = ctx.global_id() as u32 + 1;
+            |range, slices| {
+                for (i, slice) in range.zip(slices.iter_mut()) {
+                    slice.fill(i as u32 + 1);
                 }
             },
-        );
+        )
+        .unwrap();
         assert_eq!(buf.to_vec(), vec![2, 2, 2]);
     }
 
@@ -1083,7 +892,7 @@ mod tests {
         let d = Device::new(3);
         let buf = DeviceBuffer::from_vec(vec![0u32; 600]);
         let err = d
-            .try_launch_map_blocking(LaunchConfig::for_threads(600), &buf, |ctx, out| {
+            .try_launch_threads_blocking(LaunchConfig::for_threads(600), &buf, |ctx, out| {
                 if ctx.global_id() == 300 {
                     panic!("boom at {}", ctx.global_id());
                 }
@@ -1100,7 +909,8 @@ mod tests {
             other => panic!("expected KernelPanic, got {other:?}"),
         }
         // The pool survived: the device still launches fine.
-        d.launch_map_blocking(LaunchConfig::for_threads(600), &buf, |_, out| *out = 2);
+        d.try_launch_threads_blocking(LaunchConfig::for_threads(600), &buf, |_, out| *out = 2)
+            .expect("the pool survives a kernel panic");
         assert!(buf.to_vec().iter().all(|&v| v == 2));
     }
 
@@ -1113,7 +923,7 @@ mod tests {
         })));
         let buf = DeviceBuffer::from_vec(vec![0u8; 16]);
         let err = d
-            .try_launch_map_blocking(LaunchConfig::for_threads(16), &buf, |_, _| {})
+            .try_launch_threads_blocking(LaunchConfig::for_threads(16), &buf, |_, _| {})
             .unwrap_err();
         assert_eq!(
             err,
@@ -1126,8 +936,45 @@ mod tests {
         assert_eq!(d.faults_injected(), 1);
         // Consumed: the next launch succeeds.
         assert!(d
-            .try_launch_map_blocking(LaunchConfig::for_threads(16), &buf, |_, _| {})
+            .try_launch_threads_blocking(LaunchConfig::for_threads(16), &buf, |_, _| {})
             .is_ok());
+    }
+
+    /// Map, tiles and scatter tiles share one launch protocol: an
+    /// injected fault names the same launch, thread and message in each
+    /// shape, and every other thread still writes its element (the tile
+    /// shapes split their tile around the faulted thread).
+    #[test]
+    fn injected_fault_is_one_protocol_across_shapes() {
+        let check = |shape: &str, launch: &dyn Fn(&Device, &DeviceBuffer<u32>) -> XpuResult<()>| {
+            let d = Device::new(2);
+            d.set_fault_plan(Some(FaultPlan::new().with(Fault::KernelPanic {
+                kernel: 0,
+                thread: 5,
+            })));
+            let buf = DeviceBuffer::from_vec(vec![0u32; 16]);
+            let expected = XpuError::KernelPanic {
+                kernel: 0,
+                global_id: 5,
+                message: "injected fault: kernel #0 thread 5".to_owned(),
+            };
+            assert_eq!(launch(&d, &buf), Err(expected), "{shape}");
+            let written: Vec<u32> = (0..16).map(|i| u32::from(i != 5)).collect();
+            assert_eq!(buf.to_vec(), written, "{shape}");
+        };
+        let cfg = LaunchConfig::for_threads(16);
+        check("map", &|d, buf| {
+            d.try_launch_threads_blocking(cfg, buf, |_, v| *v = 1)
+        });
+        check("tiles", &|d, buf| {
+            d.try_launch_tiles_blocking(cfg, buf, |_, tile| tile.fill(1))
+        });
+        let offsets: Vec<usize> = (0..=16).collect();
+        check("scatter tiles", &|d, buf| {
+            d.try_launch_scatter_tiles_blocking(cfg, buf, &offsets, |_, slices| {
+                slices.iter_mut().for_each(|s| s.fill(1));
+            })
+        });
     }
 
     /// Chunk boundaries derive from the device and pool widths, never
@@ -1189,9 +1036,10 @@ mod tests {
             d.set_host_pool(host.pool());
             let sums = host.run("launch", 32, |task| {
                 let buf = DeviceBuffer::from_vec(vec![0u64; 1000]);
-                d.launch_map_blocking(LaunchConfig::for_threads(1000), &buf, |ctx, out| {
+                d.try_launch_threads_blocking(LaunchConfig::for_threads(1000), &buf, |ctx, out| {
                     *out = (ctx.global_id() * task) as u64;
-                });
+                })
+                .expect("no fault plan installed");
                 buf.to_vec().iter().sum::<u64>()
             });
             let expected: Vec<u64> = (0..32).map(|t| (t * 999 * 1000 / 2) as u64).collect();

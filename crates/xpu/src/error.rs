@@ -50,7 +50,8 @@ pub enum XpuError {
         budget: usize,
     },
     /// A kernel thread panicked; the launch failed but the worker pool
-    /// survived (the panic is caught per SPMD thread).
+    /// survived (the panic is caught per thread in a map launch, per
+    /// tile in a tile launch).
     KernelPanic {
         /// Device-wide launch ordinal of the failing kernel.
         kernel: u64,

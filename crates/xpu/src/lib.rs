@@ -22,29 +22,37 @@
 //! * [`scan`] — device-side primitives (exclusive prefix sum, reduce)
 //!   used by the two-phase parallel sweepline,
 //! * [`sort`] — device-side parallel merge sort (edge arrays are sorted
-//!   on the device before sweeping, as in X-Check),
-//! * [`ExecutionPolicy`] — the `odrc::execution::sequenced_policy` /
-//!   stream-executor dispatch of the paper's Listing 2, as a trait.
+//!   on the device before sweeping, as in X-Check).
+//!
+//! Kernels launch only on a stream, in one of three shapes: *map* (thread
+//! `i` owns `out[i]`), *tiles* (the kernel gets a contiguous range of
+//! threads per call) and *scatter tiles* (thread `i` owns the output
+//! range a prefix sum gave it). All three run one launch protocol: one
+//! ordinal tick, one dispatch, and panics caught inside the launch as
+//! [`XpuError::KernelPanic`]. Every stream op has a fallible `try_*`
+//! form returning [`XpuResult`].
 //!
 //! # Examples
 //!
 //! ```
-//! use odrc_xpu::{Device, LaunchConfig};
+//! use odrc_xpu::{Device, LaunchConfig, XpuResult};
 //!
-//! let device = Device::new(4);
-//! let stream = device.stream();
-//! let input = stream.upload((0..1000i64).collect::<Vec<_>>());
-//! let squares = stream.alloc::<i64>(1000);
-//! stream.launch_map(
-//!     LaunchConfig::for_threads(1000),
-//!     &squares,
-//!     move |ctx, out| {
-//!         let x = input.read()[ctx.global_id()];
-//!         *out = x * x;
-//!     },
-//! );
-//! let result = stream.download(&squares).wait();
-//! assert_eq!(result[7], 49);
+//! fn squares(device: &Device) -> XpuResult<Vec<i64>> {
+//!     let stream = device.stream();
+//!     let input = stream.try_upload((0..1000i64).collect::<Vec<_>>())?;
+//!     let squares = stream.try_alloc::<i64>(1000)?;
+//!     stream.try_launch_map(
+//!         LaunchConfig::for_threads(1000),
+//!         &squares,
+//!         move |ctx, out| {
+//!             let x = input.read()[ctx.global_id()];
+//!             *out = x * x;
+//!         },
+//!     )?;
+//!     stream.try_download(&squares)?.result()
+//! }
+//!
+//! assert_eq!(squares(&Device::new(4)).unwrap()[7], 49);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -53,7 +61,6 @@ pub mod buffer;
 pub mod device;
 pub mod error;
 pub mod fault;
-pub mod policy;
 pub mod scan;
 pub mod sort;
 pub mod stream;
@@ -62,5 +69,4 @@ pub use buffer::{BufferReadGuard, DeviceBuffer, Pending};
 pub use device::{Device, DeviceStats, LaunchConfig, ThreadCtx};
 pub use error::{TransferDirection, XpuError, XpuResult};
 pub use fault::{Fault, FaultPlan};
-pub use policy::{ExecutionPolicy, SequencedPolicy, StreamPolicy};
 pub use stream::{Event, LaunchBatch, Stream};

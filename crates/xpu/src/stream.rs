@@ -3,9 +3,9 @@
 //! OpenDRC "utilizes asynchronous operations and \[a\] Stream Ordered
 //! Memory Allocator to hide communication or computation latencies"
 //! (§V-C). A [`Stream`] executes its operations in enqueue order on a
-//! dedicated thread, so host code returns immediately from `upload` /
-//! `launch_map` / `download` calls and overlaps its own work (e.g.
-//! packing the next row's edges) with device work — the paper's
+//! dedicated thread, so host code returns immediately from `try_upload`
+//! / `try_launch_*` / `try_download` calls and overlaps its own work
+//! (e.g. packing the next row's edges) with device work — the paper's
 //! CPU/GPU latency-hiding pattern.
 //!
 //! # Failure model
@@ -17,9 +17,13 @@
 //! enqueue methods. Control operations (event signalling) still
 //! execute on a poisoned stream so waiters never deadlock. A poisoned
 //! stream stays poisoned; recovery means retrying on a fresh stream
-//! (streams are cheap). The legacy infallible methods are thin wrappers
-//! that panic on device errors, which is the correct behavior for
-//! callers that never install fault plans or budgets.
+//! (streams are cheap).
+//!
+//! Every op is built in one place, a [`LaunchBatch`] method; the
+//! `Stream::try_*` methods run it through an unfused batch, which
+//! submits immediately. `alloc`, `upload`, `download`, `launch_map`,
+//! `synchronize` and [`Pending::wait`] are `expect` wrappers over the
+//! fallible forms, kept for the benchmark harness.
 
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -187,8 +191,8 @@ impl Event {
 /// An ordered asynchronous command queue on a [`Device`].
 ///
 /// Operations enqueue and return immediately; they execute in order on
-/// the stream's worker thread. [`Stream::synchronize`] blocks until the
-/// queue drains. Dropping the stream waits for completion (the
+/// the stream's worker thread. [`Stream::try_synchronize`] blocks until
+/// the queue drains. Dropping the stream waits for completion (the
 /// destructor never drops queued work).
 ///
 /// See the [module docs](self) for the failure model: errors are sticky
@@ -273,107 +277,44 @@ impl Stream {
             .expect("stream worker alive until drop");
     }
 
-    fn submit_data(&self, op: &'static str, job: DataJob) {
-        self.submit(Cmd::Data { op, job });
-    }
-
-    /// Builds a stream-ordered allocation command without submitting
-    /// it. All synchronous failure paths (sticky check, alloc fault,
-    /// budget reservation) run here, on the caller thread, exactly as
-    /// they would for an immediate enqueue — a fused batch observes the
-    /// same errors at the same points.
-    fn alloc_cmd<T>(&self, len: usize) -> XpuResult<(DeviceBuffer<T>, Cmd)>
-    where
-        T: Default + Clone + Send + Sync + 'static,
-    {
-        self.check_sticky()?;
-        let bytes = len * std::mem::size_of::<T>();
-        if let Some(e) = self.device.fault_alloc(bytes) {
-            return Err(e);
-        }
-        let reservation = self.device.try_reserve(bytes)?;
-        let buf: DeviceBuffer<T> = DeviceBuffer::reserved(reservation);
-        let handle = buf.clone();
-        let cmd = Cmd::Data {
-            op: "alloc",
-            job: Box::new(move |_| {
-                handle.replace(vec![T::default(); len]);
-                Ok(())
-            }),
-        };
-        Ok((buf, cmd))
-    }
-
-    /// Fallible stream-ordered allocation: fails fast (without
+    /// Fallible stream-ordered allocation: the buffer handle is
+    /// returned immediately, and the default-initialization happens in
+    /// stream order, like `cudaMallocAsync`. Fails fast (without
     /// poisoning the stream) when the device's memory budget would be
-    /// exceeded or an alloc fault is injected, like a `cudaMallocAsync`
-    /// error return.
+    /// exceeded or an alloc fault is injected.
     pub fn try_alloc<T>(&self, len: usize) -> XpuResult<DeviceBuffer<T>>
     where
         T: Default + Clone + Send + Sync + 'static,
     {
-        let (buf, cmd) = self.alloc_cmd(len)?;
-        self.submit(cmd);
-        Ok(buf)
+        self.batch(false).try_alloc(len)
     }
 
-    /// Stream-ordered allocation: the buffer handle is returned
-    /// immediately, but the allocation (default-initialization) happens
-    /// in stream order, like `cudaMallocAsync`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on device errors (budget exhaustion, poisoned stream);
-    /// use [`Stream::try_alloc`] to recover instead.
+    /// [`Stream::try_alloc`], panicking on device errors.
     pub fn alloc<T>(&self, len: usize) -> DeviceBuffer<T>
     where
         T: Default + Clone + Send + Sync + 'static,
     {
-        self.try_alloc(len)
-            .unwrap_or_else(|e| panic!("device allocation failed: {e}"))
+        self.try_alloc(len).expect("device allocation failed")
     }
 
-    /// Fallible asynchronous host → device copy; fails fast on budget
-    /// exhaustion or an injected transfer fault, leaving the stream
-    /// healthy.
+    /// Fallible asynchronous host → device copy; the host vector is
+    /// moved into the operation. Fails fast on budget exhaustion or an
+    /// injected transfer fault, leaving the stream healthy.
     pub fn try_upload<T>(&self, data: Vec<T>) -> XpuResult<DeviceBuffer<T>>
     where
         T: Send + Sync + 'static,
     {
-        self.check_sticky()?;
-        let bytes = data.len() * std::mem::size_of::<T>();
-        if let Some(e) = self
-            .device
-            .fault_transfer(TransferDirection::HostToDevice, bytes)
-        {
-            return Err(e);
-        }
-        let reservation = self.device.try_reserve(bytes)?;
-        let buf: DeviceBuffer<T> = DeviceBuffer::reserved(reservation);
-        let handle = buf.clone();
-        self.submit_data(
-            "upload",
-            Box::new(move |device| {
-                device.stats().record_h2d(bytes);
-                handle.replace(data);
-                Ok(())
-            }),
-        );
-        Ok(buf)
+        let bytes = std::mem::size_of_val(data.as_slice());
+        self.batch(false)
+            .upload(bytes, move |buf| buf.replace(data))
     }
 
-    /// Asynchronous host → device copy; the host vector is moved into
-    /// the operation (no use-after-free by construction).
-    ///
-    /// # Panics
-    ///
-    /// Panics on device errors; use [`Stream::try_upload`] to recover.
+    /// [`Stream::try_upload`], panicking on device errors.
     pub fn upload<T>(&self, data: Vec<T>) -> DeviceBuffer<T>
     where
         T: Send + Sync + 'static,
     {
-        self.try_upload(data)
-            .unwrap_or_else(|e| panic!("device upload failed: {e}"))
+        self.try_upload(data).expect("device upload failed")
     }
 
     /// Fallible zero-copy host → device upload: the device buffer
@@ -391,51 +332,7 @@ impl Stream {
     where
         T: Send + Sync + 'static,
     {
-        let (buf, cmd) = self.upload_shared_cmd(data)?;
-        self.submit(cmd);
-        Ok(buf)
-    }
-
-    /// Builds a shared-upload command without submitting it; see
-    /// [`Stream::alloc_cmd`] for the split.
-    fn upload_shared_cmd<T>(&self, data: Arc<Vec<T>>) -> XpuResult<(DeviceBuffer<T>, Cmd)>
-    where
-        T: Send + Sync + 'static,
-    {
-        self.check_sticky()?;
-        let bytes = data.len() * std::mem::size_of::<T>();
-        if let Some(e) = self
-            .device
-            .fault_transfer(TransferDirection::HostToDevice, bytes)
-        {
-            return Err(e);
-        }
-        let reservation = self.device.try_reserve(bytes)?;
-        let buf: DeviceBuffer<T> = DeviceBuffer::reserved(reservation);
-        let handle = buf.clone();
-        let cmd = Cmd::Data {
-            op: "upload",
-            job: Box::new(move |device| {
-                device.stats().record_h2d(bytes);
-                handle.replace_shared(data);
-                Ok(())
-            }),
-        };
-        Ok((buf, cmd))
-    }
-
-    /// Zero-copy host → device upload; see [`Stream::try_upload_shared`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on device errors; use [`Stream::try_upload_shared`] to
-    /// recover.
-    pub fn upload_shared<T>(&self, data: Arc<Vec<T>>) -> DeviceBuffer<T>
-    where
-        T: Send + Sync + 'static,
-    {
-        self.try_upload_shared(data)
-            .unwrap_or_else(|e| panic!("device upload failed: {e}"))
+        self.batch(false).try_upload_shared(data)
     }
 
     /// Fallible asynchronous device → host copy. The returned
@@ -446,61 +343,25 @@ impl Stream {
     where
         T: Clone + Send + Sync + 'static,
     {
-        let (pending, cmd) = self.download_cmd(buf)?;
-        self.submit(cmd);
-        Ok(pending)
+        self.batch(false).try_download(buf)
     }
 
-    /// Builds a download command without submitting it; see
-    /// [`Stream::alloc_cmd`] for the split.
-    fn download_cmd<T>(&self, buf: &DeviceBuffer<T>) -> XpuResult<(Pending<Vec<T>>, Cmd)>
-    where
-        T: Clone + Send + Sync + 'static,
-    {
-        self.check_sticky()?;
-        let (tx, rx) = mpsc::channel();
-        let handle = buf.clone();
-        let err = Arc::clone(&self.err);
-        let cmd = Cmd::Data {
-            op: "download",
-            job: Box::new(move |device| {
-                let data = handle.to_vec();
-                let bytes = data.len() * std::mem::size_of::<T>();
-                if let Some(e) = device.fault_transfer(TransferDirection::DeviceToHost, bytes) {
-                    // Poison before `tx` drops so the waiting Pending
-                    // observes the error, not a bare disconnect.
-                    set_sticky(&err, e.clone());
-                    return Err(e);
-                }
-                device.stats().record_d2h(bytes);
-                let _ = tx.send(data);
-                Ok(())
-            }),
-        };
-        let pending = Pending::with_watch(rx, Arc::clone(&self.err), self.stall_watch());
-        Ok((pending, cmd))
-    }
-
-    /// Asynchronous device → host copy; the returned [`Pending`]
-    /// resolves when the stream reaches this operation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the stream is already poisoned; use
-    /// [`Stream::try_download`] to recover.
+    /// [`Stream::try_download`], panicking if the stream is already
+    /// poisoned.
     pub fn download<T>(&self, buf: &DeviceBuffer<T>) -> Pending<Vec<T>>
     where
         T: Clone + Send + Sync + 'static,
     {
-        self.try_download(buf)
-            .unwrap_or_else(|e| panic!("device download failed: {e}"))
+        self.try_download(buf).expect("device download failed")
     }
 
-    /// Fallibly enqueues a kernel launch where thread `i` owns `out[i]`
-    /// (see [`Device::try_launch_map_blocking`]). Enqueueing succeeds
-    /// on a healthy stream; a kernel panic during execution poisons the
-    /// stream and surfaces from [`Stream::try_synchronize`] or any
-    /// [`Pending::result`].
+    /// Fallibly enqueues a *map* kernel launch: thread `i` owns
+    /// `out[i]`, and each thread runs behind its own panic boundary.
+    /// Enqueueing succeeds on a healthy stream; a kernel panic during
+    /// execution poisons the stream and surfaces from
+    /// [`Stream::try_synchronize`] or any [`Pending::result`] as
+    /// [`XpuError::KernelPanic`], naming the launch ordinal and the
+    /// first panicking global thread id.
     pub fn try_launch_map<T, F>(
         &self,
         cfg: LaunchConfig,
@@ -511,34 +372,27 @@ impl Stream {
         T: Send + Sync + 'static,
         F: Fn(ThreadCtx, &mut T) + Send + Sync + 'static,
     {
-        let cmd = self.launch_map_cmd(cfg, out, kernel)?;
-        self.submit(cmd);
-        Ok(())
+        self.batch(false).try_launch_map(cfg, out, kernel)
     }
 
-    /// Builds a map-launch command without submitting it; see
-    /// [`Stream::alloc_cmd`] for the split.
-    fn launch_map_cmd<T, F>(
-        &self,
-        cfg: LaunchConfig,
-        out: &DeviceBuffer<T>,
-        kernel: F,
-    ) -> XpuResult<Cmd>
+    /// [`Stream::try_launch_map`], panicking if the stream is already
+    /// poisoned.
+    pub fn launch_map<T, F>(&self, cfg: LaunchConfig, out: &DeviceBuffer<T>, kernel: F)
     where
         T: Send + Sync + 'static,
         F: Fn(ThreadCtx, &mut T) + Send + Sync + 'static,
     {
-        self.check_sticky()?;
-        let out = out.clone();
-        Ok(Cmd::Data {
-            op: "launch_map",
-            job: Box::new(move |device| device.try_launch_map_blocking(cfg, &out, kernel)),
-        })
+        self.try_launch_map(cfg, out, kernel)
+            .expect("device launch failed");
     }
 
     /// Fallibly enqueues a *tile* kernel launch: the kernel receives
-    /// whole contiguous ranges of `out` instead of one call per element
-    /// (see [`Device::try_launch_tiles_blocking`]).
+    /// whole contiguous ranges of `out` (one call per dispatch chunk)
+    /// instead of one call per element, so the panic boundary is paid
+    /// once per tile. Ordinals tick once per launch, and an injected
+    /// per-thread fault still fires for exactly its thread (the tile is
+    /// split around it); a genuine tile panic names the tile's first
+    /// global id.
     pub fn try_launch_tiles<T, F>(
         &self,
         cfg: LaunchConfig,
@@ -549,33 +403,13 @@ impl Stream {
         T: Send + Sync + 'static,
         F: Fn(std::ops::Range<usize>, &mut [T]) + Send + Sync + 'static,
     {
-        let cmd = self.launch_tiles_cmd(cfg, out, kernel)?;
-        self.submit(cmd);
-        Ok(())
+        self.batch(false).try_launch_tiles(cfg, out, kernel)
     }
 
-    /// Builds a tile-launch command without submitting it.
-    fn launch_tiles_cmd<T, F>(
-        &self,
-        cfg: LaunchConfig,
-        out: &DeviceBuffer<T>,
-        kernel: F,
-    ) -> XpuResult<Cmd>
-    where
-        T: Send + Sync + 'static,
-        F: Fn(std::ops::Range<usize>, &mut [T]) + Send + Sync + 'static,
-    {
-        self.check_sticky()?;
-        let out = out.clone();
-        Ok(Cmd::Data {
-            op: "launch_tiles",
-            job: Box::new(move |device| device.try_launch_tiles_blocking(cfg, &out, kernel)),
-        })
-    }
-
-    /// Fallibly enqueues a *scatter tile* kernel launch: the kernel
-    /// receives contiguous tiles of per-thread output slices (see
-    /// [`Device::try_launch_scatter_tiles_blocking`]).
+    /// Fallibly enqueues a *scatter tile* kernel launch: thread `i`
+    /// owns `out[offsets[i]..offsets[i + 1]]`, and the kernel receives
+    /// a tile of those slices per call, with the tile semantics of
+    /// [`Stream::try_launch_tiles`].
     pub fn try_launch_scatter_tiles<T, F>(
         &self,
         cfg: LaunchConfig,
@@ -587,106 +421,8 @@ impl Stream {
         T: Send + Sync + 'static,
         F: Fn(std::ops::Range<usize>, &mut [&mut [T]]) + Send + Sync + 'static,
     {
-        let cmd = self.launch_scatter_tiles_cmd(cfg, out, offsets, kernel)?;
-        self.submit(cmd);
-        Ok(())
-    }
-
-    /// Builds a scatter-tile-launch command without submitting it.
-    fn launch_scatter_tiles_cmd<T, F>(
-        &self,
-        cfg: LaunchConfig,
-        out: &DeviceBuffer<T>,
-        offsets: Vec<usize>,
-        kernel: F,
-    ) -> XpuResult<Cmd>
-    where
-        T: Send + Sync + 'static,
-        F: Fn(std::ops::Range<usize>, &mut [&mut [T]]) + Send + Sync + 'static,
-    {
-        self.check_sticky()?;
-        let out = out.clone();
-        Ok(Cmd::Data {
-            op: "launch_scatter_tiles",
-            job: Box::new(move |device| {
-                device.try_launch_scatter_tiles_blocking(cfg, &out, &offsets, kernel)
-            }),
-        })
-    }
-
-    /// Enqueues a kernel launch where thread `i` owns `out[i]`
-    /// (see [`Device::launch_map_blocking`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the stream is already poisoned; a kernel panic during
-    /// execution poisons the stream and panics later waits.
-    pub fn launch_map<T, F>(&self, cfg: LaunchConfig, out: &DeviceBuffer<T>, kernel: F)
-    where
-        T: Send + Sync + 'static,
-        F: Fn(ThreadCtx, &mut T) + Send + Sync + 'static,
-    {
-        self.try_launch_map(cfg, out, kernel)
-            .unwrap_or_else(|e| panic!("device launch failed: {e}"));
-    }
-
-    /// Fallibly enqueues a scatter kernel launch where thread `i` owns
-    /// `out[offsets[i]..offsets[i + 1]]`
-    /// (see [`Device::try_launch_scatter_blocking`]).
-    pub fn try_launch_scatter<T, F>(
-        &self,
-        cfg: LaunchConfig,
-        out: &DeviceBuffer<T>,
-        offsets: Vec<usize>,
-        kernel: F,
-    ) -> XpuResult<()>
-    where
-        T: Send + Sync + 'static,
-        F: Fn(ThreadCtx, &mut [T]) + Send + Sync + 'static,
-    {
-        self.check_sticky()?;
-        let out = out.clone();
-        self.submit_data(
-            "launch_scatter",
-            Box::new(move |device| device.try_launch_scatter_blocking(cfg, &out, &offsets, kernel)),
-        );
-        Ok(())
-    }
-
-    /// Enqueues a scatter kernel launch where thread `i` owns
-    /// `out[offsets[i]..offsets[i + 1]]`
-    /// (see [`Device::launch_scatter_blocking`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the stream is already poisoned.
-    pub fn launch_scatter<T, F>(
-        &self,
-        cfg: LaunchConfig,
-        out: &DeviceBuffer<T>,
-        offsets: Vec<usize>,
-        kernel: F,
-    ) where
-        T: Send + Sync + 'static,
-        F: Fn(ThreadCtx, &mut [T]) + Send + Sync + 'static,
-    {
-        self.try_launch_scatter(cfg, out, offsets, kernel)
-            .unwrap_or_else(|e| panic!("device launch failed: {e}"));
-    }
-
-    /// Enqueues an arbitrary device-side operation (used by the scan
-    /// primitives and by tests). Skipped if the stream is poisoned.
-    pub fn enqueue<F>(&self, op: F)
-    where
-        F: FnOnce(&Device) + Send + 'static,
-    {
-        self.submit_data(
-            "enqueue",
-            Box::new(move |device| {
-                op(device);
-                Ok(())
-            }),
-        );
+        self.batch(false)
+            .try_launch_scatter_tiles(cfg, out, offsets, kernel)
     }
 
     /// Records `event` in stream order: it triggers once all previously
@@ -694,24 +430,14 @@ impl Stream {
     /// stream's sticky error, if any, and fires even on a poisoned
     /// stream (a control operation), so waiters never deadlock.
     pub fn record_event(&self, event: &Event) {
-        let cmd = self.record_event_cmd(event);
-        self.submit(cmd);
-    }
-
-    /// Builds a record-event control command without submitting it.
-    fn record_event_cmd(&self, event: &Event) -> Cmd {
-        let event = event.clone();
-        let err = Arc::clone(&self.err);
-        Cmd::Control(Box::new(move |_| {
-            event.set_with(err.lock().clone());
-        }))
+        self.batch(false).record_event(event);
     }
 
     /// Makes this stream wait (in stream order) for `event`. A control
     /// operation: it preserves cross-stream ordering even when this
     /// stream is poisoned, and is never a fault-injection target.
     pub fn wait_event(&self, event: &Event) {
-        self.submit(wait_event_cmd(event));
+        self.batch(false).wait_event(event);
     }
 
     /// Opens a batched enqueue scope on this stream. With `fused =
@@ -759,16 +485,9 @@ impl Stream {
         }
     }
 
-    /// Blocks until every previously enqueued operation has completed,
-    /// mirroring `cudaStreamSynchronize`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the stream failed; use [`Stream::try_synchronize`] to
-    /// recover.
+    /// [`Stream::try_synchronize`], panicking if the stream failed.
     pub fn synchronize(&self) {
-        self.try_synchronize()
-            .unwrap_or_else(|e| panic!("stream failed: {e}"));
+        self.try_synchronize().expect("stream failed");
     }
 }
 
@@ -782,22 +501,15 @@ impl Drop for Stream {
     }
 }
 
-/// Builds a wait-event control command (free function: it does not
-/// capture any stream state).
-fn wait_event_cmd(event: &Event) -> Cmd {
-    let event = event.clone();
-    Cmd::Control(Box::new(move |_| event.wait()))
-}
-
-/// A batched enqueue scope created by [`Stream::batch`].
+/// A batched enqueue scope created by [`Stream::batch`], and the one
+/// place each stream op is built.
 ///
-/// Mirrors the stream's fallible enqueue API; every synchronous check
-/// (sticky error, fault ordinal, budget reservation) runs at the call,
-/// on the caller thread, exactly as an immediate enqueue would — only
-/// the handoff to the worker is deferred and packed. Flushing (or
-/// dropping) a fused batch with two or more commands submits one
-/// [`Cmd::Fused`] and credits the contained kernel launches to
-/// [`DeviceStats::launches_fused`].
+/// Every synchronous check (sticky error, fault ordinal, budget
+/// reservation) runs at the call, on the caller thread, exactly as an
+/// immediate enqueue would — only the handoff to the worker is deferred
+/// and packed. Flushing (or dropping) a fused batch with two or more
+/// commands submits one [`Cmd::Fused`] and credits the contained kernel
+/// launches to [`DeviceStats::launches_fused`].
 ///
 /// [`DeviceStats::launches_fused`]: crate::DeviceStats::launches_fused
 pub struct LaunchBatch<'s> {
@@ -808,11 +520,6 @@ pub struct LaunchBatch<'s> {
 }
 
 impl LaunchBatch<'_> {
-    /// The stream this batch enqueues onto.
-    pub fn stream(&self) -> &Stream {
-        self.stream
-    }
-
     fn push(&mut self, cmd: Cmd) {
         if self.fused {
             self.cmds.push(cmd);
@@ -826,9 +533,13 @@ impl LaunchBatch<'_> {
     where
         T: Default + Clone + Send + Sync + 'static,
     {
-        let (buf, cmd) = self.stream.alloc_cmd(len)?;
-        self.push(cmd);
-        Ok(buf)
+        let bytes = len * std::mem::size_of::<T>();
+        self.reserve_cmd(
+            "alloc",
+            bytes,
+            |device| device.fault_alloc(bytes),
+            move |_, buf| buf.replace(vec![T::default(); len]),
+        )
     }
 
     /// Batched [`Stream::try_upload_shared`].
@@ -836,8 +547,61 @@ impl LaunchBatch<'_> {
     where
         T: Send + Sync + 'static,
     {
-        let (buf, cmd) = self.stream.upload_shared_cmd(data)?;
-        self.push(cmd);
+        let bytes = std::mem::size_of_val(data.as_slice());
+        self.upload(bytes, move |buf| buf.replace_shared(data))
+    }
+
+    /// The upload op, plain or zero-copy: `store` fills the buffer in
+    /// stream order.
+    fn upload<T>(
+        &mut self,
+        bytes: usize,
+        store: impl FnOnce(&DeviceBuffer<T>) + Send + 'static,
+    ) -> XpuResult<DeviceBuffer<T>>
+    where
+        T: Send + Sync + 'static,
+    {
+        self.reserve_cmd(
+            "upload",
+            bytes,
+            |device| device.fault_transfer(TransferDirection::HostToDevice, bytes),
+            move |device, buf| {
+                device.stats().record_h2d(bytes);
+                store(buf);
+            },
+        )
+    }
+
+    /// The ops that produce a budgeted buffer (alloc, upload): the
+    /// sticky check, the op's fault hook and the budget reservation run
+    /// here, on the caller thread, and fail fast without poisoning the
+    /// stream; `store` materializes the buffer in stream order. `fault`
+    /// is a closure so that its ordinal ticks only once the sticky check
+    /// has passed.
+    fn reserve_cmd<T>(
+        &mut self,
+        op: &'static str,
+        bytes: usize,
+        fault: impl FnOnce(&Device) -> Option<XpuError>,
+        store: impl FnOnce(&Device, &DeviceBuffer<T>) + Send + 'static,
+    ) -> XpuResult<DeviceBuffer<T>>
+    where
+        T: Send + Sync + 'static,
+    {
+        let device = &self.stream.device;
+        self.stream.check_sticky()?;
+        if let Some(e) = fault(device) {
+            return Err(e);
+        }
+        let buf: DeviceBuffer<T> = DeviceBuffer::reserved(device.try_reserve(bytes)?);
+        let handle = buf.clone();
+        self.push(Cmd::Data {
+            op,
+            job: Box::new(move |device| {
+                store(device, &handle);
+                Ok(())
+            }),
+        });
         Ok(buf)
     }
 
@@ -846,9 +610,32 @@ impl LaunchBatch<'_> {
     where
         T: Clone + Send + Sync + 'static,
     {
-        let (pending, cmd) = self.stream.download_cmd(buf)?;
-        self.push(cmd);
-        Ok(pending)
+        let stream = self.stream;
+        stream.check_sticky()?;
+        let (tx, rx) = mpsc::channel();
+        let handle = buf.clone();
+        let err = Arc::clone(&stream.err);
+        self.push(Cmd::Data {
+            op: "download",
+            job: Box::new(move |device| {
+                let data = handle.to_vec();
+                let bytes = data.len() * std::mem::size_of::<T>();
+                if let Some(e) = device.fault_transfer(TransferDirection::DeviceToHost, bytes) {
+                    // Poison before `tx` drops so the waiting Pending
+                    // observes the error, not a bare disconnect.
+                    set_sticky(&err, e.clone());
+                    return Err(e);
+                }
+                device.stats().record_d2h(bytes);
+                let _ = tx.send(data);
+                Ok(())
+            }),
+        });
+        Ok(Pending::with_watch(
+            rx,
+            Arc::clone(&stream.err),
+            stream.stall_watch(),
+        ))
     }
 
     /// Batched [`Stream::try_launch_map`].
@@ -862,10 +649,10 @@ impl LaunchBatch<'_> {
         T: Send + Sync + 'static,
         F: Fn(ThreadCtx, &mut T) + Send + Sync + 'static,
     {
-        let cmd = self.stream.launch_map_cmd(cfg, out, kernel)?;
-        self.launches += 1;
-        self.push(cmd);
-        Ok(())
+        let out = out.clone();
+        self.launch_cmd("launch_map", move |device| {
+            device.try_launch_threads_blocking(cfg, &out, kernel)
+        })
     }
 
     /// Batched [`Stream::try_launch_tiles`].
@@ -879,10 +666,10 @@ impl LaunchBatch<'_> {
         T: Send + Sync + 'static,
         F: Fn(std::ops::Range<usize>, &mut [T]) + Send + Sync + 'static,
     {
-        let cmd = self.stream.launch_tiles_cmd(cfg, out, kernel)?;
-        self.launches += 1;
-        self.push(cmd);
-        Ok(())
+        let out = out.clone();
+        self.launch_cmd("launch_tiles", move |device| {
+            device.try_launch_tiles_blocking(cfg, &out, kernel)
+        })
     }
 
     /// Batched [`Stream::try_launch_scatter_tiles`].
@@ -897,23 +684,42 @@ impl LaunchBatch<'_> {
         T: Send + Sync + 'static,
         F: Fn(std::ops::Range<usize>, &mut [&mut [T]]) + Send + Sync + 'static,
     {
-        let cmd = self
-            .stream
-            .launch_scatter_tiles_cmd(cfg, out, offsets, kernel)?;
+        let out = out.clone();
+        self.launch_cmd("launch_scatter_tiles", move |device| {
+            device.try_launch_scatter_tiles_blocking(cfg, &out, &offsets, kernel)
+        })
+    }
+
+    /// The kernel launch ops: enqueueing fails only on a poisoned
+    /// stream; `launch` runs on the worker, where a kernel panic
+    /// poisons the stream.
+    fn launch_cmd(
+        &mut self,
+        op: &'static str,
+        launch: impl FnOnce(&Device) -> XpuResult<()> + Send + 'static,
+    ) -> XpuResult<()> {
+        self.stream.check_sticky()?;
         self.launches += 1;
-        self.push(cmd);
+        self.push(Cmd::Data {
+            op,
+            job: Box::new(launch),
+        });
         Ok(())
     }
 
     /// Batched [`Stream::record_event`].
     pub fn record_event(&mut self, event: &Event) {
-        let cmd = self.stream.record_event_cmd(event);
-        self.push(cmd);
+        let event = event.clone();
+        let err = Arc::clone(&self.stream.err);
+        self.push(Cmd::Control(Box::new(move |_| {
+            event.set_with(err.lock().clone());
+        })));
     }
 
     /// Batched [`Stream::wait_event`].
     pub fn wait_event(&mut self, event: &Event) {
-        self.push(wait_event_cmd(event));
+        let event = event.clone();
+        self.push(Cmd::Control(Box::new(move |_| event.wait())));
     }
 
     /// Submits everything accumulated so far. A single pending command
@@ -944,6 +750,24 @@ impl LaunchBatch<'_> {
 impl Drop for LaunchBatch<'_> {
     fn drop(&mut self) {
         self.flush();
+    }
+}
+
+#[cfg(test)]
+impl Stream {
+    /// Enqueues an arbitrary device-side operation (the stream-ordering
+    /// tests use it). Skipped if the stream is poisoned.
+    pub(crate) fn enqueue<F>(&self, op: F)
+    where
+        F: FnOnce(&Device) + Send + 'static,
+    {
+        self.submit(Cmd::Data {
+            op: "enqueue",
+            job: Box::new(move |device| {
+                op(device);
+                Ok(())
+            }),
+        });
     }
 }
 
@@ -981,7 +805,7 @@ mod tests {
         let device = Device::new(2);
         let stream = device.stream();
         let host = Arc::new((0..64u32).collect::<Vec<_>>());
-        let buf = stream.upload_shared(Arc::clone(&host));
+        let buf = stream.try_upload_shared(Arc::clone(&host)).unwrap();
         let out = stream.alloc::<u32>(64);
         let kernel_buf = buf.clone();
         stream.launch_map(LaunchConfig::for_threads(64), &out, move |ctx, slot| {
@@ -1018,25 +842,6 @@ mod tests {
         let result = stream.download(&out).wait();
         assert_eq!(result[0], 0);
         assert_eq!(result[256], 512);
-    }
-
-    #[test]
-    fn scatter_launch_writes_ranges() {
-        let device = Device::new(2);
-        let stream = device.stream();
-        let out = stream.alloc::<usize>(6);
-        // Thread 0 owns [0..1), thread 1 owns [1..4), thread 2 owns [4..6).
-        stream.launch_scatter(
-            LaunchConfig::for_threads(3),
-            &out,
-            vec![0, 1, 4, 6],
-            |ctx, slice| {
-                for s in slice.iter_mut() {
-                    *s = ctx.global_id() + 1;
-                }
-            },
-        );
-        assert_eq!(stream.download(&out).wait(), vec![1, 2, 2, 2, 3, 3]);
     }
 
     #[test]
