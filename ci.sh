@@ -65,6 +65,13 @@ for root in crates/*/src/lib.rs; do
     [ "$root" = crates/infra/src/lib.rs ] && continue
     grep -q '^#!\[forbid(unsafe_code)\]' "$root" || { echo "$root does not forbid unsafe_code"; exit 1; }
 done
+# One recovery path: a failed device unit is recovered inside the collect
+# that saw it. No deferred queue, no routed drain, no deferred finalize,
+# and no retry knobs.
+if grep -rnE 'RecoveryUnit|RecoveryWork|drain_recovery|recovery_pending_for|maybe_finalize|rule_indices_by_name|max_device_retries|retry_backoff_ms' crates/*/src; then
+    echo "the deferred device-recovery queue or its retry options are back in crates/*/src"
+    exit 1
+fi
 calls=$(grep -rn 'cross_space(' crates/core/src | grep -vc 'fn cross_space(')
 [ "$calls" -eq 1 ] || { echo "expected one cross_space( call site in crates/core/src, found $calls"; exit 1; }
 # Ablations are not engine options: the planner, fused dispatch and the
@@ -249,6 +256,36 @@ if grep -q '"rules_resumed": *0[,}]' target/ci-resume/second.json; then
 fi
 cmp target/ci-resume/first.csv target/ci-resume/second.csv \
     || { echo "resumed reports differ"; exit 1; }
+
+echo "== device fault smoke (--parallel --fault-seed N: report == fault-free, exit 1, degradation visible)"
+# Seeded device faults end to end at the CLI level: every faulted run's
+# report must be byte-identical to the fault-free one, the exit code
+# stays 1 (violations take precedence over degradation), and at least
+# one seed must show recovery work in --stats-json.
+status=0
+./target/release/odrc target/ci-resume/aes.gds \
+    --rules target/ci-resume/beol.rules --parallel \
+    --report target/ci-resume/fault-free.csv --max-print 0 \
+    >/dev/null 2>&1 || status=$?
+[ "$status" -eq 1 ] || { echo "expected exit 1 from the fault-free run, got $status"; exit 1; }
+recovered=0
+for seed in 1 2 3 4 5; do
+    status=0
+    ./target/release/odrc target/ci-resume/aes.gds \
+        --rules target/ci-resume/beol.rules --parallel --fault-seed "$seed" \
+        --report target/ci-resume/fault-$seed.csv \
+        --stats-json target/ci-resume/fault-$seed.json --max-print 0 \
+        >/dev/null 2>&1 || status=$?
+    [ "$status" -eq 1 ] || { echo "expected exit 1 from --fault-seed $seed, got $status"; exit 1; }
+    cmp target/ci-resume/fault-free.csv target/ci-resume/fault-$seed.csv \
+        || { echo "--fault-seed $seed changed the report"; exit 1; }
+    retries=$(sed -n 's/.*"device_retries": *\([0-9][0-9]*\).*/\1/p' target/ci-resume/fault-$seed.json)
+    fallbacks=$(sed -n 's/.*"device_fallbacks": *\([0-9][0-9]*\).*/\1/p' target/ci-resume/fault-$seed.json)
+    [ -n "$retries" ] && [ -n "$fallbacks" ] \
+        || { echo "--fault-seed $seed: no device_retries / device_fallbacks in --stats-json"; exit 1; }
+    recovered=$((recovered + retries + fallbacks))
+done
+[ "$recovered" -gt 0 ] || { echo "no --fault-seed run recovered any device work"; exit 1; }
 
 echo "== parallel row-pack smoke (two rules on one row set: report == sequential, edges_packed below the flat pack)"
 # The hierarchical pack at the CLI level: two M1 spacing rules whose

@@ -34,11 +34,11 @@
 //! The windowed re-run is the engine's own pipeline: the rule family's
 //! [`interaction`](crate::rules::RuleFamily::interaction) distance is
 //! the halo, and the mode's one dispatcher (`sequential::check_rule`,
-//! or `parallel::issue_rule` → `collect_rule` → `drain_recovery`) takes
-//! the window as an argument. A delta run opens and closes with the
-//! same `begin_run` / `finish_run` pair as a full check, so it honours
-//! the cancel token on the device and reports the same dispatch
-//! counters and `device-wait-wall` phase.
+//! or `parallel::issue_rule` → `collect_rule`) takes the window as an
+//! argument. A delta run opens and closes with the same `begin_run` /
+//! `finish_run` pair as a full check, so it honours the cancel token on
+//! the device and reports the same dispatch counters and
+//! `device-wait-wall` phase.
 
 use std::collections::HashMap;
 
@@ -493,7 +493,6 @@ impl Engine {
             Mode::Parallel => {
                 let issued = parallel::issue_rule(ctx, self.device.stream(), rule, window);
                 parallel::collect_rule(ctx, issued, &mut fresh);
-                parallel::drain_recovery(ctx, &self.device, &mut fresh);
             }
         }
         match window {

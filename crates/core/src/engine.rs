@@ -33,13 +33,6 @@ pub struct EngineOptions {
     /// Row edge count at or below which the parallel mode uses the
     /// brute-force executor instead of the sweepline executor (§IV-E).
     pub sweep_threshold: usize,
-    /// Device attempts per failed work unit (row or rule) before the
-    /// engine gives up on the device and recomputes on the host. Zero
-    /// falls back immediately.
-    pub max_device_retries: usize,
-    /// Base delay of the capped exponential backoff between device
-    /// retries, in milliseconds.
-    pub retry_backoff_ms: u64,
     /// Worker threads for the shared host executor that fans out scene
     /// builds, partition assignment, row packing, the row-parallel
     /// sequential checks, and violation canonicalization.
@@ -97,8 +90,6 @@ impl Default for EngineOptions {
             pruning: true,
             partition: true,
             sweep_threshold: 512,
-            max_device_retries: 2,
-            retry_backoff_ms: 1,
             host_threads: None,
             shared_pool: None,
             memory_budget: None,
@@ -339,13 +330,14 @@ impl Engine {
     }
 
     /// Attaches a cooperative [`CancelToken`]. While a check runs, the
-    /// engine polls the token at every rule boundary (and the deferred
-    /// recovery drain between units): once it trips — SIGINT/SIGTERM
-    /// via [`odrc_infra::install_signal_handlers`], a wall-clock
-    /// deadline, or an explicit [`CancelToken::cancel`] — the engine
-    /// stops issuing new rules, drains in-flight device work, marks
-    /// unfinished rules [`RuleStatus::Interrupted`], and returns a
-    /// report with [`CheckReport::interrupted`] set.
+    /// engine polls the token at every rule boundary: once it trips —
+    /// SIGINT/SIGTERM via [`odrc_infra::install_signal_handlers`], a
+    /// wall-clock deadline, or an explicit [`CancelToken::cancel`] —
+    /// the engine stops issuing new rules, collects and completes the
+    /// rules already in flight (a failed device unit among them is
+    /// recomputed on the host), marks unfinished rules
+    /// [`RuleStatus::Interrupted`], and returns a report with
+    /// [`CheckReport::interrupted`] set.
     #[must_use]
     pub fn with_cancel(mut self, cancel: CancelToken) -> Engine {
         self.cancel = Some(cancel);
@@ -465,9 +457,6 @@ impl Engine {
         // upgrades it, so a cancelled run reports exactly the rules it
         // never finished without extra bookkeeping.
         let mut status = vec![RuleStatus::Interrupted; rules.len()];
-        // Rules whose collect ran (parallel mode): they are candidates
-        // for finalization once their deferred recovery units drain.
-        let mut collected = vec![false; rules.len()];
         let mut interrupted: Option<CancelReason> = None;
         let violations;
         {
@@ -547,7 +536,8 @@ impl Engine {
                     // One stream per rule: stream errors are sticky, so
                     // a fault during one rule must not poison the rest
                     // of the deck (failed work is recovered per row
-                    // inside each rule). Rules are issued ahead of
+                    // inside each rule's collect, which returns the
+                    // rule complete). Rules are issued ahead of
                     // collection so independent device work overlaps
                     // across streams, with synchronization deferred to
                     // each rule's collect (§IV-E, §V-C). In-flight
@@ -581,15 +571,13 @@ impl Engine {
                         if inflight.len() >= window {
                             let (ci, fl) = inflight.pop_front().expect("window is non-empty");
                             parallel::collect_rule(&mut ctx, fl, &mut per_rule[ci]);
-                            collected[ci] = true;
-                            maybe_finalize(
+                            finalize_rule(
                                 &mut ctx,
                                 &mut journal,
                                 &self.progress,
-                                rules,
-                                ci,
-                                &mut per_rule,
-                                &mut status,
+                                &rules[ci],
+                                &mut per_rule[ci],
+                                &mut status[ci],
                             );
                         }
                         let stream = self.device.stream();
@@ -598,57 +586,14 @@ impl Engine {
                     }
                     for (ci, fl) in inflight {
                         parallel::collect_rule(&mut ctx, fl, &mut per_rule[ci]);
-                        collected[ci] = true;
-                        maybe_finalize(
+                        finalize_rule(
                             &mut ctx,
                             &mut journal,
                             &self.progress,
-                            rules,
-                            ci,
-                            &mut per_rule,
-                            &mut status,
+                            &rules[ci],
+                            &mut per_rule[ci],
+                            &mut status[ci],
                         );
-                    }
-                    // Failed work units were deferred so healthy rules
-                    // could keep draining; retry them (with backoff
-                    // deadlines) or fall back to the host now. Under
-                    // cancellation the queue is abandoned instead and
-                    // the affected rules downgraded to Interrupted.
-                    let by_name = rule_indices_by_name(rules);
-                    let abandoned = {
-                        let per_rule = &mut per_rule;
-                        parallel::drain_recovery_routed(
-                            &mut ctx,
-                            &self.device,
-                            self.cancel.as_ref(),
-                            &mut |name, vs| {
-                                if let Some(&ri) = by_name.get(name) {
-                                    per_rule[ri].extend(vs);
-                                }
-                            },
-                        )
-                    };
-                    if !abandoned.is_empty() {
-                        poll_cancel(&self.cancel, &mut interrupted);
-                    }
-                    // Rules whose deferred recovery units all drained
-                    // are now final: canonicalize and journal them.
-                    // Abandoned rules stay Interrupted — their partial
-                    // results are discarded below.
-                    for (ri, rule) in rules.iter().enumerate() {
-                        if collected[ri]
-                            && status[ri] == RuleStatus::Interrupted
-                            && !abandoned.iter().any(|n| n == &rule.name)
-                        {
-                            finalize_rule(
-                                &mut ctx,
-                                &mut journal,
-                                &self.progress,
-                                rule,
-                                &mut per_rule[ri],
-                                &mut status[ri],
-                            );
-                        }
                     }
                 }
             }
@@ -670,13 +615,6 @@ impl Engine {
                 crate::violation::canonicalize_on(&host, all)
             };
             self.finish_run(&mut ctx, scope);
-        }
-        // Safety net: an abandoned drain can interrupt rules even when
-        // every boundary poll passed beforehand; report it faithfully.
-        if interrupted.is_none() && status.contains(&RuleStatus::Interrupted) {
-            if let Some(tok) = &self.cancel {
-                interrupted = tok.cancelled();
-            }
         }
         CheckReport {
             violations,
@@ -743,6 +681,10 @@ impl Engine {
             shard::check_rule_sharded(ctx, &self.device, rule, journal, self.cancel.as_ref(), buf);
         if run == ShardRun::Done {
             finalize_rule(ctx, journal, &self.progress, rule, buf, status);
+        } else if self.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
+            // The shard loop saw the token trip mid-rule: latch the
+            // reason here, since this may have been the last rule.
+            poll_cancel(&self.cancel, interrupted);
         }
     }
 }
@@ -823,38 +765,4 @@ fn finalize_rule(
             }
         }
     }
-}
-
-/// Finalizes a just-collected rule unless it still has work parked in
-/// the deferred recovery queue — those rules are finalized (or
-/// abandoned) after the drain.
-fn maybe_finalize(
-    ctx: &mut RunContext<'_>,
-    journal: &mut Option<&mut CheckpointJournal>,
-    progress: &Option<ProgressFn>,
-    rules: &[Rule],
-    ri: usize,
-    per_rule: &mut [Vec<Violation>],
-    status: &mut [RuleStatus],
-) {
-    if !parallel::recovery_pending_for(ctx, &rules[ri].name) {
-        finalize_rule(
-            ctx,
-            journal,
-            progress,
-            &rules[ri],
-            &mut per_rule[ri],
-            &mut status[ri],
-        );
-    }
-}
-
-/// Name → deck index, first occurrence winning, for routing recovered
-/// violations and abandoned-rule names back to per-rule buffers.
-fn rule_indices_by_name(rules: &[Rule]) -> std::collections::HashMap<&str, usize> {
-    let mut map = std::collections::HashMap::new();
-    for (ri, rule) in rules.iter().enumerate() {
-        map.entry(rule.name.as_str()).or_insert(ri);
-    }
-    map
 }

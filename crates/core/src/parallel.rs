@@ -34,31 +34,30 @@
 //! overlap across streams with one deferred synchronization per stream
 //! (§V-C); the [planner](crate::plan) additionally keeps packed row
 //! buffers device-resident so N rules on one layer upload once. The
-//! delta checker runs the same three calls per rule — [`issue_rule`]
-//! with the edit's window, [`collect_rule`], [`drain_recovery`].
+//! delta checker runs the same two calls per rule — [`issue_rule`]
+//! with the edit's window, then [`collect_rule`].
 //!
 //! # Graceful degradation
 //!
 //! Every device interaction goes through the fallible `try_*` APIs.
 //! When an operation fails (OOM against the device budget, a kernel
-//! panic, a stalled or poisoned stream), the engine salvages the rows
-//! that already completed and defers the failed work units onto the
-//! run's [`RecoveryUnit`] queue. After every rule has collected, the
-//! queue is drained: each unit is retried on a fresh stream under a
-//! capped backoff **deadline** ([`EngineOptions::max_device_retries`],
-//! checked at drain time rather than slept inline, so healthy rules
-//! keep draining), and stubborn units are recomputed on the host with
-//! the same check logic — so the final violation set is identical to a
-//! fault-free device run. Retries and fallbacks are tallied in
-//! [`EngineStats::device_retries`] / [`EngineStats::device_fallbacks`].
+//! panic, a stalled or poisoned stream), the collect half that sees the
+//! failure keeps the rows that already completed and [`recover`]s each
+//! failed work unit — a spacing row or template, or a whole width, area
+//! or pair rule — on the spot: up to [`DEVICE_RETRIES`] complete device
+//! attempts, each on a fresh stream, then a recomputation on the host
+//! with the same check logic. The final violation set is therefore
+//! identical to a fault-free device run, and [`collect_rule`] returns
+//! only once its rule is complete. Injected faults are one-shot, so the
+//! attempts follow each other without a backoff. Retries and fallbacks
+//! are tallied in [`EngineStats::device_retries`] /
+//! [`EngineStats::device_fallbacks`].
 //!
-//! [`EngineOptions::max_device_retries`]: crate::EngineOptions::max_device_retries
 //! [`EngineStats::device_retries`]: crate::EngineStats::device_retries
 //! [`EngineStats::device_fallbacks`]: crate::EngineStats::device_fallbacks
 
 use std::ops::Range;
 use std::sync::Arc;
-use std::time::Duration;
 
 use odrc_db::Layer;
 use odrc_geometry::{Polygon, Rect};
@@ -326,13 +325,13 @@ pub(crate) fn issue_rule(
 
 /// Waits for an issued rule's device results, runs the second
 /// (scan+emit) phase where needed, recovers failed work units, and
-/// drains the rule's stream.
+/// drains the rule's stream. On return the rule is complete.
 pub(crate) fn collect_rule(ctx: &mut RunContext<'_>, fl: InFlightRule, out: &mut Vec<Violation>) {
     let InFlightRule { stream, kind } = fl;
     match kind {
         InFlightKind::Space(issue) => collect_space(ctx, &stream, issue, out),
-        InFlightKind::Intra(issue) => collect_intra(ctx, issue, out),
-        InFlightKind::Pairs(issue) => collect_pairs(ctx, issue, out),
+        InFlightKind::Intra(issue) => collect_intra(ctx, stream.device(), issue, out),
+        InFlightKind::Pairs(issue) => collect_pairs(ctx, stream.device(), issue, out),
         InFlightKind::Host(host) => out.extend(host),
     }
     // Errors were already handled per work unit; drain the stream
@@ -391,7 +390,7 @@ fn collect_space(
         mut failed,
     } = issue;
     let threshold = ctx.options.sweep_threshold;
-    let device = stream.device().clone();
+    let device = stream.device();
     let mut emits: Vec<RowEmit> = Vec::new();
     let mut hits: Vec<Violation> = Vec::new();
     // Device records, not the violations a template replays them into.
@@ -428,7 +427,7 @@ fn collect_space(
             };
             let offsets = ctx
                 .profiler
-                .time("scan", || exclusive_scan(&device, &counts));
+                .time("scan", || exclusive_scan(device, &counts));
             match enqueue_row_emit(ctx, stream, &row, cfg, offsets, spec) {
                 Ok(records) => emits.push(RowEmit { row, records }),
                 Err(_) => failed.push(row),
@@ -449,17 +448,19 @@ fn collect_space(
         }
     }
 
-    // Recovery: defer each failed row onto the run's queue; the engine
-    // drains it after every rule has collected (see [`drain_recovery`]),
-    // so one faulty row never stalls the healthy rules behind an inline
-    // backoff sleep. Completed rows above are salvaged as-is.
+    // Recovery: completed rows above are salvaged as-is; each failed
+    // row is recomputed here, on a fresh stream or on the host.
     for row in failed {
-        ctx.recovery.push(RecoveryUnit::new(RecoveryWork::SpaceRow {
-            rule_name: rule_name.clone(),
-            row,
-            threshold,
-            spec,
-        }));
+        let recs = recover(
+            ctx,
+            device,
+            |fresh| row_device_records(fresh, &row.edges.host, threshold, spec),
+            || row_host_records(&row.edges.host, spec),
+        );
+        records += recs.len();
+        for rec in recs {
+            replay_record(&rule_name, &row, rec, &mut hits);
+        }
     }
 
     ctx.stats.checks_computed += records;
@@ -608,321 +609,31 @@ pub(crate) fn row_host_records(edges: &[PackedEdge], spec: SpaceSpec) -> Vec<(u3
     recs
 }
 
-/// One failed device work unit, deferred for later recovery.
-///
-/// Collect halves push these onto [`RunContext::recovery`] instead of
-/// retrying inline; [`drain_recovery`] processes the whole queue after
-/// every rule has collected. Each unit carries everything needed for
-/// both a fresh device attempt and the host fallback, so recovery
-/// produces the same record set either way.
-pub(crate) struct RecoveryUnit {
-    /// Device attempts made so far.
-    attempts: usize,
-    /// Backoff deadline: the unit is not retried before this instant.
-    not_before: std::time::Instant,
-    work: RecoveryWork,
-}
+/// Fresh-stream device attempts per failed work unit before it is
+/// recomputed on the host.
+const DEVICE_RETRIES: usize = 2;
 
-impl RecoveryUnit {
-    fn new(work: RecoveryWork) -> Self {
-        RecoveryUnit {
-            attempts: 0,
-            not_before: std::time::Instant::now(),
-            work,
-        }
-    }
-}
-
-/// The rule-specific payload of a [`RecoveryUnit`].
-enum RecoveryWork {
-    /// One spacing row or template (edges, plus a template's
-    /// placements to replay through) and the executor-choice inputs.
-    SpaceRow {
-        rule_name: String,
-        row: Arc<PlannedRow>,
-        threshold: usize,
-        spec: SpaceSpec,
-    },
-    /// A whole intra-polygon rule (width/area): the shared layer data;
-    /// instance replay happens at emit time.
-    Intra {
-        rule_name: String,
-        is_width: bool,
-        min: i64,
-        data: Arc<IntraData>,
-    },
-    /// A whole enclosure/overlap rule: the gathered work list and the
-    /// per-shape report rectangles.
-    Pairs {
-        rule_name: String,
-        pairs: PairsRule,
-        work: Arc<Vec<(Polygon, Vec<Polygon>)>>,
-        rects: Vec<Rect>,
-    },
-}
-
-/// Whether the deferred recovery queue still holds work for `rule` —
-/// the engine defers finalizing (and checkpointing) such rules until
-/// the drain settles them.
-pub(crate) fn recovery_pending_for(ctx: &RunContext<'_>, rule: &str) -> bool {
-    ctx.recovery.iter().any(|u| u.work.rule_name() == rule)
-}
-
-impl RecoveryWork {
-    /// Name of the rule this unit belongs to, for routing recovered
-    /// violations back to their per-rule buffer.
-    fn rule_name(&self) -> &str {
-        match self {
-            RecoveryWork::SpaceRow { rule_name, .. }
-            | RecoveryWork::Intra { rule_name, .. }
-            | RecoveryWork::Pairs { rule_name, .. } => rule_name,
-        }
-    }
-}
-
-/// A recovered unit's raw result, device attempt or host fallback —
-/// identical either way by construction.
-enum Recovered {
-    Space(Vec<(u32, u32, i64)>),
-    Intra(Vec<Vec<LocalViolation>>),
-    Pairs(Vec<i64>),
-}
-
-/// One complete synchronous device attempt at a deferred unit, on a
-/// fresh stream (stream errors are sticky, so every attempt gets its
-/// own; the device itself survives kernel panics). Fresh uploads bypass
-/// the shared cache — its resident copy may be the failed one.
-fn recovery_attempt(work: &RecoveryWork, stream: &Stream) -> XpuResult<Recovered> {
-    match work {
-        RecoveryWork::SpaceRow {
-            row,
-            threshold,
-            spec,
-            ..
-        } => row_device_records(stream, &row.edges.host, *threshold, *spec).map(Recovered::Space),
-        RecoveryWork::Intra {
-            is_width,
-            min,
-            data,
-            ..
-        } => {
-            let n = data.polys.host.len();
-            let check = intra_local_check(*is_width, *min);
-            let dev_polys = stream.try_upload_shared(Arc::clone(&data.polys.host))?;
-            let out_buf = stream.try_alloc::<Vec<LocalViolation>>(n)?;
-            stream.try_launch_map(LaunchConfig::for_threads(n), &out_buf, move |tctx, slot| {
-                check(&dev_polys.read()[tctx.global_id()], slot);
-            })?;
-            stream
-                .try_download(&out_buf)?
-                .result()
-                .map(Recovered::Intra)
-        }
-        RecoveryWork::Pairs { pairs, work, .. } => {
-            let n = work.len();
-            let measure = pairs_measure(*pairs);
-            let dev_work = stream.try_upload_shared(Arc::clone(work))?;
-            let measures = stream.try_alloc::<i64>(n)?;
-            stream.try_launch_map(
-                LaunchConfig::for_threads(n),
-                &measures,
-                move |tctx, slot| {
-                    let w = dev_work.read();
-                    let (poly, candidates) = &w[tctx.global_id()];
-                    *slot = measure(poly, candidates);
-                },
-            )?;
-            stream
-                .try_download(&measures)?
-                .result()
-                .map(Recovered::Pairs)
-        }
-    }
-}
-
-/// The host (CPU) fallback for a deferred unit: the same executor
-/// choice and check predicates as the device kernels, run inline.
-fn recovery_fallback(work: &RecoveryWork) -> Recovered {
-    match work {
-        RecoveryWork::SpaceRow { row, spec, .. } => {
-            Recovered::Space(row_host_records(&row.edges.host, *spec))
-        }
-        RecoveryWork::Intra {
-            is_width,
-            min,
-            data,
-            ..
-        } => {
-            let check = intra_local_check(*is_width, *min);
-            Recovered::Intra(
-                data.polys
-                    .host
-                    .iter()
-                    .map(|poly| {
-                        let mut slot = Vec::new();
-                        check(poly, &mut slot);
-                        slot
-                    })
-                    .collect(),
-            )
-        }
-        RecoveryWork::Pairs { pairs, work, .. } => {
-            let measure = pairs_measure(*pairs);
-            Recovered::Pairs(
-                work.iter()
-                    .map(|(poly, cands)| measure(poly, cands))
-                    .collect(),
-            )
-        }
-    }
-}
-
-/// Converts a recovered unit's records into violations, with the same
-/// stats bookkeeping the fault-free collect path performs.
-fn emit_recovered(
-    ctx: &mut RunContext<'_>,
-    work: &RecoveryWork,
-    recovered: Recovered,
-    out: &mut Vec<Violation>,
-) {
-    match (work, recovered) {
-        (RecoveryWork::SpaceRow { rule_name, row, .. }, Recovered::Space(recs)) => {
-            ctx.stats.checks_computed += recs.len();
-            for rec in recs {
-                replay_record(rule_name, row, rec, out);
-            }
-        }
-        (
-            RecoveryWork::Intra {
-                rule_name, data, ..
-            },
-            Recovered::Intra(per_poly),
-        ) => {
-            emit_intra(ctx, rule_name, data, &per_poly, out);
-        }
-        (
-            RecoveryWork::Pairs {
-                rule_name,
-                pairs,
-                rects,
-                ..
-            },
-            Recovered::Pairs(measures),
-        ) => emit_pairs(ctx, rule_name, *pairs, rects, measures, out),
-        _ => unreachable!("recovery payload matches its work variant"),
-    }
-}
-
-/// Drains the run's deferred recovery queue: retries each unit on a
-/// fresh stream under a capped exponential backoff **deadline**
-/// (`retry_backoff_ms`, doubling per attempt, capped at 50 ms), tallying
-/// [`EngineStats::device_retries`] per attempt; after
-/// [`EngineOptions::max_device_retries`] failures a unit falls back to
-/// the host and tallies [`EngineStats::device_fallbacks`].
-///
-/// Unlike the old inline retry loop, the backoff never blocks the
-/// collect path: deadlines are checked here, after every rule has
-/// collected, and the drain only sleeps when *all* remaining units are
-/// backing off (there is nothing else left to do).
-///
-/// [`EngineOptions::max_device_retries`]: crate::EngineOptions::max_device_retries
-/// [`EngineStats::device_retries`]: crate::EngineStats::device_retries
-/// [`EngineStats::device_fallbacks`]: crate::EngineStats::device_fallbacks
-pub(crate) fn drain_recovery(ctx: &mut RunContext<'_>, device: &Device, out: &mut Vec<Violation>) {
-    let abandoned = drain_recovery_routed(ctx, device, None, &mut |_, mut v| out.append(&mut v));
-    debug_assert!(abandoned.is_empty(), "uncancellable drain never abandons");
-}
-
-/// [`drain_recovery`] with two lifecycle hooks the engine's resilient
-/// paths need:
-///
-/// * recovered violations are *routed* per rule (the `route` sink gets
-///   `(rule name, violations)` batches) so they land in per-rule
-///   buffers for checkpointing instead of one flat output, and
-/// * an optional [`CancelToken`] is observed between units: once it
-///   trips, the remaining queue is **abandoned** — no more device
-///   attempts, no host fallbacks — and the affected rules' names are
-///   returned (sorted, deduplicated) so the engine can mark them
-///   interrupted rather than silently under-reporting.
-///
-/// [`CancelToken`]: odrc_infra::CancelToken
-pub(crate) fn drain_recovery_routed(
+/// Recovers one failed work unit where its collect saw the failure: up
+/// to [`DEVICE_RETRIES`] complete device `attempt`s, each on a fresh
+/// stream (stream errors are sticky; the device itself survives kernel
+/// panics), then the `host` recomputation. Either way the unit yields
+/// the same result. Injected faults are one-shot, so the attempts need
+/// no backoff; once the run's cancel token trips, fresh streams are
+/// born poisoned and the unit goes straight to the host.
+fn recover<T>(
     ctx: &mut RunContext<'_>,
     device: &Device,
-    cancel: Option<&odrc_infra::CancelToken>,
-    route: &mut dyn FnMut(&str, Vec<Violation>),
-) -> Vec<String> {
-    if ctx.recovery.is_empty() {
-        return Vec::new();
-    }
-    let tripped = |c: Option<&odrc_infra::CancelToken>| c.is_some_and(|t| t.is_cancelled());
-    let max_retries = ctx.options.max_device_retries;
-    let mut queue = std::mem::take(&mut ctx.recovery);
-    let mut deferred = Vec::new();
-    while !queue.is_empty() && !tripped(cancel) {
-        let now = std::time::Instant::now();
-        let mut progressed = false;
-        for mut unit in queue.drain(..) {
-            if tripped(cancel) {
-                deferred.push(unit);
-                continue;
-            }
-            if unit.attempts >= max_retries {
-                // Exhausted (or retries disabled): host fallback.
-                ctx.stats.device_fallbacks += 1;
-                let recovered = recovery_fallback(&unit.work);
-                let mut scratch = Vec::new();
-                emit_recovered(ctx, &unit.work, recovered, &mut scratch);
-                route(unit.work.rule_name(), scratch);
-                progressed = true;
-                continue;
-            }
-            if unit.not_before > now {
-                deferred.push(unit);
-                continue;
-            }
-            unit.attempts += 1;
-            ctx.stats.device_retries += 1;
-            let fresh = device.stream();
-            match recovery_attempt(&unit.work, &fresh) {
-                Ok(recovered) => {
-                    let mut scratch = Vec::new();
-                    emit_recovered(ctx, &unit.work, recovered, &mut scratch);
-                    route(unit.work.rule_name(), scratch);
-                    progressed = true;
-                }
-                Err(_) => {
-                    // Capped exponential backoff: transient contention
-                    // clears, and one-shot injected faults are consumed
-                    // by the failing attempt, so the loop converges.
-                    let ms = (ctx.options.retry_backoff_ms << (unit.attempts - 1).min(4)).min(50);
-                    unit.not_before = now + Duration::from_millis(ms);
-                    deferred.push(unit);
-                }
-            }
-        }
-        std::mem::swap(&mut queue, &mut deferred);
-        if !progressed && !queue.is_empty() && !tripped(cancel) {
-            // Everything left is backing off; sleep only until the
-            // earliest deadline (healthy work has already drained).
-            let earliest = queue
-                .iter()
-                .map(|u| u.not_before)
-                .min()
-                .expect("queue is non-empty");
-            let now = std::time::Instant::now();
-            if earliest > now {
-                std::thread::sleep(earliest - now);
-            }
+    attempt: impl Fn(&Stream) -> XpuResult<T>,
+    host: impl FnOnce() -> T,
+) -> T {
+    for _ in 0..DEVICE_RETRIES {
+        ctx.stats.device_retries += 1;
+        if let Ok(done) = attempt(&device.stream()) {
+            return done;
         }
     }
-    let mut abandoned: Vec<String> = queue
-        .drain(..)
-        .map(|u| u.work.rule_name().to_string())
-        .collect();
-    abandoned.sort_unstable();
-    abandoned.dedup();
-    abandoned
+    ctx.stats.device_fallbacks += 1;
+    host()
 }
 
 /// Turns one executor record `(a, b, d2)` of `row` into violations: one
@@ -1032,7 +743,12 @@ fn intra_local_check(
 /// Collect half of an intra rule: wait for the per-polygon kernel,
 /// recover on failure, then replay each cell's local violations
 /// through all its instances on the host.
-fn collect_intra(ctx: &mut RunContext<'_>, issue: IntraIssue, out: &mut Vec<Violation>) {
+fn collect_intra(
+    ctx: &mut RunContext<'_>,
+    device: &Device,
+    issue: IntraIssue,
+    out: &mut Vec<Violation>,
+) {
     let IntraIssue {
         rule_name,
         is_width,
@@ -1049,26 +765,46 @@ fn collect_intra(ctx: &mut RunContext<'_>, issue: IntraIssue, out: &mut Vec<Viol
         Some(pending) => ctx.device_wait(|| pending.result()),
         None => Err(odrc_xpu::XpuError::StreamTimeout { op: "issue" }),
     };
+    // The whole rule is one work unit. A fresh attempt uploads the
+    // polygons anew: the shared resident copy may be the failed one.
     let per_poly = match waited {
         Ok(per_poly) => per_poly,
-        Err(_) => {
-            // Defer the whole rule; [`drain_recovery`] re-attempts it
-            // on a fresh stream and falls back to the host.
-            ctx.recovery.push(RecoveryUnit::new(RecoveryWork::Intra {
-                rule_name,
-                is_width,
-                min,
-                data,
-            }));
-            return;
-        }
+        Err(_) => recover(
+            ctx,
+            device,
+            |fresh| {
+                let check = intra_local_check(is_width, min);
+                let dev_polys = fresh.try_upload_shared(Arc::clone(&data.polys.host))?;
+                let out_buf = fresh.try_alloc::<Vec<LocalViolation>>(n)?;
+                fresh.try_launch_map(
+                    LaunchConfig::for_threads(n),
+                    &out_buf,
+                    move |tctx, slot| {
+                        check(&dev_polys.read()[tctx.global_id()], slot);
+                    },
+                )?;
+                fresh.try_download(&out_buf)?.result()
+            },
+            || {
+                let check = intra_local_check(is_width, min);
+                data.polys
+                    .host
+                    .iter()
+                    .map(|poly| {
+                        let mut slot = Vec::new();
+                        check(poly, &mut slot);
+                        slot
+                    })
+                    .collect()
+            },
+        ),
     };
     emit_intra(ctx, &rule_name, &data, &per_poly, out);
 }
 
 /// Host side of an intra rule's collect: tallies the per-polygon
 /// checks and replays each cell's local violations through all its
-/// instances. Shared by the fault-free path and deferred recovery.
+/// instances. Shared by the fault-free path and recovery.
 fn emit_intra(
     ctx: &mut RunContext<'_>,
     rule_name: &str,
@@ -1165,8 +901,13 @@ fn enqueue_pairs(
 }
 
 /// Collect half of an enclosure / overlap rule: wait for the measure
-/// kernel, defer recovery on failure, threshold into violations.
-fn collect_pairs(ctx: &mut RunContext<'_>, issue: PairsIssue, out: &mut Vec<Violation>) {
+/// kernel, recover on failure, threshold into violations.
+fn collect_pairs(
+    ctx: &mut RunContext<'_>,
+    device: &Device,
+    issue: PairsIssue,
+    out: &mut Vec<Violation>,
+) {
     let PairsIssue {
         rule_name,
         pairs,
@@ -1183,24 +924,43 @@ fn collect_pairs(ctx: &mut RunContext<'_>, issue: PairsIssue, out: &mut Vec<Viol
         Some(pending) => ctx.device_wait(|| pending.result()),
         None => Err(odrc_xpu::XpuError::StreamTimeout { op: "issue" }),
     };
-    match waited {
-        Ok(measures) => emit_pairs(ctx, &rule_name, pairs, &rects, measures, out),
-        // Defer the whole rule; [`drain_recovery`] re-attempts it on a
-        // fresh stream and falls back to the host. The checks are
-        // already tallied above — recovery recomputes, it does not
-        // re-count.
-        Err(_) => ctx.recovery.push(RecoveryUnit::new(RecoveryWork::Pairs {
-            rule_name,
-            pairs,
-            work,
-            rects,
-        })),
-    }
+    // The whole rule is one work unit. The checks are already tallied
+    // above: recovery recomputes, it does not re-count.
+    let measures = match waited {
+        Ok(measures) => measures,
+        Err(_) => recover(
+            ctx,
+            device,
+            |fresh| {
+                let n = work.len();
+                let measure = pairs_measure(pairs);
+                let dev_work = fresh.try_upload_shared(Arc::clone(&work))?;
+                let measures = fresh.try_alloc::<i64>(n)?;
+                fresh.try_launch_map(
+                    LaunchConfig::for_threads(n),
+                    &measures,
+                    move |tctx, slot| {
+                        let w = dev_work.read();
+                        let (poly, candidates) = &w[tctx.global_id()];
+                        *slot = measure(poly, candidates);
+                    },
+                )?;
+                fresh.try_download(&measures)?.result()
+            },
+            || {
+                let measure = pairs_measure(pairs);
+                work.iter()
+                    .map(|(poly, cands)| measure(poly, cands))
+                    .collect()
+            },
+        ),
+    };
+    emit_pairs(ctx, &rule_name, pairs, &rects, measures, out);
 }
 
 /// Thresholds a pair rule's per-shape measures into violations at the
 /// shapes' report rectangles. Shared by the fault-free path and
-/// deferred recovery.
+/// recovery.
 fn emit_pairs(
     ctx: &mut RunContext<'_>,
     rule_name: &str,

@@ -73,10 +73,6 @@ pub(crate) struct RunContext<'a> {
     /// by `options.host_threads`; a one-thread executor runs its tasks
     /// inline on the caller.
     pub host: Arc<HostExecutor>,
-    /// Device work units that failed and were deferred so healthy rules
-    /// keep draining; retried (with backoff deadlines) after all rules
-    /// collect. See `parallel::drain_recovery`.
-    pub recovery: Vec<crate::parallel::RecoveryUnit>,
     /// Wall-clock spans of every device wait ([`Self::device_wait`]).
     /// The engine merges them into an interval union at the end of the
     /// run: cumulative `kernel-wait` can exceed wall time when several
@@ -111,7 +107,6 @@ impl<'a> RunContext<'a> {
                 ),
                 None => HostExecutor::new(options.resolved_host_threads()),
             }),
-            recovery: Vec::new(),
             wait_spans: Vec::new(),
             shard_pool: crate::shard::ShardPool::new(options.memory_budget),
         }

@@ -20,7 +20,7 @@ use odrc::{
     Mode, RuleDeck, RuleStatus, RunKey, Violation,
 };
 use odrc_layoutgen::{generate_layout, tech, DesignSpec};
-use odrc_xpu::{Device, FaultPlan};
+use odrc_xpu::{Device, Fault, FaultPlan};
 use std::path::{Path, PathBuf};
 
 /// A deck exercising every checkpointable rule family — width, space
@@ -81,7 +81,6 @@ fn engine(mode: Mode, fault_seed: Option<u64>) -> Engine {
         }
     };
     base.with_options(EngineOptions {
-        retry_backoff_ms: 0,
         ..EngineOptions::default()
     })
 }
@@ -223,6 +222,87 @@ fn uart_kill_resume_is_byte_identical() {
 fn aes_kill_resume_is_byte_identical() {
     let layout = generate_layout(&DesignSpec::paper("aes").expect("paper design"));
     assert_kill_resume_matrix(&layout, &[(Mode::Parallel, Some(13))], &[1, 3, 5, 64]);
+}
+
+/// A rule whose device work faulted is completed at its own collect:
+/// when the cancel token trips before the rest of the deck is issued,
+/// the in-flight faulted rule is still recovered (fresh streams are born
+/// poisoned after the trip, so on the host), finalized, journaled, and
+/// reported with exactly the fault-free run's violations.
+#[test]
+fn faulted_rule_completes_at_its_own_collect() {
+    let layout = generate_layout(&DesignSpec::paper("uart").expect("paper design"));
+    let deck = deck();
+    let baseline = engine(Mode::Parallel, None).check(&layout, &deck);
+    // The M1 group leads the issue order and M1.W.1 leads the group, so
+    // its width kernel is the device's launch 0.
+    let faulted = "M1.W.1";
+    let expected: Vec<Violation> = baseline.violations_of(faulted).cloned().collect();
+    assert!(!expected.is_empty(), "uart must violate {faulted}");
+
+    let device = Device::new(3);
+    device.set_fault_plan(Some(FaultPlan::new().with(Fault::KernelPanic {
+        kernel: 0,
+        thread: 0,
+    })));
+    let dir = fresh_dir("faulted-collect");
+    let key = RunKey::compute(&layout, &deck);
+    let mut journal = CheckpointJournal::open_dir(&dir, key).expect("open fresh journal");
+    // The first poll passes and issues M1.W.1; the second trips.
+    let killed = Engine::parallel_on(device.clone())
+        .with_cancel(CancelToken::after_polls(1))
+        .check_resumable(&layout, &deck, None, Some(&mut journal));
+    drop(journal);
+
+    assert_eq!(device.faults_injected(), 1, "the kernel fault fired");
+    assert_eq!(killed.interrupted, Some(CancelReason::Interrupt));
+    assert!(killed.stats.rules_interrupted > 0, "the deck was cut short");
+    let status = killed
+        .rule_status
+        .iter()
+        .find(|(name, _)| name == faulted)
+        .map(|&(_, s)| s);
+    assert_eq!(status, Some(RuleStatus::Completed));
+    assert!(killed.stats.degraded());
+    let got: Vec<Violation> = killed.violations_of(faulted).cloned().collect();
+    assert_eq!(got, expected);
+
+    let rule = deck.rules().iter().find(|r| r.name == faulted).unwrap();
+    let sig = rule_signature(rule).expect("width rules are signable");
+    let journal = CheckpointJournal::open_dir(&dir, key).expect("reopen journal");
+    assert_eq!(
+        journal.completed(sig).map(|v| v.as_slice()),
+        Some(expected.as_slice()),
+        "the faulted rule is journaled with the fault-free violations"
+    );
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A cancel that trips inside the deck's last rule — between two shards
+/// of an out-of-core rule, where no later rule boundary polls again —
+/// is still reported as an interrupt.
+#[test]
+fn cancel_inside_the_last_sharded_rule_is_reported() {
+    let layout = generate_layout(&DesignSpec::paper("uart").expect("paper design"));
+    let deck = RuleDeck::new(vec![rule()
+        .layer(tech::M1)
+        .space()
+        .greater_than(tech::M1_SPACE)
+        .named("M1.S.1")]);
+    // The rule-boundary poll passes; the first shard's poll trips.
+    let report = Engine::sequential()
+        .with_options(EngineOptions {
+            shard_rows: Some(1),
+            ..EngineOptions::default()
+        })
+        .with_cancel(CancelToken::after_polls(1))
+        .check(&layout, &deck);
+    assert_eq!(
+        report.rule_status,
+        vec![("M1.S.1".to_owned(), RuleStatus::Interrupted)]
+    );
+    assert_eq!(report.interrupted, Some(CancelReason::Interrupt));
 }
 
 /// A journal written for one layout must be invisible to a resume

@@ -182,7 +182,6 @@ fn space_deck() -> RuleDeck {
 
 fn parallel_engine(device: Device) -> Engine {
     Engine::parallel_on(device).with_options(EngineOptions {
-        retry_backoff_ms: 0,
         ..EngineOptions::default()
     })
 }
@@ -404,7 +403,6 @@ fn every_single_device_fault_on_the_template_path_is_survived() {
         // Threshold 0 sends every row through count -> scan -> emit.
         let engine = |device: Device| {
             Engine::parallel_on(device).with_options(EngineOptions {
-                retry_backoff_ms: 0,
                 sweep_threshold,
                 ..EngineOptions::default()
             })

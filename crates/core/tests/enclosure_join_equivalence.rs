@@ -66,10 +66,7 @@ fn engine(mode: Mode, options: EngineOptions) -> Engine {
         Mode::Sequential => Engine::sequential(),
         Mode::Parallel => Engine::parallel_on(Device::new(3)),
     };
-    base.with_options(EngineOptions {
-        retry_backoff_ms: 0,
-        ..options
-    })
+    base.with_options(EngineOptions { ..options })
 }
 
 fn threads(n: usize) -> EngineOptions {

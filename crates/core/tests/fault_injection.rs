@@ -49,10 +49,7 @@ fn deck() -> RuleDeck {
 }
 
 fn parallel_engine(device: Device) -> Engine {
-    // Fast test turnaround: retries are exercised, but backoff stays
-    // sub-millisecond.
     Engine::parallel_on(device).with_options(EngineOptions {
-        retry_backoff_ms: 0,
         ..EngineOptions::default()
     })
 }
@@ -232,7 +229,6 @@ fn property_seeded_fault_schedules_preserve_results() {
             ooc_device.set_fault_plan(Some(FaultPlan::from_seed(seed, 6)));
             let ooc = Engine::parallel_on(ooc_device)
                 .with_options(EngineOptions {
-                    retry_backoff_ms: 0,
                     out_of_core: true,
                     shard_rows: Some(2),
                     ..EngineOptions::default()

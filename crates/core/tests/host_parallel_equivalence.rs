@@ -63,7 +63,6 @@ fn engine(mode: Mode, host_threads: usize) -> Engine {
         Mode::Parallel => Engine::parallel_on(Device::new(3)),
     };
     base.with_options(EngineOptions {
-        retry_backoff_ms: 0,
         host_threads: Some(host_threads),
         ..EngineOptions::default()
     })
@@ -184,7 +183,6 @@ proptest! {
             device.set_fault_plan(Some(FaultPlan::from_seed(fault_seed, 6)));
             let report = Engine::parallel_on(device.clone())
                 .with_options(EngineOptions {
-                    retry_backoff_ms: 0,
                     host_threads: Some(threads),
                     ..EngineOptions::default()
                 })

@@ -64,7 +64,6 @@ fn out_of_core_options(budget: Option<u64>, shard_rows: usize) -> EngineOptions 
     EngineOptions {
         memory_budget: budget,
         shard_rows: Some(shard_rows),
-        retry_backoff_ms: 0,
         ..EngineOptions::default()
     }
 }
@@ -73,7 +72,6 @@ fn baseline(mode: Mode, layout: &odrc_db::Layout) -> Vec<Violation> {
     engine(
         mode,
         EngineOptions {
-            retry_backoff_ms: 0,
             ..EngineOptions::default()
         },
     )
@@ -164,7 +162,6 @@ fn equivalence_case(
     let in_core = Engine::sequential()
         .with_options(EngineOptions {
             pruning,
-            retry_backoff_ms: 0,
             ..EngineOptions::default()
         })
         .check(&layout, &spacing);

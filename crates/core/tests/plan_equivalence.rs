@@ -59,7 +59,6 @@ fn engine(mode: Mode) -> Engine {
         Mode::Parallel => Engine::parallel_on(Device::new(3)),
     };
     base.with_options(EngineOptions {
-        retry_backoff_ms: 0,
         ..EngineOptions::default()
     })
 }
@@ -152,7 +151,6 @@ proptest! {
         device.set_fault_plan(Some(FaultPlan::from_seed(fault_seed, 6)));
         let report = Engine::parallel_on(device.clone())
             .with_options(EngineOptions {
-                retry_backoff_ms: 0,
                 ..EngineOptions::default()
             })
             .check(&layout, &shared_deck());
@@ -234,7 +232,6 @@ fn edges_packed_depends_on_the_input_only() {
         device.set_fault_plan(fault_seed.map(|seed| FaultPlan::from_seed(seed, 6)));
         Engine::parallel_on(device)
             .with_options(EngineOptions {
-                retry_backoff_ms: 0,
                 host_threads: Some(host_threads),
                 ..EngineOptions::default()
             })

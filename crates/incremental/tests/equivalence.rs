@@ -412,7 +412,6 @@ proptest! {
 /// and degradation reported exactly when a fault fired.
 fn faulted_case(fault_seed: u64, ops: &[Op]) -> Result<(), String> {
     let options = EngineOptions {
-        retry_backoff_ms: 0,
         ..EngineOptions::default()
     };
     let device = Device::new(2);

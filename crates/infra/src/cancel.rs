@@ -3,8 +3,8 @@
 //! Full-chip decks run for minutes; the dominant run-level failure mode
 //! is not a bad kernel (the device layer handles those) but a killed or
 //! over-budget *process*. [`CancelToken`] is the one signal threaded
-//! through the engine's issue/collect window, the recovery drain loop,
-//! and the device layer: anything that observes
+//! through the engine's issue/collect window, the out-of-core shard
+//! loop, and the device layer: anything that observes
 //! `cancelled()` stops starting new work, drains what is already in
 //! flight, and returns partial-but-valid results.
 //!
@@ -171,9 +171,10 @@ impl CancelToken {
     /// Non-consuming peek: `true` once the token is cancelled.
     ///
     /// Unlike [`cancelled`](Self::cancelled) this never decrements the
-    /// [`after_polls`](Self::after_polls) budget, so concurrent workers
-    /// (recovery drain, streams) can check freely without perturbing the
-    /// deterministic cancellation point chosen by the control loop.
+    /// [`after_polls`](Self::after_polls) budget, so other observers
+    /// (the device's stream factory, the engine latching a mid-rule
+    /// cancel) can check freely without perturbing the deterministic
+    /// cancellation point chosen by the control loop.
     pub fn is_cancelled(&self) -> bool {
         if self.inner.state.load(Ordering::Acquire) != STATE_LIVE {
             return true;
