@@ -72,6 +72,13 @@ if grep -rnE 'RecoveryUnit|RecoveryWork|drain_recovery|recovery_pending_for|mayb
     echo "the deferred device-recovery queue or its retry options are back in crates/*/src"
     exit 1
 fi
+# One inter-layer join: enclosure and overlap-area candidates come from
+# the row join (partition::row_join_on); the banded interval-tree join
+# stays deleted.
+if grep -rnE 'sweep_join|join_banded|JOIN_BAND|MAX_JOIN_BANDS' crates/*/src; then
+    echo "the deleted banded sweepline join is back in crates/*/src"
+    exit 1
+fi
 calls=$(grep -rn 'cross_space(' crates/core/src | grep -vc 'fn cross_space(')
 [ "$calls" -eq 1 ] || { echo "expected one cross_space( call site in crates/core/src, found $calls"; exit 1; }
 # Ablations are not engine options: the planner, fused dispatch and the

@@ -214,6 +214,8 @@ fn write_json(
             writeln!(f, "          \"uploads_elided\": {},", s.uploads_elided)?;
             writeln!(f, "          \"bytes_uploaded\": {},", s.bytes_uploaded)?;
             writeln!(f, "          \"edges_packed\": {},", s.edges_packed)?;
+            writeln!(f, "          \"join_candidates\": {},", s.join_candidates)?;
+            writeln!(f, "          \"join_scanned\": {},", s.join_scanned)?;
             writeln!(f, "          \"launches_fused\": {},", s.launches_fused)?;
             writeln!(f, "          \"worker_wakeups\": {},", s.worker_wakeups)?;
             writeln!(f, "          \"degraded\": {},", s.degraded())?;

@@ -172,6 +172,13 @@ pub struct EngineStats {
     /// A function of layout, deck, `pruning` and `partition` only —
     /// never of `host_threads`, the device or a fault seed.
     pub edges_packed: u64,
+    /// `(inner shape, outer object)` candidates the pair rules' row join
+    /// found, summed over rules. A function of the input and the options
+    /// only, equal in both modes.
+    pub join_candidates: u64,
+    /// Outer objects the pair rules' row join examined to find them
+    /// (`join_candidates` plus the wasted scans).
+    pub join_scanned: u64,
     /// Task indices handed to the host executor. A function of the
     /// input and the options only: every host phase goes through the
     /// executor at every thread count (a one-thread executor runs its

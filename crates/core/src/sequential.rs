@@ -29,8 +29,9 @@
 //!    pairs get windowed edge-to-edge checks.
 //!
 //! The pair pipeline (enclosure, overlap area) gathers each inner
-//! shape's candidate outer polygons through a bipartite sweepline join
-//! ([`enclosure_work`]) and measures them with [`pairs_measure`] — the
+//! shape's candidate outer polygons through a row join — each inner
+//! window binary-searches the outer layer's §IV-B rows
+//! ([`enclosure_work`]) — and measures them with [`pairs_measure`], the
 //! same closure the device kernels run.
 
 use std::collections::HashMap;
@@ -39,9 +40,9 @@ use std::sync::Arc;
 use odrc_db::{CellId, Layer, Layout};
 use odrc_geometry::{Coord, Polygon, Rect};
 use odrc_infra::host::HostExecutor;
-use odrc_infra::partition::{partition_rows_on, Row, RowPartition};
+use odrc_infra::partition::{partition_rows_on, row_join_on, Row, RowPartition};
 use odrc_infra::rtree::rtree_overlaps;
-use odrc_infra::sweep::{sweep_join_on, sweep_overlaps};
+use odrc_infra::sweep::sweep_overlaps;
 use odrc_infra::Profiler;
 
 use crate::cache::CacheHandle;
@@ -678,8 +679,8 @@ pub(crate) fn enclosure_scenes(
 /// overlap-area rules — in-core (both modes), delta windows and
 /// out-of-core shards differ only in the scenes they pass.
 ///
-/// Candidate discovery is hierarchical and output-sensitive: the
-/// bipartite sweepline join pairs the inner MBRs (inflated by the rule
+/// Candidate discovery is hierarchical and output-sensitive: the row
+/// join (`row_join_on`) pairs the inner MBRs (inflated by the rule
 /// margin) with the *object-level* layer MBRs of the outer scene; only
 /// objects whose layer MBR overlaps an inner shape get their geometry
 /// instantiated, and only the polygons inside the inner shape's window.
@@ -703,11 +704,14 @@ pub(crate) fn enclosure_work(
     let windows: Vec<Rect> = inner_polys.iter().map(|p| p.mbr().inflate(m)).collect();
     let outer_mbrs: Vec<Rect> = outer_scene.objects.iter().map(|o| o.mbr).collect();
     let host = Arc::clone(&ctx.host);
-    let (object_hits, swept) = sweep_join_on(&windows, &outer_mbrs, &host);
-    ctx.profiler.add("sweepline", swept);
+    let join = row_join_on(&windows, &outer_mbrs, &host);
+    ctx.profiler.add("sweepline", join.busy);
+    ctx.stats.join_candidates += join.hits.iter().map(|h| h.len() as u64).sum::<u64>();
+    ctx.stats.join_scanned += join.scanned;
+    let start = std::time::Instant::now();
     let candidates = host.run("enclosure-gather", inner_polys.len(), |i| {
         let mut candidates = Vec::new();
-        for &oi in &object_hits[i] {
+        for &oi in &join.hits[i] {
             outer_scene.object_polygons_in_into(
                 &outer_scene.objects[oi],
                 windows[i],
@@ -716,6 +720,7 @@ pub(crate) fn enclosure_work(
         }
         candidates
     });
+    ctx.profiler.add("enclosure-gather", start.elapsed());
     inner_polys.into_iter().zip(candidates).collect()
 }
 

@@ -1,13 +1,14 @@
 //! Enclosure and overlap-area rules have one candidate-discovery path —
-//! the banded bipartite sweepline join behind `enclosure_work` — shared
-//! by the in-core engine (both modes), delta windows, and out-of-core
-//! shards. These tests pin the consequence: on a design with injected
-//! off-centre vias, every way of reaching that path reports the same
-//! canonical violations as the single-threaded in-core sequential run.
+//! the row join behind `enclosure_work`, where each inner window
+//! binary-searches the outer layer's rows — shared by the in-core engine
+//! (both modes), delta windows, and out-of-core shards. These tests pin
+//! the consequence: on a design with injected off-centre vias, every way
+//! of reaching that path reports the same canonical violations as the
+//! single-threaded in-core sequential run.
 
 use odrc::{rule, Engine, EngineOptions, Mode, RuleDeck, Violation, ViolationKind};
 use odrc_db::{LayerPolygon, Layout};
-use odrc_geometry::{Point, Polygon, Rect};
+use odrc_geometry::{Coord, Point, Polygon, Rect};
 use odrc_layoutgen::{generate, tech, DesignSpec};
 use odrc_xpu::Device;
 
@@ -178,5 +179,74 @@ fn delta_window_reports_match_a_fresh_check() {
                 "{mode:?} delta with {n} host thread(s) diverged"
             );
         }
+    }
+}
+
+/// `layout` plus a top-level M2 wire across the layer's whole extent,
+/// centred on a top-level V1 via. It starts the M2 row it lands in, so
+/// that row's running maximum of right edges spans the row from its
+/// first member on: the row join's worst case.
+fn with_spanning_wire(layout: &Layout) -> Layout {
+    let mut spanned = layout.clone();
+    let top = spanned.top();
+    let extent = spanned
+        .cell(top)
+        .layer_mbr(tech::M2)
+        .expect("the design has M2");
+    let via = spanned
+        .cell(top)
+        .polygons_on(tech::V1)
+        .next()
+        .expect("a top-level V1 via")
+        .polygon
+        .mbr();
+    let reach = 2 * tech::V1_M2_ENCLOSURE as Coord;
+    let wire = Rect::from_coords(
+        extent.lo().x - 1,
+        via.lo().y - reach,
+        extent.hi().x,
+        via.hi().y + reach,
+    );
+    spanned
+        .add_polygon(
+            top,
+            LayerPolygon {
+                layer: tech::M2,
+                datatype: 0,
+                polygon: Polygon::rect(wire),
+                name: None,
+            },
+        )
+        .expect("add a top-level wire");
+    spanned
+}
+
+#[test]
+fn a_row_spanning_outer_wire_matches_in_core_sharded_and_delta() {
+    let old = dirty_design(44);
+    let old_violations = baseline(&old);
+    let new = with_spanning_wire(&old);
+    let expected = baseline(&new);
+    assert_ne!(expected, old_violations, "the wire changed no verdict");
+    for mode in [Mode::Sequential, Mode::Parallel] {
+        for n in THREADS {
+            let got = engine(mode, threads(n)).check(&new, &deck());
+            assert_eq!(got.violations, expected, "{mode:?} with {n} thread(s)");
+            let got = engine(mode, threads(n)).check_delta(&old, &old_violations, &new, &deck());
+            assert_eq!(
+                got.violations, expected,
+                "{mode:?} delta with {n} thread(s)"
+            );
+        }
+    }
+    for n in THREADS {
+        let options = EngineOptions {
+            memory_budget: Some(4 << 10),
+            shard_rows: Some(1),
+            ..threads(n)
+        };
+        let got = engine(Mode::Sequential, options).check(&new, &deck());
+        assert!(got.stats.shards_checked > 0, "the run did not shard");
+        assert_eq!(got.violations, expected, "sharded with {n} thread(s)");
     }
 }

@@ -233,6 +233,20 @@ fn profile_has_paper_phases() {
             "missing phase {phase}"
         );
     }
+    // A pair rule charges its row join, its candidate gather and its
+    // measurement each to a phase of its own.
+    let deck = RuleDeck::new(vec![rule()
+        .layer(tech::V1)
+        .enclosed_by(tech::M2)
+        .greater_than(tech::V1_M2_ENCLOSURE)
+        .named("V1.M2.EN.1")]);
+    let report = Engine::sequential().check(&layout, &deck);
+    for phase in ["sweepline", "enclosure-gather", "enclosure-check"] {
+        assert!(
+            report.profile.phase(phase).is_some(),
+            "missing phase {phase} for an enclosure deck"
+        );
+    }
 }
 
 #[test]

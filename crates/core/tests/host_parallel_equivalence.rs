@@ -70,7 +70,8 @@ fn engine(mode: Mode, host_threads: usize) -> Engine {
 
 /// The work counters that are a function of the input and the options
 /// only — never of how many workers shared the work.
-fn work(stats: &odrc::EngineStats) -> [usize; 7] {
+fn work(stats: &odrc::EngineStats) -> [usize; 9] {
+    let [candidates, scanned] = join(stats);
     [
         stats.checks_computed,
         stats.checks_reused,
@@ -79,7 +80,15 @@ fn work(stats: &odrc::EngineStats) -> [usize; 7] {
         stats.host_tasks as usize,
         stats.scene_objects_scanned as usize,
         stats.edges_packed as usize,
+        candidates as usize,
+        scanned as usize,
     ]
+}
+
+/// The pair rules' row-join counters: the same in both modes, since
+/// both gather their enclosure work through the one join.
+fn join(stats: &odrc::EngineStats) -> [u64; 2] {
+    [stats.join_candidates, stats.join_scanned]
 }
 
 fn check(layout: &odrc_db::Layout, mode: Mode, host_threads: usize) -> odrc::CheckReport {
@@ -120,12 +129,18 @@ fn repeated_runs_are_deterministic() {
 #[test]
 fn one_thread_runs_the_same_pipeline() {
     let layout = generate_layout(&DesignSpec::tiny(78));
+    let sequential = join(&check(&layout, Mode::Sequential, 1).stats);
+    assert!(
+        sequential[0] > 0,
+        "the deck's enclosure rule found no candidate"
+    );
     for mode in [Mode::Sequential, Mode::Parallel] {
         let serial = check(&layout, mode, 1);
         assert!(
             serial.stats.host_tasks > 0,
             "{mode:?}: a one-thread run must still go through the executor"
         );
+        assert_eq!(join(&serial.stats), sequential, "{mode:?}: join counters");
         assert_eq!(serial.stats.host_steals, 0);
         for threads in [2, 8] {
             let fanned = check(&layout, mode, threads);
@@ -148,7 +163,8 @@ proptest! {
     #[test]
     fn prop_host_threads_match_serial(design_seed in 0u64..1_000) {
         let layout = generate_layout(&DesignSpec::tiny(design_seed));
-        let baseline = check(&layout, Mode::Sequential, 1).violations;
+        let sequential = check(&layout, Mode::Sequential, 1);
+        let baseline = sequential.violations;
         for mode in [Mode::Sequential, Mode::Parallel] {
             let mut serial_work = None;
             for threads in THREADS {
@@ -156,6 +172,11 @@ proptest! {
                 prop_assert_eq!(
                     &got.violations, &baseline,
                     "mode {:?} host_threads {} diverged on design seed {}",
+                    mode, threads, design_seed
+                );
+                prop_assert_eq!(
+                    join(&got.stats), join(&sequential.stats),
+                    "mode {:?} host_threads {} moved the join counters on design seed {}",
                     mode, threads, design_seed
                 );
                 prop_assert_eq!(

@@ -9,32 +9,13 @@
 //! > encountered, the horizontal interval is removed from the interval
 //! > tree."
 //!
-//! # The bipartite variant
-//!
-//! Inter-layer rules (enclosure, overlap area) only ever ask which
-//! *outer* objects an *inner* shape overlaps. Sweeping both layers as
-//! one rectangle set also enumerates every inner–inner and outer–outer
-//! overlap — hundreds of thousands of abutting cell MBRs and long wires
-//! — just to discard them. [`sweep_join`] keeps one interval tree per
-//! side instead: an inserted inner queries only the active outers and
-//! an inserted outer only the active inners, so same-side pairs are
-//! never generated. Overlap semantics are those of [`sweep_overlaps`]
-//! (closed rectangles, touching counts).
-//!
-//! [`sweep_join_on`] fans the join out over contiguous y-bands of the
-//! inner set. The band count depends on the input size only, never on
-//! the executor, and every inner shape's hit list comes back sorted by
-//! outer index: discovery order inside a sweep depends on where the
-//! band boundaries fall and on which side's top edge came first, so the
-//! index sort is what makes the candidate order — and everything
-//! derived from it — independent of banding and scheduling.
-
-use std::cmp::Reverse;
-use std::time::{Duration, Instant};
+//! Inter-layer rules (enclosure, overlap area) find their candidates
+//! through the row partition instead ([`crate::partition::row_join_on`]);
+//! this module's tests check that join against the same brute-force
+//! references as the sweepline.
 
 use odrc_geometry::{Coord, Rect};
 
-use crate::host::HostExecutor;
 use crate::IntervalTree;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -106,162 +87,6 @@ pub fn sweep_overlaps<F: FnMut(usize, usize)>(rects: &[Rect], mut report: F) {
     }
 }
 
-/// Which rectangle set a [`sweep_join`] event belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum Side {
-    Inner,
-    Outer,
-}
-
-/// Reports every `(inner index, outer index)` pair of overlapping
-/// rectangles exactly once — the bipartite form of [`sweep_overlaps`]:
-/// same closed-rectangle semantics, but pairs within one side are never
-/// enumerated. See the [module docs](self).
-///
-/// # Examples
-///
-/// ```
-/// use odrc_geometry::Rect;
-/// use odrc_infra::sweep::sweep_join;
-///
-/// let inner = [Rect::from_coords(4, 4, 6, 6), Rect::from_coords(50, 50, 52, 52)];
-/// let outer = [Rect::from_coords(0, 0, 10, 10), Rect::from_coords(6, 6, 20, 20)];
-/// let mut pairs = Vec::new();
-/// sweep_join(&inner, &outer, |i, o| pairs.push((i, o)));
-/// pairs.sort_unstable();
-/// assert_eq!(pairs, vec![(0, 0), (0, 1)]); // corner touch counts
-/// ```
-pub fn sweep_join<F: FnMut(usize, usize)>(inner: &[Rect], outer: &[Rect], mut report: F) {
-    if inner.is_empty() || outer.is_empty() {
-        return;
-    }
-    // Descending y, inserts before removes at equal y (touching counts);
-    // the trailing (side, index) keys only make the order total.
-    let mut events: Vec<(Reverse<Coord>, EventKind, Side, usize)> =
-        Vec::with_capacity((inner.len() + outer.len()) * 2);
-    for (side, rects) in [(Side::Inner, inner), (Side::Outer, outer)] {
-        for (i, r) in rects.iter().enumerate() {
-            events.push((Reverse(r.hi().y), EventKind::Insert, side, i));
-            events.push((Reverse(r.lo().y), EventKind::Remove, side, i));
-        }
-    }
-    events.sort_unstable();
-
-    let domain = |rects: &[Rect]| rects.iter().flat_map(|r| [r.lo().x, r.hi().x]).collect();
-    let mut inners: IntervalTree<usize> = IntervalTree::with_domain(domain(inner));
-    let mut outers: IntervalTree<usize> = IntervalTree::with_domain(domain(outer));
-    for (_, kind, side, i) in events {
-        match (side, kind) {
-            (Side::Inner, EventKind::Insert) => {
-                let x = inner[i].x_range();
-                outers.query_into(x, &mut |&o| report(i, o));
-                inners.insert(x, i);
-            }
-            (Side::Outer, EventKind::Insert) => {
-                let x = outer[i].x_range();
-                inners.query_into(x, &mut |&n| report(n, i));
-                outers.insert(x, i);
-            }
-            (Side::Inner, EventKind::Remove) => {
-                inners.remove(inner[i].x_range(), &i);
-            }
-            (Side::Outer, EventKind::Remove) => {
-                outers.remove(outer[i].x_range(), &i);
-            }
-        }
-    }
-}
-
-/// Inner rectangles per y-band of [`sweep_join_on`].
-const JOIN_BAND: usize = 8192;
-
-/// Upper bound on the band count: an outer rectangle spanning the whole
-/// extent is swept once per band, so the duplication stays bounded.
-const MAX_JOIN_BANDS: usize = 64;
-
-/// [`sweep_join`] fanned out on a host executor: returns, for every
-/// inner rectangle, the indices of the outer rectangles it overlaps,
-/// sorted ascending, plus the summed sweep time of all bands (what a
-/// caller charges to its `sweepline` phase).
-///
-/// The inner set is cut into contiguous bands of descending top edge,
-/// each band sweeps against the outer rectangles whose y-range meets
-/// the band's, and bands run as executor tasks (inline on a one-thread
-/// executor). The result is identical for any thread count and any
-/// banding; see the [module docs](self).
-pub fn sweep_join_on(
-    inner: &[Rect],
-    outer: &[Rect],
-    host: &HostExecutor,
-) -> (Vec<Vec<usize>>, Duration) {
-    let bands = inner.len().div_ceil(JOIN_BAND).min(MAX_JOIN_BANDS);
-    join_banded(inner, outer, bands, host)
-}
-
-fn join_banded(
-    inner: &[Rect],
-    outer: &[Rect],
-    bands: usize,
-    host: &HostExecutor,
-) -> (Vec<Vec<usize>>, Duration) {
-    let mut hits: Vec<Vec<usize>> = vec![Vec::new(); inner.len()];
-    if inner.is_empty() || outer.is_empty() {
-        return (hits, Duration::ZERO);
-    }
-    let start = Instant::now();
-    let mut order: Vec<usize> = (0..inner.len()).collect();
-    order.sort_unstable_by_key(|&i| (Reverse(inner[i].hi().y), i));
-    let chunks: Vec<&[usize]> = order.chunks(inner.len().div_ceil(bands)).collect();
-
-    // Band k spans [bottoms[k], tops[k]]. Tops descend with k; `floor`
-    // is the running minimum of the bottoms, so both ends of the band
-    // range an outer rectangle can meet are found by binary search and
-    // only the bands in between are tested exactly.
-    let tops: Vec<Coord> = chunks.iter().map(|c| inner[c[0]].hi().y).collect();
-    let bottoms: Vec<Coord> = chunks
-        .iter()
-        .map(|c| c.iter().map(|&i| inner[i].lo().y).min().expect("non-empty"))
-        .collect();
-    let floor: Vec<Coord> = bottoms
-        .iter()
-        .scan(Coord::MAX, |m, &b| {
-            *m = (*m).min(b);
-            Some(*m)
-        })
-        .collect();
-    let mut band_outers: Vec<Vec<usize>> = vec![Vec::new(); chunks.len()];
-    for (o, r) in outer.iter().enumerate() {
-        let first = floor.partition_point(|&f| f > r.hi().y);
-        let end = tops.partition_point(|&t| t >= r.lo().y);
-        for k in first..end {
-            if bottoms[k] <= r.hi().y {
-                band_outers[k].push(o);
-            }
-        }
-    }
-    let mut busy = start.elapsed();
-
-    let swept = host.run("sweepline", chunks.len(), |k| {
-        let t0 = Instant::now();
-        let (members, outers) = (chunks[k], &band_outers[k]);
-        let band_inner: Vec<Rect> = members.iter().map(|&i| inner[i]).collect();
-        let band_outer: Vec<Rect> = outers.iter().map(|&o| outer[o]).collect();
-        let mut local: Vec<Vec<usize>> = vec![Vec::new(); members.len()];
-        sweep_join(&band_inner, &band_outer, |i, o| local[i].push(outers[o]));
-        for list in &mut local {
-            list.sort_unstable();
-        }
-        (local, t0.elapsed())
-    });
-    for (members, (local, elapsed)) in chunks.iter().zip(swept) {
-        busy += elapsed;
-        for (&i, list) in members.iter().zip(local) {
-            hits[i] = list;
-        }
-    }
-    (hits, busy)
-}
-
 /// Convenience wrapper collecting the overlap pairs into a vector,
 /// sorted lexicographically.
 pub fn sweep_overlap_pairs(rects: &[Rect]) -> Vec<(usize, usize)> {
@@ -288,6 +113,8 @@ pub fn brute_force_overlap_pairs(rects: &[Rect]) -> Vec<(usize, usize)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::host::HostExecutor;
+    use crate::partition::{row_join_on, JOIN_CHUNK};
     use proptest::prelude::*;
 
     fn r(x0: Coord, y0: Coord, x1: Coord, y1: Coord) -> Rect {
@@ -362,20 +189,22 @@ mod tests {
         pairs
     }
 
+    /// The row join's `(inner, outer)` pairs, flattened in hit-list
+    /// order (so an unsorted list fails a comparison with the reference),
+    /// after checking that 1 and 3 threads agree on hits and scan count.
     fn join_pairs(inner: &[Rect], outer: &[Rect]) -> Vec<(usize, usize)> {
-        let mut pairs = Vec::new();
-        sweep_join(inner, outer, |i, o| pairs.push((i, o)));
-        pairs.sort_unstable();
-        pairs
-    }
-
-    /// Flattens per-inner hit lists into `(inner, outer)` pairs, keeping
-    /// each list's own order (so an unsorted list fails the comparison).
-    fn hit_pairs(hits: &[Vec<usize>]) -> Vec<(usize, usize)> {
-        hits.iter()
+        let join = row_join_on(inner, outer, &HostExecutor::new(1));
+        let wide = row_join_on(inner, outer, &HostExecutor::new(3));
+        assert_eq!((&join.hits, join.scanned), (&wide.hits, wide.scanned));
+        assert_eq!(join.hits.len(), inner.len());
+        let pairs: Vec<(usize, usize)> = join
+            .hits
+            .iter()
             .enumerate()
             .flat_map(|(i, list)| list.iter().map(move |&o| (i, o)))
-            .collect()
+            .collect();
+        assert!(join.scanned >= pairs.len() as u64);
+        pairs
     }
 
     #[test]
@@ -383,12 +212,9 @@ mod tests {
         let some = [r(0, 0, 5, 5)];
         assert!(join_pairs(&[], &some).is_empty());
         assert!(join_pairs(&some, &[]).is_empty());
-        let host = HostExecutor::new(1);
-        assert_eq!(
-            sweep_join_on(&some, &[], &host).0,
-            vec![Vec::<usize>::new()]
-        );
-        assert!(sweep_join_on(&[], &some, &host).0.is_empty());
+        let join = row_join_on(&some, &[], &HostExecutor::new(1));
+        assert_eq!(join.hits, vec![Vec::<usize>::new()]);
+        assert_eq!(join.scanned, 0);
     }
 
     #[test]
@@ -416,32 +242,47 @@ mod tests {
     }
 
     #[test]
-    fn banded_join_handles_spanning_outers_and_straddling_inners() {
-        // Ten small inners stacked in y, one tall inner crossing all of
-        // their bands, one outer spanning everything, one outer per row.
-        let mut inner: Vec<Rect> = (0..10).map(|k| r(0, k * 10, 4, k * 10 + 4)).collect();
-        inner.push(r(2, 0, 3, 100));
-        let mut outer = vec![r(-5, -5, 50, 200)];
-        outer.extend((0..10).map(|k| r(3, k * 10 + 4, 8, k * 10 + 6)));
+    fn row_join_handles_inners_straddling_two_rows() {
+        // Two rows of outers ([0, 10] and [20, 30] in y). Inners cross
+        // the gap, touch a row's bottom or top edge, or sit in the gap.
+        let outer: Vec<Rect> = (0..2)
+            .flat_map(|row| (0..5).map(move |k| r(k * 10, row * 20, k * 10 + 6, row * 20 + 10)))
+            .collect();
+        let inner = [
+            r(2, 5, 4, 25),    // straddles both rows
+            r(5, 8, 12, 22),   // straddles both rows, between two columns
+            r(30, 10, 32, 20), // touches row 0's top and row 1's bottom
+            r(0, 12, 50, 18),  // in the gap: no hit
+            r(-5, -5, 60, 40), // covers everything
+        ];
         let expected = brute_force_join(&inner, &outer);
-        for bands in [1, 2, 3, 11, 40] {
-            for threads in [1, 3] {
-                let host = HostExecutor::new(threads);
-                let (hits, _) = join_banded(&inner, &outer, bands, &host);
-                assert_eq!(
-                    hit_pairs(&hits),
-                    expected,
-                    "bands={bands} threads={threads}"
-                );
-            }
-        }
+        assert_eq!(join_pairs(&inner, &outer), expected);
+        assert_eq!(expected.iter().filter(|&&(i, _)| i == 2).count(), 2);
+        assert!(expected.iter().all(|&(i, _)| i != 3));
     }
 
     #[test]
-    fn default_banding_depends_on_input_size_only() {
-        // More inners than one band holds: the fan-out is the same task
+    fn row_join_handles_a_row_spanning_first_member() {
+        // The row's first member spans it, so the running maximum of
+        // right edges reaches every window's left edge at position 0 and
+        // each query scans from the row start: the join's worst case.
+        let mut outer = vec![r(0, 0, 1000, 10)];
+        outer.extend((0..10).map(|k| r(k * 100, 2, k * 100 + 5, 8)));
+        let inner: Vec<Rect> = (0..10).map(|k| r(k * 100 + 1, 4, k * 100 + 3, 6)).collect();
+        let expected = brute_force_join(&inner, &outer);
+        assert_eq!(join_pairs(&inner, &outer), expected);
+        assert_eq!(expected.len(), 20);
+        // Window k examines the spanning wire and the k + 1 members that
+        // start left of its right edge.
+        let join = row_join_on(&inner, &outer, &HostExecutor::new(1));
+        assert_eq!(join.scanned, (0..10).map(|k| k + 2).sum::<u64>());
+    }
+
+    #[test]
+    fn row_join_chunking_depends_on_input_size_only() {
+        // More inners than one chunk holds: the fan-out is the same task
         // count on any executor, and so is the result.
-        let inner: Vec<Rect> = (0..(JOIN_BAND as Coord * 2 + 10))
+        let inner: Vec<Rect> = (0..(JOIN_CHUNK as Coord * 2 + 10))
             .map(|k| {
                 r(
                     k % 100 * 10,
@@ -456,12 +297,14 @@ mod tests {
             .collect();
         let serial = HostExecutor::new(1);
         let wide = HostExecutor::new(4);
-        let (a, _) = sweep_join_on(&inner, &outer, &serial);
-        let (b, _) = sweep_join_on(&inner, &outer, &wide);
-        assert_eq!(a, b);
-        assert_eq!(serial.tasks(), 3);
-        assert_eq!(wide.tasks(), 3);
-        assert_eq!(hit_pairs(&a).len(), inner.len());
+        let a = row_join_on(&inner, &outer, &serial);
+        let b = row_join_on(&inner, &outer, &wide);
+        assert_eq!((&a.hits, a.scanned), (&b.hits, b.scanned));
+        // The row build assigns each of the 42 outers meeting the inner
+        // windows' bounding box; the queries run as three chunks.
+        assert_eq!(serial.tasks(), 42 + 3);
+        assert_eq!(wide.tasks(), 42 + 3);
+        assert_eq!(a.hits.iter().map(Vec::len).sum::<usize>(), inner.len());
     }
 
     proptest! {
@@ -469,22 +312,19 @@ mod tests {
         #[test]
         fn join_matches_brute_force(
             inner in proptest::collection::vec(
-                (-100i32..100, -100i32..100, 0i32..40, 0i32..40), 0..60),
+                (-20i32..20, -20i32..20, 0i32..8, 0i32..8), 0..60),
             outer in proptest::collection::vec(
-                (-100i32..100, -100i32..100, 0i32..120, 0i32..240), 0..60),
-            bands in 1usize..9,
-            threads in 1usize..4,
+                (-20i32..20, -20i32..20, 0i32..24, 0i32..48), 0..60),
         ) {
-            // Zero widths/heights give degenerate rects; the wide outer
-            // ranges give rectangles spanning every band.
-            let rect = |&(x, y, w, h): &(i32, i32, i32, i32)| r(x, y, x + w, y + h);
+            // A 5-unit grid makes touching edges common, zero widths and
+            // heights give degenerate rects, and the tall outer ranges
+            // merge rows and give members spanning them.
+            let rect = |&(x, y, w, h): &(i32, i32, i32, i32)| {
+                r(5 * x, 5 * y, 5 * (x + w), 5 * (y + h))
+            };
             let inner: Vec<Rect> = inner.iter().map(rect).collect();
             let outer: Vec<Rect> = outer.iter().map(rect).collect();
-            let expected = brute_force_join(&inner, &outer);
-            prop_assert_eq!(&join_pairs(&inner, &outer), &expected);
-            let host = HostExecutor::new(threads);
-            let (hits, _) = join_banded(&inner, &outer, bands, &host);
-            prop_assert_eq!(hit_pairs(&hits), expected);
+            prop_assert_eq!(join_pairs(&inner, &outer), brute_force_join(&inner, &outer));
         }
 
         #[test]

@@ -496,8 +496,10 @@ fn print_summary(report: &CheckReport, deck: &RuleDeck, max_print: usize) {
 }
 
 fn print_stats(stats: &odrc::EngineStats) {
+    let (joined, join_scanned) = (stats.join_candidates, stats.join_scanned);
     eprintln!(
-        "checks computed: {}, reused: {}, candidate pairs: {}, rows: {}",
+        "checks computed: {}, reused: {}, candidate pairs: {}, rows: {}; \
+         join candidates: {joined}, scanned: {join_scanned}",
         stats.checks_computed, stats.checks_reused, stats.candidate_pairs, stats.rows
     );
     let scanned = stats.scene_objects_scanned;

@@ -91,6 +91,8 @@ pub fn stats_to_json(stats: &EngineStats) -> Value {
         ("uploads_elided", Value::from(stats.uploads_elided)),
         ("bytes_uploaded", Value::from(stats.bytes_uploaded)),
         ("edges_packed", Value::from(stats.edges_packed)),
+        ("join_candidates", Value::from(stats.join_candidates)),
+        ("join_scanned", Value::from(stats.join_scanned)),
         ("host_tasks", Value::from(stats.host_tasks)),
         ("host_steals", Value::from(stats.host_steals)),
         ("launches_fused", Value::from(stats.launches_fused)),
