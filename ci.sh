@@ -79,6 +79,15 @@ if grep -rnE 'sweep_join|join_banded|JOIN_BAND|MAX_JOIN_BANDS' crates/*/src; the
     echo "the deleted banded sweepline join is back in crates/*/src"
     exit 1
 fi
+# One job lifecycle in odrc serve: keyed and session jobs share one
+# admission (the one submit_with_shed call) and one run body; the
+# per-kind copies and the private panic stringifier stay deleted.
+if grep -rnE 'fn (execute_job|execute_durable|admit_durable|panic_message)\b' crates/serve/src; then
+    echo "a deleted per-kind job lifecycle or panic stringifier is back in crates/serve/src"
+    exit 1
+fi
+calls=$(grep -c 'submit_with_shed(' crates/serve/src/server.rs)
+[ "$calls" -eq 1 ] || { echo "expected one submit_with_shed( call in server.rs, found $calls"; exit 1; }
 calls=$(grep -rn 'cross_space(' crates/core/src | grep -vc 'fn cross_space(')
 [ "$calls" -eq 1 ] || { echo "expected one cross_space( call site in crates/core/src, found $calls"; exit 1; }
 # Ablations are not engine options: the planner, fused dispatch and the

@@ -87,6 +87,7 @@ use odrc::{
 };
 use odrc_db::Layout;
 use odrc_infra::{install_signal_handlers, CancelToken};
+use odrc_serve::proto::job_exit_code;
 use odrc_xpu::{Device, Fault, FaultPlan};
 
 /// Faults drawn from `--fault-seed` (kept fixed so a seed alone
@@ -912,23 +913,8 @@ fn main() -> ExitCode {
     }
     let args = parse_args();
     match run(&args) {
-        // Interruption first — a partial result is not a verdict; then
-        // violations over degradation; a degraded clean run gets its
-        // own code so scripts can react.
-        Ok(Outcome {
-            interrupted: true, ..
-        }) => ExitCode::from(4),
-        Ok(Outcome {
-            violations: 0,
-            degraded: false,
-            ..
-        }) => ExitCode::SUCCESS,
-        Ok(Outcome {
-            violations: 0,
-            degraded: true,
-            ..
-        }) => ExitCode::from(3),
-        Ok(_) => ExitCode::FAILURE,
+        // The daemon's table, so both front ends exit alike.
+        Ok(o) => ExitCode::from(job_exit_code(o.interrupted, o.violations, o.degraded) as u8),
         Err(e) => {
             eprintln!("error: {e}");
             ExitCode::from(2)

@@ -69,7 +69,7 @@ pub struct JobSpec {
     pub gds: Vec<u8>,
     /// Rule deck source text.
     pub rules: String,
-    /// Check mode (`"flat"` or `"hier"`).
+    /// Engine mode (`"sequential"` or `"parallel"`).
     pub mode: String,
     /// Scheduling priority.
     pub priority: i64,
@@ -279,7 +279,7 @@ mod tests {
             key: key.to_string(),
             gds: vec![0, 1, 2, 0xff, 0x80],
             rules: "width layer=1 min=10 name=W".to_string(),
-            mode: "flat".to_string(),
+            mode: "sequential".to_string(),
             priority: 3,
             deadline_ms: Some(5000),
         }

@@ -121,10 +121,18 @@ impl ServeError {
             ("error", Value::from(self.to_string())),
             ("code", Value::Int(self.code())),
         ];
-        if let ServeError::Overloaded { retry_after_ms } = self {
-            pairs.push(("retry_after_ms", Value::Int(*retry_after_ms)));
+        if let Some(ms) = self.retry_after_ms() {
+            pairs.push(("retry_after_ms", Value::Int(ms)));
         }
         obj(pairs)
+    }
+
+    /// The server's backoff hint, carried by an overload.
+    pub fn retry_after_ms(&self) -> Option<i64> {
+        match self {
+            ServeError::Overloaded { retry_after_ms } => Some(*retry_after_ms),
+            _ => None,
+        }
     }
 }
 

@@ -147,12 +147,15 @@ impl Scheduler {
         cancel: CancelToken,
         run: impl FnOnce(&JobRun) + Send + 'static,
     ) -> Result<u64, ServeError> {
-        self.submit_with_shed(exclusion, priority, cancel, None, run)
+        let job_id = self.reserve_job_id();
+        self.submit_with_shed(job_id, exclusion, priority, cancel, None, run)?;
+        Ok(job_id)
     }
 
-    /// [`Scheduler::submit`] with overload shedding: under a full
-    /// queue, an incoming job of strictly higher priority evicts the
-    /// lowest-priority (newest within a priority) queued job that
+    /// [`Scheduler::submit`] under a caller-reserved `job_id` (from
+    /// [`Scheduler::reserve_job_id`]), with overload shedding: under a
+    /// full queue, an incoming job of strictly higher priority evicts
+    /// the lowest-priority (newest within a priority) queued job that
     /// carries a shed handler — the victim's `on_shed` gets the
     /// retry-after hint, the newcomer takes its slot. A full queue
     /// with no lower-priority victim refuses the newcomer with
@@ -160,12 +163,13 @@ impl Scheduler {
     /// stalling admission.
     pub fn submit_with_shed(
         &self,
+        job_id: u64,
         exclusion: Option<u64>,
         priority: i64,
         cancel: CancelToken,
         on_shed: Option<ShedFn>,
         run: impl FnOnce(&JobRun) + Send + 'static,
-    ) -> Result<u64, ServeError> {
+    ) -> Result<(), ServeError> {
         let mut q = self.state.queue.lock();
         if q.draining || q.shutdown {
             self.state
@@ -203,7 +207,6 @@ impl Scheduler {
                 retry_after_ms,
             ));
         }
-        let job_id = self.state.next_job.fetch_add(1, Ordering::Relaxed);
         q.seq += 1;
         let seq = q.seq;
         q.live.push((job_id, cancel));
@@ -227,7 +230,7 @@ impl Scheduler {
             notify(retry_after_ms);
         }
         self.state.cv.notify_all();
-        Ok(job_id)
+        Ok(())
     }
 
     /// Backoff hint for overload responses: scales with how much work
@@ -276,10 +279,11 @@ impl Scheduler {
         self.state.queue.lock().draining
     }
 
-    /// Allocates a fresh job id without admitting anything. Used when
-    /// replaying a journaled result: the stored frame's job id may
-    /// collide with ids handed out since the restart, so the replay is
-    /// re-stamped with a reserved one.
+    /// Allocates a fresh job id — the one id allocator. The server
+    /// reserves a job's id before admitting it, so a client attaching
+    /// to a key is told the id the job's terminal frame will carry, and
+    /// re-stamps a replayed journaled result with a reserved one (the
+    /// stored id may collide with ids handed out since a restart).
     pub fn reserve_job_id(&self) -> u64 {
         self.state.next_job.fetch_add(1, Ordering::Relaxed)
     }
@@ -562,6 +566,7 @@ mod tests {
             let ran = Arc::clone(&ran);
             sched
                 .submit_with_shed(
+                    sched.reserve_job_id(),
                     None,
                     priority,
                     CancelToken::new(),
@@ -571,7 +576,7 @@ mod tests {
                     })),
                     move |_| ran.lock().push(tag),
                 )
-                .unwrap()
+                .unwrap();
         };
         submit("low-old", 1);
         submit("low-new", 1);

@@ -9,6 +9,14 @@
 //! written through the connection's shared writer, interleaved with
 //! later responses.
 //!
+//! Jobs come in two kinds that differ only in what they check: a
+//! session job checks its edit session in place, a keyed job checks a
+//! journaled snapshot of it. Both share one lifecycle — one admission
+//! (deadline token, shed handler, scheduler submission), one run body
+//! (`running` and `rule` events, stats, the `done` frame or a code-110
+//! `error` frame), and one terminal path that also settles a keyed
+//! job's key and tells the connections attached to it.
+//!
 //! Resource sharing across tenants:
 //!
 //! * **threads** — one process-wide [`Pool`] of `host_threads - 1`
@@ -34,7 +42,10 @@
 //! restarted server replays the journal: finished keys answer
 //! resubmits with the journaled frame verbatim; unfinished keys are
 //! re-admitted as headless jobs that resume at the rule boundary where
-//! the kill landed. See `DESIGN.md` §5 for the full crash matrix.
+//! the kill landed. A key is looked up and reserved in one registry
+//! critical section, so concurrent first submissions of a key attach
+//! to one run, and an attacher is told the job id that run's terminal
+//! frame carries. See `DESIGN.md` §5 for the full crash matrix.
 //!
 //! Liveness: accepted sockets carry read/write timeouts; an idle
 //! connection is pinged and evicted after `ping_max_misses` unanswered
@@ -57,15 +68,19 @@
 use std::collections::HashMap;
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use odrc::{parse_deck, CheckpointJournal, Engine, EngineOptions, ProgressFn, ResultCache, RunKey};
+use odrc::{
+    parse_deck, CheckpointJournal, Engine, EngineOptions, EngineStats, ProgressFn, ResultCache,
+    RunKey, Violation,
+};
 use odrc_db::Layout;
 use odrc_incremental::Session;
-use odrc_infra::{fnv1a64, CancelReason, CancelToken, Pool};
+use odrc_infra::{fnv1a64, panic_message, CancelReason, CancelToken, Pool};
 use odrc_xpu::Device;
 use parking_lot::Mutex;
 
@@ -312,7 +327,15 @@ impl Server {
                     // Already journaled; a failed re-admission (queue
                     // full of replays) leaves the admit record pending
                     // for the *next* restart or resubmit.
-                    let _ = admit_durable(&shared, spec, None, false);
+                    let job_id = shared.scheduler.reserve_job_id();
+                    shared.registry.lock().insert(
+                        key,
+                        KeyState::Active {
+                            job_id,
+                            waiters: Vec::new(),
+                        },
+                    );
+                    let _ = admit_keyed(&shared, spec, job_id, None);
                 }
             }
         }
@@ -694,6 +717,14 @@ fn edit_session(frame: &Value, shared: &Arc<ServerShared>) -> Result<Dispatch, S
     ])))
 }
 
+/// How a `check` is acknowledged: the job id, the reply's `replayed`
+/// or `attached` flag, and for a replay the journaled terminal frame.
+struct Ack {
+    job_id: u64,
+    flag: Option<&'static str>,
+    replay: Option<Value>,
+}
+
 fn submit_check(
     frame: &Value,
     shared: &Arc<ServerShared>,
@@ -711,169 +742,138 @@ fn submit_check(
         }
         other => other,
     };
-    if let Some(key) = opt_str(frame, "key")? {
-        return submit_check_durable(shared, &slot, writer, key, priority, deadline_ms);
-    }
-
-    // The deadline clock starts at admission: a job stuck behind a
-    // full queue burns its budget waiting, exactly like the CLI's
-    // wall-clock `--deadline`.
-    let token = match deadline_ms {
-        Some(ms) => CancelToken::with_deadline(Duration::from_millis(ms as u64)),
-        None => CancelToken::new(),
-    };
-
-    let job_writer = Arc::clone(writer);
-    let job_shared = Arc::clone(shared);
-    let job_token = token.clone();
-    // Shed notice: the victim's submitter learns its queued job was
-    // dropped for higher-priority work, with the backoff hint.
-    let shed_job = Arc::new(AtomicU64::new(0));
-    let on_shed: ShedFn = {
-        let shed_shared = Arc::clone(shared);
-        let shed_writer = Arc::clone(writer);
-        let shed_job = Arc::clone(&shed_job);
-        Box::new(move |retry_ms| {
-            let _ = emit(
-                shed_shared.chaos(),
-                &shed_writer,
-                &shed_event(shed_job.load(Ordering::Relaxed), retry_ms),
+    let ack = match opt_str(frame, "key")? {
+        Some(key) => submit_keyed(shared, &slot, writer, key, priority, deadline_ms)?,
+        None => {
+            let job = Job::new(
+                shared.scheduler.reserve_job_id(),
+                Some(Arc::clone(writer)),
+                None,
+                deadline_ms,
             );
-        })
+            let (job_id, token) = (job.id, job.token.clone());
+            let job_shared = Arc::clone(shared);
+            admit(shared, job, id, priority, move |token, progress| {
+                check_session(&job_shared, &slot, token, progress)
+            })?;
+            conn.jobs.push((job_id, token));
+            Ack {
+                job_id,
+                flag: None,
+                replay: None,
+            }
+        }
     };
-    let job_id = shared.scheduler.submit_with_shed(
-        Some(id),
-        priority,
-        token.clone(),
-        Some(on_shed),
-        move |run| {
-            execute_job(&job_shared, &slot, &job_writer, &job_token, run);
-        },
-    )?;
-    shed_job.store(job_id, Ordering::Relaxed);
-    conn.jobs.push((job_id, token));
     let _ = emit(
         shared.chaos(),
         writer,
         &obj([
             ("event", Value::from("queued")),
-            ("job", Value::from(job_id)),
+            ("job", Value::from(ack.job_id)),
         ]),
     );
-    Ok(Dispatch::Reply(obj([
-        ("ok", Value::Bool(true)),
-        ("job", Value::from(job_id)),
-    ])))
+    if let Some(replay) = &ack.replay {
+        let _ = emit(shared.chaos(), writer, replay);
+    }
+    let mut reply = vec![("ok", Value::Bool(true)), ("job", Value::from(ack.job_id))];
+    reply.extend(ack.flag.map(|flag| (flag, Value::Bool(true))));
+    Ok(Dispatch::Reply(obj(reply)))
 }
 
-/// The terminal event a shed job's owner receives.
-fn shed_event(job_id: u64, retry_ms: i64) -> Value {
-    obj([
-        ("event", Value::from("error")),
-        ("job", Value::from(job_id)),
-        (
-            "error",
-            Value::from(format!(
-                "job shed: server overloaded; retry after {retry_ms} ms"
-            )),
-        ),
-        ("code", Value::Int(111)),
-        ("retry_after_ms", Value::Int(retry_ms)),
-        ("exit", Value::Int(2)),
-    ])
-}
-
-/// A `check` carrying an idempotency key: replay a finished result,
-/// attach to the running job, or journal-then-admit a fresh one.
-fn submit_check_durable(
+/// A `check` carrying an idempotency key: replay the key's finished
+/// result, attach to its live job, or reserve the key and admit a
+/// fresh job on a journaled snapshot of the session.
+fn submit_keyed(
     shared: &Arc<ServerShared>,
-    slot: &Arc<SessionSlot>,
+    slot: &SessionSlot,
     writer: &Arc<Mutex<TcpStream>>,
     key: &str,
     priority: i64,
     deadline_ms: Option<i64>,
-) -> Result<Dispatch, ServeError> {
+) -> Result<Ack, ServeError> {
     if key.is_empty() || key.len() > 256 {
         return Err(ServeError::Protocol(
             "\"key\" must be 1..=256 characters".to_string(),
         ));
     }
-    // Fast paths under the registry lock: replay or attach.
-    {
-        let mut registry = shared.registry.lock();
-        match registry.get_mut(key) {
-            Some(KeyState::Done { frame }) => {
-                // Replay with a fresh job id — the journaled id may
-                // collide with ids handed out since the restart.
-                let job_id = shared.scheduler.reserve_job_id();
-                let replayed = patch_job_id(frame, job_id);
-                drop(registry);
-                let _ = emit(
-                    shared.chaos(),
-                    writer,
-                    &obj([
-                        ("event", Value::from("queued")),
-                        ("job", Value::from(job_id)),
-                    ]),
-                );
-                let _ = emit(shared.chaos(), writer, &replayed);
-                return Ok(Dispatch::Reply(obj([
-                    ("ok", Value::Bool(true)),
-                    ("job", Value::from(job_id)),
-                    ("replayed", Value::Bool(true)),
-                ])));
-            }
-            Some(KeyState::Active { job_id, waiters }) => {
-                let job_id = *job_id;
-                waiters.push(Arc::clone(writer));
-                drop(registry);
-                let _ = emit(
-                    shared.chaos(),
-                    writer,
-                    &obj([
-                        ("event", Value::from("queued")),
-                        ("job", Value::from(job_id)),
-                    ]),
-                );
-                return Ok(Dispatch::Reply(obj([
-                    ("ok", Value::Bool(true)),
-                    ("job", Value::from(job_id)),
-                    ("attached", Value::Bool(true)),
-                ])));
-            }
-            None => {}
-        }
+    if let Some(ack) = join_key(shared, &mut shared.registry.lock(), key, writer) {
+        return Ok(ack);
     }
-
-    // Fresh durable submission: snapshot the session into a
-    // self-contained spec (the job must be re-runnable on a restarted
-    // server with no sessions), journal it, then admit.
+    // The snapshot makes the job re-runnable on a restarted server with
+    // no sessions. It is exported outside the registry lock, because a
+    // session job holds its slot for its whole check.
     let spec = {
         let session = slot.session.lock();
-        let gds = odrc_gdsii::write(&session.layout().to_library("odrc"))
-            .map_err(|e| ServeError::Layout(e.to_string()))?;
         JobSpec {
             key: key.to_string(),
-            gds,
+            gds: odrc_gdsii::write(&session.layout().to_library("odrc"))
+                .map_err(|e| ServeError::Layout(e.to_string()))?,
             rules: slot.rules.clone(),
             mode: slot.mode.clone(),
             priority,
             deadline_ms,
         }
     };
-    let job_id = admit_durable(shared, spec, Some(Arc::clone(writer)), true)?;
-    let _ = emit(
-        shared.chaos(),
-        writer,
-        &obj([
-            ("event", Value::from("queued")),
-            ("job", Value::from(job_id)),
-        ]),
-    );
-    Ok(Dispatch::Reply(obj([
-        ("ok", Value::Bool(true)),
-        ("job", Value::from(job_id)),
-    ])))
+    let job_id = {
+        // Look up and reserve in one critical section, so concurrent
+        // first submissions of a key attach to one run. The admit
+        // record is fsynced before the key turns active: an attacher
+        // only ever finds a key that is on disk.
+        let mut registry = shared.registry.lock();
+        if let Some(ack) = join_key(shared, &mut registry, key, writer) {
+            return Ok(ack);
+        }
+        if let Some(journal) = &shared.journal {
+            journal.lock().record_admit(&spec, shared.chaos())?;
+        }
+        let job_id = shared.scheduler.reserve_job_id();
+        registry.insert(
+            key.to_string(),
+            KeyState::Active {
+                job_id,
+                waiters: Vec::new(),
+            },
+        );
+        job_id
+    };
+    // Admitted outside the registry lock: a shed victim's handler takes
+    // it inside this submission.
+    admit_keyed(shared, spec, job_id, Some(Arc::clone(writer)))?;
+    Ok(Ack {
+        job_id,
+        flag: None,
+        replay: None,
+    })
+}
+
+/// Answers a known key under the registry lock: a finished key replays
+/// its journaled frame re-stamped with a fresh job id (the stored id
+/// may collide with ids handed out since a restart); a live key gains
+/// `writer` as a waiter. `None` when the key is vacant.
+fn join_key(
+    shared: &ServerShared,
+    registry: &mut HashMap<String, KeyState>,
+    key: &str,
+    writer: &Arc<Mutex<TcpStream>>,
+) -> Option<Ack> {
+    Some(match registry.get_mut(key)? {
+        KeyState::Done { frame } => {
+            let job_id = shared.scheduler.reserve_job_id();
+            Ack {
+                job_id,
+                flag: Some("replayed"),
+                replay: Some(patch_job_id(frame, job_id)),
+            }
+        }
+        KeyState::Active { job_id, waiters } => {
+            waiters.push(Arc::clone(writer));
+            Ack {
+                job_id: *job_id,
+                flag: Some("attached"),
+                replay: None,
+            }
+        }
+    })
 }
 
 /// Rewrites the `job` field of a journaled terminal frame.
@@ -888,450 +888,371 @@ fn patch_job_id(frame_text: &str, job_id: u64) -> Value {
     value
 }
 
-/// Journals (optionally) and admits a durable job. `owner` is the
-/// submitting connection's writer, absent for restart replays.
-fn admit_durable(
+/// Admits a keyed job whose key is already reserved active under
+/// `job_id`. `owner` is absent for a job re-admitted at bind.
+fn admit_keyed(
     shared: &Arc<ServerShared>,
     spec: JobSpec,
+    job_id: u64,
     owner: Option<Arc<Mutex<TcpStream>>>,
-    journal_admit: bool,
-) -> Result<u64, ServeError> {
-    if journal_admit {
-        if let Some(journal) = &shared.journal {
-            journal.lock().record_admit(&spec, shared.chaos())?;
-        }
-    }
-    let key = spec.key.clone();
-    shared.registry.lock().insert(
-        key.clone(),
-        KeyState::Active {
-            job_id: 0,
-            waiters: Vec::new(),
-        },
-    );
-    // Durable jobs restart their deadline clock on re-admission: the
-    // budget bounds *a* run, and a crashed run was not the client's
-    // doing.
-    let token = match spec.deadline_ms {
-        Some(ms) => CancelToken::with_deadline(Duration::from_millis(ms as u64)),
-        None => CancelToken::new(),
-    };
-    // Keyed jobs never touch a session, so their exclusion domain is
+) -> Result<(), ServeError> {
+    // A keyed job never touches a session, so its exclusion domain is
     // the key itself, offset into the upper half so it cannot collide
     // with session ids.
-    let exclusion = fnv1a64(key.as_bytes()) | (1 << 63);
+    let exclusion = fnv1a64(spec.key.as_bytes()) | (1 << 63);
     let priority = spec.priority;
+    let job = Job::new(job_id, owner, Some(spec.key.clone()), spec.deadline_ms);
+    let job_shared = Arc::clone(shared);
+    admit(shared, job, exclusion, priority, move |token, progress| {
+        check_keyed(&job_shared, &spec, token, progress)
+    })
+}
 
-    let shed_job = Arc::new(AtomicU64::new(0));
+/// An admitted job's identity and listeners, shared by its shed
+/// handler, its run body and its progress callback. The listeners are
+/// the owner plus, for a keyed job, the key's waiters in the registry.
+#[derive(Clone)]
+struct Job {
+    id: u64,
+    /// The submitting connection; absent for a keyed job re-admitted
+    /// from the journal at bind.
+    owner: Option<Arc<Mutex<TcpStream>>>,
+    /// A keyed job's idempotency key.
+    key: Option<String>,
+    token: CancelToken,
+}
+
+impl Job {
+    /// Arms the job's token at admission. The deadline clock starts
+    /// here: a job stuck behind a full queue burns its budget waiting,
+    /// like the CLI's wall-clock `--deadline`. A keyed job re-admitted
+    /// at bind gets a fresh clock — the budget bounds *a* run, and a
+    /// crashed run was not the client's doing.
+    fn new(
+        id: u64,
+        owner: Option<Arc<Mutex<TcpStream>>>,
+        key: Option<String>,
+        deadline_ms: Option<i64>,
+    ) -> Job {
+        let token = match deadline_ms {
+            Some(ms) => CancelToken::with_deadline(Duration::from_millis(ms as u64)),
+            None => CancelToken::new(),
+        };
+        Job {
+            id,
+            owner,
+            key,
+            token,
+        }
+    }
+
+    /// Sends a progress event to the owner. A lost owner cancels an
+    /// un-keyed job — nobody is left to read its result — but not a
+    /// keyed one, which computes on for the journal and its waiters.
+    fn tell_owner(&self, shared: &ServerShared, frame: &Value) {
+        if let Some(owner) = &self.owner {
+            if emit(shared.chaos(), owner, frame).is_err() && self.key.is_none() {
+                self.token.cancel(CancelReason::Interrupt);
+            }
+        }
+    }
+
+    /// The one terminal path. A keyed job journals a replayable frame
+    /// and moves its key to `Done` — or back to vacant, so the next
+    /// submission runs again — collecting the key's waiters; then every
+    /// listener gets the frame.
+    fn finish(&self, shared: &ServerShared, frame: &Value, replayable: bool) {
+        let waiters = match &self.key {
+            Some(key) => {
+                let text = frame.to_json();
+                if replayable {
+                    if let Some(journal) = &shared.journal {
+                        let _ = journal.lock().record_done(key, &text, shared.chaos());
+                    }
+                }
+                let mut registry = shared.registry.lock();
+                let previous = if replayable {
+                    registry.insert(key.clone(), KeyState::Done { frame: text })
+                } else {
+                    registry.remove(key)
+                };
+                match previous {
+                    Some(KeyState::Active { waiters, .. }) => waiters,
+                    _ => Vec::new(),
+                }
+            }
+            None => Vec::new(),
+        };
+        for listener in self.owner.iter().chain(&waiters) {
+            let _ = emit(shared.chaos(), listener, frame);
+        }
+    }
+}
+
+/// What a job's check produced — the one shape both job kinds return.
+struct Checked {
+    violations: Vec<Violation>,
+    stats: EngineStats,
+    interrupted: Option<CancelReason>,
+    full_run: bool,
+    cache_hits_shared: u64,
+}
+
+/// Admits a job of either kind with the one shed handler and the one
+/// run body around `check`. A shed job's listeners get code 111 with
+/// the backoff hint, and a shed key is vacant again: a retry
+/// re-journals and re-admits (the stale admit record is deduped on
+/// replay). A refused keyed job releases its key the same way, telling
+/// any waiter that attached meanwhile; its owner gets the refusal as
+/// the reply.
+fn admit(
+    shared: &Arc<ServerShared>,
+    job: Job,
+    exclusion: u64,
+    priority: i64,
+    check: impl FnOnce(&CancelToken, ProgressFn) -> Result<Checked, String> + Send + 'static,
+) -> Result<(), ServeError> {
     let on_shed: ShedFn = {
-        let shed_shared = Arc::clone(shared);
-        let shed_key = key.clone();
-        let shed_owner = owner.clone();
-        let shed_job = Arc::clone(&shed_job);
+        let (shared, job) = (Arc::clone(shared), job.clone());
         Box::new(move |retry_ms| {
-            // The key goes back to vacant: a retry re-journals and
-            // re-admits (the stale admit record is deduped on replay).
-            let waiters = match shed_shared.registry.lock().remove(&shed_key) {
-                Some(KeyState::Active { waiters, .. }) => waiters,
-                _ => Vec::new(),
-            };
-            let event = shed_event(shed_job.load(Ordering::Relaxed), retry_ms);
-            if let Some(w) = &shed_owner {
-                let _ = emit(shed_shared.chaos(), w, &event);
-            }
-            for w in &waiters {
-                let _ = emit(shed_shared.chaos(), w, &event);
-            }
+            let message = format!("job shed: server overloaded; retry after {retry_ms} ms");
+            job.finish(
+                &shared,
+                &error_event(job.id, None, message, 111, Some(retry_ms)),
+                false,
+            );
         })
     };
-
-    let job_shared = Arc::clone(shared);
-    let job_token = token.clone();
-    let submitted = shared.scheduler.submit_with_shed(
+    let body = {
+        let (shared, job) = (Arc::clone(shared), job.clone());
+        move |run: &JobRun| run_job(&shared, &job, run, check)
+    };
+    let admitted = shared.scheduler.submit_with_shed(
+        job.id,
         Some(exclusion),
         priority,
-        token.clone(),
+        job.token.clone(),
         Some(on_shed),
-        move |run| {
-            execute_durable(&job_shared, &spec, owner.as_ref(), &job_token, run);
-        },
+        body,
     );
-    let job_id = match submitted {
-        Ok(id) => id,
-        Err(e) => {
-            shared.registry.lock().remove(&key);
-            return Err(e);
-        }
-    };
-    shed_job.store(job_id, Ordering::Relaxed);
-    if let Some(KeyState::Active { job_id: id, .. }) = shared.registry.lock().get_mut(&key) {
-        // The job may already have finished (entry replaced/removed);
-        // only a still-active placeholder needs the real id.
-        if *id == 0 {
-            *id = job_id;
-        }
-    }
-    Ok(job_id)
-}
-
-/// Runs one *durable* job from its self-contained spec: parses the
-/// journaled layout and deck, wires the per-key [`CheckpointJournal`]
-/// so a killed run resumes at the rule boundary, and applies the
-/// terminal policy — journal the result for completed (or
-/// deadline-expired) runs; put the key back to pending for
-/// interrupted ones so a resubmit re-runs from the checkpoint.
-fn execute_durable(
-    shared: &Arc<ServerShared>,
-    spec: &JobSpec,
-    owner: Option<&Arc<Mutex<TcpStream>>>,
-    token: &CancelToken,
-    run: &JobRun,
-) {
-    let job_id = run.job_id;
-    if let Some(journal) = &shared.journal {
-        let _ = journal.lock().record_start(&spec.key, shared.chaos());
-    }
-    if let Some(w) = owner {
-        // Plain emit, never emit_or_cancel: a durable job computes on
-        // for the journal even when its submitter is gone.
-        let _ = emit(
-            shared.chaos(),
-            w,
-            &obj([
-                ("event", Value::from("running")),
-                ("job", Value::from(job_id)),
-            ]),
+    if let Err(e) = &admitted {
+        let frame = error_event(
+            job.id,
+            job.key.as_deref(),
+            e.to_string(),
+            e.code(),
+            e.retry_after_ms(),
         );
+        Job { owner: None, ..job }.finish(shared, &frame, false);
     }
-
-    let body = std::panic::AssertUnwindSafe(|| -> Result<(Value, Option<CancelReason>), String> {
-        if let Some(chaos) = shared.chaos() {
-            if chaos.on_job_start() {
-                panic!("chaos: worker panic at job start");
-            }
-        }
-        let layout = Layout::from_gds(&spec.gds[..]).map_err(|e| e.to_string())?;
-        let deck = parse_deck(&spec.rules).map_err(|e| e.to_string())?;
-        let mut engine = build_engine(shared, &spec.mode).map_err(|e| e.to_string())?;
-        engine.set_cancel(Some(token.clone()));
-        let progress_shared = Arc::clone(shared);
-        let progress_owner = owner.cloned();
-        let progress: ProgressFn = Arc::new(move |rule: &str, status| {
-            if let Some(chaos) = progress_shared.chaos() {
-                if chaos.on_rule_event() {
-                    // The in-process model of `kill -9` at this exact
-                    // rule boundary; the harness restarts the server.
-                    std::process::abort();
-                }
-            }
-            if let Some(w) = &progress_owner {
-                let _ = emit(
-                    progress_shared.chaos(),
-                    w,
-                    &obj([
-                        ("event", Value::from("rule")),
-                        ("job", Value::from(job_id)),
-                        ("rule", Value::from(rule)),
-                        ("status", Value::from(status.to_string())),
-                    ]),
-                );
-            }
-        });
-        engine.set_progress(Some(progress));
-
-        // Per-key checkpoint journal: the resume half of kill/resume.
-        let ckpt_dir = shared.config.checkpoint_dir.as_ref().map(|dir| {
-            dir.join("jobs")
-                .join(format!("{:016x}", fnv1a64(spec.key.as_bytes())))
-        });
-        let mut ckpt = match &ckpt_dir {
-            Some(dir) => CheckpointJournal::open_dir(dir, RunKey::compute(&layout, &deck))
-                .map_err(|e| format!("checkpoint journal: {e}"))
-                .map(Some)?,
-            None => None,
-        };
-
-        let mut cache = shared.tier.checkout();
-        let hits_before = cache.hits();
-        let report = engine.check_resumable(&layout, &deck, Some(&mut cache), ckpt.as_mut());
-        let cache_hits_shared = shared.tier.merge_back(&cache, hits_before);
-        shared.dispatch_totals.add(&report.stats);
-
-        let mut stats = match wire::stats_to_json(&report.stats) {
-            Value::Object(pairs) => pairs,
-            _ => unreachable!("stats_to_json returns an object"),
-        };
-        stats.push((
-            "cache_hits_shared".to_string(),
-            Value::from(cache_hits_shared),
-        ));
-        stats.push(("queue_wait_ms".to_string(), Value::from(run.queue_wait_ms)));
-
-        let interrupted = report.interrupted;
-        let done = obj([
-            ("event", Value::from("done")),
-            ("job", Value::from(job_id)),
-            ("key", Value::from(spec.key.as_str())),
-            (
-                "exit",
-                Value::Int(job_exit_code(
-                    interrupted.is_some(),
-                    report.violations.len(),
-                    report.stats.degraded(),
-                )),
-            ),
-            // A durable job always runs the whole deck against its
-            // journaled snapshot (never an incremental recheck).
-            ("full_run", Value::Bool(true)),
-            (
-                "interrupted",
-                match interrupted {
-                    Some(reason) => Value::from(reason.to_string()),
-                    None => Value::Null,
-                },
-            ),
-            ("violations", wire::violations_to_json(&report.violations)),
-            ("stats", Value::Object(stats)),
-        ]);
-        if interrupted.is_none() {
-            // The run is complete; its checkpoint directory is dead
-            // weight (the journaled result now answers resubmits).
-            if let Some(dir) = &ckpt_dir {
-                drop(ckpt.take());
-                let _ = std::fs::remove_dir_all(dir);
-            }
-        }
-        Ok((done, interrupted))
-    });
-
-    let (frame, durable) = match std::panic::catch_unwind(body) {
-        // Terminal policy: a completed run — and a deadline-expired
-        // one, whose partial result is the deterministic outcome of
-        // the client's own budget — is journaled and replayable. An
-        // *interrupt* (cancel verb) leaves the key pending so the next
-        // submission re-runs from the checkpoint.
-        Ok(Ok((frame, interrupted))) => {
-            let durable = !matches!(interrupted, Some(CancelReason::Interrupt));
-            (frame, durable)
-        }
-        // A hard error (unreadable journaled layout, bad deck) is
-        // deterministic: journal it so resubmits replay the error
-        // instead of re-failing.
-        Ok(Err(message)) => (
-            obj([
-                ("event", Value::from("error")),
-                ("job", Value::from(job_id)),
-                ("key", Value::from(spec.key.as_str())),
-                ("error", Value::from(message)),
-                ("code", Value::Int(110)),
-                ("exit", Value::Int(2)),
-            ]),
-            true,
-        ),
-        // A panic is presumed transient (chaos injection, resource
-        // exhaustion): the key goes back to pending and a resubmit —
-        // or the next restart — tries again.
-        Err(panic) => (
-            obj([
-                ("event", Value::from("error")),
-                ("job", Value::from(job_id)),
-                ("key", Value::from(spec.key.as_str())),
-                (
-                    "error",
-                    Value::from(format!("job panicked: {}", panic_message(&panic))),
-                ),
-                ("code", Value::Int(110)),
-                ("exit", Value::Int(2)),
-            ]),
-            false,
-        ),
-    };
-
-    if durable {
-        if let Some(journal) = &shared.journal {
-            let _ = journal
-                .lock()
-                .record_done(&spec.key, &frame.to_json(), shared.chaos());
-        }
-    }
-    // Swap the registry entry and collect everyone waiting on the key.
-    let waiters = {
-        let mut registry = shared.registry.lock();
-        let previous = if durable {
-            registry.insert(
-                spec.key.clone(),
-                KeyState::Done {
-                    frame: frame.to_json(),
-                },
-            )
-        } else {
-            registry.remove(&spec.key)
-        };
-        match previous {
-            Some(KeyState::Active { waiters, .. }) => waiters,
-            _ => Vec::new(),
-        }
-    };
-    if let Some(w) = owner {
-        let _ = emit(shared.chaos(), w, &frame);
-    }
-    for w in &waiters {
-        let _ = emit(shared.chaos(), w, &frame);
-    }
+    admitted
 }
 
-/// Runs one admitted session-bound check job on a scheduler worker:
-/// wires the job's cancel token and progress stream into the session's
-/// engine, checks the shared cache tier in and out, and emits the
-/// terminal event.
-fn execute_job(
+/// The one run body: journals a keyed job's start, streams `running`
+/// and per-`rule` progress to the owner, runs `check`, and finishes
+/// with the `done` frame — or a code-110 `error` frame for a hard
+/// error or a caught panic.
+fn run_job(
     shared: &Arc<ServerShared>,
-    slot: &Arc<SessionSlot>,
-    writer: &Arc<Mutex<TcpStream>>,
-    token: &CancelToken,
+    job: &Job,
     run: &JobRun,
+    check: impl FnOnce(&CancelToken, ProgressFn) -> Result<Checked, String>,
 ) {
-    let job_id = run.job_id;
-    emit_or_cancel(
+    if let (Some(key), Some(journal)) = (&job.key, &shared.journal) {
+        let _ = journal.lock().record_start(key, shared.chaos());
+    }
+    job.tell_owner(
         shared,
-        writer,
-        token,
         &obj([
             ("event", Value::from("running")),
-            ("job", Value::from(job_id)),
+            ("job", Value::from(job.id)),
         ]),
     );
-
-    let body = std::panic::AssertUnwindSafe(|| -> Value {
-        if let Some(chaos) = shared.chaos() {
-            if chaos.on_job_start() {
-                panic!("chaos: worker panic at job start");
+    let progress: ProgressFn = {
+        let (shared, job) = (Arc::clone(shared), job.clone());
+        Arc::new(move |rule: &str, status| {
+            if shared.chaos().is_some_and(ChaosState::on_rule_event) {
+                // The in-process model of `kill -9` at this exact rule
+                // boundary; the harness restarts the server.
+                std::process::abort();
             }
-        }
-        let mut session = slot.session.lock();
-
-        // Per-job engine plumbing. The progress callback streams rule
-        // completions; a write failure (client gone) trips the job's
-        // own token so the engine winds down instead of checking for
-        // a dead socket.
-        let progress_shared = Arc::clone(shared);
-        let progress_writer = Arc::clone(writer);
-        let progress_token = token.clone();
-        let progress: ProgressFn = Arc::new(move |rule: &str, status| {
-            if let Some(chaos) = progress_shared.chaos() {
-                if chaos.on_rule_event() {
-                    std::process::abort();
-                }
-            }
-            emit_or_cancel(
-                &progress_shared,
-                &progress_writer,
-                &progress_token,
+            job.tell_owner(
+                &shared,
                 &obj([
                     ("event", Value::from("rule")),
-                    ("job", Value::from(job_id)),
+                    ("job", Value::from(job.id)),
                     ("rule", Value::from(rule)),
                     ("status", Value::from(status.to_string())),
                 ]),
             );
-        });
-        session.engine_mut().set_cancel(Some(token.clone()));
-        session.engine_mut().set_progress(Some(progress));
-
-        // Shared-tier checkout: the job runs on a private snapshot.
-        let hits_before = if slot.shared_cache {
-            let snapshot = shared.tier.checkout();
-            let hits = snapshot.hits();
-            let _previous = session.swap_cache(snapshot);
-            Some(hits)
-        } else {
-            None
-        };
-
-        let report = session.check();
-
-        session.engine_mut().set_cancel(None);
-        session.engine_mut().set_progress(None);
-
-        // Merge what this job learned back into the tier; the session
-        // keeps the enriched snapshot (a superset of what it had).
-        let cache_hits_shared = match hits_before {
-            Some(before) => {
-                let enriched = session.swap_cache(ResultCache::new());
-                let job_hits = shared.tier.merge_back(&enriched, before);
-                let _empty = session.swap_cache(enriched);
-                job_hits
-            }
-            None => 0,
-        };
-        shared.dispatch_totals.add(&report.stats);
-
-        let mut stats = match wire::stats_to_json(&report.stats) {
-            Value::Object(pairs) => pairs,
-            _ => unreachable!("stats_to_json returns an object"),
-        };
-        stats.push((
-            "cache_hits_shared".to_string(),
-            Value::from(cache_hits_shared),
-        ));
-        stats.push(("queue_wait_ms".to_string(), Value::from(run.queue_wait_ms)));
-
-        obj([
-            ("event", Value::from("done")),
-            ("job", Value::from(job_id)),
-            (
-                "exit",
-                Value::Int(job_exit_code(
-                    report.interrupted.is_some(),
-                    report.violations.len(),
-                    report.stats.degraded(),
-                )),
-            ),
-            ("full_run", Value::Bool(report.full_run)),
-            (
-                "interrupted",
-                match report.interrupted {
-                    Some(reason) => Value::from(reason.to_string()),
-                    None => Value::Null,
-                },
-            ),
-            ("violations", wire::violations_to_json(&report.violations)),
-            ("stats", Value::Object(stats)),
-        ])
-    });
-
-    match std::panic::catch_unwind(body) {
-        Ok(done) => {
-            let _ = emit(shared.chaos(), writer, &done);
+        })
+    };
+    let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
+        if shared.chaos().is_some_and(ChaosState::on_job_start) {
+            panic!("chaos: worker panic at job start");
         }
-        Err(panic) => {
-            // The job died; the session slot may hold partial engine
-            // plumbing but its mutex is unlocked (guard dropped during
-            // unwind) and the next job re-wires everything anyway.
-            let message = panic_message(&panic);
-            let _ = emit(
-                shared.chaos(),
-                writer,
-                &obj([
-                    ("event", Value::from("error")),
-                    ("job", Value::from(job_id)),
-                    ("error", Value::from(format!("job panicked: {message}"))),
-                    ("code", Value::Int(110)),
-                    ("exit", Value::Int(2)),
-                ]),
+        check(&job.token, progress)
+    }));
+
+    let key = job.key.as_deref();
+    let (frame, replayable) = match outcome {
+        Ok(Ok(checked)) => {
+            shared.dispatch_totals.add(&checked.stats);
+            let Value::Object(mut stats) = wire::stats_to_json(&checked.stats) else {
+                unreachable!("stats_to_json returns an object");
+            };
+            stats.push((
+                "cache_hits_shared".to_string(),
+                Value::from(checked.cache_hits_shared),
+            ));
+            stats.push(("queue_wait_ms".to_string(), Value::from(run.queue_wait_ms)));
+            let exit = job_exit_code(
+                checked.interrupted.is_some(),
+                checked.violations.len(),
+                checked.stats.degraded(),
             );
+            let head = [("event", Value::from("done")), ("job", Value::from(job.id))];
+            let done = head
+                .into_iter()
+                .chain(key.map(|key| ("key", Value::from(key))))
+                .chain([
+                    ("exit", Value::Int(exit)),
+                    ("full_run", Value::Bool(checked.full_run)),
+                    (
+                        "interrupted",
+                        checked
+                            .interrupted
+                            .map_or(Value::Null, |reason| Value::from(reason.to_string())),
+                    ),
+                    ("violations", wire::violations_to_json(&checked.violations)),
+                    ("stats", Value::Object(stats)),
+                ]);
+            // Terminal policy: a completed run — and a deadline-expired
+            // one, whose partial result is the deterministic outcome of
+            // the client's own budget — is replayable. An *interrupt*
+            // (cancel verb) leaves a key pending so the next submission
+            // re-runs from the checkpoint.
+            let replayable = checked.interrupted != Some(CancelReason::Interrupt);
+            (obj(done), replayable)
         }
-    }
+        // A hard error (unreadable journaled layout, bad deck) is
+        // deterministic: resubmits replay it instead of re-failing.
+        Ok(Err(message)) => (error_event(job.id, key, message, 110, None), true),
+        // A panic is presumed transient (chaos injection, resource
+        // exhaustion): a key goes back to vacant and a resubmit — or
+        // the next restart — tries again. A session's slot mutex was
+        // unlocked by the unwind, and its next job re-wires the engine.
+        Err(panic) => {
+            let message = format!("job panicked: {}", panic_message(panic.as_ref()));
+            (error_event(job.id, key, message, 110, None), false)
+        }
+    };
+    job.finish(shared, &frame, replayable);
 }
 
-fn panic_message(panic: &Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = panic.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = panic.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "unknown panic".to_string()
+/// A terminal `error` event; a keyed job's run errors carry its `key`,
+/// an overload its `retry_after_ms`.
+fn error_event(
+    job_id: u64,
+    key: Option<&str>,
+    error: String,
+    code: i64,
+    retry_after_ms: Option<i64>,
+) -> Value {
+    let head = [
+        ("event", Value::from("error")),
+        ("job", Value::from(job_id)),
+    ];
+    obj(head
+        .into_iter()
+        .chain(key.map(|key| ("key", Value::from(key))))
+        .chain([("error", Value::from(error)), ("code", Value::Int(code))])
+        .chain(retry_after_ms.map(|ms| ("retry_after_ms", Value::Int(ms))))
+        .chain([("exit", Value::Int(2))]))
+}
+
+/// A session job's check: the session's own engine, wired to this
+/// job's token and progress, on a private checkout of the shared tier
+/// when the session opted in. Edits serialize against it on the slot
+/// mutex.
+fn check_session(
+    shared: &ServerShared,
+    slot: &SessionSlot,
+    token: &CancelToken,
+    progress: ProgressFn,
+) -> Result<Checked, String> {
+    let mut session = slot.session.lock();
+    session.engine_mut().set_cancel(Some(token.clone()));
+    session.engine_mut().set_progress(Some(progress));
+    let hits_before = slot.shared_cache.then(|| {
+        let snapshot = shared.tier.checkout();
+        let hits = snapshot.hits();
+        session.swap_cache(snapshot);
+        hits
+    });
+    let report = session.check();
+    session.engine_mut().set_cancel(None);
+    session.engine_mut().set_progress(None);
+    // Merge what this job learned back into the tier; the session keeps
+    // the enriched snapshot (a superset of what it had).
+    let cache_hits_shared = hits_before.map_or(0, |before| {
+        let enriched = session.swap_cache(ResultCache::new());
+        let hits = shared.tier.merge_back(&enriched, before);
+        session.swap_cache(enriched);
+        hits
+    });
+    Ok(Checked {
+        violations: report.violations,
+        stats: report.stats,
+        interrupted: report.interrupted,
+        full_run: report.full_run,
+        cache_hits_shared,
+    })
+}
+
+/// A keyed job's check: its journaled snapshot on a fresh engine, with
+/// the per-key [`CheckpointJournal`] so a killed run resumes at the
+/// rule boundary, against a checkout of the shared tier. It always
+/// runs the whole deck (never an incremental recheck).
+fn check_keyed(
+    shared: &ServerShared,
+    spec: &JobSpec,
+    token: &CancelToken,
+    progress: ProgressFn,
+) -> Result<Checked, String> {
+    let layout = Layout::from_gds(&spec.gds[..]).map_err(|e| e.to_string())?;
+    let deck = parse_deck(&spec.rules).map_err(|e| e.to_string())?;
+    let mut engine = build_engine(shared, &spec.mode).map_err(|e| e.to_string())?;
+    engine.set_cancel(Some(token.clone()));
+    engine.set_progress(Some(progress));
+    let ckpt_dir = shared.config.checkpoint_dir.as_ref().map(|dir| {
+        dir.join("jobs")
+            .join(format!("{:016x}", fnv1a64(spec.key.as_bytes())))
+    });
+    let mut ckpt = match &ckpt_dir {
+        Some(dir) => Some(
+            CheckpointJournal::open_dir(dir, RunKey::compute(&layout, &deck))
+                .map_err(|e| format!("checkpoint journal: {e}"))?,
+        ),
+        None => None,
+    };
+    let mut cache = shared.tier.checkout();
+    let hits_before = cache.hits();
+    let report = engine.check_resumable(&layout, &deck, Some(&mut cache), ckpt.as_mut());
+    let cache_hits_shared = shared.tier.merge_back(&cache, hits_before);
+    if let (None, Some(dir)) = (report.interrupted, &ckpt_dir) {
+        // The run is complete; its checkpoint directory is dead weight
+        // (the journaled result now answers resubmits).
+        drop(ckpt);
+        let _ = std::fs::remove_dir_all(dir);
     }
+    Ok(Checked {
+        violations: report.violations,
+        stats: report.stats,
+        interrupted: report.interrupted,
+        full_run: true,
+        cache_hits_shared,
+    })
 }
 
 /// The `health` probe: cheap, side-effect-free, load-balancer-shaped.
@@ -1435,17 +1356,4 @@ fn emit(
     }
     let mut stream = writer.lock();
     write_frame(&mut *stream, frame)
-}
-
-/// Emits an event; on a dead socket, trips the job token so the run
-/// winds down instead of computing for nobody.
-fn emit_or_cancel(
-    shared: &ServerShared,
-    writer: &Arc<Mutex<TcpStream>>,
-    token: &CancelToken,
-    frame: &Value,
-) {
-    if emit(shared.chaos(), writer, frame).is_err() {
-        token.cancel(CancelReason::Interrupt);
-    }
 }
