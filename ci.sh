@@ -72,6 +72,20 @@ if grep -rnE 'RecoveryUnit|RecoveryWork|drain_recovery|recovery_pending_for|mayb
     echo "the deferred device-recovery queue or its retry options are back in crates/*/src"
     exit 1
 fi
+# One device body per work unit: a retry re-runs the unit's own enqueue
+# code on a fresh stream, so no synchronous retry twin comes back; every
+# parallel-mode upload goes through the SharedDeviceData cache
+# (acquire_in, the one entry point), and width/area and enclosure/
+# overlap rules share the one map launch.
+if grep -rnE 'fn (row_device_records|enqueue_intra|enqueue_pairs|collect_intra|collect_pairs)\b' crates/core/src \
+    || grep -n 'fn acquire(' crates/core/src/plan.rs; then
+    echo "a deleted device retry twin, per-kind map unit or SharedDeviceData::acquire is back in crates/core/src"
+    exit 1
+fi
+calls=$(grep -c 'try_upload_shared(' crates/core/src/parallel.rs || true)
+[ "$calls" -eq 0 ] || { echo "expected no try_upload_shared( call in parallel.rs (uploads go through acquire_in), found $calls"; exit 1; }
+calls=$(grep -c 'try_launch_map(' crates/core/src/parallel.rs)
+[ "$calls" -eq 1 ] || { echo "expected one try_launch_map( call (enqueue_map) in parallel.rs, found $calls"; exit 1; }
 # One inter-layer join: enclosure and overlap-area candidates come from
 # the row join (partition::row_join_on); the banded interval-tree join
 # stays deleted.

@@ -162,10 +162,13 @@ pub struct EngineStats {
     /// Never a function of `host_threads`, the budget or the shard size.
     pub scene_objects_scanned: u64,
     /// Host→device uploads skipped because the data was already
-    /// device-resident (the per-run buffer cache).
+    /// device-resident (the per-run buffer cache). A device retry
+    /// re-acquires through the same cache and counts here too; only
+    /// faulted runs retry, so a fault-free run's count is unaffected.
     pub uploads_elided: usize,
     /// Bytes actually moved host→device through the shared
-    /// upload path (shallow sizes at the upload call sites).
+    /// upload path (shallow sizes at the upload call sites), including
+    /// a retry's repair of a failed upload (faulted runs only).
     pub bytes_uploaded: u64,
     /// Edges the parallel mode's row pack placed in cell templates and
     /// partition rows, summed over row-set builds; 0 in sequential mode.

@@ -44,14 +44,19 @@
 //! panic, a stalled or poisoned stream), the collect half that sees the
 //! failure keeps the rows that already completed and [`recover`]s each
 //! failed work unit — a spacing row or template, or a whole width, area
-//! or pair rule — on the spot: up to [`DEVICE_RETRIES`] complete device
-//! attempts, each on a fresh stream, then a recomputation on the host
-//! with the same check logic. The final violation set is therefore
-//! identical to a fault-free device run, and [`collect_rule`] returns
-//! only once its rule is complete. Injected faults are one-shot, so the
-//! attempts follow each other without a backoff. Retries and fallbacks
-//! are tallied in [`EngineStats::device_retries`] /
-//! [`EngineStats::device_fallbacks`].
+//! or pair rule — on the spot: up to [`DEVICE_RETRIES`] device attempts,
+//! then a recomputation on the host with the same check logic. An
+//! attempt is not a second copy of the unit's device code: it re-runs
+//! the unit's own enqueue functions ([`enqueue_row_phase1`] and
+//! [`enqueue_row_emit`] for a row, [`enqueue_map`] for a whole-rule
+//! map) on a fresh stream and waits. Its shared buffers are
+//! re-acquired through the [planner](crate::plan)'s cache, which elides
+//! an intact upload and repairs a failed one. The final violation set
+//! is therefore identical to a fault-free device run, and
+//! [`collect_rule`] returns only once its rule is complete. Injected
+//! faults are one-shot, so the attempts follow each other without a
+//! backoff. Retries and fallbacks are tallied in
+//! [`EngineStats::device_retries`] / [`EngineStats::device_fallbacks`].
 //!
 //! [`EngineStats::device_retries`]: crate::EngineStats::device_retries
 //! [`EngineStats::device_fallbacks`]: crate::EngineStats::device_fallbacks
@@ -68,7 +73,9 @@ use odrc_xpu::{
 
 use crate::checks::edge::{space_pair_spec, SpaceSpec};
 use crate::checks::poly::LocalViolation;
-use crate::plan::{build_runs, span_lo, IntraData, PackedEdge, PlannedRow, RowSet, RunInfo};
+use crate::plan::{
+    build_runs, span_lo, IntraData, PackedEdge, PlannedRow, RowSet, RunInfo, SharedDeviceData,
+};
 use crate::rules::{PairsRule, Rule, RuleFamily, RuleKind};
 use crate::scene::DirtyWindow;
 use crate::sequential::{enclosure_scenes, enclosure_work, pairs_measure, RunContext};
@@ -76,14 +83,9 @@ use crate::violation::{Violation, ViolationKind};
 
 pub(crate) use crate::plan::unpack;
 
-/// A violation record produced by device kernels: edge indices into the
-/// row's packed array plus the squared distance.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct PairRecord {
-    a: u32,
-    b: u32,
-    d2: i64,
-}
+/// A violation record of the spacing executors: edge indices `(a, b)`
+/// into the row's packed array plus the squared distance.
+type Record = (u32, u32, i64);
 
 /// Per-edge brute-force hits: `(other edge index, measured)` lists.
 type BruteHits = Vec<Vec<(u32, i64)>>;
@@ -93,13 +95,24 @@ struct RowJob {
     row: Arc<PlannedRow>,
     /// Recorded launch geometry, reused by the emit phase.
     cfg: LaunchConfig,
-    brute: Option<Pending<BruteHits>>,
-    counts: Option<Pending<Vec<usize>>>,
+    phase1: Phase1,
 }
 
-struct RowEmit {
-    row: Arc<PlannedRow>,
-    records: Pending<Vec<PairRecord>>,
+/// What a row's first phase downloads, by executor.
+enum Phase1 {
+    /// Brute force: every edge's hits, final.
+    Brute(Pending<BruteHits>),
+    /// Sweepline kernel 1: every edge's violation count, which sizes
+    /// the emit kernel's output.
+    Counts(Pending<Vec<usize>>),
+}
+
+/// The records of a brute-force row's per-edge hits.
+fn brute_records(per_edge: &BruteHits) -> impl Iterator<Item = Record> + '_ {
+    per_edge
+        .iter()
+        .enumerate()
+        .flat_map(|(i, hits)| hits.iter().map(move |&(j, d2)| (i as u32, j, d2)))
 }
 
 /// Span window of a packed edge along its own axis, as `(lo, hi)`.
@@ -219,7 +232,7 @@ fn emit_kernel(
     edges: DeviceBuffer<PackedEdge>,
     runs: DeviceBuffer<RunInfo>,
     spec: SpaceSpec,
-) -> impl Fn(Range<usize>, &mut [&mut [PairRecord]]) + Send + Sync + 'static {
+) -> impl Fn(Range<usize>, &mut [&mut [Record]]) + Send + Sync + 'static {
     move |range, tile| {
         let edges = edges.read();
         let runs = runs.read();
@@ -230,11 +243,7 @@ fn emit_kernel(
             }
             let mut k = 0usize;
             for_each_hit(&edges, &runs, i, r, spec, &mut |j, d2| {
-                slot[k] = PairRecord {
-                    a: i as u32,
-                    b: j,
-                    d2,
-                };
+                slot[k] = (i as u32, j, d2);
                 k += 1;
             });
         }
@@ -245,39 +254,34 @@ fn emit_kernel(
 /// materialize at [`collect_rule`].
 pub(crate) struct InFlightRule {
     stream: Stream,
+    rule_name: String,
     kind: InFlightKind,
 }
 
 enum InFlightKind {
     Space(SpaceIssue),
-    Intra(IntraIssue),
-    Pairs(PairsIssue),
+    /// A width or area rule: one map over the layer's unique polygons,
+    /// instantiated through their placements at collect.
+    Intra {
+        map: MapIssue<Polygon, Vec<LocalViolation>>,
+        data: Arc<IntraData>,
+    },
+    /// An enclosure or overlap rule: one map over its work list,
+    /// thresholded at the shapes' report rectangles.
+    Pairs {
+        map: MapIssue<(Polygon, Vec<Polygon>), i64>,
+        pairs: PairsRule,
+        rects: Vec<Rect>,
+    },
     /// Host-only rules (rectilinear, user predicates) run synchronously
     /// at issue time; their result rides along.
     Host(Vec<Violation>),
 }
 
 struct SpaceIssue {
-    rule_name: String,
     spec: SpaceSpec,
     jobs: Vec<RowJob>,
     failed: Vec<Arc<PlannedRow>>,
-}
-
-struct IntraIssue {
-    rule_name: String,
-    is_width: bool,
-    min: i64,
-    data: Arc<IntraData>,
-    pending: Option<Pending<Vec<Vec<LocalViolation>>>>,
-}
-
-struct PairsIssue {
-    rule_name: String,
-    pairs: PairsRule,
-    work: Arc<Vec<(Polygon, Vec<Polygon>)>>,
-    rects: Vec<Rect>,
-    pending: Option<Pending<Vec<i64>>>,
 }
 
 /// Issues one rule's device pipeline on `stream` (taking ownership of
@@ -299,18 +303,12 @@ pub(crate) fn issue_rule(
                     Arc::new(RowSet::build(ctx, &scene, spec.min))
                 }
             };
-            InFlightKind::Space(issue_space(ctx, &stream, &rule.name, &rows, spec))
+            InFlightKind::Space(issue_space(ctx, &stream, &rows, spec))
         }
-        RuleFamily::Pairs(pairs) => {
-            InFlightKind::Pairs(issue_pairs(ctx, &stream, &rule.name, pairs, window))
-        }
+        RuleFamily::Pairs(pairs) => issue_pairs(ctx, &stream, pairs, window),
         RuleFamily::Intra => match rule.kind {
-            RuleKind::Width { layer, min } => {
-                InFlightKind::Intra(issue_intra(ctx, &stream, &rule.name, layer, true, min))
-            }
-            RuleKind::Area { layer, min } => {
-                InFlightKind::Intra(issue_intra(ctx, &stream, &rule.name, layer, false, min))
-            }
+            RuleKind::Width { layer, min } => issue_intra(ctx, &stream, layer, true, min),
+            RuleKind::Area { layer, min } => issue_intra(ctx, &stream, layer, false, min),
             _ => {
                 // Rectilinear / user predicates run on the host in both
                 // modes (user closures are host code).
@@ -320,18 +318,32 @@ pub(crate) fn issue_rule(
             }
         },
     };
-    InFlightRule { stream, kind }
+    InFlightRule {
+        stream,
+        rule_name: rule.name.clone(),
+        kind,
+    }
 }
 
 /// Waits for an issued rule's device results, runs the second
 /// (scan+emit) phase where needed, recovers failed work units, and
 /// drains the rule's stream. On return the rule is complete.
 pub(crate) fn collect_rule(ctx: &mut RunContext<'_>, fl: InFlightRule, out: &mut Vec<Violation>) {
-    let InFlightRule { stream, kind } = fl;
+    let InFlightRule {
+        stream,
+        rule_name,
+        kind,
+    } = fl;
     match kind {
-        InFlightKind::Space(issue) => collect_space(ctx, &stream, issue, out),
-        InFlightKind::Intra(issue) => collect_intra(ctx, stream.device(), issue, out),
-        InFlightKind::Pairs(issue) => collect_pairs(ctx, stream.device(), issue, out),
+        InFlightKind::Space(issue) => collect_space(ctx, &stream, &rule_name, issue, out),
+        InFlightKind::Intra { map, data } => {
+            let per_poly = collect_map(ctx, stream.device(), map);
+            emit_intra(ctx, &rule_name, &data, &per_poly, out);
+        }
+        InFlightKind::Pairs { map, pairs, rects } => {
+            let measures = collect_map(ctx, stream.device(), map);
+            emit_pairs(ctx, &rule_name, pairs, &rects, measures, out);
+        }
         InFlightKind::Host(host) => out.extend(host),
     }
     // Errors were already handled per work unit; drain the stream
@@ -347,7 +359,6 @@ pub(crate) fn collect_rule(ctx: &mut RunContext<'_>, fl: InFlightRule, out: &mut
 fn issue_space(
     ctx: &mut RunContext<'_>,
     stream: &Stream,
-    rule_name: &str,
     rows: &RowSet,
     spec: SpaceSpec,
 ) -> SpaceIssue {
@@ -367,12 +378,7 @@ fn issue_space(
         }
     }
     batch.commit();
-    SpaceIssue {
-        rule_name: rule_name.to_owned(),
-        spec,
-        jobs,
-        failed,
-    }
+    SpaceIssue { spec, jobs, failed }
 }
 
 /// Collect half of the spacing pipeline: brute results, the
@@ -380,87 +386,84 @@ fn issue_space(
 fn collect_space(
     ctx: &mut RunContext<'_>,
     stream: &Stream,
+    rule_name: &str,
     issue: SpaceIssue,
     out: &mut Vec<Violation>,
 ) {
     let SpaceIssue {
-        rule_name,
         spec,
         jobs,
         mut failed,
     } = issue;
-    let threshold = ctx.options.sweep_threshold;
     let device = stream.device();
-    let mut emits: Vec<RowEmit> = Vec::new();
+    let mut emits: Vec<(Arc<PlannedRow>, Pending<Vec<Record>>)> = Vec::new();
     let mut hits: Vec<Violation> = Vec::new();
     // Device records, not the violations a template replays them into.
     let mut records = 0usize;
+    let mut replay = |row: &PlannedRow, recs: &mut dyn Iterator<Item = Record>| {
+        for rec in recs {
+            records += 1;
+            replay_record(rule_name, row, rec, &mut hits);
+        }
+    };
 
     // Phase 2: for sweepline rows, scan the counts on the device and
     // enqueue the emit kernel; brute rows resolve directly.
-    for job in jobs {
-        let RowJob {
-            row,
-            cfg,
-            brute,
-            counts,
-        } = job;
-        if let Some(pending) = brute {
-            match ctx.device_wait(|| pending.result()) {
+    for RowJob { row, cfg, phase1 } in jobs {
+        match phase1 {
+            Phase1::Brute(pending) => match ctx.device_wait(|| pending.result()) {
                 Ok(per_edge) => ctx.profiler.time("convert", || {
-                    for (i, pairs) in per_edge.iter().enumerate() {
-                        records += pairs.len();
-                        for &(j, d2) in pairs {
-                            replay_record(&rule_name, &row, (i as u32, j, d2), &mut hits);
-                        }
-                    }
+                    replay(&row, &mut brute_records(&per_edge));
                 }),
                 Err(_) => failed.push(row),
-            }
-        } else if let Some(pending) = counts {
-            let counts = match ctx.device_wait(|| pending.result()) {
-                Ok(counts) => counts,
-                Err(_) => {
-                    failed.push(row);
-                    continue;
+            },
+            Phase1::Counts(pending) => {
+                let emitted = ctx.device_wait(|| pending.result()).and_then(|counts| {
+                    let offsets = ctx
+                        .profiler
+                        .time("scan", || exclusive_scan(device, &counts));
+                    enqueue_row_emit(ctx, stream, &row, cfg, offsets, spec)
+                });
+                match emitted {
+                    Ok(pending) => emits.push((row, pending)),
+                    Err(_) => failed.push(row),
                 }
-            };
-            let offsets = ctx
-                .profiler
-                .time("scan", || exclusive_scan(device, &counts));
-            match enqueue_row_emit(ctx, stream, &row, cfg, offsets, spec) {
-                Ok(records) => emits.push(RowEmit { row, records }),
-                Err(_) => failed.push(row),
             }
         }
     }
 
     // Phase 3: collect emit results.
-    for emit in emits {
-        match ctx.device_wait(|| emit.records.result()) {
+    for (row, pending) in emits {
+        match ctx.device_wait(|| pending.result()) {
             Ok(emitted) => ctx.profiler.time("convert", || {
-                records += emitted.len();
-                for r in emitted {
-                    replay_record(&rule_name, &emit.row, (r.a, r.b, r.d2), &mut hits);
-                }
+                replay(&row, &mut emitted.into_iter());
             }),
-            Err(_) => failed.push(emit.row),
+            Err(_) => failed.push(row),
         }
     }
 
     // Recovery: completed rows above are salvaged as-is; each failed
-    // row is recomputed here, on a fresh stream or on the host.
+    // row is recomputed here. A device attempt re-runs the row's own
+    // phases on a fresh stream, synchronously.
     for row in failed {
         let recs = recover(
             ctx,
             device,
-            |fresh| row_device_records(fresh, &row.edges.host, threshold, spec),
+            |ctx, fresh| {
+                let mut batch = fresh.batch(true);
+                let RowJob { cfg, phase1, .. } = enqueue_row_phase1(ctx, &mut batch, &row, spec)?;
+                batch.commit();
+                match phase1 {
+                    Phase1::Brute(pending) => Ok(brute_records(&pending.result()?).collect()),
+                    Phase1::Counts(pending) => {
+                        let offsets = exclusive_scan(fresh.device(), &pending.result()?);
+                        enqueue_row_emit(ctx, fresh, &row, cfg, offsets, spec)?.result()
+                    }
+                }
+            },
             || row_host_records(&row.edges.host, spec),
         );
-        records += recs.len();
-        for rec in recs {
-            replay_record(&rule_name, &row, rec, &mut hits);
-        }
+        replay(&row, &mut recs.into_iter());
     }
 
     ctx.stats.checks_computed += records;
@@ -468,8 +471,8 @@ fn collect_space(
 }
 
 /// Enqueues one row's first device phase (brute kernel, or sweepline
-/// count kernel) into the rule's launch batch, acquiring the shared
-/// device-resident buffers through the same batch.
+/// count kernel) into `batch`, acquiring the shared device-resident
+/// buffers through the same batch.
 fn enqueue_row_phase1(
     ctx: &mut RunContext<'_>,
     batch: &mut LaunchBatch<'_>,
@@ -483,34 +486,28 @@ fn enqueue_row_phase1(
     ctx.note_upload(elided, row.edges.bytes());
     let (dev_runs, elided) = row.runs.acquire_in(batch)?;
     ctx.note_upload(elided, row.runs.bytes());
-    if n <= ctx.options.sweep_threshold {
+    let phase1 = if n <= ctx.options.sweep_threshold {
         // Brute-force executor: one tile launch, plain for loops.
         let out_buf = batch.try_alloc::<Vec<(u32, i64)>>(n)?;
         batch.try_launch_tiles(cfg, &out_buf, brute_kernel(dev_edges, dev_runs, spec))?;
-        Ok(RowJob {
-            row: Arc::clone(row),
-            cfg,
-            brute: Some(batch.try_download(&out_buf)?),
-            counts: None,
-        })
+        Phase1::Brute(batch.try_download(&out_buf)?)
     } else {
         // Sweepline executor, kernel 1: per-edge check range and
         // violation count.
         let counts_buf = batch.try_alloc::<usize>(n)?;
         batch.try_launch_tiles(cfg, &counts_buf, count_kernel(dev_edges, dev_runs, spec))?;
-        Ok(RowJob {
-            row: Arc::clone(row),
-            cfg,
-            brute: None,
-            counts: Some(batch.try_download(&counts_buf)?),
-        })
-    }
+        Phase1::Counts(batch.try_download(&counts_buf)?)
+    };
+    Ok(RowJob {
+        row: Arc::clone(row),
+        cfg,
+        phase1,
+    })
 }
 
-/// Enqueues a sweepline row's emit kernel on the rule's stream (one
-/// fused batch per row). The edges and run table are already
-/// device-resident from phase 1, so this acquires (elides) rather
-/// than re-uploading.
+/// Enqueues a sweepline row's emit kernel on `stream` (one fused batch
+/// per row). The edges and run table are already device-resident from
+/// phase 1, so this acquires (elides) rather than re-uploading.
 fn enqueue_row_emit(
     ctx: &mut RunContext<'_>,
     stream: &Stream,
@@ -518,14 +515,14 @@ fn enqueue_row_emit(
     cfg: LaunchConfig,
     offsets: Vec<usize>,
     spec: SpaceSpec,
-) -> XpuResult<Pending<Vec<PairRecord>>> {
+) -> XpuResult<Pending<Vec<Record>>> {
     let total = *offsets.last().expect("scan returns n+1 entries");
     let mut batch = stream.batch(true);
     let (dev_edges, elided) = row.edges.acquire_in(&mut batch)?;
     ctx.note_upload(elided, row.edges.bytes());
     let (dev_runs, elided) = row.runs.acquire_in(&mut batch)?;
     ctx.note_upload(elided, row.runs.bytes());
-    let out_buf = batch.try_alloc::<PairRecord>(total)?;
+    let out_buf = batch.try_alloc::<Record>(total)?;
     // Kernel 2: emit each edge's violations into its range.
     batch.try_launch_scatter_tiles(
         cfg,
@@ -538,63 +535,11 @@ fn enqueue_row_emit(
     Ok(pending)
 }
 
-/// One complete synchronous device attempt at a row, on the given
-/// (fresh) stream. Runs the same executors as the pipelined path. The
-/// run table is rebuilt here (the cached copy may be the failed one).
-fn row_device_records(
-    stream: &Stream,
-    edges: &Arc<Vec<PackedEdge>>,
-    threshold: usize,
-    spec: SpaceSpec,
-) -> XpuResult<Vec<(u32, u32, i64)>> {
-    let n = edges.len();
-    if n == 0 {
-        return Ok(Vec::new());
-    }
-    let dev_edges = stream.try_upload_shared(Arc::clone(edges))?;
-    let dev_runs = stream.try_upload_shared(Arc::new(build_runs(edges)))?;
-    if n <= threshold {
-        let out_buf = stream.try_alloc::<Vec<(u32, i64)>>(n)?;
-        stream.try_launch_tiles(
-            LaunchConfig::for_threads(n),
-            &out_buf,
-            brute_kernel(dev_edges, dev_runs, spec),
-        )?;
-        let per_edge = stream.try_download(&out_buf)?.result()?;
-        let mut recs = Vec::new();
-        for (i, pairs) in per_edge.iter().enumerate() {
-            for &(j, d2) in pairs {
-                recs.push((i as u32, j, d2));
-            }
-        }
-        Ok(recs)
-    } else {
-        let counts_buf = stream.try_alloc::<usize>(n)?;
-        stream.try_launch_tiles(
-            LaunchConfig::for_threads(n),
-            &counts_buf,
-            count_kernel(dev_edges.clone(), dev_runs.clone(), spec),
-        )?;
-        let counts = stream.try_download(&counts_buf)?.result()?;
-        let offsets = exclusive_scan(stream.device(), &counts);
-        let total = *offsets.last().expect("scan returns n+1 entries");
-        let out_buf = stream.try_alloc::<PairRecord>(total)?;
-        stream.try_launch_scatter_tiles(
-            LaunchConfig::for_threads(n),
-            &out_buf,
-            offsets,
-            emit_kernel(dev_edges, dev_runs, spec),
-        )?;
-        let records = stream.try_download(&out_buf)?.result()?;
-        Ok(records.into_iter().map(|r| (r.a, r.b, r.d2)).collect())
-    }
-}
-
 /// The host (CPU) fallback for one row: the same windowed enumeration
 /// as the device kernels, run inline — guaranteeing an identical
 /// record set (the executor choice does not change the records, so no
 /// threshold is needed here).
-pub(crate) fn row_host_records(edges: &[PackedEdge], spec: SpaceSpec) -> Vec<(u32, u32, i64)> {
+pub(crate) fn row_host_records(edges: &[PackedEdge], spec: SpaceSpec) -> Vec<Record> {
     let runs = build_runs(edges);
     let mut recs = Vec::new();
     let mut r = 0usize;
@@ -614,21 +559,22 @@ pub(crate) fn row_host_records(edges: &[PackedEdge], spec: SpaceSpec) -> Vec<(u3
 const DEVICE_RETRIES: usize = 2;
 
 /// Recovers one failed work unit where its collect saw the failure: up
-/// to [`DEVICE_RETRIES`] complete device `attempt`s, each on a fresh
-/// stream (stream errors are sticky; the device itself survives kernel
-/// panics), then the `host` recomputation. Either way the unit yields
-/// the same result. Injected faults are one-shot, so the attempts need
-/// no backoff; once the run's cancel token trips, fresh streams are
-/// born poisoned and the unit goes straight to the host.
+/// to [`DEVICE_RETRIES`] device `attempt`s, each handed a fresh stream
+/// (stream errors are sticky; the device itself survives kernel
+/// panics) on which it re-runs the unit's own enqueue code to
+/// completion, then the `host` recomputation. Either way the unit
+/// yields the same result. Injected faults are one-shot, so the
+/// attempts need no backoff; once the run's cancel token trips, fresh
+/// streams are born poisoned and the unit goes straight to the host.
 fn recover<T>(
     ctx: &mut RunContext<'_>,
     device: &Device,
-    attempt: impl Fn(&Stream) -> XpuResult<T>,
+    mut attempt: impl FnMut(&mut RunContext<'_>, &Stream) -> XpuResult<T>,
     host: impl FnOnce() -> T,
 ) -> T {
     for _ in 0..DEVICE_RETRIES {
         ctx.stats.device_retries += 1;
-        if let Ok(done) = attempt(&device.stream()) {
+        if let Ok(done) = attempt(ctx, &device.stream()) {
             return done;
         }
     }
@@ -645,7 +591,7 @@ fn recover<T>(
 pub(crate) fn replay_record(
     rule: &str,
     row: &PlannedRow,
-    (a, b, d2): (u32, u32, i64),
+    (a, b, d2): Record,
     out: &mut Vec<Violation>,
 ) {
     let local = make_violation(rule, &row.edges.host, a, b, d2);
@@ -669,142 +615,131 @@ fn make_violation(rule: &str, edges: &[PackedEdge], a: u32, b: u32, d2: i64) -> 
     }
 }
 
-/// Issue half of an intra-polygon width/area rule: acquire the layer's
-/// shared polygon buffer and launch the per-polygon kernel. The
-/// memoization and instantiation host work happens at collect.
-fn issue_intra(
+/// A whole-rule kernel body: one element's result, computed alike by a
+/// device thread and by the host fallback.
+type MapKernel<X, Y> = Arc<dyn Fn(&X) -> Y + Send + Sync>;
+
+/// A rule whose device work is one map kernel over shared `data`: the
+/// work unit retried and recomputed as a whole.
+struct MapIssue<X, Y> {
+    data: Arc<SharedDeviceData<X>>,
+    kernel: MapKernel<X, Y>,
+    /// `None` when `data` is empty or the map failed to enqueue (collect
+    /// then goes straight to recovery).
+    pending: Option<Pending<Vec<Y>>>,
+}
+
+/// Issue half of a map rule: enqueue [`enqueue_map`] on the rule's
+/// stream unless there is nothing to map.
+fn issue_map<X, Y>(
     ctx: &mut RunContext<'_>,
     stream: &Stream,
-    rule_name: &str,
-    layer: Layer,
-    is_width: bool,
-    min: i64,
-) -> IntraIssue {
-    let data = ctx.intra_data(layer);
-    let n = data.polys.host.len();
-    let pending = if n == 0 {
+    data: Arc<SharedDeviceData<X>>,
+    kernel: MapKernel<X, Y>,
+) -> MapIssue<X, Y>
+where
+    X: Send + Sync + 'static,
+    Y: Default + Clone + Send + Sync + 'static,
+{
+    let pending = if data.host.is_empty() {
         None
     } else {
-        // Issue-time failure: collect goes straight to recovery.
-        enqueue_intra(ctx, stream, &data, is_width, min).ok()
+        enqueue_map(ctx, stream, &data, &kernel).ok()
     };
-    IntraIssue {
-        rule_name: rule_name.to_owned(),
-        is_width,
-        min,
+    MapIssue {
         data,
+        kernel,
         pending,
     }
 }
 
-fn enqueue_intra(
+/// Enqueues one map over `data` on `stream` in a fused batch: acquire
+/// the shared buffer, one thread per element computing `kernel`, and
+/// the download of the results.
+fn enqueue_map<X, Y>(
     ctx: &mut RunContext<'_>,
     stream: &Stream,
-    data: &IntraData,
-    is_width: bool,
-    min: i64,
-) -> XpuResult<Pending<Vec<Vec<LocalViolation>>>> {
-    let n = data.polys.host.len();
+    data: &SharedDeviceData<X>,
+    kernel: &MapKernel<X, Y>,
+) -> XpuResult<Pending<Vec<Y>>>
+where
+    X: Send + Sync + 'static,
+    Y: Default + Clone + Send + Sync + 'static,
+{
+    let n = data.host.len();
     let mut batch = stream.batch(true);
-    let (dev_polys, elided) = data.polys.acquire_in(&mut batch)?;
-    ctx.note_upload(elided, data.polys.bytes());
-    let out_buf = batch.try_alloc::<Vec<LocalViolation>>(n)?;
-    let check = intra_local_check(is_width, min);
+    let (dev_data, elided) = data.acquire_in(&mut batch)?;
+    ctx.note_upload(elided, data.bytes());
+    let out_buf = batch.try_alloc::<Y>(n)?;
+    let kernel = Arc::clone(kernel);
     batch.try_launch_map(LaunchConfig::for_threads(n), &out_buf, move |tctx, slot| {
-        check(&dev_polys.read()[tctx.global_id()], slot);
+        *slot = kernel(&dev_data.read()[tctx.global_id()]);
     })?;
     let pending = batch.try_download(&out_buf)?;
     batch.commit();
     Ok(pending)
 }
 
-/// The whole-rule kernel body, shared by the device attempt and the
-/// host fallback.
-fn intra_local_check(
+/// Collect half of a map rule: wait for the map, recovering it on
+/// failure, and tally one computed check per element.
+fn collect_map<X, Y>(ctx: &mut RunContext<'_>, device: &Device, issue: MapIssue<X, Y>) -> Vec<Y>
+where
+    X: Send + Sync + 'static,
+    Y: Default + Clone + Send + Sync + 'static,
+{
+    let MapIssue {
+        data,
+        kernel,
+        pending,
+    } = issue;
+    ctx.stats.checks_computed += data.host.len();
+    if data.host.is_empty() {
+        return Vec::new();
+    }
+    match pending.map(|pending| ctx.device_wait(|| pending.result())) {
+        Some(Ok(results)) => results,
+        _ => recover(
+            ctx,
+            device,
+            |ctx, fresh| enqueue_map(ctx, fresh, &data, &kernel)?.result(),
+            || data.host.iter().map(|x| kernel(x)).collect(),
+        ),
+    }
+}
+
+/// Issue half of a width / area rule: a map over the layer's shared
+/// unique-polygon buffer. The instantiation host work happens at
+/// collect.
+fn issue_intra(
+    ctx: &mut RunContext<'_>,
+    stream: &Stream,
+    layer: Layer,
     is_width: bool,
     min: i64,
-) -> impl Fn(&Polygon, &mut Vec<LocalViolation>) + Send + Sync + Clone + 'static {
-    move |poly, slot| {
+) -> InFlightKind {
+    let data = ctx.intra_data(layer);
+    let kernel: MapKernel<Polygon, Vec<LocalViolation>> = Arc::new(move |poly: &Polygon| {
+        let mut found = Vec::new();
         if is_width {
-            crate::checks::poly::width_violations(poly, min, slot);
+            crate::checks::poly::width_violations(poly, min, &mut found);
         } else {
             let area = poly.area();
             if area < min {
-                slot.push(LocalViolation {
+                found.push(LocalViolation {
                     kind: ViolationKind::Area,
                     location: poly.mbr(),
                     measured: area,
                 });
             }
         }
-    }
+        found
+    });
+    let map = issue_map(ctx, stream, Arc::clone(&data.polys), kernel);
+    InFlightKind::Intra { map, data }
 }
 
-/// Collect half of an intra rule: wait for the per-polygon kernel,
-/// recover on failure, then replay each cell's local violations
-/// through all its instances on the host.
-fn collect_intra(
-    ctx: &mut RunContext<'_>,
-    device: &Device,
-    issue: IntraIssue,
-    out: &mut Vec<Violation>,
-) {
-    let IntraIssue {
-        rule_name,
-        is_width,
-        min,
-        data,
-        pending,
-    } = issue;
-    let n = data.polys.host.len();
-    if n == 0 {
-        return;
-    }
-
-    let waited = match pending {
-        Some(pending) => ctx.device_wait(|| pending.result()),
-        None => Err(odrc_xpu::XpuError::StreamTimeout { op: "issue" }),
-    };
-    // The whole rule is one work unit. A fresh attempt uploads the
-    // polygons anew: the shared resident copy may be the failed one.
-    let per_poly = match waited {
-        Ok(per_poly) => per_poly,
-        Err(_) => recover(
-            ctx,
-            device,
-            |fresh| {
-                let check = intra_local_check(is_width, min);
-                let dev_polys = fresh.try_upload_shared(Arc::clone(&data.polys.host))?;
-                let out_buf = fresh.try_alloc::<Vec<LocalViolation>>(n)?;
-                fresh.try_launch_map(
-                    LaunchConfig::for_threads(n),
-                    &out_buf,
-                    move |tctx, slot| {
-                        check(&dev_polys.read()[tctx.global_id()], slot);
-                    },
-                )?;
-                fresh.try_download(&out_buf)?.result()
-            },
-            || {
-                let check = intra_local_check(is_width, min);
-                data.polys
-                    .host
-                    .iter()
-                    .map(|poly| {
-                        let mut slot = Vec::new();
-                        check(poly, &mut slot);
-                        slot
-                    })
-                    .collect()
-            },
-        ),
-    };
-    emit_intra(ctx, &rule_name, &data, &per_poly, out);
-}
-
-/// Host side of an intra rule's collect: tallies the per-polygon
-/// checks and replays each cell's local violations through all its
-/// instances. Shared by the fault-free path and recovery.
+/// Host side of a width / area rule's collect: replays each cell's
+/// local violations through all its instances.
 fn emit_intra(
     ctx: &mut RunContext<'_>,
     rule_name: &str,
@@ -812,7 +747,10 @@ fn emit_intra(
     per_poly: &[Vec<LocalViolation>],
     out: &mut Vec<Violation>,
 ) {
-    ctx.stats.checks_computed += data.polys.host.len();
+    // An empty layer needs no instance table and no convert phase.
+    if per_poly.is_empty() {
+        return;
+    }
     let layout = ctx.layout;
     let instances = ctx
         .instances
@@ -840,127 +778,27 @@ fn emit_intra(
 }
 
 /// Issue half of an enclosure / overlap-area rule: gather the work
-/// list on the host (through the memoized scenes), upload it without a
-/// staging copy, and launch the per-shape kernel.
+/// list on the host (through the memoized scenes) and map the per-shape
+/// measure over it, uploaded without a staging copy.
 fn issue_pairs(
     ctx: &mut RunContext<'_>,
     stream: &Stream,
-    rule_name: &str,
     pairs: PairsRule,
     window: Option<DirtyWindow<'_>>,
-) -> PairsIssue {
+) -> InFlightKind {
     let (inner_scene, outer_scene) = enclosure_scenes(ctx, pairs, window);
-    let work: Arc<Vec<(Polygon, Vec<Polygon>)>> = Arc::new(enclosure_work(
-        ctx,
-        &inner_scene,
-        &outer_scene,
-        pairs.gather(),
-        window,
-    ));
-    let rects: Vec<Rect> = work.iter().map(|(p, _)| p.mbr()).collect();
-    let pending = if work.is_empty() {
-        None
-    } else {
-        // Issue-time failure: collect goes straight to recovery.
-        enqueue_pairs(ctx, stream, pairs, &work).ok()
-    };
-    PairsIssue {
-        rule_name: rule_name.to_owned(),
-        pairs,
-        work,
-        rects,
-        pending,
-    }
-}
-
-fn enqueue_pairs(
-    ctx: &mut RunContext<'_>,
-    stream: &Stream,
-    pairs: PairsRule,
-    work: &Arc<Vec<(Polygon, Vec<Polygon>)>>,
-) -> XpuResult<Pending<Vec<i64>>> {
-    let n = work.len();
-    let bytes = (n * std::mem::size_of::<(Polygon, Vec<Polygon>)>()) as u64;
-    let mut batch = stream.batch(true);
-    let dev_work = batch.try_upload_shared(Arc::clone(work))?;
-    ctx.note_upload(false, bytes);
-    let measures = batch.try_alloc::<i64>(n)?;
+    let work = enclosure_work(ctx, &inner_scene, &outer_scene, pairs.gather(), window);
+    let rects = work.iter().map(|(p, _)| p.mbr()).collect();
     let measure = pairs_measure(pairs);
-    batch.try_launch_map(
-        LaunchConfig::for_threads(n),
-        &measures,
-        move |tctx, slot| {
-            let work = dev_work.read();
-            let (poly, candidates) = &work[tctx.global_id()];
-            *slot = measure(poly, candidates);
-        },
-    )?;
-    let pending = batch.try_download(&measures)?;
-    batch.commit();
-    Ok(pending)
-}
-
-/// Collect half of an enclosure / overlap rule: wait for the measure
-/// kernel, recover on failure, threshold into violations.
-fn collect_pairs(
-    ctx: &mut RunContext<'_>,
-    device: &Device,
-    issue: PairsIssue,
-    out: &mut Vec<Violation>,
-) {
-    let PairsIssue {
-        rule_name,
-        pairs,
-        work,
-        rects,
-        pending,
-    } = issue;
-    if work.is_empty() {
-        return;
-    }
-    ctx.stats.checks_computed += work.len();
-
-    let waited = match pending {
-        Some(pending) => ctx.device_wait(|| pending.result()),
-        None => Err(odrc_xpu::XpuError::StreamTimeout { op: "issue" }),
-    };
-    // The whole rule is one work unit. The checks are already tallied
-    // above: recovery recomputes, it does not re-count.
-    let measures = match waited {
-        Ok(measures) => measures,
-        Err(_) => recover(
-            ctx,
-            device,
-            |fresh| {
-                let n = work.len();
-                let measure = pairs_measure(pairs);
-                let dev_work = fresh.try_upload_shared(Arc::clone(&work))?;
-                let measures = fresh.try_alloc::<i64>(n)?;
-                fresh.try_launch_map(
-                    LaunchConfig::for_threads(n),
-                    &measures,
-                    move |tctx, slot| {
-                        let w = dev_work.read();
-                        let (poly, candidates) = &w[tctx.global_id()];
-                        *slot = measure(poly, candidates);
-                    },
-                )?;
-                fresh.try_download(&measures)?.result()
-            },
-            || {
-                let measure = pairs_measure(pairs);
-                work.iter()
-                    .map(|(poly, cands)| measure(poly, cands))
-                    .collect()
-            },
-        ),
-    };
-    emit_pairs(ctx, &rule_name, pairs, &rects, measures, out);
+    let kernel: MapKernel<(Polygon, Vec<Polygon>), i64> =
+        Arc::new(move |(poly, candidates): &(Polygon, Vec<Polygon>)| measure(poly, candidates));
+    let data = Arc::new(SharedDeviceData::new(Arc::new(work)));
+    let map = issue_map(ctx, stream, data, kernel);
+    InFlightKind::Pairs { map, pairs, rects }
 }
 
 /// Thresholds a pair rule's per-shape measures into violations at the
-/// shapes' report rectangles. Shared by the fault-free path and
-/// recovery.
+/// shapes' report rectangles.
 fn emit_pairs(
     ctx: &mut RunContext<'_>,
     rule_name: &str,
@@ -969,6 +807,9 @@ fn emit_pairs(
     measures: Vec<i64>,
     out: &mut Vec<Violation>,
 ) {
+    if rects.is_empty() {
+        return;
+    }
     ctx.profiler.time("convert", || {
         for (rect, measured) in rects.iter().zip(measures) {
             if measured < pairs.min {

@@ -62,10 +62,13 @@
 //! on poisoned streams, so a consumer never deadlocks. If the upload
 //! op itself faults, the buffer stays empty: consumers that already
 //! waited hit an out-of-bounds kernel panic on *their own* stream and
-//! re-run through the normal per-work-unit recovery (fresh stream,
-//! then host), while consumers that acquire after the failure observe
-//! the event's error and repair the cache entry with a fresh upload.
-//! Either way the result set is byte-identical to a fault-free run.
+//! re-run through the normal per-work-unit recovery, while consumers
+//! that acquire after the failure observe the event's error and repair
+//! the cache entry with a fresh upload. A recovery attempt is such a
+//! consumer: it re-acquires through [`SharedDeviceData::acquire_in`]
+//! on its fresh stream, so it repairs a failed upload and elides an
+//! intact one. Either way the result set is byte-identical to a
+//! fault-free run.
 //!
 //! [`EngineStats::edges_packed`]: crate::EngineStats::edges_packed
 //! [`EngineStats::scenes_built`]: crate::EngineStats::scenes_built
@@ -79,7 +82,7 @@ use std::sync::Arc;
 
 use odrc_db::{CellId, Layer};
 use odrc_geometry::{Coord, Edge, Point, Polygon, Rect, Transform};
-use odrc_xpu::{DeviceBuffer, Event, LaunchBatch, Stream, XpuResult};
+use odrc_xpu::{DeviceBuffer, Event, LaunchBatch, XpuResult};
 use parking_lot::Mutex;
 
 use crate::rules::RuleDeck;
@@ -200,23 +203,12 @@ impl<T: Send + Sync + 'static> SharedDeviceData<T> {
         (self.host.len() * std::mem::size_of::<T>()) as u64
     }
 
-    /// Returns the device-resident buffer for use on `stream`, plus
-    /// `true` when the upload was elided (already resident). The first
-    /// call uploads on `stream`; an entry whose upload is known to have
-    /// failed is repaired with a fresh upload here. (The engine paths
-    /// go through [`Self::acquire_in`]; this unbatched form is kept
-    /// for direct-stream consumers and tests.)
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub fn acquire(&self, stream: &Stream) -> XpuResult<(DeviceBuffer<T>, bool)> {
-        let mut batch = stream.batch(false);
-        let out = self.acquire_in(&mut batch);
-        batch.commit();
-        out
-    }
-
-    /// [`Self::acquire`] into an open launch batch: the upload (or the
-    /// cross-stream event wait) is enqueued through `batch`, so a fused
-    /// batch carries it inside the same dispatch as the kernels that
+    /// Returns the device-resident buffer for use in `batch`'s stream,
+    /// plus `true` when the upload was elided (already resident). The
+    /// first call enqueues the upload through `batch`; an entry whose
+    /// upload is known to have failed is repaired with a fresh upload
+    /// here. A fused batch carries the upload (or the cross-stream
+    /// event wait) inside the same dispatch as the kernels that
     /// consume it. Event record/wait pairs within one batch execute in
     /// enqueue order, so a same-batch consumer of a same-batch upload
     /// never deadlocks.
@@ -403,8 +395,9 @@ impl RowSetKey {
 pub(crate) struct IntraData {
     /// `(cell, polygon index)` per packed polygon.
     pub targets: Arc<Vec<(CellId, usize)>>,
-    /// The polygons, device-shareable.
-    pub polys: SharedDeviceData<Polygon>,
+    /// The polygons, device-shareable (one map input of every width
+    /// and area rule on the layer).
+    pub polys: Arc<SharedDeviceData<Polygon>>,
 }
 
 /// The per-run cache behind the planner: scenes, row sets and intra
@@ -453,7 +446,7 @@ impl ExecutionPlan {
 mod tests {
     use super::*;
     use crate::rules::rule;
-    use odrc_xpu::Device;
+    use odrc_xpu::{Device, Fault, FaultPlan, Stream};
 
     #[test]
     fn plan_groups_rules_by_layer() {
@@ -469,14 +462,22 @@ mod tests {
         assert_eq!(plan.order, vec![0, 2, 1, 4, 3]);
     }
 
+    /// One acquisition through a fused batch on `stream`.
+    fn acquire_once(data: &SharedDeviceData<u32>, stream: &Stream) -> (DeviceBuffer<u32>, bool) {
+        let mut batch = stream.batch(true);
+        let acquired = data.acquire_in(&mut batch).unwrap();
+        batch.commit();
+        acquired
+    }
+
     #[test]
     fn shared_data_uploads_once_across_streams() {
         let device = Device::new(2);
         let data = SharedDeviceData::new(Arc::new(vec![1u32, 2, 3]));
         let a = device.stream();
         let b = device.stream();
-        let (buf_a, elided_a) = data.acquire(&a).unwrap();
-        let (buf_b, elided_b) = data.acquire(&b).unwrap();
+        let (buf_a, elided_a) = acquire_once(&data, &a);
+        let (buf_b, elided_b) = acquire_once(&data, &b);
         assert!(!elided_a);
         assert!(elided_b);
         b.try_synchronize().unwrap();
@@ -485,6 +486,27 @@ mod tests {
         a.try_synchronize().unwrap();
         // One simulated transfer, not two.
         assert_eq!(device.stats().bytes_h2d(), 12);
+    }
+
+    #[test]
+    fn failed_upload_is_repaired_on_next_acquire() {
+        let device = Device::new(2);
+        // Stream op 0 is the first acquire's upload.
+        device.set_fault_plan(Some(FaultPlan::new().with(Fault::StreamStall { nth: 0 })));
+        let data = SharedDeviceData::new(Arc::new(vec![1u32, 2, 3]));
+        let a = device.stream();
+        assert!(!acquire_once(&data, &a).1);
+        // The ready event fires carrying the stall.
+        assert!(a.try_synchronize().is_err());
+        assert_eq!(device.faults_injected(), 1);
+        let b = device.stream();
+        let (buf, elided) = acquire_once(&data, &b);
+        assert!(!elided, "a failed upload is repaired, not reused");
+        b.try_synchronize().unwrap();
+        assert_eq!(buf.to_vec(), vec![1, 2, 3]);
+        let c = device.stream();
+        assert!(acquire_once(&data, &c).1, "the repaired upload is reused");
+        c.try_synchronize().unwrap();
     }
 
     /// A host-only spacing check of `layer` through its row set: every

@@ -179,7 +179,7 @@ impl<'a> RunContext<'a> {
                 .collect();
             Arc::new(IntraData {
                 targets: Arc::new(targets),
-                polys: SharedDeviceData::new(Arc::new(polys)),
+                polys: Arc::new(SharedDeviceData::new(Arc::new(polys))),
             })
         });
         self.plan.intra.insert(layer, Arc::clone(&data));

@@ -6,6 +6,7 @@ use odrc_db::Layout;
 use odrc_gdsii::model::ArrayParams;
 use odrc_gdsii::{Element, Library, RefElement, Structure};
 use odrc_geometry::{Point, Rect};
+use odrc_layoutgen::{generate_layout, tech, DesignSpec};
 use odrc_xpu::{Device, Fault, FaultPlan};
 
 fn rect_el(layer: i16, x0: i32, y0: i32, x1: i32, y1: i32) -> Element {
@@ -391,6 +392,43 @@ fn border_pair_refound_by_the_row_kernel_is_reported_once() {
     }
 }
 
+/// Every device unit kind: the width and area maps, two spacing rules,
+/// and the enclosure and overlap maps (`fault_injection.rs`'s deck).
+fn every_unit_deck() -> RuleDeck {
+    RuleDeck::new(vec![
+        rule()
+            .layer(tech::M2)
+            .width()
+            .greater_than(tech::M2_WIDTH)
+            .named("M2.W.1"),
+        rule()
+            .layer(tech::M1)
+            .area()
+            .greater_than(tech::M1_AREA)
+            .named("M1.A.1"),
+        rule()
+            .layer(tech::M2)
+            .space()
+            .greater_than(tech::M2_SPACE)
+            .named("M2.S.1"),
+        rule()
+            .layer(tech::M3)
+            .space()
+            .greater_than(tech::M3_SPACE)
+            .named("M3.S.1"),
+        rule()
+            .layer(tech::V1)
+            .enclosed_by(tech::M2)
+            .greater_than(tech::V1_M2_ENCLOSURE)
+            .named("V1.M2.EN.1"),
+        rule()
+            .layer(tech::V1)
+            .overlapping(tech::M2)
+            .area_at_least(100)
+            .named("V1.M2.OVL.1"),
+    ])
+}
+
 #[test]
 fn every_single_device_fault_on_the_template_path_is_survived() {
     // Only cell-internal violations, plus a top-level polygon so the
@@ -398,43 +436,56 @@ fn every_single_device_fault_on_the_template_path_is_survived() {
     let mut lib = five_tight_placements();
     let top = lib.structures.last_mut().unwrap();
     top.elements.push(rect_el(1, 0, 400, 50, 410));
-    let layout = Layout::from_library(&lib).unwrap();
-    for sweep_threshold in [EngineOptions::default().sweep_threshold, 0] {
-        // Threshold 0 sends every row through count -> scan -> emit.
-        let engine = |device: Device| {
-            Engine::parallel_on(device).with_options(EngineOptions {
-                sweep_threshold,
-                ..EngineOptions::default()
-            })
-        };
-        let clean = engine(Device::new(2)).check(&layout, &space_deck());
-        assert_eq!(clean.violations.len(), 5);
-        assert!(!clean.stats.degraded());
-        let survives = |fault: Fault| {
-            let device = Device::new(2);
-            device.set_fault_plan(Some(FaultPlan::new().with(fault)));
-            let report = engine(device.clone()).check(&layout, &space_deck());
-            assert_eq!(report.violations, clean.violations, "{fault:?}");
-            let fired = device.faults_injected() > 0;
-            assert_eq!(
-                report.stats.degraded(),
-                fired,
-                "{fault:?}: degraded iff fired"
-            );
-            fired
-        };
-        // Ordinals are dense from 0: sweep each kind until one lies
-        // past the fault-free run's last operation and stays dormant.
-        type MakeFault = fn(u64) -> Fault;
-        let kinds: [(MakeFault, u64); 4] = [
-            (|nth| Fault::AllocOom { nth }, 2),
-            (|nth| Fault::TransferFail { nth }, 6),
-            (|nth| Fault::StreamStall { nth }, 8),
-            (|kernel| Fault::KernelPanic { kernel, thread: 0 }, 2),
-        ];
-        for (make, at_least) in kinds {
-            let fired = (0..).take_while(|&nth| survives(make(nth))).count() as u64;
-            assert!(fired >= at_least, "{:?}: only {fired} operations", make(0));
+    let templates = Layout::from_library(&lib).unwrap();
+    let generated = generate_layout(&DesignSpec::tiny(21));
+    // `(layout, deck, fault-free violations, minimum live ordinals of
+    // alloc / transfer / stream-op / launch)`.
+    let inputs = [
+        (&templates, space_deck(), 5, [2, 6, 8, 2]),
+        (&generated, every_unit_deck(), 9, [10, 30, 50, 10]),
+    ];
+    for (layout, deck, expected, at_least) in inputs {
+        for sweep_threshold in [EngineOptions::default().sweep_threshold, 0] {
+            // Threshold 0 sends every row through count -> scan -> emit.
+            let engine = |device: Device| {
+                Engine::parallel_on(device).with_options(EngineOptions {
+                    sweep_threshold,
+                    ..EngineOptions::default()
+                })
+            };
+            let clean = engine(Device::new(2)).check(layout, &deck);
+            assert_eq!(clean.violations.len(), expected);
+            assert!(!clean.stats.degraded());
+            let survives = |fault: Fault| {
+                let device = Device::new(2);
+                device.set_fault_plan(Some(FaultPlan::new().with(fault)));
+                let report = engine(device.clone()).check(layout, &deck);
+                assert_eq!(report.violations, clean.violations, "{fault:?}");
+                let fired = device.faults_injected() > 0;
+                assert_eq!(
+                    report.stats.degraded(),
+                    fired,
+                    "{fault:?}: degraded iff fired"
+                );
+                // One one-shot fault costs one fresh-stream retry; a
+                // retry that re-read a failed shared buffer would fail
+                // again and reach the host.
+                assert_eq!(report.stats.device_fallbacks, 0, "{fault:?}");
+                fired
+            };
+            // Ordinals are dense from 0: sweep each kind until one lies
+            // past the fault-free run's last operation and stays dormant.
+            type MakeFault = fn(u64) -> Fault;
+            let kinds: [MakeFault; 4] = [
+                |nth| Fault::AllocOom { nth },
+                |nth| Fault::TransferFail { nth },
+                |nth| Fault::StreamStall { nth },
+                |kernel| Fault::KernelPanic { kernel, thread: 0 },
+            ];
+            for (make, at_least) in kinds.into_iter().zip(at_least) {
+                let fired = (0..).take_while(|&nth| survives(make(nth))).count() as u64;
+                assert!(fired >= at_least, "{:?}: only {fired} operations", make(0));
+            }
         }
     }
 }
