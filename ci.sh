@@ -10,10 +10,11 @@ cargo fmt --all -- --check
 echo "== cargo clippy"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "== one host path, one classifier, one ingest path, one scene pass 1 (no is_serial() fork, one spacing row loop, one dispatcher per mode, one GDSII loader, O(members) scenes)"
+echo "== one host path, one classifier, one ingest path, one scene pass 1 (no is_serial() fork, one spacing check in both modes, one dispatcher per mode, one GDSII loader, O(members) scenes)"
 # A 1-thread executor runs the same code inline, so the engine keeps no
 # separate single-threaded branch; and in-core, delta and sharded
-# spacing all go through the one row loop that calls cross_space.
+# spacing all go through the one host driver, which checks the packed
+# templates and rows of the parallel mode.
 if grep -rn 'is_serial()' crates/*/src; then
     echo "crates/*/src must not fork on HostExecutor::is_serial()"
     exit 1
@@ -86,6 +87,15 @@ calls=$(grep -c 'try_upload_shared(' crates/core/src/parallel.rs || true)
 [ "$calls" -eq 0 ] || { echo "expected no try_upload_shared( call in parallel.rs (uploads go through acquire_in), found $calls"; exit 1; }
 calls=$(grep -c 'try_launch_map(' crates/core/src/parallel.rs)
 [ "$calls" -eq 1 ] || { echo "expected one try_launch_map( call (enqueue_map) in parallel.rs, found $calls"; exit 1; }
+# One spacing check in both modes: the default mode packs the parallel
+# mode's templates and rows and runs the kernels' host body over them.
+# The polygon-level cell and cross-object checks stay deleted, and the
+# polygon spacing predicates serve only checks/ (and the baselines).
+if grep -rnE 'fn (cell_internal_space|cross_space)\b' crates/core/src \
+    || grep -rnE 'notch_space_violations|space_violations_between' crates/core/src | grep -v '^crates/core/src/checks/'; then
+    echo "a polygon-level spacing check is back in crates/core/src outside checks/"
+    exit 1
+fi
 # One inter-layer join: enclosure and overlap-area candidates come from
 # the row join (partition::row_join_on); the banded interval-tree join
 # stays deleted.
@@ -102,8 +112,8 @@ if grep -rnE 'fn (execute_job|execute_durable|admit_durable|panic_message)\b' cr
 fi
 calls=$(grep -c 'submit_with_shed(' crates/serve/src/server.rs)
 [ "$calls" -eq 1 ] || { echo "expected one submit_with_shed( call in server.rs, found $calls"; exit 1; }
-calls=$(grep -rn 'cross_space(' crates/core/src | grep -vc 'fn cross_space(')
-[ "$calls" -eq 1 ] || { echo "expected one cross_space( call site in crates/core/src, found $calls"; exit 1; }
+calls=$(grep -c 'row_host_records(' crates/core/src/sequential.rs)
+[ "$calls" -eq 1 ] || { echo "expected one row_host_records( call (the host spacing unit) in sequential.rs, found $calls"; exit 1; }
 # Ablations are not engine options: the planner, fused dispatch and the
 # persistent pool are the only paths, and the journal reads one format.
 if grep -rnE 'options\.(planner|fusion|launch_graph)|LaunchGraph|GraphNode|graph_replays|DispatchMode|scoped_dispatch|V2_MAGIC|upgrade_v2' crates/*/src; then
@@ -151,16 +161,24 @@ fi
 walks=$(grep -c 'LayerObjects::enumerate' crates/core/src/shard.rs)
 [ "$walks" -eq 2 ] || { echo "expected two LayerObjects::enumerate sites in shard.rs, found $walks"; exit 1; }
 
-# One candidate discovery and one window formula, shared by both modes:
-# the sequential row loop and the parallel pack (RowSet::build) both call
-# row_candidate_pairs / pair_window, and the pack's only whole-object
-# instantiation is its keep-everything arm (top polygons, pruning off).
+# One candidate discovery, one window formula and one pack, shared by
+# both modes: the default mode's host driver and the parallel row set
+# (RowSet::build) both call row_candidate_pairs, pack_cell and pack_row,
+# and pack_row is the one caller of pair_window. The pack transforms
+# edges (Transform::apply_edge) and never rebuilds a polygon.
 sites=$(grep -rn 'rtree_overlaps(' crates/core/src | wc -l)
 [ "$sites" -eq 1 ] || { echo "expected one rtree_overlaps( call site in crates/core/src, found $sites"; exit 1; }
 sites=$(grep -rn 'pair_window(' crates/core/src | grep -vc 'fn pair_window(')
-[ "$sites" -eq 2 ] || { echo "expected two pair_window( call sites in crates/core/src, found $sites"; exit 1; }
-sites=$(grep -c 'object_polygons_into' crates/core/src/plan.rs)
-[ "$sites" -eq 1 ] || { echo "expected one object_polygons_into in plan.rs (the keep-everything arm), found $sites"; exit 1; }
+[ "$sites" -eq 1 ] || { echo "expected one pair_window( call site in crates/core/src (pack_row), found $sites"; exit 1; }
+for f in pack_cell pack_row; do
+    sites=$(grep -rn "$f(" crates/core/src/sequential.rs crates/core/src/plan.rs | grep -vc "fn $f(")
+    [ "$sites" -eq 2 ] || { echo "expected two $f( call sites (one per mode), found $sites"; exit 1; }
+done
+if awk '/^#\[cfg\(test\)\]/{exit} !/^ *\/\//' crates/core/src/plan.rs \
+    | grep -nE 'apply_polygon|object_polygons_(in_)?into'; then
+    echo "the row pack rebuilds polygons again (plan.rs must transform edges)"
+    exit 1
+fi
 
 echo "== tier-1: cargo build --release && cargo test -q"
 # --no-fail-fast: without it the first red package hides every test
@@ -217,7 +235,7 @@ echo "== perf gate (kernel-wait, sweepline, parallel vs sequential, sharded scen
 # slower than 1.25x the sequential one beside it (+10ms), packing a
 # different edges_packed than committed or uploading more bytes, on
 # 2-thread host scaling below 0.95x of serial (noisy on a shared
-# 2-core host — ROADMAP item 5; re-run if that leg alone fails), or on
+# 2-core host — ROADMAP item 8; re-run if that leg alone fails), or on
 # a sharded (sequential+ooc) run
 # whose scene phase exceeds 4x the in-core one (+5ms), whose
 # scene_objects_scanned left the committed count, or whose violations

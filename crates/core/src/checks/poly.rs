@@ -5,7 +5,7 @@ use odrc_geometry::{Polygon, Rect, Transform};
 
 use crate::checks::edge::SpaceSpec;
 use crate::rules::{EnsureFn, PolygonInfo};
-use crate::violation::ViolationKind;
+use crate::violation::{Violation, ViolationKind};
 
 /// A violation in cell-local coordinates, before instantiation.
 ///
@@ -31,6 +31,17 @@ impl LocalViolation {
         LocalViolation {
             kind: self.kind,
             location: transform.apply_rect(self.location),
+            measured: self.measured,
+        }
+    }
+
+    /// The violation of rule `rule` this one reports (its location read
+    /// as top coordinates).
+    pub fn named(self, rule: &str) -> Violation {
+        Violation {
+            rule: rule.to_owned(),
+            kind: self.kind,
+            location: self.location,
             measured: self.measured,
         }
     }

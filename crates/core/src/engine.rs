@@ -137,13 +137,15 @@ impl std::fmt::Display for RuleStatus {
 /// Work accounting for a check run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
-    /// Checks actually executed (cell-level units for intra rules,
-    /// emitted records for device space kernels).
+    /// Checks actually executed: one executor record of a spacing rule
+    /// (in either mode), one unique polygon of a width or area rule, one
+    /// inner shape of a pair rule.
     pub checks_computed: usize,
     /// Checks answered from the hierarchy memo instead of running
     /// (§IV-C).
     pub checks_reused: usize,
-    /// Candidate object pairs produced by the sweepline.
+    /// Candidate object pairs of the spacing rules' row packs (0 with
+    /// `pruning` off); equal in both modes.
     pub candidate_pairs: usize,
     /// Rows produced by the adaptive partition, summed over rules.
     pub rows: usize,
@@ -170,9 +172,9 @@ pub struct EngineStats {
     /// upload path (shallow sizes at the upload call sites), including
     /// a retry's repair of a failed upload (faulted runs only).
     pub bytes_uploaded: u64,
-    /// Edges the parallel mode's row pack placed in cell templates and
-    /// partition rows, summed over row-set builds; 0 in sequential mode.
-    /// A function of layout, deck, `pruning` and `partition` only —
+    /// Edges the row pack placed in cell templates and partition rows —
+    /// per rule, but once per shared row set in parallel mode. A
+    /// function of layout, deck, mode, `pruning` and `partition` only —
     /// never of `host_threads`, the device or a fault seed.
     pub edges_packed: u64,
     /// `(inner shape, outer object)` candidates the pair rules' row join

@@ -74,14 +74,13 @@ use odrc_xpu::{
 use crate::checks::edge::{space_pair_spec, SpaceSpec};
 use crate::checks::poly::LocalViolation;
 use crate::plan::{
-    build_runs, span_lo, IntraData, PackedEdge, PlannedRow, RowSet, RunInfo, SharedDeviceData,
+    build_runs, span_lo, unpack, IntraData, PackedEdge, PlannedRow, RowSet, RunInfo,
+    SharedDeviceData,
 };
 use crate::rules::{PairsRule, Rule, RuleFamily, RuleKind};
 use crate::scene::DirtyWindow;
 use crate::sequential::{enclosure_scenes, enclosure_work, pairs_measure, RunContext};
 use crate::violation::{Violation, ViolationKind};
-
-pub(crate) use crate::plan::unpack;
 
 /// A violation record of the spacing executors: edge indices `(a, b)`
 /// into the row's packed array plus the squared distance.
@@ -363,6 +362,7 @@ fn issue_space(
     spec: SpaceSpec,
 ) -> SpaceIssue {
     ctx.stats.rows += rows.partition_rows;
+    ctx.stats.candidate_pairs += rows.candidate_pairs;
     let mut jobs = Vec::with_capacity(rows.rows.len());
     let mut failed = Vec::new();
     let mut batch = stream.batch(true);
@@ -535,10 +535,11 @@ fn enqueue_row_emit(
     Ok(pending)
 }
 
-/// The host (CPU) fallback for one row: the same windowed enumeration
-/// as the device kernels, run inline — guaranteeing an identical
-/// record set (the executor choice does not change the records, so no
-/// threshold is needed here).
+/// The host executor of one packed template or row: the same windowed
+/// enumeration as the device kernels, run inline — guaranteeing an
+/// identical record set (the executor choice does not change the
+/// records, so no threshold is needed here). It is the default mode's
+/// spacing check and the device units' host fallback.
 pub(crate) fn row_host_records(edges: &[PackedEdge], spec: SpaceSpec) -> Vec<Record> {
     let runs = build_runs(edges);
     let mut recs = Vec::new();
@@ -588,27 +589,20 @@ fn recover<T>(
 /// pair under that placement's isometry — same `d2`, location
 /// transformed — so the record is replayed through every placement, as
 /// [`LocalViolation::instantiate`] does for the sequential memo.
-pub(crate) fn replay_record(
-    rule: &str,
-    row: &PlannedRow,
-    (a, b, d2): Record,
-    out: &mut Vec<Violation>,
-) {
-    let local = make_violation(rule, &row.edges.host, a, b, d2);
+pub(crate) fn replay_record(rule: &str, row: &PlannedRow, rec: Record, out: &mut Vec<Violation>) {
+    let local = record_violation(&row.edges.host, rec);
     match &row.instances {
-        None => out.push(local),
-        Some(placements) => out.extend(placements.iter().map(|t| Violation {
-            location: t.apply_rect(local.location),
-            ..local.clone()
-        })),
+        None => out.push(local.named(rule)),
+        Some(placements) => out.extend(placements.iter().map(|t| local.instantiate(t).named(rule))),
     }
 }
 
-fn make_violation(rule: &str, edges: &[PackedEdge], a: u32, b: u32, d2: i64) -> Violation {
+/// The violation one executor record `(a, b, d2)` stands for, in the
+/// coordinates of the packed array `edges`: the hull of the two edges.
+pub(crate) fn record_violation(edges: &[PackedEdge], (a, b, d2): Record) -> LocalViolation {
     let ea = unpack(edges[a as usize]);
     let eb = unpack(edges[b as usize]);
-    Violation {
-        rule: rule.to_owned(),
+    LocalViolation {
         kind: ViolationKind::Space,
         location: ea.mbr().hull(eb.mbr()),
         measured: d2,
@@ -763,15 +757,11 @@ fn emit_intra(
             };
             ctx.stats.checks_reused += transforms.len().saturating_sub(1);
             for t in transforms {
-                for v in &per_poly[idx] {
-                    let vi = v.instantiate(t);
-                    out.push(Violation {
-                        rule: rule_name.to_owned(),
-                        kind: vi.kind,
-                        location: vi.location,
-                        measured: vi.measured,
-                    });
-                }
+                out.extend(
+                    per_poly[idx]
+                        .iter()
+                        .map(|v| v.instantiate(t).named(rule_name)),
+                );
             }
         }
     });

@@ -28,23 +28,24 @@
 //! # What a row set packs
 //!
 //! The hierarchy decides what is packed and how often a result is
-//! replayed (§IV-C pruning, §IV-E "the edges of *relevant* polygons"):
+//! replayed (§IV-C pruning, §IV-E "the edges of *relevant* polygons").
+//! Both modes pack these units; the default mode checks each in a host
+//! task and drops it ([`check_space_scene_rows`]):
 //!
-//! * one **template** per placed cell definition — its flattened
-//!   polygons' edges in cell-local coordinates, checked once by the
-//!   ordinary row executors, every record replayed through the cell's
-//!   placements ([`PlannedRow::instances`]) as the sequential mode
-//!   instantiates its per-cell memo;
-//! * the **partition rows**, holding only what can take part in an
-//!   *inter*-object violation: each candidate object pair of a row
-//!   ([`row_candidate_pairs`], the sequential mode's own discovery)
-//!   contributes a window ([`pair_window`]) and a placed cell keeps the
-//!   polygons whose MBR overlaps one of its windows. Top-level polygons
-//!   keep every edge (their notch pairs have no template); a row that
-//!   keeps nothing is not materialized.
+//! * one **template** per placed cell definition ([`pack_cell`]) — its
+//!   flattened polygons' edges in cell-local coordinates, checked once,
+//!   every record replayed through the cell's placements
+//!   ([`PlannedRow::instances`], or the default mode's per-cell memo);
+//! * the **partition rows** ([`pack_row`]), holding only what can take
+//!   part in an *inter*-object violation: each candidate object pair of
+//!   a row ([`row_candidate_pairs`]) contributes a window
+//!   ([`pair_window`]) and a placed cell keeps the polygons whose MBR
+//!   overlaps one of its windows. Top-level polygons keep every edge
+//!   (their notch pairs have no template); a row that keeps nothing is
+//!   not materialized.
 //!
-//! Windows reach `2 · half` of the [`RowSetKey`], never the building
-//! rule's own distance: the set is shared by every rule that rounds to
+//! Windows reach `2 · half` of the [`RowSetKey`], never the checking
+//! rule's own distance: a row set is shared by every rule that rounds to
 //! the same `half`, and `2 · half ≥ min` for all of them. A pair `e ∈ A`,
 //! `f ∈ B` closer than `min` has a point of `e`'s polygon inside both
 //! MBRs inflated by the reach, i.e. inside the window, so both polygons
@@ -75,6 +76,7 @@
 //! [`EngineStats::scenes_reused`]: crate::EngineStats::scenes_reused
 //! [`EngineStats::uploads_elided`]: crate::EngineStats::uploads_elided
 //! [`RunContext::layer_scene`]: crate::sequential::RunContext::layer_scene
+//! [`check_space_scene_rows`]: crate::sequential::check_space_scene_rows
 //! [`Violation`]: crate::Violation
 
 use std::collections::HashMap;
@@ -86,18 +88,14 @@ use odrc_xpu::{DeviceBuffer, Event, LaunchBatch, XpuResult};
 use parking_lot::Mutex;
 
 use crate::rules::RuleDeck;
-use crate::scene::{LayerScene, SceneSource};
-use crate::sequential::{pair_window, partition_scene, row_candidate_pairs, RunContext};
+use crate::scene::{LayerScene, SceneObject, SceneSource};
+use crate::sequential::{partition_scene, row_candidate_pairs, RunContext};
 
 /// A packed edge: `[x0, y0, x1, y1]`, the device-side representation.
 pub(crate) type PackedEdge = [i32; 4];
 
 pub(crate) fn unpack(e: PackedEdge) -> Edge {
     Edge::new(Point::new(e[0], e[1]), Point::new(e[2], e[3]))
-}
-
-pub(crate) fn pack(e: Edge) -> PackedEdge {
-    [e.from.x, e.from.y, e.to.x, e.to.y]
 }
 
 /// Lower span coordinate of a packed edge: the smaller endpoint along
@@ -112,7 +110,7 @@ pub(crate) fn span_lo(e: PackedEdge) -> i32 {
 }
 
 /// The canonical sort key for a row's packed edges:
-/// `(orientation, track, span-low, packed value)`.
+/// `(orientation, track, span-low, packed value)`, as one integer.
 ///
 /// Grouping by orientation first keeps a vertical edge's x-tracks from
 /// interleaving with horizontal edges' y-tracks, so a kernel walking
@@ -122,11 +120,133 @@ pub(crate) fn span_lo(e: PackedEdge) -> i32 {
 /// possibly-reaching partner and stop once spans start past its window.
 /// The trailing packed value makes the key a total order, so host and
 /// device sorts produce byte-identical arrays.
+///
+/// Past span-low, the packed value orders a forward edge (`from` low)
+/// before a backward one, then by the span's high end; the key stores
+/// exactly those fields, so it is injective and compares as one integer.
 #[inline]
-pub(crate) fn edge_sort_key(e: PackedEdge) -> (u8, i32, i32, PackedEdge) {
+pub(crate) fn edge_sort_key(e: PackedEdge) -> u128 {
     let vertical = e[0] == e[2];
-    let (orient, track) = if vertical { (1u8, e[0]) } else { (0u8, e[1]) };
-    (orient, track, span_lo(e), e)
+    let (track, from, to) = if vertical {
+        (e[0], e[1], e[3])
+    } else {
+        (e[1], e[0], e[2])
+    };
+    // Flipping the sign bit maps i32 order onto u32 order.
+    let biased = |v: i32| u128::from(v as u32 ^ 0x8000_0000);
+    (u128::from(vertical) << 97)
+        | (biased(track) << 65)
+        | (biased(from.min(to)) << 33)
+        | (u128::from(from > to) << 32)
+        | biased(from.max(to))
+}
+
+/// The edges of `keyed` in row order.
+fn sorted_edges(mut keyed: Vec<(u128, PackedEdge)>) -> Vec<PackedEdge> {
+    keyed.sort_unstable_by_key(|&(key, _)| key);
+    keyed.into_iter().map(|(_, e)| e).collect()
+}
+
+/// Appends the edges of `t.apply_polygon(poly)`, keyed by
+/// [`edge_sort_key`], without rebuilding the polygon: a mirror flips the
+/// orientation, so under one every edge runs backwards (interior on the
+/// clockwise side).
+fn placed_keys(poly: &Polygon, t: &Transform, keys: &mut Vec<(u128, PackedEdge)>) {
+    let v = poly.vertices();
+    let first = t.apply(v[0]);
+    let mut from = first;
+    for to in v[1..].iter().map(|&p| t.apply(p)).chain([first]) {
+        let (a, b) = if t.mirror_x() { (to, from) } else { (from, to) };
+        let e = [a.x, a.y, b.x, b.y];
+        keys.push((edge_sort_key(e), e));
+        from = to;
+    }
+}
+
+/// Where two objects can violate a distance rule of at most `reach`
+/// against each other: the intersection of their inflated MBRs.
+fn pair_window(a: &SceneObject, b: &SceneObject, reach: Coord) -> Option<Rect> {
+    a.mbr.inflate(reach).intersection(b.mbr.inflate(reach))
+}
+
+/// The templates of `members` (indices into `scene.objects`): each
+/// placed cell, first occurrence first, with its placements.
+pub(crate) fn templates_of(
+    scene: &LayerScene,
+    members: impl IntoIterator<Item = usize>,
+) -> Vec<(CellId, Vec<Transform>)> {
+    let mut cells: Vec<(CellId, Vec<Transform>)> = Vec::new();
+    let mut slots: HashMap<CellId, usize> = HashMap::new();
+    for m in members {
+        if let SceneSource::Cell { cell, transform } = scene.objects[m].source {
+            let slot = *slots.entry(cell).or_insert(cells.len());
+            if slot == cells.len() {
+                cells.push((cell, Vec::new()));
+            }
+            cells[slot].1.push(transform);
+        }
+    }
+    cells
+}
+
+/// A cell template's sorted edges (see the [module docs](self)).
+pub(crate) fn pack_cell(scene: &LayerScene, cell: CellId) -> Vec<PackedEdge> {
+    let mut keys = Vec::new();
+    for poly in scene.local_polygons(cell) {
+        placed_keys(poly, &Transform::IDENTITY, &mut keys);
+    }
+    sorted_edges(keys)
+}
+
+/// A partition row's sorted edges (see the [module docs](self)):
+/// `pairs` ([`row_candidate_pairs`]) index `members`, and each opens a
+/// window of `reach`. Without `pruning` every polygon is kept.
+pub(crate) fn pack_row(
+    scene: &LayerScene,
+    members: &[usize],
+    pairs: &[(usize, usize)],
+    reach: Coord,
+    pruning: bool,
+) -> Vec<PackedEdge> {
+    // Every member's windows, grouped by member position.
+    let mut windows: Vec<(usize, Rect)> = Vec::with_capacity(2 * pairs.len());
+    for &(a, b) in pairs {
+        let (oa, ob) = (&scene.objects[members[a]], &scene.objects[members[b]]);
+        if let Some(window) = pair_window(oa, ob, reach) {
+            windows.push((a, window));
+            windows.push((b, window));
+        }
+    }
+    windows.sort_unstable_by_key(|&(pos, _)| pos);
+    let mut rest = windows.as_slice();
+    let mut keys = Vec::new();
+    for (pos, &m) in members.iter().enumerate() {
+        let own = rest.iter().take_while(|&&(p, _)| p == pos).count();
+        let (near, tail) = rest.split_at(own);
+        rest = tail;
+        match scene.objects[m].source {
+            // A placed cell's own pairs are the template's; the row
+            // needs only what a candidate partner can reach.
+            SceneSource::Cell { cell, transform } => {
+                if pruning && near.is_empty() {
+                    continue;
+                }
+                for poly in scene.local_polygons(cell) {
+                    if !pruning || {
+                        let mbr = transform.apply_rect(poly.mbr());
+                        near.iter().any(|(_, w)| w.overlaps(mbr))
+                    } {
+                        placed_keys(poly, &transform, &mut keys);
+                    }
+                }
+            }
+            // A top polygon's notch pairs live in the row.
+            SceneSource::TopPolygon { index } => {
+                placed_keys(scene.top_polygon(index), &Transform::IDENTITY, &mut keys);
+            }
+        }
+    }
+    sorted_edges(keys)
 }
 
 /// One maximal same-`(orientation, track)` run of a row's sorted edges,
@@ -260,6 +380,9 @@ pub(crate) struct RowSet {
     ///
     /// [`EngineStats::rows`]: crate::EngineStats::rows
     pub partition_rows: usize,
+    /// Candidate object pairs the rows' pack found, charged per consuming
+    /// rule like `partition_rows`.
+    pub candidate_pairs: usize,
 }
 
 impl RowSet {
@@ -273,19 +396,11 @@ impl RowSet {
         let half = RowSetKey::new(scene.layer, min, ctx.options.partition).half;
         let reach = half.saturating_mul(2);
         let start = std::time::Instant::now();
-        let mut templates: Vec<(CellId, Vec<Transform>)> = Vec::new();
-        if pruning {
-            let mut slots: HashMap<CellId, usize> = HashMap::new();
-            for obj in &scene.objects {
-                if let SceneSource::Cell { cell, transform } = obj.source {
-                    let slot = *slots.entry(cell).or_insert(templates.len());
-                    if slot == templates.len() {
-                        templates.push((cell, Vec::new()));
-                    }
-                    templates[slot].1.push(transform);
-                }
-            }
-        }
+        let templates = if pruning {
+            templates_of(scene, 0..scene.objects.len())
+        } else {
+            Vec::new()
+        };
         // Each task packs and sorts one template or one row on the
         // host (pair discovery included: it is charged to `pack` with
         // the rest of the fan-out's wall). Every executor windows
@@ -294,62 +409,30 @@ impl RowSet {
         // the array is the same whoever sorts it — and keeping the
         // device out of the packing path means fault ordinals are never
         // consumed by pack-time sorts.
-        let pack_task = |i: usize| {
-            let mut edges: Vec<PackedEdge> = Vec::new();
-            let mut keep = |poly: &Polygon| edges.extend(poly.edges().map(pack));
-            if let Some(&(cell, _)) = templates.get(i) {
-                scene.local_polygons(cell).iter().for_each(&mut keep);
-            } else {
-                let members = &partition.rows()[i - templates.len()].members;
-                let mut windows: Vec<Vec<Rect>> = vec![Vec::new(); members.len()];
-                if pruning {
-                    for (a, b) in row_candidate_pairs(scene, members, half) {
-                        let (oa, ob) = (&scene.objects[members[a]], &scene.objects[members[b]]);
-                        if let Some(window) = pair_window(oa, ob, reach) {
-                            windows[a].push(window);
-                            windows[b].push(window);
-                        }
-                    }
-                }
-                let mut polys = Vec::new();
-                for (&m, windows) in members.iter().zip(&windows) {
-                    let obj = &scene.objects[m];
-                    match obj.source {
-                        // A placed cell's own pairs are the template's:
-                        // the row needs only the polygons some candidate
-                        // partner can reach — most placements have none.
-                        SceneSource::Cell { .. } if pruning && windows.is_empty() => {}
-                        SceneSource::Cell { cell, transform } if pruning => {
-                            let near = |poly: &&Polygon| {
-                                let mbr = transform.apply_rect(poly.mbr());
-                                windows.iter().any(|w| w.overlaps(mbr))
-                            };
-                            for poly in scene.local_polygons(cell).iter().filter(near) {
-                                keep(&transform.apply_polygon(poly));
-                            }
-                        }
-                        // A top polygon's notch pairs live in the row,
-                        // and without pruning so does everything else.
-                        _ => {
-                            polys.clear();
-                            scene.object_polygons_into(obj, &mut polys);
-                            polys.iter().for_each(&mut keep);
-                        }
-                    }
-                }
-            }
-            edges.sort_unstable_by_key(|&e| edge_sort_key(e));
-            let runs = build_runs(&edges);
-            (edges, runs)
-        };
         let tasks = templates.len() + partition.len();
-        let packed = ctx.host.run("pack", tasks, pack_task);
+        let packed = ctx.host.run("pack", tasks, |i| {
+            let (edges, pairs) = match templates.get(i) {
+                Some(&(cell, _)) => (pack_cell(scene, cell), 0),
+                None => {
+                    let members = &partition.rows()[i - templates.len()].members;
+                    let pairs = row_candidate_pairs(scene, members, half, pruning);
+                    (
+                        pack_row(scene, members, &pairs, reach, pruning),
+                        pairs.len(),
+                    )
+                }
+            };
+            let runs = build_runs(&edges);
+            (edges, runs, pairs)
+        });
         ctx.profiler.add("pack", start.elapsed());
         // The first `templates.len()` arrays are the templates'.
         let mut placements = templates.into_iter().map(|(_, placements)| placements);
         let mut rows = Vec::new();
-        for (edges, runs) in packed {
+        let mut candidate_pairs = 0;
+        for (edges, runs, pairs) in packed {
             let instances = placements.next();
+            candidate_pairs += pairs;
             if edges.is_empty() {
                 continue;
             }
@@ -363,6 +446,7 @@ impl RowSet {
         RowSet {
             rows,
             partition_rows: partition.len(),
+            candidate_pairs,
         }
     }
 }
@@ -579,6 +663,68 @@ mod tests {
         assert!(!pruned.is_empty());
         assert_eq!(pruned, flat);
         assert!(0 < pruned_edges && pruned_edges < flat_edges);
+    }
+
+    /// The tuple order [`edge_sort_key`] encodes.
+    fn tuple_key(e: PackedEdge) -> (u8, i32, i32, PackedEdge) {
+        let vertical = e[0] == e[2];
+        let (orient, track) = if vertical { (1u8, e[0]) } else { (0u8, e[1]) };
+        (orient, track, span_lo(e), e)
+    }
+
+    proptest::proptest! {
+        /// The integer key orders edges as the `(orientation, track,
+        /// span-low, packed value)` tuple does (ties included, so it is
+        /// injective).
+        #[test]
+        fn edge_sort_key_is_the_tuple_order(
+            raw in proptest::collection::vec(
+                (proptest::bool::ANY, -3i32..3, -3i32..3, 1i32..3, proptest::bool::ANY),
+                2..40,
+            ),
+            scale in proptest::prop_oneof![proptest::strategy::Just(1i32), proptest::strategy::Just(1 << 28)],
+        ) {
+            // Few distinct values, so ties on every key field occur;
+            // the scale reaches both ends of the coordinate range.
+            let edges: Vec<PackedEdge> = raw
+                .into_iter()
+                .map(|(vertical, track, lo, len, backward)| {
+                    let (t, a) = (track * scale, lo * scale);
+                    let b = a.saturating_add(len * scale);
+                    let (from, to) = if backward { (b, a) } else { (a, b) };
+                    if vertical { [t, from, t, to] } else { [from, t, to, t] }
+                })
+                .collect();
+            let mut by_key = edges.clone();
+            by_key.sort_by_key(|&e| edge_sort_key(e));
+            let mut by_tuple = edges;
+            by_tuple.sort_by_key(|&e| tuple_key(e));
+            proptest::prop_assert_eq!(by_key, by_tuple);
+        }
+    }
+
+    #[test]
+    fn placed_keys_are_the_transformed_polygons_edges() {
+        use odrc_geometry::Rotation;
+        // An L: no symmetry hides a wrongly oriented edge.
+        let corners = [(0, 0), (0, 40), (10, 40), (10, 10), (30, 10), (30, 0)];
+        let poly = Polygon::new(corners.iter().map(|&(x, y)| Point::new(x, y)).collect()).unwrap();
+        for rotation in Rotation::ALL {
+            for mirror in [false, true] {
+                let t = Transform::new(mirror, rotation, 1, Point::new(-7, 50));
+                let mut direct = Vec::new();
+                placed_keys(&poly, &t, &mut direct);
+                let mut rebuilt: Vec<(u128, PackedEdge)> = t
+                    .apply_polygon(&poly)
+                    .edges()
+                    .map(|e| [e.from.x, e.from.y, e.to.x, e.to.y])
+                    .map(|e| (edge_sort_key(e), e))
+                    .collect();
+                direct.sort_unstable();
+                rebuilt.sort_unstable();
+                assert_eq!(direct, rebuilt, "transform {t}");
+            }
+        }
     }
 
     #[test]

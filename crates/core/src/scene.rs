@@ -231,7 +231,7 @@ impl LayerScene {
 
     /// [`LayerScene::object_polygons`] appended into a caller-owned
     /// buffer — the allocation-free variant for hot loops that visit
-    /// many objects (row packing, enclosure gathering).
+    /// many objects (enclosure gathering).
     pub fn object_polygons_into(&self, obj: &SceneObject, out: &mut Vec<Polygon>) {
         match obj.source {
             SceneSource::Cell { cell, transform } => {
@@ -254,8 +254,8 @@ impl LayerScene {
     }
 
     /// [`LayerScene::object_polygons_in`] appended into a caller-owned
-    /// buffer — the allocation-free variant for the per-pair cross
-    /// checks, which call this once per candidate pair in every row.
+    /// buffer — the allocation-free variant for the enclosure gather,
+    /// which calls this once per candidate of every inner shape.
     pub fn object_polygons_in_into(&self, obj: &SceneObject, window: Rect, out: &mut Vec<Polygon>) {
         match obj.source {
             SceneSource::Cell { cell, transform } => out.extend(

@@ -12,7 +12,9 @@
 //! ([`check_space_scene_rows`], [`check_pairs_scenes`]) with shard
 //! scenes.
 //!
-//! The spacing pipeline:
+//! The spacing pipeline checks the parallel mode's units (the
+//! [planner](crate::plan)'s templates and rows) with the device
+//! kernels' host body, each packed, checked and dropped in one task:
 //!
 //! 1. **partition** — adaptive row partition of the layer's objects
 //!    (§IV-B), with extents inflated by half the rule distance so rows
@@ -24,9 +26,10 @@
 //!    faster) and keeps the phase name the profiles are read by
 //!    ([`row_candidate_pairs`]; the parallel mode's row pack calls it
 //!    too, inside its fan-out, where its time is part of `pack`);
-//! 3. **edge-check** — intra-object violations come from the per-cell
-//!    memo (computed once per cell definition, §IV-C) and candidate
-//!    pairs get windowed edge-to-edge checks.
+//! 3. **pack** — each placed cell once as a template ([`pack_cell`],
+//!    §IV-C), each row as the edges in its pairs' windows ([`pack_row`]);
+//! 4. **edge-check** — [`row_host_records`] per unit; a template's
+//!    violations are memoized per cell and replayed per placement.
 //!
 //! The pair pipeline (enclosure, overlap area) gathers each inner
 //! shape's candidate outer polygons through a row join — each inner
@@ -42,19 +45,19 @@ use odrc_geometry::{Coord, Polygon, Rect};
 use odrc_infra::host::HostExecutor;
 use odrc_infra::partition::{partition_rows_on, row_join_on, Row, RowPartition};
 use odrc_infra::rtree::rtree_overlaps;
-use odrc_infra::sweep::sweep_overlaps;
 use odrc_infra::Profiler;
 
 use crate::cache::CacheHandle;
-use crate::checks::poly::{
-    notch_space_violations, polygon_violations, space_violations_between, LocalViolation,
-    PolyRuleSpec,
-};
+use crate::checks::poly::{polygon_violations, LocalViolation, PolyRuleSpec};
 use crate::checks::{enclosure_margin, SpaceSpec};
 use crate::engine::{EngineOptions, EngineStats};
-use crate::plan::{IntraData, PlanCache, RowSet, RowSetKey, SharedDeviceData};
+use crate::parallel::{record_violation, row_host_records};
+use crate::plan::{
+    pack_cell, pack_row, templates_of, IntraData, PackedEdge, PlanCache, RowSet, RowSetKey,
+    SharedDeviceData,
+};
 use crate::rules::{PairsRule, Rule, RuleFamily, RuleKind};
-use crate::scene::{instance_transforms, DirtyWindow, LayerScene, SceneObject, SceneSource};
+use crate::scene::{instance_transforms, DirtyWindow, LayerScene, SceneSource};
 use crate::violation::{Violation, ViolationKind};
 
 /// Shared state across the rules of one `check()` run.
@@ -144,7 +147,7 @@ impl<'a> RunContext<'a> {
         let Some(w) = window else {
             return self.layer_scene(layer);
         };
-        let (layout, host) = (self.layout, HostExecutor::new(1));
+        let (layout, host) = (self.layout, Arc::clone(&self.host));
         let scanned = &mut self.stats.scene_objects_scanned;
         Arc::new(self.profiler.time("scene", || {
             LayerScene::build_counted(layout, layer, Some(w), &host, scanned)
@@ -336,15 +339,7 @@ pub(crate) fn check_intra_rule(ctx: &mut RunContext<'_>, rule: &Rule, out: &mut 
             }
         }
         for t in transforms {
-            for v in local.iter() {
-                let vi = v.instantiate(t);
-                out.push(Violation {
-                    rule: rule.name.clone(),
-                    kind: vi.kind,
-                    location: vi.location,
-                    measured: vi.measured,
-                });
-            }
+            out.extend(local.iter().map(|v| v.instantiate(t).named(&rule.name)));
         }
     }
     ctx.stats.checks_computed += computed;
@@ -352,8 +347,9 @@ pub(crate) fn check_intra_rule(ctx: &mut RunContext<'_>, rule: &Rule, out: &mut 
 }
 
 /// The §IV-C memo of one spacing rule: each placed cell's internal
-/// violations, in cell-local coordinates.
-pub(crate) type CellMemo = HashMap<CellId, Arc<Vec<LocalViolation>>>;
+/// violations, in cell-local coordinates, indexed by cell (every row
+/// consults it once per placement).
+pub(crate) type CellMemo = Vec<Option<Arc<Vec<LocalViolation>>>>;
 
 /// The row partition of a set of object MBRs for a rule distance of
 /// `min` (extents inflated by half of it, so rows cannot interact) —
@@ -426,23 +422,23 @@ pub(crate) fn check_rule(
     }
 }
 
-/// The spacing row pipeline — the one row loop of the host path, shared
-/// by in-core rules, delta windows and out-of-core shards. `rows` are
+/// The spacing row pipeline — the one host spacing driver, shared by
+/// in-core rules, delta windows and out-of-core shards. `rows` are
 /// lists of indices into `scene.objects`; rows must not interact (a
 /// partition inflated by half the rule distance guarantees it).
 ///
-/// The per-cell memo (§IV-C) is resolved first on the calling thread,
-/// so its bookkeeping — persistent-cache consults under `sig`, reuse
-/// counters — follows first-occurrence order; then the rows run as
-/// executor tasks (sweepline over inflated object MBRs, memoized
-/// intra-object hits, windowed pair checks) and merge in row order. A
-/// one-thread executor runs the same tasks inline, so the violation
-/// list and every counter are identical for any thread count.
+/// The templates (§IV-C) are resolved first, on the calling thread, so
+/// their bookkeeping — persistent-cache consults under `sig`, reuse
+/// counters — follows first-occurrence order; the misses are packed and
+/// checked as one fan-out. Then each row is one executor task and the
+/// tasks merge in row order. A one-thread executor runs the same tasks
+/// inline, so the violation list and every counter are identical for
+/// any thread count — and equal to the parallel mode's.
 ///
-/// `memo` belongs to the *rule*: a per-cell result is in cell-local
-/// coordinates, so a cell resolved by an earlier call (an earlier shard
-/// of the same rule) is reused, not recomputed. Callers that check the
-/// rule in one call pass an empty map.
+/// `memo` belongs to the *rule*: a template's violations are in
+/// cell-local coordinates, so a cell resolved by an earlier call (an
+/// earlier shard of the same rule) is reused, not recomputed. Callers
+/// that check the rule in one call pass an empty map.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn check_space_scene_rows(
     ctx: &mut RunContext<'_>,
@@ -455,139 +451,134 @@ pub(crate) fn check_space_scene_rows(
     out: &mut Vec<Violation>,
 ) {
     let half = ((spec.min + 1) / 2) as Coord;
+    // The row set's window reach, so both modes pack the same edges.
+    let reach = half.saturating_mul(2);
     let pruning = ctx.options.pruning;
+    memo.resize(ctx.layout.cell_count(), None);
 
     // Phase 1: resolve every unique cell once — memo hits for repeat
     // placements, persistent-cache consults in first-occurrence order,
     // and a fan-out over the actual misses.
     if pruning {
-        let mut order: Vec<CellId> = Vec::new();
-        let mut seen: std::collections::HashSet<CellId> = Default::default();
-        let mut occurrences = 0usize;
-        for &m in rows.iter().copied().flatten() {
-            if let SceneSource::Cell { cell, .. } = scene.objects[m].source {
-                occurrences += 1;
-                if seen.insert(cell) {
-                    order.push(cell);
-                }
-            }
-        }
-        ctx.stats.checks_reused += occurrences - order.len();
+        let cells = templates_of(scene, rows.iter().flat_map(|r| r.iter().copied()));
+        let occurrences: usize = cells.iter().map(|(_, placements)| placements.len()).sum();
+        ctx.stats.checks_reused += occurrences - cells.len();
         let mut missing: Vec<CellId> = Vec::new();
-        for &cell in &order {
-            if memo.contains_key(&cell) {
-                ctx.stats.checks_reused += 1;
-                continue;
-            }
-            let mut hit = None;
-            if let (Some(sig), Some(handle)) = (sig, ctx.cache.as_mut()) {
-                let key = handle.keys.subtree[cell.index()];
-                hit = handle.cache.get(sig, key);
-            }
-            match hit {
+        for &(cell, _) in &cells {
+            let cached = || {
+                let (sig, handle) = (sig?, ctx.cache.as_mut()?);
+                handle.cache.get(sig, handle.keys.subtree[cell.index()])
+            };
+            match memo[cell.index()].clone().or_else(cached) {
                 Some(arc) => {
                     ctx.stats.checks_reused += 1;
-                    memo.insert(cell, arc);
+                    memo[cell.index()] = Some(arc);
                 }
                 None => missing.push(cell),
             }
         }
-        let start = std::time::Instant::now();
-        let computed = ctx.host.run("edge-check", missing.len(), |i| {
-            Arc::new(cell_internal_space(scene, missing[i], spec, half))
+        let templates = ctx.host.run("edge-check", missing.len(), |i| {
+            SpaceUnit::check(spec, Vec::new, |_| pack_cell(scene, missing[i]))
         });
-        ctx.profiler.add("edge-check", start.elapsed());
-        for (&cell, arc) in missing.iter().zip(computed) {
-            ctx.stats.checks_computed += 1;
+        for (&cell, unit) in missing.iter().zip(templates) {
+            let hits = Arc::new(unit.tally(ctx));
             if let (Some(sig), Some(handle)) = (sig, ctx.cache.as_mut()) {
                 let key = handle.keys.subtree[cell.index()];
-                handle.cache.insert(sig, key, Arc::clone(&arc));
+                handle.cache.insert(sig, key, Arc::clone(&hits));
             }
-            memo.insert(cell, arc);
+            memo[cell.index()] = Some(hits);
         }
     }
 
-    // Phase 2: independent rows fan out; each task returns its hits in
-    // row-local discovery order plus its phase timings and counters.
-    struct RowOutput {
-        hits: Vec<LocalViolation>,
-        pairs: usize,
-        computed: usize,
-        sweep: std::time::Duration,
-        check: std::time::Duration,
-    }
+    // Phase 2: independent rows fan out.
     let memo = &*memo;
-    let results: Vec<RowOutput> = ctx.host.run("edge-check", rows.len(), |ri| {
+    let results = ctx.host.run("edge-check", rows.len(), |ri| {
         let members = rows[ri];
-        let sweep_start = std::time::Instant::now();
-        let pairs = row_candidate_pairs(scene, members, half);
-        let sweep = sweep_start.elapsed();
-
-        let check_start = std::time::Instant::now();
-        let mut hits: Vec<LocalViolation> = Vec::new();
-        let mut computed = 0usize;
+        let discover = || row_candidate_pairs(scene, members, half, pruning);
+        let pack = |pairs: &[(usize, usize)]| pack_row(scene, members, pairs, reach, pruning);
+        let mut unit = SpaceUnit::check(spec, discover, pack);
+        // Each placement's own violations are its template's (none
+        // without pruning: the flat row packed them).
         for &m in members {
-            match scene.objects[m].source {
-                SceneSource::Cell { cell, transform } => {
-                    if pruning {
-                        let arc = memo.get(&cell).expect("memo covers every placed cell");
-                        hits.extend(arc.iter().map(|v| v.instantiate(&transform)));
-                    } else {
-                        computed += 1;
-                        let local = cell_internal_space(scene, cell, spec, half);
-                        hits.extend(local.iter().map(|v| v.instantiate(&transform)));
-                    }
-                }
-                SceneSource::TopPolygon { index } => {
-                    notch_space_violations(scene.top_polygon(index), spec, &mut hits);
-                }
+            if let SceneSource::Cell { cell, transform } = scene.objects[m].source {
+                let local = memo[cell.index()].iter().flat_map(|l| l.iter());
+                unit.hits.extend(local.map(|v| v.instantiate(&transform)));
             }
         }
-        let (mut buf_a, mut buf_b) = (Vec::new(), Vec::new());
-        for &(a, b) in &pairs {
-            cross_space(
-                scene,
-                &scene.objects[members[a]],
-                &scene.objects[members[b]],
-                spec,
-                &mut buf_a,
-                &mut buf_b,
-                &mut hits,
-            );
-        }
-        RowOutput {
-            hits,
-            pairs: pairs.len(),
-            computed,
-            sweep,
-            check: check_start.elapsed(),
-        }
+        unit
     });
 
     // Phase 3: deterministic merge in row order.
-    for r in results {
-        ctx.stats.candidate_pairs += r.pairs;
-        ctx.stats.checks_computed += r.computed;
-        ctx.profiler.add("sweepline", r.sweep);
-        ctx.profiler.add("edge-check", r.check);
-        out.extend(r.hits.into_iter().map(|v| Violation {
-            rule: rule_name.to_owned(),
-            kind: v.kind,
-            location: v.location,
-            measured: v.measured,
-        }));
+    for unit in results {
+        let hits = unit.tally(ctx);
+        out.extend(hits.into_iter().map(|v| v.named(rule_name)));
+    }
+}
+
+/// One checked spacing unit (a template or a row): its violations in
+/// the unit's coordinates, its counters and its phase times.
+struct SpaceUnit {
+    hits: Vec<LocalViolation>,
+    records: usize,
+    edges: usize,
+    pairs: usize,
+    times: [std::time::Duration; 3],
+}
+
+impl SpaceUnit {
+    /// Discovers pairs, packs, and runs [`row_host_records`].
+    fn check(
+        spec: SpaceSpec,
+        discover: impl FnOnce() -> Vec<(usize, usize)>,
+        pack: impl FnOnce(&[(usize, usize)]) -> Vec<PackedEdge>,
+    ) -> SpaceUnit {
+        let start = std::time::Instant::now();
+        let pairs = discover();
+        let packing = std::time::Instant::now();
+        let edges = pack(&pairs);
+        let checking = std::time::Instant::now();
+        let hits: Vec<LocalViolation> = row_host_records(&edges, spec)
+            .into_iter()
+            .map(|rec| record_violation(&edges, rec))
+            .collect();
+        SpaceUnit {
+            records: hits.len(),
+            hits,
+            edges: edges.len(),
+            pairs: pairs.len(),
+            times: [packing - start, checking - packing, checking.elapsed()],
+        }
+    }
+
+    /// Charges the counters and times to the run; returns the hits.
+    fn tally(self, ctx: &mut RunContext<'_>) -> Vec<LocalViolation> {
+        ctx.stats.checks_computed += self.records;
+        ctx.stats.edges_packed += self.edges as u64;
+        ctx.stats.candidate_pairs += self.pairs;
+        for (phase, time) in ["sweepline", "pack", "edge-check"]
+            .into_iter()
+            .zip(self.times)
+        {
+            ctx.profiler.add(phase, time);
+        }
+        self.hits
     }
 }
 
 /// The candidate object pairs of one row, as positions `(a, b)` into
 /// `members`, `a < b`: the members whose MBRs inflated by `half`
-/// overlap. Both modes' meaning of "candidate" — the sequential row loop
-/// edge-checks these pairs, [`RowSet::build`] packs inside their windows.
+/// overlap. Both modes' meaning of "candidate" — the pack keeps only
+/// the polygons inside their windows ([`pack_row`]). Without `pruning`
+/// there are none: the flat pack keeps every polygon.
 pub(crate) fn row_candidate_pairs(
     scene: &LayerScene,
     members: &[usize],
     half: Coord,
+    pruning: bool,
 ) -> Vec<(usize, usize)> {
+    if !pruning {
+        return Vec::new();
+    }
     let inflated: Vec<Rect> = members
         .iter()
         .map(|&m| scene.objects[m].mbr.inflate(half))
@@ -595,69 +586,6 @@ pub(crate) fn row_candidate_pairs(
     let mut pairs = Vec::new();
     rtree_overlaps(&inflated, |a, b| pairs.push((a, b)));
     pairs
-}
-
-/// Where two objects can violate a distance rule of at most `reach`
-/// against each other: the intersection of their inflated MBRs. A point
-/// of `a` within `reach` of `b` lies in it (and vice versa), so only
-/// polygons overlapping the window take part in a cross-object violation.
-pub(crate) fn pair_window(a: &SceneObject, b: &SceneObject, reach: Coord) -> Option<Rect> {
-    a.mbr.inflate(reach).intersection(b.mbr.inflate(reach))
-}
-
-/// Spacing violations inside one cell's flattened subtree, in local
-/// coordinates (this is the per-cell result §IV-C reuses).
-fn cell_internal_space(
-    scene: &LayerScene,
-    cell: CellId,
-    spec: SpaceSpec,
-    half: Coord,
-) -> Vec<LocalViolation> {
-    let polys = scene.local_polygons(cell);
-    let mut out = Vec::new();
-    for p in polys {
-        notch_space_violations(p, spec, &mut out);
-    }
-    let inflated: Vec<Rect> = polys.iter().map(|p| p.mbr().inflate(half)).collect();
-    sweep_overlaps(&inflated, |a, b| {
-        if polys[a].mbr().gap(polys[b].mbr()) < spec.min {
-            space_violations_between(&polys[a], &polys[b], spec, &mut out);
-        }
-    });
-    out
-}
-
-/// Edge checks between the near-border polygons of two objects.
-///
-/// `buf_a` / `buf_b` are caller-owned scratch buffers reused across
-/// pairs (this runs once per candidate pair in every row — a fresh
-/// `Vec<Polygon>` per call used to dominate the allocator here).
-fn cross_space(
-    scene: &LayerScene,
-    a: &SceneObject,
-    b: &SceneObject,
-    spec: SpaceSpec,
-    buf_a: &mut Vec<Polygon>,
-    buf_b: &mut Vec<Polygon>,
-    out: &mut Vec<LocalViolation>,
-) {
-    let Some(window) = pair_window(a, b, spec.min as Coord) else {
-        return;
-    };
-    buf_a.clear();
-    scene.object_polygons_in_into(a, window, buf_a);
-    if buf_a.is_empty() {
-        return;
-    }
-    buf_b.clear();
-    scene.object_polygons_in_into(b, window, buf_b);
-    for qa in buf_a.iter() {
-        for qb in buf_b.iter() {
-            if qa.mbr().gap(qb.mbr()) < spec.min {
-                space_violations_between(qa, qb, spec, out);
-            }
-        }
-    }
 }
 
 /// The `(inner, outer)` scene pair of an in-core enclosure / overlap

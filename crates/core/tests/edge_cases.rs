@@ -188,8 +188,9 @@ fn parallel_engine(device: Device) -> Engine {
 }
 
 /// Checks `lib` in both modes, asserts they report the same `expected`
-/// number of violations at the same locations, and returns
-/// `(sequential, parallel)`.
+/// number of violations at the same locations and did the same
+/// spacing work (both check the same packed templates and rows), and
+/// returns `(sequential, parallel)`.
 fn both_modes(lib: &Library, expected: usize, what: &str) -> (CheckReport, CheckReport) {
     let layout = Layout::from_library(lib).unwrap();
     let seq = Engine::sequential().check(&layout, &space_deck());
@@ -199,6 +200,17 @@ fn both_modes(lib: &Library, expected: usize, what: &str) -> (CheckReport, Check
         par.violations, seq.violations,
         "{what}: parallel != sequential"
     );
+    let work = |r: &CheckReport| {
+        let s = r.stats;
+        (
+            s.checks_computed,
+            s.checks_reused,
+            s.candidate_pairs,
+            s.rows,
+            s.edges_packed,
+        )
+    };
+    assert_eq!(work(&seq), work(&par), "{what}: work counters differ");
     (seq, par)
 }
 
@@ -318,6 +330,54 @@ fn placements_with_overlapping_mbrs() {
         .push(Element::Ref(placed("L", Point::new(35, 61), 2, false)));
     lib.structures.push(top);
     both_modes(&lib, 2, "interlocked Ls");
+}
+
+/// A U whose notch is `gap` wide: two 10-wide, 40-tall arms on a
+/// 10-tall base, with the arms' inner edges facing across the notch.
+fn u_shape(gap: i32) -> Element {
+    let pts = [
+        (0, 0),
+        (0, 40),
+        (10, 40),
+        (10, 10),
+        (10 + gap, 10),
+        (10 + gap, 40),
+        (20 + gap, 40),
+        (20 + gap, 0),
+    ];
+    Element::boundary(1, pts.iter().map(|&(x, y)| Point::new(x, y)).collect())
+}
+
+#[test]
+fn notch_at_the_rule_distance_top_level_and_placed() {
+    for (gap, expected) in [(MIN - 1, 1), (MIN, 0), (MIN + 1, 0)] {
+        // A top-level polygon: its notch pair lives in the row.
+        let mut lib = Library::new("notch");
+        let mut top = Structure::new("TOP");
+        top.elements.push(u_shape(gap));
+        lib.structures.push(top);
+        both_modes(&lib, expected, &format!("top-level notch {gap}"));
+
+        // The same U as a cell, placed twice far apart (plain, and
+        // mirrored and turned): its template finds the notch once.
+        let mut lib = Library::new("notch");
+        let mut cell = Structure::new("U");
+        cell.elements.push(u_shape(gap));
+        lib.structures.push(cell);
+        let mut top = Structure::new("TOP");
+        top.elements
+            .push(Element::Ref(placed("U", Point::new(0, 0), 0, false)));
+        top.elements
+            .push(Element::Ref(placed("U", Point::new(500, 300), 1, true)));
+        lib.structures.push(top);
+        let (seq, _) = both_modes(&lib, 2 * expected, &format!("placed notch {gap}"));
+        assert_eq!(seq.stats.checks_computed, expected, "one template record");
+        assert_eq!(seq.stats.checks_reused, 1);
+        assert!(seq
+            .violations
+            .iter()
+            .all(|v| v.measured == i64::from(gap * gap)));
+    }
 }
 
 /// A cell with one internal spacing violation: two bars MIN-1 apart.

@@ -91,6 +91,18 @@ fn join(stats: &odrc::EngineStats) -> [u64; 2] {
     [stats.join_candidates, stats.join_scanned]
 }
 
+/// The counters both modes share: they check the same templates and
+/// rows. (`edges_packed` is not among them: M1.S.1 and M1.S.2 share one
+/// row set in parallel mode, while the default mode packs per rule.)
+fn shared(stats: &odrc::EngineStats) -> [usize; 4] {
+    [
+        stats.checks_computed,
+        stats.checks_reused,
+        stats.candidate_pairs,
+        stats.rows,
+    ]
+}
+
 fn check(layout: &odrc_db::Layout, mode: Mode, host_threads: usize) -> odrc::CheckReport {
     engine(mode, host_threads).check(layout, &deck())
 }
@@ -129,11 +141,13 @@ fn repeated_runs_are_deterministic() {
 #[test]
 fn one_thread_runs_the_same_pipeline() {
     let layout = generate_layout(&DesignSpec::tiny(78));
-    let sequential = join(&check(&layout, Mode::Sequential, 1).stats);
+    let reference = check(&layout, Mode::Sequential, 1).stats;
+    let sequential = join(&reference);
     assert!(
         sequential[0] > 0,
         "the deck's enclosure rule found no candidate"
     );
+    assert!(reference.candidate_pairs > 0, "no spacing candidate pair");
     for mode in [Mode::Sequential, Mode::Parallel] {
         let serial = check(&layout, mode, 1);
         assert!(
@@ -149,6 +163,49 @@ fn one_thread_runs_the_same_pipeline() {
                 work(&fanned.stats),
                 work(&serial.stats),
                 "{mode:?}: work counters moved with host_threads {threads}"
+            );
+            assert_eq!(
+                shared(&fanned.stats),
+                shared(&reference),
+                "{mode:?}: host_threads {threads} left the modes' shared counters"
+            );
+        }
+    }
+}
+
+/// A delta re-check builds its window scenes on the run's executor, so
+/// at every thread count it reports the same violations and hands the
+/// executor the same tasks.
+#[test]
+fn delta_rechecks_fan_out_the_same_tasks_at_every_thread_count() {
+    let old = generate_layout(&DesignSpec::tiny(79));
+    let old_violations = check(&old, Mode::Sequential, 1).violations;
+    let mut new = old.clone();
+    let top = new.top();
+    let wire = new
+        .cell(top)
+        .polygons()
+        .iter()
+        .position(|p| p.layer == tech::M2)
+        .expect("a top-level M2 wire");
+    new.remove_polygon(top, wire)
+        .expect("remove a top-level wire");
+    let expected = check(&new, Mode::Sequential, 1).violations;
+    for mode in [Mode::Sequential, Mode::Parallel] {
+        let serial = engine(mode, 1).check_delta(&old, &old_violations, &new, &deck());
+        assert!(
+            serial.stats.host_tasks > 0,
+            "{mode:?}: the delta ran no task"
+        );
+        for threads in THREADS {
+            let got = engine(mode, threads).check_delta(&old, &old_violations, &new, &deck());
+            assert_eq!(
+                got.violations, expected,
+                "{mode:?} delta, {threads} threads"
+            );
+            assert_eq!(
+                got.stats.host_tasks, serial.stats.host_tasks,
+                "{mode:?} delta: host_tasks moved with {threads} threads"
             );
         }
     }
@@ -177,6 +234,11 @@ proptest! {
                 prop_assert_eq!(
                     join(&got.stats), join(&sequential.stats),
                     "mode {:?} host_threads {} moved the join counters on design seed {}",
+                    mode, threads, design_seed
+                );
+                prop_assert_eq!(
+                    shared(&got.stats), shared(&sequential.stats),
+                    "mode {:?} host_threads {} left the modes' shared counters on design seed {}",
                     mode, threads, design_seed
                 );
                 prop_assert_eq!(

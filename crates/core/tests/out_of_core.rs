@@ -165,11 +165,15 @@ fn equivalence_case(
             ..EngineOptions::default()
         })
         .check(&layout, &spacing);
+    if in_core.stats.edges_packed == 0 {
+        return Err(format!("the in-core spacing run packed no edge ({case})"));
+    }
     let counters = |s: &odrc::EngineStats| {
         [
             s.candidate_pairs,
             s.checks_computed,
             s.checks_reused,
+            s.edges_packed as usize,
             s.shards_checked,
         ]
     };
@@ -181,6 +185,7 @@ fn equivalence_case(
             || stats.candidate_pairs != in_core.stats.candidate_pairs
             || stats.checks_computed != in_core.stats.checks_computed
             || stats.checks_reused != in_core.stats.checks_reused
+            || stats.edges_packed != in_core.stats.edges_packed
         {
             return Err(format!(
                 "sharded spacing run left the in-core run's report or counters ({case}, \

@@ -3,10 +3,9 @@
 //! Layouts are partitioned into non-overlapping regions (rows) along the
 //! y-axis by merging the vertical extents of cell MBRs; cells in
 //! different rows cannot interact, which enables both check pruning and
-//! row-level parallelism. Within a row, the same merging along the
-//! x-axis yields independent *clips* (the paper's second intuition:
-//! "x-coordinates of cells in a row are more likely to be separated as
-//! well").
+//! row-level parallelism. (The paper's second intuition, independent
+//! *clips* along the x-axis within a row, is not used: the engine's row
+//! units find their candidate pairs per row instead.)
 //!
 //! [`row_join_on`] puts the rows to work for inter-layer rules: it bins
 //! the outer layer's MBRs into rows once, and each inner window finds
@@ -114,27 +113,6 @@ pub fn partition_rows_on(mbrs: &[Rect], expand: Coord, host: &HostExecutor) -> R
     let extents: Vec<Interval> = mbrs.iter().map(|m| m.y_range().inflate(expand)).collect();
     let rows = partition_intervals(&extents, host);
     RowPartition { rows }
-}
-
-/// Partitions the members of one row into independent clips along the
-/// x-axis, using the same interval merging.
-///
-/// Returns the clips as lists of indices into `mbrs` (subsets of
-/// `members`), in ascending x order.
-pub fn partition_clips(mbrs: &[Rect], members: &[usize], expand: Coord) -> Vec<Vec<usize>> {
-    let extents: Vec<Interval> = members
-        .iter()
-        .map(|&i| mbrs[i].x_range().inflate(expand))
-        .collect();
-    partition_intervals(&extents, &HostExecutor::new(1))
-        .into_iter()
-        .map(|row| {
-            row.members
-                .into_iter()
-                .map(|local| members[local])
-                .collect()
-        })
-        .collect()
 }
 
 /// Inner windows per host task of [`row_join_on`].
@@ -373,21 +351,6 @@ mod tests {
         let part = partition_rows(&mbrs, 0);
         assert_eq!(part.len(), 1);
         assert_eq!(part.rows()[0].members, vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn clips_within_row() {
-        let mbrs = [r(0, 0, 10, 8), r(12, 0, 20, 8), r(100, 0, 110, 8)];
-        let part = partition_rows(&mbrs, 0);
-        assert_eq!(part.len(), 1);
-        let clips = partition_clips(&mbrs, &part.rows()[0].members, 0);
-        assert_eq!(clips, vec![vec![0], vec![1], vec![2]]);
-        // Inflating by 1 bridges the 2-unit gap between the first two.
-        let clips = partition_clips(&mbrs, &part.rows()[0].members, 1);
-        assert_eq!(clips, vec![vec![0, 1], vec![2]]);
-        // Expanding enough merges the first two clips with the third.
-        let clips = partition_clips(&mbrs, &part.rows()[0].members, 40);
-        assert_eq!(clips, vec![vec![0, 1, 2]]);
     }
 
     proptest! {
