@@ -164,10 +164,20 @@ walks=$(grep -c 'LayerObjects::enumerate' crates/core/src/shard.rs)
 # One candidate discovery, one window formula and one pack, shared by
 # both modes: the default mode's host driver and the parallel row set
 # (RowSet::build) both call row_candidate_pairs, pack_cell and pack_row,
-# and pack_row is the one caller of pair_window. The pack transforms
-# edges (Transform::apply_edge) and never rebuilds a polygon.
+# and pack_row is the one caller of pair_window. Candidate discovery is
+# the x-sorted scan (the R-tree stays an infra reference). The pack
+# transforms edges (Transform::apply_edge) and never rebuilds a polygon.
 sites=$(grep -rn 'rtree_overlaps(' crates/core/src | wc -l)
-[ "$sites" -eq 1 ] || { echo "expected one rtree_overlaps( call site in crates/core/src, found $sites"; exit 1; }
+[ "$sites" -eq 0 ] || { echo "expected no rtree_overlaps( call in crates/core/src, found $sites"; exit 1; }
+sites=$(grep -rn 'scan_overlaps(' crates/core/src | wc -l)
+[ "$sites" -eq 1 ] || { echo "expected one scan_overlaps( call site in crates/core/src, found $sites"; exit 1; }
+# The product partition is the sort-scan-fill; Algorithm 1's pigeonhole
+# merge is the ablation's and the tests' oracle, not its implementation.
+if awk '/^#\[cfg\(test\)\]/{exit} !/^ *\/\//' crates/infra/src/partition.rs \
+    | grep -n 'merge_pigeonhole'; then
+    echo "partition.rs builds rows with merge_pigeonhole again (the sort-scan is the product path)"
+    exit 1
+fi
 sites=$(grep -rn 'pair_window(' crates/core/src | grep -vc 'fn pair_window(')
 [ "$sites" -eq 1 ] || { echo "expected one pair_window( call site in crates/core/src (pack_row), found $sites"; exit 1; }
 for f in pack_cell pack_row; do

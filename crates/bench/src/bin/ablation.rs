@@ -8,7 +8,7 @@
 //! (d) brute-force vs sweepline parallel executor threshold (§IV-E),
 //! (e) interval-tree sweepline vs quadratic overlap enumeration
 //!     (§IV-D),
-//! (h) interval-tree sweepline vs R-tree for row pair discovery.
+//! (h) interval-tree sweepline vs R-tree vs x-sorted scan for row pair discovery.
 
 use std::time::Instant;
 
@@ -142,21 +142,21 @@ fn main() {
     }
 
     // (h) Row pair discovery: §IV-D's interval-tree sweepline vs the
-    // R-tree, over each M1 partition row's rule-inflated object MBRs —
-    // exactly the rectangle sets the sequential engine's spacing rows
-    // hand to pair discovery.
+    // R-tree vs the x-sorted scan, over each M1 partition row's
+    // rule-inflated object MBRs — exactly the rectangle sets both
+    // engine modes' spacing rows hand to pair discovery.
     {
         use odrc::scene::LayerScene;
         use odrc_infra::partition::partition_rows;
         use odrc_infra::rtree::rtree_overlaps;
-        use odrc_infra::sweep::sweep_overlaps;
+        use odrc_infra::sweep::{scan_overlaps, sweep_overlaps};
         use odrc_layoutgen::tech;
         println!(
-            "\n=== Ablation (h): M1 row pair discovery, sweepline vs R-tree (the engine uses the R-tree) ==="
+            "\n=== Ablation (h): M1 row pair discovery, sweepline vs R-tree vs scan (the engine uses the scan) ==="
         );
         println!(
-            "{:<10} {:>8} {:>10} {:>14} {:>12}",
-            "design", "rows", "pairs", "sweepline(s)", "rtree(s)"
+            "{:<10} {:>8} {:>10} {:>14} {:>12} {:>10}",
+            "design", "rows", "pairs", "sweepline(s)", "rtree(s)", "scan(s)"
         );
         let half = ((tech::M1_SPACE + 1) / 2) as odrc_geometry::Coord;
         for d in &load_designs(Some("ibex,aes")) {
@@ -180,9 +180,17 @@ fn main() {
                 }
                 pairs
             });
+            let (t_sc, p_sc) = time(|| {
+                let mut pairs = 0usize;
+                for row in &rows {
+                    scan_overlaps(row, |_, _| pairs += 1);
+                }
+                pairs
+            });
             assert_eq!(p_sw, p_rt, "pair-discovery structures disagree");
+            assert_eq!(p_sw, p_sc, "pair-discovery structures disagree");
             println!(
-                "{:<10} {:>8} {p_sw:>10} {t_sw:>14.4} {t_rt:>12.4}",
+                "{:<10} {:>8} {p_sw:>10} {t_sw:>14.4} {t_rt:>12.4} {t_sc:>10.4}",
                 d.name,
                 rows.len()
             );

@@ -203,6 +203,8 @@ fn write_json(
             )?;
             writeln!(f, "          \"checks_computed\": {},", s.checks_computed)?;
             writeln!(f, "          \"checks_reused\": {},", s.checks_reused)?;
+            writeln!(f, "          \"candidate_pairs\": {},", s.candidate_pairs)?;
+            writeln!(f, "          \"pairs_scanned\": {},", s.pairs_scanned)?;
             writeln!(f, "          \"rows\": {},", s.rows)?;
             writeln!(f, "          \"scenes_built\": {},", s.scenes_built)?;
             writeln!(f, "          \"scenes_reused\": {},", s.scenes_reused)?;

@@ -4,6 +4,12 @@
 //! to lie inside the outer layer's geometry with a minimum margin on
 //! every side — "the minimum enclosure is to avoid layer misalignment
 //! errors" (§II of the paper).
+//!
+//! A candidate's margin is found by binary search over inflations of
+//! the inner rectangle, except on a rectangular candidate (four
+//! vertices), where it has a closed form: the smallest of the four
+//! side distances, clamped like the search. Most landings are
+//! rectangles.
 
 use odrc_geometry::{Orientation, Polygon, Rect};
 
@@ -51,9 +57,10 @@ pub fn rect_inside_polygon(r: Rect, poly: &Polygon) -> bool {
 /// The margin of one candidate is the largest `m` such that the inner
 /// MBR inflated by `m` still lies inside the candidate; the overall
 /// margin is the best across candidates (a via needs *one* sufficient
-/// landing). The binary search is over at most `log₂(2·min)` steps, and
-/// values outside `[-min, min]` are clamped — the check only needs to
-/// know whether the margin reaches `min`.
+/// landing). A rectangular candidate's margin is computed in closed
+/// form; any other polygon's by a binary search over at most
+/// `log₂(2·min)` steps. Values outside `[-min, min]` are clamped — the
+/// check only needs to know whether the margin reaches `min`.
 ///
 /// Returns the clamped margin; the rule is violated when the result is
 /// strictly below `min`.
@@ -74,26 +81,60 @@ pub fn enclosure_margin(inner: Rect, outers: &[&Polygon], min: i64) -> i64 {
     let min = min.max(1);
     let mut best = -min;
     for outer in outers {
-        // Binary search the largest workable inflation in [-min, min].
-        let (mut lo, mut hi) = (-min, min);
-        // Quick reject: even deflated by min, not inside.
-        if !inside_with_margin(inner, outer, lo) {
+        let margin = if outer.len() == 4 {
+            rect_margin(inner, outer.mbr(), min)
+        } else {
+            searched_margin(inner, outer, min)
+        };
+        let Some(margin) = margin else {
             continue;
-        }
-        while lo < hi {
-            let mid = lo + (hi - lo + 1) / 2;
-            if inside_with_margin(inner, outer, mid) {
-                lo = mid;
-            } else {
-                hi = mid - 1;
-            }
-        }
-        best = best.max(lo);
+        };
+        best = best.max(margin);
         if best >= min {
             break;
         }
     }
     best
+}
+
+/// The margin of `inner` in the rectangle `outer`, clamped to
+/// `[-min, min]` (`min ≥ 1`), or `None` when even the deflation by
+/// `min` does not fit: [`searched_margin`]'s result for a four-vertex
+/// polygon, in closed form. The inflation by `m` fits exactly when
+/// `max(m, -c) ≤ d`, with `d` the smallest side distance from `inner`
+/// to `outer` and `c` the deflation clamp of [`inside_with_margin`].
+fn rect_margin(inner: Rect, outer: Rect, min: i64) -> Option<i64> {
+    let d = [
+        i64::from(inner.lo().x) - i64::from(outer.lo().x),
+        i64::from(inner.lo().y) - i64::from(outer.lo().y),
+        i64::from(outer.hi().x) - i64::from(inner.hi().x),
+        i64::from(outer.hi().y) - i64::from(inner.hi().y),
+    ]
+    .into_iter()
+    .min()
+    .expect("four sides");
+    let c = (inner.width() / 2).min(inner.height() / 2);
+    (d >= (-min).max(-c)).then(|| d.min(min))
+}
+
+/// The margin of `inner` in any polygon `outer`: the largest workable
+/// inflation in `[-min, min]` (`min ≥ 1`) by binary search, or `None`
+/// when even the deflation by `min` does not fit.
+fn searched_margin(inner: Rect, outer: &Polygon, min: i64) -> Option<i64> {
+    let (mut lo, mut hi) = (-min, min);
+    // Quick reject: even deflated by min, not inside.
+    if !inside_with_margin(inner, outer, lo) {
+        return None;
+    }
+    while lo < hi {
+        let mid = lo + (hi - lo + 1) / 2;
+        if inside_with_margin(inner, outer, mid) {
+            lo = mid;
+        } else {
+            hi = mid - 1;
+        }
+    }
+    Some(lo)
 }
 
 fn inside_with_margin(inner: Rect, outer: &Polygon, margin: i64) -> bool {
@@ -111,6 +152,7 @@ fn inside_with_margin(inner: Rect, outer: &Polygon, margin: i64) -> bool {
 mod tests {
     use super::*;
     use odrc_geometry::Point;
+    use proptest::prelude::*;
 
     fn rect(x0: i32, y0: i32, x1: i32, y1: i32) -> Rect {
         Rect::from_coords(x0, y0, x1, y1)
@@ -185,6 +227,40 @@ mod tests {
         let wide = Polygon::rect(rect(0, 0, 100, 100)); // margin 20 (clamp)
         assert_eq!(enclosure_margin(via, &[&narrow], 8), 2);
         assert_eq!(enclosure_margin(via, &[&narrow, &wide], 8), 8);
+    }
+
+    #[test]
+    fn thin_via_deflation_clamp_rejects_poking_out() {
+        // A 4-wide via deflates by at most 2, so poking out by 3 rejects
+        // the candidate even though `min` would allow a deeper deflation.
+        let metal = Polygon::rect(rect(0, 0, 100, 100));
+        for (via, margin) in [(rect(-3, 10, 1, 90), -8), (rect(-2, 10, 2, 90), -2)] {
+            assert_eq!(enclosure_margin(via, &[&metal], 8), margin);
+            let expected = (margin > -8).then_some(margin);
+            assert_eq!(rect_margin(via, metal.mbr(), 8), expected);
+            assert_eq!(searched_margin(via, &metal, 8), expected);
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn rect_closed_form_equals_the_search(
+            (ix, iy, iw, ih) in (-30i32..30, -30i32..30, 0i32..12, 0i32..12),
+            (ox, oy, ow, oh) in (-30i32..30, -30i32..30, 1i32..50, 1i32..50),
+            min in 0i64..16,
+        ) {
+            // Thin vias (the clamp binds), vias poking out of or
+            // outside the outer, and `min = 0` (clamped to 1).
+            let via = rect(ix, iy, ix + iw, iy + ih);
+            let metal = Polygon::rect(rect(ox, oy, ox + ow, oy + oh));
+            let clamped = min.max(1);
+            prop_assert_eq!(
+                rect_margin(via, metal.mbr(), clamped),
+                searched_margin(via, &metal, clamped)
+            );
+            let searched = searched_margin(via, &metal, clamped).unwrap_or(-clamped);
+            prop_assert_eq!(enclosure_margin(via, &[&metal], min), searched);
+        }
     }
 
     #[test]

@@ -147,6 +147,10 @@ pub struct EngineStats {
     /// Candidate object pairs of the spacing rules' row packs (0 with
     /// `pruning` off); equal in both modes.
     pub candidate_pairs: usize,
+    /// Active-list comparisons the row scans made to find
+    /// `candidate_pairs` (the pairs plus the x-overlapping object pairs
+    /// that were disjoint in y); equal in both modes.
+    pub pairs_scanned: u64,
     /// Rows produced by the adaptive partition, summed over rules.
     pub rows: usize,
     /// Device re-attempts after transient faults (fresh-stream retries).

@@ -363,6 +363,7 @@ fn issue_space(
 ) -> SpaceIssue {
     ctx.stats.rows += rows.partition_rows;
     ctx.stats.candidate_pairs += rows.candidate_pairs;
+    ctx.stats.pairs_scanned += rows.pairs_scanned;
     let mut jobs = Vec::with_capacity(rows.rows.len());
     let mut failed = Vec::new();
     let mut batch = stream.batch(true);

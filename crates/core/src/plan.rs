@@ -383,6 +383,9 @@ pub(crate) struct RowSet {
     /// Candidate object pairs the rows' pack found, charged per consuming
     /// rule like `partition_rows`.
     pub candidate_pairs: usize,
+    /// The pair scans' active-list comparisons, charged like
+    /// `candidate_pairs`.
+    pub pairs_scanned: u64,
 }
 
 impl RowSet {
@@ -391,7 +394,7 @@ impl RowSet {
     /// driving the partition inflation; two rules whose distances round
     /// to the same half-width share the same set.
     pub fn build(ctx: &mut RunContext<'_>, scene: &LayerScene, min: i64) -> RowSet {
-        let partition = partition_scene(scene, min, ctx.options.partition, ctx.profiler, &ctx.host);
+        let partition = partition_scene(scene, min, ctx.options.partition, ctx.profiler);
         let pruning = ctx.options.pruning;
         let half = RowSetKey::new(scene.layer, min, ctx.options.partition).half;
         let reach = half.saturating_mul(2);
@@ -412,13 +415,13 @@ impl RowSet {
         let tasks = templates.len() + partition.len();
         let packed = ctx.host.run("pack", tasks, |i| {
             let (edges, pairs) = match templates.get(i) {
-                Some(&(cell, _)) => (pack_cell(scene, cell), 0),
+                Some(&(cell, _)) => (pack_cell(scene, cell), (0, 0)),
                 None => {
                     let members = &partition.rows()[i - templates.len()].members;
-                    let pairs = row_candidate_pairs(scene, members, half, pruning);
+                    let found = row_candidate_pairs(scene, members, half, pruning);
                     (
-                        pack_row(scene, members, &pairs, reach, pruning),
-                        pairs.len(),
+                        pack_row(scene, members, &found.pairs, reach, pruning),
+                        (found.pairs.len(), found.scanned),
                     )
                 }
             };
@@ -429,10 +432,11 @@ impl RowSet {
         // The first `templates.len()` arrays are the templates'.
         let mut placements = templates.into_iter().map(|(_, placements)| placements);
         let mut rows = Vec::new();
-        let mut candidate_pairs = 0;
-        for (edges, runs, pairs) in packed {
+        let (mut candidate_pairs, mut pairs_scanned) = (0, 0);
+        for (edges, runs, (pairs, scanned)) in packed {
             let instances = placements.next();
             candidate_pairs += pairs;
+            pairs_scanned += scanned;
             if edges.is_empty() {
                 continue;
             }
@@ -447,6 +451,7 @@ impl RowSet {
             rows,
             partition_rows: partition.len(),
             candidate_pairs,
+            pairs_scanned,
         }
     }
 }

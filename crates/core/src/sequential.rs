@@ -21,9 +21,11 @@
 //!    cannot interact;
 //! 2. **sweepline** — per row, candidate object pairs are the
 //!    overlapping inflated object MBRs. §IV-D (Fig. 3) finds them with
-//!    the top-down interval-tree sweepline; this engine bulk-loads an
-//!    R-tree per row instead (`rtree_overlaps`: same pairs, measured
-//!    faster) and keeps the phase name the profiles are read by
+//!    the top-down interval-tree sweepline; this engine scans the row's
+//!    MBRs sorted by left edge against a short active list instead
+//!    (`scan_overlaps`: same pairs, measured faster than the sweepline
+//!    and than a per-row R-tree, both kept as its test references) and
+//!    keeps the phase name the profiles are read by
 //!    ([`row_candidate_pairs`]; the parallel mode's row pack calls it
 //!    too, inside its fan-out, where its time is part of `pack`);
 //! 3. **pack** — each placed cell once as a template ([`pack_cell`],
@@ -43,8 +45,8 @@ use std::sync::Arc;
 use odrc_db::{CellId, Layer, Layout};
 use odrc_geometry::{Coord, Polygon, Rect};
 use odrc_infra::host::HostExecutor;
-use odrc_infra::partition::{partition_rows_on, row_join_on, Row, RowPartition};
-use odrc_infra::rtree::rtree_overlaps;
+use odrc_infra::partition::{partition_rows, row_join_on, Row, RowPartition};
+use odrc_infra::sweep::scan_overlaps;
 use odrc_infra::Profiler;
 
 use crate::cache::CacheHandle;
@@ -359,12 +361,11 @@ pub(crate) fn partition_mbrs(
     min: i64,
     enabled: bool,
     profiler: &mut Profiler,
-    host: &HostExecutor,
 ) -> RowPartition {
     let half = ((min + 1) / 2) as Coord;
     profiler.time("partition", || {
         if enabled {
-            return partition_rows_on(mbrs, half, host);
+            return partition_rows(mbrs, half);
         }
         let rows = mbrs.iter().copied().reduce(Rect::hull).map(|all| Row {
             y: all.y_range(),
@@ -381,10 +382,9 @@ pub(crate) fn partition_scene(
     min: i64,
     enabled: bool,
     profiler: &mut Profiler,
-    host: &HostExecutor,
 ) -> RowPartition {
     let mbrs: Vec<Rect> = scene.objects.iter().map(|o| o.mbr).collect();
-    partition_mbrs(&mbrs, min, enabled, profiler, host)
+    partition_mbrs(&mbrs, min, enabled, profiler)
 }
 
 /// Runs one rule on the host — the sequential mode's dispatcher, for
@@ -399,7 +399,7 @@ pub(crate) fn check_rule(
         RuleFamily::Space { layer, spec } => {
             let scene = ctx.scene_for(layer, window);
             let enabled = ctx.options.partition;
-            let partition = partition_scene(&scene, spec.min, enabled, ctx.profiler, &ctx.host);
+            let partition = partition_scene(&scene, spec.min, enabled, ctx.profiler);
             ctx.stats.rows += partition.len();
             let rows: Vec<&[usize]> = partition.iter().map(|r| r.members.as_slice()).collect();
             let sig = crate::cache::rule_signature(rule);
@@ -478,7 +478,7 @@ pub(crate) fn check_space_scene_rows(
             }
         }
         let templates = ctx.host.run("edge-check", missing.len(), |i| {
-            SpaceUnit::check(spec, Vec::new, |_| pack_cell(scene, missing[i]))
+            SpaceUnit::check(spec, RowPairs::default, |_| pack_cell(scene, missing[i]))
         });
         for (&cell, unit) in missing.iter().zip(templates) {
             let hits = Arc::new(unit.tally(ctx));
@@ -522,6 +522,7 @@ struct SpaceUnit {
     records: usize,
     edges: usize,
     pairs: usize,
+    scanned: u64,
     times: [std::time::Duration; 3],
 }
 
@@ -529,11 +530,11 @@ impl SpaceUnit {
     /// Discovers pairs, packs, and runs [`row_host_records`].
     fn check(
         spec: SpaceSpec,
-        discover: impl FnOnce() -> Vec<(usize, usize)>,
+        discover: impl FnOnce() -> RowPairs,
         pack: impl FnOnce(&[(usize, usize)]) -> Vec<PackedEdge>,
     ) -> SpaceUnit {
         let start = std::time::Instant::now();
-        let pairs = discover();
+        let RowPairs { pairs, scanned } = discover();
         let packing = std::time::Instant::now();
         let edges = pack(&pairs);
         let checking = std::time::Instant::now();
@@ -546,6 +547,7 @@ impl SpaceUnit {
             hits,
             edges: edges.len(),
             pairs: pairs.len(),
+            scanned,
             times: [packing - start, checking - packing, checking.elapsed()],
         }
     }
@@ -555,6 +557,7 @@ impl SpaceUnit {
         ctx.stats.checks_computed += self.records;
         ctx.stats.edges_packed += self.edges as u64;
         ctx.stats.candidate_pairs += self.pairs;
+        ctx.stats.pairs_scanned += self.scanned;
         for (phase, time) in ["sweepline", "pack", "edge-check"]
             .into_iter()
             .zip(self.times)
@@ -565,27 +568,37 @@ impl SpaceUnit {
     }
 }
 
+/// The candidate object pairs of one row and what finding them cost.
+#[derive(Debug, Default)]
+pub(crate) struct RowPairs {
+    /// Positions `(a, b)` into the row's members, `a < b`.
+    pub pairs: Vec<(usize, usize)>,
+    /// The scan's active-list comparisons ([`EngineStats::pairs_scanned`]).
+    pub scanned: u64,
+}
+
 /// The candidate object pairs of one row, as positions `(a, b)` into
 /// `members`, `a < b`: the members whose MBRs inflated by `half`
-/// overlap. Both modes' meaning of "candidate" — the pack keeps only
-/// the polygons inside their windows ([`pack_row`]). Without `pruning`
-/// there are none: the flat pack keeps every polygon.
+/// overlap, found by [`scan_overlaps`]. Both modes' meaning of
+/// "candidate" — the pack keeps only the polygons inside their windows
+/// ([`pack_row`]). Without `pruning` there are none: the flat pack
+/// keeps every polygon.
 pub(crate) fn row_candidate_pairs(
     scene: &LayerScene,
     members: &[usize],
     half: Coord,
     pruning: bool,
-) -> Vec<(usize, usize)> {
+) -> RowPairs {
     if !pruning {
-        return Vec::new();
+        return RowPairs::default();
     }
     let inflated: Vec<Rect> = members
         .iter()
         .map(|&m| scene.objects[m].mbr.inflate(half))
         .collect();
     let mut pairs = Vec::new();
-    rtree_overlaps(&inflated, |a, b| pairs.push((a, b)));
-    pairs
+    let scanned = scan_overlaps(&inflated, |a, b| pairs.push((a, b)));
+    RowPairs { pairs, scanned }
 }
 
 /// The `(inner, outer)` scene pair of an in-core enclosure / overlap

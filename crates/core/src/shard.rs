@@ -127,7 +127,7 @@ pub(crate) fn plan_shards(ctx: &mut RunContext<'_>, layer: Layer, min: i64) -> S
         .profiler
         .time("scene", || LayerObjects::enumerate(layout, layer, scanned));
     let mbrs = &objects.mbrs;
-    let partition = partition_mbrs(mbrs, min, ctx.options.partition, ctx.profiler, &ctx.host);
+    let partition = partition_mbrs(mbrs, min, ctx.options.partition, ctx.profiler);
     ctx.stats.rows += partition.len();
     let rows = partition.rows();
     let per_shard = ctx

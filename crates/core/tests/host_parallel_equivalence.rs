@@ -70,12 +70,13 @@ fn engine(mode: Mode, host_threads: usize) -> Engine {
 
 /// The work counters that are a function of the input and the options
 /// only — never of how many workers shared the work.
-fn work(stats: &odrc::EngineStats) -> [usize; 9] {
+fn work(stats: &odrc::EngineStats) -> [usize; 10] {
     let [candidates, scanned] = join(stats);
     [
         stats.checks_computed,
         stats.checks_reused,
         stats.candidate_pairs,
+        stats.pairs_scanned as usize,
         stats.rows,
         stats.host_tasks as usize,
         stats.scene_objects_scanned as usize,
@@ -94,11 +95,12 @@ fn join(stats: &odrc::EngineStats) -> [u64; 2] {
 /// The counters both modes share: they check the same templates and
 /// rows. (`edges_packed` is not among them: M1.S.1 and M1.S.2 share one
 /// row set in parallel mode, while the default mode packs per rule.)
-fn shared(stats: &odrc::EngineStats) -> [usize; 4] {
+fn shared(stats: &odrc::EngineStats) -> [usize; 5] {
     [
         stats.checks_computed,
         stats.checks_reused,
         stats.candidate_pairs,
+        stats.pairs_scanned as usize,
         stats.rows,
     ]
 }
@@ -148,6 +150,10 @@ fn one_thread_runs_the_same_pipeline() {
         "the deck's enclosure rule found no candidate"
     );
     assert!(reference.candidate_pairs > 0, "no spacing candidate pair");
+    assert!(
+        reference.pairs_scanned >= reference.candidate_pairs as u64,
+        "every candidate pair is one scan comparison"
+    );
     for mode in [Mode::Sequential, Mode::Parallel] {
         let serial = check(&layout, mode, 1);
         assert!(

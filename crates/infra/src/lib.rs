@@ -8,13 +8,16 @@
 //!   whose nodes keep their intervals in two sorted lists (by left and by
 //!   right endpoint) to answer overlap queries output-sensitively.
 //! * [`sweep::sweep_overlaps`] — the top-to-bottom sweepline that reports
-//!   all pairs of overlapping MBRs (§IV-D, Fig. 3).
+//!   all pairs of overlapping MBRs (§IV-D, Fig. 3), and
+//!   [`sweep::scan_overlaps`], the x-sorted active-list scan the engine
+//!   finds a row's candidate pairs with.
 //! * [`merge`] — Algorithm 1's pigeonhole interval merging in
 //!   `Θ(k + N)`, plus the `Ω(k log k)` sort-based alternative the paper
-//!   contrasts it with (§IV-B).
-//! * [`partition`] — the adaptive row-based layout partitioner built on
-//!   interval merging (§IV-B), including the secondary x-axis clip
-//!   partition within each row, and the row join
+//!   contrasts it with (§IV-B); the ablation bench and the partition's
+//!   tests use them.
+//! * [`partition`] — the adaptive row-based layout partitioner (§IV-B),
+//!   a sort of the extents, a running-maximum scan and an index-order
+//!   member fill, and the row join
 //!   [`partition::row_join_on`] that finds inter-layer candidates
 //!   (enclosure, overlap area) through it.
 //! * [`profile`] — phase timers backing the runtime breakdown of Fig. 4.
@@ -69,4 +72,4 @@ pub use quadtree::QuadTree;
 pub use region::{BoolOp, Region};
 pub use rss::{peak_rss_bytes, reset_peak_rss};
 pub use rtree::RTree;
-pub use sweep::sweep_overlaps;
+pub use sweep::{scan_overlaps, sweep_overlaps};

@@ -1,9 +1,10 @@
 //! The adaptive row-based layout partition of §IV-B.
 //!
 //! Layouts are partitioned into non-overlapping regions (rows) along the
-//! y-axis by merging the vertical extents of cell MBRs; cells in
-//! different rows cannot interact, which enables both check pruning and
-//! row-level parallelism. (The paper's second intuition, independent
+//! y-axis by merging the vertical extents of cell MBRs — one sort and a
+//! running-maximum scan ([`partition_rows`]); cells in different rows
+//! cannot interact, which enables both check pruning and row-level
+//! parallelism. (The paper's second intuition, independent
 //! *clips* along the x-axis within a row, is not used: the engine's row
 //! units find their candidate pairs per row instead.)
 //!
@@ -16,7 +17,6 @@ use std::time::{Duration, Instant};
 use odrc_geometry::{Coord, Interval, Rect};
 
 use crate::host::HostExecutor;
-use crate::merge::merge_pigeonhole;
 
 /// One independent row of the partition.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -81,9 +81,14 @@ impl<'a> IntoIterator for &'a RowPartition {
 /// across rows" (§IV-C's MBR-inflation argument applied to rows). Rows
 /// whose inflated extents share a coordinate are merged.
 ///
-/// The merge itself runs in `Θ(k + N)` using the pigeonhole array of
-/// Algorithm 1, where `k` is the number of cells and `N` the number of
-/// unique (inflated) y-coordinates.
+/// The rows are built by one sort and two scans: the extents sorted by
+/// lower end, a running-maximum scan that opens a row wherever an
+/// extent starts above every earlier one's upper end, and a
+/// count-then-fill pass over the inputs in index order. This deviates
+/// from §IV-B's `Θ(k + N)` pigeonhole merge (Algorithm 1,
+/// [`crate::merge::merge_pigeonhole`], kept as the ablation and the
+/// test oracle): discretizing the coordinates for it already costs a
+/// sort, so the sort-scan is `Θ(k log k)` either way with one pass less.
 ///
 /// # Examples
 ///
@@ -102,17 +107,16 @@ impl<'a> IntoIterator for &'a RowPartition {
 /// assert_eq!(part.rows()[1].members, vec![2]);
 /// ```
 pub fn partition_rows(mbrs: &[Rect], expand: Coord) -> RowPartition {
-    partition_rows_on(mbrs, expand, &HostExecutor::new(1))
+    let extents: Vec<Interval> = mbrs.iter().map(|m| m.y_range().inflate(expand)).collect();
+    RowPartition {
+        rows: partition_intervals(&extents),
+    }
 }
 
-/// [`partition_rows`] with the per-extent row assignment fanned out on
-/// the caller's host executor. The output is identical: assignment
-/// positions are a pure binary search per extent, and the member lists
-/// are then filled serially in ascending index order.
-pub fn partition_rows_on(mbrs: &[Rect], expand: Coord, host: &HostExecutor) -> RowPartition {
-    let extents: Vec<Interval> = mbrs.iter().map(|m| m.y_range().inflate(expand)).collect();
-    let rows = partition_intervals(&extents, host);
-    RowPartition { rows }
+/// [`partition_rows`]; the executor is unused, since the partition does
+/// not fan out. Kept for callers compiled against this signature.
+pub fn partition_rows_on(mbrs: &[Rect], expand: Coord, _host: &HostExecutor) -> RowPartition {
+    partition_rows(mbrs, expand)
 }
 
 /// Inner windows per host task of [`row_join_on`].
@@ -177,7 +181,7 @@ pub fn row_join_on(inner: &[Rect], outer: &[Rect], host: &HostExecutor) -> RowJo
         .filter(|&o| outer[o].overlaps(bbox))
         .collect();
     let mbrs: Vec<Rect> = kept.iter().map(|&o| outer[o]).collect();
-    let rows: Vec<JoinRow> = partition_rows_on(&mbrs, 0, host)
+    let rows: Vec<JoinRow> = partition_rows(&mbrs, 0)
         .rows
         .into_iter()
         .map(|row| {
@@ -238,55 +242,53 @@ pub fn row_join_on(inner: &[Rect], outer: &[Rect], host: &HostExecutor) -> RowJo
     join
 }
 
-/// Shared 1-D machinery: merge the (already inflated) extents and assign
-/// each input to its merged interval.
-fn partition_intervals(extents: &[Interval], host: &HostExecutor) -> Vec<Row> {
-    if extents.is_empty() {
-        return Vec::new();
-    }
-    // Discretize unique coordinates.
-    let mut coords: Vec<Coord> = Vec::with_capacity(extents.len() * 2);
-    for e in extents {
-        coords.push(e.lo());
-        coords.push(e.hi());
-    }
-    coords.sort_unstable();
-    coords.dedup();
-    let index_of = |c: Coord| -> usize {
-        coords
-            .binary_search(&c)
-            .expect("coordinate was collected above")
-    };
-
-    let merged = merge_pigeonhole(
-        coords.len(),
-        extents.iter().map(|e| (index_of(e.lo()), index_of(e.hi()))),
+/// Shared 1-D machinery: merge the (already inflated) extents into
+/// rows and fill each row's members in ascending index order.
+fn partition_intervals(extents: &[Interval]) -> Vec<Row> {
+    assert!(
+        u32::try_from(extents.len()).is_ok(),
+        "{} extents overflow the 32-bit index of the sort key",
+        extents.len()
     );
-
-    let mut rows: Vec<Row> = merged
-        .into_iter()
-        .map(|(l, r)| Row {
-            y: Interval::new(coords[l], coords[r]),
-            members: Vec::new(),
-        })
+    // One key per extent: the lower end, biased to sort as unsigned, in
+    // the high half and the index in the low half.
+    let mut keys: Vec<u64> = extents
+        .iter()
+        .enumerate()
+        .map(|(i, e)| (u64::from(e.lo() as u32 ^ 0x8000_0000) << 32) | i as u64)
         .collect();
+    keys.sort_unstable();
 
-    // Assign each extent to the unique merged interval containing it,
-    // found by binary search on row start. The searches fan out; the
-    // member fill stays serial, which keeps member lists in ascending
-    // index order on any executor.
-    let positions = host.run("partition", extents.len(), |i| {
-        rows.partition_point(|row| row.y.lo() <= extents[i].lo())
-    });
-    for (i, (pos, e)) in positions.into_iter().zip(extents).enumerate() {
-        debug_assert!(pos > 0, "extent {e} precedes every row");
-        let row = &mut rows[pos - 1];
-        debug_assert!(
-            row.y.contains(e.lo()) && row.y.contains(e.hi()),
-            "extent {e} not contained in its row {}",
-            row.y
-        );
-        row.members.push(i);
+    // Running-maximum scan: a row ends where the next extent starts
+    // above every upper end so far (touching extents merge).
+    let mut rows: Vec<Row> = Vec::new();
+    let mut counts: Vec<usize> = Vec::new();
+    let mut row_of = vec![0u32; extents.len()];
+    for key in keys {
+        let i = key as u32 as usize;
+        let e = extents[i];
+        match rows.last_mut() {
+            Some(row) if e.lo() <= row.y.hi() => {
+                row.y = row.y.hull(e);
+                *counts.last_mut().expect("one count per row") += 1;
+            }
+            _ => {
+                rows.push(Row {
+                    y: e,
+                    members: Vec::new(),
+                });
+                counts.push(1);
+            }
+        }
+        row_of[i] = (rows.len() - 1) as u32;
+    }
+
+    // Count-then-fill in index order keeps member lists ascending.
+    for (row, count) in rows.iter_mut().zip(counts) {
+        row.members.reserve_exact(count);
+    }
+    for (i, &r) in row_of.iter().enumerate() {
+        rows[r as usize].members.push(i);
     }
     rows
 }
@@ -298,6 +300,36 @@ mod tests {
 
     fn r(x0: Coord, y0: Coord, x1: Coord, y1: Coord) -> Rect {
         Rect::from_coords(x0, y0, x1, y1)
+    }
+
+    /// The partition as Algorithm 1 builds it: discretize the inflated
+    /// y-coordinates, merge with the pigeonhole array, and assign every
+    /// extent to the merged interval containing it, in index order.
+    fn pigeonhole_reference(mbrs: &[Rect], expand: Coord) -> RowPartition {
+        let extents: Vec<Interval> = mbrs.iter().map(|m| m.y_range().inflate(expand)).collect();
+        let mut coords: Vec<Coord> = extents.iter().flat_map(|e| [e.lo(), e.hi()]).collect();
+        coords.sort_unstable();
+        coords.dedup();
+        let index_of = |c: Coord| coords.binary_search(&c).expect("collected above");
+        let merged = crate::merge::merge_pigeonhole(
+            coords.len(),
+            extents.iter().map(|e| (index_of(e.lo()), index_of(e.hi()))),
+        );
+        let mut rows: Vec<Row> = merged
+            .into_iter()
+            .map(|(l, h)| Row {
+                y: Interval::new(coords[l], coords[h]),
+                members: Vec::new(),
+            })
+            .collect();
+        for (i, e) in extents.iter().enumerate() {
+            let row = rows
+                .iter_mut()
+                .find(|row| row.y.contains(e.lo()))
+                .expect("covered");
+            row.members.push(i);
+        }
+        RowPartition::from_rows(rows)
     }
 
     #[test]
@@ -390,20 +422,17 @@ mod tests {
         }
 
         #[test]
-        fn parallel_assignment_matches_serial(
+        fn sort_scan_matches_the_pigeonhole_merge(
             specs in proptest::collection::vec(
-                (-200i32..200, -200i32..200, 1i32..60, 1i32..60), 1..80),
+                (-40i32..40, -40i32..40, 0i32..12, 0i32..12), 0..80),
             expand in 0i32..10,
-            threads in 1usize..5,
         ) {
+            // A 5-unit grid makes touching extents common, and zero
+            // heights give degenerate ones.
             let mbrs: Vec<Rect> = specs.iter()
-                .map(|&(x, y, w, h)| r(x, y, x + w, y + h))
+                .map(|&(x, y, w, h)| r(5 * x, 5 * y, 5 * (x + w), 5 * (y + h)))
                 .collect();
-            let host = HostExecutor::new(threads);
-            prop_assert_eq!(
-                partition_rows_on(&mbrs, expand, &host),
-                partition_rows(&mbrs, expand)
-            );
+            prop_assert_eq!(partition_rows(&mbrs, expand), pigeonhole_reference(&mbrs, expand));
         }
 
         #[test]

@@ -9,11 +9,11 @@
 //!
 //! The engine's object scenes use the layout's own hierarchy as their
 //! BVH; the R-tree is the general-purpose spatial index for
-//! unstructured rectangle sets, and [`rtree_overlaps`] is how both
-//! engine modes discover the candidate object pairs of a row — a
-//! recorded deviation from §IV-D's interval-tree sweepline
-//! ([`crate::sweep::sweep_overlaps`]), which measured slower there and
-//! is the reference this module's pair enumeration is tested against.
+//! unstructured rectangle sets. [`rtree_overlaps`] enumerates overlap
+//! pairs for the ablation bench and as a reference that the engine's
+//! row pair discovery, the x-sorted scan
+//! [`crate::sweep::scan_overlaps`], is tested against, beside §IV-D's
+//! interval-tree sweepline ([`crate::sweep::sweep_overlaps`]).
 
 use odrc_geometry::Rect;
 

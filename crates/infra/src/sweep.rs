@@ -9,10 +9,13 @@
 //! > encountered, the horizontal interval is removed from the interval
 //! > tree."
 //!
-//! Inter-layer rules (enclosure, overlap area) find their candidates
-//! through the row partition instead ([`crate::partition::row_join_on`]);
-//! this module's tests check that join against the same brute-force
-//! references as the sweepline.
+//! The engine finds a row's candidate pairs with [`scan_overlaps`]
+//! instead: the rectangles sorted by left edge against a short active
+//! list of those still reaching the current one. Inter-layer rules
+//! (enclosure, overlap area) find their candidates through the row
+//! partition ([`crate::partition::row_join_on`]). This module's tests
+//! check the scan and the join against the same brute-force references
+//! as the sweepline.
 
 use odrc_geometry::{Coord, Rect};
 
@@ -87,6 +90,55 @@ pub fn sweep_overlaps<F: FnMut(usize, usize)>(rects: &[Rect], mut report: F) {
     }
 }
 
+/// Reports every unordered pair of overlapping rectangles via `report`,
+/// with the first index smaller than the second — the contract of
+/// [`sweep_overlaps`] — and returns the number of active-list
+/// comparisons the scan made.
+///
+/// The rectangles are visited in `(left edge, index)` order. An active
+/// list holds the visited ones whose right edge still reaches the
+/// current left edge; each of them overlaps the current rectangle in x,
+/// so one y-overlap test per entry decides the pair. On rows of
+/// standard cells the list stays short and the count is close to the
+/// number of pairs reported.
+///
+/// # Examples
+///
+/// ```
+/// use odrc_geometry::Rect;
+/// use odrc_infra::sweep::scan_overlaps;
+///
+/// let rects = [
+///     Rect::from_coords(0, 0, 10, 10),
+///     Rect::from_coords(5, 20, 15, 30),  // x-overlaps 0, y-disjoint
+///     Rect::from_coords(10, 10, 20, 20), // touches 0 at a corner, 1 along an edge
+/// ];
+/// let mut pairs = Vec::new();
+/// let scanned = scan_overlaps(&rects, |a, b| pairs.push((a, b)));
+/// assert_eq!(pairs, vec![(0, 2), (1, 2)]);
+/// assert_eq!(scanned, 3);
+/// ```
+pub fn scan_overlaps<F: FnMut(usize, usize)>(rects: &[Rect], mut report: F) -> u64 {
+    let mut order: Vec<(Rect, usize)> = rects.iter().copied().zip(0..).collect();
+    order.sort_unstable_by_key(|&(r, i)| (r.lo().x, i));
+    let mut active: Vec<(Rect, usize)> = Vec::new();
+    let mut scanned = 0;
+    for (r, i) in order {
+        active.retain(|&(a, j)| {
+            if a.hi().x < r.lo().x {
+                return false;
+            }
+            scanned += 1;
+            if a.y_range().overlaps(r.y_range()) {
+                report(j.min(i), j.max(i));
+            }
+            true
+        });
+        active.push((r, i));
+    }
+    scanned
+}
+
 /// Convenience wrapper collecting the overlap pairs into a vector,
 /// sorted lexicographically.
 pub fn sweep_overlap_pairs(rects: &[Rect]) -> Vec<(usize, usize)> {
@@ -115,6 +167,7 @@ mod tests {
     use super::*;
     use crate::host::HostExecutor;
     use crate::partition::{row_join_on, JOIN_CHUNK};
+    use crate::rtree::rtree_overlaps;
     use proptest::prelude::*;
 
     fn r(x0: Coord, y0: Coord, x1: Coord, y1: Coord) -> Rect {
@@ -174,6 +227,17 @@ mod tests {
     fn chain_of_overlaps() {
         let rects = [r(0, 0, 10, 4), r(8, 0, 18, 4), r(16, 0, 26, 4)];
         assert_eq!(sweep_overlap_pairs(&rects), vec![(0, 1), (1, 2)]);
+    }
+
+    /// [`scan_overlaps`]'s pairs, sorted, and its comparison count.
+    fn scan_pairs(rects: &[Rect]) -> (Vec<(usize, usize)>, u64) {
+        let mut pairs = Vec::new();
+        let scanned = scan_overlaps(rects, |a, b| {
+            assert!(a < b, "pair ({a}, {b}) out of order");
+            pairs.push((a, b));
+        });
+        pairs.sort_unstable();
+        (pairs, scanned)
     }
 
     /// `(inner, outer)` overlap pairs by exhaustive comparison.
@@ -300,10 +364,10 @@ mod tests {
         let a = row_join_on(&inner, &outer, &serial);
         let b = row_join_on(&inner, &outer, &wide);
         assert_eq!((&a.hits, a.scanned), (&b.hits, b.scanned));
-        // The row build assigns each of the 42 outers meeting the inner
-        // windows' bounding box; the queries run as three chunks.
-        assert_eq!(serial.tasks(), 42 + 3);
-        assert_eq!(wide.tasks(), 42 + 3);
+        // The row build does not fan out; the queries run as three
+        // chunks.
+        assert_eq!(serial.tasks(), 3);
+        assert_eq!(wide.tasks(), 3);
         assert_eq!(a.hits.iter().map(Vec::len).sum::<usize>(), inner.len());
     }
 
@@ -325,6 +389,40 @@ mod tests {
             let inner: Vec<Rect> = inner.iter().map(rect).collect();
             let outer: Vec<Rect> = outer.iter().map(rect).collect();
             prop_assert_eq!(join_pairs(&inner, &outer), brute_force_join(&inner, &outer));
+        }
+
+        #[test]
+        fn scan_matches_brute_force_and_rtree(
+            specs in proptest::collection::vec(
+                (-20i32..20, -4i32..4, 0i32..6, 0i32..4), 0..80),
+            long in proptest::collection::vec((-20i32..20, -4i32..4, 0i32..2), 0..4),
+            dups in proptest::collection::vec(0usize..80, 0..8),
+        ) {
+            // A 5-unit grid makes touching edges common, zero widths and
+            // heights give degenerate rects, the long ones span the whole
+            // row, and duplicated entries give identical rects.
+            let mut rects: Vec<Rect> = specs.iter()
+                .map(|&(x, y, w, h)| r(5 * x, 5 * y, 5 * (x + w), 5 * (y + h)))
+                .collect();
+            rects.extend(long.iter().map(|&(x, y, h)| r(5 * x, 5 * y, 5 * (x + 60), 5 * (y + h))));
+            for d in dups {
+                if let Some(&dup) = rects.get(d) {
+                    rects.push(dup);
+                }
+            }
+            let (pairs, scanned) = scan_pairs(&rects);
+            let mut rtree = Vec::new();
+            rtree_overlaps(&rects, |a, b| rtree.push((a, b)));
+            rtree.sort_unstable();
+            prop_assert_eq!(&pairs, &brute_force_overlap_pairs(&rects));
+            prop_assert_eq!(&pairs, &rtree);
+            // One comparison per x-overlapping pair: the reported pairs
+            // and the y-disjoint ones.
+            let x_overlapping = (0..rects.len())
+                .flat_map(|a| (a + 1..rects.len()).map(move |b| (a, b)))
+                .filter(|&(a, b)| rects[a].x_range().overlaps(rects[b].x_range()))
+                .count();
+            prop_assert_eq!(scanned, x_overlapping as u64);
         }
 
         #[test]

@@ -498,10 +498,11 @@ fn print_summary(report: &CheckReport, deck: &RuleDeck, max_print: usize) {
 
 fn print_stats(stats: &odrc::EngineStats) {
     let (joined, join_scanned) = (stats.join_candidates, stats.join_scanned);
+    let (pairs, pairs_scanned) = (stats.candidate_pairs, stats.pairs_scanned);
     eprintln!(
-        "checks computed: {}, reused: {}, candidate pairs: {}, rows: {}; \
-         join candidates: {joined}, scanned: {join_scanned}",
-        stats.checks_computed, stats.checks_reused, stats.candidate_pairs, stats.rows
+        "checks computed: {}, reused: {}, candidate pairs: {pairs}, scanned: {pairs_scanned}, \
+         rows: {}; join candidates: {joined}, scanned: {join_scanned}",
+        stats.checks_computed, stats.checks_reused, stats.rows
     );
     let scanned = stats.scene_objects_scanned;
     let packed = stats.edges_packed;

@@ -78,6 +78,7 @@ pub fn stats_to_json(stats: &EngineStats) -> Value {
         ("checks_computed", Value::from(stats.checks_computed)),
         ("checks_reused", Value::from(stats.checks_reused)),
         ("candidate_pairs", Value::from(stats.candidate_pairs)),
+        ("pairs_scanned", Value::from(stats.pairs_scanned)),
         ("rows", Value::from(stats.rows)),
         ("device_retries", Value::from(stats.device_retries)),
         ("device_fallbacks", Value::from(stats.device_fallbacks)),

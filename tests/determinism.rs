@@ -51,7 +51,9 @@ fn repeated_checks_are_identical() {
 
 /// The stats with scheduling telemetry masked: which worker stole from
 /// which, and how often a device worker woke, are race outcomes of one
-/// run, not results of the check.
+/// run, not results of the check. Every other counter — the work
+/// counters such as `candidate_pairs`, `pairs_scanned` and
+/// `join_scanned` — must repeat exactly.
 fn work_stats(stats: &EngineStats) -> EngineStats {
     EngineStats {
         host_steals: 0,
