@@ -10,7 +10,7 @@ cargo fmt --all -- --check
 echo "== cargo clippy"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "== one host path, one classifier, one ingest path, one scene pass 1 (no is_serial() fork, one spacing check in both modes, one dispatcher per mode, one GDSII loader, O(members) scenes)"
+echo "== one host path, one classifier, one ingest path, one scene pass 1, one process per run (no is_serial() fork, one spacing check in both modes, one dispatcher per mode, one GDSII loader, O(members) scenes)"
 # A 1-thread executor runs the same code inline, so the engine keeps no
 # separate single-threaded branch; and in-core, delta and sharded
 # spacing all go through the one host driver, which checks the packed
@@ -126,6 +126,13 @@ fi
 # the pair rule kinds. The chaos kill is a Fault, not an engine option.
 if grep -rnE 'check_(space_scene|intra_rule|enclosure_rule|overlap_rule)_parallel|fn run_sequential|check_(enclosure|overlap)_(rule|scenes)|chaos_kill_at_shard: ' crates/core/src; then
     echo "a deleted per-kind / per-mode check entry point is back in crates/core/src"
+    exit 1
+fi
+# A run is one process: crash recovery is the (rule, shard) journal's
+# --resume, so no shard-worker processes, worker slices, journal merge
+# or partial-rule run state come back.
+if grep -rnE 'shard_slice|whole_rule_assigned|absorb_dir|run_shard_workers|ShardRun|--shard-workers|--worker-slice' crates/*/src; then
+    echo "the multi-process out-of-core mode (shard workers, worker slices, journal merge) is back in crates/*/src"
     exit 1
 fi
 regions=$(cat crates/core/src/*.rs | grep -c 'Region::from_polygons(\[')
@@ -485,17 +492,18 @@ fi
 kill -TERM "$serve_pid"
 wait "$serve_pid" || { echo "restarted daemon did not drain cleanly"; exit 1; }
 
-echo "== out-of-core smoke (scaled chip, quarter-RSS budget, worker kill + resume)"
+echo "== out-of-core smoke (scaled chip, quarter-RSS budget, mid-rule kill + resume)"
 # Out-of-core checking end to end at the CLI level on a multi-million-
 # polygon chip generated on demand (never checked in): the unbudgeted
 # in-core run's observed peak-RSS sets a shard budget of one quarter of
-# it, which must force LRU eviction; then the same check runs across
-# two crash-isolated shard worker processes with worker 0 chaos-killed
-# mid-rule — it must be re-admitted and resume from its (rule, shard)
-# journal. Both out-of-core reports must be byte-identical to the
-# in-core run. (The budget bounds shard-scene residency; whole-process
-# RSS additionally carries the layout itself, so the smoke asserts
-# eviction pressure, not an absolute RSS ceiling.)
+# it, which must force LRU eviction; then the same budgeted check is
+# chaos-killed mid-rule (the process aborts right after its 5th
+# (rule, shard) unit is journaled) and a --resume run must pick up
+# from the journal. Both out-of-core reports must be byte-identical to
+# the in-core run, and the resumed run must re-check exactly the shards
+# the journal is missing. (The budget bounds shard-scene residency;
+# whole-process RSS additionally carries the layout itself, so the
+# smoke asserts eviction pressure, not an absolute RSS ceiling.)
 rm -rf target/ci-ooc
 mkdir -p target/ci-ooc
 ./target/release/odrc-genlayout jpeg target/ci-ooc/chip.gds --scale 20
@@ -529,26 +537,37 @@ cmp target/ci-ooc/incore.csv target/ci-ooc/budgeted.csv \
 # Shards are assembled from member lists: the budgeted run walks the top
 # cell once per plan and outer layer (7 on this deck, against 4 in-core
 # scenes), not once per shard build.
-scanned() { sed -n 's/.*"scene_objects_scanned": *\([0-9][0-9]*\).*/\1/p' "$1"; }
-incore_scanned=$(scanned target/ci-ooc/incore.json)
-budgeted_scanned=$(scanned target/ci-ooc/budgeted.json)
+count() { sed -n "s/.*\"$2\": *\([0-9][0-9]*\).*/\1/p" "$1"; }
+incore_scanned=$(count target/ci-ooc/incore.json scene_objects_scanned)
+budgeted_scanned=$(count target/ci-ooc/budgeted.json scene_objects_scanned)
 [ -n "$incore_scanned" ] && [ -n "$budgeted_scanned" ] \
     || { echo "a run recorded no scene_objects_scanned"; exit 1; }
 [ "$budgeted_scanned" -le $((2 * incore_scanned)) ] \
     || { echo "budgeted run scanned $budgeted_scanned top-cell children, in-core $incore_scanned: shard builds re-walk the layer"; exit 1; }
 status=0
 ./target/release/odrc target/ci-ooc/chip.gds --rules target/ci-ooc/ooc.rules \
-    --memory-budget "$budget" --shard-workers 2 --chaos-kill-at-shard 5 \
-    --report target/ci-ooc/workers.csv --stats-json target/ci-ooc/workers.json \
-    --max-print 0 >target/ci-ooc/workers.log 2>&1 || status=$?
-[ "$status" -eq 1 ] || { echo "expected exit 1 from shard-worker run, got $status"; exit 1; }
-grep -q "re-admitting" target/ci-ooc/workers.log \
-    || { echo "chaos-killed shard worker was never re-admitted"; exit 1; }
-if grep -q '"shards_resumed": *0[,}]' target/ci-ooc/workers.json; then
-    echo "re-admitted worker resumed no shards from its journal"
-    exit 1
-fi
-cmp target/ci-ooc/incore.csv target/ci-ooc/workers.csv \
-    || { echo "post-kill shard-worker report differs from the in-core run"; exit 1; }
+    --memory-budget "$budget" --checkpoint-dir target/ci-ooc/ck --chaos-kill-at-shard 5 \
+    --max-print 0 >/dev/null 2>&1 || status=$?
+# The kill is an abort(): a signal ends the process (shell status 128 + N).
+[ "$status" -gt 128 ] || { echo "expected the chaos kill to abort the budgeted run, got $status"; exit 1; }
+status=0
+./target/release/odrc target/ci-ooc/chip.gds --rules target/ci-ooc/ooc.rules \
+    --memory-budget "$budget" --resume target/ci-ooc/ck \
+    --report target/ci-ooc/resumed.csv --stats-json target/ci-ooc/resumed.json \
+    --max-print 0 >/dev/null 2>&1 || status=$?
+[ "$status" -eq 1 ] || { echo "expected exit 1 from the resumed run, got $status"; exit 1; }
+cmp target/ci-ooc/incore.csv target/ci-ooc/resumed.csv \
+    || { echo "post-kill resumed report differs from the in-core run"; exit 1; }
+# Shard units are conserved across the kill: the resumed run restores
+# the journaled shards and checks the rest, and together they are the
+# uninterrupted budgeted run's shards.
+resumed_shards=$(count target/ci-ooc/resumed.json shards_resumed)
+checked_shards=$(count target/ci-ooc/resumed.json shards_checked)
+budgeted_shards=$(count target/ci-ooc/budgeted.json shards_checked)
+[ -n "$resumed_shards" ] && [ -n "$checked_shards" ] && [ -n "$budgeted_shards" ] \
+    || { echo "a run recorded no shard counters"; exit 1; }
+[ "$resumed_shards" -ge 1 ] || { echo "the resumed run restored no shards from the journal"; exit 1; }
+[ $((checked_shards + resumed_shards)) -eq "$budgeted_shards" ] \
+    || { echo "shards not conserved across the kill: $checked_shards checked + $resumed_shards resumed != $budgeted_shards"; exit 1; }
 
 echo "== ci.sh: all green"

@@ -269,33 +269,6 @@ impl CheckpointJournal {
         Ok(())
     }
 
-    /// Merges another journal directory's records *for this run key*
-    /// into this journal: every whole-rule and `(rule, shard)` record
-    /// held by `dir` and missing here is re-recorded (and flushed).
-    /// Records are absorbed in sorted key order, so the merged file is
-    /// deterministic regardless of worker completion order. This is
-    /// the parent side of the multi-process out-of-core mode: workers
-    /// journal into private directories (one writer per file), and the
-    /// parent absorbs them before its final restore pass.
-    pub fn absorb_dir(&mut self, dir: &Path) -> io::Result<()> {
-        let other = CheckpointJournal::open_dir(dir, self.run)?;
-        let mut entries: Vec<_> = other.entries.iter().collect();
-        entries.sort_by_key(|(sig, _)| **sig);
-        for (sig, (name, vs)) in entries {
-            if !self.entries.contains_key(sig) {
-                self.record(name, *sig, vs)?;
-            }
-        }
-        let mut shards: Vec<_> = other.shards.iter().collect();
-        shards.sort_by_key(|(key, _)| **key);
-        for (&(sig, count, id), (name, vs)) in shards {
-            if !self.shards.contains_key(&(sig, count, id)) {
-                self.record_shard(name, sig, count, id, vs)?;
-            }
-        }
-        Ok(())
-    }
-
     /// Serializes one record payload (v3 layout).
     fn encode(
         &self,

@@ -9,7 +9,7 @@ use crate::checkpoint::CheckpointJournal;
 use crate::parallel;
 use crate::rules::{Rule, RuleDeck};
 use crate::sequential::{self, RunContext};
-use crate::shard::{self, ShardRun};
+use crate::shard;
 use crate::violation::{canonicalize, Violation};
 
 /// Execution mode of the engine.
@@ -64,9 +64,10 @@ pub struct EngineOptions {
     pub memory_budget: Option<u64>,
     /// Force out-of-core sharded checking even without a memory budget
     /// or explicit shard geometry (the `--out-of-core` CLI flag).
-    /// Redundant when [`EngineOptions::memory_budget`],
-    /// [`EngineOptions::shard_rows`], or
-    /// [`EngineOptions::shard_slice`] is set — each implies it.
+    /// Redundant when [`EngineOptions::memory_budget`] or
+    /// [`EngineOptions::shard_rows`] is set — each implies it. Every
+    /// completed `(rule, shard)` unit is journaled when the run has a
+    /// checkpoint journal, so a killed process resumes mid-rule.
     pub out_of_core: bool,
     /// Partition rows per shard in out-of-core mode. `None` sizes
     /// shards to roughly [`crate::shard::DEFAULT_SHARDS`] per rule.
@@ -74,14 +75,6 @@ pub struct EngineOptions {
     /// unlimited residency budget), which is how the equivalence tests
     /// sweep shard geometry without memory pressure.
     pub shard_rows: Option<usize>,
-    /// Worker slice `(worker, of)` of the multi-process out-of-core
-    /// mode: this process checks only shards with `id % of == worker`
-    /// (and whole rules with `index % of == worker`), journaling each
-    /// completed unit. Sliced-away rules finish as
-    /// [`RuleStatus::Interrupted`] — the parent process merges worker
-    /// journals and restores everything, so a worker's own report is
-    /// scaffolding, not a result.
-    pub shard_slice: Option<(usize, usize)>,
 }
 
 impl Default for EngineOptions {
@@ -95,7 +88,6 @@ impl Default for EngineOptions {
             memory_budget: None,
             out_of_core: false,
             shard_rows: None,
-            shard_slice: None,
         }
     }
 }
@@ -512,10 +504,6 @@ impl Engine {
                             );
                             continue;
                         }
-                        if !shard::whole_rule_assigned(&self.options, ri) {
-                            // Another worker's rule: leave Interrupted.
-                            continue;
-                        }
                         if poll_cancel(&self.cancel, &mut interrupted) {
                             continue;
                         }
@@ -574,7 +562,6 @@ impl Engine {
                         // the out-of-core pre-pass.
                         if status[ri] != RuleStatus::Interrupted
                             || shard::sharded_rule(&self.options, &rules[ri])
-                            || !shard::whole_rule_assigned(&self.options, ri)
                         {
                             continue;
                         }
@@ -678,9 +665,8 @@ impl Engine {
 
     /// One out-of-core rule, in either mode: poll, check it shard by
     /// shard on the host, and finalize it if every shard is accounted
-    /// for. A partial rule (worker slice, or cancelled mid-rule) stays
-    /// Interrupted; its completed shards live in the journal, not the
-    /// report.
+    /// for. A rule cancelled mid-rule stays Interrupted; its completed
+    /// shards live in the journal, not the report.
     fn check_sharded(
         &self,
         ctx: &mut RunContext<'_>,
@@ -693,14 +679,12 @@ impl Engine {
         if poll_cancel(&self.cancel, interrupted) {
             return;
         }
-        let run =
-            shard::check_rule_sharded(ctx, &self.device, rule, journal, self.cancel.as_ref(), buf);
-        if run == ShardRun::Done {
-            finalize_rule(ctx, journal, &self.progress, rule, buf, status);
-        } else if self.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
-            // The shard loop saw the token trip mid-rule: latch the
+        match shard::check_rule_sharded(ctx, &self.device, rule, journal, self.cancel.as_ref(), buf)
+        {
+            None => finalize_rule(ctx, journal, &self.progress, rule, buf, status),
+            // The shard loop saw the token trip mid-rule: latch its
             // reason here, since this may have been the last rule.
-            poll_cancel(&self.cancel, interrupted);
+            Some(reason) => *interrupted = Some(reason),
         }
     }
 }

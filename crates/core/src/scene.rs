@@ -88,7 +88,7 @@ impl DirtyWindow<'_> {
 impl LayerScene {
     /// Builds the scene for `layer`.
     pub fn build(layout: &Layout, layer: Layer) -> LayerScene {
-        LayerScene::build_near(layout, layer, None)
+        LayerScene::build_on(layout, layer, None, &odrc_infra::HostExecutor::new(1))
     }
 
     /// Builds the scene for `layer`, restricted to the objects that can
@@ -107,19 +107,10 @@ impl LayerScene {
     ///
     /// Cells whose placements are all filtered out are never flattened,
     /// which is where a small edit on a large layout saves its work.
-    pub fn build_near(
-        layout: &Layout,
-        layer: Layer,
-        window: Option<DirtyWindow<'_>>,
-    ) -> LayerScene {
-        LayerScene::build_on(layout, layer, window, &odrc_infra::HostExecutor::new(1))
-    }
-
-    /// [`LayerScene::build_near`] with the per-cell subtree flattening
-    /// fanned out on a host executor: the unique kept cells are
-    /// collected in first-occurrence order, their flat polygon lists
-    /// computed in parallel, and the scene assembled serially — the
-    /// result is identical for any thread count.
+    /// The per-cell subtree flattening fans out on `host`: the unique
+    /// kept cells are collected in first-occurrence order, their flat
+    /// polygon lists computed in parallel, and the scene assembled
+    /// serially — the result is identical for any thread count.
     pub fn build_on(
         layout: &Layout,
         layer: Layer,

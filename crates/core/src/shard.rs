@@ -22,13 +22,11 @@
 //!   an oversized shard (or a seeded [`Fault::AllocFail`]) degrades to
 //!   build-check-drop processing, and nothing ever aborts;
 //! * each completed `(rule, shard)` unit is appended to the v3
-//!   [`CheckpointJournal`], so a killed run — including a SIGKILL'd
-//!   shard worker process — resumes *mid-rule*, re-running only the
-//!   shards the journal is missing;
-//! * a worker slice (`shard id % workers == worker`) lets the CLI fan
-//!   shards out over separate processes whose only shared state is the
-//!   journal directory: a crashed worker loses its in-flight shard and
-//!   nothing else.
+//!   [`CheckpointJournal`], so a killed run — cancelled, or a process
+//!   killed outright — resumes *mid-rule*, re-running only the shards
+//!   the journal is missing. The journal is the crash boundary: a run
+//!   is one process, and a crash loses its in-flight shard and nothing
+//!   else.
 //!
 //! [`Fault::AllocFail`]: odrc_xpu::Fault::AllocFail
 
@@ -37,7 +35,7 @@ use std::sync::Arc;
 
 use odrc_db::Layer;
 use odrc_geometry::{Coord, Rect};
-use odrc_infra::{CancelToken, Profiler};
+use odrc_infra::{CancelReason, CancelToken, Profiler};
 use odrc_xpu::Device;
 
 use crate::cache::rule_signature;
@@ -56,10 +54,7 @@ pub const DEFAULT_SHARDS: usize = 16;
 
 /// Whether the engine is running in out-of-core mode at all.
 pub(crate) fn out_of_core(options: &EngineOptions) -> bool {
-    options.out_of_core
-        || options.memory_budget.is_some()
-        || options.shard_rows.is_some()
-        || options.shard_slice.is_some()
+    options.out_of_core || options.memory_budget.is_some() || options.shard_rows.is_some()
 }
 
 /// Whether `rule` takes the sharded host path under these options.
@@ -68,28 +63,6 @@ pub(crate) fn out_of_core(options: &EngineOptions) -> bool {
 /// whole, journaled at rule granularity.
 pub(crate) fn sharded_rule(options: &EngineOptions, rule: &Rule) -> bool {
     out_of_core(options) && rule.family().interaction().is_some()
-}
-
-/// Whether whole (non-sharded) rule `ri` belongs to this process under
-/// the worker slice. Without a slice every rule is ours.
-pub(crate) fn whole_rule_assigned(options: &EngineOptions, ri: usize) -> bool {
-    match options.shard_slice {
-        Some((worker, of)) if of > 0 => ri % of == worker,
-        _ => true,
-    }
-}
-
-/// How a sharded rule run ended.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum ShardRun {
-    /// Every shard of the rule is accounted for (checked or restored):
-    /// the rule is complete and may be finalized.
-    Done,
-    /// Some shards were skipped (worker slice) or the run was cancelled
-    /// mid-rule: the rule must *not* be finalized. Completed shards are
-    /// already in the journal; the partial in-memory buffer is
-    /// discarded by the engine's interrupted-rule sweep.
-    Partial,
 }
 
 /// The deterministic shard decomposition of one rule: the primary
@@ -117,9 +90,9 @@ pub(crate) struct ShardSpec {
 
 /// Builds the shard plan for `(layer, min)`. The plan is a pure
 /// function of the layout, the rule distance, and the partition/shard
-/// options — two processes (or two runs) with the same inputs agree on
-/// shard identities, which is what makes `(rule, shard)` journal
-/// records portable across crashes and workers.
+/// options — two runs with the same inputs agree on shard identities,
+/// which is what makes `(rule, shard)` journal records portable across
+/// a crash and its `--resume`.
 pub(crate) fn plan_shards(ctx: &mut RunContext<'_>, layer: Layer, min: i64) -> ShardPlan {
     let layout = ctx.layout;
     let scanned = &mut ctx.stats.scene_objects_scanned;
@@ -255,8 +228,10 @@ impl ShardPool {
 
 /// Runs one sharded rule: plan, restore journaled shards, check the
 /// missing ones (recording each as it completes), and extend `out` with
-/// the union. Returns [`ShardRun::Partial`] when the worker slice
-/// skipped shards or the run was cancelled mid-rule.
+/// the union. Returns the cancel reason when the run was cancelled
+/// mid-rule: the rule must then *not* be finalized (its completed
+/// shards are already in the journal, and the engine discards the
+/// partial buffer).
 pub(crate) fn check_rule_sharded(
     ctx: &mut RunContext<'_>,
     device: &Device,
@@ -264,7 +239,7 @@ pub(crate) fn check_rule_sharded(
     journal: &mut Option<&mut CheckpointJournal>,
     cancel: Option<&CancelToken>,
     out: &mut Vec<Violation>,
-) -> ShardRun {
+) -> Option<CancelReason> {
     let family = rule.family();
     let (layer, min) = family.interaction().expect("only inter-object rules shard");
     let ShardPlan { objects, shards } = plan_shards(ctx, layer, min);
@@ -272,7 +247,6 @@ pub(crate) fn check_rule_sharded(
     let sig = rule_signature(rule);
     let layout = ctx.layout;
     let host = Arc::clone(&ctx.host);
-    let mut partial = false;
     // One §IV-C memo for the whole rule. Shards restored from the
     // journal never fill it; their cells are computed if a later shard
     // places them.
@@ -282,12 +256,6 @@ pub(crate) fn check_rule_sharded(
     let mut outer_objects: Option<LayerObjects> = None;
     for (sid, shard) in shards.iter().enumerate() {
         let shard_id = sid as u32;
-        if let Some((worker, of)) = ctx.options.shard_slice {
-            if of > 0 && sid % of != worker {
-                partial = true;
-                continue;
-            }
-        }
         // Restore before polling: restores are free and a cancel must
         // not forfeit them.
         if let (Some(sig), Some(j)) = (sig, journal.as_deref_mut()) {
@@ -297,10 +265,8 @@ pub(crate) fn check_rule_sharded(
                 continue;
             }
         }
-        if let Some(tok) = cancel {
-            if tok.cancelled().is_some() {
-                return ShardRun::Partial;
-            }
+        if let Some(reason) = cancel.and_then(CancelToken::cancelled) {
+            return Some(reason);
         }
         let mut buf: Vec<Violation> = Vec::new();
         match family {
@@ -365,11 +331,7 @@ pub(crate) fn check_rule_sharded(
         }
         out.extend(vs);
     }
-    if partial {
-        ShardRun::Partial
-    } else {
-        ShardRun::Done
-    }
+    None
 }
 
 /// The (inner subset, outer windowed) scene pair of a pair-rule shard,

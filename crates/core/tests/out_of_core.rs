@@ -441,32 +441,44 @@ fn scene_objects_scanned_counts_enumerations_not_shards() {
 }
 
 /// The outer layer of a pair rule is enumerated by the first shard the
-/// journal does not restore: when two workers' journals cover every
-/// shard, the merged run plans each sharded rule and walks nothing else.
+/// journal does not restore: when the journal covers every shard, the
+/// run plans each sharded rule and walks nothing else. Restore only
+/// unions a rule's shard sets, so the journal is filled directly: each
+/// sharded rule's baseline set in shard 0 and empty records for its
+/// other shards, and whole-rule records for the intra rules.
 #[test]
 fn fully_restored_rules_enumerate_their_plan_only() {
     let layout = generate_layout(&DesignSpec::tiny(9));
     let deck = deck();
-    let run_key = RunKey::compute(&layout, &deck);
+    let base = baseline(Mode::Sequential, &layout);
     let dir = fresh_dir("lazy-outer");
-    let mut merged = CheckpointJournal::open_dir(&dir, run_key).unwrap();
-    for w in 0..2 {
-        let worker_dir = dir.join(format!("worker-{w}"));
-        let mut journal = CheckpointJournal::open_dir(&worker_dir, run_key).unwrap();
-        let mut options = out_of_core_options(None, 2);
-        options.shard_slice = Some((w, 2));
-        engine(Mode::Sequential, options).check_resumable(&layout, &deck, None, Some(&mut journal));
-        drop(journal);
-        merged.absorb_dir(&worker_dir).unwrap();
+    let mut journal = CheckpointJournal::open_dir(&dir, RunKey::compute(&layout, &deck)).unwrap();
+    for (rule, shards) in deck.rules().iter().zip(per_rule_shards(&layout, &deck, 2)) {
+        let sig = rule_signature(rule).expect("deck rules are signable");
+        let own: Vec<Violation> = base
+            .iter()
+            .filter(|v| v.rule == rule.name)
+            .cloned()
+            .collect();
+        if shards == 0 {
+            journal.record(&rule.name, sig, &own).unwrap();
+            continue;
+        }
+        for shard in 0..shards as u32 {
+            let vs: &[Violation] = if shard == 0 { &own } else { &[] };
+            journal
+                .record_shard(&rule.name, sig, shards as u32, shard, vs)
+                .unwrap();
+        }
     }
     let report = engine(Mode::Sequential, out_of_core_options(None, 2)).check_resumable(
         &layout,
         &deck,
         None,
-        Some(&mut merged),
+        Some(&mut journal),
     );
-    drop(merged);
-    assert_eq!(report.violations, baseline(Mode::Sequential, &layout));
+    drop(journal);
+    assert_eq!(report.violations, base);
     assert_eq!(report.stats.shards_checked, 0);
     let sharded = deck
         .rules()
@@ -476,60 +488,6 @@ fn fully_restored_rules_enumerate_their_plan_only() {
     assert_eq!(
         report.stats.scene_objects_scanned,
         sharded as u64 * top_children(&layout)
-    );
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// Worker slices cover the shard space exactly: every worker journals
-/// its own shards, the parent merges the worker journals, and the
-/// merged restore is byte-identical to in-core with no shard re-run.
-#[test]
-fn worker_slices_merge_to_in_core_result() {
-    let layout = generate_layout(&DesignSpec::tiny(11));
-    let deck = deck();
-    let base = baseline(Mode::Sequential, &layout);
-    let run_key = RunKey::compute(&layout, &deck);
-    let dir = fresh_dir("slices");
-    let workers = 3usize;
-    for w in 0..workers {
-        let mut journal =
-            CheckpointJournal::open_dir(&dir.join(format!("worker-{w}")), run_key).unwrap();
-        let mut options = out_of_core_options(None, 2);
-        options.shard_slice = Some((w, workers));
-        let report = engine(Mode::Sequential, options).check_resumable(
-            &layout,
-            &deck,
-            None,
-            Some(&mut journal),
-        );
-        // A slice completes only the whole rules it owns; sharded
-        // rules stay partial in every worker (their shards are in the
-        // journal, not the report).
-        assert!(report
-            .rule_status
-            .iter()
-            .any(|(_, s)| *s == RuleStatus::Interrupted));
-    }
-    // Parent: merge the worker journals and restore everything.
-    let mut merged = CheckpointJournal::open_dir(&dir, run_key).unwrap();
-    for w in 0..workers {
-        merged.absorb_dir(&dir.join(format!("worker-{w}"))).unwrap();
-    }
-    let report = engine(Mode::Sequential, out_of_core_options(None, 2)).check_resumable(
-        &layout,
-        &deck,
-        None,
-        Some(&mut merged),
-    );
-    drop(merged);
-    assert_eq!(report.violations, base);
-    assert!(
-        report.stats.shards_resumed > 0,
-        "sharded rules must restore from worker shards"
-    );
-    assert_eq!(
-        report.stats.shards_checked, 0,
-        "no shard should re-run after the merge"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }

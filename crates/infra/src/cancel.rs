@@ -172,9 +172,9 @@ impl CancelToken {
     ///
     /// Unlike [`cancelled`](Self::cancelled) this never decrements the
     /// [`after_polls`](Self::after_polls) budget, so other observers
-    /// (the device's stream factory, the engine latching a mid-rule
-    /// cancel) can check freely without perturbing the deterministic
-    /// cancellation point chosen by the control loop.
+    /// (the device's stream factory) can check freely without
+    /// perturbing the deterministic cancellation point chosen by the
+    /// control loop.
     pub fn is_cancelled(&self) -> bool {
         if self.inner.state.load(Ordering::Acquire) != STATE_LIVE {
             return true;

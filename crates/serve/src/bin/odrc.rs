@@ -6,7 +6,7 @@
 //!      [--markers out.gds] [--device-budget BYTES] [--fault-seed N]
 //!      [--host-threads N] [--deadline SECS] [--checkpoint-dir <dir>]
 //!      [--resume <dir>] [--watchdog-ms N] [--out-of-core]
-//!      [--memory-budget BYTES] [--shard-rows N] [--shard-workers N]
+//!      [--memory-budget BYTES] [--shard-rows N]
 //! odrc diff <old.gds> <new.gds> --rules <deck.rules> [--parallel]
 //!      [--cache <dir>] [--max-print N] [--host-threads N]
 //! odrc serve --help
@@ -47,10 +47,13 @@
 //! already journaled in `<dir>/odrc-journal.bin`. A follow-up
 //! `odrc --resume <dir>` restores those rules without re-checking them
 //! and runs only what is missing; the final violation set is
-//! byte-identical to an uninterrupted run. `--watchdog-ms N` (parallel
-//! mode) arms a per-operation stream watchdog so a genuinely wedged
-//! device op surfaces as a stream timeout and flows through the normal
-//! retry/fallback machinery instead of hanging the run.
+//! byte-identical to an uninterrupted run. An out-of-core run
+//! (`--out-of-core`, `--memory-budget`, `--shard-rows`) also journals
+//! each `(rule, shard)` unit as it finishes, so a process that is
+//! killed outright resumes mid-rule the same way. `--watchdog-ms N`
+//! (parallel mode) arms a per-operation stream watchdog so a genuinely
+//! wedged device op surfaces as a stream timeout and flows through the
+//! normal retry/fallback machinery instead of hanging the run.
 //!
 //! # Exit codes
 //!
@@ -114,10 +117,6 @@ struct Args {
     memory_budget: Option<u64>,
     shard_rows: Option<usize>,
     out_of_core: bool,
-    shard_workers: Option<usize>,
-    /// Hidden: this process is shard worker `w` of `n` (spawned by the
-    /// parent's `--shard-workers`).
-    worker_slice: Option<(usize, usize)>,
     /// Hidden chaos switch: abort after the Nth shard is journaled.
     chaos_kill_at_shard: Option<u64>,
 }
@@ -135,7 +134,7 @@ fn usage() -> ! {
          [--cache dir] [--stats-json out.json] [--report out.csv] [--markers out.gds] \
          [--device-budget BYTES] [--fault-seed N] [--host-threads N] [--deadline SECS] \
          [--checkpoint-dir dir] [--resume dir] [--watchdog-ms N] \
-         [--out-of-core] [--memory-budget BYTES] [--shard-rows N] [--shard-workers N]\n\
+         [--out-of-core] [--memory-budget BYTES] [--shard-rows N]\n\
          \u{20}      odrc diff <old.gds> <new.gds> --rules <deck.rules> [--parallel] \
          [--cache dir] [--max-print N] [--host-threads N]\n\
          \u{20}      odrc serve --help   (the check daemon's flags)\n\
@@ -165,8 +164,6 @@ fn parse_args() -> Args {
     let mut memory_budget = None;
     let mut shard_rows = None;
     let mut out_of_core = false;
-    let mut shard_workers = None;
-    let mut worker_slice = None;
     let mut chaos_kill_at_shard = None;
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let diff_mode = argv.first().is_some_and(|a| a == "diff");
@@ -303,31 +300,6 @@ fn parse_args() -> Args {
                 out_of_core = true;
                 i += 1;
             }
-            "--shard-workers" => {
-                if i + 1 >= argv.len() {
-                    usage();
-                }
-                let n: usize = argv[i + 1].parse().unwrap_or_else(|_| usage());
-                if n == 0 {
-                    usage();
-                }
-                shard_workers = Some(n);
-                i += 2;
-            }
-            // Hidden: set by the parent on spawned shard workers.
-            "--worker-slice" => {
-                if i + 1 >= argv.len() {
-                    usage();
-                }
-                let (w, n) = argv[i + 1].split_once('/').unwrap_or_else(|| usage());
-                let w: usize = w.parse().unwrap_or_else(|_| usage());
-                let n: usize = n.parse().unwrap_or_else(|_| usage());
-                if n == 0 || w >= n {
-                    usage();
-                }
-                worker_slice = Some((w, n));
-                i += 2;
-            }
             // Hidden chaos switch (testing): abort right after the Kth
             // shard of the run is journaled.
             "--chaos-kill-at-shard" => {
@@ -374,8 +346,6 @@ fn parse_args() -> Args {
         memory_budget,
         shard_rows,
         out_of_core,
-        shard_workers,
-        worker_slice,
         chaos_kill_at_shard,
     }
 }
@@ -446,10 +416,10 @@ fn write_stats_json(path: &str, report: &CheckReport) -> std::io::Result<()> {
     odrc_infra::write_atomic(Path::new(path), Value::Object(doc).to_json().as_bytes())
 }
 
-/// The one way a GDSII file becomes a [`Layout`] here (check, both
-/// sides of `diff`, shard-worker parent and children, in-core or
-/// out-of-core alike): records stream from the file into the layout
-/// database, and the line reports what that cost.
+/// The one way a GDSII file becomes a [`Layout`] here (check and both
+/// sides of `diff`, in-core or out-of-core alike): records stream from
+/// the file into the layout database, and the line reports what that
+/// cost.
 fn load_layout(path: &str) -> Result<Layout, Box<dyn std::error::Error>> {
     let started = Instant::now();
     let file = std::fs::File::open(path).map_err(odrc_gdsii::ReadError::Io)?;
@@ -580,11 +550,6 @@ fn run_check(
     deck: &RuleDeck,
 ) -> Result<Outcome, Box<dyn std::error::Error>> {
     let layout = load_layout(&args.layout)?;
-    if let Some(workers) = args.shard_workers {
-        if workers > 1 && args.worker_slice.is_none() {
-            return run_shard_workers(args, engine, deck, &layout, workers);
-        }
-    }
     let mut journal = open_journal(args, &layout, deck)?;
     let report = match &args.cache {
         Some(dir) => {
@@ -595,18 +560,7 @@ fn run_check(
         }
         None => engine.check_resumable(&layout, deck, None, journal.as_mut()),
     };
-    finish_check(args, deck, &report, journal.as_ref())
-}
-
-/// Shared reporting tail of a check run: summary, artifacts, stats,
-/// and the outcome for the exit code.
-fn finish_check(
-    args: &Args,
-    deck: &RuleDeck,
-    report: &CheckReport,
-    journal: Option<&CheckpointJournal>,
-) -> Result<Outcome, Box<dyn std::error::Error>> {
-    print_summary(report, deck, args.max_print);
+    print_summary(&report, deck, args.max_print);
     if let Some(path) = &args.report {
         write_report(path, &report.violations)?;
         eprintln!("wrote {} violations to {path}", report.violations.len());
@@ -618,7 +572,7 @@ fn finish_check(
         eprintln!("wrote marker GDSII to {path}");
     }
     if let Some(path) = &args.stats_json {
-        write_stats_json(path, report)?;
+        write_stats_json(path, &report)?;
         eprintln!("wrote stats to {path}");
     }
     eprintln!("\n{}", report.profile);
@@ -634,7 +588,7 @@ fn finish_check(
         for (name, st) in &report.rule_status {
             eprintln!("  {name:<20} {st}");
         }
-        if let Some(j) = journal {
+        if let Some(j) = &journal {
             eprintln!(
                 "checkpoint saved: {} completed rule(s) in {}; \
                  rerun with --resume to finish",
@@ -650,129 +604,6 @@ fn finish_check(
         degraded: report.stats.degraded(),
         interrupted: report.interrupted.is_some(),
     })
-}
-
-/// Multi-process out-of-core checking: spawn `workers` shard workers,
-/// each checking the slice `shard % workers == w` (and the whole
-/// rules with `index % workers == w`), journaling every completed
-/// `(rule, shard)` unit into its own journal directory. A crashed
-/// worker (SIGKILL, abort) loses only its un-journaled work: it is
-/// re-admitted with `--resume` and picks up where its journal ends.
-/// The parent then merges the worker journals under its own run key
-/// and runs a restore pass — which also re-checks anything still
-/// missing — so the final report is byte-identical to a
-/// single-process run.
-fn run_shard_workers(
-    args: &Args,
-    engine: &Engine,
-    deck: &RuleDeck,
-    layout: &Layout,
-    workers: usize,
-) -> Result<Outcome, Box<dyn std::error::Error>> {
-    /// First admission plus up to three crash re-admissions per
-    /// worker; a slice that cannot survive four attempts is a bug,
-    /// not bad luck.
-    const MAX_ADMITS: usize = 4;
-    let root = match &args.checkpoint_dir {
-        Some(dir) => std::path::PathBuf::from(dir),
-        None => std::env::temp_dir().join(format!("odrc-shard-workers-{}", std::process::id())),
-    };
-    if !args.resume {
-        match std::fs::remove_dir_all(&root) {
-            Ok(()) => {}
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(e) => return Err(e.into()),
-        }
-    }
-    std::fs::create_dir_all(&root)?;
-    let exe = std::env::current_exe()?;
-
-    let spawn = |w: usize, first: bool| -> std::io::Result<std::process::Child> {
-        let mut cmd = std::process::Command::new(&exe);
-        cmd.arg(&args.layout)
-            .arg("--rules")
-            .arg(&args.rules)
-            .arg("--worker-slice")
-            .arg(format!("{w}/{workers}"))
-            .arg("--resume")
-            .arg(root.join(format!("worker-{w}")))
-            .arg("--max-print")
-            .arg("0");
-        if args.parallel {
-            cmd.arg("--parallel");
-        }
-        if let Some(bytes) = args.memory_budget {
-            cmd.arg("--memory-budget").arg(bytes.to_string());
-        }
-        if let Some(n) = args.shard_rows {
-            cmd.arg("--shard-rows").arg(n.to_string());
-        }
-        if args.out_of_core {
-            cmd.arg("--out-of-core");
-        }
-        if let Some(n) = args.host_threads {
-            cmd.arg("--host-threads").arg(n.to_string());
-        }
-        if let Some(bytes) = args.device_budget {
-            cmd.arg("--device-budget").arg(bytes.to_string());
-        }
-        if let Some(seed) = args.fault_seed {
-            cmd.arg("--fault-seed").arg(seed.to_string());
-        }
-        // The chaos kill fires once, on worker 0's first admission —
-        // its re-admission must find a healthy process.
-        if first && w == 0 {
-            if let Some(nth) = args.chaos_kill_at_shard {
-                cmd.arg("--chaos-kill-at-shard").arg(nth.to_string());
-            }
-        }
-        cmd.stdout(std::process::Stdio::null());
-        cmd.spawn()
-    };
-
-    let mut children: Vec<(usize, std::process::Child, usize)> = Vec::new();
-    for w in 0..workers {
-        children.push((w, spawn(w, true)?, 1));
-    }
-    eprintln!(
-        "spawned {workers} shard worker(s); journals under {}",
-        root.display()
-    );
-    while let Some((w, mut child, admits)) = children.pop() {
-        let status = child.wait()?;
-        // A coded exit (0/1/3/4) means the worker's slice is fully
-        // journaled; no exit code means a crash (signal) — re-admit.
-        match status.code() {
-            None => {
-                if admits >= MAX_ADMITS {
-                    return Err(
-                        format!("shard worker {w} crashed {admits} time(s); giving up").into(),
-                    );
-                }
-                eprintln!(
-                    "shard worker {w} crashed ({status}); re-admitting (attempt {})",
-                    admits + 1
-                );
-                children.push((w, spawn(w, false)?, admits + 1));
-            }
-            Some(2) => return Err(format!("shard worker {w} failed hard (exit 2)").into()),
-            Some(_) => {}
-        }
-    }
-
-    // Merge the worker journals under the parent's run key, then run
-    // a restore pass for the real report.
-    let run_key = RunKey::compute(layout, deck);
-    let mut journal = CheckpointJournal::open_dir(&root, run_key)?;
-    for w in 0..workers {
-        journal.absorb_dir(&root.join(format!("worker-{w}")))?;
-    }
-    let report = engine.check_resumable(layout, deck, None, Some(&mut journal));
-    let outcome = finish_check(args, deck, &report, Some(&journal))?;
-    if args.checkpoint_dir.is_none() {
-        let _ = std::fs::remove_dir_all(&root);
-    }
-    Ok(outcome)
 }
 
 /// The diff mode: check `old`, delta-check `new` against it, print
@@ -849,7 +680,6 @@ fn run(args: &Args) -> Result<Outcome, Box<dyn std::error::Error>> {
         memory_budget: args.memory_budget,
         out_of_core: args.out_of_core,
         shard_rows: args.shard_rows,
-        shard_slice: args.worker_slice,
         ..odrc::EngineOptions::default()
     };
     // One fault schedule per run: the seeded device faults (--parallel
