@@ -368,3 +368,56 @@ fn journal_len_all_signable(deck: &RuleDeck) -> usize {
         .filter(|r| rule_signature(r).is_some())
         .count()
 }
+
+/// A delta re-check cancelled at any rule boundary, in either mode,
+/// reports only whole rules: each rule's violations are either none or
+/// exactly that rule's set from a full check of the edited layout, and
+/// the report is flagged interrupted exactly when the poll budget ran
+/// out before the deck did.
+#[test]
+fn cancelled_delta_reports_only_whole_rules() {
+    let old = generate_layout(&DesignSpec::paper("uart").expect("paper design"));
+    let mut new = old.clone();
+    let top = new.top();
+    let wire = new
+        .cell(top)
+        .polygons()
+        .iter()
+        .position(|p| p.layer == tech::M2)
+        .expect("a top-level M2 wire");
+    new.remove_polygon(top, wire)
+        .expect("remove a top-level wire");
+    let deck = deck();
+    let rules = deck.rules().len();
+    for mode in [Mode::Sequential, Mode::Parallel] {
+        let old_violations = engine(mode, None).check(&old, &deck).violations;
+        let full = engine(mode, None).check(&new, &deck);
+        assert!(!full.violations.is_empty(), "uart violates the deck");
+        for polls in 0..=rules {
+            let report = engine(mode, None)
+                .with_cancel(CancelToken::after_polls(polls))
+                .check_delta(&old, &old_violations, &new, &deck);
+            let tag = format!("{mode:?} after {polls} poll(s)");
+            assert!(!report.dirty.is_empty(), "{tag}: the edit dirtied nothing");
+            assert_eq!(report.interrupted.is_some(), polls < rules, "{tag}");
+            for rule in deck.rules() {
+                let got: Vec<&Violation> = report
+                    .violations
+                    .iter()
+                    .filter(|v| v.rule == rule.name)
+                    .collect();
+                let want: Vec<&Violation> = full.violations_of(&rule.name).collect();
+                assert!(
+                    got.is_empty() || got == want,
+                    "{tag}: {} reported a partial set ({} of {})",
+                    rule.name,
+                    got.len(),
+                    want.len()
+                );
+            }
+            if polls == rules {
+                assert_eq!(report.violations, full.violations, "{tag}");
+            }
+        }
+    }
+}
