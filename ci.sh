@@ -10,7 +10,7 @@ cargo fmt --all -- --check
 echo "== cargo clippy"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "== one host path, one classifier, one ingest path, one scene pass 1, one process per run (no is_serial() fork, one spacing check in both modes, one dispatcher per mode, one GDSII loader, O(members) scenes)"
+echo "== one host path, one classifier, one ingest path, one scene pass 1, one process per run (no is_serial() fork, one spacing check in both modes, one rule loop, one GDSII loader, O(members) scenes)"
 # A 1-thread executor runs the same code inline, so the engine keeps no
 # separate single-threaded branch; and in-core, delta and sharded
 # spacing all go through the one host driver, which checks the packed
@@ -126,6 +126,19 @@ fi
 # the pair rule kinds. The chaos kill is a Fault, not an engine option.
 if grep -rnE 'check_(space_scene|intra_rule|enclosure_rule|overlap_rule)_parallel|fn run_sequential|check_(enclosure|overlap)_(rule|scenes)|chaos_kill_at_shard: ' crates/core/src; then
     echo "a deleted per-kind / per-mode check entry point is back in crates/core/src"
+    exit 1
+fi
+# One rule loop: full, delta and out-of-core rules go through the
+# engine's one issue -> collect loop, which chooses each rule's executor.
+# The host body and the device issue each have one caller (the loop's
+# issue), and delta.rs never forks on the mode.
+nontest() { for f in "$@"; do awk '/#\[cfg\(test\)\]/{exit} {print FILENAME ":" FNR ":" $0}' "$f"; done; }
+for call in 'sequential::check_rule(' 'parallel::issue_rule('; do
+    sites=$(nontest $(find crates/core/src -name '*.rs') | grep -cF "$call" || true)
+    [ "$sites" -eq 1 ] || { echo "expected one $call call site in non-test crates/core/src, found $sites"; exit 1; }
+done
+if nontest crates/core/src/delta.rs | grep -E '\bMode\b|\.mode\b'; then
+    echo "delta.rs forks on the engine mode; its rules go through the engine's one rule loop"
     exit 1
 fi
 # A run is one process: crash recovery is the (rule, shard) journal's

@@ -31,11 +31,12 @@
 //! unique cell through the §IV-C memo and the persistent cache — and
 //! replace that rule's old violations entirely.
 //!
-//! The windowed re-run is the engine's own pipeline: the rule family's
+//! The windowed re-run is the engine's own rule loop (`Engine::run_rules`,
+//! the one a full check runs): the rule family's
 //! [`interaction`](crate::rules::RuleFamily::interaction) distance is
-//! the halo, and the mode's one dispatcher (`sequential::check_rule`,
-//! or `parallel::issue_rule` → `collect_rule`) takes the window as an
-//! argument. A delta run opens and closes with the same `begin_run` /
+//! the halo (`halo`), which the loop hands each rule's executor as an
+//! argument, and the splice runs after the loop over the rules it
+//! completed. A delta run opens and closes with the same `begin_run` /
 //! `finish_run` pair as a full check, so it honours the cancel token on
 //! the device and reports the same dispatch counters and
 //! `device-wait-wall` phase.
@@ -47,11 +48,10 @@ use odrc_geometry::{Coord, Point, Rect, Transform};
 use odrc_infra::Profiler;
 
 use crate::cache::{CacheHandle, CacheKeys, ResultCache};
-use crate::engine::{CheckReport, Engine, EngineStats, Mode};
-use crate::parallel;
+use crate::engine::{CheckReport, Engine, EngineStats, RuleStatus};
 use crate::rules::{Rule, RuleDeck};
 use crate::scene::DirtyWindow;
-use crate::sequential::{self, RunContext};
+use crate::sequential::RunContext;
 use crate::violation::{canonicalize, Violation};
 
 /// The outcome of a delta re-check, relative to the previous run.
@@ -428,8 +428,7 @@ impl Engine {
         }
 
         let mut stats = EngineStats::default();
-        let mut violations = Vec::new();
-        let mut interrupted: Option<odrc_infra::CancelReason> = None;
+        let (fresh, status, interrupted);
         {
             let mut ctx = RunContext::new(new, &self.options, &mut profiler, &mut stats);
             if let Some(cache) = cache {
@@ -439,24 +438,31 @@ impl Engine {
                 });
             }
             let scope = self.begin_run(&ctx);
-            for rule in deck.rules() {
-                // A cancelled delta run stops at the rule boundary, like
-                // the full pipeline; its partial set is flagged below.
-                if let Some(tok) = &self.cancel {
-                    if let Some(reason) = tok.cancelled() {
-                        interrupted = Some(reason);
-                        break;
-                    }
-                }
-                let olds = by_rule.remove(rule.name.as_str()).unwrap_or_default();
-                self.run_delta_rule(&mut ctx, rule, &dirty, olds, &mut violations);
-                if let Some(cb) = &self.progress {
-                    cb(&rule.name, crate::engine::RuleStatus::Completed);
-                }
-            }
+            (fresh, status, interrupted) = self.run_rules(&mut ctx, deck, Some(&dirty), None);
             self.finish_run(&mut ctx, scope);
         }
 
+        // Splice each completed rule; a rule the run was cancelled out
+        // of contributes nothing, so its set is never partial.
+        let mut violations = Vec::new();
+        for ((rule, fresh), st) in deck.rules().iter().zip(fresh).zip(status) {
+            if st != RuleStatus::Completed {
+                continue;
+            }
+            let olds = by_rule.remove(rule.name.as_str()).unwrap_or_default();
+            match halo(rule, &dirty) {
+                // One predicate on both sides makes the splice exact: old
+                // violations outside the influence window survive
+                // verbatim, fresh windowed results replace everything
+                // inside it.
+                Some(w) => {
+                    violations.extend(olds.into_iter().filter(|v| !w.hits(v.location)));
+                    violations.extend(fresh.into_iter().filter(|v| w.hits(v.location)));
+                }
+                // The fresh set simply replaces the rule's old one.
+                None => violations.extend(fresh),
+            }
+        }
         let violations = canonicalize(violations);
         let delta = diff_canonical(&old_canon, &violations);
         DeltaCheckReport {
@@ -468,45 +474,18 @@ impl Engine {
             interrupted,
         }
     }
+}
 
-    /// Re-runs one rule inside its halo around the dirt and splices the
-    /// result into the rule's old violations.
-    fn run_delta_rule(
-        &self,
-        ctx: &mut RunContext<'_>,
-        rule: &Rule,
-        dirty: &[Rect],
-        old_rule_viols: Vec<Violation>,
-        out: &mut Vec<Violation>,
-    ) {
-        // Overlap area only changes when geometry actually intersects
-        // the dirt, so its halo is zero. Intra-polygon rules get no
-        // window: the per-cell memo plus the persistent cache already
-        // make a full pass cheap.
-        let window = rule.family().interaction().map(|(_, reach)| DirtyWindow {
-            rects: dirty,
-            margin: clamp_margin(reach),
-        });
-        let mut fresh = Vec::new();
-        match self.mode {
-            Mode::Sequential => sequential::check_rule(ctx, rule, window, &mut fresh),
-            Mode::Parallel => {
-                let issued = parallel::issue_rule(ctx, self.device.stream(), rule, window);
-                parallel::collect_rule(ctx, issued, &mut fresh);
-            }
-        }
-        match window {
-            // One predicate on both sides makes the splice exact: old
-            // violations outside the influence window survive verbatim,
-            // fresh windowed results replace everything inside it.
-            Some(w) => {
-                out.extend(old_rule_viols.into_iter().filter(|v| !w.hits(v.location)));
-                out.extend(fresh.into_iter().filter(|v| w.hits(v.location)));
-            }
-            // The fresh set simply replaces the rule's old one.
-            None => out.extend(fresh),
-        }
-    }
+/// The window a delta re-check restricts `rule` to: its interaction
+/// distance around the dirt. Overlap area only changes where geometry
+/// actually intersects the dirt, so its halo is zero. Intra-polygon
+/// rules get none: the per-cell memo plus the persistent cache already
+/// make a full pass cheap.
+pub(crate) fn halo<'a>(rule: &Rule, dirty: &'a [Rect]) -> Option<DirtyWindow<'a>> {
+    rule.family().interaction().map(|(_, reach)| DirtyWindow {
+        rects: dirty,
+        margin: clamp_margin(reach),
+    })
 }
 
 #[cfg(test)]
@@ -579,7 +558,7 @@ mod tests {
             // A delta run is a run: the edit dirties a spacing row, so a
             // device-mode delta reports its dispatch work like a full
             // check does.
-            if engine.mode() == Mode::Parallel {
+            if engine.mode() == crate::Mode::Parallel {
                 assert!(report.stats.launches_fused > 0);
                 assert!(report.profile.phase("device-wait-wall").is_some());
             }

@@ -1,13 +1,19 @@
 //! The engine controller (the paper's "application layer", §V-A).
 
+use std::collections::VecDeque;
+
 use odrc_db::Layout;
+use odrc_geometry::Rect;
 use odrc_infra::{CancelReason, CancelToken, Profiler};
 use odrc_xpu::Device;
 
 use crate::cache::{rule_signature, CacheHandle, CacheKeys, ResultCache};
 use crate::checkpoint::CheckpointJournal;
-use crate::parallel;
+use crate::delta;
+use crate::parallel::{self, InFlightRule};
+use crate::plan::ExecutionPlan;
 use crate::rules::{Rule, RuleDeck};
+use crate::scene::DirtyWindow;
 use crate::sequential::{self, RunContext};
 use crate::shard;
 use crate::violation::{canonicalize, Violation};
@@ -337,15 +343,16 @@ impl Engine {
         self
     }
 
-    /// Attaches a cooperative [`CancelToken`]. While a check runs, the
-    /// engine polls the token at every rule boundary: once it trips —
-    /// SIGINT/SIGTERM via [`odrc_infra::install_signal_handlers`], a
-    /// wall-clock deadline, or an explicit [`CancelToken::cancel`] —
-    /// the engine stops issuing new rules, collects and completes the
-    /// rules already in flight (a failed device unit among them is
-    /// recomputed on the host), marks unfinished rules
-    /// [`RuleStatus::Interrupted`], and returns a report with
-    /// [`CheckReport::interrupted`] set.
+    /// Attaches a cooperative [`CancelToken`]. While a check — full or
+    /// delta, in either mode — runs, the engine polls the token at every
+    /// rule boundary (and an out-of-core rule between its shards): once
+    /// it trips — SIGINT/SIGTERM via
+    /// [`odrc_infra::install_signal_handlers`], a wall-clock deadline, or
+    /// an explicit [`CancelToken::cancel`] — the engine stops issuing new
+    /// rules, collects and completes the rules already in flight (a
+    /// failed device unit among them is recomputed on the host), marks
+    /// unfinished rules [`RuleStatus::Interrupted`] with no violations,
+    /// and returns a report with [`CheckReport::interrupted`] set.
     #[must_use]
     pub fn with_cancel(mut self, cancel: CancelToken) -> Engine {
         self.cancel = Some(cancel);
@@ -453,165 +460,20 @@ impl Engine {
         layout: &Layout,
         deck: &RuleDeck,
         cache: Option<(&mut ResultCache, &CacheKeys)>,
-        mut journal: Option<&mut CheckpointJournal>,
+        journal: Option<&mut CheckpointJournal>,
     ) -> CheckReport {
         let mut profiler = Profiler::new();
         let mut stats = EngineStats::default();
         let rules = deck.rules();
-        // One buffer per rule so completed rules can be journaled (and
-        // interrupted rules' partials discarded) independently.
-        let mut per_rule: Vec<Vec<Violation>> = vec![Vec::new(); rules.len()];
-        // Rules start Interrupted: every path that finishes a rule
-        // upgrades it, so a cancelled run reports exactly the rules it
-        // never finished without extra bookkeeping.
-        let mut status = vec![RuleStatus::Interrupted; rules.len()];
-        let mut interrupted: Option<CancelReason> = None;
-        let violations;
+        let (violations, status, interrupted);
         {
             let mut ctx = RunContext::new(layout, &self.options, &mut profiler, &mut stats);
             if let Some((cache, keys)) = cache {
                 ctx = ctx.with_cache(CacheHandle { cache, keys });
             }
-            // Restore rules the journal already holds for this exact
-            // (layout, deck) run: they are never re-issued.
-            if let Some(j) = journal.as_deref_mut() {
-                for (ri, rule) in rules.iter().enumerate() {
-                    if let Some(done) = rule_signature(rule).and_then(|sig| j.completed(sig)) {
-                        per_rule[ri] = done.as_ref().clone();
-                        status[ri] = RuleStatus::Resumed;
-                        ctx.stats.rules_resumed += 1;
-                        if let Some(cb) = &self.progress {
-                            cb(&rule.name, RuleStatus::Resumed);
-                        }
-                    }
-                }
-            }
             let scope = self.begin_run(&ctx);
-            match self.mode {
-                Mode::Sequential => {
-                    for (ri, rule) in rules.iter().enumerate() {
-                        if status[ri] == RuleStatus::Resumed {
-                            continue;
-                        }
-                        if shard::sharded_rule(&self.options, rule) {
-                            self.check_sharded(
-                                &mut ctx,
-                                &mut journal,
-                                &mut interrupted,
-                                rule,
-                                &mut per_rule[ri],
-                                &mut status[ri],
-                            );
-                            continue;
-                        }
-                        if poll_cancel(&self.cancel, &mut interrupted) {
-                            continue;
-                        }
-                        sequential::check_rule(&mut ctx, rule, None, &mut per_rule[ri]);
-                        finalize_rule(
-                            &mut ctx,
-                            &mut journal,
-                            &self.progress,
-                            rule,
-                            &mut per_rule[ri],
-                            &mut status[ri],
-                        );
-                    }
-                }
-                Mode::Parallel => {
-                    // Out-of-core sharded rules run the host-side shard
-                    // pipeline in this mode too — the device row path
-                    // assumes whole-layer resident scenes, which is the
-                    // working set the budget exists to bound.
-                    for (ri, rule) in rules.iter().enumerate() {
-                        if status[ri] != RuleStatus::Resumed
-                            && shard::sharded_rule(&self.options, rule)
-                        {
-                            self.check_sharded(
-                                &mut ctx,
-                                &mut journal,
-                                &mut interrupted,
-                                rule,
-                                &mut per_rule[ri],
-                                &mut status[ri],
-                            );
-                        }
-                    }
-                    // One stream per rule: stream errors are sticky, so
-                    // a fault during one rule must not poison the rest
-                    // of the deck (failed work is recovered per row
-                    // inside each rule's collect, which returns the
-                    // rule complete). Rules are issued ahead of
-                    // collection so independent device work overlaps
-                    // across streams, with synchronization deferred to
-                    // each rule's collect (§IV-E, §V-C). In-flight
-                    // rules are bounded by the host's parallelism:
-                    // past that point extra live streams only add
-                    // contention (on a single-core host the window
-                    // degrades to issue-ahead-by-one, keeping the
-                    // scene/buffer sharing wins without
-                    // oversubscription).
-                    let plan = ctx
-                        .profiler
-                        .time("plan", || crate::plan::ExecutionPlan::build(deck));
-                    let window = ctx.host.threads().clamp(2, 8);
-                    let mut inflight: std::collections::VecDeque<(usize, parallel::InFlightRule)> =
-                        std::collections::VecDeque::with_capacity(window);
-                    for &ri in &plan.order {
-                        // Resumed, or already completed host-side by
-                        // the out-of-core pre-pass.
-                        if status[ri] != RuleStatus::Interrupted
-                            || shard::sharded_rule(&self.options, &rules[ri])
-                        {
-                            continue;
-                        }
-                        // Cancellation stops *issuing*; whatever is
-                        // already in flight is still collected below
-                        // (drain, don't abandon, device work).
-                        if poll_cancel(&self.cancel, &mut interrupted) {
-                            continue;
-                        }
-                        if inflight.len() >= window {
-                            let (ci, fl) = inflight.pop_front().expect("window is non-empty");
-                            parallel::collect_rule(&mut ctx, fl, &mut per_rule[ci]);
-                            finalize_rule(
-                                &mut ctx,
-                                &mut journal,
-                                &self.progress,
-                                &rules[ci],
-                                &mut per_rule[ci],
-                                &mut status[ci],
-                            );
-                        }
-                        let stream = self.device.stream();
-                        let fl = parallel::issue_rule(&mut ctx, stream, &rules[ri], None);
-                        inflight.push_back((ri, fl));
-                    }
-                    for (ci, fl) in inflight {
-                        parallel::collect_rule(&mut ctx, fl, &mut per_rule[ci]);
-                        finalize_rule(
-                            &mut ctx,
-                            &mut journal,
-                            &self.progress,
-                            &rules[ci],
-                            &mut per_rule[ci],
-                            &mut status[ci],
-                        );
-                    }
-                }
-            }
-            // A cancelled rule must contribute nothing: partial sets
-            // would make an interrupted+resumed run diverge from an
-            // uninterrupted one.
-            for (ri, st) in status.iter().enumerate() {
-                if *st == RuleStatus::Interrupted {
-                    per_rule[ri].clear();
-                }
-            }
-            ctx.stats.rules_interrupted = status
-                .iter()
-                .filter(|s| **s == RuleStatus::Interrupted)
-                .count();
+            let per_rule;
+            (per_rule, status, interrupted) = self.run_rules(&mut ctx, deck, None, journal);
             violations = {
                 let all: Vec<Violation> = per_rule.into_iter().flatten().collect();
                 let host = std::sync::Arc::clone(&ctx.host);
@@ -663,29 +525,131 @@ impl Engine {
         self.device.set_cancel(None);
     }
 
-    /// One out-of-core rule, in either mode: poll, check it shard by
-    /// shard on the host, and finalize it if every shard is accounted
-    /// for. A rule cancelled mid-rule stays Interrupted; its completed
-    /// shards live in the journal, not the report.
-    fn check_sharded(
+    /// The one rule loop of full and delta checks, in both modes. It
+    /// restores the rules `journal` already holds for this exact
+    /// (layout, deck) run, then in [`ExecutionPlan`] order skips them,
+    /// polls the cancel token, issues the rule ([`Engine::issue`]) into a
+    /// FIFO window, collects the oldest rule once the window is full,
+    /// and finalizes it. `dirty` (a delta re-check) restricts each
+    /// inter-object rule to its halo around the dirt. Returns each
+    /// rule's canonical violations and status, in deck order, and the
+    /// cancel reason if the run was cut short.
+    ///
+    /// Under [`Mode::Parallel`] the window holds one stream per rule, so
+    /// independent device work overlaps across streams with
+    /// synchronization deferred to each rule's collect (§IV-E, §V-C); it
+    /// is bounded by the host's parallelism, past which extra live
+    /// streams only add contention. A stream fault never poisons another
+    /// rule: each collect recovers its own failed units and returns its
+    /// rule complete. The default mode's window is one rule, so each
+    /// rule is finalized (and journaled) as soon as it finishes.
+    ///
+    /// Cancellation stops *issuing*: rules already in flight are still
+    /// collected and finalized. A rule left unfinished stays
+    /// [`RuleStatus::Interrupted`] with no violations, so an
+    /// interrupted+resumed run cannot diverge from an uninterrupted one.
+    pub(crate) fn run_rules(
+        &self,
+        ctx: &mut RunContext<'_>,
+        deck: &RuleDeck,
+        dirty: Option<&[Rect]>,
+        mut journal: Option<&mut CheckpointJournal>,
+    ) -> (Vec<Vec<Violation>>, Vec<RuleStatus>, Option<CancelReason>) {
+        let rules = deck.rules();
+        let mut per_rule: Vec<Vec<Violation>> = vec![Vec::new(); rules.len()];
+        // Every path that finishes a rule upgrades its status.
+        let mut status = vec![RuleStatus::Interrupted; rules.len()];
+        if let Some(j) = journal.as_deref_mut() {
+            for (ri, rule) in rules.iter().enumerate() {
+                if let Some(done) = rule_signature(rule).and_then(|sig| j.completed(sig)) {
+                    per_rule[ri] = done.as_ref().clone();
+                    status[ri] = RuleStatus::Resumed;
+                    ctx.stats.rules_resumed += 1;
+                    if let Some(cb) = &self.progress {
+                        cb(&rule.name, RuleStatus::Resumed);
+                    }
+                }
+            }
+        }
+        let plan = ctx.profiler.time("plan", || ExecutionPlan::build(deck));
+        let window = match self.mode {
+            Mode::Sequential => 1,
+            Mode::Parallel => ctx.host.threads().clamp(2, 8),
+        };
+        let mut interrupted = None;
+        let mut inflight: VecDeque<(usize, InFlightRule)> = VecDeque::with_capacity(window);
+        for &ri in &plan.order {
+            if status[ri] == RuleStatus::Resumed {
+                continue;
+            }
+            // Polling stops once a reason is latched, so a token's
+            // deterministic poll budget (the kill/resume tests) is
+            // consumed only while the run is still live.
+            if interrupted.is_none() {
+                interrupted = self.cancel.as_ref().and_then(CancelToken::cancelled);
+            }
+            if interrupted.is_some() {
+                continue;
+            }
+            let rule = &rules[ri];
+            let halo = dirty.and_then(|rects| delta::halo(rule, rects));
+            let Some(fl) = self.issue(ctx, &mut journal, rule, halo, &mut interrupted) else {
+                continue;
+            };
+            inflight.push_back((ri, fl));
+            if inflight.len() >= window {
+                let (ci, fl) = inflight.pop_front().expect("window is non-empty");
+                let (buf, st) = (&mut per_rule[ci], &mut status[ci]);
+                finalize_rule(ctx, &mut journal, &self.progress, &rules[ci], fl, buf, st);
+            }
+        }
+        for (ci, fl) in inflight {
+            let (buf, st) = (&mut per_rule[ci], &mut status[ci]);
+            finalize_rule(ctx, &mut journal, &self.progress, &rules[ci], fl, buf, st);
+        }
+        for (buf, st) in per_rule.iter_mut().zip(&status) {
+            if *st == RuleStatus::Interrupted {
+                buf.clear();
+            }
+        }
+        ctx.stats.rules_interrupted = status
+            .iter()
+            .filter(|s| **s == RuleStatus::Interrupted)
+            .count();
+        (per_rule, status, interrupted)
+    }
+
+    /// Issues one rule on the executor chosen for it: a rule checked
+    /// whole (no delta `halo`) that shards runs the out-of-core shard
+    /// loop, a rule with a device body enqueues its device work in the
+    /// parallel mode, and every other rule runs the host body to
+    /// completion. Returns `None` when the shard loop saw the token trip
+    /// mid-rule: the reason is latched here, since this may have been
+    /// the last rule, and the rule stays unfinished (its completed
+    /// shards live in the journal, not the report).
+    fn issue(
         &self,
         ctx: &mut RunContext<'_>,
         journal: &mut Option<&mut CheckpointJournal>,
-        interrupted: &mut Option<CancelReason>,
         rule: &Rule,
-        buf: &mut Vec<Violation>,
-        status: &mut RuleStatus,
-    ) {
-        if poll_cancel(&self.cancel, interrupted) {
-            return;
+        halo: Option<DirtyWindow<'_>>,
+        interrupted: &mut Option<CancelReason>,
+    ) -> Option<InFlightRule> {
+        let mut done = Vec::new();
+        if halo.is_none() && shard::sharded_rule(&self.options, rule) {
+            let cancel = self.cancel.as_ref();
+            let cut =
+                shard::check_rule_sharded(ctx, &self.device, rule, journal, cancel, &mut done);
+            if cut.is_some() {
+                *interrupted = cut;
+                return None;
+            }
+        } else if self.mode == Mode::Parallel && parallel::has_device_body(rule) {
+            return Some(parallel::issue_rule(ctx, &self.device, rule, halo));
+        } else {
+            sequential::check_rule(ctx, rule, halo, &mut done);
         }
-        match shard::check_rule_sharded(ctx, &self.device, rule, journal, self.cancel.as_ref(), buf)
-        {
-            None => finalize_rule(ctx, journal, &self.progress, rule, buf, status),
-            // The shard loop saw the token trip mid-rule: latch its
-            // reason here, since this may have been the last rule.
-            Some(reason) => *interrupted = Some(reason),
-        }
+        Some(InFlightRule::Host(done))
     }
 }
 
@@ -723,32 +687,21 @@ fn interval_union(mut spans: Vec<(std::time::Instant, std::time::Instant)>) -> s
     total
 }
 
-/// Latches the first cancellation reason observed at a rule boundary
-/// and reports whether the run is cancelled. Polling stops once a
-/// reason is recorded, so a token's deterministic poll budget (used by
-/// the kill/resume tests) is consumed only while the run is still live.
-fn poll_cancel(cancel: &Option<CancelToken>, interrupted: &mut Option<CancelReason>) -> bool {
-    if interrupted.is_none() {
-        if let Some(tok) = cancel {
-            *interrupted = tok.cancelled();
-        }
-    }
-    interrupted.is_some()
-}
-
-/// Marks one rule completed: canonicalizes its buffer in place, tallies
-/// it, notifies the progress observer, and appends it to the checkpoint
-/// journal (if any). A journal write failure disables checkpointing for
-/// the rest of the run — a checkpoint is an accelerator, never a reason
-/// to abort a check.
+/// Collects one issued rule into its buffer and marks it completed:
+/// canonicalizes the buffer in place, tallies the rule, notifies the
+/// progress observer, and appends it to the checkpoint journal (if any).
+/// A journal write failure disables checkpointing for the rest of the
+/// run — a checkpoint is an accelerator, never a reason to abort a check.
 fn finalize_rule(
     ctx: &mut RunContext<'_>,
     journal: &mut Option<&mut CheckpointJournal>,
     progress: &Option<ProgressFn>,
     rule: &Rule,
+    issued: InFlightRule,
     buf: &mut Vec<Violation>,
     status: &mut RuleStatus,
 ) {
+    parallel::collect_rule(ctx, issued, buf);
     *buf = canonicalize(std::mem::take(buf));
     *status = RuleStatus::Completed;
     ctx.stats.rules_completed += 1;

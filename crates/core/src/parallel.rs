@@ -27,15 +27,16 @@
 //! gather, shared zero-copy uploads, kernel launches — all enqueued on
 //! the rule's own stream, returning in-flight handles immediately) and
 //! a **collect** half (result waits, the scan+emit second phase,
-//! recovery). [`issue_rule`] is the mode's one dispatcher: it matches
-//! on [`Rule::family`] and takes the same optional [`DirtyWindow`] as
-//! the sequential dispatcher. The engine issues the whole deck before
-//! collecting anything, so uploads and kernels of independent rules
-//! overlap across streams with one deferred synchronization per stream
-//! (§V-C); the [planner](crate::plan) additionally keeps packed row
-//! buffers device-resident so N rules on one layer upload once. The
-//! delta checker runs the same two calls per rule — [`issue_rule`]
-//! with the edit's window, then [`collect_rule`].
+//! recovery). [`issue_rule`] is the device executor's rule body: it
+//! matches on [`Rule::family`] and takes the same optional
+//! [`DirtyWindow`] as the host body. The engine's one rule loop, for
+//! full and delta checks alike, keeps a window of issued rules ahead of
+//! collection, so uploads and kernels of independent rules overlap
+//! across streams with one deferred synchronization per stream (§V-C);
+//! the [planner](crate::plan) additionally keeps packed row buffers
+//! device-resident so N rules on one layer upload once. A rule the
+//! host runs — an out-of-core shard loop, a rule without a device body
+//! ([`has_device_body`]) — is an `InFlightRule::Host`, finished at issue.
 //!
 //! # Graceful degradation
 //!
@@ -249,9 +250,18 @@ fn emit_kernel(
     }
 }
 
-/// An issued rule: the device work is enqueued on `stream`; results
-/// materialize at [`collect_rule`].
-pub(crate) struct InFlightRule {
+/// An issued rule: finished at issue, or device work enqueued on the
+/// rule's own stream whose results materialize at [`collect_rule`].
+pub(crate) enum InFlightRule {
+    /// A rule the host executor ran to completion at issue: the
+    /// default mode's rules, out-of-core shard loops, and the rules
+    /// without a device body in either mode.
+    Host(Vec<Violation>),
+    Device(DeviceRule),
+}
+
+/// A rule's device work, enqueued on the rule's own stream.
+pub(crate) struct DeviceRule {
     stream: Stream,
     rule_name: String,
     kind: InFlightKind,
@@ -272,9 +282,6 @@ enum InFlightKind {
         pairs: PairsRule,
         rects: Vec<Rect>,
     },
-    /// Host-only rules (rectilinear, user predicates) run synchronously
-    /// at issue time; their result rides along.
-    Host(Vec<Violation>),
 }
 
 struct SpaceIssue {
@@ -283,16 +290,26 @@ struct SpaceIssue {
     failed: Vec<Arc<PlannedRow>>,
 }
 
-/// Issues one rule's device pipeline on `stream` (taking ownership of
-/// the stream) and returns without waiting for any device result. A
-/// delta `window` restricts the rule to an edit's halo; windowed row
-/// sets are rule-specific, so they bypass the planner's cache.
+/// Whether `rule` has a device body: rectilinear and user-predicate
+/// rules run on the host in both modes (user closures are host code).
+pub(crate) fn has_device_body(rule: &Rule) -> bool {
+    !matches!(
+        rule.kind,
+        RuleKind::Rectilinear { .. } | RuleKind::Ensures { .. }
+    )
+}
+
+/// Issues one rule's device pipeline on a fresh stream of `device` and
+/// returns without waiting for any device result. A delta `window`
+/// restricts the rule to an edit's halo; windowed row sets are
+/// rule-specific, so they bypass the planner's cache.
 pub(crate) fn issue_rule(
     ctx: &mut RunContext<'_>,
-    stream: Stream,
+    device: &Device,
     rule: &Rule,
     window: Option<DirtyWindow<'_>>,
 ) -> InFlightRule {
+    let stream = device.stream();
     let kind = match rule.family() {
         RuleFamily::Space { layer, spec } => {
             let rows = match window {
@@ -308,31 +325,28 @@ pub(crate) fn issue_rule(
         RuleFamily::Intra => match rule.kind {
             RuleKind::Width { layer, min } => issue_intra(ctx, &stream, layer, true, min),
             RuleKind::Area { layer, min } => issue_intra(ctx, &stream, layer, false, min),
-            _ => {
-                // Rectilinear / user predicates run on the host in both
-                // modes (user closures are host code).
-                let mut host = Vec::new();
-                crate::sequential::check_intra_rule(ctx, rule, &mut host);
-                InFlightKind::Host(host)
-            }
+            _ => unreachable!("a rule without a device body is never issued here"),
         },
     };
-    InFlightRule {
+    InFlightRule::Device(DeviceRule {
         stream,
         rule_name: rule.name.clone(),
         kind,
-    }
+    })
 }
 
 /// Waits for an issued rule's device results, runs the second
 /// (scan+emit) phase where needed, recovers failed work units, and
 /// drains the rule's stream. On return the rule is complete.
 pub(crate) fn collect_rule(ctx: &mut RunContext<'_>, fl: InFlightRule, out: &mut Vec<Violation>) {
-    let InFlightRule {
+    let DeviceRule {
         stream,
         rule_name,
         kind,
-    } = fl;
+    } = match fl {
+        InFlightRule::Host(done) => return out.extend(done),
+        InFlightRule::Device(issued) => issued,
+    };
     match kind {
         InFlightKind::Space(issue) => collect_space(ctx, &stream, &rule_name, issue, out),
         InFlightKind::Intra { map, data } => {
@@ -343,7 +357,6 @@ pub(crate) fn collect_rule(ctx: &mut RunContext<'_>, fl: InFlightRule, out: &mut
             let measures = collect_map(ctx, stream.device(), map);
             emit_pairs(ctx, &rule_name, pairs, &rects, measures, out);
         }
-        InFlightKind::Host(host) => out.extend(host),
     }
     // Errors were already handled per work unit; drain the stream
     // without re-raising them.

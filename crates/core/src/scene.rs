@@ -155,23 +155,6 @@ impl LayerScene {
         assemble(layout, layer, &objects, &members, host)
     }
 
-    /// Builds the scene restricted to an explicit *member subset* of the
-    /// layer's objects: `members` holds sorted indices into the proto
-    /// order of `objects`. Only the member objects survive, only their
-    /// cells are flattened, and only their top polygons are copied —
-    /// this is the residency unit of the out-of-core
-    /// [`ShardPool`](crate::shard::ShardPool), and nothing in it walks
-    /// the layer: a rebuild after eviction costs O(members) too.
-    pub(crate) fn build_members_on(
-        layout: &Layout,
-        layer: Layer,
-        objects: &LayerObjects,
-        members: &[usize],
-        host: &odrc_infra::HostExecutor,
-    ) -> LayerScene {
-        assemble(layout, layer, objects, members, host)
-    }
-
     /// Builds the scene restricted to the objects overlapping one
     /// window rectangle — the outer side of an out-of-core enclosure
     /// shard, whose members all live in a contiguous row band. One rect
@@ -343,11 +326,15 @@ impl LayerObjects {
 
 /// Pass 2 of a scene build: derive the member objects (sorted proto
 /// indices) from the top cell by index and flatten what they place.
+/// Only the member objects survive, only their cells are flattened, and
+/// only their top polygons are copied — this is the residency unit of
+/// the out-of-core [`ShardPool`](crate::shard::ShardPool), and nothing
+/// in it walks the layer: a rebuild after eviction costs O(members) too.
 ///
 /// The expensive step — flattening each unique member cell's subtree —
 /// fans out on the executor (first-occurrence order); the rest is
 /// serial and O(members).
-fn assemble(
+pub(crate) fn assemble(
     layout: &Layout,
     layer: Layer,
     protos: &LayerObjects,
@@ -588,11 +575,10 @@ mod tests {
 
                 let members: Vec<usize> =
                     all.iter().copied().filter(|i| mask[i % mask.len()]).collect();
-                let subset =
-                    LayerScene::build_members_on(&layout, layer, &objects, &members, &host);
+                let subset = assemble(&layout, layer, &objects, &members, &host);
                 assert_is_subset(&full, &members, &subset);
 
-                let empty = LayerScene::build_members_on(&layout, layer, &objects, &[], &host);
+                let empty = assemble(&layout, layer, &objects, &[], &host);
                 prop_assert!(empty.objects.is_empty() && empty.placed_cells().next().is_none());
                 prop_assert_eq!(empty.approx_bytes(), 0);
 

@@ -4,13 +4,15 @@
 //! between objects by querying overlapping MBRs of polygons or cells,
 //! and then performs edge-based checks among those object pairs."
 //!
-//! [`check_rule`] is the mode's one dispatcher: it matches on
+//! [`check_rule`] is the host executor's rule body: it matches on
 //! [`Rule::family`](crate::rules::Rule::family) and runs the family's
 //! pipeline over the run's memoized scenes — or, given a
 //! [`DirtyWindow`], over scenes restricted to an edit's halo (the delta
-//! checker). Out-of-core shards call the same per-family pipelines
-//! ([`check_space_scene_rows`], [`check_pairs_scenes`]) with shard
-//! scenes.
+//! checker). The engine's one rule loop issues it for every rule of a
+//! default-mode run, full or delta, and under `--parallel` for the rules
+//! without a device body. Out-of-core shards call the same
+//! per-family pipelines ([`check_space_scene_rows`],
+//! [`check_pairs_scenes`]) with shard scenes.
 //!
 //! The spacing pipeline checks the parallel mode's units (the
 //! [planner](crate::plan)'s templates and rows) with the device
@@ -252,7 +254,7 @@ fn intra_targets(layout: &Layout, layer: Option<Layer>) -> Vec<(CellId, Vec<usiz
 
 /// Runs an intra-polygon rule (width, area, rectilinear, ensures) with
 /// per-cell memoization (§IV-C).
-pub(crate) fn check_intra_rule(ctx: &mut RunContext<'_>, rule: &Rule, out: &mut Vec<Violation>) {
+fn check_intra_rule(ctx: &mut RunContext<'_>, rule: &Rule, out: &mut Vec<Violation>) {
     let (layer, spec) = intra_spec(rule);
     let targets = intra_targets(ctx.layout, layer);
     let layout = ctx.layout;
@@ -387,8 +389,8 @@ pub(crate) fn partition_scene(
     partition_mbrs(&mbrs, min, enabled, profiler)
 }
 
-/// Runs one rule on the host — the sequential mode's dispatcher, for
-/// full checks (`window` = `None`) and delta re-checks alike.
+/// Runs one rule on the host — the host executor's rule body, for full
+/// checks (`window` = `None`) and delta re-checks alike.
 pub(crate) fn check_rule(
     ctx: &mut RunContext<'_>,
     rule: &Rule,

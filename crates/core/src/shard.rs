@@ -42,7 +42,7 @@ use crate::cache::rule_signature;
 use crate::checkpoint::CheckpointJournal;
 use crate::engine::{EngineOptions, EngineStats};
 use crate::rules::{PairsRule, Rule, RuleFamily};
-use crate::scene::{LayerObjects, LayerScene};
+use crate::scene::{assemble, LayerObjects, LayerScene};
 use crate::sequential::{
     check_pairs_scenes, check_space_scene_rows, partition_mbrs, CellMemo, RunContext,
 };
@@ -84,7 +84,7 @@ pub(crate) struct ShardSpec {
     pub members: Vec<usize>,
     /// The member lists of the shard's rows, as positions in `members`
     /// — which are the object indices of the shard's member-subset
-    /// scene ([`LayerScene::build_members_on`] keeps member order).
+    /// scene ([`assemble`] keeps member order).
     pub rows: Vec<Vec<usize>>,
 }
 
@@ -279,7 +279,7 @@ pub(crate) fn check_rule_sharded(
                 let scene = ctx
                     .shard_pool
                     .get(key, device, ctx.stats, ctx.profiler, || {
-                        LayerScene::build_members_on(layout, layer, &objects, &shard.members, &host)
+                        assemble(layout, layer, &objects, &shard.members, &host)
                     });
                 // The in-core row pipeline over the shard's rows; shard
                 // units consult no persistent cache (no signature).
@@ -356,7 +356,7 @@ fn shard_scene_pair(
         device,
         ctx.stats,
         ctx.profiler,
-        || LayerScene::build_members_on(layout, inner, inner_objects, &shard.members, &host),
+        || assemble(layout, inner, inner_objects, &shard.members, &host),
     );
     // The outer side is windowed to the shard's row band plus the rule
     // margin. Members are a contiguous row group, so one hull rect
@@ -384,7 +384,7 @@ fn shard_scene_pair(
                 let window = b.inflate((min as Coord).saturating_add(1));
                 LayerScene::build_window_on(layout, outer, outer_objects, window, &host)
             }
-            None => LayerScene::build_members_on(layout, outer, outer_objects, &[], &host),
+            None => assemble(layout, outer, outer_objects, &[], &host),
         },
     );
     (inner_scene, outer_scene)

@@ -184,6 +184,9 @@ fn sequential_mode_ignores_device_faults() {
 /// the violation set must still match byte for byte. The sweep asserts
 /// at least one schedule per design actually degraded a shard load, so
 /// the `AllocFail` arm of [`FaultPlan::from_seed`] cannot go dormant.
+///
+/// Every schedule also faults one delta re-check of an edited layout,
+/// which must equal the fault-free delta.
 #[test]
 fn property_seeded_fault_schedules_preserve_results() {
     // `uart` is cheap, `aes` is the big design: split the 100 seeds to
@@ -200,8 +203,29 @@ fn property_seeded_fault_schedules_preserve_results() {
             "{name}: paper designs carry injected violations"
         );
         assert!(!baseline.stats.degraded());
+        // One edit step: the delta keeps several windowed rules in
+        // flight at once, each on its own stream.
+        let mut edited = layout.clone();
+        let top = edited.top();
+        let wire = edited
+            .cell(top)
+            .polygons()
+            .iter()
+            .position(|p| p.layer == tech::M2)
+            .expect("a top-level M2 wire");
+        edited
+            .remove_polygon(top, wire)
+            .expect("remove a top-level wire");
+        let delta_baseline = parallel_engine(Device::new(3)).check_delta(
+            &layout,
+            &baseline.violations,
+            &edited,
+            &deck,
+        );
+        assert!(!delta_baseline.stats.degraded());
         let mut seeds_fired = 0usize;
         let mut shards_degraded = 0usize;
+        let mut deltas_faulted = 0usize;
         let total_seeds = seeds.clone().count();
         for seed in seeds {
             let device = Device::new(3);
@@ -239,6 +263,22 @@ fn property_seeded_fault_schedules_preserve_results() {
                 "{name} seed {seed}: out-of-core fault injection changed the results"
             );
             shards_degraded += ooc.stats.shards_degraded;
+
+            // The same schedule through a delta re-check.
+            let delta_device = Device::new(3);
+            delta_device.set_fault_plan(Some(FaultPlan::from_seed(seed, 6)));
+            let delta = parallel_engine(delta_device.clone()).check_delta(
+                &layout,
+                &baseline.violations,
+                &edited,
+                &deck,
+            );
+            assert_eq!(
+                (&delta.violations, &delta.delta),
+                (&delta_baseline.violations, &delta_baseline.delta),
+                "{name} seed {seed}: fault injection changed the delta"
+            );
+            deltas_faulted += usize::from(delta_device.faults_injected() > 0);
         }
         // The property must not hold vacuously: the seeded schedules
         // target small ordinal ranges precisely so most of them hit.
@@ -250,5 +290,6 @@ fn property_seeded_fault_schedules_preserve_results() {
             shards_degraded > 0,
             "{name}: no seeded AllocFail ever degraded a shard load"
         );
+        assert!(deltas_faulted > 0, "{name}: no schedule faulted a delta");
     }
 }
