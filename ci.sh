@@ -210,6 +210,28 @@ if awk '/^#\[cfg\(test\)\]/{exit} !/^ *\/\//' crates/core/src/plan.rs \
     exit 1
 fi
 
+echo "== one flag table per odrc entry point, every flag under test"
+# odrc's four entry points (check, diff, serve, client) each parse their
+# command line from one table in odrc.rs, one row per flag, and generate
+# their usage text from it. Every flag in those tables must be passed by
+# a test (a quoted "--flag" in crates/*/tests or tests/) or by a command
+# in this script; an untested flag is deleted, not kept.
+flags=$(grep -oE '^ +\("--[a-z-]+"' crates/serve/src/bin/odrc.rs | grep -oE -- '--[a-z-]+' | sort -u)
+[ -n "$flags" ] || { echo "no flag table rows found in crates/serve/src/bin/odrc.rs"; exit 1; }
+for flag in $flags; do
+    grep -rqF -- "\"$flag\"" crates/*/tests tests \
+        || grep -v '^ *#' ci.sh | grep -qE -- "$flag( |\$)" \
+        || { echo "odrc flag $flag is named in no test and no ci.sh leg"; exit 1; }
+done
+# Deleted options stay deleted: the out-of-core switch and its engine
+# field (--shard-rows or --memory-budget turn out-of-core mode on), the
+# daemon's device worker count (a session's device is sized like the
+# one-shot's) and its chaos fault count (a constant).
+if grep -rnE -- '--out-of[-]core|out_of_core[:]|device[_]workers|--device[-]workers|--chaos[-]faults' crates ci.sh; then
+    echo "a deleted odrc option or its field is back in crates/ or ci.sh"
+    exit 1
+fi
+
 echo "== tier-1: cargo build --release && cargo test -q"
 # --no-fail-fast: without it the first red package hides every test
 # binary that sorts after it.

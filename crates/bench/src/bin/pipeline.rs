@@ -37,7 +37,7 @@ use odrc_bench::{load_designs, pipeline_deck, BenchDesign};
 const OOC: &str = "sequential+ooc";
 
 /// One measured configuration: its label, the engine mode, whether the
-/// engine shards (`out_of_core`; no budget, no journal) and the host
+/// engine shards (an unlimited `memory_budget`, no journal) and the host
 /// thread count (`None` = the engine's default).
 type Config = (&'static str, Mode, bool, Option<usize>);
 
@@ -68,14 +68,14 @@ impl RunResult {
     }
 }
 
-fn engine((_, mode, out_of_core, host_threads): Config) -> Engine {
+fn engine((_, mode, sharded, host_threads): Config) -> Engine {
     let base = match mode {
         Mode::Sequential => Engine::sequential(),
         Mode::Parallel => Engine::parallel(),
     };
     base.with_options(EngineOptions {
         host_threads,
-        out_of_core,
+        memory_budget: sharded.then_some(u64::MAX),
         ..EngineOptions::default()
     })
 }

@@ -65,16 +65,11 @@ pub struct EngineOptions {
     /// on demand, and a scene that alone exceeds the budget degrades to
     /// build-check-drop processing instead of aborting. Only scenes are
     /// per shard: the §IV-C memo stays per rule, so the work counters
-    /// equal the in-core run's. `None` (the default) keeps the in-core
-    /// pipeline.
+    /// equal the in-core run's. Every completed `(rule, shard)` unit is
+    /// journaled when the run has a checkpoint journal, so a killed
+    /// process resumes mid-rule. `None` (the default) keeps the in-core
+    /// pipeline unless [`EngineOptions::shard_rows`] is set.
     pub memory_budget: Option<u64>,
-    /// Force out-of-core sharded checking even without a memory budget
-    /// or explicit shard geometry (the `--out-of-core` CLI flag).
-    /// Redundant when [`EngineOptions::memory_budget`] or
-    /// [`EngineOptions::shard_rows`] is set — each implies it. Every
-    /// completed `(rule, shard)` unit is journaled when the run has a
-    /// checkpoint journal, so a killed process resumes mid-rule.
-    pub out_of_core: bool,
     /// Partition rows per shard in out-of-core mode. `None` sizes
     /// shards to roughly [`crate::shard::DEFAULT_SHARDS`] per rule.
     /// `Some(_)` also *enables* out-of-core sharding by itself (with an
@@ -92,7 +87,6 @@ impl Default for EngineOptions {
             host_threads: None,
             shared_pool: None,
             memory_budget: None,
-            out_of_core: false,
             shard_rows: None,
         }
     }

@@ -54,7 +54,7 @@ pub const DEFAULT_SHARDS: usize = 16;
 
 /// Whether the engine is running in out-of-core mode at all.
 pub(crate) fn out_of_core(options: &EngineOptions) -> bool {
-    options.out_of_core || options.memory_budget.is_some() || options.shard_rows.is_some()
+    options.memory_budget.is_some() || options.shard_rows.is_some()
 }
 
 /// Whether `rule` takes the sharded host path under these options.

@@ -253,7 +253,6 @@ fn property_seeded_fault_schedules_preserve_results() {
             ooc_device.set_fault_plan(Some(FaultPlan::from_seed(seed, 6)));
             let ooc = Engine::parallel_on(ooc_device)
                 .with_options(EngineOptions {
-                    out_of_core: true,
                     shard_rows: Some(2),
                     ..EngineOptions::default()
                 })

@@ -1,17 +1,7 @@
-//! The `odrc` command-line checker.
-//!
-//! ```text
-//! odrc <layout.gds> --rules <deck.rules> [--parallel] [--max-print N]
-//!      [--cache <dir>] [--stats-json <file>] [--report out.csv]
-//!      [--markers out.gds] [--device-budget BYTES] [--fault-seed N]
-//!      [--host-threads N] [--deadline SECS] [--checkpoint-dir <dir>]
-//!      [--resume <dir>] [--watchdog-ms N] [--out-of-core]
-//!      [--memory-budget BYTES] [--shard-rows N]
-//! odrc diff <old.gds> <new.gds> --rules <deck.rules> [--parallel]
-//!      [--cache <dir>] [--max-print N] [--host-threads N]
-//! odrc serve --help
-//! odrc client --help
-//! ```
+//! The `odrc` command-line checker: one binary with four entry points.
+//! `odrc --help`, `odrc diff --help`, `odrc serve --help` and
+//! `odrc client --help` list each one's flags; every list is generated
+//! from the flag table that parses that command line.
 //!
 //! The default mode streams a GDSII layout into the layout database
 //! (one loader for every mode; the `loaded ...` line reports its wall
@@ -48,9 +38,9 @@
 //! `odrc --resume <dir>` restores those rules without re-checking them
 //! and runs only what is missing; the final violation set is
 //! byte-identical to an uninterrupted run. An out-of-core run
-//! (`--out-of-core`, `--memory-budget`, `--shard-rows`) also journals
-//! each `(rule, shard)` unit as it finishes, so a process that is
-//! killed outright resumes mid-rule the same way. `--watchdog-ms N`
+//! (`--memory-budget`, `--shard-rows`) also journals each
+//! `(rule, shard)` unit as it finishes, so a process that is killed
+//! outright resumes mid-rule the same way. `--watchdog-ms N`
 //! (parallel mode) arms a per-operation stream watchdog so a genuinely
 //! wedged device op surfaces as a stream timeout and flows through the
 //! normal retry/fallback machinery instead of hanging the run.
@@ -81,8 +71,10 @@
 //! BYTES` bounds the stream-ordered allocator, making genuine OOM
 //! degradation observable on real layouts.
 
+use std::num::{NonZeroU64, NonZeroUsize};
 use std::path::Path;
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::time::{Duration, Instant};
 
 use odrc::{
@@ -91,263 +83,186 @@ use odrc::{
 use odrc_db::Layout;
 use odrc_infra::{install_signal_handlers, CancelToken};
 use odrc_serve::proto::job_exit_code;
+use odrc_serve::{ServerConfig, ServerFault, ServerFaultPlan};
 use odrc_xpu::{Device, Fault, FaultPlan};
 
 /// Faults drawn from `--fault-seed` (kept fixed so a seed alone
 /// reproduces the schedule).
 const FAULTS_PER_SEED: usize = 8;
 
+/// Server faults drawn from `serve --chaos-seed`, fixed for the same
+/// reason.
+const CHAOS_FAULTS_PER_SEED: usize = 4;
+
+// ---------------------------------------------------------------------------
+// The flag tables: one per entry point. A table both parses its command
+// line and generates its usage text, so the two cannot drift.
+// ---------------------------------------------------------------------------
+
+/// What a flag takes from the command line.
+enum Arity<A> {
+    /// Nothing: the flag is a switch.
+    Switch(fn(&mut A)),
+    /// The next word, named by the placeholder in the usage text. The
+    /// setter returns `None` to reject the word.
+    Arg(&'static str, fn(&mut A, &str) -> Option<()>),
+}
+
+use Arity::{Arg, Switch};
+
+/// One row of a flag table: the flag, what it takes, its one-line help.
+type Flag<A> = (&'static str, Arity<A>, &'static str);
+
+/// One entry point's command line.
+struct Command<A: 'static> {
+    /// What follows `usage: `.
+    synopsis: &'static str,
+    flags: &'static [Flag<A>],
+    /// Printed after the flag list.
+    notes: &'static str,
+}
+
+/// Parses `v` into `slot`; `None` rejects it.
+fn set<T: FromStr>(slot: &mut T, v: &str) -> Option<()> {
+    v.parse().ok().map(|x| *slot = x)
+}
+
+/// [`set`] for a setting that is absent by default.
+fn set_some<T: FromStr>(slot: &mut Option<T>, v: &str) -> Option<()> {
+    v.parse().ok().map(|x| *slot = Some(x))
+}
+
+/// Parses `argv` with `cmd`'s table into `args` and returns the words
+/// that are not flags. An unknown flag, a missing value or a value the
+/// setter rejects exits 2 with the usage text.
+fn parse<A>(cmd: &Command<A>, argv: &[String], mut args: A) -> (A, Vec<String>) {
+    let mut positional = Vec::new();
+    let mut words = argv.iter();
+    while let Some(word) = words.next() {
+        if !word.starts_with('-') {
+            positional.push(word.clone());
+            continue;
+        }
+        match cmd.flags.iter().find(|(name, ..)| name == word) {
+            Some((_, Switch(apply), _)) => apply(&mut args),
+            Some((_, Arg(_, apply), _)) => {
+                if words.next().and_then(|v| apply(&mut args, v)).is_none() {
+                    usage(cmd);
+                }
+            }
+            None => usage(cmd),
+        }
+    }
+    (args, positional)
+}
+
+/// Prints `cmd`'s usage text, generated from its table, and exits 2.
+fn usage<A>(cmd: &Command<A>) -> ! {
+    eprintln!("usage: {}", cmd.synopsis);
+    for (name, arity, help) in cmd.flags {
+        let flag = match arity {
+            Switch(_) => name.to_string(),
+            Arg(placeholder, _) => format!("{name} {placeholder}"),
+        };
+        eprintln!("  {flag:<26} {help}");
+    }
+    eprintln!("{}", cmd.notes);
+    std::process::exit(2);
+}
+
+/// The settings of a check or a diff run; `diff`'s table sets a subset.
+#[derive(Default)]
 struct Args {
-    layout: String,
-    old_layout: Option<String>,
-    rules: String,
+    rules: Option<String>,
     parallel: bool,
     max_print: usize,
     report: Option<String>,
     markers: Option<String>,
     cache: Option<String>,
     stats_json: Option<String>,
+    host_threads: Option<NonZeroUsize>,
     fault_seed: Option<u64>,
     device_budget: Option<usize>,
-    host_threads: Option<usize>,
-    deadline_secs: Option<f64>,
+    watchdog_ms: Option<NonZeroU64>,
+    deadline: Option<Duration>,
     checkpoint_dir: Option<String>,
     resume: bool,
-    watchdog_ms: Option<u64>,
     memory_budget: Option<u64>,
-    shard_rows: Option<usize>,
-    out_of_core: bool,
-    /// Hidden chaos switch: abort after the Nth shard is journaled.
+    shard_rows: Option<NonZeroUsize>,
     chaos_kill_at_shard: Option<u64>,
 }
+
+#[rustfmt::skip]
+const CHECK: Command<Args> = Command {
+    synopsis: "odrc <layout.gds> --rules <deck.rules> [flags]",
+    flags: &[
+        ("--rules", Arg("FILE", |a, v| set_some(&mut a.rules, v)),
+            "the rule deck (required)"),
+        ("--parallel", Switch(|a| a.parallel = true),
+            "check on the simulated GPU"),
+        ("--max-print", Arg("N", |a, v| set(&mut a.max_print, v)),
+            "violations to print (default 20)"),
+        ("--report", Arg("FILE", |a, v| set_some(&mut a.report, v)),
+            "write the violations as CSV"),
+        ("--markers", Arg("FILE", |a, v| set_some(&mut a.markers, v)),
+            "write a GDSII marker per violation"),
+        ("--stats-json", Arg("FILE", |a, v| set_some(&mut a.stats_json, v)),
+            "write the run's counters as JSON"),
+        ("--cache", Arg("DIR", |a, v| set_some(&mut a.cache, v)),
+            "keep the per-cell result cache in DIR"),
+        ("--host-threads", Arg("N", |a, v| set_some(&mut a.host_threads, v)),
+            "host threads (default: all)"),
+        ("--fault-seed", Arg("N", |a, v| set_some(&mut a.fault_seed, v)),
+            "inject seeded device faults (--parallel)"),
+        ("--device-budget", Arg("BYTES", |a, v| set_some(&mut a.device_budget, v)),
+            "bound device memory (--parallel)"),
+        ("--watchdog-ms", Arg("N", |a, v| set_some(&mut a.watchdog_ms, v)),
+            "time a device op out after N ms (--parallel)"),
+        ("--deadline", Arg("SECS", |a, v| {
+            Duration::try_from_secs_f64(v.parse().ok()?).ok().map(|d| a.deadline = Some(d))
+        }),
+            "stop at the first rule boundary after SECS (exit 4)"),
+        ("--checkpoint-dir", Arg("DIR", |a, v| set_some(&mut a.checkpoint_dir, v)),
+            "journal finished rules in DIR"),
+        ("--resume", Arg("DIR", |a, v| { a.resume = true; set_some(&mut a.checkpoint_dir, v) }),
+            "restore the rules journaled in DIR, check the rest"),
+        ("--memory-budget", Arg("BYTES", |a, v| set_some(&mut a.memory_budget, v)),
+            "check out of core, shards within BYTES"),
+        ("--shard-rows", Arg("N", |a, v| set_some(&mut a.shard_rows, v)),
+            "check out of core, N rows a shard"),
+        ("--chaos-kill-at-shard", Arg("K", |a, v| set_some(&mut a.chaos_kill_at_shard, v)),
+            "abort after the Kth journaled shard (testing)"),
+    ],
+    notes: "other entry points: odrc diff --help, odrc serve --help, odrc client --help\n\
+            exit codes: 0 clean, 1 violations found, 2 hard error, 3 degraded but clean, \
+            4 interrupted (signal or deadline; checkpoint saved if --checkpoint-dir)",
+};
+
+#[rustfmt::skip]
+const DIFF: Command<Args> = Command {
+    synopsis: "odrc diff <old.gds> <new.gds> --rules <deck.rules> [flags]",
+    flags: &[
+        ("--rules", Arg("FILE", |a, v| set_some(&mut a.rules, v)),
+            "the rule deck (required)"),
+        ("--parallel", Switch(|a| a.parallel = true),
+            "check on the simulated GPU"),
+        ("--max-print", Arg("N", |a, v| set(&mut a.max_print, v)),
+            "added and removed violations to print (default 20 each)"),
+        ("--cache", Arg("DIR", |a, v| set_some(&mut a.cache, v)),
+            "keep the per-cell result cache in DIR"),
+        ("--host-threads", Arg("N", |a, v| set_some(&mut a.host_threads, v)),
+            "host threads (default: all)"),
+    ],
+    notes: "checks old.gds, delta-checks new.gds against it, and prints the violations the edit \
+            added (+) and removed (-)\n\
+            exit codes: 0 none added, 1 violations added, 2 hard error, 3 degraded but none added",
+};
 
 /// What a completed run reports back to `main` for the exit code.
 struct Outcome {
     violations: usize,
     degraded: bool,
     interrupted: bool,
-}
-
-fn usage() -> ! {
-    eprintln!(
-        "usage: odrc <layout.gds> --rules <deck.rules> [--parallel] [--max-print N] \
-         [--cache dir] [--stats-json out.json] [--report out.csv] [--markers out.gds] \
-         [--device-budget BYTES] [--fault-seed N] [--host-threads N] [--deadline SECS] \
-         [--checkpoint-dir dir] [--resume dir] [--watchdog-ms N] \
-         [--out-of-core] [--memory-budget BYTES] [--shard-rows N]\n\
-         \u{20}      odrc diff <old.gds> <new.gds> --rules <deck.rules> [--parallel] \
-         [--cache dir] [--max-print N] [--host-threads N]\n\
-         \u{20}      odrc serve --help   (the check daemon's flags)\n\
-         \u{20}      odrc client --help  (the daemon's command-line front end)\n\
-         exit codes: 0 clean, 1 violations found, 2 hard error, 3 degraded but clean, \
-         4 interrupted (signal or deadline; checkpoint saved if --checkpoint-dir)"
-    );
-    std::process::exit(2);
-}
-
-fn parse_args() -> Args {
-    let mut positional: Vec<String> = Vec::new();
-    let mut rules = None;
-    let mut parallel = false;
-    let mut max_print = 20usize;
-    let mut report = None;
-    let mut markers = None;
-    let mut cache = None;
-    let mut stats_json = None;
-    let mut fault_seed = None;
-    let mut device_budget = None;
-    let mut host_threads = None;
-    let mut deadline_secs = None;
-    let mut checkpoint_dir = None;
-    let mut resume = false;
-    let mut watchdog_ms = None;
-    let mut memory_budget = None;
-    let mut shard_rows = None;
-    let mut out_of_core = false;
-    let mut chaos_kill_at_shard = None;
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let diff_mode = argv.first().is_some_and(|a| a == "diff");
-    let mut i = usize::from(diff_mode);
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--rules" => {
-                if i + 1 >= argv.len() {
-                    usage();
-                }
-                rules = Some(argv[i + 1].clone());
-                i += 2;
-            }
-            "--parallel" => {
-                parallel = true;
-                i += 1;
-            }
-            "--report" => {
-                if i + 1 >= argv.len() {
-                    usage();
-                }
-                report = Some(argv[i + 1].clone());
-                i += 2;
-            }
-            "--markers" => {
-                if i + 1 >= argv.len() {
-                    usage();
-                }
-                markers = Some(argv[i + 1].clone());
-                i += 2;
-            }
-            "--cache" => {
-                if i + 1 >= argv.len() {
-                    usage();
-                }
-                cache = Some(argv[i + 1].clone());
-                i += 2;
-            }
-            "--stats-json" => {
-                if i + 1 >= argv.len() {
-                    usage();
-                }
-                stats_json = Some(argv[i + 1].clone());
-                i += 2;
-            }
-            "--max-print" => {
-                if i + 1 >= argv.len() {
-                    usage();
-                }
-                max_print = argv[i + 1].parse().unwrap_or_else(|_| usage());
-                i += 2;
-            }
-            "--fault-seed" => {
-                if i + 1 >= argv.len() {
-                    usage();
-                }
-                fault_seed = Some(argv[i + 1].parse().unwrap_or_else(|_| usage()));
-                i += 2;
-            }
-            "--device-budget" => {
-                if i + 1 >= argv.len() {
-                    usage();
-                }
-                device_budget = Some(argv[i + 1].parse().unwrap_or_else(|_| usage()));
-                i += 2;
-            }
-            "--host-threads" => {
-                if i + 1 >= argv.len() {
-                    usage();
-                }
-                let n: usize = argv[i + 1].parse().unwrap_or_else(|_| usage());
-                if n == 0 {
-                    usage();
-                }
-                host_threads = Some(n);
-                i += 2;
-            }
-            "--deadline" => {
-                if i + 1 >= argv.len() {
-                    usage();
-                }
-                let secs: f64 = argv[i + 1].parse().unwrap_or_else(|_| usage());
-                if !secs.is_finite() || secs < 0.0 {
-                    usage();
-                }
-                deadline_secs = Some(secs);
-                i += 2;
-            }
-            "--checkpoint-dir" => {
-                if i + 1 >= argv.len() {
-                    usage();
-                }
-                checkpoint_dir = Some(argv[i + 1].clone());
-                i += 2;
-            }
-            "--resume" => {
-                if i + 1 >= argv.len() {
-                    usage();
-                }
-                checkpoint_dir = Some(argv[i + 1].clone());
-                resume = true;
-                i += 2;
-            }
-            "--watchdog-ms" => {
-                if i + 1 >= argv.len() {
-                    usage();
-                }
-                let ms: u64 = argv[i + 1].parse().unwrap_or_else(|_| usage());
-                if ms == 0 {
-                    usage();
-                }
-                watchdog_ms = Some(ms);
-                i += 2;
-            }
-            "--memory-budget" => {
-                if i + 1 >= argv.len() {
-                    usage();
-                }
-                memory_budget = Some(argv[i + 1].parse().unwrap_or_else(|_| usage()));
-                i += 2;
-            }
-            "--shard-rows" => {
-                if i + 1 >= argv.len() {
-                    usage();
-                }
-                let n: usize = argv[i + 1].parse().unwrap_or_else(|_| usage());
-                if n == 0 {
-                    usage();
-                }
-                shard_rows = Some(n);
-                i += 2;
-            }
-            "--out-of-core" => {
-                out_of_core = true;
-                i += 1;
-            }
-            // Hidden chaos switch (testing): abort right after the Kth
-            // shard of the run is journaled.
-            "--chaos-kill-at-shard" => {
-                if i + 1 >= argv.len() {
-                    usage();
-                }
-                chaos_kill_at_shard = Some(argv[i + 1].parse().unwrap_or_else(|_| usage()));
-                i += 2;
-            }
-            "--help" | "-h" => usage(),
-            other if !other.starts_with('-') => {
-                positional.push(other.to_owned());
-                i += 1;
-            }
-            _ => usage(),
-        }
-    }
-    let Some(rules) = rules else { usage() };
-    let (layout, old_layout) = match (diff_mode, positional.len()) {
-        (false, 1) => (positional.pop().unwrap(), None),
-        (true, 2) => {
-            let new = positional.pop().unwrap();
-            (new, positional.pop())
-        }
-        _ => usage(),
-    };
-    Args {
-        layout,
-        old_layout,
-        rules,
-        parallel,
-        max_print,
-        report,
-        markers,
-        cache,
-        stats_json,
-        fault_seed,
-        device_budget,
-        host_threads,
-        deadline_secs,
-        checkpoint_dir,
-        resume,
-        watchdog_ms,
-        memory_budget,
-        shard_rows,
-        out_of_core,
-        chaos_kill_at_shard,
-    }
 }
 
 /// Writes the violations as CSV: rule, kind, x0, y0, x1, y1, measured.
@@ -543,24 +458,96 @@ fn open_journal(
     Ok(Some(journal))
 }
 
+/// Parses a check or diff command line, which must name the deck and
+/// `N` layouts: returns the settings, the deck path and the layouts.
+fn parse_run<const N: usize>(cmd: &Command<Args>, argv: &[String]) -> (Args, String, [String; N]) {
+    let defaults = Args {
+        max_print: 20,
+        ..Args::default()
+    };
+    let (mut args, paths) = parse(cmd, argv, defaults);
+    match (args.rules.take(), <[String; N]>::try_from(paths)) {
+        (Some(rules), Ok(paths)) => (args, rules, paths),
+        _ => usage(cmd),
+    }
+}
+
+fn load_deck(path: &str) -> Result<RuleDeck, Box<dyn std::error::Error>> {
+    let deck = parse_deck(&std::fs::read_to_string(path)?)?;
+    eprintln!("loaded {} rules from {path}", deck.rules().len());
+    Ok(deck)
+}
+
+/// The engine `args` ask for.
+fn build_engine(args: &Args) -> Engine {
+    let options = odrc::EngineOptions {
+        host_threads: args.host_threads.map(NonZeroUsize::get),
+        memory_budget: args.memory_budget,
+        shard_rows: args.shard_rows.map(NonZeroUsize::get),
+        ..odrc::EngineOptions::default()
+    };
+    // One fault schedule per run: the seeded device faults (--parallel
+    // only) plus the chaos kill, a one-shot fault like any other.
+    let mut faults = FaultPlan::new();
+    if let (true, Some(seed)) = (args.parallel, args.fault_seed) {
+        faults = FaultPlan::from_seed(seed, FAULTS_PER_SEED);
+        eprintln!("fault injection on: seed {seed}, {FAULTS_PER_SEED} scheduled faults");
+    }
+    if let Some(k) = args.chaos_kill_at_shard {
+        faults = faults.with(Fault::ShardKill {
+            nth: k.saturating_sub(1),
+        });
+    }
+    let engine = if args.parallel {
+        let workers = odrc_infra::available_threads();
+        let device = match args.device_budget {
+            Some(bytes) => Device::with_budget(workers, bytes),
+            None => Device::new(workers),
+        };
+        if let Some(ms) = args.watchdog_ms {
+            device.set_watchdog(Some(Duration::from_millis(ms.get())));
+            eprintln!("stream watchdog armed: {ms} ms per operation");
+        }
+        Engine::parallel_on(device).with_options(options)
+    } else {
+        if args.fault_seed.is_some() || args.device_budget.is_some() || args.watchdog_ms.is_some() {
+            eprintln!(
+                "note: --fault-seed/--device-budget/--watchdog-ms only apply to --parallel runs"
+            );
+        }
+        Engine::sequential().with_options(options)
+    };
+    if !faults.is_empty() {
+        engine.device().set_fault_plan(Some(faults));
+    }
+    engine
+}
+
 /// The default mode: check one layout.
-fn run_check(
-    args: &Args,
-    engine: &Engine,
-    deck: &RuleDeck,
-) -> Result<Outcome, Box<dyn std::error::Error>> {
-    let layout = load_layout(&args.layout)?;
-    let mut journal = open_journal(args, &layout, deck)?;
+fn run_check(argv: &[String]) -> Result<Outcome, Box<dyn std::error::Error>> {
+    let (args, rules, [layout_path]) = parse_run(&CHECK, argv);
+    let deck = load_deck(&rules)?;
+    // Cooperative cancellation: SIGINT/SIGTERM and --deadline all
+    // trip one token the engine polls at rule boundaries.
+    let token = match args.deadline {
+        Some(budget) => CancelToken::with_deadline(budget),
+        None => CancelToken::new(),
+    };
+    let engine = build_engine(&args).with_cancel(token.linked_to_signals());
+    install_signal_handlers();
+
+    let layout = load_layout(&layout_path)?;
+    let mut journal = open_journal(&args, &layout, &deck)?;
     let report = match &args.cache {
         Some(dir) => {
             let mut cache = load_cache(dir);
-            let report = engine.check_resumable(&layout, deck, Some(&mut cache), journal.as_mut());
+            let report = engine.check_resumable(&layout, &deck, Some(&mut cache), journal.as_mut());
             save_cache(dir, &cache)?;
             report
         }
-        None => engine.check_resumable(&layout, deck, None, journal.as_mut()),
+        None => engine.check_resumable(&layout, &deck, None, journal.as_mut()),
     };
-    print_summary(&report, deck, args.max_print);
+    print_summary(&report, &deck, args.max_print);
     if let Some(path) = &args.report {
         write_report(path, &report.violations)?;
         eprintln!("wrote {} violations to {path}", report.violations.len());
@@ -608,36 +595,26 @@ fn run_check(
 
 /// The diff mode: check `old`, delta-check `new` against it, print
 /// what the edit changed. Counts *added* violations for the exit code.
-fn run_diff(
-    args: &Args,
-    engine: &Engine,
-    deck: &RuleDeck,
-) -> Result<Outcome, Box<dyn std::error::Error>> {
-    let old_path = args
-        .old_layout
-        .as_deref()
-        .expect("diff mode has two layouts");
-    let old = load_layout(old_path)?;
-    let new = load_layout(&args.layout)?;
+fn run_diff(argv: &[String]) -> Result<Outcome, Box<dyn std::error::Error>> {
+    let (args, rules, [old_path, new_path]) = parse_run(&DIFF, argv);
+    let deck = load_deck(&rules)?;
+    let engine = build_engine(&args);
+    let old = load_layout(&old_path)?;
+    let new = load_layout(&new_path)?;
 
     let mut cache = match &args.cache {
         Some(dir) => load_cache(dir),
         None => ResultCache::new(),
     };
-    let base = engine.check_with_cache(&old, deck, &mut cache);
-    let report = engine.check_delta_with_cache(&old, &base.violations, &new, deck, &mut cache);
+    let base = engine.check_with_cache(&old, &deck, &mut cache);
+    let report = engine.check_delta_with_cache(&old, &base.violations, &new, &deck, &mut cache);
     if let Some(dir) = &args.cache {
         save_cache(dir, &cache)?;
     }
 
+    println!("baseline {old_path}: {} violations", base.violations.len());
     println!(
-        "baseline {}: {} violations",
-        old_path,
-        base.violations.len()
-    );
-    println!(
-        "delta    {}: +{} -{} ({} unchanged, {} dirty rects)",
-        args.layout,
+        "delta    {new_path}: +{} -{} ({} unchanged, {} dirty rects)",
         report.delta.added.len(),
         report.delta.removed.len(),
         report.delta.unchanged_count,
@@ -670,80 +647,15 @@ fn run_diff(
     })
 }
 
-fn run(args: &Args) -> Result<Outcome, Box<dyn std::error::Error>> {
-    let deck_text = std::fs::read_to_string(&args.rules)?;
-    let deck = parse_deck(&deck_text)?;
-    eprintln!("loaded {} rules from {}", deck.rules().len(), args.rules);
-
-    let options = odrc::EngineOptions {
-        host_threads: args.host_threads,
-        memory_budget: args.memory_budget,
-        out_of_core: args.out_of_core,
-        shard_rows: args.shard_rows,
-        ..odrc::EngineOptions::default()
-    };
-    // One fault schedule per run: the seeded device faults (--parallel
-    // only) plus the chaos kill, a one-shot fault like any other.
-    let mut faults = FaultPlan::new();
-    if let (true, Some(seed)) = (args.parallel, args.fault_seed) {
-        faults = FaultPlan::from_seed(seed, FAULTS_PER_SEED);
-        eprintln!("fault injection on: seed {seed}, {FAULTS_PER_SEED} scheduled faults");
-    }
-    if let Some(k) = args.chaos_kill_at_shard {
-        faults = faults.with(Fault::ShardKill {
-            nth: k.saturating_sub(1),
-        });
-    }
-    let mut engine = if args.parallel {
-        let workers = odrc_infra::available_threads();
-        let device = match args.device_budget {
-            Some(bytes) => Device::with_budget(workers, bytes),
-            None => Device::new(workers),
-        };
-        if let Some(ms) = args.watchdog_ms {
-            device.set_watchdog(Some(Duration::from_millis(ms)));
-            eprintln!("stream watchdog armed: {ms} ms per operation");
-        }
-        Engine::parallel_on(device).with_options(options)
-    } else {
-        if args.fault_seed.is_some() || args.device_budget.is_some() || args.watchdog_ms.is_some() {
-            eprintln!(
-                "note: --fault-seed/--device-budget/--watchdog-ms only apply to --parallel runs"
-            );
-        }
-        Engine::sequential().with_options(options)
-    };
-    if !faults.is_empty() {
-        engine.device().set_fault_plan(Some(faults));
-    }
-    if args.old_layout.is_some() {
-        if args.deadline_secs.is_some() || args.checkpoint_dir.is_some() {
-            eprintln!("note: --deadline/--checkpoint-dir/--resume only apply to check runs");
-        }
-        run_diff(args, &engine, &deck)
-    } else {
-        // Cooperative cancellation: SIGINT/SIGTERM and --deadline all
-        // trip one token the engine polls at rule boundaries.
-        let token = match args.deadline_secs {
-            Some(secs) => CancelToken::with_deadline(Duration::from_secs_f64(secs)),
-            None => CancelToken::new(),
-        };
-        let token = token.linked_to_signals();
-        install_signal_handlers();
-        engine = engine.with_cancel(token);
-        run_check(args, &engine, &deck)
-    }
-}
-
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    match argv.first().map(String::as_str) {
+    let outcome = match argv.first().map(String::as_str) {
         Some("serve") => return run_serve(&argv[1..]),
         Some("client") => return run_client(&argv[1..]),
-        _ => {}
-    }
-    let args = parse_args();
-    match run(&args) {
+        Some("diff") => run_diff(&argv[1..]),
+        _ => run_check(&argv),
+    };
+    match outcome {
         // The daemon's table, so both front ends exit alike.
         Ok(o) => ExitCode::from(job_exit_code(o.interrupted, o.violations, o.degraded) as u8),
         Err(e) => {
@@ -757,101 +669,71 @@ fn main() -> ExitCode {
 // `odrc serve` — the multi-tenant check daemon.
 // ---------------------------------------------------------------------------
 
-fn usage_serve() -> ! {
-    eprintln!(
-        "usage: odrc serve [--addr HOST:PORT] [--workers N] [--host-threads N] \
-         [--max-queue N] [--cache dir] [--device-budget BYTES] [--device-workers N] \
-         [--port-file path] [--checkpoint-dir dir] [--io-timeout-ms N] \
-         [--ping-max-misses N] [--session-idle-ms N] [--max-sessions N] \
-         [--chaos-seed N] [--chaos-faults N] [--chaos-kill-at-rule N]\n\
-         binds (port 0 = ephemeral), prints `listening on ADDR`, and serves until \
-         SIGINT/SIGTERM or a `shutdown` verb, then drains in-flight jobs and \
-         persists the shared cache tier\n\
-         --checkpoint-dir makes keyed `check` submissions durable: admissions and \
-         results are journaled there, and a restarted server replays the journal, \
-         resuming interrupted jobs at the rule boundary\n\
-         --chaos-* arm seeded fault injection (testing only)"
-    );
-    std::process::exit(2);
+#[derive(Default)]
+struct ServeArgs {
+    config: ServerConfig,
+    port_file: Option<String>,
+    chaos_seed: Option<u64>,
+    chaos_kill_at_rule: Option<u64>,
 }
 
+#[rustfmt::skip]
+const SERVE: Command<ServeArgs> = Command {
+    synopsis: "odrc serve [flags]",
+    flags: &[
+        ("--addr", Arg("HOST:PORT", |a, v| set(&mut a.config.addr, v)),
+            "bind address; port 0 picks one (default 127.0.0.1:0)"),
+        ("--port-file", Arg("FILE", |a, v| set_some(&mut a.port_file, v)),
+            "write the bound address to FILE"),
+        ("--workers", Arg("N", |a, v| set(&mut a.config.workers, v)),
+            "concurrent job slots"),
+        ("--host-threads", Arg("N", |a, v| {
+            v.parse().ok().map(|n: NonZeroUsize| a.config.host_threads = n.get())
+        }),
+            "host threads shared by all jobs"),
+        ("--max-queue", Arg("N", |a, v| set(&mut a.config.max_queue, v)),
+            "queued jobs before the lowest priority is shed"),
+        ("--cache", Arg("DIR", |a, v| set_some(&mut a.config.cache_dir, v)),
+            "persist the shared cache tier in DIR"),
+        ("--device-budget", Arg("BYTES", |a, v| set_some(&mut a.config.device_budget, v)),
+            "bound device memory per parallel session"),
+        ("--checkpoint-dir", Arg("DIR", |a, v| set_some(&mut a.config.checkpoint_dir, v)),
+            "journal keyed jobs in DIR; a restart resumes them"),
+        ("--io-timeout-ms", Arg("N", |a, v| set(&mut a.config.io_timeout_ms, v)),
+            "socket timeout, paces heartbeats (0 = none)"),
+        ("--ping-max-misses", Arg("N", |a, v| set(&mut a.config.ping_max_misses, v)),
+            "unanswered pings before a connection closes"),
+        ("--session-idle-ms", Arg("N", |a, v| set(&mut a.config.session_idle_ms, v)),
+            "evict a session idle this long"),
+        ("--max-sessions", Arg("N", |a, v| set(&mut a.config.max_sessions, v)),
+            "open sessions before the stalest is evicted"),
+        ("--chaos-seed", Arg("N", |a, v| set_some(&mut a.chaos_seed, v)),
+            "inject seeded server faults (testing)"),
+        ("--chaos-kill-at-rule", Arg("N", |a, v| set_some(&mut a.chaos_kill_at_rule, v)),
+            "abort at the Nth rule boundary (testing)"),
+    ],
+    notes: "prints `listening on ADDR` and serves until SIGINT/SIGTERM or a client's --shutdown, \
+            then drains in-flight jobs and persists the shared cache tier",
+};
+
 fn run_serve(argv: &[String]) -> ExitCode {
-    let mut config = odrc_serve::ServerConfig::default();
-    let mut port_file: Option<String> = None;
-    let mut chaos_seed: Option<u64> = None;
-    let mut chaos_faults: usize = 3;
-    let mut chaos_kill_at_rule: Option<u64> = None;
-    let mut i = 0;
-    let value = |argv: &[String], i: usize| -> String {
-        if i + 1 >= argv.len() {
-            usage_serve();
-        }
-        argv[i + 1].clone()
-    };
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--addr" => config.addr = value(argv, i),
-            "--workers" => {
-                config.workers = value(argv, i).parse().unwrap_or_else(|_| usage_serve());
-            }
-            "--host-threads" => {
-                let n: usize = value(argv, i).parse().unwrap_or_else(|_| usage_serve());
-                if n == 0 {
-                    usage_serve();
-                }
-                config.host_threads = n;
-            }
-            "--max-queue" => {
-                config.max_queue = value(argv, i).parse().unwrap_or_else(|_| usage_serve());
-            }
-            "--cache" => config.cache_dir = Some(value(argv, i).into()),
-            "--device-budget" => {
-                config.device_budget =
-                    Some(value(argv, i).parse().unwrap_or_else(|_| usage_serve()));
-            }
-            "--device-workers" => {
-                config.device_workers = value(argv, i).parse().unwrap_or_else(|_| usage_serve());
-            }
-            "--port-file" => port_file = Some(value(argv, i)),
-            "--checkpoint-dir" => config.checkpoint_dir = Some(value(argv, i).into()),
-            "--io-timeout-ms" => {
-                config.io_timeout_ms = value(argv, i).parse().unwrap_or_else(|_| usage_serve());
-            }
-            "--ping-max-misses" => {
-                config.ping_max_misses = value(argv, i).parse().unwrap_or_else(|_| usage_serve());
-            }
-            "--session-idle-ms" => {
-                config.session_idle_ms = value(argv, i).parse().unwrap_or_else(|_| usage_serve());
-            }
-            "--max-sessions" => {
-                config.max_sessions = value(argv, i).parse().unwrap_or_else(|_| usage_serve());
-            }
-            "--chaos-seed" => {
-                chaos_seed = Some(value(argv, i).parse().unwrap_or_else(|_| usage_serve()));
-            }
-            "--chaos-faults" => {
-                chaos_faults = value(argv, i).parse().unwrap_or_else(|_| usage_serve());
-            }
-            "--chaos-kill-at-rule" => {
-                chaos_kill_at_rule = Some(value(argv, i).parse().unwrap_or_else(|_| usage_serve()));
-            }
-            _ => usage_serve(),
-        }
-        i += 2;
+    let (mut args, positional) = parse(&SERVE, argv, ServeArgs::default());
+    if !positional.is_empty() {
+        usage(&SERVE);
     }
-    if chaos_seed.is_some() || chaos_kill_at_rule.is_some() {
-        let mut plan = match chaos_seed {
-            Some(seed) => odrc_serve::ServerFaultPlan::from_seed(seed, chaos_faults),
-            None => odrc_serve::ServerFaultPlan::new(),
+    if args.chaos_seed.is_some() || args.chaos_kill_at_rule.is_some() {
+        let mut plan = match args.chaos_seed {
+            Some(seed) => ServerFaultPlan::from_seed(seed, CHAOS_FAULTS_PER_SEED),
+            None => ServerFaultPlan::new(),
         };
-        if let Some(nth) = chaos_kill_at_rule {
-            plan = plan.with(odrc_serve::ServerFault::KillAtRule { nth });
+        if let Some(nth) = args.chaos_kill_at_rule {
+            plan = plan.with(ServerFault::KillAtRule { nth });
         }
         eprintln!("chaos armed: {} fault(s) scheduled", plan.len());
-        config.chaos = Some(plan);
+        args.config.chaos = Some(plan);
     }
 
-    let server = match odrc_serve::Server::bind(config) {
+    let server = match odrc_serve::Server::bind(args.config) {
         Ok(server) => server,
         Err(e) => {
             eprintln!("error: cannot bind: {e}");
@@ -866,7 +748,7 @@ fn run_serve(argv: &[String]) -> ExitCode {
     println!("odrc serve listening on {addr}");
     use std::io::Write as _;
     let _ = std::io::stdout().flush();
-    if let Some(path) = &port_file {
+    if let Some(path) = &args.port_file {
         if let Err(e) = std::fs::write(path, format!("{addr}\n")) {
             eprintln!("error: cannot write --port-file {path}: {e}");
             return ExitCode::from(2);
@@ -892,26 +774,10 @@ fn run_serve(argv: &[String]) -> ExitCode {
 // `odrc client` — the command-line front end to a running daemon.
 // ---------------------------------------------------------------------------
 
-fn usage_client() -> ! {
-    eprintln!(
-        "usage: odrc client <layout.gds> --rules <deck.rules> --addr HOST:PORT \
-         [--parallel] [--priority N] [--deadline-ms N] [--edits ops.jsonl] \
-         [--report out.csv] [--stats-json out.json] [--max-print N] [--shutdown] \
-         [--key ID] [--retries N] [--backoff-ms N] [--backoff-cap-ms N]\n\
-         \u{20}      odrc client --addr HOST:PORT --shutdown\n\
-         --key marks the check idempotent: resubmitting the same key (after a \
-         dropped connection or a server restart) replays the journaled result or \
-         attaches to the running job instead of checking twice; retries reconnect \
-         with capped exponential backoff, honouring server retry_after_ms hints\n\
-         exit codes match the one-shot checker: 0 clean, 1 violations, 2 hard error, \
-         3 degraded but clean, 4 interrupted (cancel, deadline, or server drain)"
-    );
-    std::process::exit(2);
-}
-
+#[derive(Default)]
 struct ClientArgs {
-    addr: Option<String>,
     layout: Option<String>,
+    addr: Option<String>,
     rules: Option<String>,
     parallel: bool,
     priority: i64,
@@ -927,108 +793,64 @@ struct ClientArgs {
     backoff_cap_ms: u64,
 }
 
-fn parse_client_args(argv: &[String]) -> ClientArgs {
-    let mut args = ClientArgs {
-        addr: None,
-        layout: None,
-        rules: None,
-        parallel: false,
-        priority: 0,
-        deadline_ms: None,
-        edits: None,
-        report: None,
-        stats_json: None,
+#[rustfmt::skip]
+const CLIENT: Command<ClientArgs> = Command {
+    synopsis: "odrc client <layout.gds> --rules <deck.rules> --addr HOST:PORT [flags]\n\
+               \u{20}      odrc client --addr HOST:PORT --shutdown",
+    flags: &[
+        ("--addr", Arg("HOST:PORT", |a, v| set_some(&mut a.addr, v)),
+            "the daemon (required)"),
+        ("--rules", Arg("FILE", |a, v| set_some(&mut a.rules, v)),
+            "the rule deck (required with a layout)"),
+        ("--parallel", Switch(|a| a.parallel = true),
+            "check on the simulated GPU"),
+        ("--priority", Arg("N", |a, v| set(&mut a.priority, v)),
+            "queue priority; a full queue sheds the lowest (default 0)"),
+        ("--deadline-ms", Arg("N", |a, v| set_some(&mut a.deadline_ms, v)),
+            "interrupt the job after N ms (exit 4)"),
+        ("--edits", Arg("FILE", |a, v| set_some(&mut a.edits, v)),
+            "apply FILE's JSON edit ops, one a line, first"),
+        ("--report", Arg("FILE", |a, v| set_some(&mut a.report, v)),
+            "write the violations as CSV"),
+        ("--stats-json", Arg("FILE", |a, v| set_some(&mut a.stats_json, v)),
+            "write the job's and the daemon's counters as JSON"),
+        ("--max-print", Arg("N", |a, v| set(&mut a.max_print, v)),
+            "violations to print (default 20)"),
+        ("--key", Arg("ID", |a, v| set_some(&mut a.key, v)),
+            "idempotency key: a resubmit replays or attaches"),
+        ("--retries", Arg("N", |a, v| set(&mut a.retries, v)),
+            "attempts, reconnecting with backoff (default 1)"),
+        ("--backoff-ms", Arg("N", |a, v| set(&mut a.backoff_ms, v)),
+            "first backoff; doubles per attempt (default 200)"),
+        ("--backoff-cap-ms", Arg("N", |a, v| set(&mut a.backoff_cap_ms, v)),
+            "backoff cap (default 5000)"),
+        ("--shutdown", Switch(|a| a.shutdown = true),
+            "ask the daemon to drain and exit"),
+    ],
+    notes: "retries honour the server's retry_after_ms hints; \
+            with --key a retry never checks twice\n\
+            exit codes match the one-shot checker: 0 clean, 1 violations, 2 hard error, \
+            3 degraded but clean, 4 interrupted (cancel, deadline, or server drain)",
+};
+
+fn run_client(argv: &[String]) -> ExitCode {
+    let defaults = ClientArgs {
         max_print: 20,
-        shutdown: false,
-        key: None,
         retries: 1,
         backoff_ms: 200,
         backoff_cap_ms: 5000,
+        ..ClientArgs::default()
     };
-    let value = |argv: &[String], i: usize| -> String {
-        if i + 1 >= argv.len() {
-            usage_client();
-        }
-        argv[i + 1].clone()
-    };
-    let mut i = 0;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--addr" => {
-                args.addr = Some(value(argv, i));
-                i += 2;
-            }
-            "--rules" => {
-                args.rules = Some(value(argv, i));
-                i += 2;
-            }
-            "--parallel" => {
-                args.parallel = true;
-                i += 1;
-            }
-            "--priority" => {
-                args.priority = value(argv, i).parse().unwrap_or_else(|_| usage_client());
-                i += 2;
-            }
-            "--deadline-ms" => {
-                args.deadline_ms = Some(value(argv, i).parse().unwrap_or_else(|_| usage_client()));
-                i += 2;
-            }
-            "--edits" => {
-                args.edits = Some(value(argv, i));
-                i += 2;
-            }
-            "--report" => {
-                args.report = Some(value(argv, i));
-                i += 2;
-            }
-            "--stats-json" => {
-                args.stats_json = Some(value(argv, i));
-                i += 2;
-            }
-            "--max-print" => {
-                args.max_print = value(argv, i).parse().unwrap_or_else(|_| usage_client());
-                i += 2;
-            }
-            "--shutdown" => {
-                args.shutdown = true;
-                i += 1;
-            }
-            "--key" => {
-                args.key = Some(value(argv, i));
-                i += 2;
-            }
-            "--retries" => {
-                args.retries = value(argv, i).parse().unwrap_or_else(|_| usage_client());
-                i += 2;
-            }
-            "--backoff-ms" => {
-                args.backoff_ms = value(argv, i).parse().unwrap_or_else(|_| usage_client());
-                i += 2;
-            }
-            "--backoff-cap-ms" => {
-                args.backoff_cap_ms = value(argv, i).parse().unwrap_or_else(|_| usage_client());
-                i += 2;
-            }
-            "--help" | "-h" => usage_client(),
-            other if !other.starts_with('-') && args.layout.is_none() => {
-                args.layout = Some(other.to_owned());
-                i += 1;
-            }
-            _ => usage_client(),
-        }
+    let (mut args, mut positional) = parse(&CLIENT, argv, defaults);
+    args.layout = positional.pop();
+    let checks = args.layout.is_some();
+    if !positional.is_empty()
+        || args.addr.is_none()
+        || (checks && args.rules.is_none())
+        || !(checks || args.shutdown)
+    {
+        usage(&CLIENT);
     }
-    if args.addr.is_none() || (args.layout.is_none() && !args.shutdown) {
-        usage_client();
-    }
-    if args.layout.is_some() && args.rules.is_none() {
-        usage_client();
-    }
-    args
-}
-
-fn run_client(argv: &[String]) -> ExitCode {
-    let args = parse_client_args(argv);
     match client_main(&args) {
         Ok(exit) => ExitCode::from(u8::try_from(exit).unwrap_or(2)),
         Err(e) => {
@@ -1047,10 +869,10 @@ struct ClientInputs {
 }
 
 fn client_main(args: &ClientArgs) -> Result<i64, Box<dyn std::error::Error>> {
-    let addr = args.addr.as_deref().expect("checked by parse_client_args");
+    let addr = args.addr.as_deref().expect("checked by run_client");
     let inputs = match &args.layout {
         Some(layout) => {
-            let rules_path = args.rules.as_deref().expect("checked by parse_client_args");
+            let rules_path = args.rules.as_deref().expect("checked by run_client");
             let edit_ops = match &args.edits {
                 Some(path) => std::fs::read_to_string(path)?
                     .lines()

@@ -111,8 +111,6 @@ pub struct ServerConfig {
     /// Directory for the shared result-cache sidecar; `None` keeps
     /// the tier in memory only.
     pub cache_dir: Option<PathBuf>,
-    /// Device worker threads per parallel-mode session.
-    pub device_workers: usize,
     /// Stream-ordered allocator budget per parallel-mode session.
     pub device_budget: Option<usize>,
     /// Directory for the durable job journal and per-job checkpoint
@@ -148,7 +146,6 @@ impl Default for ServerConfig {
             host_threads: par,
             max_queue: 64,
             cache_dir: None,
-            device_workers: par,
             device_budget: None,
             checkpoint_dir: None,
             io_timeout_ms: 10_000,
@@ -680,9 +677,10 @@ fn build_engine(shared: &ServerShared, mode: &str) -> Result<Engine, ServeError>
         "parallel" => {
             // Per-session device: its knobs are device-global, so it
             // must never be shared across concurrently running jobs.
+            let workers = odrc_infra::available_threads();
             let device = match shared.config.device_budget {
-                Some(bytes) => Device::with_budget(shared.config.device_workers, bytes),
-                None => Device::new(shared.config.device_workers),
+                Some(bytes) => Device::with_budget(workers, bytes),
+                None => Device::new(workers),
             };
             Ok(Engine::parallel_on(device).with_options(options))
         }

@@ -19,7 +19,6 @@ const RULES: &str = "width layer=19 min=18 name=M1.W.1\n\
                      area layer=19 min=1400 name=M1.A.1\n";
 
 const SEEDS: u64 = 25;
-const FAULTS_PER_SEED: usize = 4;
 
 fn odrc_bin() -> &'static str {
     env!("CARGO_BIN_EXE_odrc")
@@ -50,8 +49,7 @@ impl ServerProc {
             .stdout(Stdio::null())
             .stderr(Stdio::null());
         if let Some(seed) = chaos_seed {
-            cmd.args(["--chaos-seed", &seed.to_string()])
-                .args(["--chaos-faults", &FAULTS_PER_SEED.to_string()]);
+            cmd.args(["--chaos-seed", &seed.to_string()]);
         }
         let mut child = cmd.spawn().expect("spawn odrc serve");
         let deadline = Instant::now() + Duration::from_secs(30);

@@ -21,8 +21,9 @@ const RULES: &str = "space layer=19 min=18 name=M1.S.1\n\
 /// so no rule is complete when the process dies.
 const KILL_AT_SHARD: u64 = 2;
 
-/// Out-of-core with two partition rows per shard.
-const SHARDED: &[&str] = &["--out-of-core", "--shard-rows", "2"];
+/// Out-of-core with two partition rows per shard (`--shard-rows`
+/// alone turns out-of-core mode on).
+const SHARDED: &[&str] = &["--shard-rows", "2"];
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("odrc-kill-{tag}-{}", std::process::id()));

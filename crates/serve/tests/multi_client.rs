@@ -60,7 +60,6 @@ fn concurrent_clients_match_single_shot_and_share_the_cache() {
         host_threads: 4,
         max_queue: 16,
         cache_dir: None,
-        device_workers: 1,
         device_budget: None,
         ..ServerConfig::default()
     })
@@ -177,7 +176,6 @@ fn edits_diverge_sessions_and_results_stay_isolated() {
         host_threads: 2,
         max_queue: 8,
         cache_dir: None,
-        device_workers: 1,
         device_budget: None,
         ..ServerConfig::default()
     })

@@ -33,7 +33,6 @@ impl TestServer {
             host_threads: 2,
             max_queue: 8,
             cache_dir: None,
-            device_workers: 1,
             device_budget: None,
             ..ServerConfig::default()
         })
