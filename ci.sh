@@ -185,10 +185,28 @@ walks=$(grep -c 'LayerObjects::enumerate' crates/core/src/shard.rs)
 # both modes: the default mode's host driver and the parallel row set
 # (RowSet::build) both call row_candidate_pairs, pack_cell and pack_row,
 # and pack_row is the one caller of pair_window. Candidate discovery is
-# the x-sorted scan (the R-tree stays an infra reference). The pack
+# the x-sorted scan (the R-tree is an odrc-bench reference). The pack
 # transforms edges (Transform::apply_edge) and never rebuilds a polygon.
 sites=$(grep -rn 'rtree_overlaps(' crates/core/src | wc -l)
 [ "$sites" -eq 0 ] || { echo "expected no rtree_overlaps( call in crates/core/src, found $sites"; exit 1; }
+# infra holds what a run executes: the R-tree, Algorithm 1's merges and
+# the pair-collecting references are odrc-bench's (the ablations'), the
+# quadtree is deleted, and the interval tree is private to the sweep.
+# (core/src/violation.rs has an unrelated private merge_sorted, so the
+# merge module is matched by path.)
+if grep -rnE 'RTree|rtree_overlaps|merge_pigeonhole|merge_cover_pigeonhole|sweep_overlap_pairs|brute_force_overlap_pairs|(odrc_infra|crate)::merge\b' \
+    crates/core/src crates/infra/src; then
+    echo "crates/{core,infra}/src name a reference structure that belongs to odrc-bench"
+    exit 1
+fi
+if grep -rn 'QuadTree' crates; then
+    echo "the deleted quadtree is back in crates/"
+    exit 1
+fi
+if grep -nE '^ *pub +(use .*IntervalTree|mod +interval_tree)' crates/infra/src/lib.rs; then
+    echo "crates/infra/src/lib.rs exports the interval tree again (it is private to the sweep)"
+    exit 1
+fi
 sites=$(grep -rn 'scan_overlaps(' crates/core/src | wc -l)
 [ "$sites" -eq 1 ] || { echo "expected one scan_overlaps( call site in crates/core/src, found $sites"; exit 1; }
 # The product partition is the sort-scan-fill; Algorithm 1's pigeonhole

@@ -3,10 +3,10 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use odrc::{Engine, EngineOptions};
+use odrc_bench::merge::{merge_pigeonhole, merge_sorted};
+use odrc_bench::sweep::{brute_force_overlap_pairs, sweep_overlap_pairs};
 use odrc_bench::{load_designs, no_partition, no_pruning, space_rules};
 use odrc_geometry::Rect;
-use odrc_infra::merge::{merge_pigeonhole, merge_sorted};
-use odrc_infra::sweep::{brute_force_overlap_pairs, sweep_overlap_pairs};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::Duration;
@@ -59,49 +59,6 @@ fn bench_sweep(c: &mut Criterion) {
             b.iter(|| brute_force_overlap_pairs(r))
         });
     }
-    group.finish();
-}
-
-fn bench_spatial_indices(c: &mut Criterion) {
-    use odrc_infra::{QuadTree, RTree};
-    let mut group = c.benchmark_group("spatial-index");
-    group.sample_size(20);
-    group.warm_up_time(Duration::from_millis(500));
-    group.measurement_time(Duration::from_secs(2));
-    let mut rng = StdRng::seed_from_u64(5);
-    let n = 20_000usize;
-    let rects: Vec<Rect> = (0..n)
-        .map(|_| {
-            let x = rng.gen_range(-100_000..100_000);
-            let y = rng.gen_range(-100_000..100_000);
-            Rect::from_coords(x, y, x + rng.gen_range(1..500), y + rng.gen_range(1..500))
-        })
-        .collect();
-    let windows: Vec<Rect> = (0..200)
-        .map(|_| {
-            let x = rng.gen_range(-100_000..100_000);
-            let y = rng.gen_range(-100_000..100_000);
-            Rect::from_coords(x, y, x + 2000, y + 2000)
-        })
-        .collect();
-    group.bench_function("rtree-build", |b| b.iter(|| RTree::bulk_load(&rects)));
-    group.bench_function("quadtree-build", |b| b.iter(|| QuadTree::build(&rects)));
-    let rtree = RTree::bulk_load(&rects);
-    let quad = QuadTree::build(&rects);
-    group.bench_function("rtree-200-queries", |b| {
-        b.iter(|| windows.iter().map(|&w| rtree.query(w).len()).sum::<usize>())
-    });
-    group.bench_function("quadtree-200-queries", |b| {
-        b.iter(|| windows.iter().map(|&w| quad.query(w).len()).sum::<usize>())
-    });
-    group.bench_function("linear-200-queries", |b| {
-        b.iter(|| {
-            windows
-                .iter()
-                .map(|&w| rects.iter().filter(|r| r.overlaps(w)).count())
-                .sum::<usize>()
-        })
-    });
     group.finish();
 }
 
@@ -185,7 +142,6 @@ criterion_group!(
     benches,
     bench_merge,
     bench_sweep,
-    bench_spatial_indices,
     bench_region_ops,
     bench_engine_options
 );

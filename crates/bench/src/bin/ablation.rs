@@ -13,10 +13,10 @@
 use std::time::Instant;
 
 use odrc::{Engine, EngineOptions};
+use odrc_bench::merge::{merge_pigeonhole, merge_sorted};
+use odrc_bench::sweep::{brute_force_overlap_pairs, sweep_overlap_pairs};
 use odrc_bench::{load_designs, no_partition, no_pruning, parse_args, space_rules};
 use odrc_geometry::Rect;
-use odrc_infra::merge::{merge_pigeonhole, merge_sorted};
-use odrc_infra::sweep::{brute_force_overlap_pairs, sweep_overlap_pairs};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -76,43 +76,6 @@ fn main() {
         println!("{n:>10} {t1:>14.4} {t2:>14.4} {:>10}", p1.len());
     }
 
-    // (g) Window-query structures: linear scan vs quadtree vs R-tree.
-    {
-        use odrc_infra::{QuadTree, RTree};
-        println!("\n=== Ablation (g): window queries, 20k rects x 200 windows ===");
-        let mut rng2 = StdRng::seed_from_u64(9);
-        let rects: Vec<Rect> = (0..20_000)
-            .map(|_| {
-                let x = rng2.gen_range(-100_000..100_000);
-                let y = rng2.gen_range(-100_000..100_000);
-                Rect::from_coords(x, y, x + rng2.gen_range(1..500), y + rng2.gen_range(1..500))
-            })
-            .collect();
-        let windows: Vec<Rect> = (0..200)
-            .map(|_| {
-                let x = rng2.gen_range(-100_000..100_000);
-                let y = rng2.gen_range(-100_000..100_000);
-                Rect::from_coords(x, y, x + 2000, y + 2000)
-            })
-            .collect();
-        let (t_rb, rtree) = time(|| RTree::bulk_load(&rects));
-        let (t_qb, quad) = time(|| QuadTree::build(&rects));
-        let (t_r, hits_r) = time(|| windows.iter().map(|&w| rtree.query(w).len()).sum::<usize>());
-        let (t_q, hits_q) = time(|| windows.iter().map(|&w| quad.query(w).len()).sum::<usize>());
-        let (t_l, hits_l) = time(|| {
-            windows
-                .iter()
-                .map(|&w| rects.iter().filter(|r| r.overlaps(w)).count())
-                .sum::<usize>()
-        });
-        assert_eq!(hits_r, hits_l);
-        assert_eq!(hits_q, hits_l);
-        println!("{:>12} {:>12} {:>12}", "structure", "build(s)", "query(s)");
-        println!("{:>12} {:>12} {:>12.4}", "linear", "-", t_l);
-        println!("{:>12} {:>12.4} {:>12.4}", "rtree", t_rb, t_r);
-        println!("{:>12} {:>12.4} {:>12.4}", "quadtree", t_qb, t_q);
-    }
-
     // (f) Baseline strength: the as-drawn flat checker vs the
     // merged-region variant (closer to real KLayout's region engine).
     // The gap shows how much region machinery the paper's KLayout
@@ -147,8 +110,8 @@ fn main() {
     // engine modes' spacing rows hand to pair discovery.
     {
         use odrc::scene::LayerScene;
+        use odrc_bench::rtree::rtree_overlaps;
         use odrc_infra::partition::partition_rows;
-        use odrc_infra::rtree::rtree_overlaps;
         use odrc_infra::sweep::{scan_overlaps, sweep_overlaps};
         use odrc_layoutgen::tech;
         println!(

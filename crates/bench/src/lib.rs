@@ -15,8 +15,25 @@
 //! Each binary accepts `--designs a,b,c` to restrict the design set and
 //! `--repeat N` to average over `N` timed runs (default 1 after one
 //! warm-up for the smallest design only, to bound total runtime).
+//!
+//! The ablations time the engine's infrastructure against reference
+//! structures it does not run on, kept here beside them:
+//!
+//! * [`merge`] — Algorithm 1's pigeonhole interval merge and its
+//!   sort-based alternative (§IV-B), ablation (a);
+//! * [`sweep`] — the sweepline's pairs collected into a vector, and the
+//!   quadratic enumeration, ablation (e);
+//! * [`rtree`] — an STR-bulk-loaded R-tree and its overlap-pair
+//!   enumeration, ablation (h).
+//!
+//! The crate's `tests/oracles.rs` checks the engine's row partition and
+//! row pair discovery against them.
 
 #![forbid(unsafe_code)]
+
+pub mod merge;
+pub mod rtree;
+pub mod sweep;
 
 use std::time::{Duration, Instant};
 

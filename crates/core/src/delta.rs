@@ -48,7 +48,7 @@ use odrc_geometry::{Coord, Point, Rect, Transform};
 use odrc_infra::Profiler;
 
 use crate::cache::{CacheHandle, CacheKeys, ResultCache};
-use crate::engine::{CheckReport, Engine, EngineStats, RuleStatus};
+use crate::engine::{Engine, EngineStats, RuleStatus};
 use crate::rules::{Rule, RuleDeck};
 use crate::scene::DirtyWindow;
 use crate::sequential::RunContext;
@@ -93,19 +93,6 @@ pub struct DeltaCheckReport {
     /// (an edit session discards it instead of re-priming its
     /// baseline).
     pub interrupted: Option<odrc_infra::CancelReason>,
-}
-
-impl DeltaCheckReport {
-    /// Converts into a plain [`CheckReport`] (drops the delta).
-    pub fn into_check_report(self) -> CheckReport {
-        CheckReport {
-            violations: self.violations,
-            profile: self.profile,
-            stats: self.stats,
-            interrupted: self.interrupted,
-            rule_status: Vec::new(),
-        }
-    }
 }
 
 /// Transform key for multiset ref matching.

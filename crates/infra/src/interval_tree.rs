@@ -10,6 +10,8 @@
 //! interval endpoints, which the sweepline knows in advance — so the BST
 //! is perfectly balanced without rotations. Intervals are inserted and
 //! removed dynamically as the sweepline advances.
+//!
+//! [`crate::sweep::sweep_overlaps`] is the tree's one user.
 
 use odrc_geometry::{Coord, Interval};
 
@@ -51,31 +53,12 @@ struct Lists<T> {
 
 /// An interval tree over a fixed key domain supporting dynamic insertion,
 /// removal, and overlap queries.
-///
-/// # Examples
-///
-/// ```
-/// use odrc_geometry::Interval;
-/// use odrc_infra::IntervalTree;
-///
-/// let mut tree = IntervalTree::with_domain(vec![0, 5, 10, 15, 20]);
-/// tree.insert(Interval::new(0, 10), 'a');
-/// tree.insert(Interval::new(12, 20), 'b');
-///
-/// let mut hits = tree.query(Interval::new(8, 13));
-/// hits.sort();
-/// assert_eq!(hits, vec!['a', 'b']);
-///
-/// tree.remove(Interval::new(0, 10), &'a');
-/// assert_eq!(tree.query(Interval::new(8, 13)), vec!['b']);
-/// ```
 #[derive(Debug, Clone)]
-pub struct IntervalTree<T> {
+pub(crate) struct IntervalTree<T> {
     /// Parallel arrays indexed by node.
     links: Vec<Link>,
     lists: Vec<Lists<T>>,
     root: u32,
-    len: usize,
 }
 
 impl<T: Clone + PartialEq> IntervalTree<T> {
@@ -104,12 +87,7 @@ impl<T: Clone + PartialEq> IntervalTree<T> {
             };
             links.len()
         ];
-        IntervalTree {
-            links,
-            lists,
-            root,
-            len: 0,
-        }
+        IntervalTree { links, lists, root }
     }
 
     fn build(keys: &[Coord], links: &mut Vec<Link>) -> u32 {
@@ -126,18 +104,6 @@ impl<T: Clone + PartialEq> IntervalTree<T> {
             live: 0,
         });
         (links.len() - 1) as u32
-    }
-
-    /// Number of intervals currently stored.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Returns `true` if no intervals are stored.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// The highest node whose key lies inside `interval`, if any.
@@ -196,7 +162,6 @@ impl<T: Clone + PartialEq> IntervalTree<T> {
             .partition_point(|e| e.interval.hi() <= interval.hi());
         node.by_hi.insert(hi_pos, entry);
         self.count_path(interval, home, 1);
-        self.len += 1;
     }
 
     /// Removes one stored copy of `interval` with the given payload.
@@ -212,16 +177,7 @@ impl<T: Clone + PartialEq> IntervalTree<T> {
         }
         remove_entry(&mut node.by_hi, interval, payload);
         self.count_path(interval, home, -1);
-        self.len -= 1;
         true
-    }
-
-    /// Collects the payloads of all stored intervals overlapping `q`
-    /// (closed-interval semantics: touching counts).
-    pub fn query(&self, q: Interval) -> Vec<T> {
-        let mut out = Vec::new();
-        self.query_into(q, &mut |p| out.push(p.clone()));
-        out
     }
 
     /// Visits the payloads of all stored intervals overlapping `q`.
@@ -287,6 +243,29 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    impl<T: Clone + PartialEq> IntervalTree<T> {
+        /// Number of intervals currently stored: the root's subtree
+        /// count.
+        fn len(&self) -> usize {
+            match self.root {
+                NIL => 0,
+                root => self.links[root as usize].live as usize,
+            }
+        }
+
+        fn is_empty(&self) -> bool {
+            self.len() == 0
+        }
+
+        /// Collects the payloads of all stored intervals overlapping
+        /// `q` (closed-interval semantics: touching counts).
+        fn query(&self, q: Interval) -> Vec<T> {
+            let mut out = Vec::new();
+            self.query_into(q, &mut |p| out.push(p.clone()));
+            out
+        }
+    }
+
     fn iv(lo: Coord, hi: Coord) -> Interval {
         Interval::new(lo, hi)
     }
@@ -325,6 +304,20 @@ mod tests {
         assert!(!t.remove(iv(0, 10), &0)); // already gone
         assert_eq!(t.query(iv(8, 12)), vec![1]);
         assert_eq!(t.len(), 2);
+    }
+
+    #[test]
+    fn char_payloads_query_and_remove() {
+        let mut tree = IntervalTree::with_domain(vec![0, 5, 10, 15, 20]);
+        tree.insert(Interval::new(0, 10), 'a');
+        tree.insert(Interval::new(12, 20), 'b');
+
+        let mut hits = tree.query(Interval::new(8, 13));
+        hits.sort();
+        assert_eq!(hits, vec!['a', 'b']);
+
+        tree.remove(Interval::new(0, 10), &'a');
+        assert_eq!(tree.query(Interval::new(8, 13)), vec!['b']);
     }
 
     #[test]

@@ -2,19 +2,16 @@
 //!
 //! This crate is the paper's "infrastructure layer" (§V-A): abstract data
 //! structures and algorithms that the engine's application and algorithm
-//! layers build upon.
+//! layers build upon. It holds what a run executes; the reference
+//! structures the ablations time against it (an R-tree, Algorithm 1's
+//! pigeonhole merge) live in `odrc-bench`.
 //!
-//! * [`IntervalTree`] — the interval tree of §IV-D, a binary search tree
-//!   whose nodes keep their intervals in two sorted lists (by left and by
-//!   right endpoint) to answer overlap queries output-sensitively.
 //! * [`sweep::sweep_overlaps`] — the top-to-bottom sweepline that reports
-//!   all pairs of overlapping MBRs (§IV-D, Fig. 3), and
+//!   all pairs of overlapping MBRs (§IV-D, Fig. 3) through a private
+//!   interval tree whose nodes keep their intervals in two sorted lists
+//!   (by left and by right endpoint); the flat baselines run it. And
 //!   [`sweep::scan_overlaps`], the x-sorted active-list scan the engine
 //!   finds a row's candidate pairs with.
-//! * [`merge`] — Algorithm 1's pigeonhole interval merging in
-//!   `Θ(k + N)`, plus the `Ω(k log k)` sort-based alternative the paper
-//!   contrasts it with (§IV-B); the ablation bench and the partition's
-//!   tests use them.
 //! * [`partition`] — the adaptive row-based layout partitioner (§IV-B),
 //!   a sort of the extents, a running-maximum scan and an index-order
 //!   member fill, and the row join
@@ -50,26 +47,20 @@
 pub mod atomic_io;
 pub mod cancel;
 pub mod host;
-pub mod interval_tree;
+mod interval_tree;
 pub mod journal;
-pub mod merge;
 pub mod partition;
 pub mod profile;
-pub mod quadtree;
 pub mod region;
 pub mod rss;
-pub mod rtree;
 pub mod sweep;
 
 pub use atomic_io::{fsync_dir, write_atomic, FileLock};
 pub use cancel::{install_signal_handlers, CancelReason, CancelToken};
 pub use host::{available_threads, panic_message, HostExecutor, HostPanic, Pool};
-pub use interval_tree::IntervalTree;
 pub use journal::{fnv1a64, RecordLog};
 pub use partition::{partition_rows, Row, RowPartition};
 pub use profile::Profiler;
-pub use quadtree::QuadTree;
 pub use region::{BoolOp, Region};
 pub use rss::{peak_rss_bytes, reset_peak_rss};
-pub use rtree::RTree;
 pub use sweep::{scan_overlaps, sweep_overlaps};

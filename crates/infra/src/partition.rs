@@ -85,10 +85,10 @@ impl<'a> IntoIterator for &'a RowPartition {
 /// lower end, a running-maximum scan that opens a row wherever an
 /// extent starts above every earlier one's upper end, and a
 /// count-then-fill pass over the inputs in index order. This deviates
-/// from §IV-B's `Θ(k + N)` pigeonhole merge (Algorithm 1,
-/// [`crate::merge::merge_pigeonhole`], kept as the ablation and the
-/// test oracle): discretizing the coordinates for it already costs a
-/// sort, so the sort-scan is `Θ(k log k)` either way with one pass less.
+/// from §IV-B's `Θ(k + N)` pigeonhole merge (Algorithm 1, kept in
+/// `odrc-bench` as ablation (a) and this function's test oracle):
+/// discretizing the coordinates for it already costs a sort, so the
+/// sort-scan is `Θ(k log k)` either way with one pass less.
 ///
 /// # Examples
 ///
@@ -302,36 +302,6 @@ mod tests {
         Rect::from_coords(x0, y0, x1, y1)
     }
 
-    /// The partition as Algorithm 1 builds it: discretize the inflated
-    /// y-coordinates, merge with the pigeonhole array, and assign every
-    /// extent to the merged interval containing it, in index order.
-    fn pigeonhole_reference(mbrs: &[Rect], expand: Coord) -> RowPartition {
-        let extents: Vec<Interval> = mbrs.iter().map(|m| m.y_range().inflate(expand)).collect();
-        let mut coords: Vec<Coord> = extents.iter().flat_map(|e| [e.lo(), e.hi()]).collect();
-        coords.sort_unstable();
-        coords.dedup();
-        let index_of = |c: Coord| coords.binary_search(&c).expect("collected above");
-        let merged = crate::merge::merge_pigeonhole(
-            coords.len(),
-            extents.iter().map(|e| (index_of(e.lo()), index_of(e.hi()))),
-        );
-        let mut rows: Vec<Row> = merged
-            .into_iter()
-            .map(|(l, h)| Row {
-                y: Interval::new(coords[l], coords[h]),
-                members: Vec::new(),
-            })
-            .collect();
-        for (i, e) in extents.iter().enumerate() {
-            let row = rows
-                .iter_mut()
-                .find(|row| row.y.contains(e.lo()))
-                .expect("covered");
-            row.members.push(i);
-        }
-        RowPartition::from_rows(rows)
-    }
-
     #[test]
     fn empty_layout() {
         let part = partition_rows(&[], 0);
@@ -419,20 +389,6 @@ mod tests {
                     prop_assert!(row.y.contains(e.lo()) && row.y.contains(e.hi()));
                 }
             }
-        }
-
-        #[test]
-        fn sort_scan_matches_the_pigeonhole_merge(
-            specs in proptest::collection::vec(
-                (-40i32..40, -40i32..40, 0i32..12, 0i32..12), 0..80),
-            expand in 0i32..10,
-        ) {
-            // A 5-unit grid makes touching extents common, and zero
-            // heights give degenerate ones.
-            let mbrs: Vec<Rect> = specs.iter()
-                .map(|&(x, y, w, h)| r(5 * x, 5 * y, 5 * (x + w), 5 * (y + h)))
-                .collect();
-            prop_assert_eq!(partition_rows(&mbrs, expand), pigeonhole_reference(&mbrs, expand));
         }
 
         #[test]

@@ -14,12 +14,13 @@
 //! list of those still reaching the current one. Inter-layer rules
 //! (enclosure, overlap area) find their candidates through the row
 //! partition ([`crate::partition::row_join_on`]). This module's tests
-//! check the scan and the join against the same brute-force references
-//! as the sweepline.
+//! check the join against a brute-force reference; the sweepline and
+//! the scan are checked in `odrc-bench`, against the reference
+//! structures the ablations time them with.
 
 use odrc_geometry::{Coord, Rect};
 
-use crate::IntervalTree;
+use crate::interval_tree::IntervalTree;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum EventKind {
@@ -42,14 +43,16 @@ enum EventKind {
 ///
 /// ```
 /// use odrc_geometry::Rect;
-/// use odrc_infra::sweep::sweep_overlap_pairs;
+/// use odrc_infra::sweep::sweep_overlaps;
 ///
 /// let rects = [
 ///     Rect::from_coords(0, 0, 10, 10),
 ///     Rect::from_coords(5, 5, 20, 20),
 ///     Rect::from_coords(100, 100, 110, 110),
 /// ];
-/// assert_eq!(sweep_overlap_pairs(&rects), vec![(0, 1)]);
+/// let mut pairs = Vec::new();
+/// sweep_overlaps(&rects, |a, b| pairs.push((a, b)));
+/// assert_eq!(pairs, vec![(0, 1)]);
 /// ```
 pub fn sweep_overlaps<F: FnMut(usize, usize)>(rects: &[Rect], mut report: F) {
     // Event list: (y, kind, rect index), descending y, inserts first.
@@ -139,105 +142,15 @@ pub fn scan_overlaps<F: FnMut(usize, usize)>(rects: &[Rect], mut report: F) -> u
     scanned
 }
 
-/// Convenience wrapper collecting the overlap pairs into a vector,
-/// sorted lexicographically.
-pub fn sweep_overlap_pairs(rects: &[Rect]) -> Vec<(usize, usize)> {
-    let mut pairs = Vec::new();
-    sweep_overlaps(rects, |a, b| pairs.push((a, b)));
-    pairs.sort_unstable();
-    pairs
-}
-
-/// Reference `O(n²)` overlap enumeration used by tests and ablation
-/// benches.
-pub fn brute_force_overlap_pairs(rects: &[Rect]) -> Vec<(usize, usize)> {
-    let mut pairs = Vec::new();
-    for i in 0..rects.len() {
-        for j in i + 1..rects.len() {
-            if rects[i].overlaps(rects[j]) {
-                pairs.push((i, j));
-            }
-        }
-    }
-    pairs
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::host::HostExecutor;
     use crate::partition::{row_join_on, JOIN_CHUNK};
-    use crate::rtree::rtree_overlaps;
     use proptest::prelude::*;
 
     fn r(x0: Coord, y0: Coord, x1: Coord, y1: Coord) -> Rect {
         Rect::from_coords(x0, y0, x1, y1)
-    }
-
-    #[test]
-    fn empty_and_single() {
-        assert!(sweep_overlap_pairs(&[]).is_empty());
-        assert!(sweep_overlap_pairs(&[r(0, 0, 5, 5)]).is_empty());
-    }
-
-    #[test]
-    fn disjoint_rects_report_nothing() {
-        let rects = [r(0, 0, 5, 5), r(10, 0, 15, 5), r(0, 10, 5, 15)];
-        assert!(sweep_overlap_pairs(&rects).is_empty());
-    }
-
-    #[test]
-    fn overlapping_pair_reported_once() {
-        let rects = [r(0, 0, 10, 10), r(5, 5, 15, 15)];
-        assert_eq!(sweep_overlap_pairs(&rects), vec![(0, 1)]);
-    }
-
-    #[test]
-    fn touching_edges_count() {
-        // Horizontal touch.
-        assert_eq!(
-            sweep_overlap_pairs(&[r(0, 0, 5, 5), r(5, 0, 10, 5)]),
-            vec![(0, 1)]
-        );
-        // Vertical touch (same sweep y for bottom of one, top of other).
-        assert_eq!(
-            sweep_overlap_pairs(&[r(0, 0, 5, 5), r(0, 5, 5, 10)]),
-            vec![(0, 1)]
-        );
-        // Corner touch.
-        assert_eq!(
-            sweep_overlap_pairs(&[r(0, 0, 5, 5), r(5, 5, 10, 10)]),
-            vec![(0, 1)]
-        );
-    }
-
-    #[test]
-    fn nested_rects_overlap() {
-        let rects = [r(0, 0, 100, 100), r(10, 10, 20, 20), r(30, 30, 40, 40)];
-        assert_eq!(sweep_overlap_pairs(&rects), vec![(0, 1), (0, 2)]);
-    }
-
-    #[test]
-    fn identical_rects() {
-        let rects = [r(0, 0, 5, 5), r(0, 0, 5, 5), r(0, 0, 5, 5)];
-        assert_eq!(sweep_overlap_pairs(&rects), vec![(0, 1), (0, 2), (1, 2)]);
-    }
-
-    #[test]
-    fn chain_of_overlaps() {
-        let rects = [r(0, 0, 10, 4), r(8, 0, 18, 4), r(16, 0, 26, 4)];
-        assert_eq!(sweep_overlap_pairs(&rects), vec![(0, 1), (1, 2)]);
-    }
-
-    /// [`scan_overlaps`]'s pairs, sorted, and its comparison count.
-    fn scan_pairs(rects: &[Rect]) -> (Vec<(usize, usize)>, u64) {
-        let mut pairs = Vec::new();
-        let scanned = scan_overlaps(rects, |a, b| {
-            assert!(a < b, "pair ({a}, {b}) out of order");
-            pairs.push((a, b));
-        });
-        pairs.sort_unstable();
-        (pairs, scanned)
     }
 
     /// `(inner, outer)` overlap pairs by exhaustive comparison.
@@ -389,51 +302,6 @@ mod tests {
             let inner: Vec<Rect> = inner.iter().map(rect).collect();
             let outer: Vec<Rect> = outer.iter().map(rect).collect();
             prop_assert_eq!(join_pairs(&inner, &outer), brute_force_join(&inner, &outer));
-        }
-
-        #[test]
-        fn scan_matches_brute_force_and_rtree(
-            specs in proptest::collection::vec(
-                (-20i32..20, -4i32..4, 0i32..6, 0i32..4), 0..80),
-            long in proptest::collection::vec((-20i32..20, -4i32..4, 0i32..2), 0..4),
-            dups in proptest::collection::vec(0usize..80, 0..8),
-        ) {
-            // A 5-unit grid makes touching edges common, zero widths and
-            // heights give degenerate rects, the long ones span the whole
-            // row, and duplicated entries give identical rects.
-            let mut rects: Vec<Rect> = specs.iter()
-                .map(|&(x, y, w, h)| r(5 * x, 5 * y, 5 * (x + w), 5 * (y + h)))
-                .collect();
-            rects.extend(long.iter().map(|&(x, y, h)| r(5 * x, 5 * y, 5 * (x + 60), 5 * (y + h))));
-            for d in dups {
-                if let Some(&dup) = rects.get(d) {
-                    rects.push(dup);
-                }
-            }
-            let (pairs, scanned) = scan_pairs(&rects);
-            let mut rtree = Vec::new();
-            rtree_overlaps(&rects, |a, b| rtree.push((a, b)));
-            rtree.sort_unstable();
-            prop_assert_eq!(&pairs, &brute_force_overlap_pairs(&rects));
-            prop_assert_eq!(&pairs, &rtree);
-            // One comparison per x-overlapping pair: the reported pairs
-            // and the y-disjoint ones.
-            let x_overlapping = (0..rects.len())
-                .flat_map(|a| (a + 1..rects.len()).map(move |b| (a, b)))
-                .filter(|&(a, b)| rects[a].x_range().overlaps(rects[b].x_range()))
-                .count();
-            prop_assert_eq!(scanned, x_overlapping as u64);
-        }
-
-        #[test]
-        fn matches_brute_force(
-            specs in proptest::collection::vec(
-                (-100i32..100, -100i32..100, 0i32..40, 0i32..40), 0..80),
-        ) {
-            let rects: Vec<Rect> = specs.iter()
-                .map(|&(x, y, w, h)| r(x, y, x + w, y + h))
-                .collect();
-            prop_assert_eq!(sweep_overlap_pairs(&rects), brute_force_overlap_pairs(&rects));
         }
     }
 }

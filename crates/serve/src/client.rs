@@ -176,16 +176,6 @@ impl Client {
         ]))
     }
 
-    /// Opens an edit session from a server-side layout path.
-    pub fn open_path(&mut self, path: &str, rules: &str, mode: &str) -> Result<u64, ClientError> {
-        self.open_frame(obj([
-            ("verb", Value::from("open")),
-            ("path", Value::from(path)),
-            ("rules", Value::from(rules)),
-            ("mode", Value::from(mode)),
-        ]))
-    }
-
     fn open_frame(&mut self, frame: Value) -> Result<u64, ClientError> {
         let response = self.request(frame)?;
         field_u64(&response, "session")

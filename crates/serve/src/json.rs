@@ -19,7 +19,6 @@
 //! comments, trailing commas, or bare words — because every frame a
 //! client sends is untrusted input.
 
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// Nesting depth past which [`parse`] rejects the document. Protocol
@@ -569,12 +568,6 @@ pub mod base64 {
         }
         Ok(out)
     }
-}
-
-/// Sorted-key object from a `BTreeMap` — handy for stats maps whose
-/// key order should be stable regardless of accumulation order.
-pub fn obj_sorted(map: BTreeMap<String, Value>) -> Value {
-    Value::Object(map.into_iter().collect())
 }
 
 #[cfg(test)]

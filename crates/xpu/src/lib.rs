@@ -19,7 +19,7 @@
 //! * [`Stream`] — an ordered asynchronous command queue with
 //!   [`Event`]-based cross-stream dependencies and stream-ordered
 //!   allocation,
-//! * [`scan`] — device-side primitives (exclusive prefix sum, reduce)
+//! * [`scan`] — the device-side exclusive prefix sum
 //!   used by the two-phase parallel sweepline,
 //! * [`sort`] — device-side parallel merge sort (edge arrays are sorted
 //!   on the device before sweeping, as in X-Check).

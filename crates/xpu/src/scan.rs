@@ -1,4 +1,4 @@
-//! Device-side parallel primitives: exclusive prefix sum and reduction.
+//! Device-side parallel primitive: the exclusive prefix sum.
 //!
 //! The parallel sweepline of §IV-E runs in two kernels: "firstly, a
 //! parallel scan determines the check range of each edge; then parallel
@@ -83,32 +83,6 @@ pub fn exclusive_scan(device: &Device, values: &[usize]) -> Vec<usize> {
     out
 }
 
-/// Parallel sum reduction.
-///
-/// ```
-/// use odrc_xpu::{scan::reduce_sum, Device};
-/// let device = Device::new(4);
-/// assert_eq!(reduce_sum(&device, &[1i64, -2, 30]), 29);
-/// ```
-pub fn reduce_sum(device: &Device, values: &[i64]) -> i64 {
-    let n = values.len();
-    if n == 0 {
-        return 0;
-    }
-    let workers = device.workers().min(n);
-    let chunk = n.div_ceil(workers);
-    device.stats().record_launch(n);
-    let mut partials = vec![0i64; n.div_ceil(chunk)];
-    let mut tasks: Vec<(&mut i64, &[i64])> =
-        partials.iter_mut().zip(values.chunks(chunk)).collect();
-    device.dispatch_slices(&mut tasks, |_, tile| {
-        for (slot, vals) in tile.iter_mut() {
-            **slot = vals.iter().sum();
-        }
-    });
-    partials.iter().sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -139,14 +113,6 @@ mod tests {
     fn zeros_scan_to_zeros() {
         let d = Device::new(2);
         assert_eq!(exclusive_scan(&d, &[0, 0, 0]), vec![0, 0, 0, 0]);
-    }
-
-    #[test]
-    fn reduce_matches_iter_sum() {
-        let d = Device::new(4);
-        let vals: Vec<i64> = (0..1000).map(|i| i * 3 - 500).collect();
-        assert_eq!(reduce_sum(&d, &vals), vals.iter().sum::<i64>());
-        assert_eq!(reduce_sum(&d, &[]), 0);
     }
 
     proptest! {
