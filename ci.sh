@@ -169,6 +169,24 @@ if grep -rnE 'gdsii::read(_file)?\(|from_library\(' crates/serve/src; then
 fi
 walks=$(grep -n 'RecordType::LibName' crates/gdsii/src/read.rs crates/gdsii/src/stream.rs | wc -l)
 [ "$walks" -eq 1 ] || { echo "expected one library-header walk in crates/gdsii/src, found $walks"; exit 1; }
+# The element grammar is decoded in one place, into a borrowed
+# ElementRef: one decode site per element kind, and no owned element
+# built in read.rs or stream.rs (Reader::next and read_structure own
+# the borrowed decode through ElementRef::to_owned). A reference's
+# instance transforms are an iterator, never a Vec per reference.
+for kind in Boundary Path Sref Aref Text; do
+    sites=$(nontest crates/gdsii/src/read.rs crates/gdsii/src/stream.rs | grep -c "RecordType::$kind =>" || true)
+    [ "$sites" -eq 1 ] || { echo "expected one RecordType::$kind decode site in non-test crates/gdsii/src/{read,stream}.rs, found $sites"; exit 1; }
+done
+if nontest crates/gdsii/src/read.rs crates/gdsii/src/stream.rs \
+    | grep -E 'Element::(Boundary|Path|Text|Ref)\(|(Boundary|Path|Text|Ref)Element \{'; then
+    echo "crates/gdsii/src/{read,stream}.rs build an owned element; decode into ElementRef and own it with to_owned"
+    exit 1
+fi
+if grep -n -- '-> Result<Vec<Transform>' crates/gdsii/src/model.rs; then
+    echo "crates/gdsii/src/model.rs collects instance transforms into a Vec; yield them from InstanceTransforms"
+    exit 1
+fi
 # O(members) scenes: pass 1 of a scene build is a LayerObjects value,
 # walked once per rule and layer — no per-build enumeration, no copy of
 # the top cell's references, and the sharded driver enumerates in

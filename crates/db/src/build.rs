@@ -5,11 +5,9 @@ use std::fmt;
 use std::io::Read;
 
 use odrc_gdsii::{
-    Element, Item, Library, PathElement, ReadError, Reader, Structure, TransformError,
+    Element, ElementRef, ItemRef, Library, ReadError, Reader, Structure, TransformError,
 };
-#[cfg(test)]
-use odrc_geometry::Point;
-use odrc_geometry::{Polygon, PolygonError, Rect};
+use odrc_geometry::{Point, Polygon, PolygonError, Rect};
 
 use crate::{Cell, CellId, CellRef, Layer, LayerPolygon, Layout};
 
@@ -117,9 +115,10 @@ impl From<ReadError> for DbError {
 impl Layout {
     /// Loads a GDSII stream.
     ///
-    /// Each element goes to a [`LayoutBuilder`] as it is decoded, so
-    /// the load never holds the element model ([`Library`],
-    /// [`Structure`]) — only the growing layout and one element.
+    /// Each element goes to a [`LayoutBuilder`] as it is decoded,
+    /// borrowed from the reader's reused buffers, so the load never
+    /// holds the element model ([`Library`], [`Structure`]) and
+    /// allocates only what the layout keeps.
     ///
     /// The hierarchy is preserved — references become [`CellRef`]s
     /// holding cell ids, not copies (§IV-A). Array references are
@@ -143,10 +142,10 @@ impl Layout {
     pub fn from_gds(src: impl Read) -> Result<Layout, DbError> {
         let mut reader = Reader::new(src)?;
         let mut builder = LayoutBuilder::new();
-        while let Some(item) = reader.next()? {
+        while let Some(item) = reader.next_ref()? {
             match item {
-                Item::Structure(name) => builder.begin_structure(name)?,
-                Item::Element(element) => builder.add_element(element)?,
+                ItemRef::Structure(name) => builder.begin_structure(name.to_owned())?,
+                ItemRef::Element(element) => builder.add_element_ref(element)?,
             }
         }
         builder.finish()
@@ -188,11 +187,11 @@ impl Layout {
 /// Incremental [`Layout`] construction.
 ///
 /// The builder takes a structure name, then that structure's elements
-/// one at a time; each element is converted into the open [`Cell`] on
-/// the spot and consumed, so a load holds the growing layout and
-/// nothing else. A reference is recorded as an interned name and
-/// resolved in [`LayoutBuilder::finish`], so forward references work
-/// in any feed order.
+/// one at a time, borrowed; each element is converted into the open
+/// [`Cell`] on the spot, copying only what the cell keeps, so a load
+/// holds the growing layout and nothing else. A reference is recorded
+/// as an interned name and resolved in [`LayoutBuilder::finish`], so
+/// forward references work in any feed order.
 ///
 /// # Examples
 ///
@@ -237,12 +236,13 @@ impl LayoutBuilder {
         LayoutBuilder::default()
     }
 
-    fn intern(&mut self, name: String) -> u32 {
-        let next = self.defined.len() as u32;
-        let id = *self.names.entry(name).or_insert(next);
-        if id == next {
-            self.defined.push(None);
+    fn intern(&mut self, name: &str) -> u32 {
+        if let Some(&id) = self.names.get(name) {
+            return id;
         }
+        let id = self.defined.len() as u32;
+        self.names.insert(name.to_owned(), id);
+        self.defined.push(None);
         id
     }
 
@@ -253,7 +253,7 @@ impl LayoutBuilder {
     /// Returns [`DbError::DuplicateStructure`] for a name already
     /// begun.
     pub fn begin_structure(&mut self, name: String) -> Result<(), DbError> {
-        let id = self.intern(name.clone()) as usize;
+        let id = self.intern(&name) as usize;
         if self.defined[id].is_some() {
             return Err(DbError::DuplicateStructure { name });
         }
@@ -269,7 +269,24 @@ impl LayoutBuilder {
         Ok(())
     }
 
-    /// Converts one element into the open structure's cell.
+    /// Converts one element into the open structure's cell; see
+    /// [`LayoutBuilder::add_element_ref`].
+    ///
+    /// # Errors
+    ///
+    /// Those of [`LayoutBuilder::add_element_ref`].
+    ///
+    /// # Panics
+    ///
+    /// Panics when no structure was begun.
+    pub fn add_element(&mut self, element: Element) -> Result<(), DbError> {
+        self.add_element_ref(element.view())
+    }
+
+    /// Converts one borrowed element into the open structure's cell,
+    /// copying only what the cell keeps: a boundary's vertices (once,
+    /// exactly sized) and its name property, a path's segment
+    /// rectangles, one [`CellRef`] per reference instance.
     ///
     /// # Errors
     ///
@@ -279,71 +296,80 @@ impl LayoutBuilder {
     /// # Panics
     ///
     /// Panics when no structure was begun.
-    pub fn add_element(&mut self, element: Element) -> Result<(), DbError> {
+    pub fn add_element_ref(&mut self, element: ElementRef<'_>) -> Result<(), DbError> {
         let index = self.elements;
         self.elements += 1;
         let cell = self.cells.last_mut().expect("begin_structure comes first");
         match element {
-            Element::Boundary(b) => {
-                let polygon = Polygon::new(b.points).map_err(|source| DbError::InvalidPolygon {
-                    cell: cell.name.clone(),
-                    index,
-                    source,
-                })?;
-                let name = b
-                    .properties
-                    .into_iter()
+            ElementRef::Boundary {
+                layer,
+                datatype,
+                points,
+                properties,
+            } => {
+                let polygon =
+                    Polygon::new(points.to_vec()).map_err(|source| DbError::InvalidPolygon {
+                        cell: cell.name.clone(),
+                        index,
+                        source,
+                    })?;
+                let name = properties
+                    .iter()
                     .find(|(attr, _)| *attr == 1)
-                    .map(|(_, v)| v);
+                    .map(|(_, v)| v.clone());
                 cell.polygons.push(LayerPolygon {
-                    layer: b.layer,
-                    datatype: b.datatype,
+                    layer,
+                    datatype,
                     polygon,
                     name,
                 });
             }
-            Element::Path(p) => {
-                let polygons = path_to_polygons(&p).ok_or(DbError::UnsupportedPath {
-                    cell: cell.name.clone(),
-                    index,
-                })?;
-                cell.polygons
-                    .extend(polygons.into_iter().map(|polygon| LayerPolygon {
-                        layer: p.layer,
-                        datatype: p.datatype,
-                        polygon,
-                        name: None,
-                    }));
+            ElementRef::Path {
+                layer,
+                datatype,
+                path_type,
+                width,
+                points,
+                ..
+            } => {
+                let rects =
+                    path_rects(path_type, width, points).ok_or(DbError::UnsupportedPath {
+                        cell: cell.name.clone(),
+                        index,
+                    })?;
+                cell.polygons.extend(rects.map(|r| LayerPolygon {
+                    layer,
+                    datatype,
+                    polygon: Polygon::rect(r),
+                    name: None,
+                }));
             }
-            Element::Text(_) => {}
-            Element::Ref(r) => {
-                let transforms =
-                    r.instance_transforms()
-                        .map_err(|source| DbError::UnsupportedTransform {
-                            cell: cell.name.clone(),
-                            source,
-                        })?;
+            ElementRef::Text { .. } => {}
+            ElementRef::Ref { sname, placement } => {
+                let unsupported = |source| DbError::UnsupportedTransform {
+                    cell: cell.name.clone(),
+                    source,
+                };
+                let instances = placement.instance_transforms().map_err(unsupported)?;
                 // Magnification breaks the isometry invariant that
                 // hierarchical check-result reuse (§IV-C) depends
                 // on: a cell's cached verdicts are only valid for
                 // distance- and area-preserving placements.
                 // Standard-cell layouts never magnify; reject
-                // rather than silently mis-check.
-                if let Some(t) = transforms.iter().find(|t| !t.is_isometry()) {
-                    return Err(DbError::UnsupportedTransform {
-                        cell: cell.name.clone(),
-                        source: TransformError::UnsupportedMag {
-                            mag: f64::from(t.mag()),
-                        },
-                    });
+                // rather than silently mis-check. Every instance
+                // shares the first one's magnification.
+                if let Some(t) = instances.clone().next().filter(|t| !t.is_isometry()) {
+                    let source = TransformError::UnsupportedMag {
+                        mag: f64::from(t.mag()),
+                    };
+                    return Err(unsupported(source));
                 }
-                let target = CellId(self.intern(r.sname));
+                let target = CellId(self.intern(sname));
                 let cell = self.cells.last_mut().expect("begin_structure comes first");
-                cell.refs
-                    .extend(transforms.into_iter().map(|transform| CellRef {
-                        cell: target,
-                        transform,
-                    }));
+                cell.refs.extend(instances.map(|transform| CellRef {
+                    cell: target,
+                    transform,
+                }));
             }
         }
         Ok(())
@@ -354,12 +380,12 @@ impl LayoutBuilder {
     /// # Errors
     ///
     /// Those of [`LayoutBuilder::begin_structure`] and
-    /// [`LayoutBuilder::add_element`].
+    /// [`LayoutBuilder::add_element_ref`].
     pub fn add_structure(&mut self, s: &Structure) -> Result<(), DbError> {
         self.begin_structure(s.name.clone())?;
         s.elements
             .iter()
-            .try_for_each(|e| self.add_element(e.clone()))
+            .try_for_each(|e| self.add_element_ref(e.view()))
     }
 
     /// Resolves references and finishes the layout: topological order,
@@ -408,23 +434,14 @@ fn finish_cells(mut cells: Vec<Cell>) -> Result<Layout, DbError> {
                 .or_insert(mbr);
         }
         // Children are already computed thanks to topological order.
-        let child_boxes: Vec<(Layer, Rect)> = cells[ci]
-            .refs
-            .iter()
-            .flat_map(|r| {
-                let child = &cells[r.cell.index()];
-                child
-                    .layer_mbr
-                    .iter()
-                    .map(|(&l, &m)| (l, r.transform.apply_rect(m)))
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        for (l, m) in child_boxes {
-            layer_mbr
-                .entry(l)
-                .and_modify(|r| *r = r.hull(m))
-                .or_insert(m);
+        for r in &cells[ci].refs {
+            for (&l, &m) in &cells[r.cell.index()].layer_mbr {
+                let m = r.transform.apply_rect(m);
+                layer_mbr
+                    .entry(l)
+                    .and_modify(|hull| *hull = hull.hull(m))
+                    .or_insert(m);
+            }
         }
         let mbr = layer_mbr.values().copied().reduce(|a, b| a.hull(b));
         cells[ci].layer_mbr = layer_mbr;
@@ -529,46 +546,43 @@ pub(crate) fn topo_order(cells: &[Cell]) -> Result<Vec<usize>, DbError> {
     Ok(order)
 }
 
-/// Expands an axis-aligned path into per-segment rectangles.
+/// The per-segment rectangles of an axis-aligned path, all segments
+/// validated before the first is yielded.
 ///
 /// Returns `None` for unsupported paths: round caps (`pathtype == 1`),
 /// non-positive width, odd width (which would not center exactly on the
-/// integer grid), or diagonal segments.
-fn path_to_polygons(p: &PathElement) -> Option<Vec<Polygon>> {
-    if p.path_type == 1 || p.width <= 0 || p.width % 2 != 0 {
+/// integer grid), or diagonal or degenerate segments.
+fn path_rects(
+    path_type: i16,
+    width: i32,
+    points: &[Point],
+) -> Option<impl Iterator<Item = Rect> + '_> {
+    if path_type == 1 || width <= 0 || width % 2 != 0 {
         return None;
     }
-    let half = p.width / 2;
-    let extend = if p.path_type == 2 { half } else { 0 };
-    let mut out = Vec::with_capacity(p.points.len().saturating_sub(1));
-    for w in p.points.windows(2) {
+    let axis_aligned = |w: &[Point]| w[0] != w[1] && (w[0].x == w[1].x || w[0].y == w[1].y);
+    if points.len() < 2 || !points.windows(2).all(axis_aligned) {
+        return None;
+    }
+    let half = width / 2;
+    let extend = if path_type == 2 { half } else { 0 };
+    Some(points.windows(2).map(move |w| {
         let (a, b) = (w[0], w[1]);
-        if a.x != b.x && a.y != b.y {
-            return None; // diagonal segment
-        }
-        if a == b {
-            return None; // degenerate segment
-        }
-        let rect = if a.x == b.x {
+        if a.x == b.x {
             // Vertical segment.
             let (lo, hi) = if a.y < b.y { (a.y, b.y) } else { (b.y, a.y) };
             Rect::from_coords(a.x - half, lo - extend, a.x + half, hi + extend)
         } else {
             let (lo, hi) = if a.x < b.x { (a.x, b.x) } else { (b.x, a.x) };
             Rect::from_coords(lo - extend, a.y - half, hi + extend, a.y + half)
-        };
-        out.push(Polygon::rect(rect));
-    }
-    if out.is_empty() {
-        return None;
-    }
-    Some(out)
+        }
+    }))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use odrc_gdsii::{BoundaryElement, Element, Library, RefElement, Structure};
+    use odrc_gdsii::{BoundaryElement, Element, Library, PathElement, RefElement, Structure};
 
     fn p(x: i32, y: i32) -> Point {
         Point::new(x, y)

@@ -297,12 +297,13 @@ impl Layout {
 
     /// Summary statistics of the layout.
     pub fn stats(&self) -> LayoutStats {
+        let order = build::topo_order(&self.cells).expect("layout DAG is acyclic");
         let mut per_layer = Vec::new();
         for layer in self.layers() {
             per_layer.push(LayerStats {
                 layer,
                 defined_polygons: self.layer_polygons(layer).len(),
-                instantiated_polygons: self.instance_count(layer),
+                instantiated_polygons: self.instance_count_in(&order, layer),
             });
         }
         LayoutStats {

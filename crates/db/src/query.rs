@@ -7,6 +7,7 @@
 
 use odrc_geometry::{Polygon, Rect, Transform};
 
+use crate::build::topo_order;
 use crate::{CellId, FlatPolygon, Layer, Layout};
 
 impl Layout {
@@ -108,19 +109,31 @@ impl Layout {
     /// Total number of instantiated polygons on a layer (with the
     /// hierarchy expanded), without materializing them.
     pub fn instance_count(&self, layer: Layer) -> usize {
-        fn rec(layout: &Layout, cell: CellId, layer: Layer) -> usize {
-            let c = layout.cell(cell);
-            if c.layer_mbr(layer).is_none() {
-                return 0;
-            }
-            let own = c.polygons_on(layer).count();
-            own + c
-                .refs()
-                .iter()
-                .map(|r| rec(layout, r.cell, layer))
-                .sum::<usize>()
+        self.instance_count_in(
+            &topo_order(self.cells()).expect("layout DAG is acyclic"),
+            layer,
+        )
+    }
+
+    /// [`Layout::instance_count`] over a children-before-parents
+    /// `order` of every cell: one bottom-up pass that counts each cell
+    /// once, however often it is placed.
+    pub(crate) fn instance_count_in(&self, order: &[usize], layer: Layer) -> usize {
+        let mut counts = vec![0usize; self.cell_count()];
+        for &(cell, _) in self.layer_polygons(layer) {
+            counts[cell.index()] += 1;
         }
-        rec(self, self.top(), layer)
+        for &ci in order {
+            let c = &self.cells()[ci];
+            if c.layer_mbr(layer).is_some() {
+                counts[ci] += c
+                    .refs()
+                    .iter()
+                    .map(|r| counts[r.cell.index()])
+                    .sum::<usize>();
+            }
+        }
+        counts[self.top().index()]
     }
 }
 

@@ -1,21 +1,29 @@
 //! Cross-query consistency of the layout database.
 
-use odrc_db::Layout;
+use odrc_db::{DbError, Layout};
 use odrc_gdsii::model::ArrayParams;
-use odrc_gdsii::{Element, Library, PathElement, RefElement, Structure, TextElement};
+use odrc_gdsii::{
+    BoundaryElement, Element, Library, PathElement, RefElement, Structure, TextElement,
+};
 use odrc_geometry::{Point, Rect};
 use proptest::prelude::*;
 
-fn rect_el(layer: i16, x: i32, y: i32, w: i32, h: i32) -> Element {
-    Element::boundary(
+fn rect_bounds(layer: i16, x: i32, y: i32, w: i32, h: i32) -> BoundaryElement {
+    BoundaryElement {
         layer,
-        vec![
+        datatype: 0,
+        points: vec![
             Point::new(x, y),
             Point::new(x, y + h),
             Point::new(x + w, y + h),
             Point::new(x + w, y),
         ],
-    )
+        properties: vec![],
+    }
+}
+
+fn rect_el(layer: i16, x: i32, y: i32, w: i32, h: i32) -> Element {
+    Element::Boundary(rect_bounds(layer, x, y, w, h))
 }
 
 fn arb_library() -> impl Strategy<Value = Library> {
@@ -57,7 +65,8 @@ fn arb_library() -> impl Strategy<Value = Library> {
 /// [`arb_library`] rearranged and grown to cover what a stream can
 /// hold beyond rectangles and SREFs: TOP comes first (so every
 /// reference is a forward one), B places A through an AREF, A carries a
-/// path and a text, and an unreferenced SPARE cell competes for top.
+/// path and a text, and an unreferenced SPARE cell competes for top
+/// with a boundary named by `PROPATTR 1`.
 fn arb_stream_library() -> impl Strategy<Value = Library> {
     (arb_library(), 1u16..4, 1u16..4, 1i32..6).prop_map(|(base, cols, rows, half)| {
         let [mut a, mut b, top]: [Structure; 3] = base.structures.try_into().expect("A, B, TOP");
@@ -86,6 +95,10 @@ fn arb_stream_library() -> impl Strategy<Value = Library> {
         b.elements.push(Element::Ref(array));
         let mut spare = Structure::new("SPARE");
         spare.elements.push(rect_el(3, 0, 0, 5, 5));
+        spare.elements.push(Element::Boundary(BoundaryElement {
+            properties: vec![(2, "other".to_owned()), (1, "net7".to_owned())],
+            ..rect_bounds(1, 10, 0, 4, 6)
+        }));
         let mut lib = Library::new("stream");
         lib.structures = vec![top, b, spare, a];
         lib
@@ -125,15 +138,25 @@ fn every_truncation_and_bit_flip_loads_or_errors() {
     // Ok or Err, never a panic. The one allocation sized by a number
     // read from the stream is an AREF's instance list, and the exact
     // pitch check rejects an inflated COLROW before it is expanded.
+    // The layout load and the element model read through one decoder,
+    // so wherever the load stops at a stream error, `read` stops at
+    // the same one (same variant, same offset).
     let bytes = small_stream();
     assert!(Layout::from_gds(&bytes[..]).is_ok());
     for cut in 0..bytes.len() {
-        assert!(Layout::from_gds(&bytes[..cut]).is_err(), "cut {cut}");
+        let read = odrc_gdsii::read(&bytes[..cut]).expect_err("a cut stream is unreadable");
+        match Layout::from_gds(&bytes[..cut]) {
+            Err(DbError::Read(e)) => assert_eq!(format!("{e:?}"), format!("{read:?}"), "cut {cut}"),
+            other => panic!("cut {cut}: expected {read:?}, got {other:?}"),
+        }
     }
     for bit in 0..bytes.len() * 8 {
         let mut flipped = bytes.clone();
         flipped[bit / 8] ^= 1 << (bit % 8);
-        let _ = Layout::from_gds(&flipped[..]);
+        if let Err(DbError::Read(e)) = Layout::from_gds(&flipped[..]) {
+            let read = odrc_gdsii::read(&flipped).expect_err("the load's stream error");
+            assert_eq!(format!("{e:?}"), format!("{read:?}"), "bit {bit}");
+        }
     }
 }
 

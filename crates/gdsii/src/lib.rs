@@ -10,10 +10,14 @@
 //! This crate provides:
 //!
 //! * [`Library`], [`Structure`], [`Element`] — a faithful in-memory
-//!   model of the stream contents,
+//!   model of the stream contents, and [`ElementRef`], an element
+//!   borrowed from its decoder,
 //! * [`Reader`] — the binary stream parser, with offset-carrying
 //!   errors: it pulls one structure name or element at a time from any
-//!   `std::io::Read` (`odrc_db::Layout::from_gds` loads layouts from it),
+//!   `std::io::Read`. [`Reader::next_ref`] lends each element out of
+//!   buffers the reader reuses, so the walk allocates nothing per
+//!   element (`odrc_db::Layout::from_gds` loads layouts this way);
+//!   [`Reader::next`] is the same decode, owned,
 //! * [`read()`] / [`read_file`] — the same reader, collected into a
 //!   [`Library`],
 //! * [`write()`] / [`write_file`] — a binary stream writer, the exact
@@ -58,8 +62,8 @@ pub mod stream;
 pub mod write;
 
 pub use model::{
-    BoundaryElement, Element, Library, PathElement, RefElement, Structure, TextElement,
+    BoundaryElement, Element, ElementRef, Library, PathElement, RefElement, Structure, TextElement,
     TransformError, Units,
 };
-pub use read::{read, read_file, Item, ReadError, Reader};
+pub use read::{read, read_file, Item, ItemRef, ReadError, Reader};
 pub use write::{write, write_file, WriteError};

@@ -151,14 +151,64 @@ impl RefElement {
         }
     }
 
+    /// Everything of the reference but the structure name.
+    pub fn placement(&self) -> RefPlacement {
+        RefPlacement {
+            origin: self.origin,
+            mirror_x: self.mirror_x,
+            angle_deg: self.angle_deg,
+            mag: self.mag,
+            array: self.array,
+        }
+    }
+
     /// The placement transform of the reference (of the first element,
-    /// for an `AREF`).
+    /// for an `AREF`); see [`RefPlacement::transform`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TransformError`] for non-quarter-turn angles or
+    /// non-integer magnifications.
+    pub fn transform(&self) -> Result<Transform, TransformError> {
+        self.placement().transform()
+    }
+
+    /// The placement transforms of every array instance (a single
+    /// transform for an `SREF`); see [`RefPlacement::instance_transforms`].
+    ///
+    /// # Errors
+    ///
+    /// Same as [`RefElement::transform`].
+    pub fn instance_transforms(&self) -> Result<InstanceTransforms, TransformError> {
+        self.placement().instance_transforms()
+    }
+}
+
+/// Where a reference (`SREF` / `AREF`) puts its structure: the origin,
+/// orientation and, for an `AREF`, the lattice.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RefPlacement {
+    /// Origin of the (first) placement.
+    pub origin: Point,
+    /// Mirror about the x-axis before rotation (`STRANS` bit 15).
+    pub mirror_x: bool,
+    /// Rotation angle in degrees, counter-clockwise.
+    pub angle_deg: f64,
+    /// Magnification.
+    pub mag: f64,
+    /// Array geometry: `None` for `SREF`.
+    pub array: Option<ArrayParams>,
+}
+
+impl RefPlacement {
+    /// The placement transform (of the first element, for an `AREF`).
     ///
     /// # Errors
     ///
     /// Returns [`TransformError`] for non-quarter-turn angles or
     /// non-integer magnifications, which mask layouts do not use and the
     /// exact integer engine does not support.
+    #[inline]
     pub fn transform(&self) -> Result<Transform, TransformError> {
         let quarter = self.angle_deg / 90.0;
         let rounded = quarter.round();
@@ -179,35 +229,78 @@ impl RefElement {
         ))
     }
 
-    /// Iterates over the placement transforms of every array instance
-    /// (a single transform for an `SREF`).
+    /// Iterates over the placement transforms of every array instance,
+    /// row by row (a single transform for an `SREF`).
     ///
     /// # Errors
     ///
-    /// Same as [`RefElement::transform`].
-    pub fn instance_transforms(&self) -> Result<Vec<Transform>, TransformError> {
-        let base = self.transform()?;
-        let Some(array) = self.array else {
-            return Ok(vec![base]);
+    /// Same as [`RefPlacement::transform`].
+    #[inline]
+    pub fn instance_transforms(&self) -> Result<InstanceTransforms, TransformError> {
+        let single = ArrayParams {
+            cols: 1,
+            rows: 1,
+            col_step: Point::new(0, 0),
+            row_step: Point::new(0, 0),
         };
-        let mut out = Vec::with_capacity(usize::from(array.cols) * usize::from(array.rows));
-        for row in 0..array.rows {
-            for col in 0..array.cols {
-                let dx = Point::new(
-                    array.col_step.x * i32::from(col) + array.row_step.x * i32::from(row),
-                    array.col_step.y * i32::from(col) + array.row_step.y * i32::from(row),
-                );
-                out.push(Transform::new(
-                    base.mirror_x(),
-                    base.rotation(),
-                    base.mag(),
-                    base.translate() + dx,
-                ));
-            }
-        }
-        Ok(out)
+        Ok(InstanceTransforms {
+            base: self.transform()?,
+            array: self.array.unwrap_or(single),
+            next: 0,
+        })
     }
 }
+
+/// The instance transforms of one reference, as
+/// [`RefPlacement::instance_transforms`] yields them: computed on the
+/// fly, so a reference allocates nothing however large its lattice.
+#[derive(Debug, Clone)]
+pub struct InstanceTransforms {
+    base: Transform,
+    array: ArrayParams,
+    /// Row-major index of the next instance.
+    next: u32,
+}
+
+impl InstanceTransforms {
+    #[inline]
+    fn total(&self) -> u32 {
+        u32::from(self.array.cols) * u32::from(self.array.rows)
+    }
+}
+
+impl Iterator for InstanceTransforms {
+    type Item = Transform;
+
+    #[inline]
+    fn next(&mut self) -> Option<Transform> {
+        if self.next == self.total() {
+            return None;
+        }
+        let cols = u32::from(self.array.cols);
+        let (row, col) = ((self.next / cols) as i32, (self.next % cols) as i32);
+        self.next += 1;
+        let (a, base) = (&self.array, &self.base);
+        let dx = Point::new(
+            a.col_step.x * col + a.row_step.x * row,
+            a.col_step.y * col + a.row_step.y * row,
+        );
+        Some(Transform::new(
+            base.mirror_x(),
+            base.rotation(),
+            base.mag(),
+            base.translate() + dx,
+        ))
+    }
+
+    #[inline]
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = (self.total() - self.next) as usize;
+        (left, Some(left))
+    }
+}
+
+impl ExactSizeIterator for InstanceTransforms {}
 
 /// A structure element.
 #[derive(Debug, Clone, PartialEq)]
@@ -236,6 +329,126 @@ impl Element {
     /// Convenience constructor for an `SREF`.
     pub fn sref(sname: impl Into<String>, origin: Point) -> Element {
         Element::Ref(RefElement::sref(sname, origin))
+    }
+
+    /// The element, borrowed.
+    pub fn view(&self) -> ElementRef<'_> {
+        match self {
+            Element::Boundary(b) => ElementRef::Boundary {
+                layer: b.layer,
+                datatype: b.datatype,
+                points: &b.points,
+                properties: &b.properties,
+            },
+            Element::Path(p) => ElementRef::Path {
+                layer: p.layer,
+                datatype: p.datatype,
+                path_type: p.path_type,
+                width: p.width,
+                points: &p.points,
+                properties: &p.properties,
+            },
+            Element::Text(t) => ElementRef::Text {
+                layer: t.layer,
+                texttype: t.texttype,
+                position: t.position,
+                string: &t.string,
+            },
+            Element::Ref(r) => ElementRef::Ref {
+                sname: &r.sname,
+                placement: r.placement(),
+            },
+        }
+    }
+}
+
+/// An element borrowed from its decoder or from an [`Element`]: the
+/// shape [`Reader::next_ref`](crate::Reader::next_ref) yields, so a
+/// consumer that converts elements on the fly (the layout builder)
+/// allocates nothing the result does not keep.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum ElementRef<'a> {
+    /// Polygon; fields as in [`BoundaryElement`].
+    Boundary {
+        layer: i16,
+        datatype: i16,
+        points: &'a [Point],
+        properties: &'a [(i16, String)],
+    },
+    /// Wire; fields as in [`PathElement`].
+    Path {
+        layer: i16,
+        datatype: i16,
+        path_type: i16,
+        width: i32,
+        points: &'a [Point],
+        properties: &'a [(i16, String)],
+    },
+    /// Label; fields as in [`TextElement`].
+    Text {
+        layer: i16,
+        texttype: i16,
+        position: Point,
+        string: &'a str,
+    },
+    /// Structure or array reference: a [`RefElement`]'s name and
+    /// [`RefElement::placement`].
+    Ref {
+        sname: &'a str,
+        placement: RefPlacement,
+    },
+}
+
+impl ElementRef<'_> {
+    /// The owned element.
+    pub fn to_owned(self) -> Element {
+        match self {
+            ElementRef::Boundary {
+                layer,
+                datatype,
+                points,
+                properties,
+            } => Element::Boundary(BoundaryElement {
+                layer,
+                datatype,
+                points: points.to_vec(),
+                properties: properties.to_vec(),
+            }),
+            ElementRef::Path {
+                layer,
+                datatype,
+                path_type,
+                width,
+                points,
+                properties,
+            } => Element::Path(PathElement {
+                layer,
+                datatype,
+                path_type,
+                width,
+                points: points.to_vec(),
+                properties: properties.to_vec(),
+            }),
+            ElementRef::Text {
+                layer,
+                texttype,
+                position,
+                string,
+            } => Element::Text(TextElement {
+                layer,
+                texttype,
+                position,
+                string: string.to_owned(),
+            }),
+            ElementRef::Ref { sname, placement } => Element::Ref(RefElement {
+                sname: sname.to_owned(),
+                origin: placement.origin,
+                mirror_x: placement.mirror_x,
+                angle_deg: placement.angle_deg,
+                mag: placement.mag,
+                array: placement.array,
+            }),
+        }
     }
 }
 
@@ -370,12 +583,53 @@ mod tests {
             col_step: p(100, 0),
             row_step: p(0, 50),
         });
-        let ts = r.instance_transforms().unwrap();
+        let ts: Vec<_> = r.instance_transforms().unwrap().collect();
+        assert_eq!(r.instance_transforms().unwrap().len(), 6);
         assert_eq!(ts.len(), 6);
         assert_eq!(ts[0].translate(), p(10, 20));
         assert_eq!(ts[2].translate(), p(210, 20));
         assert_eq!(ts[3].translate(), p(10, 70));
         assert_eq!(ts[5].translate(), p(210, 70));
+    }
+
+    #[test]
+    fn every_element_kind_views_and_owns_back() {
+        let mut aref = RefElement::sref("CELL", p(10, 20));
+        aref.mirror_x = true;
+        aref.angle_deg = 270.0;
+        aref.mag = 2.0;
+        aref.array = Some(ArrayParams {
+            cols: 3,
+            rows: 2,
+            col_step: p(100, 0),
+            row_step: p(0, 50),
+        });
+        let elements = [
+            Element::Boundary(BoundaryElement {
+                layer: 1,
+                datatype: 2,
+                points: vec![p(0, 0), p(0, 1), p(1, 1), p(1, 0)],
+                properties: vec![(1, "net".to_owned()), (7, "x".to_owned())],
+            }),
+            Element::Path(PathElement {
+                layer: 3,
+                datatype: 0,
+                path_type: 2,
+                width: 4,
+                points: vec![p(0, 0), p(9, 0)],
+                properties: vec![],
+            }),
+            Element::Text(TextElement {
+                layer: 63,
+                texttype: 1,
+                position: p(5, 5),
+                string: "pin".to_owned(),
+            }),
+            Element::Ref(aref),
+        ];
+        for e in &elements {
+            assert_eq!(&e.view().to_owned(), e);
+        }
     }
 
     #[test]

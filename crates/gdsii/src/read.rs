@@ -6,10 +6,7 @@ use std::path::Path;
 
 use odrc_geometry::Point;
 
-use crate::model::{
-    ArrayParams, BoundaryElement, Element, Library, PathElement, RefElement, Structure,
-    TextElement, Units,
-};
+use crate::model::{ArrayParams, Element, ElementRef, Library, RefPlacement, Structure, Units};
 use crate::record::{real8_to_f64, RecordType};
 
 /// Error produced while parsing a GDSII stream.
@@ -150,55 +147,48 @@ pub(crate) struct RawRecord<'a> {
 }
 
 impl<'a> RawRecord<'a> {
-    /// The payload as a sequence of `N`-byte big-endian values.
-    fn values<const N: usize, T>(
-        &self,
-        decode: impl Fn([u8; N]) -> T,
-    ) -> Result<Vec<T>, ReadError> {
-        if !self.data.len().is_multiple_of(N) {
-            return Err(self.bad_len());
-        }
-        Ok(self
-            .data
-            .chunks_exact(N)
-            .map(|c| decode(c.try_into().expect("chunk of N")))
-            .collect())
-    }
-
     /// The payload as exactly one `N`-byte value.
+    #[inline]
     fn single<const N: usize>(&self) -> Result<[u8; N], ReadError> {
         self.data.try_into().map_err(|_| self.bad_len())
     }
 
+    #[inline]
     fn single_i16(&self) -> Result<i16, ReadError> {
         self.single().map(i16::from_be_bytes)
     }
 
+    #[inline]
     fn single_i32(&self) -> Result<i32, ReadError> {
         self.single().map(i32::from_be_bytes)
     }
 
-    fn reals(&self) -> Result<Vec<f64>, ReadError> {
-        self.values(real8_to_f64)
-    }
-
-    fn string(&self) -> Result<String, ReadError> {
+    /// The payload as text, NUL padding trimmed.
+    #[inline]
+    fn str(&self) -> Result<&'a str, ReadError> {
         let trimmed: &[u8] = match self.data.iter().rposition(|&b| b != 0) {
             Some(last) => &self.data[..=last],
             None => &[],
         };
-        String::from_utf8(trimmed.to_vec()).map_err(|_| ReadError::BadString {
+        std::str::from_utf8(trimmed).map_err(|_| ReadError::BadString {
             offset: self.offset,
         })
     }
 
-    fn points(&self) -> Result<Vec<Point>, ReadError> {
-        self.values(|c: [u8; 8]| {
+    /// Decodes an `XY` payload into `out` (replacing its contents).
+    #[inline]
+    fn points_into(&self, out: &mut Vec<Point>) -> Result<(), ReadError> {
+        if !self.data.len().is_multiple_of(8) {
+            return Err(self.bad_len());
+        }
+        out.clear();
+        out.extend(self.data.chunks_exact(8).map(|c| {
             Point::new(
                 i32::from_be_bytes([c[0], c[1], c[2], c[3]]),
                 i32::from_be_bytes([c[4], c[5], c[6], c[7]]),
             )
-        })
+        }));
+        Ok(())
     }
 
     fn bad_len(&self) -> ReadError {
@@ -291,7 +281,26 @@ impl<R: Read> Parser<R> {
 
     /// Decodes the next record header and buffers its payload; `None`
     /// at a clean end of stream.
+    #[inline]
     fn advance(&mut self) -> Result<Option<RecordType>, ReadError> {
+        // Fast path: a well-formed record already whole in the window.
+        // Anything else — a refill, padding, an error — takes the full
+        // path below, which decides it the same way.
+        if let [l0, l1, code, _, ..] = self.buf[self.pos..self.end] {
+            let len = usize::from(u16::from_be_bytes([l0, l1]));
+            if len >= 4 && len.is_multiple_of(2) && len <= self.end - self.pos {
+                if let Some(rtype) = RecordType::from_code(code) {
+                    self.record = (self.offset(), rtype, self.pos + 4);
+                    self.pos += len;
+                    return Ok(Some(rtype));
+                }
+            }
+        }
+        self.advance_slow()
+    }
+
+    #[inline(never)]
+    fn advance_slow(&mut self) -> Result<Option<RecordType>, ReadError> {
         let start = self.offset();
         if !self.fill(4)? {
             if self.rest_is_zero()? {
@@ -322,6 +331,7 @@ impl<R: Read> Parser<R> {
 
     /// The record [`Parser::advance`] stopped at. It borrows the
     /// window, so it cannot be held across the next `advance`.
+    #[inline]
     fn current(&self) -> RawRecord<'_> {
         let (offset, rtype, data) = self.record;
         RawRecord {
@@ -332,10 +342,12 @@ impl<R: Read> Parser<R> {
     }
 
     /// Reads the next raw record, or `None` at a clean end of stream.
+    #[inline]
     pub(crate) fn next(&mut self) -> Result<Option<RawRecord<'_>>, ReadError> {
         Ok(self.advance()?.map(|_| self.current()))
     }
 
+    #[inline]
     pub(crate) fn next_required(
         &mut self,
         context: &'static str,
@@ -343,6 +355,7 @@ impl<R: Read> Parser<R> {
         self.next()?.ok_or(ReadError::MissingRecord { context })
     }
 
+    #[inline]
     fn expect(
         &mut self,
         rtype: RecordType,
@@ -358,7 +371,7 @@ impl<R: Read> Parser<R> {
     /// The next library-level record: `BGNSTR` opens a structure
     /// (`Some`, see [`Parser::structure_name`]), `ENDLIB` ends the
     /// stream (`None`).
-    pub(crate) fn next_structure(&mut self) -> Result<Option<(String, usize)>, ReadError> {
+    pub(crate) fn next_structure(&mut self) -> Result<Option<(&str, usize)>, ReadError> {
         let rec = self.next_required("reading structures")?;
         match rec.rtype {
             RecordType::BgnStr => self.structure_name().map(Some),
@@ -369,25 +382,64 @@ impl<R: Read> Parser<R> {
 
     /// `STRNAME`: the open structure's name and the record's offset,
     /// where a [`crate::stream::StructureEntry`] span starts.
-    pub(crate) fn structure_name(&mut self) -> Result<(String, usize), ReadError> {
+    pub(crate) fn structure_name(&mut self) -> Result<(&str, usize), ReadError> {
         let rec = self.expect(RecordType::StrName, "reading structure name")?;
-        Ok((rec.string()?, rec.offset))
+        Ok((rec.str()?, rec.offset))
+    }
+}
+
+/// The buffers an [`ElementRef`] borrows: refilled element after
+/// element, so once they have grown to the largest element seen, the
+/// decode allocates nothing.
+#[derive(Default)]
+pub(crate) struct Scratch {
+    points: Vec<Point>,
+    /// An `SREF`/`AREF`'s `SNAME` or a `TEXT`'s `STRING`.
+    text: String,
+    /// `props[..live]` are the current element's properties; the
+    /// strings past `live` are kept for their capacity.
+    props: Vec<(i16, String)>,
+    live: usize,
+}
+
+impl Scratch {
+    fn set_text(&mut self, text: &str) {
+        self.text.clear();
+        self.text.push_str(text);
     }
 
-    /// The next element of the open structure, or `None` at `ENDSTR`.
-    pub(crate) fn next_element(&mut self) -> Result<Option<Element>, ReadError> {
-        let rec = self.next_required("reading structure elements")?;
-        let offset = rec.offset;
-        Ok(Some(match rec.rtype {
-            RecordType::EndStr => return Ok(None),
-            RecordType::Boundary => parse_boundary(self)?,
-            RecordType::Path => parse_path(self)?,
-            RecordType::Sref => parse_ref(self, false, offset)?,
-            RecordType::Aref => parse_ref(self, true, offset)?,
-            RecordType::Text => parse_text(self)?,
-            _ => return Err(rec.unexpected("reading structure elements")),
-        }))
+    fn push_property(&mut self, attr: i16, value: &str) {
+        match self.props.get_mut(self.live) {
+            Some(slot) => {
+                slot.0 = attr;
+                slot.1.clear();
+                slot.1.push_str(value);
+            }
+            None => self.props.push((attr, value.to_owned())),
+        }
+        self.live += 1;
     }
+}
+
+/// The next element of the open structure, decoded into `s`, or `None`
+/// at `ENDSTR`. This is the one element decoder: [`Reader::next_ref`]
+/// yields its result, [`Reader::next`] and
+/// [`crate::stream::read_structure`] own it.
+pub(crate) fn next_element<'s, R: Read>(
+    p: &mut Parser<R>,
+    s: &'s mut Scratch,
+) -> Result<Option<ElementRef<'s>>, ReadError> {
+    let rec = p.next_required("reading structure elements")?;
+    let offset = rec.offset;
+    Ok(Some(match rec.rtype {
+        RecordType::EndStr => return Ok(None),
+        RecordType::Boundary => parse_boundary(p, s)?,
+        RecordType::Path => parse_path(p, s)?,
+        RecordType::Sref => parse_ref(p, s, false, offset)?,
+        RecordType::Aref => parse_ref(p, s, true, offset)?,
+        RecordType::Text => parse_text(p, s)?,
+        _ => return Err(rec.unexpected("reading structure elements")),
+    }))
 }
 
 /// One item of a GDSII stream, as [`Reader::next`] yields them.
@@ -400,18 +452,42 @@ pub enum Item {
     Element(Element),
 }
 
+/// One item of a GDSII stream, borrowed from the [`Reader`] that
+/// decoded it, as [`Reader::next_ref`] yields them.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum ItemRef<'a> {
+    /// A structure begins; see [`Item::Structure`].
+    Structure(&'a str),
+    /// One element of the open structure.
+    Element(ElementRef<'a>),
+}
+
+impl ItemRef<'_> {
+    /// The owned item.
+    pub fn to_owned(self) -> Item {
+        match self {
+            ItemRef::Structure(name) => Item::Structure(name.to_owned()),
+            ItemRef::Element(e) => Item::Element(e.to_owned()),
+        }
+    }
+}
+
 /// Pull reader over a GDSII stream: the library header up front, then
-/// one [`Item`] per call — no [`Structure`] or [`Library`] is built.
+/// one item per call — no [`Structure`] or [`Library`] is built.
 ///
-/// This is the one stream walk: [`read()`] collects its items into a
-/// [`Library`], `odrc_db::Layout::from_gds` feeds them to the layout
-/// builder as they are decoded.
+/// This is the one stream walk. [`Reader::next_ref`] decodes each item
+/// into buffers the reader reuses and lends it out, so the walk itself
+/// allocates nothing per element: `odrc_db::Layout::from_gds` feeds
+/// those borrowed items to the layout builder, which copies only what
+/// the layout keeps. [`Reader::next`] is the same decode made owned,
+/// and [`read()`] collects its items into a [`Library`].
 pub struct Reader<R> {
     /// Library name.
     pub name: String,
     /// Database units.
     pub units: Units,
     pub(crate) parser: Parser<R>,
+    scratch: Scratch,
     in_structure: bool,
 }
 
@@ -427,42 +503,51 @@ impl<R: Read> Reader<R> {
         p.expect(RecordType::BgnLib, "reading library begin")?;
         let name = p
             .expect(RecordType::LibName, "reading library name")?
-            .string()?;
-        let units_rec = p.expect(RecordType::Units, "reading units")?;
-        let reals = units_rec.reals()?;
-        if reals.len() != 2 {
-            return Err(units_rec.bad_len());
-        }
+            .str()?
+            .to_owned();
+        let units: [u8; 16] = p.expect(RecordType::Units, "reading units")?.single()?;
+        let real = |half: &[u8]| real8_to_f64(half.try_into().expect("8 bytes"));
         Ok(Reader {
             name,
             units: Units {
-                user_per_dbu: reals[0],
-                meters_per_dbu: reals[1],
+                user_per_dbu: real(&units[..8]),
+                meters_per_dbu: real(&units[8..]),
             },
             parser: p,
+            scratch: Scratch::default(),
             in_structure: false,
         })
     }
 
-    /// The next item, or `None` at `ENDLIB`.
+    /// The next item, borrowed until the next call, or `None` at
+    /// `ENDLIB`.
     ///
     /// # Errors
     ///
     /// Returns [`ReadError`] with the byte offset of the first
     /// malformed record for truncated, corrupted, or grammatically
     /// invalid streams.
-    // Not `Iterator`: a pull can fail, and `Option<Result<_>>` would
-    // make every caller transpose before it can use `?`.
-    #[allow(clippy::should_implement_trait)]
-    pub fn next(&mut self) -> Result<Option<Item>, ReadError> {
+    pub fn next_ref(&mut self) -> Result<Option<ItemRef<'_>>, ReadError> {
         if self.in_structure {
-            if let Some(element) = self.parser.next_element()? {
-                return Ok(Some(Item::Element(element)));
+            if let Some(element) = next_element(&mut self.parser, &mut self.scratch)? {
+                return Ok(Some(ItemRef::Element(element)));
             }
         }
         let opened = self.parser.next_structure()?;
         self.in_structure = opened.is_some();
-        Ok(opened.map(|(name, _)| Item::Structure(name)))
+        Ok(opened.map(|(name, _)| ItemRef::Structure(name)))
+    }
+
+    /// The next item, owned; [`Reader::next_ref`] made owned.
+    ///
+    /// # Errors
+    ///
+    /// Those of [`Reader::next_ref`].
+    // Not `Iterator`: a pull can fail, and `Option<Result<_>>` would
+    // make every caller transpose before it can use `?`.
+    #[allow(clippy::should_implement_trait)]
+    pub fn next(&mut self) -> Result<Option<Item>, ReadError> {
+        Ok(self.next_ref()?.map(ItemRef::to_owned))
     }
 }
 
@@ -536,49 +621,56 @@ fn expect_body<'p, R: Read>(
     }
 }
 
-/// Parses trailing `PROPATTR`/`PROPVALUE` pairs up to `ENDEL`.
-fn parse_properties<R: Read>(p: &mut Parser<R>) -> Result<Vec<(i16, String)>, ReadError> {
-    let mut props = Vec::new();
+/// Parses trailing `PROPATTR`/`PROPVALUE` pairs up to `ENDEL` into
+/// `s.props[..s.live]`.
+fn parse_properties<R: Read>(p: &mut Parser<R>, s: &mut Scratch) -> Result<(), ReadError> {
+    s.live = 0;
     loop {
         let rec = p.next_required("reading element properties")?;
         match rec.rtype {
-            RecordType::EndEl => return Ok(props),
+            RecordType::EndEl => return Ok(()),
             RecordType::PropAttr => {
                 let attr = rec.single_i16()?;
                 let value = p
                     .expect(RecordType::PropValue, "reading property value")?
-                    .string()?;
-                props.push((attr, value));
+                    .str()?;
+                s.push_property(attr, value);
             }
             _ => return Err(rec.unexpected("reading element properties")),
         }
     }
 }
 
-fn parse_boundary<R: Read>(p: &mut Parser<R>) -> Result<Element, ReadError> {
+fn parse_boundary<'s, R: Read>(
+    p: &mut Parser<R>,
+    s: &'s mut Scratch,
+) -> Result<ElementRef<'s>, ReadError> {
     let layer = expect_body(p, RecordType::Layer, "reading boundary layer")?.single_i16()?;
     let datatype = p
         .expect(RecordType::Datatype, "reading boundary datatype")?
         .single_i16()?;
     let xy = p.expect(RecordType::Xy, "reading boundary coordinates")?;
-    let mut points = xy.points()?;
-    if points.len() < 4 {
+    xy.points_into(&mut s.points)?;
+    if s.points.len() < 4 {
         return Err(xy.bad_len());
     }
     // Drop the repeated closing vertex.
-    if points.len() >= 2 && points.first() == points.last() {
-        points.pop();
+    if s.points.first() == s.points.last() {
+        s.points.pop();
     }
-    let properties = parse_properties(p)?;
-    Ok(Element::Boundary(BoundaryElement {
+    parse_properties(p, s)?;
+    Ok(ElementRef::Boundary {
         layer,
         datatype,
-        points,
-        properties,
-    }))
+        points: &s.points,
+        properties: &s.props[..s.live],
+    })
 }
 
-fn parse_path<R: Read>(p: &mut Parser<R>) -> Result<Element, ReadError> {
+fn parse_path<'s, R: Read>(
+    p: &mut Parser<R>,
+    s: &'s mut Scratch,
+) -> Result<ElementRef<'s>, ReadError> {
     let layer = expect_body(p, RecordType::Layer, "reading path layer")?.single_i16()?;
     let datatype = p
         .expect(RecordType::Datatype, "reading path datatype")?
@@ -594,22 +686,25 @@ fn parse_path<R: Read>(p: &mut Parser<R>) -> Result<Element, ReadError> {
             _ => return Err(rec.unexpected("reading path body")),
         }
     };
-    let points = xy.points()?;
-    if points.len() < 2 {
+    xy.points_into(&mut s.points)?;
+    if s.points.len() < 2 {
         return Err(xy.bad_len());
     }
-    let properties = parse_properties(p)?;
-    Ok(Element::Path(PathElement {
+    parse_properties(p, s)?;
+    Ok(ElementRef::Path {
         layer,
         datatype,
         path_type,
         width,
-        points,
-        properties,
-    }))
+        points: &s.points,
+        properties: &s.props[..s.live],
+    })
 }
 
-fn parse_text<R: Read>(p: &mut Parser<R>) -> Result<Element, ReadError> {
+fn parse_text<'s, R: Read>(
+    p: &mut Parser<R>,
+    s: &'s mut Scratch,
+) -> Result<ElementRef<'s>, ReadError> {
     let layer = expect_body(p, RecordType::Layer, "reading text layer")?.single_i16()?;
     let texttype = p
         .expect(RecordType::TextType, "reading text type")?
@@ -624,29 +719,30 @@ fn parse_text<R: Read>(p: &mut Parser<R>) -> Result<Element, ReadError> {
             _ => return Err(rec.unexpected("reading text body")),
         }
     };
-    let points = xy.points()?;
-    if points.len() != 1 {
+    xy.points_into(&mut s.points)?;
+    let [position] = s.points[..] else {
         return Err(xy.bad_len());
-    }
-    let string = p
-        .expect(RecordType::String, "reading text string")?
-        .string()?;
+    };
+    let string = p.expect(RecordType::String, "reading text string")?.str()?;
+    s.set_text(string);
     // Consume up to ENDEL (texts may carry properties too; discard).
-    let _ = parse_properties(p)?;
-    Ok(Element::Text(TextElement {
+    parse_properties(p, s)?;
+    Ok(ElementRef::Text {
         layer,
         texttype,
-        position: points[0],
-        string,
-    }))
+        position,
+        string: &s.text,
+    })
 }
 
-fn parse_ref<R: Read>(
+fn parse_ref<'s, R: Read>(
     p: &mut Parser<R>,
+    s: &'s mut Scratch,
     is_array: bool,
     start_offset: usize,
-) -> Result<Element, ReadError> {
-    let sname = expect_body(p, RecordType::Sname, "reading reference name")?.string()?;
+) -> Result<ElementRef<'s>, ReadError> {
+    let sname = expect_body(p, RecordType::Sname, "reading reference name")?.str()?;
+    s.set_text(sname);
     let mut mirror_x = false;
     let mut mag = 1.0f64;
     let mut angle_deg = 0.0f64;
@@ -668,7 +764,8 @@ fn parse_ref<R: Read>(
             _ => return Err(rec.unexpected("reading reference body")),
         }
     };
-    let points = xy.points()?;
+    xy.points_into(&mut s.points)?;
+    let points = &s.points[..];
     let array = if is_array {
         let (cols, rows) = colrow.ok_or(ReadError::MissingRecord {
             context: "reading AREF COLROW",
@@ -680,10 +777,9 @@ fn parse_ref<R: Read>(
                 rows,
             });
         }
-        if points.len() != 3 {
+        let &[origin, col_corner, row_corner] = points else {
             return Err(xy.bad_len());
-        }
-        let origin = points[0];
+        };
         // In i64: a corrupt corner can lie a full coordinate range
         // away from the origin.
         let pitch = |corner: i32, origin: i32, n: i16| -> Result<i32, ReadError> {
@@ -702,8 +798,8 @@ fn parse_ref<R: Read>(
         Some(ArrayParams {
             cols: cols as u16,
             rows: rows as u16,
-            col_step: step(points[1], cols)?,
-            row_step: step(points[2], rows)?,
+            col_step: step(col_corner, cols)?,
+            row_step: step(row_corner, rows)?,
         })
     } else {
         if points.len() != 1 {
@@ -712,21 +808,23 @@ fn parse_ref<R: Read>(
         None
     };
     let origin = points[0];
-    let _ = parse_properties(p)?;
-    Ok(Element::Ref(RefElement {
-        sname,
-        origin,
-        mirror_x,
-        angle_deg,
-        mag,
-        array,
-    }))
+    parse_properties(p, s)?;
+    Ok(ElementRef::Ref {
+        sname: &s.text,
+        placement: RefPlacement {
+            origin,
+            mirror_x,
+            angle_deg,
+            mag,
+            array,
+        },
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{ArrayParams, Library, Structure};
+    use crate::model::{BoundaryElement, PathElement, RefElement, TextElement};
     use crate::write::write;
 
     fn p2(x: i32, y: i32) -> Point {

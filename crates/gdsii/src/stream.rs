@@ -21,7 +21,7 @@ use std::io::{Read, Seek, SeekFrom};
 use std::path::Path;
 
 use crate::model::{Structure, Units};
-use crate::read::{Parser, ReadError, Reader};
+use crate::read::{next_element, Parser, ReadError, Reader, Scratch};
 use crate::record::RecordType;
 
 /// Byte span of one structure within the stream.
@@ -64,6 +64,7 @@ fn index_reader(src: impl Read) -> Result<StreamIndex, ReadError> {
     let p = &mut reader.parser;
     let mut entries = Vec::new();
     while let Some((name, offset)) = p.next_structure()? {
+        let name = name.to_owned();
         // Skip to ENDSTR; structures do not nest.
         while p.next_required("reading structure elements")?.rtype != RecordType::EndStr {}
         entries.push(StructureEntry {
@@ -113,8 +114,9 @@ pub fn read_structure<R: Read + Seek>(
     source.seek(SeekFrom::Start(entry.offset))?;
     let mut p = Parser::new(source.take(entry.len));
     let mut structure = Structure::new(p.structure_name()?.0);
-    while let Some(element) = p.next_element()? {
-        structure.elements.push(element);
+    let mut scratch = Scratch::default();
+    while let Some(element) = next_element(&mut p, &mut scratch)? {
+        structure.elements.push(element.to_owned());
     }
     match p.next()? {
         Some(rec) => Err(rec.unexpected("reading past the indexed structure")),

@@ -104,9 +104,7 @@ impl Polygon {
                 count: vertices.len(),
             });
         }
-        for i in 0..vertices.len() {
-            let a = vertices[i];
-            let b = vertices[(i + 1) % vertices.len()];
+        for (i, (a, b)) in cyclic_pairs(&vertices).enumerate() {
             if a == b {
                 return Err(PolygonError::DegenerateEdge { index: i });
             }
@@ -114,7 +112,7 @@ impl Polygon {
                 return Err(PolygonError::NotRectilinear { index: i });
             }
         }
-        let vertices = normalize_vertices(vertices);
+        normalize_vertices(&mut vertices);
         if vertices.len() < 4 {
             return Err(PolygonError::TooFewVertices {
                 count: vertices.len(),
@@ -178,26 +176,14 @@ impl Polygon {
     /// other paths.
     #[inline]
     pub fn is_rectilinear(&self) -> bool {
-        let n = self.vertices.len();
-        (0..n).all(|i| {
-            let a = self.vertices[i];
-            let b = self.vertices[(i + 1) % n];
-            a.x == b.x || a.y == b.y
-        })
+        cyclic_pairs(&self.vertices).all(|(a, b)| a.x == b.x || a.y == b.y)
     }
 
     /// Twice the signed area (positive for counter-clockwise input), by
     /// the Shoelace theorem. Exposed for testing; most callers want
     /// [`Polygon::area`].
     fn signed_area2(&self) -> WideCoord {
-        let n = self.vertices.len();
-        let mut acc: WideCoord = 0;
-        for i in 0..n {
-            let a = self.vertices[i];
-            let b = self.vertices[(i + 1) % n];
-            acc += a.cross(b);
-        }
-        acc
+        cyclic_pairs(&self.vertices).map(|(a, b)| a.cross(b)).sum()
     }
 
     /// Enclosed area in square database units, by the Shoelace theorem
@@ -265,42 +251,49 @@ impl Polygon {
     }
 }
 
-/// Removes adjacent duplicates and merges collinear runs until stable.
-/// Spike removal can create new duplicates, which in turn can create new
-/// collinear runs, so a single pass is not enough.
-fn normalize_vertices(mut vertices: Vec<Point>) -> Vec<Point> {
+/// Each vertex with its successor, the last paired with the first.
+fn cyclic_pairs(vertices: &[Point]) -> impl Iterator<Item = (Point, Point)> + '_ {
+    let successors = vertices.iter().skip(1).chain(vertices.first());
+    vertices.iter().copied().zip(successors.copied())
+}
+
+/// Removes adjacent duplicates and merges collinear runs until stable,
+/// in place: a list that is already normal is only read. Spike removal
+/// can create new duplicates, which in turn can create new collinear
+/// runs, so a single pass is not enough.
+fn normalize_vertices(vertices: &mut Vec<Point>) {
     loop {
         let before = vertices.len();
         // Drop adjacent duplicates, including across the wrap-around.
-        let mut deduped: Vec<Point> = Vec::with_capacity(before);
-        for v in vertices {
-            if deduped.last() != Some(&v) {
-                deduped.push(v);
-            }
+        vertices.dedup();
+        while vertices.len() > 1 && vertices.first() == vertices.last() {
+            vertices.pop();
         }
-        while deduped.len() > 1 && deduped.first() == deduped.last() {
-            deduped.pop();
+        let n = vertices.len();
+        if n == 0 {
+            return;
         }
-        // Merge collinear runs (a spike's tip is also collinear).
-        let n = deduped.len();
-        let mut merged: Vec<Point> = Vec::with_capacity(n);
+        // Merge collinear runs (a spike's tip is also collinear),
+        // judging each vertex by its neighbours before the merge: the
+        // kept prefix never overtakes the vertex being read.
+        let first = vertices[0];
+        let mut prev = vertices[n - 1];
+        let mut kept = 0;
         for i in 0..n {
-            let prev = deduped[(i + n - 1) % n];
-            let cur = deduped[i];
-            let next = deduped[(i + 1) % n];
+            let cur = vertices[i];
+            let next = if i + 1 < n { vertices[i + 1] } else { first };
             let collinear =
                 (prev.x == cur.x && cur.x == next.x) || (prev.y == cur.y && cur.y == next.y);
             if !collinear {
-                merged.push(cur);
+                vertices[kept] = cur;
+                kept += 1;
             }
+            prev = cur;
         }
-        if merged.len() == before {
-            return merged;
+        vertices.truncate(kept);
+        if kept == before || kept == 0 {
+            return;
         }
-        if merged.is_empty() {
-            return merged;
-        }
-        vertices = merged;
     }
 }
 
@@ -505,6 +498,36 @@ mod tests {
         fn translate_roundtrip(poly in arb_rectilinear(), dx in -100i32..100, dy in -100i32..100) {
             let t = poly.translate(Point::new(dx, dy)).translate(Point::new(-dx, -dy));
             prop_assert_eq!(t, poly);
+        }
+
+        #[test]
+        fn normal_form_ignores_start_direction_and_collinear_vertices(
+            poly in arb_rectilinear(),
+            start in 0usize..64,
+            reverse in proptest::bool::ANY,
+            split in 0usize..64,
+        ) {
+            // A normal vertex list is kept in place: no new buffer.
+            let normal = poly.vertices().to_vec();
+            let buffer = normal.as_ptr();
+            let again = Polygon::new(normal).unwrap();
+            prop_assert_eq!(again.vertices().as_ptr(), buffer);
+            prop_assert_eq!(&again, &poly);
+            // Any start, either direction, with a vertex added in the
+            // middle of one edge, normalizes to the same polygon.
+            let mut raw = poly.vertices().to_vec();
+            let n = raw.len();
+            raw.rotate_left(start % n);
+            if reverse {
+                raw.reverse();
+            }
+            let i = split % n;
+            let (a, b) = (raw[i], raw[(i + 1) % n]);
+            let mid = Point::new(a.x + (b.x - a.x) / 2, a.y + (b.y - a.y) / 2);
+            if mid != a && mid != b {
+                raw.insert(i + 1, mid);
+            }
+            prop_assert_eq!(Polygon::new(raw).unwrap(), poly);
         }
     }
 }

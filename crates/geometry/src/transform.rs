@@ -122,6 +122,7 @@ impl Transform {
     /// Panics if `mag < 1`; GDSII magnifications in this engine are
     /// positive integers (fractional magnification does not occur in the
     /// standard-cell layouts the engine targets).
+    #[inline]
     pub fn new(mirror_x: bool, rotation: Rotation, mag: i32, translate: Point) -> Self {
         assert!(mag >= 1, "magnification must be >= 1, got {mag}");
         Transform {
