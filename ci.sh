@@ -155,6 +155,16 @@ if grep -lE 'RuleKind::(Enclosure|OverlapArea)' crates/core/src/engine.rs crates
     echo "only the classifier (rules.rs) may destructure the pair rule kinds"
     exit 1
 fi
+# Pair rules measure each inner shape straight from the scenes
+# (sequential::PairsWork): no owned per-shape work list of cloned
+# polygons, no separate candidate-gather fan-out, and the row join's
+# hits are one CSR list, not one Vec per inner shape.
+if nontest $(find crates/core/src -name '*.rs') | grep -F -e '(Polygon, Vec<Polygon>)' -e '"enclosure-gather"' \
+    || grep -nF 'hits: Vec<Vec<usize>>' crates/infra/src/partition.rs \
+    || grep -rnE 'fn (enclosure_work|pairs_measure|object_polygons(_in)?(_into)?)\b' crates/*/src; then
+    echo "a per-shape pair work list, the enclosure-gather phase or a per-shape hit list is back"
+    exit 1
+fi
 # One ingest path: GDSII records stream straight into LayoutBuilder.
 # No second loader or record decoder, the daemon and the CLI ingest
 # only through Layout::from_gds, and the library header is walked in

@@ -9,9 +9,60 @@
 //! the inner rectangle, except on a rectangular candidate (four
 //! vertices), where it has a closed form: the smallest of the four
 //! side distances, clamped like the search. Most landings are
-//! rectangles.
+//! rectangles, so a landing placed by a cell reference ([`Placed`]) is
+//! measured on its placed MBR, without building the placed polygon.
 
-use odrc_geometry::{Orientation, Polygon, Rect};
+use std::borrow::Cow;
+
+use odrc_geometry::{Orientation, Polygon, Rect, Transform};
+
+/// A polygon where it is placed: as stored (a cell's local geometry,
+/// or a polygon already in top coordinates) plus the placement that
+/// takes it to top coordinates, and its MBR there.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Placed<'a> {
+    /// The stored polygon.
+    polygon: &'a Polygon,
+    /// Its placement; `None` when it is stored in top coordinates.
+    transform: Option<Transform>,
+    /// Its MBR in top coordinates.
+    mbr: Rect,
+}
+
+impl<'a> Placed<'a> {
+    /// `polygon` placed by `transform` (`None`: as stored).
+    #[inline]
+    pub(crate) fn new(polygon: &'a Polygon, transform: Option<Transform>) -> Placed<'a> {
+        let mbr = polygon.mbr();
+        let mbr = transform.map_or(mbr, |t| t.apply_rect(mbr));
+        Placed {
+            polygon,
+            transform,
+            mbr,
+        }
+    }
+
+    /// Its MBR in top coordinates.
+    #[inline]
+    pub(crate) fn mbr(self) -> Rect {
+        self.mbr
+    }
+
+    /// Whether the polygon is a rectangle, i.e. equal to its MBR.
+    #[inline]
+    pub(crate) fn is_rect(self) -> bool {
+        self.polygon.len() == 4
+    }
+
+    /// The polygon in top coordinates: borrowed when it is stored
+    /// there, built otherwise.
+    pub(crate) fn to_polygon(self) -> Cow<'a, Polygon> {
+        match self.transform {
+            None => Cow::Borrowed(self.polygon),
+            Some(t) => Cow::Owned(t.apply_polygon(self.polygon)),
+        }
+    }
+}
 
 /// Returns `true` if the closed rectangle `r` lies entirely inside the
 /// rectilinear polygon `poly`.
@@ -78,13 +129,25 @@ pub fn rect_inside_polygon(r: Rect, poly: &Polygon) -> bool {
 /// assert_eq!(enclosure_margin(via, &[&metal], 4), 4); // clamped: passes
 /// ```
 pub fn enclosure_margin(inner: Rect, outers: &[&Polygon], min: i64) -> i64 {
+    placed_enclosure_margin(inner, outers.iter().map(|p| Placed::new(p, None)), min)
+}
+
+/// [`enclosure_margin`] over placed candidates: a rectangular candidate
+/// is measured on its placed MBR in closed form, any other one is
+/// placed once and searched. Equal to [`enclosure_margin`] over the
+/// placed copies.
+pub(crate) fn placed_enclosure_margin<'a>(
+    inner: Rect,
+    outers: impl IntoIterator<Item = Placed<'a>>,
+    min: i64,
+) -> i64 {
     let min = min.max(1);
     let mut best = -min;
     for outer in outers {
-        let margin = if outer.len() == 4 {
-            rect_margin(inner, outer.mbr(), min)
+        let margin = if outer.is_rect() {
+            rect_margin(inner, outer.mbr, min)
         } else {
-            searched_margin(inner, outer, min)
+            searched_margin(inner, &outer.to_polygon(), min)
         };
         let Some(margin) = margin else {
             continue;
@@ -261,6 +324,166 @@ mod tests {
             let searched = searched_margin(via, &metal, clamped).unwrap_or(-clamped);
             prop_assert_eq!(enclosure_margin(via, &[&metal], min), searched);
         }
+    }
+
+    /// The eight orientations (mirror × quarter turn), each followed by
+    /// the translation `(dx, dy)`.
+    fn orientations(dx: i32, dy: i32) -> impl Iterator<Item = Transform> {
+        use odrc_geometry::Rotation;
+        [false, true].into_iter().flat_map(move |mirror| {
+            Rotation::ALL
+                .into_iter()
+                .map(move |r| Transform::new(mirror, r, 1, Point::new(dx, dy)))
+        })
+    }
+
+    /// The L-shaped polygon over `[0, w] × [0, h]` whose upper-right
+    /// quadrant is notched out.
+    fn l_shape(w: i32, h: i32) -> Polygon {
+        let (hw, hh) = (w / 2, h / 2);
+        Polygon::new(vec![
+            Point::new(0, 0),
+            Point::new(0, h),
+            Point::new(hw, h),
+            Point::new(hw, hh),
+            Point::new(w, hh),
+            Point::new(w, 0),
+        ])
+        .unwrap()
+    }
+
+    proptest! {
+        /// A landing placed by a reference measures the margin of its
+        /// placed copy, whether it is a rectangle (closed form on the
+        /// placed MBR) or an L (searched in the placed polygon), under
+        /// every orientation, just below, at and just above `min`.
+        #[test]
+        fn placed_margin_equals_the_margin_in_the_placed_copy(
+            (w, h) in (60i32..120, 60i32..120),
+            (vw, vh) in (2i32..12, 2i32..12),
+            min in 1i64..9,
+            l_shaped in proptest::bool::ANY,
+            (dx, dy) in (-500i32..500, -500i32..500),
+        ) {
+            let landing = if l_shaped {
+                l_shape(w, h)
+            } else {
+                Polygon::rect(rect(0, 0, w, h))
+            };
+            for m in [min - 1, min, min + 1] {
+                // The via sits `m` from the landing's left and bottom
+                // sides, well inside the other sides and off the notch.
+                let m32 = m as i32;
+                let local = rect(m32, m32, m32 + vw, m32 + vh);
+                for t in orientations(dx, dy) {
+                    let via = t.apply_rect(local);
+                    let placed = Placed::new(&landing, Some(t));
+                    prop_assert_eq!(placed.mbr(), t.apply_polygon(&landing).mbr());
+                    let measured = placed_enclosure_margin(via, [placed], min);
+                    let copy = t.apply_polygon(&landing);
+                    prop_assert_eq!(measured, enclosure_margin(via, &[&copy], min));
+                    prop_assert_eq!(measured, m.min(min));
+                }
+            }
+        }
+    }
+
+    /// The overlap-area measure of a pair rule, read straight from the
+    /// scenes, equals the area a [`Region`](odrc_infra::Region) finds
+    /// between every flattened (placed-copy) inner shape and the whole
+    /// flattened outer layer: a rectangle on one rectangle (the closed
+    /// form), on an L, on two landings and on none, and an L-shaped
+    /// shape, in a cell placed under all eight orientations, plus a
+    /// pair drawn in the top cell.
+    #[test]
+    fn overlap_measure_equals_the_region_over_placed_copies() {
+        use crate::engine::{EngineOptions, EngineStats};
+        use crate::rules::PairsRule;
+        use crate::scene::LayerScene;
+        use crate::sequential::{PairsWork, RunContext};
+        use crate::violation::ViolationKind;
+        use odrc_db::Layout;
+        use odrc_gdsii::{Element, Library, RefElement, Structure};
+        use odrc_infra::{Profiler, Region};
+        use std::sync::Arc;
+
+        let (outer, inner) = (1, 2);
+        let poly = |layer: i16, p: &Polygon| Element::boundary(layer, p.vertices().to_vec());
+        let rect_el = |layer, r: Rect| poly(layer, &Polygon::rect(r));
+        let mut unit = Structure::new("UNIT");
+        unit.elements.extend([
+            poly(outer, &l_shape(40, 40)),
+            rect_el(outer, rect(50, 0, 70, 20)),
+            rect_el(inner, rect(15, 15, 25, 25)), // across the L's notch
+            rect_el(inner, rect(45, 5, 55, 15)),  // half on the rectangle
+            rect_el(inner, rect(100, 100, 110, 110)), // on nothing
+            rect_el(inner, rect(35, 5, 55, 10)),  // on both landings
+        ]);
+        let l_via = Polygon::new(vec![
+            Point::new(60, 10),
+            Point::new(60, 30),
+            Point::new(65, 30),
+            Point::new(65, 15),
+            Point::new(75, 15),
+            Point::new(75, 10),
+        ])
+        .unwrap();
+        unit.elements.push(poly(inner, &l_via));
+        let mut top = Structure::new("TOP");
+        for (k, t) in orientations(0, 0).enumerate() {
+            let mut r = RefElement::sref("UNIT", Point::new(300 * k as i32, 0));
+            r.mirror_x = t.mirror_x();
+            r.angle_deg = 90.0 * f64::from(t.rotation().quarter_turns());
+            top.elements.push(Element::Ref(r));
+        }
+        top.elements
+            .push(rect_el(outer, rect(-100, -100, -60, -60)));
+        top.elements.push(rect_el(inner, rect(-70, -70, -50, -50)));
+        let mut lib = Library::new("overlap");
+        lib.structures = vec![unit, top];
+        let layout = Layout::from_library(&lib).unwrap();
+
+        let options = EngineOptions::default();
+        let (mut profiler, mut stats) = (Profiler::default(), EngineStats::default());
+        let mut ctx = RunContext::new(&layout, &options, &mut profiler, &mut stats);
+        let pairs = PairsRule {
+            kind: ViolationKind::OverlapArea,
+            inner,
+            outer,
+            min: 100,
+        };
+        let scene = |layer| Arc::new(LayerScene::build(&layout, layer));
+        let work = PairsWork::new(&mut ctx, pairs, scene(inner), scene(outer), None);
+        let mut measured: Vec<(Rect, i64)> = (0..work.len())
+            .map(|i| (work.mbrs[i], work.measure(i)))
+            .collect();
+
+        let flat = |layer| {
+            let mut out = Vec::new();
+            layout.collect_layer_polygons(layout.top(), Transform::IDENTITY, layer, &mut out);
+            out.into_iter().map(|f| f.polygon).collect::<Vec<_>>()
+        };
+        let landings = Region::from_polygons(&flat(outer));
+        let mut expected: Vec<(Rect, i64)> = flat(inner)
+            .iter()
+            .map(|p| {
+                (
+                    p.mbr(),
+                    Region::from_polygons([p]).intersection(&landings).area(),
+                )
+            })
+            .collect();
+        measured.sort_unstable();
+        expected.sort_unstable();
+        assert_eq!(measured, expected);
+        // Each placement shares 75 (notch), 50 (half), 0, 50 (both
+        // landings) and 75 (the L-shaped via); the top pair shares 100.
+        let mut areas: Vec<i64> = measured.iter().map(|&(_, a)| a).collect();
+        let mut want = [75, 50, 0, 50, 75].repeat(8);
+        want.push(100);
+        areas.sort_unstable();
+        want.sort_unstable();
+        assert_eq!(areas, want);
     }
 
     #[test]

@@ -11,4 +11,5 @@ pub mod poly;
 
 pub use edge::{space_pair, space_pair_spec, width_pair, EdgeRelation, SpaceSpec};
 pub use enclosure::{enclosure_margin, rect_inside_polygon};
+pub(crate) use enclosure::{placed_enclosure_margin, Placed};
 pub use poly::{polygon_violations, PolyRuleSpec};

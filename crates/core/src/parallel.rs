@@ -24,7 +24,7 @@
 //! loops)".
 //!
 //! Every rule's device work is split into an **issue** half (host
-//! gather, shared zero-copy uploads, kernel launches — all enqueued on
+//! preparation, shared zero-copy uploads, kernel launches — all enqueued on
 //! the rule's own stream, returning in-flight handles immediately) and
 //! a **collect** half (result waits, the scan+emit second phase,
 //! recovery). [`issue_rule`] is the device executor's rule body: it
@@ -66,7 +66,7 @@ use std::ops::Range;
 use std::sync::Arc;
 
 use odrc_db::Layer;
-use odrc_geometry::{Polygon, Rect};
+use odrc_geometry::Polygon;
 use odrc_xpu::{
     scan::exclusive_scan, Device, DeviceBuffer, LaunchBatch, LaunchConfig, Pending, Stream,
     XpuResult,
@@ -80,7 +80,7 @@ use crate::plan::{
 };
 use crate::rules::{PairsRule, Rule, RuleFamily, RuleKind};
 use crate::scene::DirtyWindow;
-use crate::sequential::{enclosure_scenes, enclosure_work, pairs_measure, RunContext};
+use crate::sequential::{enclosure_scenes, PairsWork, RunContext};
 use crate::violation::{Violation, ViolationKind};
 
 /// A violation record of the spacing executors: edge indices `(a, b)`
@@ -275,12 +275,13 @@ enum InFlightKind {
         map: MapIssue<Polygon, Vec<LocalViolation>>,
         data: Arc<IntraData>,
     },
-    /// An enclosure or overlap rule: one map over its work list,
-    /// thresholded at the shapes' report rectangles.
+    /// An enclosure or overlap rule: one map over its inner shapes'
+    /// indices, each thread measuring its shape straight from the
+    /// scenes the [`PairsWork`] borrows (no per-shape work list), and
+    /// thresholded at collect.
     Pairs {
-        map: MapIssue<(Polygon, Vec<Polygon>), i64>,
-        pairs: PairsRule,
-        rects: Vec<Rect>,
+        map: MapIssue<u32, i64>,
+        work: Arc<PairsWork>,
     },
 }
 
@@ -353,9 +354,9 @@ pub(crate) fn collect_rule(ctx: &mut RunContext<'_>, fl: InFlightRule, out: &mut
             let per_poly = collect_map(ctx, stream.device(), map);
             emit_intra(ctx, &rule_name, &data, &per_poly, out);
         }
-        InFlightKind::Pairs { map, pairs, rects } => {
+        InFlightKind::Pairs { map, work } => {
             let measures = collect_map(ctx, stream.device(), map);
-            emit_pairs(ctx, &rule_name, pairs, &rects, measures, out);
+            emit_pairs(ctx, &rule_name, &work, measures, out);
         }
     }
     // Errors were already handled per work unit; drain the stream
@@ -781,9 +782,9 @@ fn emit_intra(
     });
 }
 
-/// Issue half of an enclosure / overlap-area rule: gather the work
-/// list on the host (through the memoized scenes) and map the per-shape
-/// measure over it, uploaded without a staging copy.
+/// Issue half of an enclosure / overlap-area rule: join the inner
+/// shapes with the outer objects on the host (through the memoized
+/// scenes) and map [`PairsWork::measure`] over the shape indices.
 fn issue_pairs(
     ctx: &mut RunContext<'_>,
     stream: &Stream,
@@ -791,39 +792,29 @@ fn issue_pairs(
     window: Option<DirtyWindow<'_>>,
 ) -> InFlightKind {
     let (inner_scene, outer_scene) = enclosure_scenes(ctx, pairs, window);
-    let work = enclosure_work(ctx, &inner_scene, &outer_scene, pairs.gather(), window);
-    let rects = work.iter().map(|(p, _)| p.mbr()).collect();
-    let measure = pairs_measure(pairs);
-    let kernel: MapKernel<(Polygon, Vec<Polygon>), i64> =
-        Arc::new(move |(poly, candidates): &(Polygon, Vec<Polygon>)| measure(poly, candidates));
-    let data = Arc::new(SharedDeviceData::new(Arc::new(work)));
+    let work = Arc::new(PairsWork::new(ctx, pairs, inner_scene, outer_scene, window));
+    let shapes = u32::try_from(work.len()).expect("shape count fits u32");
+    let measured = Arc::clone(&work);
+    let kernel: MapKernel<u32, i64> = Arc::new(move |&i| measured.measure(i as usize));
+    let data = Arc::new(SharedDeviceData::new(Arc::new((0..shapes).collect())));
     let map = issue_map(ctx, stream, data, kernel);
-    InFlightKind::Pairs { map, pairs, rects }
+    InFlightKind::Pairs { map, work }
 }
 
 /// Thresholds a pair rule's per-shape measures into violations at the
-/// shapes' report rectangles.
+/// shapes' MBRs.
 fn emit_pairs(
     ctx: &mut RunContext<'_>,
     rule_name: &str,
-    pairs: PairsRule,
-    rects: &[Rect],
+    work: &PairsWork,
     measures: Vec<i64>,
     out: &mut Vec<Violation>,
 ) {
-    if rects.is_empty() {
+    if measures.is_empty() {
         return;
     }
     ctx.profiler.time("convert", || {
-        for (rect, measured) in rects.iter().zip(measures) {
-            if measured < pairs.min {
-                out.push(Violation {
-                    rule: rule_name.to_owned(),
-                    kind: pairs.kind,
-                    location: *rect,
-                    measured,
-                });
-            }
-        }
+        let hits = measures.into_iter().enumerate();
+        out.extend(hits.filter_map(|(i, measured)| work.violation(rule_name, i, measured)));
     });
 }

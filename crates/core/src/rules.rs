@@ -244,7 +244,7 @@ impl Rule {
 pub(crate) enum RuleFamily {
     /// Partition → sweepline → edge check over one layer's objects.
     Space { layer: Layer, spec: SpaceSpec },
-    /// Candidate gather → per-shape measure over two layers.
+    /// Row join → per-shape measure over two layers.
     Pairs(PairsRule),
     /// Width, area, rectilinear, user predicates (§IV-C memo).
     Intra,

@@ -20,6 +20,8 @@ use std::collections::HashMap;
 use odrc_db::{CellId, CellRef, Layer, Layout};
 use odrc_geometry::{Coord, Polygon, Rect, Transform};
 
+use crate::checks::Placed;
+
 /// What a scene object refers to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SceneSource {
@@ -196,53 +198,35 @@ impl LayerScene {
         &self.top_polys[index]
     }
 
-    /// All polygons of one object, in top coordinates.
-    pub fn object_polygons(&self, obj: &SceneObject) -> Vec<Polygon> {
-        let mut out = Vec::new();
-        self.object_polygons_into(obj, &mut out);
-        out
+    /// The polygons of one object where they are placed: a placed
+    /// cell's flattened local polygons in cache order, or the top
+    /// polygon. Nothing is copied; [`Placed::to_polygon`] builds a
+    /// placed polygon where one is needed.
+    pub(crate) fn placed_polygons(
+        &self,
+        obj: &SceneObject,
+    ) -> impl Iterator<Item = Placed<'_>> + '_ {
+        let (polys, transform) = self.stored(obj);
+        polys.iter().map(move |p| Placed::new(p, transform))
     }
 
-    /// [`LayerScene::object_polygons`] appended into a caller-owned
-    /// buffer — the allocation-free variant for hot loops that visit
-    /// many objects (enclosure gathering).
-    pub fn object_polygons_into(&self, obj: &SceneObject, out: &mut Vec<Polygon>) {
+    /// Polygon `k` of [`LayerScene::placed_polygons`] of `obj`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the object has no polygon `k`.
+    pub(crate) fn placed_polygon(&self, obj: &SceneObject, k: usize) -> Placed<'_> {
+        let (polys, transform) = self.stored(obj);
+        Placed::new(&polys[k], transform)
+    }
+
+    /// One object's polygons as stored, and the placement that takes
+    /// them to top coordinates.
+    fn stored(&self, obj: &SceneObject) -> (&[Polygon], Option<Transform>) {
         match obj.source {
-            SceneSource::Cell { cell, transform } => {
-                let polys = self.local_polygons(cell);
-                out.reserve(polys.len());
-                out.extend(polys.iter().map(|p| transform.apply_polygon(p)));
-            }
-            SceneSource::TopPolygon { index } => out.push(self.top_polys[index].clone()),
-        }
-    }
-
-    /// The polygons of one object whose top-coordinate MBR overlaps
-    /// `window`. Transformation of a polygon happens only when its MBR
-    /// passes the window filter, so border checks between two large
-    /// placements touch only the border geometry.
-    pub fn object_polygons_in(&self, obj: &SceneObject, window: Rect) -> Vec<Polygon> {
-        let mut out = Vec::new();
-        self.object_polygons_in_into(obj, window, &mut out);
-        out
-    }
-
-    /// [`LayerScene::object_polygons_in`] appended into a caller-owned
-    /// buffer — the allocation-free variant for the enclosure gather,
-    /// which calls this once per candidate of every inner shape.
-    pub fn object_polygons_in_into(&self, obj: &SceneObject, window: Rect, out: &mut Vec<Polygon>) {
-        match obj.source {
-            SceneSource::Cell { cell, transform } => out.extend(
-                self.local_polygons(cell)
-                    .iter()
-                    .filter(|p| transform.apply_rect(p.mbr()).overlaps(window))
-                    .map(|p| transform.apply_polygon(p)),
-            ),
+            SceneSource::Cell { cell, transform } => (self.local_polygons(cell), Some(transform)),
             SceneSource::TopPolygon { index } => {
-                let p = &self.top_polys[index];
-                if p.mbr().overlaps(window) {
-                    out.push(p.clone());
-                }
+                (std::slice::from_ref(&self.top_polys[index]), None)
             }
         }
     }
@@ -404,10 +388,27 @@ mod tests {
     use odrc_geometry::Point;
     use odrc_layoutgen::{generate_layout, DesignSpec};
     use proptest::prelude::*;
+    use std::borrow::Cow;
     use std::collections::BTreeSet;
 
     fn p(x: i32, y: i32) -> Point {
         Point::new(x, y)
+    }
+
+    /// All polygons of one object, in top coordinates.
+    fn polygons_of(scene: &LayerScene, obj: &SceneObject) -> Vec<Polygon> {
+        scene
+            .placed_polygons(obj)
+            .map(|p| p.to_polygon().into_owned())
+            .collect()
+    }
+
+    /// How many of one object's placed polygons meet `window`.
+    fn count_in(scene: &LayerScene, obj: &SceneObject, window: Rect) -> usize {
+        scene
+            .placed_polygons(obj)
+            .filter(|p| p.mbr().overlaps(window))
+            .count()
     }
 
     fn demo_layout() -> Layout {
@@ -459,7 +460,7 @@ mod tests {
         let layout = demo_layout();
         let scene = LayerScene::build(&layout, 1);
         let second = &scene.objects[1];
-        let polys = scene.object_polygons(second);
+        let polys = polygons_of(&scene, second);
         assert_eq!(polys.len(), 1);
         assert_eq!(polys[0].mbr(), Rect::from_coords(100, 0, 110, 10));
     }
@@ -469,21 +470,12 @@ mod tests {
         let layout = demo_layout();
         let scene = LayerScene::build(&layout, 1);
         let obj = &scene.objects[0];
-        assert_eq!(
-            scene
-                .object_polygons_in(obj, Rect::from_coords(-5, -5, 2, 2))
-                .len(),
-            1
-        );
-        assert!(scene
-            .object_polygons_in(obj, Rect::from_coords(50, 50, 60, 60))
-            .is_empty());
+        assert_eq!(count_in(&scene, obj, Rect::from_coords(-5, -5, 2, 2)), 1);
+        assert_eq!(count_in(&scene, obj, Rect::from_coords(50, 50, 60, 60)), 0);
         // Top polygon object.
         let top_obj = &scene.objects[2];
         assert_eq!(
-            scene
-                .object_polygons_in(top_obj, Rect::from_coords(0, 50, 5, 52))
-                .len(),
+            count_in(&scene, top_obj, Rect::from_coords(0, 50, 5, 52)),
             1
         );
     }
@@ -499,7 +491,7 @@ mod tests {
                 assert_eq!(par.objects, serial.objects);
                 assert_eq!(par.flat_polygon_count(), serial.flat_polygon_count());
                 for obj in &serial.objects {
-                    assert_eq!(par.object_polygons(obj), serial.object_polygons(obj));
+                    assert_eq!(polygons_of(&par, obj), polygons_of(&serial, obj));
                 }
             }
         }
@@ -535,7 +527,7 @@ mod tests {
                     bytes += poly_bytes(full.top_polygon(index));
                 }
             }
-            assert_eq!(scene.object_polygons(obj), full.object_polygons(want));
+            assert_eq!(polygons_of(scene, obj), polygons_of(full, want));
         }
         assert_eq!(scene.placed_cells().collect::<BTreeSet<_>>(), cells);
         for &cell in &cells {
@@ -596,18 +588,23 @@ mod tests {
     }
 
     #[test]
-    fn into_variants_append() {
+    fn placed_polygons_borrow_what_is_stored_in_top_coordinates() {
         let layout = demo_layout();
         let scene = LayerScene::build(&layout, 1);
-        let mut buf = Vec::new();
-        for obj in &scene.objects {
-            scene.object_polygons_into(obj, &mut buf);
+        let placed: Vec<Placed<'_>> = scene
+            .objects
+            .iter()
+            .flat_map(|obj| scene.placed_polygons(obj))
+            .collect();
+        assert_eq!(placed.len(), scene.flat_polygon_count());
+        for p in &placed {
+            assert_eq!(p.to_polygon().mbr(), p.mbr());
         }
-        assert_eq!(buf.len(), scene.flat_polygon_count());
-        let window = Rect::from_coords(-5, -5, 2, 2);
-        let before = buf.len();
-        scene.object_polygons_in_into(&scene.objects[0], window, &mut buf);
-        assert_eq!(buf.len() - before, 1); // appended, not cleared
+        // The placements' polygons are built; the top polygon is not.
+        assert!(matches!(placed[1].to_polygon(), Cow::Owned(_)));
+        assert!(
+            matches!(placed[2].to_polygon(), Cow::Borrowed(q) if std::ptr::eq(q, scene.top_polygon(0)))
+        );
     }
 
     #[test]

@@ -35,11 +35,12 @@
 //! 4. **edge-check** — [`row_host_records`] per unit; a template's
 //!    violations are memoized per cell and replayed per placement.
 //!
-//! The pair pipeline (enclosure, overlap area) gathers each inner
-//! shape's candidate outer polygons through a row join — each inner
-//! window binary-searches the outer layer's §IV-B rows
-//! ([`enclosure_work`]) — and measures them with [`pairs_measure`], the
-//! same closure the device kernels run.
+//! The pair pipeline (enclosure, overlap area) finds each inner shape's
+//! candidate outer objects through a row join — each inner window
+//! binary-searches the outer layer's §IV-B rows — and measures every
+//! shape straight from the two scenes ([`PairsWork`]): one executor
+//! task per shape calls [`PairsWork::measure`], which the device kernels
+//! run too. No per-shape work list is built.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -47,13 +48,13 @@ use std::sync::Arc;
 use odrc_db::{CellId, Layer, Layout};
 use odrc_geometry::{Coord, Polygon, Rect};
 use odrc_infra::host::HostExecutor;
-use odrc_infra::partition::{partition_rows, row_join_on, Row, RowPartition};
+use odrc_infra::partition::{partition_rows, row_join_on, Row, RowJoin, RowPartition};
 use odrc_infra::sweep::scan_overlaps;
 use odrc_infra::Profiler;
 
 use crate::cache::CacheHandle;
 use crate::checks::poly::{polygon_violations, LocalViolation, PolyRuleSpec};
-use crate::checks::{enclosure_margin, SpaceSpec};
+use crate::checks::{placed_enclosure_margin, Placed, SpaceSpec};
 use crate::engine::{EngineOptions, EngineStats};
 use crate::parallel::{record_violation, row_host_records};
 use crate::plan::{
@@ -414,8 +415,8 @@ pub(crate) fn check_rule(
                 ctx,
                 &rule.name,
                 pairs,
-                &inner_scene,
-                &outer_scene,
+                inner_scene,
+                outer_scene,
                 window,
                 out,
             );
@@ -616,109 +617,160 @@ pub(crate) fn enclosure_scenes(
     (inner_scene, ctx.layer_scene(pairs.outer))
 }
 
-/// Gathers the enclosure work list: every flat inner shape (of those
-/// hitting `window`, when given) paired with its candidate outer
-/// polygons. This is the one candidate-discovery path of enclosure and
-/// overlap-area rules — in-core (both modes), delta windows and
-/// out-of-core shards differ only in the scenes they pass.
+/// One pair rule's work over two scenes, borrowed from them: every
+/// inner shape (of those hitting a delta window, when given) and its
+/// row-join hits among the outer scene's objects. This is the one
+/// candidate-discovery and measuring path of enclosure and overlap-area
+/// rules — in-core (a host task or a device kernel per shape), delta
+/// windows and out-of-core shards differ only in the scenes they pass.
 ///
 /// Candidate discovery is hierarchical and output-sensitive: the row
-/// join (`row_join_on`) pairs the inner MBRs (inflated by the rule
-/// margin) with the *object-level* layer MBRs of the outer scene; only
-/// objects whose layer MBR overlaps an inner shape get their geometry
-/// instantiated, and only the polygons inside the inner shape's window.
-/// Each shape's objects are visited in ascending scene order, so the
-/// candidate lists do not depend on the thread count.
-pub(crate) fn enclosure_work(
-    ctx: &mut RunContext<'_>,
-    inner_scene: &LayerScene,
-    outer_scene: &LayerScene,
-    min: i64,
-    window: Option<DirtyWindow<'_>>,
-) -> Vec<(Polygon, Vec<Polygon>)> {
-    let m = min as Coord;
-    let mut inner_polys: Vec<Polygon> = Vec::new();
-    for obj in &inner_scene.objects {
-        inner_scene.object_polygons_into(obj, &mut inner_polys);
-    }
-    if let Some(w) = window {
-        inner_polys.retain(|p| w.hits(p.mbr()));
-    }
-    let windows: Vec<Rect> = inner_polys.iter().map(|p| p.mbr().inflate(m)).collect();
-    let outer_mbrs: Vec<Rect> = outer_scene.objects.iter().map(|o| o.mbr).collect();
-    let host = Arc::clone(&ctx.host);
-    let join = row_join_on(&windows, &outer_mbrs, &host);
-    ctx.profiler.add("sweepline", join.busy);
-    ctx.stats.join_candidates += join.hits.iter().map(|h| h.len() as u64).sum::<u64>();
-    ctx.stats.join_scanned += join.scanned;
-    let start = std::time::Instant::now();
-    let candidates = host.run("enclosure-gather", inner_polys.len(), |i| {
-        let mut candidates = Vec::new();
-        for &oi in &join.hits[i] {
-            outer_scene.object_polygons_in_into(
-                &outer_scene.objects[oi],
-                windows[i],
-                &mut candidates,
-            );
-        }
-        candidates
-    });
-    ctx.profiler.add("enclosure-gather", start.elapsed());
-    inner_polys.into_iter().zip(candidates).collect()
+/// join (`row_join_on`) pairs the inner MBRs, inflated by the rule's
+/// gather distance, with the *object-level* layer MBRs of the outer
+/// scene; [`PairsWork::measure`] then visits, in ascending object
+/// order, the joined objects' polygons whose placed MBR meets the
+/// shape's window, so a measure does not depend on the thread count.
+/// Nothing is copied per shape or candidate: a rectangle is measured on
+/// its placed MBR, and any other polygon is placed where it is measured.
+pub(crate) struct PairsWork {
+    pairs: PairsRule,
+    /// Each inner shape's MBR in top coordinates, its report rectangle.
+    pub mbrs: Vec<Rect>,
+    /// Each inner shape as `(scene object, index among the object's
+    /// polygons)`; kept for the overlap-area kind only, which measures
+    /// the polygon itself.
+    shapes: Vec<(u32, u32)>,
+    /// The row join of the shapes' windows against the outer objects.
+    join: RowJoin,
+    inner: Arc<LayerScene>,
+    outer: Arc<LayerScene>,
 }
 
-/// The per-shape measurement of a pair rule, shared by the host
-/// pipeline, the device kernel and its recovery paths: the enclosure
-/// margin, or the shared (boolean AND) area with the candidates ("minimum
-/// overlapping area constraints", §II).
-pub(crate) fn pairs_measure(
-    pairs: PairsRule,
-) -> impl Fn(&Polygon, &[Polygon]) -> i64 + Send + Sync + Clone + 'static {
-    move |poly, candidates| match pairs.kind {
-        ViolationKind::Enclosure => {
-            let refs: Vec<&Polygon> = candidates.iter().collect();
-            enclosure_margin(poly.mbr(), &refs, pairs.min)
+impl PairsWork {
+    /// Lists the inner shapes and joins them with the outer objects,
+    /// charging the join to the `sweepline` phase and the join counters.
+    pub(crate) fn new(
+        ctx: &mut RunContext<'_>,
+        pairs: PairsRule,
+        inner: Arc<LayerScene>,
+        outer: Arc<LayerScene>,
+        window: Option<DirtyWindow<'_>>,
+    ) -> PairsWork {
+        let overlap = pairs.kind != ViolationKind::Enclosure;
+        let index = |i: usize| u32::try_from(i).expect("scene index fits u32");
+        let mut mbrs = Vec::with_capacity(inner.objects.len());
+        let mut shapes = Vec::new();
+        for (o, obj) in inner.objects.iter().enumerate() {
+            for (k, shape) in inner.placed_polygons(obj).enumerate() {
+                if window.is_some_and(|w| !w.hits(shape.mbr())) {
+                    continue;
+                }
+                mbrs.push(shape.mbr());
+                if overlap {
+                    shapes.push((index(o), index(k)));
+                }
+            }
         }
-        _ => {
-            use odrc_infra::Region;
-            let inner_region = Region::from_polygons([poly]);
-            let outer_region = Region::from_polygons(candidates.iter());
-            inner_region.intersection(&outer_region).area()
+        let gather = pairs.gather() as Coord;
+        let windows: Vec<Rect> = mbrs.iter().map(|m| m.inflate(gather)).collect();
+        let outer_mbrs: Vec<Rect> = outer.objects.iter().map(|o| o.mbr).collect();
+        let join = row_join_on(&windows, &outer_mbrs, &ctx.host);
+        ctx.profiler.add("sweepline", join.busy);
+        ctx.stats.join_candidates += join.hits.len() as u64;
+        ctx.stats.join_scanned += join.scanned;
+        PairsWork {
+            pairs,
+            mbrs,
+            shapes,
+            join,
+            inner,
+            outer,
         }
+    }
+
+    /// The number of inner shapes.
+    pub(crate) fn len(&self) -> usize {
+        self.mbrs.len()
+    }
+
+    /// Shape `i`'s candidates: the polygons of its joined outer objects
+    /// whose placed MBR meets its window, in ascending object order.
+    fn candidates(&self, i: usize) -> impl Iterator<Item = Placed<'_>> + '_ {
+        let window = self.mbrs[i].inflate(self.pairs.gather() as Coord);
+        let outer = &*self.outer;
+        self.join.hits_of(i).iter().flat_map(move |&o| {
+            outer
+                .placed_polygons(&outer.objects[o])
+                .filter(move |c| c.mbr().overlaps(window))
+        })
+    }
+
+    /// Shape `i`'s measure — its enclosure margin, or the area it
+    /// shares (boolean AND) with its candidates ("minimum overlapping
+    /// area constraints", §II). The host task, the device kernel and
+    /// its recovery all call this.
+    pub(crate) fn measure(&self, i: usize) -> i64 {
+        if self.pairs.kind == ViolationKind::Enclosure {
+            return placed_enclosure_margin(self.mbrs[i], self.candidates(i), self.pairs.min);
+        }
+        let (o, k) = self.shapes[i];
+        let shape = self
+            .inner
+            .placed_polygon(&self.inner.objects[o as usize], k as usize);
+        // A rectangle meeting at most one rectangle shares their
+        // intersection.
+        if shape.is_rect() {
+            let mut candidates = self.candidates(i);
+            match (candidates.next(), candidates.next()) {
+                (None, _) => return 0,
+                (Some(c), None) if c.is_rect() => {
+                    return shape.mbr().intersection(c.mbr()).map_or(0, Rect::area);
+                }
+                _ => {}
+            }
+        }
+        use odrc_infra::Region;
+        let shape = shape.to_polygon();
+        let candidates: Vec<_> = self.candidates(i).map(|c| c.to_polygon()).collect();
+        let inner_region = Region::from_polygons([&*shape]);
+        let outer_region = Region::from_polygons(candidates.iter().map(|c| &**c));
+        inner_region.intersection(&outer_region).area()
+    }
+
+    /// Shape `i`'s violation of `rule_name`, if `measured` is below the
+    /// rule's minimum; reported at the shape's MBR.
+    pub(crate) fn violation(&self, rule_name: &str, i: usize, measured: i64) -> Option<Violation> {
+        (measured < self.pairs.min).then(|| Violation {
+            rule: rule_name.to_owned(),
+            kind: self.pairs.kind,
+            location: self.mbrs[i],
+            measured,
+        })
     }
 }
 
 /// The pair pipeline over already-built scenes (the run memo's, a
-/// delta window's, or an out-of-core shard's): gather each inner
-/// shape's candidates, measure every `(shape, candidates)` unit as an
-/// executor task, and report the shapes measuring below the rule's
-/// minimum at their MBR, in work order.
+/// delta window's, or an out-of-core shard's): one [`PairsWork`], and
+/// one executor task per inner shape measuring it. Violations are the
+/// shapes measuring below the rule's minimum, in shape order.
 pub(crate) fn check_pairs_scenes(
     ctx: &mut RunContext<'_>,
     rule_name: &str,
     pairs: PairsRule,
-    inner_scene: &LayerScene,
-    outer_scene: &LayerScene,
+    inner_scene: Arc<LayerScene>,
+    outer_scene: Arc<LayerScene>,
     window: Option<DirtyWindow<'_>>,
     out: &mut Vec<Violation>,
 ) {
-    let work = enclosure_work(ctx, inner_scene, outer_scene, pairs.gather(), window);
+    let work = PairsWork::new(ctx, pairs, inner_scene, outer_scene, window);
     let phase = match pairs.kind {
         ViolationKind::Enclosure => "enclosure-check",
         _ => "overlap-check",
     };
-    let value = pairs_measure(pairs);
     ctx.stats.checks_computed += work.len();
     let start = std::time::Instant::now();
     let measured = ctx.host.run(phase, work.len(), |i| {
-        let (poly, candidates) = &work[i];
-        let measured = value(poly, candidates);
-        (measured < pairs.min).then(|| Violation {
-            rule: rule_name.to_owned(),
-            kind: pairs.kind,
-            location: poly.mbr(),
-            measured,
-        })
+        work.violation(rule_name, i, work.measure(i))
     });
     ctx.profiler.add(phase, start.elapsed());
     out.extend(measured.into_iter().flatten());

@@ -301,8 +301,8 @@ pub(crate) fn check_rule_sharded(
                     ctx,
                     &rule.name,
                     pairs,
-                    &inner_scene,
-                    &outer_scene,
+                    inner_scene,
+                    outer_scene,
                     None,
                     &mut buf,
                 );
@@ -362,8 +362,8 @@ fn shard_scene_pair(
     // margin. Members are a contiguous row group, so one hull rect
     // covers them; every outer object within the margin of any member
     // overlaps the inflated hull and survives the window — each inner
-    // shape sees a superset of the candidates the per-poly gather
-    // keeps, and the gather itself filters to the exact in-core set.
+    // shape sees a superset of the candidates its measure keeps, and
+    // the measure's window filter keeps exactly the in-core set.
     let band = shard
         .members
         .iter()

@@ -1,7 +1,9 @@
-//! Enclosure and overlap-area rules have one candidate-discovery path —
-//! the row join behind `enclosure_work`, where each inner window
-//! binary-searches the outer layer's rows — shared by the in-core engine
-//! (both modes), delta windows, and out-of-core shards. These tests pin
+//! Enclosure and overlap-area rules have one candidate-discovery and
+//! measuring path — `PairsWork`, whose row join lets each inner window
+//! binary-search the outer layer's rows and whose measure visits the
+//! joined objects' polygons straight from the scenes — shared by the
+//! in-core engine (host tasks and device kernels), delta windows, and
+//! out-of-core shards. These tests pin
 //! the consequence: on a design with injected off-centre vias, every way
 //! of reaching that path reports the same canonical violations as the
 //! single-threaded in-core sequential run.

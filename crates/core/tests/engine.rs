@@ -233,20 +233,25 @@ fn profile_has_paper_phases() {
             "missing phase {phase}"
         );
     }
-    // A pair rule charges its row join, its candidate gather and its
-    // measurement each to a phase of its own.
+    // A pair rule charges its row join and its measurement each to a
+    // phase of its own; candidates are visited where they are measured,
+    // so there is no separate gather phase.
     let deck = RuleDeck::new(vec![rule()
         .layer(tech::V1)
         .enclosed_by(tech::M2)
         .greater_than(tech::V1_M2_ENCLOSURE)
         .named("V1.M2.EN.1")]);
     let report = Engine::sequential().check(&layout, &deck);
-    for phase in ["sweepline", "enclosure-gather", "enclosure-check"] {
+    for phase in ["sweepline", "enclosure-check"] {
         assert!(
             report.profile.phase(phase).is_some(),
             "missing phase {phase} for an enclosure deck"
         );
     }
+    assert!(
+        report.profile.phase("enclosure-gather").is_none(),
+        "an enclosure deck still has a gather phase"
+    );
 }
 
 #[test]

@@ -125,15 +125,26 @@ pub(crate) const JOIN_CHUNK: usize = 2048;
 /// The result of [`row_join_on`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RowJoin {
-    /// For every inner rectangle, the indices of the outer rectangles it
-    /// overlaps, ascending.
-    pub hits: Vec<Vec<usize>>,
+    /// Every inner rectangle's hits back to back: the indices of the
+    /// outer rectangles it overlaps, ascending ([`RowJoin::hits_of`]).
+    pub hits: Vec<usize>,
+    /// Inner rectangle `i`'s hits are `hits[offsets[i]..offsets[i + 1]]`;
+    /// `inner.len() + 1` entries (none for an empty join).
+    pub offsets: Vec<usize>,
     /// Outer rectangles the row scans examined; every hit is one of
     /// them, so `scanned - hits` is the scans' wasted work.
     pub scanned: u64,
     /// Summed index build and query time (what a caller charges to its
     /// `sweepline` phase).
     pub busy: Duration,
+}
+
+impl RowJoin {
+    /// The outer rectangles inner rectangle `i` overlaps, ascending.
+    #[inline]
+    pub fn hits_of(&self, i: usize) -> &[usize] {
+        &self.hits[self.offsets[i]..self.offsets[i + 1]]
+    }
 }
 
 /// One row of [`row_join_on`]'s index: the row's y-extent, its members
@@ -169,7 +180,8 @@ struct JoinRow {
 /// let inner = [Rect::from_coords(4, 4, 6, 6), Rect::from_coords(50, 50, 52, 52)];
 /// let outer = [Rect::from_coords(0, 0, 10, 10), Rect::from_coords(6, 6, 20, 20)];
 /// let join = row_join_on(&inner, &outer, &HostExecutor::new(1));
-/// assert_eq!(join.hits, vec![vec![0, 1], vec![]]); // corner touch counts
+/// assert_eq!(join.hits_of(0), [0, 1]); // corner touch counts
+/// assert!(join.hits_of(1).is_empty());
 /// assert_eq!(join.scanned, 2);
 /// ```
 pub fn row_join_on(inner: &[Rect], outer: &[Rect], host: &HostExecutor) -> RowJoin {
@@ -202,9 +214,10 @@ pub fn row_join_on(inner: &[Rect], outer: &[Rect], host: &HostExecutor) -> RowJo
             }
         })
         .collect();
-    let query = |w: Rect, scanned: &mut u64| {
+    // Appends window `w`'s hits to `hits`, ascending.
+    let query = |w: Rect, hits: &mut Vec<usize>, scanned: &mut u64| {
+        let from_hit = hits.len();
         let first = rows.partition_point(|row| row.y.hi() < w.lo().y);
-        let mut hits = Vec::new();
         for row in rows[first..]
             .iter()
             .take_while(|row| row.y.lo() <= w.hi().y)
@@ -219,22 +232,34 @@ pub fn row_join_on(inner: &[Rect], outer: &[Rect], host: &HostExecutor) -> RowJo
                 }
             }
         }
-        hits.sort_unstable();
-        hits
+        hits[from_hit..].sort_unstable();
     };
     let mut join = RowJoin {
-        hits: Vec::with_capacity(inner.len()),
+        hits: Vec::new(),
+        offsets: Vec::with_capacity(inner.len() + 1),
         scanned: 0,
         busy: start.elapsed(),
     };
+    join.offsets.push(0);
+    // Each chunk returns its hits and the end of every window's list
+    // within them.
     let chunks = host.run("sweepline", inner.len().div_ceil(JOIN_CHUNK), |c| {
         let t0 = Instant::now();
         let mut scanned = 0;
         let windows = &inner[c * JOIN_CHUNK..inner.len().min((c + 1) * JOIN_CHUNK)];
-        let hits: Vec<Vec<usize>> = windows.iter().map(|&w| query(w, &mut scanned)).collect();
-        (hits, scanned, t0.elapsed())
+        let mut hits = Vec::with_capacity(windows.len());
+        let ends: Vec<usize> = windows
+            .iter()
+            .map(|&w| {
+                query(w, &mut hits, &mut scanned);
+                hits.len()
+            })
+            .collect();
+        (hits, ends, scanned, t0.elapsed())
     });
-    for (hits, scanned, elapsed) in chunks {
+    for (hits, ends, scanned, elapsed) in chunks {
+        let base = join.hits.len();
+        join.offsets.extend(ends.into_iter().map(|end| base + end));
         join.hits.extend(hits);
         join.scanned += scanned;
         join.busy += elapsed;

@@ -146,7 +146,7 @@ pub fn scan_overlaps<F: FnMut(usize, usize)>(rects: &[Rect], mut report: F) -> u
 mod tests {
     use super::*;
     use crate::host::HostExecutor;
-    use crate::partition::{row_join_on, JOIN_CHUNK};
+    use crate::partition::{row_join_on, RowJoin, JOIN_CHUNK};
     use proptest::prelude::*;
 
     fn r(x0: Coord, y0: Coord, x1: Coord, y1: Coord) -> Rect {
@@ -172,13 +172,18 @@ mod tests {
     fn join_pairs(inner: &[Rect], outer: &[Rect]) -> Vec<(usize, usize)> {
         let join = row_join_on(inner, outer, &HostExecutor::new(1));
         let wide = row_join_on(inner, outer, &HostExecutor::new(3));
-        assert_eq!((&join.hits, join.scanned), (&wide.hits, wide.scanned));
-        assert_eq!(join.hits.len(), inner.len());
-        let pairs: Vec<(usize, usize)> = join
-            .hits
-            .iter()
-            .enumerate()
-            .flat_map(|(i, list)| list.iter().map(move |&o| (i, o)))
+        assert_eq!(
+            join,
+            RowJoin {
+                busy: join.busy,
+                ..wide
+            }
+        );
+        if !inner.is_empty() {
+            assert_eq!(join.offsets.len(), inner.len() + 1);
+        }
+        let pairs: Vec<(usize, usize)> = (0..inner.len())
+            .flat_map(|i| join.hits_of(i).iter().map(move |&o| (i, o)))
             .collect();
         assert!(join.scanned >= pairs.len() as u64);
         pairs
@@ -190,7 +195,7 @@ mod tests {
         assert!(join_pairs(&[], &some).is_empty());
         assert!(join_pairs(&some, &[]).is_empty());
         let join = row_join_on(&some, &[], &HostExecutor::new(1));
-        assert_eq!(join.hits, vec![Vec::<usize>::new()]);
+        assert_eq!((join.hits, join.offsets), (vec![], vec![0, 0]));
         assert_eq!(join.scanned, 0);
     }
 
@@ -276,12 +281,12 @@ mod tests {
         let wide = HostExecutor::new(4);
         let a = row_join_on(&inner, &outer, &serial);
         let b = row_join_on(&inner, &outer, &wide);
-        assert_eq!((&a.hits, a.scanned), (&b.hits, b.scanned));
+        assert_eq!(a, RowJoin { busy: a.busy, ..b });
         // The row build does not fan out; the queries run as three
         // chunks.
         assert_eq!(serial.tasks(), 3);
         assert_eq!(wide.tasks(), 3);
-        assert_eq!(a.hits.iter().map(Vec::len).sum::<usize>(), inner.len());
+        assert_eq!(a.hits.len(), inner.len());
     }
 
     proptest! {
