@@ -208,6 +208,17 @@ if grep -rnE 'fn enumerate_protos|fn layer_object_mbrs|struct Placement' crates/
 fi
 walks=$(grep -c 'LayerObjects::enumerate' crates/core/src/shard.rs)
 [ "$walks" -eq 2 ] || { echo "expected two LayerObjects::enumerate sites in shard.rs, found $walks"; exit 1; }
+# One hierarchy walk: a layer's objects and the intra rules' instance
+# table (scene::cell_instances) are both views of scene.rs's walk. The
+# intra rules' separate recursive walk stays deleted. (gdsii's
+# RefPlacement::instance_transforms expands one AREF's lattice; it walks
+# no hierarchy.)
+if grep -rn 'fn instance_transforms' crates/*/src | grep -v '^crates/gdsii/'; then
+    echo "a second hierarchy walk (fn instance_transforms) is back in crates/*/src"
+    exit 1
+fi
+walks=$(grep -c '^fn walk(' crates/core/src/scene.rs)
+[ "$walks" -eq 1 ] || { echo "expected one hierarchy walk (fn walk) in scene.rs, found $walks"; exit 1; }
 
 # One candidate discovery, one window formula and one pack, shared by
 # both modes: the default mode's host driver and the parallel row set
@@ -260,12 +271,13 @@ echo "== one flag table per odrc entry point, every flag under test"
 # odrc's four entry points (check, diff, serve, client) each parse their
 # command line from one table in odrc.rs, one row per flag, and generate
 # their usage text from it. Every flag in those tables must be passed by
-# a test (a quoted "--flag" in crates/*/tests or tests/) or by a command
-# in this script; an untested flag is deleted, not kept.
+# a test (a quoted "--flag" in crates/*/tests or tests/, outside a //
+# comment) or by a command in this script; an untested flag is deleted,
+# not kept.
 flags=$(grep -oE '^ +\("--[a-z-]+"' crates/serve/src/bin/odrc.rs | grep -oE -- '--[a-z-]+' | sort -u)
 [ -n "$flags" ] || { echo "no flag table rows found in crates/serve/src/bin/odrc.rs"; exit 1; }
 for flag in $flags; do
-    grep -rqF -- "\"$flag\"" crates/*/tests tests \
+    grep -rhF -- "\"$flag\"" crates/*/tests tests | sed 's#//.*##' | grep -qF -- "\"$flag\"" \
         || grep -v '^ *#' ci.sh | grep -qE -- "$flag( |\$)" \
         || { echo "odrc flag $flag is named in no test and no ci.sh leg"; exit 1; }
 done

@@ -161,11 +161,11 @@ impl Checker for DeepChecker {
 
     fn check(&self, layout: &Layout, deck: &RuleDeck) -> BaselineReport {
         use odrc::checks::poly::polygon_violations;
-        use odrc::scene::instance_transforms;
+        use odrc::scene::cell_instances;
 
         let mut profile = Profiler::new();
         let mut violations: Vec<Violation> = Vec::new();
-        let instances = profile.time("hierarchy", || instance_transforms(layout));
+        let instances = profile.time("hierarchy", || cell_instances(layout));
         for rule in deck.rules() {
             match &rule.kind {
                 RuleKind::Space {
@@ -220,9 +220,7 @@ impl Checker for DeepChecker {
                     let (layer, spec) = crate::common::intra_spec(rule);
                     profile.time("check", || {
                         for cell_id in layout.cell_ids() {
-                            let Some(transforms) = instances.get(&cell_id) else {
-                                continue;
-                            };
+                            let transforms = &instances[cell_id.index()];
                             let cell = layout.cell(cell_id);
                             let mut locals = Vec::new();
                             for p in cell.polygons() {

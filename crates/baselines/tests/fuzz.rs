@@ -37,6 +37,19 @@ struct FuzzSpec {
     placements: Vec<(bool, i32, i32, i32, bool)>,
     /// Loose rects in TOP.
     top_rects: Vec<(i16, i32, i32, i32, i32)>,
+    /// An optional middle cell MID, making the hierarchy one level
+    /// deeper above the leaves.
+    middle: Option<Middle>,
+}
+
+/// MID takes the first `placements` placements and the first `rects`
+/// loose rects from TOP, and TOP places MID at each of `at`: (x, y,
+/// rotation quarter-turns, mirror).
+#[derive(Debug, Clone)]
+struct Middle {
+    placements: usize,
+    rects: usize,
+    at: Vec<(i32, i32, i32, bool)>,
 }
 
 fn arb_rects(n: usize) -> impl Strategy<Value = Vec<(i16, i32, i32, i32, i32)>> {
@@ -67,13 +80,41 @@ fn arb_spec() -> impl Strategy<Value = FuzzSpec> {
             0..6,
         ),
         arb_rects(6),
+        // Zero or one middle cell.
+        proptest::collection::vec(
+            (
+                0usize..6,
+                0usize..6,
+                proptest::collection::vec(
+                    (-300i32..300, -300i32..300, 0i32..4, proptest::bool::ANY),
+                    1..3,
+                ),
+            ),
+            0..2,
+        ),
     )
-        .prop_map(|(cell_a, cell_b, placements, top_rects)| FuzzSpec {
+        .prop_map(|(cell_a, cell_b, placements, top_rects, middle)| FuzzSpec {
             cell_a,
             cell_b,
             placements,
             top_rects,
+            middle: middle
+                .into_iter()
+                .next()
+                .map(|(placements, rects, at)| Middle {
+                    placements,
+                    rects,
+                    at,
+                }),
         })
+}
+
+/// A placement of `cell`: (x, y, rotation quarter-turns, mirror).
+fn sref(cell: &str, (x, y, rot, mirror): (i32, i32, i32, bool)) -> Element {
+    let mut r = RefElement::sref(cell, Point::new(x, y));
+    r.angle_deg = f64::from(rot) * 90.0;
+    r.mirror_x = mirror;
+    Element::Ref(r)
 }
 
 fn build_layout(spec: &FuzzSpec) -> Layout {
@@ -92,14 +133,26 @@ fn build_layout(spec: &FuzzSpec) -> Layout {
     lib.structures.push(b);
 
     let mut top = Structure::new("TOP");
-    for &(which_b, x, y, rot, mirror) in &spec.placements {
-        let mut r = RefElement::sref(if which_b { "B" } else { "A" }, Point::new(x, y));
-        r.angle_deg = f64::from(rot) * 90.0;
-        r.mirror_x = mirror;
-        top.elements.push(Element::Ref(r));
+    let mut mid = Structure::new("MID");
+    let (placed, drawn) = spec.middle.as_ref().map_or((0, 0), |m| {
+        (
+            m.placements.min(spec.placements.len()),
+            m.rects.min(spec.top_rects.len()),
+        )
+    });
+    for (i, &(which_b, x, y, rot, mirror)) in spec.placements.iter().enumerate() {
+        let cell = if which_b { "B" } else { "A" };
+        let parent = if i < placed { &mut mid } else { &mut top };
+        parent.elements.push(sref(cell, (x, y, rot, mirror)));
     }
-    for &(l, x, y, w, h) in &spec.top_rects {
-        top.elements.push(rect_el(l, x, y, w, h));
+    for (i, &(l, x, y, w, h)) in spec.top_rects.iter().enumerate() {
+        let parent = if i < drawn { &mut mid } else { &mut top };
+        parent.elements.push(rect_el(l, x, y, w, h));
+    }
+    if let Some(m) = &spec.middle {
+        top.elements
+            .extend(m.at.iter().map(|&placement| sref("MID", placement)));
+        lib.structures.push(mid);
     }
     lib.structures.push(top);
     Layout::from_library(&lib).expect("fuzz layouts are structurally valid")
@@ -174,6 +227,7 @@ fn overlapping_polygons_handled() {
         cell_b: vec![(1, 0, 0, 30, 30), (1, 0, 0, 30, 30)], // exact duplicates
         placements: vec![(false, 0, 0, 0, false), (true, 100, 0, 1, true)],
         top_rects: vec![(1, 50, 50, 40, 40), (1, 55, 55, 10, 10)], // nested
+        middle: None,
     };
     let layout = build_layout(&spec);
     let d = deck();

@@ -154,9 +154,10 @@ pub struct EngineStats {
     pub scenes_built: usize,
     /// Scene requests answered by the per-run memo ([`crate::plan`]).
     pub scenes_reused: usize,
-    /// Top-cell children (references + polygons) visited by pass 1 of
-    /// scene building: the top cell's child count once per layer
-    /// enumeration — per scene in-core, per rule and layer when sharded.
+    /// Children (references + polygons) of the frames visited by pass 1
+    /// of scene building (the top cell's alone on a one-level design),
+    /// once per layer enumeration — per scene in-core, per rule and
+    /// layer when sharded.
     /// Never a function of `host_threads`, the budget or the shard size.
     pub scene_objects_scanned: u64,
     /// Host→device uploads skipped because the data was already

@@ -79,7 +79,7 @@ use crate::plan::{
     SharedDeviceData,
 };
 use crate::rules::{PairsRule, Rule, RuleFamily, RuleKind};
-use crate::scene::DirtyWindow;
+use crate::scene::{cell_instances, DirtyWindow};
 use crate::sequential::{enclosure_scenes, PairsWork, RunContext};
 use crate::violation::{Violation, ViolationKind};
 
@@ -761,16 +761,18 @@ fn emit_intra(
         return;
     }
     let layout = ctx.layout;
-    let instances = ctx
-        .instances
-        .get_or_insert_with(|| crate::scene::instance_transforms(layout));
+    let instances = ctx.instances.get_or_insert_with(|| cell_instances(layout));
     let targets = Arc::clone(&data.targets);
+    // Each further instance reuses the check (the ablation recounts it).
+    let replays = if ctx.options.pruning {
+        &mut ctx.stats.checks_reused
+    } else {
+        &mut ctx.stats.checks_computed
+    };
     ctx.profiler.time("convert", || {
         for (idx, (cell, _)) in targets.iter().enumerate() {
-            let Some(transforms) = instances.get(cell) else {
-                continue;
-            };
-            ctx.stats.checks_reused += transforms.len().saturating_sub(1);
+            let transforms = &instances[cell.index()];
+            *replays += transforms.len().saturating_sub(1);
             for t in transforms {
                 out.extend(
                     per_poly[idx]

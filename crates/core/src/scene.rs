@@ -1,23 +1,24 @@
-//! Per-layer object scenes.
+//! Per-layer object scenes, and the one hierarchy walk ([`walk`]).
 //!
-//! Inter-polygon checks operate on *objects*: the direct placements
-//! under the top cell plus the top cell's own polygons. A
+//! Inter-polygon checks operate on *objects*: the walk's cut of a layer
+//! — each leaf placement (a flat cell) and each polygon a frame (the top
+//! cell, or a block placed in it) draws on the layer. On a one-level
+//! design the objects are the top cell's placements and polygons. A
 //! [`LayerScene`] gathers, for one layer, each object's layer MBR (for
-//! partitioning and pair pruning) and a per-cell cache of flattened
-//! subtree polygons in cell-local coordinates — computed once per cell
-//! definition no matter how many times the cell is placed, which is the
-//! database half of the hierarchical reuse of §IV-C.
+//! partitioning and pair pruning) and each placed cell's polygons in
+//! cell-local coordinates — copied once per cell definition no matter
+//! how many times the cell is placed, which is the database half of the
+//! hierarchical reuse of §IV-C; intra-polygon checks replay through the
+//! walk's instance table, [`cell_instances`].
 //!
-//! A build has two passes. Pass 1 walks the top cell once and is kept as
-//! a value, [`LayerObjects`]: the layer's objects in *proto order* with
-//! their MBRs and their positions in the top cell. Pass 2 (`assemble`)
+//! A build has two passes. Pass 1 walks the cut once and is kept as a
+//! value, [`LayerObjects`]: the layer's objects in *proto order* with
+//! their MBRs and their positions in their frames. Pass 2 (`assemble`)
 //! turns a sorted list of proto indices — the *members* — into a scene
 //! in O(members). In-core, delta-window and shard scenes all go through
 //! it, so a rule that builds many scenes of a layer walks it once.
 
-use std::collections::HashMap;
-
-use odrc_db::{CellId, CellRef, Layer, Layout};
+use odrc_db::{Cell, CellId, Layer, Layout};
 use odrc_geometry::{Coord, Polygon, Rect, Transform};
 
 use crate::checks::Placed;
@@ -25,14 +26,14 @@ use crate::checks::Placed;
 /// What a scene object refers to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SceneSource {
-    /// A placement of a cell under the top cell.
+    /// A leaf placement of a flat cell.
     Cell {
         /// The placed cell.
         cell: CellId,
         /// Its transform into top coordinates.
         transform: Transform,
     },
-    /// A polygon drawn directly in the top cell.
+    /// A polygon drawn in a frame, stored in top coordinates.
     TopPolygon {
         /// Index into the scene's top-polygon list.
         index: usize,
@@ -48,16 +49,18 @@ pub struct SceneObject {
     pub source: SceneSource,
 }
 
-/// All objects of one layer, with cached per-cell flat geometry.
+/// All objects of one layer, with cached per-cell geometry.
 #[derive(Debug)]
 pub struct LayerScene {
     /// The layer this scene describes.
     pub layer: Layer,
-    /// Objects in construction order (placements, then top polygons).
+    /// Objects in member (proto) order.
     pub objects: Vec<SceneObject>,
-    /// Flattened subtree polygons per placed cell, local coordinates.
-    local: HashMap<CellId, Vec<Polygon>>,
-    /// The top cell's own polygons on this layer.
+    /// Each placed cell's polygons, local coordinates, first occurrence
+    /// first (`slot`: its index here by `CellId`).
+    local: Vec<(CellId, Vec<Polygon>)>,
+    slot: Vec<Option<u32>>,
+    /// The frames' polygons on this layer, top coordinates.
     top_polys: Vec<Polygon>,
 }
 
@@ -107,12 +110,12 @@ impl LayerScene {
     ///   inflated by the margin: the second participant of a pairwise
     ///   violation is within the margin of the first.
     ///
-    /// Cells whose placements are all filtered out are never flattened,
+    /// Cells whose placements are all filtered out are never copied,
     /// which is where a small edit on a large layout saves its work.
-    /// The per-cell subtree flattening fans out on `host`: the unique
-    /// kept cells are collected in first-occurrence order, their flat
-    /// polygon lists computed in parallel, and the scene assembled
-    /// serially — the result is identical for any thread count.
+    /// The per-cell polygon copies fan out on `host`: the unique kept
+    /// cells are collected in first-occurrence order, their polygon
+    /// lists copied in parallel, and the scene assembled serially — the
+    /// result is identical for any thread count.
     pub fn build_on(
         layout: &Layout,
         layer: Layer,
@@ -176,31 +179,29 @@ impl LayerScene {
         assemble(layout, layer, objects, &members, host)
     }
 
-    /// The flattened local polygons of a placed cell.
+    /// The local polygons of a placed cell on the scene's layer.
     ///
     /// # Panics
     ///
     /// Panics if `cell` was not placed in this scene.
     pub fn local_polygons(&self, cell: CellId) -> &[Polygon] {
-        self.local
-            .get(&cell)
-            .expect("cell placed in this scene")
-            .as_slice()
+        let slot = self.slot[cell.index()].expect("cell placed in this scene");
+        &self.local[slot as usize].1
     }
 
-    /// The unique placed cells of the scene.
+    /// The unique placed cells of the scene, first occurrence first.
     pub fn placed_cells(&self) -> impl Iterator<Item = CellId> + '_ {
-        self.local.keys().copied()
+        self.local.iter().map(|(cell, _)| *cell)
     }
 
-    /// A top polygon by index.
+    /// A frame polygon by index, in top coordinates.
     pub fn top_polygon(&self, index: usize) -> &Polygon {
         &self.top_polys[index]
     }
 
     /// The polygons of one object where they are placed: a placed
-    /// cell's flattened local polygons in cache order, or the top
-    /// polygon. Nothing is copied; [`Placed::to_polygon`] builds a
+    /// cell's local polygons in cache order, or the frame polygon.
+    /// Nothing is copied; [`Placed::to_polygon`] builds a
     /// placed polygon where one is needed.
     pub(crate) fn placed_polygons(
         &self,
@@ -231,17 +232,6 @@ impl LayerScene {
         }
     }
 
-    /// Total flat polygon count of the scene (hierarchy expanded).
-    pub fn flat_polygon_count(&self) -> usize {
-        self.objects
-            .iter()
-            .map(|o| match o.source {
-                SceneSource::Cell { cell, .. } => self.local_polygons(cell).len(),
-                SceneSource::TopPolygon { .. } => 1,
-            })
-            .sum()
-    }
-
     /// Approximate resident size of the scene in bytes: object records
     /// plus every cached polygon's vertex storage (with a fixed
     /// per-polygon overhead for the `Vec` headers). This is the byte
@@ -252,7 +242,7 @@ impl LayerScene {
         const POLY_OVERHEAD: u64 = 48;
         let vertex = std::mem::size_of::<odrc_geometry::Point>() as u64;
         let mut bytes = (self.objects.len() * std::mem::size_of::<SceneObject>()) as u64;
-        for polys in self.local.values() {
+        for (_, polys) in &self.local {
             for p in polys {
                 bytes += POLY_OVERHEAD + p.vertices().len() as u64 * vertex;
             }
@@ -265,59 +255,102 @@ impl LayerScene {
 }
 
 /// Pass 1 of a scene build, kept as a value: every object of `layer`
-/// with its layer MBR in top coordinates — no flattening. The order is
-/// the *proto order*: the top cell's references whose cell has `layer`,
-/// then the top cell's polygons on `layer`, each group in top-cell
-/// order. Object `i` of an unwindowed [`LayerScene::build_on`] is proto
-/// `i`; member lists, `plan_shards`' partition and the shard hull all
-/// index by it.
+/// with its layer MBR in top coordinates — no flattening. The *proto
+/// order* is the walk's: frame by frame, each frame's leaf placements
+/// and then its polygons on `layer` (on a one-level design, the top
+/// cell's references and then its polygons). Object `i` of an
+/// unwindowed [`LayerScene::build_on`] is proto `i`; member lists,
+/// `plan_shards`' partition and the shard hull all index by it.
 #[derive(Default)]
 pub(crate) struct LayerObjects {
     /// Layer MBR of each object, proto order.
     pub mbrs: Vec<Rect>,
-    /// `top.refs()` index of each reference object (protos `..refs.len()`).
-    refs: Vec<u32>,
-    /// `top.polygons()` index of each top-polygon object (the rest).
-    polys: Vec<u32>,
+    /// Each object's `refs()` (a leaf) or `polygons()` index in its frame.
+    child: Vec<u32>,
+    /// Each frame, walk order: its cell and placement, its first proto
+    /// and its first polygon proto.
+    frames: Vec<(CellId, Transform, usize, usize)>,
 }
 
 impl LayerObjects {
-    /// Walks the top cell's children once; `scanned` grows by their
-    /// count ([`EngineStats::scene_objects_scanned`](crate::EngineStats)).
+    /// Walks the cut of `layer` once; `scanned` grows by each frame's
+    /// child count ([`EngineStats::scene_objects_scanned`](crate::EngineStats)).
     pub(crate) fn enumerate(layout: &Layout, layer: Layer, scanned: &mut u64) -> LayerObjects {
-        let top = layout.cell(layout.top());
-        *scanned += (top.refs().len() + top.polygons().len()) as u64;
         // One MBR lookup per cell definition, not per placement.
         let cell_mbrs: Vec<Option<Rect>> =
             layout.cells().iter().map(|c| c.layer_mbr(layer)).collect();
-        let index = |i: usize| u32::try_from(i).expect("top-cell child index fits u32");
-        let mut objects = LayerObjects::default();
-        for (i, r) in top.refs().iter().enumerate() {
-            if let Some(local_mbr) = cell_mbrs[r.cell.index()] {
-                objects.mbrs.push(r.transform.apply_rect(local_mbr));
-                objects.refs.push(index(i));
+        let index = |i: usize| u32::try_from(i).expect("child index fits u32");
+        let (mut objects, mut start) = (LayerObjects::default(), 0);
+        walk(layout, &cell_mbrs, |leaf, cell, at| {
+            if let Some(i) = leaf {
+                let local = cell_mbrs[cell.index()].expect("a leaf is on the layer");
+                objects.mbrs.push(at.apply_rect(local));
+                objects.child.push(index(i));
+                return;
             }
-        }
-        for (k, p) in top.polygons().iter().enumerate() {
-            if p.layer == layer {
-                objects.mbrs.push(p.polygon.mbr());
-                objects.polys.push(index(k));
+            let c = layout.cell(cell);
+            *scanned += (c.refs().len() + c.polygons().len()) as u64;
+            objects.frames.push((cell, at, start, objects.mbrs.len()));
+            for (k, p) in c.polygons().iter().enumerate() {
+                if p.layer == layer {
+                    objects.mbrs.push(at.apply_rect(p.polygon.mbr()));
+                    objects.child.push(index(k));
+                }
             }
-        }
+            start = objects.mbrs.len();
+        });
         objects
     }
 }
 
+/// The one hierarchy walk (§IV-A's tree at every depth). A *frame* is
+/// the top cell or an instance of a cell that places cells with
+/// geometry; other cells are flat. Depth first, transforms composed, it
+/// calls `f(Some(i), ..)` for each flat child `refs()[i]` of a frame that
+/// is `on` (`on[child]` is set), then `f(None, ..)` for the frame, then
+/// enters its frame children that are `on`. A block and its contents
+/// drawn in place yield the same leaves.
+fn walk(layout: &Layout, on: &[Option<Rect>], mut f: impl FnMut(Option<usize>, CellId, Transform)) {
+    let cells = layout.cells();
+    let frame: Vec<bool> = (cells.iter().map(Cell::refs))
+        .map(|refs| refs.iter().any(|r| cells[r.cell.index()].mbr().is_some()))
+        .collect();
+    let mut stack = vec![(layout.top(), Transform::IDENTITY)];
+    while let Some((cell, at)) = stack.pop() {
+        let first = stack.len();
+        for (i, r) in cells[cell.index()].refs().iter().enumerate() {
+            if on[r.cell.index()].is_none() {
+                continue;
+            }
+            let t = r.transform.then(&at);
+            if frame[r.cell.index()] {
+                stack.push((r.cell, t));
+            } else {
+                f(Some(i), r.cell, t);
+            }
+        }
+        f(None, cell, at);
+        stack[first..].reverse(); // frame children pop in `refs()` order
+    }
+}
+
+/// Every instance of every cell with geometry, in top coordinates,
+/// indexed by `CellId`: the [`walk`] with no layer filter. Intra-polygon
+/// checks replay their per-cell results through it (§IV-C).
+pub fn cell_instances(layout: &Layout) -> Vec<Vec<Transform>> {
+    let mbrs: Vec<Option<Rect>> = layout.cells().iter().map(|c| c.mbr()).collect();
+    let mut table = vec![Vec::new(); mbrs.len()];
+    walk(layout, &mbrs, |_, cell, t| table[cell.index()].push(t));
+    table
+}
+
 /// Pass 2 of a scene build: derive the member objects (sorted proto
-/// indices) from the top cell by index and flatten what they place.
-/// Only the member objects survive, only their cells are flattened, and
-/// only their top polygons are copied — this is the residency unit of
-/// the out-of-core [`ShardPool`](crate::shard::ShardPool), and nothing
-/// in it walks the layer: a rebuild after eviction costs O(members) too.
-///
-/// The expensive step — flattening each unique member cell's subtree —
-/// fans out on the executor (first-occurrence order); the rest is
-/// serial and O(members).
+/// indices) from their frames by index, copying each member cell's
+/// polygons once and placing each member frame polygon. Only the member
+/// objects survive — this is the residency unit of the out-of-core
+/// [`ShardPool`](crate::shard::ShardPool), and nothing in it walks the
+/// layer: a rebuild after eviction costs O(members) too. The cell copies
+/// fan out on the executor (first-occurrence order).
 pub(crate) fn assemble(
     layout: &Layout,
     layer: Layer,
@@ -326,59 +359,48 @@ pub(crate) fn assemble(
     host: &odrc_infra::HostExecutor,
 ) -> LayerScene {
     debug_assert!(members.windows(2).all(|w| w[0] < w[1]), "sorted members");
-    let top_cell = layout.cell(layout.top());
-    // Sorted members: the references come first, as in proto order.
-    let (placed, drawn) = members.split_at(members.partition_point(|&m| m < protos.refs.len()));
     let mut objects = Vec::with_capacity(members.len());
-    let mut uniq: Vec<CellId> = Vec::new();
-    let mut seen: std::collections::HashSet<CellId> = std::collections::HashSet::new();
-    for &m in placed {
-        let CellRef { cell, transform } = top_cell.refs()[protos.refs[m] as usize];
-        if seen.insert(cell) {
-            uniq.push(cell);
+    let mut slot = vec![None; layout.cells().len()];
+    let (mut uniq, mut top_polys) = (Vec::new(), Vec::new());
+    let mut f = 0;
+    for &m in members {
+        while protos.frames.get(f + 1).is_some_and(|next| next.2 <= m) {
+            f += 1;
         }
-        let source = SceneSource::Cell { cell, transform };
+        let (frame, at, _, drawn) = protos.frames[f];
+        let child = protos.child[m] as usize;
+        let source = if m < drawn {
+            let r = layout.cell(frame).refs()[child];
+            let (cell, transform) = (r.cell, r.transform.then(&at));
+            slot[cell.index()].get_or_insert_with(|| {
+                uniq.push(cell);
+                uniq.len() as u32 - 1
+            });
+            SceneSource::Cell { cell, transform }
+        } else {
+            let polygon = &layout.cell(frame).polygons()[child].polygon;
+            top_polys.reserve_exact(members.len() - objects.len()); // exact on one level
+            top_polys.push(match at {
+                Transform::IDENTITY => polygon.clone(),
+                t => t.apply_polygon(polygon),
+            });
+            let index = top_polys.len() - 1;
+            SceneSource::TopPolygon { index }
+        };
         let mbr = protos.mbrs[m];
         objects.push(SceneObject { mbr, source });
     }
-    let flats = host.run("scene", uniq.len(), |i| {
-        let mut flat = Vec::new();
-        layout.collect_layer_polygons(uniq[i], Transform::IDENTITY, layer, &mut flat);
-        flat.into_iter().map(|f| f.polygon).collect::<Vec<_>>()
+    let local = host.run("scene", uniq.len(), |i| {
+        let polys = layout.cell(uniq[i]).polygons_on(layer);
+        polys.map(|p| p.polygon.clone()).collect::<Vec<_>>()
     });
-    let local: HashMap<CellId, Vec<Polygon>> = uniq.into_iter().zip(flats).collect();
-    let mut top_polys = Vec::with_capacity(drawn.len());
-    for &m in drawn {
-        let index = top_polys.len();
-        let source = SceneSource::TopPolygon { index };
-        let mbr = protos.mbrs[m];
-        objects.push(SceneObject { mbr, source });
-        let k = protos.polys[m - protos.refs.len()] as usize;
-        top_polys.push(top_cell.polygons()[k].polygon.clone());
-    }
     LayerScene {
         layer,
         objects,
-        local,
+        slot,
+        local: uniq.into_iter().zip(local).collect(),
         top_polys,
     }
-}
-
-/// Enumerates, for every cell, the transforms of all its instantiations
-/// in top coordinates (the top cell itself has the identity transform).
-///
-/// Hierarchical intra-polygon checks compute violations once per cell
-/// and replay them through these transforms (§IV-C).
-pub fn instance_transforms(layout: &Layout) -> HashMap<CellId, Vec<Transform>> {
-    let mut map: HashMap<CellId, Vec<Transform>> = HashMap::new();
-    fn rec(layout: &Layout, cell: CellId, t: Transform, map: &mut HashMap<CellId, Vec<Transform>>) {
-        map.entry(cell).or_default().push(t);
-        for r in layout.cell(cell).refs() {
-            rec(layout, r.cell, r.transform.then(&t), map);
-        }
-    }
-    rec(layout, layout.top(), Transform::IDENTITY, &mut map);
-    map
 }
 
 #[cfg(test)]
@@ -393,6 +415,12 @@ mod tests {
 
     fn p(x: i32, y: i32) -> Point {
         Point::new(x, y)
+    }
+
+    /// Total placed polygon count of the scene.
+    fn flat_count(scene: &LayerScene) -> usize {
+        let objects = scene.objects.iter();
+        objects.map(|o| scene.placed_polygons(o).count()).sum()
     }
 
     /// All polygons of one object, in top coordinates.
@@ -439,7 +467,7 @@ mod tests {
         let layout = demo_layout();
         let scene = LayerScene::build(&layout, 1);
         assert_eq!(scene.objects.len(), 3); // two placements + one top poly
-        assert_eq!(scene.flat_polygon_count(), 3);
+        assert_eq!(flat_count(&scene), 3);
         let scene2 = LayerScene::build(&layout, 2);
         assert_eq!(scene2.objects.len(), 2); // placements only
         let scene9 = LayerScene::build(&layout, 9);
@@ -489,7 +517,7 @@ mod tests {
                 let host = odrc_infra::HostExecutor::new(threads);
                 let par = LayerScene::build_on(&layout, layer, None, &host);
                 assert_eq!(par.objects, serial.objects);
-                assert_eq!(par.flat_polygon_count(), serial.flat_polygon_count());
+                assert_eq!(flat_count(&par), flat_count(&serial));
                 for obj in &serial.objects {
                     assert_eq!(polygons_of(&par, obj), polygons_of(&serial, obj));
                 }
@@ -596,7 +624,7 @@ mod tests {
             .iter()
             .flat_map(|obj| scene.placed_polygons(obj))
             .collect();
-        assert_eq!(placed.len(), scene.flat_polygon_count());
+        assert_eq!(placed.len(), flat_count(&scene));
         for p in &placed {
             assert_eq!(p.to_polygon().mbr(), p.mbr());
         }
@@ -608,12 +636,60 @@ mod tests {
     }
 
     #[test]
-    fn instance_transforms_counts() {
+    fn cell_instances_counts() {
         let layout = demo_layout();
-        let map = instance_transforms(&layout);
+        let table = cell_instances(&layout);
         let unit = layout.cell_by_name("UNIT").unwrap();
-        assert_eq!(map[&unit].len(), 2);
-        assert_eq!(map[&layout.top()].len(), 1);
-        assert_eq!(map[&layout.top()][0], Transform::IDENTITY);
+        assert_eq!(table[unit.index()].len(), 2);
+        assert_eq!(table[layout.top().index()], [Transform::IDENTITY]);
+    }
+
+    /// `demo_layout` one level down: its top cell placed by a new top
+    /// under `t`, which also draws one polygon of its own.
+    fn wrapped_demo(t: Transform) -> Layout {
+        let mut lib = demo_layout().to_library("t");
+        let mut wrap = Structure::new("WRAP");
+        let mut r = odrc_gdsii::RefElement::sref("TOP", t.translate());
+        r.mirror_x = t.mirror_x();
+        r.angle_deg = f64::from(t.rotation().quarter_turns()) * 90.0;
+        wrap.elements.push(Element::Ref(r));
+        wrap.elements.push(Element::boundary(
+            1,
+            vec![p(0, -90), p(0, -80), p(10, -80), p(10, -90)],
+        ));
+        lib.structures.push(wrap);
+        Layout::from_library(&lib).unwrap()
+    }
+
+    #[test]
+    fn a_wrapped_layout_is_cut_at_its_leaves() {
+        let t = Transform::new(true, odrc_geometry::Rotation::R90, 1, p(7, -3));
+        let (flat, wrapped) = (demo_layout(), wrapped_demo(t));
+        let unit = wrapped.cell_by_name("UNIT").unwrap();
+        for layer in [1, 2] {
+            let (a, b) = (
+                LayerScene::build(&flat, layer),
+                LayerScene::build(&wrapped, layer),
+            );
+            // Frames come in walk order: the wrapper's polygon first.
+            let drawn = usize::from(layer == 1);
+            assert_eq!(b.objects.len(), a.objects.len() + drawn);
+            assert_eq!(b.placed_cells().collect::<Vec<_>>(), [unit]);
+            for (x, y) in a.objects.iter().zip(&b.objects[drawn..]) {
+                assert_eq!(t.apply_rect(x.mbr), y.mbr);
+                let moved: Vec<Polygon> = polygons_of(&a, x)
+                    .iter()
+                    .map(|q| t.apply_polygon(q))
+                    .collect();
+                assert_eq!(moved, polygons_of(&b, y));
+            }
+        }
+        let table = cell_instances(&wrapped);
+        assert_eq!(table[unit.index()].len(), 2);
+        let inner = wrapped.cell_by_name("TOP").unwrap();
+        assert_eq!(table[inner.index()], [t]);
+        let mut scanned = 0;
+        LayerObjects::enumerate(&wrapped, 1, &mut scanned);
+        assert_eq!(scanned, 2 + 3, "both frames' children");
     }
 }

@@ -62,7 +62,7 @@ use crate::plan::{
     SharedDeviceData,
 };
 use crate::rules::{PairsRule, Rule, RuleFamily, RuleKind};
-use crate::scene::{instance_transforms, DirtyWindow, LayerScene, SceneSource};
+use crate::scene::{cell_instances, DirtyWindow, LayerScene, SceneSource};
 use crate::violation::{Violation, ViolationKind};
 
 /// Shared state across the rules of one `check()` run.
@@ -71,8 +71,9 @@ pub(crate) struct RunContext<'a> {
     pub options: &'a EngineOptions,
     pub profiler: &'a mut Profiler,
     pub stats: &'a mut EngineStats,
-    /// Lazily computed instance transforms for intra-polygon reuse.
-    pub instances: Option<HashMap<CellId, Vec<odrc_geometry::Transform>>>,
+    /// The intra rules' instance table ([`cell_instances`]), built at the
+    /// first intra rule.
+    pub instances: Option<Vec<Vec<odrc_geometry::Transform>>>,
     /// Persistent result cache plus the layout's content keys, when the
     /// caller opted into cross-run reuse.
     pub cache: Option<CacheHandle<'a>>,
@@ -299,9 +300,7 @@ fn check_intra_rule(ctx: &mut RunContext<'_>, rule: &Rule, out: &mut Vec<Violati
     ctx.profiler.add("edge-check", start.elapsed());
 
     // Instantiate through every placement of the cell.
-    let instances = ctx
-        .instances
-        .get_or_insert_with(|| instance_transforms(layout));
+    let instances = ctx.instances.get_or_insert_with(|| cell_instances(layout));
     let mut computed = 0usize;
     let mut reused = 0usize;
     for ((cell, polys), hit) in targets.iter().zip(cached) {
@@ -314,9 +313,10 @@ fn check_intra_rule(ctx: &mut RunContext<'_>, rule: &Rule, out: &mut Vec<Violati
             }
             arc
         });
-        let Some(transforms) = instances.get(cell) else {
+        let transforms = &instances[cell.index()];
+        if transforms.is_empty() {
             continue; // defined but never instantiated
-        };
+        }
         let polys = polys.len();
         if pruning {
             if from_cache {

@@ -177,24 +177,27 @@ fn ablations_do_not_change_results() {
 fn pruning_reuses_checks() {
     let layout = generate_layout(&DesignSpec::tiny(10));
     let deck = full_deck();
-    let with = Engine::sequential().check(&layout, &deck);
-    let without = Engine::sequential()
-        .with_options(EngineOptions {
-            pruning: false,
-            ..EngineOptions::default()
-        })
-        .check(&layout, &deck);
-    assert!(
-        with.stats.checks_reused > 0,
-        "hierarchy should enable reuse"
-    );
-    assert_eq!(without.stats.checks_reused, 0);
-    assert!(
-        without.stats.checks_computed > with.stats.checks_computed,
-        "pruning must reduce executed checks: {} vs {}",
-        without.stats.checks_computed,
-        with.stats.checks_computed
-    );
+    for engine in [Engine::sequential, || Engine::parallel_on(Device::new(2))] {
+        let mode = engine().mode();
+        let with = engine().check(&layout, &deck);
+        let without = engine()
+            .with_options(EngineOptions {
+                pruning: false,
+                ..EngineOptions::default()
+            })
+            .check(&layout, &deck);
+        assert!(
+            with.stats.checks_reused > 0,
+            "{mode:?}: hierarchy should enable reuse"
+        );
+        assert_eq!(without.stats.checks_reused, 0, "{mode:?}");
+        assert!(
+            without.stats.checks_computed > with.stats.checks_computed,
+            "{mode:?}: pruning must reduce executed checks: {} vs {}",
+            without.stats.checks_computed,
+            with.stats.checks_computed
+        );
+    }
 }
 
 #[test]

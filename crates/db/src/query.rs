@@ -70,8 +70,8 @@ impl Layout {
     }
 
     /// Collects the polygons of `layer` under `cell`, transformed by
-    /// `base`, appending to `out`. This is the flattening primitive the
-    /// engine's check executors use to pack edges for a subtree.
+    /// `base`, appending to `out`: the recursion behind
+    /// [`Layout::flatten_layer`], which the flat baseline checkers use.
     pub fn collect_layer_polygons(
         &self,
         cell: CellId,

@@ -204,6 +204,7 @@ impl Transform {
     ///
     /// Used when descending the hierarchy tree: a child reference's
     /// transform composes under its parent's.
+    #[inline]
     pub fn then(&self, outer: &Transform) -> Transform {
         // outer(self(p)) = s2 R2 M2 (s1 R1 M1 p + t1) + t2.
         // Using M R = R⁻¹ M: the linear part has mirror m1^m2 and
