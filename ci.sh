@@ -193,6 +193,30 @@ if nontest crates/gdsii/src/read.rs crates/gdsii/src/stream.rs \
     echo "crates/gdsii/src/{read,stream}.rs build an owned element; decode into ElementRef and own it with to_owned"
     exit 1
 fi
+# The element grammar is encoded in one place as well: Writer::element
+# takes the borrowed ElementRef, one encode site per element kind, and
+# write(&Library) and Layout::to_gds both stream through it.
+for kind in Boundary Path Sref Aref Text; do
+    sites=$(nontest crates/gdsii/src/write.rs | grep -c "record_none(RecordType::$kind)" || true)
+    [ "$sites" -eq 1 ] || { echo "expected one RecordType::$kind encode site in non-test crates/gdsii/src/write.rs, found $sites"; exit 1; }
+done
+if nontest crates/gdsii/src/write.rs | grep -E 'Element::(Boundary|Path|Text|Ref)\b'; then
+    echo "crates/gdsii/src/write.rs encodes an owned element; encode its ElementRef view"
+    exit 1
+fi
+# A keyed job checks the session's top subtree in memory: the daemon
+# builds no Library, and decodes GDSII only at open and once in the
+# journal replay (Snapshot::into_layout), never on the live keyed path.
+if grep -rn 'to_library(' crates/serve/src; then
+    echo "crates/serve/src builds a Library; export with Layout::to_gds"
+    exit 1
+fi
+sites=$(nontest crates/serve/src/server.rs | grep -c 'Layout::from_gds(' || true)
+[ "$sites" -eq 2 ] || { echo "expected two Layout::from_gds( sites in crates/serve/src/server.rs (open, journal replay), found $sites"; exit 1; }
+if sed -n '/^fn submit_keyed(/,/^}/p; /^fn check_keyed(/,/^}/p' crates/serve/src/server.rs | grep -n 'from_gds'; then
+    echo "the live keyed path decodes GDSII; check the session's top subtree in memory"
+    exit 1
+fi
 if grep -n -- '-> Result<Vec<Transform>' crates/gdsii/src/model.rs; then
     echo "crates/gdsii/src/model.rs collects instance transforms into a Vec; yield them from InstanceTransforms"
     exit 1

@@ -351,8 +351,8 @@ pub(crate) fn collect_rule(ctx: &mut RunContext<'_>, fl: InFlightRule, out: &mut
     match kind {
         InFlightKind::Space(issue) => collect_space(ctx, &stream, &rule_name, issue, out),
         InFlightKind::Intra { map, data } => {
-            let per_poly = collect_map(ctx, stream.device(), map);
-            emit_intra(ctx, &rule_name, &data, &per_poly, out);
+            let found = collect_map(ctx, stream.device(), map);
+            emit_intra(ctx, &rule_name, &data, &found, out);
         }
         InFlightKind::Pairs { map, work } => {
             let measures = collect_map(ctx, stream.device(), map);
@@ -718,7 +718,8 @@ where
 
 /// Issue half of a width / area rule: a map over the layer's shared
 /// unique-polygon buffer. The instantiation host work happens at
-/// collect.
+/// collect. The `pruning: false` ablation maps each placed instance of
+/// every polygon instead, as the default mode recomputes each instance.
 fn issue_intra(
     ctx: &mut RunContext<'_>,
     stream: &Stream,
@@ -743,42 +744,59 @@ fn issue_intra(
         }
         found
     });
-    let map = issue_map(ctx, stream, Arc::clone(&data.polys), kernel);
+    let polys = if ctx.options.pruning {
+        Arc::clone(&data.polys)
+    } else {
+        let layout = ctx.layout;
+        let instances = ctx.instances.get_or_insert_with(|| cell_instances(layout));
+        let placed: Vec<Polygon> = (data.targets.iter().zip(data.polys.host.iter()))
+            .flat_map(|((cell, _), poly)| {
+                std::iter::repeat_n(poly, instances[cell.index()].len()).cloned()
+            })
+            .collect();
+        Arc::new(SharedDeviceData::new(Arc::new(placed)))
+    };
+    let map = issue_map(ctx, stream, polys, kernel);
     InFlightKind::Intra { map, data }
 }
 
 /// Host side of a width / area rule's collect: replays each cell's
-/// local violations through all its instances.
+/// local violations through all its instances. `found` holds one entry
+/// per unique polygon, or (the `pruning: false` ablation) one per
+/// placed instance, in target then instance order.
 fn emit_intra(
     ctx: &mut RunContext<'_>,
     rule_name: &str,
     data: &IntraData,
-    per_poly: &[Vec<LocalViolation>],
+    found: &[Vec<LocalViolation>],
     out: &mut Vec<Violation>,
 ) {
     // An empty layer needs no instance table and no convert phase.
-    if per_poly.is_empty() {
+    if found.is_empty() {
         return;
     }
     let layout = ctx.layout;
     let instances = ctx.instances.get_or_insert_with(|| cell_instances(layout));
     let targets = Arc::clone(&data.targets);
-    // Each further instance reuses the check (the ablation recounts it).
-    let replays = if ctx.options.pruning {
-        &mut ctx.stats.checks_reused
-    } else {
-        &mut ctx.stats.checks_computed
-    };
+    let pruning = ctx.options.pruning;
+    let reused = &mut ctx.stats.checks_reused;
     ctx.profiler.time("convert", || {
-        for (idx, (cell, _)) in targets.iter().enumerate() {
+        let mut found = found.iter();
+        let mut emit = |local: &Vec<LocalViolation>, t| {
+            out.extend(local.iter().map(|v| v.instantiate(t).named(rule_name)));
+        };
+        for (cell, _) in targets.iter() {
             let transforms = &instances[cell.index()];
-            *replays += transforms.len().saturating_sub(1);
-            for t in transforms {
-                out.extend(
-                    per_poly[idx]
-                        .iter()
-                        .map(|v| v.instantiate(t).named(rule_name)),
-                );
+            if pruning {
+                // Each further instance reuses the unique polygon's check.
+                *reused += transforms.len().saturating_sub(1);
+                let local = found.next().expect("one result per polygon");
+                transforms.iter().for_each(|t| emit(local, t));
+            } else {
+                transforms
+                    .iter()
+                    .zip(found.by_ref())
+                    .for_each(|(t, local)| emit(local, t));
             }
         }
     });

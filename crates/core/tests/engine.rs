@@ -201,6 +201,40 @@ fn pruning_reuses_checks() {
 }
 
 #[test]
+fn parallel_pruning_ablation_maps_every_instance() {
+    // With pruning off, the default mode recomputes a width check per
+    // placed instance; the device must map as many threads as that
+    // count says, and the report must not move.
+    let layout = generate_layout(&DesignSpec::tiny(10));
+    let deck = RuleDeck::new(vec![rule()
+        .layer(tech::M1)
+        .width()
+        .greater_than(tech::M1_WIDTH)
+        .named("M1.W.1")]);
+    let off = || EngineOptions {
+        pruning: false,
+        ..EngineOptions::default()
+    };
+    let device = Device::new(2);
+    let par = Engine::parallel_on(device.clone())
+        .with_options(off())
+        .check(&layout, &deck);
+    let seq = Engine::sequential()
+        .with_options(off())
+        .check(&layout, &deck);
+    let pruned = Engine::parallel_on(Device::new(2)).check(&layout, &deck);
+    assert_eq!(
+        device.stats().threads_executed(),
+        par.stats.checks_computed as u64
+    );
+    assert_eq!(par.stats.checks_computed, seq.stats.checks_computed);
+    assert!(par.stats.checks_computed > pruned.stats.checks_computed);
+    assert_eq!(par.stats.checks_reused, 0);
+    assert_eq!(par.violations, pruned.violations);
+    assert_eq!(par.violations, seq.violations);
+}
+
+#[test]
 fn partition_produces_rows() {
     let layout = generate_layout(&DesignSpec::tiny(11));
     let deck = RuleDeck::new(vec![rule()

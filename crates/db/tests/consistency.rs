@@ -231,4 +231,38 @@ proptest! {
             prop_assert_eq!(l1.flatten_layer(layer), l2.flatten_layer(layer));
         }
     }
+
+    #[test]
+    fn to_gds_streams_the_library_export(lib in arb_stream_library()) {
+        let layout = Layout::from_library(&lib).expect("valid library");
+        let sub = layout.top_subtree();
+        // Every cell of `sub` is reachable from its top.
+        prop_assert_eq!(sub.top_subtree().cell_count(), sub.cell_count());
+        for l in [&layout, &sub] {
+            prop_assert_eq!(
+                l.to_gds("x").expect("encode"),
+                odrc_gdsii::write(&l.to_library("x")).expect("serialize")
+            );
+        }
+    }
+
+    #[test]
+    fn top_subtree_round_trips_through_to_gds(lib in arb_library(), spare in arb_stream_library()) {
+        // `arb_library` leaves B unreferenced when TOP places only A, and
+        // then B, the larger subtree, may win the top: the subtree of
+        // TOP must still decode with TOP on top. SPARE is never reached.
+        let mut lib = lib;
+        lib.structures.extend(spare.structures.into_iter().filter(|s| s.name == "SPARE"));
+        let layout = Layout::from_library_with_top(&lib, "TOP").expect("valid library");
+        let sub = layout.top_subtree();
+        prop_assert!(sub.consistency_errors().is_empty(), "{:?}", sub.consistency_errors());
+        prop_assert!(sub.cell_by_name("SPARE").is_none());
+        let back = Layout::from_gds(&sub.to_gds("sub").expect("encode")[..]).expect("decodes");
+        prop_assert_eq!(back.cell(back.top()).name(), "TOP");
+        let names = |l: &Layout| l.cells().iter().map(|c| c.name().to_owned()).collect::<Vec<_>>();
+        prop_assert_eq!(names(&back), names(&sub));
+        prop_assert_eq!(back.subtree_hashes(), sub.subtree_hashes());
+        let top_hash = |l: &Layout| l.subtree_hashes()[l.top().index()];
+        prop_assert_eq!(top_hash(&sub), top_hash(&layout));
+    }
 }

@@ -20,8 +20,10 @@
 //!   [`Reader::next`] is the same decode, owned,
 //! * [`read()`] / [`read_file`] — the same reader, collected into a
 //!   [`Library`],
-//! * [`write()`] / [`write_file`] — a binary stream writer, the exact
-//!   inverse of the parser,
+//! * [`Writer`] — the binary stream encoder, the exact inverse of the
+//!   parser: structures of borrowed [`ElementRef`]s in, bytes out
+//!   (`odrc_db::Layout::to_gds` exports layouts this way);
+//!   [`write()`] / [`write_file`] feed it a [`Library`],
 //! * [`record`] — the low-level record codec (types, lengths, and the
 //!   excess-64 base-16 8-byte real number format),
 //! * [`stream`] — a structure span index (no geometry materialized)
@@ -66,4 +68,4 @@ pub use model::{
     TransformError, Units,
 };
 pub use read::{read, read_file, Item, ItemRef, ReadError, Reader};
-pub use write::{write, write_file, WriteError};
+pub use write::{write, write_file, WriteError, Writer};

@@ -3,10 +3,10 @@
 use std::fmt;
 use std::path::Path;
 
-use bytes::{BufMut, BytesMut};
+use bytes::BufMut;
 use odrc_geometry::Point;
 
-use crate::model::{Element, Library};
+use crate::model::{ElementRef, Library, Units};
 use crate::record::{real8_from_f64, DataType, RecordType};
 
 /// Error produced while serializing a library.
@@ -58,7 +58,8 @@ impl From<std::io::Error> for WriteError {
     }
 }
 
-/// Serializes a library to GDSII stream bytes.
+/// Serializes a library to GDSII stream bytes: the library's
+/// structures, in order, through one [`Writer`].
 ///
 /// # Errors
 ///
@@ -74,24 +75,15 @@ impl From<std::io::Error> for WriteError {
 /// # Ok::<(), odrc_gdsii::WriteError>(())
 /// ```
 pub fn write(lib: &Library) -> Result<Vec<u8>, WriteError> {
-    let mut w = Writer::default();
-    w.record_i16(RecordType::Header, &[600]);
-    w.record_i16(RecordType::BgnLib, &[0; 12]);
-    w.record_str(RecordType::LibName, &lib.name)?;
-    w.record_real(
-        RecordType::Units,
-        &[lib.units.user_per_dbu, lib.units.meters_per_dbu],
-    );
+    let mut w = Writer::new(&lib.name, lib.units)?;
     for s in &lib.structures {
-        w.record_i16(RecordType::BgnStr, &[0; 12]);
-        w.record_str(RecordType::StrName, &s.name)?;
+        w.begin_structure(&s.name)?;
         for e in &s.elements {
-            w.element(e)?;
+            w.element(e.view())?;
         }
-        w.record_none(RecordType::EndStr);
+        w.end_structure();
     }
-    w.record_none(RecordType::EndLib);
-    Ok(w.buf.to_vec())
+    Ok(w.finish())
 }
 
 /// Serializes a library directly to a file.
@@ -105,18 +97,175 @@ pub fn write_file(lib: &Library, path: impl AsRef<Path>) -> Result<(), WriteErro
     Ok(())
 }
 
-#[derive(Default)]
-struct Writer {
-    buf: BytesMut,
+/// The GDSII stream encoder: a library header, then structures whose
+/// elements arrive one at a time as borrowed [`ElementRef`] views, so a
+/// caller that holds its own model (the layout database) streams it
+/// out without building a [`Library`]. The inverse of
+/// [`Reader::next_ref`](crate::Reader::next_ref); [`write()`] is this
+/// encoder fed from a `Library`.
+///
+/// # Examples
+///
+/// ```
+/// use odrc_gdsii::{ElementRef, Units, Writer};
+/// use odrc_geometry::Point;
+///
+/// let mut w = Writer::new("demo", Units::default())?;
+/// w.begin_structure("TOP")?;
+/// let square = [
+///     Point::new(0, 0),
+///     Point::new(0, 4),
+///     Point::new(4, 4),
+///     Point::new(4, 0),
+/// ];
+/// w.element(ElementRef::Boundary {
+///     layer: 1,
+///     datatype: 0,
+///     points: &square,
+///     properties: &[],
+/// })?;
+/// w.end_structure();
+/// let lib = odrc_gdsii::read(&w.finish()[..])?;
+/// assert_eq!(lib.structures[0].elements.len(), 1);
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
+#[derive(Debug)]
+pub struct Writer {
+    buf: Vec<u8>,
 }
 
 impl Writer {
+    /// Starts a stream: the `HEADER`, `BGNLIB`, `LIBNAME` and `UNITS`
+    /// records.
+    ///
+    /// # Errors
+    ///
+    /// [`WriteError::StringTooLong`] for an oversized library name.
+    pub fn new(lib_name: &str, units: Units) -> Result<Writer, WriteError> {
+        let mut w = Writer { buf: Vec::new() };
+        w.record_i16(RecordType::Header, &[600]);
+        w.record_i16(RecordType::BgnLib, &[0; 12]);
+        w.record_str(RecordType::LibName, lib_name)?;
+        w.record_real(
+            RecordType::Units,
+            &[units.user_per_dbu, units.meters_per_dbu],
+        );
+        Ok(w)
+    }
+
+    /// Opens a structure; the elements that follow are its, up to
+    /// [`Writer::end_structure`].
+    ///
+    /// # Errors
+    ///
+    /// [`WriteError::StringTooLong`] for an oversized name.
+    pub fn begin_structure(&mut self, name: &str) -> Result<(), WriteError> {
+        self.record_i16(RecordType::BgnStr, &[0; 12]);
+        self.record_str(RecordType::StrName, name)
+    }
+
+    /// Closes the open structure.
+    pub fn end_structure(&mut self) {
+        self.record_none(RecordType::EndStr);
+    }
+
+    /// Encodes one element into the open structure.
+    ///
+    /// # Errors
+    ///
+    /// [`WriteError`] for a string or coordinate list past the record
+    /// capacity.
+    pub fn element(&mut self, e: ElementRef<'_>) -> Result<(), WriteError> {
+        match e {
+            ElementRef::Boundary {
+                layer,
+                datatype,
+                points,
+                properties,
+            } => {
+                self.record_none(RecordType::Boundary);
+                self.record_i16(RecordType::Layer, &[layer]);
+                self.record_i16(RecordType::Datatype, &[datatype]);
+                // GDSII repeats the first point to close the boundary.
+                self.record_xy(points, points.first())?;
+                self.properties(properties)?;
+            }
+            ElementRef::Path {
+                layer,
+                datatype,
+                path_type,
+                width,
+                points,
+                properties,
+            } => {
+                self.record_none(RecordType::Path);
+                self.record_i16(RecordType::Layer, &[layer]);
+                self.record_i16(RecordType::Datatype, &[datatype]);
+                if path_type != 0 {
+                    self.record_i16(RecordType::PathType, &[path_type]);
+                }
+                if width != 0 {
+                    self.header(RecordType::Width, 4);
+                    self.buf.put_i32(width);
+                }
+                self.record_xy(points, None)?;
+                self.properties(properties)?;
+            }
+            ElementRef::Text {
+                layer,
+                texttype,
+                position,
+                string,
+            } => {
+                self.record_none(RecordType::Text);
+                self.record_i16(RecordType::Layer, &[layer]);
+                self.record_i16(RecordType::TextType, &[texttype]);
+                self.record_xy(&[position], None)?;
+                self.record_str(RecordType::String, string)?;
+            }
+            ElementRef::Ref { sname, placement } => {
+                let p = placement;
+                match p.array {
+                    None => {
+                        self.record_none(RecordType::Sref);
+                        self.record_str(RecordType::Sname, sname)?;
+                        self.strans(p.mirror_x, p.mag, p.angle_deg);
+                        self.record_xy(&[p.origin], None)?;
+                    }
+                    Some(a) => {
+                        self.record_none(RecordType::Aref);
+                        self.record_str(RecordType::Sname, sname)?;
+                        self.strans(p.mirror_x, p.mag, p.angle_deg);
+                        self.record_i16(RecordType::Colrow, &[a.cols as i16, a.rows as i16]);
+                        let col_ref = Point::new(
+                            p.origin.x + a.col_step.x * i32::from(a.cols),
+                            p.origin.y + a.col_step.y * i32::from(a.cols),
+                        );
+                        let row_ref = Point::new(
+                            p.origin.x + a.row_step.x * i32::from(a.rows),
+                            p.origin.y + a.row_step.y * i32::from(a.rows),
+                        );
+                        self.record_xy(&[p.origin, col_ref, row_ref], None)?;
+                    }
+                }
+            }
+        }
+        self.record_none(RecordType::EndEl);
+        Ok(())
+    }
+
+    /// Ends the stream with `ENDLIB` and returns its bytes.
+    pub fn finish(mut self) -> Vec<u8> {
+        self.record_none(RecordType::EndLib);
+        self.buf
+    }
+
     fn header(&mut self, rt: RecordType, payload_len: usize) {
         let total = payload_len + 4;
         debug_assert!(total <= usize::from(u16::MAX));
-        self.buf.put_u16(total as u16);
-        self.buf.put_u8(rt.code());
-        self.buf.put_u8(rt.data_type().code());
+        let [hi, lo] = (total as u16).to_be_bytes();
+        self.buf
+            .put_slice(&[hi, lo, rt.code(), rt.data_type().code()]);
     }
 
     fn record_none(&mut self, rt: RecordType) {
@@ -140,31 +289,34 @@ impl Writer {
         }
     }
 
+    /// An ASCII record, NUL-padded to an even length.
     fn record_str(&mut self, rt: RecordType, s: &str) -> Result<(), WriteError> {
         debug_assert_eq!(rt.data_type(), DataType::Ascii);
-        let mut bytes = s.as_bytes().to_vec();
-        if bytes.len() % 2 == 1 {
-            bytes.push(0);
-        }
-        if bytes.len() + 4 > usize::from(u16::MAX) {
+        let padded = s.len() + s.len() % 2;
+        if padded + 4 > usize::from(u16::MAX) {
             return Err(WriteError::StringTooLong { len: s.len() });
         }
-        self.header(rt, bytes.len());
-        self.buf.put_slice(&bytes);
+        self.header(rt, padded);
+        self.buf.put_slice(s.as_bytes());
+        if padded > s.len() {
+            self.buf.put_u8(0);
+        }
         Ok(())
     }
 
-    fn record_xy(&mut self, points: &[Point]) -> Result<(), WriteError> {
-        let payload = points.len() * 8;
+    /// An `XY` record of `points`, then `close` (a boundary's repeated
+    /// first point) if given.
+    fn record_xy(&mut self, points: &[Point], close: Option<&Point>) -> Result<(), WriteError> {
+        let count = points.len() + usize::from(close.is_some());
+        let payload = count * 8;
         if payload + 4 > usize::from(u16::MAX) {
-            return Err(WriteError::TooManyPoints {
-                count: points.len(),
-            });
+            return Err(WriteError::TooManyPoints { count });
         }
         self.header(RecordType::Xy, payload);
-        for p in points {
-            self.buf.put_i32(p.x);
-            self.buf.put_i32(p.y);
+        self.buf.reserve(payload);
+        for p in points.iter().chain(close) {
+            let ([x0, x1, x2, x3], [y0, y1, y2, y3]) = (p.x.to_be_bytes(), p.y.to_be_bytes());
+            self.buf.put_slice(&[x0, x1, x2, x3, y0, y1, y2, y3]);
         }
         Ok(())
     }
@@ -189,75 +341,12 @@ impl Writer {
         }
         Ok(())
     }
-
-    fn element(&mut self, e: &Element) -> Result<(), WriteError> {
-        match e {
-            Element::Boundary(b) => {
-                self.record_none(RecordType::Boundary);
-                self.record_i16(RecordType::Layer, &[b.layer]);
-                self.record_i16(RecordType::Datatype, &[b.datatype]);
-                // GDSII repeats the first point to close the boundary.
-                let mut pts = b.points.clone();
-                if let Some(&first) = pts.first() {
-                    pts.push(first);
-                }
-                self.record_xy(&pts)?;
-                self.properties(&b.properties)?;
-            }
-            Element::Path(p) => {
-                self.record_none(RecordType::Path);
-                self.record_i16(RecordType::Layer, &[p.layer]);
-                self.record_i16(RecordType::Datatype, &[p.datatype]);
-                if p.path_type != 0 {
-                    self.record_i16(RecordType::PathType, &[p.path_type]);
-                }
-                if p.width != 0 {
-                    self.header(RecordType::Width, 4);
-                    self.buf.put_i32(p.width);
-                }
-                self.record_xy(&p.points)?;
-                self.properties(&p.properties)?;
-            }
-            Element::Text(t) => {
-                self.record_none(RecordType::Text);
-                self.record_i16(RecordType::Layer, &[t.layer]);
-                self.record_i16(RecordType::TextType, &[t.texttype]);
-                self.record_xy(std::slice::from_ref(&t.position))?;
-                self.record_str(RecordType::String, &t.string)?;
-            }
-            Element::Ref(r) => match r.array {
-                None => {
-                    self.record_none(RecordType::Sref);
-                    self.record_str(RecordType::Sname, &r.sname)?;
-                    self.strans(r.mirror_x, r.mag, r.angle_deg);
-                    self.record_xy(std::slice::from_ref(&r.origin))?;
-                }
-                Some(a) => {
-                    self.record_none(RecordType::Aref);
-                    self.record_str(RecordType::Sname, &r.sname)?;
-                    self.strans(r.mirror_x, r.mag, r.angle_deg);
-                    self.record_i16(RecordType::Colrow, &[a.cols as i16, a.rows as i16]);
-                    let col_ref = Point::new(
-                        r.origin.x + a.col_step.x * i32::from(a.cols),
-                        r.origin.y + a.col_step.y * i32::from(a.cols),
-                    );
-                    let row_ref = Point::new(
-                        r.origin.x + a.row_step.x * i32::from(a.rows),
-                        r.origin.y + a.row_step.y * i32::from(a.rows),
-                    );
-                    self.record_xy(&[r.origin, col_ref, row_ref])?;
-                }
-            },
-        }
-        self.record_none(RecordType::EndEl);
-        Ok(())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::Structure;
+    use crate::model::{Element, Structure};
 
     #[test]
     fn empty_library_layout() {

@@ -8,7 +8,9 @@
 //!
 //! * `admit` — the full job spec (layout GDS bytes base64'd, rules
 //!   text, mode, priority, optional deadline), keyed by the
-//!   idempotency key. Written at admission.
+//!   idempotency key. Written at admission. The layout is the exact
+//!   export of the session's top subtree, which the live job checks
+//!   in memory; only a replay decodes it.
 //! * `start` — the key, written when a worker picks the job up.
 //!   Purely diagnostic today (a pending job is re-admitted on replay
 //!   whether or not it started), but it pins down *where* a crash
@@ -65,7 +67,8 @@ pub const MAX_DONE_RETAINED: usize = 256;
 pub struct JobSpec {
     /// Client-supplied idempotency key.
     pub key: String,
-    /// The session layout at submission time, exported as GDSII.
+    /// The session's top subtree at submission time, exported as
+    /// GDSII ([`odrc_db::Layout::to_gds`]).
     pub gds: Vec<u8>,
     /// Rule deck source text.
     pub rules: String,

@@ -11,11 +11,12 @@
 //!
 //! Jobs come in two kinds that differ only in what they check: a
 //! session job checks its edit session in place, a keyed job checks a
-//! journaled snapshot of it. Both share one lifecycle — one admission
-//! (deadline token, shed handler, scheduler submission), one run body
-//! (`running` and `rule` events, stats, the `done` frame or a code-110
-//! `error` frame), and one terminal path that also settles a keyed
-//! job's key and tells the connections attached to it.
+//! copy of the session's top subtree (the cells reachable from its top
+//! cell), taken in memory at submission. Both share one lifecycle —
+//! one admission (deadline token, shed handler, scheduler submission),
+//! one run body (`running` and `rule` events, stats, the `done` frame
+//! or a code-110 `error` frame), and one terminal path that also
+//! settles a keyed job's key and tells the connections attached to it.
 //!
 //! Resource sharing across tenants:
 //!
@@ -36,16 +37,19 @@
 //!
 //! Crash safety: with a `checkpoint_dir`, a `check` submitted with an
 //! idempotency `key` is **durable** — the [`JobJournal`] records its
-//! admission (layout snapshot included) before the submission is
-//! acknowledged, the run checkpoints per-rule into its own
-//! [`CheckpointJournal`], and its terminal frame is journaled. A
-//! restarted server replays the journal: finished keys answer
-//! resubmits with the journaled frame verbatim; unfinished keys are
-//! re-admitted as headless jobs that resume at the rule boundary where
-//! the kill landed. A key is looked up and reserved in one registry
-//! critical section, so concurrent first submissions of a key attach
-//! to one run, and an attacher is told the job id that run's terminal
-//! frame carries. See `DESIGN.md` §5 for the full crash matrix.
+//! admission before the submission is acknowledged, with the layout as
+//! the exact GDSII export of the subtree the live job checks
+//! ([`Layout::to_gds`]); the run checkpoints per-rule into its own
+//! [`CheckpointJournal`], and its terminal frame is journaled. The live
+//! job never decodes those bytes. A restarted server replays the
+//! journal: finished keys answer resubmits with the journaled frame
+//! verbatim; unfinished keys are re-admitted as headless jobs that
+//! decode the export (the same layout, top and [`RunKey`]) and resume
+//! at the rule boundary where the kill landed. A key is looked up and
+//! reserved in one registry critical section, so concurrent first
+//! submissions of a key attach to one run, and an attacher is told the
+//! job id that run's terminal frame carries. See `DESIGN.md` §5 for the
+//! full crash matrix.
 //!
 //! Liveness: accepted sockets carry read/write timeouts; an idle
 //! connection is pinged and evicted after `ping_max_misses` unanswered
@@ -332,7 +336,7 @@ impl Server {
                             waiters: Vec::new(),
                         },
                     );
-                    let _ = admit_keyed(&shared, spec, job_id, None);
+                    let _ = admit_keyed(&shared, spec, None, job_id, None);
                 }
             }
         }
@@ -780,7 +784,7 @@ fn submit_check(
 
 /// A `check` carrying an idempotency key: replay the key's finished
 /// result, attach to its live job, or reserve the key and admit a
-/// fresh job on a journaled snapshot of the session.
+/// fresh job on the session's top subtree, journaled as its export.
 fn submit_keyed(
     shared: &Arc<ServerShared>,
     slot: &SessionSlot,
@@ -797,20 +801,25 @@ fn submit_keyed(
     if let Some(ack) = join_key(shared, &mut shared.registry.lock(), key, writer) {
         return Ok(ack);
     }
-    // The snapshot makes the job re-runnable on a restarted server with
-    // no sessions. It is exported outside the registry lock, because a
-    // session job holds its slot for its whole check.
-    let spec = {
-        let session = slot.session.lock();
-        JobSpec {
-            key: key.to_string(),
-            gds: odrc_gdsii::write(&session.layout().to_library("odrc"))
-                .map_err(|e| ServeError::Layout(e.to_string()))?,
-            rules: slot.rules.clone(),
-            mode: slot.mode.clone(),
-            priority,
-            deadline_ms,
-        }
+    // The job checks the session's top subtree, copied under the slot
+    // lock and outside the registry lock, because a session job holds
+    // its slot for its whole check. With a journal, that subtree's
+    // exact export makes the job re-runnable on a restarted server with
+    // no sessions.
+    let layout = slot.session.lock().layout().top_subtree();
+    let gds = match &shared.journal {
+        Some(_) => layout
+            .to_gds("odrc")
+            .map_err(|e| ServeError::Layout(e.to_string()))?,
+        None => Vec::new(),
+    };
+    let spec = JobSpec {
+        key: key.to_string(),
+        gds,
+        rules: slot.rules.clone(),
+        mode: slot.mode.clone(),
+        priority,
+        deadline_ms,
     };
     let job_id = {
         // Look up and reserve in one critical section, so concurrent
@@ -836,7 +845,7 @@ fn submit_keyed(
     };
     // Admitted outside the registry lock: a shed victim's handler takes
     // it inside this submission.
-    admit_keyed(shared, spec, job_id, Some(Arc::clone(writer)))?;
+    admit_keyed(shared, spec, Some(layout), job_id, Some(Arc::clone(writer)))?;
     Ok(Ack {
         job_id,
         flag: None,
@@ -886,14 +895,41 @@ fn patch_job_id(frame_text: &str, job_id: u64) -> Value {
     value
 }
 
+/// What a keyed job checks: the session's top subtree, copied at
+/// submission, or, for a job re-admitted from the journal, that
+/// subtree's exact export, decoded when the job runs. Either way the
+/// run sees the same layout, top and [`RunKey`].
+enum Snapshot {
+    Live(Layout),
+    Journaled(Vec<u8>),
+}
+
+impl Snapshot {
+    fn into_layout(self) -> Result<Layout, String> {
+        match self {
+            Snapshot::Live(layout) => Ok(layout),
+            Snapshot::Journaled(gds) => Layout::from_gds(&gds[..]).map_err(|e| e.to_string()),
+        }
+    }
+}
+
 /// Admits a keyed job whose key is already reserved active under
-/// `job_id`. `owner` is absent for a job re-admitted at bind.
+/// `job_id`. A fresh submission passes the session's top subtree as
+/// `live`, and its journaled bytes are dropped here; a job re-admitted
+/// at bind has no `live` layout and no `owner`, and decodes `spec.gds`
+/// when it runs.
 fn admit_keyed(
     shared: &Arc<ServerShared>,
-    spec: JobSpec,
+    mut spec: JobSpec,
+    live: Option<Layout>,
     job_id: u64,
     owner: Option<Arc<Mutex<TcpStream>>>,
 ) -> Result<(), ServeError> {
+    let gds = std::mem::take(&mut spec.gds);
+    let snapshot = match live {
+        Some(layout) => Snapshot::Live(layout),
+        None => Snapshot::Journaled(gds),
+    };
     // A keyed job never touches a session, so its exclusion domain is
     // the key itself, offset into the upper half so it cannot collide
     // with session ids.
@@ -902,7 +938,7 @@ fn admit_keyed(
     let job = Job::new(job_id, owner, Some(spec.key.clone()), spec.deadline_ms);
     let job_shared = Arc::clone(shared);
     admit(shared, job, exclusion, priority, move |token, progress| {
-        check_keyed(&job_shared, &spec, token, progress)
+        check_keyed(&job_shared, &spec, snapshot, token, progress)
     })
 }
 
@@ -1208,17 +1244,18 @@ fn check_session(
     })
 }
 
-/// A keyed job's check: its journaled snapshot on a fresh engine, with
-/// the per-key [`CheckpointJournal`] so a killed run resumes at the
-/// rule boundary, against a checkout of the shared tier. It always
-/// runs the whole deck (never an incremental recheck).
+/// A keyed job's check: its snapshot on a fresh engine, with the
+/// per-key [`CheckpointJournal`] so a killed run resumes at the rule
+/// boundary, against a checkout of the shared tier. It always runs the
+/// whole deck (never an incremental recheck).
 fn check_keyed(
     shared: &ServerShared,
     spec: &JobSpec,
+    snapshot: Snapshot,
     token: &CancelToken,
     progress: ProgressFn,
 ) -> Result<Checked, String> {
-    let layout = Layout::from_gds(&spec.gds[..]).map_err(|e| e.to_string())?;
+    let layout = snapshot.into_layout()?;
     let deck = parse_deck(&spec.rules).map_err(|e| e.to_string())?;
     let mut engine = build_engine(shared, &spec.mode).map_err(|e| e.to_string())?;
     engine.set_cancel(Some(token.clone()));

@@ -669,3 +669,113 @@ fn keyed_job_outlives_its_owner_and_replays_without_rerunning() {
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// TOP (one narrow M1 bar) places A (ten narrow bars). Once the edit
+/// below removes that placement, A is unreferenced and holds the larger
+/// subtree, so a loader picking its own top from an export of the whole
+/// session would check A; the session's top is still TOP.
+fn orphaning_gds() -> Vec<u8> {
+    use odrc_gdsii::{Element, Library, Structure};
+    use odrc_geometry::Point;
+    let bar = |x: i32| {
+        Element::boundary(
+            19,
+            vec![
+                Point::new(x, 0),
+                Point::new(x, 100),
+                Point::new(x + 10, 100),
+                Point::new(x + 10, 0),
+            ],
+        )
+    };
+    let mut lib = Library::new("orphan");
+    let mut top = Structure::new("TOP");
+    top.elements.push(bar(0));
+    top.elements.push(Element::sref("A", Point::new(0, 1000)));
+    let mut a = Structure::new("A");
+    a.elements.extend((0..10).map(|i| bar(i * 50)));
+    lib.structures = vec![top, a];
+    odrc_gdsii::write(&lib).expect("write gds")
+}
+
+/// Opens the orphaning layout and removes TOP's placement of A.
+fn open_orphaned(client: &mut Client) -> u64 {
+    let rules = "width layer=19 min=18 name=M1.W.1\n";
+    let session = client
+        .open_bytes(&orphaning_gds(), rules, "sequential")
+        .expect("open");
+    let remove = json::obj([
+        ("op", Value::from("remove_ref")),
+        ("parent", Value::Int(0)),
+        ("index", Value::Int(0)),
+    ]);
+    assert_eq!(client.edit(session, vec![remove]).expect("edit"), 1);
+    session
+}
+
+#[test]
+fn keyed_job_checks_the_session_top_after_an_edit_orphans_a_cell() {
+    // Live: the keyed job and the session job report the same one
+    // violation, TOP's bar.
+    let dir = temp_dir("orphan-live");
+    let server = TestServer::durable(&dir);
+    let mut client = Client::connect(server.addr).expect("connect");
+    let session = open_orphaned(&mut client);
+    let job = client
+        .check_with_key(session, 0, None, Some("k-orphan-live"))
+        .expect("submit keyed");
+    let keyed = client.wait(job).expect("wait").into_result().expect("run");
+    let plain = client
+        .check_wait(session, 0, None)
+        .expect("session check")
+        .into_result()
+        .expect("run");
+    assert_eq!(plain.violations.len(), 1, "the session checks TOP alone");
+    assert_eq!(
+        keyed.report_csv(),
+        plain.report_csv(),
+        "keyed vs session job"
+    );
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // Replayed: a job that died at its start leaves its admit record
+    // pending; a restart re-admits it from the journal alone.
+    let dir = temp_dir("orphan-replay");
+    let server = TestServer::start(ServerConfig {
+        workers: 2,
+        host_threads: 2,
+        max_queue: 8,
+        checkpoint_dir: Some(dir.clone()),
+        chaos: Some(ServerFaultPlan::new().with(ServerFault::WorkerPanic { nth: 0 })),
+        ..ServerConfig::default()
+    });
+    let mut client = Client::connect(server.addr).expect("connect");
+    let session = open_orphaned(&mut client);
+    let job = client
+        .check_with_key(session, 0, None, Some("k-orphan-replay"))
+        .expect("submit keyed");
+    let crashed = client.wait(job).expect("wait");
+    assert_eq!(crashed.error_code, Some(110), "the injected panic");
+    server.shutdown();
+
+    let server = TestServer::durable(&dir);
+    let mut client = Client::connect(server.addr).expect("connect");
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while server_stat(&mut client, "jobs_completed") < 1 {
+        assert!(Instant::now() < deadline, "the re-admitted job finishes");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let session = open_orphaned(&mut client);
+    let job = client
+        .check_with_key(session, 0, None, Some("k-orphan-replay"))
+        .expect("resubmit");
+    let replayed = client.wait(job).expect("wait").into_result().expect("run");
+    assert_eq!(
+        replayed.report_csv(),
+        plain.report_csv(),
+        "restart re-admission vs session job"
+    );
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}

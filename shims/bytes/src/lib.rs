@@ -1,9 +1,9 @@
 //! Offline stand-in for the `bytes` crate.
 //!
 //! The build container has no access to crates.io, so the workspace
-//! vendors the API subset the GDSII writer uses: `BytesMut` with the
-//! `BufMut` put-methods (big-endian, matching upstream defaults) and
-//! `to_vec`.
+//! vendors the API subset the GDSII writer uses: the `BufMut`
+//! put-methods (big-endian, matching upstream defaults) on `Vec<u8>`,
+//! as upstream implements them.
 
 // Vendored offline stand-in; exempt from the workspace lint gate.
 #![allow(clippy::all)]
@@ -14,64 +14,34 @@ pub trait BufMut {
     fn put_slice(&mut self, src: &[u8]);
 
     /// Appends one byte.
+    #[inline]
     fn put_u8(&mut self, v: u8) {
         self.put_slice(&[v]);
     }
 
     /// Appends a big-endian `u16`.
+    #[inline]
     fn put_u16(&mut self, v: u16) {
         self.put_slice(&v.to_be_bytes());
     }
 
     /// Appends a big-endian `i16`.
+    #[inline]
     fn put_i16(&mut self, v: i16) {
         self.put_slice(&v.to_be_bytes());
     }
 
     /// Appends a big-endian `i32`.
+    #[inline]
     fn put_i32(&mut self, v: i32) {
         self.put_slice(&v.to_be_bytes());
     }
 }
 
-/// A growable byte buffer, mirroring `bytes::BytesMut` (subset).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct BytesMut {
-    inner: Vec<u8>,
-}
-
-impl BytesMut {
-    /// Creates an empty buffer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Copies the contents into a `Vec<u8>`.
-    pub fn to_vec(&self) -> Vec<u8> {
-        self.inner.clone()
-    }
-
-    /// Current length in bytes.
-    pub fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    /// Whether the buffer is empty.
-    pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
-    }
-}
-
-impl BufMut for BytesMut {
+impl BufMut for Vec<u8> {
+    #[inline]
     fn put_slice(&mut self, src: &[u8]) {
-        self.inner.extend_from_slice(src);
-    }
-}
-
-impl std::ops::Deref for BytesMut {
-    type Target = [u8];
-    fn deref(&self) -> &[u8] {
-        &self.inner
+        self.extend_from_slice(src);
     }
 }
 
@@ -81,7 +51,7 @@ mod tests {
 
     #[test]
     fn big_endian_puts() {
-        let mut b = BytesMut::new();
+        let mut b: Vec<u8> = Vec::new();
         b.put_u16(6);
         b.put_u8(0x00);
         b.put_u8(0x02);
@@ -89,10 +59,8 @@ mod tests {
         b.put_i32(-2);
         b.put_slice(b"ab");
         assert_eq!(
-            b.to_vec(),
+            b,
             vec![0x00, 0x06, 0x00, 0x02, 0x02, 0x58, 0xFF, 0xFF, 0xFF, 0xFE, b'a', b'b']
         );
-        assert_eq!(b.len(), 12);
-        assert!(!b.is_empty());
     }
 }
