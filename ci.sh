@@ -243,6 +243,20 @@ if grep -rn 'fn instance_transforms' crates/*/src | grep -v '^crates/gdsii/'; th
 fi
 walks=$(grep -c '^fn walk(' crates/core/src/scene.rs)
 [ "$walks" -eq 1 ] || { echo "expected one hierarchy walk (fn walk) in scene.rs, found $walks"; exit 1; }
+# One intra-polygon pipeline in both modes (sequential::IntraWork): the
+# host fan-out, the device map and its fallback all run one predicate
+# call, and the parallel mode keeps no per-layer polygon buffer, no
+# replay of its own and no copy of the area check.
+if grep -rnE 'IntraData|fn intra_data|fn emit_intra|fn intra_targets' crates/core/src; then
+    echo "a second intra-polygon pipeline is back in crates/core/src"
+    exit 1
+fi
+sites=$(grep -rn 'polygon_violations(' crates/core/src --exclude-dir=checks | wc -l)
+[ "$sites" -eq 1 ] || { echo "expected one polygon_violations( call in crates/core/src outside checks/, found $sites"; exit 1; }
+if grep -n 'ViolationKind::Area' crates/core/src/parallel.rs; then
+    echo "parallel.rs names ViolationKind::Area: the intra predicate is copied again"
+    exit 1
+fi
 
 # One candidate discovery, one window formula and one pack, shared by
 # both modes: the default mode's host driver and the parallel row set

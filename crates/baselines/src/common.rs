@@ -9,7 +9,7 @@ use odrc::checks::poly::{
     PolyRuleSpec,
 };
 use odrc::checks::{enclosure_margin, SpaceSpec};
-use odrc::rules::{Rule, RuleKind};
+use odrc::rules::{PolygonInfo, Rule, RuleKind};
 use odrc::{Violation, ViolationKind};
 use odrc_db::{Layer, LayerPolygon, Layout};
 use odrc_geometry::{Coord, Polygon, Rect};
@@ -78,7 +78,7 @@ pub(crate) fn flat_intra(layout: &Layout, rule: &Rule, out: &mut Vec<Violation>)
     };
     let mut locals = Vec::new();
     for p in &polys {
-        polygon_violations(p, &spec, &mut locals);
+        polygon_violations(PolygonInfo::of(p), &spec, &mut locals);
     }
     out.extend(to_violations(&rule.name, locals));
 }

@@ -1,6 +1,6 @@
 //! KLayout-style flat and deep (hierarchical) checkers.
 
-use odrc::rules::RuleKind;
+use odrc::rules::{PolygonInfo, RuleKind};
 use odrc::{canonicalize, RuleDeck, Violation};
 use odrc_db::Layout;
 use odrc_infra::Profiler;
@@ -225,7 +225,7 @@ impl Checker for DeepChecker {
                             let mut locals = Vec::new();
                             for p in cell.polygons() {
                                 if layer.map(|l| p.layer == l).unwrap_or(true) {
-                                    polygon_violations(p, &spec, &mut locals);
+                                    polygon_violations(PolygonInfo::of(p), &spec, &mut locals);
                                 }
                             }
                             for t in transforms {

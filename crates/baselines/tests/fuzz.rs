@@ -192,6 +192,9 @@ proptest! {
         let reference = Engine::sequential().check(&layout, &d);
         let par = Engine::parallel_on(Device::new(2)).check(&layout, &d);
         prop_assert_eq!(&reference.violations, &par.violations, "parallel");
+        // The same work too: random specs often leave a cell unplaced.
+        prop_assert_eq!(reference.stats.checks_computed, par.stats.checks_computed);
+        prop_assert_eq!(reference.stats.checks_reused, par.stats.checks_reused);
         let flat = FlatChecker::new().check(&layout, &d);
         prop_assert_eq!(&reference.violations, &flat.violations, "flat");
         let deep = DeepChecker::new().check(&layout, &d);

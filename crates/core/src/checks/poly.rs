@@ -1,6 +1,5 @@
 //! Per-polygon and polygon-pair check procedures.
 
-use odrc_db::LayerPolygon;
 use odrc_geometry::{Polygon, Rect, Transform};
 
 use crate::checks::edge::SpaceSpec;
@@ -61,34 +60,35 @@ pub enum PolyRuleSpec {
 }
 
 /// Runs an intra-polygon rule against one polygon, appending local
-/// violations.
-pub fn polygon_violations(p: &LayerPolygon, spec: &PolyRuleSpec, out: &mut Vec<LocalViolation>) {
+/// violations. Width, area and rectilinear read `p.polygon` alone.
+pub fn polygon_violations(p: PolygonInfo<'_>, spec: &PolyRuleSpec, out: &mut Vec<LocalViolation>) {
+    let polygon = p.polygon;
     match spec {
-        PolyRuleSpec::Width(min) => width_violations(&p.polygon, *min, out),
+        PolyRuleSpec::Width(min) => width_violations(polygon, *min, out),
         PolyRuleSpec::Area(min) => {
-            let area = p.polygon.area();
+            let area = polygon.area();
             if area < *min {
                 out.push(LocalViolation {
                     kind: ViolationKind::Area,
-                    location: p.polygon.mbr(),
+                    location: polygon.mbr(),
                     measured: area,
                 });
             }
         }
         PolyRuleSpec::Rectilinear => {
-            if !p.polygon.is_rectilinear() {
+            if !polygon.is_rectilinear() {
                 out.push(LocalViolation {
                     kind: ViolationKind::Rectilinear,
-                    location: p.polygon.mbr(),
+                    location: polygon.mbr(),
                     measured: 0,
                 });
             }
         }
         PolyRuleSpec::Ensures(pred) => {
-            if !pred(PolygonInfo::of(p)) {
+            if !pred(p) {
                 out.push(LocalViolation {
                     kind: ViolationKind::Ensures,
-                    location: p.polygon.mbr(),
+                    location: polygon.mbr(),
                     measured: 0,
                 });
             }
@@ -154,6 +154,7 @@ pub fn space_violations_between(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use odrc_db::LayerPolygon;
     use odrc_geometry::Point;
     use std::sync::Arc;
 
@@ -173,7 +174,11 @@ mod tests {
     #[test]
     fn wide_bar_passes_width() {
         let mut out = Vec::new();
-        polygon_violations(&lp(rect(0, 0, 20, 100)), &PolyRuleSpec::Width(18), &mut out);
+        polygon_violations(
+            PolygonInfo::of(&lp(rect(0, 0, 20, 100))),
+            &PolyRuleSpec::Width(18),
+            &mut out,
+        );
         assert!(out.is_empty());
     }
 
@@ -181,7 +186,11 @@ mod tests {
     fn narrow_bar_fails_width_both_axes() {
         let mut out = Vec::new();
         // 12 wide, 100 tall: one violating pair (vertical edges).
-        polygon_violations(&lp(rect(0, 0, 12, 100)), &PolyRuleSpec::Width(18), &mut out);
+        polygon_violations(
+            PolygonInfo::of(&lp(rect(0, 0, 12, 100))),
+            &PolyRuleSpec::Width(18),
+            &mut out,
+        );
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].kind, ViolationKind::Width);
         assert_eq!(out[0].measured, 144);
@@ -192,7 +201,11 @@ mod tests {
     fn small_square_fails_width_twice() {
         let mut out = Vec::new();
         // 10x10: both the horizontal and vertical pair violate.
-        polygon_violations(&lp(rect(0, 0, 10, 10)), &PolyRuleSpec::Width(18), &mut out);
+        polygon_violations(
+            PolygonInfo::of(&lp(rect(0, 0, 10, 10))),
+            &PolyRuleSpec::Width(18),
+            &mut out,
+        );
         assert_eq!(out.len(), 2);
     }
 
@@ -222,18 +235,30 @@ mod tests {
     #[test]
     fn area_rule() {
         let mut out = Vec::new();
-        polygon_violations(&lp(rect(0, 0, 20, 20)), &PolyRuleSpec::Area(500), &mut out);
+        polygon_violations(
+            PolygonInfo::of(&lp(rect(0, 0, 20, 20))),
+            &PolyRuleSpec::Area(500),
+            &mut out,
+        );
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].measured, 400);
         out.clear();
-        polygon_violations(&lp(rect(0, 0, 20, 25)), &PolyRuleSpec::Area(500), &mut out);
+        polygon_violations(
+            PolygonInfo::of(&lp(rect(0, 0, 20, 25))),
+            &PolyRuleSpec::Area(500),
+            &mut out,
+        );
         assert!(out.is_empty());
     }
 
     #[test]
     fn rectilinear_rule_passes_constructed_polygons() {
         let mut out = Vec::new();
-        polygon_violations(&lp(rect(0, 0, 5, 5)), &PolyRuleSpec::Rectilinear, &mut out);
+        polygon_violations(
+            PolygonInfo::of(&lp(rect(0, 0, 5, 5))),
+            &PolyRuleSpec::Rectilinear,
+            &mut out,
+        );
         assert!(out.is_empty());
     }
 
@@ -242,7 +267,7 @@ mod tests {
         let pred: EnsureFn = Arc::new(|info: PolygonInfo<'_>| info.name.is_some());
         let mut out = Vec::new();
         polygon_violations(
-            &lp(rect(0, 0, 5, 5)),
+            PolygonInfo::of(&lp(rect(0, 0, 5, 5))),
             &PolyRuleSpec::Ensures(pred.clone()),
             &mut out,
         );
@@ -252,7 +277,11 @@ mod tests {
         let mut named = lp(rect(0, 0, 5, 5));
         named.name = Some("net1".to_owned());
         out.clear();
-        polygon_violations(&named, &PolyRuleSpec::Ensures(pred), &mut out);
+        polygon_violations(
+            PolygonInfo::of(&named),
+            &PolyRuleSpec::Ensures(pred),
+            &mut out,
+        );
         assert!(out.is_empty());
     }
 

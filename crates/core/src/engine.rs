@@ -129,12 +129,15 @@ impl std::fmt::Display for RuleStatus {
 /// Work accounting for a check run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
-    /// Checks actually executed: one executor record of a spacing rule
-    /// (in either mode), one unique polygon of a width or area rule, one
-    /// inner shape of a pair rule.
+    /// Checks actually executed: one executor record of a spacing rule,
+    /// one polygon of a placed cell for an intra-polygon rule (one per
+    /// placed instance with `pruning` off; none for a cell the persistent
+    /// cache answered), one inner shape of a pair rule. Equal in both
+    /// modes, but for spacing rules with a persistent cache: only the
+    /// default mode consults it for them.
     pub checks_computed: usize,
-    /// Checks answered from the hierarchy memo instead of running
-    /// (§IV-C).
+    /// Checks answered from the hierarchy memo or the persistent cache
+    /// instead of running (§IV-C); equal in both modes as above.
     pub checks_reused: usize,
     /// Candidate object pairs of the spacing rules' row packs (0 with
     /// `pruning` off); equal in both modes.

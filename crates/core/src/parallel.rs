@@ -37,6 +37,9 @@
 //! device-resident so N rules on one layer upload once. A rule the
 //! host runs — an out-of-core shard loop, a rule without a device body
 //! ([`has_device_body`]) — is an `InFlightRule::Host`, finished at issue.
+//! A width or area rule is the default mode's [`IntraWork`] with the
+//! host fan-out swapped for one map kernel: the same targets (the cache
+//! misses), the same predicate, the same finish.
 //!
 //! # Graceful degradation
 //!
@@ -65,7 +68,6 @@
 use std::ops::Range;
 use std::sync::Arc;
 
-use odrc_db::Layer;
 use odrc_geometry::Polygon;
 use odrc_xpu::{
     scan::exclusive_scan, Device, DeviceBuffer, LaunchBatch, LaunchConfig, Pending, Stream,
@@ -75,12 +77,11 @@ use odrc_xpu::{
 use crate::checks::edge::{space_pair_spec, SpaceSpec};
 use crate::checks::poly::LocalViolation;
 use crate::plan::{
-    build_runs, span_lo, unpack, IntraData, PackedEdge, PlannedRow, RowSet, RunInfo,
-    SharedDeviceData,
+    build_runs, span_lo, unpack, PackedEdge, PlannedRow, RowSet, RunInfo, SharedDeviceData,
 };
-use crate::rules::{PairsRule, Rule, RuleFamily, RuleKind};
-use crate::scene::{cell_instances, DirtyWindow};
-use crate::sequential::{enclosure_scenes, PairsWork, RunContext};
+use crate::rules::{PairsRule, PolygonInfo, Rule, RuleFamily, RuleKind};
+use crate::scene::DirtyWindow;
+use crate::sequential::{enclosure_scenes, IntraWork, PairsWork, RunContext};
 use crate::violation::{Violation, ViolationKind};
 
 /// A violation record of the spacing executors: edge indices `(a, b)`
@@ -269,11 +270,11 @@ pub(crate) struct DeviceRule {
 
 enum InFlightKind {
     Space(SpaceIssue),
-    /// A width or area rule: one map over the layer's unique polygons,
-    /// instantiated through their placements at collect.
+    /// A width or area rule: one map over its [`IntraWork`]'s targets,
+    /// finished (cache, counters, replay) at collect.
     Intra {
         map: MapIssue<Polygon, Vec<LocalViolation>>,
-        data: Arc<IntraData>,
+        work: Arc<IntraWork>,
     },
     /// An enclosure or overlap rule: one map over its inner shapes'
     /// indices, each thread measuring its shape straight from the
@@ -323,11 +324,7 @@ pub(crate) fn issue_rule(
             InFlightKind::Space(issue_space(ctx, &stream, &rows, spec))
         }
         RuleFamily::Pairs(pairs) => issue_pairs(ctx, &stream, pairs, window),
-        RuleFamily::Intra => match rule.kind {
-            RuleKind::Width { layer, min } => issue_intra(ctx, &stream, layer, true, min),
-            RuleKind::Area { layer, min } => issue_intra(ctx, &stream, layer, false, min),
-            _ => unreachable!("a rule without a device body is never issued here"),
-        },
+        RuleFamily::Intra => issue_intra(ctx, &stream, rule),
     };
     InFlightRule::Device(DeviceRule {
         stream,
@@ -350,9 +347,14 @@ pub(crate) fn collect_rule(ctx: &mut RunContext<'_>, fl: InFlightRule, out: &mut
     };
     match kind {
         InFlightKind::Space(issue) => collect_space(ctx, &stream, &rule_name, issue, out),
-        InFlightKind::Intra { map, data } => {
-            let found = collect_map(ctx, stream.device(), map);
-            emit_intra(ctx, &rule_name, &data, &found, out);
+        InFlightKind::Intra { map, work } => {
+            let found = collect_map(ctx, stream.device(), map)
+                .into_iter()
+                .enumerate();
+            let hits = found.flat_map(|(i, local)| local.into_iter().map(move |v| (i, v)));
+            let start = std::time::Instant::now();
+            work.finish(ctx, &rule_name, hits, out);
+            ctx.profiler.add("convert", start.elapsed());
         }
         InFlightKind::Pairs { map, work } => {
             let measures = collect_map(ctx, stream.device(), map);
@@ -690,7 +692,7 @@ where
 }
 
 /// Collect half of a map rule: wait for the map, recovering it on
-/// failure, and tally one computed check per element.
+/// failure.
 fn collect_map<X, Y>(ctx: &mut RunContext<'_>, device: &Device, issue: MapIssue<X, Y>) -> Vec<Y>
 where
     X: Send + Sync + 'static,
@@ -701,7 +703,6 @@ where
         kernel,
         pending,
     } = issue;
-    ctx.stats.checks_computed += data.host.len();
     if data.host.is_empty() {
         return Vec::new();
     }
@@ -716,90 +717,29 @@ where
     }
 }
 
-/// Issue half of a width / area rule: a map over the layer's shared
-/// unique-polygon buffer. The instantiation host work happens at
-/// collect. The `pruning: false` ablation maps each placed instance of
-/// every polygon instead, as the default mode recomputes each instance.
-fn issue_intra(
-    ctx: &mut RunContext<'_>,
-    stream: &Stream,
-    layer: Layer,
-    is_width: bool,
-    min: i64,
-) -> InFlightKind {
-    let data = ctx.intra_data(layer);
-    let kernel: MapKernel<Polygon, Vec<LocalViolation>> = Arc::new(move |poly: &Polygon| {
-        let mut found = Vec::new();
-        if is_width {
-            crate::checks::poly::width_violations(poly, min, &mut found);
-        } else {
-            let area = poly.area();
-            if area < min {
-                found.push(LocalViolation {
-                    kind: ViolationKind::Area,
-                    location: poly.mbr(),
-                    measured: area,
-                });
-            }
-        }
-        found
-    });
-    let polys = if ctx.options.pruning {
-        Arc::clone(&data.polys)
-    } else {
-        let layout = ctx.layout;
-        let instances = ctx.instances.get_or_insert_with(|| cell_instances(layout));
-        let placed: Vec<Polygon> = (data.targets.iter().zip(data.polys.host.iter()))
-            .flat_map(|((cell, _), poly)| {
-                std::iter::repeat_n(poly, instances[cell.index()].len()).cloned()
-            })
-            .collect();
-        Arc::new(SharedDeviceData::new(Arc::new(placed)))
-    };
-    let map = issue_map(ctx, stream, polys, kernel);
-    InFlightKind::Intra { map, data }
-}
-
-/// Host side of a width / area rule's collect: replays each cell's
-/// local violations through all its instances. `found` holds one entry
-/// per unique polygon, or (the `pruning: false` ablation) one per
-/// placed instance, in target then instance order.
-fn emit_intra(
-    ctx: &mut RunContext<'_>,
-    rule_name: &str,
-    data: &IntraData,
-    found: &[Vec<LocalViolation>],
-    out: &mut Vec<Violation>,
-) {
-    // An empty layer needs no instance table and no convert phase.
-    if found.is_empty() {
-        return;
-    }
+/// Issue half of a width / area rule: one map of
+/// [`IntraWork::violations`] over its targets. Kernels outlive the
+/// layout's borrow, so the map's input is a copy of the target polygons:
+/// that copy is the upload. Width and area read the geometry alone.
+fn issue_intra(ctx: &mut RunContext<'_>, stream: &Stream, rule: &Rule) -> InFlightKind {
+    let work = Arc::new(IntraWork::new(ctx, rule));
     let layout = ctx.layout;
-    let instances = ctx.instances.get_or_insert_with(|| cell_instances(layout));
-    let targets = Arc::clone(&data.targets);
-    let pruning = ctx.options.pruning;
-    let reused = &mut ctx.stats.checks_reused;
-    ctx.profiler.time("convert", || {
-        let mut found = found.iter();
-        let mut emit = |local: &Vec<LocalViolation>, t| {
-            out.extend(local.iter().map(|v| v.instantiate(t).named(rule_name)));
-        };
-        for (cell, _) in targets.iter() {
-            let transforms = &instances[cell.index()];
-            if pruning {
-                // Each further instance reuses the unique polygon's check.
-                *reused += transforms.len().saturating_sub(1);
-                let local = found.next().expect("one result per polygon");
-                transforms.iter().for_each(|t| emit(local, t));
-            } else {
-                transforms
-                    .iter()
-                    .zip(found.by_ref())
-                    .for_each(|(t, local)| emit(local, t));
-            }
-        }
+    let polys: Vec<Polygon> = ctx.profiler.time("pack", || {
+        let targets = (0..work.len()).map(|i| work.target(layout, i));
+        targets.map(|p| p.polygon.clone()).collect()
     });
+    let layer = work.layer.expect("width and area read one layer");
+    let checked = Arc::clone(&work);
+    let kernel: MapKernel<Polygon, Vec<LocalViolation>> = Arc::new(move |polygon| {
+        checked.violations(PolygonInfo {
+            layer,
+            name: None,
+            polygon,
+        })
+    });
+    let data = Arc::new(SharedDeviceData::new(Arc::new(polys)));
+    let map = issue_map(ctx, stream, data, kernel);
+    InFlightKind::Intra { map, work }
 }
 
 /// Issue half of an enclosure / overlap-area rule: join the inner
@@ -813,6 +753,7 @@ fn issue_pairs(
 ) -> InFlightKind {
     let (inner_scene, outer_scene) = enclosure_scenes(ctx, pairs, window);
     let work = Arc::new(PairsWork::new(ctx, pairs, inner_scene, outer_scene, window));
+    ctx.stats.checks_computed += work.len();
     let shapes = u32::try_from(work.len()).expect("shape count fits u32");
     let measured = Arc::clone(&work);
     let kernel: MapKernel<u32, i64> = Arc::new(move |&i| measured.measure(i as usize));

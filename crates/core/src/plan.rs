@@ -16,11 +16,13 @@
 //!   parallel modes ([`EngineStats::scenes_built`] /
 //!   [`EngineStats::scenes_reused`]);
 //! * a **device-resident buffer cache** ([`RowSet`] keyed by
-//!   [`RowSetKey`], [`IntraData`] keyed by layer): edge extraction,
-//!   adaptive row partitioning and the host→device upload happen once
-//!   per `(layer, partition config)`; later rules on the same layer
-//!   acquire the already-resident buffer through a cross-stream
-//!   [`Event`] ([`EngineStats::uploads_elided`]);
+//!   [`RowSetKey`]): edge extraction, adaptive row partitioning and the
+//!   host→device upload happen once per `(layer, partition config)`;
+//!   later spacing rules on the same layer acquire the already-resident
+//!   buffer through a cross-stream [`Event`]
+//!   ([`EngineStats::uploads_elided`]). Intra-polygon rules share no
+//!   buffer: each uploads a copy of its own cache misses
+//!   ([`IntraWork`]);
 //! * a **schedule** ([`ExecutionPlan`]): rules grouped by the layers
 //!   they read, issued on independent streams and collected once at
 //!   the end (deferred synchronization).
@@ -78,6 +80,7 @@
 //! [`RunContext::layer_scene`]: crate::sequential::RunContext::layer_scene
 //! [`check_space_scene_rows`]: crate::sequential::check_space_scene_rows
 //! [`Violation`]: crate::Violation
+//! [`IntraWork`]: crate::sequential::IntraWork
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -478,25 +481,13 @@ impl RowSetKey {
     }
 }
 
-/// Per-layer packed polygon list for intra-polygon device rules
-/// (width, area): one entry per unique definition, shared by every
-/// intra rule on the layer.
-pub(crate) struct IntraData {
-    /// `(cell, polygon index)` per packed polygon.
-    pub targets: Arc<Vec<(CellId, usize)>>,
-    /// The polygons, device-shareable (one map input of every width
-    /// and area rule on the layer).
-    pub polys: Arc<SharedDeviceData<Polygon>>,
-}
-
-/// The per-run cache behind the planner: scenes, row sets and intra
-/// polygon lists, all keyed so that N rules reading one layer build
-/// and upload once. Lives on the [`RunContext`].
+/// The per-run cache behind the planner: scenes and row sets, keyed so
+/// that N rules reading one layer build and upload once. Lives on the
+/// [`RunContext`].
 #[derive(Default)]
 pub(crate) struct PlanCache {
     pub scenes: HashMap<Layer, Arc<LayerScene>>,
     pub rows: HashMap<RowSetKey, Arc<RowSet>>,
-    pub intra: HashMap<Layer, Arc<IntraData>>,
 }
 
 /// The deck's rules in issue order: grouped by the first layer each

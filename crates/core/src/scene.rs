@@ -97,86 +97,22 @@ impl LayerScene {
     }
 
     /// Builds the scene for `layer`, restricted to the objects that can
-    /// participate in a violation overlapping `window` (when given).
-    ///
-    /// The filter is a two-ring construction around the dirty rects:
-    ///
-    /// * **seeds** — objects whose layer MBR overlaps a dirty rect
-    ///   inflated by twice the margin: every violation location
-    ///   overlapping the window is within the margin of one
-    ///   participant's edge, so that participant's MBR lands in this
-    ///   ring;
-    /// * **neighbours** — objects whose MBR overlaps a seed's MBR
-    ///   inflated by the margin: the second participant of a pairwise
-    ///   violation is within the margin of the first.
-    ///
-    /// Cells whose placements are all filtered out are never copied,
-    /// which is where a small edit on a large layout saves its work.
-    /// The per-cell polygon copies fan out on `host`: the unique kept
-    /// cells are collected in first-occurrence order, their polygon
-    /// lists copied in parallel, and the scene assembled serially — the
-    /// result is identical for any thread count.
+    /// participate in a violation overlapping `window` (when given; see
+    /// [`LayerObjects::near`]). Cells whose placements are all filtered
+    /// out are never copied, which is where a small edit on a large
+    /// layout saves its work. The per-cell polygon copies fan out on
+    /// `host`: the unique kept cells are collected in first-occurrence
+    /// order, their polygon lists copied in parallel, and the scene
+    /// assembled serially — the result is identical for any thread
+    /// count.
     pub fn build_on(
         layout: &Layout,
         layer: Layer,
         window: Option<DirtyWindow<'_>>,
         host: &odrc_infra::HostExecutor,
     ) -> LayerScene {
-        LayerScene::build_counted(layout, layer, window, host, &mut 0)
-    }
-
-    /// [`LayerScene::build_on`] for the engine: one pass 1 (added to
-    /// `scanned`), the member list — every object, or the two-ring
-    /// [`DirtyWindow`] filter over the proto MBRs — then pass 2.
-    pub(crate) fn build_counted(
-        layout: &Layout,
-        layer: Layer,
-        window: Option<DirtyWindow<'_>>,
-        host: &odrc_infra::HostExecutor,
-        scanned: &mut u64,
-    ) -> LayerScene {
-        let objects = LayerObjects::enumerate(layout, layer, scanned);
-        let mbrs = &objects.mbrs;
-        let members: Vec<usize> = match window {
-            None => (0..mbrs.len()).collect(),
-            Some(w) => {
-                let seed_margin = w.margin.saturating_mul(2).saturating_add(2);
-                let seeded: Vec<Rect> = w.rects.iter().map(|d| d.inflate(seed_margin)).collect();
-                let seeds: Vec<bool> = mbrs
-                    .iter()
-                    .map(|m| seeded.iter().any(|s| s.overlaps(*m)))
-                    .collect();
-                let rings: Vec<Rect> = mbrs
-                    .iter()
-                    .zip(&seeds)
-                    .filter(|(_, s)| **s)
-                    .map(|(m, _)| m.inflate(w.margin.saturating_add(1)))
-                    .collect();
-                (0..mbrs.len())
-                    .filter(|&i| seeds[i] || rings.iter().any(|r| r.overlaps(mbrs[i])))
-                    .collect()
-            }
-        };
-        assemble(layout, layer, &objects, &members, host)
-    }
-
-    /// Builds the scene restricted to the objects overlapping one
-    /// window rectangle — the outer side of an out-of-core enclosure
-    /// shard, whose members all live in a contiguous row band. One rect
-    /// test per cached proto MBR keeps the filter linear in the layer
-    /// population (the two-ring [`DirtyWindow`] filter is quadratic in
-    /// dense scenes and only needed for scattered diff rects).
-    pub(crate) fn build_window_on(
-        layout: &Layout,
-        layer: Layer,
-        objects: &LayerObjects,
-        window: Rect,
-        host: &odrc_infra::HostExecutor,
-    ) -> LayerScene {
-        let members: Vec<usize> = (0..objects.mbrs.len())
-            .filter(|&i| window.overlaps(objects.mbrs[i]))
-            .collect();
-        assemble(layout, layer, objects, &members, host)
+        let objects = LayerObjects::enumerate(layout, layer, &mut 0);
+        assemble(layout, layer, &objects, &objects.near(window), host)
     }
 
     /// The local polygons of a placed cell on the scene's layer.
@@ -300,6 +236,51 @@ impl LayerObjects {
             start = objects.mbrs.len();
         });
         objects
+    }
+
+    /// The members a scene restricted to `window` keeps (every object
+    /// without one): a two-ring construction around the dirty rects.
+    ///
+    /// * **seeds** — objects whose layer MBR overlaps a dirty rect
+    ///   inflated by twice the margin: every violation location
+    ///   overlapping the window is within the margin of one
+    ///   participant's edge, so that participant's MBR lands in this
+    ///   ring;
+    /// * **neighbours** — objects whose MBR overlaps a seed's MBR
+    ///   inflated by the margin: the second participant of a pairwise
+    ///   violation is within the margin of the first.
+    pub(crate) fn near(&self, window: Option<DirtyWindow<'_>>) -> Vec<usize> {
+        let mbrs = &self.mbrs;
+        let Some(w) = window else {
+            return (0..mbrs.len()).collect();
+        };
+        let seed_margin = w.margin.saturating_mul(2).saturating_add(2);
+        let seeded: Vec<Rect> = w.rects.iter().map(|d| d.inflate(seed_margin)).collect();
+        let seeds: Vec<bool> = mbrs
+            .iter()
+            .map(|m| seeded.iter().any(|s| s.overlaps(*m)))
+            .collect();
+        let rings: Vec<Rect> = mbrs
+            .iter()
+            .zip(&seeds)
+            .filter(|(_, s)| **s)
+            .map(|(m, _)| m.inflate(w.margin.saturating_add(1)))
+            .collect();
+        (0..mbrs.len())
+            .filter(|&i| seeds[i] || rings.iter().any(|r| r.overlaps(mbrs[i])))
+            .collect()
+    }
+
+    /// The members overlapping one window rectangle — the outer side of
+    /// an out-of-core enclosure shard, whose members all live in a
+    /// contiguous row band. One rect test per proto MBR keeps the filter
+    /// linear in the layer population ([`LayerObjects::near`] is
+    /// quadratic in dense scenes and only needed for scattered diff
+    /// rects).
+    pub(crate) fn within(&self, window: Rect) -> Vec<usize> {
+        (0..self.mbrs.len())
+            .filter(|&i| window.overlaps(self.mbrs[i]))
+            .collect()
     }
 }
 
@@ -608,8 +589,8 @@ mod tests {
                 let window = mbrs[corners.0 % mbrs.len()].hull(mbrs[corners.1 % mbrs.len()]);
                 let inside: Vec<usize> =
                     all.iter().copied().filter(|&i| window.overlaps(mbrs[i])).collect();
-                let windowed =
-                    LayerScene::build_window_on(&layout, layer, &objects, window, &host);
+                assert_eq!(objects.within(window), inside);
+                let windowed = assemble(&layout, layer, &objects, &inside, &host);
                 assert_is_subset(&full, &inside, &windowed);
             }
         }

@@ -35,6 +35,14 @@
 //! 4. **edge-check** — [`row_host_records`] per unit; a template's
 //!    violations are memoized per cell and replayed per placement.
 //!
+//! The intra-polygon pipeline (width, area, rectilinear, ensures) is
+//! [`IntraWork`]: each placed cell's polygons on the rule's layer are
+//! checked once (§IV-C), unless the persistent cache holds the cell's
+//! verdicts, and the cell's local violations are replayed through its
+//! instances. Both modes run it; only the fan-out differs (host tasks
+//! over fixed blocks of targets here, one device thread per target in
+//! the parallel mode).
+//!
 //! The pair pipeline (enclosure, overlap area) finds each inner shape's
 //! candidate outer objects through a row join — each inner window
 //! binary-searches the outer layer's §IV-B rows — and measures every
@@ -42,11 +50,10 @@
 //! task per shape calls [`PairsWork::measure`], which the device kernels
 //! run too. No per-shape work list is built.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
-use odrc_db::{CellId, Layer, Layout};
-use odrc_geometry::{Coord, Polygon, Rect};
+use odrc_db::{CellId, Layer, LayerPolygon, Layout};
+use odrc_geometry::{Coord, Rect, Transform};
 use odrc_infra::host::HostExecutor;
 use odrc_infra::partition::{partition_rows, row_join_on, Row, RowJoin, RowPartition};
 use odrc_infra::sweep::scan_overlaps;
@@ -57,12 +64,9 @@ use crate::checks::poly::{polygon_violations, LocalViolation, PolyRuleSpec};
 use crate::checks::{placed_enclosure_margin, Placed, SpaceSpec};
 use crate::engine::{EngineOptions, EngineStats};
 use crate::parallel::{record_violation, row_host_records};
-use crate::plan::{
-    pack_cell, pack_row, templates_of, IntraData, PackedEdge, PlanCache, RowSet, RowSetKey,
-    SharedDeviceData,
-};
-use crate::rules::{PairsRule, Rule, RuleFamily, RuleKind};
-use crate::scene::{cell_instances, DirtyWindow, LayerScene, SceneSource};
+use crate::plan::{pack_cell, pack_row, templates_of, PackedEdge, PlanCache, RowSet, RowSetKey};
+use crate::rules::{PairsRule, PolygonInfo, Rule, RuleFamily, RuleKind};
+use crate::scene::{assemble, cell_instances, DirtyWindow, LayerObjects, LayerScene, SceneSource};
 use crate::violation::{Violation, ViolationKind};
 
 /// Shared state across the rules of one `check()` run.
@@ -73,11 +77,11 @@ pub(crate) struct RunContext<'a> {
     pub stats: &'a mut EngineStats,
     /// The intra rules' instance table ([`cell_instances`]), built at the
     /// first intra rule.
-    pub instances: Option<Vec<Vec<odrc_geometry::Transform>>>,
+    pub instances: Option<Vec<Vec<Transform>>>,
     /// Persistent result cache plus the layout's content keys, when the
     /// caller opted into cross-run reuse.
     pub cache: Option<CacheHandle<'a>>,
-    /// The per-run caches (scenes, row sets, intra polygon lists).
+    /// The per-run caches (scenes and row sets).
     pub plan: PlanCache,
     /// The shared host executor every hot host phase fans out on. Sized
     /// by `options.host_threads`; a one-thread executor runs its tasks
@@ -136,11 +140,7 @@ impl<'a> RunContext<'a> {
             self.stats.scenes_reused += 1;
             return Arc::clone(scene);
         }
-        let (layout, host) = (self.layout, Arc::clone(&self.host));
-        let scanned = &mut self.stats.scene_objects_scanned;
-        let scene = Arc::new(self.profiler.time("scene", || {
-            LayerScene::build_counted(layout, layer, None, &host, scanned)
-        }));
+        let scene = Arc::new(self.build_scene(layer, None));
         self.stats.scenes_built += 1;
         self.plan.scenes.insert(layer, Arc::clone(&scene));
         scene
@@ -150,14 +150,21 @@ impl<'a> RunContext<'a> {
     /// under a delta `window` a fresh one restricted to the objects near
     /// the dirt (windowed scenes are rule-specific).
     pub fn scene_for(&mut self, layer: Layer, window: Option<DirtyWindow<'_>>) -> Arc<LayerScene> {
-        let Some(w) = window else {
-            return self.layer_scene(layer);
-        };
+        match window {
+            None => self.layer_scene(layer),
+            Some(_) => Arc::new(self.build_scene(layer, window)),
+        }
+    }
+
+    /// One scene build: pass 1 (added to `scene_objects_scanned`), the
+    /// members [`LayerObjects::near`] `window`, then pass 2.
+    fn build_scene(&mut self, layer: Layer, window: Option<DirtyWindow<'_>>) -> LayerScene {
         let (layout, host) = (self.layout, Arc::clone(&self.host));
         let scanned = &mut self.stats.scene_objects_scanned;
-        Arc::new(self.profiler.time("scene", || {
-            LayerScene::build_counted(layout, layer, Some(w), &host, scanned)
-        }))
+        self.profiler.time("scene", || {
+            let objects = LayerObjects::enumerate(layout, layer, scanned);
+            assemble(layout, layer, &objects, &objects.near(window), &host)
+        })
     }
 
     /// The packed, sorted row set of `layer` for a rule distance of
@@ -171,28 +178,6 @@ impl<'a> RunContext<'a> {
         let rows = Arc::new(RowSet::build(self, &scene, min));
         self.plan.rows.insert(key, Arc::clone(&rows));
         rows
-    }
-
-    /// The packed unique-polygon list of `layer` for device-side intra
-    /// rules (width, area), memoized per layer.
-    pub fn intra_data(&mut self, layer: Layer) -> Arc<IntraData> {
-        if let Some(data) = self.plan.intra.get(&layer) {
-            return Arc::clone(data);
-        }
-        let layout = self.layout;
-        let data = self.profiler.time("pack", || {
-            let targets: Vec<(CellId, usize)> = layout.layer_polygons(layer).to_vec();
-            let polys: Vec<Polygon> = targets
-                .iter()
-                .map(|&(c, pi)| layout.cell(c).polygons()[pi].polygon.clone())
-                .collect();
-            Arc::new(IntraData {
-                targets: Arc::new(targets),
-                polys: Arc::new(SharedDeviceData::new(Arc::new(polys))),
-            })
-        });
-        self.plan.intra.insert(layer, Arc::clone(&data));
-        data
     }
 
     /// Times a blocking device wait: charges the cumulative
@@ -217,139 +202,189 @@ impl<'a> RunContext<'a> {
     }
 }
 
-/// The selected layer (`None` = every layer) and the poly-rule spec of
-/// an intra-polygon rule.
-fn intra_spec(rule: &Rule) -> (Option<Layer>, PolyRuleSpec) {
-    match &rule.kind {
-        RuleKind::Width { layer, min } => (Some(*layer), PolyRuleSpec::Width(*min)),
-        RuleKind::Area { layer, min } => (Some(*layer), PolyRuleSpec::Area(*min)),
-        RuleKind::Rectilinear { layer } => (*layer, PolyRuleSpec::Rectilinear),
-        RuleKind::Ensures {
-            layer, predicate, ..
-        } => (*layer, PolyRuleSpec::Ensures(predicate.clone())),
-        _ => unreachable!("not an intra-polygon rule"),
-    }
+/// One intra-polygon rule's work (width, area, rectilinear, ensures):
+/// the one pipeline of both modes (§IV-C). Its cells are the placed
+/// cells with polygons on the rule's layer (on any layer for a rule
+/// without one), in `CellId` order; the persistent cache answers a
+/// cell whole, and every other cell's polygons are the *targets* — one
+/// per polygon, or per polygon and instance with `pruning` off. The
+/// host fan-out, the device map and its recovery each run
+/// [`IntraWork::violations`] on a target; [`IntraWork::finish`] replays
+/// the results through the instances.
+pub(crate) struct IntraWork {
+    spec: PolyRuleSpec,
+    /// The rule's layer; `None` reads every layer.
+    pub layer: Option<Layer>,
+    sig: Option<u64>,
+    pruning: bool,
+    /// Each cell's polygon count, and its local violations when the
+    /// cache held them.
+    #[allow(clippy::type_complexity)]
+    cells: Vec<(CellId, usize, Option<Arc<Vec<LocalViolation>>>)>,
+    /// The missing targets as `(cell, polygon index)`, grouped by cell
+    /// in `cells` order; without pruning each polygon repeats once per
+    /// instance, in instance order.
+    targets: Vec<(CellId, u32)>,
+    /// Checks the rule stands for: its polygons' placed instances.
+    placed: usize,
 }
 
-/// The `(cell, polygon indices)` groups an intra rule must visit.
-fn intra_targets(layout: &Layout, layer: Option<Layer>) -> Vec<(CellId, Vec<usize>)> {
-    match layer {
-        Some(l) => {
-            let mut grouped: HashMap<CellId, Vec<usize>> = HashMap::new();
-            for &(cell, pi) in layout.layer_polygons(l) {
-                grouped.entry(cell).or_default().push(pi);
+impl IntraWork {
+    /// Lists the rule's cells and targets, consulting the persistent
+    /// cache once per cell on the calling thread (its handle is
+    /// exclusive). `Layout::layer_polygons` is sorted by `(cell,
+    /// index)`, so a cell's polygons arrive together.
+    pub(crate) fn new(ctx: &mut RunContext<'_>, rule: &Rule) -> IntraWork {
+        let (layer, spec) = match &rule.kind {
+            RuleKind::Width { layer, min } => (Some(*layer), PolyRuleSpec::Width(*min)),
+            RuleKind::Area { layer, min } => (Some(*layer), PolyRuleSpec::Area(*min)),
+            RuleKind::Rectilinear { layer } => (*layer, PolyRuleSpec::Rectilinear),
+            RuleKind::Ensures {
+                layer, predicate, ..
+            } => (*layer, PolyRuleSpec::Ensures(predicate.clone())),
+            _ => unreachable!("not an intra-polygon rule"),
+        };
+        let layout = ctx.layout;
+        let pruning = ctx.options.pruning;
+        // Intra verdicts depend only on the cell's own geometry, so the
+        // cache keys them by its local content hash.
+        let sig = pruning
+            .then(|| crate::cache::rule_signature(rule))
+            .flatten();
+        let instances = ctx.instances.get_or_insert_with(|| cell_instances(layout));
+        let polygons: Box<dyn Iterator<Item = (CellId, usize)>> = match layer {
+            Some(l) => Box::new(layout.layer_polygons(l).iter().copied()),
+            None => Box::new(
+                layout
+                    .cell_ids()
+                    .flat_map(|c| (0..layout.cell(c).polygons().len()).map(move |k| (c, k))),
+            ),
+        };
+        let mut work = IntraWork {
+            spec,
+            layer,
+            sig,
+            pruning,
+            cells: Vec::new(),
+            targets: Vec::new(),
+            placed: 0,
+        };
+        for (cell, k) in polygons {
+            let n = instances[cell.index()].len();
+            if n == 0 {
+                continue; // defined but never placed
             }
-            let mut v: Vec<_> = grouped.into_iter().collect();
-            v.sort_by_key(|(c, _)| *c);
-            v
+            work.placed += n;
+            if work.cells.last().is_none_or(|&(c, ..)| c != cell) {
+                let hit = (sig.zip(ctx.cache.as_mut()))
+                    .and_then(|(sig, h)| h.cache.get(sig, h.keys.local[cell.index()]));
+                work.cells.push((cell, 0, hit));
+            }
+            let (_, polys, hit) = work.cells.last_mut().expect("pushed above");
+            *polys += 1;
+            if hit.is_none() {
+                let reps = if pruning { 1 } else { n };
+                let k = u32::try_from(k).expect("polygon index fits u32");
+                work.targets.extend(std::iter::repeat_n((cell, k), reps));
+            }
         }
-        None => layout
-            .cell_ids()
-            .map(|cell| {
-                let n = layout.cell(cell).polygons().len();
-                (cell, (0..n).collect::<Vec<_>>())
-            })
-            .filter(|(_, ps)| !ps.is_empty())
-            .collect(),
+        work
     }
-}
 
-/// Runs an intra-polygon rule (width, area, rectilinear, ensures) with
-/// per-cell memoization (§IV-C).
-fn check_intra_rule(ctx: &mut RunContext<'_>, rule: &Rule, out: &mut Vec<Violation>) {
-    let (layer, spec) = intra_spec(rule);
-    let targets = intra_targets(ctx.layout, layer);
-    let layout = ctx.layout;
-    let pruning = ctx.options.pruning;
-    // Persistent reuse is keyed by the cell's *local* content hash:
-    // intra-polygon verdicts depend only on the cell's own geometry.
-    let sig = if pruning {
-        crate::cache::rule_signature(rule)
-    } else {
-        None
-    };
+    /// The number of targets.
+    pub(crate) fn len(&self) -> usize {
+        self.targets.len()
+    }
 
-    // Compute local violations per cell (once, under pruning), serving
-    // them from the persistent cache when the content is known. Cache
-    // consults stay on the calling thread (the handle is exclusive);
-    // the polygon checks of the misses fan out and come back in target
-    // order, so instantiation below never depends on the thread count.
-    let start = std::time::Instant::now();
-    let cached: Vec<Option<Arc<Vec<LocalViolation>>>> = targets
-        .iter()
-        .map(|(cell, _)| {
-            let (sig, handle) = (sig?, ctx.cache.as_mut()?);
-            handle.cache.get(sig, handle.keys.local[cell.index()])
-        })
-        .collect();
-    let missing: Vec<usize> = (0..targets.len())
-        .filter(|&ti| cached[ti].is_none())
-        .collect();
-    let mut fresh = ctx
-        .host
-        .run("edge-check", missing.len(), |i| {
-            let (cell, polys) = &targets[missing[i]];
-            let c = layout.cell(*cell);
-            let mut local = Vec::new();
-            for &pi in polys {
-                polygon_violations(&c.polygons()[pi], &spec, &mut local);
+    /// Target `i` as the layout stores it.
+    pub(crate) fn target<'l>(&self, layout: &'l Layout, i: usize) -> &'l LayerPolygon {
+        let (cell, k) = self.targets[i];
+        &layout.cell(cell).polygons()[k as usize]
+    }
+
+    /// One target's local violations: the check the host task, the
+    /// device kernel and its recovery all run.
+    pub(crate) fn violations(&self, polygon: PolygonInfo<'_>) -> Vec<LocalViolation> {
+        let mut found = Vec::new();
+        polygon_violations(polygon, &self.spec, &mut found);
+        found
+    }
+
+    /// The host fan-out: one task per block of [`INTRA_BLOCK`] targets,
+    /// each returning its targets' violations tagged by target.
+    pub(crate) fn check_on(
+        &self,
+        layout: &Layout,
+        host: &HostExecutor,
+    ) -> impl Iterator<Item = IntraHit> {
+        let blocks = host.run("edge-check", self.len().div_ceil(INTRA_BLOCK), |b| {
+            let mut hits = Vec::new();
+            for i in b * INTRA_BLOCK..self.len().min((b + 1) * INTRA_BLOCK) {
+                let local = self.violations(PolygonInfo::of(self.target(layout, i)));
+                hits.extend(local.into_iter().map(|v| (i, v)));
             }
-            Arc::new(local)
-        })
-        .into_iter();
-    ctx.profiler.add("edge-check", start.elapsed());
-
-    // Instantiate through every placement of the cell.
-    let instances = ctx.instances.get_or_insert_with(|| cell_instances(layout));
-    let mut computed = 0usize;
-    let mut reused = 0usize;
-    for ((cell, polys), hit) in targets.iter().zip(cached) {
-        let from_cache = hit.is_some();
-        let local = hit.unwrap_or_else(|| {
-            let arc = fresh.next().expect("one result per cache miss");
-            if let (Some(sig), Some(handle)) = (sig, ctx.cache.as_mut()) {
-                let key = handle.keys.local[cell.index()];
-                handle.cache.insert(sig, key, Arc::clone(&arc));
-            }
-            arc
+            hits
         });
-        let transforms = &instances[cell.index()];
-        if transforms.is_empty() {
-            continue; // defined but never instantiated
-        }
-        let polys = polys.len();
-        if pruning {
-            if from_cache {
-                reused += polys;
-            } else {
-                computed += polys;
-            }
-            reused += polys * transforms.len().saturating_sub(1);
-        } else {
-            // Ablation: pretend each instance is checked independently.
-            computed += polys * transforms.len();
-            // Actually recompute to make the cost real.
-            if transforms.len() > 1 {
-                let c = layout.cell(*cell);
-                ctx.profiler.time("edge-check", || {
-                    for _ in 1..transforms.len() {
-                        let mut scratch = Vec::new();
-                        for p in c.polygons() {
-                            if layer.map(|l| p.layer == l).unwrap_or(true) {
-                                polygon_violations(p, &spec, &mut scratch);
-                            }
-                        }
+        blocks.into_iter().flatten()
+    }
+
+    /// Takes the targets' violations (`hits`, in target order): fills
+    /// the cache with each missing cell's verdicts, counts the targets
+    /// as computed and every other placed instance as reused, and
+    /// replays each cell's local violations through its instances.
+    pub(crate) fn finish(
+        &self,
+        ctx: &mut RunContext<'_>,
+        rule_name: &str,
+        hits: impl IntoIterator<Item = IntraHit>,
+        out: &mut Vec<Violation>,
+    ) {
+        ctx.stats.checks_computed += self.targets.len();
+        ctx.stats.checks_reused += self.placed - self.targets.len();
+        let instances = ctx.instances.as_ref().expect("built by IntraWork::new");
+        let mut hits = hits.into_iter().peekable();
+        let mut end = 0; // one past the current cell's targets
+        for (cell, polys, hit) in &self.cells {
+            let transforms = &instances[cell.index()];
+            let local = match hit {
+                Some(local) => Arc::clone(local),
+                None if self.pruning => {
+                    end += polys;
+                    let mine = std::iter::from_fn(|| hits.next_if(|&(t, _)| t < end));
+                    let local = Arc::new(mine.map(|(_, v)| v).collect::<Vec<_>>());
+                    if let (Some(sig), Some(handle)) = (self.sig, ctx.cache.as_mut()) {
+                        let key = handle.keys.local[cell.index()];
+                        handle.cache.insert(sig, key, Arc::clone(&local));
                     }
-                });
+                    local
+                }
+                None => {
+                    // Each instance's own checks, polygon-major.
+                    let start = end;
+                    end += polys * transforms.len();
+                    while let Some((t, v)) = hits.next_if(|&(t, _)| t < end) {
+                        let t = &transforms[(t - start) % transforms.len()];
+                        out.push(v.instantiate(t).named(rule_name));
+                    }
+                    continue;
+                }
+            };
+            if local.is_empty() {
+                continue;
             }
-        }
-        for t in transforms {
-            out.extend(local.iter().map(|v| v.instantiate(t).named(&rule.name)));
+            for t in transforms {
+                out.extend(local.iter().map(|v| v.instantiate(t).named(rule_name)));
+            }
         }
     }
-    ctx.stats.checks_computed += computed;
-    ctx.stats.checks_reused += reused;
 }
+
+/// Targets per host task of an intra-polygon rule: a fixed block, so
+/// the task count is a function of the input only.
+const INTRA_BLOCK: usize = 256;
+
+/// One violation of an intra-polygon target, tagged by the target.
+pub(crate) type IntraHit = (usize, LocalViolation);
 
 /// The §IV-C memo of one spacing rule: each placed cell's internal
 /// violations, in cell-local coordinates, indexed by cell (every row
@@ -421,7 +456,13 @@ pub(crate) fn check_rule(
                 out,
             );
         }
-        RuleFamily::Intra => check_intra_rule(ctx, rule, out),
+        RuleFamily::Intra => {
+            let work = IntraWork::new(ctx, rule);
+            let start = std::time::Instant::now();
+            let hits = work.check_on(ctx.layout, &ctx.host);
+            ctx.profiler.add("edge-check", start.elapsed());
+            work.finish(ctx, &rule.name, hits, out);
+        }
     }
 }
 

@@ -379,12 +379,10 @@ fn shard_scene_pair(
         device,
         ctx.stats,
         ctx.profiler,
-        || match band {
-            Some(b) => {
-                let window = b.inflate((min as Coord).saturating_add(1));
-                LayerScene::build_window_on(layout, outer, outer_objects, window, &host)
-            }
-            None => assemble(layout, outer, outer_objects, &[], &host),
+        || {
+            let reach = (min as Coord).saturating_add(1);
+            let members = band.map_or(Vec::new(), |b| outer_objects.within(b.inflate(reach)));
+            assemble(layout, outer, outer_objects, &members, &host)
         },
     );
     (inner_scene, outer_scene)

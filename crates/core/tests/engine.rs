@@ -536,3 +536,85 @@ fn shared_pool_is_used() {
     assert!(pool.started(), "the runs published onto the shared pool");
     assert_eq!(Arc::strong_count(&pool), 2, "no run kept the pool");
 }
+
+/// An intra rule checks each placed cell once and never a cell that
+/// nothing places, in both modes: TOP draws one bar and places A twice,
+/// A draws two bars, and SPARE draws one bar but is placed by nothing.
+#[test]
+fn intra_rules_skip_unplaced_cells_in_both_modes() {
+    use odrc_gdsii::{Element, Library, Structure};
+    use odrc_geometry::Point;
+    let bar = |x: i32, y: i32| {
+        let corners = [(x, y), (x, y + 40), (x + 8, y + 40), (x + 8, y)];
+        Element::boundary(1, corners.map(|(x, y)| Point::new(x, y)).to_vec())
+    };
+    let mut lib = Library::new("unplaced");
+    let mut a = Structure::new("A");
+    a.elements.extend([bar(0, 0), bar(100, 0)]);
+    let mut spare = Structure::new("SPARE");
+    spare.elements.push(bar(0, 0));
+    let mut top = Structure::new("TOP");
+    top.elements.push(bar(0, 1000));
+    top.elements.push(Element::sref("A", Point::new(0, 0)));
+    top.elements.push(Element::sref("A", Point::new(500, 0)));
+    lib.structures.extend([a, spare, top]);
+    let layout = odrc_db::Layout::from_library(&lib).unwrap();
+    assert_eq!(layout.cell(layout.top()).name(), "TOP");
+    let deck = RuleDeck::new(vec![rule().layer(1).width().greater_than(10).named("W")]);
+    let seq = Engine::sequential().check(&layout, &deck);
+    let par = Engine::parallel_on(Device::new(2)).check(&layout, &deck);
+    for report in [&seq, &par] {
+        assert_eq!(report.violations.len(), 5);
+        assert_eq!(report.stats.checks_computed, 3);
+        assert_eq!(report.stats.checks_reused, 2);
+    }
+    assert_eq!(seq.violations, par.violations);
+}
+
+/// `--parallel` honours the persistent cache for width and area: a warm
+/// run computes nothing, reports what the default mode reports, and
+/// both modes leave the same cache behind.
+#[test]
+fn parallel_width_and_area_consult_the_cache() {
+    use odrc::ResultCache;
+    let layout = generate_layout(&DesignSpec::tiny(10));
+    let deck = RuleDeck::new(vec![
+        rule()
+            .layer(tech::M1)
+            .width()
+            .greater_than(tech::M1_WIDTH)
+            .named("M1.W.1"),
+        rule()
+            .layer(tech::M2)
+            .area()
+            .greater_than(tech::M2_AREA)
+            .named("M2.A.1"),
+    ]);
+    let dir = std::env::temp_dir().join(format!("odrc-intra-cache-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut saved = Vec::new();
+    let mut reports = Vec::new();
+    for (tag, engine) in [
+        ("seq", Engine::sequential()),
+        ("par", Engine::parallel_on(Device::new(2))),
+    ] {
+        let mut cache = ResultCache::new();
+        let cold = engine.check_with_cache(&layout, &deck, &mut cache);
+        assert!(cold.stats.checks_computed > 0, "{tag}");
+        assert!(!cache.is_empty(), "{tag}: the cold run fills the cache");
+        let warm = engine.check_with_cache(&layout, &deck, &mut cache);
+        assert_eq!(warm.stats.checks_computed, 0, "{tag}");
+        assert_eq!(warm.violations, cold.violations, "{tag}");
+        let path = dir.join(format!("{tag}.bin"));
+        cache.save(&path).unwrap();
+        saved.push(std::fs::read(&path).unwrap());
+        reports.push(warm);
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+    assert_eq!(reports[0].violations, reports[1].violations);
+    assert_eq!(
+        reports[0].stats.checks_reused,
+        reports[1].stats.checks_reused
+    );
+    assert_eq!(saved[0], saved[1], "both modes cache the same entries");
+}

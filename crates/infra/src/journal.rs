@@ -19,8 +19,9 @@
 //!
 //! The payload is opaque to the log; callers bring their own encoding
 //! (binary for the checkpoint journal, JSON for the job journal).
-//! Appends are `write_all` + `sync_data`, so a record either survives
-//! a kill in full or is dropped in full by the next lenient open.
+//! An append writes the length, the payload and the checksum, then
+//! `sync_data`s, so a record either survives a kill in full or is
+//! dropped in full by the next lenient open.
 
 use std::fs::File;
 use std::io::{self, Read, Write};
@@ -104,9 +105,16 @@ impl RecordLog {
     }
 
     /// Appends one record and flushes it to stable storage: a kill
-    /// immediately after still finds the record on the next open.
+    /// immediately after still finds the record on the next open. The
+    /// bytes are [`RecordLog::frame`]'s, written from the payload in
+    /// place rather than through a copy.
     pub fn append(&mut self, payload: &[u8]) -> io::Result<()> {
-        self.append_raw(&RecordLog::frame(payload))
+        let len = u32::try_from(payload.len())
+            .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "record over 4 GiB"))?;
+        self.file.write_all(&len.to_le_bytes())?;
+        self.file.write_all(payload)?;
+        self.file.write_all(&fnv1a64(payload).to_le_bytes())?;
+        self.file.sync_data()
     }
 
     /// Writes raw bytes verbatim (no framing) and syncs. This exists
@@ -198,6 +206,24 @@ mod tests {
             records,
             vec![b"alpha".to_vec(), Vec::new(), b"gamma".to_vec()]
         );
+        cleanup(&path);
+    }
+
+    #[test]
+    fn append_writes_the_framed_bytes() {
+        let path = temp("frame");
+        let payloads: [&[u8]; 4] = [b"alpha", b"", &[0xff; 3000], b"omega"];
+        {
+            let (mut log, _) = RecordLog::open(&path, MAGIC).expect("open");
+            for p in payloads {
+                log.append(p).expect("append");
+            }
+        }
+        let mut framed = MAGIC.to_vec();
+        for p in payloads {
+            framed.extend_from_slice(&RecordLog::frame(p));
+        }
+        assert_eq!(std::fs::read(&path).expect("read"), framed);
         cleanup(&path);
     }
 
