@@ -257,11 +257,28 @@ if grep -n 'ViolationKind::Area' crates/core/src/parallel.rs; then
     echo "parallel.rs names ViolationKind::Area: the intra predicate is copied again"
     exit 1
 fi
+# One spacing pipeline in both modes (sequential::SpaceWork): templates
+# are resolved against the memo and the persistent cache in one place,
+# and one finish replays them; the parallel mode keeps no record replay
+# and its packed units no placements of their own.
+if grep -rn 'fn replay_record' crates/core/src; then
+    echo "parallel::replay_record is back: spacing templates replay in SpaceWork::finish"
+    exit 1
+fi
+if awk '/^pub\(crate\) struct PlannedRow/,/^}/' crates/core/src/plan.rs | grep -nE '^ *pub +instances *:'; then
+    echo "PlannedRow has an instances field again: the RowSet holds the template list once"
+    exit 1
+fi
+if grep -nE 'cache\.(get|insert)\(' crates/core/src/parallel.rs crates/core/src/plan.rs crates/core/src/shard.rs; then
+    echo "a result-cache consult outside sequential.rs: templates resolve in SpaceWork::new / IntraWork::new"
+    exit 1
+fi
 
 # One candidate discovery, one window formula and one pack, shared by
 # both modes: the default mode's host driver and the parallel row set
-# (RowSet::build) both call row_candidate_pairs, pack_cell and pack_row,
-# and pack_row is the one caller of pair_window. Candidate discovery is
+# (RowSet::build) both call pack_unit, the one caller of
+# row_candidate_pairs, pack_cell and pack_row, and pack_row is the one
+# caller of pair_window. Candidate discovery is
 # the x-sorted scan (the R-tree is an odrc-bench reference). The pack
 # transforms edges (Transform::apply_edge) and never rebuilds a polygon.
 sites=$(grep -rn 'rtree_overlaps(' crates/core/src | wc -l)
@@ -296,8 +313,12 @@ fi
 sites=$(grep -rn 'pair_window(' crates/core/src | grep -vc 'fn pair_window(')
 [ "$sites" -eq 1 ] || { echo "expected one pair_window( call site in crates/core/src (pack_row), found $sites"; exit 1; }
 for f in pack_cell pack_row; do
-    sites=$(grep -rn "$f(" crates/core/src/sequential.rs crates/core/src/plan.rs | grep -vc "fn $f(")
-    [ "$sites" -eq 2 ] || { echo "expected two $f( call sites (one per mode), found $sites"; exit 1; }
+    sites=$(grep -rn "$f(" crates/core/src | grep -vc "fn $f(")
+    [ "$sites" -eq 1 ] || { echo "expected one $f( call site in crates/core/src (pack_unit), found $sites"; exit 1; }
+done
+for f in crates/core/src/sequential.rs crates/core/src/plan.rs; do
+    sites=$(grep -n 'pack_unit(' "$f" | grep -vc 'fn pack_unit(')
+    [ "$sites" -eq 1 ] || { echo "expected one pack_unit( call site in $f (one per mode), found $sites"; exit 1; }
 done
 if awk '/^#\[cfg\(test\)\]/{exit} !/^ *\/\//' crates/core/src/plan.rs \
     | grep -nE 'apply_polygon|object_polygons_(in_)?into'; then

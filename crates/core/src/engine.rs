@@ -129,15 +129,14 @@ impl std::fmt::Display for RuleStatus {
 /// Work accounting for a check run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
-    /// Checks actually executed: one executor record of a spacing rule,
-    /// one polygon of a placed cell for an intra-polygon rule (one per
-    /// placed instance with `pruning` off; none for a cell the persistent
-    /// cache answered), one inner shape of a pair rule. Equal in both
-    /// modes, but for spacing rules with a persistent cache: only the
-    /// default mode consults it for them.
+    /// Checks actually executed: one executor record of a spacing rule
+    /// (none in a template the persistent cache answered), one polygon
+    /// of a placed cell for an intra-polygon rule (one per placed
+    /// instance with `pruning` off; none for a cell the persistent cache
+    /// answered), one inner shape of a pair rule. Equal in both modes.
     pub checks_computed: usize,
     /// Checks answered from the hierarchy memo or the persistent cache
-    /// instead of running (§IV-C); equal in both modes as above.
+    /// instead of running (§IV-C); equal in both modes.
     pub checks_reused: usize,
     /// Candidate object pairs of the spacing rules' row packs (0 with
     /// `pruning` off); equal in both modes.

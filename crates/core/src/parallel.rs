@@ -10,8 +10,7 @@
 //!
 //! "Relevant" is decided by the hierarchy ([`RowSet`]): each placed cell
 //! definition is packed once as a cell-local *template* — to the
-//! executors just a small row, whose records [`replay_record`] replays
-//! through the cell's placements — and the partition rows hold only the
+//! executors just a small row — and the partition rows hold only the
 //! polygons inside candidate-pair windows.
 //!
 //! Small rows run the **brute-force executor**: one kernel, one thread
@@ -37,9 +36,10 @@
 //! device-resident so N rules on one layer upload once. A rule the
 //! host runs — an out-of-core shard loop, a rule without a device body
 //! ([`has_device_body`]) — is an `InFlightRule::Host`, finished at issue.
-//! A width or area rule is the default mode's [`IntraWork`] with the
-//! host fan-out swapped for one map kernel: the same targets (the cache
-//! misses), the same predicate, the same finish.
+//! Width, area and spacing rules are the default mode's [`IntraWork`]
+//! and [`SpaceWork`] with the host fan-out swapped for device work (one
+//! map kernel over the targets; the row set's packed units): the same
+//! cache misses, the same predicate, the same finish.
 //!
 //! # Graceful degradation
 //!
@@ -81,7 +81,7 @@ use crate::plan::{
 };
 use crate::rules::{PairsRule, PolygonInfo, Rule, RuleFamily, RuleKind};
 use crate::scene::DirtyWindow;
-use crate::sequential::{enclosure_scenes, IntraWork, PairsWork, RunContext};
+use crate::sequential::{enclosure_scenes, CellMemo, IntraWork, PairsWork, RunContext, SpaceWork};
 use crate::violation::{Violation, ViolationKind};
 
 /// A violation record of the spacing executors: edge indices `(a, b)`
@@ -90,14 +90,6 @@ type Record = (u32, u32, i64);
 
 /// Per-edge brute-force hits: `(other edge index, measured)` lists.
 type BruteHits = Vec<Vec<(u32, i64)>>;
-
-/// One row's in-flight first device phase.
-struct RowJob {
-    row: Arc<PlannedRow>,
-    /// Recorded launch geometry, reused by the emit phase.
-    cfg: LaunchConfig,
-    phase1: Phase1,
-}
 
 /// What a row's first phase downloads, by executor.
 enum Phase1 {
@@ -269,7 +261,7 @@ pub(crate) struct DeviceRule {
 }
 
 enum InFlightKind {
-    Space(SpaceIssue),
+    Space(Box<SpaceIssue>),
     /// A width or area rule: one map over its [`IntraWork`]'s targets,
     /// finished (cache, counters, replay) at collect.
     Intra {
@@ -286,10 +278,16 @@ enum InFlightKind {
     },
 }
 
+/// A spacing rule's launched units: its [`SpaceWork`]'s, packed in the
+/// row set.
 struct SpaceIssue {
     spec: SpaceSpec,
-    jobs: Vec<RowJob>,
-    failed: Vec<Arc<PlannedRow>>,
+    work: SpaceWork,
+    rows: Arc<RowSet>,
+    /// Each launched unit's in-flight first phase.
+    jobs: Vec<(usize, Phase1)>,
+    /// Units whose first phase failed to enqueue.
+    failed: Vec<usize>,
 }
 
 /// Whether `rule` has a device body: rectilinear and user-predicate
@@ -321,7 +319,8 @@ pub(crate) fn issue_rule(
                     Arc::new(RowSet::build(ctx, &scene, spec.min))
                 }
             };
-            InFlightKind::Space(issue_space(ctx, &stream, &rows, spec))
+            let sig = crate::cache::rule_signature(rule);
+            InFlightKind::Space(Box::new(issue_space(ctx, &stream, rows, spec, sig)))
         }
         RuleFamily::Pairs(pairs) => issue_pairs(ctx, &stream, pairs, window),
         RuleFamily::Intra => issue_intra(ctx, &stream, rule),
@@ -345,20 +344,21 @@ pub(crate) fn collect_rule(ctx: &mut RunContext<'_>, fl: InFlightRule, out: &mut
         InFlightRule::Host(done) => return out.extend(done),
         InFlightRule::Device(issued) => issued,
     };
+    let device = stream.device();
     match kind {
-        InFlightKind::Space(issue) => collect_space(ctx, &stream, &rule_name, issue, out),
+        InFlightKind::Space(issue) => collect_space(ctx, &stream, &rule_name, *issue, out),
         InFlightKind::Intra { map, work } => {
-            let found = collect_map(ctx, stream.device(), map)
-                .into_iter()
-                .enumerate();
+            let found = collect_map(ctx, device, map).into_iter().enumerate();
             let hits = found.flat_map(|(i, local)| local.into_iter().map(move |v| (i, v)));
             let start = std::time::Instant::now();
             work.finish(ctx, &rule_name, hits, out);
             ctx.profiler.add("convert", start.elapsed());
         }
         InFlightKind::Pairs { map, work } => {
-            let measures = collect_map(ctx, stream.device(), map);
-            emit_pairs(ctx, &rule_name, &work, measures, out);
+            let measures = collect_map(ctx, device, map).into_iter().enumerate();
+            let start = std::time::Instant::now();
+            out.extend(measures.filter_map(|(i, m)| work.violation(&rule_name, i, m)));
+            ctx.profiler.add("convert", start.elapsed());
         }
     }
     // Errors were already handled per work unit; drain the stream
@@ -366,40 +366,46 @@ pub(crate) fn collect_rule(ctx: &mut RunContext<'_>, fl: InFlightRule, out: &mut
     let _ = stream.try_synchronize();
 }
 
-/// Issue half of the spacing pipeline: walk the row set, acquiring
-/// each row's device-resident buffers and enqueuing its first kernel
-/// phase. The whole phase goes through one fused [`LaunchBatch`], so
-/// every row's uploads and kernels ride a single stream dispatch (one
-/// worker wake per rule).
+/// Issue half of the spacing pipeline: one [`SpaceWork`] over the row
+/// set's templates and rows, and for each of its units (the missing
+/// templates, then every row) the packed unit's device-resident buffers
+/// and first kernel phase. The whole phase goes through one fused
+/// [`LaunchBatch`], so every unit's uploads and kernels ride a single
+/// stream dispatch (one worker wake per rule).
 fn issue_space(
     ctx: &mut RunContext<'_>,
     stream: &Stream,
-    rows: &RowSet,
+    rows: Arc<RowSet>,
     spec: SpaceSpec,
+    sig: Option<u64>,
 ) -> SpaceIssue {
     ctx.stats.rows += rows.partition_rows;
     ctx.stats.candidate_pairs += rows.candidate_pairs;
     ctx.stats.pairs_scanned += rows.pairs_scanned;
-    let mut jobs = Vec::with_capacity(rows.rows.len());
+    let partition_units = rows.units.len() - rows.templates.len();
+    let work = SpaceWork::new(ctx, &rows.templates, partition_units, sig, CellMemo::new());
+    let mut jobs = Vec::with_capacity(work.units.len());
     let mut failed = Vec::new();
     let mut batch = stream.batch(true);
-    for row in &rows.rows {
-        // A template answers all but one of its placements from the
-        // one check (the sequential memo's occurrences − definitions).
-        if let Some(placements) = &row.instances {
-            ctx.stats.checks_reused += placements.len() - 1;
-        }
-        match enqueue_row_phase1(ctx, &mut batch, row, spec) {
-            Ok(job) => jobs.push(job),
-            Err(_) => failed.push(Arc::clone(row)),
+    for (unit, &i) in work.units.iter().enumerate() {
+        match enqueue_row_phase1(ctx, &mut batch, &rows.units[i], spec) {
+            Ok(phase1) => jobs.push((unit, phase1)),
+            Err(_) => failed.push(unit),
         }
     }
     batch.commit();
-    SpaceIssue { spec, jobs, failed }
+    SpaceIssue {
+        spec,
+        work,
+        rows,
+        jobs,
+        failed,
+    }
 }
 
 /// Collect half of the spacing pipeline: brute results, the
-/// count→scan→emit second phase for sweepline rows, and recovery.
+/// count→scan→emit second phase for sweepline units, recovery, and the
+/// work's finish.
 fn collect_space(
     ctx: &mut RunContext<'_>,
     stream: &Stream,
@@ -409,95 +415,95 @@ fn collect_space(
 ) {
     let SpaceIssue {
         spec,
+        work,
+        rows,
         jobs,
         mut failed,
     } = issue;
     let device = stream.device();
-    let mut emits: Vec<(Arc<PlannedRow>, Pending<Vec<Record>>)> = Vec::new();
-    let mut hits: Vec<Violation> = Vec::new();
-    // Device records, not the violations a template replays them into.
-    let mut records = 0usize;
-    let mut replay = |row: &PlannedRow, recs: &mut dyn Iterator<Item = Record>| {
-        for rec in recs {
-            records += 1;
-            replay_record(rule_name, row, rec, &mut hits);
-        }
-    };
+    let row = |unit: usize| &rows.units[work.units[unit]];
+    let mut records: Vec<Vec<Record>> = vec![Vec::new(); work.units.len()];
+    let mut emits: Vec<(usize, Pending<Vec<Record>>)> = Vec::new();
 
-    // Phase 2: for sweepline rows, scan the counts on the device and
-    // enqueue the emit kernel; brute rows resolve directly.
-    for RowJob { row, cfg, phase1 } in jobs {
+    // Phase 2: for sweepline units, scan the counts on the device and
+    // enqueue the emit kernel; brute units resolve directly.
+    for (unit, phase1) in jobs {
         match phase1 {
             Phase1::Brute(pending) => match ctx.device_wait(|| pending.result()) {
-                Ok(per_edge) => ctx.profiler.time("convert", || {
-                    replay(&row, &mut brute_records(&per_edge));
-                }),
-                Err(_) => failed.push(row),
+                Ok(per_edge) => records[unit] = brute_records(&per_edge).collect(),
+                Err(_) => failed.push(unit),
             },
             Phase1::Counts(pending) => {
                 let emitted = ctx.device_wait(|| pending.result()).and_then(|counts| {
                     let offsets = ctx
                         .profiler
                         .time("scan", || exclusive_scan(device, &counts));
-                    enqueue_row_emit(ctx, stream, &row, cfg, offsets, spec)
+                    enqueue_row_emit(ctx, stream, row(unit), offsets, spec)
                 });
                 match emitted {
-                    Ok(pending) => emits.push((row, pending)),
-                    Err(_) => failed.push(row),
+                    Ok(pending) => emits.push((unit, pending)),
+                    Err(_) => failed.push(unit),
                 }
             }
         }
     }
 
     // Phase 3: collect emit results.
-    for (row, pending) in emits {
+    for (unit, pending) in emits {
         match ctx.device_wait(|| pending.result()) {
-            Ok(emitted) => ctx.profiler.time("convert", || {
-                replay(&row, &mut emitted.into_iter());
-            }),
-            Err(_) => failed.push(row),
+            Ok(emitted) => records[unit] = emitted,
+            Err(_) => failed.push(unit),
         }
     }
 
-    // Recovery: completed rows above are salvaged as-is; each failed
-    // row is recomputed here. A device attempt re-runs the row's own
+    // Recovery: completed units above are salvaged as-is; each failed
+    // unit is recomputed here. A device attempt re-runs the unit's own
     // phases on a fresh stream, synchronously.
-    for row in failed {
-        let recs = recover(
+    for unit in failed {
+        let row = row(unit);
+        records[unit] = recover(
             ctx,
             device,
             |ctx, fresh| {
                 let mut batch = fresh.batch(true);
-                let RowJob { cfg, phase1, .. } = enqueue_row_phase1(ctx, &mut batch, &row, spec)?;
+                let phase1 = enqueue_row_phase1(ctx, &mut batch, row, spec)?;
                 batch.commit();
                 match phase1 {
                     Phase1::Brute(pending) => Ok(brute_records(&pending.result()?).collect()),
                     Phase1::Counts(pending) => {
                         let offsets = exclusive_scan(fresh.device(), &pending.result()?);
-                        enqueue_row_emit(ctx, fresh, &row, cfg, offsets, spec)?.result()
+                        enqueue_row_emit(ctx, fresh, row, offsets, spec)?.result()
                     }
                 }
             },
             || row_host_records(&row.edges.host, spec),
         );
-        replay(&row, &mut recs.into_iter());
     }
 
-    ctx.stats.checks_computed += records;
-    out.extend(hits);
+    let start = std::time::Instant::now();
+    let checked: Vec<Vec<LocalViolation>> = (records.into_iter().enumerate())
+        .map(|(unit, recs)| {
+            let edges = &row(unit).edges.host;
+            recs.into_iter()
+                .map(|rec| record_violation(edges, rec))
+                .collect()
+        })
+        .collect();
+    work.finish(ctx, rule_name, checked, out);
+    ctx.profiler.add("convert", start.elapsed());
 }
 
-/// Enqueues one row's first device phase (brute kernel, or sweepline
+/// Enqueues one unit's first device phase (brute kernel, or sweepline
 /// count kernel) into `batch`, acquiring the shared device-resident
 /// buffers through the same batch.
 fn enqueue_row_phase1(
     ctx: &mut RunContext<'_>,
     batch: &mut LaunchBatch<'_>,
-    row: &Arc<PlannedRow>,
+    row: &PlannedRow,
     spec: SpaceSpec,
-) -> XpuResult<RowJob> {
+) -> XpuResult<Phase1> {
     let n = row.edges.host.len();
-    // One thread per edge.
+    // One thread per edge, in both phases.
     let cfg = LaunchConfig::for_threads(n);
     let (dev_edges, elided) = row.edges.acquire_in(batch)?;
     ctx.note_upload(elided, row.edges.bytes());
@@ -515,11 +521,7 @@ fn enqueue_row_phase1(
         batch.try_launch_tiles(cfg, &counts_buf, count_kernel(dev_edges, dev_runs, spec))?;
         Phase1::Counts(batch.try_download(&counts_buf)?)
     };
-    Ok(RowJob {
-        row: Arc::clone(row),
-        cfg,
-        phase1,
-    })
+    Ok(phase1)
 }
 
 /// Enqueues a sweepline row's emit kernel on `stream` (one fused batch
@@ -529,7 +531,6 @@ fn enqueue_row_emit(
     ctx: &mut RunContext<'_>,
     stream: &Stream,
     row: &PlannedRow,
-    cfg: LaunchConfig,
     offsets: Vec<usize>,
     spec: SpaceSpec,
 ) -> XpuResult<Pending<Vec<Record>>> {
@@ -542,7 +543,7 @@ fn enqueue_row_emit(
     let out_buf = batch.try_alloc::<Record>(total)?;
     // Kernel 2: emit each edge's violations into its range.
     batch.try_launch_scatter_tiles(
-        cfg,
+        LaunchConfig::for_threads(row.edges.host.len()),
         &out_buf,
         offsets,
         emit_kernel(dev_edges, dev_runs, spec),
@@ -598,20 +599,6 @@ fn recover<T>(
     }
     ctx.stats.device_fallbacks += 1;
     host()
-}
-
-/// Turns one executor record `(a, b, d2)` of `row` into violations: one
-/// for a partition row (top coordinates). A template's edges are
-/// cell-local, and a violating pair inside a placement is the template's
-/// pair under that placement's isometry — same `d2`, location
-/// transformed — so the record is replayed through every placement, as
-/// [`LocalViolation::instantiate`] does for the sequential memo.
-pub(crate) fn replay_record(rule: &str, row: &PlannedRow, rec: Record, out: &mut Vec<Violation>) {
-    let local = record_violation(&row.edges.host, rec);
-    match &row.instances {
-        None => out.push(local.named(rule)),
-        Some(placements) => out.extend(placements.iter().map(|t| local.instantiate(t).named(rule))),
-    }
 }
 
 /// The violation one executor record `(a, b, d2)` stands for, in the
@@ -760,22 +747,4 @@ fn issue_pairs(
     let data = Arc::new(SharedDeviceData::new(Arc::new((0..shapes).collect())));
     let map = issue_map(ctx, stream, data, kernel);
     InFlightKind::Pairs { map, work }
-}
-
-/// Thresholds a pair rule's per-shape measures into violations at the
-/// shapes' MBRs.
-fn emit_pairs(
-    ctx: &mut RunContext<'_>,
-    rule_name: &str,
-    work: &PairsWork,
-    measures: Vec<i64>,
-    out: &mut Vec<Violation>,
-) {
-    if measures.is_empty() {
-        return;
-    }
-    ctx.profiler.time("convert", || {
-        let hits = measures.into_iter().enumerate();
-        out.extend(hits.filter_map(|(i, measured)| work.violation(rule_name, i, measured)));
-    });
 }

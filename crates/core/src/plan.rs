@@ -31,13 +31,16 @@
 //!
 //! The hierarchy decides what is packed and how often a result is
 //! replayed (§IV-C pruning, §IV-E "the edges of *relevant* polygons").
-//! Both modes pack these units; the default mode checks each in a host
-//! task and drops it ([`check_space_scene_rows`]):
+//! Both modes pack these units through one [`pack_unit`]; the default
+//! mode checks each in a host task and drops it
+//! ([`check_space_scene_rows`]), and both finish through one
+//! [`SpaceWork`]:
 //!
 //! * one **template** per placed cell definition ([`pack_cell`]) — its
-//!   flattened polygons' edges in cell-local coordinates, checked once,
-//!   every record replayed through the cell's placements
-//!   ([`PlannedRow::instances`], or the default mode's per-cell memo);
+//!   polygons' edges in cell-local coordinates, checked once unless the
+//!   persistent cache holds its verdicts, and replayed through the
+//!   cell's placements, which the row set lists once
+//!   ([`RowSet::templates`]);
 //! * the **partition rows** ([`pack_row`]), holding only what can take
 //!   part in an *inter*-object violation: each candidate object pair of
 //!   a row ([`row_candidate_pairs`]) contributes a window
@@ -81,6 +84,7 @@
 //! [`check_space_scene_rows`]: crate::sequential::check_space_scene_rows
 //! [`Violation`]: crate::Violation
 //! [`IntraWork`]: crate::sequential::IntraWork
+//! [`SpaceWork`]: crate::sequential::SpaceWork
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -92,7 +96,7 @@ use parking_lot::Mutex;
 
 use crate::rules::RuleDeck;
 use crate::scene::{LayerScene, SceneObject, SceneSource};
-use crate::sequential::{partition_scene, row_candidate_pairs, RunContext};
+use crate::sequential::{partition_scene, row_candidate_pairs, RowPairs, RunContext, Templates};
 
 /// A packed edge: `[x0, y0, x1, y1]`, the device-side representation.
 pub(crate) type PackedEdge = [i32; 4];
@@ -172,28 +176,31 @@ fn pair_window(a: &SceneObject, b: &SceneObject, reach: Coord) -> Option<Rect> {
     a.mbr.inflate(reach).intersection(b.mbr.inflate(reach))
 }
 
-/// The templates of `members` (indices into `scene.objects`): each
-/// placed cell, first occurrence first, with its placements.
-pub(crate) fn templates_of(
+/// Unit `i` of a scene's `templates` followed by its `rows` (lists of
+/// indices into `scene.objects`), packed and sorted — the one pack of
+/// both modes: a template's cell-local edges ([`pack_cell`]), or the
+/// edges in a row's candidate-pair windows of reach `2 · half`
+/// ([`pack_row`]), with the row's pairs ([`row_candidate_pairs`]).
+pub(crate) fn pack_unit(
     scene: &LayerScene,
-    members: impl IntoIterator<Item = usize>,
-) -> Vec<(CellId, Vec<Transform>)> {
-    let mut cells: Vec<(CellId, Vec<Transform>)> = Vec::new();
-    let mut slots: HashMap<CellId, usize> = HashMap::new();
-    for m in members {
-        if let SceneSource::Cell { cell, transform } = scene.objects[m].source {
-            let slot = *slots.entry(cell).or_insert(cells.len());
-            if slot == cells.len() {
-                cells.push((cell, Vec::new()));
-            }
-            cells[slot].1.push(transform);
-        }
+    templates: &[(CellId, Vec<Transform>)],
+    rows: &[&[usize]],
+    i: usize,
+    half: Coord,
+    pruning: bool,
+) -> (Vec<PackedEdge>, RowPairs) {
+    if let Some(&(cell, _)) = templates.get(i) {
+        return (pack_cell(scene, cell), RowPairs::default());
     }
-    cells
+    let members = rows[i - templates.len()];
+    let found = row_candidate_pairs(scene, members, half, pruning);
+    let reach = half.saturating_mul(2);
+    let edges = pack_row(scene, members, &found.pairs, reach, pruning);
+    (edges, found)
 }
 
 /// A cell template's sorted edges (see the [module docs](self)).
-pub(crate) fn pack_cell(scene: &LayerScene, cell: CellId) -> Vec<PackedEdge> {
+fn pack_cell(scene: &LayerScene, cell: CellId) -> Vec<PackedEdge> {
     let mut keys = Vec::new();
     for poly in scene.local_polygons(cell) {
         placed_keys(poly, &Transform::IDENTITY, &mut keys);
@@ -204,7 +211,7 @@ pub(crate) fn pack_cell(scene: &LayerScene, cell: CellId) -> Vec<PackedEdge> {
 /// A partition row's sorted edges (see the [module docs](self)):
 /// `pairs` ([`row_candidate_pairs`]) index `members`, and each opens a
 /// window of `reach`. Without `pruning` every polygon is kept.
-pub(crate) fn pack_row(
+fn pack_row(
     scene: &LayerScene,
     members: &[usize],
     pairs: &[(usize, usize)],
@@ -366,18 +373,16 @@ pub(crate) struct PlannedRow {
     /// brute and sweepline executors window their candidate scans
     /// through it.
     pub runs: SharedDeviceData<RunInfo>,
-    /// `Some` marks a cell *template*: the edges are cell-local and
-    /// every record found in them is replayed through these placements
-    /// (the cell's scene objects, in object order). `None` is a
-    /// partition row, in top coordinates.
-    pub instances: Option<Vec<Transform>>,
 }
 
-/// The packed edges of one layer under one partition configuration:
-/// the cell templates first (first-occurrence cell order over the
-/// scene's objects), then the partition rows that kept any edge.
+/// The packed edges of one layer under one partition configuration.
 pub(crate) struct RowSet {
-    pub rows: Vec<Arc<PlannedRow>>,
+    /// The scene's templates (first-occurrence cell order over its
+    /// objects, none without `pruning`), each with its placements.
+    pub templates: Templates,
+    /// One packed unit per template, cell-local and in `templates`
+    /// order, then the partition rows that kept any edge.
+    pub units: Vec<PlannedRow>,
     /// Row count of the partition (including rows that packed zero
     /// edges), charged to [`EngineStats::rows`] per consuming rule.
     ///
@@ -400,13 +405,8 @@ impl RowSet {
         let partition = partition_scene(scene, min, ctx.options.partition, ctx.profiler);
         let pruning = ctx.options.pruning;
         let half = RowSetKey::new(scene.layer, min, ctx.options.partition).half;
-        let reach = half.saturating_mul(2);
         let start = std::time::Instant::now();
-        let templates = if pruning {
-            templates_of(scene, 0..scene.objects.len())
-        } else {
-            Vec::new()
-        };
+        let templates = Arc::new(scene.templates(pruning));
         // Each task packs and sorts one template or one row on the
         // host (pair discovery included: it is charged to `pack` with
         // the rest of the fan-out's wall). Every executor windows
@@ -415,43 +415,31 @@ impl RowSet {
         // the array is the same whoever sorts it — and keeping the
         // device out of the packing path means fault ordinals are never
         // consumed by pack-time sorts.
-        let tasks = templates.len() + partition.len();
-        let packed = ctx.host.run("pack", tasks, |i| {
-            let (edges, pairs) = match templates.get(i) {
-                Some(&(cell, _)) => (pack_cell(scene, cell), (0, 0)),
-                None => {
-                    let members = &partition.rows()[i - templates.len()].members;
-                    let found = row_candidate_pairs(scene, members, half, pruning);
-                    (
-                        pack_row(scene, members, &found.pairs, reach, pruning),
-                        (found.pairs.len(), found.scanned),
-                    )
-                }
-            };
+        let rows: Vec<&[usize]> = partition.iter().map(|r| r.members.as_slice()).collect();
+        let packed = ctx.host.run("pack", templates.len() + rows.len(), |i| {
+            let (edges, found) = pack_unit(scene, &templates, &rows, i, half, pruning);
             let runs = build_runs(&edges);
-            (edges, runs, pairs)
+            (edges, runs, (found.pairs.len(), found.scanned))
         });
         ctx.profiler.add("pack", start.elapsed());
-        // The first `templates.len()` arrays are the templates'.
-        let mut placements = templates.into_iter().map(|(_, placements)| placements);
-        let mut rows = Vec::new();
+        let mut units = Vec::new();
         let (mut candidate_pairs, mut pairs_scanned) = (0, 0);
-        for (edges, runs, (pairs, scanned)) in packed {
-            let instances = placements.next();
+        for (i, (edges, runs, (pairs, scanned))) in packed.into_iter().enumerate() {
             candidate_pairs += pairs;
             pairs_scanned += scanned;
-            if edges.is_empty() {
+            // A template is a leaf on the layer, so it always keeps edges.
+            if edges.is_empty() && i >= templates.len() {
                 continue;
             }
             ctx.stats.edges_packed += edges.len() as u64;
-            rows.push(Arc::new(PlannedRow {
+            units.push(PlannedRow {
                 edges: SharedDeviceData::new(Arc::new(edges)),
                 runs: SharedDeviceData::new(Arc::new(runs)),
-                instances,
-            }));
+            });
         }
         RowSet {
-            rows,
+            templates,
+            units,
             partition_rows: partition.len(),
             candidate_pairs,
             pairs_scanned,
@@ -526,6 +514,7 @@ impl ExecutionPlan {
 mod tests {
     use super::*;
     use crate::rules::rule;
+    use crate::sequential::{CellMemo, SpaceWork};
     use odrc_xpu::{Device, Fault, FaultPlan, Stream};
 
     #[test]
@@ -590,7 +579,7 @@ mod tests {
     }
 
     /// A host-only spacing check of `layer` through its row set: every
-    /// template and row runs `row_host_records` and replays its records.
+    /// unit runs `row_host_records`, and one `SpaceWork` finishes them.
     /// Returns the canonical violations and `edges_packed`.
     fn host_space(
         layout: &odrc_db::Layout,
@@ -609,12 +598,22 @@ mod tests {
         {
             let mut ctx = RunContext::new(layout, &options, &mut profiler, &mut stats);
             let spec = crate::checks::SpaceSpec::simple(min);
-            for row in &ctx.row_set(layer, min).rows {
-                assert!(pruning || row.instances.is_none(), "no flat templates");
-                for record in crate::parallel::row_host_records(&row.edges.host, spec) {
-                    crate::parallel::replay_record("S", row, record, &mut out);
-                }
-            }
+            let set = ctx.row_set(layer, min);
+            assert!(pruning || set.templates.is_empty(), "no flat templates");
+            let rows = set.units.len() - set.templates.len();
+            let work = SpaceWork::new(&mut ctx, &set.templates, rows, None, CellMemo::new());
+            assert_eq!(
+                work.units.len(),
+                set.units.len(),
+                "no memo, no cache: every unit"
+            );
+            let checked = set.units.iter().map(|unit| {
+                let edges = &unit.edges.host;
+                let records = crate::parallel::row_host_records(edges, spec).into_iter();
+                let local = records.map(|record| crate::parallel::record_violation(edges, record));
+                local.collect::<Vec<_>>()
+            });
+            work.finish(&mut ctx, "S", checked, &mut out);
         }
         (crate::canonicalize(out), stats.edges_packed)
     }

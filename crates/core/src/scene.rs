@@ -130,6 +130,23 @@ impl LayerScene {
         self.local.iter().map(|(cell, _)| *cell)
     }
 
+    /// Each placed cell, first occurrence first, with its placements in
+    /// object order: the spacing templates (§IV-C), of which there are
+    /// none without `pruning` (the flat pack keeps every polygon).
+    pub(crate) fn templates(&self, pruning: bool) -> Vec<(CellId, Vec<Transform>)> {
+        if !pruning {
+            return Vec::new();
+        }
+        let mut templates: Vec<_> = self.placed_cells().map(|c| (c, Vec::new())).collect();
+        for obj in &self.objects {
+            if let SceneSource::Cell { cell, transform } = obj.source {
+                let slot = self.slot[cell.index()].expect("a placed cell has a slot");
+                templates[slot as usize].1.push(transform);
+            }
+        }
+        templates
+    }
+
     /// A frame polygon by index, in top coordinates.
     pub fn top_polygon(&self, index: usize) -> &Polygon {
         &self.top_polys[index]

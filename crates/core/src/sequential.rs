@@ -14,9 +14,9 @@
 //! per-family pipelines ([`check_space_scene_rows`],
 //! [`check_pairs_scenes`]) with shard scenes.
 //!
-//! The spacing pipeline checks the parallel mode's units (the
-//! [planner](crate::plan)'s templates and rows) with the device
-//! kernels' host body, each packed, checked and dropped in one task:
+//! The spacing pipeline is [`SpaceWork`] in both modes. Its units are
+//! the [planner](crate::plan)'s templates and rows, which the default
+//! mode checks with the device kernels' host body, one task each:
 //!
 //! 1. **partition** — adaptive row partition of the layer's objects
 //!    (§IV-B), with extents inflated by half the rule distance so rows
@@ -30,10 +30,12 @@
 //!    keeps the phase name the profiles are read by
 //!    ([`row_candidate_pairs`]; the parallel mode's row pack calls it
 //!    too, inside its fan-out, where its time is part of `pack`);
-//! 3. **pack** — each placed cell once as a template ([`pack_cell`],
-//!    §IV-C), each row as the edges in its pairs' windows ([`pack_row`]);
-//! 4. **edge-check** — [`row_host_records`] per unit; a template's
-//!    violations are memoized per cell and replayed per placement.
+//! 3. **pack** — each placed cell once as a template (§IV-C), each row
+//!    as the edges in its pairs' windows ([`pack_unit`]);
+//! 4. **edge-check** — [`row_host_records`] per unit. A template the
+//!    memo or the persistent cache answers is not a unit;
+//!    [`SpaceWork::finish`] replays every template through its
+//!    placements.
 //!
 //! The intra-polygon pipeline (width, area, rectilinear, ensures) is
 //! [`IntraWork`]: each placed cell's polygons on the rule's layer are
@@ -46,9 +48,9 @@
 //! The pair pipeline (enclosure, overlap area) finds each inner shape's
 //! candidate outer objects through a row join — each inner window
 //! binary-searches the outer layer's §IV-B rows — and measures every
-//! shape straight from the two scenes ([`PairsWork`]): one executor
-//! task per shape calls [`PairsWork::measure`], which the device kernels
-//! run too. No per-shape work list is built.
+//! shape straight from the two scenes ([`PairsWork`]): host tasks over
+//! fixed blocks of shapes call [`PairsWork::measure`], which the device
+//! kernels run too. No per-shape work list is built.
 
 use std::sync::Arc;
 
@@ -64,9 +66,9 @@ use crate::checks::poly::{polygon_violations, LocalViolation, PolyRuleSpec};
 use crate::checks::{placed_enclosure_margin, Placed, SpaceSpec};
 use crate::engine::{EngineOptions, EngineStats};
 use crate::parallel::{record_violation, row_host_records};
-use crate::plan::{pack_cell, pack_row, templates_of, PackedEdge, PlanCache, RowSet, RowSetKey};
+use crate::plan::{pack_unit, PlanCache, RowSet, RowSetKey};
 use crate::rules::{PairsRule, PolygonInfo, Rule, RuleFamily, RuleKind};
-use crate::scene::{assemble, cell_instances, DirtyWindow, LayerObjects, LayerScene, SceneSource};
+use crate::scene::{assemble, cell_instances, DirtyWindow, LayerObjects, LayerScene};
 use crate::violation::{Violation, ViolationKind};
 
 /// Shared state across the rules of one `check()` run.
@@ -310,24 +312,6 @@ impl IntraWork {
         found
     }
 
-    /// The host fan-out: one task per block of [`INTRA_BLOCK`] targets,
-    /// each returning its targets' violations tagged by target.
-    pub(crate) fn check_on(
-        &self,
-        layout: &Layout,
-        host: &HostExecutor,
-    ) -> impl Iterator<Item = IntraHit> {
-        let blocks = host.run("edge-check", self.len().div_ceil(INTRA_BLOCK), |b| {
-            let mut hits = Vec::new();
-            for i in b * INTRA_BLOCK..self.len().min((b + 1) * INTRA_BLOCK) {
-                let local = self.violations(PolygonInfo::of(self.target(layout, i)));
-                hits.extend(local.into_iter().map(|v| (i, v)));
-            }
-            hits
-        });
-        blocks.into_iter().flatten()
-    }
-
     /// Takes the targets' violations (`hits`, in target order): fills
     /// the cache with each missing cell's verdicts, counts the targets
     /// as computed and every other placed instance as reused, and
@@ -336,7 +320,7 @@ impl IntraWork {
         &self,
         ctx: &mut RunContext<'_>,
         rule_name: &str,
-        hits: impl IntoIterator<Item = IntraHit>,
+        hits: impl IntoIterator<Item = (usize, LocalViolation)>,
         out: &mut Vec<Violation>,
     ) {
         ctx.stats.checks_computed += self.targets.len();
@@ -379,17 +363,119 @@ impl IntraWork {
     }
 }
 
-/// Targets per host task of an intra-polygon rule: a fixed block, so
-/// the task count is a function of the input only.
-const INTRA_BLOCK: usize = 256;
+/// Items per host task of [`run_blocks`]: a fixed block, so the task
+/// count is a function of the input only.
+const BLOCK: usize = 256;
 
-/// One violation of an intra-polygon target, tagged by the target.
-pub(crate) type IntraHit = (usize, LocalViolation);
+/// Runs `f` on each of `0..n` in host tasks over fixed blocks of
+/// [`BLOCK`] items, each task keeping only what its calls yield;
+/// returns that in index order. The intra and pair rules' host fan-out.
+fn run_blocks<T: Send, I: IntoIterator<Item = T>>(
+    host: &HostExecutor,
+    phase: &str,
+    n: usize,
+    f: impl Fn(usize) -> I + Sync,
+) -> std::iter::Flatten<std::vec::IntoIter<Vec<T>>> {
+    let blocks = host.run(phase, n.div_ceil(BLOCK), |b| {
+        let items = b * BLOCK..n.min((b + 1) * BLOCK);
+        items.flat_map(&f).collect::<Vec<_>>()
+    });
+    blocks.into_iter().flatten()
+}
 
 /// The §IV-C memo of one spacing rule: each placed cell's internal
-/// violations, in cell-local coordinates, indexed by cell (every row
-/// consults it once per placement).
+/// violations, in cell-local coordinates, indexed by cell. It belongs to
+/// the rule, so a cell an earlier shard resolved is not checked again.
 pub(crate) type CellMemo = Vec<Option<Arc<Vec<LocalViolation>>>>;
+
+/// The spacing templates of a scene ([`LayerScene::templates`]).
+pub(crate) type Templates = Arc<Vec<(CellId, Vec<Transform>)>>;
+
+/// One spacing rule's work over a scene's rows, in both modes, for
+/// in-core rules, delta windows and out-of-core shards. Its *units* are
+/// the templates (§IV-C) that neither the rule's memo nor the persistent
+/// cache answers, then every row: packed and checked one per host task
+/// ([`check_space_scene_rows`]), or launched from the row set
+/// (`parallel::issue_space`). [`SpaceWork::finish`] takes what they found.
+pub(crate) struct SpaceWork {
+    sig: Option<u64>,
+    templates: Templates,
+    memo: CellMemo,
+    /// The units, as indices into the templates followed by the rows.
+    pub units: Vec<usize>,
+}
+
+impl SpaceWork {
+    /// Resolves each template once on the calling thread (the cache
+    /// handle is exclusive): from the rule's `memo`, else from the cache
+    /// under `sig` and the cell's subtree hash. Every placement but one
+    /// per template, and each resolved template, counts as reused.
+    pub(crate) fn new(
+        ctx: &mut RunContext<'_>,
+        templates: &Templates,
+        rows: usize,
+        sig: Option<u64>,
+        mut memo: CellMemo,
+    ) -> SpaceWork {
+        memo.resize(ctx.layout.cell_count(), None);
+        let mut units = Vec::new();
+        for (t, (cell, placements)) in templates.iter().enumerate() {
+            ctx.stats.checks_reused += placements.len() - 1;
+            let known = &mut memo[cell.index()];
+            if known.is_none() {
+                let handle = sig.zip(ctx.cache.as_mut());
+                *known = handle.and_then(|(sig, h)| h.cache.get(sig, h.keys.subtree[cell.index()]));
+            }
+            match known {
+                Some(_) => ctx.stats.checks_reused += 1,
+                None => units.push(t),
+            }
+        }
+        units.extend(templates.len()..templates.len() + rows);
+        SpaceWork {
+            sig,
+            templates: Arc::clone(templates),
+            memo,
+            units,
+        }
+    }
+
+    /// Takes each unit's local violations, in unit order: counts them as
+    /// computed, stores each missing template's in the memo and the
+    /// cache, names each row's, and replays each template's through its
+    /// placements. Returns the rule's memo.
+    pub(crate) fn finish(
+        mut self,
+        ctx: &mut RunContext<'_>,
+        rule_name: &str,
+        checked: impl IntoIterator<Item = Vec<LocalViolation>>,
+        out: &mut Vec<Violation>,
+    ) -> CellMemo {
+        for (&i, local) in self.units.iter().zip(checked) {
+            ctx.stats.checks_computed += local.len();
+            let Some(&(cell, _)) = self.templates.get(i) else {
+                out.extend(local.into_iter().map(|v| v.named(rule_name)));
+                continue;
+            };
+            let local = Arc::new(local);
+            if let (Some(sig), Some(h)) = (self.sig, ctx.cache.as_mut()) {
+                h.cache
+                    .insert(sig, h.keys.subtree[cell.index()], Arc::clone(&local));
+            }
+            self.memo[cell.index()] = Some(local);
+        }
+        for (cell, placements) in self.templates.iter() {
+            let local = self.memo[cell.index()].as_deref().expect("checked");
+            if local.is_empty() {
+                continue;
+            }
+            for t in placements {
+                out.extend(local.iter().map(|v| v.instantiate(t).named(rule_name)));
+            }
+        }
+        self.memo
+    }
+}
 
 /// The row partition of a set of object MBRs for a rule distance of
 /// `min` (extents inflated by half of it, so rows cannot interact) —
@@ -458,31 +544,27 @@ pub(crate) fn check_rule(
         }
         RuleFamily::Intra => {
             let work = IntraWork::new(ctx, rule);
-            let start = std::time::Instant::now();
-            let hits = work.check_on(ctx.layout, &ctx.host);
+            let (layout, start) = (ctx.layout, std::time::Instant::now());
+            let hits = run_blocks(&ctx.host, "edge-check", work.len(), |i| {
+                let local = work.violations(PolygonInfo::of(work.target(layout, i)));
+                local.into_iter().map(move |v| (i, v))
+            });
             ctx.profiler.add("edge-check", start.elapsed());
             work.finish(ctx, &rule.name, hits, out);
         }
     }
 }
 
-/// The spacing row pipeline — the one host spacing driver, shared by
-/// in-core rules, delta windows and out-of-core shards. `rows` are
-/// lists of indices into `scene.objects`; rows must not interact (a
-/// partition inflated by half the rule distance guarantees it).
+/// The host spacing driver: one [`SpaceWork`] over `rows` (lists of
+/// indices into `scene.objects` that must not interact, which a
+/// partition inflated by half the rule distance guarantees) and one
+/// executor task per unit, which packs it, runs [`row_host_records`] and
+/// drops the pack, so no packed row set is held. The tasks merge in unit
+/// order, so the violations and every counter are the same for any
+/// thread count, and equal to the parallel mode's.
 ///
-/// The templates (§IV-C) are resolved first, on the calling thread, so
-/// their bookkeeping — persistent-cache consults under `sig`, reuse
-/// counters — follows first-occurrence order; the misses are packed and
-/// checked as one fan-out. Then each row is one executor task and the
-/// tasks merge in row order. A one-thread executor runs the same tasks
-/// inline, so the violation list and every counter are identical for
-/// any thread count — and equal to the parallel mode's.
-///
-/// `memo` belongs to the *rule*: a template's violations are in
-/// cell-local coordinates, so a cell resolved by an earlier call (an
-/// earlier shard of the same rule) is reused, not recomputed. Callers
-/// that check the rule in one call pass an empty map.
+/// `memo` is the rule's ([`CellMemo`]); callers that check the rule in
+/// one call pass an empty one.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn check_space_scene_rows(
     ctx: &mut RunContext<'_>,
@@ -495,75 +577,31 @@ pub(crate) fn check_space_scene_rows(
     out: &mut Vec<Violation>,
 ) {
     let half = ((spec.min + 1) / 2) as Coord;
-    // The row set's window reach, so both modes pack the same edges.
-    let reach = half.saturating_mul(2);
     let pruning = ctx.options.pruning;
-    memo.resize(ctx.layout.cell_count(), None);
-
-    // Phase 1: resolve every unique cell once — memo hits for repeat
-    // placements, persistent-cache consults in first-occurrence order,
-    // and a fan-out over the actual misses.
-    if pruning {
-        let cells = templates_of(scene, rows.iter().flat_map(|r| r.iter().copied()));
-        let occurrences: usize = cells.iter().map(|(_, placements)| placements.len()).sum();
-        ctx.stats.checks_reused += occurrences - cells.len();
-        let mut missing: Vec<CellId> = Vec::new();
-        for &(cell, _) in &cells {
-            let cached = || {
-                let (sig, handle) = (sig?, ctx.cache.as_mut()?);
-                handle.cache.get(sig, handle.keys.subtree[cell.index()])
-            };
-            match memo[cell.index()].clone().or_else(cached) {
-                Some(arc) => {
-                    ctx.stats.checks_reused += 1;
-                    memo[cell.index()] = Some(arc);
-                }
-                None => missing.push(cell),
-            }
+    let templates = Arc::new(scene.templates(pruning));
+    let work = SpaceWork::new(ctx, &templates, rows.len(), sig, std::mem::take(memo));
+    let units = ctx.host.run("edge-check", work.units.len(), |u| {
+        let start = std::time::Instant::now();
+        let (edges, found) = pack_unit(scene, &templates, rows, work.units[u], half, pruning);
+        let (checking, packing) = (std::time::Instant::now(), start.elapsed() - found.busy);
+        let records = row_host_records(&edges, spec).into_iter();
+        SpaceUnit {
+            hits: records.map(|rec| record_violation(&edges, rec)).collect(),
+            edges: edges.len(),
+            pairs: found.pairs.len(),
+            scanned: found.scanned,
+            times: [found.busy, packing, checking.elapsed()],
         }
-        let templates = ctx.host.run("edge-check", missing.len(), |i| {
-            SpaceUnit::check(spec, RowPairs::default, |_| pack_cell(scene, missing[i]))
-        });
-        for (&cell, unit) in missing.iter().zip(templates) {
-            let hits = Arc::new(unit.tally(ctx));
-            if let (Some(sig), Some(handle)) = (sig, ctx.cache.as_mut()) {
-                let key = handle.keys.subtree[cell.index()];
-                handle.cache.insert(sig, key, Arc::clone(&hits));
-            }
-            memo[cell.index()] = Some(hits);
-        }
-    }
-
-    // Phase 2: independent rows fan out.
-    let memo = &*memo;
-    let results = ctx.host.run("edge-check", rows.len(), |ri| {
-        let members = rows[ri];
-        let discover = || row_candidate_pairs(scene, members, half, pruning);
-        let pack = |pairs: &[(usize, usize)]| pack_row(scene, members, pairs, reach, pruning);
-        let mut unit = SpaceUnit::check(spec, discover, pack);
-        // Each placement's own violations are its template's (none
-        // without pruning: the flat row packed them).
-        for &m in members {
-            if let SceneSource::Cell { cell, transform } = scene.objects[m].source {
-                let local = memo[cell.index()].iter().flat_map(|l| l.iter());
-                unit.hits.extend(local.map(|v| v.instantiate(&transform)));
-            }
-        }
-        unit
     });
-
-    // Phase 3: deterministic merge in row order.
-    for unit in results {
-        let hits = unit.tally(ctx);
-        out.extend(hits.into_iter().map(|v| v.named(rule_name)));
-    }
+    let checked: Vec<_> = units.into_iter().map(|unit| unit.tally(ctx)).collect();
+    *memo = work.finish(ctx, rule_name, checked, out);
 }
 
 /// One checked spacing unit (a template or a row): its violations in
-/// the unit's coordinates, its counters and its phase times.
+/// the unit's coordinates, its counters, and its `sweepline`, `pack`
+/// and `edge-check` times.
 struct SpaceUnit {
     hits: Vec<LocalViolation>,
-    records: usize,
     edges: usize,
     pairs: usize,
     scanned: u64,
@@ -571,34 +609,9 @@ struct SpaceUnit {
 }
 
 impl SpaceUnit {
-    /// Discovers pairs, packs, and runs [`row_host_records`].
-    fn check(
-        spec: SpaceSpec,
-        discover: impl FnOnce() -> RowPairs,
-        pack: impl FnOnce(&[(usize, usize)]) -> Vec<PackedEdge>,
-    ) -> SpaceUnit {
-        let start = std::time::Instant::now();
-        let RowPairs { pairs, scanned } = discover();
-        let packing = std::time::Instant::now();
-        let edges = pack(&pairs);
-        let checking = std::time::Instant::now();
-        let hits: Vec<LocalViolation> = row_host_records(&edges, spec)
-            .into_iter()
-            .map(|rec| record_violation(&edges, rec))
-            .collect();
-        SpaceUnit {
-            records: hits.len(),
-            hits,
-            edges: edges.len(),
-            pairs: pairs.len(),
-            scanned,
-            times: [packing - start, checking - packing, checking.elapsed()],
-        }
-    }
-
-    /// Charges the counters and times to the run; returns the hits.
+    /// Charges the pack's counters and the times to the run (the
+    /// records are [`SpaceWork::finish`]'s); returns the hits.
     fn tally(self, ctx: &mut RunContext<'_>) -> Vec<LocalViolation> {
-        ctx.stats.checks_computed += self.records;
         ctx.stats.edges_packed += self.edges as u64;
         ctx.stats.candidate_pairs += self.pairs;
         ctx.stats.pairs_scanned += self.scanned;
@@ -619,13 +632,15 @@ pub(crate) struct RowPairs {
     pub pairs: Vec<(usize, usize)>,
     /// The scan's active-list comparisons ([`EngineStats::pairs_scanned`]).
     pub scanned: u64,
+    /// The time the scan took.
+    pub busy: std::time::Duration,
 }
 
 /// The candidate object pairs of one row, as positions `(a, b)` into
 /// `members`, `a < b`: the members whose MBRs inflated by `half`
 /// overlap, found by [`scan_overlaps`]. Both modes' meaning of
 /// "candidate" — the pack keeps only the polygons inside their windows
-/// ([`pack_row`]). Without `pruning` there are none: the flat pack
+/// ([`pack_unit`]). Without `pruning` there are none: the flat pack
 /// keeps every polygon.
 pub(crate) fn row_candidate_pairs(
     scene: &LayerScene,
@@ -636,13 +651,19 @@ pub(crate) fn row_candidate_pairs(
     if !pruning {
         return RowPairs::default();
     }
+    let start = std::time::Instant::now();
     let inflated: Vec<Rect> = members
         .iter()
         .map(|&m| scene.objects[m].mbr.inflate(half))
         .collect();
     let mut pairs = Vec::new();
     let scanned = scan_overlaps(&inflated, |a, b| pairs.push((a, b)));
-    RowPairs { pairs, scanned }
+    let busy = start.elapsed();
+    RowPairs {
+        pairs,
+        scanned,
+        busy,
+    }
 }
 
 /// The `(inner, outer)` scene pair of an in-core enclosure / overlap
@@ -791,9 +812,10 @@ impl PairsWork {
 }
 
 /// The pair pipeline over already-built scenes (the run memo's, a
-/// delta window's, or an out-of-core shard's): one [`PairsWork`], and
-/// one executor task per inner shape measuring it. Violations are the
-/// shapes measuring below the rule's minimum, in shape order.
+/// delta window's, or an out-of-core shard's): one [`PairsWork`], its
+/// inner shapes measured in host tasks over fixed blocks
+/// ([`run_blocks`]). Violations are the shapes measuring below the
+/// rule's minimum, in shape order.
 pub(crate) fn check_pairs_scenes(
     ctx: &mut RunContext<'_>,
     rule_name: &str,
@@ -810,9 +832,8 @@ pub(crate) fn check_pairs_scenes(
     };
     ctx.stats.checks_computed += work.len();
     let start = std::time::Instant::now();
-    let measured = ctx.host.run(phase, work.len(), |i| {
+    out.extend(run_blocks(&ctx.host, phase, work.len(), |i| {
         work.violation(rule_name, i, work.measure(i))
-    });
+    }));
     ctx.profiler.add(phase, start.elapsed());
-    out.extend(measured.into_iter().flatten());
 }

@@ -618,3 +618,65 @@ fn parallel_width_and_area_consult_the_cache() {
     );
     assert_eq!(saved[0], saved[1], "both modes cache the same entries");
 }
+
+#[test]
+fn spacing_templates_consult_the_cache_in_both_modes() {
+    use odrc::ResultCache;
+    // tiny:1's M1 cells have internal violations at a distance of 24,
+    // so the cached template entries are not empty.
+    let layout = generate_layout(&DesignSpec::tiny(1));
+    // One layer and one distance under two signatures: one shared row
+    // set under `--parallel`.
+    let deck = RuleDeck::new(vec![
+        rule()
+            .layer(tech::M1)
+            .space()
+            .greater_than(24)
+            .named("M1.S.24"),
+        rule()
+            .layer(tech::M1)
+            .space()
+            .when_projection_at_least(tech::M1_WIDTH)
+            .greater_than(24)
+            .named("M1.S.24P"),
+    ]);
+    let dir = std::env::temp_dir().join(format!("odrc-space-cache-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut saved = Vec::new();
+    let mut reports = Vec::new();
+    for (tag, engine) in [
+        ("seq", Engine::sequential()),
+        ("par", Engine::parallel_on(Device::new(2))),
+    ] {
+        let mut cache = ResultCache::new();
+        let cold = engine.check_with_cache(&layout, &deck, &mut cache);
+        assert!(!cold.violations.is_empty(), "{tag}");
+        let warm = engine.check_with_cache(&layout, &deck, &mut cache);
+        assert_eq!(warm.violations, cold.violations, "{tag}");
+        assert!(
+            warm.stats.checks_computed < cold.stats.checks_computed,
+            "{tag}: a cached template is not checked again"
+        );
+        if tag == "par" {
+            assert!(
+                warm.stats.bytes_uploaded < cold.stats.bytes_uploaded,
+                "a cached template is not launched"
+            );
+        }
+        let path = dir.join(format!("{tag}.bin"));
+        cache.save(&path).unwrap();
+        saved.push(std::fs::read(&path).unwrap());
+        reports.push(warm);
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+    assert_eq!(reports[0].violations, reports[1].violations);
+    assert_eq!(
+        reports[0].stats.checks_computed,
+        reports[1].stats.checks_computed
+    );
+    assert_eq!(
+        reports[0].stats.checks_reused,
+        reports[1].stats.checks_reused
+    );
+    assert_eq!(saved[0], saved[1], "both modes cache the same entries");
+}
