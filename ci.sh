@@ -265,12 +265,25 @@ if grep -rn 'fn replay_record' crates/core/src; then
     echo "parallel::replay_record is back: spacing templates replay in SpaceWork::finish"
     exit 1
 fi
-if awk '/^pub\(crate\) struct PlannedRow/,/^}/' crates/core/src/plan.rs | grep -nE '^ *pub +instances *:'; then
-    echo "PlannedRow has an instances field again: the RowSet holds the template list once"
-    exit 1
-fi
 if grep -nE 'cache\.(get|insert)\(' crates/core/src/parallel.rs crates/core/src/plan.rs crates/core/src/shard.rs; then
     echo "a result-cache consult outside sequential.rs: templates resolve in SpaceWork::new / IntraWork::new"
+    exit 1
+fi
+# One launch per rule phase: a row set is one segmented array of its
+# partition rows, a rule packs only the templates it is missing into a
+# second one, and each phase is one launch over both (recovered per
+# launch). No per-row unit with uploads of its own, no per-unit job
+# list, and sharded spacing passes the rule's signature to the cache.
+if grep -rn 'PlannedRow' crates/core/src; then
+    echo "PlannedRow is back in crates/core/src: a row set is one segmented array"
+    exit 1
+fi
+if grep -n 'Vec<(usize, Phase1)>' crates/core/src/parallel.rs; then
+    echo "parallel.rs keeps a per-unit first-phase job list again: one launch per rule phase"
+    exit 1
+fi
+if awk '/check_space_scene_rows\(/,/\);/' crates/core/src/shard.rs | grep -nw 'None'; then
+    echo "shard.rs passes no signature to check_space_scene_rows: sharded spacing ignores --cache"
     exit 1
 fi
 

@@ -36,8 +36,8 @@ pub struct EngineOptions {
     /// Enable the adaptive row-based partition (§IV-B). Disabling it
     /// processes the whole layout as one row — the partition ablation.
     pub partition: bool,
-    /// Row edge count at or below which the parallel mode uses the
-    /// brute-force executor instead of the sweepline executor (§IV-E).
+    /// Launch edge count (a spacing rule's, per phase) at or below which the parallel
+    /// mode uses the brute-force executor instead of the sweepline executor (§IV-E).
     pub sweep_threshold: usize,
     /// Worker threads for the shared host executor that fans out scene
     /// builds, partition assignment, row packing, the row-parallel
@@ -149,7 +149,7 @@ pub struct EngineStats {
     pub rows: usize,
     /// Device re-attempts after transient faults (fresh-stream retries).
     pub device_retries: usize,
-    /// Work units recomputed on the host after the device gave up.
+    /// Launches (a spacing rule's, or a map) recomputed on the host after the device gave up.
     pub device_fallbacks: usize,
     /// Full layer scenes built this run (windowed delta scenes are not
     /// counted — they are rule-specific by construction).
@@ -163,7 +163,7 @@ pub struct EngineStats {
     /// Never a function of `host_threads`, the budget or the shard size.
     pub scene_objects_scanned: u64,
     /// Host→device uploads skipped because the data was already
-    /// device-resident (the per-run buffer cache). A device retry
+    /// device-resident (the per-run buffer cache; emit launches included). A device retry
     /// re-acquires through the same cache and counts here too; only
     /// faulted runs retry, so a fault-free run's count is unaffected.
     pub uploads_elided: usize,
@@ -171,10 +171,10 @@ pub struct EngineStats {
     /// upload path (shallow sizes at the upload call sites), including
     /// a retry's repair of a failed upload (faulted runs only).
     pub bytes_uploaded: u64,
-    /// Edges the row pack placed in cell templates and partition rows —
-    /// per rule, but once per shared row set in parallel mode. A
-    /// function of layout, deck, mode, `pruning` and `partition` only —
-    /// never of `host_threads`, the device or a fault seed.
+    /// Edges the row pack placed in the cell templates a rule misses and in partition rows —
+    /// per rule, but rows once per shared row set in parallel mode. A function of layout,
+    /// deck, cache, mode, `pruning` and `partition` only — never of `host_threads`, the
+    /// device or a fault seed.
     pub edges_packed: u64,
     /// `(inner shape, outer object)` candidates the pair rules' row join
     /// found, summed over rules. A function of the input and the options
@@ -347,7 +347,7 @@ impl Engine {
     /// [`odrc_infra::install_signal_handlers`], a wall-clock deadline, or
     /// an explicit [`CancelToken::cancel`] — the engine stops issuing new
     /// rules, collects and completes the rules already in flight (a
-    /// failed device unit among them is recomputed on the host), marks
+    /// failed device launch among them is recomputed on the host), marks
     /// unfinished rules [`RuleStatus::Interrupted`] with no violations,
     /// and returns a report with [`CheckReport::interrupted`] set.
     #[must_use]

@@ -8,18 +8,19 @@
 //! the complexity of each polygon or polygon pair, OpenDRC selects
 //! either a brute-force executor or a sweepline executor."
 //!
-//! "Relevant" is decided by the hierarchy ([`RowSet`]): each placed cell
-//! definition is packed once as a cell-local *template* — to the
-//! executors just a small row — and the partition rows hold only the
-//! polygons inside candidate-pair windows.
-//!
-//! Small rows run the **brute-force executor**: one kernel, one thread
-//! per edge, plain `for` loops over the remaining edges. Large rows run
-//! the **sweepline executor**: edges are sorted by track; a first
-//! kernel determines each edge's check range and counts its violations,
-//! an exclusive scan sizes the output, and a second kernel emits the
-//! records — the two-kernel-launch structure the paper chose "for
-//! efficient kernel code optimization (viz. for loops versus while
+//! "Relevant" is decided by the hierarchy ([`RowSet`]): the partition
+//! rows hold only the polygons inside candidate-pair windows, and each
+//! placed cell definition a rule has no verdict for is packed once as a
+//! cell-local *template*. Each kind is one flattened, segmented array
+//! ([`Segmented`]): the rows, shared by every rule that reads the row
+//! set, and the rule's own templates. A spacing rule launches once per
+//! phase over both, one thread per edge. A launch of at most
+//! [`EngineOptions::sweep_threshold`] edges runs the **brute-force
+//! executor** (one kernel, plain `for` loops); a larger one the
+//! **sweepline executor**: a first kernel counts each edge's
+//! violations, an exclusive scan sizes the output, and a second kernel
+//! emits the records — the two-kernel-launch structure the paper chose
+//! "for efficient kernel code optimization (viz. for loops versus while
 //! loops)".
 //!
 //! Every rule's device work is split into an **issue** half (host
@@ -38,30 +39,28 @@
 //! ([`has_device_body`]) — is an `InFlightRule::Host`, finished at issue.
 //! Width, area and spacing rules are the default mode's [`IntraWork`]
 //! and [`SpaceWork`] with the host fan-out swapped for device work (one
-//! map kernel over the targets; the row set's packed units): the same
-//! cache misses, the same predicate, the same finish.
+//! map kernel over the targets; one launch per phase over the units):
+//! the same cache misses, the same predicate, the same finish.
 //!
 //! # Graceful degradation
 //!
 //! Every device interaction goes through the fallible `try_*` APIs.
 //! When an operation fails (OOM against the device budget, a kernel
 //! panic, a stalled or poisoned stream), the collect half that sees the
-//! failure keeps the rows that already completed and [`recover`]s each
-//! failed work unit — a spacing row or template, or a whole width, area
-//! or pair rule — on the spot: up to [`DEVICE_RETRIES`] device attempts,
-//! then a recomputation on the host with the same check logic. An
-//! attempt is not a second copy of the unit's device code: it re-runs
-//! the unit's own enqueue functions ([`enqueue_row_phase1`] and
-//! [`enqueue_row_emit`] for a row, [`enqueue_map`] for a whole-rule
-//! map) on a fresh stream and waits. Its shared buffers are
-//! re-acquired through the [planner](crate::plan)'s cache, which elides
-//! an intact upload and repairs a failed one. The final violation set
-//! is therefore identical to a fault-free device run, and
+//! failure [`recover`]s the failed launch — a spacing rule's, or a
+//! width, area or pair rule's map — on the spot: up to
+//! [`DEVICE_RETRIES`] device attempts, each re-running the launch's own
+//! enqueue functions on a fresh stream, then a recomputation on the
+//! host with the same check logic (per unit, for spacing). Shared
+//! buffers are re-acquired through the [planner](crate::plan)'s cache,
+//! which elides an intact upload and repairs a failed one, so the final
+//! violation set is identical to a fault-free device run, and
 //! [`collect_rule`] returns only once its rule is complete. Injected
-//! faults are one-shot, so the attempts follow each other without a
-//! backoff. Retries and fallbacks are tallied in
-//! [`EngineStats::device_retries`] / [`EngineStats::device_fallbacks`].
+//! faults are one-shot, so the attempts need no backoff. Retries and
+//! fallbacks are tallied in [`EngineStats::device_retries`] /
+//! [`EngineStats::device_fallbacks`].
 //!
+//! [`EngineOptions::sweep_threshold`]: crate::EngineOptions::sweep_threshold
 //! [`EngineStats::device_retries`]: crate::EngineStats::device_retries
 //! [`EngineStats::device_fallbacks`]: crate::EngineStats::device_fallbacks
 
@@ -77,7 +76,7 @@ use odrc_xpu::{
 use crate::checks::edge::{space_pair_spec, SpaceSpec};
 use crate::checks::poly::LocalViolation;
 use crate::plan::{
-    build_runs, span_lo, unpack, PackedEdge, PlannedRow, RowSet, RunInfo, SharedDeviceData,
+    build_runs, pack, span_lo, unpack, PackedEdge, RowSet, RunInfo, Segmented, SharedDeviceData,
 };
 use crate::rules::{PairsRule, PolygonInfo, Rule, RuleFamily, RuleKind};
 use crate::scene::DirtyWindow;
@@ -85,27 +84,17 @@ use crate::sequential::{enclosure_scenes, CellMemo, IntraWork, PairsWork, RunCon
 use crate::violation::{Violation, ViolationKind};
 
 /// A violation record of the spacing executors: edge indices `(a, b)`
-/// into the row's packed array plus the squared distance.
+/// (a launch's arrays, one after another, or one unit's edges on the
+/// host) plus the squared distance.
 type Record = (u32, u32, i64);
 
-/// Per-edge brute-force hits: `(other edge index, measured)` lists.
-type BruteHits = Vec<Vec<(u32, i64)>>;
-
-/// What a row's first phase downloads, by executor.
+/// What a launch's first phase downloads, by executor.
 enum Phase1 {
-    /// Brute force: every edge's hits, final.
-    Brute(Pending<BruteHits>),
+    /// Brute force: every edge's records, final.
+    Brute(Pending<Vec<Vec<Record>>>),
     /// Sweepline kernel 1: every edge's violation count, which sizes
     /// the emit kernel's output.
     Counts(Pending<Vec<usize>>),
-}
-
-/// The records of a brute-force row's per-edge hits.
-fn brute_records(per_edge: &BruteHits) -> impl Iterator<Item = Record> + '_ {
-    per_edge
-        .iter()
-        .enumerate()
-        .flat_map(|(i, hits)| hits.iter().map(move |&(j, d2)| (i as u32, j, d2)))
 }
 
 /// Span window of a packed edge along its own axis, as `(lo, hi)`.
@@ -118,17 +107,13 @@ fn edge_window(e: PackedEdge) -> (i64, i64) {
     }
 }
 
-/// Index of the run containing edge `i` in a [`build_runs`] table.
-#[inline]
-fn run_index(runs: &[RunInfo], i: usize) -> usize {
-    runs.partition_point(|run| (run.end as usize) <= i)
-}
-
 /// The windowed candidate enumeration every spacing executor shares:
-/// visits the partners `j > i` of edge `i` (which lives in run `r`)
-/// that could possibly violate `spec`, calling `hit(j, d2)` for each
-/// actual violation. Count, emit, brute and host fallback all walk
-/// this exact sequence, so their outputs agree pair for pair.
+/// visits the partners `j > i` of edge `i` (which lives in run `r` of
+/// its unit's run table `runs`) that could possibly violate `spec`,
+/// calling `hit(j, d2)` for each actual violation. Count, emit, brute
+/// and host fallback all walk this exact sequence, so their outputs
+/// agree pair for pair. `runs` ends with the unit's last run, so the
+/// walk never leaves the unit.
 ///
 /// Why the pruning is conservative (never drops a violation):
 ///
@@ -175,71 +160,45 @@ fn for_each_hit(
     }
 }
 
-/// The brute-force executor's kernel body: one tile launch, each chunk
-/// walking its edges' candidate windows with plain `for` loops.
-#[allow(clippy::type_complexity)]
-fn brute_kernel(
-    edges: DeviceBuffer<PackedEdge>,
-    runs: DeviceBuffer<RunInfo>,
-    spec: SpaceSpec,
-) -> impl Fn(Range<usize>, &mut [Vec<(u32, i64)>]) + Send + Sync + 'static {
-    move |range, tile| {
-        let edges = edges.read();
-        let runs = runs.read();
-        let mut r = run_index(&runs, range.start);
-        for (slot, i) in tile.iter_mut().zip(range) {
-            while (runs[r].end as usize) <= i {
-                r += 1;
-            }
-            for_each_hit(&edges, &runs, i, r, spec, &mut |j, d2| slot.push((j, d2)));
-        }
-    }
-}
+/// One [`Segmented`] array as a launch reads it: its device-resident
+/// edges and runs, and its segment table (a kernel argument).
+type DeviceArray = (
+    DeviceBuffer<PackedEdge>,
+    DeviceBuffer<RunInfo>,
+    Arc<Vec<[u32; 2]>>,
+);
 
-/// The sweepline executor's first kernel: per-edge check range and
-/// violation count over the windowed enumeration.
-fn count_kernel(
-    edges: DeviceBuffer<PackedEdge>,
-    runs: DeviceBuffer<RunInfo>,
+/// The enumeration of one kernel tile: for each launch index `g` in
+/// `range`, runs [`for_each_hit`] over the runs of `g`'s segment and
+/// calls `hit(g - range.start, (g, j, d2))` for each violation. Array
+/// sizes come from the segment tables, so a buffer a failed upload left
+/// empty fails the launch instead of reading as no edges.
+fn launch_hits(
+    arrays: &[DeviceArray],
+    range: Range<usize>,
     spec: SpaceSpec,
-) -> impl Fn(Range<usize>, &mut [usize]) + Send + Sync + 'static {
-    move |range, tile| {
-        let edges = edges.read();
-        let runs = runs.read();
-        let mut r = run_index(&runs, range.start);
-        for (slot, i) in tile.iter_mut().zip(range) {
+    mut hit: impl FnMut(usize, Record),
+) {
+    let mut base = 0;
+    for (edges, runs, starts) in arrays {
+        let (edges, runs, len) = (edges.read(), runs.read(), starts[starts.len() - 1][0]);
+        let first = range.start.max(base) - base;
+        let mut r = runs.partition_point(|run| (run.end as usize) <= first);
+        let mut s = starts.partition_point(|start| (start[1] as usize) <= r);
+        for i in first..range.end.saturating_sub(base).min(len as usize) {
             while (runs[r].end as usize) <= i {
                 r += 1;
             }
-            let mut count = 0usize;
-            for_each_hit(&edges, &runs, i, r, spec, &mut |_, _| count += 1);
-            *slot = count;
-        }
-    }
-}
-
-/// The sweepline executor's second kernel: emit each edge's violations
-/// into its scan-determined output range. Walks the same enumeration
-/// as [`count_kernel`], so every range is filled exactly.
-fn emit_kernel(
-    edges: DeviceBuffer<PackedEdge>,
-    runs: DeviceBuffer<RunInfo>,
-    spec: SpaceSpec,
-) -> impl Fn(Range<usize>, &mut [&mut [Record]]) + Send + Sync + 'static {
-    move |range, tile| {
-        let edges = edges.read();
-        let runs = runs.read();
-        let mut r = run_index(&runs, range.start);
-        for (slot, i) in tile.iter_mut().zip(range) {
-            while (runs[r].end as usize) <= i {
-                r += 1;
+            while (starts[s][1] as usize) <= r {
+                s += 1;
             }
-            let mut k = 0usize;
-            for_each_hit(&edges, &runs, i, r, spec, &mut |j, d2| {
-                slot[k] = (i as u32, j, d2);
-                k += 1;
+            let unit = &runs[starts[s - 1][1] as usize..starts[s][1] as usize];
+            let (r, g) = (r - starts[s - 1][1] as usize, base + i);
+            for_each_hit(&edges, unit, i, r, spec, &mut |j, d2| {
+                hit(g - range.start, (g as u32, (base as u32) + j, d2));
             });
         }
+        base += len as usize;
     }
 }
 
@@ -278,16 +237,15 @@ enum InFlightKind {
     },
 }
 
-/// A spacing rule's launched units: its [`SpaceWork`]'s, packed in the
-/// row set.
+/// A spacing rule's launch: its missing templates, then the row set's
+/// rows, whose segments are the [`SpaceWork`]'s units in order.
 struct SpaceIssue {
     spec: SpaceSpec,
     work: SpaceWork,
+    templates: Segmented,
     rows: Arc<RowSet>,
-    /// Each launched unit's in-flight first phase.
-    jobs: Vec<(usize, Phase1)>,
-    /// Units whose first phase failed to enqueue.
-    failed: Vec<usize>,
+    /// The first phase, `None` when there is nothing to launch.
+    phase1: Option<XpuResult<Phase1>>,
 }
 
 /// Whether `rule` has a device body: rectilinear and user-predicate
@@ -316,7 +274,7 @@ pub(crate) fn issue_rule(
                 None => ctx.row_set(layer, spec.min),
                 Some(_) => {
                     let scene = ctx.scene_for(layer, window);
-                    Arc::new(RowSet::build(ctx, &scene, spec.min))
+                    Arc::new(RowSet::build(ctx, scene, spec.min))
                 }
             };
             let sig = crate::cache::rule_signature(rule);
@@ -333,7 +291,7 @@ pub(crate) fn issue_rule(
 }
 
 /// Waits for an issued rule's device results, runs the second
-/// (scan+emit) phase where needed, recovers failed work units, and
+/// (scan+emit) phase where needed, recovers a failed launch, and
 /// drains the rule's stream. On return the rule is complete.
 pub(crate) fn collect_rule(ctx: &mut RunContext<'_>, fl: InFlightRule, out: &mut Vec<Violation>) {
     let DeviceRule {
@@ -361,17 +319,16 @@ pub(crate) fn collect_rule(ctx: &mut RunContext<'_>, fl: InFlightRule, out: &mut
             ctx.profiler.add("convert", start.elapsed());
         }
     }
-    // Errors were already handled per work unit; drain the stream
-    // without re-raising them.
+    // Errors were already handled per launch; drain the stream without
+    // re-raising them.
     let _ = stream.try_synchronize();
 }
 
 /// Issue half of the spacing pipeline: one [`SpaceWork`] over the row
-/// set's templates and rows, and for each of its units (the missing
-/// templates, then every row) the packed unit's device-resident buffers
-/// and first kernel phase. The whole phase goes through one fused
-/// [`LaunchBatch`], so every unit's uploads and kernels ride a single
-/// stream dispatch (one worker wake per rule).
+/// set's templates and rows, the host pack of the templates it is
+/// missing, and one first-phase launch over both arrays. The phase goes
+/// through one fused [`LaunchBatch`], so its uploads and kernel ride a
+/// single stream dispatch (one worker wake per rule).
 fn issue_space(
     ctx: &mut RunContext<'_>,
     stream: &Stream,
@@ -382,30 +339,29 @@ fn issue_space(
     ctx.stats.rows += rows.partition_rows;
     ctx.stats.candidate_pairs += rows.candidate_pairs;
     ctx.stats.pairs_scanned += rows.pairs_scanned;
-    let partition_units = rows.units.len() - rows.templates.len();
-    let work = SpaceWork::new(ctx, &rows.templates, partition_units, sig, CellMemo::new());
-    let mut jobs = Vec::with_capacity(work.units.len());
-    let mut failed = Vec::new();
-    let mut batch = stream.batch(true);
-    for (unit, &i) in work.units.iter().enumerate() {
-        match enqueue_row_phase1(ctx, &mut batch, &rows.units[i], spec) {
-            Ok(phase1) => jobs.push((unit, phase1)),
-            Err(_) => failed.push(unit),
-        }
-    }
-    batch.commit();
+    let units = rows.rows.segments().len();
+    let work = SpaceWork::new(ctx, &rows.templates, units, sig, CellMemo::new());
+    let missing = &work.units[..work.units.partition_point(|&u| u < rows.templates.len())];
+    let (templates, ..) = pack(ctx, &rows.scene, &rows.templates, &[], missing, rows.half);
+    // A template is a leaf on the layer: it keeps edges, one segment each.
+    debug_assert_eq!(templates.segments().len(), missing.len());
+    let phase1 = (!work.units.is_empty()).then(|| {
+        let mut batch = stream.batch(true);
+        let phase1 = enqueue_phase1(ctx, &mut batch, [&templates, &rows.rows], spec);
+        batch.commit();
+        phase1
+    });
     SpaceIssue {
         spec,
         work,
+        templates,
         rows,
-        jobs,
-        failed,
+        phase1,
     }
 }
 
-/// Collect half of the spacing pipeline: brute results, the
-/// count→scan→emit second phase for sweepline units, recovery, and the
-/// work's finish.
+/// Collect half of the spacing pipeline: the launch's remaining phases,
+/// its recovery, and the work's finish.
 fn collect_space(
     ctx: &mut RunContext<'_>,
     stream: &Stream,
@@ -413,153 +369,158 @@ fn collect_space(
     issue: SpaceIssue,
     out: &mut Vec<Violation>,
 ) {
-    let SpaceIssue {
-        spec,
-        work,
-        rows,
-        jobs,
-        mut failed,
-    } = issue;
-    let device = stream.device();
-    let row = |unit: usize| &rows.units[work.units[unit]];
-    let mut records: Vec<Vec<Record>> = vec![Vec::new(); work.units.len()];
-    let mut emits: Vec<(usize, Pending<Vec<Record>>)> = Vec::new();
-
-    // Phase 2: for sweepline units, scan the counts on the device and
-    // enqueue the emit kernel; brute units resolve directly.
-    for (unit, phase1) in jobs {
-        match phase1 {
-            Phase1::Brute(pending) => match ctx.device_wait(|| pending.result()) {
-                Ok(per_edge) => records[unit] = brute_records(&per_edge).collect(),
-                Err(_) => failed.push(unit),
-            },
-            Phase1::Counts(pending) => {
-                let emitted = ctx.device_wait(|| pending.result()).and_then(|counts| {
-                    let offsets = ctx
-                        .profiler
-                        .time("scan", || exclusive_scan(device, &counts));
-                    enqueue_row_emit(ctx, stream, row(unit), offsets, spec)
-                });
-                match emitted {
-                    Ok(pending) => emits.push((unit, pending)),
-                    Err(_) => failed.push(unit),
-                }
-            }
-        }
-    }
-
-    // Phase 3: collect emit results.
-    for (unit, pending) in emits {
-        match ctx.device_wait(|| pending.result()) {
-            Ok(emitted) => records[unit] = emitted,
-            Err(_) => failed.push(unit),
-        }
-    }
-
-    // Recovery: completed units above are salvaged as-is; each failed
-    // unit is recomputed here. A device attempt re-runs the unit's own
-    // phases on a fresh stream, synchronously.
-    for unit in failed {
-        let row = row(unit);
-        records[unit] = recover(
+    let (spec, arrays) = (issue.spec, [&issue.templates, &issue.rows.rows]);
+    let complete = |phase1| complete_launch(ctx, stream, arrays, spec, phase1);
+    let checked = match issue.phase1.map(|phase1| phase1.and_then(complete)) {
+        None => Vec::new(),
+        Some(Ok(records)) => ctx
+            .profiler
+            .time("convert", || unit_violations(arrays, records)),
+        // A device attempt re-runs the launch's own phases on a fresh
+        // stream; the host runs each of its units.
+        _ => recover(
             ctx,
-            device,
+            stream.device(),
             |ctx, fresh| {
                 let mut batch = fresh.batch(true);
-                let phase1 = enqueue_row_phase1(ctx, &mut batch, row, spec)?;
+                let phase1 = enqueue_phase1(ctx, &mut batch, arrays, spec)?;
                 batch.commit();
-                match phase1 {
-                    Phase1::Brute(pending) => Ok(brute_records(&pending.result()?).collect()),
-                    Phase1::Counts(pending) => {
-                        let offsets = exclusive_scan(fresh.device(), &pending.result()?);
-                        enqueue_row_emit(ctx, fresh, row, offsets, spec)?.result()
-                    }
-                }
+                let records = complete_launch(ctx, fresh, arrays, spec, phase1)?;
+                Ok(unit_violations(arrays, records))
             },
-            || row_host_records(&row.edges.host, spec),
-        );
-    }
-
+            || {
+                let host = |edges| {
+                    let records = row_host_records(edges, spec).into_iter();
+                    records.map(|rec| record_violation(edges, rec)).collect()
+                };
+                arrays.iter().flat_map(|a| a.segments()).map(host).collect()
+            },
+        ),
+    };
     let start = std::time::Instant::now();
-    let checked: Vec<Vec<LocalViolation>> = (records.into_iter().enumerate())
-        .map(|(unit, recs)| {
-            let edges = &row(unit).edges.host;
-            recs.into_iter()
-                .map(|rec| record_violation(edges, rec))
-                .collect()
-        })
-        .collect();
-    work.finish(ctx, rule_name, checked, out);
+    issue.work.finish(ctx, rule_name, checked, out);
     ctx.profiler.add("convert", start.elapsed());
 }
 
-/// Enqueues one unit's first device phase (brute kernel, or sweepline
-/// count kernel) into `batch`, acquiring the shared device-resident
-/// buffers through the same batch.
-fn enqueue_row_phase1(
+/// Acquires the shared device-resident buffers of a launch's non-empty
+/// `arrays` through `batch`.
+fn acquire_arrays(
     ctx: &mut RunContext<'_>,
     batch: &mut LaunchBatch<'_>,
-    row: &PlannedRow,
-    spec: SpaceSpec,
-) -> XpuResult<Phase1> {
-    let n = row.edges.host.len();
-    // One thread per edge, in both phases.
-    let cfg = LaunchConfig::for_threads(n);
-    let (dev_edges, elided) = row.edges.acquire_in(batch)?;
-    ctx.note_upload(elided, row.edges.bytes());
-    let (dev_runs, elided) = row.runs.acquire_in(batch)?;
-    ctx.note_upload(elided, row.runs.bytes());
-    let phase1 = if n <= ctx.options.sweep_threshold {
-        // Brute-force executor: one tile launch, plain for loops.
-        let out_buf = batch.try_alloc::<Vec<(u32, i64)>>(n)?;
-        batch.try_launch_tiles(cfg, &out_buf, brute_kernel(dev_edges, dev_runs, spec))?;
-        Phase1::Brute(batch.try_download(&out_buf)?)
-    } else {
-        // Sweepline executor, kernel 1: per-edge check range and
-        // violation count.
-        let counts_buf = batch.try_alloc::<usize>(n)?;
-        batch.try_launch_tiles(cfg, &counts_buf, count_kernel(dev_edges, dev_runs, spec))?;
-        Phase1::Counts(batch.try_download(&counts_buf)?)
-    };
-    Ok(phase1)
+    arrays: [&Segmented; 2],
+) -> XpuResult<Vec<DeviceArray>> {
+    let arrays = arrays.into_iter().filter(|a| !a.edges.host.is_empty());
+    arrays
+        .map(|array| {
+            let (edges, elided) = array.edges.acquire_in(batch)?;
+            ctx.note_upload(elided, array.edges.bytes());
+            let (runs, elided) = array.runs.acquire_in(batch)?;
+            ctx.note_upload(elided, array.runs.bytes());
+            Ok((edges, runs, Arc::clone(&array.starts)))
+        })
+        .collect()
 }
 
-/// Enqueues a sweepline row's emit kernel on `stream` (one fused batch
-/// per row). The edges and run table are already device-resident from
-/// phase 1, so this acquires (elides) rather than re-uploading.
-fn enqueue_row_emit(
+/// Enqueues a launch's first phase into `batch`, one thread per edge:
+/// the brute-force kernel if the launch has at most
+/// [`EngineOptions::sweep_threshold`] edges, else the sweepline's count
+/// kernel.
+///
+/// [`EngineOptions::sweep_threshold`]: crate::EngineOptions::sweep_threshold
+fn enqueue_phase1(
+    ctx: &mut RunContext<'_>,
+    batch: &mut LaunchBatch<'_>,
+    arrays: [&Segmented; 2],
+    spec: SpaceSpec,
+) -> XpuResult<Phase1> {
+    let n = arrays.iter().map(|array| array.edges.host.len()).sum();
+    let cfg = LaunchConfig::for_threads(n);
+    let acquired = acquire_arrays(ctx, batch, arrays)?;
+    if n <= ctx.options.sweep_threshold {
+        // Brute force: every edge's records, plain `for` loops.
+        let out = batch.try_alloc::<Vec<Record>>(n)?;
+        batch.try_launch_tiles(cfg, &out, move |range, tile: &mut [Vec<Record>]| {
+            launch_hits(&acquired, range, spec, |slot, rec| tile[slot].push(rec));
+        })?;
+        Ok(Phase1::Brute(batch.try_download(&out)?))
+    } else {
+        // Sweepline kernel 1: every edge's violation count.
+        let out = batch.try_alloc::<usize>(n)?;
+        batch.try_launch_tiles(cfg, &out, move |range, tile: &mut [usize]| {
+            tile.fill(0);
+            launch_hits(&acquired, range, spec, |slot, _| tile[slot] += 1);
+        })?;
+        Ok(Phase1::Counts(batch.try_download(&out)?))
+    }
+}
+
+/// Waits for a launch's first phase and runs the rest: brute records
+/// are final; sweepline counts are scanned on the device and sized into
+/// one emit launch (acquiring the already-resident arrays, which
+/// elides their uploads) and one download.
+fn complete_launch(
     ctx: &mut RunContext<'_>,
     stream: &Stream,
-    row: &PlannedRow,
-    offsets: Vec<usize>,
+    arrays: [&Segmented; 2],
     spec: SpaceSpec,
-) -> XpuResult<Pending<Vec<Record>>> {
-    let total = *offsets.last().expect("scan returns n+1 entries");
+    phase1: Phase1,
+) -> XpuResult<Vec<Record>> {
+    let counts = match phase1 {
+        Phase1::Brute(pending) => return Ok(ctx.device_wait(|| pending.result())?.concat()),
+        Phase1::Counts(pending) => ctx.device_wait(|| pending.result())?,
+    };
+    let scan = || exclusive_scan(stream.device(), &counts);
+    let offsets = ctx.profiler.time("scan", scan);
+    let cfg = LaunchConfig::for_threads(counts.len());
+    let total = offsets[counts.len()];
+    drop(counts);
     let mut batch = stream.batch(true);
-    let (dev_edges, elided) = row.edges.acquire_in(&mut batch)?;
-    ctx.note_upload(elided, row.edges.bytes());
-    let (dev_runs, elided) = row.runs.acquire_in(&mut batch)?;
-    ctx.note_upload(elided, row.runs.bytes());
-    let out_buf = batch.try_alloc::<Record>(total)?;
-    // Kernel 2: emit each edge's violations into its range.
-    batch.try_launch_scatter_tiles(
-        LaunchConfig::for_threads(row.edges.host.len()),
-        &out_buf,
-        offsets,
-        emit_kernel(dev_edges, dev_runs, spec),
-    )?;
-    let pending = batch.try_download(&out_buf)?;
+    let acquired = acquire_arrays(ctx, &mut batch, arrays)?;
+    let out = batch.try_alloc::<Record>(total)?;
+    // Sweepline kernel 2: the count kernel's enumeration fills each edge's
+    // scan-sized range exactly (its hits arrive together; `at` is its cursor).
+    let emit = move |range, tile: &mut [&mut [Record]]| {
+        let mut at = (usize::MAX, 0);
+        launch_hits(&acquired, range, spec, |slot, rec| {
+            if at.0 != slot {
+                at = (slot, 0);
+            }
+            tile[slot][at.1] = rec;
+            at.1 += 1;
+        });
+    };
+    batch.try_launch_scatter_tiles(cfg, &out, offsets, emit)?;
+    let pending = batch.try_download(&out)?;
     batch.commit();
-    Ok(pending)
+    ctx.device_wait(|| pending.result())
+}
+
+/// A launch's records as each unit's local violations, in unit order:
+/// a record belongs to the segment of its edge `a`.
+fn unit_violations(arrays: [&Segmented; 2], records: Vec<Record>) -> Vec<Vec<LocalViolation>> {
+    let [templates, rows] = arrays;
+    let split = templates.edges.host.len() as u32;
+    let first_row = templates.segments().len();
+    let mut units = vec![Vec::new(); first_row + rows.segments().len()];
+    for (a, b, d2) in records {
+        let (array, first, a, b) = match a.checked_sub(split) {
+            None => (templates, 0, a, b),
+            Some(a) => (rows, first_row, a, b - split),
+        };
+        let k = array.starts.partition_point(|start| start[0] <= a) - 1;
+        units[first + k].push(record_violation(&array.edges.host, (a, b, d2)));
+    }
+    units
 }
 
 /// The host executor of one packed template or row: the same windowed
 /// enumeration as the device kernels, run inline — guaranteeing an
 /// identical record set (the executor choice does not change the
 /// records, so no threshold is needed here). It is the default mode's
-/// spacing check and the device units' host fallback.
+/// spacing check and, per unit, a failed launch's host fallback.
 pub(crate) fn row_host_records(edges: &[PackedEdge], spec: SpaceSpec) -> Vec<Record> {
-    let runs = build_runs(edges);
+    let mut runs = Vec::new();
+    build_runs(edges, 0, &mut runs);
     let mut recs = Vec::new();
     let mut r = 0usize;
     for i in 0..edges.len() {
@@ -573,18 +534,18 @@ pub(crate) fn row_host_records(edges: &[PackedEdge], spec: SpaceSpec) -> Vec<Rec
     recs
 }
 
-/// Fresh-stream device attempts per failed work unit before it is
+/// Fresh-stream device attempts per failed launch before it is
 /// recomputed on the host.
 const DEVICE_RETRIES: usize = 2;
 
-/// Recovers one failed work unit where its collect saw the failure: up
-/// to [`DEVICE_RETRIES`] device `attempt`s, each handed a fresh stream
+/// Recovers one failed launch where its collect saw the failure: up to
+/// [`DEVICE_RETRIES`] device `attempt`s, each handed a fresh stream
 /// (stream errors are sticky; the device itself survives kernel
-/// panics) on which it re-runs the unit's own enqueue code to
-/// completion, then the `host` recomputation. Either way the unit
+/// panics) on which it re-runs the launch's own enqueue code to
+/// completion, then the `host` recomputation. Either way the launch
 /// yields the same result. Injected faults are one-shot, so the
 /// attempts need no backoff; once the run's cancel token trips, fresh
-/// streams are born poisoned and the unit goes straight to the host.
+/// streams are born poisoned and the launch goes straight to the host.
 fn recover<T>(
     ctx: &mut RunContext<'_>,
     device: &Device,
@@ -747,4 +708,23 @@ fn issue_pairs(
     let data = Arc::new(SharedDeviceData::new(Arc::new((0..shapes).collect())));
     let map = issue_map(ctx, stream, data, kernel);
     InFlightKind::Pairs { map, work }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    #[should_panic]
+    fn a_launch_over_a_failed_upload_fails() {
+        // A faulted upload leaves its device buffer empty; a launch
+        // whose segment table says the array holds edges must fail (and
+        // be recovered), never read it as an array without violations.
+        let stream = Device::new(1).stream();
+        let edges: DeviceBuffer<PackedEdge> = stream.try_upload(Vec::new()).unwrap();
+        let runs: DeviceBuffer<RunInfo> = stream.try_upload(Vec::new()).unwrap();
+        let arrays = [(edges, runs, Arc::new(vec![[0, 0], [4, 2]]))];
+        stream.try_synchronize().unwrap();
+        launch_hits(&arrays, 0..4, SpaceSpec::simple(18), |_, _| {});
+    }
 }

@@ -17,12 +17,12 @@
 //!   [`EngineStats::scenes_reused`]);
 //! * a **device-resident buffer cache** ([`RowSet`] keyed by
 //!   [`RowSetKey`]): edge extraction, adaptive row partitioning and the
-//!   host→device upload happen once per `(layer, partition config)`;
-//!   later spacing rules on the same layer acquire the already-resident
-//!   buffer through a cross-stream [`Event`]
-//!   ([`EngineStats::uploads_elided`]). Intra-polygon rules share no
-//!   buffer: each uploads a copy of its own cache misses
-//!   ([`IntraWork`]);
+//!   host→device upload of the rows' one segmented array happen once
+//!   per `(layer, partition config)`; later spacing rules on the same
+//!   layer acquire the already-resident buffers through a cross-stream
+//!   [`Event`] ([`EngineStats::uploads_elided`]). Templates and
+//!   intra-polygon rules share no buffer: each rule uploads its own
+//!   cache misses ([`pack`], [`IntraWork`]);
 //! * a **schedule** ([`ExecutionPlan`]): rules grouped by the layers
 //!   they read, issued on independent streams and collected once at
 //!   the end (deferred synchronization).
@@ -33,14 +33,15 @@
 //! replayed (§IV-C pruning, §IV-E "the edges of *relevant* polygons").
 //! Both modes pack these units through one [`pack_unit`]; the default
 //! mode checks each in a host task and drops it
-//! ([`check_space_scene_rows`]), and both finish through one
+//! ([`check_space_scene_rows`]), the parallel mode concatenates them
+//! into [`Segmented`] arrays, and both finish through one
 //! [`SpaceWork`]:
 //!
 //! * one **template** per placed cell definition ([`pack_cell`]) — its
 //!   polygons' edges in cell-local coordinates, checked once unless the
-//!   persistent cache holds its verdicts, and replayed through the
-//!   cell's placements, which the row set lists once
-//!   ([`RowSet::templates`]);
+//!   rule's memo or the persistent cache holds its verdicts (packed by
+//!   the rule that misses it), and replayed through the cell's
+//!   placements, which the row set lists once ([`RowSet::templates`]);
 //! * the **partition rows** ([`pack_row`]), holding only what can take
 //!   part in an *inter*-object violation: each candidate object pair of
 //!   a row ([`row_candidate_pairs`]) contributes a window
@@ -68,7 +69,7 @@
 //! on poisoned streams, so a consumer never deadlocks. If the upload
 //! op itself faults, the buffer stays empty: consumers that already
 //! waited hit an out-of-bounds kernel panic on *their own* stream and
-//! re-run through the normal per-work-unit recovery, while consumers
+//! re-run through the normal per-launch recovery, while consumers
 //! that acquire after the failure observe the event's error and repair
 //! the cache entry with a fresh upload. A recovery attempt is such a
 //! consumer: it re-acquires through [`SharedDeviceData::acquire_in`]
@@ -278,10 +279,11 @@ pub(crate) struct RunInfo {
     pub max_len: i64,
 }
 
-/// Builds the run table of a row sorted by [`edge_sort_key`].
-pub(crate) fn build_runs(edges: &[PackedEdge]) -> Vec<RunInfo> {
-    let mut runs: Vec<RunInfo> = Vec::new();
-    for (i, &e) in edges.iter().enumerate() {
+/// Appends the run table of the row `edges[from..]`, sorted by
+/// [`edge_sort_key`], to `runs`, as indices into `edges`.
+pub(crate) fn build_runs(edges: &[PackedEdge], from: usize, runs: &mut Vec<RunInfo>) {
+    let first = runs.len();
+    for (i, &e) in edges.iter().enumerate().skip(from) {
         let vertical = e[0] == e[2];
         let orient = u8::from(vertical);
         let track = if vertical { e[0] } else { e[1] };
@@ -290,7 +292,7 @@ pub(crate) fn build_runs(edges: &[PackedEdge]) -> Vec<RunInfo> {
         } else {
             (i64::from(e[2]) - i64::from(e[0])).abs()
         };
-        match runs.last_mut() {
+        match runs[first..].last_mut() {
             Some(run) if run.orient == orient && run.track == track => {
                 run.end = (i + 1) as u32;
                 run.max_len = run.max_len.max(len);
@@ -304,7 +306,6 @@ pub(crate) fn build_runs(edges: &[PackedEdge]) -> Vec<RunInfo> {
             }),
         }
     }
-    runs
 }
 
 /// Host data with a lazily uploaded, cross-stream shared device
@@ -348,7 +349,7 @@ impl<T: Send + Sync + 'static> SharedDeviceData<T> {
             // Repair a known-failed upload; an upload still in flight
             // is reused optimistically (a failure surfaces later as a
             // kernel panic on the consumer's stream, which recovers
-            // per work unit).
+            // per launch).
             let failed = ready.is_set() && ready.wait_result().is_err();
             if !failed {
                 batch.wait_event(ready);
@@ -363,26 +364,87 @@ impl<T: Send + Sync + 'static> SharedDeviceData<T> {
     }
 }
 
-/// One packed, sorted edge array — a partition row or a cell template —
-/// shared by every rule that reads the `(layer, partition config)` it
-/// came from. [`RowSet::build`] is the only constructor.
-pub(crate) struct PlannedRow {
-    /// Packed edges, sorted by [`edge_sort_key`].
+/// Packed units — partition rows or cell templates — concatenated into
+/// one flattened edge array (§IV-E): a launch covers the whole array,
+/// and a kernel never walks past the last run of its edge's *segment*.
+pub(crate) struct Segmented {
+    /// Packed edges, each segment sorted by [`edge_sort_key`].
     pub edges: SharedDeviceData<PackedEdge>,
-    /// Run table over the sorted edges ([`build_runs`]); both the
-    /// brute and sweepline executors window their candidate scans
-    /// through it.
+    /// Each segment's run table ([`build_runs`]) in segment order, with
+    /// edge indices into the whole array.
     pub runs: SharedDeviceData<RunInfo>,
+    /// `[first edge, first run]` of each segment, then the totals.
+    pub starts: Arc<Vec<[u32; 2]>>,
 }
 
-/// The packed edges of one layer under one partition configuration.
+impl Segmented {
+    /// Each segment's sorted edges, in order.
+    pub fn segments(&self) -> impl ExactSizeIterator<Item = &[PackedEdge]> {
+        let edges = &self.edges.host;
+        (self.starts.windows(2)).map(|w| &edges[w[0][0] as usize..w[1][0] as usize])
+    }
+}
+
+/// Packs `units` (indices into `templates` followed by `rows`, see
+/// [`pack_unit`]) in one host fan-out — on the host, so pack-time sorts
+/// never consume device fault ordinals; [`edge_sort_key`] is a total
+/// order, so the array is the same whoever sorts it — and concatenates
+/// the units that kept any edge into one [`Segmented`] array, consuming
+/// each as it is appended. Also returns the rows' candidate pairs and
+/// scans.
+pub(crate) fn pack(
+    ctx: &mut RunContext<'_>,
+    scene: &LayerScene,
+    templates: &[(CellId, Vec<Transform>)],
+    rows: &[&[usize]],
+    units: &[usize],
+    half: Coord,
+) -> (Segmented, usize, u64) {
+    let start = std::time::Instant::now();
+    let pruning = ctx.options.pruning;
+    let packed = ctx.host.run("pack", units.len(), |k| {
+        let (edges, found) = pack_unit(scene, templates, rows, units[k], half, pruning);
+        (edges, found.pairs.len(), found.scanned)
+    });
+    ctx.profiler.add("pack", start.elapsed());
+    let total = packed.iter().map(|(unit, ..)| unit.len()).sum();
+    u32::try_from(total).expect("edge count fits u32");
+    // At most one run per edge; the untouched tail is returned below.
+    let (mut edges, mut runs) = (Vec::with_capacity(total), Vec::with_capacity(total));
+    let (mut starts, mut pairs, mut scanned) = (Vec::new(), 0, 0);
+    for (unit, unit_pairs, unit_scanned) in packed {
+        (pairs, scanned) = (pairs + unit_pairs, scanned + unit_scanned);
+        if !unit.is_empty() {
+            let from = edges.len();
+            starts.push([from as u32, runs.len() as u32]);
+            edges.extend(unit);
+            build_runs(&edges, from, &mut runs);
+        }
+    }
+    runs.shrink_to_fit();
+    starts.push([edges.len() as u32, runs.len() as u32]);
+    ctx.stats.edges_packed += edges.len() as u64;
+    let array = Segmented {
+        edges: SharedDeviceData::new(Arc::new(edges)),
+        runs: SharedDeviceData::new(Arc::new(runs)),
+        starts: Arc::new(starts),
+    };
+    (array, pairs, scanned)
+}
+
+/// The partition rows of one layer under one partition configuration,
+/// shared by every spacing rule that reads it, and what each rule
+/// [`pack`]s its missing templates from.
 pub(crate) struct RowSet {
     /// The scene's templates (first-occurrence cell order over its
     /// objects, none without `pruning`), each with its placements.
     pub templates: Templates,
-    /// One packed unit per template, cell-local and in `templates`
-    /// order, then the partition rows that kept any edge.
-    pub units: Vec<PlannedRow>,
+    /// The scene the rows and templates are packed from.
+    pub scene: Arc<LayerScene>,
+    /// The windows' half reach ([`RowSetKey::half`]).
+    pub half: Coord,
+    /// The partition rows that kept any edge, one segment each.
+    pub rows: Segmented,
     /// Row count of the partition (including rows that packed zero
     /// edges), charged to [`EngineStats::rows`] per consuming rule.
     ///
@@ -397,49 +459,21 @@ pub(crate) struct RowSet {
 }
 
 impl RowSet {
-    /// Packs and sorts the templates and partition rows of `scene`
-    /// (see the [module docs](self)). `min` is the rule distance
-    /// driving the partition inflation; two rules whose distances round
-    /// to the same half-width share the same set.
-    pub fn build(ctx: &mut RunContext<'_>, scene: &LayerScene, min: i64) -> RowSet {
-        let partition = partition_scene(scene, min, ctx.options.partition, ctx.profiler);
-        let pruning = ctx.options.pruning;
+    /// Packs and sorts the partition rows of `scene` (see the [module
+    /// docs](self)). `min` is the rule distance driving the partition
+    /// inflation; two rules whose distances round to the same
+    /// half-width share the same set.
+    pub fn build(ctx: &mut RunContext<'_>, scene: Arc<LayerScene>, min: i64) -> RowSet {
+        let partition = partition_scene(&scene, min, ctx.options.partition, ctx.profiler);
         let half = RowSetKey::new(scene.layer, min, ctx.options.partition).half;
-        let start = std::time::Instant::now();
-        let templates = Arc::new(scene.templates(pruning));
-        // Each task packs and sorts one template or one row on the
-        // host (pair discovery included: it is charged to `pack` with
-        // the rest of the fan-out's wall). Every executor windows
-        // through the run table, so they sort unconditionally;
-        // [`edge_sort_key`] is a total order on the packed values, so
-        // the array is the same whoever sorts it — and keeping the
-        // device out of the packing path means fault ordinals are never
-        // consumed by pack-time sorts.
-        let rows: Vec<&[usize]> = partition.iter().map(|r| r.members.as_slice()).collect();
-        let packed = ctx.host.run("pack", templates.len() + rows.len(), |i| {
-            let (edges, found) = pack_unit(scene, &templates, &rows, i, half, pruning);
-            let runs = build_runs(&edges);
-            (edges, runs, (found.pairs.len(), found.scanned))
-        });
-        ctx.profiler.add("pack", start.elapsed());
-        let mut units = Vec::new();
-        let (mut candidate_pairs, mut pairs_scanned) = (0, 0);
-        for (i, (edges, runs, (pairs, scanned))) in packed.into_iter().enumerate() {
-            candidate_pairs += pairs;
-            pairs_scanned += scanned;
-            // A template is a leaf on the layer, so it always keeps edges.
-            if edges.is_empty() && i >= templates.len() {
-                continue;
-            }
-            ctx.stats.edges_packed += edges.len() as u64;
-            units.push(PlannedRow {
-                edges: SharedDeviceData::new(Arc::new(edges)),
-                runs: SharedDeviceData::new(Arc::new(runs)),
-            });
-        }
+        let members: Vec<&[usize]> = partition.iter().map(|r| r.members.as_slice()).collect();
+        let all: Vec<usize> = (0..members.len()).collect();
+        let (rows, candidate_pairs, pairs_scanned) = pack(ctx, &scene, &[], &members, &all, half);
         RowSet {
-            templates,
-            units,
+            templates: Arc::new(scene.templates(ctx.options.pruning)),
+            scene,
+            half,
+            rows,
             partition_rows: partition.len(),
             candidate_pairs,
             pairs_scanned,
@@ -600,15 +634,24 @@ mod tests {
             let spec = crate::checks::SpaceSpec::simple(min);
             let set = ctx.row_set(layer, min);
             assert!(pruning || set.templates.is_empty(), "no flat templates");
-            let rows = set.units.len() - set.templates.len();
+            let rows = set.rows.segments().len();
             let work = SpaceWork::new(&mut ctx, &set.templates, rows, None, CellMemo::new());
+            let missing = set.templates.len();
             assert_eq!(
                 work.units.len(),
-                set.units.len(),
+                missing + rows,
                 "no memo, no cache: every unit"
             );
-            let checked = set.units.iter().map(|unit| {
-                let edges = &unit.edges.host;
+            let (templates, ..) = pack(
+                &mut ctx,
+                &set.scene,
+                &set.templates,
+                &[],
+                &work.units[..missing],
+                set.half,
+            );
+            let units = templates.segments().chain(set.rows.segments());
+            let checked = units.map(|edges| {
                 let records = crate::parallel::row_host_records(edges, spec).into_iter();
                 let local = records.map(|record| crate::parallel::record_violation(edges, record));
                 local.collect::<Vec<_>>()

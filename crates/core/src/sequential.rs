@@ -177,7 +177,7 @@ impl<'a> RunContext<'a> {
             return Arc::clone(rows);
         }
         let scene = self.layer_scene(layer);
-        let rows = Arc::new(RowSet::build(self, &scene, min));
+        let rows = Arc::new(RowSet::build(self, scene, min));
         self.plan.rows.insert(key, Arc::clone(&rows));
         rows
     }

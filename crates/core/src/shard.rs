@@ -281,11 +281,11 @@ pub(crate) fn check_rule_sharded(
                     .get(key, device, ctx.stats, ctx.profiler, || {
                         assemble(layout, layer, &objects, &shard.members, &host)
                     });
-                // The in-core row pipeline over the shard's rows; shard
-                // units consult no persistent cache (no signature).
+                // The in-core row pipeline over the shard's rows, its
+                // templates resolved under the rule's signature too.
                 let rows: Vec<&[usize]> = shard.rows.iter().map(Vec::as_slice).collect();
                 check_space_scene_rows(
-                    ctx, &rule.name, &scene, &rows, spec, None, &mut memo, &mut buf,
+                    ctx, &rule.name, &scene, &rows, spec, sig, &mut memo, &mut buf,
                 );
             }
             RuleFamily::Pairs(pairs) => {

@@ -499,13 +499,20 @@ fn every_single_device_fault_on_the_template_path_is_survived() {
     let templates = Layout::from_library(&lib).unwrap();
     let generated = generate_layout(&DesignSpec::tiny(21));
     // `(layout, deck, fault-free violations, minimum live ordinals of
-    // alloc / transfer / stream-op / launch)`.
+    // alloc / transfer / stream-op / launch at the default threshold and
+    // at threshold 0)`: each spacing rule is one launch per phase.
     let inputs = [
-        (&templates, space_deck(), 5, [2, 6, 8, 2]),
-        (&generated, every_unit_deck(), 9, [10, 30, 50, 10]),
+        (&templates, space_deck(), 5, [[1, 5, 7, 1], [2, 6, 10, 2]]),
+        (
+            &generated,
+            every_unit_deck(),
+            9,
+            [[6, 14, 26, 6], [8, 16, 32, 8]],
+        ),
     ];
     for (layout, deck, expected, at_least) in inputs {
-        for sweep_threshold in [EngineOptions::default().sweep_threshold, 0] {
+        let thresholds = [EngineOptions::default().sweep_threshold, 0];
+        for (sweep_threshold, at_least) in thresholds.into_iter().zip(at_least) {
             // Threshold 0 sends every row through count -> scan -> emit.
             let engine = |device: Device| {
                 Engine::parallel_on(device).with_options(EngineOptions {

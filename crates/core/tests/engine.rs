@@ -662,6 +662,10 @@ fn spacing_templates_consult_the_cache_in_both_modes() {
                 warm.stats.bytes_uploaded < cold.stats.bytes_uploaded,
                 "a cached template is not launched"
             );
+            assert!(
+                warm.stats.edges_packed < cold.stats.edges_packed,
+                "a cached template is not packed"
+            );
         }
         let path = dir.join(format!("{tag}.bin"));
         cache.save(&path).unwrap();
@@ -679,4 +683,45 @@ fn spacing_templates_consult_the_cache_in_both_modes() {
         reports[1].stats.checks_reused
     );
     assert_eq!(saved[0], saved[1], "both modes cache the same entries");
+}
+
+#[test]
+fn spacing_launches_do_not_grow_with_rows() {
+    // A spacing rule's device work is one launch per phase over all of
+    // its packed edges: brute force (one kernel), or count, the scan's
+    // two passes and emit (four).
+    let deck = RuleDeck::new(vec![rule()
+        .layer(tech::M1)
+        .space()
+        .greater_than(tech::M1_SPACE)
+        .named("M1.S.1")]);
+    for sweep_threshold in [EngineOptions::default().sweep_threshold, 0] {
+        // Two designs whose rows pack different candidate pairs, so
+        // their row sets materialize different rows.
+        let runs: Vec<(usize, u64)> = [3, 10]
+            .into_iter()
+            .map(|seed| {
+                let layout = generate_layout(&DesignSpec::tiny(seed));
+                let device = Device::new(2);
+                let options = EngineOptions {
+                    sweep_threshold,
+                    ..EngineOptions::default()
+                };
+                let report = Engine::parallel_on(device.clone())
+                    .with_options(options)
+                    .check(&layout, &deck);
+                (
+                    report.stats.candidate_pairs,
+                    device.stats().kernels_launched(),
+                )
+            })
+            .collect();
+        assert_ne!(runs[0].0, runs[1].0, "threshold {sweep_threshold}");
+        assert_eq!(runs[0].1, runs[1].1, "threshold {sweep_threshold}");
+        assert!(
+            (1..=4).contains(&runs[0].1),
+            "threshold {sweep_threshold}: {} kernels",
+            runs[0].1
+        );
+    }
 }

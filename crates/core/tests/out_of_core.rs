@@ -491,3 +491,50 @@ fn fully_restored_rules_enumerate_their_plan_only() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn sharded_spacing_consults_the_cache() {
+    use odrc::ResultCache;
+    // tiny:1's M1 cells have internal violations at a distance of 24,
+    // so the cached template entries are not empty; one-row shards
+    // place a cell in several shards.
+    let layout = generate_layout(&DesignSpec::tiny(1));
+    let deck = RuleDeck::new(vec![
+        rule()
+            .layer(tech::M1)
+            .space()
+            .greater_than(24)
+            .named("M1.S.24"),
+        rule()
+            .layer(tech::M1)
+            .space()
+            .when_projection_at_least(tech::M1_WIDTH)
+            .greater_than(24)
+            .named("M1.S.24P"),
+    ]);
+    let dir = fresh_dir("space-cache");
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut saved = Vec::new();
+    let mut warm = Vec::new();
+    for (tag, options) in [
+        ("in-core", EngineOptions::default()),
+        ("sharded", out_of_core_options(None, 1)),
+    ] {
+        let engine = engine(Mode::Sequential, options);
+        let mut cache = ResultCache::new();
+        let cold = engine.check_with_cache(&layout, &deck, &mut cache);
+        assert!(!cold.violations.is_empty(), "{tag}");
+        let report = engine.check_with_cache(&layout, &deck, &mut cache);
+        assert_eq!(report.violations, cold.violations, "{tag}");
+        let path = dir.join(format!("{tag}.bin"));
+        cache.save(&path).unwrap();
+        saved.push(std::fs::read(&path).unwrap());
+        warm.push(report);
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+    assert!(warm[1].stats.shards_checked > 1, "the rules really sharded");
+    assert_eq!(warm[0].violations, warm[1].violations);
+    assert_eq!(warm[0].stats.checks_computed, warm[1].stats.checks_computed);
+    assert_eq!(warm[0].stats.checks_reused, warm[1].stats.checks_reused);
+    assert_eq!(saved[0], saved[1], "both runs cache the same entries");
+}

@@ -410,7 +410,7 @@ fn print_stats(stats: &odrc::EngineStats) {
     }
     if stats.degraded() {
         eprintln!(
-            "degraded: device work retried {} time(s), {} unit(s) recomputed on the host \
+            "degraded: device work retried {} time(s), {} launch(es) recomputed on the host \
              (results are complete and exact)",
             stats.device_retries, stats.device_fallbacks
         );
