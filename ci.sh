@@ -362,6 +362,28 @@ if grep -rnE -- '--out-of[-]core|out_of_core[:]|device[_]workers|--device[-]work
     exit 1
 fi
 
+echo "== counters declared once (every counter list iterates EngineStats::COUNTERS)"
+# --stats-json and the served done frame (wire.rs), the CLI summary
+# (odrc.rs), and the pipeline bench's file, table and gate (pipeline.rs)
+# each loop over the one table in engine.rs. A counter name quoted in
+# one of them is a hand-kept list again; so is a line-scraping reader of
+# BENCH_pipeline.json (the gate parses it with odrc_infra::json).
+counters=$(sed -n '/pub const COUNTERS/,/\];/p' crates/core/src/engine.rs \
+    | sed -n 's/^ *\(Shared\|Exact\|Telemetry\) \([a-z_]*\),$/\2/p')
+echo "$counters" | grep -qx checks_computed \
+    || { echo "no counter names found in EngineStats::COUNTERS (crates/core/src/engine.rs)"; exit 1; }
+for name in $counters; do
+    if grep -nE "\\\\?\"$name\\\\?\"" crates/serve/src/wire.rs crates/serve/src/bin/odrc.rs \
+        crates/bench/src/bin/pipeline.rs; then
+        echo "counter $name is named by hand outside EngineStats::COUNTERS"
+        exit 1
+    fi
+done
+if grep -nE 'fn scan_baseline|field\(line' crates/bench/src/bin/pipeline.rs; then
+    echo "pipeline.rs scrapes BENCH_pipeline.json by line again"
+    exit 1
+fi
+
 echo "== tier-1: cargo build --release && cargo test -q"
 # --no-fail-fast: without it the first red package hides every test
 # binary that sorts after it.

@@ -1,23 +1,28 @@
 //! Benchmarks the engine pipeline on a multi-rule deck: both engine
 //! modes plus the sharded (out-of-core) sequential engine, per design.
-//! With `--json`, writes the machine-readable `BENCH_pipeline.json` so
-//! the perf trajectory is tracked across PRs.
+//! It prints each design's runs side by side, one row per counter of
+//! `EngineStats::COUNTERS` that some run counted. With `--json`, writes
+//! the machine-readable `BENCH_pipeline.json` (every counter of every
+//! run, under its table name) so the perf trajectory is tracked across
+//! PRs.
 //!
 //! `--scaling` instead sweeps the host executor's thread count
 //! (1/2/4/max, deduplicated) over the sequential engine and
 //! writes `BENCH_host.json` — the host-parallelism scaling table.
 //!
 //! `--gate <baseline.json>` re-measures the aes configurations against
-//! a committed `BENCH_pipeline.json` and exits nonzero on a regression
-//! (>25% + 10ms grace) of the parallel mode's kernel-wait phase or the
-//! sequential mode's sweepline phase, a parallel run slower than 1.25x
-//! the sequential one beside it (+10ms), whose `edges_packed` left the
-//! committed count or whose `bytes_uploaded` exceeds it, 2-thread host
-//! scaling below 0.95x, a peak-RSS regression beyond 1.5x the committed
-//! per-design high-water mark (+64 MiB grace), or a `sequential+ooc`
-//! run whose `scene` phase exceeds 4x the in-core one (+5ms), whose
-//! `scene_objects_scanned` left the committed count or whose violations
-//! differ from the in-core run's — the CI perf/memory gate.
+//! a committed `BENCH_pipeline.json` (read with `odrc_infra::json`) and
+//! exits nonzero if any `Shared` or `Exact` counter the baseline records
+//! for a configuration differs from the fresh run's (the work vector is
+//! compared by equality; `Telemetry` counters are not compared), on a
+//! regression (>25% + 10ms grace) of the parallel mode's kernel-wait
+//! phase or the sequential mode's sweepline phase, a parallel run
+//! slower than 1.25x the sequential one beside it (+10ms), 2-thread
+//! host scaling below 0.95x, a peak-RSS regression beyond 1.5x the
+//! committed per-design high-water mark (+64 MiB grace), or a
+//! `sequential+ooc` run whose `scene` phase exceeds 4x the in-core one
+//! (+5ms) or whose violations differ from the in-core run's — the CI
+//! perf/memory gate.
 //!
 //! ```text
 //! cargo run -p odrc-bench --release --bin pipeline -- \
@@ -30,8 +35,9 @@
 
 use std::time::Instant;
 
-use odrc::{CheckReport, Engine, EngineOptions, Mode, RuleDeck};
+use odrc::{CheckReport, CounterClass, Engine, EngineOptions, EngineStats, Mode, RuleDeck};
 use odrc_bench::{load_designs, pipeline_deck, BenchDesign};
+use odrc_infra::json::{self, Value};
 
 /// The sharded configuration's label.
 const OOC: &str = "sequential+ooc";
@@ -157,8 +163,7 @@ fn write_scaling_json(
                 "          \"violations\": {},",
                 r.report().violations.len()
             )?;
-            writeln!(f, "          \"host_tasks\": {},", s.host_tasks)?;
-            writeln!(f, "          \"host_steals\": {},", s.host_steals)?;
+            write_counters(&mut f, s)?;
             writeln!(f, "          \"speedup_vs_1\": {:.3}", base / r.wall_ms)?;
             writeln!(
                 f,
@@ -171,6 +176,15 @@ fn write_scaling_json(
     }
     writeln!(f, "  ]")?;
     writeln!(f, "}}")?;
+    Ok(())
+}
+
+/// Writes every counter of `stats`, one `"name": value,` line each, in
+/// table order and at a run object's indentation.
+fn write_counters(f: &mut impl std::io::Write, stats: &EngineStats) -> std::io::Result<()> {
+    for (name, n) in stats.counters(|_| true) {
+        writeln!(f, "          \"{name}\": {n},")?;
+    }
     Ok(())
 }
 
@@ -201,25 +215,7 @@ fn write_json(
                 "          \"violations\": {},",
                 r.report().violations.len()
             )?;
-            writeln!(f, "          \"checks_computed\": {},", s.checks_computed)?;
-            writeln!(f, "          \"checks_reused\": {},", s.checks_reused)?;
-            writeln!(f, "          \"candidate_pairs\": {},", s.candidate_pairs)?;
-            writeln!(f, "          \"pairs_scanned\": {},", s.pairs_scanned)?;
-            writeln!(f, "          \"rows\": {},", s.rows)?;
-            writeln!(f, "          \"scenes_built\": {},", s.scenes_built)?;
-            writeln!(f, "          \"scenes_reused\": {},", s.scenes_reused)?;
-            let scanned = s.scene_objects_scanned;
-            writeln!(f, "          \"scene_objects_scanned\": {scanned},")?;
-            writeln!(f, "          \"shards_checked\": {},", s.shards_checked)?;
-            writeln!(f, "          \"shards_built\": {},", s.shards_built)?;
-            writeln!(f, "          \"shards_evicted\": {},", s.shards_evicted)?;
-            writeln!(f, "          \"uploads_elided\": {},", s.uploads_elided)?;
-            writeln!(f, "          \"bytes_uploaded\": {},", s.bytes_uploaded)?;
-            writeln!(f, "          \"edges_packed\": {},", s.edges_packed)?;
-            writeln!(f, "          \"join_candidates\": {},", s.join_candidates)?;
-            writeln!(f, "          \"join_scanned\": {},", s.join_scanned)?;
-            writeln!(f, "          \"launches_fused\": {},", s.launches_fused)?;
-            writeln!(f, "          \"worker_wakeups\": {},", s.worker_wakeups)?;
+            write_counters(&mut f, s)?;
             writeln!(f, "          \"degraded\": {},", s.degraded())?;
             writeln!(f, "          \"phases_ms\": {{")?;
             let phases = r.report().profile.phases();
@@ -257,62 +253,12 @@ fn gated_phase(mode: &str) -> &'static str {
     }
 }
 
-/// A baseline measurement scraped from a committed `BENCH_pipeline.json`:
-/// one configuration of one design, with its gated phase and its exact
-/// counters (`scene_objects_scanned` and `edges_packed` are absent from
-/// baselines older than the counter).
-struct BaselineRun {
-    design: String,
-    mode: String,
-    gated_ms: Option<f64>,
-    scanned: Option<u64>,
-    edges_packed: Option<u64>,
-    bytes_uploaded: Option<u64>,
-}
-
-/// Scrapes `(design, mode, gated phase)` tuples out of a
-/// committed `BENCH_pipeline.json`. The file is written by this binary
-/// with one key per line, so a line-oriented scan is exact — no JSON
-/// dependency needed (the workspace dependency list is fixed).
-fn scan_baseline(path: &str) -> (Vec<BaselineRun>, std::collections::HashMap<String, u64>) {
-    let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| panic!("gate baseline '{path}' unreadable: {e}"));
-    let field = |line: &str, key: &str| -> Option<String> {
-        let rest = line.trim().strip_prefix(&format!("\"{key}\": "))?;
-        Some(rest.trim_end_matches(',').trim_matches('"').to_owned())
-    };
-    let mut out: Vec<BaselineRun> = Vec::new();
-    let mut peaks: std::collections::HashMap<String, u64> = Default::default();
-    let mut design = String::new();
-    for line in text.lines() {
-        if let Some(v) = field(line, "name") {
-            design = v;
-        } else if let Some(v) = field(line, "peak_rss_bytes") {
-            if let Ok(bytes) = v.parse() {
-                peaks.insert(design.clone(), bytes);
-            }
-        } else if let Some(v) = field(line, "mode") {
-            out.push(BaselineRun {
-                design: design.clone(),
-                mode: v,
-                gated_ms: None,
-                scanned: None,
-                edges_packed: None,
-                bytes_uploaded: None,
-            });
-        } else if let Some(last) = out.last_mut() {
-            if let Some(v) = field(line, gated_phase(&last.mode)) {
-                last.gated_ms = v.parse().ok();
-            } else if let Some(v) = field(line, "scene_objects_scanned") {
-                last.scanned = v.parse().ok();
-            } else if let Some(v) = field(line, "edges_packed") {
-                last.edges_packed = v.parse().ok();
-            } else if let Some(v) = field(line, "bytes_uploaded") {
-                last.bytes_uploaded = v.parse().ok();
-            }
-        }
-    }
-    (out, peaks)
+/// The member of the JSON array `list` whose string `key` is `value`.
+fn find<'a>(list: Option<&'a Value>, key: &str, value: &str) -> Option<&'a Value> {
+    let items = list.and_then(Value::as_array).unwrap_or_default();
+    items
+        .iter()
+        .find(|item| item.get(key).and_then(Value::as_str) == Some(value))
 }
 
 /// Pulls a named phase (milliseconds) out of a run's profile.
@@ -326,17 +272,22 @@ fn phase_ms(report: &CheckReport, phase: &str) -> Option<f64> {
 }
 
 /// The CI perf gate (`--gate <baseline.json>`): re-measures aes in
-/// every configuration and fails (exit 1) if a mode's gated phase
-/// (parallel kernel-wait, sequential sweepline) regressed more than 25%
-/// past the committed baseline, if the parallel run loses to the
-/// sequential one or packs / uploads more than committed, if the
-/// sharded run fails its checks (both below), or if running the
+/// every configuration and fails (exit 1) if a configuration's work
+/// vector left the committed one, if a mode's gated phase (parallel
+/// kernel-wait, sequential sweepline) regressed more than 25% past the
+/// committed baseline, if the parallel run loses to the sequential one,
+/// if the sharded run fails its checks (both below), or if running the
 /// sequential engine with two host threads costs more than 5% over one
 /// thread (a second worker must at least pay for its own spawns). A
 /// 10ms absolute grace keeps sub-noise baselines from tripping the
 /// ratio.
 fn run_gate(baseline_path: &str, deck: &RuleDeck, repeat: usize) -> bool {
-    let (baseline, baseline_peaks) = scan_baseline(baseline_path);
+    let text = std::fs::read_to_string(baseline_path)
+        .unwrap_or_else(|e| panic!("gate baseline '{baseline_path}' unreadable: {e}"));
+    let baseline = json::parse(&text)
+        .unwrap_or_else(|e| panic!("gate baseline '{baseline_path}' is not JSON: {e}"));
+    let committed_aes = find(baseline.get("designs"), "name", "aes");
+    let committed = |mode: &str| find(committed_aes?.get("runs"), "mode", mode);
     let design = load_designs(Some("aes"))
         .into_iter()
         .next()
@@ -347,15 +298,42 @@ fn run_gate(baseline_path: &str, deck: &RuleDeck, repeat: usize) -> bool {
     odrc_infra::reset_peak_rss();
     let runs = run_configs(&design, deck, repeat, &table_configs(None));
     let fresh_peak = odrc_infra::peak_rss_bytes();
-    let committed = |mode: &str| {
-        baseline
+
+    // The work vector: every Shared and Exact counter a committed run
+    // records must equal the fresh run's (Telemetry may move).
+    for r in &runs {
+        let Some(base) = committed(r.mode) else {
+            ok = false;
+            println!("aes {}: baseline has no run .. FAIL", r.mode);
+            continue;
+        };
+        let work = r.report().stats.counters(|c| c != CounterClass::Telemetry);
+        let recorded: Vec<(&str, i64, u64)> = work
+            .into_iter()
+            .filter_map(|(name, n)| Some((name, base.get(name)?.as_i64()?, n)))
+            .collect();
+        let moved: Vec<String> = recorded
             .iter()
-            .find(|b| b.design == "aes" && b.mode == mode)
-    };
+            .filter(|&&(_, was, n)| u64::try_from(was) != Ok(n))
+            .map(|(name, was, n)| format!("{name} {was} -> {n}"))
+            .collect();
+        ok &= moved.is_empty();
+        let verdict = if moved.is_empty() {
+            "equal".to_string()
+        } else {
+            format!("MOVED: {}", moved.join(", "))
+        };
+        let checked = recorded.len();
+        println!(
+            "aes {}: {checked} work counters vs baseline .. {verdict}",
+            r.mode
+        );
+    }
+
     let (ooc, in_core) = runs.split_last().expect("the sharded configuration");
     for r in in_core {
         let phase = gated_phase(r.mode);
-        let base = committed(r.mode).and_then(|b| b.gated_ms);
+        let base = committed(r.mode).and_then(|b| b.get("phases_ms")?.get(phase)?.as_f64());
         let fresh = phase_ms(r.report(), phase).unwrap_or(0.0);
         let label = format!("aes {}", r.mode);
         match base {
@@ -381,23 +359,13 @@ fn run_gate(baseline_path: &str, deck: &RuleDeck, repeat: usize) -> bool {
     }
 
     // The parallel mode must not lose to the sequential run measured
-    // beside it (1.25x + 10ms), must pack exactly the committed edge
-    // count (an exact work counter; a baseline older than it has none:
-    // skipped) and upload no more than the committed bytes.
+    // beside it (1.25x + 10ms).
     let (seq, par) = (&in_core[0], &in_core[1]);
     let limit = seq.wall_ms * 1.25 + 10.0;
-    let stats = par.report().stats;
-    let (packed, uploaded) = (stats.edges_packed, stats.bytes_uploaded);
-    let base_packed = committed(par.mode).and_then(|b| b.edges_packed);
-    let base_uploaded = committed(par.mode).and_then(|b| b.bytes_uploaded);
-    let pass = par.wall_ms <= limit
-        && base_packed.is_none_or(|b| b == packed)
-        && base_uploaded.is_none_or(|b| uploaded <= b);
+    let pass = par.wall_ms <= limit;
     ok &= pass;
     println!(
-        "aes parallel: wall {:.1}ms vs sequential {:.1}ms (limit {limit:.1}ms), {packed} edges \
-         packed (baseline {base_packed:?}), {uploaded} bytes uploaded (baseline \
-         {base_uploaded:?}) .. {}",
+        "aes parallel: wall {:.1}ms vs sequential {:.1}ms (limit {limit:.1}ms) .. {}",
         par.wall_ms,
         seq.wall_ms,
         if pass { "ok" } else { "FAIL" }
@@ -405,19 +373,14 @@ fn run_gate(baseline_path: &str, deck: &RuleDeck, repeat: usize) -> bool {
 
     // The sharded run is the in-core run plus shard planning: its scene
     // phase stays within 4x (+5ms) of the in-core one measured beside
-    // it, it walks the top cell exactly as often as committed (a
-    // baseline from before the row existed has no count: skipped), and
-    // it reports the same violations.
+    // it, and it reports the same violations.
     let scene = |r: &RunResult| phase_ms(r.report(), "scene").unwrap_or(0.0);
-    let (seq, limit) = (&runs[0], scene(&runs[0]) * 4.0 + 5.0);
-    let scanned = ooc.report().stats.scene_objects_scanned;
-    let base = committed(OOC).and_then(|b| b.scanned);
+    let limit = scene(seq) * 4.0 + 5.0;
     let same = ooc.report().violations == seq.report().violations;
-    let pass = scene(ooc) <= limit && base.is_none_or(|b| b == scanned) && same;
+    let pass = scene(ooc) <= limit && same;
     ok &= pass;
     println!(
-        "aes {OOC}: scene {:.1}ms vs in-core {:.1}ms (limit {limit:.1}ms), {scanned} objects \
-         scanned (baseline {base:?}), violations {} .. {}",
+        "aes {OOC}: scene {:.1}ms vs in-core {:.1}ms (limit {limit:.1}ms), violations {} .. {}",
         scene(ooc),
         scene(seq),
         if same { "equal" } else { "DIFFER" },
@@ -429,8 +392,9 @@ fn run_gate(baseline_path: &str, deck: &RuleDeck, repeat: usize) -> bool {
     // with a 64 MiB absolute grace so allocator jitter on small designs
     // cannot trip the ratio. Missing data (old baseline, or a platform
     // without procfs) skips the comparison rather than failing.
-    match (baseline_peaks.get("aes"), fresh_peak) {
-        (Some(&base), Some(fresh)) => {
+    let base_peak = committed_aes.and_then(|d| d.get("peak_rss_bytes")?.as_i64());
+    match (base_peak.map(|b| b as u64), fresh_peak) {
+        (Some(base), Some(fresh)) => {
             let limit = base + base / 2 + (64 << 20);
             let pass = fresh <= limit;
             ok &= pass;
@@ -460,6 +424,25 @@ fn run_gate(baseline_path: &str, deck: &RuleDeck, repeat: usize) -> bool {
 
     println!("perf gate: {}", if ok { "PASS" } else { "FAIL" });
     ok
+}
+
+/// Prints one design's runs side by side: wall time, violations and
+/// each counter that some run counted, in table order, one row each.
+fn print_runs(design: &str, runs: &[RunResult]) {
+    let row = |label: &str, cell: &dyn Fn(&RunResult) -> String| {
+        let cells: String = runs.iter().map(|r| format!(" {:>14}", cell(r))).collect();
+        println!("{label:<22}{cells}");
+    };
+    println!();
+    row(design, &|r| r.mode.to_string());
+    row("wall_ms", &|r| format!("{:.1}", r.wall_ms));
+    row("violations", &|r| r.report().violations.len().to_string());
+    for c in EngineStats::COUNTERS {
+        let value = |r: &RunResult| (c.get)(&r.report().stats);
+        if runs.iter().any(|r| value(r) > 0) {
+            row(c.name, &|r| value(r).to_string());
+        }
+    }
 }
 
 fn main() {
@@ -562,20 +545,6 @@ fn main() {
         "\n=== Pipeline: {}-rule deck, both engine modes + sharded ===",
         deck.rules().len()
     );
-    println!(
-        "{:<10} {:<14} {:>8} {:>10} {:>7} {:>7} {:>7} {:>7} {:>12} {:>10}",
-        "design",
-        "mode",
-        "wall_ms",
-        "#viol",
-        "scn+",
-        "scn=",
-        "rows",
-        "elide",
-        "bytes_up",
-        "edges_pk"
-    );
-
     let mut results: Vec<(String, Option<u64>, Vec<RunResult>)> = Vec::new();
     for design in load_designs(Some(&designs)) {
         // Per-design checking-phase high-water mark: the HWM is reset
@@ -594,21 +563,8 @@ fn main() {
                 r.mode,
                 design.name
             );
-            let s = &r.report().stats;
-            println!(
-                "{:<10} {:<14} {:>8.1} {:>10} {:>7} {:>7} {:>7} {:>7} {:>12} {:>10}",
-                design.name,
-                r.mode,
-                r.wall_ms,
-                r.report().violations.len(),
-                s.scenes_built,
-                s.scenes_reused,
-                s.rows,
-                s.uploads_elided,
-                s.bytes_uploaded,
-                s.edges_packed,
-            );
         }
+        print_runs(&design.name, &runs);
         if let Some(bytes) = peak_rss {
             println!(
                 "{:<10} peak-RSS {:.1} MiB",

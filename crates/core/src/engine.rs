@@ -194,12 +194,6 @@ pub struct EngineStats {
     /// (scheduling telemetry: it varies with how busy the pool was;
     /// the name predates the pool).
     pub host_steals: u64,
-    /// Rules that ran to completion this run.
-    pub rules_completed: usize,
-    /// Rules restored from a checkpoint journal instead of re-running.
-    pub rules_resumed: usize,
-    /// Rules the run was cancelled out of (they contributed nothing).
-    pub rules_interrupted: usize,
     /// Stream commands that rode a fused batch dispatch instead of an
     /// individual submit (device-counter delta over this run — full
     /// check or delta re-check).
@@ -207,6 +201,12 @@ pub struct EngineStats {
     /// Pool workers that joined this run's kernel launches
     /// (device-counter delta over this run; scheduling telemetry).
     pub worker_wakeups: u64,
+    /// Rules that ran to completion this run.
+    pub rules_completed: usize,
+    /// Rules restored from a checkpoint journal instead of re-running.
+    pub rules_resumed: usize,
+    /// Rules the run was cancelled out of (they contributed nothing).
+    pub rules_interrupted: usize,
     /// `(rule, shard)` units checked by the out-of-core path this run.
     pub shards_checked: usize,
     /// Shard scenes built (cache misses of the shard pool).
@@ -222,11 +222,88 @@ pub struct EngineStats {
     pub shards_degraded: usize,
 }
 
+/// How far a counter of [`EngineStats`] is a function of the input
+/// alone. Each class is a contract the equivalence suites and the
+/// `pipeline --gate` check hold the engine to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CounterClass {
+    /// Equal in both modes and at every thread count.
+    Shared,
+    /// Equal at every host-thread count, every device size and on every
+    /// repeat of one mode (it may differ between the modes).
+    Exact,
+    /// Scheduling telemetry: it moves with how busy the pool was.
+    Telemetry,
+}
+
+/// One counter of [`EngineStats`]: its field name (also its
+/// `--stats-json` key), its [`CounterClass`] and its reader.
+#[derive(Debug, Clone, Copy)]
+pub struct Counter {
+    pub name: &'static str,
+    pub class: CounterClass,
+    pub get: fn(&EngineStats) -> u64,
+}
+
+/// One [`Counter`] per listed field, named after the field.
+macro_rules! counters {
+    ($($class:ident $field:ident,)*) => {
+        &[$(Counter {
+            name: stringify!($field),
+            class: CounterClass::$class,
+            get: |s| s.$field as u64,
+        },)*]
+    };
+}
+
 impl EngineStats {
+    /// Every counter, in declaration order: the one list behind
+    /// `--stats-json`, the served `done` frame, the CLI summary, the
+    /// pipeline bench and its gate, and the equivalence suites.
+    pub const COUNTERS: &'static [Counter] = counters![
+        Shared checks_computed,
+        Shared checks_reused,
+        Shared candidate_pairs,
+        Shared pairs_scanned,
+        Shared rows,
+        Exact device_retries,
+        Exact device_fallbacks,
+        Exact scenes_built,
+        Exact scenes_reused,
+        Exact scene_objects_scanned,
+        Exact uploads_elided,
+        Exact bytes_uploaded,
+        Exact edges_packed,
+        Shared join_candidates,
+        Shared join_scanned,
+        Exact host_tasks,
+        Telemetry host_steals,
+        Exact launches_fused,
+        Telemetry worker_wakeups,
+        Exact rules_completed,
+        Exact rules_resumed,
+        Exact rules_interrupted,
+        Exact shards_checked,
+        Exact shards_built,
+        Exact shards_evicted,
+        Exact shards_resumed,
+        Exact shards_degraded,
+    ];
+
     /// `true` if any device work was retried or recomputed on the host
     /// — the run completed, but not entirely on the fast path.
     pub fn degraded(&self) -> bool {
         self.device_retries > 0 || self.device_fallbacks > 0
+    }
+
+    /// `(name, value)` of each counter whose class `keep` accepts, in
+    /// table order: the work vector a suite or the gate compares.
+    pub fn counters(&self, keep: impl Fn(CounterClass) -> bool) -> Vec<(&'static str, u64)> {
+        Self::COUNTERS
+            .iter()
+            .filter(|c| keep(c.class))
+            .map(|c| (c.name, (c.get)(self)))
+            .collect()
     }
 }
 
@@ -714,5 +791,39 @@ fn finalize_rule(
                 *journal = None;
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The table lists every field once: the struct holds nothing but
+    /// 8-byte counters, one per entry, and no two entries share a name.
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn counters_list_every_field_once() {
+        let table = EngineStats::COUNTERS;
+        assert_eq!(std::mem::size_of::<EngineStats>(), 8 * table.len());
+        let mut names: Vec<&str> = table.iter().map(|c| c.name).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), table.len());
+    }
+
+    #[test]
+    fn each_counter_reads_its_own_field() {
+        let stats = EngineStats {
+            rows: 7,
+            host_steals: 3,
+            ..EngineStats::default()
+        };
+        let nonzero = stats.counters(|_| true).into_iter().filter(|&(_, v)| v > 0);
+        assert_eq!(
+            nonzero.collect::<Vec<_>>(),
+            [("rows", 7), ("host_steals", 3)]
+        );
+        let work = stats.counters(|class| class != CounterClass::Telemetry);
+        assert!(work.iter().all(|&(name, _)| name != "host_steals"));
     }
 }

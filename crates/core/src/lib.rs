@@ -65,7 +65,10 @@ pub use cache::{rule_signature, CacheKeys, ResultCache, CACHE_FILE};
 pub use checkpoint::{CheckpointJournal, RunKey, JOURNAL_FILE};
 pub use deck_parser::{parse_deck, ParseDeckError, ParseDeckErrorKind};
 pub use delta::{dirty_rects, DeltaReport};
-pub use engine::{CheckReport, Engine, EngineOptions, EngineStats, Mode, ProgressFn, RuleStatus};
+pub use engine::{
+    CheckReport, Counter, CounterClass, Engine, EngineOptions, EngineStats, Mode, ProgressFn,
+    RuleStatus,
+};
 pub use odrc_infra::{install_signal_handlers, CancelReason, CancelToken};
 pub use plan::ExecutionPlan;
 pub use rules::{rule, Rule, RuleDeck, RuleKind};

@@ -16,11 +16,14 @@
 //! hold in the default mode, with `--parallel`, after an edit (delta)
 //! and with one partition row per shard. A wrapped design and its
 //! inlined twin (the same placement applied to the top cell's contents)
-//! must also do the same work, counter for counter: the engine's objects
-//! are a cut through the hierarchy tree at its leaves, whatever the
-//! depth above them.
+//! must also do the same work, counter for counter but for the few the
+//! wrapper's own frame moves (`DEPTH_VARIANT`): the engine's objects are
+//! a cut through the hierarchy tree at its leaves, whatever the depth
+//! above them.
 
-use odrc::{canonicalize, rule, Engine, EngineOptions, EngineStats, RuleDeck, Violation};
+use odrc::{
+    canonicalize, rule, CounterClass, Engine, EngineOptions, EngineStats, RuleDeck, Violation,
+};
 use odrc_db::Layout;
 use odrc_gdsii::{BoundaryElement, Element, Library, RefElement, Structure};
 use odrc_geometry::{Point, Rect, Rotation, Transform};
@@ -184,16 +187,28 @@ fn mapped(violations: &[Violation], at: &[Transform]) -> Vec<Violation> {
     canonicalize(placed.collect())
 }
 
-/// The exact work counters a design and its inlined twin share.
-fn work(stats: &EngineStats) -> [u64; 6] {
-    [
-        stats.candidate_pairs as u64,
-        stats.join_candidates,
-        stats.join_scanned,
-        stats.pairs_scanned,
-        stats.edges_packed,
-        stats.rows as u64,
-    ]
+/// The counters a wrapped design and its inlined twin may differ in,
+/// each with its reason. Every other counter but scheduling telemetry
+/// must be equal, so a counter added later is compared by default.
+const DEPTH_VARIANT: [&str; 5] = [
+    // An arrayed wrapper's own shapes are checked once, not per copy,
+    "checks_computed",
+    // and the memo answers their other copies.
+    "checks_reused",
+    // Fewer intra targets fan out as fewer tasks.
+    "host_tasks",
+    // The wrapper's frame is walked too.
+    "scene_objects_scanned",
+    // `--parallel` uploads those fewer intra targets.
+    "bytes_uploaded",
+];
+
+/// The work a design and its inlined twin share: every non-telemetry
+/// counter but [`DEPTH_VARIANT`]'s.
+fn work(stats: &EngineStats) -> Vec<(&'static str, u64)> {
+    let mut work = stats.counters(|class| class != CounterClass::Telemetry);
+    work.retain(|(name, _)| !DEPTH_VARIANT.contains(name));
+    work
 }
 
 /// `base` drawn under `at`, both ways: every engine's report on the

@@ -28,6 +28,9 @@
 //!   wall-clock deadlines wind a run down at rule boundaries.
 //! * [`atomic_io`] — crash-safe write-temp-then-rename sidecar writes
 //!   (result cache, checkpoint journal, stats JSON).
+//! * [`json`] — the workspace's one JSON value model, parser and
+//!   writer: the serve wire protocol, `--stats-json` and the pipeline
+//!   bench's baseline file all go through it.
 //!
 //! # Examples
 //!
@@ -49,6 +52,7 @@ pub mod cancel;
 pub mod host;
 mod interval_tree;
 pub mod journal;
+pub mod json;
 pub mod partition;
 pub mod profile;
 pub mod region;

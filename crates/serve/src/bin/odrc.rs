@@ -381,48 +381,23 @@ fn print_summary(report: &CheckReport, deck: &RuleDeck, max_print: usize) {
     }
 }
 
+/// The run's counters on stderr: `name: value` for each non-zero one,
+/// under its `--stats-json` key and in table order, four to a line.
 fn print_stats(stats: &odrc::EngineStats) {
-    let (joined, join_scanned) = (stats.join_candidates, stats.join_scanned);
-    let (pairs, pairs_scanned) = (stats.candidate_pairs, stats.pairs_scanned);
-    eprintln!(
-        "checks computed: {}, reused: {}, candidate pairs: {pairs}, scanned: {pairs_scanned}, \
-         rows: {}; join candidates: {joined}, scanned: {join_scanned}",
-        stats.checks_computed, stats.checks_reused, stats.rows
-    );
-    let scanned = stats.scene_objects_scanned;
-    let packed = stats.edges_packed;
-    eprintln!(
-        "scenes built: {}, reused: {}; uploads elided: {}, bytes uploaded: {}; \
-         scene objects scanned: {scanned}; edges packed: {packed}",
-        stats.scenes_built, stats.scenes_reused, stats.uploads_elided, stats.bytes_uploaded
-    );
-    if stats.host_tasks > 0 {
-        eprintln!(
-            "host executor: {} task(s) fanned out, {} pool join(s)",
-            stats.host_tasks, stats.host_steals
-        );
-    }
-    if stats.launches_fused > 0 || stats.worker_wakeups > 0 {
-        eprintln!(
-            "dispatch: {} launch(es) fused, {} pool join(s)",
-            stats.launches_fused, stats.worker_wakeups
-        );
+    let nonzero: Vec<String> = stats
+        .counters(|_| true)
+        .into_iter()
+        .filter(|&(_, n)| n > 0)
+        .map(|(name, n)| format!("{name}: {n}"))
+        .collect();
+    for line in nonzero.chunks(4) {
+        eprintln!("{}", line.join(", "));
     }
     if stats.degraded() {
         eprintln!(
             "degraded: device work retried {} time(s), {} launch(es) recomputed on the host \
              (results are complete and exact)",
             stats.device_retries, stats.device_fallbacks
-        );
-    }
-    if stats.shards_checked > 0 || stats.shards_resumed > 0 {
-        eprintln!(
-            "out-of-core: {} shard(s) checked, {} built, {} evicted, {} resumed, {} degraded",
-            stats.shards_checked,
-            stats.shards_built,
-            stats.shards_evicted,
-            stats.shards_resumed,
-            stats.shards_degraded
         );
     }
 }

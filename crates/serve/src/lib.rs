@@ -14,8 +14,9 @@
 //!   verdicts any other client already computed.
 //! * [`client`] — the synchronous client library behind `odrc client`.
 //! * [`proto`] / [`json`] / [`wire`] — the newline-JSON protocol:
-//!   hand-rolled (the build is offline, no serde), typed errors with
-//!   stable codes, engine types in and out of wire JSON.
+//!   hand-rolled (the build is offline, no serde; [`json`] is
+//!   `odrc_infra::json`, re-exported), typed errors with stable codes,
+//!   engine types in and out of wire JSON.
 //!
 //! The design constraint threaded through all of it: a job's result
 //! must be **byte-identical** to what the one-shot CLI prints for the
@@ -28,7 +29,6 @@ pub mod cache_tier;
 pub mod chaos;
 pub mod client;
 pub mod journal;
-pub mod json;
 pub mod proto;
 pub mod scheduler;
 pub mod server;
@@ -38,6 +38,7 @@ pub use cache_tier::SharedCacheTier;
 pub use chaos::{ChaosState, ServerFault, ServerFaultPlan};
 pub use client::{Client, ClientError, JobOutcome, RetryPolicy};
 pub use journal::{JobJournal, JobSpec, ReplayedJob};
+pub use odrc_infra::json;
 pub use proto::{job_exit_code, ServeError, MAX_FRAME_BYTES};
 pub use scheduler::Scheduler;
 pub use server::{DrainSummary, Server, ServerConfig, ServerHandle};

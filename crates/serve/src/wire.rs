@@ -5,7 +5,8 @@
 //! exact fields of the CLI's CSV report (`rule,kind,x0,y0,x1,y1,
 //! measured`) so a client-side report is byte-identical to a one-shot
 //! run's; edit ops mirror [`odrc_incremental::EditOp`] field for
-//! field.
+//! field; engine stats are [`EngineStats::COUNTERS`] by name, so no
+//! counter is listed here.
 
 use odrc::{EngineStats, Violation};
 use odrc_db::{CellId, CellRef, LayerPolygon};
@@ -70,43 +71,14 @@ impl WireViolation {
     }
 }
 
-/// Serializes engine stats — the one list behind both a served job's
-/// `stats` object and the one-shot CLI's `--stats-json` file.
+/// Serializes engine stats: every counter of [`EngineStats::COUNTERS`]
+/// under its name, then `degraded` — the one list behind both a served
+/// job's `stats` object and the one-shot CLI's `--stats-json` file.
 /// Extending is backward-compatible (clients ignore unknown keys).
 pub fn stats_to_json(stats: &EngineStats) -> Value {
-    obj([
-        ("checks_computed", Value::from(stats.checks_computed)),
-        ("checks_reused", Value::from(stats.checks_reused)),
-        ("candidate_pairs", Value::from(stats.candidate_pairs)),
-        ("pairs_scanned", Value::from(stats.pairs_scanned)),
-        ("rows", Value::from(stats.rows)),
-        ("device_retries", Value::from(stats.device_retries)),
-        ("device_fallbacks", Value::from(stats.device_fallbacks)),
-        ("degraded", Value::Bool(stats.degraded())),
-        ("scenes_built", Value::from(stats.scenes_built)),
-        ("scenes_reused", Value::from(stats.scenes_reused)),
-        (
-            "scene_objects_scanned",
-            Value::from(stats.scene_objects_scanned),
-        ),
-        ("uploads_elided", Value::from(stats.uploads_elided)),
-        ("bytes_uploaded", Value::from(stats.bytes_uploaded)),
-        ("edges_packed", Value::from(stats.edges_packed)),
-        ("join_candidates", Value::from(stats.join_candidates)),
-        ("join_scanned", Value::from(stats.join_scanned)),
-        ("host_tasks", Value::from(stats.host_tasks)),
-        ("host_steals", Value::from(stats.host_steals)),
-        ("launches_fused", Value::from(stats.launches_fused)),
-        ("worker_wakeups", Value::from(stats.worker_wakeups)),
-        ("rules_completed", Value::from(stats.rules_completed)),
-        ("rules_resumed", Value::from(stats.rules_resumed)),
-        ("rules_interrupted", Value::from(stats.rules_interrupted)),
-        ("shards_checked", Value::from(stats.shards_checked)),
-        ("shards_built", Value::from(stats.shards_built)),
-        ("shards_evicted", Value::from(stats.shards_evicted)),
-        ("shards_resumed", Value::from(stats.shards_resumed)),
-        ("shards_degraded", Value::from(stats.shards_degraded)),
-    ])
+    let counters = stats.counters(|_| true).into_iter();
+    let pairs = counters.map(|(name, n)| (name, Value::from(n)));
+    obj(pairs.chain([("degraded", Value::Bool(stats.degraded()))]))
 }
 
 fn coord(v: &Value, key: &str) -> Result<i32, ServeError> {

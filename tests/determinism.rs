@@ -1,6 +1,6 @@
 //! Determinism and stability guarantees across the whole stack.
 
-use odrc::{rule, Engine, EngineStats, RuleDeck};
+use odrc::{rule, CounterClass, Engine, EngineStats, RuleDeck};
 use odrc_db::Layout;
 use odrc_layoutgen::{generate, tech, DesignSpec};
 use odrc_xpu::Device;
@@ -49,17 +49,12 @@ fn repeated_checks_are_identical() {
     }
 }
 
-/// The stats with scheduling telemetry masked: which worker stole from
-/// which, and how often a device worker woke, are race outcomes of one
-/// run, not results of the check. Every other counter — the work
-/// counters such as `candidate_pairs`, `pairs_scanned` and
-/// `join_scanned` — must repeat exactly.
-fn work_stats(stats: &EngineStats) -> EngineStats {
-    EngineStats {
-        host_steals: 0,
-        worker_wakeups: 0,
-        ..*stats
-    }
+/// Every counter but scheduling telemetry (which worker joined which
+/// fan-out, how often a device worker woke: race outcomes of one run,
+/// not results of the check). The work counters — `candidate_pairs`,
+/// `pairs_scanned`, `join_scanned` and the rest — must repeat exactly.
+fn work_stats(stats: &EngineStats) -> Vec<(&'static str, u64)> {
+    stats.counters(|class| class != CounterClass::Telemetry)
 }
 
 #[test]
@@ -72,6 +67,11 @@ fn parallel_mode_is_deterministic_across_device_sizes() {
         assert_eq!(
             reference.violations, r.violations,
             "device with {workers} workers diverged"
+        );
+        assert_eq!(
+            work_stats(&reference.stats),
+            work_stats(&r.stats),
+            "device with {workers} workers moved the work counters"
         );
     }
 }
