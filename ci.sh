@@ -384,6 +384,16 @@ if grep -nE 'fn scan_baseline|field\(line' crates/bench/src/bin/pipeline.rs; the
     exit 1
 fi
 
+echo "== one test kit (the equivalence suites build decks, engines and counter masks in crates/testkit)"
+# Each deck, the engine builder over the run axes and the one counter
+# mask live in odrc-testkit; a suite that defines its own is a second
+# copy of the matrix again.
+if grep -rnE 'fn (deck|engine|engines|parallel_engine)\(|\.counters\(' \
+    crates/core/tests crates/incremental/tests crates/baselines/tests tests; then
+    echo "a suite defines its own deck, engine builder or counter mask instead of using odrc-testkit"
+    exit 1
+fi
+
 echo "== tier-1: cargo build --release && cargo test -q"
 # --no-fail-fast: without it the first red package hides every test
 # binary that sorts after it.
@@ -443,7 +453,8 @@ echo "== perf gate (kernel-wait, sweepline, parallel vs sequential, sharded scen
 # a sharded (sequential+ooc) run
 # whose scene phase exceeds 4x the in-core one (+5ms), whose
 # scene_objects_scanned left the committed count, or whose violations
-# differ from the in-core run's.
+# differ from the in-core run's, or on a peak RSS above 2x the
+# committed aes peak.
 # min-of-5 repeats: the gate compares minima, and 3 repeats has been
 # observed to let a single noisy scheduling window trip the limit.
 cargo run -q --release -p odrc-bench --bin pipeline -- --gate BENCH_pipeline.json --repeat 5

@@ -1,134 +1,82 @@
 //! All checkers must report the same canonical violation set as the
 //! OpenDRC engine — runtime is the only thing the evaluation compares.
 
-use odrc::{rule, Engine, RuleDeck};
+use odrc::{rule, RuleDeck};
 use odrc_baselines::{Checker, DeepChecker, FlatChecker, TilingChecker, XCheck};
-use odrc_layoutgen::{generate_layout, tech, DesignSpec};
+use odrc_testkit::decks::{self, tech_deck};
+use odrc_testkit::layouts::tiny;
+use odrc_testkit::reference;
 use odrc_xpu::Device;
-
-fn deck() -> RuleDeck {
-    RuleDeck::new(vec![
-        rule()
-            .layer(tech::M1)
-            .width()
-            .greater_than(tech::M1_WIDTH)
-            .named("M1.W.1"),
-        rule()
-            .layer(tech::M2)
-            .width()
-            .greater_than(tech::M2_WIDTH)
-            .named("M2.W.1"),
-        rule()
-            .layer(tech::M1)
-            .space()
-            .greater_than(tech::M1_SPACE)
-            .named("M1.S.1"),
-        rule()
-            .layer(tech::M2)
-            .space()
-            .greater_than(tech::M2_SPACE)
-            .named("M2.S.1"),
-        rule()
-            .layer(tech::M3)
-            .space()
-            .greater_than(tech::M3_SPACE)
-            .named("M3.S.1"),
-        rule()
-            .layer(tech::V1)
-            .enclosed_by(tech::M2)
-            .greater_than(tech::V1_M2_ENCLOSURE)
-            .named("V1.M2.EN.1"),
-        rule()
-            .layer(tech::V2)
-            .enclosed_by(tech::M3)
-            .greater_than(tech::V2_M3_ENCLOSURE)
-            .named("V2.M3.EN.1"),
-    ])
-}
-
-fn area_deck() -> RuleDeck {
-    RuleDeck::new(vec![rule()
-        .layer(tech::M1)
-        .area()
-        .greater_than(tech::M1_AREA)
-        .named("M1.A.1")])
-}
 
 #[test]
 fn flat_agrees_with_engine() {
     for seed in [21u64, 22] {
-        let layout = generate_layout(&DesignSpec::tiny(seed));
-        let reference = Engine::sequential().check(&layout, &deck());
-        let flat = FlatChecker::new().check(&layout, &deck());
-        assert_eq!(reference.violations, flat.violations, "seed {seed}");
-        assert!(!reference.violations.is_empty());
+        let layout = tiny(seed);
+        let want = reference(&layout, &decks::baselines());
+        let flat = FlatChecker::new().check(&layout, &decks::baselines());
+        assert_eq!(want.violations, flat.violations, "seed {seed}");
+        assert!(!want.violations.is_empty());
     }
 }
 
 #[test]
 fn deep_agrees_with_engine() {
-    let layout = generate_layout(&DesignSpec::tiny(23));
-    let reference = Engine::sequential().check(&layout, &deck());
-    let deep = DeepChecker::new().check(&layout, &deck());
-    assert_eq!(reference.violations, deep.violations);
+    let layout = tiny(23);
+    let deep = DeepChecker::new().check(&layout, &decks::baselines());
+    assert_eq!(
+        reference(&layout, &decks::baselines()).violations,
+        deep.violations
+    );
 }
 
 #[test]
 fn tiling_agrees_with_engine() {
-    let layout = generate_layout(&DesignSpec::tiny(24));
-    let reference = Engine::sequential().check(&layout, &deck());
+    let layout = tiny(24);
+    let want = reference(&layout, &decks::baselines());
     for grid in [1usize, 3, 7] {
-        let tile = TilingChecker::new(grid, 2).check(&layout, &deck());
-        assert_eq!(reference.violations, tile.violations, "grid {grid}");
+        let tile = TilingChecker::new(grid, 2).check(&layout, &decks::baselines());
+        assert_eq!(want.violations, tile.violations, "grid {grid}");
     }
 }
 
 #[test]
 fn xcheck_agrees_with_engine() {
-    let layout = generate_layout(&DesignSpec::tiny(25));
-    let reference = Engine::sequential().check(&layout, &deck());
-    let x = XCheck::new(Device::new(2)).check(&layout, &deck());
-    assert_eq!(reference.violations, x.violations);
+    let layout = tiny(25);
+    let x = XCheck::new(Device::new(2)).check(&layout, &decks::baselines());
+    assert_eq!(
+        reference(&layout, &decks::baselines()).violations,
+        x.violations
+    );
     assert!(x.skipped.is_empty());
 }
 
 #[test]
 fn xcheck_skips_area_rules() {
-    let layout = generate_layout(&DesignSpec::tiny(26));
-    let reference = Engine::sequential().check(&layout, &area_deck());
-    let x = XCheck::new(Device::new(2)).check(&layout, &area_deck());
+    let layout = tiny(26);
+    let area = tech_deck(&["M1.A.1"]);
+    let want = reference(&layout, &area);
+    let x = XCheck::new(Device::new(2)).check(&layout, &area);
     assert_eq!(x.skipped, vec!["M1.A.1".to_owned()]);
     assert!(x.violations.is_empty());
     // The engine itself does find area violations on this seed.
     assert!(
-        reference.violations.iter().all(|v| v.rule == "M1.A.1"),
+        want.violations.iter().all(|v| v.rule == "M1.A.1"),
         "engine handles area rules"
     );
 }
 
 #[test]
 fn overlap_area_baselines_agree() {
-    let layout = generate_layout(&DesignSpec::tiny(28));
-    let deck = RuleDeck::new(vec![
-        rule()
-            .layer(tech::V1)
-            .overlapping(tech::M2)
-            .area_at_least(100)
-            .named("V1.M2.OVL.1"),
-        rule()
-            .layer(tech::V2)
-            .overlapping(tech::M3)
-            .area_at_least(100)
-            .named("V2.M3.OVL.1"),
-    ]);
-    let reference = Engine::sequential().check(&layout, &deck);
+    let layout = tiny(28);
+    let deck = tech_deck(&["V1.M2.OV.1", "V2.M3.OV.1"]);
+    let want = reference(&layout, &deck);
     for checker in [
         Box::new(FlatChecker::new()) as Box<dyn Checker>,
         Box::new(DeepChecker::new()),
         Box::new(TilingChecker::new(3, 2)),
     ] {
         let r = checker.check(&layout, &deck);
-        assert_eq!(reference.violations, r.violations, "{}", checker.name());
+        assert_eq!(want.violations, r.violations, "{}", checker.name());
     }
     // X-Check skips overlap-area rules.
     let x = XCheck::new(Device::new(2)).check(&layout, &deck);
@@ -137,7 +85,7 @@ fn overlap_area_baselines_agree() {
 
 #[test]
 fn baselines_handle_empty_layers() {
-    let layout = generate_layout(&DesignSpec::tiny(27));
+    let layout = tiny(27);
     let ghost = RuleDeck::new(vec![
         rule().layer(99).space().greater_than(10).named("GHOST.S.1"),
         rule().layer(99).width().greater_than(10).named("GHOST.W.1"),
@@ -156,8 +104,7 @@ fn baselines_handle_empty_layers() {
             checker.name()
         );
     }
-    let engine = Engine::sequential().check(&layout, &ghost);
-    assert!(engine.violations.is_empty());
+    assert!(reference(&layout, &ghost).violations.is_empty());
 }
 
 #[test]

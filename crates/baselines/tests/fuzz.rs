@@ -6,25 +6,18 @@
 //! (hierarchical + memoized vs flat vs tiled vs device kernels), so any
 //! disagreement exposes a real semantic bug.
 
-use odrc::{rule, Engine, RuleDeck};
+use odrc::{rule, RuleDeck};
 use odrc_baselines::{Checker, DeepChecker, FlatChecker, TilingChecker, XCheck};
 use odrc_db::Layout;
-use odrc_gdsii::{Element, Library, RefElement, Structure};
-use odrc_geometry::Point;
+use odrc_gdsii::{Element, Library, Structure};
+use odrc_geometry::{Point, Rotation, Transform};
+use odrc_testkit::{assert_agree, decks, layouts, reference, Agree, Config};
 use odrc_xpu::Device;
 use proptest::prelude::*;
 
-/// A random rectangle element on the given layer.
-fn rect_el(layer: i16, x: i32, y: i32, w: i32, h: i32) -> Element {
-    Element::boundary(
-        layer,
-        vec![
-            Point::new(x, y),
-            Point::new(x, y + h),
-            Point::new(x + w, y + h),
-            Point::new(x + w, y),
-        ],
-    )
+/// A random rectangle element: (layer, x, y, w, h).
+fn rect_of((layer, x, y, w, h): (i16, i32, i32, i32, i32)) -> Element {
+    layouts::rect_el(layer, x, y, x + w, y + h)
 }
 
 #[derive(Debug, Clone)]
@@ -110,23 +103,22 @@ fn arb_spec() -> impl Strategy<Value = FuzzSpec> {
 }
 
 /// A placement of `cell`: (x, y, rotation quarter-turns, mirror).
-fn sref(cell: &str, (x, y, rot, mirror): (i32, i32, i32, bool)) -> Element {
-    let mut r = RefElement::sref(cell, Point::new(x, y));
-    r.angle_deg = f64::from(rot) * 90.0;
-    r.mirror_x = mirror;
-    Element::Ref(r)
+fn place(cell: &str, (x, y, rot, mirror): (i32, i32, i32, bool)) -> Element {
+    let t = Transform::new(
+        mirror,
+        Rotation::from_quarter_turns(rot),
+        1,
+        Point::new(x, y),
+    );
+    layouts::sref(cell, t)
 }
 
 fn build_layout(spec: &FuzzSpec) -> Layout {
     let mut lib = Library::new("fuzz");
     let mut a = Structure::new("A");
-    for &(l, x, y, w, h) in &spec.cell_a {
-        a.elements.push(rect_el(l, x, y, w, h));
-    }
+    a.elements.extend(spec.cell_a.iter().copied().map(rect_of));
     let mut b = Structure::new("B");
-    for &(l, x, y, w, h) in &spec.cell_b {
-        b.elements.push(rect_el(l, x, y, w, h));
-    }
+    b.elements.extend(spec.cell_b.iter().copied().map(rect_of));
     // B also nests A, making the hierarchy two levels deep.
     b.elements.push(Element::sref("A", Point::new(200, 200)));
     lib.structures.push(a);
@@ -143,44 +135,19 @@ fn build_layout(spec: &FuzzSpec) -> Layout {
     for (i, &(which_b, x, y, rot, mirror)) in spec.placements.iter().enumerate() {
         let cell = if which_b { "B" } else { "A" };
         let parent = if i < placed { &mut mid } else { &mut top };
-        parent.elements.push(sref(cell, (x, y, rot, mirror)));
+        parent.elements.push(place(cell, (x, y, rot, mirror)));
     }
-    for (i, &(l, x, y, w, h)) in spec.top_rects.iter().enumerate() {
+    for (i, &rect) in spec.top_rects.iter().enumerate() {
         let parent = if i < drawn { &mut mid } else { &mut top };
-        parent.elements.push(rect_el(l, x, y, w, h));
+        parent.elements.push(rect_of(rect));
     }
     if let Some(m) = &spec.middle {
         top.elements
-            .extend(m.at.iter().map(|&placement| sref("MID", placement)));
+            .extend(m.at.iter().map(|&placement| place("MID", placement)));
         lib.structures.push(mid);
     }
     lib.structures.push(top);
     Layout::from_library(&lib).expect("fuzz layouts are structurally valid")
-}
-
-fn deck() -> RuleDeck {
-    RuleDeck::new(vec![
-        rule().layer(1).width().greater_than(10).named("F1.W"),
-        rule().layer(1).space().greater_than(12).named("F1.S"),
-        rule().layer(2).space().greater_than(9).named("F2.S"),
-        rule()
-            .layer(1)
-            .space()
-            .when_projection_at_least(20)
-            .greater_than(25)
-            .named("F1.SP"),
-        rule().layer(1).area().greater_than(400).named("F1.A"),
-        rule()
-            .layer(2)
-            .enclosed_by(1)
-            .greater_than(3)
-            .named("F2.EN"),
-        rule()
-            .layer(2)
-            .overlapping(1)
-            .area_at_least(50)
-            .named("F2.OVL"),
-    ])
 }
 
 proptest! {
@@ -188,19 +155,17 @@ proptest! {
     #[test]
     fn all_engines_agree_on_random_layouts(spec in arb_spec()) {
         let layout = build_layout(&spec);
-        let d = deck();
-        let reference = Engine::sequential().check(&layout, &d);
-        let par = Engine::parallel_on(Device::new(2)).check(&layout, &d);
-        prop_assert_eq!(&reference.violations, &par.violations, "parallel");
+        let d = decks::fuzz();
+        let want = reference(&layout, &d);
         // The same work too: random specs often leave a cell unplaced.
-        prop_assert_eq!(reference.stats.checks_computed, par.stats.checks_computed);
-        prop_assert_eq!(reference.stats.checks_reused, par.stats.checks_reused);
+        let par = Config::par().device(2).check(&layout, &d);
+        assert_agree("parallel", &par, &want, Agree::Shared, &[]);
         let flat = FlatChecker::new().check(&layout, &d);
-        prop_assert_eq!(&reference.violations, &flat.violations, "flat");
+        prop_assert_eq!(&want.violations, &flat.violations, "flat");
         let deep = DeepChecker::new().check(&layout, &d);
-        prop_assert_eq!(&reference.violations, &deep.violations, "deep");
+        prop_assert_eq!(&want.violations, &deep.violations, "deep");
         let tile = TilingChecker::new(3, 2).check(&layout, &d);
-        prop_assert_eq!(&reference.violations, &tile.violations, "tile");
+        prop_assert_eq!(&want.violations, &tile.violations, "tile");
     }
 }
 
@@ -215,9 +180,8 @@ proptest! {
             rule().layer(1).space().greater_than(12).named("F1.S"),
             rule().layer(2).enclosed_by(1).greater_than(3).named("F2.EN"),
         ]);
-        let reference = Engine::sequential().check(&layout, &d);
         let x = XCheck::new(Device::new(2)).check(&layout, &d);
-        prop_assert_eq!(&reference.violations, &x.violations);
+        prop_assert_eq!(&reference(&layout, &d).violations, &x.violations);
     }
 }
 
@@ -233,10 +197,10 @@ fn overlapping_polygons_handled() {
         middle: None,
     };
     let layout = build_layout(&spec);
-    let d = deck();
-    let reference = Engine::sequential().check(&layout, &d);
-    let par = Engine::parallel_on(Device::new(2)).check(&layout, &d);
-    assert_eq!(reference.violations, par.violations);
+    let d = decks::fuzz();
+    let want = reference(&layout, &d);
+    let par = Config::par().device(2).check(&layout, &d);
+    assert_agree("parallel", &par, &want, Agree::Shared, &[]);
     let flat = FlatChecker::new().check(&layout, &d);
-    assert_eq!(reference.violations, flat.violations);
+    assert_eq!(want.violations, flat.violations);
 }

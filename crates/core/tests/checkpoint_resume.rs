@@ -16,81 +16,21 @@
 //! 3. the resumed violation set equals the uninterrupted baseline.
 
 use odrc::{
-    rule, rule_signature, CancelReason, CancelToken, CheckpointJournal, Engine, EngineOptions,
-    Mode, RuleDeck, RuleStatus, RunKey, Violation,
+    rule_signature, CancelReason, CheckpointJournal, Mode, RuleDeck, RuleStatus, RunKey, Violation,
 };
-use odrc_layoutgen::{generate_layout, tech, DesignSpec};
-use odrc_xpu::{Device, Fault, FaultPlan};
-use std::path::{Path, PathBuf};
+use odrc_layoutgen::tech;
+use odrc_testkit::layouts::{fresh_dir, paper, tiny, without_top_wire};
+use odrc_testkit::{assert_agree, decks, reference, Agree, Config};
+use odrc_xpu::{Fault, FaultPlan};
+use std::path::Path;
 
-/// A deck exercising every checkpointable rule family — width, space
-/// (plain and projection-gated), area, enclosure, rectilinearity —
-/// plus an `ensures` rule, which has no stable signature and therefore
-/// must be re-run (never restored) on resume.
-fn deck() -> RuleDeck {
-    RuleDeck::new(vec![
-        rule()
-            .layer(tech::M1)
-            .width()
-            .greater_than(tech::M1_WIDTH)
-            .named("M1.W.1"),
-        rule()
-            .layer(tech::M1)
-            .area()
-            .greater_than(tech::M1_AREA)
-            .named("M1.A.1"),
-        rule()
-            .layer(tech::M1)
-            .space()
-            .greater_than(tech::M1_SPACE)
-            .named("M1.S.1"),
-        rule()
-            .layer(tech::M1)
-            .space()
-            .when_projection_at_least(tech::M1_WIDTH)
-            .greater_than(tech::M1_SPACE)
-            .named("M1.S.2"),
-        rule()
-            .layer(tech::M2)
-            .space()
-            .greater_than(tech::M2_SPACE)
-            .named("M2.S.1"),
-        rule()
-            .layer(tech::V1)
-            .enclosed_by(tech::M2)
-            .greater_than(tech::V1_M2_ENCLOSURE)
-            .named("V1.M2.EN.1"),
-        rule().polygons().is_rectilinear().named("RECT.1"),
-        // Unsigned: flags every V1 polygon, deterministically.
-        rule()
-            .layer(tech::V1)
-            .polygons()
-            .ensures("flagged", |_| false),
-    ])
-}
-
-fn engine(mode: Mode, fault_seed: Option<u64>) -> Engine {
-    let base = match mode {
-        Mode::Sequential => Engine::sequential(),
-        Mode::Parallel => {
-            let device = Device::new(3);
-            if let Some(seed) = fault_seed {
-                device.set_fault_plan(Some(FaultPlan::from_seed(seed, 6)));
-            }
-            Engine::parallel_on(device)
-        }
-    };
-    base.with_options(EngineOptions {
-        ..EngineOptions::default()
-    })
-}
-
-/// A private scratch directory, cleared on entry so reruns of the test
-/// binary never resume from a stale journal.
-fn fresh_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("odrc-kill-resume-{}-{}", tag, std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
+/// A cell of the kill matrix: `mode`, and in parallel mode an optional
+/// seeded fault schedule.
+fn cell(mode: Mode, fault_seed: Option<u64>) -> Config {
+    match fault_seed {
+        Some(seed) => Config::of(mode).fault_seed(seed),
+        None => Config::of(mode),
+    }
 }
 
 /// How many of the run's rules were both completed *and* signable —
@@ -118,14 +58,18 @@ fn kill_then_resume(
     polls: usize,
     dir: &Path,
 ) -> (odrc::CheckReport, odrc::CheckReport) {
-    let deck = deck();
+    let deck = decks::resumable();
     let key = RunKey::compute(layout, &deck);
+    let config = cell(mode, fault_seed);
 
     let mut journal = CheckpointJournal::open_dir(dir, key).expect("open fresh journal");
     assert!(journal.is_empty(), "fresh journal must start empty");
-    let killed = engine(mode, fault_seed)
-        .with_cancel(CancelToken::after_polls(polls))
-        .check_resumable(layout, &deck, None, Some(&mut journal));
+    let killed = config.clone().cancel_after(polls).engine().check_resumable(
+        layout,
+        &deck,
+        None,
+        Some(&mut journal),
+    );
 
     // Reopen from disk — the resume run must work from the persisted
     // bytes, not the in-memory journal the killed run appended to.
@@ -136,7 +80,9 @@ fn kill_then_resume(
         journaled_count(&killed, &deck),
         "journal holds exactly the signable rules the killed run completed"
     );
-    let resumed = engine(mode, fault_seed).check_resumable(layout, &deck, None, Some(&mut journal));
+    let resumed = config
+        .engine()
+        .check_resumable(layout, &deck, None, Some(&mut journal));
     (killed, resumed)
 }
 
@@ -145,7 +91,7 @@ fn assert_kill_resume_matrix(
     configs: &[(Mode, Option<u64>)],
     poll_budgets: &[usize],
 ) {
-    let baseline = engine(Mode::Sequential, None).check(layout, &deck());
+    let baseline = reference(layout, &decks::resumable());
     assert!(
         !baseline.violations.is_empty(),
         "designs under test must actually violate something"
@@ -181,13 +127,11 @@ fn assert_kill_resume_matrix(
             assert_eq!(resumed.interrupted, None, "{tag}");
             assert_eq!(
                 resumed.stats.rules_resumed,
-                journaled_count(&killed, &deck()),
+                journaled_count(&killed, &decks::resumable()),
                 "{tag}: resume must restore exactly the journaled rules"
             );
-            assert_eq!(
-                resumed.violations, baseline.violations,
-                "{tag}: resumed run must be byte-identical to uninterrupted baseline"
-            );
+            let what = format!("{tag}: resumed against the uninterrupted run");
+            assert_agree(&what, &resumed, &baseline, Agree::Report, &[]);
 
             let _ = std::fs::remove_dir_all(&dir);
         }
@@ -203,7 +147,7 @@ fn assert_kill_resume_matrix(
 /// kill must compose with the device layer's retry/degrade machinery.
 #[test]
 fn uart_kill_resume_is_byte_identical() {
-    let layout = generate_layout(&DesignSpec::paper("uart").expect("paper design"));
+    let layout = paper("uart");
     assert_kill_resume_matrix(
         &layout,
         &[
@@ -220,7 +164,7 @@ fn uart_kill_resume_is_byte_identical() {
 /// interactions a small layout cannot reach.
 #[test]
 fn aes_kill_resume_is_byte_identical() {
-    let layout = generate_layout(&DesignSpec::paper("aes").expect("paper design"));
+    let layout = paper("aes");
     assert_kill_resume_matrix(&layout, &[(Mode::Parallel, Some(13))], &[1, 3, 5, 64]);
 }
 
@@ -231,30 +175,32 @@ fn aes_kill_resume_is_byte_identical() {
 /// reported with exactly the fault-free run's violations.
 #[test]
 fn faulted_rule_completes_at_its_own_collect() {
-    let layout = generate_layout(&DesignSpec::paper("uart").expect("paper design"));
-    let deck = deck();
-    let baseline = engine(Mode::Parallel, None).check(&layout, &deck);
+    let layout = paper("uart");
+    let deck = decks::resumable();
+    let baseline = Config::par().check(&layout, &deck);
     // The M1 group leads the issue order and M1.W.1 leads the group, so
     // its width kernel is the device's launch 0.
     let faulted = "M1.W.1";
     let expected: Vec<Violation> = baseline.violations_of(faulted).cloned().collect();
     assert!(!expected.is_empty(), "uart must violate {faulted}");
 
-    let device = Device::new(3);
-    device.set_fault_plan(Some(FaultPlan::new().with(Fault::KernelPanic {
+    let plan = FaultPlan::new().with(Fault::KernelPanic {
         kernel: 0,
         thread: 0,
-    })));
+    });
+    let engine = Config::par().faults(plan).cancel_after(1).engine();
     let dir = fresh_dir("faulted-collect");
     let key = RunKey::compute(&layout, &deck);
     let mut journal = CheckpointJournal::open_dir(&dir, key).expect("open fresh journal");
     // The first poll passes and issues M1.W.1; the second trips.
-    let killed = Engine::parallel_on(device.clone())
-        .with_cancel(CancelToken::after_polls(1))
-        .check_resumable(&layout, &deck, None, Some(&mut journal));
+    let killed = engine.check_resumable(&layout, &deck, None, Some(&mut journal));
     drop(journal);
 
-    assert_eq!(device.faults_injected(), 1, "the kernel fault fired");
+    assert_eq!(
+        engine.device().faults_injected(),
+        1,
+        "the kernel fault fired"
+    );
     assert_eq!(killed.interrupted, Some(CancelReason::Interrupt));
     assert!(killed.stats.rules_interrupted > 0, "the deck was cut short");
     let status = killed
@@ -284,19 +230,12 @@ fn faulted_rule_completes_at_its_own_collect() {
 /// is still reported as an interrupt.
 #[test]
 fn cancel_inside_the_last_sharded_rule_is_reported() {
-    let layout = generate_layout(&DesignSpec::paper("uart").expect("paper design"));
-    let deck = RuleDeck::new(vec![rule()
-        .layer(tech::M1)
-        .space()
-        .greater_than(tech::M1_SPACE)
-        .named("M1.S.1")]);
+    let layout = paper("uart");
+    let deck = decks::tech_deck(&["M1.S.1"]);
     // The rule-boundary poll passes; the first shard's poll trips.
-    let report = Engine::sequential()
-        .with_options(EngineOptions {
-            shard_rows: Some(1),
-            ..EngineOptions::default()
-        })
-        .with_cancel(CancelToken::after_polls(1))
+    let report = Config::seq()
+        .shards(1)
+        .cancel_after(1)
         .check(&layout, &deck);
     assert_eq!(
         report.rule_status,
@@ -310,15 +249,16 @@ fn cancel_inside_the_last_sharded_rule_is_reported() {
 /// wrongly restored.
 #[test]
 fn resume_ignores_journal_from_different_run() {
-    let layout_a = generate_layout(&DesignSpec::tiny(11));
-    let layout_b = generate_layout(&DesignSpec::tiny(12));
-    let deck = deck();
+    let (layout_a, layout_b) = (tiny(11), tiny(12));
+    let deck = decks::resumable();
     let dir = fresh_dir("wrong-run");
 
     let mut journal =
         CheckpointJournal::open_dir(&dir, RunKey::compute(&layout_a, &deck)).expect("open");
     let complete =
-        engine(Mode::Sequential, None).check_resumable(&layout_a, &deck, None, Some(&mut journal));
+        Config::seq()
+            .engine()
+            .check_resumable(&layout_a, &deck, None, Some(&mut journal));
     assert_eq!(complete.stats.rules_completed, deck.rules().len());
     drop(journal);
 
@@ -328,11 +268,12 @@ fn resume_ignores_journal_from_different_run() {
         journal.is_empty(),
         "layout B must not see layout A's records"
     );
-    let fresh =
-        engine(Mode::Sequential, None).check_resumable(&layout_b, &deck, None, Some(&mut journal));
+    let fresh = Config::seq()
+        .engine()
+        .check_resumable(&layout_b, &deck, None, Some(&mut journal));
     assert_eq!(fresh.stats.rules_resumed, 0);
-    let baseline = engine(Mode::Sequential, None).check(&layout_b, &deck);
-    assert_eq!(fresh.violations, baseline.violations);
+    let want = reference(&layout_b, &deck);
+    assert_agree("layout B", &fresh, &want, Agree::Report, &[]);
 
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -341,11 +282,11 @@ fn resume_ignores_journal_from_different_run() {
 /// same rules and reports the same violations.
 #[test]
 fn double_resume_is_idempotent() {
-    let layout = generate_layout(&DesignSpec::paper("uart").expect("paper design"));
+    let layout = paper("uart");
     let dir = fresh_dir("double");
     let (_killed, first) = kill_then_resume(&layout, Mode::Parallel, None, 2, &dir);
 
-    let deck = deck();
+    let deck = decks::resumable();
     let mut journal =
         CheckpointJournal::open_dir(&dir, RunKey::compute(&layout, &deck)).expect("reopen");
     assert_eq!(
@@ -353,10 +294,11 @@ fn double_resume_is_idempotent() {
         journal_len_all_signable(&deck),
         "first resume completed the journal"
     );
-    let second =
-        engine(Mode::Parallel, None).check_resumable(&layout, &deck, None, Some(&mut journal));
+    let second = Config::par()
+        .engine()
+        .check_resumable(&layout, &deck, None, Some(&mut journal));
     assert_eq!(second.stats.rules_resumed, journal_len_all_signable(&deck));
-    assert_eq!(second.violations, first.violations);
+    assert_agree("second resume", &second, &first, Agree::Report, &[]);
 
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -376,27 +318,21 @@ fn journal_len_all_signable(deck: &RuleDeck) -> usize {
 /// out before the deck did.
 #[test]
 fn cancelled_delta_reports_only_whole_rules() {
-    let old = generate_layout(&DesignSpec::paper("uart").expect("paper design"));
-    let mut new = old.clone();
-    let top = new.top();
-    let wire = new
-        .cell(top)
-        .polygons()
-        .iter()
-        .position(|p| p.layer == tech::M2)
-        .expect("a top-level M2 wire");
-    new.remove_polygon(top, wire)
-        .expect("remove a top-level wire");
-    let deck = deck();
+    let old = paper("uart");
+    let new = without_top_wire(&old, tech::M2);
+    let deck = decks::resumable();
     let rules = deck.rules().len();
     for mode in [Mode::Sequential, Mode::Parallel] {
-        let old_violations = engine(mode, None).check(&old, &deck).violations;
-        let full = engine(mode, None).check(&new, &deck);
+        let old_violations = Config::of(mode).check(&old, &deck).violations;
+        let full = Config::of(mode).check(&new, &deck);
         assert!(!full.violations.is_empty(), "uart violates the deck");
         for polls in 0..=rules {
-            let report = engine(mode, None)
-                .with_cancel(CancelToken::after_polls(polls))
-                .check_delta(&old, &old_violations, &new, &deck);
+            let report = Config::of(mode).cancel_after(polls).engine().check_delta(
+                &old,
+                &old_violations,
+                &new,
+                &deck,
+            );
             let tag = format!("{mode:?} after {polls} poll(s)");
             assert!(!report.dirty.is_empty(), "{tag}: the edit dirtied nothing");
             assert_eq!(report.interrupted.is_some(), polls < rules, "{tag}");

@@ -7,28 +7,9 @@ use odrc_gdsii::model::ArrayParams;
 use odrc_gdsii::{Element, Library, RefElement, Structure};
 use odrc_geometry::{Point, Rect};
 use odrc_layoutgen::{generate_layout, tech, DesignSpec};
+use odrc_testkit::layouts::rect_el;
+use odrc_testkit::{decks, Config};
 use odrc_xpu::{Device, Fault, FaultPlan};
-
-fn rect_el(layer: i16, x0: i32, y0: i32, x1: i32, y1: i32) -> Element {
-    Element::boundary(
-        layer,
-        vec![
-            Point::new(x0, y0),
-            Point::new(x0, y1),
-            Point::new(x1, y1),
-            Point::new(x1, y0),
-        ],
-    )
-}
-
-fn deck() -> RuleDeck {
-    RuleDeck::new(vec![
-        rule().layer(1).width().greater_than(10).named("W"),
-        rule().layer(1).space().greater_than(12).named("S"),
-        rule().layer(1).area().greater_than(100).named("A"),
-        rule().layer(2).enclosed_by(1).greater_than(3).named("EN"),
-    ])
-}
 
 #[test]
 fn empty_top_cell() {
@@ -36,7 +17,7 @@ fn empty_top_cell() {
     lib.structures.push(Structure::new("TOP"));
     let layout = Layout::from_library(&lib).unwrap();
     for engine in [Engine::sequential(), Engine::parallel_on(Device::new(2))] {
-        let r = engine.check(&layout, &deck());
+        let r = engine.check(&layout, &decks::edge());
         assert!(r.violations.is_empty());
     }
 }
@@ -61,8 +42,8 @@ fn top_polygons_only_no_placements() {
     top.elements.push(rect_el(1, 15, 0, 40, 50)); // 7 from the first
     lib.structures.push(top);
     let layout = Layout::from_library(&lib).unwrap();
-    let seq = Engine::sequential().check(&layout, &deck());
-    let par = Engine::parallel_on(Device::new(2)).check(&layout, &deck());
+    let seq = Engine::sequential().check(&layout, &decks::edge());
+    let par = Engine::parallel_on(Device::new(2)).check(&layout, &decks::edge());
     assert_eq!(seq.violations, par.violations);
     assert_eq!(seq.violations_of("W").count(), 1);
     assert_eq!(seq.violations_of("S").count(), 1);
@@ -181,12 +162,6 @@ fn space_deck() -> RuleDeck {
         .named("S")])
 }
 
-fn parallel_engine(device: Device) -> Engine {
-    Engine::parallel_on(device).with_options(EngineOptions {
-        ..EngineOptions::default()
-    })
-}
-
 /// Checks `lib` in both modes, asserts they report the same `expected`
 /// number of violations at the same locations and did the same
 /// spacing work (both check the same packed templates and rows), and
@@ -194,7 +169,10 @@ fn parallel_engine(device: Device) -> Engine {
 fn both_modes(lib: &Library, expected: usize, what: &str) -> (CheckReport, CheckReport) {
     let layout = Layout::from_library(lib).unwrap();
     let seq = Engine::sequential().check(&layout, &space_deck());
-    let par = parallel_engine(Device::new(2)).check(&layout, &space_deck());
+    let par = Config::par()
+        .device(2)
+        .engine()
+        .check(&layout, &space_deck());
     assert_eq!(seq.violations.len(), expected, "{what}: sequential count");
     assert_eq!(
         par.violations, seq.violations,
@@ -446,7 +424,7 @@ fn border_pair_refound_by_the_row_kernel_is_reported_once() {
     let new = Layout::from_library(&lib).unwrap();
     let expected = Engine::sequential().check(&new, &space_deck()).violations;
     assert_eq!(expected.len(), 5);
-    for engine in [Engine::sequential(), parallel_engine(Device::new(2))] {
+    for engine in [Engine::sequential(), Config::par().device(2).engine()] {
         let got = engine.check_delta(&old, &par.violations, &new, &space_deck());
         assert_eq!(got.violations, expected, "{:?} delta", engine.mode());
     }

@@ -8,46 +8,19 @@
 //! of reaching that path reports the same canonical violations as the
 //! single-threaded in-core sequential run.
 
-use odrc::{rule, Engine, EngineOptions, Mode, RuleDeck, Violation, ViolationKind};
+use odrc::{CheckReport, Mode, ViolationKind};
 use odrc_db::{LayerPolygon, Layout};
 use odrc_geometry::{Coord, Point, Polygon, Rect};
 use odrc_layoutgen::{generate, tech, DesignSpec};
-use odrc_xpu::Device;
+use odrc_testkit::{assert_agree, decks, reference, Agree, Config};
 
 const THREADS: [usize; 3] = [1, 2, 4];
 
-/// Enclosure on both via layers against both of their metals, and the
-/// overlap-area form of the same constraint (a via pushed off its wire
-/// shares less than its full area with it).
-fn deck() -> RuleDeck {
-    let via_area = i64::from(tech::V1_SIZE) * i64::from(tech::V1_SIZE);
-    RuleDeck::new(vec![
-        rule()
-            .layer(tech::V1)
-            .enclosed_by(tech::M1)
-            .greater_than(tech::V1_M1_ENCLOSURE)
-            .named("V1.M1.EN.1"),
-        rule()
-            .layer(tech::V1)
-            .enclosed_by(tech::M2)
-            .greater_than(tech::V1_M2_ENCLOSURE)
-            .named("V1.M2.EN.1"),
-        rule()
-            .layer(tech::V2)
-            .enclosed_by(tech::M3)
-            .greater_than(tech::V2_M3_ENCLOSURE)
-            .named("V2.M3.EN.1"),
-        rule()
-            .layer(tech::V1)
-            .overlapping(tech::M2)
-            .area_at_least(via_area)
-            .named("V1.M2.OV.1"),
-        rule()
-            .layer(tech::V2)
-            .overlapping(tech::M3)
-            .area_at_least(via_area)
-            .named("V2.M3.OV.1"),
-    ])
+/// Every in-core cell: both modes at every thread count.
+fn in_core() -> impl Iterator<Item = Config> {
+    [Mode::Sequential, Mode::Parallel]
+        .into_iter()
+        .flat_map(|mode| THREADS.map(|n| Config::of(mode).threads(n)))
 }
 
 /// A generated design where roughly a third of the vias are injected
@@ -64,68 +37,41 @@ fn dirty_design(seed: u64) -> Layout {
     Layout::from_library(&design.library).expect("generated library imports")
 }
 
-fn engine(mode: Mode, options: EngineOptions) -> Engine {
-    let base = match mode {
-        Mode::Sequential => Engine::sequential(),
-        Mode::Parallel => Engine::parallel_on(Device::new(3)),
-    };
-    base.with_options(EngineOptions { ..options })
-}
-
-fn threads(n: usize) -> EngineOptions {
-    EngineOptions {
-        host_threads: Some(n),
-        ..EngineOptions::default()
-    }
-}
-
-/// The single-threaded in-core sequential report every other
-/// configuration must reproduce; asserts both rule kinds fire.
-fn baseline(layout: &Layout) -> Vec<Violation> {
-    let report = engine(Mode::Sequential, threads(1)).check(layout, &deck());
+/// The reference report every other cell must reproduce; asserts both
+/// rule kinds fire.
+fn vias_reference(layout: &Layout) -> CheckReport {
+    let report = reference(layout, &decks::vias());
     for kind in [ViolationKind::Enclosure, ViolationKind::OverlapArea] {
         assert!(
             report.violations.iter().any(|v| v.kind == kind),
             "the design exercises no {kind:?} violation"
         );
     }
-    report.violations
+    report
 }
 
 #[test]
 fn in_core_reports_match_across_threads_and_modes() {
     let layout = dirty_design(41);
-    let expected = baseline(&layout);
-    for mode in [Mode::Sequential, Mode::Parallel] {
-        for n in THREADS {
-            let got = engine(mode, threads(n)).check(&layout, &deck());
-            assert_eq!(
-                got.violations, expected,
-                "{mode:?} with {n} host thread(s) diverged"
-            );
-        }
+    let want = vias_reference(&layout);
+    for config in in_core() {
+        let got = config.check(&layout, &decks::vias());
+        assert_agree(&format!("{config:?}"), &got, &want, Agree::Shared, &[]);
     }
 }
 
 #[test]
 fn sharded_reports_match_in_core() {
     let layout = dirty_design(42);
-    let expected = baseline(&layout);
+    let want = vias_reference(&layout);
     // A budget far below one layer scene (every shard evicts or
     // degrades) and a roomy one, at two shard granularities.
     for (budget, shard_rows) in [(4 << 10, 1), (4 << 10, 3), (64 << 20, 2)] {
         for n in THREADS {
-            let options = EngineOptions {
-                memory_budget: Some(budget),
-                shard_rows: Some(shard_rows),
-                ..threads(n)
-            };
-            let got = engine(Mode::Sequential, options).check(&layout, &deck());
+            let config = Config::seq().threads(n).shards(shard_rows).budget(budget);
+            let got = config.check(&layout, &decks::vias());
             assert!(got.stats.shards_checked > 0, "the run did not shard");
-            assert_eq!(
-                got.violations, expected,
-                "budget {budget}, {shard_rows} row(s) per shard, {n} host thread(s) diverged"
-            );
+            assert_agree(&format!("{config:?}"), &got, &want, Agree::Report, &[]);
         }
     }
 }
@@ -133,7 +79,7 @@ fn sharded_reports_match_in_core() {
 #[test]
 fn delta_window_reports_match_a_fresh_check() {
     let old = dirty_design(43);
-    let old_violations = baseline(&old);
+    let old_violations = vias_reference(&old).violations;
 
     // Push one clean V1 via off its wire and drop the M2 wire under
     // another: both enclosure and overlap verdicts change near the dirt.
@@ -171,16 +117,22 @@ fn delta_window_reports_match_a_fresh_check() {
     new.remove_polygon(top, wire)
         .expect("remove a top-cell wire");
 
-    let expected = baseline(&new);
-    assert_ne!(expected, old_violations, "the edit changed no verdict");
-    for mode in [Mode::Sequential, Mode::Parallel] {
-        for n in THREADS {
-            let got = engine(mode, threads(n)).check_delta(&old, &old_violations, &new, &deck());
-            assert_eq!(
-                got.violations, expected,
-                "{mode:?} delta with {n} host thread(s) diverged"
-            );
-        }
+    let want = vias_reference(&new);
+    assert_ne!(
+        want.violations, old_violations,
+        "the edit changed no verdict"
+    );
+    for config in in_core() {
+        let got = config
+            .engine()
+            .check_delta(&old, &old_violations, &new, &decks::vias());
+        assert_agree(
+            &format!("{config:?} delta"),
+            &got,
+            &want,
+            Agree::Report,
+            &[],
+        );
     }
 }
 
@@ -226,29 +178,30 @@ fn with_spanning_wire(layout: &Layout) -> Layout {
 #[test]
 fn a_row_spanning_outer_wire_matches_in_core_sharded_and_delta() {
     let old = dirty_design(44);
-    let old_violations = baseline(&old);
+    let old_violations = vias_reference(&old).violations;
     let new = with_spanning_wire(&old);
-    let expected = baseline(&new);
-    assert_ne!(expected, old_violations, "the wire changed no verdict");
-    for mode in [Mode::Sequential, Mode::Parallel] {
-        for n in THREADS {
-            let got = engine(mode, threads(n)).check(&new, &deck());
-            assert_eq!(got.violations, expected, "{mode:?} with {n} thread(s)");
-            let got = engine(mode, threads(n)).check_delta(&old, &old_violations, &new, &deck());
-            assert_eq!(
-                got.violations, expected,
-                "{mode:?} delta with {n} thread(s)"
-            );
-        }
+    let want = vias_reference(&new);
+    assert_ne!(
+        want.violations, old_violations,
+        "the wire changed no verdict"
+    );
+    for config in in_core() {
+        let engine = config.engine();
+        let got = engine.check(&new, &decks::vias());
+        assert_agree(&format!("{config:?}"), &got, &want, Agree::Shared, &[]);
+        let got = engine.check_delta(&old, &old_violations, &new, &decks::vias());
+        assert_agree(
+            &format!("{config:?} delta"),
+            &got,
+            &want,
+            Agree::Report,
+            &[],
+        );
     }
     for n in THREADS {
-        let options = EngineOptions {
-            memory_budget: Some(4 << 10),
-            shard_rows: Some(1),
-            ..threads(n)
-        };
-        let got = engine(Mode::Sequential, options).check(&new, &deck());
+        let config = Config::seq().threads(n).shards(1).budget(4 << 10);
+        let got = config.check(&new, &decks::vias());
         assert!(got.stats.shards_checked > 0, "the run did not shard");
-        assert_eq!(got.violations, expected, "sharded with {n} thread(s)");
+        assert_agree(&format!("{config:?}"), &got, &want, Agree::Report, &[]);
     }
 }

@@ -21,170 +21,22 @@
 //! a cut through the hierarchy tree at its leaves, whatever the depth
 //! above them.
 
-use odrc::{
-    canonicalize, rule, CounterClass, Engine, EngineOptions, EngineStats, RuleDeck, Violation,
-};
+use odrc::Violation;
 use odrc_db::Layout;
-use odrc_gdsii::{BoundaryElement, Element, Library, RefElement, Structure};
-use odrc_geometry::{Point, Rect, Rotation, Transform};
-use odrc_layoutgen::{generate_layout, tech, DesignSpec};
-use odrc_xpu::Device;
+use odrc_gdsii::{Element, Library};
+use odrc_geometry::{Rect, Transform};
+use odrc_layoutgen::tech;
+use odrc_testkit::layouts::{array_2x2, inlined, mapped, paper, placements, tiny, wrapped};
+use odrc_testkit::{assert_agree, assert_degraded_iff_fired, decks, reference, Agree, Config};
 
-/// Every rule family: width, area, two spacing rules on one layer, the
-/// other routing layers' spacing, enclosure on every via pair, overlap
-/// area and the layer-less rectilinear check.
-fn deck() -> RuleDeck {
-    RuleDeck::new(vec![
-        rule()
-            .layer(tech::M1)
-            .width()
-            .greater_than(tech::M1_WIDTH)
-            .named("M1.W.1"),
-        rule()
-            .layer(tech::M2)
-            .width()
-            .greater_than(tech::M2_WIDTH)
-            .named("M2.W.1"),
-        rule()
-            .layer(tech::M1)
-            .area()
-            .greater_than(tech::M1_AREA)
-            .named("M1.A.1"),
-        rule()
-            .layer(tech::M1)
-            .space()
-            .greater_than(tech::M1_SPACE)
-            .named("M1.S.1"),
-        rule()
-            .layer(tech::M1)
-            .space()
-            .when_projection_at_least(tech::M1_WIDTH)
-            .greater_than(tech::M1_SPACE + 6)
-            .named("M1.S.2"),
-        rule()
-            .layer(tech::M2)
-            .space()
-            .greater_than(tech::M2_SPACE)
-            .named("M2.S.1"),
-        rule()
-            .layer(tech::M3)
-            .space()
-            .greater_than(tech::M3_SPACE)
-            .named("M3.S.1"),
-        rule()
-            .layer(tech::V1)
-            .enclosed_by(tech::M1)
-            .greater_than(tech::V1_M1_ENCLOSURE)
-            .named("V1.M1.EN.1"),
-        rule()
-            .layer(tech::V1)
-            .enclosed_by(tech::M2)
-            .greater_than(tech::V1_M2_ENCLOSURE)
-            .named("V1.M2.EN.1"),
-        rule()
-            .layer(tech::V2)
-            .enclosed_by(tech::M3)
-            .greater_than(tech::V2_M3_ENCLOSURE)
-            .named("V2.M3.EN.1"),
-        rule()
-            .layer(tech::V2)
-            .overlapping(tech::M2)
-            .area_at_least(80)
-            .named("V2.M2.OV.1"),
-        rule().polygons().is_rectilinear(),
-    ])
-}
-
-/// The engines whose reports must agree: default, `--parallel`, and one
+/// The cells whose reports must agree: default, `--parallel`, and one
 /// partition row per shard.
-fn engines() -> [(&'static str, Engine); 3] {
-    let sharded = EngineOptions {
-        shard_rows: Some(1),
-        ..EngineOptions::default()
-    };
+fn cells() -> [(&'static str, Config); 3] {
     [
-        ("default", Engine::sequential()),
-        ("parallel", Engine::parallel_on(Device::new(2))),
-        ("shard_rows 1", Engine::sequential().with_options(sharded)),
+        ("default", Config::seq()),
+        ("parallel", Config::par().device(2)),
+        ("shard_rows 1", Config::seq().shards(1)),
     ]
-}
-
-/// The 8 orientations, each with a translation that is not a multiple
-/// of the row pitch (nor of the site width), so the partition's row
-/// boundaries move too.
-fn placements() -> Vec<Transform> {
-    let shift = Point::new(7 * tech::ROW_HEIGHT + 131, -3 * tech::ROW_HEIGHT - 97);
-    (0..8)
-        .map(|k| {
-            let rotation = Rotation::from_quarter_turns(k % 4);
-            Transform::new(k >= 4, rotation, 1, shift)
-        })
-        .collect()
-}
-
-fn sref(name: &str, t: Transform) -> Element {
-    let mut r = RefElement::sref(name, t.translate());
-    r.mirror_x = t.mirror_x();
-    r.angle_deg = f64::from(t.rotation().quarter_turns()) * 90.0;
-    Element::Ref(r)
-}
-
-/// `base` with its top cell placed by a new top cell, once per
-/// transform in `at`.
-fn wrapped(base: &Layout, at: &[Transform]) -> Layout {
-    let mut lib = base.to_library("depth");
-    let name = base.cell(base.top()).name().to_owned();
-    let mut wrap = Structure::new("WRAP");
-    wrap.elements.extend(at.iter().map(|&t| sref(&name, t)));
-    lib.structures.push(wrap);
-    Layout::from_library(&lib).expect("wrapped library")
-}
-
-/// The inlined twin of [`wrapped`]: the top cell's contents drawn once
-/// per transform in `at` in a new top cell, one level deep.
-fn inlined(base: &Layout, at: &[Transform]) -> Layout {
-    let top = base.cell(base.top());
-    let mut lib = base.to_library("depth");
-    lib.structures.retain(|s| s.name != top.name());
-    let mut flat = Structure::new("FLAT");
-    for t in at {
-        for p in top.polygons() {
-            flat.elements.push(Element::Boundary(BoundaryElement {
-                layer: p.layer,
-                datatype: p.datatype,
-                points: t.apply_polygon(&p.polygon).vertices().to_vec(),
-                properties: Vec::new(),
-            }));
-        }
-        for r in top.refs() {
-            let name = base.cell(r.cell).name();
-            flat.elements.push(sref(name, r.transform.then(t)));
-        }
-    }
-    lib.structures.push(flat);
-    Layout::from_library(&lib).expect("inlined library")
-}
-
-/// A 2×2 array of `base`'s top cell, far enough apart not to interact.
-fn array_2x2(base: &Layout) -> Vec<Transform> {
-    let mbr = base.cell(base.top()).mbr().expect("design has geometry");
-    let pitch = |extent: i64| i32::try_from(2 * extent + 1000).expect("pitch fits i32");
-    let (dx, dy) = (pitch(mbr.width()), pitch(mbr.height()));
-    [(0, 0), (dx, 0), (0, dy), (dx, dy)]
-        .into_iter()
-        .map(|(x, y)| Transform::translation(Point::new(x, y)))
-        .collect()
-}
-
-/// `violations` placed by each transform of `at`, canonicalized.
-fn mapped(violations: &[Violation], at: &[Transform]) -> Vec<Violation> {
-    let placed = at.iter().flat_map(|t| {
-        violations.iter().map(move |v| Violation {
-            location: t.apply_rect(v.location),
-            ..v.clone()
-        })
-    });
-    canonicalize(placed.collect())
 }
 
 /// The counters a wrapped design and its inlined twin may differ in,
@@ -203,42 +55,30 @@ const DEPTH_VARIANT: [&str; 5] = [
     "bytes_uploaded",
 ];
 
-/// The work a design and its inlined twin share: every non-telemetry
-/// counter but [`DEPTH_VARIANT`]'s.
-fn work(stats: &EngineStats) -> Vec<(&'static str, u64)> {
-    let mut work = stats.counters(|class| class != CounterClass::Telemetry);
-    work.retain(|(name, _)| !DEPTH_VARIANT.contains(name));
-    work
-}
-
-/// `base` drawn under `at`, both ways: every engine's report on the
+/// `base` drawn under `at`, both ways: every cell's report on the
 /// wrapped design is `expected`, and the wrapped design and its inlined
 /// twin report alike and do the same work.
 fn assert_depth_holds(what: &str, base: &Layout, at: &[Transform], expected: &[Violation]) {
-    let deck = deck();
+    let deck = decks::every_family();
     let (deep, twin) = (wrapped(base, at), inlined(base, at));
-    for (mode, engine) in engines() {
-        let a = engine.check(&deep, &deck);
-        let b = engine.check(&twin, &deck);
+    for (mode, config) in cells() {
+        let a = config.check(&deep, &deck);
+        let b = config.check(&twin, &deck);
         assert_eq!(a.violations, expected, "{what}: {mode}: wrapped report");
-        assert_eq!(b.violations, expected, "{what}: {mode}: inlined report");
-        assert_eq!(
-            work(&a.stats),
-            work(&b.stats),
-            "{what}: {mode}: wrapped and inlined work"
-        );
+        let what = format!("{what}: {mode}: wrapped and inlined");
+        assert_agree(&what, &a, &b, Agree::Exact, &DEPTH_VARIANT);
     }
 }
 
-/// The generated `design` checked in the default mode.
+/// The generated design's reference report.
 fn base_report(base: &Layout) -> Vec<Violation> {
-    Engine::sequential().check(base, &deck()).violations
+    reference(base, &decks::every_family()).violations
 }
 
 #[test]
 fn tiny_designs_wrapped_under_every_orientation() {
     for seed in [3, 10] {
-        let base = generate_layout(&DesignSpec::tiny(seed));
+        let base = tiny(seed);
         let report = base_report(&base);
         assert!(!report.is_empty(), "seed {seed}: the deck finds something");
         for t in placements() {
@@ -251,17 +91,42 @@ fn tiny_designs_wrapped_under_every_orientation() {
 #[test]
 fn tiny_2x2_array_is_its_inlined_twin() {
     for seed in [3, 10] {
-        let base = generate_layout(&DesignSpec::tiny(seed));
+        let base = tiny(seed);
         let at = array_2x2(&base);
         let expected = mapped(&base_report(&base), &at);
         assert_depth_holds(&format!("tiny:{seed} 2x2"), &base, &at, &expected);
     }
 }
 
+/// A wrapped design under `--parallel` with a seeded fault schedule:
+/// its report is its inlined twin's, whatever fired, and each run
+/// reports `degraded()` iff a fault fired.
+#[test]
+fn wrapped_design_under_seeded_faults_is_its_inlined_twin() {
+    let deck = decks::every_family();
+    let base = tiny(10);
+    let t = placements()[3];
+    let (deep, twin) = (wrapped(&base, &[t]), inlined(&base, &[t]));
+    let want = reference(&twin, &deck);
+    assert_eq!(want.violations, mapped(&base_report(&base), &[t]));
+    let mut fired = 0;
+    for fault_seed in 0..8 {
+        for layout in [&deep, &twin] {
+            let engine = Config::par().device(2).fault_seed(fault_seed).engine();
+            let got = engine.check(layout, &deck);
+            let what = format!("fault seed {fault_seed}");
+            assert_agree(&what, &got, &want, Agree::Report, &[]);
+            assert_degraded_iff_fired(&what, &engine, &got.stats);
+            fired += usize::from(got.stats.degraded());
+        }
+    }
+    assert!(fired > 0, "no seeded schedule fired a fault");
+}
+
 /// The paper's `aes` at ×1 wrapped under a mirrored rotation.
 #[test]
 fn aes_wrapped_under_a_mirrored_rotation() {
-    let base = generate_layout(&DesignSpec::paper("aes").expect("paper design"));
+    let base = paper("aes");
     let t = placements()[5];
     let expected = mapped(&base_report(&base), &[t]);
     assert_depth_holds(&format!("aes under {t:?}"), &base, &[t], &expected);
@@ -271,7 +136,7 @@ fn aes_wrapped_under_a_mirrored_rotation() {
 /// cliff when a scene's objects were the top cell's children.
 #[test]
 fn jpeg_2x2_array_is_its_inlined_twin() {
-    let base = generate_layout(&DesignSpec::paper("jpeg").expect("paper design"));
+    let base = paper("jpeg");
     let at = array_2x2(&base);
     let expected = mapped(&base_report(&base), &at);
     assert_depth_holds("jpeg 2x2", &base, &at, &expected);
@@ -282,8 +147,8 @@ fn jpeg_2x2_array_is_its_inlined_twin() {
 /// mapped through the placement.
 #[test]
 fn delta_after_an_edit_inside_the_block() {
-    let deck = deck();
-    let base = generate_layout(&DesignSpec::tiny(10));
+    let deck = decks::every_family();
+    let base = tiny(10);
     let edited = {
         let mut lib: Library = base.to_library("depth");
         let top = base.cell(base.top()).name().to_owned();
@@ -309,7 +174,8 @@ fn delta_after_an_edit_inside_the_block() {
     let expected_base = base_report(&edited);
     for t in [placements()[0], placements()[6]] {
         let (old, new) = (wrapped(&base, &[t]), wrapped(&edited, &[t]));
-        for (mode, engine) in engines().into_iter().take(2) {
+        for (mode, config) in cells().into_iter().take(2) {
+            let engine = config.engine();
             let before = engine.check(&old, &deck);
             let delta = engine.check_delta(&old, &before.violations, &new, &deck);
             assert_eq!(

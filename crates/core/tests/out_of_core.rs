@@ -10,79 +10,21 @@
 //! and an unlimited budget never evicts.
 
 use odrc::{
-    rule, rule_signature, CancelToken, CheckpointJournal, Engine, EngineOptions, Mode, RuleDeck,
-    RuleStatus, RunKey, Violation,
+    rule, rule_signature, CheckpointJournal, Mode, ResultCache, RuleDeck, RuleStatus, RunKey,
+    Violation,
 };
-use odrc_layoutgen::{generate_layout, tech, DesignSpec};
-use odrc_xpu::Device;
+use odrc_layoutgen::tech;
+use odrc_testkit::decks::{self, tech_deck};
+use odrc_testkit::layouts::{fresh_dir, tiny};
+use odrc_testkit::{assert_agree, reference, Agree, Config};
 use proptest::prelude::*;
-use std::path::PathBuf;
 
-/// Width/area intra rules (whole-rule units) alongside every sharded
-/// family: plain and projection-gated spacing, enclosure, and overlap
-/// area.
-fn deck() -> RuleDeck {
-    RuleDeck::new(vec![
-        rule()
-            .layer(tech::M1)
-            .width()
-            .greater_than(tech::M1_WIDTH)
-            .named("M1.W.1"),
-        rule()
-            .layer(tech::M1)
-            .space()
-            .greater_than(tech::M1_SPACE)
-            .named("M1.S.1"),
-        rule()
-            .layer(tech::M2)
-            .space()
-            .when_projection_at_least(tech::M2_WIDTH)
-            .greater_than(tech::M2_SPACE)
-            .named("M2.S.2"),
-        rule()
-            .layer(tech::V1)
-            .enclosed_by(tech::M2)
-            .greater_than(tech::V1_M2_ENCLOSURE)
-            .named("V1.M2.EN.1"),
-        rule()
-            .layer(tech::V1)
-            .overlapping(tech::M2)
-            .area_at_least(100)
-            .named("V1.M2.OV.1"),
-    ])
-}
-
-fn engine(mode: Mode, options: EngineOptions) -> Engine {
-    match mode {
-        Mode::Sequential => Engine::sequential(),
-        Mode::Parallel => Engine::parallel_on(Device::new(2)),
-    }
-    .with_options(options)
-}
-
-fn out_of_core_options(budget: Option<u64>, shard_rows: usize) -> EngineOptions {
-    EngineOptions {
+/// Out of core in `mode`: `shard_rows` rows per shard under `budget`.
+fn sharded(mode: Mode, budget: Option<u64>, shard_rows: usize) -> Config {
+    Config {
         memory_budget: budget,
-        shard_rows: Some(shard_rows),
-        ..EngineOptions::default()
+        ..Config::of(mode).shards(shard_rows)
     }
-}
-
-fn baseline(mode: Mode, layout: &odrc_db::Layout) -> Vec<Violation> {
-    engine(
-        mode,
-        EngineOptions {
-            ..EngineOptions::default()
-        },
-    )
-    .check(layout, &deck())
-    .violations
-}
-
-fn fresh_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("odrc-ooc-{}-{}", tag, std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
 }
 
 /// The shard count of each deck rule under this plan geometry, via a
@@ -90,118 +32,68 @@ fn fresh_dir(tag: &str) -> PathBuf {
 /// rule, and `shard_rows`, so these counts are exact). Intra rules
 /// count zero — they are whole-rule units.
 fn per_rule_shards(layout: &odrc_db::Layout, deck: &RuleDeck, shard_rows: usize) -> Vec<usize> {
+    let config = Config::seq().shards(shard_rows);
     deck.rules()
         .iter()
         .map(|r| {
             if r.is_intra_polygon() {
-                0
-            } else {
-                engine(Mode::Sequential, out_of_core_options(None, shard_rows))
-                    .check(layout, &RuleDeck::new(vec![r.clone()]))
-                    .stats
-                    .shards_checked
+                return 0;
             }
+            let one = RuleDeck::new(vec![r.clone()]);
+            config.check(layout, &one).stats.shards_checked
         })
         .collect()
-}
-
-/// The sharded spacing rules of [`deck`] on their own: their counters
-/// are comparable with an in-core sequential run of the same deck.
-fn spacing_deck() -> RuleDeck {
-    RuleDeck::new(
-        deck()
-            .rules()
-            .iter()
-            .filter(|r| r.name.contains(".S."))
-            .cloned()
-            .collect(),
-    )
 }
 
 /// Byte-identity of a budgeted sharded run against the in-core run,
 /// for any (budget, shard size, mode, pruning) combination and any
 /// host thread count — with the shard units actually exercised.
-fn equivalence_case(
-    seed: u64,
-    budget: Option<u64>,
-    shard_rows: usize,
-    mode: Mode,
-    pruning: bool,
-) -> Result<(), String> {
-    let layout = generate_layout(&DesignSpec::tiny(seed));
-    let base = baseline(mode, &layout);
-    let case = format!(
-        "seed {seed}, budget {budget:?}, shard_rows {shard_rows}, mode {mode:?}, pruning {pruning}"
-    );
-    let options = |host_threads: usize| EngineOptions {
-        pruning,
-        host_threads: Some(host_threads),
-        ..out_of_core_options(budget, shard_rows)
+fn equivalence_case(seed: u64, budget: Option<u64>, shard_rows: usize, mode: Mode, pruning: bool) {
+    let layout = tiny(seed);
+    let want = reference(&layout, &decks::sharded());
+    let config = |threads| {
+        sharded(mode, budget, shard_rows)
+            .pruning(pruning)
+            .threads(threads)
     };
-    for host_threads in [1, 2, 4] {
-        let report = engine(mode, options(host_threads)).check(&layout, &deck());
-        if report.violations != base {
-            return Err(format!(
-                "sharded run diverged: {} vs {} violations ({case}, host_threads {host_threads})",
-                report.violations.len(),
-                base.len()
-            ));
-        }
-        if report.stats.shards_checked == 0 {
-            return Err("sharded run checked no shards".into());
-        }
-        if budget.is_none() && report.stats.shards_evicted + report.stats.shards_degraded != 0 {
-            return Err("unlimited budget must never evict or degrade".into());
+    let case = |threads| format!("{:?}", config(threads));
+    for threads in [1, 2, 4] {
+        let got = config(threads).check(&layout, &decks::sharded());
+        assert_agree(&case(threads), &got, &want, Agree::Report, &[]);
+        assert!(got.stats.shards_checked > 0, "{}: no shard", case(threads));
+        if budget.is_none() {
+            let moved = got.stats.shards_evicted + got.stats.shards_degraded;
+            assert_eq!(moved, 0, "unlimited budget must never evict or degrade");
         }
     }
 
     // Shards run the in-core row pipeline under one §IV-C memo per
     // rule, so on the spacing rules every work counter is the in-core
     // sequential run's — pruning on or off, for any thread count.
-    let spacing = spacing_deck();
-    let in_core = Engine::sequential()
-        .with_options(EngineOptions {
-            pruning,
-            ..EngineOptions::default()
-        })
-        .check(&layout, &spacing);
-    if in_core.stats.edges_packed == 0 {
-        return Err(format!("the in-core spacing run packed no edge ({case})"));
-    }
-    let counters = |s: &odrc::EngineStats| {
+    let spacing = tech_deck(&["M1.S.1", "M2.S.2"]);
+    let in_core = Config::seq().pruning(pruning).check(&layout, &spacing);
+    assert!(
+        in_core.stats.edges_packed > 0,
+        "the in-core spacing run packed no edge"
+    );
+    let work = |s: &odrc::EngineStats| {
+        let packed = s.edges_packed as usize;
         [
             s.candidate_pairs,
             s.checks_computed,
             s.checks_reused,
-            s.edges_packed as usize,
-            s.shards_checked,
+            packed,
         ]
     };
-    let mut first = None;
-    for host_threads in [1, 2, 4] {
-        let report = engine(mode, options(host_threads)).check(&layout, &spacing);
-        let stats = &report.stats;
-        if report.violations != in_core.violations
-            || stats.candidate_pairs != in_core.stats.candidate_pairs
-            || stats.checks_computed != in_core.stats.checks_computed
-            || stats.checks_reused != in_core.stats.checks_reused
-            || stats.edges_packed != in_core.stats.edges_packed
-        {
-            return Err(format!(
-                "sharded spacing run left the in-core run's report or counters ({case}, \
-                 host_threads {host_threads}): {stats:?} vs {:?}",
-                in_core.stats
-            ));
-        }
-        let first = *first.get_or_insert(counters(stats));
-        if counters(stats) != first {
-            return Err(format!(
-                "host_threads {host_threads} moved the sharded counters ({case}): {:?} vs {first:?}",
-                counters(stats)
-            ));
-        }
+    let mut shards = None;
+    for threads in [1, 2, 4] {
+        let got = config(threads).check(&layout, &spacing);
+        let what = format!("{}: sharded spacing", case(threads));
+        assert_eq!(got.violations, in_core.violations, "{what}");
+        assert_eq!(work(&got.stats), work(&in_core.stats), "{what}");
+        let first = *shards.get_or_insert(got.stats.shards_checked);
+        assert_eq!(got.stats.shards_checked, first, "{what}: shards_checked");
     }
-    Ok(())
 }
 
 /// Cancel at a seeded poll (a rule *or shard* boundary), resume from
@@ -215,120 +107,93 @@ fn kill_resume_case(
     mode: Mode,
     polls: usize,
     tag: &str,
-) -> Result<(), String> {
-    let layout = generate_layout(&DesignSpec::tiny(seed));
-    let deck = deck();
-    let base = baseline(mode, &layout);
+) {
+    let layout = tiny(seed);
+    let deck = decks::sharded();
+    let want = reference(&layout, &deck);
     let run_key = RunKey::compute(&layout, &deck);
     let counts = per_rule_shards(&layout, &deck, shard_rows);
     let total_shards: usize = counts.iter().sum();
+    let config = sharded(mode, budget, shard_rows);
+    let case = format!("{config:?}, seed {seed}, polls {polls}");
 
     // The uninterrupted out-of-core run agrees with the per-rule plan.
-    let full = engine(mode, out_of_core_options(budget, shard_rows)).check(&layout, &deck);
-    if full.violations != base {
-        return Err("uninterrupted sharded run diverged from in-core baseline".into());
-    }
-    if full.stats.shards_checked != total_shards {
-        return Err(format!(
-            "full run checked {} shards, per-rule plans sum to {total_shards}",
-            full.stats.shards_checked
-        ));
-    }
+    let full = config.check(&layout, &deck);
+    assert_agree(&case, &full, &want, Agree::Report, &[]);
+    assert_eq!(
+        full.stats.shards_checked, total_shards,
+        "{case}: per-rule plans"
+    );
 
     let dir = fresh_dir(tag);
+    let resume = |config: &Config| {
+        let mut journal = CheckpointJournal::open_dir(&dir, run_key).expect("open journal");
+        config
+            .engine()
+            .check_resumable(&layout, &deck, None, Some(&mut journal))
+    };
     // Run 1: cancelled at a deterministic poll boundary.
-    let mut journal = CheckpointJournal::open_dir(&dir, run_key).map_err(|e| e.to_string())?;
-    let interrupted = engine(mode, out_of_core_options(budget, shard_rows))
-        .with_cancel(CancelToken::after_polls(polls))
-        .check_resumable(&layout, &deck, None, Some(&mut journal));
-    drop(journal);
+    let interrupted = resume(&config.clone().cancel_after(polls));
 
     // Shard units the first run completed inside rules it *finished*
     // (their whole-rule records supersede the shard records on resume)
     // versus inside the rule it was cancelled out of (these must be
     // restored shard by shard).
+    let completed = |(_, status): &&(String, RuleStatus)| *status == RuleStatus::Completed;
     let finished_shards: usize = interrupted
         .rule_status
         .iter()
         .zip(&counts)
-        .filter(|((_, s), _)| *s == RuleStatus::Completed)
+        .filter(|(s, _)| completed(s))
         .map(|(_, n)| *n)
         .sum();
     let mid_rule_shards = interrupted.stats.shards_checked - finished_shards;
 
     // Run 2: resume. Every journaled unit restores; the rest re-runs.
-    let mut journal = CheckpointJournal::open_dir(&dir, run_key).map_err(|e| e.to_string())?;
-    let resumed = engine(mode, out_of_core_options(budget, shard_rows)).check_resumable(
-        &layout,
-        &deck,
-        None,
-        Some(&mut journal),
+    let resumed = resume(&config);
+    assert_eq!(resumed.interrupted, None, "{case}: resume was interrupted");
+    assert_agree(
+        &format!("{case}: resumed"),
+        &resumed,
+        &want,
+        Agree::Report,
+        &[],
     );
-    drop(journal);
-    if resumed.interrupted.is_some() {
-        return Err("resume run was itself interrupted".into());
-    }
-    if resumed.violations != base {
-        return Err(format!(
-            "resumed violations diverged (seed {seed}, polls {polls}, shard_rows {shard_rows}, \
-             mode {mode:?}): {} vs {}",
-            resumed.violations.len(),
-            base.len()
-        ));
-    }
     let completed_rules = interrupted
         .rule_status
         .iter()
         .zip(deck.rules())
-        .filter(|((_, s), r)| *s == RuleStatus::Completed && rule_signature(r).is_some())
+        .filter(|(s, r)| completed(s) && rule_signature(r).is_some())
         .count();
-    if resumed.stats.rules_resumed != completed_rules {
-        return Err(format!(
-            "resume restored {} whole rules, first run completed {completed_rules}",
-            resumed.stats.rules_resumed
-        ));
-    }
-    if resumed.stats.shards_resumed != mid_rule_shards {
-        return Err(format!(
-            "resume restored {} shards, first run journaled {mid_rule_shards} mid-rule \
-             (seed {seed}, polls {polls}, shard_rows {shard_rows}, mode {mode:?})",
-            resumed.stats.shards_resumed
-        ));
-    }
-    if resumed.stats.shards_checked != total_shards - finished_shards - mid_rule_shards {
-        return Err(format!(
-            "resume checked {} shards, expected total {total_shards} - finished \
-             {finished_shards} - restored {mid_rule_shards}",
-            resumed.stats.shards_checked
-        ));
-    }
+    let stats = &resumed.stats;
+    assert_eq!(stats.rules_resumed, completed_rules, "{case}: whole rules");
+    assert_eq!(
+        stats.shards_resumed, mid_rule_shards,
+        "{case}: mid-rule shards"
+    );
+    assert_eq!(
+        stats.shards_checked,
+        total_shards - finished_shards - mid_rule_shards,
+        "{case}: re-checked shards"
+    );
 
     // Run 3: double resume — everything restores whole, nothing runs.
-    let mut journal = CheckpointJournal::open_dir(&dir, run_key).map_err(|e| e.to_string())?;
-    let again = engine(mode, out_of_core_options(budget, shard_rows)).check_resumable(
-        &layout,
-        &deck,
-        None,
-        Some(&mut journal),
+    let again = resume(&config);
+    assert_agree(
+        &format!("{case}: double resume"),
+        &again,
+        &want,
+        Agree::Report,
+        &[],
     );
-    drop(journal);
-    if again.violations != base {
-        return Err("double-resume violations diverged".into());
-    }
-    if again.stats.shards_checked != 0 || again.stats.shards_resumed != 0 {
-        return Err(format!(
-            "double resume must restore whole rules only; checked {} shards, resumed {}",
-            again.stats.shards_checked, again.stats.shards_resumed
-        ));
-    }
-    if again.stats.scene_objects_scanned != 0 {
-        return Err(format!(
-            "double resume planned nothing, yet walked {} top-cell children",
-            again.stats.scene_objects_scanned
-        ));
-    }
+    let stats = &again.stats;
+    assert_eq!(
+        (stats.shards_checked, stats.shards_resumed),
+        (0, 0),
+        "{case}"
+    );
+    assert_eq!(stats.scene_objects_scanned, 0, "{case}: planned nothing");
     let _ = std::fs::remove_dir_all(&dir);
-    Ok(())
 }
 
 proptest! {
@@ -343,9 +208,7 @@ proptest! {
     ) {
         let budget = [None, Some(16 << 10), Some(4 << 20)][budget_class];
         let mode = if parallel { Mode::Parallel } else { Mode::Sequential };
-        if let Err(msg) = equivalence_case(seed, budget, shard_rows, mode, pruning) {
-            prop_assert!(false, "{}", msg);
-        }
+        equivalence_case(seed, budget, shard_rows, mode, pruning);
     }
 }
 
@@ -362,8 +225,30 @@ proptest! {
         let budget = [None, Some(16 << 10)][budget_class];
         let mode = if parallel { Mode::Parallel } else { Mode::Sequential };
         let tag = format!("kr-{seed}-{budget_class}-{shard_rows}-{parallel}-{polls}");
-        if let Err(msg) = kill_resume_case(seed, budget, shard_rows, mode, polls, &tag) {
-            prop_assert!(false, "{}", msg);
+        kill_resume_case(seed, budget, shard_rows, mode, polls, &tag);
+    }
+}
+
+/// One partition row per shard, in both modes: every host-thread count
+/// reports the reference and does the same work as one thread.
+#[test]
+fn one_row_shards_agree_at_every_thread_count() {
+    let layout = tiny(4);
+    let want = reference(&layout, &decks::sharded());
+    for mode in [Mode::Sequential, Mode::Parallel] {
+        let one = Config::of(mode)
+            .shards(1)
+            .threads(1)
+            .check(&layout, &decks::sharded());
+        assert!(one.stats.shards_checked > 1, "{mode:?}: the rules sharded");
+        assert_agree(&format!("{mode:?}"), &one, &want, Agree::Report, &[]);
+        for threads in [2, 8] {
+            let got = Config::of(mode)
+                .shards(1)
+                .threads(threads)
+                .check(&layout, &decks::sharded());
+            let what = format!("{mode:?}, shard_rows 1, {threads} host threads");
+            assert_agree(&what, &got, &one, Agree::Exact, &[]);
         }
     }
 }
@@ -373,10 +258,18 @@ proptest! {
 /// result still matches the in-core run.
 #[test]
 fn zero_budget_degrades_every_load_and_stays_correct() {
-    let layout = generate_layout(&DesignSpec::tiny(7));
-    let base = baseline(Mode::Sequential, &layout);
-    let report = engine(Mode::Sequential, out_of_core_options(Some(0), 2)).check(&layout, &deck());
-    assert_eq!(report.violations, base);
+    let layout = tiny(7);
+    let report = Config::seq()
+        .shards(2)
+        .budget(0)
+        .check(&layout, &decks::sharded());
+    assert_agree(
+        "zero budget",
+        &report,
+        &reference(&layout, &decks::sharded()),
+        Agree::Report,
+        &[],
+    );
     assert!(report.stats.shards_built > 0);
     assert_eq!(report.stats.shards_degraded, report.stats.shards_built);
     assert_eq!(report.stats.shards_evicted, 0);
@@ -389,11 +282,18 @@ fn zero_budget_degrades_every_load_and_stays_correct() {
 /// produce the in-core result.
 #[test]
 fn tight_budget_evicts_and_stays_correct() {
-    let layout = generate_layout(&DesignSpec::tiny(3));
-    let base = baseline(Mode::Sequential, &layout);
-    let report =
-        engine(Mode::Sequential, out_of_core_options(Some(24 << 10), 1)).check(&layout, &deck());
-    assert_eq!(report.violations, base);
+    let layout = tiny(3);
+    let report = Config::seq()
+        .shards(1)
+        .budget(24 << 10)
+        .check(&layout, &decks::sharded());
+    assert_agree(
+        "24 KiB budget",
+        &report,
+        &reference(&layout, &decks::sharded()),
+        Agree::Report,
+        &[],
+    );
     assert!(
         report.stats.shards_evicted > 0,
         "expected evictions under a 24 KiB budget; built {} degraded {}",
@@ -414,24 +314,21 @@ fn top_children(layout: &odrc_db::Layout) -> u64 {
 /// whatever the mode or thread count.
 #[test]
 fn scene_objects_scanned_counts_enumerations_not_shards() {
-    let layout = generate_layout(&DesignSpec::tiny(5));
-    let deck = deck();
-    let sharded = deck.rules().iter().filter(|r| !r.is_intra_polygon());
-    let pairs = sharded.clone().filter(|r| !r.name.contains(".S."));
-    let expected = (sharded.count() + pairs.count()) as u64 * top_children(&layout);
+    let layout = tiny(5);
+    let deck = decks::sharded();
+    let sharded_rules = deck.rules().iter().filter(|r| !r.is_intra_polygon());
+    let pairs = sharded_rules.clone().filter(|r| !r.name.contains(".S."));
+    let expected = (sharded_rules.count() + pairs.count()) as u64 * top_children(&layout);
     assert_eq!(expected, 6 * top_children(&layout));
     let mut rebuilt = false;
     for shard_rows in [1, 2, 8] {
         for budget in [None, Some(0), Some(24 << 10)] {
             for (mode, host_threads) in [(Mode::Sequential, 1), (Mode::Parallel, 4)] {
-                let options = EngineOptions {
-                    host_threads: Some(host_threads),
-                    ..out_of_core_options(budget, shard_rows)
-                };
-                let stats = engine(mode, options).check(&layout, &deck).stats;
+                let config = sharded(mode, budget, shard_rows).threads(host_threads);
+                let stats = config.check(&layout, &deck).stats;
                 assert_eq!(
                     stats.scene_objects_scanned, expected,
-                    "shard_rows {shard_rows}, budget {budget:?}, {mode:?}: {stats:?}"
+                    "{config:?}: {stats:?}"
                 );
                 rebuilt |= stats.shards_evicted > 0 && stats.shards_built > stats.shards_checked;
             }
@@ -444,22 +341,18 @@ fn scene_objects_scanned_counts_enumerations_not_shards() {
 /// journal does not restore: when the journal covers every shard, the
 /// run plans each sharded rule and walks nothing else. Restore only
 /// unions a rule's shard sets, so the journal is filled directly: each
-/// sharded rule's baseline set in shard 0 and empty records for its
+/// sharded rule's reference set in shard 0 and empty records for its
 /// other shards, and whole-rule records for the intra rules.
 #[test]
 fn fully_restored_rules_enumerate_their_plan_only() {
-    let layout = generate_layout(&DesignSpec::tiny(9));
-    let deck = deck();
-    let base = baseline(Mode::Sequential, &layout);
+    let layout = tiny(9);
+    let deck = decks::sharded();
+    let want = reference(&layout, &deck);
     let dir = fresh_dir("lazy-outer");
     let mut journal = CheckpointJournal::open_dir(&dir, RunKey::compute(&layout, &deck)).unwrap();
     for (rule, shards) in deck.rules().iter().zip(per_rule_shards(&layout, &deck, 2)) {
         let sig = rule_signature(rule).expect("deck rules are signable");
-        let own: Vec<Violation> = base
-            .iter()
-            .filter(|v| v.rule == rule.name)
-            .cloned()
-            .collect();
+        let own: Vec<Violation> = want.violations_of(&rule.name).cloned().collect();
         if shards == 0 {
             journal.record(&rule.name, sig, &own).unwrap();
             continue;
@@ -471,34 +364,32 @@ fn fully_restored_rules_enumerate_their_plan_only() {
                 .unwrap();
         }
     }
-    let report = engine(Mode::Sequential, out_of_core_options(None, 2)).check_resumable(
-        &layout,
-        &deck,
-        None,
-        Some(&mut journal),
-    );
+    let report =
+        Config::seq()
+            .shards(2)
+            .engine()
+            .check_resumable(&layout, &deck, None, Some(&mut journal));
     drop(journal);
-    assert_eq!(report.violations, base);
+    assert_agree("fully restored", &report, &want, Agree::Report, &[]);
     assert_eq!(report.stats.shards_checked, 0);
-    let sharded = deck
+    let sharded_rules = deck
         .rules()
         .iter()
         .filter(|r| !r.is_intra_polygon())
         .count();
     assert_eq!(
         report.stats.scene_objects_scanned,
-        sharded as u64 * top_children(&layout)
+        sharded_rules as u64 * top_children(&layout)
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn sharded_spacing_consults_the_cache() {
-    use odrc::ResultCache;
     // tiny:1's M1 cells have internal violations at a distance of 24,
     // so the cached template entries are not empty; one-row shards
     // place a cell in several shards.
-    let layout = generate_layout(&DesignSpec::tiny(1));
+    let layout = tiny(1);
     let deck = RuleDeck::new(vec![
         rule()
             .layer(tech::M1)
@@ -516,11 +407,11 @@ fn sharded_spacing_consults_the_cache() {
     std::fs::create_dir_all(&dir).unwrap();
     let mut saved = Vec::new();
     let mut warm = Vec::new();
-    for (tag, options) in [
-        ("in-core", EngineOptions::default()),
-        ("sharded", out_of_core_options(None, 1)),
+    for (tag, config) in [
+        ("in-core", Config::seq()),
+        ("sharded", Config::seq().shards(1)),
     ] {
-        let engine = engine(Mode::Sequential, options);
+        let engine = config.engine();
         let mut cache = ResultCache::new();
         let cold = engine.check_with_cache(&layout, &deck, &mut cache);
         assert!(!cold.violations.is_empty(), "{tag}");
@@ -533,7 +424,7 @@ fn sharded_spacing_consults_the_cache() {
     }
     std::fs::remove_dir_all(&dir).unwrap();
     assert!(warm[1].stats.shards_checked > 1, "the rules really sharded");
-    assert_eq!(warm[0].violations, warm[1].violations);
+    assert_agree("warm sharded", &warm[1], &warm[0], Agree::Report, &[]);
     assert_eq!(warm[0].stats.checks_computed, warm[1].stats.checks_computed);
     assert_eq!(warm[0].stats.checks_reused, warm[1].stats.checks_reused);
     assert_eq!(saved[0], saved[1], "both runs cache the same entries");

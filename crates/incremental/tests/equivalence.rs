@@ -6,12 +6,13 @@
 //! also held to the fault contract: under any seeded fault schedule it
 //! reports what a clean sequential delta reports.
 
-use odrc::{rules::rule, Engine, EngineOptions, RuleDeck};
 use odrc_db::{CellId, CellRef, LayerPolygon, Layout};
 use odrc_gdsii::{Element, Library, Structure};
 use odrc_geometry::{Point, Polygon, Rect, Rotation, Transform};
 use odrc_incremental::{EditOp, Session};
-use odrc_xpu::{Device, FaultPlan};
+use odrc_testkit::layouts::rect_el;
+use odrc_testkit::{decks, Config};
+use odrc_xpu::FaultPlan;
 use proptest::prelude::*;
 
 /// A randomized edit over the live layout. Raw targets are reduced
@@ -167,36 +168,12 @@ fn rect_poly(layer: u8, x: i32, y: i32, w: i32, h: i32) -> LayerPolygon {
 fn base_layout() -> Layout {
     let mut lib = Library::new("equivalence");
     let mut leaf = Structure::new("LEAF");
-    leaf.elements.push(Element::boundary(
-        1,
-        vec![
-            Point::new(0, 0),
-            Point::new(0, 20),
-            Point::new(20, 20),
-            Point::new(20, 0),
-        ],
-    ));
-    leaf.elements.push(Element::boundary(
-        2,
-        vec![
-            Point::new(6, 6),
-            Point::new(6, 12),
-            Point::new(12, 12),
-            Point::new(12, 6),
-        ],
-    ));
+    leaf.elements.push(rect_el(1, 0, 0, 20, 20));
+    leaf.elements.push(rect_el(2, 6, 6, 12, 12));
     lib.structures.push(leaf);
     let mut mid = Structure::new("MID");
     mid.elements.push(Element::sref("LEAF", Point::new(4, 4)));
-    mid.elements.push(Element::boundary(
-        1,
-        vec![
-            Point::new(40, 0),
-            Point::new(40, 30),
-            Point::new(70, 30),
-            Point::new(70, 0),
-        ],
-    ));
+    mid.elements.push(rect_el(1, 40, 0, 70, 30));
     lib.structures.push(mid);
     let mut top = Structure::new("TOP");
     top.elements.push(Element::sref("MID", Point::new(0, 0)));
@@ -204,34 +181,6 @@ fn base_layout() -> Layout {
     top.elements.push(Element::sref("LEAF", Point::new(0, 60)));
     lib.structures.push(top);
     Layout::from_library(&lib).unwrap()
-}
-
-/// Every rule kind the engine supports, with thresholds tight enough
-/// that random rects regularly violate and regularly pass.
-fn deck() -> RuleDeck {
-    RuleDeck::new(vec![
-        rule().layer(1).space().greater_than(12).named("L1.S.1"),
-        rule()
-            .layer(1)
-            .space()
-            .when_projection_at_least(6)
-            .greater_than(16)
-            .named("L1.S.2"),
-        rule().layer(2).space().greater_than(8).named("L2.S.1"),
-        rule().layer(1).width().greater_than(8).named("L1.W.1"),
-        rule().layer(1).area().greater_than(100).named("L1.A.1"),
-        rule()
-            .layer(2)
-            .enclosed_by(1)
-            .greater_than(3)
-            .named("L2.L1.EN.1"),
-        rule()
-            .layer(2)
-            .overlapping(1)
-            .area_at_least(10)
-            .named("L2.L1.OV.1"),
-        rule().polygons().is_rectilinear(),
-    ])
 }
 
 /// Maps a raw op onto live entries, or `None` when the target list is
@@ -339,13 +288,10 @@ fn map_op(layout: &Layout, op: &Op) -> Option<EditOp> {
     }
 }
 
-fn run_case(make_engine: &dyn Fn() -> Engine, pruning: bool, ops: &[Op]) -> Result<(), String> {
-    let options = EngineOptions {
-        pruning,
-        ..EngineOptions::default()
-    };
-    let engine = make_engine().with_options(options.clone());
-    let mut session = Session::new(base_layout(), engine, deck());
+/// A session in `config` checked after every op of `ops` against a
+/// fresh full check of the edited layout in the same cell.
+fn run_case(config: Config, ops: &[Op]) {
+    let mut session = Session::new(base_layout(), config.engine(), decks::edits());
     session.check();
     for op in ops {
         if let Some(edit) = map_op(session.layout(), op) {
@@ -354,31 +300,23 @@ fn run_case(make_engine: &dyn Fn() -> Engine, pruning: bool, ops: &[Op]) -> Resu
             let _ = session.apply(edit);
         }
         let errors = session.layout().consistency_errors();
-        if !errors.is_empty() {
-            return Err(format!(
-                "inconsistent db after {op:?}: {}",
-                errors.join("\n")
-            ));
-        }
+        assert!(
+            errors.is_empty(),
+            "inconsistent db after {op:?}: {}",
+            errors.join("\n")
+        );
         let incremental = session.check();
-        let scratch = make_engine()
-            .with_options(options.clone())
-            .check(session.layout(), &deck());
-        if incremental.violations != scratch.violations {
-            return Err(format!(
-                "divergence after {op:?} (pruning={pruning}): incremental {} vs scratch {}",
-                incremental.violations.len(),
-                scratch.violations.len()
-            ));
-        }
+        let scratch = config.check(session.layout(), &decks::edits());
+        let what = format!("{config:?} after {op:?}");
+        assert_eq!(incremental.violations, scratch.violations, "{what}");
         // The delta must reconcile with the full set.
-        if incremental.delta.unchanged_count + incremental.delta.added.len()
-            != incremental.violations.len()
-        {
-            return Err(format!("delta bookkeeping broken after {op:?}"));
-        }
+        let delta = &incremental.delta;
+        assert_eq!(
+            delta.unchanged_count + delta.added.len(),
+            incremental.violations.len(),
+            "delta bookkeeping broken after {op:?}"
+        );
     }
-    Ok(())
 }
 
 proptest! {
@@ -388,9 +326,7 @@ proptest! {
         ops in proptest::collection::vec(arb_op(), 1..8),
         pruning in proptest::bool::ANY,
     ) {
-        if let Err(msg) = run_case(&Engine::sequential, pruning, &ops) {
-            prop_assert!(false, "{}", msg);
-        }
+        run_case(Config::seq().pruning(pruning), &ops);
     }
 }
 
@@ -401,30 +337,18 @@ proptest! {
         ops in proptest::collection::vec(arb_op(), 1..8),
         pruning in proptest::bool::ANY,
     ) {
-        if let Err(msg) = run_case(&|| Engine::parallel_on(Device::new(2)), pruning, &ops) {
-            prop_assert!(false, "{}", msg);
-        }
+        run_case(Config::par().device(2).pruning(pruning), &ops);
     }
 }
 
 /// Device-mode deltas under a seeded fault schedule against clean
 /// sequential deltas over the same edits: same violations, same delta,
 /// and degradation reported exactly when a fault fired.
-fn faulted_case(fault_seed: u64, ops: &[Op]) -> Result<(), String> {
-    let options = EngineOptions {
-        ..EngineOptions::default()
-    };
-    let device = Device::new(2);
-    let mut clean = Session::new(
-        base_layout(),
-        Engine::sequential().with_options(options.clone()),
-        deck(),
-    );
-    let mut faulted = Session::new(
-        base_layout(),
-        Engine::parallel_on(device.clone()).with_options(options),
-        deck(),
-    );
+fn faulted_case(fault_seed: u64, ops: &[Op]) {
+    let engine = Config::par().device(2).engine();
+    let device = engine.device().clone();
+    let mut clean = Session::new(base_layout(), Config::seq().engine(), decks::edits());
+    let mut faulted = Session::new(base_layout(), engine, decks::edits());
     clean.check();
     faulted.check();
     // Only the deltas run under faults; the ordinals are device-wide,
@@ -438,22 +362,20 @@ fn faulted_case(fault_seed: u64, ops: &[Op]) -> Result<(), String> {
         }
         let want = clean.check();
         let got = faulted.check();
-        if got.violations != want.violations || got.delta != want.delta {
-            return Err(format!(
-                "fault seed {fault_seed} changed the delta after {op:?}: {} vs {} violations",
-                got.violations.len(),
-                want.violations.len()
-            ));
-        }
+        let what = format!("fault seed {fault_seed} after {op:?}");
+        let (got_delta, want_delta) = (
+            (&got.violations, &got.delta),
+            (&want.violations, &want.delta),
+        );
+        assert_eq!(got_delta, want_delta, "{what}");
         degraded |= got.stats.degraded();
     }
-    if degraded != (device.faults_injected() > 0) {
-        return Err(format!(
-            "fault seed {fault_seed}: degraded {degraded} with {} fault(s) injected",
-            device.faults_injected()
-        ));
-    }
-    Ok(())
+    assert_eq!(
+        degraded,
+        device.faults_injected() > 0,
+        "fault seed {fault_seed}: degraded iff a fault fired ({} injected)",
+        device.faults_injected()
+    );
 }
 
 proptest! {
@@ -463,8 +385,6 @@ proptest! {
         ops in proptest::collection::vec(arb_op(), 1..8),
         fault_seed in 0u64..200,
     ) {
-        if let Err(msg) = faulted_case(fault_seed, &ops) {
-            prop_assert!(false, "{}", msg);
-        }
+        faulted_case(fault_seed, &ops);
     }
 }

@@ -1,34 +1,9 @@
 //! Determinism and stability guarantees across the whole stack.
 
-use odrc::{rule, CounterClass, Engine, EngineStats, RuleDeck};
 use odrc_db::Layout;
-use odrc_layoutgen::{generate, tech, DesignSpec};
-use odrc_xpu::Device;
-
-fn deck() -> RuleDeck {
-    RuleDeck::new(vec![
-        rule()
-            .layer(tech::M1)
-            .space()
-            .greater_than(tech::M1_SPACE)
-            .named("M1.S.1"),
-        rule()
-            .layer(tech::M2)
-            .space()
-            .greater_than(tech::M2_SPACE)
-            .named("M2.S.1"),
-        rule()
-            .layer(tech::M1)
-            .width()
-            .greater_than(tech::M1_WIDTH)
-            .named("M1.W.1"),
-        rule()
-            .layer(tech::V1)
-            .enclosed_by(tech::M2)
-            .greater_than(tech::V1_M2_ENCLOSURE)
-            .named("V1.M2.EN.1"),
-    ])
-}
+use odrc_layoutgen::{generate, DesignSpec};
+use odrc_testkit::layouts::tiny;
+use odrc_testkit::{assert_agree, decks, reference, Agree, Config};
 
 #[test]
 fn generation_and_streams_are_bit_stable() {
@@ -38,48 +13,34 @@ fn generation_and_streams_are_bit_stable() {
     assert_eq!(a, b, "generated GDSII bytes must be identical per seed");
 }
 
-#[test]
-fn repeated_checks_are_identical() {
-    let layout = odrc_layoutgen::generate_layout(&DesignSpec::tiny(98));
-    let first = Engine::sequential().check(&layout, &deck());
-    for _ in 0..3 {
-        let again = Engine::sequential().check(&layout, &deck());
-        assert_eq!(first.violations, again.violations);
-        assert_eq!(work_stats(&first.stats), work_stats(&again.stats));
-    }
-}
-
 /// Every counter but scheduling telemetry (which worker joined which
 /// fan-out, how often a device worker woke: race outcomes of one run,
-/// not results of the check). The work counters — `candidate_pairs`,
-/// `pairs_scanned`, `join_scanned` and the rest — must repeat exactly.
-fn work_stats(stats: &EngineStats) -> Vec<(&'static str, u64)> {
-    stats.counters(|class| class != CounterClass::Telemetry)
+/// not results of the check) repeats exactly.
+#[test]
+fn repeated_checks_are_identical() {
+    let layout = tiny(98);
+    let first = reference(&layout, &decks::shared());
+    for i in 0..3 {
+        let again = reference(&layout, &decks::shared());
+        assert_agree(&format!("repeat {i}"), &again, &first, Agree::Exact, &[]);
+    }
 }
 
 #[test]
 fn parallel_mode_is_deterministic_across_device_sizes() {
-    let layout = odrc_layoutgen::generate_layout(&DesignSpec::tiny(97));
-    let d = deck();
-    let reference = Engine::parallel_on(Device::new(1)).check(&layout, &d);
+    let layout = tiny(97);
+    let deck = decks::shared();
+    let one = Config::par().device(1).check(&layout, &deck);
     for workers in [2usize, 3, 7] {
-        let r = Engine::parallel_on(Device::new(workers)).check(&layout, &d);
-        assert_eq!(
-            reference.violations, r.violations,
-            "device with {workers} workers diverged"
-        );
-        assert_eq!(
-            work_stats(&reference.stats),
-            work_stats(&r.stats),
-            "device with {workers} workers moved the work counters"
-        );
+        let got = Config::par().device(workers).check(&layout, &deck);
+        let what = format!("device with {workers} workers");
+        assert_agree(&what, &got, &one, Agree::Exact, &[]);
     }
 }
 
 #[test]
 fn violation_order_is_canonical() {
-    let layout = odrc_layoutgen::generate_layout(&DesignSpec::tiny(96));
-    let report = Engine::sequential().check(&layout, &deck());
+    let report = reference(&tiny(96), &decks::shared());
     let mut sorted = report.violations.clone();
     sorted.sort();
     sorted.dedup();
