@@ -690,7 +690,7 @@ fi
 kill -TERM "$serve_pid"
 wait "$serve_pid" || { echo "restarted daemon did not drain cleanly"; exit 1; }
 
-echo "== out-of-core smoke (scaled chip, quarter-RSS budget, mid-rule kill + resume)"
+echo "== out-of-core smoke (scaled chip, quarter-RSS budget, mid-rule kill + resume, parallel-mode peak)"
 # Out-of-core checking end to end at the CLI level on a multi-million-
 # polygon chip generated on demand (never checked in): the unbudgeted
 # in-core run's observed peak-RSS sets a shard budget of one quarter of
@@ -719,6 +719,42 @@ status=0
 [ "$status" -eq 1 ] || { echo "expected exit 1 from in-core run, got $status"; exit 1; }
 peak=$(sed -n 's/.*"peak_rss_bytes": *\([0-9][0-9]*\).*/\1/p' target/ci-ooc/incore.json)
 [ -n "$peak" ] || { echo "in-core run recorded no peak_rss_bytes"; exit 1; }
+# Parallel-mode memory (ROADMAP item 9): on the paper's deck the
+# in-core --parallel run writes the default run's report byte for byte
+# and peaks at most 1.3x as high. The out-of-core deck above is not
+# held to it: its projection rule's row set (reach 36) makes --parallel
+# peak 2.8x the default run.
+cat > target/ci-ooc/paper.rules <<'EOF'
+width layer=19 min=18 name=M1.W.1
+width layer=20 min=20 name=M2.W.1
+width layer=21 min=24 name=M3.W.1
+area layer=19 min=1400 name=M1.A.1
+space layer=19 min=18 name=M1.S.1
+space layer=20 min=20 name=M2.S.1
+space layer=21 min=24 name=M3.S.1
+enclosure inner=30 outer=19 min=4 name=V1.M1.EN.1
+enclosure inner=30 outer=20 min=5 name=V1.M2.EN.1
+enclosure inner=31 outer=20 min=5 name=V2.M2.EN.1
+enclosure inner=31 outer=21 min=7 name=V2.M3.EN.1
+rectilinear name=RECT.1
+EOF
+for mode in default parallel; do
+    flag=""
+    [ "$mode" = parallel ] && flag="--parallel"
+    status=0
+    ./target/release/odrc target/ci-ooc/chip.gds --rules target/ci-ooc/paper.rules $flag \
+        --report "target/ci-ooc/paper-$mode.csv" --stats-json "target/ci-ooc/paper-$mode.json" \
+        --max-print 0 >/dev/null 2>&1 || status=$?
+    [ "$status" -eq 1 ] || { echo "expected exit 1 from the $mode paper-deck run, got $status"; exit 1; }
+done
+cmp target/ci-ooc/paper-default.csv target/ci-ooc/paper-parallel.csv \
+    || { echo "--parallel paper-deck report differs from the default run"; exit 1; }
+seq_peak=$(sed -n 's/.*"peak_rss_bytes": *\([0-9][0-9]*\).*/\1/p' target/ci-ooc/paper-default.json)
+par_peak=$(sed -n 's/.*"peak_rss_bytes": *\([0-9][0-9]*\).*/\1/p' target/ci-ooc/paper-parallel.json)
+[ -n "$seq_peak" ] && [ -n "$par_peak" ] || { echo "a paper-deck run recorded no peak_rss_bytes"; exit 1; }
+echo "paper-deck peak RSS: default $seq_peak bytes, --parallel $par_peak bytes"
+[ $((10 * par_peak)) -le $((13 * seq_peak)) ] \
+    || { echo "--parallel peaked at $par_peak bytes, over 1.3x the default run's $seq_peak"; exit 1; }
 budget=$((peak / 4))
 status=0
 ./target/release/odrc target/ci-ooc/chip.gds --rules target/ci-ooc/ooc.rules \

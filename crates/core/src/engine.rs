@@ -11,8 +11,8 @@ use crate::cache::{rule_signature, CacheHandle, CacheKeys, ResultCache};
 use crate::checkpoint::CheckpointJournal;
 use crate::delta;
 use crate::parallel::{self, InFlightRule};
-use crate::plan::ExecutionPlan;
-use crate::rules::{Rule, RuleDeck};
+use crate::plan::{ExecutionPlan, RowSetKey};
+use crate::rules::{Rule, RuleDeck, RuleFamily};
 use crate::scene::DirtyWindow;
 use crate::sequential::{self, RunContext};
 use crate::shard;
@@ -646,6 +646,16 @@ impl Engine {
             }
         }
         let plan = ctx.profiler.time("plan", || ExecutionPlan::build(deck));
+        // A delta run's row sets are windowed and bypass the cache.
+        if dirty.is_none() {
+            for &ri in &plan.order {
+                if status[ri] != RuleStatus::Resumed {
+                    if let Some(key) = self.cached_row_set(&rules[ri]) {
+                        *ctx.plan.consumers.entry(key).or_default() += 1;
+                    }
+                }
+            }
+        }
         let window = match self.mode {
             Mode::Sequential => 1,
             Mode::Parallel => ctx.host.threads().clamp(2, 8),
@@ -690,7 +700,25 @@ impl Engine {
             .iter()
             .filter(|s| **s == RuleStatus::Interrupted)
             .count();
+        debug_assert!(
+            interrupted.is_some() || ctx.plan.consumers.is_empty(),
+            "every counted row-set consumer was issued"
+        );
         (per_rule, status, interrupted)
+    }
+
+    /// The key of the cached row set `rule` acquires when issued whole
+    /// ([`Engine::issue`]): a spacing rule on the device that does not
+    /// shard ([`parallel::issue_rule`]).
+    fn cached_row_set(&self, rule: &Rule) -> Option<RowSetKey> {
+        match rule.family() {
+            RuleFamily::Space { layer, spec }
+                if self.mode == Mode::Parallel && !shard::sharded_rule(&self.options, rule) =>
+            {
+                Some(RowSetKey::new(layer, spec.min, self.options.partition))
+            }
+            _ => None,
+        }
     }
 
     /// Issues one rule on the executor chosen for it: a rule checked
@@ -809,6 +837,94 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), table.len());
+    }
+
+    /// `run_rules` on a context the test keeps: the canonical report,
+    /// the counters, and the row-set cache entries and consumer counts
+    /// left once every rule was issued.
+    fn run_kept(
+        engine: &Engine,
+        layout: &Layout,
+        deck: &RuleDeck,
+        dirty: Option<&[Rect]>,
+        journal: Option<&mut CheckpointJournal>,
+    ) -> (Vec<Violation>, EngineStats, usize) {
+        let mut profiler = Profiler::new();
+        let mut stats = EngineStats::default();
+        let (per_rule, left);
+        {
+            let mut ctx = RunContext::new(layout, &engine.options, &mut profiler, &mut stats);
+            let scope = engine.begin_run(&ctx);
+            (per_rule, ..) = engine.run_rules(&mut ctx, deck, dirty, journal);
+            left = ctx.plan.rows.len() + ctx.plan.consumers.len();
+            engine.finish_run(&mut ctx, scope);
+        }
+        (canonicalize(per_rule.concat()), stats, left)
+    }
+
+    /// A row set lives until its last consumer is issued: two spacing
+    /// rules sharing one `RowSetKey` (a pair rule between them in deck
+    /// order) and a spacing rule on another layer, run whole, resumed
+    /// past the first consumer, and as a delta run. No run leaves a
+    /// cache entry behind, each reports what the default mode does, and
+    /// each packs and uploads what it did when row sets lived until the
+    /// end of the run (the pinned counters).
+    #[test]
+    fn row_sets_live_until_their_last_consumer() {
+        use crate::checkpoint::RunKey;
+        use crate::rules::rule;
+        use odrc_layoutgen::tech::{M1, M2, V1};
+        use odrc_layoutgen::{generate_layout, DesignSpec};
+        let layout = generate_layout(&DesignSpec::tiny(1));
+        let deck = RuleDeck::new(vec![
+            rule().layer(M1).space().greater_than(24).named("M1.S.1"),
+            rule()
+                .layer(V1)
+                .enclosed_by(M1)
+                .greater_than(4)
+                .named("V1.M1.EN.1"),
+            rule().layer(M1).space().greater_than(23).named("M1.S.2"),
+            rule().layer(M2).space().greater_than(20).named("M2.S.1"),
+        ]);
+        let options = EngineOptions {
+            host_threads: Some(2),
+            ..EngineOptions::default()
+        };
+        let par = || Engine::parallel_on(Device::new(2)).with_options(options.clone());
+        let seq = Engine::sequential().with_options(options.clone());
+        let counters = |s: &EngineStats| (s.uploads_elided, s.bytes_uploaded, s.edges_packed);
+
+        let (reference, ..) = run_kept(&seq, &layout, &deck, None, None);
+        assert!(!reference.is_empty());
+        let (report, stats, left) = run_kept(&par(), &layout, &deck, None, None);
+        assert_eq!(report, reference);
+        assert_eq!(left, 0, "a whole run leaves no row set cached");
+        assert_eq!(counters(&stats), (2, 14_316, 464));
+
+        // A journal holding the first consumer: the resumed run counts
+        // only the rules it issues.
+        let dir = std::env::temp_dir().join(format!("odrc-row-set-life-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let journal =
+            || CheckpointJournal::open_dir(&dir, RunKey::compute(&layout, &deck)).unwrap();
+        let first = par().with_cancel(CancelToken::after_polls(1));
+        run_kept(&first, &layout, &deck, None, Some(&mut journal()));
+        let mut resumed = journal();
+        assert_eq!(resumed.completed_names(), ["M1.S.1"]);
+        let (report, stats, left) = run_kept(&par(), &layout, &deck, None, Some(&mut resumed));
+        assert_eq!(report, reference);
+        assert_eq!(left, 0, "a resumed run leaves no row set cached");
+        assert_eq!(stats.rules_resumed, 1);
+        assert_eq!(counters(&stats), (0, 9_604, 306));
+        let _ = std::fs::remove_dir_all(&dir);
+
+        // A delta run's windowed row sets bypass the cache.
+        let dirty = [reference[0].location.inflate(100)];
+        let (window_reference, ..) = run_kept(&seq, &layout, &deck, Some(&dirty), None);
+        let (report, stats, left) = run_kept(&par(), &layout, &deck, Some(&dirty), None);
+        assert_eq!(report, window_reference);
+        assert_eq!(left, 0, "a delta run caches no row set");
+        assert_eq!(counters(&stats), (0, 4_112, 128));
     }
 
     #[test]

@@ -16,12 +16,14 @@
 //!   parallel modes ([`EngineStats::scenes_built`] /
 //!   [`EngineStats::scenes_reused`]);
 //! * a **device-resident buffer cache** ([`RowSet`] keyed by
-//!   [`RowSetKey`]): edge extraction, adaptive row partitioning and the
-//!   host→device upload of the rows' one segmented array happen once
-//!   per `(layer, partition config)`; later spacing rules on the same
-//!   layer acquire the already-resident buffers through a cross-stream
-//!   [`Event`] ([`EngineStats::uploads_elided`]). Templates and
-//!   intra-polygon rules share no buffer: each rule uploads its own
+//!   [`RowSetKey`], a layer and a partition configuration): edge
+//!   extraction, adaptive row partitioning and the host→device upload
+//!   of the rows' one segmented array happen once per key and run;
+//!   later spacing rules with the same key acquire the already-resident
+//!   buffers through a cross-stream [`Event`]
+//!   ([`EngineStats::uploads_elided`]). The cache holds a row set only
+//!   until its last consuming rule is issued ([`PlanCache`]). Templates
+//!   and intra-polygon rules share no buffer: each rule uploads its own
 //!   cache misses ([`pack`], [`IntraWork`]);
 //! * a **schedule** ([`ExecutionPlan`]): rules grouped by the layers
 //!   they read, issued on independent streams and collected once at
@@ -506,10 +508,35 @@ impl RowSetKey {
 /// The per-run cache behind the planner: scenes and row sets, keyed so
 /// that N rules reading one layer build and upload once. Lives on the
 /// [`RunContext`].
+///
+/// A row set stays cached only while a counted consumer has yet to
+/// acquire it ([`RunContext::row_set`]): the run counts, up front, the
+/// rules that will acquire each key (`consumers`), and the last one
+/// takes the entry out. Its in-flight rule's `Arc` keeps the rows alive
+/// until the rule is collected, and no longer.
 #[derive(Default)]
 pub(crate) struct PlanCache {
     pub scenes: HashMap<Layer, Arc<LayerScene>>,
     pub rows: HashMap<RowSetKey, Arc<RowSet>>,
+    /// Rules still to acquire each row set.
+    pub consumers: HashMap<RowSetKey, usize>,
+}
+
+impl PlanCache {
+    /// Notes one acquisition of `key`'s row set `rows`: keeps it cached
+    /// while a counted consumer remains, and drops the entry otherwise.
+    pub fn acquired(&mut self, key: RowSetKey, rows: &Arc<RowSet>) {
+        match self.consumers.get_mut(&key) {
+            Some(left) if *left > 1 => {
+                *left -= 1;
+                self.rows.entry(key).or_insert_with(|| Arc::clone(rows));
+            }
+            _ => {
+                self.consumers.remove(&key);
+                self.rows.remove(&key);
+            }
+        }
+    }
 }
 
 /// The deck's rules in issue order: grouped by the first layer each
@@ -763,6 +790,38 @@ mod tests {
                 assert_eq!(direct, rebuilt, "transform {t}");
             }
         }
+    }
+
+    #[test]
+    fn a_row_set_leaves_the_cache_with_its_last_consumer() {
+        use odrc_layoutgen::{generate_layout, tech, DesignSpec};
+        let layout = generate_layout(&DesignSpec::tiny(1));
+        let options = crate::EngineOptions {
+            host_threads: Some(1),
+            ..Default::default()
+        };
+        let mut profiler = odrc_infra::Profiler::new();
+        let mut stats = crate::EngineStats::default();
+        let mut ctx = RunContext::new(&layout, &options, &mut profiler, &mut stats);
+        // 24 and 23 share a key.
+        let key = RowSetKey::new(tech::M1, 24, options.partition);
+        ctx.plan.consumers.insert(key, 2);
+        let first = ctx.row_set(tech::M1, 24);
+        assert!(ctx.plan.rows.contains_key(&key), "one consumer left");
+        let packed = ctx.stats.edges_packed;
+        assert!(packed > 0);
+        let last = ctx.row_set(tech::M1, 23);
+        assert!(
+            Arc::ptr_eq(&first, &last),
+            "the last consumer shares the set"
+        );
+        assert_eq!(ctx.stats.edges_packed, packed, "and packs nothing");
+        assert!(ctx.plan.rows.is_empty() && ctx.plan.consumers.is_empty());
+        // An uncounted acquisition packs afresh and caches nothing.
+        let uncounted = ctx.row_set(tech::M1, 24);
+        assert!(!Arc::ptr_eq(&first, &uncounted));
+        assert_eq!(ctx.stats.edges_packed, 2 * packed);
+        assert!(ctx.plan.rows.is_empty());
     }
 
     #[test]

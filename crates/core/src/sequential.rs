@@ -170,15 +170,18 @@ impl<'a> RunContext<'a> {
     }
 
     /// The packed, sorted row set of `layer` for a rule distance of
-    /// `min`, memoized by [`RowSetKey`].
+    /// `min`, memoized by [`RowSetKey`] while the run's counted
+    /// consumers of it remain ([`PlanCache::acquired`]).
     pub fn row_set(&mut self, layer: Layer, min: i64) -> Arc<RowSet> {
         let key = RowSetKey::new(layer, min, self.options.partition);
-        if let Some(rows) = self.plan.rows.get(&key) {
-            return Arc::clone(rows);
-        }
-        let scene = self.layer_scene(layer);
-        let rows = Arc::new(RowSet::build(self, scene, min));
-        self.plan.rows.insert(key, Arc::clone(&rows));
+        let rows = match self.plan.rows.get(&key) {
+            Some(rows) => Arc::clone(rows),
+            None => {
+                let scene = self.layer_scene(layer);
+                Arc::new(RowSet::build(self, scene, min))
+            }
+        };
+        self.plan.acquired(key, &rows);
         rows
     }
 
@@ -734,9 +737,8 @@ impl PairsWork {
             }
         }
         let gather = pairs.gather() as Coord;
-        let windows: Vec<Rect> = mbrs.iter().map(|m| m.inflate(gather)).collect();
-        let outer_mbrs: Vec<Rect> = outer.objects.iter().map(|o| o.mbr).collect();
-        let join = row_join_on(&windows, &outer_mbrs, &ctx.host);
+        let window = |m: &Rect| m.inflate(gather);
+        let join = row_join_on(&mbrs, window, &outer.objects, |o| o.mbr, &ctx.host);
         ctx.profiler.add("sweepline", join.busy);
         ctx.stats.join_candidates += join.hits.len() as u64;
         ctx.stats.join_scanned += join.scanned;
@@ -762,7 +764,7 @@ impl PairsWork {
         let outer = &*self.outer;
         self.join.hits_of(i).iter().flat_map(move |&o| {
             outer
-                .placed_polygons(&outer.objects[o])
+                .placed_polygons(&outer.objects[o as usize])
                 .filter(move |c| c.mbr().overlaps(window))
         })
     }

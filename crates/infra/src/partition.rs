@@ -107,9 +107,13 @@ impl<'a> IntoIterator for &'a RowPartition {
 /// assert_eq!(part.rows()[1].members, vec![2]);
 /// ```
 pub fn partition_rows(mbrs: &[Rect], expand: Coord) -> RowPartition {
-    let extents: Vec<Interval> = mbrs.iter().map(|m| m.y_range().inflate(expand)).collect();
+    let extent = |i: usize| mbrs[i].y_range().inflate(expand);
+    let rows = partition_intervals(mbrs.len(), extent, |i| i);
     RowPartition {
-        rows: partition_intervals(&extents),
+        rows: rows
+            .into_iter()
+            .map(|(y, members)| Row { y, members })
+            .collect(),
     }
 }
 
@@ -125,14 +129,14 @@ pub(crate) const JOIN_CHUNK: usize = 2048;
 /// The result of [`row_join_on`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RowJoin {
-    /// Every inner rectangle's hits back to back: the indices of the
-    /// outer rectangles it overlaps, ascending ([`RowJoin::hits_of`]).
-    pub hits: Vec<usize>,
-    /// Inner rectangle `i`'s hits are `hits[offsets[i]..offsets[i + 1]]`;
+    /// Every inner item's hits back to back: the indices of the outer
+    /// items it overlaps, ascending ([`RowJoin::hits_of`]).
+    pub hits: Vec<u32>,
+    /// Inner item `i`'s hits are `hits[offsets[i]..offsets[i + 1]]`;
     /// `inner.len() + 1` entries (none for an empty join).
-    pub offsets: Vec<usize>,
-    /// Outer rectangles the row scans examined; every hit is one of
-    /// them, so `scanned - hits` is the scans' wasted work.
+    pub offsets: Vec<u32>,
+    /// Outer items the row scans examined; every hit is one of them,
+    /// so `scanned - hits` is the scans' wasted work.
     pub scanned: u64,
     /// Summed index build and query time (what a caller charges to its
     /// `sweepline` phase).
@@ -140,29 +144,31 @@ pub struct RowJoin {
 }
 
 impl RowJoin {
-    /// The outer rectangles inner rectangle `i` overlaps, ascending.
+    /// The outer items inner item `i` overlaps, ascending.
     #[inline]
-    pub fn hits_of(&self, i: usize) -> &[usize] {
-        &self.hits[self.offsets[i]..self.offsets[i + 1]]
+    pub fn hits_of(&self, i: usize) -> &[u32] {
+        &self.hits[self.offsets[i] as usize..self.offsets[i + 1] as usize]
     }
 }
 
 /// One row of [`row_join_on`]'s index: the row's y-extent, its members
-/// as `(MBR, outer index)` sorted by left edge, and the running maximum
-/// of their right edges.
+/// as outer indices sorted by `(left edge, index)`, and the running
+/// maximum of their right edges.
 struct JoinRow {
     y: Interval,
-    members: Vec<(Rect, usize)>,
+    members: Vec<u32>,
     reach: Vec<Coord>,
 }
 
-/// For every `inner` rectangle, the indices of the `outer` rectangles
-/// it overlaps (closed rectangles: touching counts), found through the
-/// row partition instead of a sweepline.
+/// For every `inner` item, the indices of the `outer` items it overlaps
+/// (closed rectangles: touching counts), found through the row
+/// partition instead of a sweepline. `window` and `mbr` read each
+/// item's rectangle from the caller's slices, so the join copies no
+/// rectangle: its index holds 32-bit outer indices.
 ///
-/// The outers meeting the bounding box of all inner rectangles are
+/// The outers meeting the bounding box of all inner windows are
 /// partitioned into rows (§IV-B); inside a row they are sorted by left
-/// edge with a running maximum of right edges. Each inner rectangle
+/// edge with a running maximum of right edges. Each inner window
 /// binary-searches the rows its y-range meets, then in each row the
 /// first member whose running maximum reaches its left edge, and scans
 /// while members start left of its right edge. The queries run as
@@ -179,43 +185,43 @@ struct JoinRow {
 ///
 /// let inner = [Rect::from_coords(4, 4, 6, 6), Rect::from_coords(50, 50, 52, 52)];
 /// let outer = [Rect::from_coords(0, 0, 10, 10), Rect::from_coords(6, 6, 20, 20)];
-/// let join = row_join_on(&inner, &outer, &HostExecutor::new(1));
+/// let join = row_join_on(&inner, |&r| r, &outer, |&r| r, &HostExecutor::new(1));
 /// assert_eq!(join.hits_of(0), [0, 1]); // corner touch counts
 /// assert!(join.hits_of(1).is_empty());
 /// assert_eq!(join.scanned, 2);
 /// ```
-pub fn row_join_on(inner: &[Rect], outer: &[Rect], host: &HostExecutor) -> RowJoin {
-    let Some(bbox) = inner.iter().copied().reduce(Rect::hull) else {
+pub fn row_join_on<I: Sync, O: Sync>(
+    inner: &[I],
+    window: impl Fn(&I) -> Rect + Sync,
+    outer: &[O],
+    mbr: impl Fn(&O) -> Rect + Sync,
+    host: &HostExecutor,
+) -> RowJoin {
+    let Some(bbox) = inner.iter().map(&window).reduce(Rect::hull) else {
         return RowJoin::default();
     };
     let start = Instant::now();
-    let kept: Vec<usize> = (0..outer.len())
-        .filter(|&o| outer[o].overlaps(bbox))
-        .collect();
-    let mbrs: Vec<Rect> = kept.iter().map(|&o| outer[o]).collect();
-    let rows: Vec<JoinRow> = partition_rows(&mbrs, 0)
-        .rows
-        .into_iter()
-        .map(|row| {
-            let mut members: Vec<(Rect, usize)> =
-                row.members.iter().map(|&m| (mbrs[m], kept[m])).collect();
-            members.sort_unstable_by_key(|&(r, o)| (r.lo().x, o));
-            let reach = members
-                .iter()
-                .scan(Coord::MIN, |h, (r, _)| {
-                    *h = (*h).max(r.hi().x);
-                    Some(*h)
-                })
-                .collect();
-            JoinRow {
-                y: row.y,
-                members,
-                reach,
-            }
-        })
-        .collect();
+    let n = u32::try_from(outer.len()).expect("outer count fits u32");
+    let outer_mbr = |o: u32| mbr(&outer[o as usize]);
+    let kept: Vec<u32> = (0..n).filter(|&o| outer_mbr(o).overlaps(bbox)).collect();
+    let rows: Vec<JoinRow> =
+        partition_intervals(kept.len(), |k| outer_mbr(kept[k]).y_range(), |k| kept[k])
+            .into_iter()
+            .map(|(y, mut members)| {
+                members.sort_unstable_by_key(|&o| (outer_mbr(o).lo().x, o));
+                let reach = members
+                    .iter()
+                    .scan(Coord::MIN, |h, &o| {
+                        *h = (*h).max(outer_mbr(o).hi().x);
+                        Some(*h)
+                    })
+                    .collect();
+                JoinRow { y, members, reach }
+            })
+            .collect();
+    drop(kept);
     // Appends window `w`'s hits to `hits`, ascending.
-    let query = |w: Rect, hits: &mut Vec<usize>, scanned: &mut u64| {
+    let query = |w: Rect, hits: &mut Vec<u32>, scanned: &mut u64| {
         let from_hit = hits.len();
         let first = rows.partition_point(|row| row.y.hi() < w.lo().y);
         for row in rows[first..]
@@ -224,8 +230,11 @@ pub fn row_join_on(inner: &[Rect], outer: &[Rect], host: &HostExecutor) -> RowJo
         {
             // Every member before `from` ends left of the window.
             let from = row.reach.partition_point(|&h| h < w.lo().x);
-            let starts_in = |&&(r, _): &&(Rect, usize)| r.lo().x <= w.hi().x;
-            for &(r, o) in row.members[from..].iter().take_while(starts_in) {
+            for &o in &row.members[from..] {
+                let r = outer_mbr(o);
+                if r.lo().x > w.hi().x {
+                    break;
+                }
                 *scanned += 1;
                 if r.overlaps(w) {
                     hits.push(o);
@@ -234,31 +243,35 @@ pub fn row_join_on(inner: &[Rect], outer: &[Rect], host: &HostExecutor) -> RowJo
         }
         hits[from_hit..].sort_unstable();
     };
-    let mut join = RowJoin {
-        hits: Vec::new(),
-        offsets: Vec::with_capacity(inner.len() + 1),
-        scanned: 0,
-        busy: start.elapsed(),
-    };
-    join.offsets.push(0);
+    let busy = start.elapsed();
     // Each chunk returns its hits and the end of every window's list
     // within them.
     let chunks = host.run("sweepline", inner.len().div_ceil(JOIN_CHUNK), |c| {
         let t0 = Instant::now();
         let mut scanned = 0;
-        let windows = &inner[c * JOIN_CHUNK..inner.len().min((c + 1) * JOIN_CHUNK)];
-        let mut hits = Vec::with_capacity(windows.len());
-        let ends: Vec<usize> = windows
+        let items = &inner[c * JOIN_CHUNK..inner.len().min((c + 1) * JOIN_CHUNK)];
+        let mut hits = Vec::with_capacity(items.len());
+        // Within the total, which is checked to fit below.
+        let ends: Vec<u32> = items
             .iter()
-            .map(|&w| {
-                query(w, &mut hits, &mut scanned);
-                hits.len()
+            .map(|item| {
+                query(window(item), &mut hits, &mut scanned);
+                hits.len() as u32
             })
             .collect();
         (hits, ends, scanned, t0.elapsed())
     });
+    let total = chunks.iter().map(|(hits, ..)| hits.len()).sum();
+    u32::try_from(total).expect("join hit count fits u32");
+    let mut join = RowJoin {
+        hits: Vec::with_capacity(total),
+        offsets: Vec::with_capacity(inner.len() + 1),
+        scanned: 0,
+        busy,
+    };
+    join.offsets.push(0);
     for (hits, ends, scanned, elapsed) in chunks {
-        let base = join.hits.len();
+        let base = join.hits.len() as u32;
         join.offsets.extend(ends.into_iter().map(|end| base + end));
         join.hits.extend(hits);
         join.scanned += scanned;
@@ -267,41 +280,40 @@ pub fn row_join_on(inner: &[Rect], outer: &[Rect], host: &HostExecutor) -> RowJo
     join
 }
 
-/// Shared 1-D machinery: merge the (already inflated) extents into
-/// rows and fill each row's members in ascending index order.
-fn partition_intervals(extents: &[Interval]) -> Vec<Row> {
+/// Shared 1-D machinery: merge the `n` (already inflated) extents into
+/// rows and fill each row's members, `member(i)` for extent `i`, in
+/// ascending `i` order. Returns each row's y-extent and members.
+fn partition_intervals<M>(
+    n: usize,
+    extent: impl Fn(usize) -> Interval,
+    member: impl Fn(usize) -> M,
+) -> Vec<(Interval, Vec<M>)> {
     assert!(
-        u32::try_from(extents.len()).is_ok(),
-        "{} extents overflow the 32-bit index of the sort key",
-        extents.len()
+        u32::try_from(n).is_ok(),
+        "{n} extents overflow the 32-bit index of the sort key"
     );
     // One key per extent: the lower end, biased to sort as unsigned, in
     // the high half and the index in the low half.
-    let mut keys: Vec<u64> = extents
-        .iter()
-        .enumerate()
-        .map(|(i, e)| (u64::from(e.lo() as u32 ^ 0x8000_0000) << 32) | i as u64)
+    let mut keys: Vec<u64> = (0..n)
+        .map(|i| (u64::from(extent(i).lo() as u32 ^ 0x8000_0000) << 32) | i as u64)
         .collect();
     keys.sort_unstable();
 
     // Running-maximum scan: a row ends where the next extent starts
     // above every upper end so far (touching extents merge).
-    let mut rows: Vec<Row> = Vec::new();
+    let mut rows: Vec<(Interval, Vec<M>)> = Vec::new();
     let mut counts: Vec<usize> = Vec::new();
-    let mut row_of = vec![0u32; extents.len()];
+    let mut row_of = vec![0u32; n];
     for key in keys {
         let i = key as u32 as usize;
-        let e = extents[i];
+        let e = extent(i);
         match rows.last_mut() {
-            Some(row) if e.lo() <= row.y.hi() => {
-                row.y = row.y.hull(e);
+            Some((y, _)) if e.lo() <= y.hi() => {
+                *y = y.hull(e);
                 *counts.last_mut().expect("one count per row") += 1;
             }
             _ => {
-                rows.push(Row {
-                    y: e,
-                    members: Vec::new(),
-                });
+                rows.push((e, Vec::new()));
                 counts.push(1);
             }
         }
@@ -309,11 +321,11 @@ fn partition_intervals(extents: &[Interval]) -> Vec<Row> {
     }
 
     // Count-then-fill in index order keeps member lists ascending.
-    for (row, count) in rows.iter_mut().zip(counts) {
-        row.members.reserve_exact(count);
+    for ((_, members), count) in rows.iter_mut().zip(counts) {
+        members.reserve_exact(count);
     }
     for (i, &r) in row_of.iter().enumerate() {
-        rows[r as usize].members.push(i);
+        rows[r as usize].1.push(member(i));
     }
     rows
 }

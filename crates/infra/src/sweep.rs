@@ -166,12 +166,17 @@ mod tests {
         pairs
     }
 
+    /// [`row_join_on`] over two rectangle slices.
+    fn rect_join(inner: &[Rect], outer: &[Rect], host: &HostExecutor) -> RowJoin {
+        row_join_on(inner, |&w| w, outer, |&m| m, host)
+    }
+
     /// The row join's `(inner, outer)` pairs, flattened in hit-list
     /// order (so an unsorted list fails a comparison with the reference),
     /// after checking that 1 and 3 threads agree on hits and scan count.
     fn join_pairs(inner: &[Rect], outer: &[Rect]) -> Vec<(usize, usize)> {
-        let join = row_join_on(inner, outer, &HostExecutor::new(1));
-        let wide = row_join_on(inner, outer, &HostExecutor::new(3));
+        let join = rect_join(inner, outer, &HostExecutor::new(1));
+        let wide = rect_join(inner, outer, &HostExecutor::new(3));
         assert_eq!(
             join,
             RowJoin {
@@ -183,7 +188,7 @@ mod tests {
             assert_eq!(join.offsets.len(), inner.len() + 1);
         }
         let pairs: Vec<(usize, usize)> = (0..inner.len())
-            .flat_map(|i| join.hits_of(i).iter().map(move |&o| (i, o)))
+            .flat_map(|i| join.hits_of(i).iter().map(move |&o| (i, o as usize)))
             .collect();
         assert!(join.scanned >= pairs.len() as u64);
         pairs
@@ -194,7 +199,7 @@ mod tests {
         let some = [r(0, 0, 5, 5)];
         assert!(join_pairs(&[], &some).is_empty());
         assert!(join_pairs(&some, &[]).is_empty());
-        let join = row_join_on(&some, &[], &HostExecutor::new(1));
+        let join = rect_join(&some, &[], &HostExecutor::new(1));
         assert_eq!((join.hits, join.offsets), (vec![], vec![0, 0]));
         assert_eq!(join.scanned, 0);
     }
@@ -256,8 +261,35 @@ mod tests {
         assert_eq!(expected.len(), 20);
         // Window k examines the spanning wire and the k + 1 members that
         // start left of its right edge.
-        let join = row_join_on(&inner, &outer, &HostExecutor::new(1));
+        let join = rect_join(&inner, &outer, &HostExecutor::new(1));
         assert_eq!(join.scanned, (0..10).map(|k| k + 2).sum::<u64>());
+    }
+
+    #[test]
+    fn row_join_scans_only_outers_meeting_the_inner_bounding_box() {
+        // The inners' bounding box is (0, 0)-(30, 10). Outer 5 reaches
+        // y = 40, so the kept outers form one row over [0, 40]; outers
+        // 0, 2, 4 and 6 lie outside the box, 0, 2 and 6 inside that
+        // row's y-range. They are filtered before the row partition, so
+        // no window scans them: unfiltered, the row would sort as
+        // 0, 6, 1, 3, 5, 2 and the windows would scan 2 + 4 members.
+        let inner = [r(0, 0, 10, 10), r(20, 0, 30, 10)];
+        let outer = [
+            r(-50, 0, -40, 10), // left of the box, inside the row
+            r(5, 2, 8, 8),      // hits inner 0
+            r(40, 0, 60, 10),   // right of the box, inside the row
+            r(12, 0, 18, 10),   // between the inners: scanned by neither
+            r(-20, -5, 35, -1), // below the box
+            r(25, 5, 45, 40),   // hits inner 1, stretches the row to 40
+            r(0, 20, 30, 25),   // above the box, inside the row
+        ];
+        assert_eq!(join_pairs(&inner, &outer), vec![(0, 1), (1, 5)]);
+        assert_eq!(join_pairs(&inner, &outer), brute_force_join(&inner, &outer));
+        let join = rect_join(&inner, &outer, &HostExecutor::new(1));
+        assert_eq!((join.hits, join.offsets), (vec![1, 5], vec![0, 1, 2]));
+        // Inner 0 scans outer 1 and stops at 3; inner 1 starts past 3
+        // (the running maximum 18 ends left of it) and scans 5.
+        assert_eq!(join.scanned, 2);
     }
 
     #[test]
@@ -279,8 +311,8 @@ mod tests {
             .collect();
         let serial = HostExecutor::new(1);
         let wide = HostExecutor::new(4);
-        let a = row_join_on(&inner, &outer, &serial);
-        let b = row_join_on(&inner, &outer, &wide);
+        let a = rect_join(&inner, &outer, &serial);
+        let b = rect_join(&inner, &outer, &wide);
         assert_eq!(a, RowJoin { busy: a.busy, ..b });
         // The row build does not fan out; the queries run as three
         // chunks.
