@@ -123,7 +123,8 @@ fn main() {
         );
         let half = ((tech::M1_SPACE + 1) / 2) as odrc_geometry::Coord;
         for d in &load_designs(Some("ibex,aes")) {
-            let scene = LayerScene::build(&d.layout, tech::M1);
+            let host = odrc_infra::HostExecutor::new(1);
+            let scene = LayerScene::build_on(&d.layout, tech::M1, None, &host);
             let mbrs: Vec<Rect> = scene.objects.iter().map(|o| o.mbr).collect();
             let rows: Vec<Vec<Rect>> = partition_rows(&mbrs, half)
                 .iter()

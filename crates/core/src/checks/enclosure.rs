@@ -17,12 +17,13 @@ use std::borrow::Cow;
 use odrc_geometry::{Orientation, Polygon, Rect, Transform};
 
 /// A polygon where it is placed: as stored (a cell's local geometry,
-/// or a polygon already in top coordinates) plus the placement that
-/// takes it to top coordinates, and its MBR there.
+/// a polygon already in top coordinates, or a rectangle stored as its
+/// MBR) plus the placement that takes it to top coordinates, and its
+/// MBR there.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Placed<'a> {
-    /// The stored polygon.
-    polygon: &'a Polygon,
+    /// The stored polygon; `None` for a rectangle that is its MBR.
+    polygon: Option<&'a Polygon>,
     /// Its placement; `None` when it is stored in top coordinates.
     transform: Option<Transform>,
     /// Its MBR in top coordinates.
@@ -36,8 +37,18 @@ impl<'a> Placed<'a> {
         let mbr = polygon.mbr();
         let mbr = transform.map_or(mbr, |t| t.apply_rect(mbr));
         Placed {
-            polygon,
+            polygon: Some(polygon),
             transform,
+            mbr,
+        }
+    }
+
+    /// The rectangle `mbr`, in top coordinates, borrowing no polygon.
+    #[inline]
+    pub(crate) fn rect(mbr: Rect) -> Placed<'a> {
+        Placed {
+            polygon: None,
+            transform: None,
             mbr,
         }
     }
@@ -51,15 +62,16 @@ impl<'a> Placed<'a> {
     /// Whether the polygon is a rectangle, i.e. equal to its MBR.
     #[inline]
     pub(crate) fn is_rect(self) -> bool {
-        self.polygon.len() == 4
+        self.polygon.is_none_or(|p| p.len() == 4)
     }
 
     /// The polygon in top coordinates: borrowed when it is stored
     /// there, built otherwise.
     pub(crate) fn to_polygon(self) -> Cow<'a, Polygon> {
-        match self.transform {
-            None => Cow::Borrowed(self.polygon),
-            Some(t) => Cow::Owned(t.apply_polygon(self.polygon)),
+        match (self.polygon, self.transform) {
+            (None, _) => Cow::Owned(Polygon::rect(self.mbr)),
+            (Some(p), None) => Cow::Borrowed(p),
+            (Some(p), Some(t)) => Cow::Owned(t.apply_polygon(p)),
         }
     }
 }
@@ -452,7 +464,8 @@ mod tests {
             outer,
             min: 100,
         };
-        let scene = |layer| Arc::new(LayerScene::build(&layout, layer));
+        let host = odrc_infra::HostExecutor::new(1);
+        let scene = |layer| Arc::new(LayerScene::build_on(&layout, layer, None, &host));
         let work = PairsWork::new(&mut ctx, pairs, scene(inner), scene(outer), None);
         let mut measured: Vec<(Rect, i64)> = (0..work.len())
             .map(|i| (work.mbrs[i], work.measure(i)))

@@ -398,7 +398,9 @@ fn collect_space(
         ),
     };
     let start = std::time::Instant::now();
-    issue.work.finish(ctx, rule_name, checked, out);
+    issue
+        .work
+        .finish(ctx, &issue.rows.scene, rule_name, checked, out);
     ctx.profiler.add("convert", start.elapsed());
 }
 

@@ -43,14 +43,16 @@
 //!   polygons' edges in cell-local coordinates, checked once unless the
 //!   rule's memo or the persistent cache holds its verdicts (packed by
 //!   the rule that misses it), and replayed through the cell's
-//!   placements, which the row set lists once ([`RowSet::templates`]);
+//!   placements, the scene's `Cell` objects; the row set lists each
+//!   template once with its placement count ([`RowSet::templates`]);
 //! * the **partition rows** ([`pack_row`]), holding only what can take
 //!   part in an *inter*-object violation: each candidate object pair of
 //!   a row ([`row_candidate_pairs`]) contributes a window
 //!   ([`pair_window`]) and a placed cell keeps the polygons whose MBR
 //!   overlaps one of its windows. Top-level polygons keep every edge
-//!   (their notch pairs have no template); a row that keeps nothing is
-//!   not materialized.
+//!   (their notch pairs have no template), a frame rectangle's straight
+//!   from its object's MBR; a row that keeps nothing is not
+//!   materialized.
 //!
 //! Windows reach `2 · half` of the [`RowSetKey`], never the checking
 //! rule's own distance: a row set is shared by every rule that rounds to
@@ -93,7 +95,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use odrc_db::{CellId, Layer};
-use odrc_geometry::{Coord, Edge, Point, Polygon, Rect, Transform};
+use odrc_geometry::{Coord, Edge, Point, Rect, Transform};
 use odrc_xpu::{DeviceBuffer, Event, LaunchBatch, XpuResult};
 use parking_lot::Mutex;
 
@@ -157,12 +159,11 @@ fn sorted_edges(mut keyed: Vec<(u128, PackedEdge)>) -> Vec<PackedEdge> {
     keyed.into_iter().map(|(_, e)| e).collect()
 }
 
-/// Appends the edges of `t.apply_polygon(poly)`, keyed by
-/// [`edge_sort_key`], without rebuilding the polygon: a mirror flips the
-/// orientation, so under one every edge runs backwards (interior on the
-/// clockwise side).
-fn placed_keys(poly: &Polygon, t: &Transform, keys: &mut Vec<(u128, PackedEdge)>) {
-    let v = poly.vertices();
+/// Appends the edges of the clockwise polygon with vertices `v` placed
+/// by `t`, keyed by [`edge_sort_key`], without building the placed
+/// polygon: a mirror flips the orientation, so under one every edge
+/// runs backwards (interior on the clockwise side).
+fn placed_keys(v: &[Point], t: &Transform, keys: &mut Vec<(u128, PackedEdge)>) {
     let first = t.apply(v[0]);
     let mut from = first;
     for to in v[1..].iter().map(|&p| t.apply(p)).chain([first]) {
@@ -186,7 +187,7 @@ fn pair_window(a: &SceneObject, b: &SceneObject, reach: Coord) -> Option<Rect> {
 /// ([`pack_row`]), with the row's pairs ([`row_candidate_pairs`]).
 pub(crate) fn pack_unit(
     scene: &LayerScene,
-    templates: &[(CellId, Vec<Transform>)],
+    templates: &[(CellId, usize)],
     rows: &[&[usize]],
     i: usize,
     half: Coord,
@@ -206,7 +207,7 @@ pub(crate) fn pack_unit(
 fn pack_cell(scene: &LayerScene, cell: CellId) -> Vec<PackedEdge> {
     let mut keys = Vec::new();
     for poly in scene.local_polygons(cell) {
-        placed_keys(poly, &Transform::IDENTITY, &mut keys);
+        placed_keys(poly.vertices(), &Transform::IDENTITY, &mut keys);
     }
     sorted_edges(keys)
 }
@@ -249,13 +250,19 @@ fn pack_row(
                         let mbr = transform.apply_rect(poly.mbr());
                         near.iter().any(|(_, w)| w.overlaps(mbr))
                     } {
-                        placed_keys(poly, &transform, &mut keys);
+                        placed_keys(poly.vertices(), &transform, &mut keys);
                     }
                 }
             }
-            // A top polygon's notch pairs live in the row.
+            // A top polygon's notch pairs live in the row; a frame
+            // rectangle's edges are its MBR's.
             SceneSource::TopPolygon { index } => {
-                placed_keys(scene.top_polygon(index), &Transform::IDENTITY, &mut keys);
+                let v = scene.top_polygon(index).vertices();
+                placed_keys(v, &Transform::IDENTITY, &mut keys);
+            }
+            SceneSource::TopRect => {
+                let v = scene.objects[m].mbr.corners();
+                placed_keys(&v, &Transform::IDENTITY, &mut keys);
             }
         }
     }
@@ -397,7 +404,7 @@ impl Segmented {
 pub(crate) fn pack(
     ctx: &mut RunContext<'_>,
     scene: &LayerScene,
-    templates: &[(CellId, Vec<Transform>)],
+    templates: &[(CellId, usize)],
     rows: &[&[usize]],
     units: &[usize],
     half: Coord,
@@ -439,7 +446,7 @@ pub(crate) fn pack(
 /// [`pack`]s its missing templates from.
 pub(crate) struct RowSet {
     /// The scene's templates (first-occurrence cell order over its
-    /// objects, none without `pruning`), each with its placements.
+    /// objects, none without `pruning`), each with its placement count.
     pub templates: Templates,
     /// The scene the rows and templates are packed from.
     pub scene: Arc<LayerScene>,
@@ -576,6 +583,7 @@ mod tests {
     use super::*;
     use crate::rules::rule;
     use crate::sequential::{CellMemo, SpaceWork};
+    use odrc_geometry::Polygon;
     use odrc_xpu::{Device, Fault, FaultPlan, Stream};
 
     #[test]
@@ -683,7 +691,7 @@ mod tests {
                 let local = records.map(|record| crate::parallel::record_violation(edges, record));
                 local.collect::<Vec<_>>()
             });
-            work.finish(&mut ctx, "S", checked, &mut out);
+            work.finish(&mut ctx, &set.scene, "S", checked, &mut out);
         }
         (crate::canonicalize(out), stats.edges_packed)
     }
@@ -700,7 +708,9 @@ mod tests {
             use odrc_layoutgen::{generate_layout, DesignSpec};
             let layout = generate_layout(&DesignSpec::tiny(seed));
             for layer in layout.layers() {
-                let places_cells = LayerScene::build(&layout, layer).placed_cells().next().is_some();
+                let host = odrc_infra::HostExecutor::new(1);
+                let scene = LayerScene::build_on(&layout, layer, None, &host);
+                let places_cells = scene.placed_cells().next().is_some();
                 for min in [17, 18, 20, 24] {
                     let (pruned, pruned_edges) = host_space(&layout, layer, min, true);
                     let (flat, flat_edges) = host_space(&layout, layer, min, false);
@@ -778,7 +788,7 @@ mod tests {
             for mirror in [false, true] {
                 let t = Transform::new(mirror, rotation, 1, Point::new(-7, 50));
                 let mut direct = Vec::new();
-                placed_keys(&poly, &t, &mut direct);
+                placed_keys(poly.vertices(), &t, &mut direct);
                 let mut rebuilt: Vec<(u128, PackedEdge)> = t
                     .apply_polygon(&poly)
                     .edges()
@@ -788,6 +798,57 @@ mod tests {
                 direct.sort_unstable();
                 rebuilt.sort_unstable();
                 assert_eq!(direct, rebuilt, "transform {t}");
+            }
+        }
+    }
+
+    /// A frame rectangle packs the edges of the layout's rectangle
+    /// placed by its frame, straight from its MBR: under each of the
+    /// eight orientations of a frame one level down, and two levels down.
+    #[test]
+    fn a_frame_rectangle_packs_its_placed_polygons_edges() {
+        use odrc_gdsii::{Element, Library, RefElement, Structure};
+        use odrc_geometry::Rotation;
+        let rect = Polygon::rect(Rect::from_coords(3, 5, 40, 9));
+        let place = |name: &str, inner: &str, t: Transform| {
+            let mut r = RefElement::sref(inner, t.translate());
+            r.mirror_x = t.mirror_x();
+            r.angle_deg = f64::from(t.rotation().quarter_turns()) * 90.0;
+            let mut s = Structure::new(name);
+            s.elements.push(Element::Ref(r));
+            s
+        };
+        for k in 0..8 {
+            let t = Transform::new(
+                k >= 4,
+                Rotation::from_quarter_turns(k % 4),
+                1,
+                Point::new(-7, 50),
+            );
+            // TOP draws the rectangle and places a cell off the layer,
+            // which makes it a frame.
+            let mut unit = Structure::new("UNIT");
+            unit.elements
+                .push(Element::boundary(2, rect.vertices().to_vec()));
+            let mut top = place("TOP", "UNIT", Transform::IDENTITY);
+            top.elements
+                .push(Element::boundary(1, rect.vertices().to_vec()));
+            let mut once = Library::new("t");
+            once.structures = vec![unit, top, place("WRAP", "TOP", t)];
+            let mut twice = once.clone();
+            twice.structures.push(place("OUTER", "WRAP", t));
+            for (lib, at) in [(once, t), (twice, t.then(&t))] {
+                let layout = odrc_db::Layout::from_library(&lib).unwrap();
+                let options = crate::EngineOptions::default();
+                let mut profiler = odrc_infra::Profiler::new();
+                let mut stats = crate::EngineStats::default();
+                let mut ctx = RunContext::new(&layout, &options, &mut profiler, &mut stats);
+                let set = ctx.row_set(1, 18);
+                let sources: Vec<_> = set.scene.objects.iter().map(|o| o.source).collect();
+                assert_eq!(sources, [SceneSource::TopRect]);
+                let mut keys = Vec::new();
+                placed_keys(rect.vertices(), &at, &mut keys);
+                assert_eq!(*set.rows.edges.host, sorted_edges(keys), "transform {at}");
             }
         }
     }

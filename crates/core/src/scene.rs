@@ -9,7 +9,13 @@
 //! cell-local coordinates — copied once per cell definition no matter
 //! how many times the cell is placed, which is the database half of the
 //! hierarchical reuse of §IV-C; intra-polygon checks replay through the
-//! walk's instance table, [`cell_instances`].
+//! walk's instance table, [`cell_instances`]. A scene keeps nothing the
+//! layout or the scene already holds: a frame's rectangle is its
+//! object's MBR ([`SceneSource::TopRect`]), since a frame placement maps
+//! a rectangle onto its MBR, and only other frame polygons are placed
+//! into top coordinates and stored. A spacing template counts its
+//! placements ([`LayerScene::templates`]); the scene's objects are the
+//! placements it is replayed through.
 //!
 //! A build has two passes. Pass 1 walks the cut once and is kept as a
 //! value, [`LayerObjects`]: the layer's objects in *proto order* with
@@ -33,11 +39,15 @@ pub enum SceneSource {
         /// Its transform into top coordinates.
         transform: Transform,
     },
-    /// A polygon drawn in a frame, stored in top coordinates.
+    /// A non-rectangular polygon drawn in a frame, stored in top
+    /// coordinates.
     TopPolygon {
         /// Index into the scene's top-polygon list.
         index: usize,
     },
+    /// A rectangle drawn in a frame: the object's MBR, stored nowhere
+    /// else.
+    TopRect,
 }
 
 /// One object of the scene with its layer MBR in top coordinates.
@@ -60,7 +70,8 @@ pub struct LayerScene {
     /// first (`slot`: its index here by `CellId`).
     local: Vec<(CellId, Vec<Polygon>)>,
     slot: Vec<Option<u32>>,
-    /// The frames' polygons on this layer, top coordinates.
+    /// The frames' non-rectangular polygons on this layer, top
+    /// coordinates.
     top_polys: Vec<Polygon>,
 }
 
@@ -91,11 +102,6 @@ impl DirtyWindow<'_> {
 }
 
 impl LayerScene {
-    /// Builds the scene for `layer`.
-    pub fn build(layout: &Layout, layer: Layer) -> LayerScene {
-        LayerScene::build_on(layout, layer, None, &odrc_infra::HostExecutor::new(1))
-    }
-
     /// Builds the scene for `layer`, restricted to the objects that can
     /// participate in a violation overlapping `window` (when given; see
     /// [`LayerObjects::near`]). Cells whose placements are all filtered
@@ -130,18 +136,19 @@ impl LayerScene {
         self.local.iter().map(|(cell, _)| *cell)
     }
 
-    /// Each placed cell, first occurrence first, with its placements in
-    /// object order: the spacing templates (§IV-C), of which there are
-    /// none without `pruning` (the flat pack keeps every polygon).
-    pub(crate) fn templates(&self, pruning: bool) -> Vec<(CellId, Vec<Transform>)> {
+    /// Each placed cell, first occurrence first, with its placement
+    /// count: the spacing templates (§IV-C), of which there are none
+    /// without `pruning` (the flat pack keeps every polygon). The
+    /// placements themselves are the scene's `Cell` objects.
+    pub(crate) fn templates(&self, pruning: bool) -> Vec<(CellId, usize)> {
         if !pruning {
             return Vec::new();
         }
-        let mut templates: Vec<_> = self.placed_cells().map(|c| (c, Vec::new())).collect();
+        let mut templates: Vec<_> = self.placed_cells().map(|c| (c, 0)).collect();
         for obj in &self.objects {
-            if let SceneSource::Cell { cell, transform } = obj.source {
+            if let SceneSource::Cell { cell, .. } = obj.source {
                 let slot = self.slot[cell.index()].expect("a placed cell has a slot");
-                templates[slot as usize].1.push(transform);
+                templates[slot as usize].1 += 1;
             }
         }
         templates
@@ -161,7 +168,11 @@ impl LayerScene {
         obj: &SceneObject,
     ) -> impl Iterator<Item = Placed<'_>> + '_ {
         let (polys, transform) = self.stored(obj);
-        polys.iter().map(move |p| Placed::new(p, transform))
+        let rect = (obj.source == SceneSource::TopRect).then(|| Placed::rect(obj.mbr));
+        polys
+            .iter()
+            .map(move |p| Placed::new(p, transform))
+            .chain(rect)
     }
 
     /// Polygon `k` of [`LayerScene::placed_polygons`] of `obj`.
@@ -170,28 +181,33 @@ impl LayerScene {
     ///
     /// Panics if the object has no polygon `k`.
     pub(crate) fn placed_polygon(&self, obj: &SceneObject, k: usize) -> Placed<'_> {
+        if obj.source == SceneSource::TopRect {
+            assert_eq!(k, 0, "a frame rectangle is one polygon");
+            return Placed::rect(obj.mbr);
+        }
         let (polys, transform) = self.stored(obj);
         Placed::new(&polys[k], transform)
     }
 
-    /// One object's polygons as stored, and the placement that takes
-    /// them to top coordinates.
+    /// One object's polygons as stored (none for a frame rectangle),
+    /// and the placement that takes them to top coordinates.
     fn stored(&self, obj: &SceneObject) -> (&[Polygon], Option<Transform>) {
         match obj.source {
             SceneSource::Cell { cell, transform } => (self.local_polygons(cell), Some(transform)),
             SceneSource::TopPolygon { index } => {
                 (std::slice::from_ref(&self.top_polys[index]), None)
             }
+            SceneSource::TopRect => (&[], None),
         }
     }
 
     /// Approximate resident size of the scene in bytes: object records
-    /// plus every cached polygon's vertex storage (with a fixed
-    /// per-polygon overhead for the `Vec` headers). This is the byte
-    /// cost the out-of-core [`ShardPool`](crate::shard::ShardPool)
-    /// charges against its budget — an accounting estimate, not an
-    /// allocator measurement.
-    pub(crate) fn approx_bytes(&self) -> u64 {
+    /// (a frame rectangle is nothing more) plus every stored polygon's
+    /// vertex storage (with a fixed per-polygon overhead for the `Vec`
+    /// headers). This is the byte cost the out-of-core
+    /// [`ShardPool`](crate::shard::ShardPool) charges against its
+    /// budget — an accounting estimate, not an allocator measurement.
+    pub fn approx_bytes(&self) -> u64 {
         const POLY_OVERHEAD: u64 = 48;
         let vertex = std::mem::size_of::<odrc_geometry::Point>() as u64;
         let mut bytes = (self.objects.len() * std::mem::size_of::<SceneObject>()) as u64;
@@ -344,7 +360,8 @@ pub fn cell_instances(layout: &Layout) -> Vec<Vec<Transform>> {
 
 /// Pass 2 of a scene build: derive the member objects (sorted proto
 /// indices) from their frames by index, copying each member cell's
-/// polygons once and placing each member frame polygon. Only the member
+/// polygons once and placing each member frame polygon that is not a
+/// rectangle (a rectangle is its object's MBR). Only the member
 /// objects survive — this is the residency unit of the out-of-core
 /// [`ShardPool`](crate::shard::ShardPool), and nothing in it walks the
 /// layer: a rebuild after eviction costs O(members) too. The cell copies
@@ -377,13 +394,16 @@ pub(crate) fn assemble(
             SceneSource::Cell { cell, transform }
         } else {
             let polygon = &layout.cell(frame).polygons()[child].polygon;
-            top_polys.reserve_exact(members.len() - objects.len()); // exact on one level
-            top_polys.push(match at {
-                Transform::IDENTITY => polygon.clone(),
-                t => t.apply_polygon(polygon),
-            });
-            let index = top_polys.len() - 1;
-            SceneSource::TopPolygon { index }
+            if polygon.len() == 4 {
+                SceneSource::TopRect
+            } else {
+                top_polys.push(match at {
+                    Transform::IDENTITY => polygon.clone(),
+                    t => t.apply_polygon(polygon),
+                });
+                let index = top_polys.len() - 1;
+                SceneSource::TopPolygon { index }
+            }
         };
         let mbr = protos.mbrs[m];
         objects.push(SceneObject { mbr, source });
@@ -413,6 +433,11 @@ mod tests {
 
     fn p(x: i32, y: i32) -> Point {
         Point::new(x, y)
+    }
+
+    /// The scene of `layer` on a one-thread executor.
+    fn build(layout: &Layout, layer: Layer) -> LayerScene {
+        LayerScene::build_on(layout, layer, None, &odrc_infra::HostExecutor::new(1))
     }
 
     /// Total placed polygon count of the scene.
@@ -463,19 +488,19 @@ mod tests {
     #[test]
     fn scene_objects_cover_placements_and_top_polys() {
         let layout = demo_layout();
-        let scene = LayerScene::build(&layout, 1);
+        let scene = build(&layout, 1);
         assert_eq!(scene.objects.len(), 3); // two placements + one top poly
         assert_eq!(flat_count(&scene), 3);
-        let scene2 = LayerScene::build(&layout, 2);
+        let scene2 = build(&layout, 2);
         assert_eq!(scene2.objects.len(), 2); // placements only
-        let scene9 = LayerScene::build(&layout, 9);
+        let scene9 = build(&layout, 9);
         assert!(scene9.objects.is_empty());
     }
 
     #[test]
     fn local_cache_shared_between_instances() {
         let layout = demo_layout();
-        let scene = LayerScene::build(&layout, 1);
+        let scene = build(&layout, 1);
         assert_eq!(scene.placed_cells().count(), 1); // UNIT cached once
         let unit = layout.cell_by_name("UNIT").unwrap();
         assert_eq!(scene.local_polygons(unit).len(), 1);
@@ -484,7 +509,7 @@ mod tests {
     #[test]
     fn object_polygons_transformed() {
         let layout = demo_layout();
-        let scene = LayerScene::build(&layout, 1);
+        let scene = build(&layout, 1);
         let second = &scene.objects[1];
         let polys = polygons_of(&scene, second);
         assert_eq!(polys.len(), 1);
@@ -494,7 +519,7 @@ mod tests {
     #[test]
     fn windowed_polygons_filter() {
         let layout = demo_layout();
-        let scene = LayerScene::build(&layout, 1);
+        let scene = build(&layout, 1);
         let obj = &scene.objects[0];
         assert_eq!(count_in(&scene, obj, Rect::from_coords(-5, -5, 2, 2)), 1);
         assert_eq!(count_in(&scene, obj, Rect::from_coords(50, 50, 60, 60)), 0);
@@ -510,7 +535,7 @@ mod tests {
     fn parallel_build_matches_serial() {
         let layout = demo_layout();
         for layer in [1, 2] {
-            let serial = LayerScene::build(&layout, layer);
+            let serial = build(&layout, layer);
             for threads in [2, 8] {
                 let host = odrc_infra::HostExecutor::new(threads);
                 let par = LayerScene::build_on(&layout, layer, None, &host);
@@ -530,7 +555,8 @@ mod tests {
 
     /// `scene` must be `full` (the unwindowed scene of the same layer)
     /// filtered to the proto indices `members`: same objects in member
-    /// order with top polygons renumbered densely, same geometry per
+    /// order with stored top polygons renumbered densely (a frame
+    /// rectangle stores nothing), same geometry per
     /// object, exactly the members' cells flattened, and the residency
     /// cost the pool would have charged for that content.
     fn assert_is_subset(full: &LayerScene, members: &[usize], scene: &LayerScene) {
@@ -547,6 +573,7 @@ mod tests {
                     assert_eq!(obj.source, want.source);
                     cells.insert(cell);
                 }
+                SceneSource::TopRect => assert_eq!(obj.source, want.source),
                 SceneSource::TopPolygon { index } => {
                     assert_eq!(obj.source, SceneSource::TopPolygon { index: drawn });
                     drawn += 1;
@@ -613,10 +640,21 @@ mod tests {
         }
     }
 
+    /// The L-shaped polygon over `[x, x + 20] × [y, y + 20]` whose
+    /// upper-right quadrant is notched out.
+    fn l_shape(x: i32, y: i32) -> Vec<Point> {
+        let corners = [(0, 0), (0, 20), (10, 20), (10, 10), (20, 10), (20, 0)];
+        corners.iter().map(|&(dx, dy)| p(x + dx, y + dy)).collect()
+    }
+
     #[test]
     fn placed_polygons_borrow_what_is_stored_in_top_coordinates() {
-        let layout = demo_layout();
-        let scene = LayerScene::build(&layout, 1);
+        // `demo_layout` plus an L drawn in the top cell.
+        let mut lib = demo_layout().to_library("t");
+        let top = lib.structures.iter_mut().find(|s| s.name == "TOP").unwrap();
+        top.elements.push(Element::boundary(1, l_shape(60, 60)));
+        let layout = Layout::from_library(&lib).unwrap();
+        let scene = build(&layout, 1);
         let placed: Vec<Placed<'_>> = scene
             .objects
             .iter()
@@ -626,11 +664,82 @@ mod tests {
         for p in &placed {
             assert_eq!(p.to_polygon().mbr(), p.mbr());
         }
-        // The placements' polygons are built; the top polygon is not.
-        assert!(matches!(placed[1].to_polygon(), Cow::Owned(_)));
-        assert!(
-            matches!(placed[2].to_polygon(), Cow::Borrowed(q) if std::ptr::eq(q, scene.top_polygon(0)))
+        // The placements' polygons are built, and so is the frame
+        // rectangle, which only its MBR stores; the L is stored and
+        // borrowed.
+        let sources: Vec<SceneSource> = scene.objects.iter().map(|o| o.source).collect();
+        assert!(matches!(
+            sources[..2],
+            [SceneSource::Cell { .. }, SceneSource::Cell { .. }]
+        ));
+        assert_eq!(
+            sources[2..],
+            [SceneSource::TopRect, SceneSource::TopPolygon { index: 0 }]
         );
+        assert!(matches!(placed[1].to_polygon(), Cow::Owned(_)));
+        assert!(placed[2].is_rect());
+        assert!(
+            matches!(placed[2].to_polygon(), Cow::Owned(q) if q == Polygon::rect(scene.objects[2].mbr))
+        );
+        assert!(!placed[3].is_rect());
+        assert!(
+            matches!(placed[3].to_polygon(), Cow::Borrowed(q) if std::ptr::eq(q, scene.top_polygon(0)))
+        );
+        assert_eq!(scene.top_polygon(0).vertices(), l_shape(60, 60));
+        // The pool charges the object records and the stored polygons.
+        let objects = 4 * std::mem::size_of::<SceneObject>() as u64;
+        let unit = layout.cell_by_name("UNIT").unwrap();
+        let stored = [&scene.local_polygons(unit)[0], scene.top_polygon(0)];
+        let polys: u64 = stored.into_iter().map(poly_bytes).sum();
+        assert_eq!(scene.approx_bytes(), objects + polys);
+    }
+
+    /// A frame's rectangle is a [`SceneSource::TopRect`] whose one
+    /// placed polygon is its MBR, and that MBR is the layout's own
+    /// rectangle placed into top coordinates — under each of the eight
+    /// orientations of a frame one level down, and two levels down.
+    #[test]
+    fn a_frame_rectangle_is_its_mbr_under_every_orientation() {
+        use odrc_geometry::Rotation;
+        let flat = |layout: &Layout| {
+            let mut out = Vec::new();
+            layout.collect_layer_polygons(layout.top(), Transform::IDENTITY, 1, &mut out);
+            let mut polys: Vec<Polygon> = out.into_iter().map(|f| f.polygon).collect();
+            polys.sort_by_key(|q| q.vertices().to_vec());
+            polys
+        };
+        for k in 0..8 {
+            let t = Transform::new(k >= 4, Rotation::from_quarter_turns(k % 4), 1, p(7, -3));
+            let once = wrap(demo_layout().to_library("t"), "TOP", "WRAP", t);
+            let twice = wrap(once.clone(), "WRAP", "OUTER", t.then(&t));
+            for lib in [once, twice] {
+                let layout = Layout::from_library(&lib).unwrap();
+                let scene = build(&layout, 1);
+                let rects = scene
+                    .objects
+                    .iter()
+                    .filter(|o| o.source == SceneSource::TopRect);
+                assert_eq!(
+                    rects.clone().count(),
+                    lib.structures.len() - 1,
+                    "one per frame"
+                );
+                for obj in rects {
+                    let placed: Vec<Polygon> = polygons_of(&scene, obj);
+                    assert_eq!(placed, [Polygon::rect(obj.mbr)]);
+                }
+                let mut all: Vec<Polygon> = (scene.objects.iter())
+                    .flat_map(|o| polygons_of(&scene, o))
+                    .collect();
+                all.sort_by_key(|q| q.vertices().to_vec());
+                assert_eq!(all, flat(&layout), "orientation {k}");
+                assert_eq!(scene.approx_bytes(), {
+                    let unit = layout.cell_by_name("UNIT").unwrap();
+                    let cached = poly_bytes(&scene.local_polygons(unit)[0]);
+                    (scene.objects.len() * std::mem::size_of::<SceneObject>()) as u64 + cached
+                });
+            }
+        }
     }
 
     #[test]
@@ -642,12 +751,11 @@ mod tests {
         assert_eq!(table[layout.top().index()], [Transform::IDENTITY]);
     }
 
-    /// `demo_layout` one level down: its top cell placed by a new top
-    /// under `t`, which also draws one polygon of its own.
-    fn wrapped_demo(t: Transform) -> Layout {
-        let mut lib = demo_layout().to_library("t");
-        let mut wrap = Structure::new("WRAP");
-        let mut r = odrc_gdsii::RefElement::sref("TOP", t.translate());
+    /// `lib` one level down: its top cell `inner` placed by a new top
+    /// `name` under `t`, which also draws one rectangle of its own.
+    fn wrap(mut lib: Library, inner: &str, name: &str, t: Transform) -> Library {
+        let mut wrap = Structure::new(name);
+        let mut r = odrc_gdsii::RefElement::sref(inner, t.translate());
         r.mirror_x = t.mirror_x();
         r.angle_deg = f64::from(t.rotation().quarter_turns()) * 90.0;
         wrap.elements.push(Element::Ref(r));
@@ -656,7 +764,12 @@ mod tests {
             vec![p(0, -90), p(0, -80), p(10, -80), p(10, -90)],
         ));
         lib.structures.push(wrap);
-        Layout::from_library(&lib).unwrap()
+        lib
+    }
+
+    /// `demo_layout` one level down, placed under `t` ([`wrap`]).
+    fn wrapped_demo(t: Transform) -> Layout {
+        Layout::from_library(&wrap(demo_layout().to_library("t"), "TOP", "WRAP", t)).unwrap()
     }
 
     #[test]
@@ -665,10 +778,7 @@ mod tests {
         let (flat, wrapped) = (demo_layout(), wrapped_demo(t));
         let unit = wrapped.cell_by_name("UNIT").unwrap();
         for layer in [1, 2] {
-            let (a, b) = (
-                LayerScene::build(&flat, layer),
-                LayerScene::build(&wrapped, layer),
-            );
+            let (a, b) = (build(&flat, layer), build(&wrapped, layer));
             // Frames come in walk order: the wrapper's polygon first.
             let drawn = usize::from(layer == 1);
             assert_eq!(b.objects.len(), a.objects.len() + drawn);

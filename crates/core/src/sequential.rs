@@ -35,7 +35,7 @@
 //! 4. **edge-check** — [`row_host_records`] per unit. A template the
 //!    memo or the persistent cache answers is not a unit;
 //!    [`SpaceWork::finish`] replays every template through its
-//!    placements.
+//!    placements, the scene's `Cell` objects.
 //!
 //! The intra-polygon pipeline (width, area, rectilinear, ensures) is
 //! [`IntraWork`]: each placed cell's polygons on the rule's layer are
@@ -68,7 +68,7 @@ use crate::engine::{EngineOptions, EngineStats};
 use crate::parallel::{record_violation, row_host_records};
 use crate::plan::{pack_unit, PlanCache, RowSet, RowSetKey};
 use crate::rules::{PairsRule, PolygonInfo, Rule, RuleFamily, RuleKind};
-use crate::scene::{assemble, cell_instances, DirtyWindow, LayerObjects, LayerScene};
+use crate::scene::{assemble, cell_instances, DirtyWindow, LayerObjects, LayerScene, SceneSource};
 use crate::violation::{Violation, ViolationKind};
 
 /// Shared state across the rules of one `check()` run.
@@ -391,8 +391,9 @@ fn run_blocks<T: Send, I: IntoIterator<Item = T>>(
 /// the rule, so a cell an earlier shard resolved is not checked again.
 pub(crate) type CellMemo = Vec<Option<Arc<Vec<LocalViolation>>>>;
 
-/// The spacing templates of a scene ([`LayerScene::templates`]).
-pub(crate) type Templates = Arc<Vec<(CellId, Vec<Transform>)>>;
+/// The spacing templates of a scene ([`LayerScene::templates`]): each
+/// placed cell and its placement count.
+pub(crate) type Templates = Arc<Vec<(CellId, usize)>>;
 
 /// One spacing rule's work over a scene's rows, in both modes, for
 /// in-core rules, delta windows and out-of-core shards. Its *units* are
@@ -422,8 +423,8 @@ impl SpaceWork {
     ) -> SpaceWork {
         memo.resize(ctx.layout.cell_count(), None);
         let mut units = Vec::new();
-        for (t, (cell, placements)) in templates.iter().enumerate() {
-            ctx.stats.checks_reused += placements.len() - 1;
+        for (t, &(cell, placements)) in templates.iter().enumerate() {
+            ctx.stats.checks_reused += placements - 1;
             let known = &mut memo[cell.index()];
             if known.is_none() {
                 let handle = sig.zip(ctx.cache.as_mut());
@@ -446,10 +447,12 @@ impl SpaceWork {
     /// Takes each unit's local violations, in unit order: counts them as
     /// computed, stores each missing template's in the memo and the
     /// cache, names each row's, and replays each template's through its
-    /// placements. Returns the rule's memo.
+    /// placements, the `Cell` objects of `scene` (the scene the
+    /// templates were counted in). Returns the rule's memo.
     pub(crate) fn finish(
         mut self,
         ctx: &mut RunContext<'_>,
+        scene: &LayerScene,
         rule_name: &str,
         checked: impl IntoIterator<Item = Vec<LocalViolation>>,
         out: &mut Vec<Violation>,
@@ -467,13 +470,17 @@ impl SpaceWork {
             }
             self.memo[cell.index()] = Some(local);
         }
-        for (cell, placements) in self.templates.iter() {
-            let local = self.memo[cell.index()].as_deref().expect("checked");
-            if local.is_empty() {
-                continue;
-            }
-            for t in placements {
-                out.extend(local.iter().map(|v| v.instantiate(t).named(rule_name)));
+        if self.templates.is_empty() {
+            return self.memo; // the flat pack replays nothing
+        }
+        for obj in &scene.objects {
+            if let SceneSource::Cell { cell, transform } = obj.source {
+                let local = self.memo[cell.index()].as_deref().expect("checked");
+                out.extend(
+                    local
+                        .iter()
+                        .map(|v| v.instantiate(&transform).named(rule_name)),
+                );
             }
         }
         self.memo
@@ -597,7 +604,7 @@ pub(crate) fn check_space_scene_rows(
         }
     });
     let checked: Vec<_> = units.into_iter().map(|unit| unit.tally(ctx)).collect();
-    *memo = work.finish(ctx, rule_name, checked, out);
+    *memo = work.finish(ctx, scene, rule_name, checked, out);
 }
 
 /// One checked spacing unit (a template or a row): its violations in

@@ -21,12 +21,14 @@
 //! a cut through the hierarchy tree at its leaves, whatever the depth
 //! above them.
 
-use odrc::Violation;
+use odrc::{canonicalize, Violation, ViolationKind};
 use odrc_db::Layout;
-use odrc_gdsii::{Element, Library};
-use odrc_geometry::{Rect, Transform};
+use odrc_gdsii::{Element, Library, Structure};
+use odrc_geometry::{Point, Rect, Rotation, Transform};
 use odrc_layoutgen::tech;
-use odrc_testkit::layouts::{array_2x2, inlined, mapped, paper, placements, tiny, wrapped};
+use odrc_testkit::layouts::{
+    array_2x2, inlined, mapped, paper, placements, rect_el, sref, tiny, wrapped,
+};
 use odrc_testkit::{assert_agree, assert_degraded_iff_fired, decks, reference, Agree, Config};
 
 /// The cells whose reports must agree: default, `--parallel`, and one
@@ -184,5 +186,100 @@ fn delta_after_an_edit_inside_the_block() {
                 "{mode} under {t:?}: delta after the edit"
             );
         }
+    }
+}
+
+/// A spacing template with a violation of its own, placed under each
+/// of the 8 orientations, beside a frame rectangle 8 from a frame L:
+/// every cell of the matrix, and a delta re-check whose window holds
+/// every placement, reports the template's violation placed by each
+/// orientation plus the frame pair's. The template is checked once and
+/// replayed through the scene's placements.
+#[test]
+fn a_violating_template_replays_under_every_orientation() {
+    let deck = decks::tech_deck(&["M1.S.1"]);
+    let m1 = tech::M1;
+    // Two bars 10 apart: at M1.S.1's 18, the facing sides violate.
+    let mut bars = Structure::new("BARS");
+    bars.elements
+        .extend([rect_el(m1, 0, 0, 20, 40), rect_el(m1, 30, 0, 50, 40)]);
+    let local = Rect::from_coords(20, 0, 30, 40);
+    let mut top = Structure::new("TOP");
+    let mut expected = Vec::new();
+    for k in 0..8 {
+        // Orientation `k`, its placed footprint moved to (200 k, 0).
+        let turn = Transform::new(
+            k >= 4,
+            Rotation::from_quarter_turns(k % 4),
+            1,
+            Point::ORIGIN,
+        );
+        let lo = turn.apply_rect(Rect::from_coords(0, 0, 50, 40)).lo();
+        let t = Transform::new(
+            k >= 4,
+            Rotation::from_quarter_turns(k % 4),
+            1,
+            Point::new(200 * k - lo.x, -lo.y),
+        );
+        top.elements.push(sref("BARS", t));
+        expected.push((t.apply_rect(local), 100));
+    }
+    // A frame rectangle and an L 8 to its right, which a row checks.
+    top.elements.push(rect_el(m1, 2000, 0, 2020, 40));
+    let l = [
+        (2028, 0),
+        (2028, 40),
+        (2048, 40),
+        (2048, 20),
+        (2068, 20),
+        (2068, 0),
+    ];
+    top.elements.push(Element::boundary(
+        m1,
+        l.map(|(x, y)| Point::new(x, y)).to_vec(),
+    ));
+    expected.push((Rect::from_coords(2020, 0, 2028, 40), 64));
+    let expected = canonicalize(
+        expected
+            .into_iter()
+            .map(|(location, measured)| Violation {
+                rule: "M1.S.1".to_owned(),
+                kind: ViolationKind::Space,
+                location,
+                measured,
+            })
+            .collect(),
+    );
+    let mut lib = Library::new("template");
+    lib.structures = vec![bars, top];
+    let layout = Layout::from_library(&lib).expect("template library");
+    // The edit: a wire 25 below everything, close enough that every
+    // object is in the delta window.
+    let mut wired = lib.clone();
+    wired.structures[1]
+        .elements
+        .push(rect_el(m1, -100, -35, 2200, -25));
+    let old = Layout::from_library(&wired).expect("wired library");
+    for (mode, config) in cells() {
+        let report = config.check(&layout, &deck);
+        assert_eq!(report.violations, expected, "{mode}");
+        assert_eq!(
+            report.stats.checks_reused, 7,
+            "{mode}: one template, 8 placements"
+        );
+    }
+    for (mode, config) in cells().into_iter().take(2) {
+        let engine = config.engine();
+        let before = engine.check(&old, &deck);
+        assert_eq!(
+            before.violations, expected,
+            "{mode}: the wire violates nothing"
+        );
+        let delta = engine.check_delta(&old, &before.violations, &layout, &deck);
+        assert_eq!(delta.violations, expected, "{mode}: delta without the wire");
+        assert_eq!(
+            delta.stats.checks_reused, 7,
+            "{mode}: the window holds every placement"
+        );
     }
 }

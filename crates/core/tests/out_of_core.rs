@@ -9,6 +9,7 @@
 //! (idempotence), a zero budget degrades every load without aborting,
 //! and an unlimited budget never evicts.
 
+use odrc::scene::LayerScene;
 use odrc::{
     rule, rule_signature, CheckpointJournal, Mode, ResultCache, RuleDeck, RuleStatus, RunKey,
     Violation,
@@ -278,17 +279,28 @@ fn zero_budget_degrades_every_load_and_stays_correct() {
     assert!(scene.is_some_and(|d| !d.is_zero()), "scene: {scene:?}");
 }
 
+/// A budget that must evict: half of what the shard pool charges for
+/// the largest whole-layer scene `deck` reads. Every shard scene holds
+/// part of one, and a rule's shards together hold all of it.
+fn tight_budget(layout: &odrc_db::Layout, deck: &RuleDeck) -> u64 {
+    let host = odrc_infra::HostExecutor::new(1);
+    let layers = deck.rules().iter().flat_map(|r| r.layers());
+    let scene = |layer| LayerScene::build_on(layout, layer, None, &host).approx_bytes();
+    layers.map(scene).max().expect("the deck reads a layer") / 2
+}
+
 /// A small (but non-zero) budget must evict under pressure and still
 /// produce the in-core result.
 #[test]
 fn tight_budget_evicts_and_stays_correct() {
     let layout = tiny(3);
+    let budget = tight_budget(&layout, &decks::sharded());
     let report = Config::seq()
         .shards(1)
-        .budget(24 << 10)
+        .budget(budget)
         .check(&layout, &decks::sharded());
     assert_agree(
-        "24 KiB budget",
+        "tight budget",
         &report,
         &reference(&layout, &decks::sharded()),
         Agree::Report,
@@ -296,7 +308,7 @@ fn tight_budget_evicts_and_stays_correct() {
     );
     assert!(
         report.stats.shards_evicted > 0,
-        "expected evictions under a 24 KiB budget; built {} degraded {}",
+        "expected evictions under a {budget}-byte budget; built {} degraded {}",
         report.stats.shards_built,
         report.stats.shards_degraded
     );
@@ -322,7 +334,7 @@ fn scene_objects_scanned_counts_enumerations_not_shards() {
     assert_eq!(expected, 6 * top_children(&layout));
     let mut rebuilt = false;
     for shard_rows in [1, 2, 8] {
-        for budget in [None, Some(0), Some(24 << 10)] {
+        for budget in [None, Some(0), Some(tight_budget(&layout, &deck))] {
             for (mode, host_threads) in [(Mode::Sequential, 1), (Mode::Parallel, 4)] {
                 let config = sharded(mode, budget, shard_rows).threads(host_threads);
                 let stats = config.check(&layout, &deck).stats;

@@ -1,7 +1,11 @@
-//! Heap traffic of the pair rules: enclosure and overlap-area checks
-//! measure each inner shape straight from the layer scenes, so a check
-//! allocates per rule and per row, not per placement, and its row join
-//! holds a few bytes per outer object beyond the scenes.
+//! Heap traffic of the scenes and of the rules that read them: a scene
+//! copies each placed cell's polygons once and stores no frame
+//! rectangle (its object's MBR is the rectangle); a spacing rule holds
+//! no copy of the placements its templates are replayed through; and
+//! enclosure and overlap-area checks measure each inner shape straight
+//! from the layer scenes, so a check allocates per rule and per row,
+//! not per placement, and its row join holds a few bytes per outer
+//! object beyond the scenes.
 //!
 //! A test binary of its own, because it installs a counting global
 //! allocator. The counts are per thread, so the harness's own threads
@@ -12,10 +16,13 @@ use std::alloc::{GlobalAlloc, Layout as AllocLayout, System};
 use std::cell::Cell;
 use std::sync::Arc;
 
+use odrc::scene::{LayerScene, SceneSource};
 use odrc::{rule, Engine, EngineOptions, RuleDeck, RuleStatus};
 use odrc_db::Layout;
 use odrc_gdsii::{Element, Library, Structure};
 use odrc_geometry::{Point, Rect};
+use odrc_infra::HostExecutor;
+use odrc_layoutgen::{generate_layout, tech, DesignSpec};
 
 thread_local! {
     /// Allocations (and reallocations) made by this thread.
@@ -192,5 +199,97 @@ fn an_enclosure_join_holds_a_few_bytes_per_outer_object() {
     assert!(
         above <= (JOIN_BYTES_PER_OUTER * placements) as isize,
         "the enclosure rule held {above} bytes above its scenes for {placements} outer objects"
+    );
+}
+
+/// Allocations a scene build may make beyond its cell copies and
+/// stored frame polygons: the walk, the object and index vectors and
+/// their growth.
+const SCENE_SLACK: usize = 64;
+
+#[test]
+fn a_scene_allocates_per_cell_and_stored_polygon_not_per_frame_rectangle() {
+    let layout = generate_layout(&DesignSpec::paper("uart").expect("paper design"));
+    let host = HostExecutor::new(1);
+    // A one-level design: the top cell is the only frame.
+    let top = layout.cell(layout.top());
+    let mut most_rects = 0;
+    for layer in layout.layers() {
+        let (scene, n) = allocations(|| LayerScene::build_on(&layout, layer, None, &host));
+        let drawn = top.polygons().iter().filter(|p| p.layer == layer);
+        let rects = drawn.clone().filter(|p| p.polygon.len() == 4).count();
+        let stored = drawn.count() - rects;
+        // Each placed cell: its polygon list and each polygon.
+        let cells: usize = (scene.placed_cells())
+            .map(|c| 1 + scene.local_polygons(c).len())
+            .sum();
+        let kept = scene
+            .objects
+            .iter()
+            .filter(|o| o.source == SceneSource::TopRect);
+        assert_eq!(kept.count(), rects, "layer {layer}");
+        assert!(
+            n <= cells + stored + SCENE_SLACK,
+            "layer {layer}: {n} allocations for {cells} cell copies, {stored} stored and {rects} rectangle frame polygons"
+        );
+        most_rects = most_rects.max(rects);
+    }
+    // Not vacuous: one allocation per frame rectangle breaks the bound.
+    assert!(
+        most_rects > 4 * SCENE_SLACK,
+        "{most_rects} frame rectangles"
+    );
+}
+
+/// Live bytes a spacing rule may hold above its scene, per object: the
+/// partition and the pack's working set. A template that copied its
+/// placements' transforms (16 bytes each) would exceed it.
+const SPACE_BYTES_PER_OBJECT: usize = 36;
+
+#[test]
+fn a_spacing_rule_holds_no_copy_of_its_placements() {
+    let layout = generate_layout(&DesignSpec::paper("uart").expect("paper design"));
+    // Both rules read one memoized M1 scene; the peak restarts when the
+    // first is done, so the second's is measured above its scene.
+    let deck = RuleDeck::new(vec![
+        rule()
+            .layer(tech::M1)
+            .space()
+            .greater_than(17)
+            .named("M1.S.17"),
+        rule()
+            .layer(tech::M1)
+            .space()
+            .greater_than(18)
+            .named("M1.S.18"),
+    ]);
+    let engine = Engine::sequential()
+        .with_options(EngineOptions {
+            host_threads: Some(1),
+            ..EngineOptions::default()
+        })
+        .with_progress(Arc::new(|name: &str, status| {
+            if name == "M1.S.17" && status == RuleStatus::Completed {
+                mark();
+            }
+        }));
+    let report = engine.check(&layout, &deck);
+    let above = peak_above_mark();
+    assert_eq!(
+        report.stats.scenes_reused, 1,
+        "the second rule reuses the scene"
+    );
+    let scene = LayerScene::build_on(&layout, tech::M1, None, &HostExecutor::new(1));
+    let objects = scene.objects.len();
+    let placed = (scene.objects.iter())
+        .filter(|o| matches!(o.source, SceneSource::Cell { .. }))
+        .count();
+    assert!(
+        placed * 2 > objects,
+        "mostly placements: {placed} of {objects}"
+    );
+    assert!(
+        above <= (SPACE_BYTES_PER_OBJECT * objects) as isize,
+        "the spacing rule held {above} bytes above its scene for {objects} objects"
     );
 }
