@@ -36,7 +36,7 @@
 use std::time::Instant;
 
 use odrc::{CheckReport, CounterClass, Engine, EngineOptions, EngineStats, Mode, RuleDeck};
-use odrc_bench::{load_designs, pipeline_deck, BenchDesign};
+use odrc_bench::{generate_designs, pipeline_deck, BenchDesign};
 use odrc_infra::json::{self, Value};
 
 /// The sharded configuration's label.
@@ -288,8 +288,7 @@ fn run_gate(baseline_path: &str, deck: &RuleDeck, repeat: usize) -> bool {
         .unwrap_or_else(|e| panic!("gate baseline '{baseline_path}' is not JSON: {e}"));
     let committed_aes = find(baseline.get("designs"), "name", "aes");
     let committed = |mode: &str| find(committed_aes?.get("runs"), "mode", mode);
-    let design = load_designs(Some("aes"))
-        .into_iter()
+    let design = generate_designs(Some("aes"))
         .next()
         .expect("aes design exists");
     let mut ok = true;
@@ -511,7 +510,7 @@ fn main() {
             "design", "threads", "wall_ms", "#viol", "tasks", "joins", "speedup"
         );
         let mut results: Vec<(String, Vec<RunResult>)> = Vec::new();
-        for design in load_designs(Some(&designs)) {
+        for design in generate_designs(Some(&designs)) {
             let runs = run_configs(&design, &deck, repeat, &ladder_configs(&ladder));
             for (r, threads) in runs.iter().zip(&ladder) {
                 // Every thread count must agree exactly with threads=1.
@@ -548,7 +547,9 @@ fn main() {
         deck.rules().len()
     );
     let mut results: Vec<(String, Option<u64>, Vec<RunResult>)> = Vec::new();
-    for design in load_designs(Some(&designs)) {
+    // Each design is generated just before its runs and dropped after
+    // them, so no other design's layout is resident during its peak.
+    for design in generate_designs(Some(&designs)) {
         // Per-design checking-phase high-water mark: the HWM is reset
         // (where the platform allows) before the configurations run, so
         // the recorded peak covers this design's checks, not whatever

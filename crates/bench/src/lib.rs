@@ -54,9 +54,16 @@ pub struct BenchDesign {
 /// Generates the paper's six designs, optionally filtered to a
 /// comma-separated subset.
 pub fn load_designs(filter: Option<&str>) -> Vec<BenchDesign> {
+    generate_designs(filter).collect()
+}
+
+/// [`load_designs`], generating each design only when the iterator
+/// reaches it, so a caller that drops one design before taking the next
+/// never holds two layouts.
+pub fn generate_designs(filter: Option<&str>) -> impl Iterator<Item = BenchDesign> + '_ {
     DesignSpec::all_paper()
         .into_iter()
-        .filter(|s| match filter {
+        .filter(move |s| match filter {
             Some(f) => f.split(',').any(|n| n.trim() == s.name),
             None => true,
         })
@@ -64,7 +71,6 @@ pub fn load_designs(filter: Option<&str>) -> Vec<BenchDesign> {
             name: spec.name.clone(),
             layout: generate_layout(&spec),
         })
-        .collect()
 }
 
 /// Parses `--designs` / `--repeat` from `std::env::args`.

@@ -194,9 +194,9 @@ pub struct EngineStats {
     /// (scheduling telemetry: it varies with how busy the pool was;
     /// the name predates the pool).
     pub host_steals: u64,
-    /// Stream commands that rode a fused batch dispatch instead of an
-    /// individual submit (device-counter delta over this run — full
-    /// check or delta re-check).
+    /// Kernel launches enqueued by a fused batch of two or more commands
+    /// instead of one at a time (device-counter delta over this run —
+    /// full check or delta re-check).
     pub launches_fused: u64,
     /// Pool workers that joined this run's kernel launches
     /// (device-counter delta over this run; scheduling telemetry).

@@ -31,8 +31,9 @@
 //! matches on [`Rule::family`] and takes the same optional
 //! [`DirtyWindow`] as the host body. The engine's one rule loop, for
 //! full and delta checks alike, keeps a window of issued rules ahead of
-//! collection, so uploads and kernels of independent rules overlap
-//! across streams with one deferred synchronization per stream (§V-C);
+//! collection: a rule's uploads and kernels are queued on its stream at
+//! issue and run when a wait drains it, with one deferred
+//! synchronization per stream (§V-C);
 //! the [planner](crate::plan) additionally keeps packed row buffers
 //! device-resident so N rules on one layer upload once. A rule the
 //! host runs — an out-of-core shard loop, a rule without a device body
@@ -327,8 +328,8 @@ pub(crate) fn collect_rule(ctx: &mut RunContext<'_>, fl: InFlightRule, out: &mut
 /// Issue half of the spacing pipeline: one [`SpaceWork`] over the row
 /// set's templates and rows, the host pack of the templates it is
 /// missing, and one first-phase launch over both arrays. The phase goes
-/// through one fused [`LaunchBatch`], so its uploads and kernel ride a
-/// single stream dispatch (one worker wake per rule).
+/// through one fused [`LaunchBatch`], so its uploads and kernel join the
+/// stream's queue together.
 fn issue_space(
     ctx: &mut RunContext<'_>,
     stream: &Stream,

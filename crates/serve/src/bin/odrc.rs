@@ -41,9 +41,10 @@
 //! (`--memory-budget`, `--shard-rows`) also journals each
 //! `(rule, shard)` unit as it finishes, so a process that is killed
 //! outright resumes mid-rule the same way. `--watchdog-ms N`
-//! (parallel mode) arms a per-operation stream watchdog so a genuinely
-//! wedged device op surfaces as a stream timeout and flows through the
-//! normal retry/fallback machinery instead of hanging the run.
+//! (parallel mode) arms a per-operation stream watchdog: a device op
+//! that starts more than N ms late fails its stream with a stream
+//! timeout and flows through the normal retry/host-fallback machinery.
+//! A running op is not interrupted.
 //!
 //! # Exit codes
 //!
@@ -217,7 +218,7 @@ const CHECK: Command<Args> = Command {
         ("--device-budget", Arg("BYTES", |a, v| set_some(&mut a.device_budget, v)),
             "bound device memory (--parallel)"),
         ("--watchdog-ms", Arg("N", |a, v| set_some(&mut a.watchdog_ms, v)),
-            "time a device op out after N ms (--parallel)"),
+            "fail a device op that starts over N ms late (--parallel)"),
         ("--deadline", Arg("SECS", |a, v| {
             Duration::try_from_secs_f64(v.parse().ok()?).ok().map(|d| a.deadline = Some(d))
         }),

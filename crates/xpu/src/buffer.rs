@@ -2,13 +2,13 @@
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};
-use std::sync::mpsc;
 use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use crate::device::MemReservation;
 use crate::error::{TransferDirection, XpuError, XpuResult};
+use crate::stream::Queue;
 
 /// The backing store of a device buffer.
 ///
@@ -198,9 +198,9 @@ impl<T> DeviceBuffer<T> {
 /// corresponding operation — the result handle of an asynchronous
 /// download.
 ///
-/// If the producing stream fails before reaching the operation (a
-/// sticky stream error, see [`Stream`]), [`Pending::result`] returns
-/// that error instead of blocking forever.
+/// Waiting runs the producing stream on the waiting thread. If the
+/// stream fails before reaching the operation (a sticky stream error,
+/// see [`Stream`]), [`Pending::result`] returns that error.
 ///
 /// [`Stream`]: crate::Stream
 ///
@@ -217,129 +217,37 @@ impl<T> DeviceBuffer<T> {
 /// ```
 #[derive(Debug)]
 pub struct Pending<T> {
-    rx: mpsc::Receiver<T>,
-    /// The producing stream's sticky error slot, consulted when the
-    /// channel disconnects without delivering a value.
-    err: Option<Arc<Mutex<Option<XpuError>>>>,
-    /// Watchdog context: the producing stream's in-flight op marker and
-    /// the armed limit. `None` when the device has no watchdog.
-    watch: Option<StallWatch>,
-}
-
-/// What a watchdog-armed wait polls: the producing stream's in-flight
-/// operation marker (shared with the stream worker) and the stall
-/// limit.
-pub(crate) struct StallWatch {
-    pub(crate) in_flight: Arc<Mutex<Option<(&'static str, std::time::Instant)>>>,
-    pub(crate) limit: std::time::Duration,
-}
-
-impl std::fmt::Debug for StallWatch {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "StallWatch(limit = {:?})", self.limit)
-    }
-}
-
-impl StallWatch {
-    /// `Some(op)` when the in-flight operation has outlived the limit.
-    pub(crate) fn stalled_op(&self) -> Option<&'static str> {
-        let guard = self.in_flight.lock();
-        match &*guard {
-            Some((op, since)) if since.elapsed() > self.limit => Some(op),
-            _ => None,
-        }
-    }
-
-    /// The polling interval for timed waits under this watchdog: a
-    /// fraction of the limit, bounded away from busy-spinning and from
-    /// sluggish detection.
-    pub(crate) fn tick(&self) -> std::time::Duration {
-        (self.limit / 4).clamp(
-            std::time::Duration::from_millis(1),
-            std::time::Duration::from_millis(20),
-        )
-    }
+    /// Filled by the download when the stream runs it.
+    slot: Arc<Mutex<Option<T>>>,
+    /// The producing stream, drained by [`Pending::result`].
+    queue: Arc<Queue>,
 }
 
 impl<T> Pending<T> {
-    pub(crate) fn with_watch(
-        rx: mpsc::Receiver<T>,
-        err: Arc<Mutex<Option<XpuError>>>,
-        watch: Option<StallWatch>,
-    ) -> Self {
-        Pending {
-            rx,
-            err: Some(err),
-            watch,
-        }
+    pub(crate) fn new(slot: Arc<Mutex<Option<T>>>, queue: Arc<Queue>) -> Self {
+        Pending { slot, queue }
     }
 
-    /// Blocks until the value is produced or the producing stream
-    /// fails. A skipped operation on a poisoned stream resolves to the
-    /// stream's first (sticky) error. Under an armed watchdog
-    /// ([`Device::set_watchdog`]) the wait also polls the producing
-    /// stream's in-flight operation, and a genuine stall past the limit
-    /// resolves to [`XpuError::StreamTimeout`], poisoning the stream.
-    ///
-    /// [`Device::set_watchdog`]: crate::Device::set_watchdog
+    /// Runs the producing stream up to and past the operation on the
+    /// calling thread, then returns the value. A skipped operation on a
+    /// poisoned stream resolves to the stream's first (sticky) error.
     pub fn result(self) -> XpuResult<T> {
-        if let Some(watch) = &self.watch {
-            loop {
-                match self.rx.recv_timeout(watch.tick()) {
-                    Ok(value) => return Ok(value),
-                    Err(mpsc::RecvTimeoutError::Disconnected) => return self.disconnected(),
-                    Err(mpsc::RecvTimeoutError::Timeout) => {
-                        // A stream that failed while we waited skips our
-                        // job eventually; surface the sticky error now.
-                        if let Some(slot) = &self.err {
-                            if let Some(e) = slot.lock().clone() {
-                                return Err(e);
-                            }
-                        }
-                        if let Some(op) = watch.stalled_op() {
-                            let e = XpuError::StreamTimeout { op };
-                            if let Some(slot) = &self.err {
-                                let mut s = slot.lock();
-                                if s.is_none() {
-                                    *s = Some(e.clone());
-                                }
-                            }
-                            return Err(e);
-                        }
-                    }
-                }
-            }
+        self.queue.drain();
+        if let Some(value) = self.slot.lock().take() {
+            return Ok(value);
         }
-        match self.rx.recv() {
-            Ok(value) => Ok(value),
-            // The sender dropped without sending: the stream either hit
-            // a sticky error (recorded before the job was dropped) or
-            // was torn down. Consult the error slot first.
-            Err(mpsc::RecvError) => self.disconnected(),
-        }
-    }
-
-    /// The channel disconnected without a value: report the stream's
-    /// sticky error, or a generic failed transfer.
-    fn disconnected(&self) -> XpuResult<T> {
-        if let Some(slot) = &self.err {
-            if let Some(e) = slot.lock().clone() {
-                return Err(e);
-            }
-        }
-        Err(XpuError::TransferError {
+        Err(self.queue.error().unwrap_or(XpuError::TransferError {
             direction: TransferDirection::DeviceToHost,
             bytes: 0,
-        })
+        }))
     }
 
-    /// Blocks until the value is produced.
+    /// [`Pending::result`], panicking on device errors.
     ///
     /// # Panics
     ///
-    /// Panics if the producing stream failed or was dropped before
-    /// executing the operation. Use [`Pending::result`] to recover
-    /// instead.
+    /// Panics if the producing stream failed before executing the
+    /// operation. Use [`Pending::result`] to recover instead.
     pub fn wait(self) -> T {
         self.result().expect("device operation failed")
     }
@@ -400,27 +308,24 @@ mod tests {
         let _slots: &mut [u32] = &mut guard;
     }
 
+    /// A pending value that no download fills, on a stream whose sticky
+    /// error is `sticky`.
+    fn orphan(sticky: Option<XpuError>) -> Pending<u8> {
+        let stream = crate::Device::new(1).stream();
+        if let Some(e) = sticky {
+            stream.queue.set_sticky(e);
+        }
+        Pending::new(Arc::new(Mutex::new(None)), Arc::clone(&stream.queue))
+    }
+
     #[test]
     fn orphan_pending_resolves_to_error() {
-        let (tx, rx) = mpsc::channel::<u8>();
-        let pending = Pending {
-            rx,
-            err: None,
-            watch: None,
-        };
-        drop(tx);
-        assert!(pending.result().is_err());
+        assert!(orphan(None).result().is_err());
     }
 
     #[test]
     fn orphan_pending_reports_sticky_error() {
-        let (tx, rx) = mpsc::channel::<u8>();
-        let slot = Arc::new(Mutex::new(Some(XpuError::StreamTimeout { op: "download" })));
-        let pending = Pending::with_watch(rx, Arc::clone(&slot), None);
-        drop(tx);
-        assert_eq!(
-            pending.result(),
-            Err(XpuError::StreamTimeout { op: "download" })
-        );
+        let timeout = XpuError::StreamTimeout { op: "download" };
+        assert_eq!(orphan(Some(timeout.clone())).result(), Err(timeout));
     }
 }

@@ -117,8 +117,8 @@ impl DeviceStats {
         self.bytes_d2h.load(Ordering::Relaxed)
     }
 
-    /// Number of kernel launches that rode a fused batch instead of a
-    /// dedicated stream command.
+    /// Number of kernel launches enqueued by a fused batch of two or more
+    /// commands rather than one at a time.
     pub fn launches_fused(&self) -> u64 {
         self.launches_fused.load(Ordering::Relaxed)
     }
@@ -171,9 +171,8 @@ pub(crate) struct DeviceInner {
     /// launches and host fan-outs share one set of workers; `None` (the
     /// default) launches on the device's own pool.
     host_pool: Mutex<Option<Arc<Pool>>>,
-    /// Stream watchdog limit in nanoseconds; 0 means no watchdog. Waits
-    /// on streams of this device poll the in-flight operation and
-    /// surface ops stalled past the limit as
+    /// Stream watchdog limit in nanoseconds; 0 means no watchdog. A data
+    /// op whose start is delayed past the limit fails its stream with
     /// [`XpuError::StreamTimeout`](crate::XpuError::StreamTimeout).
     watchdog_nanos: AtomicU64,
     /// The run's cancel token. Streams created after cancellation are
@@ -211,7 +210,9 @@ impl Drop for MemReservation {
 /// A `Device` is cheap to clone (it is a handle). Kernels launched on it
 /// execute their threads in parallel across `workers` OS threads, in
 /// SPMD style: every thread runs the same closure with its own
-/// [`ThreadCtx`]. Kernels launch only on a [`Stream`].
+/// [`ThreadCtx`]. Kernels launch only on a [`Stream`], and run when a
+/// thread waits on that stream: the waiter works the launch with the
+/// pool's workers. Streams own no threads.
 ///
 /// # Failure model
 ///
@@ -328,22 +329,19 @@ impl Device {
         *self.inner.host_pool.lock() = pool;
     }
 
-    /// Arms (or with `None` disarms) the stream watchdog: waits on this
-    /// device's streams ([`Stream::try_synchronize`], [`Pending::result`])
-    /// poll the stream's in-flight operation and surface any op stalled
-    /// past `limit` as [`XpuError::StreamTimeout`] — poisoning the
-    /// stream exactly like an injected stall, so the engine's
-    /// retry-on-a-fresh-stream / CPU-fallback path handles genuine
-    /// hangs the same way.
+    /// Arms (or with `None` disarms) the stream watchdog, a deadline
+    /// check at the start of each data op of this device's streams: an
+    /// op whose start is delayed past `limit` (an injected
+    /// [`Fault::StreamHang`]) is skipped and poisons its stream with
+    /// [`XpuError::StreamTimeout`], exactly like an injected stall, so
+    /// the engine's retry-on-a-fresh-stream / CPU-fallback path handles
+    /// it the same way.
     ///
-    /// The watchdog *detects* stalls; it cannot abort the wedged
-    /// operation (neither can CUDA). The stalled op keeps the worker
-    /// until it finishes, and dropping the stream joins the worker, so
-    /// a truly infinite hang still blocks teardown — the policy is
-    /// detect-and-route-around, not kill.
+    /// The watchdog never interrupts an op (neither can CUDA's): a
+    /// delay is noticed once it ends, and an op that has started runs
+    /// to completion on the thread that drains its stream.
     ///
-    /// [`Stream::try_synchronize`]: crate::Stream::try_synchronize
-    /// [`Pending::result`]: crate::Pending::result
+    /// [`Fault::StreamHang`]: crate::Fault::StreamHang
     pub fn set_watchdog(&self, limit: Option<std::time::Duration>) {
         let nanos = limit.map_or(0, |d| {
             u64::try_from(d.as_nanos()).unwrap_or(u64::MAX).max(1)
@@ -492,9 +490,9 @@ impl Device {
 
     /// Ticks the stream-op ordinal and reports an injected stall, if
     /// the plan schedules one here. A scheduled *hang*
-    /// ([`Fault::StreamHang`]) sleeps for its duration right here — on
-    /// the stream worker, with the op already marked in flight — so an
-    /// armed watchdog observes a genuine stall; the op then proceeds
+    /// ([`Fault::StreamHang`]) sleeps for its duration right here,
+    /// before the op starts, so an armed watchdog sees the op's start
+    /// delayed past its limit; without one the op then proceeds
     /// normally.
     pub(crate) fn fault_stream_op(&self, op: &'static str) -> Option<XpuError> {
         let n = self.inner.stream_op_ordinal.fetch_add(1, Ordering::Relaxed);

@@ -2,11 +2,21 @@
 //!
 //! OpenDRC "utilizes asynchronous operations and \[a\] Stream Ordered
 //! Memory Allocator to hide communication or computation latencies"
-//! (§V-C). A [`Stream`] executes its operations in enqueue order on a
-//! dedicated thread, so host code returns immediately from `try_upload`
-//! / `try_launch_*` / `try_download` calls and overlaps its own work
-//! (e.g. packing the next row's edges) with device work — the paper's
-//! CPU/GPU latency-hiding pattern.
+//! (§V-C). A [`Stream`] is an ordered command queue: `try_upload` /
+//! `try_launch_*` / `try_download` only push an operation and return,
+//! and the thread that waits on the stream runs the queue in enqueue
+//! order. A wait is [`Stream::try_synchronize`], [`Pending::result`],
+//! an [`Event`] wait, or dropping the stream. Host code therefore
+//! issues device work and goes on with its own (e.g. packing the next
+//! rule's edges) until it needs a result, and no stream owns a thread:
+//! the device work of a wait runs on the waiter, its kernels on the
+//! device's pool.
+//!
+//! One waiter drains a stream at a time (a per-stream turn lock), so
+//! operations run in order whichever thread waits. An event remembers
+//! the stream that recorded it, and a wait on an unset event first
+//! drains that stream, so a waiter never blocks on queued work that no
+//! thread is running.
 //!
 //! # Failure model
 //!
@@ -19,19 +29,28 @@
 //! stream stays poisoned; recovery means retrying on a fresh stream
 //! (streams are cheap).
 //!
+//! The watchdog ([`Device::set_watchdog`]) is a deadline check at the
+//! start of each data operation: an op whose start is delayed past the
+//! limit (an injected [`Fault::StreamHang`]) poisons the stream with
+//! [`XpuError::StreamTimeout`] and is skipped. A running op is never
+//! interrupted.
+//!
 //! Every op is built in one place, a [`LaunchBatch`] method; the
 //! `Stream::try_*` methods run it through an unfused batch, which
-//! submits immediately. `alloc`, `upload`, `download`, `launch_map`,
+//! enqueues immediately. `alloc`, `upload`, `download`, `launch_map`,
 //! `synchronize` and [`Pending::wait`] are `expect` wrappers over the
 //! fallible forms, kept for the benchmark harness.
+//!
+//! [`Fault::StreamHang`]: crate::Fault::StreamHang
 
-use std::sync::mpsc;
-use std::sync::Arc;
+use std::collections::VecDeque;
+use std::fmt;
+use std::sync::{Arc, Weak};
 use std::time::Instant;
 
 use parking_lot::{Condvar, Mutex};
 
-use crate::buffer::{DeviceBuffer, Pending, StallWatch};
+use crate::buffer::{DeviceBuffer, Pending};
 use crate::device::{Device, LaunchConfig, ThreadCtx};
 use crate::error::{TransferDirection, XpuError, XpuResult};
 
@@ -39,69 +58,87 @@ use crate::error::{TransferDirection, XpuError, XpuResult};
 type DataJob = Box<dyn FnOnce(&Device) -> XpuResult<()> + Send>;
 
 /// A stream command. Data commands are skipped once the stream is
-/// poisoned and are subject to stall injection; control commands
-/// (event signalling) always run. A fused command carries a batch of
-/// sub-commands delivered to the worker in one send — one wake — while
-/// each sub-command still runs under the exact per-op protocol
-/// (sticky-skip, in-flight marking, fault ordinal tick), so fused and
-/// unfused execution are observably identical apart from queue traffic.
+/// poisoned and are subject to stall injection and the watchdog;
+/// control commands (event signalling) always run.
 enum Cmd {
     Data { op: &'static str, job: DataJob },
-    Control(Box<dyn FnOnce(&Device) + Send>),
-    Fused(Vec<Cmd>),
+    Control(Box<dyn FnOnce(&Queue) + Send>),
 }
 
-/// Executes one command on the stream worker; the single definition of
-/// the per-op protocol (shared by plain and fused delivery, so fault
-/// and watchdog behavior cannot diverge between them).
-fn execute_cmd(
-    cmd: Cmd,
-    device: &Device,
-    err: &ErrorSlot,
-    in_flight: &Arc<Mutex<Option<(&'static str, Instant)>>>,
-) {
-    match cmd {
-        Cmd::Control(f) => f(device),
-        Cmd::Fused(cmds) => {
-            for sub in cmds {
-                execute_cmd(sub, device, err, in_flight);
-            }
-        }
-        Cmd::Data { op, job } => {
-            if err.lock().is_some() {
-                // Poisoned: skip the job. Dropping it disconnects any
-                // per-op sender, and the sticky error is already
-                // visible.
-                return;
-            }
-            // Mark the op in flight *before* the fault hook: an
-            // injected hang sleeps in there and must be visible to
-            // watchdogs.
-            *in_flight.lock() = Some((op, Instant::now()));
-            if let Some(e) = device.fault_stream_op(op) {
-                // Injected stall: poison *before* the job (and its
-                // senders) drops, so a disconnected Pending sees the
-                // error.
-                set_sticky(err, e);
-                *in_flight.lock() = None;
-                return;
-            }
-            if let Err(e) = job(device) {
-                set_sticky(err, e);
-            }
-            *in_flight.lock() = None;
-        }
+/// A stream's state, shared with the [`Pending`]s and [`Event`]s that
+/// drain it: the queued commands, the sticky error, and the turn lock
+/// that lets one waiter at a time run the queue.
+pub(crate) struct Queue {
+    device: Device,
+    err: Mutex<Option<XpuError>>,
+    cmds: Mutex<VecDeque<Cmd>>,
+    turn: Mutex<()>,
+}
+
+impl fmt::Debug for Queue {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Queue")
+            .field("device", &self.device)
+            .field("err", &*self.err.lock())
+            .finish_non_exhaustive()
     }
 }
 
-type ErrorSlot = Arc<Mutex<Option<XpuError>>>;
+impl Queue {
+    /// Runs every queued command in order on the calling thread,
+    /// including commands enqueued while it drains. A second waiter
+    /// blocks on the turn lock until the first has run the queue.
+    pub(crate) fn drain(&self) {
+        let _turn = self.turn.lock();
+        while let Some(cmd) = self.pop() {
+            self.run(cmd);
+        }
+    }
 
-/// Records the stream's first error; later errors are dropped (sticky
-/// semantics, like `cudaGetLastError` reporting the first failure).
-fn set_sticky(slot: &ErrorSlot, e: XpuError) {
-    let mut s = slot.lock();
-    if s.is_none() {
-        *s = Some(e);
+    /// The next command, taken with the queue lock released before it
+    /// runs, so other threads can enqueue meanwhile.
+    fn pop(&self) -> Option<Cmd> {
+        self.cmds.lock().pop_front()
+    }
+
+    /// Runs one command; the single definition of the per-op protocol
+    /// (sticky skip, fault ordinal tick, watchdog deadline), shared by
+    /// fused and unfused batches.
+    fn run(&self, cmd: Cmd) {
+        let (op, job) = match cmd {
+            Cmd::Control(f) => return f(self),
+            Cmd::Data { op, job } => (op, job),
+        };
+        if self.err.lock().is_some() {
+            // Poisoned: skip the job; the sticky error is what every
+            // later wait reports.
+            return;
+        }
+        let start = Instant::now();
+        let stalled = self.device.fault_stream_op(op);
+        let overdue = || {
+            let late = self.device.watchdog().is_some_and(|l| start.elapsed() > l);
+            late.then_some(XpuError::StreamTimeout { op })
+        };
+        let result = match stalled.or_else(overdue) {
+            Some(e) => Err(e),
+            None => job(&self.device),
+        };
+        if let Err(e) = result {
+            self.set_sticky(e);
+        }
+    }
+
+    /// Records the stream's first error; later errors are dropped
+    /// (sticky semantics, like `cudaGetLastError` reporting the first
+    /// failure).
+    pub(crate) fn set_sticky(&self, e: XpuError) {
+        self.err.lock().get_or_insert(e);
+    }
+
+    /// The stream's sticky error, if it has failed.
+    pub(crate) fn error(&self) -> Option<XpuError> {
+        self.err.lock().clone()
     }
 }
 
@@ -109,12 +146,16 @@ fn set_sticky(slot: &ErrorSlot, e: XpuError) {
 struct EventState {
     set: bool,
     err: Option<XpuError>,
+    /// The stream that recorded the event, drained by a wait that finds
+    /// the event unset.
+    recorder: Weak<Queue>,
 }
 
 /// A cross-stream synchronization point, mirroring `cudaEvent_t`.
 ///
 /// Record the event on one stream, wait on it from another (or from the
-/// host). The event is triggered when the recording stream reaches it.
+/// host). The event is triggered when the recording stream reaches it;
+/// a wait on an untriggered event first drains the recording stream.
 /// An event recorded on a poisoned stream still triggers — carrying the
 /// stream's sticky error, observable via [`Event::wait_result`] — so
 /// waiters never deadlock on a failed stream.
@@ -131,48 +172,34 @@ impl Event {
 
     /// Blocks the calling thread until the event triggers.
     pub fn wait(&self) {
-        let (lock, cvar) = &*self.state;
-        let mut state = lock.lock();
-        while !state.set {
-            cvar.wait(&mut state);
-        }
+        let _ = self.wait_result();
     }
 
     /// Blocks until the event triggers, then reports the recording
     /// stream's sticky error, if it had one when the event fired.
     pub fn wait_result(&self) -> XpuResult<()> {
         let (lock, cvar) = &*self.state;
+        let recorder = {
+            let state = lock.lock();
+            if state.set {
+                None
+            } else {
+                state.recorder.upgrade()
+            }
+        };
+        if let Some(queue) = recorder {
+            queue.drain();
+        }
         let mut state = lock.lock();
         while !state.set {
             cvar.wait(&mut state);
         }
-        match &state.err {
-            None => Ok(()),
-            Some(e) => Err(e.clone()),
-        }
+        state.err.clone().map_or(Ok(()), Err)
     }
 
     /// Returns `true` if the event has triggered.
     pub fn is_set(&self) -> bool {
         self.state.0.lock().set
-    }
-
-    /// Timed [`Event::wait_result`]: `None` when `timeout` elapses
-    /// before the event triggers.
-    pub(crate) fn wait_result_for(&self, timeout: std::time::Duration) -> Option<XpuResult<()>> {
-        let (lock, cvar) = &*self.state;
-        let deadline = Instant::now() + timeout;
-        let mut state = lock.lock();
-        while !state.set {
-            let left = deadline
-                .checked_duration_since(Instant::now())
-                .filter(|d| !d.is_zero())?;
-            let _ = cvar.wait_for(&mut state, left);
-        }
-        match &state.err {
-            None => Some(Ok(())),
-            Some(e) => Some(Err(e.clone())),
-        }
     }
 
     fn set_with(&self, err: Option<XpuError>) {
@@ -190,10 +217,10 @@ impl Event {
 
 /// An ordered asynchronous command queue on a [`Device`].
 ///
-/// Operations enqueue and return immediately; they execute in order on
-/// the stream's worker thread. [`Stream::try_synchronize`] blocks until
-/// the queue drains. Dropping the stream waits for completion (the
-/// destructor never drops queued work).
+/// Operations enqueue and return immediately; the thread that waits on
+/// the stream ([`Stream::try_synchronize`], [`Pending::result`], an
+/// [`Event`] it recorded) runs them in order. Dropping the stream runs
+/// what is still queued (the destructor never drops queued work).
 ///
 /// See the [module docs](self) for the failure model: errors are sticky
 /// and recovery happens on a fresh stream.
@@ -203,63 +230,33 @@ impl Event {
 /// See the [crate-level example](crate).
 #[derive(Debug)]
 pub struct Stream {
-    device: Device,
-    err: ErrorSlot,
-    /// The data operation currently executing on the worker (shared
-    /// with watchdog-armed waits), with its start time.
-    in_flight: Arc<Mutex<Option<(&'static str, Instant)>>>,
-    tx: Option<mpsc::Sender<Cmd>>,
-    worker: Option<std::thread::JoinHandle<()>>,
+    pub(crate) queue: Arc<Queue>,
 }
 
 impl Stream {
     pub(crate) fn new(device: Device) -> Self {
-        let (tx, rx) = mpsc::channel::<Cmd>();
-        let worker_device = device.clone();
-        let err: ErrorSlot = Arc::new(Mutex::new(None));
         // Streams requested after the run is cancelled are born
         // poisoned: every data op fails fast with `Cancelled`, so
         // recovery loops wind down instead of re-running work.
-        if let Some(e) = device.cancel_error() {
-            set_sticky(&err, e);
-        }
-        let in_flight: Arc<Mutex<Option<(&'static str, Instant)>>> = Arc::new(Mutex::new(None));
-        let worker_err = Arc::clone(&err);
-        let worker_in_flight = Arc::clone(&in_flight);
-        let worker = std::thread::Builder::new()
-            .name("xpu-stream".to_owned())
-            .spawn(move || {
-                while let Ok(cmd) = rx.recv() {
-                    execute_cmd(cmd, &worker_device, &worker_err, &worker_in_flight);
-                }
-            })
-            .expect("spawn stream worker");
+        let err = device.cancel_error();
         Stream {
-            device,
-            err,
-            in_flight,
-            tx: Some(tx),
-            worker: Some(worker),
+            queue: Arc::new(Queue {
+                device,
+                err: Mutex::new(err),
+                cmds: Mutex::default(),
+                turn: Mutex::new(()),
+            }),
         }
-    }
-
-    /// The watchdog context for waits on this stream; `None` when the
-    /// device has no watchdog armed.
-    fn stall_watch(&self) -> Option<StallWatch> {
-        self.device.watchdog().map(|limit| StallWatch {
-            in_flight: Arc::clone(&self.in_flight),
-            limit,
-        })
     }
 
     /// The device this stream executes on.
     pub fn device(&self) -> &Device {
-        &self.device
+        &self.queue.device
     }
 
     /// The stream's sticky error, if it has failed.
     pub fn error(&self) -> Option<XpuError> {
-        self.err.lock().clone()
+        self.queue.error()
     }
 
     fn check_sticky(&self) -> XpuResult<()> {
@@ -270,11 +267,7 @@ impl Stream {
     }
 
     fn submit(&self, cmd: Cmd) {
-        self.tx
-            .as_ref()
-            .expect("stream channel open until drop")
-            .send(cmd)
-            .expect("stream worker alive until drop");
+        self.queue.cmds.lock().push_back(cmd);
     }
 
     /// Fallible stream-ordered allocation: the buffer handle is
@@ -435,16 +428,17 @@ impl Stream {
 
     /// Makes this stream wait (in stream order) for `event`. A control
     /// operation: it preserves cross-stream ordering even when this
-    /// stream is poisoned, and is never a fault-injection target.
+    /// stream is poisoned, and is never a fault-injection target. If
+    /// `event` is unset when the wait runs, the waiter first runs the
+    /// stream that recorded it.
     pub fn wait_event(&self, event: &Event) {
         self.batch(false).wait_event(event);
     }
 
     /// Opens a batched enqueue scope on this stream. With `fused =
-    /// true`, commands pushed into the batch are packed into a single
-    /// [`Cmd::Fused`] delivered to the worker in one send (one wake)
+    /// true`, commands pushed into the batch join the queue together
     /// when the batch flushes; with `fused = false` the batch is a pure
-    /// passthrough submitting each command immediately, byte-identical
+    /// passthrough enqueueing each command immediately, byte-identical
     /// to calling the stream methods directly — the unfused ablation.
     ///
     /// Dropping the batch flushes it, so early error returns leave the
@@ -459,30 +453,13 @@ impl Stream {
         }
     }
 
-    /// Blocks until every previously enqueued operation has completed
-    /// or been skipped, then reports the stream's sticky error, if any
-    /// — the fallible `cudaStreamSynchronize`.
-    ///
-    /// Under an armed watchdog ([`Device::set_watchdog`]) the wait
-    /// polls the in-flight operation: an op stalled past the limit
-    /// poisons the stream with [`XpuError::StreamTimeout`] and returns
-    /// it immediately, without waiting for the stall to resolve.
+    /// Runs every previously enqueued operation on the calling thread
+    /// (or waits for the waiter already running them), then reports the
+    /// stream's sticky error, if any — the fallible
+    /// `cudaStreamSynchronize`.
     pub fn try_synchronize(&self) -> XpuResult<()> {
-        let event = Event::new();
-        self.record_event(&event);
-        let Some(watch) = self.stall_watch() else {
-            return event.wait_result();
-        };
-        loop {
-            if let Some(result) = event.wait_result_for(watch.tick()) {
-                return result;
-            }
-            if let Some(op) = watch.stalled_op() {
-                let e = XpuError::StreamTimeout { op };
-                set_sticky(&self.err, e.clone());
-                return Err(e);
-            }
-        }
+        self.queue.drain();
+        self.check_sticky()
     }
 
     /// [`Stream::try_synchronize`], panicking if the stream failed.
@@ -493,11 +470,8 @@ impl Stream {
 
 impl Drop for Stream {
     fn drop(&mut self) {
-        // Close the channel, then join: queued work always completes.
-        self.tx.take();
-        if let Some(worker) = self.worker.take() {
-            let _ = worker.join();
-        }
+        // Queued work always completes.
+        self.queue.drain();
     }
 }
 
@@ -506,10 +480,10 @@ impl Drop for Stream {
 ///
 /// Every synchronous check (sticky error, fault ordinal, budget
 /// reservation) runs at the call, on the caller thread, exactly as an
-/// immediate enqueue would — only the handoff to the worker is deferred
-/// and packed. Flushing (or dropping) a fused batch with two or more
-/// commands submits one [`Cmd::Fused`] and credits the contained kernel
-/// launches to [`DeviceStats::launches_fused`].
+/// immediate enqueue would — only the push onto the queue is deferred.
+/// Flushing (or dropping) a fused batch with two or more commands
+/// enqueues them together and credits the contained kernel launches to
+/// [`DeviceStats::launches_fused`].
 ///
 /// [`DeviceStats::launches_fused`]: crate::DeviceStats::launches_fused
 pub struct LaunchBatch<'s> {
@@ -588,7 +562,7 @@ impl LaunchBatch<'_> {
     where
         T: Send + Sync + 'static,
     {
-        let device = &self.stream.device;
+        let device = self.stream.device();
         self.stream.check_sticky()?;
         if let Some(e) = fault(device) {
             return Err(e);
@@ -610,32 +584,23 @@ impl LaunchBatch<'_> {
     where
         T: Clone + Send + Sync + 'static,
     {
-        let stream = self.stream;
-        stream.check_sticky()?;
-        let (tx, rx) = mpsc::channel();
-        let handle = buf.clone();
-        let err = Arc::clone(&stream.err);
+        self.stream.check_sticky()?;
+        let slot = Arc::new(Mutex::new(None));
+        let (handle, out) = (buf.clone(), Arc::clone(&slot));
         self.push(Cmd::Data {
             op: "download",
             job: Box::new(move |device| {
                 let data = handle.to_vec();
                 let bytes = data.len() * std::mem::size_of::<T>();
                 if let Some(e) = device.fault_transfer(TransferDirection::DeviceToHost, bytes) {
-                    // Poison before `tx` drops so the waiting Pending
-                    // observes the error, not a bare disconnect.
-                    set_sticky(&err, e.clone());
                     return Err(e);
                 }
                 device.stats().record_d2h(bytes);
-                let _ = tx.send(data);
+                *out.lock() = Some(data);
                 Ok(())
             }),
         });
-        Ok(Pending::with_watch(
-            rx,
-            Arc::clone(&stream.err),
-            stream.stall_watch(),
-        ))
+        Ok(Pending::new(slot, Arc::clone(&self.stream.queue)))
     }
 
     /// Batched [`Stream::try_launch_map`].
@@ -691,8 +656,8 @@ impl LaunchBatch<'_> {
     }
 
     /// The kernel launch ops: enqueueing fails only on a poisoned
-    /// stream; `launch` runs on the worker, where a kernel panic
-    /// poisons the stream.
+    /// stream; `launch` runs when a waiter drains the stream, where a
+    /// kernel panic poisons the stream.
     fn launch_cmd(
         &mut self,
         op: &'static str,
@@ -709,10 +674,10 @@ impl LaunchBatch<'_> {
 
     /// Batched [`Stream::record_event`].
     pub fn record_event(&mut self, event: &Event) {
+        event.state.0.lock().recorder = Arc::downgrade(&self.stream.queue);
         let event = event.clone();
-        let err = Arc::clone(&self.stream.err);
-        self.push(Cmd::Control(Box::new(move |_| {
-            event.set_with(err.lock().clone());
+        self.push(Cmd::Control(Box::new(move |queue| {
+            event.set_with(queue.error());
         })));
     }
 
@@ -722,22 +687,13 @@ impl LaunchBatch<'_> {
         self.push(Cmd::Control(Box::new(move |_| event.wait())));
     }
 
-    /// Submits everything accumulated so far. A single pending command
-    /// is submitted plain (fusing it would only add wrapping); two or
-    /// more are packed into one [`Cmd::Fused`].
+    /// Enqueues everything accumulated so far, crediting the kernel
+    /// launches of a batch of two or more commands as fused.
     fn flush(&mut self) {
-        if self.cmds.is_empty() {
-            self.launches = 0;
-            return;
-        }
-        let cmds = std::mem::take(&mut self.cmds);
-        if cmds.len() == 1 {
-            let cmd = cmds.into_iter().next().expect("len checked");
-            self.stream.submit(cmd);
-        } else {
+        if self.cmds.len() > 1 {
             self.stream.device().stats().record_fused(self.launches);
-            self.stream.submit(Cmd::Fused(cmds));
         }
+        self.stream.queue.cmds.lock().extend(self.cmds.drain(..));
         self.launches = 0;
     }
 
@@ -931,28 +887,31 @@ mod tests {
         let device = Device::new(2);
         let stream = device.stream();
         let buf = stream.upload(vec![0u32; 10]);
-        // Hold the worker until both the failing launch and the
-        // download are enqueued: without the hold, the launch can
-        // execute (and poison the stream) before `try_download` runs,
-        // which would fail the enqueue fast instead of exercising the
-        // skipped-job path this test is about.
-        let (hold_tx, hold_rx) = mpsc::channel::<()>();
-        stream.submit(Cmd::Control(Box::new(move |_| {
-            let _ = hold_rx.recv();
-        })));
         stream
             .try_launch_map(LaunchConfig::for_threads(10), &buf, |_, _| {
                 panic!("boom");
             })
             .unwrap();
-        // The download is enqueued after the failing launch: it gets
-        // skipped, and the Pending resolves to the sticky error.
+        // Nothing has run yet, so the download enqueues after the
+        // failing launch: it gets skipped, and the Pending resolves to
+        // the sticky error.
         let pending = stream.try_download(&buf).unwrap();
-        hold_tx.send(()).unwrap();
         assert!(matches!(
             pending.result(),
             Err(XpuError::KernelPanic { .. })
         ));
+    }
+
+    #[test]
+    fn ops_run_on_the_waiting_thread() {
+        let device = Device::new(2);
+        let stream = device.stream();
+        let ran_on = Arc::new(Mutex::new(None));
+        let slot = Arc::clone(&ran_on);
+        stream.enqueue(move |_| *slot.lock() = Some(std::thread::current().id()));
+        assert!(ran_on.lock().is_none(), "enqueueing runs nothing");
+        stream.try_synchronize().unwrap();
+        assert_eq!(*ran_on.lock(), Some(std::thread::current().id()));
     }
 
     #[test]
@@ -1071,22 +1030,22 @@ mod tests {
     fn watchdog_surfaces_genuine_hang_from_synchronize() {
         use crate::fault::{Fault, FaultPlan};
         let device = Device::new(2);
-        device.set_fault_plan(Some(FaultPlan::new().with(Fault::StreamHang {
-            nth: 0,
-            millis: 300,
-        })));
+        device.set_fault_plan(Some(
+            FaultPlan::new().with(Fault::StreamHang { nth: 0, millis: 50 }),
+        ));
         device.set_watchdog(Some(Duration::from_millis(25)));
         let stream = device.stream();
-        stream.enqueue(|_| {});
-        let started = std::time::Instant::now();
+        let ran = Arc::new(AtomicUsize::new(0));
+        let r = Arc::clone(&ran);
+        stream.enqueue(move |_| {
+            r.fetch_add(1, Ordering::SeqCst);
+        });
         let err = stream.try_synchronize().unwrap_err();
         assert!(matches!(err, XpuError::StreamTimeout { op: "enqueue" }));
-        assert!(
-            started.elapsed() < Duration::from_millis(250),
-            "watchdog must fire before the hang resolves"
-        );
-        // The stream is poisoned like any other stream failure.
-        assert!(stream.error().is_some());
+        // The overdue op is skipped and the stream poisoned like any
+        // other stream failure.
+        assert_eq!(ran.load(Ordering::SeqCst), 0);
+        assert_eq!(stream.error(), Some(err));
         assert_eq!(device.faults_injected(), 1);
         // A fresh stream works: the hang was one-shot.
         let fresh = device.stream();
@@ -1098,17 +1057,18 @@ mod tests {
     fn watchdog_surfaces_genuine_hang_from_pending() {
         use crate::fault::{Fault, FaultPlan};
         let device = Device::new(2);
-        device.set_fault_plan(Some(FaultPlan::new().with(Fault::StreamHang {
-            nth: 1,
-            millis: 300,
-        })));
+        device.set_fault_plan(Some(
+            FaultPlan::new().with(Fault::StreamHang { nth: 1, millis: 50 }),
+        ));
         device.set_watchdog(Some(Duration::from_millis(25)));
         let stream = device.stream();
         let buf = stream.upload(vec![1u8, 2, 3]); // op 0
         let pending = stream.try_download(&buf).unwrap(); // op 1: hangs
         let err = pending.result().unwrap_err();
         assert!(matches!(err, XpuError::StreamTimeout { op: "download" }));
-        assert!(stream.error().is_some());
+        assert_eq!(stream.error(), Some(err));
+        assert_eq!(device.faults_injected(), 1);
+        assert_eq!(device.stats().bytes_d2h(), 0, "the download was skipped");
     }
 
     #[test]
